@@ -24,7 +24,11 @@ use crate::flowblock::FlowRate;
 /// (and normalized) rate.
 pub trait RateAllocator: std::fmt::Debug + Send {
     /// Registers a flow. `path` must come from the fabric the engine was
-    /// built over.
+    /// built over. The id is the caller's choice and only has to be
+    /// unique among the flows currently registered: an id may be handed
+    /// out again after [`RateAllocator::remove_flow`] (the allocator
+    /// service recycles its flow-table slots as ids), so an engine must
+    /// not derive rates from id values or their order.
     ///
     /// # Panics
     /// Panics on duplicate ids, non-positive weights, or paths that do
@@ -67,7 +71,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// [`RateAllocator::rates`] into a caller-provided buffer (cleared
     /// first) — the per-tick export path, which must not allocate once
     /// the buffer is warm. The default delegates to the allocating
-    /// variant; engines on the tick path override it.
+    /// variant; every engine a service can run overrides it.
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         out.extend_from_slice(&self.rates());

@@ -125,14 +125,18 @@ impl RateAllocator for GradientAllocator {
     }
 
     fn rates(&self) -> Vec<FlowRate> {
-        self.problem
-            .iter_flows()
-            .map(|(slot, ..)| FlowRate {
-                id: self.slot_ids[slot].expect("active slot has an id"),
-                rate: self.state.rates[slot],
-                normalized: self.normalized[slot],
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.index.len());
+        self.rates_into(&mut out);
+        out
+    }
+
+    fn rates_into(&self, out: &mut Vec<FlowRate>) {
+        out.clear();
+        out.extend(self.problem.iter_flows().map(|(slot, ..)| FlowRate {
+            id: self.slot_ids[slot].expect("active slot has an id"),
+            rate: self.state.rates[slot],
+            normalized: self.normalized[slot],
+        }));
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {

@@ -269,7 +269,7 @@ impl FluidDriver {
             // (exactly one per loop step, since the step is the interval).
             while let Some(updates) = self.ticker.poll(self.now_ps) {
                 if in_window {
-                    for (_, msg) in &updates {
+                    for (_, msg) in updates {
                         let len = msg.encoded_len();
                         self.stats.payload_from_alloc += len as u64;
                         self.stats.wire_from_alloc += wire::segment_wire_bytes(len) as u64;

@@ -53,21 +53,44 @@ pub trait TickDriver: std::fmt::Debug + Send {
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError>;
 
     /// One allocator tick (§6.2: every 10 µs): runs the engine(s) and
-    /// returns `(source server, update)` pairs in ascending token order.
-    fn tick(&mut self) -> Vec<(u16, Message)>;
+    /// fills `out` (cleared first) with `(source server, update)` pairs
+    /// in ascending token order. The one tick implementation — a caller
+    /// that keeps `out` across ticks pays no allocation for a tick that
+    /// sends nothing; [`TickDriver::tick`] wraps it for callers that
+    /// want an owned batch.
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>);
 
-    /// [`TickDriver::tick`] with engine panics contained where the
+    /// [`TickDriver::tick_into`] with engine panics contained where the
     /// implementation supports it: a sharded control plane reports a
     /// panicking shard as [`ServiceError::ShardPanicked`] (siblings and
     /// the worker pool survive) instead of aborting the embedder's loop.
-    /// The default simply runs `tick` — single-engine services have no
-    /// isolation boundary to contain a panic behind.
+    /// The default simply runs `tick_into` — single-engine services have
+    /// no isolation boundary to contain a panic behind.
     ///
     /// # Errors
     /// [`ServiceError::ShardPanicked`] from drivers with per-shard panic
     /// isolation.
+    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        self.tick_into(out);
+        Ok(())
+    }
+
+    /// [`TickDriver::tick_into`] returning an owned batch, sized once by
+    /// the implementation's single reserve.
+    fn tick(&mut self) -> Vec<(u16, Message)> {
+        let mut out = Vec::new();
+        self.tick_into(&mut out);
+        out
+    }
+
+    /// [`TickDriver::try_tick_into`] returning an owned batch.
+    ///
+    /// # Errors
+    /// As [`TickDriver::try_tick_into`].
     fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        Ok(self.tick())
+        let mut out = Vec::new();
+        self.try_tick_into(&mut out)?;
+        Ok(out)
     }
 
     /// Current normalized rate of an active flowlet, Gbit/s.
@@ -109,12 +132,12 @@ impl TickDriver for BoxTickDriver {
         (**self).on_message(msg)
     }
 
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        (**self).tick()
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
+        (**self).tick_into(out);
     }
 
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        (**self).try_tick()
+    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        (**self).try_tick_into(out)
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -151,8 +174,8 @@ impl<E: RateAllocator> TickDriver for AllocatorService<E> {
         AllocatorService::on_message(self, msg)
     }
 
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        AllocatorService::tick(self)
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
+        AllocatorService::tick_into(self, out);
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -186,7 +209,7 @@ impl<E: RateAllocator> TickDriver for AllocatorService<E> {
 
 /// The per-tick callback [`TickLoop::run_wall`] hands each tick's update
 /// stream to, together with the driver for rate queries.
-pub type UpdateSink<'a, D> = dyn FnMut(&mut D, Vec<(u16, Message)>) + 'a;
+pub type UpdateSink<'a, D> = dyn FnMut(&mut D, &[(u16, Message)]) + 'a;
 
 /// A [`TickDriver`] plus its tick cadence: the adapter that owns *when*
 /// the allocator ticks, so embedders stop hand-rolling sleep loops.
@@ -200,13 +223,17 @@ pub type UpdateSink<'a, D> = dyn FnMut(&mut D, Vec<(u16, Message)>) + 'a;
 /// is parked inside this type, and `poll` never blocks. A poll that
 /// arrives late catches up one tick per call, so
 /// `while let Some(updates) = tick_loop.poll(now_ps) { … }` runs exactly
-/// the ticks the cadence owed at `now_ps`.
+/// the ticks the cadence owed at `now_ps`. The loop owns the update
+/// buffer its driver ticks into and lends each tick's stream out, so a
+/// steady cadence allocates nothing.
 #[derive(Debug)]
 pub struct TickLoop<D: TickDriver = BoxTickDriver> {
     driver: D,
     interval_ps: u64,
     next_ps: u64,
     ticks: u64,
+    /// The latest tick's update stream, reused across ticks.
+    updates: Vec<(u16, Message)>,
 }
 
 impl<D: TickDriver> TickLoop<D> {
@@ -224,6 +251,7 @@ impl<D: TickDriver> TickLoop<D> {
             interval_ps,
             next_ps: 0,
             ticks: 0,
+            updates: Vec::new(),
         }
     }
 
@@ -258,18 +286,20 @@ impl<D: TickDriver> TickLoop<D> {
         self.driver
     }
 
-    /// Runs one tick if one is due at `now_ps`, returning its update
-    /// stream; `None` means the cadence owes nothing yet (call again at
-    /// [`TickLoop::next_tick_ps`]). When `now_ps` has overshot several
-    /// intervals, each call pays off one owed tick, so a catch-up loop
-    /// (`while let Some(…) = poll(now_ps)`) restores the cadence.
-    pub fn poll(&mut self, now_ps: u64) -> Option<Vec<(u16, Message)>> {
+    /// Runs one tick if one is due at `now_ps`, lending out its update
+    /// stream (valid until the next poll); `None` means the cadence owes
+    /// nothing yet (call again at [`TickLoop::next_tick_ps`]). When
+    /// `now_ps` has overshot several intervals, each call pays off one
+    /// owed tick, so a catch-up loop (`while let Some(…) = poll(now_ps)`)
+    /// restores the cadence.
+    pub fn poll(&mut self, now_ps: u64) -> Option<&[(u16, Message)]> {
         if now_ps < self.next_ps {
             return None;
         }
         self.next_ps += self.interval_ps;
         self.ticks += 1;
-        Some(self.driver.tick())
+        self.driver.tick_into(&mut self.updates);
+        Some(&self.updates)
     }
 
     /// Drives the cadence against the wall clock for `duration`,
@@ -283,8 +313,8 @@ impl<D: TickDriver> TickLoop<D> {
         loop {
             let elapsed = (t0.elapsed().as_nanos().saturating_mul(1000) as u64).min(horizon);
             let now_ps = origin + elapsed;
-            while let Some(updates) = self.poll(now_ps) {
-                sink(&mut self.driver, updates);
+            while self.poll(now_ps).is_some() {
+                sink(&mut self.driver, &self.updates);
             }
             if elapsed >= horizon {
                 return;

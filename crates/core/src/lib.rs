@@ -104,5 +104,5 @@ pub use service::{
     AllocatorService, DynAllocatorService, Engine, FlowMigration, ParseEngineError, ServiceBuilder,
     ServiceError, ServiceStats, ENGINE_NAMES,
 };
-pub use sharded::{merge_by_token, merge_by_token_into, ShardedService};
+pub use sharded::{merge_by_token_into, ShardedService};
 pub use token::TokenAllocator;

@@ -13,11 +13,12 @@
 //!    baseline) and [`Engine::Gradient`] (first-order gradient
 //!    projection, the §6.6/Figure-12 baseline).
 //! 2. **[`AllocatorService`]** is the Figure-1 box around one engine: it
-//!    consumes flowlet start/end notifications, keeps the token registry,
-//!    and on every [`AllocatorService::tick`] (§6.2: every 10 µs) emits
-//!    threshold-filtered rate updates. It is sans-IO — the network
-//!    simulator delivers the messages over simulated TCP, the examples
-//!    call it directly.
+//!    consumes flowlet start/end notifications, keeps the flow table (a
+//!    slab indexed by the engine-side [`FlowId`], with the §6.4 filter
+//!    memory inline), and on every [`AllocatorService::tick_into`]
+//!    (§6.2: every 10 µs) emits threshold-filtered rate updates. It is
+//!    sans-IO — the network simulator delivers the messages over
+//!    simulated TCP, the examples call it directly.
 //! 3. **[`TickDriver`](crate::TickDriver)** abstracts "a thing with an
 //!    allocator tick" — the message-in/updates-out contract shared by
 //!    [`AllocatorService`] and [`ShardedService`](crate::ShardedService).
@@ -35,7 +36,7 @@
 //! crashes: [`AllocatorService::on_message`] returns a [`ServiceError`]
 //! and bumps [`ServiceStats::rejected`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use flowtune_alloc::{AllocConfig, BoxEngine, FlowRate, RateAllocator, SerialAllocator};
@@ -46,9 +47,14 @@ use flowtune_topo::{FlowId, TwoTierClos};
 use crate::driver::PhaseTimings;
 use crate::FlowtuneConfig;
 
+/// One slab slot: a live flowlet's registration and its §6.4 filter
+/// memory, found by the [`FlowId`] the engine reports rates under — the
+/// export touches exactly this and nothing keyed by token.
 #[derive(Debug, Clone, Copy)]
 struct Registered {
-    internal: FlowId,
+    /// The rate last sent to the endpoint; meaningful only once `sent`.
+    last_sent: f64,
+    token: Token,
     src: u16,
     /// Destination, weight and spine are retained so a registration can
     /// be re-created verbatim in another shard when a re-placement epoch
@@ -56,7 +62,13 @@ struct Registered {
     dst: u16,
     weight_q8: u16,
     spine: u8,
+    /// Whether any rate has been sent yet (the first always is).
+    sent: bool,
 }
+
+// The export reads one slot per exported rate: a slot that outgrows
+// 24 bytes costs every tick cache misses and every flow table memory.
+const _: () = assert!(std::mem::size_of::<Registered>() <= 24);
 
 /// A flowlet registration detached from its service, carrying everything
 /// needed to re-register the flow elsewhere — the unit of flow-state
@@ -553,20 +565,23 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     fabric: TwoTierClos,
     engine: E,
     cfg: FlowtuneConfig,
-    /// Token registry. A `BTreeMap` so `tick` walks tokens in sorted
-    /// order directly — the per-tick collect-and-sort of the `HashMap`
-    /// design cost `O(n log n)` per 10 µs tick at zero churn.
-    registry: BTreeMap<Token, Registered>,
-    /// Internal id → (token, source): the reverse lookup the changed-rate
-    /// export needs to turn an engine's [`FlowRate`] back into a routed
-    /// update without walking the whole registry.
-    rev: HashMap<FlowId, (Token, u16)>,
-    /// Scratch buffer the engine's changed-rate drain fills each tick.
+    /// The flow table: slot `i` holds the flow the engine knows as
+    /// `FlowId(i)`, so an engine's [`FlowRate`] resolves to its
+    /// registration and filter memory with one index. Slots outside
+    /// `index` are vacant (listed in `free`) and hold stale data.
+    slab: Vec<Registered>,
+    /// Vacant slab slots, reused (last freed first) before the slab
+    /// grows — ids are recycled, see [`RateAllocator::add_flow`].
+    free: Vec<u32>,
+    /// Token → slab slot, for the paths that are handed a token: intake,
+    /// migration and rate queries. The tick never consults it — update
+    /// order comes from sorting each tick's passers, not from this map.
+    index: BTreeMap<Token, u32>,
+    /// Scratch buffer the engine's rate drain fills each tick.
     export_buf: Vec<FlowRate>,
-    /// Scratch buffer for sorting the changed set into token order.
-    changed_buf: Vec<(Token, u16, f64)>,
-    filter: ThresholdFilter,
-    next_internal: u64,
+    /// Scratch buffer: the tick's passers, sorted into token order
+    /// before they are emitted.
+    pass_buf: Vec<(Token, u16, Rate16)>,
     stats: ServiceStats,
     timings: PhaseTimings,
 }
@@ -600,16 +615,19 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     fn from_parts(fabric: TwoTierClos, cfg: FlowtuneConfig, engine: E) -> Self {
+        assert!(
+            cfg.update_threshold >= 0.0 && cfg.update_threshold.is_finite(),
+            "update threshold must be ≥ 0"
+        );
         Self {
             fabric,
             engine,
             cfg,
-            registry: BTreeMap::new(),
-            rev: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            index: BTreeMap::new(),
             export_buf: Vec::new(),
-            changed_buf: Vec::new(),
-            filter: ThresholdFilter::new(cfg.update_threshold),
-            next_internal: 0,
+            pass_buf: Vec::new(),
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
         }
@@ -643,7 +661,7 @@ impl<E: RateAllocator> AllocatorService<E> {
                 spine,
                 ..
             } => {
-                if self.registry.contains_key(&token) {
+                if self.index.contains_key(&token) {
                     self.stats.rejected += 1;
                     return Err(ServiceError::DuplicateToken(token));
                 }
@@ -664,10 +682,7 @@ impl<E: RateAllocator> AllocatorService<E> {
                 Ok(())
             }
             Message::FlowletEnd { token } => {
-                if let Some(reg) = self.registry.remove(&token) {
-                    self.engine.remove_flow(reg.internal);
-                    self.rev.remove(&reg.internal);
-                    self.filter.forget(token);
+                if self.release(token).is_some() {
                     self.stats.ends += 1;
                 }
                 Ok(())
@@ -680,101 +695,77 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     /// One allocator tick (§6.2: every 10 µs): runs the configured number
-    /// of engine iterations and returns `(source server, update)` pairs
-    /// for every flow whose normalized rate moved beyond the threshold.
-    /// Updates come out in token order (the registry iterates sorted; an
-    /// incremental engine's changed set is sorted before filtering).
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
+    /// of engine iterations and fills `out` (cleared first) with the
+    /// `(source server, update)` pairs of every flow whose normalized
+    /// rate moved beyond the threshold, in ascending token order. With a
+    /// warm `out` a tick that sends nothing touches the heap zero times.
+    pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         let t0 = Instant::now();
         self.engine.run_iterations(self.cfg.iterations_per_tick);
         self.stats.iterations += self.cfg.iterations_per_tick as u64;
         let t1 = Instant::now();
         self.timings.allocate += t1 - t0;
-        let out = if let Some((dirty_flows, dirty_links)) = self.engine.dirty_counters() {
+        if let Some((dirty_flows, dirty_links)) = self.engine.dirty_counters() {
             // The counters are running totals the engine owns; mirror
             // them so shard sums aggregate naturally.
             self.stats.dirty_flows = dirty_flows;
             self.stats.dirty_links = dirty_links;
-            self.export_changed()
-        } else {
-            self.export_all()
-        };
+        }
+        self.export_into(out);
         self.timings.export += t1.elapsed();
-        out
     }
 
-    /// The classic export walk: every registered flow, in token order.
-    fn export_all(&mut self) -> Vec<(u16, Message)> {
-        // flowtune-lint: allow(hot-path-alloc, "export returns an owned batch by contract; zero-alloc callers use rates_into")
-        let mut out = Vec::new();
-        for (&token, reg) in &self.registry {
-            let rate = self
-                .engine
-                .flow_rate(reg.internal)
-                .expect("registered flow must be in the engine");
-            let gbps = rate.normalized;
-            if self.filter.should_send(token, gbps) {
-                let msg = Message::RateUpdate {
-                    token,
-                    rate: Rate16::encode(gbps),
-                };
-                self.stats.bytes_out += msg.encoded_len() as u64;
-                self.stats.updates_sent += 1;
-                out.push((reg.src, msg));
-            } else {
-                self.stats.updates_suppressed += 1;
-            }
-        }
-        out
+    /// [`AllocatorService::tick_into`] returning an owned batch.
+    pub fn tick(&mut self) -> Vec<(u16, Message)> {
+        crate::TickDriver::tick(self)
     }
 
-    /// The incremental export: drain the engine's changed-rate set, sort
-    /// it into token order, and run only those flows through the filter.
-    /// Flows the engine did not export cannot have moved, so the filter
-    /// would suppress them without touching its memory — they are counted
-    /// suppressed directly, keeping every [`ServiceStats`] counter equal
-    /// to what [`AllocatorService::export_all`] would have produced.
-    fn export_changed(&mut self) -> Vec<(u16, Message)> {
-        if !self.engine.take_changed_rates(&mut self.export_buf) {
-            return self.export_all();
-        }
-        self.changed_buf.clear();
+    /// The update export. The engine hands over the rates that may have
+    /// moved (its changed set when it tracks one, every flow otherwise)
+    /// in *its* order; each resolves to its slab slot, where the §6.4
+    /// rule runs against the inline last-sent rate; only the passers are
+    /// sorted into token order and emitted. The rule reads and writes
+    /// one flow's state, so filtering before sorting yields exactly the
+    /// stream of a token-ordered walk. Flows the engine did not export
+    /// cannot have moved, so every live flow that did not pass counts as
+    /// suppressed.
+    fn export_into(&mut self, out: &mut Vec<(u16, Message)>) {
+        out.clear();
+        self.engine.take_changed_rates(&mut self.export_buf);
+        let threshold = self.cfg.update_threshold;
+        self.pass_buf.clear();
         for r in &self.export_buf {
-            let &(token, src) = self
-                .rev
-                .get(&r.id)
-                .expect("exported flow must be registered");
-            self.changed_buf.push((token, src, r.normalized));
-        }
-        self.changed_buf.sort_unstable_by_key(|e| e.0);
-        // flowtune-lint: allow(hot-path-alloc, "export returns an owned batch by contract; zero-alloc callers use rates_into")
-        let mut out = Vec::new();
-        for i in 0..self.changed_buf.len() {
-            let (token, src, gbps) = self.changed_buf[i];
-            if self.filter.should_send(token, gbps) {
-                let msg = Message::RateUpdate {
-                    token,
-                    rate: Rate16::encode(gbps),
-                };
-                self.stats.bytes_out += msg.encoded_len() as u64;
-                self.stats.updates_sent += 1;
-                out.push((src, msg));
+            let reg = &mut self.slab[r.id.0 as usize];
+            let prev = reg.sent.then_some(reg.last_sent);
+            if ThresholdFilter::passes(threshold, prev, r.normalized) {
+                reg.last_sent = r.normalized;
+                reg.sent = true;
+                self.pass_buf
+                    .push((reg.token, reg.src, Rate16::encode(r.normalized)));
             }
         }
-        self.stats.updates_suppressed += self.registry.len() as u64 - out.len() as u64;
-        out
+        self.pass_buf.sort_unstable_by_key(|&(token, ..)| token);
+        out.reserve(self.pass_buf.len());
+        for &(token, src, rate) in &self.pass_buf {
+            let msg = Message::RateUpdate { token, rate };
+            self.stats.bytes_out += msg.encoded_len() as u64;
+            out.push((src, msg));
+        }
+        let sent = self.pass_buf.len() as u64;
+        self.stats.updates_sent += sent;
+        self.stats.updates_suppressed += self.index.len() as u64 - sent;
     }
 
     /// Current normalized rate of an active flowlet, Gbit/s.
     pub fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let reg = self.registry.get(&token)?;
-        Some(self.engine.flow_rate(reg.internal)?.normalized)
+        let &slot = self.index.get(&token)?;
+        Some(self.engine.flow_rate(FlowId(slot as u64))?.normalized)
     }
 
     /// Source server of an active flowlet — the key re-placement routing
     /// decisions are made on.
     pub fn flow_source(&self, token: Token) -> Option<u16> {
-        Some(self.registry.get(&token)?.src)
+        Some(self.slab[*self.index.get(&token)? as usize].src)
     }
 
     /// Removes an active flowlet and returns its detached registration,
@@ -785,10 +776,7 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// threshold-filter memory is dropped — the adopting shard reports a
     /// fresh rate once the flow re-converges there.
     pub fn extract_flow(&mut self, token: Token) -> Option<FlowMigration> {
-        let reg = self.registry.remove(&token)?;
-        self.engine.remove_flow(reg.internal);
-        self.rev.remove(&reg.internal);
-        self.filter.forget(token);
+        let reg = self.release(token)?;
         Some(FlowMigration {
             token,
             src: reg.src,
@@ -809,22 +797,53 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// [`ServiceError::DuplicateToken`] if the token is already active
     /// here.
     pub fn adopt_flow(&mut self, m: FlowMigration) -> Result<(), ServiceError> {
-        if self.registry.contains_key(&m.token) {
+        if self.index.contains_key(&m.token) {
             return Err(ServiceError::DuplicateToken(m.token));
         }
         self.register(m.token, m.src, m.dst, m.weight_q8, m.spine);
         Ok(())
     }
 
-    /// The single registration path intake and migration share: mint the
-    /// internal id, decode the Q8 weight, build the path, seat the flow
-    /// in the engine and the registry. One implementation, so migrated
-    /// flows can never diverge from freshly started ones in weight or
-    /// path rules. The token must be fresh and the endpoint fields
-    /// validated by the caller.
+    /// The single de-registration path `FlowletEnd` and migration share:
+    /// drops the flow from the index and the engine and puts its slot on
+    /// the free list. Returns the vacated registration.
+    fn release(&mut self, token: Token) -> Option<Registered> {
+        let slot = self.index.remove(&token)?;
+        self.engine.remove_flow(FlowId(slot as u64));
+        self.free.push(slot);
+        Some(self.slab[slot as usize])
+    }
+
+    /// The single registration path intake and migration share: take a
+    /// slab slot (its index is the engine-side id), decode the Q8
+    /// weight, build the path, seat the flow in the engine and the flow
+    /// table. One implementation, so migrated flows can never diverge
+    /// from freshly started ones in weight or path rules. The token must
+    /// be fresh and the endpoint fields validated by the caller.
     fn register(&mut self, token: Token, src: u16, dst: u16, weight_q8: u16, spine: u8) {
-        let internal = FlowId(self.next_internal);
-        self.next_internal += 1;
+        // The slot is overwritten whole: a recycled one must not inherit
+        // its predecessor's last-sent rate, or the newcomer's first
+        // update could be suppressed.
+        let reg = Registered {
+            last_sent: 0.0,
+            token,
+            src,
+            dst,
+            weight_q8,
+            spine,
+            sent: false,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = reg;
+                slot
+            }
+            None => {
+                self.slab.push(reg);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let internal = FlowId(slot as u64);
         let weight = if weight_q8 == 0 {
             self.cfg.default_weight
         } else {
@@ -835,22 +854,12 @@ impl<E: RateAllocator> AllocatorService<E> {
             .path_via_spine(src as usize, dst as usize, spine as usize);
         self.engine
             .add_flow(internal, src as usize, dst as usize, weight, &path);
-        self.registry.insert(
-            token,
-            Registered {
-                internal,
-                src,
-                dst,
-                weight_q8,
-                spine,
-            },
-        );
-        self.rev.insert(internal, (token, src));
+        self.index.insert(token, slot);
     }
 
     /// Number of active flowlets.
     pub fn active_flows(&self) -> usize {
-        self.registry.len()
+        self.index.len()
     }
 
     /// Operating counters.
@@ -1046,6 +1055,110 @@ mod tests {
         }
         assert_eq!(svc.stats().updates_sent, before);
         assert!(svc.stats().updates_suppressed > 0);
+    }
+
+    fn end(token: u32) -> Message {
+        Message::FlowletEnd {
+            token: Token::new(token),
+        }
+    }
+
+    fn update_tokens(updates: &[(u16, Message)]) -> Vec<u32> {
+        updates
+            .iter()
+            .map(|(_, m)| match m {
+                Message::RateUpdate { token, .. } => token.get(),
+                other => panic!("tick emitted {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn updates_are_token_ordered_when_the_slab_is_not() {
+        let mut svc = AllocatorService::new(&fabric(), FlowtuneConfig::default());
+        // Slots are handed out in arrival order, and the freed slot 0 is
+        // reused by the highest token: slab order ends up 9, 2, 7, 4.
+        for (token, src) in [(5, 0), (2, 20), (7, 40), (4, 60)] {
+            svc.on_message(start(token, src, src + 70)).unwrap();
+        }
+        svc.on_message(end(5)).unwrap();
+        svc.on_message(start(9, 80, 10)).unwrap();
+        let slab_order: Vec<u32> = svc.slab.iter().map(|r| r.token.get()).collect();
+        assert_eq!(slab_order, vec![9, 2, 7, 4]);
+        let updates = svc.tick();
+        assert_eq!(update_tokens(&updates), vec![2, 4, 7, 9]);
+        let sources: Vec<u16> = updates.iter().map(|&(src, _)| src).collect();
+        assert_eq!(sources, vec![20, 60, 40, 80]);
+    }
+
+    #[test]
+    fn recycled_slot_starts_without_a_last_sent_rate() {
+        // A wide threshold makes inheritance observable: the successor's
+        // first rate lands well within 50 % of what its predecessor was
+        // last sent, so a slot that kept that memory would stay silent.
+        let cfg = FlowtuneConfig {
+            update_threshold: 0.5,
+            ..FlowtuneConfig::default()
+        };
+        let mut svc = AllocatorService::new(&fabric(), cfg);
+        svc.on_message(start(1, 0, 140)).unwrap();
+        for _ in 0..200 {
+            svc.tick();
+        }
+        let slot = svc.index[&Token::new(1)];
+        let predecessor = svc.slab[slot as usize];
+        assert!(predecessor.sent);
+        // Same path, same tick: the prices the successor meets are the
+        // converged ones its predecessor left behind.
+        svc.on_message(end(1)).unwrap();
+        svc.on_message(start(2, 0, 140)).unwrap();
+        assert_eq!(svc.index[&Token::new(2)], slot, "slot is recycled");
+        let updates = svc.tick();
+        assert_eq!(
+            update_tokens(&updates),
+            vec![2],
+            "first rate is always sent"
+        );
+        let first = svc.flow_rate_gbps(Token::new(2)).unwrap();
+        assert!(
+            !ThresholdFilter::passes(cfg.update_threshold, Some(predecessor.last_sent), first),
+            "premise: {first} must be within the threshold of {}",
+            predecessor.last_sent
+        );
+    }
+
+    #[test]
+    fn queries_follow_tokens_across_slot_reuse() {
+        let mut svc = AllocatorService::new(&fabric(), FlowtuneConfig::default());
+        svc.on_message(start(1, 0, 140)).unwrap();
+        svc.on_message(start(2, 17, 99)).unwrap();
+        svc.on_message(end(1)).unwrap();
+        assert_eq!(svc.active_flows(), 1);
+        assert_eq!(svc.flow_source(Token::new(1)), None);
+        assert_eq!(svc.flow_rate_gbps(Token::new(1)), None);
+        // Token 3 takes over token 1's slot; token 1 stays unknown and
+        // token 2 is undisturbed.
+        svc.on_message(start(3, 30, 100)).unwrap();
+        assert_eq!(
+            svc.slab.len(),
+            2,
+            "the freed slot is reused, not grown past"
+        );
+        assert_eq!(svc.active_flows(), 2);
+        assert_eq!(svc.flow_source(Token::new(3)), Some(30));
+        assert_eq!(svc.flow_source(Token::new(2)), Some(17));
+        assert_eq!(svc.flow_source(Token::new(1)), None);
+        for _ in 0..100 {
+            svc.tick();
+        }
+        assert!((svc.flow_rate_gbps(Token::new(3)).unwrap() - 9.9).abs() < 0.05);
+        assert!((svc.flow_rate_gbps(Token::new(2)).unwrap() - 9.9).abs() < 0.05);
+        assert_eq!(svc.flow_rate_gbps(Token::new(1)), None);
+        // A token can come back on a different slot after its own ended.
+        svc.on_message(end(2)).unwrap();
+        svc.on_message(start(1, 50, 120)).unwrap();
+        assert_eq!(svc.flow_source(Token::new(1)), Some(50));
+        assert_eq!(update_tokens(&svc.tick()), vec![1]);
     }
 
     #[test]

@@ -166,10 +166,13 @@ use crate::placement::{Placement, TrafficMatrix};
 use crate::service::{AllocatorService, ServiceError, ServiceStats};
 use crate::FlowtuneConfig;
 
-/// Per-shard tick outputs and export scratch, reused across ticks so the
-/// hot path stops allocating: phase 1 writes here, phase 2 reads.
-#[derive(Debug, Default)]
-struct ShardSlot {
+/// One shard: its service, plus the per-tick outputs and export scratch
+/// phase 1 writes and phase 2 reads — kept beside the service so the
+/// fan-out hands each pool slot one item, and reused across ticks so the
+/// hot path does not allocate.
+#[derive(Debug)]
+struct ShardSlot<E: RateAllocator> {
+    svc: AllocatorService<E>,
     /// The shard's token-ordered update stream from this tick.
     updates: Vec<(u16, Message)>,
     /// Link-state exports, refreshed only on exchange rounds.
@@ -182,7 +185,8 @@ struct ShardSlot {
 /// [`TickDriver`] face.
 #[derive(Debug)]
 pub struct ShardedService<E: RateAllocator = SerialAllocator> {
-    shards: Vec<AllocatorService<E>>,
+    /// The shards, in partition order.
+    slots: Vec<ShardSlot<E>>,
     /// token → shard, for `FlowletEnd` routing and rate queries.
     route: HashMap<Token, u32>,
     /// The endpoint→shard mapping `FlowletStart`s route by; swapped by
@@ -217,8 +221,10 @@ pub struct ShardedService<E: RateAllocator = SerialAllocator> {
     /// Ticks driven so far (the exchange fires when `ticks` is a
     /// multiple of the cadence).
     ticks: u64,
-    /// Per-shard tick outputs + export scratch (reused every tick).
-    slots: Vec<ShardSlot>,
+    /// The merge's input list: after phase 1 each shard's `updates`
+    /// buffer is swapped in here, the merge drains it, and the next
+    /// tick's swap hands the emptied buffer back to the shard.
+    streams: Vec<Vec<(u16, Message)>>,
     /// Per-shard exchange protocol cores: each owns its shard's delta
     /// filter, last-shipped replicas, and install math — the same
     /// [`ExchangeCore`] a distributed shard peer runs, so the in-process
@@ -325,7 +331,17 @@ impl<E: RateAllocator> ShardedService<E> {
         let racks = clos.server_count() / clos.servers_per_rack;
         Self {
             parallel: cfg.parallel_shards && n > 1,
-            shards,
+            slots: shards
+                .into_iter()
+                .map(|svc| ShardSlot {
+                    svc,
+                    updates: Vec::new(),
+                    loads: Vec::new(),
+                    hessians: Vec::new(),
+                    prices: Vec::new(),
+                })
+                .collect(),
+            streams: (0..n).map(|_| Vec::new()).collect(),
             route: HashMap::new(),
             placement,
             servers_per_rack: clos.servers_per_rack,
@@ -336,7 +352,6 @@ impl<E: RateAllocator> ShardedService<E> {
             exchange_delta_eps: cfg.exchange_delta_eps.max(0.0),
             pool: None,
             ticks: 0,
-            slots: (0..n).map(|_| ShardSlot::default()).collect(),
             cores: (0..n)
                 .map(|i| ExchangeCore::new(i as u16, n, cfg.exchange_delta_eps))
                 .collect(),
@@ -364,12 +379,12 @@ impl<E: RateAllocator> ShardedService<E> {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.slots.len()
     }
 
     /// Read access to the shards, in partition order.
-    pub fn shards(&self) -> &[AllocatorService<E>] {
-        &self.shards
+    pub fn shards(&self) -> impl ExactSizeIterator<Item = &AllocatorService<E>> {
+        self.slots.iter().map(|slot| &slot.svc)
     }
 
     /// The shard owning source endpoint `src`, per the current
@@ -432,7 +447,7 @@ impl<E: RateAllocator> ShardedService<E> {
         );
         assert_eq!(
             placement.shard_count(),
-            self.shards.len(),
+            self.slots.len(),
             "replacement must map onto the same shard count"
         );
         // flowtune-lint: allow(float-determinism, "snapshot is sorted by token before any flow moves")
@@ -440,17 +455,20 @@ impl<E: RateAllocator> ShardedService<E> {
         tokens.sort_unstable_by_key(|&(t, _)| t);
         let mut moved = 0;
         for (token, old) in tokens {
-            let src = self.shards[old as usize]
+            let src = self.slots[old as usize]
+                .svc
                 .flow_source(token)
                 .expect("routed token must be registered in its shard");
             let new = placement.shard_of(src) as u32;
             if new == old {
                 continue;
             }
-            let migration = self.shards[old as usize]
+            let migration = self.slots[old as usize]
+                .svc
                 .extract_flow(token)
                 .expect("routed token must be extractable");
-            self.shards[new as usize]
+            self.slots[new as usize]
+                .svc
                 .adopt_flow(migration)
                 .expect("tokens are unique across shards");
             self.route.insert(token, new);
@@ -499,7 +517,7 @@ impl<E: RateAllocator> ShardedService<E> {
                     return Err(ServiceError::DuplicateToken(token));
                 }
                 let shard = self.shard_of(src);
-                self.shards[shard].on_message(msg)?;
+                self.slots[shard].svc.on_message(msg)?;
                 self.route.insert(token, shard as u32);
                 // Accepted (so src/dst are in range): feed the online
                 // placement signal at rack granularity.
@@ -509,7 +527,7 @@ impl<E: RateAllocator> ShardedService<E> {
                 Ok(())
             }
             Message::FlowletEnd { token } => match self.route.remove(&token) {
-                Some(shard) => self.shards[shard as usize].on_message(msg),
+                Some(shard) => self.slots[shard as usize].svc.on_message(msg),
                 None => {
                     // Unknown ends are ignored (predecessor allocator or
                     // re-keyed endpoint), but their bytes still arrived.
@@ -526,66 +544,45 @@ impl<E: RateAllocator> ShardedService<E> {
     }
 
     /// One tick of every shard (see the module docs' two-phase
-    /// structure), with the per-shard update streams merged into a single
-    /// token-ordered stream (each shard's stream is already
-    /// token-ordered, and token sets are disjoint, so a k-way merge
-    /// reproduces exactly the order an unsharded service emits). When the
-    /// exchange cadence is due, the shards' post-tick link state is
-    /// exchanged so the *next* tick's pricing sees the freshest
-    /// cross-shard state.
+    /// structure), with the per-shard update streams merged into `out`
+    /// (cleared first) as a single token-ordered stream (each shard's
+    /// stream is already token-ordered, and token sets are disjoint, so a
+    /// k-way merge reproduces exactly the order an unsharded service
+    /// emits). When the exchange cadence is due, the shards' post-tick
+    /// link state is exchanged so the *next* tick's pricing sees the
+    /// freshest cross-shard state.
     ///
-    /// # Panics
-    /// Propagates a shard-tick panic as a panic on the caller; use
-    /// [`ShardedService::try_tick`] to get a [`ServiceError`] instead.
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
-        match self.try_tick() {
-            Ok(updates) => updates,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`ShardedService::tick`] with shard panics contained: if a shard's
-    /// engine panics mid-tick, the sibling shards still complete their
-    /// tick, the worker pool survives, and the error names the dead shard
-    /// (the tick's merged update stream is dropped — it would be missing
-    /// the failed shard's updates). The panic payload reaches the panic
-    /// hook (stderr) as usual.
+    /// Shard panics are contained: if a shard's engine panics mid-tick,
+    /// the sibling shards still complete their tick, the worker pool
+    /// survives, and the error names the dead shard (`out` is left empty
+    /// — a merged stream would be missing the failed shard's updates).
+    /// The panic payload reaches the panic hook (stderr) as usual.
     ///
     /// # Errors
     /// [`ServiceError::ShardPanicked`] naming the lowest-indexed shard
     /// whose tick panicked.
-    pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
+    pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        out.clear();
         self.ticks += 1;
         let exchange = self.exchange_every > 0
-            && self.shards.len() > 1
+            && self.slots.len() > 1
             && self.ticks.is_multiple_of(self.exchange_every);
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
         // rounds, exports its link state) with no shared state.
         let mut panicked: Option<usize> = None;
         if self.parallel {
-            let n = self.shards.len();
+            let n = self.slots.len();
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(n));
-            let mut items: Vec<(&mut AllocatorService<E>, &mut ShardSlot)> =
-                // flowtune-lint: allow(hot-path-alloc, "O(shards) fan-out list per tick, not per flow")
-                self.shards.iter_mut().zip(self.slots.iter_mut()).collect();
-            if let Err(e) = pool.fan_out(&mut items, &|_, (shard, slot)| {
-                tick_shard(shard, slot, exchange);
-            }) {
+            if let Err(e) = pool.fan_out(&mut self.slots, &|_, slot| tick_shard(slot, exchange)) {
                 panicked = Some(e.item());
             }
         } else {
-            for (i, (shard, slot)) in self
-                .shards
-                .iter_mut()
-                .zip(self.slots.iter_mut())
-                .enumerate()
-            {
+            for (i, slot) in self.slots.iter_mut().enumerate() {
                 // Same containment as the pool path: siblings complete,
                 // the lowest-indexed panic is reported.
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    tick_shard(shard, slot, exchange);
-                }));
+                let outcome =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| tick_shard(slot, exchange)));
                 if outcome.is_err() && panicked.is_none() {
                     panicked = Some(i);
                 }
@@ -602,13 +599,27 @@ impl<E: RateAllocator> ShardedService<E> {
             self.exchange_link_state();
             self.exchange_time += t0.elapsed();
         }
-        let streams: Vec<Vec<(u16, Message)>> = self
-            .slots
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.updates))
-            // flowtune-lint: allow(hot-path-alloc, "O(shards) list of moved streams per tick, not per flow")
-            .collect();
-        Ok(merge_by_token(streams))
+        for (slot, stream) in self.slots.iter_mut().zip(&mut self.streams) {
+            std::mem::swap(&mut slot.updates, stream);
+        }
+        merge_by_token_into(&mut self.streams, out);
+        Ok(())
+    }
+
+    /// [`ShardedService::try_tick_into`] returning an owned batch.
+    ///
+    /// # Errors
+    /// As [`ShardedService::try_tick_into`].
+    pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
+        TickDriver::try_tick(self)
+    }
+
+    /// [`ShardedService::try_tick`] for callers without an error path.
+    ///
+    /// # Panics
+    /// Propagates a shard-tick panic as a panic on the caller.
+    pub fn tick(&mut self) -> Vec<(u16, Message)> {
+        TickDriver::tick(self)
     }
 
     /// One round of the inter-shard link-state exchange, in three parts
@@ -646,7 +657,7 @@ impl<E: RateAllocator> ShardedService<E> {
     /// documented no-ops; engines with no second-order term (gradient
     /// projection) skip the Hessian part only.
     fn exchange_link_state(&mut self) {
-        let n = self.shards.len();
+        let n = self.slots.len();
 
         // Encode: one state frame per shard, back to back.
         self.wire_buf.clear();
@@ -688,7 +699,7 @@ impl<E: RateAllocator> ShardedService<E> {
         let mut counted = false;
         for i in 0..n {
             let core = &mut self.cores[i];
-            if let Some(b) = core.install(&mut self.shards[i]) {
+            if let Some(b) = core.install(&mut self.slots[i].svc) {
                 bytes += b;
                 counted = true;
             }
@@ -709,7 +720,7 @@ impl<E: RateAllocator> ShardedService<E> {
     /// prices fabric links). Telemetry path — allocates; the exchange
     /// itself uses the reusable per-shard buffers.
     pub fn link_loads(&self) -> Vec<f64> {
-        let exports: Vec<Vec<f64>> = self.shards.iter().map(|s| s.link_loads()).collect();
+        let exports: Vec<Vec<f64>> = self.shards().map(|s| s.link_loads()).collect();
         let n_links = exports.iter().map(Vec::len).max().unwrap_or(0);
         if n_links == 0 {
             return Vec::new();
@@ -727,7 +738,7 @@ impl<E: RateAllocator> ShardedService<E> {
     /// Current normalized rate of an active flowlet, Gbit/s.
     pub fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
         let &shard = self.route.get(&token)?;
-        self.shards[shard as usize].flow_rate_gbps(token)
+        self.slots[shard as usize].svc.flow_rate_gbps(token)
     }
 
     /// Number of active flowlets across all shards.
@@ -739,7 +750,7 @@ impl<E: RateAllocator> ShardedService<E> {
     /// layer's own rejections).
     pub fn stats(&self) -> ServiceStats {
         let mut total = self.local;
-        for s in &self.shards {
+        for s in self.shards() {
             // Exhaustive destructuring: a counter added to `ServiceStats`
             // must fail to compile here until it is aggregated.
             let ServiceStats {
@@ -784,7 +795,7 @@ impl<E: RateAllocator> ShardedService<E> {
     /// "where do the cycles go" breakdowns.
     pub fn phase_timings(&self) -> PhaseTimings {
         let mut total = PhaseTimings::default();
-        for s in &self.shards {
+        for s in self.shards() {
             let t = s.phase_timings();
             total.intake += t.intake;
             total.allocate += t.allocate;
@@ -797,12 +808,12 @@ impl<E: RateAllocator> ShardedService<E> {
 
     /// The fabric this control plane serves.
     pub fn fabric(&self) -> &TwoTierClos {
-        self.shards[0].fabric()
+        self.slots[0].svc.fabric()
     }
 
     /// The engine each shard runs (`serial` / `multicore` / …).
     pub fn inner_engine_name(&self) -> &'static str {
-        self.shards[0].engine_name()
+        self.slots[0].svc.engine_name()
     }
 }
 
@@ -811,12 +822,17 @@ impl<E: RateAllocator> TickDriver for ShardedService<E> {
         ShardedService::on_message(self, msg)
     }
 
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        ShardedService::tick(self)
+    /// # Panics
+    /// Propagates a shard-tick panic as a panic on the caller; use
+    /// [`TickDriver::try_tick_into`] to get a [`ServiceError`] instead.
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
+        if let Err(e) = self.try_tick_into(out) {
+            panic!("{e}");
+        }
     }
 
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        ShardedService::try_tick(self)
+    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
+        ShardedService::try_tick_into(self, out)
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -852,16 +868,12 @@ impl<E: RateAllocator> TickDriver for ShardedService<E> {
 /// state into the slot's reusable buffers. Runs with no shared state —
 /// concurrently on pool slots or sequentially on the caller, with
 /// identical results.
-fn tick_shard<E: RateAllocator>(
-    shard: &mut AllocatorService<E>,
-    slot: &mut ShardSlot,
-    export: bool,
-) {
-    slot.updates = shard.tick();
+fn tick_shard<E: RateAllocator>(slot: &mut ShardSlot<E>, export: bool) {
+    slot.svc.tick_into(&mut slot.updates);
     if export {
-        shard.link_loads_into(&mut slot.loads);
-        shard.link_hessians_into(&mut slot.hessians);
-        shard.link_prices_into(&mut slot.prices);
+        slot.svc.link_loads_into(&mut slot.loads);
+        slot.svc.link_hessians_into(&mut slot.hessians);
+        slot.svc.link_prices_into(&mut slot.prices);
     }
 }
 
@@ -881,21 +893,12 @@ fn update_token(msg: &Message) -> Token {
 /// heap key makes the order deterministic even if a caller violated that.
 /// Public because a distributed peer cluster merges its peers' streams
 /// with exactly the same rule.
-pub fn merge_by_token(mut streams: Vec<Vec<(u16, Message)>>) -> Vec<(u16, Message)> {
-    if streams.len() == 1 {
-        // Single shard: the stream is already the merged order.
-        return streams.pop().expect("len checked");
-    }
-    let mut out = Vec::new();
-    merge_by_token_into(&mut streams, &mut out);
-    out
-}
-
-/// [`merge_by_token`] into a caller-owned buffer: clears `out`, drains
-/// every stream in `streams` (their capacity survives for reuse), and
-/// appends the merged order. A steady-state tick whose streams are all
-/// empty allocates nothing, which is what lets a peer cluster's
-/// `try_tick_into` run alloc-free once rates converge.
+///
+/// Clears `out`, drains every stream in `streams` (their capacity
+/// survives for reuse), and appends the merged order, reserving once. A
+/// steady-state tick whose streams are all empty allocates nothing,
+/// which is what lets `try_tick_into` — here and in a peer cluster — run
+/// alloc-free once rates converge.
 pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
     out.clear();
     let total: usize = streams.iter().map(Vec::len).sum();
@@ -976,14 +979,14 @@ mod tests {
         svc.on_message(start(2, 12, 0)).unwrap(); // shard 1
         assert_eq!(svc.shard_for_token(Token::new(1)), Some(0));
         assert_eq!(svc.shard_for_token(Token::new(2)), Some(1));
-        assert_eq!(svc.shards()[0].active_flows(), 1);
-        assert_eq!(svc.shards()[1].active_flows(), 1);
+        assert_eq!(svc.slots[0].svc.active_flows(), 1);
+        assert_eq!(svc.slots[1].svc.active_flows(), 1);
         assert_eq!(svc.active_flows(), 2);
         svc.on_message(Message::FlowletEnd {
             token: Token::new(2),
         })
         .unwrap();
-        assert_eq!(svc.shards()[1].active_flows(), 0);
+        assert_eq!(svc.slots[1].svc.active_flows(), 0);
         assert_eq!(svc.shard_for_token(Token::new(2)), None);
         assert_eq!(svc.stats().ends, 1);
     }
@@ -1062,31 +1065,30 @@ mod tests {
             vec![upd(2), upd(5), upd(6), upd(11)],
             vec![upd(7)],
         ];
-        let merged = merge_by_token(streams.clone());
-        let tokens: Vec<u32> = merged.iter().map(|(_, m)| update_token(m).get()).collect();
-        assert_eq!(tokens, vec![1, 2, 3, 4, 5, 6, 7, 9, 10, 11]);
-        // The buffer-reuse variant produces the same order, drains the
-        // streams in place, and keeps their capacity for the next tick.
+        // The merge drains the streams in place and keeps their capacity
+        // for the next tick.
         let mut streams = streams;
         let caps: Vec<usize> = streams.iter().map(Vec::capacity).collect();
-        let mut out = Vec::new();
-        merge_by_token_into(&mut streams, &mut out);
-        assert_eq!(out, merged);
+        let mut merged = Vec::new();
+        merge_by_token_into(&mut streams, &mut merged);
+        let tokens: Vec<u32> = merged.iter().map(|(_, m)| update_token(m).get()).collect();
+        assert_eq!(tokens, vec![1, 2, 3, 4, 5, 6, 7, 9, 10, 11]);
         assert!(streams.iter().all(Vec::is_empty));
         let kept: Vec<usize> = streams.iter().map(Vec::capacity).collect();
         assert_eq!(kept, caps);
-        // All-empty streams leave `out` empty without reallocating it.
-        merge_by_token_into(&mut streams, &mut out);
-        assert!(out.is_empty());
         // The src halves ride along with their messages.
         assert!(merged
             .iter()
             .all(|(s, m)| *s as u32 == update_token(m).get()));
-        // Degenerate shapes.
-        assert!(merge_by_token(vec![]).is_empty());
-        assert!(merge_by_token(vec![vec![], vec![]]).is_empty());
-        let single = merge_by_token(vec![vec![upd(5), upd(2)]]);
-        let tokens: Vec<u32> = single.iter().map(|(_, m)| update_token(m).get()).collect();
+        // All-empty streams clear `out`; so does no stream at all.
+        let mut out = merged;
+        merge_by_token_into(&mut streams, &mut out);
+        assert!(out.is_empty());
+        merge_by_token_into(&mut [], &mut out);
+        assert!(out.is_empty());
+        let mut single = vec![vec![upd(5), upd(2)]];
+        merge_by_token_into(&mut single, &mut out);
+        let tokens: Vec<u32> = out.iter().map(|(_, m)| update_token(m).get()).collect();
         assert_eq!(tokens, vec![5, 2], "single stream passes through as-is");
     }
 
@@ -1152,7 +1154,6 @@ mod tests {
         let entry = 4 + 8 * 3; // id + load + dual + Hessian (serial NED)
         let exports: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = twin
             .shards()
-            .iter()
             .map(|s| (s.link_loads(), s.link_prices(), s.link_hessians()))
             .collect();
         let dirty: Vec<Vec<bool>> = exports

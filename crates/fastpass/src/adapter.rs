@@ -61,8 +61,10 @@ pub struct FastpassAdapter {
     line_rate_gbps: f64,
     /// Timeslots advanced per `iterate()` call.
     slots_per_iteration: usize,
-    /// Flow table; `BTreeMap` keeps demand topping-up and `rates()`
-    /// order deterministic (sorted by flow id).
+    /// Flow table; `BTreeMap` keeps `rates()` order deterministic
+    /// (sorted by flow id). Only that listing order depends on the ids:
+    /// arbitration tops up and matches per `(src, dst)` pair (`pairs`),
+    /// so callers that reuse ids after `remove_flow` get the same rates.
     flows: BTreeMap<FlowId, FpFlow>,
     pairs: BTreeMap<(u16, u16), PairState>,
 }
@@ -197,17 +199,21 @@ impl RateAllocator for FastpassAdapter {
     }
 
     fn rates(&self) -> Vec<FlowRate> {
-        self.flows
-            .iter()
-            .map(|(&id, f)| {
-                let gbps = self.flow_rate_of(f);
-                FlowRate {
-                    id,
-                    rate: gbps,
-                    normalized: gbps,
-                }
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.flows.len());
+        self.rates_into(&mut out);
+        out
+    }
+
+    fn rates_into(&self, out: &mut Vec<FlowRate>) {
+        out.clear();
+        out.extend(self.flows.iter().map(|(&id, f)| {
+            let gbps = self.flow_rate_of(f);
+            FlowRate {
+                id,
+                rate: gbps,
+                normalized: gbps,
+            }
+        }));
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {

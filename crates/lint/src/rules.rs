@@ -107,9 +107,8 @@ pub const HOT_MODULES: &[HotModule] = &[
     HotModule {
         path: "crates/core/src/service.rs",
         hot_fns: &[
-            "tick",
-            "export_all",
-            "export_changed",
+            "tick_into",
+            "export_into",
             "rates_into",
             "link_loads_into",
             "link_hessians_into",
@@ -131,11 +130,16 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/core/src/sharded.rs",
-        hot_fns: &["tick", "try_tick", "exchange_link_state"],
+        hot_fns: &[
+            "tick_into",
+            "try_tick_into",
+            "tick_shard",
+            "exchange_link_state",
+        ],
     },
     HotModule {
         path: "crates/core/src/driver.rs",
-        hot_fns: &["tick", "try_tick", "merge_by_token"],
+        hot_fns: &["tick_into", "try_tick_into", "poll"],
     },
     HotModule {
         path: "crates/core/src/scenario.rs",
@@ -161,7 +165,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/net/src/cluster.rs",
-        hot_fns: &["try_tick", "try_tick_into", "tick"],
+        hot_fns: &["try_tick", "try_tick_into", "tick_into"],
     },
 ];
 

@@ -126,7 +126,7 @@ fn injected_hashmap_iteration_in_pricing_is_caught() {
     let src = workspace_source(rel);
     let (bad, line) = inject_after(
         &src,
-        "fn export_all(",
+        "fn export_into(",
         "        let audit: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();\n        for (_t, _r) in audit.iter() {}",
     );
     let live = unsuppressed(lint_file(rel, &bad));

@@ -153,9 +153,7 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
         out.clear();
         for (peer, stream) in self.peers.iter_mut().zip(self.streams.iter_mut()) {
-            stream.clear();
-            let mut updates = peer.tick_export()?;
-            stream.append(&mut updates);
+            peer.tick_export(stream)?;
         }
         for peer in &mut self.peers {
             peer.exchange_finish()?;
@@ -303,12 +301,11 @@ impl<T: Transport, E: RateAllocator> TickDriver for PeerCluster<T, E> {
     }
 
     /// # Panics
-    /// Panics on a peer failure; use [`PeerCluster::try_tick`] for an
-    /// error instead.
-    fn tick(&mut self) -> Vec<(u16, Message)> {
-        match self.try_tick() {
-            Ok(updates) => updates,
-            Err(e) => panic!("cluster peer failed: {e}"),
+    /// Panics on a peer failure; use [`PeerCluster::try_tick_into`] for
+    /// an error instead.
+    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
+        if let Err(e) = self.try_tick_into(out) {
+            panic!("cluster peer failed: {e}");
         }
     }
 

@@ -401,7 +401,8 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
     /// is done, the round is abandoned) or from a previous round left
     /// unfinished (it is caught up first).
     pub fn begin_round(&mut self) -> Result<ExchangeRound<'_, T, E>, PeerError> {
-        let updates = self.tick_export()?;
+        let mut updates = Vec::new();
+        self.tick_export(&mut updates)?;
         Ok(ExchangeRound {
             peer: self,
             updates,
@@ -426,20 +427,20 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
     /// Either phase's [`PeerError`]; `out` holds the tick's updates
     /// even when the barrier fails.
     pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
-        out.clear();
-        let mut updates = self.tick_export()?;
-        out.append(&mut updates);
+        self.tick_export(out)?;
         self.exchange_finish()
     }
 
-    /// Phase 1: catch up an unfinished round, tick the service, and
-    /// when a round is due, export + broadcast.
-    pub(crate) fn tick_export(&mut self) -> Result<Vec<(u16, Message)>, PeerError> {
+    /// Phase 1: catch up an unfinished round, tick the service into
+    /// `out` (cleared first), and when a round is due, export +
+    /// broadcast.
+    pub(crate) fn tick_export(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
+        out.clear();
         // A dropped ExchangeRound leaves its barrier pending; run it
         // before starting the next tick so rounds never interleave.
         self.exchange_finish()?;
         self.ticks += 1;
-        let updates = self.svc.tick();
+        self.svc.tick_into(out);
         let due = self.exchange.every > 0
             && self.tx.peers() > 1
             && self.ticks.is_multiple_of(self.exchange.every);
@@ -458,7 +459,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             );
             self.broadcast_frame_buf()?;
         }
-        Ok(updates)
+        Ok(())
     }
 
     /// Phase 2: the staleness-aware barrier. For each remote peer,

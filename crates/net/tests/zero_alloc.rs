@@ -5,10 +5,14 @@
 //!   after warm-up — the frame goes into one flat reusable buffer and
 //!   the receiver's replicas are grown once, steady-state rounds only
 //!   overwrite;
-//! * a quiet allocator service tick — engine iteration, changed-rate
-//!   export, update filtering — touches the heap zero times after
-//!   warm-up, with the incremental engine on or off, including the
-//!   periodic full-sweep ticks and `rates_into` reads of every rate;
+//! * a quiet allocator service tick (`AllocatorService::tick_into`) —
+//!   engine iteration, rate export, update filtering — touches the heap
+//!   zero times after warm-up, with the incremental engine on or off,
+//!   including the periodic full-sweep ticks and `rates_into` reads of
+//!   every rate;
+//! * so does a quiet 4-shard sequential `ShardedService::try_tick_into`
+//!   with an exchange round every tick — shard ticks into recycled
+//!   per-shard buffers, frame encode/apply/install, the k-way merge;
 //! * a converged peer cluster over the mem transport — send path,
 //!   receiver threads, mailboxes, barrier, install, k-way merge —
 //!   recycles every frame buffer through the pools and ticks without
@@ -22,7 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig};
+use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -179,11 +183,12 @@ fn steady_state_allocator_tick_allocates_nothing() {
             }
         }
         let mut rates = Vec::new();
+        let mut updates = Vec::new();
         // Warm-up: converge the trajectory (so ticks are quiet and the
         // update filter suppresses everything) and size every reusable
-        // buffer — export scratch, changed-set scratch, the rates vec.
+        // buffer — export scratch, passer scratch, the caller's vecs.
         for _ in 0..300 {
-            svc.tick();
+            svc.tick_into(&mut updates);
         }
         svc.rates_into(&mut rates);
         assert_eq!(rates.len(), 32);
@@ -191,7 +196,7 @@ fn steady_state_allocator_tick_allocates_nothing() {
         ALLOCS.store(0, Ordering::Relaxed);
         ENABLED.store(true, Ordering::Relaxed);
         for _ in 0..MEASURED_ROUNDS {
-            let updates = svc.tick();
+            svc.tick_into(&mut updates);
             assert!(updates.is_empty(), "quiet ticks must suppress updates");
             svc.rates_into(&mut rates);
         }
@@ -205,6 +210,67 @@ fn steady_state_allocator_tick_allocates_nothing() {
         );
         assert_eq!(rates.len(), 32);
     }
+}
+
+#[test]
+fn steady_state_sharded_tick_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap();
+    // 4 blocks, so each of the 4 shards owns one; every flow crosses to
+    // the next block, so the exchange has shared links to ship.
+    let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
+    let cfg = FlowtuneConfig {
+        exchange_every: 1,
+        // Sequential on purpose: the pool's handoff is not what this
+        // pins, and the outputs are identical either way.
+        parallel_shards: false,
+        ..FlowtuneConfig::default()
+    };
+    let mut svc = ShardedService::new(&fabric, cfg, 4);
+    for src in 0..32u16 {
+        let dst = (src + 8) % 32;
+        let token = u32::from(src) + 1;
+        let spine = fabric.ecmp_spine(
+            src as usize,
+            dst as usize,
+            flowtune_topo::FlowId(u64::from(token)),
+        );
+        svc.on_message(Message::FlowletStart {
+            token: Token::new(token),
+            src,
+            dst,
+            size_hint: 1_000_000,
+            weight_q8: 256,
+            spine: spine as u8,
+        })
+        .unwrap();
+    }
+    let mut out = Vec::new();
+    // Warm-up: converge, and size the per-shard update buffers, the
+    // link-state scratch, the frame buffer and the exchange replicas.
+    for _ in 0..400 {
+        svc.try_tick_into(&mut out).expect("warm-up tick");
+    }
+    let rounds_before = svc.stats().exchange_rounds;
+
+    ALLOCS.store(0, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
+    for _ in 0..MEASURED_ROUNDS {
+        svc.try_tick_into(&mut out).expect("measured tick");
+        assert!(out.is_empty(), "quiet sharded ticks must suppress updates");
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "steady-state sharded ticks must not allocate \
+         ({allocs} allocations over {MEASURED_ROUNDS} ticks)"
+    );
+    assert_eq!(
+        svc.stats().exchange_rounds - rounds_before,
+        MEASURED_ROUNDS,
+        "every measured tick ran an exchange round"
+    );
 }
 
 #[test]

@@ -39,32 +39,39 @@ impl ThresholdFilter {
         }
     }
 
+    /// The §6.4 rule itself, free of any bookkeeping: must `rate` be sent
+    /// to a flowlet whose last *sent* rate was `prev` (`None` = nothing
+    /// sent yet, which always passes)? Only changes beyond `threshold`
+    /// relative to `prev` pass; leaving a zero rate is always a change,
+    /// staying at zero never is. The one place the rule is written —
+    /// [`ThresholdFilter::should_send`] and the allocator service's
+    /// export (which keeps `prev` inline in its flow table) both call it.
+    pub fn passes(threshold: f64, prev: Option<f64>, rate: f64) -> bool {
+        match prev {
+            None => true,
+            Some(prev) => {
+                if prev == 0.0 {
+                    rate != 0.0
+                } else {
+                    (rate - prev).abs() / prev > threshold
+                }
+            }
+        }
+    }
+
     /// Decides whether `rate` for `token` must be sent. The first rate for
     /// a token is always sent; afterwards only changes beyond the
     /// threshold (relative to the *last sent* rate, not the last computed
     /// one) pass. Records the rate as sent when it passes.
     pub fn should_send(&mut self, token: Token, rate: f64) -> bool {
-        match self.last_sent.get(&token) {
-            Some(&prev) => {
-                let send = if prev == 0.0 {
-                    rate != 0.0
-                } else {
-                    (rate - prev).abs() / prev > self.threshold
-                };
-                if send {
-                    self.last_sent.insert(token, rate);
-                    self.sent += 1;
-                } else {
-                    self.suppressed += 1;
-                }
-                send
-            }
-            None => {
-                self.last_sent.insert(token, rate);
-                self.sent += 1;
-                true
-            }
+        let send = Self::passes(self.threshold, self.last_sent.get(&token).copied(), rate);
+        if send {
+            self.last_sent.insert(token, rate);
+            self.sent += 1;
+        } else {
+            self.suppressed += 1;
         }
+        send
     }
 
     /// Forgets a flowlet (on `FlowletEnd`), so a token reuse starts fresh.
@@ -141,6 +148,18 @@ mod tests {
         assert!(f.should_send(t(1), 0.0));
         assert!(!f.should_send(t(1), 0.0));
         assert!(f.should_send(t(1), 0.5), "leaving zero is always a change");
+    }
+
+    #[test]
+    fn passes_is_the_rule_should_send_applies() {
+        // No history always passes; zero is sticky; the comparison is
+        // strict and relative to the previous *sent* rate.
+        assert!(ThresholdFilter::passes(0.5, None, 0.0));
+        assert!(!ThresholdFilter::passes(0.5, Some(0.0), 0.0));
+        assert!(ThresholdFilter::passes(0.5, Some(0.0), 1e-9));
+        assert!(!ThresholdFilter::passes(0.5, Some(2.0), 3.0));
+        assert!(ThresholdFilter::passes(0.5, Some(2.0), 3.5));
+        assert!(ThresholdFilter::passes(0.5, Some(2.0), 0.0));
     }
 
     #[test]

@@ -441,7 +441,7 @@ proptest! {
             let owner = svc.shard_for_token(token);
             prop_assert_eq!(owner, Some(svc.shard_of(src)),
                 "token {:?} from src {} landed in shard {:?}", token, src, owner);
-            for (s, shard) in svc.shards().iter().enumerate() {
+            for (s, shard) in svc.shards().enumerate() {
                 let here = shard.flow_rate_gbps(token).is_some();
                 prop_assert_eq!(here, Some(s) == owner,
                     "token {:?} visible in shard {} but owned by {:?}", token, s, owner);

@@ -152,6 +152,17 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         out.extend_from_slice(&self.link_hessians());
     }
 
+    /// [`RateAllocator::link_loads_into`] and
+    /// [`RateAllocator::link_hessians_into`] together — what an exchange
+    /// round exports. The two are the same walk over every flow's path,
+    /// so engines whose exports are such walks override this with a
+    /// single one; each vector must come out bit-identical to its
+    /// single-vector export.
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        self.link_loads_into(loads);
+        self.link_hessians_into(hessians);
+    }
+
     /// Installs the exogenous per-link Hessian diagonal accompanying the
     /// background loads (other shards' [`RateAllocator::link_hessians`]
     /// sum). An empty slice clears it. Engines without a second-order
@@ -268,6 +279,10 @@ impl RateAllocator for BoxEngine {
         (**self).link_hessians_into(out);
     }
 
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        (**self).link_state_into(loads, hessians);
+    }
+
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         (**self).set_background_hessians(hdiag);
     }
@@ -355,6 +370,10 @@ impl RateAllocator for crate::SerialAllocator {
 
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         crate::SerialAllocator::link_hessians_into(self, out);
+    }
+
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        crate::SerialAllocator::link_state_into(self, loads, hessians);
     }
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
@@ -446,6 +465,10 @@ impl RateAllocator for crate::MulticoreAllocator {
 
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         crate::MulticoreAllocator::link_hessians_into(self, out);
+    }
+
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        crate::MulticoreAllocator::link_state_into(self, loads, hessians);
     }
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {

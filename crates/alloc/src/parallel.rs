@@ -390,6 +390,12 @@ impl MulticoreAllocator {
         self.grid.link_hessians_into(out);
     }
 
+    /// Own loads and Hessian diagonal in one walk over the flows (see
+    /// [`crate::RateAllocator::link_state_into`]).
+    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        self.grid.link_state_into(loads, hessians);
+    }
+
     /// Installs the exogenous per-link Hessian diagonal accompanying the
     /// background loads (see
     /// [`crate::RateAllocator::set_background_hessians`]).
@@ -560,6 +566,12 @@ mod tests {
         for (x, y) in serial.link_hessians().iter().zip(parallel.link_hessians()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+        // As does the one-walk export of both, with each single export.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut loads, mut hessians) = (vec![f64::NAN; 3], Vec::new());
+        parallel.link_state_into(&mut loads, &mut hessians);
+        assert_eq!(bits(&loads), bits(&serial.link_loads()));
+        assert_eq!(bits(&hessians), bits(&serial.link_hessians()));
     }
 
     #[test]

@@ -455,6 +455,37 @@ impl GridState {
         }
     }
 
+    /// [`GridState::link_loads_into`] and
+    /// [`GridState::link_hessians_into`] in one walk over the flows: the
+    /// exchange wants both every round, and each is the same walk over
+    /// every flow's path offsets. Both vectors accumulate in the flow
+    /// order the single-vector exports use, so every per-link sum is
+    /// bit-identical to theirs.
+    pub(crate) fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        let b = self.layout.blocks();
+        loads.clear();
+        loads.resize(self.layout.total_links(), 0.0);
+        hessians.clear();
+        hessians.resize(self.layout.total_links(), 0.0);
+        for (w, worker) in self.workers.iter().enumerate() {
+            let up_links = self.layout.up_links(w / b);
+            let down_links = self.layout.down_links(w % b);
+            for (flow, &rate) in worker.flows.iter().zip(&worker.rates) {
+                let dx = -(rate * rate) / flow.weight;
+                for &o in flow.up_offsets() {
+                    let link = up_links[o as usize].index();
+                    loads[link] += rate;
+                    hessians[link] += dx;
+                }
+                for &o in flow.down_offsets() {
+                    let link = down_links[o as usize].index();
+                    loads[link] += rate;
+                    hessians[link] += dx;
+                }
+            }
+        }
+    }
+
     /// Installs (or clears, for an empty slice) the exogenous per-link
     /// Hessian diagonal accompanying the background loads.
     pub(crate) fn set_background_hessians(&mut self, hdiag: &[f64]) {
@@ -931,6 +962,12 @@ impl SerialAllocator {
     /// (see [`crate::RateAllocator::link_hessians_into`]).
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.grid.link_hessians_into(out);
+    }
+
+    /// Own loads and Hessian diagonal in one walk over the flows (see
+    /// [`crate::RateAllocator::link_state_into`]).
+    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        self.grid.link_state_into(loads, hessians);
     }
 
     /// Installs the exogenous per-link Hessian diagonal accompanying the

@@ -1,28 +1,38 @@
-//! The per-shard core of the link-state exchange, factored so the
-//! in-process [`crate::ShardedService`] and a distributed shard peer run
-//! the *same* arithmetic over the *same* serialized frames.
+//! The link-state exchange, in three parts that the in-process
+//! [`crate::ShardedService`] and a distributed shard peer assemble
+//! differently but never restate:
 //!
-//! One exchange round is three calls on every shard's core:
+//! * `ShardFilter` — one shard's **delta filter and accounting**: it
+//!   compares the shard's fresh link-state export against the row it
+//!   last shipped, overwrites the entries that moved, and hands each
+//!   shipped entry to a caller-supplied sink as a [`Record`]. It also
+//!   owns the per-shard half of the install (below).
+//! * `LinkTables` — the **table set**: one last-shipped row per shard
+//!   plus the round's dirty marks, and the round-wide quantities every
+//!   shard's install reads and that are the same for all of them — the
+//!   load-weighted dual consensus and the per-link count of shards
+//!   holding state — computed once per round by `LinkTables::agree`.
+//! * the **install math** — `LinkTables::agree` and then, per shard,
+//!   `ShardFilter::install`: background load/Hessian sums over the
+//!   *other* shards' rows, the subscription mask, and the three `set_*`
+//!   installs into the shard's [`AllocatorService`] (the paper's §5
+//!   aggregation step, one level up).
 //!
-//! 1. [`ExchangeCore::begin_round`] — delta-filter the shard's fresh
-//!    link-state export against its last-shipped table and append one
-//!    [`FrameKind::State`](flowtune_proto::exchange::FrameKind) frame
-//!    (subscription deltas, moved entries, catch-up entries after a
-//!    resync) to a caller-owned flat buffer. No allocation once the
-//!    buffer and tables are warm.
-//! 2. [`ExchangeCore::apply_frame`] — decode every *other* shard's frame
-//!    and update the local replica of that shard's last-shipped table.
-//! 3. [`ExchangeCore::install`] — recompute the aggregation the paper's
-//!    §5 step runs at the hub (background load/Hessian sums, the
-//!    load-weighted dual consensus) from the replicas and install it
-//!    into the shard's [`AllocatorService`].
+//! In one process every shard's filter writes its own row of **one
+//! shared** table set; nothing is serialized and each row exists once
+//! (see [`crate::sharded`]). Across processes there is no shared memory,
+//! so [`ExchangeCore`] — the unit a `ShardPeer` owns — pairs one filter
+//! with a *private* table set and moves rows through the codec: the sink
+//! of [`ExchangeCore::begin_round`] encodes each shipped entry into a
+//! [`FrameKind::State`] frame, and [`ExchangeCore::apply_frame`] decodes
+//! a peer's frame into that peer's row. The codec lives only there.
 //!
 //! The protocol on the wire is a **mesh broadcast**: every shard ships
-//! its moved entries to every peer and keeps full replicas of the
-//! others' shipped tables, so each peer recomputes the hub aggregation
-//! locally and needs nothing from the others beyond their frames —
-//! which is what makes the distributed exchange bit-for-bit identical
-//! to the in-process one. The *logical* byte accounting retained in
+//! its moved entries to every peer and keeps full copies of the others'
+//! shipped rows, so each peer recomputes the aggregation locally and
+//! needs nothing from the others beyond their frames — which is what
+//! makes the distributed exchange bit-for-bit identical to the
+//! in-process one. The *logical* byte accounting retained in
 //! [`ServiceStats::exchange_bytes`](crate::ServiceStats) still models
 //! the subscription-pruned hub protocol (aggregated entries down, 4+8·v
 //! bytes per entry) exactly as the in-process service always counted
@@ -39,13 +49,20 @@ use crate::service::AllocatorService;
 /// Logical bytes of one shipped exchange entry: a 4-byte link id plus 8
 /// bytes per 64-bit vector element riding along (loads and duals always;
 /// Hessian diagonals only for second-order engines).
-pub(crate) fn entry_bytes(vectors: u64) -> u64 {
+fn entry_bytes(vectors: u64) -> u64 {
     4 + 8 * vectors
 }
 
+/// The longest link vector a frame may announce to a core that holds no
+/// row to compare it against (a core that has not exported yet, or whose
+/// engine prices no links). Far above any fabric this code builds; it
+/// only keeps a forged header from sizing a multi-GiB row.
+const MAX_UNCHECKED_LINKS: usize = 1 << 22;
+
 /// Why a received frame could not be applied: either it failed to
 /// decode, or it decoded to values that cannot be valid in this cluster
-/// (a shard or link index out of range).
+/// (a shard or link index out of range, a link vector of the wrong
+/// length).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyError {
     /// The frame failed to decode.
@@ -61,6 +78,14 @@ pub enum ApplyError {
         /// The link index found.
         link: u32,
     },
+    /// An active frame's `n_links` is not the link-vector length this
+    /// core already holds. Every shard of a cluster serves the same
+    /// fabric, so a frame that disagrees is forged or misrouted; it is
+    /// rejected before any row is resized.
+    BadLinkCount {
+        /// The `n_links` found in the header.
+        n_links: u32,
+    },
 }
 
 impl From<FrameError> for ApplyError {
@@ -75,200 +100,293 @@ impl std::fmt::Display for ApplyError {
             ApplyError::Frame(e) => write!(f, "{e}"),
             ApplyError::BadShard { shard } => write!(f, "frame from out-of-range shard {shard}"),
             ApplyError::BadLink { link } => write!(f, "record names out-of-range link {link}"),
+            ApplyError::BadLinkCount { n_links } => {
+                write!(
+                    f,
+                    "frame announces {n_links} links, not this fabric's count"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for ApplyError {}
 
-/// One shard's replica of another shard's last-shipped link state (its
-/// own at its own index). Empty vectors mean that shard has never
-/// exported (engines that do not price fabric links).
+/// One shard's last-shipped link state. Empty vectors mean that shard
+/// has never exported (engines that do not price fabric links).
 #[derive(Debug, Default)]
-struct Replica {
+struct Row {
     loads: Vec<f64>,
     hessians: Vec<f64>,
     prices: Vec<f64>,
-    /// That shard's announced subscriptions (informational; the install
-    /// math uses fresh exports, not announcements).
-    subs: Vec<bool>,
 }
 
-fn nonzero_at(replica: &Replica, l: usize) -> bool {
-    replica.loads.get(l).is_some_and(|&v| v != 0.0)
-        || replica.prices.get(l).is_some_and(|&v| v != 0.0)
-        || replica.hessians.get(l).is_some_and(|&v| v != 0.0)
-}
-
-// Write one decoded state word into a replica column, or report the
-// record's link as bad when the column was never grown that far (an
-// inactive frame smuggling records must not become an OOB write).
-fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<(), ApplyError> {
-    match column.get_mut(l) {
-        Some(slot) => {
-            *slot = value;
-            Ok(())
-        }
-        None => Err(ApplyError::BadLink { link }),
+impl Row {
+    fn nonzero_at(&self, l: usize) -> bool {
+        self.loads.get(l).is_some_and(|&v| v != 0.0)
+            || self.prices.get(l).is_some_and(|&v| v != 0.0)
+            || self.hessians.get(l).is_some_and(|&v| v != 0.0)
     }
 }
 
-/// Per-shard state machine of the exchange protocol (see the module
-/// docs). Owned by the in-process [`crate::ShardedService`] (one per
-/// shard) and by each distributed `ShardPeer` (exactly one).
+/// The table set of one exchange: every shard's last-shipped row, the
+/// current round's dirty marks, and the round-wide results of
+/// [`LinkTables::agree`] (see the module docs). Shared by all shards of
+/// an in-process service; private to one [`ExchangeCore`] on a peer.
 #[derive(Debug)]
-pub struct ExchangeCore {
+pub(crate) struct LinkTables {
+    rows: Vec<Row>,
+    // ---- per-round state, valid from start_round to the installs ----
+    /// Link-vector length this round: the longest export any shard
+    /// wrote. Round-scoped so a round in which every shard exports
+    /// nothing is recognized (and not counted).
+    round_links: usize,
+    /// Whether any shard's export carried Hessians this round.
+    any_h: bool,
+    /// Per-link count of shards that shipped the link this round.
+    ship_counts: Vec<u32>,
+    // ---- results of `agree`, reused every round ----
+    /// Load-weighted mean price per loaded link, `NaN` where no shard
+    /// holds a positive load.
+    consensus: Vec<f64>,
+    /// Per-link count of shards holding any non-zero shipped state —
+    /// what a new subscriber would have to be caught up on.
+    state_count: Vec<u32>,
+    /// `agree`'s scratch: Σ positive load per link.
+    weight: Vec<f64>,
+}
+
+impl LinkTables {
+    /// An empty table set for `shard_count` shards.
+    pub(crate) fn new(shard_count: usize) -> Self {
+        LinkTables {
+            rows: (0..shard_count).map(|_| Row::default()).collect(),
+            round_links: 0,
+            any_h: false,
+            ship_counts: Vec::new(),
+            consensus: Vec::new(),
+            state_count: Vec::new(),
+            weight: Vec::new(),
+        }
+    }
+
+    /// Forget the previous round's dirty marks; the rows stay.
+    pub(crate) fn start_round(&mut self) {
+        self.round_links = 0;
+        self.any_h = false;
+        self.ship_counts.clear();
+    }
+
+    /// Per-link count of shards that shipped the link this round — what
+    /// the routing layer folds into its cumulative shipped-counts signal.
+    pub(crate) fn ship_counts(&self) -> &[u32] {
+        &self.ship_counts
+    }
+
+    /// The round-wide half of the install math, run once all of the
+    /// round's rows are written: the load-weighted dual consensus and
+    /// the per-link state counts, from every row in shard order. Returns
+    /// `false` when no shard exported any links this round (the round
+    /// does not count and nothing is installed).
+    pub(crate) fn agree(&mut self) -> bool {
+        let n_links = self.round_links;
+        if n_links == 0 {
+            return false;
+        }
+        // `consensus` first accumulates the numerators Σ load·price.
+        self.consensus.clear();
+        self.consensus.resize(n_links, 0.0);
+        self.weight.clear();
+        self.weight.resize(n_links, 0.0);
+        self.state_count.clear();
+        self.state_count.resize(n_links, 0);
+        for (j, row) in self.rows.iter().enumerate() {
+            if row.loads.is_empty() {
+                continue;
+            }
+            debug_assert_eq!(row.loads.len(), n_links, "short row of shard {j}");
+            let sums = (
+                self.consensus.as_mut_slice(),
+                self.weight.as_mut_slice(),
+                self.state_count.as_mut_slice(),
+            );
+            if row.hessians.is_empty() {
+                accumulate(sums, row, std::iter::repeat(&0.0));
+            } else {
+                accumulate(sums, row, row.hessians.iter());
+            }
+        }
+        for (num, &weight) in self.consensus.iter_mut().zip(&self.weight) {
+            *num = if weight > 0.0 {
+                *num / weight
+            } else {
+                f64::NAN
+            };
+        }
+        true
+    }
+
+    /// `out[l]` = Σ over every shard but `me`, in shard order, of that
+    /// shard's shipped `column` at `l` — on the links `subscribed` marks,
+    /// zero elsewhere (no knowledge there, and the local dual just decays
+    /// as if idle).
+    fn sum_others(
+        &self,
+        me: usize,
+        column: impl Fn(&Row) -> &[f64],
+        subscribed: &[bool],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(self.round_links, 0.0);
+        for (j, row) in self.rows.iter().enumerate() {
+            let values = column(row);
+            if j == me || values.is_empty() {
+                continue;
+            }
+            debug_assert_eq!(values.len(), out.len(), "short row of shard {j}");
+            for (acc, x) in out.iter_mut().zip(values) {
+                *acc += x;
+            }
+        }
+        for (acc, &sub) in out.iter_mut().zip(subscribed) {
+            if !sub {
+                *acc = 0.0;
+            }
+        }
+        // An inactive shard's mask is empty: it subscribes to nothing.
+        for acc in out.iter_mut().skip(subscribed.len()) {
+            *acc = 0.0;
+        }
+    }
+}
+
+/// One row's contribution to [`LinkTables::agree`]'s per-link sums
+/// (`Σ load·price` and `Σ load` over positive loads, and one more holder
+/// wherever any of the row's three values is non-zero), with the row's
+/// Hessians passed apart so a Hessian-less row can read as all zeros.
+fn accumulate<'a>(
+    (nums, weights, holders): (&mut [f64], &mut [f64], &mut [u32]),
+    row: &'a Row,
+    hessians: impl Iterator<Item = &'a f64>,
+) {
+    let sums = nums.iter_mut().zip(weights).zip(holders);
+    let state = row.loads.iter().zip(&row.prices).zip(hessians);
+    for (((num, weight), holders), ((&load, &price), &hessian)) in sums.zip(state) {
+        if load > 0.0 {
+            *num += load * price;
+            *weight += load;
+        }
+        if load != 0.0 || price != 0.0 || hessian != 0.0 {
+            *holders += 1;
+        }
+    }
+}
+
+/// One shard's delta filter, its logical byte accounting, and the
+/// per-shard half of the install (see the module docs). The row it
+/// filters against lives in the [`LinkTables`] passed to each call — the
+/// shared set in process, an [`ExchangeCore`]'s private one on a peer.
+#[derive(Debug)]
+pub(crate) struct ShardFilter {
     shard: u16,
     eps: f64,
-    /// Replicas of every shard's last-shipped table, own included.
-    replicas: Vec<Replica>,
     /// Own subscription mask from the previous exchange round (the
     /// catch-up accounting's "was I subscribed then" bit). Only updated
-    /// on rounds this shard is active, mirroring the in-process service.
+    /// on rounds this shard is active.
     sub_prev: Vec<bool>,
-    /// Own announced subscriptions — what the *wire* last carried, as
+    /// Own announced subscriptions — what the sink was last told, as
     /// opposed to `sub_prev` which follows the accounting's cadence.
     announced: Vec<bool>,
     /// Re-ship unmoved non-zero entries on the next round (set after a
-    /// placement epoch, or to bootstrap a restarted peer's replicas).
+    /// placement epoch, or to bootstrap a restarted peer's rows).
     resync_pending: bool,
-    // ---- per-round state, valid from begin_round to install ----
-    /// Link-vector length this round: own export's length, maxed with
-    /// every applied frame's header. Round-scoped so a round in which
-    /// every shard exports nothing is recognized (and not counted).
-    round_links: usize,
+    // ---- per-round state, valid from export to install ----
     own_active: bool,
     own_has_h: bool,
-    /// Whether any shard's frame carried Hessians this round.
-    any_h: bool,
     /// Own entries shipped this round (outbound accounting).
     own_shipped: u64,
     /// Own dirty marks this round.
     own_dirty: Vec<bool>,
-    /// Per-link count of shards that shipped the link this round (own
-    /// dirty marks plus received link-state records).
-    dirty_count: Vec<u32>,
     /// Own fresh subscription mask this round (positive fresh load).
     fresh_sub: Vec<bool>,
-    // ---- install scratch, reused every round ----
-    bg: Vec<f64>,
-    weight: Vec<f64>,
-    num: Vec<f64>,
-    state_count: Vec<u32>,
+    /// Install scratch, reused every round.
+    scratch: Vec<f64>,
 }
 
-impl ExchangeCore {
-    /// A core for shard `shard` of `shard_count`, with the delta
-    /// filter's threshold `eps` (clamped at 0).
-    ///
-    /// # Panics
-    /// Panics if `shard` is not less than `shard_count`.
-    pub fn new(shard: u16, shard_count: usize, eps: f64) -> Self {
-        assert!(
-            (shard as usize) < shard_count,
-            "shard {shard} out of range for {shard_count} shards"
-        );
-        ExchangeCore {
+impl ShardFilter {
+    /// A filter for shard `shard`, with the delta threshold `eps`
+    /// (clamped at 0).
+    pub(crate) fn new(shard: u16, eps: f64) -> Self {
+        ShardFilter {
             shard,
             eps: eps.max(0.0),
-            replicas: (0..shard_count).map(|_| Replica::default()).collect(),
             sub_prev: Vec::new(),
             announced: Vec::new(),
             resync_pending: false,
-            round_links: 0,
             own_active: false,
             own_has_h: false,
-            any_h: false,
             own_shipped: 0,
             own_dirty: Vec::new(),
-            dirty_count: Vec::new(),
             fresh_sub: Vec::new(),
-            bg: Vec::new(),
-            weight: Vec::new(),
-            num: Vec::new(),
-            state_count: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
-    /// This core's shard id.
-    pub fn shard(&self) -> u16 {
-        self.shard
-    }
-
-    /// Number of shards in the cluster.
-    pub fn shard_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Request that the next round's frame carry catch-up records for
-    /// every non-zero entry that the delta filter would otherwise skip —
-    /// re-seeding peers whose replicas may predate this shard's state
-    /// (after a placement epoch, or when a restarted peer rejoins).
-    pub fn request_resync(&mut self) {
-        self.resync_pending = true;
-    }
-
-    /// Start an exchange round: delta-filter the fresh export
-    /// (`loads`/`hessians`/`prices`, all the same length or `hessians`
-    /// empty; all empty when the engine prices no links) against the
-    /// last-shipped table and append this shard's state frame to `out`.
-    /// Returns the frame's length in bytes.
-    pub fn begin_round(
+    /// Delta-filter the shard's fresh export (`loads`/`hessians`/
+    /// `prices`, all the same length or `hessians` empty; all empty when
+    /// the engine prices no links) against its row of `tables`: entries
+    /// that moved overwrite the row, mark the round's dirty counts and
+    /// go to `ship` as [`Record::LinkState`], preceded by the
+    /// subscription deltas and followed, after a resync request, by
+    /// [`Record::CatchUp`] for the unmoved non-zero entries. `ship` sees
+    /// exactly the records of the shard's wire frame, in frame order; a
+    /// caller whose consumers read `tables` directly passes a no-op.
+    ///
+    /// # Panics
+    /// Panics if this filter's shard has no row in `tables`.
+    pub(crate) fn export(
         &mut self,
-        round: u64,
+        tables: &mut LinkTables,
         loads: &[f64],
         hessians: &[f64],
         prices: &[f64],
-        out: &mut Vec<u8>,
-    ) -> usize {
-        let start = out.len();
+        mut ship: impl FnMut(Record),
+    ) {
         let n = loads.len();
-        let active = n > 0;
         let has_h = !hessians.is_empty();
-        self.round_links = n;
-        self.own_active = active;
+        self.own_active = n > 0;
         self.own_has_h = has_h;
-        self.any_h = has_h;
         self.own_shipped = 0;
         self.own_dirty.clear();
         self.own_dirty.resize(n, false);
-        self.dirty_count.clear();
-        self.dirty_count.resize(n, 0);
         self.fresh_sub.clear();
         self.fresh_sub.extend(loads.iter().map(|&v| v > 0.0));
-        encode_header(
-            &FrameHeader {
-                kind: FrameKind::State,
-                shard: self.shard,
-                round,
-                n_links: n as u32,
-                active,
-                has_hessians: has_h,
-            },
-            out,
-        );
-        if !active {
-            return out.len() - start;
+        tables.round_links = tables.round_links.max(n);
+        tables.any_h |= has_h;
+        if n == 0 {
+            return;
         }
         debug_assert!(!has_h || hessians.len() == n, "short hessian export");
         debug_assert_eq!(prices.len(), n, "short price export");
+        if tables.ship_counts.len() < n {
+            tables.ship_counts.resize(n, 0);
+        }
         // Subscription deltas: announce the links this shard started or
         // stopped carrying load on since its last announcement.
         self.announced.resize(n, false);
-        for l in 0..n {
-            if self.fresh_sub[l] != self.announced[l] {
-                let rec = if self.fresh_sub[l] {
-                    Record::SubAdd { link: l as u32 }
+        for (l, (announced, &sub)) in self.announced.iter_mut().zip(&self.fresh_sub).enumerate() {
+            if *announced != sub {
+                let link = l as u32;
+                ship(if sub {
+                    Record::SubAdd { link }
                 } else {
-                    Record::SubRemove { link: l as u32 }
-                };
-                encode_record(&rec, has_h, out);
-                self.announced[l] = self.fresh_sub[l];
+                    Record::SubRemove { link }
+                });
+                *announced = sub;
             }
         }
-        let own = &mut self.replicas[self.shard as usize];
-        own.subs.clear();
-        own.subs.extend_from_slice(&self.fresh_sub);
+        let own = &mut tables.rows[self.shard as usize];
         own.loads.resize(n, 0.0);
         own.prices.resize(n, 0.0);
         if has_h {
@@ -288,139 +406,313 @@ impl ExchangeCore {
                     own.hessians[l] = hessians[l];
                 }
                 self.own_dirty[l] = true;
-                self.dirty_count[l] += 1;
+                tables.ship_counts[l] += 1;
                 self.own_shipped += 1;
-                encode_record(
-                    &Record::LinkState {
-                        link: l as u32,
-                        load: loads[l],
-                        dual: prices[l],
-                        hessian: if has_h { hessians[l] } else { 0.0 },
-                    },
-                    has_h,
-                    out,
-                );
+                ship(Record::LinkState {
+                    link: l as u32,
+                    load: loads[l],
+                    dual: prices[l],
+                    hessian: if has_h { hessians[l] } else { 0.0 },
+                });
             }
         }
         if self.resync_pending {
             // Catch-up: re-ship what the filter skipped but a peer with
-            // stale replicas would be missing. Receivers apply these
+            // stale rows would be missing. Receivers apply these
             // idempotently (they set, not accumulate).
             for l in 0..n {
-                if self.own_dirty[l] || !nonzero_at(own, l) {
+                if self.own_dirty[l] || !own.nonzero_at(l) {
                     continue;
                 }
-                encode_record(
-                    &Record::CatchUp {
-                        link: l as u32,
-                        load: own.loads[l],
-                        dual: own.prices[l],
-                        hessian: if has_h { own.hessians[l] } else { 0.0 },
-                    },
-                    has_h,
-                    out,
-                );
+                ship(Record::CatchUp {
+                    link: l as u32,
+                    load: own.loads[l],
+                    dual: own.prices[l],
+                    hessian: if has_h { own.hessians[l] } else { 0.0 },
+                });
             }
             self.resync_pending = false;
         }
+    }
+
+    /// The per-shard half of the install math, after
+    /// [`LinkTables::agree`] returned `true`: sum the *other* shards'
+    /// rows into this shard's background load (and Hessian), mask both
+    /// and the consensus duals to the links this shard subscribes to,
+    /// and install them into `svc`. Returns the round's logical exchange
+    /// bytes for this shard (own entries out plus subscribed entries in
+    /// — the hub-model accounting).
+    pub(crate) fn install<E: RateAllocator>(
+        &mut self,
+        tables: &LinkTables,
+        svc: &mut AllocatorService<E>,
+    ) -> u64 {
+        let me = self.shard as usize;
+        tables.sum_others(me, |row| &row.loads, &self.fresh_sub, &mut self.scratch);
+        svc.set_background_loads(&self.scratch);
+        // Engines without a second-order term export no Hessians and
+        // receive none.
+        if tables.any_h && self.own_has_h {
+            tables.sum_others(me, |row| &row.hessians, &self.fresh_sub, &mut self.scratch);
+            svc.set_background_hessians(&self.scratch);
+        }
+        self.sub_prev.resize(tables.round_links, false);
+
+        // Outbound logical bytes: id + load + dual (+ Hessian) per
+        // entry this shard shipped.
+        let mut bytes = self.own_shipped * entry_bytes(2 + u64::from(self.own_has_h));
+        if !self.own_active {
+            return bytes;
+        }
+        let Some(own) = tables.rows.get(me) else {
+            return bytes;
+        };
+        // Consensus duals install (and count) only on links this shard
+        // prices; elsewhere NaN keeps its own decaying dual.
+        self.scratch.clear();
+        self.scratch.extend(
+            self.fresh_sub
+                .iter()
+                .zip(&tables.consensus)
+                .map(|(&sub, &dual)| if sub { dual } else { f64::NAN }),
+        );
+        svc.set_link_prices(&self.scratch);
+        // Inbound logical bytes (the hub model): one aggregated entry
+        // per subscribed link that some *other* shard re-shipped this
+        // round — or, on a newly subscribed link, a catch-up entry for
+        // the state other shards already hold.
+        let reshipped = tables
+            .ship_counts
+            .iter()
+            .zip(&self.own_dirty)
+            .map(|(&ships, &mine)| ships > u32::from(mine));
+        let subscriptions = self.fresh_sub.iter().zip(&self.sub_prev);
+        let recv = subscriptions
+            .zip(reshipped.zip(&tables.state_count))
+            .enumerate()
+            .filter(|&(l, ((&sub, &was_sub), (reshipped, &holders)))| {
+                sub && (reshipped || (!was_sub && holders > u32::from(own.nonzero_at(l))))
+            })
+            .count() as u64;
+        self.sub_prev.clone_from(&self.fresh_sub);
+        bytes += recv * entry_bytes(2 + u64::from(self.own_has_h && tables.any_h));
+        bytes
+    }
+}
+
+// Write one decoded state word into a row column, or report the
+// record's link as bad when the column does not reach that far.
+fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<(), ApplyError> {
+    match column.get_mut(l) {
+        Some(slot) => {
+            *slot = value;
+            Ok(())
+        }
+        None => Err(ApplyError::BadLink { link }),
+    }
+}
+
+/// One shard's side of the exchange when the other shards are reachable
+/// only by frames (see the module docs): a `ShardFilter` and a private
+/// `LinkTables` whose own row the filter writes and whose remote rows
+/// [`ExchangeCore::apply_frame`] fills. Each distributed `ShardPeer`
+/// owns exactly one.
+///
+/// One exchange round is three calls:
+///
+/// 1. [`ExchangeCore::begin_round`] — filter the shard's fresh export
+///    and append its state frame to a caller-owned flat buffer. No
+///    allocation once the buffer and tables are warm.
+/// 2. [`ExchangeCore::apply_frame`] — decode every *other* shard's frame
+///    into that shard's row.
+/// 3. [`ExchangeCore::install`] — run the install math over the rows
+///    and install the result into the shard's [`AllocatorService`].
+#[derive(Debug)]
+pub struct ExchangeCore {
+    filter: ShardFilter,
+    tables: LinkTables,
+    /// Every other shard's announced subscriptions, as its `SubAdd` /
+    /// `SubRemove` records left them (informational; the install math
+    /// uses fresh exports, not announcements). Own slot stays empty —
+    /// the filter holds this shard's.
+    remote_subs: Vec<Vec<bool>>,
+}
+
+impl ExchangeCore {
+    /// A core for shard `shard` of `shard_count`, with the delta
+    /// filter's threshold `eps` (clamped at 0).
+    ///
+    /// # Panics
+    /// Panics if `shard` is not less than `shard_count`.
+    pub fn new(shard: u16, shard_count: usize, eps: f64) -> Self {
+        assert!(
+            (shard as usize) < shard_count,
+            "shard {shard} out of range for {shard_count} shards"
+        );
+        ExchangeCore {
+            filter: ShardFilter::new(shard, eps),
+            tables: LinkTables::new(shard_count),
+            remote_subs: (0..shard_count).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// This core's shard id.
+    pub fn shard(&self) -> u16 {
+        self.filter.shard
+    }
+
+    /// Number of shards in the cluster.
+    pub fn shard_count(&self) -> usize {
+        self.tables.rows.len()
+    }
+
+    /// Request that the next round's frame carry catch-up records for
+    /// every non-zero entry that the delta filter would otherwise skip —
+    /// re-seeding peers whose rows may predate this shard's state (after
+    /// a placement epoch, or when a restarted peer rejoins).
+    pub fn request_resync(&mut self) {
+        self.filter.resync_pending = true;
+    }
+
+    /// Start an exchange round: delta-filter the fresh export
+    /// (`loads`/`hessians`/`prices`, all the same length or `hessians`
+    /// empty; all empty when the engine prices no links) against the
+    /// last-shipped row and append this shard's state frame to `out`.
+    /// Returns the frame's length in bytes.
+    pub fn begin_round(
+        &mut self,
+        round: u64,
+        loads: &[f64],
+        hessians: &[f64],
+        prices: &[f64],
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let start = out.len();
+        let has_hessians = !hessians.is_empty();
+        encode_header(
+            &FrameHeader {
+                kind: FrameKind::State,
+                shard: self.filter.shard,
+                round,
+                n_links: loads.len() as u32,
+                active: !loads.is_empty(),
+                has_hessians,
+            },
+            out,
+        );
+        self.tables.start_round();
+        self.filter
+            .export(&mut self.tables, loads, hessians, prices, |record| {
+                encode_record(&record, has_hessians, out);
+            });
         out.len() - start
     }
 
-    /// Apply another shard's state frame to its local replica. Epoch
-    /// frames are ignored (they are routed to the flow-migration path
-    /// by the peer runtime before reaching the core).
+    /// Apply another shard's state frame to its row. Epoch frames are
+    /// ignored (they are routed to the flow-migration path by the peer
+    /// runtime before reaching the core).
     ///
     /// # Errors
-    /// [`ApplyError`] if the frame fails to decode or names a shard or
-    /// link this cluster does not have; the replica keeps whatever the
-    /// frame carried up to the error (a re-ship heals it).
+    /// [`ApplyError`] if the frame fails to decode, names a shard or
+    /// link this cluster does not have, or announces a link vector of a
+    /// different length than the rows already held (checked before
+    /// anything is resized). After a record-level error the row keeps
+    /// whatever the frame carried up to it (a re-ship heals it).
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<(), ApplyError> {
         let (header, records) = RecordIter::new(frame)?;
         if header.kind != FrameKind::State {
             return Ok(());
         }
-        if header.shard == self.shard || header.shard as usize >= self.replicas.len() {
-            return Err(ApplyError::BadShard {
-                shard: header.shard,
-            });
+        let bad_shard = ApplyError::BadShard {
+            shard: header.shard,
+        };
+        if header.shard == self.filter.shard {
+            return Err(bad_shard);
         }
-        let n = header.n_links as usize;
-        self.round_links = self.round_links.max(n);
-        if self.dirty_count.len() < self.round_links {
-            self.dirty_count.resize(self.round_links, 0);
-        }
-        self.any_h |= header.has_hessians;
-        // flowtune-lint: allow(panic, "bounded: header.shard < replicas.len() checked above")
-        let replica = &mut self.replicas[header.shard as usize];
+        // Every row this core holds has the fabric's link count (its own
+        // export among them once it has begun a round).
+        let held = self
+            .tables
+            .rows
+            .iter()
+            .map(|row| row.loads.len())
+            .find(|&len| len > 0);
+        let LinkTables {
+            rows,
+            round_links,
+            any_h,
+            ship_counts,
+            ..
+        } = &mut self.tables;
+        let from = header.shard as usize;
+        let (Some(row), Some(subs)) = (rows.get_mut(from), self.remote_subs.get_mut(from)) else {
+            return Err(bad_shard);
+        };
+        *any_h |= header.has_hessians;
+        // An inactive frame carries no link vector: it sizes nothing,
+        // and any record it smuggles names a link past its end.
+        let mut n = 0;
         if header.active {
-            replica.loads.resize(n.max(replica.loads.len()), 0.0);
-            replica.prices.resize(n.max(replica.prices.len()), 0.0);
+            n = header.n_links as usize;
+            if held.map_or(n > MAX_UNCHECKED_LINKS, |len| n != len) {
+                return Err(ApplyError::BadLinkCount {
+                    n_links: header.n_links,
+                });
+            }
+            *round_links = (*round_links).max(n);
+            if ship_counts.len() < n {
+                ship_counts.resize(n, 0);
+            }
+            row.loads.resize(n, 0.0);
+            row.prices.resize(n, 0.0);
             if header.has_hessians {
-                replica.hessians.resize(n.max(replica.hessians.len()), 0.0);
+                row.hessians.resize(n, 0.0);
             }
         }
         for record in records {
-            match record.map_err(ApplyError::from)? {
+            let record = record?;
+            match record {
+                Record::LinkState { link, .. }
+                | Record::CatchUp { link, .. }
+                | Record::SubAdd { link }
+                | Record::SubRemove { link }
+                    if link as usize >= n =>
+                {
+                    return Err(ApplyError::BadLink { link });
+                }
                 Record::LinkState {
                     link,
                     load,
                     dual,
                     hessian,
-                } => {
-                    let l = link as usize;
-                    if l >= n {
-                        return Err(ApplyError::BadLink { link });
-                    }
-                    // An inactive frame never resized the replica, so a
-                    // record slipping past `n` on such a frame must be
-                    // an error, not an out-of-bounds write.
-                    write_state(&mut replica.loads, l, load, link)?;
-                    write_state(&mut replica.prices, l, dual, link)?;
-                    if header.has_hessians {
-                        write_state(&mut replica.hessians, l, hessian, link)?;
-                    }
-                    // flowtune-lint: allow(panic, "bounded: dirty_count resized to round_links >= n above")
-                    self.dirty_count[l] += 1;
                 }
-                Record::CatchUp {
+                | Record::CatchUp {
                     link,
                     load,
                     dual,
                     hessian,
                 } => {
-                    // Same as link-state but not fresh movement: it does
-                    // not count toward this round's dirty marks.
                     let l = link as usize;
-                    if l >= n {
-                        return Err(ApplyError::BadLink { link });
-                    }
-                    write_state(&mut replica.loads, l, load, link)?;
-                    write_state(&mut replica.prices, l, dual, link)?;
+                    write_state(&mut row.loads, l, load, link)?;
+                    write_state(&mut row.prices, l, dual, link)?;
                     if header.has_hessians {
-                        write_state(&mut replica.hessians, l, hessian, link)?;
+                        write_state(&mut row.hessians, l, hessian, link)?;
+                    }
+                    // A catch-up entry is not fresh movement: it does
+                    // not count toward this round's dirty marks.
+                    if matches!(record, Record::LinkState { .. }) {
+                        if let Some(ships) = ship_counts.get_mut(l) {
+                            *ships += 1;
+                        }
                     }
                 }
-                Record::SubAdd { link } => {
-                    let l = link as usize;
-                    if l >= n {
-                        return Err(ApplyError::BadLink { link });
+                Record::SubAdd { link } | Record::SubRemove { link } => {
+                    if subs.len() < n {
+                        subs.resize(n, false);
                     }
-                    if replica.subs.len() < n {
-                        replica.subs.resize(n, false);
+                    if let Some(sub) = subs.get_mut(link as usize) {
+                        *sub = matches!(record, Record::SubAdd { .. });
                     }
-                    // flowtune-lint: allow(panic, "bounded: subs resized to n, l < n checked above")
-                    replica.subs[l] = true;
-                }
-                Record::SubRemove { link } => {
-                    let l = link as usize;
-                    if l >= n {
-                        return Err(ApplyError::BadLink { link });
-                    }
-                    if replica.subs.len() < n {
-                        replica.subs.resize(n, false);
-                    }
-                    // flowtune-lint: allow(panic, "bounded: subs resized to n, l < n checked above")
-                    replica.subs[l] = false;
                 }
                 // State frames do not carry epoch records; tolerate and
                 // skip them if a mixed frame ever arrives.
@@ -430,135 +722,18 @@ impl ExchangeCore {
         Ok(())
     }
 
-    /// Finish the round: recompute the background load/Hessian sums and
-    /// the load-weighted dual consensus from the replicas and install
-    /// them into `svc` (this shard's service). Returns the round's
-    /// logical exchange bytes for this shard (own entries out plus
-    /// subscribed entries in — the hub-model accounting), or `None` when
-    /// no shard exported any links this round (the round does not
-    /// count).
+    /// Finish the round: run the install math over the rows — the
+    /// round-wide consensus, then this shard's background sums and mask
+    /// — and install the result into `svc` (this shard's service).
+    /// Returns the round's logical exchange bytes for this shard (own
+    /// entries out plus subscribed entries in — the hub-model
+    /// accounting), or `None` when no shard exported any links this
+    /// round (the round does not count).
     pub fn install<E: RateAllocator>(&mut self, svc: &mut AllocatorService<E>) -> Option<u64> {
-        let n_links = self.round_links;
-        if n_links == 0 {
+        if !self.tables.agree() {
             return None;
         }
-        let me = self.shard as usize;
-
-        // Load aggregation: Σ of the *other* shards' shipped loads on
-        // this shard's subscribed links (zero elsewhere — no knowledge,
-        // and the local dual just decays as if idle).
-        self.bg.clear();
-        self.bg.resize(n_links, 0.0);
-        for (j, replica) in self.replicas.iter().enumerate() {
-            if j == me || replica.loads.is_empty() {
-                continue;
-            }
-            debug_assert_eq!(replica.loads.len(), n_links, "short replica of shard {j}");
-            for (acc, x) in self.bg.iter_mut().zip(&replica.loads) {
-                *acc += x;
-            }
-        }
-        for l in 0..n_links {
-            if !self.fresh_sub.get(l).copied().unwrap_or(false) {
-                self.bg[l] = 0.0;
-            }
-        }
-        svc.set_background_loads(&self.bg);
-
-        // Hessian aggregation (engines without a second-order term
-        // export nothing and receive nothing).
-        if self.any_h && self.own_has_h {
-            self.bg.clear();
-            self.bg.resize(n_links, 0.0);
-            for (j, replica) in self.replicas.iter().enumerate() {
-                if j == me || replica.hessians.is_empty() {
-                    continue;
-                }
-                debug_assert_eq!(
-                    replica.hessians.len(),
-                    n_links,
-                    "short Hessian replica of shard {j}"
-                );
-                for (acc, x) in self.bg.iter_mut().zip(&replica.hessians) {
-                    *acc += x;
-                }
-            }
-            for l in 0..n_links {
-                if !self.fresh_sub.get(l).copied().unwrap_or(false) {
-                    self.bg[l] = 0.0;
-                }
-            }
-            svc.set_background_hessians(&self.bg);
-        }
-
-        // Dual consensus: load-weighted mean price per loaded link, from
-        // the replicas (own included). The same scan counts, per link,
-        // how many shards hold any non-zero shipped state there — what a
-        // new subscriber would have to be caught up on.
-        self.bg.clear();
-        self.bg.resize(n_links, f64::NAN);
-        self.weight.clear();
-        self.weight.resize(n_links, 0.0);
-        self.num.clear();
-        self.num.resize(n_links, 0.0);
-        self.state_count.clear();
-        self.state_count.resize(n_links, 0);
-        for replica in &self.replicas {
-            if replica.loads.is_empty() {
-                continue;
-            }
-            for l in 0..n_links {
-                if replica.loads[l] > 0.0 {
-                    self.num[l] += replica.loads[l] * replica.prices[l];
-                    self.weight[l] += replica.loads[l];
-                }
-                if replica.loads[l] != 0.0
-                    || replica.prices[l] != 0.0
-                    || replica.hessians.get(l).is_some_and(|&h| h != 0.0)
-                {
-                    self.state_count[l] += 1;
-                }
-            }
-        }
-        self.sub_prev.resize(n_links, false);
-        for l in 0..n_links {
-            if self.weight[l] > 0.0 {
-                self.bg[l] = self.num[l] / self.weight[l];
-            }
-        }
-
-        // Outbound logical bytes: id + load + dual (+ Hessian) per
-        // entry this shard shipped.
-        let mut bytes = self.own_shipped * entry_bytes(2 + u64::from(self.own_has_h));
-
-        if self.own_active {
-            // Consensus duals install (and count) only on links this
-            // shard prices; elsewhere NaN keeps its own decaying dual.
-            self.num.clear();
-            let bg = &self.bg;
-            let fresh_sub = &self.fresh_sub;
-            self.num
-                .extend((0..n_links).map(|l| if fresh_sub[l] { bg[l] } else { f64::NAN }));
-            svc.set_link_prices(&self.num);
-            // Inbound logical bytes (the hub model): one aggregated
-            // entry per subscribed link that some *other* shard
-            // re-shipped this round — or, on a newly subscribed link, a
-            // catch-up entry for the state other shards already hold.
-            let own = &self.replicas[me];
-            let recv = (0..n_links)
-                .filter(|&l| {
-                    if !self.fresh_sub[l] {
-                        return false;
-                    }
-                    let fresh = self.dirty_count[l] > u32::from(self.own_dirty[l]);
-                    let others_hold_state = self.state_count[l] > u32::from(nonzero_at(own, l));
-                    fresh || (!self.sub_prev[l] && others_hold_state)
-                })
-                .count() as u64;
-            self.sub_prev.copy_from_slice(&self.fresh_sub);
-            bytes += recv * entry_bytes(2 + u64::from(self.own_has_h && self.any_h));
-        }
-        Some(bytes)
+        Some(self.filter.install(&self.tables, svc))
     }
 
     /// Per-link count of shards that shipped the link this round (own
@@ -566,15 +741,15 @@ impl ExchangeCore {
     /// every core after a full round, and what the routing layer folds
     /// into its cumulative shipped-counts signal.
     pub fn round_ship_counts(&self) -> &[u32] {
-        &self.dirty_count
+        self.tables.ship_counts()
     }
 
     /// Total links across all shards' announced subscriptions — a
     /// visibility counter for peer telemetry.
     pub fn announced_subscriptions(&self) -> usize {
-        self.replicas
-            .iter()
-            .map(|r| r.subs.iter().filter(|&&s| s).count())
+        std::iter::once(&self.filter.announced)
+            .chain(&self.remote_subs)
+            .map(|subs| subs.iter().filter(|&&s| s).count())
             .sum()
     }
 }
@@ -647,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn replicas_converge_and_deltas_stop() {
+    fn rows_converge_and_deltas_stop() {
         let mut cores = vec![ExchangeCore::new(0, 2, 0.0), ExchangeCore::new(1, 2, 0.0)];
         let (mut svcs, links) = two_svcs();
         let exports = vec![
@@ -661,9 +836,9 @@ mod tests {
         // Round 2 with identical exports: nothing moves, nothing ships.
         let bytes2 = round(&mut cores, 2, &exports, &mut svcs);
         assert_eq!(bytes2, vec![Some(0), Some(0)]);
-        // Each core's replica of the other now matches what was shipped.
-        assert_eq!(cores[0].replicas[1].loads[1], 2.0);
-        assert_eq!(cores[1].replicas[0].loads[0], 1.0);
+        // Each core's copy of the other's row now matches what was shipped.
+        assert_eq!(cores[0].tables.rows[1].loads[1], 2.0);
+        assert_eq!(cores[1].tables.rows[0].loads[0], 1.0);
     }
 
     #[test]
@@ -694,13 +869,13 @@ mod tests {
             round(&mut cores, 2, &exports, &mut svcs),
             vec![Some(0), Some(0)],
         );
-        // A resync re-ships shard 0's entry as catch-up: replicas stay
+        // A resync re-ships shard 0's entry as catch-up: the rows stay
         // identical and the logical accounting does not move.
         cores[0].request_resync();
         let mut buf = Vec::new();
         let len = cores[0].begin_round(4, &exports[0].0, &exports[0].1, &exports[0].2, &mut buf);
         assert!(len > flowtune_proto::exchange::FRAME_HEADER_BYTES);
-        let before = cores[1].replicas[0].loads.clone();
+        let before = cores[1].tables.rows[0].loads.clone();
         cores[1].begin_round(
             4,
             &exports[1].0,
@@ -709,7 +884,7 @@ mod tests {
             &mut Vec::new(),
         );
         cores[1].apply_frame(&buf).unwrap();
-        assert_eq!(cores[1].replicas[0].loads, before);
+        assert_eq!(cores[1].tables.rows[0].loads, before);
         assert_eq!(cores[1].install(&mut svcs[1]), Some(0));
     }
 
@@ -761,5 +936,102 @@ mod tests {
             &mut buf,
         );
         assert_eq!(core.apply_frame(&buf), Err(ApplyError::BadLink { link: 5 }));
+    }
+
+    /// A header-only active state frame from shard 1.
+    fn header_only(n_links: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_header(
+            &FrameHeader {
+                kind: FrameKind::State,
+                shard: 1,
+                round: 1,
+                n_links,
+                active: true,
+                has_hessians: false,
+            },
+            &mut buf,
+        );
+        buf
+    }
+
+    #[test]
+    fn a_frame_with_the_wrong_link_count_is_rejected_before_it_sizes_a_row() {
+        let (mut svcs, links) = two_svcs();
+        let mut core = ExchangeCore::new(0, 2, 0.0);
+        let own = export(links, &[(0, 1.0, 0.5)]);
+        core.begin_round(1, &own.0, &own.1, &own.2, &mut Vec::new());
+        // Shorter than the fabric (the install's scans would run off the
+        // row), longer (the engine's length assert), and absurd (a
+        // multi-GiB resize): all refused, the row untouched.
+        for n_links in [3, links as u32 + 1, u32::MAX] {
+            assert_eq!(
+                core.apply_frame(&header_only(n_links)),
+                Err(ApplyError::BadLinkCount { n_links }),
+            );
+            assert!(core.tables.rows[1].loads.is_empty());
+        }
+        assert_eq!(core.install(&mut svcs[0]), Some(20), "own entry out");
+        // The fabric's own count is what a peer legitimately sends.
+        assert_eq!(core.apply_frame(&header_only(links as u32)), Ok(()));
+        assert_eq!(core.tables.rows[1].loads.len(), links);
+
+        // A core holding no row yet has nothing to compare against and
+        // falls back to the hard bound.
+        let mut fresh = ExchangeCore::new(0, 2, 0.0);
+        assert_eq!(
+            fresh.apply_frame(&header_only(u32::MAX)),
+            Err(ApplyError::BadLinkCount { n_links: u32::MAX }),
+        );
+        assert!(fresh.tables.rows[1].loads.is_empty());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn begin_round_frames_are_pinned_byte_for_byte() {
+        // Recorded from the commit before the filter and the codec were
+        // separated: header, subscription deltas, link-state records in
+        // link order, then (second frame, after a resync request) the
+        // catch-up record for the entry that did not move.
+        let mut core = ExchangeCore::new(1, 3, 0.0);
+        let mut frame = Vec::new();
+        let len = core.begin_round(
+            7,
+            &[0.0, 2.5, 0.0, 1.0],
+            &[0.0, -0.5, 0.0, -0.25],
+            &[0.0, 0.75, 0.125, 0.0],
+            &mut frame,
+        );
+        assert_eq!(len, frame.len());
+        assert_eq!(
+            hex(&frame),
+            "0101030001000000000000000700000004\
+             0300000001\
+             0300000003\
+             010000000140040000000000003fe8000000000000bfe0000000000000\
+             010000000200000000000000003fc00000000000000000000000000000\
+             01000000033ff00000000000000000000000000000bfd0000000000000"
+        );
+        core.request_resync();
+        frame.clear();
+        core.begin_round(
+            8,
+            &[0.0, 2.5, 0.5, 0.0],
+            &[0.0, -0.5, -1.0, 0.0],
+            &[0.0, 0.75, 0.125, 0.0],
+            &mut frame,
+        );
+        assert_eq!(
+            hex(&frame),
+            "0101030001000000000000000800000004\
+             0300000002\
+             0400000003\
+             01000000023fe00000000000003fc0000000000000bff0000000000000\
+             0100000003000000000000000000000000000000000000000000000000\
+             020000000140040000000000003fe8000000000000bfe0000000000000"
+        );
     }
 }

@@ -917,6 +917,14 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.engine.link_hessians_into(out);
     }
 
+    /// [`AllocatorService::link_loads_into`] and
+    /// [`AllocatorService::link_hessians_into`] in one walk over the
+    /// engine's flows (see [`RateAllocator::link_state_into`]) — the
+    /// exchange's per-round export.
+    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        self.engine.link_state_into(loads, hessians);
+    }
+
     /// Installs the exogenous per-link Hessian diagonal accompanying the
     /// background loads (see [`RateAllocator::set_background_hessians`]).
     pub fn set_background_hessians(&mut self, hdiag: &[f64]) {

@@ -48,10 +48,12 @@
 //!    shards one after another.
 //! 2. **exchange-barrier, install** — once every shard is done (the
 //!    pool's fan-out *is* the barrier), the routing layer runs the
-//!    cross-shard consensus of the exchange (when due) on the caller
-//!    thread and installs background loads/Hessians and consensus duals
-//!    into the shards, then k-way merges the shards' token-ordered
-//!    update streams into one (disjoint token sets make the merge exact).
+//!    exchange (when due) on the caller thread — each shard's delta
+//!    filter into its row of the shared link-state table, the
+//!    cross-shard consensus once, then per shard the background
+//!    load/Hessian sums and the installs — and k-way merges the shards'
+//!    token-ordered update streams into one (disjoint token sets make
+//!    the merge exact).
 //!
 //! [`FlowtuneConfig::parallel_shards`](crate::FlowtuneConfig) (default
 //! on) selects phase 1's concurrent path; turning it off ticks the shards
@@ -96,12 +98,30 @@
 //!   dual makes the unsharded optimum the unique fixed point — §5's
 //!   single authoritative LinkBlock owner, one level up.
 //!
-//! ## Sparse, allocation-free wire protocol
+//! ## One shared table, a sparse delta protocol
 //!
 //! Exports go through the engines' buffer variants
-//! ([`flowtune_alloc::RateAllocator::link_loads_into`] and friends) into
-//! per-shard scratch reused every round, so a steady-state exchange
-//! allocates nothing. On the wire the exchange is a **delta protocol**:
+//! ([`flowtune_alloc::RateAllocator::link_state_into`] — loads and
+//! Hessians in one walk over the flows — and
+//! [`flowtune_alloc::RateAllocator::link_prices_into`]) into per-shard
+//! scratch reused every round, so a steady-state exchange allocates
+//! nothing.
+//!
+//! The shards of one process exchange through **one shared link-state
+//! table** ([`crate::exchange`]): a row per shard holding what that
+//! shard last shipped, written only by that shard's filter and read by
+//! every shard's install. Nothing is encoded or decoded, and a row
+//! exists once — not once per reader. What is the same for every shard
+//! (the dual consensus, the per-link counts the byte accounting needs)
+//! is computed once per round; only the background sums, which leave
+//! out the shard's own row, and the subscription mask are per shard.
+//! The serialized form of the same round — frames carrying exactly the
+//! entries the filters write — exists only between processes, where
+//! `flowtune-net`'s shard peers each keep private copies of the rows;
+//! both are built from the same filter and the same install math, so
+//! they agree bit for bit.
+//!
+//! The exchange is a **delta protocol**:
 //! a shard re-ships a link's `(load, H, dual)` entry only when any of
 //! the three moved by more than
 //! [`FlowtuneConfig::exchange_delta_eps`](crate::FlowtuneConfig) since
@@ -151,8 +171,7 @@
 //! to exchange and the path is never taken, keeping one-shard
 //! deployments bit-for-bit equal to the unsharded service.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
@@ -161,7 +180,7 @@ use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
 use crate::driver::{PhaseTimings, TickDriver};
-use crate::exchange::ExchangeCore;
+use crate::exchange::{LinkTables, ShardFilter};
 use crate::placement::{Placement, TrafficMatrix};
 use crate::service::{AllocatorService, ServiceError, ServiceStats};
 use crate::FlowtuneConfig;
@@ -173,6 +192,9 @@ use crate::FlowtuneConfig;
 #[derive(Debug)]
 struct ShardSlot<E: RateAllocator> {
     svc: AllocatorService<E>,
+    /// The shard's side of the exchange: the delta filter that writes
+    /// its row of the shared [`LinkTables`], and its install.
+    filter: ShardFilter,
     /// The shard's token-ordered update stream from this tick.
     updates: Vec<(u16, Message)>,
     /// Link-state exports, refreshed only on exchange rounds.
@@ -225,16 +247,9 @@ pub struct ShardedService<E: RateAllocator = SerialAllocator> {
     /// buffer is swapped in here, the merge drains it, and the next
     /// tick's swap hands the emptied buffer back to the shard.
     streams: Vec<Vec<(u16, Message)>>,
-    /// Per-shard exchange protocol cores: each owns its shard's delta
-    /// filter, last-shipped replicas, and install math — the same
-    /// [`ExchangeCore`] a distributed shard peer runs, so the in-process
-    /// exchange exercises the real wire format every round.
-    cores: Vec<ExchangeCore>,
-    /// The round's serialized frames, all shards back to back in one
-    /// flat reusable buffer (no `Vec<Vec<u8>>` on the hot path).
-    wire_buf: Vec<u8>,
-    /// Frame boundaries within `wire_buf` (`n + 1` offsets).
-    frame_offs: Vec<usize>,
+    /// The exchange's one table set: every shard's last-shipped row,
+    /// written by that shard's filter and read by every shard's install.
+    tables: LinkTables,
     /// Cumulative wall time spent in the exchange barrier (phase 2),
     /// reported as [`PhaseTimings::exchange`].
     exchange_time: Duration,
@@ -333,8 +348,10 @@ impl<E: RateAllocator> ShardedService<E> {
             parallel: cfg.parallel_shards && n > 1,
             slots: shards
                 .into_iter()
-                .map(|svc| ShardSlot {
+                .enumerate()
+                .map(|(i, svc)| ShardSlot {
                     svc,
+                    filter: ShardFilter::new(i as u16, cfg.exchange_delta_eps),
                     updates: Vec::new(),
                     loads: Vec::new(),
                     hessians: Vec::new(),
@@ -352,11 +369,7 @@ impl<E: RateAllocator> ShardedService<E> {
             exchange_delta_eps: cfg.exchange_delta_eps.max(0.0),
             pool: None,
             ticks: 0,
-            cores: (0..n)
-                .map(|i| ExchangeCore::new(i as u16, n, cfg.exchange_delta_eps))
-                .collect(),
-            wire_buf: Vec::new(),
-            frame_offs: Vec::new(),
+            tables: LinkTables::new(n),
             exchange_time: Duration::ZERO,
         }
     }
@@ -431,10 +444,13 @@ impl<E: RateAllocator> ShardedService<E> {
     /// move — migration is not intake churn. Returns the number of flows
     /// migrated.
     ///
-    /// The exchange's last-shipped tables are deliberately kept: they
+    /// The exchange's last-shipped rows are deliberately kept: they
     /// record what the other shards are still pricing, and the delta
     /// filter re-ships exactly what the migration moved on the next
-    /// round.
+    /// round. (A distributed cluster additionally re-ships unmoved
+    /// entries as catch-up records after an epoch, for peers whose copies
+    /// of the rows may be stale; here every shard reads the one table
+    /// set, which cannot be.)
     ///
     /// # Panics
     /// Panics if the placement's shape (server count, shard count) does
@@ -475,15 +491,6 @@ impl<E: RateAllocator> ShardedService<E> {
             moved += 1;
         }
         self.placement = placement;
-        // Every shard re-ships its unmoved non-zero entries as catch-up
-        // records on the next round. In-process the replicas are already
-        // consistent, so this changes no state and no logical byte count
-        // — but it keeps the frames identical to what a distributed
-        // deployment (where an epoch may accompany a peer restart with
-        // empty replicas) puts on the wire.
-        for core in &mut self.cores {
-            core.request_resync();
-        }
         moved
     }
 
@@ -646,72 +653,42 @@ impl<E: RateAllocator> ShardedService<E> {
     ///    no shard loads keep their per-shard prices (`NaN` in the
     ///    consensus vector) and decay as usual.
     ///
-    /// All three parts run inside the per-shard [`ExchangeCore`]s, over
-    /// the **serialized frames** the cores write and read — the exact
-    /// bytes a distributed deployment puts on a socket. This routing
-    /// layer only orchestrates: every core encodes its shard's frame
-    /// into one flat reusable buffer, every core applies every other
-    /// core's frame to its replicas, and every core installs the
-    /// aggregation into its own shard. Shards whose engine exports
-    /// nothing (Fastpass) ship inactive frames and their installs are
-    /// documented no-ops; engines with no second-order term (gradient
-    /// projection) skip the Hessian part only.
+    /// The round runs over the one shared [`LinkTables`]: every shard's
+    /// [`ShardFilter`] delta-filters its fresh export into its own row,
+    /// [`LinkTables::agree`] computes what is the same for every shard —
+    /// the dual consensus and the per-link state counts — once, and every
+    /// shard's filter then sums the *other* rows, masks to its
+    /// subscriptions and installs into its own service. Nothing is
+    /// serialized: the frames a distributed deployment ships carry
+    /// exactly the entries the filters write here (see
+    /// [`crate::exchange`]). Shards whose engine exports nothing
+    /// (Fastpass) write nothing and their installs are documented
+    /// no-ops; engines with no second-order term (gradient projection)
+    /// skip the Hessian part only.
     fn exchange_link_state(&mut self) {
-        let n = self.slots.len();
-
-        // Encode: one state frame per shard, back to back.
-        self.wire_buf.clear();
-        self.frame_offs.clear();
-        self.frame_offs.push(0);
-        for i in 0..n {
-            let slot = &self.slots[i];
-            self.cores[i].begin_round(
-                self.ticks,
+        self.tables.start_round();
+        for slot in &mut self.slots {
+            slot.filter.export(
+                &mut self.tables,
                 &slot.loads,
                 &slot.hessians,
                 &slot.prices,
-                &mut self.wire_buf,
+                |_| {},
             );
-            self.frame_offs.push(self.wire_buf.len());
         }
-
-        // Apply: every core consumes every other shard's frame. These
-        // frames were encoded in-process, so a decode failure is a bug —
-        // but it is counted (never silently dropped), exactly as a peer
-        // counts a corrupt frame off a socket.
-        for j in 0..n {
-            for i in 0..n {
-                if i == j {
-                    continue;
-                }
-                let frame = &self.wire_buf[self.frame_offs[i]..self.frame_offs[i + 1]];
-                if let Err(e) = self.cores[j].apply_frame(frame) {
-                    self.local.exchange_decode_errors += 1;
-                    debug_assert!(false, "in-process frame failed to apply: {e}");
-                }
-            }
+        // `false` means no shard exported any links — the round does
+        // not count.
+        if !self.tables.agree() {
+            return;
         }
-
-        // Install: each core recomputes the aggregation from its
-        // replicas and installs into its own shard. `None` means no
-        // shard exported any links — the round does not count.
-        let mut bytes = 0u64;
-        let mut counted = false;
-        for i in 0..n {
-            let core = &mut self.cores[i];
-            if let Some(b) = core.install(&mut self.slots[i].svc) {
-                bytes += b;
-                counted = true;
-            }
+        for slot in &mut self.slots {
+            self.local.exchange_bytes += slot.filter.install(&self.tables, &mut slot.svc);
         }
-        if counted {
-            let ships = self.cores[0].round_ship_counts();
-            self.shipped_totals.resize(ships.len(), 0);
-            for (total, &c) in self.shipped_totals.iter_mut().zip(ships) {
-                *total += u64::from(c);
-            }
-            self.local.exchange_rounds += 1;
-            self.local.exchange_bytes += bytes;
+        self.local.exchange_rounds += 1;
+        let ships = self.tables.ship_counts();
+        self.shipped_totals.resize(ships.len(), 0);
+        for (total, &c) in self.shipped_totals.iter_mut().zip(ships) {
+            *total += u64::from(c);
         }
     }
 
@@ -871,8 +848,8 @@ impl<E: RateAllocator> TickDriver for ShardedService<E> {
 fn tick_shard<E: RateAllocator>(slot: &mut ShardSlot<E>, export: bool) {
     slot.svc.tick_into(&mut slot.updates);
     if export {
-        slot.svc.link_loads_into(&mut slot.loads);
-        slot.svc.link_hessians_into(&mut slot.hessians);
+        slot.svc
+            .link_state_into(&mut slot.loads, &mut slot.hessians);
         slot.svc.link_prices_into(&mut slot.prices);
     }
 }
@@ -885,20 +862,20 @@ fn update_token(msg: &Message) -> Token {
     }
 }
 
-/// K-way merge of token-ordered update streams via a min-heap of stream
-/// heads: `O(total · log k)` where the previous implementation re-scanned
-/// every stream head per emitted element (`O(total · k)` — quadratic in
-/// the per-tick update volume once the shard count grows). Token sets are
-/// disjoint across shards so ties cannot occur; the stream index in the
-/// heap key makes the order deterministic even if a caller violated that.
-/// Public because a distributed peer cluster merges its peers' streams
-/// with exactly the same rule.
+/// K-way merge of token-ordered update streams: each emitted element is
+/// the smallest of the streams' heads, found by scanning them — `k`
+/// comparisons per element for `k` streams, which at a control plane's
+/// shard counts beats maintaining a heap of heads and needs no storage
+/// beside the streams themselves. Token sets are disjoint across shards
+/// so ties cannot occur; if a caller violated that, the lower stream
+/// index goes first. Public because a distributed peer cluster merges
+/// its peers' streams with exactly the same rule.
 ///
 /// Clears `out`, drains every stream in `streams` (their capacity
-/// survives for reuse), and appends the merged order, reserving once. A
-/// steady-state tick whose streams are all empty allocates nothing,
-/// which is what lets `try_tick_into` — here and in a peer cluster — run
-/// alloc-free once rates converge.
+/// survives for reuse), and appends the merged order, reserving once.
+/// Once `out` has grown to a tick's update volume the merge allocates
+/// nothing, which is what lets `try_tick_into` — here and in a peer
+/// cluster — run alloc-free whether or not the tick emits updates.
 pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
     out.clear();
     let total: usize = streams.iter().map(Vec::len).sum();
@@ -906,22 +883,21 @@ pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u
         return;
     }
     out.reserve(total);
-    if streams.len() == 1 {
-        out.append(&mut streams[0]);
+    if let [only] = streams {
+        out.append(only);
         return;
     }
-    let mut iters: Vec<_> = streams.iter_mut().map(|v| v.drain(..).peekable()).collect();
-    let mut heap: BinaryHeap<Reverse<(Token, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        if let Some((_, msg)) = it.peek() {
-            heap.push(Reverse((update_token(msg), i)));
-        }
+    // Reversed in place, a stream's head is its last element and `pop`
+    // is its cursor.
+    for stream in streams.iter_mut() {
+        stream.reverse();
     }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        out.push(iters[i].next().expect("heap entry implies a stream head"));
-        if let Some((_, msg)) = iters[i].peek() {
-            heap.push(Reverse((update_token(msg), i)));
-        }
+    while let Some((_, stream)) = streams
+        .iter_mut()
+        .filter_map(|stream| Some((update_token(&stream.last()?.1), stream)))
+        .min_by_key(|&(token, _)| token)
+    {
+        out.extend(stream.pop());
     }
 }
 

@@ -64,6 +64,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "take_changed_rates",
             "link_loads_into",
             "link_hessians_into",
+            "link_state_into",
             "link_prices_into",
             "set_background_loads",
             "set_background_hessians",
@@ -79,6 +80,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "take_changed_rates",
             "link_loads_into",
             "link_hessians_into",
+            "link_state_into",
             "link_prices_into",
             "set_background_loads",
             "set_background_hessians",
@@ -98,6 +100,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "take_changed_rates",
             "link_loads_into",
             "link_hessians_into",
+            "link_state_into",
             "link_prices_into",
             "set_background_loads",
             "set_background_hessians",
@@ -112,6 +115,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "rates_into",
             "link_loads_into",
             "link_hessians_into",
+            "link_state_into",
             "link_prices_into",
             "set_background_loads",
             "set_background_hessians",
@@ -124,6 +128,11 @@ pub const HOT_MODULES: &[HotModule] = &[
             "begin_round",
             "apply_frame",
             "install",
+            "start_round",
+            "export",
+            "agree",
+            "accumulate",
+            "sum_others",
             "nonzero_at",
             "request_resync",
         ],
@@ -135,6 +144,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "try_tick_into",
             "tick_shard",
             "exchange_link_state",
+            "merge_by_token_into",
         ],
     },
     HotModule {
@@ -214,7 +224,14 @@ pub const PANIC_SCOPES: &[PanicScope] = &[
     },
     PanicScope {
         path: "crates/core/src/exchange.rs",
-        fns: &["apply_frame"],
+        // The decode, and the install math that reads what it stored.
+        fns: &[
+            "apply_frame",
+            "install",
+            "agree",
+            "accumulate",
+            "sum_others",
+        ],
     },
 ];
 

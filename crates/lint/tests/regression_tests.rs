@@ -88,6 +88,26 @@ fn injected_unwrap_in_proto_decode_is_caught() {
 }
 
 #[test]
+fn injected_index_in_exchange_install_math_is_caught() {
+    // The scan that used to run off a row a hostile frame had sized:
+    // the install math reads what `apply_frame` stored, so it is held to
+    // the same no-unchecked-index rule.
+    let rel = "crates/core/src/exchange.rs";
+    let src = workspace_source(rel);
+    assert!(unsuppressed(lint_file(rel, &src)).is_empty());
+    let (bad, line) = inject_after(
+        &src,
+        "pub(crate) fn agree(",
+        "        let _first = self.rows[0].loads[self.round_links - 1];",
+    );
+    let live = unsuppressed(lint_file(rel, &bad));
+    assert!(
+        live.iter().any(|f| f.rule == "panic" && f.line == line),
+        "expected panic at line {line}: {live:?}"
+    );
+}
+
+#[test]
 fn injected_encoder_only_tag_is_caught() {
     let rel = "crates/proto/src/exchange.rs";
     let src = workspace_source(rel);

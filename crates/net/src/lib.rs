@@ -19,8 +19,9 @@
 //!   through a shared [`BufferPool`], keeping the steady state
 //!   allocation-free.
 //! * [`ShardPeer`] — one shard's `AllocatorService` plus its side of
-//!   the exchange (the same `ExchangeCore` the in-process service
-//!   runs). [`ShardPeer::begin_round`] opens an [`ExchangeRound`] that
+//!   the exchange (an `ExchangeCore`: the filter and install math the
+//!   in-process service runs over its shared table, here over private
+//!   rows filled from frames). [`ShardPeer::begin_round`] opens an [`ExchangeRound`] that
 //!   broadcasts this shard's frame; [`ExchangeRound::finish`] is a
 //!   staleness-aware barrier over the mailboxes: a peer that was fresh
 //!   last round is awaited up to the configured round timeout, a peer

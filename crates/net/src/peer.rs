@@ -4,10 +4,12 @@
 //! freshness instead of stalling everyone's tick.
 //!
 //! A [`ShardPeer`] is the distributed twin of one shard inside the
-//! in-process `ShardedService`: it owns the same [`ExchangeCore`]
-//! state machine, so an exchange round is the same shape — export and
-//! broadcast, apply every peer's frame, install — with the frames now
-//! crossing a wire instead of a `Vec` slice. The phases are an explicit
+//! in-process `ShardedService`. There the shards share one link-state
+//! table; here nothing is shared, so the peer owns an [`ExchangeCore`]
+//! — the same delta filter and install math over a private copy of the
+//! table — and an exchange round is export and broadcast, apply every
+//! peer's frame, install. This is the only place a frame is encoded or
+//! decoded every round. The phases are an explicit
 //! session type: [`ShardPeer::begin_round`] ticks the allocator and
 //! broadcasts this shard's frame, and the [`ExchangeRound`] it returns
 //! must be [`finish`](ExchangeRound::finish)ed before the next tick —
@@ -446,8 +448,8 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             && self.ticks.is_multiple_of(self.exchange.every);
         self.round_due = due;
         if due {
-            self.svc.link_loads_into(&mut self.loads);
-            self.svc.link_hessians_into(&mut self.hessians);
+            self.svc
+                .link_state_into(&mut self.loads, &mut self.hessians);
             self.svc.link_prices_into(&mut self.prices);
             self.frame_buf.clear();
             self.core.begin_round(

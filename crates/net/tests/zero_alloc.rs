@@ -10,9 +10,11 @@
 //!   zero times after warm-up, with the incremental engine on or off,
 //!   including the periodic full-sweep ticks and `rates_into` reads of
 //!   every rate;
-//! * so does a quiet 4-shard sequential `ShardedService::try_tick_into`
-//!   with an exchange round every tick — shard ticks into recycled
-//!   per-shard buffers, frame encode/apply/install, the k-way merge;
+//! * so does a 4-shard sequential `ShardedService::try_tick_into` with
+//!   an exchange round every tick — shard ticks into recycled per-shard
+//!   buffers, the filters writing the shared link-state table, the
+//!   consensus and installs — quiet, and on ticks that emit updates from
+//!   every shard, where the k-way merge has streams to merge;
 //! * a converged peer cluster over the mem transport — send path,
 //!   receiver threads, mailboxes, barrier, install, k-way merge —
 //!   recycles every frame buffer through the pools and ticks without
@@ -226,27 +228,28 @@ fn steady_state_sharded_tick_allocates_nothing() {
         ..FlowtuneConfig::default()
     };
     let mut svc = ShardedService::new(&fabric, cfg, 4);
-    for src in 0..32u16 {
+    let start = |token: u32, src: u16| {
         let dst = (src + 8) % 32;
-        let token = u32::from(src) + 1;
         let spine = fabric.ecmp_spine(
             src as usize,
             dst as usize,
             flowtune_topo::FlowId(u64::from(token)),
         );
-        svc.on_message(Message::FlowletStart {
+        Message::FlowletStart {
             token: Token::new(token),
             src,
             dst,
             size_hint: 1_000_000,
             weight_q8: 256,
             spine: spine as u8,
-        })
-        .unwrap();
+        }
+    };
+    for src in 0..32u16 {
+        svc.on_message(start(u32::from(src) + 1, src)).unwrap();
     }
     let mut out = Vec::new();
     // Warm-up: converge, and size the per-shard update buffers, the
-    // link-state scratch, the frame buffer and the exchange replicas.
+    // link-state scratch and the exchange's table rows.
     for _ in 0..400 {
         svc.try_tick_into(&mut out).expect("warm-up tick");
     }
@@ -270,6 +273,35 @@ fn steady_state_sharded_tick_allocates_nothing() {
         svc.stats().exchange_rounds - rounds_before,
         MEASURED_ROUNDS,
         "every measured tick ran an exchange round"
+    );
+
+    // Ticks that emit: one flow per shard is swapped for a fresh token
+    // (with the window shut — intake is not what this pins), so the next
+    // tick sends four first rates, one in each shard's stream, for the
+    // merge to interleave. A shard's update buffer trades places with
+    // its merge stream every tick, so the first two emitting ticks warm
+    // the pair; from the third on nothing may touch the heap.
+    for round in 0..8u16 {
+        if round == 2 {
+            ALLOCS.store(0, Ordering::Relaxed);
+        }
+        for shard in 0..4u16 {
+            let src = shard * 8 + round;
+            svc.on_message(Message::FlowletEnd {
+                token: Token::new(u32::from(src) + 1),
+            })
+            .unwrap();
+            svc.on_message(start(u32::from(src) + 101, src)).unwrap();
+        }
+        ENABLED.store(true, Ordering::Relaxed);
+        svc.try_tick_into(&mut out).expect("emitting tick");
+        ENABLED.store(false, Ordering::Relaxed);
+        assert!(out.len() >= 4, "every shard sends its newcomer's rate");
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "sharded ticks that emit updates must not allocate ({allocs} allocations over 6 ticks)"
     );
 }
 

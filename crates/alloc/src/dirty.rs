@@ -63,7 +63,7 @@ pub struct DirtySet {
     /// Worker re-ran its rate pass *this* iteration (scratch).
     pub(crate) recomputed: Vec<bool>,
     /// Worker's rates/normalized may have changed since the last
-    /// [`take_changed_rates`](crate::RateAllocator::take_changed_rates)
+    /// [`drain_changed_rates`](crate::RateAllocator::drain_changed_rates)
     /// drain (accumulates across iterations within a tick).
     pub(crate) export_dirty: Vec<bool>,
     /// Per worker, per upward-LinkBlock offset: how many of the worker's
@@ -164,9 +164,10 @@ impl DirtySet {
         }
     }
 
-    /// Records a flow removed from worker `w` (offsets as stored in its
-    /// `BlockFlow`): decrements the touch counts, marks the worker
-    /// rate-dirty, and marks the traversed links as intake-dirty.
+    /// Records a flow removed from worker `w` (its real offsets, as
+    /// `FlowBlock::path` reports them — never the sentinel): decrements
+    /// the touch counts, marks the worker rate-dirty, and marks the
+    /// traversed links as intake-dirty.
     pub(crate) fn note_remove(&mut self, w: usize, up: &[u32], down: &[u32]) {
         self.rate_dirty[w] = true;
         let b = self.blocks;

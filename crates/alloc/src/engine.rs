@@ -69,22 +69,26 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate>;
 
     /// [`RateAllocator::rates`] into a caller-provided buffer (cleared
-    /// first) — the per-tick export path, which must not allocate once
-    /// the buffer is warm. The default delegates to the allocating
-    /// variant; every engine a service can run overrides it.
+    /// first), which must not allocate once the buffer is warm. The
+    /// default delegates to the allocating variant; every engine a
+    /// service can run overrides it.
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         out.extend_from_slice(&self.rates());
     }
 
-    /// Exports only the flows whose rate may have changed since the last
-    /// drain into `out` (cleared first) and returns `true`; engines
-    /// without change tracking fall back to a full
-    /// [`RateAllocator::rates_into`] export and return `false` (meaning
-    /// `out` is the complete set, not a changed set).
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        self.rates_into(out);
-        false
+    /// The per-tick export: lends `sink` the ids and normalized rates
+    /// (Gbit/s; two slices of one length, element `i` of each the same
+    /// flow) of every flow whose rate may have changed since the last
+    /// drain, in as many calls as the engine has runs of them — the NED
+    /// engines lend each changed FlowBlock's columns in place and copy
+    /// nothing. Engines without change tracking lend every flow; a flow
+    /// that is not lent has not moved. Engines without columns go
+    /// through [`lend_in_chunks`]; the default does so out of the
+    /// allocating [`RateAllocator::rates`], and every engine a service
+    /// can run overrides it with a walk that does not allocate.
+    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        lend_in_chunks(self.rates().iter().map(|r| (r.id, r.normalized)), sink);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters for engines
@@ -211,6 +215,35 @@ pub trait RateAllocator: std::fmt::Debug + Send {
 /// A run-time-chosen engine.
 pub type BoxEngine = Box<dyn RateAllocator>;
 
+/// Flows per [`lend_in_chunks`] run.
+const LEND_CHUNK: usize = 64;
+
+/// The drain of an engine whose rates do not sit in id / rate columns
+/// (gradient's sparse slots, Fastpass's map): gathers `flows` into two
+/// stack columns and lends `sink` a run each time they fill, so the
+/// sink's `dyn` call is paid once per [`LEND_CHUNK`] flows and nothing
+/// touches the heap.
+pub fn lend_in_chunks(
+    flows: impl Iterator<Item = (FlowId, f64)>,
+    sink: &mut dyn FnMut(&[FlowId], &[f64]),
+) {
+    let mut ids = [FlowId(0); LEND_CHUNK];
+    let mut normalized = [0.0f64; LEND_CHUNK];
+    let mut n = 0;
+    for (id, rate) in flows {
+        ids[n] = id;
+        normalized[n] = rate;
+        n += 1;
+        if n == LEND_CHUNK {
+            sink(&ids, &normalized);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        sink(&ids[..n], &normalized[..n]);
+    }
+}
+
 impl RateAllocator for BoxEngine {
     fn add_flow(
         &mut self,
@@ -251,8 +284,8 @@ impl RateAllocator for BoxEngine {
         (**self).rates_into(out);
     }
 
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        (**self).take_changed_rates(out)
+    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        (**self).drain_changed_rates(sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
@@ -344,8 +377,8 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::rates_into(self, out);
     }
 
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        crate::SerialAllocator::take_changed_rates(self, out)
+    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        crate::SerialAllocator::drain_changed_rates(self, sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
@@ -439,8 +472,8 @@ impl RateAllocator for crate::MulticoreAllocator {
         crate::MulticoreAllocator::rates_into(self, out);
     }
 
-    fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        crate::MulticoreAllocator::take_changed_rates(self, out)
+    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        crate::MulticoreAllocator::drain_changed_rates(self, sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
@@ -517,6 +550,25 @@ mod tests {
             assert_eq!(engine.flow_count(), 1);
             assert!(engine.remove_flow(FlowId(7)));
             assert_eq!(engine.rates().len(), 0);
+        }
+    }
+
+    #[test]
+    fn lend_in_chunks_lends_every_flow_once_in_order() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let flows: Vec<(FlowId, f64)> =
+                (0..n).map(|i| (FlowId(i as u64), i as f64 * 0.5)).collect();
+            let mut lent = Vec::new();
+            lend_in_chunks(flows.iter().copied(), &mut |ids, normalized| {
+                assert_eq!(ids.len(), normalized.len());
+                assert!(
+                    (1..=LEND_CHUNK).contains(&ids.len()),
+                    "run of {}",
+                    ids.len()
+                );
+                lent.extend(ids.iter().copied().zip(normalized.iter().copied()));
+            });
+            assert_eq!(lent, flows, "n = {n}");
         }
     }
 

@@ -2,64 +2,135 @@
 //!
 //! All arithmetic lives here, shared verbatim by the serial and parallel
 //! engines so their results are bit-for-bit identical.
+//!
+//! A FlowBlock is stored column-wise ([`FlowBlock`]) and every path has
+//! the same arity — two upward and two downward offsets — so the flow
+//! kernels run as three stages over chunks of 64 flows: *gather*
+//! per-link values through the offsets into a stack buffer, *compute*
+//! over contiguous columns (no data-dependent branch or index, so the
+//! compiler packs the `max` and the divisions), *scatter* the result
+//! back through the offsets. A path shorter than two hops is padded
+//! with its LinkBlock's **sentinel slot**: one extra entry past the real
+//! links in every per-link array of [`PriceView`] and [`Accums`].
+//!
+//! Sentinel invariant: the sentinel's price and utilization ratio are
+//! `0.0` forever — [`price_update`] and the engines' install steps write
+//! the real links only, and distribution copies one view's sentinel onto
+//! another's — and its accumulator, which collects the padded flows'
+//! rates, is never aggregated or read. Padding therefore changes no bit:
+//! it adds `+0.0` to a path price and takes `max(·, 0.0)` of a worst
+//! ratio that is already ≥ 0.
 
 use flowtune_topo::FlowId;
 
-/// A flow as stored inside a FlowBlock: its path expressed as offsets into
-/// the source block's upward LinkBlock and the destination block's
-/// downward LinkBlock (1 offset each for intra-rack flows, 2 each for
-/// spine-crossing flows).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockFlow {
-    /// External flow identity.
-    pub id: FlowId,
-    /// Proportional-fairness weight (log utility `w log x`). The hot path
-    /// is specialized to log utility — the objective the paper's allocator
-    /// runs; other utilities are available in the serial `flowtune-num`
-    /// solvers.
-    pub weight: f64,
-    /// Offsets into the upward LinkBlock (inline: ≤ 2 in a 2-tier Clos;
-    /// heap indirection here would dominate the rate pass).
-    pub up: [u32; 2],
-    /// Valid entries in `up`.
-    pub up_len: u8,
+/// Flows gathered, computed and scattered at a time: the stage buffers
+/// (one or two `f64` per flow) stay on the stack and in L1.
+const CHUNK: usize = 64;
+
+/// One FlowBlock's flows, a column per field; slot `i` of every column
+/// is the same flow. Paths are offsets into the source block's upward
+/// LinkBlock and the destination block's downward LinkBlock (1 real
+/// offset each for intra-rack flows, 2 each for spine-crossing flows),
+/// padded to two with the sentinel.
+#[derive(Debug, Clone)]
+pub struct FlowBlock {
+    /// External flow identities.
+    pub ids: Vec<FlowId>,
+    /// Offsets into the upward LinkBlock.
+    pub up: Vec<[u32; 2]>,
     /// Offsets into the downward LinkBlock.
-    pub down: [u32; 2],
-    /// Valid entries in `down`.
-    pub down_len: u8,
-    /// Bottleneck line rate (Gbit/s); demands are capped here via the
-    /// price floor.
-    pub x_max: f64,
+    pub down: Vec<[u32; 2]>,
+    /// Proportional-fairness weights (log utility `w log x`). The hot
+    /// path is specialized to log utility — the objective the paper's
+    /// allocator runs; other utilities are available in the serial
+    /// `flowtune-num` solvers.
+    pub weight: Vec<f64>,
+    /// Price floors `w / x_max` at the bottleneck line rate `x_max`: the
+    /// kink that caps a flow's demand at line rate.
+    pub floor: Vec<f64>,
+    /// Raw optimizer rates (Gbit/s), written by [`rate_pass`].
+    pub rates: Vec<f64>,
+    /// Rates after F-NORM (a copy of `rates` when normalization is off),
+    /// written by [`normalize_pass`].
+    pub normalized: Vec<f64>,
+    /// The padding offset: the index one past the real links.
+    sentinel: u32,
 }
 
-impl BlockFlow {
-    /// The valid upward offsets.
-    #[inline]
-    pub fn up_offsets(&self) -> &[u32] {
-        &self.up[..self.up_len as usize]
-    }
-
-    /// The valid downward offsets.
-    #[inline]
-    pub fn down_offsets(&self) -> &[u32] {
-        &self.down[..self.down_len as usize]
-    }
-
-    /// Builds a flow from offset slices (≤ 2 each).
-    pub fn new(id: FlowId, weight: f64, up: &[u32], down: &[u32], x_max: f64) -> Self {
-        assert!(up.len() <= 2 && down.len() <= 2, "2-tier paths only");
-        let mut u = [0u32; 2];
-        u[..up.len()].copy_from_slice(up);
-        let mut d = [0u32; 2];
-        d[..down.len()].copy_from_slice(down);
+impl FlowBlock {
+    /// An empty block whose LinkBlocks hold `links_per_lb` real links.
+    pub fn new(links_per_lb: usize) -> Self {
         Self {
-            id,
-            weight,
-            up: u,
-            up_len: up.len() as u8,
-            down: d,
-            down_len: down.len() as u8,
-            x_max,
+            ids: Vec::new(),
+            up: Vec::new(),
+            down: Vec::new(),
+            weight: Vec::new(),
+            floor: Vec::new(),
+            rates: Vec::new(),
+            normalized: Vec::new(),
+            sentinel: links_per_lb as u32,
+        }
+    }
+
+    /// Number of flows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the block holds no flow.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Appends a flow (≤ 2 offsets each way) at rate zero; `x_max` is its
+    /// bottleneck line rate in Gbit/s.
+    pub fn push(&mut self, id: FlowId, weight: f64, up: &[u32], down: &[u32], x_max: f64) {
+        assert!(up.len() <= 2 && down.len() <= 2, "2-tier paths only");
+        let pad = |offsets: &[u32]| {
+            let mut padded = [self.sentinel; 2];
+            padded[..offsets.len()].copy_from_slice(offsets);
+            padded
+        };
+        self.up.push(pad(up));
+        self.down.push(pad(down));
+        self.ids.push(id);
+        self.weight.push(weight);
+        self.floor.push(weight / x_max);
+        self.rates.push(0.0);
+        self.normalized.push(0.0);
+    }
+
+    /// Removes the flow in `slot` by moving the last flow into it (every
+    /// column alike), and returns the id of the flow that now occupies
+    /// `slot`, if any.
+    pub fn swap_remove(&mut self, slot: usize) -> Option<FlowId> {
+        self.ids.swap_remove(slot);
+        self.up.swap_remove(slot);
+        self.down.swap_remove(slot);
+        self.weight.swap_remove(slot);
+        self.floor.swap_remove(slot);
+        self.rates.swap_remove(slot);
+        self.normalized.swap_remove(slot);
+        self.ids.get(slot).copied()
+    }
+
+    /// The real (unpadded) upward and downward offsets of the flow in
+    /// `slot`.
+    pub fn path(&self, slot: usize) -> (&[u32], &[u32]) {
+        (self.real(&self.up[slot]), self.real(&self.down[slot]))
+    }
+
+    fn real<'a>(&self, offsets: &'a [u32; 2]) -> &'a [u32] {
+        let hops = offsets.iter().take_while(|&&o| o != self.sentinel).count();
+        &offsets[..hops]
+    }
+
+    /// The allocation of the flow in `slot`.
+    pub fn flow_rate(&self, slot: usize) -> FlowRate {
+        FlowRate {
+            id: self.ids[slot],
+            rate: self.rates[slot],
+            normalized: self.normalized[slot],
         }
     }
 }
@@ -75,62 +146,51 @@ pub struct FlowRate {
     pub normalized: f64,
 }
 
-/// Per-worker private accumulators for its two LinkBlock copies.
-#[derive(Debug, Clone, Default)]
+/// Per-worker private accumulators for its two LinkBlock copies: one
+/// `[load, hessian]` pair per link — the sum of flow rates and the sum
+/// of demand derivatives (Hessian diagonal) — so a flow's contribution
+/// to a link lands with one 16-byte add. The last entry of each array
+/// is the sentinel's.
+#[derive(Debug, Clone)]
 pub struct Accums {
-    /// Sum of flow rates per upward-LinkBlock link.
-    pub up_load: Vec<f64>,
-    /// Sum of demand derivatives (Hessian diagonal) per upward link.
-    pub up_h: Vec<f64>,
-    /// Sum of flow rates per downward-LinkBlock link.
-    pub down_load: Vec<f64>,
-    /// Sum of demand derivatives per downward link.
-    pub down_h: Vec<f64>,
+    /// Upward-LinkBlock pairs.
+    pub up: Vec<[f64; 2]>,
+    /// Downward-LinkBlock pairs.
+    pub down: Vec<[f64; 2]>,
 }
 
 impl Accums {
-    /// Zero-filled accumulators for LinkBlocks of `n` links.
+    /// Zero-filled accumulators for LinkBlocks of `n` real links.
     pub fn new(n: usize) -> Self {
         Self {
-            up_load: vec![0.0; n],
-            up_h: vec![0.0; n],
-            down_load: vec![0.0; n],
-            down_h: vec![0.0; n],
+            up: vec![[0.0; 2]; n + 1],
+            down: vec![[0.0; 2]; n + 1],
         }
     }
 
-    /// Resets all four arrays to zero.
+    /// Resets both arrays to zero.
     pub fn clear(&mut self) {
-        for v in [
-            &mut self.up_load,
-            &mut self.up_h,
-            &mut self.down_load,
-            &mut self.down_h,
-        ] {
-            v.iter_mut().for_each(|x| *x = 0.0);
-        }
-    }
-
-    /// Element-wise addition of another worker's accumulators — the unit
-    /// of "communication" in the aggregation tree.
-    pub fn absorb(&mut self, other: &Accums) {
-        for (a, b) in self.up_load.iter_mut().zip(&other.up_load) {
-            *a += b;
-        }
-        for (a, b) in self.up_h.iter_mut().zip(&other.up_h) {
-            *a += b;
-        }
-        for (a, b) in self.down_load.iter_mut().zip(&other.down_load) {
-            *a += b;
-        }
-        for (a, b) in self.down_h.iter_mut().zip(&other.down_h) {
-            *a += b;
-        }
+        self.up.fill([0.0; 2]);
+        self.down.fill([0.0; 2]);
     }
 }
 
+/// `a[l] += b[l]` on both halves of every pair — the unit of
+/// "communication" in the aggregation tree.
+pub fn absorb(a: &mut [[f64; 2]], b: &[[f64; 2]]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        add_pair(x, y);
+    }
+}
+
+#[inline]
+fn add_pair(link: &mut [f64; 2], pair: &[f64; 2]) {
+    *link = [link[0] + pair[0], link[1] + pair[1]];
+}
+
 /// Per-worker copies of its two LinkBlocks' prices and utilization ratios
-/// (refreshed by the distribution phase each iteration).
+/// (refreshed by the distribution phase each iteration). The last entry
+/// of each array is the sentinel's `0.0`.
 #[derive(Debug, Clone)]
 pub struct PriceView {
     /// Upward LinkBlock prices.
@@ -144,68 +204,81 @@ pub struct PriceView {
 }
 
 impl PriceView {
-    /// Initial view: all prices 1 (§3), ratios 0.
+    /// Initial view over `n` real links: all prices 1 (§3), ratios 0.
     pub fn new(n: usize) -> Self {
+        let mut prices = vec![1.0; n + 1];
+        prices[n] = 0.0;
         Self {
-            up_prices: vec![1.0; n],
-            down_prices: vec![1.0; n],
-            up_ratio: vec![0.0; n],
-            down_ratio: vec![0.0; n],
+            up_prices: prices.clone(),
+            down_prices: prices,
+            up_ratio: vec![0.0; n + 1],
+            down_ratio: vec![0.0; n + 1],
         }
     }
 }
 
-/// Kernel 1 — Algorithm 1's rate update over one FlowBlock, accumulating
-/// link loads and the exact Hessian diagonal into the worker's private
-/// LinkBlock copies.
-///
-/// `rates[i]` receives flow `flows[i]`'s new rate.
-pub fn rate_pass(flows: &[BlockFlow], view: &PriceView, acc: &mut Accums, rates: &mut [f64]) {
-    debug_assert_eq!(flows.len(), rates.len());
-    for (flow, rate) in flows.iter().zip(rates.iter_mut()) {
-        let mut lambda = 0.0;
-        for &o in flow.up_offsets() {
-            lambda += view.up_prices[o as usize];
+/// Kernel 1 — Algorithm 1's rate update over one FlowBlock, writing
+/// `flows.rates` and accumulating link loads and the exact Hessian
+/// diagonal into the worker's private LinkBlock copies.
+pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
+    let n = flows.len();
+    let (up, down) = (&flows.up[..n], &flows.down[..n]);
+    let (weight, floor) = (&flows.weight[..n], &flows.floor[..n]);
+    let rates = &mut flows.rates[..n];
+    let mut lambda = [0.0f64; CHUNK];
+    let mut x_dx = [[0.0f64; 2]; CHUNK];
+    for start in (0..n).step_by(CHUNK) {
+        let end = (start + CHUNK).min(n);
+        let (up, down) = (&up[start..end], &down[start..end]);
+        // Gather: the path price, summed in path order. (A sum seeded
+        // with 0.0 differs only when every price is -0.0, and the floor
+        // below is positive.)
+        for ((l, u), d) in lambda.iter_mut().zip(up).zip(down) {
+            *l = view.up_prices[u[0] as usize]
+                + view.up_prices[u[1] as usize]
+                + view.down_prices[d[0] as usize]
+                + view.down_prices[d[1] as usize];
         }
-        for &o in flow.down_offsets() {
-            lambda += view.down_prices[o as usize];
+        // Compute. The price floor at the line-rate kink keeps the demand
+        // finite and the diagonal strictly negative (see flowtune-num
+        // docs).
+        let columns = weight[start..end].iter().zip(&floor[start..end]);
+        let outputs = rates[start..end].iter_mut().zip(&mut x_dx);
+        for (((w, f), l), (rate, pair)) in columns.zip(&lambda).zip(outputs) {
+            let l = l.max(*f);
+            let x = w / l;
+            *rate = x;
+            *pair = [x, -x / l]; // dx = -w/λ²
         }
-        // Price floor at the line-rate kink keeps the demand finite and
-        // the diagonal strictly negative (see flowtune-num docs).
-        let lambda = lambda.max(flow.weight / flow.x_max);
-        let x = flow.weight / lambda;
-        let dx = -x / lambda; // = -w/λ²
-        *rate = x;
-        for &o in flow.up_offsets() {
-            acc.up_load[o as usize] += x;
-            acc.up_h[o as usize] += dx;
-        }
-        for &o in flow.down_offsets() {
-            acc.down_load[o as usize] += x;
-            acc.down_h[o as usize] += dx;
+        // Scatter, flows in slot order: a link's sums accumulate in the
+        // order a per-flow loop would add them.
+        for ((pair, u), d) in x_dx.iter().zip(up).zip(down) {
+            for &o in u {
+                add_pair(&mut acc.up[o as usize], pair);
+            }
+            for &o in d {
+                add_pair(&mut acc.down[o as usize], pair);
+            }
         }
     }
 }
 
 /// Kernel 2 — NED price update (Algorithm 1, eq. 4) plus utilization
-/// ratios, over one LinkBlock's authoritative (aggregated) state.
+/// ratios, over one LinkBlock's authoritative (aggregated) `[load,
+/// hessian]` pairs. `capacity` has one entry per real link and bounds
+/// the walk, so a sentinel entry in `prices` / `ratios` is never touched.
 ///
 /// `background` is the exogenous per-link load of flows *outside* this
 /// engine (a partitioned allocator's other shards, offsets matching
-/// `load`): it joins the over-allocation term `G` and the utilization
+/// `capacity`): it joins the over-allocation term `G` and the utilization
 /// ratios. `background_h` is those flows' Hessian-diagonal contribution,
 /// folded into `H` so the Newton step divides the *global* gradient by
 /// the *global* sensitivity — without it the step is scaled by the shard
 /// count, which pushes the effective γ out of its stable range. `None`
 /// for either means no exogenous term, and takes exactly the
 /// pre-exchange arithmetic path (bit-for-bit).
-// One parameter per term of eq. 4 — bundling the two background slices
-// into a struct would obscure which ones the serial/multicore call
-// sites thread through.
-#[allow(clippy::too_many_arguments)]
 pub fn price_update(
-    load: &[f64],
-    hdiag: &[f64],
+    acc: &[[f64; 2]],
     background: Option<&[f64]>,
     background_h: Option<&[f64]>,
     capacity: &[f64],
@@ -213,10 +286,10 @@ pub fn price_update(
     prices: &mut [f64],
     ratios: &mut [f64],
 ) {
-    for l in 0..load.len() {
-        let total = load[l] + background.map_or(0.0, |b| b[l]);
+    for l in 0..capacity.len() {
+        let [load, h] = acc[l];
+        let total = load + background.map_or(0.0, |b| b[l]);
         ratios[l] = total / capacity[l];
-        let h = hdiag[l];
         if h < 0.0 {
             let h = h + background_h.map_or(0.0, |b| b[l]);
             let g = total - capacity[l];
@@ -231,71 +304,156 @@ pub fn price_update(
 }
 
 /// Kernel 3 — F-NORM (§4.2) over one FlowBlock: divide each flow's rate by
-/// the worst utilization ratio on its own path.
-pub fn normalize_pass(
-    flows: &[BlockFlow],
-    view: &PriceView,
-    rates: &[f64],
-    normalized: &mut [f64],
-) {
-    debug_assert_eq!(flows.len(), rates.len());
-    for (i, flow) in flows.iter().enumerate() {
-        if rates[i] == 0.0 {
-            normalized[i] = 0.0;
-            continue;
+/// the worst utilization ratio on its own path, into `flows.normalized`.
+/// A path with no loaded link divides by one instead, which is the
+/// identity (and `0 / d` is the zero a rate of zero normalizes to).
+pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
+    let n = flows.len();
+    let (up, down) = (&flows.up[..n], &flows.down[..n]);
+    let rates = &flows.rates[..n];
+    let normalized = &mut flows.normalized[..n];
+    let mut worst = [0.0f64; CHUNK];
+    for start in (0..n).step_by(CHUNK) {
+        let end = (start + CHUNK).min(n);
+        for ((w, u), d) in worst.iter_mut().zip(&up[start..end]).zip(&down[start..end]) {
+            *w = 0.0f64
+                .max(view.up_ratio[u[0] as usize])
+                .max(view.up_ratio[u[1] as usize])
+                .max(view.down_ratio[d[0] as usize])
+                .max(view.down_ratio[d[1] as usize]);
         }
-        let mut worst = 0.0f64;
-        for &o in flow.up_offsets() {
-            worst = worst.max(view.up_ratio[o as usize]);
+        let columns = rates[start..end].iter().zip(&worst);
+        for (out, (rate, w)) in normalized[start..end].iter_mut().zip(columns) {
+            *out = rate / if *w > 0.0 { *w } else { 1.0 };
         }
-        for &o in flow.down_offsets() {
-            worst = worst.max(view.down_ratio[o as usize]);
+    }
+}
+
+/// The array-of-structs kernels the columnar ones replaced, kept as the
+/// oracle the differential tests compare against: one `BlockFlow` per
+/// flow with variable-length paths, four separate accumulator arrays, a
+/// scalar loop with a branch per flow.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::PriceView;
+
+    #[derive(Debug, Clone)]
+    pub struct BlockFlow {
+        pub weight: f64,
+        pub up: Vec<u32>,
+        pub down: Vec<u32>,
+        pub x_max: f64,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Accums {
+        pub up_load: Vec<f64>,
+        pub up_h: Vec<f64>,
+        pub down_load: Vec<f64>,
+        pub down_h: Vec<f64>,
+    }
+
+    impl Accums {
+        pub fn new(n: usize) -> Self {
+            Self {
+                up_load: vec![0.0; n],
+                up_h: vec![0.0; n],
+                down_load: vec![0.0; n],
+                down_h: vec![0.0; n],
+            }
         }
-        normalized[i] = if worst > 0.0 {
-            rates[i] / worst
-        } else {
-            rates[i]
-        };
+    }
+
+    pub fn rate_pass(flows: &[BlockFlow], view: &PriceView, acc: &mut Accums, rates: &mut [f64]) {
+        for (flow, rate) in flows.iter().zip(rates.iter_mut()) {
+            let mut lambda = 0.0;
+            for &o in &flow.up {
+                lambda += view.up_prices[o as usize];
+            }
+            for &o in &flow.down {
+                lambda += view.down_prices[o as usize];
+            }
+            let lambda = lambda.max(flow.weight / flow.x_max);
+            let x = flow.weight / lambda;
+            let dx = -x / lambda;
+            *rate = x;
+            for &o in &flow.up {
+                acc.up_load[o as usize] += x;
+                acc.up_h[o as usize] += dx;
+            }
+            for &o in &flow.down {
+                acc.down_load[o as usize] += x;
+                acc.down_h[o as usize] += dx;
+            }
+        }
+    }
+
+    pub fn normalize_pass(
+        flows: &[BlockFlow],
+        view: &PriceView,
+        rates: &[f64],
+        normalized: &mut [f64],
+    ) {
+        for (i, flow) in flows.iter().enumerate() {
+            if rates[i] == 0.0 {
+                normalized[i] = 0.0;
+                continue;
+            }
+            let mut worst = 0.0f64;
+            for &o in &flow.up {
+                worst = worst.max(view.up_ratio[o as usize]);
+            }
+            for &o in &flow.down {
+                worst = worst.max(view.down_ratio[o as usize]);
+            }
+            normalized[i] = if worst > 0.0 {
+                rates[i] / worst
+            } else {
+                rates[i]
+            };
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
-    fn flow(weight: f64, up: Vec<u32>, down: Vec<u32>, x_max: f64) -> BlockFlow {
-        BlockFlow::new(FlowId(0), weight, &up, &down, x_max)
+    const LINKS: usize = 6;
+
+    fn block(flows: &[(f64, &[u32], &[u32], f64)]) -> FlowBlock {
+        let mut b = FlowBlock::new(LINKS);
+        for (i, &(weight, up, down, x_max)) in flows.iter().enumerate() {
+            b.push(FlowId(i as u64), weight, up, down, x_max);
+        }
+        b
     }
 
     #[test]
     fn rate_pass_matches_hand_computation() {
-        let flows = vec![flow(1.0, vec![0], vec![1], 10.0)];
-        let mut view = PriceView::new(2);
-        view.up_prices = vec![0.3, 0.0];
-        view.down_prices = vec![0.0, 0.2];
-        let mut acc = Accums::new(2);
-        let mut rates = vec![0.0];
-        rate_pass(&flows, &view, &mut acc, &mut rates);
-        assert!((rates[0] - 2.0).abs() < 1e-12); // 1/(0.3+0.2)
-        assert!((acc.up_load[0] - 2.0).abs() < 1e-12);
-        assert!((acc.down_load[1] - 2.0).abs() < 1e-12);
-        assert!((acc.up_h[0] - (-4.0)).abs() < 1e-12); // -1/0.25
-        assert_eq!(acc.up_load[1], 0.0);
+        let mut flows = block(&[(1.0, &[0], &[1], 10.0)]);
+        let mut view = PriceView::new(LINKS);
+        view.up_prices[..2].copy_from_slice(&[0.3, 0.0]);
+        view.down_prices[..2].copy_from_slice(&[0.0, 0.2]);
+        let mut acc = Accums::new(LINKS);
+        rate_pass(&mut flows, &view, &mut acc);
+        assert!((flows.rates[0] - 2.0).abs() < 1e-12); // 1/(0.3+0.2)
+        assert!((acc.up[0][0] - 2.0).abs() < 1e-12);
+        assert!((acc.down[1][0] - 2.0).abs() < 1e-12);
+        assert!((acc.up[0][1] - (-4.0)).abs() < 1e-12); // -1/0.25
+        assert_eq!(acc.up[1], [0.0, 0.0]);
     }
 
     #[test]
     fn rate_pass_honours_line_rate_cap() {
-        let flows = vec![flow(1.0, vec![0], vec![0], 10.0)];
-        let view = PriceView {
-            up_prices: vec![0.0],
-            down_prices: vec![0.0],
-            up_ratio: vec![0.0],
-            down_ratio: vec![0.0],
-        };
-        let mut acc = Accums::new(1);
-        let mut rates = vec![0.0];
-        rate_pass(&flows, &view, &mut acc, &mut rates);
-        assert_eq!(rates[0], 10.0);
+        let mut flows = block(&[(1.0, &[0], &[0], 10.0)]);
+        let mut view = PriceView::new(LINKS);
+        view.up_prices.fill(0.0);
+        view.down_prices.fill(0.0);
+        rate_pass(&mut flows, &view, &mut Accums::new(LINKS));
+        assert_eq!(flows.rates[0], 10.0);
     }
 
     #[test]
@@ -304,8 +462,7 @@ mod tests {
         let mut ratios = vec![0.0];
         // Overloaded link: 15 on capacity 10, h = -100.
         price_update(
-            &[15.0],
-            &[-100.0],
+            &[[15.0, -100.0]],
             None,
             None,
             &[10.0],
@@ -318,8 +475,7 @@ mod tests {
         // Unused link decays.
         let mut p2 = vec![0.8];
         price_update(
-            &[0.0],
-            &[0.0],
+            &[[0.0, 0.0]],
             None,
             None,
             &[10.0],
@@ -334,11 +490,11 @@ mod tests {
     fn price_update_counts_background_load() {
         // Own load 5 + background 10 on capacity 10: over-subscribed by 5
         // even though the own flows alone fit.
+        let own = [[5.0, -100.0]];
         let mut prices = vec![0.1];
         let mut ratios = vec![0.0];
         price_update(
-            &[5.0],
-            &[-100.0],
+            &own,
             Some(&[10.0]),
             None,
             &[10.0],
@@ -347,12 +503,12 @@ mod tests {
             &mut ratios,
         );
         assert!((prices[0] - 0.15).abs() < 1e-12); // 0.1 - 1·5/(-100)
-                                                   // The background's Hessian contribution widens |H|, shrinking the
-                                                   // Newton step: same g, twice the sensitivity, half the move.
+
+        // The background's Hessian contribution widens |H|, shrinking the
+        // Newton step: same g, twice the sensitivity, half the move.
         let mut p3 = vec![0.1];
         price_update(
-            &[5.0],
-            &[-100.0],
+            &own,
             Some(&[10.0]),
             Some(&[-100.0]),
             &[10.0],
@@ -366,8 +522,7 @@ mod tests {
         // meaningless to an engine none of whose flows cross it.
         let mut p2 = vec![0.8];
         price_update(
-            &[0.0],
-            &[0.0],
+            &[[0.0, 0.0]],
             Some(&[25.0]),
             Some(&[-1.0]),
             &[10.0],
@@ -380,32 +535,148 @@ mod tests {
     }
 
     #[test]
-    fn normalize_pass_divides_by_worst_path_ratio() {
-        let flows = vec![
-            flow(1.0, vec![0], vec![0], 10.0),
-            flow(1.0, vec![1], vec![1], 10.0),
-        ];
-        let mut view = PriceView::new(2);
-        view.up_ratio = vec![2.0, 0.5];
-        view.down_ratio = vec![1.0, 0.25];
-        let rates = vec![6.0, 6.0];
-        let mut out = vec![0.0; 2];
-        normalize_pass(&flows, &view, &rates, &mut out);
-        assert_eq!(out[0], 3.0); // divided by 2.0
-        assert_eq!(out[1], 12.0); // scaled up by 1/0.5 — still capacity-safe
+    fn price_update_leaves_the_sentinel_alone() {
+        // Arrays one longer than `capacity`, as the engines pass them:
+        // the sentinel's garbage accumulator must not reach its price.
+        let mut prices = vec![0.1, 0.0];
+        let mut ratios = vec![0.0, 0.0];
+        let acc = [[15.0, -100.0], [123.0, -456.0]];
+        price_update(&acc, None, None, &[10.0], 1.0, &mut prices, &mut ratios);
+        assert_eq!((prices[1], ratios[1]), (0.0, 0.0));
     }
 
     #[test]
-    fn accums_absorb_is_elementwise_sum() {
+    fn normalize_pass_divides_by_worst_path_ratio() {
+        let mut flows = block(&[(1.0, &[0], &[0], 10.0), (1.0, &[1], &[1], 10.0)]);
+        let mut view = PriceView::new(LINKS);
+        view.up_ratio[..2].copy_from_slice(&[2.0, 0.5]);
+        view.down_ratio[..2].copy_from_slice(&[1.0, 0.25]);
+        flows.rates.copy_from_slice(&[6.0, 6.0]);
+        normalize_pass(&mut flows, &view);
+        assert_eq!(flows.normalized[0], 3.0); // divided by 2.0
+        assert_eq!(flows.normalized[1], 12.0); // scaled up by 1/0.5 — still capacity-safe
+    }
+
+    #[test]
+    fn absorb_is_a_pairwise_sum_and_clear_zeroes() {
         let mut a = Accums::new(2);
-        a.up_load = vec![1.0, 2.0];
-        let mut b = Accums::new(2);
-        b.up_load = vec![0.5, 0.25];
-        b.down_h = vec![-1.0, 0.0];
-        a.absorb(&b);
-        assert_eq!(a.up_load, vec![1.5, 2.25]);
-        assert_eq!(a.down_h, vec![-1.0, 0.0]);
+        a.up[..2].copy_from_slice(&[[1.0, -1.0], [2.0, 0.0]]);
+        absorb(&mut a.up[..2], &[[0.5, -1.0], [0.25, 0.0]]);
+        assert_eq!(a.up, vec![[1.5, -2.0], [2.25, 0.0], [0.0, 0.0]]);
         a.clear();
-        assert_eq!(a.up_load, vec![0.0, 0.0]);
+        assert_eq!(a.up, vec![[0.0, 0.0]; 3]);
+    }
+
+    #[test]
+    fn swap_remove_moves_every_column_together() {
+        let mut b = block(&[
+            (1.0, &[0], &[1], 10.0),
+            (2.0, &[2, 3], &[4, 5], 20.0),
+            (3.0, &[1], &[0, 2], 30.0),
+        ]);
+        b.rates.copy_from_slice(&[1.5, 2.5, 3.5]);
+        b.normalized.copy_from_slice(&[1.25, 2.25, 3.25]);
+        assert_eq!(b.swap_remove(0), Some(FlowId(2)));
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.path(0), (&[1u32][..], &[0u32, 2][..]));
+        assert_eq!((b.weight[0], b.floor[0]), (3.0, 0.1));
+        let moved = b.flow_rate(0);
+        assert_eq!(
+            (moved.id, moved.rate, moved.normalized),
+            (FlowId(2), 3.5, 3.25)
+        );
+        assert_eq!(b.path(1), (&[2u32, 3][..], &[4u32, 5][..]));
+        assert_eq!(b.swap_remove(1), None, "the last flow moves nothing");
+        assert_eq!(b.swap_remove(0), None);
+        assert!(b.is_empty() && b.up.is_empty() && b.normalized.is_empty());
+    }
+
+    /// A random FlowBlock in both layouts with a random view: 1-hop and
+    /// 2-hop paths mixed, weights 1–4, some prices and ratios zero. Link 0
+    /// is free and idle both ways and every seventh flow runs over it
+    /// alone: pinned at its `x_max` floor, with no ratio to divide by.
+    fn random_case(n: usize, seed: u64) -> (FlowBlock, Vec<oracle::BlockFlow>, PriceView) {
+        let mut rng = TestRng::deterministic(&format!("flowblock-{seed}"));
+        let mut view = PriceView::new(LINKS);
+        for l in 0..LINKS {
+            let mut draw = || match rng.below(4) {
+                0 => 0.0,
+                _ => rng.unit_f64() * 3.0,
+            };
+            view.up_prices[l] = draw();
+            view.down_prices[l] = draw();
+            view.up_ratio[l] = draw();
+            view.down_ratio[l] = draw();
+        }
+        (view.up_prices[0], view.down_prices[0]) = (0.0, 0.0);
+        (view.up_ratio[0], view.down_ratio[0]) = (0.0, 0.0);
+        let mut columnar = FlowBlock::new(LINKS);
+        let mut aos = Vec::new();
+        for i in 0..n {
+            let path = |rng: &mut TestRng| -> Vec<u32> {
+                (0..1 + rng.below(2))
+                    .map(|_| rng.below(LINKS) as u32)
+                    .collect()
+            };
+            let (up, down) = match i % 7 {
+                0 => (vec![0], vec![0]),
+                _ => (path(&mut rng), path(&mut rng)),
+            };
+            let weight = 1.0 + rng.below(4) as f64;
+            let x_max = [10.0, 39.6, 40.0][rng.below(3)];
+            columnar.push(FlowId(i as u64), weight, &up, &down, x_max);
+            aos.push(oracle::BlockFlow {
+                weight,
+                up,
+                down,
+                x_max,
+            });
+        }
+        (columnar, aos, view)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn column(pairs: &[[f64; 2]], half: usize) -> Vec<u64> {
+        pairs[..LINKS].iter().map(|p| p[half].to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn kernels_match_the_aos_oracle_bit_for_bit(
+            n in prop_oneof![
+                Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(1000), 0usize..300
+            ],
+            zero_rates in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (mut flows, aos, view) = random_case(n, seed);
+            let mut acc = Accums::new(LINKS);
+            let mut want_acc = oracle::Accums::new(LINKS);
+            let mut want_rates = vec![0.0; n];
+            rate_pass(&mut flows, &view, &mut acc);
+            oracle::rate_pass(&aos, &view, &mut want_acc, &mut want_rates);
+            prop_assert_eq!(bits(&flows.rates), bits(&want_rates));
+            prop_assert_eq!(column(&acc.up, 0), bits(&want_acc.up_load));
+            prop_assert_eq!(column(&acc.up, 1), bits(&want_acc.up_h));
+            prop_assert_eq!(column(&acc.down, 0), bits(&want_acc.down_load));
+            prop_assert_eq!(column(&acc.down, 1), bits(&want_acc.down_h));
+            let pinned = aos.iter().zip(&flows.rates).filter(|(f, &r)| r == f.x_max).count();
+            prop_assert!(pinned >= n.div_ceil(7), "every seventh flow sits at its x_max floor");
+            if zero_rates {
+                // Flows added since the last rate pass: F-NORM must map
+                // their zero rate to zero whatever their path's ratios.
+                for r in flows.rates.iter_mut().step_by(3) {
+                    *r = 0.0;
+                }
+                want_rates.clone_from(&flows.rates);
+            }
+            let mut want_normalized = vec![f64::NAN; n];
+            normalize_pass(&mut flows, &view);
+            oracle::normalize_pass(&aos, &view, &want_rates, &mut want_normalized);
+            prop_assert_eq!(bits(&flows.normalized), bits(&want_normalized));
+        }
     }
 }

@@ -17,7 +17,7 @@ use flowtune_num::{normalize, Gradient, NumProblem, Optimizer, SolverState, Util
 use flowtune_topo::{FlowId, Path, TwoTierClos};
 
 use crate::flowblock::FlowRate;
-use crate::{AllocConfig, RateAllocator};
+use crate::{lend_in_chunks, AllocConfig, RateAllocator};
 
 /// The gradient-projection allocation engine (§6.6 baseline).
 #[derive(Debug)]
@@ -137,6 +137,15 @@ impl RateAllocator for GradientAllocator {
             rate: self.state.rates[slot],
             normalized: self.normalized[slot],
         }));
+    }
+
+    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        // Slots are sparse, so there is no column to lend whole.
+        let flows = self.problem.iter_flows().map(|(slot, ..)| {
+            let id = self.slot_ids[slot].expect("active slot has an id");
+            (id, self.normalized[slot])
+        });
+        lend_in_chunks(flows, sink);
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {

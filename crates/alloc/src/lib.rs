@@ -48,8 +48,8 @@ pub mod reduce;
 pub mod serial;
 
 pub use dirty::DirtySet;
-pub use engine::{BoxEngine, RateAllocator};
-pub use flowblock::{BlockFlow, FlowRate};
+pub use engine::{lend_in_chunks, BoxEngine, RateAllocator};
+pub use flowblock::FlowRate;
 pub use gradient::GradientAllocator;
 pub use layout::BlockLayout;
 pub use parallel::MulticoreAllocator;

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 
 use flowtune_topo::{FlowId, Path, TwoTierClos};
 
-use crate::flowblock::{normalize_pass, price_update, rate_pass, FlowRate};
+use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass, FlowRate};
 use crate::pool::WorkerPool;
 use crate::reduce::{
     down_aggregate, down_distribute, down_root, steps, up_aggregate, up_distribute, up_root, Role,
@@ -118,15 +118,15 @@ impl MulticoreAllocator {
     }
 
     /// [`MulticoreAllocator::rates`] into a caller-provided buffer
-    /// (cleared first) — the allocation-free per-tick export.
+    /// (cleared first); allocation-free once the buffer is warm.
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.grid.rates_into(out);
     }
 
-    /// Drains the changed-rate set (see
-    /// [`crate::RateAllocator::take_changed_rates`]).
-    pub fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        self.grid.take_changed_rates(out)
+    /// Lends `sink` the changed FlowBlocks' id and normalized-rate columns
+    /// (see [`crate::RateAllocator::drain_changed_rates`]).
+    pub fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        self.grid.drain_changed_rates(sink);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when running
@@ -203,17 +203,19 @@ impl MulticoreAllocator {
             let hi = ((t + 1) * chunk).min(n_workers);
             barrier.wait();
             let t0 = Instant::now();
-            // Scratch buffers for copy-out exchange.
+            // Scratch for the copy-out exchange: a LinkBlock of `[load,
+            // hessian]` pairs in aggregation; flattened, a prices half and
+            // a ratios half in distribution. Only the real links travel —
+            // nobody's sentinel slot is read or written.
             let lpl = layout.links_per_lb();
-            let mut buf_a = vec![0.0f64; lpl]; // flowtune-lint: allow(hot-path-alloc, "per-thread scratch, once per run not per iteration")
-            let mut buf_b = vec![0.0f64; lpl]; // flowtune-lint: allow(hot-path-alloc, "per-thread scratch, once per run not per iteration")
+            let mut buf = vec![[0.0f64; 2]; lpl]; // flowtune-lint: allow(hot-path-alloc, "per-thread scratch, once per run not per iteration")
             for _ in 0..n {
                 // Phase 1: rate pass.
                 for w in lo..hi {
                     let mut me = cells[w].lock();
                     let me = &mut *me;
                     me.acc.clear();
-                    rate_pass(&me.flows, &me.view, &mut me.acc, &mut me.rates);
+                    rate_pass(&mut me.flows, &me.view, &mut me.acc);
                 }
                 barrier.wait();
 
@@ -222,32 +224,12 @@ impl MulticoreAllocator {
                     for w in lo..hi {
                         let (i, j) = (w / b, w % b);
                         if let Role::Recv { from } = up_aggregate(i, j, b, s) {
-                            {
-                                let peer = cells[from].lock();
-                                buf_a.copy_from_slice(&peer.acc.up_load);
-                                buf_b.copy_from_slice(&peer.acc.up_h);
-                            }
-                            let mut me = cells[w].lock();
-                            for (x, y) in me.acc.up_load.iter_mut().zip(&buf_a) {
-                                *x += y;
-                            }
-                            for (x, y) in me.acc.up_h.iter_mut().zip(&buf_b) {
-                                *x += y;
-                            }
+                            buf.copy_from_slice(&cells[from].lock().acc.up[..lpl]);
+                            absorb(&mut cells[w].lock().acc.up[..lpl], &buf);
                         }
                         if let Role::Recv { from } = down_aggregate(i, j, b, s) {
-                            {
-                                let peer = cells[from].lock();
-                                buf_a.copy_from_slice(&peer.acc.down_load);
-                                buf_b.copy_from_slice(&peer.acc.down_h);
-                            }
-                            let mut me = cells[w].lock();
-                            for (x, y) in me.acc.down_load.iter_mut().zip(&buf_a) {
-                                *x += y;
-                            }
-                            for (x, y) in me.acc.down_h.iter_mut().zip(&buf_b) {
-                                *x += y;
-                            }
+                            buf.copy_from_slice(&cells[from].lock().acc.down[..lpl]);
+                            absorb(&mut cells[w].lock().acc.down[..lpl], &buf);
                         }
                     }
                     barrier.wait();
@@ -260,8 +242,7 @@ impl MulticoreAllocator {
                         let mut me = cells[w].lock();
                         let me = &mut *me;
                         price_update(
-                            &me.acc.up_load,
-                            &me.acc.up_h,
+                            &me.acc.up,
                             bg.as_ref().map(|bg| bg.up[i].as_slice()),
                             bg_h.as_ref().map(|bg| bg.up[i].as_slice()),
                             layout.up_capacity(i),
@@ -274,8 +255,7 @@ impl MulticoreAllocator {
                         let mut me = cells[w].lock();
                         let me = &mut *me;
                         price_update(
-                            &me.acc.down_load,
-                            &me.acc.down_h,
+                            &me.acc.down,
                             bg.as_ref().map(|bg| bg.down[j].as_slice()),
                             bg_h.as_ref().map(|bg| bg.down[j].as_slice()),
                             layout.down_capacity(j),
@@ -288,28 +268,29 @@ impl MulticoreAllocator {
                 barrier.wait();
 
                 // Phase 4: distribution (reverse tree).
+                let (prices, ratios) = buf.as_flattened_mut().split_at_mut(lpl);
                 for s in (0..tree_steps).rev() {
                     for w in lo..hi {
                         let (i, j) = (w / b, w % b);
                         if let Role::Recv { from } = up_distribute(i, j, b, s) {
                             {
                                 let peer = cells[from].lock();
-                                buf_a.copy_from_slice(&peer.view.up_prices);
-                                buf_b.copy_from_slice(&peer.view.up_ratio);
+                                prices.copy_from_slice(&peer.view.up_prices[..lpl]);
+                                ratios.copy_from_slice(&peer.view.up_ratio[..lpl]);
                             }
                             let mut me = cells[w].lock();
-                            me.view.up_prices.copy_from_slice(&buf_a);
-                            me.view.up_ratio.copy_from_slice(&buf_b);
+                            me.view.up_prices[..lpl].copy_from_slice(prices);
+                            me.view.up_ratio[..lpl].copy_from_slice(ratios);
                         }
                         if let Role::Recv { from } = down_distribute(i, j, b, s) {
                             {
                                 let peer = cells[from].lock();
-                                buf_a.copy_from_slice(&peer.view.down_prices);
-                                buf_b.copy_from_slice(&peer.view.down_ratio);
+                                prices.copy_from_slice(&peer.view.down_prices[..lpl]);
+                                ratios.copy_from_slice(&peer.view.down_ratio[..lpl]);
                             }
                             let mut me = cells[w].lock();
-                            me.view.down_prices.copy_from_slice(&buf_a);
-                            me.view.down_ratio.copy_from_slice(&buf_b);
+                            me.view.down_prices[..lpl].copy_from_slice(prices);
+                            me.view.down_ratio[..lpl].copy_from_slice(ratios);
                         }
                     }
                     barrier.wait();
@@ -320,9 +301,9 @@ impl MulticoreAllocator {
                     let mut me = cells[w].lock();
                     let me = &mut *me;
                     if f_norm {
-                        normalize_pass(&me.flows, &me.view, &me.rates, &mut me.normalized);
+                        normalize_pass(&mut me.flows, &me.view);
                     } else {
-                        me.normalized.copy_from_slice(&me.rates);
+                        me.flows.normalized.copy_from_slice(&me.flows.rates);
                     }
                 }
                 barrier.wait();

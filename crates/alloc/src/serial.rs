@@ -13,7 +13,7 @@ use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
 use crate::flowblock::{
-    normalize_pass, price_update, rate_pass, Accums, BlockFlow, FlowRate, PriceView,
+    absorb, normalize_pass, price_update, rate_pass, Accums, FlowBlock, FlowRate, PriceView,
 };
 use crate::layout::BlockLayout;
 use crate::reduce::{binomial_reduce_in_order, down_root, down_worker, up_root, up_worker};
@@ -48,12 +48,13 @@ pub(crate) struct GridState {
 }
 
 /// Reusable buffers for one iteration: the binomial-tree partials (one
-/// `(load, hdiag)` pair per virtual index) and the root price/ratio
-/// copies the distribute phase fans out. Sized once at construction —
-/// the fabric shape is fixed — so iterations never reallocate.
+/// LinkBlock of `[load, hessian]` pairs per virtual index) and the root
+/// price/ratio copies the distribute phase fans out. Sized once at
+/// construction — the fabric shape is fixed — so iterations never
+/// reallocate.
 #[derive(Debug, Clone)]
 pub(crate) struct IterScratch {
-    pub partials: Vec<(Vec<f64>, Vec<f64>)>,
+    pub partials: Vec<Vec<[f64; 2]>>,
     pub prices: Vec<f64>,
     pub ratios: Vec<f64>,
 }
@@ -70,9 +71,7 @@ pub(crate) struct BgLoads {
 /// One FlowBlock worker's private state.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerCore {
-    pub flows: Vec<BlockFlow>,
-    pub rates: Vec<f64>,
-    pub normalized: Vec<f64>,
+    pub flows: FlowBlock,
     pub acc: Accums,
     pub view: PriceView,
 }
@@ -80,9 +79,7 @@ pub(crate) struct WorkerCore {
 impl WorkerCore {
     fn new(links_per_lb: usize) -> Self {
         Self {
-            flows: Vec::new(),
-            rates: Vec::new(),
-            normalized: Vec::new(),
+            flows: FlowBlock::new(links_per_lb),
             acc: Accums::new(links_per_lb),
             view: PriceView::new(links_per_lb),
         }
@@ -103,9 +100,9 @@ impl GridState {
         let lpl = layout.links_per_lb();
         let workers = (0..b * b).map(|_| WorkerCore::new(lpl)).collect();
         let scratch = IterScratch {
-            partials: (0..b).map(|_| (vec![0.0; lpl], vec![0.0; lpl])).collect(),
-            prices: vec![0.0; lpl],
-            ratios: vec![0.0; lpl],
+            partials: vec![vec![[0.0; 2]; lpl]; b],
+            prices: vec![0.0; lpl + 1],
+            ratios: vec![0.0; lpl + 1],
         };
         let dirty = cfg
             .incremental
@@ -152,30 +149,22 @@ impl GridState {
         if let Some(ds) = &mut self.dirty {
             ds.note_add(w, &up, &down);
         }
-        let worker = &mut self.workers[w];
-        worker
-            .flows
-            .push(BlockFlow::new(id, weight, &up, &down, x_max));
-        worker.rates.push(0.0);
-        worker.normalized.push(0.0);
-        self.index.insert(id, (w, worker.flows.len() - 1));
+        let flows = &mut self.workers[w].flows;
+        flows.push(id, weight, &up, &down, x_max);
+        self.index.insert(id, (w, flows.len() - 1));
     }
 
     pub(crate) fn remove_flow(&mut self, id: FlowId) -> bool {
         let Some((w, slot)) = self.index.remove(&id) else {
             return false;
         };
-        let worker = &mut self.workers[w];
+        let flows = &mut self.workers[w].flows;
         if let Some(ds) = &mut self.dirty {
-            let f = &worker.flows[slot];
-            ds.note_remove(w, f.up_offsets(), f.down_offsets());
+            let (up, down) = flows.path(slot);
+            ds.note_remove(w, up, down);
         }
-        worker.flows.swap_remove(slot);
-        worker.rates.swap_remove(slot);
-        worker.normalized.swap_remove(slot);
-        if slot < worker.flows.len() {
+        if let Some(moved) = flows.swap_remove(slot) {
             // A flow was moved into the vacated slot; re-index it.
-            let moved = worker.flows[slot].id;
             self.index.insert(moved, (w, slot));
         }
         true
@@ -192,46 +181,26 @@ impl GridState {
     }
 
     /// [`GridState::rates`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free per-tick export.
+    /// first): materializes every flow, for readers off the tick path.
     pub(crate) fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         for worker in &self.workers {
-            for (i, flow) in worker.flows.iter().enumerate() {
-                out.push(FlowRate {
-                    id: flow.id,
-                    rate: worker.rates[i],
-                    normalized: worker.normalized[i],
-                });
-            }
+            out.extend((0..worker.flows.len()).map(|slot| worker.flows.flow_rate(slot)));
         }
     }
 
-    /// Drains the changed-rate set: appends (after clearing `out`) the
-    /// rates of every flow in a worker whose output may have moved since
-    /// the last drain, and returns `true`. Without a dirty set, falls
-    /// back to exporting everything and returns `false`.
-    pub(crate) fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        if self.dirty.is_none() {
-            self.rates_into(out);
-            return false;
-        }
-        out.clear();
-        let Self { workers, dirty, .. } = self;
-        let ds = dirty.as_mut().expect("checked above");
-        for (w, worker) in workers.iter().enumerate() {
-            if !ds.export_dirty[w] {
-                continue;
+    /// Drains the changed-rate set: lends `sink` the id and normalized
+    /// columns of every worker whose output may have moved since the last
+    /// drain — of every worker, without a dirty set. Nothing is copied.
+    pub(crate) fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        for (w, worker) in self.workers.iter().enumerate() {
+            if let Some(ds) = &mut self.dirty {
+                if !std::mem::take(&mut ds.export_dirty[w]) {
+                    continue;
+                }
             }
-            ds.export_dirty[w] = false;
-            for (i, flow) in worker.flows.iter().enumerate() {
-                out.push(FlowRate {
-                    id: flow.id,
-                    rate: worker.rates[i],
-                    normalized: worker.normalized[i],
-                });
-            }
+            sink(&worker.flows.ids, &worker.flows.normalized);
         }
-        true
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when the engine
@@ -242,12 +211,7 @@ impl GridState {
 
     pub(crate) fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         let &(w, slot) = self.index.get(&id)?;
-        let worker = &self.workers[w];
-        Some(FlowRate {
-            id,
-            rate: worker.rates[slot],
-            normalized: worker.normalized[slot],
-        })
+        Some(self.workers[w].flows.flow_rate(slot))
     }
 
     /// Own per-link loads, global-link indexed: each flow's current raw
@@ -262,18 +226,30 @@ impl GridState {
     /// [`GridState::link_loads`] into a caller-provided buffer — the
     /// allocation-free export the sharded exchange calls every round.
     pub(crate) fn link_loads_into(&self, out: &mut Vec<f64>) {
-        let b = self.layout.blocks();
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
+        self.for_each_hop(|link, rate, _| out[link] += rate);
+    }
+
+    /// Calls `hop(global link index, rate, ∂x/∂p)` for every link of every
+    /// flow's path, in (worker, slot, path) order — the one walk, and so
+    /// the one summation order, behind every link-state export. For the
+    /// log-utility hot path `∂x/∂p = −x/λ = −x²/w`, reconstructed from the
+    /// stored rate and weight.
+    fn for_each_hop(&self, mut hop: impl FnMut(usize, f64, f64)) {
+        let b = self.layout.blocks();
         for (w, worker) in self.workers.iter().enumerate() {
             let up_links = self.layout.up_links(w / b);
             let down_links = self.layout.down_links(w % b);
-            for (flow, &rate) in worker.flows.iter().zip(&worker.rates) {
-                for &o in flow.up_offsets() {
-                    out[up_links[o as usize].index()] += rate;
+            let flows = &worker.flows;
+            for (slot, (&rate, &weight)) in flows.rates.iter().zip(&flows.weight).enumerate() {
+                let dx = -(rate * rate) / weight;
+                let (up, down) = flows.path(slot);
+                for &o in up {
+                    hop(up_links[o as usize].index(), rate, dx);
                 }
-                for &o in flow.down_offsets() {
-                    out[down_links[o as usize].index()] += rate;
+                for &o in down {
+                    hop(down_links[o as usize].index(), rate, dx);
                 }
             }
         }
@@ -425,10 +401,8 @@ impl GridState {
     }
 
     /// Own per-link Hessian diagonal, global-link indexed: `Σ ∂x/∂p`
-    /// over this engine's flows crossing each link. For the log-utility
-    /// hot path `∂x/∂p = −x/λ = −x²/w`, so it is reconstructed from the
-    /// stored rates and weights — the same values the engine's own rate
-    /// pass accumulates into `Accums::up_h`/`down_h`.
+    /// over this engine's flows crossing each link — the same values the
+    /// engine's own rate pass accumulates beside the loads in `Accums`.
     pub(crate) fn link_hessians(&self) -> Vec<f64> {
         let mut out = Vec::new();
         self.link_hessians_into(&mut out);
@@ -437,53 +411,25 @@ impl GridState {
 
     /// [`GridState::link_hessians`] into a caller-provided buffer.
     pub(crate) fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        let b = self.layout.blocks();
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
-        for (w, worker) in self.workers.iter().enumerate() {
-            let up_links = self.layout.up_links(w / b);
-            let down_links = self.layout.down_links(w % b);
-            for (flow, &rate) in worker.flows.iter().zip(&worker.rates) {
-                let dx = -(rate * rate) / flow.weight;
-                for &o in flow.up_offsets() {
-                    out[up_links[o as usize].index()] += dx;
-                }
-                for &o in flow.down_offsets() {
-                    out[down_links[o as usize].index()] += dx;
-                }
-            }
-        }
+        self.for_each_hop(|link, _, dx| out[link] += dx);
     }
 
     /// [`GridState::link_loads_into`] and
     /// [`GridState::link_hessians_into`] in one walk over the flows: the
-    /// exchange wants both every round, and each is the same walk over
-    /// every flow's path offsets. Both vectors accumulate in the flow
+    /// exchange wants both every round. Both vectors accumulate in the
     /// order the single-vector exports use, so every per-link sum is
     /// bit-identical to theirs.
     pub(crate) fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        let b = self.layout.blocks();
         loads.clear();
         loads.resize(self.layout.total_links(), 0.0);
         hessians.clear();
         hessians.resize(self.layout.total_links(), 0.0);
-        for (w, worker) in self.workers.iter().enumerate() {
-            let up_links = self.layout.up_links(w / b);
-            let down_links = self.layout.down_links(w % b);
-            for (flow, &rate) in worker.flows.iter().zip(&worker.rates) {
-                let dx = -(rate * rate) / flow.weight;
-                for &o in flow.up_offsets() {
-                    let link = up_links[o as usize].index();
-                    loads[link] += rate;
-                    hessians[link] += dx;
-                }
-                for &o in flow.down_offsets() {
-                    let link = down_links[o as usize].index();
-                    loads[link] += rate;
-                    hessians[link] += dx;
-                }
-            }
-        }
+        self.for_each_hop(|link, rate, dx| {
+            loads[link] += rate;
+            hessians[link] += dx;
+        });
     }
 
     /// Installs (or clears, for an empty slice) the exogenous per-link
@@ -558,12 +504,7 @@ impl GridState {
     fn rate_phase_full(&mut self) {
         for worker in &mut self.workers {
             worker.acc.clear();
-            rate_pass(
-                &worker.flows,
-                &worker.view,
-                &mut worker.acc,
-                &mut worker.rates,
-            );
+            rate_pass(&mut worker.flows, &worker.view, &mut worker.acc);
         }
     }
 
@@ -587,12 +528,7 @@ impl GridState {
             ds.rate_dirty[w] = false;
             ds.dirty_flows += worker.flows.len() as u64;
             worker.acc.clear();
-            rate_pass(
-                &worker.flows,
-                &worker.view,
-                &mut worker.acc,
-                &mut worker.rates,
-            );
+            rate_pass(&mut worker.flows, &worker.view, &mut worker.acc);
         }
         any
     }
@@ -602,26 +538,16 @@ impl GridState {
     /// the NED price update on the diagonal owner's copy.
     fn aggregate_and_price(&mut self) {
         let b = self.layout.blocks();
+        let lpl = self.layout.links_per_lb();
         let partials = &mut self.scratch.partials;
         for i in 0..b {
             for (k, part) in partials.iter_mut().enumerate() {
-                let acc = &self.workers[up_worker(i, k, b)].acc;
-                part.0.copy_from_slice(&acc.up_load);
-                part.1.copy_from_slice(&acc.up_h);
+                part.copy_from_slice(&self.workers[up_worker(i, k, b)].acc.up[..lpl]);
             }
-            binomial_reduce_in_order(partials, |a, o| {
-                for (x, y) in a.0.iter_mut().zip(&o.0) {
-                    *x += y;
-                }
-                for (x, y) in a.1.iter_mut().zip(&o.1) {
-                    *x += y;
-                }
-            });
-            let (load, hdiag) = &partials[0];
+            binomial_reduce_in_order(partials, |a, o| absorb(a, o));
             let view = &mut self.workers[up_root(i, b)].view;
             price_update(
-                load,
-                hdiag,
+                &partials[0],
                 self.bg.as_ref().map(|bg| bg.up[i].as_slice()),
                 self.bg_h.as_ref().map(|bg| bg.up[i].as_slice()),
                 self.layout.up_capacity(i),
@@ -632,23 +558,12 @@ impl GridState {
         }
         for j in 0..b {
             for (k, part) in partials.iter_mut().enumerate() {
-                let acc = &self.workers[down_worker(j, k, b)].acc;
-                part.0.copy_from_slice(&acc.down_load);
-                part.1.copy_from_slice(&acc.down_h);
+                part.copy_from_slice(&self.workers[down_worker(j, k, b)].acc.down[..lpl]);
             }
-            binomial_reduce_in_order(partials, |a, o| {
-                for (x, y) in a.0.iter_mut().zip(&o.0) {
-                    *x += y;
-                }
-                for (x, y) in a.1.iter_mut().zip(&o.1) {
-                    *x += y;
-                }
-            });
-            let (load, hdiag) = &partials[0];
+            binomial_reduce_in_order(partials, |a, o| absorb(a, o));
             let view = &mut self.workers[down_root(j, b)].view;
             price_update(
-                load,
-                hdiag,
+                &partials[0],
                 self.bg.as_ref().map(|bg| bg.down[j].as_slice()),
                 self.bg_h.as_ref().map(|bg| bg.down[j].as_slice()),
                 self.layout.down_capacity(j),
@@ -668,6 +583,7 @@ impl GridState {
     /// post-update ratios.
     fn diff_and_mark(&mut self) {
         let b = self.layout.blocks();
+        let lpl = self.layout.links_per_lb();
         let Self { workers, dirty, .. } = self;
         let ds = dirty.as_mut().expect("incremental path");
         // Rebuilt from scratch each diff: stays false only when *no*
@@ -676,7 +592,7 @@ impl GridState {
         ds.moving = false;
         for blk in 0..b {
             let view = &workers[up_root(blk, b)].view;
-            for o in 0..view.up_prices.len() {
+            for o in 0..lpl {
                 let p = view.up_prices[o];
                 if (p - ds.prev_up_prices[blk][o]).abs() > ds.eps {
                     ds.moving = true;
@@ -702,7 +618,7 @@ impl GridState {
                 }
             }
             let view = &workers[down_root(blk, b)].view;
-            for o in 0..view.down_prices.len() {
+            for o in 0..lpl {
                 let p = view.down_prices[o];
                 if (p - ds.prev_down_prices[blk][o]).abs() > ds.eps {
                     ds.moving = true;
@@ -767,16 +683,11 @@ impl GridState {
     fn normalize_phase_full(&mut self) {
         if self.cfg.f_norm {
             for worker in &mut self.workers {
-                normalize_pass(
-                    &worker.flows,
-                    &worker.view,
-                    &worker.rates,
-                    &mut worker.normalized,
-                );
+                normalize_pass(&mut worker.flows, &worker.view);
             }
         } else {
             for worker in &mut self.workers {
-                worker.normalized.copy_from_slice(&worker.rates);
+                worker.flows.normalized.copy_from_slice(&worker.flows.rates);
             }
         }
     }
@@ -784,7 +695,7 @@ impl GridState {
     /// Phase E (incremental): F-NORM only where the inputs changed — the
     /// worker recomputed its rates this iteration, or a ratio on a
     /// traversed link moved. Every worker that runs is marked
-    /// export-dirty for [`GridState::take_changed_rates`].
+    /// export-dirty for [`GridState::drain_changed_rates`].
     fn normalize_phase_dirty(&mut self) {
         let f_norm = self.cfg.f_norm;
         let Self { workers, dirty, .. } = self;
@@ -797,14 +708,9 @@ impl GridState {
             }
             ds.export_dirty[w] = true;
             if f_norm {
-                normalize_pass(
-                    &worker.flows,
-                    &worker.view,
-                    &worker.rates,
-                    &mut worker.normalized,
-                );
+                normalize_pass(&mut worker.flows, &worker.view);
             } else {
-                worker.normalized.copy_from_slice(&worker.rates);
+                worker.flows.normalized.copy_from_slice(&worker.flows.rates);
             }
         }
     }
@@ -859,17 +765,16 @@ impl SerialAllocator {
     }
 
     /// [`SerialAllocator::rates`] into a caller-provided buffer (cleared
-    /// first) — the allocation-free per-tick export.
+    /// first); allocation-free once the buffer is warm.
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.grid.rates_into(out);
     }
 
-    /// Drains the changed-rate set into `out` and returns `true`, or
-    /// falls back to a full [`SerialAllocator::rates_into`] export and
-    /// returns `false` when not running incrementally (see
-    /// [`crate::RateAllocator::take_changed_rates`]).
-    pub fn take_changed_rates(&mut self, out: &mut Vec<FlowRate>) -> bool {
-        self.grid.take_changed_rates(out)
+    /// Lends `sink` the id and normalized-rate columns of every FlowBlock
+    /// whose rates may have moved since the last drain (see
+    /// [`crate::RateAllocator::drain_changed_rates`]).
+    pub fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        self.grid.drain_changed_rates(sink);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when running
@@ -1269,22 +1174,21 @@ mod tests {
         let p2 = f.path(0, 12, FlowId(2));
         inc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         inc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
-        let mut replay: HashMap<FlowId, (u64, u64)> = HashMap::new();
-        let mut changed = Vec::new();
+        let mut replay: HashMap<FlowId, u64> = HashMap::new();
         for step in 0..400 {
             if step == 200 {
                 let p3 = f.path(5, 9, FlowId(3));
                 inc.add_flow(FlowId(3), 5, 9, 2.0, &p3);
             }
             inc.iterate();
-            assert!(inc.take_changed_rates(&mut changed));
-            for r in &changed {
-                replay.insert(r.id, (r.rate.to_bits(), r.normalized.to_bits()));
-            }
+            inc.drain_changed_rates(&mut |ids, normalized| {
+                assert_eq!(ids.len(), normalized.len());
+                replay.extend(ids.iter().zip(normalized).map(|(&id, r)| (id, r.to_bits())));
+            });
             for r in inc.rates() {
                 assert_eq!(
                     replay.get(&r.id),
-                    Some(&(r.rate.to_bits(), r.normalized.to_bits())),
+                    Some(&r.normalized.to_bits()),
                     "step {step} flow {:?} stale in replay",
                     r.id
                 );
@@ -1292,13 +1196,18 @@ mod tests {
         }
         // Late in a converged quiet run the drain should be empty.
         inc.iterate();
-        inc.take_changed_rates(&mut changed);
+        inc.drain_changed_rates(&mut |_, _| {});
         inc.iterate();
-        assert!(inc.take_changed_rates(&mut changed));
-        assert!(
-            changed.is_empty(),
-            "converged tick still exported {changed:?}"
-        );
+        inc.drain_changed_rates(&mut |ids, _| panic!("converged tick still lent {ids:?}"));
+        // A full-sweep engine tracks nothing and lends every flow.
+        let mut full = SerialAllocator::new(&f, cfg());
+        full.add_flow(FlowId(1), 0, 8, 1.0, &p1);
+        full.add_flow(FlowId(2), 0, 12, 1.0, &p2);
+        for _ in 0..2 {
+            let mut lent = Vec::new();
+            full.drain_changed_rates(&mut |ids, _| lent.extend_from_slice(ids));
+            assert_eq!(lent, vec![FlowId(1), FlowId(2)]);
+        }
     }
 
     #[test]
@@ -1321,6 +1230,145 @@ mod tests {
         assert_eq!(dirty, want);
         inc.iterate();
         assert!(inc.dirty_link_ids().is_empty(), "iterate drains intake");
+    }
+
+    /// Every per-link array's sentinel entry, over all workers.
+    fn sentinels(alloc: &SerialAllocator) -> Vec<f64> {
+        let lpl = alloc.grid.layout.links_per_lb();
+        let views = alloc.grid.workers.iter().map(|w| &w.view);
+        views
+            .flat_map(|v| [&v.up_prices, &v.down_prices, &v.up_ratio, &v.down_ratio])
+            .map(|column| {
+                assert_eq!(column.len(), lpl + 1);
+                column[lpl]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sentinel_price_and_ratio_stay_zero() {
+        // Same-rack flows (1 up + 1 down hop) pad with the sentinel, so
+        // its accumulator fills with their rates; price update,
+        // distribution, a consensus install and a background install must
+        // all leave its price and ratio at the 0.0 the kernels rely on.
+        let f = fabric();
+        for incremental in [false, true] {
+            let mut alloc = SerialAllocator::new(
+                &f,
+                AllocConfig {
+                    incremental,
+                    ..cfg()
+                },
+            );
+            for (i, (src, dst)) in [(0, 1), (2, 3), (0, 9), (5, 4)].into_iter().enumerate() {
+                let id = FlowId(i as u64);
+                alloc.add_flow(id, src, dst, 1.0, &f.path(src, dst, id));
+            }
+            let links = f.topology().link_count();
+            for step in 0..40 {
+                if step == 10 {
+                    alloc.set_link_prices(&vec![0.7; links]);
+                }
+                if step == 20 {
+                    alloc.set_background_loads(&vec![3.0; links]);
+                    alloc.set_background_hessians(&vec![-0.5; links]);
+                }
+                alloc.iterate();
+                assert!(sentinels(&alloc).iter().all(|&x| x == 0.0), "step {step}");
+            }
+            let lpl = alloc.grid.layout.links_per_lb();
+            assert!(
+                alloc.grid.workers[0].acc.up[lpl][0] > 0.0,
+                "premise: padded flows do scatter into the sentinel accumulator"
+            );
+        }
+    }
+
+    #[test]
+    fn dirty_set_never_sees_the_sentinel() {
+        let f = fabric();
+        let mut inc = SerialAllocator::new(
+            &f,
+            AllocConfig {
+                incremental: true,
+                ..cfg()
+            },
+        );
+        let lpl = inc.grid.layout.links_per_lb();
+        // A same-rack flow: one real hop each way, one padded.
+        let p = f.path(0, 1, FlowId(1));
+        assert_eq!(p.links().len(), 2);
+        inc.add_flow(FlowId(1), 0, 1, 1.0, &p);
+        let ds = inc.grid.dirty.as_ref().unwrap();
+        // The touch arrays have no slot for it, and exactly the real hops
+        // are counted.
+        assert!(ds
+            .up_touch
+            .iter()
+            .chain(&ds.down_touch)
+            .all(|t| t.len() == lpl));
+        assert_eq!(ds.up_touch[0].iter().sum::<u32>(), 1);
+        assert_eq!(ds.down_touch[0].iter().sum::<u32>(), 1);
+        let mut dirty = inc.dirty_link_ids();
+        dirty.sort_unstable();
+        let mut want = p.links().to_vec();
+        want.sort_unstable();
+        assert_eq!(dirty, want);
+        inc.iterate();
+        assert!(inc.remove_flow(FlowId(1)));
+        let ds = inc.grid.dirty.as_ref().unwrap();
+        assert!(ds.up_touch[0]
+            .iter()
+            .chain(&ds.down_touch[0])
+            .all(|&t| t == 0));
+        assert_eq!(inc.dirty_link_ids().len(), 2);
+    }
+
+    #[test]
+    fn swap_remove_keeps_columns_and_index_consistent() {
+        // Deterministic churn over a few workers, checking after every
+        // removal that the index finds each survivor in the slot whose
+        // columns describe it.
+        let f = fabric();
+        let mut alloc = SerialAllocator::new(&f, cfg());
+        let mut reference = SerialAllocator::new(&f, cfg());
+        let mut live: Vec<(FlowId, usize, usize, f64)> = Vec::new();
+        for i in 0..40u64 {
+            let (src, dst) = ((i * 7 % 16) as usize, ((i * 11 + 3) % 16) as usize);
+            if src != dst {
+                live.push((FlowId(i), src, dst, 1.0 + (i % 4) as f64));
+            }
+        }
+        for &(id, src, dst, w) in &live {
+            alloc.add_flow(id, src, dst, w, &f.path(src, dst, id));
+        }
+        alloc.run_iterations(3);
+        while !live.is_empty() {
+            let (victim, ..) = live.swap_remove(live.len() * 5 / 7);
+            let before: Vec<FlowRate> = alloc.rates();
+            assert!(alloc.remove_flow(victim));
+            assert_eq!(alloc.flow_count(), live.len());
+            for &(id, src, dst, w) in &live {
+                let &(worker, slot) = alloc.grid.index.get(&id).expect("survivor indexed");
+                let flows = &alloc.grid.workers[worker].flows;
+                assert_eq!(flows.ids[slot], id);
+                assert_eq!(flows.weight[slot], w);
+                let was = before.iter().find(|r| r.id == id).unwrap();
+                assert_eq!(alloc.flow_rate(id), Some(*was), "rates moved with the flow");
+                // Its path columns are what a fresh add would store.
+                reference.add_flow(id, src, dst, w, &f.path(src, dst, id));
+                let &(rw, rs) = reference.grid.index.get(&id).unwrap();
+                assert_eq!(rw, worker);
+                assert_eq!(flows.path(slot), reference.grid.workers[rw].flows.path(rs));
+                assert_eq!(
+                    flows.floor[slot],
+                    reference.grid.workers[rw].flows.floor[rs]
+                );
+                reference.remove_flow(id);
+            }
+            let held: usize = alloc.grid.workers.iter().map(|w| w.flows.len()).sum();
+            assert_eq!(held, live.len());
+        }
     }
 
     #[test]

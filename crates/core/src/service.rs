@@ -41,6 +41,7 @@ use std::time::Instant;
 
 use flowtune_alloc::{AllocConfig, BoxEngine, FlowRate, RateAllocator, SerialAllocator};
 use flowtune_fastpass::FastpassAdapter;
+use flowtune_proto::codec::RATE_BYTES;
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
 
@@ -566,7 +567,7 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     engine: E,
     cfg: FlowtuneConfig,
     /// The flow table: slot `i` holds the flow the engine knows as
-    /// `FlowId(i)`, so an engine's [`FlowRate`] resolves to its
+    /// `FlowId(i)`, so an id the engine lends resolves to its
     /// registration and filter memory with one index. Slots outside
     /// `index` are vacant (listed in `free`) and hold stale data.
     slab: Vec<Registered>,
@@ -577,8 +578,6 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     /// migration and rate queries. The tick never consults it — update
     /// order comes from sorting each tick's passers, not from this map.
     index: BTreeMap<Token, u32>,
-    /// Scratch buffer the engine's rate drain fills each tick.
-    export_buf: Vec<FlowRate>,
     /// Scratch buffer: the tick's passers, sorted into token order
     /// before they are emitted.
     pass_buf: Vec<(Token, u16, Rate16)>,
@@ -626,7 +625,6 @@ impl<E: RateAllocator> AllocatorService<E> {
             slab: Vec::new(),
             free: Vec::new(),
             index: BTreeMap::new(),
-            export_buf: Vec::new(),
             pass_buf: Vec::new(),
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
@@ -720,38 +718,39 @@ impl<E: RateAllocator> AllocatorService<E> {
         crate::TickDriver::tick(self)
     }
 
-    /// The update export. The engine hands over the rates that may have
-    /// moved (its changed set when it tracks one, every flow otherwise)
-    /// in *its* order; each resolves to its slab slot, where the §6.4
-    /// rule runs against the inline last-sent rate; only the passers are
-    /// sorted into token order and emitted. The rule reads and writes
+    /// The update export. The engine lends the ids and normalized rates
+    /// that may have moved (its changed set when it tracks one, every
+    /// flow otherwise) in *its* order and layout — nothing is copied
+    /// out; each resolves to its slab slot, where the §6.4 rule runs
+    /// against the inline last-sent rate; only the passers are sorted
+    /// into token order and emitted. The rule reads and writes
     /// one flow's state, so filtering before sorting yields exactly the
     /// stream of a token-ordered walk. Flows the engine did not export
     /// cannot have moved, so every live flow that did not pass counts as
     /// suppressed.
     fn export_into(&mut self, out: &mut Vec<(u16, Message)>) {
         out.clear();
-        self.engine.take_changed_rates(&mut self.export_buf);
         let threshold = self.cfg.update_threshold;
-        self.pass_buf.clear();
-        for r in &self.export_buf {
-            let reg = &mut self.slab[r.id.0 as usize];
-            let prev = reg.sent.then_some(reg.last_sent);
-            if ThresholdFilter::passes(threshold, prev, r.normalized) {
-                reg.last_sent = r.normalized;
-                reg.sent = true;
-                self.pass_buf
-                    .push((reg.token, reg.src, Rate16::encode(r.normalized)));
+        let (slab, pass_buf) = (&mut self.slab, &mut self.pass_buf);
+        pass_buf.clear();
+        self.engine.drain_changed_rates(&mut |ids, normalized| {
+            for (id, &rate) in ids.iter().zip(normalized) {
+                let reg = &mut slab[id.0 as usize];
+                let prev = reg.sent.then_some(reg.last_sent);
+                if ThresholdFilter::passes(threshold, prev, rate) {
+                    reg.last_sent = rate;
+                    reg.sent = true;
+                    pass_buf.push((reg.token, reg.src, Rate16::encode(rate)));
+                }
             }
+        });
+        pass_buf.sort_unstable_by_key(|&(token, ..)| token);
+        out.reserve(pass_buf.len());
+        for &(token, src, rate) in pass_buf.iter() {
+            out.push((src, Message::RateUpdate { token, rate }));
         }
-        self.pass_buf.sort_unstable_by_key(|&(token, ..)| token);
-        out.reserve(self.pass_buf.len());
-        for &(token, src, rate) in &self.pass_buf {
-            let msg = Message::RateUpdate { token, rate };
-            self.stats.bytes_out += msg.encoded_len() as u64;
-            out.push((src, msg));
-        }
-        let sent = self.pass_buf.len() as u64;
+        let sent = pass_buf.len() as u64;
+        self.stats.bytes_out += sent * RATE_BYTES as u64;
         self.stats.updates_sent += sent;
         self.stats.updates_suppressed += self.index.len() as u64 - sent;
     }

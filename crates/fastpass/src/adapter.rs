@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use flowtune_alloc::{AllocConfig, FlowRate, RateAllocator};
+use flowtune_alloc::{lend_in_chunks, AllocConfig, FlowRate, RateAllocator};
 use flowtune_topo::{FlowId, Path, TwoTierClos};
 
 use crate::Arbiter;
@@ -214,6 +214,11 @@ impl RateAllocator for FastpassAdapter {
                 normalized: gbps,
             }
         }));
+    }
+
+    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        let flows = self.flows.iter().map(|(&id, f)| (id, self.flow_rate_of(f)));
+        lend_in_chunks(flows, sink);
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {

@@ -61,7 +61,8 @@ pub const HOT_MODULES: &[HotModule] = &[
             "normalize_phase_dirty",
             "run_iterations",
             "rates_into",
-            "take_changed_rates",
+            "drain_changed_rates",
+            "for_each_hop",
             "link_loads_into",
             "link_hessians_into",
             "link_state_into",
@@ -72,12 +73,24 @@ pub const HOT_MODULES: &[HotModule] = &[
         ],
     },
     HotModule {
+        path: "crates/alloc/src/flowblock.rs",
+        hot_fns: &[
+            "rate_pass",
+            "price_update",
+            "normalize_pass",
+            "absorb",
+            "add_pair",
+            "clear",
+        ],
+    },
+    HotModule {
         path: "crates/alloc/src/engine.rs",
         hot_fns: &[
             "iterate",
             "run_iterations",
             "rates_into",
-            "take_changed_rates",
+            "drain_changed_rates",
+            "lend_in_chunks",
             "link_loads_into",
             "link_hessians_into",
             "link_state_into",
@@ -86,6 +99,14 @@ pub const HOT_MODULES: &[HotModule] = &[
             "set_background_hessians",
             "set_link_prices",
         ],
+    },
+    HotModule {
+        path: "crates/alloc/src/gradient.rs",
+        hot_fns: &["rates_into", "drain_changed_rates"],
+    },
+    HotModule {
+        path: "crates/fastpass/src/adapter.rs",
+        hot_fns: &["rates_into", "drain_changed_rates"],
     },
     HotModule {
         path: "crates/alloc/src/dirty.rs",
@@ -97,7 +118,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "iterate",
             "run_iterations",
             "rates_into",
-            "take_changed_rates",
+            "drain_changed_rates",
             "link_loads_into",
             "link_hessians_into",
             "link_state_into",
@@ -250,6 +271,43 @@ pub const FLOAT_DET_FILES: &[&str] = &[
     "crates/proto/src/filter.rs",
 ];
 
+/// The arithmetic kernels and the rate drain: functions whose float
+/// results the differential and equivalence tests pin to the bit, at
+/// every vector width CI builds. Inside them the operation order must
+/// be the one written — no fused multiply-add, no iterator reduction
+/// whose association the reader has to look up, no fast-math intrinsic.
+pub const FLOAT_KERNELS: &[HotModule] = &[
+    HotModule {
+        path: "crates/alloc/src/flowblock.rs",
+        hot_fns: &[
+            "rate_pass",
+            "price_update",
+            "normalize_pass",
+            "absorb",
+            "add_pair",
+        ],
+    },
+    HotModule {
+        path: "crates/alloc/src/serial.rs",
+        hot_fns: &[
+            "aggregate_and_price",
+            "for_each_hop",
+            "link_loads_into",
+            "link_hessians_into",
+            "link_state_into",
+            "drain_changed_rates",
+        ],
+    },
+    HotModule {
+        path: "crates/alloc/src/parallel.rs",
+        hot_fns: &["run_iterations", "drain_changed_rates"],
+    },
+    HotModule {
+        path: "crates/core/src/service.rs",
+        hot_fns: &["export_into"],
+    },
+];
+
 /// Files holding wire-protocol tag constants to cross-check.
 pub const WIRE_FILES: &[&str] = &["crates/proto/src/exchange.rs", "crates/proto/src/codec.rs"];
 
@@ -289,16 +347,24 @@ const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "
 /// Allocating macros.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-fn hot_path_alloc(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
-    let Some(module) = HOT_MODULES.iter().find(|m| in_scope(path, m.path)) else {
-        return;
-    };
-    let toks = &lexed.tokens;
-    for f in an
-        .fns
+/// The non-test functions of the file at `path` that `table` lists.
+fn listed_fns<'a>(
+    table: &[HotModule],
+    path: &str,
+    an: &'a Analysis,
+) -> impl Iterator<Item = &'a FnSpan> {
+    let listed = table
         .iter()
-        .filter(|f| module.hot_fns.contains(&f.name.as_str()) && !an.tests.contains(f.line))
-    {
+        .find(|m| in_scope(path, m.path))
+        .map_or(&[][..], |m| m.hot_fns);
+    an.fns
+        .iter()
+        .filter(move |f| listed.contains(&f.name.as_str()) && !an.tests.contains(f.line))
+}
+
+fn hot_path_alloc(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+    let toks = &lexed.tokens;
+    for f in listed_fns(HOT_MODULES, path, an) {
         for i in f.body_start..f.body_end.min(toks.len()) {
             let t = &toks[i];
             if t.kind != TokKind::Ident {
@@ -429,11 +495,22 @@ fn panic_freedom(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFind
 }
 
 /// Keywords that may directly precede `[` without forming an index
-/// expression (`return [..]`, `in [..]`, `match [..]` …).
+/// expression (`return [..]`, `in [..]`, `match [..]`, the array pattern
+/// of `let [a, b] = ..` …).
 fn is_keyword_before_bracket(s: &str) -> bool {
     matches!(
         s,
-        "return" | "in" | "match" | "if" | "while" | "else" | "mut" | "dyn" | "as" | "break"
+        "return"
+            | "in"
+            | "match"
+            | "if"
+            | "while"
+            | "else"
+            | "mut"
+            | "dyn"
+            | "as"
+            | "break"
+            | "let"
     )
 }
 
@@ -451,7 +528,45 @@ const ORDER_SENSITIVE_METHODS: &[&str] = &[
     "retain",
 ];
 
+/// Method calls that fuse or reassociate float arithmetic.
+const REORDERING_METHODS: &[&str] = &["mul_add", "sum", "product"];
+/// Name fragments of the fast-math intrinsics (`fadd_fast`,
+/// `algebraic_add`, …), which license the compiler to do either.
+const REORDERING_INTRINSICS: &[&str] = &["_fast", "algebraic_"];
+
+/// The kernel half of the rule: inside [`FLOAT_KERNELS`] functions,
+/// every float operation must be an explicit `+ - * /` in source order.
+fn float_kernel_order(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+    let toks = &lexed.tokens;
+    for f in listed_fns(FLOAT_KERNELS, path, an) {
+        for i in f.body_start..f.body_end.min(toks.len()) {
+            let t = &toks[i];
+            if t.kind != TokKind::Ident {
+                continue;
+            }
+            let is_method = REORDERING_METHODS.contains(&t.text.as_str())
+                && i > 0
+                && toks[i - 1].is_punct('.')
+                && tok(toks, i + 1).is_some_and(|n| n.is_punct('(') || n.is_punct(':'));
+            let is_intrinsic = REORDERING_INTRINSICS.iter().any(|p| t.text.contains(p))
+                && tok(toks, i + 1).is_some_and(|n| n.is_punct('('));
+            if is_method || is_intrinsic {
+                out.push(RawFinding {
+                    line: t.line,
+                    rule: "float-determinism",
+                    message: format!(
+                        "`{}` fuses or reassociates float arithmetic inside `{}`, whose \
+                         results are pinned bit-for-bit; spell the operations out in order",
+                        t.text, f.name
+                    ),
+                });
+            }
+        }
+    }
+}
+
 fn float_determinism(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+    float_kernel_order(path, lexed, an, out);
     if !FLOAT_DET_FILES.iter().any(|f| in_scope(path, f)) {
         return;
     }
@@ -559,7 +674,6 @@ const PUT_SIZES: &[(&str, usize)] = &[
     ("push", 1),
     ("put_u8", 1),
     ("put_u16", 2),
-    ("put_u24", 3),
     ("put_u32", 4),
     ("put_u64", 8),
 ];
@@ -620,8 +734,9 @@ fn wire_exhaustive(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFi
             }
         }
     }
-    // Usage classification: encode = argument of push/put_u8; decode =
-    // match-arm pattern (`TAG_X =>` or `TAG_X |` / `| TAG_X`).
+    // Usage classification: encode = argument of push/put_u8, or the
+    // lead byte of a message written whole (`put_slice(&[TAG_X, ..])`);
+    // decode = match-arm pattern (`TAG_X =>` or `TAG_X |` / `| TAG_X`).
     for tc in &tags {
         let mut encoded = false;
         let mut decoded = false;
@@ -633,6 +748,14 @@ fn wire_exhaustive(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFi
             if i >= 2
                 && toks[i - 1].is_punct('(')
                 && (toks[i - 2].is_ident("push") || toks[i - 2].is_ident("put_u8"))
+            {
+                encoded = true;
+            }
+            if i >= 4
+                && toks[i - 1].is_punct('[')
+                && toks[i - 2].is_punct('&')
+                && toks[i - 3].is_punct('(')
+                && toks[i - 4].is_ident("put_slice")
             {
                 encoded = true;
             }

@@ -179,6 +179,27 @@ fn float_det_clean_btreemap_passes() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+#[test]
+fn float_det_fires_on_fused_or_reassociated_kernel_arithmetic() {
+    let findings = lint_file(
+        "crates/alloc/src/flowblock.rs",
+        include_str!("fixtures/float_kernel_fires.rs"),
+    );
+    let live = unsuppressed(&findings);
+    assert_eq!(
+        lines_of(&live, "float-determinism"),
+        vec![6, 8, 9],
+        "{live:?}"
+    );
+    // The same source outside the kernel table is not this rule's
+    // business.
+    let elsewhere = lint_file(
+        "crates/alloc/src/layout.rs",
+        include_str!("fixtures/float_kernel_fires.rs"),
+    );
+    assert!(lines_of(&unsuppressed(&elsewhere), "float-determinism").is_empty());
+}
+
 // ----------------------------------------------- directive validation
 
 #[test]

@@ -9,7 +9,10 @@
 //!   engine iteration, rate export, update filtering — touches the heap
 //!   zero times after warm-up, with the incremental engine on or off,
 //!   including the periodic full-sweep ticks and `rates_into` reads of
-//!   every rate;
+//!   every rate — and so does a tick that emits updates: the export
+//!   borrows the engine's id and rate columns through the lending drain
+//!   (called directly, and through a boxed engine's two `dyn` hops)
+//!   and copies nothing but the passers;
 //! * so does a 4-shard sequential `ShardedService::try_tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
 //!   buffers, the filters writing the shared link-state table, the
@@ -21,14 +24,22 @@
 //!   touching the heap (`PeerCluster::try_tick_into`).
 //!
 //! A counting `#[global_allocator]` makes the claims checkable without
-//! tooling: it counts every `alloc`/`realloc`/`alloc_zeroed` while the
-//! measured window is open. This lives in its own integration-test
-//! binary so the counter sees nothing but these tests.
+//! tooling: while the measured window is open it counts every
+//! `alloc`/`realloc`/`alloc_zeroed` made by a thread that has marked
+//! itself as part of the measured path — the measuring thread for as
+//! long as it holds the [`Window`], the peer cluster's receiver threads
+//! through [`CountedTransport`]. The test harness's own threads (its main
+//! thread printing a result, a finished test's thread reporting one) never
+//! mark themselves, so they cannot dirty another test's window. This
+//! lives in its own integration-test binary so the counter sees nothing
+//! but these tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService};
+use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -37,11 +48,22 @@ struct CountingAlloc;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's heap calls belong to the measured path.
+    /// Const-initialized and without a destructor, so reading it from
+    /// inside the allocator neither allocates nor fails at thread exit.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if ENABLED.load(Ordering::Relaxed) && COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -50,16 +72,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -75,9 +93,30 @@ const MEASURED_ROUNDS: u64 = 50;
 /// overlap (cargo runs `#[test]`s concurrently by default).
 static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// A test's turn at the counter: holds [`WINDOW`] and marks the test's
+/// thread as counted until dropped — before the thread goes on to report
+/// its result into the next test's window.
+struct Window {
+    _guard: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Window {
+    fn lock() -> Self {
+        let _guard = WINDOW.lock().unwrap();
+        COUNTED.with(|c| c.set(true));
+        Window { _guard }
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        COUNTED.with(|c| c.set(false));
+    }
+}
+
 #[test]
 fn steady_state_exchange_round_allocates_nothing() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = Window::lock();
     let mut a = ExchangeCore::new(0, 2, 0.0);
     let mut b = ExchangeCore::new(1, 2, 0.0);
 
@@ -151,7 +190,7 @@ fn steady_state_exchange_round_allocates_nothing() {
 
 #[test]
 fn steady_state_allocator_tick_allocates_nothing() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = Window::lock();
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
     for incremental in [true, false] {
         let cfg = FlowtuneConfig {
@@ -162,61 +201,105 @@ fn steady_state_allocator_tick_allocates_nothing() {
             full_sweep_every: 8,
             ..FlowtuneConfig::default()
         };
-        let mut svc = AllocatorService::new(&fabric, cfg);
-        let mut token = 0u32;
-        for src in 0..16u16 {
-            for k in 0..2u16 {
-                let dst = (src + 5 + 3 * k) % 16;
-                token += 1;
-                let spine = fabric.ecmp_spine(
-                    src as usize,
-                    dst as usize,
-                    flowtune_topo::FlowId(token as u64),
-                );
-                svc.on_message(Message::FlowletStart {
-                    token: Token::new(token),
-                    src,
-                    dst,
-                    size_hint: 1_000_000,
-                    weight_q8: 256,
-                    spine: spine as u8,
-                })
-                .unwrap();
-            }
-        }
-        let mut rates = Vec::new();
-        let mut updates = Vec::new();
-        // Warm-up: converge the trajectory (so ticks are quiet and the
-        // update filter suppresses everything) and size every reusable
-        // buffer — export scratch, passer scratch, the caller's vecs.
-        for _ in 0..300 {
-            svc.tick_into(&mut updates);
-        }
-        svc.rates_into(&mut rates);
-        assert_eq!(rates.len(), 32);
-
-        ALLOCS.store(0, Ordering::Relaxed);
-        ENABLED.store(true, Ordering::Relaxed);
-        for _ in 0..MEASURED_ROUNDS {
-            svc.tick_into(&mut updates);
-            assert!(updates.is_empty(), "quiet ticks must suppress updates");
-            svc.rates_into(&mut rates);
-        }
-        ENABLED.store(false, Ordering::Relaxed);
-
-        let allocs = ALLOCS.load(Ordering::Relaxed);
-        assert_eq!(
-            allocs, 0,
-            "steady-state allocator ticks must not allocate \
-             (incremental={incremental}: {allocs} allocations over {MEASURED_ROUNDS} ticks)"
+        // The engine held by value (the drain is a direct call) and
+        // boxed, as the builder hands it out (the sink crosses the
+        // `dyn RateAllocator` hop on top of its own `dyn FnMut`).
+        allocator_ticks_allocate_nothing(
+            AllocatorService::new(&fabric, cfg),
+            &fabric,
+            &format!("serial by value, incremental={incremental}"),
         );
-        assert_eq!(rates.len(), 32);
+        let boxed = AllocatorService::builder().fabric(&fabric).config(cfg);
+        allocator_ticks_allocate_nothing(
+            boxed.build().expect("fabric is set"),
+            &fabric,
+            &format!("boxed serial, incremental={incremental}"),
+        );
     }
+}
+
+fn allocator_ticks_allocate_nothing<E: RateAllocator>(
+    mut svc: AllocatorService<E>,
+    fabric: &TwoTierClos,
+    what: &str,
+) {
+    let start = |token: u32, src: u16, k: u16| {
+        let dst = (src + 5 + 3 * k) % 16;
+        let id = flowtune_topo::FlowId(u64::from(token));
+        Message::FlowletStart {
+            token: Token::new(token),
+            src,
+            dst,
+            size_hint: 1_000_000,
+            weight_q8: 256,
+            spine: fabric.ecmp_spine(src as usize, dst as usize, id) as u8,
+        }
+    };
+    for src in 0..16u16 {
+        for k in 0..2u16 {
+            svc.on_message(start(u32::from(src * 2 + k) + 1, src, k))
+                .unwrap();
+        }
+    }
+    let mut rates = Vec::new();
+    let mut updates = Vec::new();
+    // Warm-up: converge the trajectory (so ticks are quiet and the
+    // update filter suppresses everything) and size every reusable
+    // buffer — passer scratch, the caller's vecs.
+    for _ in 0..300 {
+        svc.tick_into(&mut updates);
+    }
+    svc.rates_into(&mut rates);
+    assert_eq!(rates.len(), 32);
+
+    ALLOCS.store(0, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
+    for _ in 0..MEASURED_ROUNDS {
+        svc.tick_into(&mut updates);
+        assert!(updates.is_empty(), "quiet ticks must suppress updates");
+        svc.rates_into(&mut rates);
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "steady-state allocator ticks must not allocate \
+         ({what}: {allocs} allocations over {MEASURED_ROUNDS} ticks)"
+    );
+    assert_eq!(rates.len(), 32);
+
+    // Ticks that emit: one flow is swapped for a fresh token (with the
+    // window shut — intake is not what this pins), so the next tick's
+    // drain lends a FlowBlock holding a flow with no last-sent rate, and
+    // its neighbours' rates move. The first two emitting ticks warm the
+    // passer scratch and `updates`; after them nothing may touch the heap.
+    for round in 0..8u16 {
+        if round == 2 {
+            ALLOCS.store(0, Ordering::Relaxed);
+        }
+        let (old, new) = (u32::from(round * 2) + 1, u32::from(round) + 101);
+        let end = Message::FlowletEnd {
+            token: Token::new(old),
+        };
+        svc.on_message(end).unwrap();
+        svc.on_message(start(new, round, 0)).unwrap();
+        ENABLED.store(true, Ordering::Relaxed);
+        svc.tick_into(&mut updates);
+        ENABLED.store(false, Ordering::Relaxed);
+        assert!(!updates.is_empty(), "the newcomer's first rate is sent");
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "allocator ticks that emit updates must not allocate \
+         ({what}: {allocs} allocations over 6 ticks)"
+    );
 }
 
 #[test]
 fn steady_state_sharded_tick_allocates_nothing() {
-    let _window = WINDOW.lock().unwrap();
+    let _window = Window::lock();
     // 4 blocks, so each of the 4 shards owns one; every flow crosses to
     // the next block, so the exchange has shared links to ship.
     let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
@@ -305,6 +388,48 @@ fn steady_state_sharded_tick_allocates_nothing() {
     );
 }
 
+/// A mem-mesh endpoint whose receive halves mark the thread that polls
+/// them as counted: the peer cluster's receiver threads are part of the
+/// measured path, and this is the one seam they cross in test code.
+#[derive(Debug)]
+struct CountedTransport(flowtune_net::MemTransport);
+
+#[derive(Debug)]
+struct CountedReceiver(flowtune_net::MemReceiver);
+
+impl flowtune_net::Transport for CountedTransport {
+    type Tx = flowtune_net::MemSender;
+    type Rx = CountedReceiver;
+
+    fn shard(&self) -> u16 {
+        self.0.shard()
+    }
+
+    fn peers(&self) -> usize {
+        self.0.peers()
+    }
+
+    fn split(self) -> std::io::Result<(Self::Tx, Vec<CountedReceiver>)> {
+        let (tx, rxs) = self.0.split()?;
+        Ok((tx, rxs.into_iter().map(CountedReceiver).collect()))
+    }
+}
+
+impl flowtune_net::Receiver for CountedReceiver {
+    fn remote_peer(&self) -> u16 {
+        self.0.remote_peer()
+    }
+
+    fn recv(
+        &mut self,
+        buf: &mut Vec<u8>,
+        timeout: std::time::Duration,
+    ) -> std::io::Result<Option<u64>> {
+        COUNTED.with(|c| c.set(true));
+        self.0.recv(buf, timeout)
+    }
+}
+
 #[test]
 fn steady_state_peer_cluster_tick_allocates_nothing() {
     use std::time::Duration;
@@ -313,7 +438,7 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
     use flowtune_net::{mem_mesh, PeerCluster, ShardPeer};
     use flowtune_topo::FlowId;
 
-    let _window = WINDOW.lock().unwrap();
+    let _window = Window::lock();
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
     let cfg = FlowtuneConfig {
         exchange_every: 1,
@@ -323,8 +448,12 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
     let peers: Vec<_> = mem_mesh(2)
         .into_iter()
         .map(|t| {
-            ShardPeer::new(AllocatorService::new(&fabric, cfg), t, exchange)
-                .expect("mem transport splits infallibly")
+            ShardPeer::new(
+                AllocatorService::new(&fabric, cfg),
+                CountedTransport(t),
+                exchange,
+            )
+            .expect("mem transport splits infallibly")
         })
         .collect();
     let mut cluster = PeerCluster::from_peers(peers);

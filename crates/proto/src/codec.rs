@@ -60,19 +60,15 @@ impl Message {
     }
 }
 
-fn put_u24(buf: &mut BytesMut, v: u32) {
-    debug_assert!(v <= Token::MAX);
-    buf.put_u8((v >> 16) as u8);
-    buf.put_u16(v as u16);
-}
-
 fn get_u24(buf: &mut Bytes) -> u32 {
     let hi = buf.get_u8() as u32;
     let lo = buf.get_u16() as u32;
     (hi << 16) | lo
 }
 
-/// Appends `msg` to `buf`.
+/// Appends `msg` to `buf`: the whole message is assembled as one
+/// fixed-size array (fields big-endian, the token's 24 bits in three
+/// bytes) and written with a single `put_slice`.
 pub fn encode(msg: &Message, buf: &mut BytesMut) {
     match *msg {
         Message::FlowletStart {
@@ -83,23 +79,24 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
             weight_q8,
             spine,
         } => {
-            buf.put_u8(TAG_START);
-            put_u24(buf, token.get());
-            buf.put_u16(src);
-            buf.put_u16(dst);
-            buf.put_u32(size_hint);
-            buf.put_u16(weight_q8);
-            buf.put_u8(spine);
-            buf.put_u8(0); // padding to 16 bytes
+            let [_, t2, t1, t0] = token.get().to_be_bytes();
+            let [s1, s0] = src.to_be_bytes();
+            let [d1, d0] = dst.to_be_bytes();
+            let [h3, h2, h1, h0] = size_hint.to_be_bytes();
+            let [w1, w0] = weight_q8.to_be_bytes();
+            // The trailing zero pads to 16 bytes.
+            buf.put_slice(&[
+                TAG_START, t2, t1, t0, s1, s0, d1, d0, h3, h2, h1, h0, w1, w0, spine, 0,
+            ]);
         }
         Message::FlowletEnd { token } => {
-            buf.put_u8(TAG_END);
-            put_u24(buf, token.get());
+            let [_, t2, t1, t0] = token.get().to_be_bytes();
+            buf.put_slice(&[TAG_END, t2, t1, t0]);
         }
         Message::RateUpdate { token, rate } => {
-            buf.put_u8(TAG_RATE);
-            put_u24(buf, token.get());
-            buf.put_u16(rate.bits());
+            let [_, t2, t1, t0] = token.get().to_be_bytes();
+            let [r1, r0] = rate.bits().to_be_bytes();
+            buf.put_slice(&[TAG_RATE, t2, t1, t0, r1, r0]);
         }
     }
 }
@@ -347,6 +344,26 @@ mod tests {
             &mut buf,
         );
         assert_eq!(buf.len(), 6);
+    }
+
+    #[test]
+    fn golden_bytes_of_each_kind() {
+        // The wire image, byte for byte: big-endian fields behind the
+        // tag, the start padded to 16.
+        let mut buf = BytesMut::new();
+        encode(&start(), &mut buf);
+        assert_eq!(
+            &buf[..],
+            [1, 0xAB, 0xCD, 0xEF, 0, 17, 0, 143, 0x00, 0x0F, 0x42, 0x40, 1, 0, 3, 0]
+        );
+        buf.clear();
+        let token = Token::new(0x0001_02FE);
+        encode(&Message::FlowletEnd { token }, &mut buf);
+        assert_eq!(&buf[..], [2, 0x01, 0x02, 0xFE]);
+        buf.clear();
+        let rate = Rate16::from_bits(0x9A5F);
+        encode(&Message::RateUpdate { token, rate }, &mut buf);
+        assert_eq!(&buf[..], [3, 0x01, 0x02, 0xFE, 0x9A, 0x5F]);
     }
 
     #[test]

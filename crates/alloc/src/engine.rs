@@ -221,7 +221,7 @@ const LEND_CHUNK: usize = 64;
 /// The drain of an engine whose rates do not sit in id / rate columns
 /// (gradient's sparse slots, Fastpass's map): gathers `flows` into two
 /// stack columns and lends `sink` a run each time they fill, so the
-/// sink's `dyn` call is paid once per [`LEND_CHUNK`] flows and nothing
+/// sink's `dyn` call is paid once per `LEND_CHUNK` flows and nothing
 /// touches the heap.
 pub fn lend_in_chunks(
     flows: impl Iterator<Item = (FlowId, f64)>,

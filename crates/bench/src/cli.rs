@@ -20,6 +20,8 @@ shared experiment flags:
   --engine E              allocation engine: serial|multicore|fastpass|gradient
   --workers N             multicore engine thread cap (0 = size to host)
   --shards N              shard the control plane N ways over --engine
+                          (fastpass: N = 1 only — N arbiters would each match
+                          the whole fabric)
   --exchange-every K      inter-shard link-state exchange cadence in ticks
                           (config exchange_every; 0 = off, the default)
   --exchange-delta-eps X  exchange delta filter: re-ship a link only when its
@@ -408,7 +410,7 @@ impl Opts {
             }
         }
         if let Some(n) = shards {
-            assert!(n >= 1, "--shards needs at least 1 shard");
+            Engine::check_shards(n, &opts.engine).unwrap_or_else(|e| panic!("--shards {n}: {e}"));
             opts.engine = opts.engine.sharded(n);
         }
         opts
@@ -545,6 +547,12 @@ mod tests {
             Engine::Multicore { workers: 3 }.sharded(2)
         );
         assert_eq!(parse(&["--shards", "1"]).engine, Engine::Serial.sharded(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "fastpass cannot be sharded")]
+    fn sharded_fastpass_is_a_cli_error() {
+        parse(&["--engine", "fastpass", "--shards", "2"]);
     }
 
     #[test]
@@ -844,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 1 shard")]
+    #[should_panic(expected = "shard count must be at least 1")]
     fn zero_shards_panics() {
         let _ = parse(&["--shards", "0"]);
     }

@@ -229,7 +229,6 @@ impl FluidDriver {
         let tick = self.ticker.interval_ps();
         let end = warmup_ps + duration_ps;
         let mut pending = self.trace.next_event();
-        let mut tokens_of_flow: HashMap<u64, Token> = HashMap::new();
         while self.now_ps < end {
             let in_window = self.now_ps >= warmup_ps;
             // Admit arrivals up to now.
@@ -257,7 +256,6 @@ impl FluidDriver {
                     .on_message(msg)
                     .expect("fluid driver mints unique tokens");
                 self.remaining.insert(token, pending.bytes as f64);
-                tokens_of_flow.insert(pending.id, token);
                 if in_window {
                     self.stats.flowlets += 1;
                     self.account_to_alloc(&msg);
@@ -289,6 +287,11 @@ impl FluidDriver {
                     ended.push(token);
                 }
             }
+            // The map's order is random per process, and end order decides
+            // which slab slots the next starts reuse — hence engine flow
+            // ids and float summation order. Token order makes a seed
+            // reproduce its run to the bit.
+            ended.sort_unstable();
             for token in ended {
                 self.remaining.remove(&token);
                 let msg = Message::FlowletEnd { token };
@@ -369,6 +372,40 @@ mod tests {
         assert!(stats.wire_from_alloc > stats.payload_from_alloc);
         let frac = stats.from_alloc_fraction(32, 10_000_000_000);
         assert!(frac > 0.0 && frac < 0.2, "fraction {frac}");
+    }
+
+    #[test]
+    fn a_seed_reproduces_its_run_to_the_bit() {
+        // Two drivers in one process hash their `remaining` maps
+        // differently; everything observable must agree anyway.
+        let run = || {
+            let cfg = FlowtuneConfig {
+                exchange_every: 1,
+                ..FlowtuneConfig::default()
+            };
+            let mut d = FluidDriver::with_engine(
+                Workload::Web,
+                0.7,
+                32,
+                cfg,
+                13,
+                Engine::Serial.sharded(2),
+            );
+            let stats = d.run(1_000_000_000, 6_000_000_000);
+            let mut rates: Vec<(Token, u64)> = d
+                .remaining
+                .keys()
+                .map(|&t| {
+                    let rate = d.ticker.driver().flow_rate_gbps(t).expect("live flowlet");
+                    (t, rate.to_bits())
+                })
+                .collect();
+            rates.sort_unstable();
+            (stats, d.control_stats(), rates)
+        };
+        let (a, b) = (run(), run());
+        assert!(a.0.flowlets > 50 && !a.2.is_empty(), "{:?}", a.0);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Shared harness for the experiment binaries (one per paper table /
-//! figure — see DESIGN.md §3 for the index) and the criterion
-//! micro-benchmarks.
+//! figure — see DESIGN.md §3 for the index).
 //!
 //! Every binary accepts `--quick` (reduced scale, the default) and
 //! `--full` (paper scale); `--seed N` overrides the trace seed. Output is

@@ -5,16 +5,13 @@ use std::time::Duration;
 use crate::placement::PlacementSpec;
 
 /// The exchange knobs, grouped: cadence, delta filter, and the peer
-/// runtime's round timeout and staleness bound. One value of this type
-/// configures both the in-process `ShardedService` exchange (which uses
-/// only [`ExchangeConfig::every`] and [`ExchangeConfig::delta_eps`] —
-/// in-process frames cannot be late) and a distributed `ShardPeer`
-/// (which uses all four).
-///
-/// Accepted whole by
-/// [`ServiceBuilder::exchange`](crate::ServiceBuilder::exchange) and by
-/// `ShardPeer::new`; the historical per-knob builder setters survive as
-/// deprecated forwards.
+/// runtime's round timeout and staleness bound. The in-process
+/// `ShardedService` exchange uses only [`ExchangeConfig::every`] and
+/// [`ExchangeConfig::delta_eps`] — in-process rows cannot be late — and
+/// reads them from its shards' [`FlowtuneConfig`]; a distributed
+/// `ShardPeer` uses all four and takes them whole in `ShardPeer::new`,
+/// with [`ExchangeConfig::from_flowtune`] lifting the first two from the
+/// same flat config.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeConfig {
     /// Exchange cadence in ticks ([`FlowtuneConfig::exchange_every`];
@@ -59,18 +56,11 @@ impl ExchangeConfig {
         }
     }
 
-    /// Sets the exchange cadence in ticks (0 = off).
-    #[must_use]
-    pub fn every(mut self, ticks: u64) -> Self {
-        self.every = ticks;
-        self
-    }
-
-    /// Sets the delta filter threshold.
-    #[must_use]
-    pub fn delta_eps(mut self, eps: f64) -> Self {
-        self.delta_eps = eps;
-        self
+    /// Whether an exchange round is due on tick `tick` (counted from 1)
+    /// of a `shards`-shard control plane: the exchange is on, there is
+    /// another shard to exchange with, and the cadence divides the tick.
+    pub fn due(&self, tick: u64, shards: usize) -> bool {
+        self.every > 0 && shards > 1 && tick.is_multiple_of(self.every)
     }
 
     /// Sets the peer runtime's per-round barrier timeout.
@@ -257,14 +247,11 @@ mod tests {
         assert_eq!(ex.delta_eps, 1e-6);
         assert_eq!(ex.round_timeout, Duration::from_secs(1));
         assert_eq!(ex.max_rounds_behind, 8);
-        // Chainable setters cover every knob.
-        let ex = ExchangeConfig::default()
-            .every(2)
-            .delta_eps(0.5)
+        // The peer-runtime knobs chain onto the lifted view.
+        let ex = ex
             .round_timeout(Duration::from_millis(20))
             .max_rounds_behind(3);
-        assert_eq!(ex.every, 2);
-        assert_eq!(ex.delta_eps, 0.5);
+        assert_eq!(ex.every, 4);
         assert_eq!(ex.round_timeout, Duration::from_millis(20));
         assert_eq!(ex.max_rounds_behind, 3);
         // The default cadence is "exchange off", matching the flat

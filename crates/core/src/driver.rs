@@ -5,8 +5,12 @@
 //! `(source server, rate update)` pairs. Two implementations exist:
 //!
 //! * [`AllocatorService`] — one service, one engine (the Figure-1 box);
-//! * [`ShardedService`](crate::ShardedService) — N inner services, the
-//!   endpoint space partitioned across them.
+//! * [`Router`](crate::router::Router) — N inner services, the endpoint
+//!   space partitioned across them, generic over where the shards live:
+//!   [`ShardedService`](crate::ShardedService) is the router over the
+//!   shards of one process, `flowtune-net`'s `PeerCluster` holds the
+//!   router over shard peers on a wire. Both planes get every method
+//!   from the one implementation.
 //!
 //! The network simulator, the fluid-model driver and the experiment
 //! binaries all hold a [`BoxTickDriver`] obtained from
@@ -42,7 +46,7 @@ pub struct PhaseTimings {
 
 /// A control plane with an allocator tick: notifications in, rate updates
 /// out, behind either one [`AllocatorService`] or a
-/// [`ShardedService`](crate::ShardedService).
+/// [`Router`](crate::router::Router) over several.
 pub trait TickDriver: std::fmt::Debug + Send {
     /// Handles an endpoint notification (see
     /// [`AllocatorService::on_message`]).

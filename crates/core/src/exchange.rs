@@ -1,6 +1,6 @@
-//! The link-state exchange, in three parts that the in-process
-//! [`crate::ShardedService`] and a distributed shard peer assemble
-//! differently but never restate:
+//! The link-state exchange, in three parts that the two shard sets —
+//! the in-process one behind [`crate::ShardedService`] and a distributed
+//! shard peer — assemble differently but never restate:
 //!
 //! * `ShardFilter` — one shard's **delta filter and accounting**: it
 //!   compares the shard's fresh link-state export against the row it
@@ -112,6 +112,29 @@ impl std::fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
+/// One shard's fresh link-state export — the `(G, H)` pair and the duals
+/// its own price update uses — in buffers reused every round, so a
+/// steady-state exchange allocates nothing. All three are the fabric's
+/// link count long, or `hessians` is empty (first-order engines), or all
+/// are empty (engines that do not price fabric links).
+#[derive(Debug, Default)]
+pub struct LinkExport {
+    /// Per-link loads of the shard's own flows.
+    pub loads: Vec<f64>,
+    /// Per-link Hessian diagonal of the shard's own flows.
+    pub hessians: Vec<f64>,
+    /// The shard's per-link duals.
+    pub prices: Vec<f64>,
+}
+
+impl LinkExport {
+    /// Overwrites the buffers with `svc`'s post-tick link state.
+    pub fn refresh<E: RateAllocator>(&mut self, svc: &AllocatorService<E>) {
+        svc.link_state_into(&mut self.loads, &mut self.hessians);
+        svc.link_prices_into(&mut self.prices);
+    }
+}
+
 /// One shard's last-shipped link state. Empty vectors mean that shard
 /// has never exported (engines that do not price fabric links).
 #[derive(Debug, Default)]
@@ -178,7 +201,8 @@ impl LinkTables {
     }
 
     /// Per-link count of shards that shipped the link this round — what
-    /// the routing layer folds into its cumulative shipped-counts signal.
+    /// the in-process shard set folds into its cumulative shipped-counts
+    /// signal.
     pub(crate) fn ship_counts(&self) -> &[u32] {
         &self.ship_counts
     }
@@ -738,8 +762,8 @@ impl ExchangeCore {
 
     /// Per-link count of shards that shipped the link this round (own
     /// dirty marks plus received link-state records) — identical at
-    /// every core after a full round, and what the routing layer folds
-    /// into its cumulative shipped-counts signal.
+    /// every core after a full round, and what the in-process shard set
+    /// folds into its cumulative shipped-counts signal.
     pub fn round_ship_counts(&self) -> &[u32] {
         self.tables.ship_counts()
     }

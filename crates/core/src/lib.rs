@@ -33,8 +33,10 @@
 //! multicore NED, Fastpass-style arbitration, or gradient projection —
 //! is a run-time choice behind one API, and
 //! [`ServiceBuilder::build_driver`] additionally shards the whole
-//! control plane ([`Engine::Sharded`] → [`ShardedService`]) behind the
-//! [`TickDriver`] interface:
+//! control plane ([`Engine::Sharded`] → [`ShardedService`], the one
+//! [`router::Router`] over in-process shards; `flowtune-net` runs the
+//! same router over shard peers on a wire) behind the [`TickDriver`]
+//! interface:
 //!
 //! ```
 //! use flowtune::{AllocatorService, EndpointAgent, Engine, FlowtuneConfig};
@@ -84,6 +86,7 @@ pub mod endpoint;
 pub mod exchange;
 pub mod flowlet;
 pub mod placement;
+pub mod router;
 pub mod scenario;
 pub mod service;
 pub mod sharded;
@@ -97,6 +100,7 @@ pub use flowlet::FlowletTracker;
 pub use placement::{
     ParsePlacementError, Placement, PlacementSpec, TrafficMatrix, PLACEMENT_NAMES,
 };
+pub use router::merge_by_token_into;
 pub use scenario::{
     jain_index, run_scenario, run_scenario_traced, PhaseReport, ScenarioOptions, ScenarioReport,
 };
@@ -104,5 +108,5 @@ pub use service::{
     AllocatorService, DynAllocatorService, Engine, FlowMigration, ParseEngineError, ServiceBuilder,
     ServiceError, ServiceStats, ENGINE_NAMES,
 };
-pub use sharded::{merge_by_token_into, ShardedService};
+pub use sharded::ShardedService;
 pub use token::TokenAllocator;

@@ -21,12 +21,13 @@
 //!    simulated TCP, the examples call it directly.
 //! 3. **[`TickDriver`](crate::TickDriver)** abstracts "a thing with an
 //!    allocator tick" — the message-in/updates-out contract shared by
-//!    [`AllocatorService`] and [`ShardedService`](crate::ShardedService).
-//!    [`ShardedService`](crate::ShardedService) partitions the endpoint
-//!    space across N inner
-//!    services (one fabric block each, [`Engine::Sharded`]), routes
-//!    notifications by source endpoint, and merges the shards' update
-//!    streams back into one token-ordered stream. Embedders that should
+//!    [`AllocatorService`] and the [`Router`](crate::router::Router)
+//!    behind every partitioned plane.
+//!    [`ShardedService`](crate::ShardedService) is that router over N
+//!    inner services of one process (one fabric block each,
+//!    [`Engine::Sharded`]): it routes notifications by source endpoint
+//!    and merges the shards' update streams back into one token-ordered
+//!    stream. Embedders that should
 //!    run sharded or unsharded by configuration hold a
 //!    [`BoxTickDriver`](crate::BoxTickDriver) built with
 //!    [`ServiceBuilder::build_driver`].
@@ -137,6 +138,43 @@ pub struct ServiceStats {
     pub dirty_links: u64,
 }
 
+/// Field-wise sum — how a partitioned control plane folds its shards'
+/// counters into one aggregate.
+impl std::ops::AddAssign for ServiceStats {
+    fn add_assign(&mut self, rhs: Self) {
+        // Exhaustive destructuring: a counter added to `ServiceStats`
+        // must fail to compile here until it is aggregated.
+        let ServiceStats {
+            starts,
+            ends,
+            updates_sent,
+            updates_suppressed,
+            bytes_in,
+            bytes_out,
+            iterations,
+            rejected,
+            exchange_rounds,
+            exchange_bytes,
+            exchange_decode_errors,
+            dirty_flows,
+            dirty_links,
+        } = rhs;
+        self.starts += starts;
+        self.ends += ends;
+        self.updates_sent += updates_sent;
+        self.updates_suppressed += updates_suppressed;
+        self.bytes_in += bytes_in;
+        self.bytes_out += bytes_out;
+        self.iterations += iterations;
+        self.rejected += rejected;
+        self.exchange_rounds += exchange_rounds;
+        self.exchange_bytes += exchange_bytes;
+        self.exchange_decode_errors += exchange_decode_errors;
+        self.dirty_flows += dirty_flows;
+        self.dirty_links += dirty_links;
+    }
+}
+
 /// Why the allocator refused a control message or a build request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceError {
@@ -158,11 +196,11 @@ pub enum ServiceError {
     /// sharded control plane is a [`ShardedService`](crate::ShardedService),
     /// built through [`ServiceBuilder::build_driver`].
     ShardedNeedsDriver,
-    /// [`Engine::Sharded`] named an impossible partition (zero shards, or
-    /// shards nested inside shards).
+    /// [`Engine::Sharded`] named an impossible partition (zero shards,
+    /// shards nested inside shards, or several Fastpass arbiters).
     BadShards(&'static str),
-    /// A shard's engine panicked during
-    /// [`ShardedService::try_tick`](crate::ShardedService::try_tick). The
+    /// A shard's engine panicked during a sharded
+    /// [`TickDriver::try_tick_into`](crate::TickDriver::try_tick_into). The
     /// sibling shards completed the tick and the worker pool survives
     /// (the panic payload is printed by the panic hook as usual); the
     /// merged update stream for the tick is dropped because it would be
@@ -297,6 +335,27 @@ impl Engine {
         }
     }
 
+    /// The partitions [`ServiceBuilder::build_driver`] refuses to build.
+    ///
+    /// # Errors
+    /// [`ServiceError::BadShards`], saying why: zero shards, shards
+    /// nested inside shards, or two or more Fastpass shards.
+    pub fn check_shards(shards: usize, inner: &Engine) -> Result<(), ServiceError> {
+        if shards == 0 {
+            return Err(ServiceError::BadShards("shard count must be at least 1"));
+        }
+        if matches!(inner, Engine::Sharded { .. }) {
+            return Err(ServiceError::BadShards("shards cannot nest"));
+        }
+        if shards > 1 && *inner == Engine::Fastpass {
+            return Err(ServiceError::BadShards(
+                "fastpass cannot be sharded: every shard's arbiter would match the whole \
+                 fabric, and it prices no links for the shards to exchange",
+            ));
+        }
+        Ok(())
+    }
+
     /// Wraps this engine in [`Engine::Sharded`] over `shards` shards (the
     /// `--shards N` flag). `shards == 1` still builds a (single-shard)
     /// `ShardedService`, which is useful for equivalence testing.
@@ -335,104 +394,6 @@ impl ServiceBuilder {
     /// Selects the allocation engine (defaults to [`Engine::Serial`]).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Overrides the NED step size γ.
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.cfg.gamma = gamma;
-        self
-    }
-
-    /// Overrides the §6.4 update-suppression threshold.
-    pub fn update_threshold(mut self, threshold: f64) -> Self {
-        self.cfg.update_threshold = threshold;
-        self
-    }
-
-    /// Overrides the engine iterations run per tick.
-    pub fn iterations_per_tick(mut self, n: usize) -> Self {
-        self.cfg.iterations_per_tick = n;
-        self
-    }
-
-    /// Enables or disables F-NORM.
-    pub fn f_norm(mut self, on: bool) -> Self {
-        self.cfg.f_norm = on;
-        self
-    }
-
-    /// Enables or disables incremental (dirty-set) ticks
-    /// ([`crate::FlowtuneConfig::incremental`]; off by default).
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.cfg.incremental = on;
-        self
-    }
-
-    /// Sets the incremental mode's periodic full-sweep cadence in
-    /// iterations ([`crate::FlowtuneConfig::full_sweep_every`]; 0 = never).
-    pub fn full_sweep_every(mut self, iterations: u64) -> Self {
-        self.cfg.full_sweep_every = iterations;
-        self
-    }
-
-    /// Sets the incremental mode's price-movement threshold
-    /// ([`crate::FlowtuneConfig::dirty_eps`]; 0.0 = exact, bit-for-bit
-    /// equal to the full sweep).
-    pub fn dirty_eps(mut self, eps: f64) -> Self {
-        self.cfg.dirty_eps = eps;
-        self
-    }
-
-    /// Sets the inter-shard exchange knobs as a group
-    /// ([`crate::ExchangeConfig`]): cadence and delta filter land in the
-    /// service config; the peer-runtime knobs (`round_timeout`,
-    /// `max_rounds_behind`) only matter when the same `ExchangeConfig`
-    /// is handed to a distributed `ShardPeer`. Only meaningful with
-    /// [`Engine::Sharded`] via [`ServiceBuilder::build_driver`].
-    pub fn exchange(mut self, exchange: crate::ExchangeConfig) -> Self {
-        self.cfg.exchange_every = exchange.every;
-        self.cfg.exchange_delta_eps = exchange.delta_eps;
-        self
-    }
-
-    /// Sets the inter-shard link-state exchange cadence in ticks
-    /// ([`crate::FlowtuneConfig::exchange_every`]; 0 disables). Only
-    /// meaningful with [`Engine::Sharded`] via
-    /// [`ServiceBuilder::build_driver`].
-    #[deprecated(since = "0.9.0", note = "use `exchange(ExchangeConfig)` instead")]
-    pub fn exchange_every(mut self, ticks: u64) -> Self {
-        self.cfg.exchange_every = ticks;
-        self
-    }
-
-    /// Sets the exchange's delta filter
-    /// ([`crate::FlowtuneConfig::exchange_delta_eps`]): only links whose
-    /// load, dual or Hessian moved by more than `eps` since their last
-    /// shipped values are re-shipped in an exchange round.
-    #[deprecated(since = "0.9.0", note = "use `exchange(ExchangeConfig)` instead")]
-    pub fn exchange_delta_eps(mut self, eps: f64) -> Self {
-        self.cfg.exchange_delta_eps = eps;
-        self
-    }
-
-    /// Enables or disables the concurrent sharded tick
-    /// ([`crate::FlowtuneConfig::parallel_shards`]; on by default). Only
-    /// meaningful with [`Engine::Sharded`] and more than one shard.
-    pub fn parallel_shards(mut self, on: bool) -> Self {
-        self.cfg.parallel_shards = on;
-        self
-    }
-
-    /// Selects how endpoints map to shards
-    /// ([`crate::FlowtuneConfig::placement`]; defaults to
-    /// [`crate::PlacementSpec::Contiguous`]). A
-    /// [`crate::PlacementSpec::Traffic`] spec consumes the matrix set
-    /// with [`ServiceBuilder::traffic_matrix`] and falls back to
-    /// contiguous without one. Only meaningful with [`Engine::Sharded`]
-    /// via [`ServiceBuilder::build_driver`].
-    pub fn placement(mut self, spec: crate::PlacementSpec) -> Self {
-        self.cfg.placement = spec;
         self
     }
 
@@ -494,16 +455,12 @@ impl ServiceBuilder {
     ///
     /// # Errors
     /// [`ServiceError::MissingFabric`] without a fabric;
-    /// [`ServiceError::BadShards`] for zero shards or nested sharding.
+    /// [`ServiceError::BadShards`] for zero shards, nested sharding, or
+    /// two or more shards of [`Engine::Fastpass`].
     pub fn build_driver(self) -> Result<crate::BoxTickDriver, ServiceError> {
         match self.engine {
             Engine::Sharded { shards, inner } => {
-                if shards == 0 {
-                    return Err(ServiceError::BadShards("shard count must be at least 1"));
-                }
-                if matches!(*inner, Engine::Sharded { .. }) {
-                    return Err(ServiceError::BadShards("shards cannot nest"));
-                }
+                Engine::check_shards(shards, &inner)?;
                 let fabric = self.fabric.ok_or(ServiceError::MissingFabric)?;
                 let clos = fabric.config();
                 let placement = match self.cfg.placement {
@@ -1258,48 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_reach_the_config() {
-        let svc = AllocatorService::builder()
-            .fabric(&fabric())
-            .gamma(0.7)
-            .update_threshold(0.02)
-            .iterations_per_tick(3)
-            .f_norm(true)
-            .build()
-            .unwrap();
-        assert_eq!(svc.cfg.gamma, 0.7);
-        assert_eq!(svc.cfg.update_threshold, 0.02);
-        assert_eq!(svc.cfg.iterations_per_tick, 3);
-        assert_eq!(svc.engine_name(), "serial");
-    }
-
-    #[test]
-    fn grouped_exchange_config_reaches_the_flat_config() {
-        let svc = AllocatorService::builder()
-            .fabric(&fabric())
-            .exchange(crate::ExchangeConfig::default().every(4).delta_eps(1e-6))
-            .build()
-            .unwrap();
-        assert_eq!(svc.cfg.exchange_every, 4);
-        assert_eq!(svc.cfg.exchange_delta_eps, 1e-6);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_exchange_setters_still_forward() {
-        // The pre-grouping per-knob setters must keep working while
-        // callers migrate to `exchange(ExchangeConfig)`.
-        let svc = AllocatorService::builder()
-            .fabric(&fabric())
-            .exchange_every(3)
-            .exchange_delta_eps(0.25)
-            .build()
-            .unwrap();
-        assert_eq!(svc.cfg.exchange_every, 3);
-        assert_eq!(svc.cfg.exchange_delta_eps, 0.25);
-    }
-
-    #[test]
     fn engine_parse_roundtrips_names() {
         for engine in [
             Engine::Serial,
@@ -1346,6 +1261,22 @@ mod tests {
             .build_driver()
             .unwrap_err();
         assert!(matches!(err, ServiceError::BadShards(_)), "{err}");
+    }
+
+    #[test]
+    fn build_driver_rejects_sharded_fastpass() {
+        let sharded = |n| {
+            AllocatorService::builder()
+                .fabric(&fabric())
+                .engine(Engine::Fastpass.sharded(n))
+                .build_driver()
+        };
+        let err = sharded(2).unwrap_err();
+        assert!(matches!(err, ServiceError::BadShards(_)), "{err}");
+        assert!(err.to_string().contains("fastpass"), "{err}");
+        // One shard is the plain arbiter behind the router; the
+        // equivalence suites build it.
+        assert_eq!(sharded(1).unwrap().engine_name(), "sharded");
     }
 
     #[test]

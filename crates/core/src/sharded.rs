@@ -1,5 +1,5 @@
-//! The sharded control plane: N independent allocator services, one slice
-//! of the endpoint space each, ticked concurrently.
+//! The sharded control plane in one process: N independent allocator
+//! services, one slice of the endpoint space each, ticked concurrently.
 //!
 //! The paper scales NED across cores of one machine (§5); the next scaling
 //! step is to partition the *allocator itself* so independent fabric
@@ -8,33 +8,34 @@
 //! rate allocation survives at scale only when the allocator is
 //! partitioned).
 //!
-//! [`ShardedService`] routes every `FlowletStart` to the shard that owns
-//! its **source endpoint**, as decided by a
-//! [`Placement`]: the default is contiguous,
-//! equal server ranges (when the shard count equals the fabric's block count a
-//! shard's range is exactly one §5 block, so a shard's flows enter the
-//! fabric through its own up-LinkBlock), and a traffic-aware placement
-//! groups communicating racks instead (see [`crate::placement`]).
-//! Token-addressed messages (`FlowletEnd`) follow a token→shard routing
-//! table. Each shard runs a full [`AllocatorService`] over the whole
-//! fabric but sees only its own flows.
+//! [`ShardedService`] is the [`Router`] over the
+//! [`InProcess`] shard set. Everything that makes the partition invisible
+//! to endpoints — routing by source endpoint through a
+//! [`Placement`] (the default is contiguous, equal server ranges: when
+//! the shard count equals the fabric's block count a shard's range is
+//! exactly one §5 block, so a shard's flows enter the fabric through its
+//! own up-LinkBlock; a traffic-aware placement groups communicating racks
+//! instead, see [`crate::placement`]), the token→shard table, duplicate
+//! and stray accounting, the stream merge, stat aggregation and the
+//! re-placement epoch plan — is the router's, and shared with every other
+//! plane (see [`crate::router`]). This module is what is particular to
+//! shards that share an address space: how they tick, how their link
+//! state meets, and how an epoch's leavers reach their new shard
+//! ([`ShardedService::replace`] hands them over directly). Each shard
+//! runs a full [`AllocatorService`] over the whole fabric but sees only
+//! its own flows.
 //!
-//! A placement can be swapped at run time — a **re-placement epoch** —
-//! with [`ShardedService::replace`]: tokens whose source endpoint now
-//! belongs to a different shard are migrated deterministically (in
-//! ascending token order, engine state detached from the old shard and
-//! re-registered in the new one), after which the migrated flows
-//! re-converge under their new shard's prices. The service accumulates
-//! the signals a re-placement decision needs while it runs: a rack-level
-//! traffic matrix from flowlet intake ([`ShardedService::observed_matrix`])
-//! and the exchange's cumulative per-link ship counters
-//! ([`ShardedService::exchange_shipped_counts`] — links that keep
-//! re-shipping under churn are the shared hot links a better placement
-//! would unshare).
+//! The service accumulates the signals a re-placement decision needs
+//! while it runs: a rack-level traffic matrix from flowlet intake
+//! ([`Router::observed_matrix`]) and the exchange's cumulative per-link
+//! ship counters ([`ShardedService::exchange_shipped_counts`] — links
+//! that keep re-shipping under churn are the shared hot links a better
+//! placement would unshare).
 //!
 //! # The two-phase tick
 //!
-//! [`ShardedService::tick`] runs in two phases separated by a barrier:
+//! A tick ([`ShardSet::tick`] of [`InProcess`]) runs in two phases
+//! separated by a barrier:
 //!
 //! 1. **allocate ∥** — every shard's per-tick work (engine iterations,
 //!    threshold-filtered update export, and — when an exchange round is
@@ -47,21 +48,22 @@
 //!    arithmetic: the output is bit-for-bit identical to ticking the
 //!    shards one after another.
 //! 2. **exchange-barrier, install** — once every shard is done (the
-//!    pool's fan-out *is* the barrier), the routing layer runs the
-//!    exchange (when due) on the caller thread — each shard's delta
-//!    filter into its row of the shared link-state table, the
-//!    cross-shard consensus once, then per shard the background
-//!    load/Hessian sums and the installs — and k-way merges the shards'
-//!    token-ordered update streams into one (disjoint token sets make
-//!    the merge exact).
+//!    pool's fan-out *is* the barrier), the exchange (when due) runs on
+//!    the caller thread — each shard's delta filter into its row of the
+//!    shared link-state table, the cross-shard consensus once, then per
+//!    shard the background load/Hessian sums and the installs — and the
+//!    shards' token-ordered update streams are handed to the router,
+//!    which k-way merges them into one (disjoint token sets make the
+//!    merge exact).
 //!
 //! [`FlowtuneConfig::parallel_shards`](crate::FlowtuneConfig) (default
 //! on) selects phase 1's concurrent path; turning it off ticks the shards
 //! sequentially on the caller — same bytes out, useful on single-core
 //! hosts and as the reference in equivalence tests. A shard whose engine
 //! panics mid-tick is *contained*: siblings complete, the pool survives,
-//! and [`ShardedService::try_tick`] reports
-//! [`ServiceError::ShardPanicked`] instead of aborting the process.
+//! and [`TickDriver::try_tick_into`](crate::TickDriver::try_tick_into)
+//! reports [`ServiceError::ShardPanicked`] instead of aborting the
+//! process.
 //!
 //! # Cross-shard link-state exchange
 //!
@@ -78,7 +80,7 @@
 //! [`FlowtuneConfig::exchange_every`](crate::FlowtuneConfig) ticks, each
 //! shard exports its per-link loads and Hessian diagonals (the `(G, H)`
 //! pair its own price update uses) and its per-link duals, and the
-//! routing layer runs three consensus parts:
+//! exchange runs three consensus parts:
 //!
 //! * **load aggregation** — each shard imports the *other* shards' load
 //!   sum as exogenous background load
@@ -103,9 +105,9 @@
 //! Exports go through the engines' buffer variants
 //! ([`flowtune_alloc::RateAllocator::link_state_into`] — loads and
 //! Hessians in one walk over the flows — and
-//! [`flowtune_alloc::RateAllocator::link_prices_into`]) into per-shard
-//! scratch reused every round, so a steady-state exchange allocates
-//! nothing.
+//! [`flowtune_alloc::RateAllocator::link_prices_into`]) into a per-shard
+//! [`LinkExport`] reused every round, so a steady-state exchange
+//! allocates nothing.
 //!
 //! The shards of one process exchange through **one shared link-state
 //! table** ([`crate::exchange`]): a row per shard holding what that
@@ -165,25 +167,27 @@
 //! window in which cross-shard churn is priced stale (F-NORM still
 //! bounds the transient, now with a correct total on previously-seen
 //! load). `exchange_every = 0` (the default) disables the exchange and
-//! preserves the independent-shard behavior exactly; engines that do not
-//! price fabric links (Fastpass) export nothing and the exchange
-//! degrades to a no-op over them. With a single shard there is nothing
-//! to exchange and the path is never taken, keeping one-shard
-//! deployments bit-for-bit equal to the unsharded service.
+//! preserves the independent-shard behavior exactly. With a single shard
+//! there is nothing to exchange and the path is never taken, keeping
+//! one-shard deployments bit-for-bit equal to the unsharded service.
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 use flowtune_alloc::{RateAllocator, SerialAllocator, WorkerPool};
-use flowtune_proto::{Message, Token};
+use flowtune_proto::Message;
 use flowtune_topo::TwoTierClos;
 
-use crate::driver::{PhaseTimings, TickDriver};
-use crate::exchange::{LinkTables, ShardFilter};
-use crate::placement::{Placement, TrafficMatrix};
+use crate::exchange::{LinkExport, LinkTables, ShardFilter};
+use crate::placement::Placement;
+use crate::router::{Router, ShardSet};
 use crate::service::{AllocatorService, ServiceError, ServiceStats};
-use crate::FlowtuneConfig;
+use crate::{ExchangeConfig, FlowtuneConfig};
+
+/// N independent [`AllocatorService`] shards of one process behind one
+/// [`TickDriver`](crate::TickDriver) face: the [`Router`] over the
+/// [`InProcess`] shard set.
+pub type ShardedService<E = SerialAllocator> = Router<InProcess<E>>;
 
 /// One shard: its service, plus the per-tick outputs and export scratch
 /// phase 1 writes and phase 2 reads — kept beside the service so the
@@ -195,45 +199,23 @@ struct ShardSlot<E: RateAllocator> {
     /// The shard's side of the exchange: the delta filter that writes
     /// its row of the shared [`LinkTables`], and its install.
     filter: ShardFilter,
-    /// The shard's token-ordered update stream from this tick.
+    /// The shard's token-ordered update stream from this tick; trades
+    /// places with the router's merge input once the tick is complete.
     updates: Vec<(u16, Message)>,
-    /// Link-state exports, refreshed only on exchange rounds.
-    loads: Vec<f64>,
-    hessians: Vec<f64>,
-    prices: Vec<f64>,
+    /// Link-state export, refreshed only on exchange rounds.
+    export: LinkExport,
 }
 
-/// N independent [`AllocatorService`] shards behind one
-/// [`TickDriver`] face.
+/// The shards of one process (see the module docs): ticked on a worker
+/// pool or one after another, exchanging link state through one shared
+/// table set.
 #[derive(Debug)]
-pub struct ShardedService<E: RateAllocator = SerialAllocator> {
+pub struct InProcess<E: RateAllocator = SerialAllocator> {
     /// The shards, in partition order.
     slots: Vec<ShardSlot<E>>,
-    /// token → shard, for `FlowletEnd` routing and rate queries.
-    route: HashMap<Token, u32>,
-    /// The endpoint→shard mapping `FlowletStart`s route by; swapped by
-    /// [`ShardedService::replace`].
-    placement: Placement,
-    /// Servers per rack, for the observed matrix's rack granularity.
-    servers_per_rack: usize,
-    /// Rack-level traffic matrix accumulated from accepted starts — the
-    /// online placement signal.
-    observed: TrafficMatrix,
-    /// Cumulative count of exchange entries shipped per link (summed
-    /// over shards) — the re-placement *trigger* signal: links that keep
-    /// re-shipping are shared hot links.
-    shipped_totals: Vec<u64>,
-    /// Counters for messages the routing layer disposed of itself
-    /// (duplicates, unknown ends, stray rate updates) and for the
-    /// link-state exchange — folded into [`ShardedService::stats`] so the
-    /// aggregate matches an unsharded service byte for byte (the exchange
-    /// counters are zero whenever the exchange is off).
-    local: ServiceStats,
-    /// Exchange cadence in ticks, copied from the shards' shared
-    /// configuration (0 = disabled).
-    exchange_every: u64,
-    /// The exchange's delta filter in Gbit/s (see the module docs).
-    exchange_delta_eps: f64,
+    /// The exchange cadence, from the shards' shared configuration (the
+    /// delta filter lives in each slot's [`ShardFilter`]).
+    exchange: ExchangeConfig,
     /// Whether phase 1 runs on the worker pool (config `parallel_shards`
     /// and more than one shard).
     parallel: bool,
@@ -243,15 +225,17 @@ pub struct ShardedService<E: RateAllocator = SerialAllocator> {
     /// Ticks driven so far (the exchange fires when `ticks` is a
     /// multiple of the cadence).
     ticks: u64,
-    /// The merge's input list: after phase 1 each shard's `updates`
-    /// buffer is swapped in here, the merge drains it, and the next
-    /// tick's swap hands the emptied buffer back to the shard.
-    streams: Vec<Vec<(u16, Message)>>,
     /// The exchange's one table set: every shard's last-shipped row,
     /// written by that shard's filter and read by every shard's install.
     tables: LinkTables,
-    /// Cumulative wall time spent in the exchange barrier (phase 2),
-    /// reported as [`PhaseTimings::exchange`].
+    /// Cumulative count of exchange entries shipped per link (summed
+    /// over shards) — the re-placement *trigger* signal: links that keep
+    /// re-shipping are shared hot links.
+    shipped_totals: Vec<u64>,
+    /// The exchange's rounds and logical bytes (zero whenever the
+    /// exchange is off).
+    counters: ServiceStats,
+    /// Cumulative wall time spent in the exchange barrier (phase 2).
     exchange_time: Duration,
 }
 
@@ -262,7 +246,6 @@ impl ShardedService {
     /// # Panics
     /// Panics if `shards` is 0.
     pub fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig, shards: usize) -> Self {
-        assert!(shards > 0, "a sharded service needs at least one shard");
         Self::from_shards(
             (0..shards)
                 .map(|_| AllocatorService::new(fabric, cfg))
@@ -285,14 +268,12 @@ impl<E: RateAllocator> ShardedService<E> {
     ///
     /// # Panics
     /// Panics if `shards` is empty or the shards disagree on the fabric
-    /// or on the exchange/parallelism/placement configuration.
+    /// or the configuration.
     pub fn from_shards(shards: Vec<AllocatorService<E>>) -> Self {
-        assert!(
-            !shards.is_empty(),
-            "a sharded service needs at least one shard"
-        );
-        let placement =
-            Placement::contiguous(shards[0].fabric().config().server_count(), shards.len());
+        let first = shards
+            .first()
+            .expect("a sharded service needs at least one shard");
+        let placement = Placement::contiguous(first.fabric().config().server_count(), shards.len());
         Self::with_placement(shards, placement)
     }
 
@@ -306,45 +287,23 @@ impl<E: RateAllocator> ShardedService<E> {
     ///
     /// # Panics
     /// Panics if `shards` is empty, the shards disagree on the fabric or
-    /// on the exchange/parallelism/placement configuration, or the
-    /// placement's shape (server count, shard count) does not match.
+    /// the configuration, or the placement's shape (server count, shard
+    /// count) does not match.
     pub fn with_placement(shards: Vec<AllocatorService<E>>, placement: Placement) -> Self {
+        let first = shards
+            .first()
+            .expect("a sharded service needs at least one shard");
+        let (clos, cfg) = (first.fabric().config(), first.config());
         assert!(
-            !shards.is_empty(),
-            "a sharded service needs at least one shard"
-        );
-        let clos = shards[0].fabric().config().clone();
-        assert!(
-            shards.iter().all(|s| *s.fabric().config() == clos),
+            shards.iter().all(|s| s.fabric().config() == clos),
             "all shards must serve the same fabric"
         );
-        let cfg = shards[0].config();
         assert!(
-            shards.iter().all(|s| {
-                let c = s.config();
-                c.exchange_every == cfg.exchange_every
-                    && c.exchange_delta_eps == cfg.exchange_delta_eps
-                    && c.parallel_shards == cfg.parallel_shards
-                    && c.placement == cfg.placement
-                    && c.incremental == cfg.incremental
-                    && c.full_sweep_every == cfg.full_sweep_every
-                    && c.dirty_eps == cfg.dirty_eps
-            }),
-            "all shards must agree on the exchange, parallelism, placement and incremental configuration"
-        );
-        assert_eq!(
-            placement.servers(),
-            clos.server_count(),
-            "placement must cover exactly the fabric's servers"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            shards.len(),
-            "placement must map onto exactly the built shards"
+            shards.iter().all(|s| s.config() == cfg),
+            "all shards must run under one configuration"
         );
         let n = shards.len();
-        let racks = clos.server_count() / clos.servers_per_rack;
-        Self {
+        let set = InProcess {
             parallel: cfg.parallel_shards && n > 1,
             slots: shards
                 .into_iter()
@@ -353,73 +312,23 @@ impl<E: RateAllocator> ShardedService<E> {
                     svc,
                     filter: ShardFilter::new(i as u16, cfg.exchange_delta_eps),
                     updates: Vec::new(),
-                    loads: Vec::new(),
-                    hessians: Vec::new(),
-                    prices: Vec::new(),
+                    export: LinkExport::default(),
                 })
                 .collect(),
-            streams: (0..n).map(|_| Vec::new()).collect(),
-            route: HashMap::new(),
-            placement,
-            servers_per_rack: clos.servers_per_rack,
-            observed: TrafficMatrix::new(racks),
-            shipped_totals: Vec::new(),
-            local: ServiceStats::default(),
-            exchange_every: cfg.exchange_every,
-            exchange_delta_eps: cfg.exchange_delta_eps.max(0.0),
+            exchange: ExchangeConfig::from_flowtune(&cfg),
             pool: None,
             ticks: 0,
             tables: LinkTables::new(n),
+            shipped_totals: Vec::new(),
+            counters: ServiceStats::default(),
             exchange_time: Duration::ZERO,
-        }
-    }
-
-    /// The inter-shard link-state exchange cadence in ticks (0 =
-    /// disabled).
-    pub fn exchange_every(&self) -> u64 {
-        self.exchange_every
-    }
-
-    /// The exchange's delta filter in Gbit/s (see the module docs).
-    pub fn exchange_delta_eps(&self) -> f64 {
-        self.exchange_delta_eps
+        };
+        Router::over(set, placement)
     }
 
     /// Whether ticks run the shards concurrently on the worker pool.
     pub fn parallel_shards(&self) -> bool {
-        self.parallel
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Read access to the shards, in partition order.
-    pub fn shards(&self) -> impl ExactSizeIterator<Item = &AllocatorService<E>> {
-        self.slots.iter().map(|slot| &slot.svc)
-    }
-
-    /// The shard owning source endpoint `src`, per the current
-    /// [`Placement`] (under the default contiguous placement, shard =
-    /// block when the shard count equals the fabric's block count).
-    /// Out-of-range endpoints clamp to the last server's shard, whose
-    /// service rejects them as [`ServiceError::MalformedStart`].
-    pub fn shard_of(&self, src: u16) -> usize {
-        self.placement.shard_of(src)
-    }
-
-    /// The endpoint→shard mapping currently routing `FlowletStart`s.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The rack-level traffic matrix accumulated from accepted flowlet
-    /// starts since construction (offered bytes by `size_hint`, floored
-    /// at 1 so zero-hint flowlets still register) — the online signal
-    /// [`crate::Placement::traffic`] consumes for a re-placement epoch.
-    pub fn observed_matrix(&self) -> &TrafficMatrix {
-        &self.observed
+        self.shard_set().parallel
     }
 
     /// Cumulative count of exchange entries shipped per link (summed over
@@ -427,22 +336,15 @@ impl<E: RateAllocator> ShardedService<E> {
     /// round). Links that keep re-shipping under steady churn are the
     /// shared hot links an exchange-aware placement would unshare — a
     /// rising tail here is the signal to compute a fresh placement from
-    /// [`ShardedService::observed_matrix`] and call
-    /// [`ShardedService::replace`].
+    /// [`Router::observed_matrix`] and call [`ShardedService::replace`].
     pub fn exchange_shipped_counts(&self) -> &[u64] {
-        &self.shipped_totals
+        &self.shard_set().shipped_totals
     }
 
-    /// Installs a new [`Placement`] — a **re-placement epoch**. Every
-    /// active flowlet whose source endpoint now belongs to a different
-    /// shard is migrated: detached from its old shard (engine state and
-    /// threshold-filter memory dropped) and re-registered in the new one,
-    /// in ascending token order so the epoch is deterministic. Migrated
-    /// flows re-enter their engine at the initial rate and re-converge
-    /// under the new shard's prices (F-NORM keeps the transient
-    /// feasible); unmoved flows are untouched. Aggregate stats do not
-    /// move — migration is not intake churn. Returns the number of flows
-    /// migrated.
+    /// Installs a new [`Placement`] — a **re-placement epoch**
+    /// ([`Router::begin_epoch`]), with every leaver handed straight to
+    /// the shard that adopts it, in ascending token order. Returns the
+    /// number of flows migrated.
     ///
     /// The exchange's last-shipped rows are deliberately kept: they
     /// record what the other shards are still pricing, and the delta
@@ -456,124 +358,46 @@ impl<E: RateAllocator> ShardedService<E> {
     /// Panics if the placement's shape (server count, shard count) does
     /// not match this service.
     pub fn replace(&mut self, placement: Placement) -> usize {
-        assert_eq!(
-            placement.servers(),
-            self.placement.servers(),
-            "replacement must cover the same server space"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            self.slots.len(),
-            "replacement must map onto the same shard count"
-        );
-        // flowtune-lint: allow(float-determinism, "snapshot is sorted by token before any flow moves")
-        let mut tokens: Vec<(Token, u32)> = self.route.iter().map(|(&t, &s)| (t, s)).collect();
-        tokens.sort_unstable_by_key(|&(t, _)| t);
-        let mut moved = 0;
-        for (token, old) in tokens {
-            let src = self.slots[old as usize]
+        let leavers = self.begin_epoch(placement);
+        for leaver in &leavers {
+            self.shard_set_mut().slots[usize::from(leaver.to)]
                 .svc
-                .flow_source(token)
-                .expect("routed token must be registered in its shard");
-            let new = placement.shard_of(src) as u32;
-            if new == old {
-                continue;
-            }
-            let migration = self.slots[old as usize]
-                .svc
-                .extract_flow(token)
-                .expect("routed token must be extractable");
-            self.slots[new as usize]
-                .svc
-                .adopt_flow(migration)
+                .adopt_flow(leaver.flow)
                 .expect("tokens are unique across shards");
-            self.route.insert(token, new);
-            moved += 1;
         }
-        self.placement = placement;
-        moved
+        leavers.len()
+    }
+}
+
+impl<E: RateAllocator> ShardSet for InProcess<E> {
+    type Engine = E;
+    type Error = ServiceError;
+    const NAME: &'static str = "sharded";
+
+    fn shard_count(&self) -> usize {
+        self.slots.len()
     }
 
-    /// The shard an active flowlet is registered in.
-    pub fn shard_for_token(&self, token: Token) -> Option<usize> {
-        self.route.get(&token).map(|&s| s as usize)
+    fn service(&self, shard: usize) -> &AllocatorService<E> {
+        &self.slots[shard].svc
     }
 
-    /// Routes an endpoint notification to its shard (see
-    /// [`AllocatorService::on_message`] for semantics; the behavior —
-    /// including rejection counting — matches the unsharded service).
-    ///
-    /// # Errors
-    /// The inner service's error, or [`ServiceError::DuplicateToken`] /
-    /// [`ServiceError::UnexpectedRateUpdate`] raised at the routing layer.
-    pub fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        match msg {
-            Message::FlowletStart {
-                token,
-                src,
-                dst,
-                size_hint,
-                ..
-            } => {
-                if self.route.contains_key(&token) {
-                    // Cross-shard duplicate detection must happen here: the
-                    // original may live in a different shard than the one
-                    // `src` routes to.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    self.local.rejected += 1;
-                    return Err(ServiceError::DuplicateToken(token));
-                }
-                let shard = self.shard_of(src);
-                self.slots[shard].svc.on_message(msg)?;
-                self.route.insert(token, shard as u32);
-                // Accepted (so src/dst are in range): feed the online
-                // placement signal at rack granularity.
-                let rack_of = |s: u16| s as usize / self.servers_per_rack;
-                self.observed
-                    .add(rack_of(src), rack_of(dst), f64::from(size_hint.max(1)));
-                Ok(())
-            }
-            Message::FlowletEnd { token } => match self.route.remove(&token) {
-                Some(shard) => self.slots[shard as usize].svc.on_message(msg),
-                None => {
-                    // Unknown ends are ignored (predecessor allocator or
-                    // re-keyed endpoint), but their bytes still arrived.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    Ok(())
-                }
-            },
-            Message::RateUpdate { .. } => {
-                self.local.bytes_in += msg.encoded_len() as u64;
-                self.local.rejected += 1;
-                Err(ServiceError::UnexpectedRateUpdate)
-            }
-        }
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<E> {
+        &mut self.slots[shard].svc
     }
 
-    /// One tick of every shard (see the module docs' two-phase
-    /// structure), with the per-shard update streams merged into `out`
-    /// (cleared first) as a single token-ordered stream (each shard's
-    /// stream is already token-ordered, and token sets are disjoint, so a
-    /// k-way merge reproduces exactly the order an unsharded service
-    /// emits). When the exchange cadence is due, the shards' post-tick
-    /// link state is exchanged so the *next* tick's pricing sees the
-    /// freshest cross-shard state.
-    ///
-    /// Shard panics are contained: if a shard's engine panics mid-tick,
-    /// the sibling shards still complete their tick, the worker pool
-    /// survives, and the error names the dead shard (`out` is left empty
-    /// — a merged stream would be missing the failed shard's updates).
-    /// The panic payload reaches the panic hook (stderr) as usual.
+    /// The two-phase tick of the module docs. Shard panics are contained:
+    /// if a shard's engine panics mid-tick, the sibling shards still
+    /// complete their tick, the worker pool survives, and the error names
+    /// the dead shard. The panic payload reaches the panic hook (stderr)
+    /// as usual.
     ///
     /// # Errors
     /// [`ServiceError::ShardPanicked`] naming the lowest-indexed shard
     /// whose tick panicked.
-    pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
-        out.clear();
+    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), ServiceError> {
         self.ticks += 1;
-        let exchange = self.exchange_every > 0
-            && self.slots.len() > 1
-            && self.ticks.is_multiple_of(self.exchange_every);
+        let exchange = self.exchange.due(self.ticks, self.slots.len());
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
         // rounds, exports its link state) with no shared state.
@@ -606,29 +430,26 @@ impl<E: RateAllocator> ShardedService<E> {
             self.exchange_link_state();
             self.exchange_time += t0.elapsed();
         }
-        for (slot, stream) in self.slots.iter_mut().zip(&mut self.streams) {
+        for (slot, stream) in self.slots.iter_mut().zip(streams) {
             std::mem::swap(&mut slot.updates, stream);
         }
-        merge_by_token_into(&mut self.streams, out);
         Ok(())
     }
 
-    /// [`ShardedService::try_tick_into`] returning an owned batch.
-    ///
-    /// # Errors
-    /// As [`ShardedService::try_tick_into`].
-    pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        TickDriver::try_tick(self)
+    fn exchange_stats(&self) -> ServiceStats {
+        self.counters
     }
 
-    /// [`ShardedService::try_tick`] for callers without an error path.
-    ///
-    /// # Panics
-    /// Propagates a shard-tick panic as a panic on the caller.
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
-        TickDriver::tick(self)
+    fn exchange_time(&self) -> Duration {
+        self.exchange_time
     }
 
+    fn contained(err: &ServiceError) -> Option<ServiceError> {
+        Some(*err)
+    }
+}
+
+impl<E: RateAllocator> InProcess<E> {
     /// One round of the inter-shard link-state exchange, in three parts
     /// (the §5 aggregation's `(load, H)` pairs plus its
     /// owner-distributes-the-price step, one level up):
@@ -661,20 +482,18 @@ impl<E: RateAllocator> ShardedService<E> {
     /// subscriptions and installs into its own service. Nothing is
     /// serialized: the frames a distributed deployment ships carry
     /// exactly the entries the filters write here (see
-    /// [`crate::exchange`]). Shards whose engine exports nothing
-    /// (Fastpass) write nothing and their installs are documented
-    /// no-ops; engines with no second-order term (gradient projection)
-    /// skip the Hessian part only.
+    /// [`crate::exchange`]). Engines with no second-order term (gradient
+    /// projection) skip the Hessian part only.
     fn exchange_link_state(&mut self) {
         self.tables.start_round();
         for slot in &mut self.slots {
-            slot.filter.export(
-                &mut self.tables,
-                &slot.loads,
-                &slot.hessians,
-                &slot.prices,
-                |_| {},
-            );
+            let LinkExport {
+                loads,
+                hessians,
+                prices,
+            } = &slot.export;
+            slot.filter
+                .export(&mut self.tables, loads, hessians, prices, |_| {});
         }
         // `false` means no shard exported any links — the round does
         // not count.
@@ -682,162 +501,14 @@ impl<E: RateAllocator> ShardedService<E> {
             return;
         }
         for slot in &mut self.slots {
-            self.local.exchange_bytes += slot.filter.install(&self.tables, &mut slot.svc);
+            self.counters.exchange_bytes += slot.filter.install(&self.tables, &mut slot.svc);
         }
-        self.local.exchange_rounds += 1;
+        self.counters.exchange_rounds += 1;
         let ships = self.tables.ship_counts();
         self.shipped_totals.resize(ships.len(), 0);
         for (total, &c) in self.shipped_totals.iter_mut().zip(ships) {
             *total += u64::from(c);
         }
-    }
-
-    /// Per-link loads of the whole control plane's raw allocation: the
-    /// element-wise sum of the shards' own loads (empty if no shard
-    /// prices fabric links). Telemetry path — allocates; the exchange
-    /// itself uses the reusable per-shard buffers.
-    pub fn link_loads(&self) -> Vec<f64> {
-        let exports: Vec<Vec<f64>> = self.shards().map(|s| s.link_loads()).collect();
-        let n_links = exports.iter().map(Vec::len).max().unwrap_or(0);
-        if n_links == 0 {
-            return Vec::new();
-        }
-        let mut total = vec![0.0; n_links];
-        for export in exports.iter().filter(|e| !e.is_empty()) {
-            debug_assert_eq!(export.len(), n_links, "short shard export");
-            for (acc, x) in total.iter_mut().zip(export) {
-                *acc += x;
-            }
-        }
-        total
-    }
-
-    /// Current normalized rate of an active flowlet, Gbit/s.
-    pub fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let &shard = self.route.get(&token)?;
-        self.slots[shard as usize].svc.flow_rate_gbps(token)
-    }
-
-    /// Number of active flowlets across all shards.
-    pub fn active_flows(&self) -> usize {
-        self.route.len()
-    }
-
-    /// Operating counters aggregated over shards (plus the routing
-    /// layer's own rejections).
-    pub fn stats(&self) -> ServiceStats {
-        let mut total = self.local;
-        for s in self.shards() {
-            // Exhaustive destructuring: a counter added to `ServiceStats`
-            // must fail to compile here until it is aggregated.
-            let ServiceStats {
-                starts,
-                ends,
-                updates_sent,
-                updates_suppressed,
-                bytes_in,
-                bytes_out,
-                iterations,
-                rejected,
-                exchange_rounds,
-                exchange_bytes,
-                exchange_decode_errors,
-                dirty_flows,
-                dirty_links,
-            } = s.stats();
-            total.starts += starts;
-            total.ends += ends;
-            total.updates_sent += updates_sent;
-            total.updates_suppressed += updates_suppressed;
-            total.bytes_in += bytes_in;
-            total.bytes_out += bytes_out;
-            total.iterations += iterations;
-            total.rejected += rejected;
-            // Inner services never run exchanges themselves (the rounds
-            // are driven — and counted — by this routing layer), but
-            // aggregate anyway so the destructuring stays exhaustive.
-            total.exchange_rounds += exchange_rounds;
-            total.exchange_bytes += exchange_bytes;
-            total.exchange_decode_errors += exchange_decode_errors;
-            total.dirty_flows += dirty_flows;
-            total.dirty_links += dirty_links;
-        }
-        total
-    }
-
-    /// Cumulative per-phase wall time: the shards' intake/allocate/export
-    /// phases summed over shards, plus this routing layer's exchange
-    /// barrier. Under `parallel_shards` the shard phases run concurrently,
-    /// so the sum is CPU time, not wall time — still the right weight for
-    /// "where do the cycles go" breakdowns.
-    pub fn phase_timings(&self) -> PhaseTimings {
-        let mut total = PhaseTimings::default();
-        for s in self.shards() {
-            let t = s.phase_timings();
-            total.intake += t.intake;
-            total.allocate += t.allocate;
-            total.export += t.export;
-            total.exchange += t.exchange;
-        }
-        total.exchange += self.exchange_time;
-        total
-    }
-
-    /// The fabric this control plane serves.
-    pub fn fabric(&self) -> &TwoTierClos {
-        self.slots[0].svc.fabric()
-    }
-
-    /// The engine each shard runs (`serial` / `multicore` / …).
-    pub fn inner_engine_name(&self) -> &'static str {
-        self.slots[0].svc.engine_name()
-    }
-}
-
-impl<E: RateAllocator> TickDriver for ShardedService<E> {
-    fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        ShardedService::on_message(self, msg)
-    }
-
-    /// # Panics
-    /// Propagates a shard-tick panic as a panic on the caller; use
-    /// [`TickDriver::try_tick_into`] to get a [`ServiceError`] instead.
-    fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
-        if let Err(e) = self.try_tick_into(out) {
-            panic!("{e}");
-        }
-    }
-
-    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
-        ShardedService::try_tick_into(self, out)
-    }
-
-    fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        ShardedService::flow_rate_gbps(self, token)
-    }
-
-    fn active_flows(&self) -> usize {
-        ShardedService::active_flows(self)
-    }
-
-    fn stats(&self) -> ServiceStats {
-        ShardedService::stats(self)
-    }
-
-    fn phase_timings(&self) -> PhaseTimings {
-        ShardedService::phase_timings(self)
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        ShardedService::link_loads(self)
-    }
-
-    fn fabric(&self) -> &TwoTierClos {
-        ShardedService::fabric(self)
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "sharded"
     }
 }
 
@@ -848,63 +519,16 @@ impl<E: RateAllocator> TickDriver for ShardedService<E> {
 fn tick_shard<E: RateAllocator>(slot: &mut ShardSlot<E>, export: bool) {
     slot.svc.tick_into(&mut slot.updates);
     if export {
-        slot.svc
-            .link_state_into(&mut slot.loads, &mut slot.hessians);
-        slot.svc.link_prices_into(&mut slot.prices);
-    }
-}
-
-fn update_token(msg: &Message) -> Token {
-    match msg {
-        Message::RateUpdate { token, .. }
-        | Message::FlowletStart { token, .. }
-        | Message::FlowletEnd { token } => *token,
-    }
-}
-
-/// K-way merge of token-ordered update streams: each emitted element is
-/// the smallest of the streams' heads, found by scanning them — `k`
-/// comparisons per element for `k` streams, which at a control plane's
-/// shard counts beats maintaining a heap of heads and needs no storage
-/// beside the streams themselves. Token sets are disjoint across shards
-/// so ties cannot occur; if a caller violated that, the lower stream
-/// index goes first. Public because a distributed peer cluster merges
-/// its peers' streams with exactly the same rule.
-///
-/// Clears `out`, drains every stream in `streams` (their capacity
-/// survives for reuse), and appends the merged order, reserving once.
-/// Once `out` has grown to a tick's update volume the merge allocates
-/// nothing, which is what lets `try_tick_into` — here and in a peer
-/// cluster — run alloc-free whether or not the tick emits updates.
-pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
-    out.clear();
-    let total: usize = streams.iter().map(Vec::len).sum();
-    if total == 0 {
-        return;
-    }
-    out.reserve(total);
-    if let [only] = streams {
-        out.append(only);
-        return;
-    }
-    // Reversed in place, a stream's head is its last element and `pop`
-    // is its cursor.
-    for stream in streams.iter_mut() {
-        stream.reverse();
-    }
-    while let Some((_, stream)) = streams
-        .iter_mut()
-        .filter_map(|stream| Some((update_token(&stream.last()?.1), stream)))
-        .min_by_key(|&(token, _)| token)
-    {
-        out.extend(stream.pop());
+        slot.export.refresh(&slot.svc);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowtune_proto::Rate16;
+    use crate::placement::TrafficMatrix;
+    use crate::TickDriver;
+    use flowtune_proto::{Rate16, Token};
     use flowtune_topo::ClosConfig;
 
     fn fabric() -> TwoTierClos {
@@ -955,14 +579,14 @@ mod tests {
         svc.on_message(start(2, 12, 0)).unwrap(); // shard 1
         assert_eq!(svc.shard_for_token(Token::new(1)), Some(0));
         assert_eq!(svc.shard_for_token(Token::new(2)), Some(1));
-        assert_eq!(svc.slots[0].svc.active_flows(), 1);
-        assert_eq!(svc.slots[1].svc.active_flows(), 1);
+        assert_eq!(svc.shard_set().slots[0].svc.active_flows(), 1);
+        assert_eq!(svc.shard_set().slots[1].svc.active_flows(), 1);
         assert_eq!(svc.active_flows(), 2);
         svc.on_message(Message::FlowletEnd {
             token: Token::new(2),
         })
         .unwrap();
-        assert_eq!(svc.slots[1].svc.active_flows(), 0);
+        assert_eq!(svc.shard_set().slots[1].svc.active_flows(), 0);
         assert_eq!(svc.shard_for_token(Token::new(2)), None);
         assert_eq!(svc.stats().ends, 1);
     }
@@ -978,7 +602,13 @@ mod tests {
         }
         let updates = svc.tick();
         assert_eq!(updates.len(), 5);
-        let tokens: Vec<u32> = updates.iter().map(|(_, m)| update_token(m).get()).collect();
+        let tokens: Vec<u32> = updates
+            .iter()
+            .map(|(_, m)| match m {
+                Message::RateUpdate { token, .. } => token.get(),
+                other => panic!("tick emitted {other:?}"),
+            })
+            .collect();
         assert_eq!(tokens, vec![1, 2, 3, 4, 5]);
     }
 
@@ -1024,51 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_handles_empty_and_many_streams() {
-        let upd = |t: u32| {
-            (
-                t as u16,
-                Message::RateUpdate {
-                    token: Token::new(t),
-                    rate: Rate16::encode(1.0),
-                },
-            )
-        };
-        let streams = vec![
-            vec![upd(3), upd(9), upd(10)],
-            vec![],
-            vec![upd(1), upd(4)],
-            vec![upd(2), upd(5), upd(6), upd(11)],
-            vec![upd(7)],
-        ];
-        // The merge drains the streams in place and keeps their capacity
-        // for the next tick.
-        let mut streams = streams;
-        let caps: Vec<usize> = streams.iter().map(Vec::capacity).collect();
-        let mut merged = Vec::new();
-        merge_by_token_into(&mut streams, &mut merged);
-        let tokens: Vec<u32> = merged.iter().map(|(_, m)| update_token(m).get()).collect();
-        assert_eq!(tokens, vec![1, 2, 3, 4, 5, 6, 7, 9, 10, 11]);
-        assert!(streams.iter().all(Vec::is_empty));
-        let kept: Vec<usize> = streams.iter().map(Vec::capacity).collect();
-        assert_eq!(kept, caps);
-        // The src halves ride along with their messages.
-        assert!(merged
-            .iter()
-            .all(|(s, m)| *s as u32 == update_token(m).get()));
-        // All-empty streams clear `out`; so does no stream at all.
-        let mut out = merged;
-        merge_by_token_into(&mut streams, &mut out);
-        assert!(out.is_empty());
-        merge_by_token_into(&mut [], &mut out);
-        assert!(out.is_empty());
-        let mut single = vec![vec![upd(5), upd(2)]];
-        merge_by_token_into(&mut single, &mut out);
-        let tokens: Vec<u32> = out.iter().map(|(_, m)| update_token(m).get()).collect();
-        assert_eq!(tokens, vec![5, 2], "single stream passes through as-is");
-    }
-
-    #[test]
     fn exchange_fires_on_cadence_and_counts_bounded_traffic() {
         let f = fabric();
         let cfg = FlowtuneConfig {
@@ -1076,7 +661,6 @@ mod tests {
             ..FlowtuneConfig::default()
         };
         let mut svc = ShardedService::new(&f, cfg, 2);
-        assert_eq!(svc.exchange_every(), 4);
         // One cross-block flow per shard, on disjoint paths.
         svc.on_message(start(1, 0, 12)).unwrap();
         svc.on_message(start(2, 8, 4)).unwrap();
@@ -1175,7 +759,6 @@ mod tests {
             ..FlowtuneConfig::default()
         };
         let mut svc = ShardedService::new(&f, cfg, 2);
-        assert_eq!(svc.exchange_delta_eps(), 1e-6);
         svc.on_message(start(1, 0, 12)).unwrap();
         svc.on_message(start(2, 8, 4)).unwrap();
         for _ in 0..300 {

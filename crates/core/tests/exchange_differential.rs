@@ -15,7 +15,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, Placement, ShardedService};
+use flowtune::{
+    AllocatorService, ExchangeCore, FlowtuneConfig, Placement, ShardedService, TickDriver,
+};
 use flowtune_alloc::{FlowRate, RateAllocator};
 use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 use proptest::prelude::*;

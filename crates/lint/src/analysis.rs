@@ -95,7 +95,11 @@ pub fn analyze(lexed: &Lexed) -> Analysis {
                     }
                 }
             }
-            _ if t.is_ident("mod") || t.is_ident("impl") || t.is_ident("trait") => {
+            // An `impl` between `fn` and its body is `impl Trait` in
+            // the signature, not an item.
+            _ if (t.is_ident("mod") || t.is_ident("impl") || t.is_ident("trait"))
+                && !pending.as_ref().is_some_and(|p| p.is_fn) =>
+            {
                 // `impl`/`trait` bodies are transparent for test
                 // regions unless the attribute said otherwise; `mod`
                 // under #[cfg(test)] is the classic unit-test block.

@@ -18,6 +18,13 @@
 //!   pricing/exchange/export code, where iteration order would make
 //!   f64 accumulation order (and thus emitted rates) nondeterministic.
 //!
+//! The first, second and fourth are scoped by tables of file paths and
+//! function names (`rules::HOT_MODULES` and friends). A workspace run
+//! also checks the tables against the tree — **stale-table-entry**: a
+//! listed path that is gone, or a listed function its file no longer
+//! defines outside test code — so moving a function cannot silently
+//! take it out of a rule's scope.
+//!
 //! Findings are suppressed line-by-line with
 //! `// flowtune-lint: allow(<rule>, "<why>")`; a suppression without a
 //! justification is itself a finding.
@@ -77,6 +84,14 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         findings.extend(lint_file(&rel_str, &source));
     }
+    findings.extend(rules::stale_table_entries(&|path| {
+        let on_disk = root.join(path);
+        if path.ends_with('/') {
+            on_disk.is_dir().then(String::new)
+        } else {
+            std::fs::read_to_string(on_disk).ok()
+        }
+    }));
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Ok(findings)
 }

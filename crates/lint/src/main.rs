@@ -33,7 +33,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "flowtune-lint [--json] [--baseline] [--root <workspace>]\n\
-                     rules: hot-path-alloc, panic, wire-exhaustive, float-determinism\n\
+                     rules: hot-path-alloc, panic, wire-exhaustive, float-determinism,\n\
+                     stale-table-entry (scope tables vs the tree; not suppressible)\n\
                      suppress with: // flowtune-lint: allow(<rule>, \"<why>\")"
                 );
                 return ExitCode::SUCCESS;

@@ -9,6 +9,7 @@
 
 use crate::analysis::{analyze, enclosing_fn, Analysis, FnSpan};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::report::Finding;
 
 /// Canonical rule names, also accepted in `allow(...)` directives.
 pub const RULES: &[&str] = &[
@@ -16,6 +17,7 @@ pub const RULES: &[&str] = &[
     "panic",
     "wire-exhaustive",
     "float-determinism",
+    "stale-table-entry",
     "directive",
 ];
 
@@ -156,17 +158,21 @@ pub const HOT_MODULES: &[HotModule] = &[
             "sum_others",
             "nonzero_at",
             "request_resync",
+            "refresh",
+        ],
+    },
+    HotModule {
+        path: "crates/core/src/router.rs",
+        hot_fns: &[
+            "tick_shards",
+            "tick_into",
+            "try_tick_into",
+            "merge_by_token_into",
         ],
     },
     HotModule {
         path: "crates/core/src/sharded.rs",
-        hot_fns: &[
-            "tick_into",
-            "try_tick_into",
-            "tick_shard",
-            "exchange_link_state",
-            "merge_by_token_into",
-        ],
+        hot_fns: &["tick", "tick_shard", "exchange_link_state"],
     },
     HotModule {
         path: "crates/core/src/driver.rs",
@@ -196,7 +202,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/net/src/cluster.rs",
-        hot_fns: &["try_tick", "try_tick_into", "tick_into"],
+        hot_fns: &["tick", "try_tick", "try_tick_into", "tick_into"],
     },
 ];
 
@@ -241,7 +247,7 @@ pub const PANIC_SCOPES: &[PanicScope] = &[
     },
     PanicScope {
         path: "crates/net/src/cluster.rs",
-        fns: &["try_tick", "try_tick_into"],
+        fns: &["tick", "try_tick", "try_tick_into"],
     },
     PanicScope {
         path: "crates/core/src/exchange.rs",
@@ -264,6 +270,7 @@ pub const FLOAT_DET_FILES: &[&str] = &[
     "crates/alloc/src/gradient.rs",
     "crates/alloc/src/parallel.rs",
     "crates/core/src/service.rs",
+    "crates/core/src/router.rs",
     "crates/core/src/sharded.rs",
     "crates/core/src/exchange.rs",
     "crates/net/src/peer.rs",
@@ -859,6 +866,60 @@ fn parse_int(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
+}
+
+// ------------------------------------------------- rule: stale tables
+
+/// Every row of the scope tables as `(table, path, listed fns)`; the
+/// path-only tables list no functions.
+fn table_rows() -> impl Iterator<Item = (&'static str, &'static str, &'static [&'static str])> {
+    let fns =
+        |name, table: &'static [HotModule]| table.iter().map(move |m| (name, m.path, m.hot_fns));
+    let paths =
+        |name, table: &'static [&'static str]| table.iter().map(move |&p| (name, p, &[][..]));
+    fns("HOT_MODULES", HOT_MODULES)
+        .chain(fns("FLOAT_KERNELS", FLOAT_KERNELS))
+        .chain(PANIC_SCOPES.iter().map(|s| ("PANIC_SCOPES", s.path, s.fns)))
+        .chain(paths("FLOAT_DET_FILES", FLOAT_DET_FILES))
+        .chain(paths("WIRE_FILES", WIRE_FILES))
+}
+
+/// `stale-table-entry`: the scope tables checked against the tree. The
+/// tables match by path and function name, so a function that is moved
+/// or renamed silently leaves its rule's scope unless this fires.
+/// `read` returns the source of a workspace-relative file, or anything
+/// for a directory scope (a path ending in `/`) that exists; `None` is a
+/// listed path that is gone. Not suppressible — the fix is to amend the
+/// table.
+pub fn stale_table_entries(read: &dyn Fn(&str) -> Option<String>) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for (table, path, fns) in table_rows() {
+        let mut stale = |what: String| {
+            out.push(Finding {
+                file: path.to_owned(),
+                line: 1,
+                rule: "stale-table-entry",
+                message: format!(
+                    "{table} lists {what}; update the table in crates/lint/src/rules.rs"
+                ),
+                suppressed: None,
+            });
+        };
+        let Some(source) = read(path) else {
+            stale(format!("`{path}`, which does not exist"));
+            continue;
+        };
+        let an = analyze(&lex(&source));
+        for &name in fns {
+            let defined = |f: &FnSpan| f.name == name && !an.tests.contains(f.line);
+            if !an.fns.iter().any(defined) {
+                stale(format!(
+                    "`{name}`, which this file does not define outside test code"
+                ));
+            }
+        }
+    }
+    out
 }
 
 // -------------------------------------------------------- entry point

@@ -200,6 +200,40 @@ fn float_det_fires_on_fused_or_reassociated_kernel_arithmetic() {
     assert!(lines_of(&unsuppressed(&elsewhere), "float-determinism").is_empty());
 }
 
+// --------------------------------------------------- stale-table-entry
+
+#[test]
+fn stale_table_entry_fires_on_moved_functions_and_missing_paths() {
+    // HOT_MODULES lists four functions for dirty.rs. This tree's copy
+    // kept two (an `impl Trait` argument must not hide a function from
+    // the tables — it did, until this rule caught five such), moved one
+    // into test code and lost the fourth. Every other listed path is
+    // gone.
+    let dirty = "pub fn note_add() {}\n\
+                 pub fn mark_intake(mut sink: impl FnMut(u32)) { sink(0) }\n\
+                 #[cfg(test)]\n\
+                 mod tests {\n    fn note_remove() {}\n}\n";
+    let read = |path: &str| (path == "crates/alloc/src/dirty.rs").then(|| dirty.to_owned());
+    let stale = flowtune_lint::rules::stale_table_entries(&read);
+    assert!(stale
+        .iter()
+        .all(|f| f.rule == "stale-table-entry" && f.suppressed.is_none()));
+    let about = |path: &str| -> Vec<&str> {
+        let of_path = stale.iter().filter(|f| f.file == path);
+        of_path.map(|f| f.message.as_str()).collect()
+    };
+    let dirty_findings = about("crates/alloc/src/dirty.rs");
+    assert_eq!(dirty_findings.len(), 2, "{dirty_findings:?}");
+    assert!(dirty_findings[0].contains("HOT_MODULES lists `note_remove`"));
+    assert!(dirty_findings[1].contains("HOT_MODULES lists `drain_intake`"));
+    // A missing path is reported once per table that still lists it,
+    // directory scopes included.
+    let serial = about("crates/alloc/src/serial.rs");
+    assert_eq!(serial.len(), 3, "{serial:?}");
+    assert!(serial.iter().all(|m| m.contains("does not exist")));
+    assert_eq!(about("crates/proto/src/").len(), 1);
+}
+
 // ----------------------------------------------- directive validation
 
 #[test]

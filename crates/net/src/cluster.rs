@@ -1,28 +1,30 @@
 //! A whole distributed control plane driven in lockstep from one
-//! thread: the [`TickDriver`] face over a set of [`ShardPeer`]s.
+//! thread: the core crate's [`Router`] over a set of [`ShardPeer`]s.
 //!
-//! [`PeerCluster`] replicates the in-process `ShardedService` routing
-//! layer exactly — `FlowletStart`s route by source endpoint through a
-//! [`Placement`], token-addressed messages follow a token→peer table,
-//! duplicates and strays are disposed of (and counted) at the routing
-//! layer — while the exchange itself runs through each peer's
-//! [`Transport`]. Over the in-memory transport the whole construction
-//! is **bit-for-bit identical** to `ShardedService`: same update
-//! streams, same rates, same stats (pinned by the repository's sharded
-//! equivalence tests). Over sockets it is the single-process harness
-//! the benches use to price the wire.
+//! Routing — `FlowletStart`s by source endpoint through a [`Placement`],
+//! token-addressed messages by the token→shard table, duplicates and
+//! strays disposed of and counted, the stream merge, stat aggregation,
+//! the re-placement plan — is the router's, the same code that routes
+//! the in-process `ShardedService`. This module supplies only what a
+//! wire changes: `Peers`, the [`ShardSet`] whose tick is split-phase
+//! and whose exchange runs through each peer's [`Transport`], epochs
+//! that move flows in frames, and the on-wire counters. Over the
+//! in-memory transport the whole construction is **bit-for-bit
+//! identical** to `ShardedService`: same update streams, same rates,
+//! same stats, re-placement epochs included (pinned by the repository's
+//! sharded equivalence tests). Over sockets it is the single-process
+//! harness the benches use to price the wire.
 //!
-//! A cluster tick is split-phase across the peers — every peer runs
-//! [`ShardPeer::begin_round`] (tick + broadcast) before any peer's
-//! [`ExchangeRound`](crate::ExchangeRound) is finished (collect + install) — so peers never
-//! deadlock waiting for a frame a later peer has not produced yet, and
-//! the lockstep schedule reproduces the in-process barrier.
+//! A cluster tick is split-phase across the peers — every peer ticks
+//! and broadcasts before any peer's exchange barrier runs (collect +
+//! install) — so peers never deadlock waiting for a frame a later peer
+//! has not produced yet, and the lockstep schedule reproduces the
+//! in-process barrier.
 
-use std::collections::HashMap;
+use std::time::Duration;
 
-use flowtune::{
-    merge_by_token_into, FlowMigration, Placement, ServiceError, ServiceStats, TickDriver,
-};
+use flowtune::router::{Router, ShardSet};
+use flowtune::{AllocatorService, PhaseTimings, Placement, ServiceError, ServiceStats, TickDriver};
 use flowtune_alloc::{RateAllocator, SerialAllocator};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
@@ -30,46 +32,78 @@ use flowtune_topo::TwoTierClos;
 use crate::peer::{PeerError, PeerLag, ShardPeer, WireStats};
 use crate::transport::Transport;
 
+/// The [`ShardSet`] of a [`PeerCluster`]: peers in shard order, ticked
+/// split-phase.
+#[derive(Debug)]
+pub struct Peers<T: Transport, E: RateAllocator> {
+    peers: Vec<ShardPeer<T, E>>,
+    /// Monotonic placement-epoch counter for [`PeerCluster::replace`].
+    epoch: u64,
+}
+
+impl<T: Transport, E: RateAllocator> ShardSet for Peers<T, E> {
+    type Engine = E;
+    type Error = PeerError;
+    const NAME: &'static str = "peer-cluster";
+
+    fn shard_count(&self) -> usize {
+        self.peers.len()
+    }
+
+    fn service(&self, shard: usize) -> &AllocatorService<E> {
+        self.peers[shard].service()
+    }
+
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<E> {
+        self.peers[shard].service_mut()
+    }
+
+    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), PeerError> {
+        for (peer, stream) in self.peers.iter_mut().zip(streams) {
+            peer.tick_export(stream)?;
+        }
+        for peer in &mut self.peers {
+            peer.exchange_finish()?;
+        }
+        Ok(())
+    }
+
+    /// Exchange rounds are a cluster-wide event every peer counts once,
+    /// so they aggregate as the max; logical bytes — each peer's own
+    /// out + in share — and decode errors sum.
+    fn exchange_stats(&self) -> ServiceStats {
+        let mut total = ServiceStats::default();
+        for peer in &self.peers {
+            let own = peer.exchange_stats();
+            total.exchange_rounds = total.exchange_rounds.max(own.exchange_rounds);
+            total.exchange_bytes += own.exchange_bytes;
+            total.exchange_decode_errors += own.exchange_decode_errors;
+        }
+        total
+    }
+
+    fn exchange_time(&self) -> Duration {
+        self.peers.iter().map(ShardPeer::exchange_time).sum()
+    }
+}
+
 /// N [`ShardPeer`]s behind one [`TickDriver`] face (see the module
 /// docs).
 #[derive(Debug)]
 pub struct PeerCluster<T: Transport, E: RateAllocator = SerialAllocator> {
-    peers: Vec<ShardPeer<T, E>>,
-    /// token → peer, for `FlowletEnd` routing and rate queries.
-    route: HashMap<Token, u32>,
-    placement: Placement,
-    /// Routing-layer counters (duplicates, unknown ends, strays) —
-    /// identical to the in-process routing layer's share of the stats.
-    local: ServiceStats,
-    /// Monotonic placement-epoch counter for [`PeerCluster::replace`].
-    epoch: u64,
-    /// Per-peer update-stream scratch, reused across ticks so a quiet
-    /// tick allocates nothing.
-    streams: Vec<Vec<(u16, Message)>>,
+    router: Router<Peers<T, E>>,
 }
 
 impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     /// Assemble a cluster from peers under the default contiguous
-    /// placement. Peers must arrive in shard order and agree with
-    /// their transports on the cluster size.
+    /// placement ([`PeerCluster::replace`] installs another). Peers must
+    /// arrive in shard order and agree with their transports on the
+    /// cluster size.
     ///
     /// # Panics
     /// Panics if `peers` is empty or a peer's shard id or peer count
     /// disagrees with its position.
     pub fn from_peers(peers: Vec<ShardPeer<T, E>>) -> Self {
-        assert!(!peers.is_empty(), "a cluster needs at least one peer");
-        let servers = peers[0].service().fabric().config().server_count();
-        let placement = Placement::contiguous(servers, peers.len());
-        Self::with_placement(peers, placement)
-    }
-
-    /// [`PeerCluster::from_peers`] with an explicit endpoint→shard
-    /// [`Placement`].
-    ///
-    /// # Panics
-    /// Panics if `peers` is empty, a peer disagrees with its position
-    /// or the cluster size, or the placement's shape does not match.
-    pub fn with_placement(peers: Vec<ShardPeer<T, E>>, placement: Placement) -> Self {
         assert!(!peers.is_empty(), "a cluster needs at least one peer");
         for (i, peer) in peers.iter().enumerate() {
             assert_eq!(
@@ -87,51 +121,26 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
             );
         }
         let servers = peers[0].service().fabric().config().server_count();
-        assert_eq!(
-            placement.servers(),
-            servers,
-            "placement must cover exactly the fabric's servers"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            peers.len(),
-            "placement must map onto exactly the cluster's peers"
-        );
-        let streams = peers.iter().map(|_| Vec::new()).collect();
+        let placement = Placement::contiguous(servers, peers.len());
         PeerCluster {
-            peers,
-            route: HashMap::new(),
-            placement,
-            local: ServiceStats::default(),
-            epoch: 0,
-            streams,
+            router: Router::over(Peers { peers, epoch: 0 }, placement),
         }
     }
 
-    /// Number of peers (= shards).
-    pub fn shard_count(&self) -> usize {
-        self.peers.len()
+    /// The routing layer: placement, token table, observed matrix.
+    pub fn router(&self) -> &Router<Peers<T, E>> {
+        &self.router
     }
 
     /// Read access to the peers, in shard order.
     pub fn peers(&self) -> &[ShardPeer<T, E>] {
-        &self.peers
-    }
-
-    /// The endpoint→shard mapping currently routing `FlowletStart`s.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The peer an active flowlet is registered with.
-    pub fn shard_for_token(&self, token: Token) -> Option<usize> {
-        self.route.get(&token).map(|&s| s as usize)
+        &self.router.shard_set().peers
     }
 
     /// One lockstep tick of the whole cluster: every peer ticks and
     /// broadcasts, then every peer runs its exchange barrier and
-    /// installs, then the per-peer update streams are k-way merged into
-    /// one token-ordered stream (same merge as the in-process service).
+    /// installs, then the router merges the per-peer update streams into
+    /// one token-ordered stream.
     ///
     /// # Errors
     /// The first [`PeerError`] encountered; the tick's update stream is
@@ -151,28 +160,16 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     /// The first [`PeerError`] encountered; the tick's update stream is
     /// dropped.
     pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
-        out.clear();
-        for (peer, stream) in self.peers.iter_mut().zip(self.streams.iter_mut()) {
-            peer.tick_export(stream)?;
-        }
-        for peer in &mut self.peers {
-            peer.exchange_finish()?;
-        }
-        merge_by_token_into(&mut self.streams, out);
-        Ok(())
+        self.router.tick_shards(out)
     }
 
     /// Installs a new [`Placement`] — a distributed **re-placement
-    /// epoch**. Each peer extracts the flows the new placement takes
-    /// from it (ascending token order) and broadcasts them in an epoch
-    /// frame; every peer gathers the frames, adopts the migrations
-    /// addressed to it (ascending token order), and marks its exchange
-    /// for a catch-up resync. Functionally equivalent to the
-    /// in-process `ShardedService::replace` — migrated flows re-enter
-    /// at the initial rate and re-converge under their new shard's
-    /// prices — though not bit-for-bit (extraction interleaves per
-    /// peer, not in one global token order). Returns the number of
-    /// flows migrated.
+    /// epoch**. The router extracts the flows the new placement moves
+    /// (`Router::begin_epoch`, the plan the in-process service runs);
+    /// each peer broadcasts the ones that left it in an epoch frame,
+    /// gathers every peer's frame, adopts the migrations addressed to it
+    /// in ascending token order, and marks its exchange for a catch-up
+    /// resync. Returns the number of flows migrated.
     ///
     /// # Errors
     /// A [`PeerError`]; an epoch is a barrier, so a missing peer frame
@@ -181,56 +178,16 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     /// # Panics
     /// Panics if the placement's shape does not match this cluster.
     pub fn replace(&mut self, placement: Placement) -> Result<usize, PeerError> {
-        assert_eq!(
-            placement.servers(),
-            self.placement.servers(),
-            "replacement must cover the same server space"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            self.peers.len(),
-            "replacement must map onto the same peer count"
-        );
-        self.epoch += 1;
-        // flowtune-lint: allow(float-determinism, "snapshot is sorted by token before any flow moves")
-        let mut tokens: Vec<(Token, u32)> = self.route.iter().map(|(&t, &s)| (t, s)).collect();
-        tokens.sort_unstable_by_key(|&(t, _)| t);
-        let mut leavers: Vec<Vec<(FlowMigration, u16)>> = vec![Vec::new(); self.peers.len()];
-        let mut moved = 0;
-        for (token, old) in tokens {
-            let src = self.peers[old as usize]
-                .service()
-                .flow_source(token)
-                .expect("routed token must be registered with its peer");
-            let new = placement.shard_of(src) as u32;
-            if new == old {
-                continue;
-            }
-            let migration = self.peers[old as usize]
-                .service_mut()
-                .extract_flow(token)
-                .expect("routed token must be extractable");
-            leavers[old as usize].push((migration, new as u16));
-            self.route.insert(token, new);
-            moved += 1;
+        let leavers = self.router.begin_epoch(placement);
+        let Peers { peers, epoch } = self.router.shard_set_mut();
+        *epoch += 1;
+        for peer in peers.iter_mut() {
+            peer.broadcast_epoch(*epoch, &leavers)?;
         }
-        let epoch = self.epoch;
-        for (peer, leaving) in self.peers.iter_mut().zip(&leavers) {
-            peer.broadcast_epoch(epoch, leaving)?;
+        for peer in peers {
+            peer.adopt_epoch()?;
         }
-        let mut adopt = Vec::new();
-        for peer in &mut self.peers {
-            adopt.clear();
-            peer.gather_epoch(&mut adopt)?;
-            adopt.sort_unstable_by_key(|m| m.token);
-            for m in adopt.drain(..) {
-                peer.service_mut()
-                    .adopt_flow(m)
-                    .expect("tokens are unique across peers");
-            }
-        }
-        self.placement = placement;
-        Ok(moved)
+        Ok(leavers.len())
     }
 
     /// The peers' on-wire transport counters: totals summed, plus the
@@ -239,13 +196,13 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     /// observed of it and the receive counters summed across observers.
     pub fn wire_stats(&self) -> WireStats {
         let mut total = WireStats::default();
-        let mut lags: Vec<PeerLag> = (0..self.peers.len() as u16)
+        let mut lags: Vec<PeerLag> = (0..self.peers().len() as u16)
             .map(|peer| PeerLag {
                 peer,
                 ..PeerLag::default()
             })
             .collect();
-        for peer in &self.peers {
+        for peer in self.peers() {
             let w = peer.wire_stats();
             total.tx_bytes += w.tx_bytes;
             total.rx_bytes += w.rx_bytes;
@@ -268,130 +225,52 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     }
 }
 
+/// Every method is the router's.
 impl<T: Transport, E: RateAllocator> TickDriver for PeerCluster<T, E> {
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        match msg {
-            Message::FlowletStart { token, src, .. } => {
-                if self.route.contains_key(&token) {
-                    // Cross-shard duplicate detection lives here — the
-                    // original may be registered with a different peer
-                    // than the one `src` routes to.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    self.local.rejected += 1;
-                    return Err(ServiceError::DuplicateToken(token));
-                }
-                let shard = self.placement.shard_of(src);
-                self.peers[shard].on_message(msg)?;
-                self.route.insert(token, shard as u32);
-                Ok(())
-            }
-            Message::FlowletEnd { token } => match self.route.remove(&token) {
-                Some(shard) => self.peers[shard as usize].on_message(msg),
-                None => {
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    Ok(())
-                }
-            },
-            Message::RateUpdate { .. } => {
-                self.local.bytes_in += msg.encoded_len() as u64;
-                self.local.rejected += 1;
-                Err(ServiceError::UnexpectedRateUpdate)
-            }
-        }
+        self.router.on_message(msg)
     }
 
     /// # Panics
     /// Panics on a peer failure; use [`PeerCluster::try_tick_into`] for
     /// an error instead.
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
-        if let Err(e) = self.try_tick_into(out) {
-            panic!("cluster peer failed: {e}");
-        }
+        self.router.tick_into(out);
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let &shard = self.route.get(&token)?;
-        self.peers[shard as usize].service().flow_rate_gbps(token)
+        self.router.flow_rate_gbps(token)
     }
 
     fn active_flows(&self) -> usize {
-        self.route.len()
+        self.router.active_flows()
     }
 
     fn stats(&self) -> ServiceStats {
-        let mut total = self.local;
-        // Exchange rounds are a cluster-wide event every peer counts
-        // once; the in-process service counts them once in total, so
-        // aggregate as the max, while logical bytes — each peer's own
-        // out + in share — sum, exactly as the in-process install loop
-        // sums them.
-        let mut rounds = 0;
-        for peer in &self.peers {
-            let ServiceStats {
-                starts,
-                ends,
-                updates_sent,
-                updates_suppressed,
-                bytes_in,
-                bytes_out,
-                iterations,
-                rejected,
-                exchange_rounds,
-                exchange_bytes,
-                exchange_decode_errors,
-                dirty_flows,
-                dirty_links,
-            } = peer.stats();
-            total.starts += starts;
-            total.ends += ends;
-            total.updates_sent += updates_sent;
-            total.updates_suppressed += updates_suppressed;
-            total.bytes_in += bytes_in;
-            total.bytes_out += bytes_out;
-            total.iterations += iterations;
-            total.rejected += rejected;
-            total.exchange_bytes += exchange_bytes;
-            total.exchange_decode_errors += exchange_decode_errors;
-            total.dirty_flows += dirty_flows;
-            total.dirty_links += dirty_links;
-            rounds = rounds.max(exchange_rounds);
-        }
-        total.exchange_rounds += rounds;
-        total
+        self.router.stats()
+    }
+
+    fn phase_timings(&self) -> PhaseTimings {
+        self.router.phase_timings()
     }
 
     fn link_loads(&self) -> Vec<f64> {
-        let exports: Vec<Vec<f64>> = self
-            .peers
-            .iter()
-            .map(|p| p.service().link_loads())
-            .collect();
-        let n_links = exports.iter().map(Vec::len).max().unwrap_or(0);
-        let mut total = vec![0.0; n_links];
-        for export in exports.iter().filter(|e| !e.is_empty()) {
-            debug_assert_eq!(export.len(), n_links, "short peer export");
-            for (acc, x) in total.iter_mut().zip(export) {
-                *acc += x;
-            }
-        }
-        total
+        self.router.link_loads()
     }
 
     fn fabric(&self) -> &TwoTierClos {
-        self.peers[0].service().fabric()
+        self.router.fabric()
     }
 
     fn engine_name(&self) -> &'static str {
-        "peer-cluster"
+        self.router.engine_name()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
-    use flowtune::{AllocatorService, ExchangeConfig, FlowtuneConfig, ShardedService};
-    use flowtune_topo::{ClosConfig, TwoTierClos};
+    use flowtune::{ExchangeConfig, FlowtuneConfig, ShardedService};
+    use flowtune_topo::ClosConfig;
 
     use super::*;
     use crate::transport::mem_mesh;
@@ -461,28 +340,25 @@ mod tests {
     }
 
     #[test]
-    fn routing_layer_counts_duplicates_and_strays_like_in_process() {
+    fn phase_timings_cover_the_wire_exchange() {
         let f = fabric();
-        let mut c = cluster(&f, FlowtuneConfig::default(), 2);
-        c.on_message(start(7, 0, 12)).unwrap();
-        let err = c.on_message(start(7, 12, 0)).unwrap_err();
-        assert_eq!(err, ServiceError::DuplicateToken(Token::new(7)));
-        assert_eq!(
-            c.on_message(Message::RateUpdate {
-                token: Token::new(5),
-                rate: flowtune_proto::Rate16::encode(1.0),
-            }),
-            Err(ServiceError::UnexpectedRateUpdate)
-        );
-        c.on_message(Message::FlowletEnd {
-            token: Token::new(99),
-        })
-        .unwrap();
-        let st = c.stats();
-        assert_eq!(st.rejected, 2);
-        assert_eq!(st.starts, 1);
-        assert_eq!(st.ends, 0);
-        assert_eq!(c.active_flows(), 1);
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
+        };
+        let mut c = cluster(&f, cfg, 2);
+        assert_eq!(c.phase_timings().exchange, Duration::ZERO);
+        c.on_message(start(1, 0, 15)).unwrap();
+        c.on_message(start(2, 8, 15)).unwrap();
+        for _ in 0..20 {
+            c.tick();
+        }
+        assert_eq!(c.stats().exchange_rounds, 20);
+        let t = c.phase_timings();
+        assert!(t.intake > Duration::ZERO, "{t:?}");
+        assert!(t.allocate > Duration::ZERO, "{t:?}");
+        assert!(t.export > Duration::ZERO, "{t:?}");
+        assert!(t.exchange > Duration::ZERO, "{t:?}");
     }
 
     #[test]
@@ -505,8 +381,8 @@ mod tests {
         let reversed = Placement::traffic(16, 8, 2, &m, false);
         let moved = c.replace(reversed).unwrap();
         assert_eq!(moved, 2);
-        assert_eq!(c.shard_for_token(Token::new(1)), Some(1));
-        assert_eq!(c.shard_for_token(Token::new(2)), Some(0));
+        assert_eq!(c.router().shard_for_token(Token::new(1)), Some(1));
+        assert_eq!(c.router().shard_for_token(Token::new(2)), Some(0));
         assert_eq!(c.active_flows(), 2);
         // The cluster keeps operating and both flows re-converge.
         for _ in 0..200 {
@@ -518,7 +394,7 @@ mod tests {
         }
         // New starts route by the new placement.
         c.on_message(start(3, 0, 12)).unwrap();
-        assert_eq!(c.shard_for_token(Token::new(3)), Some(1));
+        assert_eq!(c.router().shard_for_token(Token::new(3)), Some(1));
     }
 
     #[test]

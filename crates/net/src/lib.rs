@@ -2,9 +2,11 @@
 //!
 //! Shard peers and the link-state exchange protocol on a real wire.
 //!
-//! The core crate's `ShardedService` partitions the allocator across
-//! shards inside one process; this crate takes the next step and puts
-//! the shards in separate processes (or hosts). The pieces:
+//! The core crate routes a partitioned allocator once (`Router`) over a
+//! *shard set*; its `ShardedService` is that router over shards inside
+//! one process. This crate supplies the other shard set — shards in
+//! separate processes (or hosts), reachable only through a transport —
+//! and the same router drives it. The pieces:
 //!
 //! * [`Transport`] — a connected mesh endpoint that [`Transport::split`]s
 //!   into a [`Sender`] half (kept by the tick thread) and one [`Receiver`]
@@ -21,19 +23,22 @@
 //! * [`ShardPeer`] — one shard's `AllocatorService` plus its side of
 //!   the exchange (an `ExchangeCore`: the filter and install math the
 //!   in-process service runs over its shared table, here over private
-//!   rows filled from frames). [`ShardPeer::begin_round`] opens an [`ExchangeRound`] that
-//!   broadcasts this shard's frame; [`ExchangeRound::finish`] is a
-//!   staleness-aware barrier over the mailboxes: a peer that was fresh
-//!   last round is awaited up to the configured round timeout, a peer
-//!   already behind is only polled (its frames install whenever they
-//!   arrive), and a peer behind by `max_rounds_behind` rounds is
-//!   awaited again so the lag stays bounded. Stale rounds install from
-//!   last-shipped state; per-peer [`PeerLag`] (current and peak
-//!   `rounds_behind`) is surfaced through [`WireStats`].
-//! * [`PeerCluster`] — a `TickDriver` over a set of peers, replicating
-//!   the in-process routing layer exactly; when every frame is on time
-//!   it is bit-for-bit identical to `ShardedService`, over every
-//!   transport.
+//!   rows filled from frames). A tick is two phases: run the allocator
+//!   and broadcast this shard's frame, then a staleness-aware barrier
+//!   over the mailboxes: a peer that was fresh last round is awaited up
+//!   to the configured round timeout, a peer already behind is only
+//!   polled (its frames install whenever they arrive), and a peer
+//!   behind by `max_rounds_behind` rounds is awaited again so the lag
+//!   stays bounded. Stale rounds install from last-shipped state;
+//!   per-peer [`PeerLag`] (current and peak `rounds_behind`) is
+//!   surfaced through [`WireStats`].
+//! * [`PeerCluster`] — a `TickDriver` over a set of peers: the core
+//!   crate's `Router` over the [`cluster::Peers`] shard set, which runs
+//!   every peer's first phase before any peer's second. Routing, the
+//!   stream merge, stat aggregation and the re-placement plan are the
+//!   router's — nothing here restates them — so when every frame is on
+//!   time the cluster is bit-for-bit identical to `ShardedService`,
+//!   over every transport, re-placement epochs included.
 //! * `flowtune-arbiterd` (this crate's binary) — one shard peer per
 //!   process, plus a `--demo` launcher that spawns an N-process
 //!   cluster, checks it converges to the unsharded optimum, reports
@@ -50,7 +55,7 @@ pub mod runtime;
 pub mod transport;
 
 pub use cluster::PeerCluster;
-pub use peer::{ExchangeRound, PeerError, PeerLag, ShardPeer, WireStats};
+pub use peer::{PeerError, PeerLag, ShardPeer, WireStats};
 pub use pool::BufferPool;
 pub use runtime::{Polled, RecvRuntime};
 pub use transport::{

@@ -3,21 +3,21 @@
 //! [`Transport`] — receiver-driven, so a slow peer degrades its own
 //! freshness instead of stalling everyone's tick.
 //!
-//! A [`ShardPeer`] is the distributed twin of one shard inside the
-//! in-process `ShardedService`. There the shards share one link-state
-//! table; here nothing is shared, so the peer owns an [`ExchangeCore`]
-//! — the same delta filter and install math over a private copy of the
-//! table — and an exchange round is export and broadcast, apply every
-//! peer's frame, install. This is the only place a frame is encoded or
-//! decoded every round. The phases are an explicit
-//! session type: [`ShardPeer::begin_round`] ticks the allocator and
-//! broadcasts this shard's frame, and the [`ExchangeRound`] it returns
-//! must be [`finish`](ExchangeRound::finish)ed before the next tick —
-//! the borrow makes misordering a compile error.
+//! A [`ShardPeer`] is one shard of a control plane whose other shards
+//! are reachable only over a wire. In one process the shards share one
+//! link-state table; here nothing is shared, so the peer owns an
+//! [`ExchangeCore`] — the same delta filter and install math over a
+//! private copy of the table — and an exchange round is export and
+//! broadcast, apply every peer's frame, install. This is the only place
+//! a frame is encoded or decoded every round. A tick is two phases —
+//! run the allocator and broadcast this shard's frame, then the barrier
+//! and install — which [`ShardPeer::tick_into`] runs back to back and a
+//! `PeerCluster` interleaves across its peers, every first phase before
+//! any second.
 //!
 //! Receiving is asynchronous: a [`RecvRuntime`] thread per remote peer
 //! drains that peer's frames into a mailbox as they arrive, and the
-//! barrier inside [`ExchangeRound::finish`] installs **the freshest
+//! barrier in the second phase installs **the freshest
 //! state each mailbox holds** rather than blocking per socket:
 //!
 //! * a peer that was fresh last round is waited for (up to the round
@@ -40,8 +40,10 @@
 //! per-peer receive/staleness breakdown.
 
 use std::io;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use flowtune::exchange::LinkExport;
+use flowtune::router::Leaver;
 use flowtune::{
     AllocatorService, ExchangeConfig, ExchangeCore, FlowMigration, ServiceError, ServiceStats,
 };
@@ -242,9 +244,7 @@ pub struct ShardPeer<T: Transport, E: RateAllocator = SerialAllocator> {
     round_due: bool,
     // Reusable export/frame scratch: the encode path allocates nothing
     // once these are warm.
-    loads: Vec<f64>,
-    hessians: Vec<f64>,
-    prices: Vec<f64>,
+    export: LinkExport,
     frame_buf: Vec<u8>,
     /// Per-mailbox-slot staleness bookkeeping.
     lag: Vec<SlotLag>,
@@ -260,6 +260,9 @@ pub struct ShardPeer<T: Transport, E: RateAllocator = SerialAllocator> {
     tx_bytes: u64,
     tx_frames: u64,
     late_rounds: u64,
+    /// Cumulative wall time spent exchanging: export, encode and
+    /// broadcast in phase 1, barrier and install in phase 2.
+    exchange_time: Duration,
 }
 
 impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
@@ -293,9 +296,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             exchange,
             ticks: 0,
             round_due: false,
-            loads: Vec::new(),
-            hessians: Vec::new(),
-            prices: Vec::new(),
+            export: LinkExport::default(),
             frame_buf: Vec::new(),
             lag: vec![SlotLag::default(); slots],
             epoch_stash: (0..slots)
@@ -305,6 +306,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             tx_bytes: 0,
             tx_frames: 0,
             late_rounds: 0,
+            exchange_time: Duration::ZERO,
         })
     }
 
@@ -316,16 +318,6 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
     /// Total peers in the cluster, this one included.
     pub fn peers(&self) -> usize {
         self.tx.peers()
-    }
-
-    /// Ticks driven so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The exchange configuration this peer runs under.
-    pub fn exchange_config(&self) -> ExchangeConfig {
-        self.exchange
     }
 
     /// The wrapped allocator service (message intake for flows this
@@ -381,44 +373,20 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
         self.local
     }
 
-    /// The service's counters plus this peer's exchange counters — the
-    /// per-shard slice of what `ShardedService::stats` reports for the
-    /// whole in-process cluster.
-    pub fn stats(&self) -> ServiceStats {
-        let mut total = self.svc.stats();
-        total.exchange_rounds += self.local.exchange_rounds;
-        total.exchange_bytes += self.local.exchange_bytes;
-        total.exchange_decode_errors += self.local.exchange_decode_errors;
-        total
+    /// Cumulative wall time this peer spent exchanging link state
+    /// (export, encode and broadcast; barrier wait and install).
+    pub fn exchange_time(&self) -> Duration {
+        self.exchange_time
     }
 
-    /// Start one tick: run the allocator, and when an exchange round is
-    /// due, export this shard's link state and broadcast it. The
-    /// returned [`ExchangeRound`] borrows this peer until
-    /// [`finish`](ExchangeRound::finish)ed — the barrier and install
-    /// happen there, and no second round can begin meanwhile.
-    ///
-    /// # Errors
-    /// A [`PeerError`] from a broadcast send (the tick's allocator work
-    /// is done, the round is abandoned) or from a previous round left
-    /// unfinished (it is caught up first).
-    pub fn begin_round(&mut self) -> Result<ExchangeRound<'_, T, E>, PeerError> {
-        let mut updates = Vec::new();
-        self.tick_export(&mut updates)?;
-        Ok(ExchangeRound {
-            peer: self,
-            updates,
-        })
-    }
-
-    /// One whole tick: allocator, broadcast, barrier, install. For
-    /// lockstep drivers; use [`ShardPeer::begin_round`] to overlap
-    /// several peers' phases in one thread.
+    /// One whole tick: allocator, broadcast, barrier, install.
     ///
     /// # Errors
     /// Either phase's [`PeerError`].
     pub fn tick(&mut self) -> Result<Vec<(u16, Message)>, PeerError> {
-        self.begin_round()?.finish()
+        let mut out = Vec::new();
+        self.tick_into(&mut out)?;
+        Ok(out)
     }
 
     /// [`ShardPeer::tick`] into a caller-owned buffer: `out` is cleared
@@ -438,28 +406,26 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
     /// broadcast.
     pub(crate) fn tick_export(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
         out.clear();
-        // A dropped ExchangeRound leaves its barrier pending; run it
-        // before starting the next tick so rounds never interleave.
+        // A tick that failed between its phases leaves the barrier
+        // pending; run it before starting the next tick so rounds never
+        // interleave.
         self.exchange_finish()?;
         self.ticks += 1;
         self.svc.tick_into(out);
-        let due = self.exchange.every > 0
-            && self.tx.peers() > 1
-            && self.ticks.is_multiple_of(self.exchange.every);
-        self.round_due = due;
-        if due {
-            self.svc
-                .link_state_into(&mut self.loads, &mut self.hessians);
-            self.svc.link_prices_into(&mut self.prices);
+        self.round_due = self.exchange.due(self.ticks, self.tx.peers());
+        if self.round_due {
+            let t0 = Instant::now();
+            self.export.refresh(&self.svc);
             self.frame_buf.clear();
             self.core.begin_round(
                 self.ticks,
-                &self.loads,
-                &self.hessians,
-                &self.prices,
+                &self.export.loads,
+                &self.export.hessians,
+                &self.export.prices,
                 &mut self.frame_buf,
             );
             self.broadcast_frame_buf()?;
+            self.exchange_time += t0.elapsed();
         }
         Ok(())
     }
@@ -474,6 +440,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             return Ok(());
         }
         self.round_due = false;
+        let t0 = Instant::now();
         let target = self.ticks;
         for slot in 0..self.lag.len() {
             self.collect_slot(slot, target)?;
@@ -482,6 +449,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             self.local.exchange_rounds += 1;
             self.local.exchange_bytes += bytes;
         }
+        self.exchange_time += t0.elapsed();
         Ok(())
     }
 
@@ -581,23 +549,19 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
     }
 
     /// Announce a placement epoch: broadcast an epoch frame carrying
-    /// this shard's leaving flows (each with the shard that adopts it)
-    /// and mark the exchange for a catch-up resync, exactly as the
-    /// in-process `ShardedService::replace` does. The counterpart
-    /// [`ShardPeer::gather_epoch`] must run on every peer.
+    /// the flows of `leavers` that left *this* shard (each with the shard
+    /// that adopts it) and mark the exchange for a catch-up resync. The
+    /// counterpart [`ShardPeer::adopt_epoch`] must run on every peer.
     ///
     /// # Errors
     /// A [`PeerError`] from a broadcast send.
-    pub fn broadcast_epoch(
-        &mut self,
-        epoch: u64,
-        leavers: &[(FlowMigration, u16)],
-    ) -> Result<(), PeerError> {
+    pub fn broadcast_epoch(&mut self, epoch: u64, leavers: &[Leaver]) -> Result<(), PeerError> {
+        let me = self.tx.shard();
         self.frame_buf.clear();
         encode_header(
             &FrameHeader {
                 kind: FrameKind::Epoch,
-                shard: self.tx.shard(),
+                shard: me,
                 round: self.ticks,
                 n_links: 0,
                 active: false,
@@ -606,7 +570,8 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             &mut self.frame_buf,
         );
         encode_record(&Record::EpochBegin { epoch }, false, &mut self.frame_buf);
-        for &(m, dst_shard) in leavers {
+        for leaver in leavers.iter().filter(|l| l.from == me) {
+            let m = leaver.flow;
             encode_record(
                 &Record::Migration {
                     token: m.token.get(),
@@ -614,7 +579,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
                     dst: m.dst,
                     weight_q8: m.weight_q8,
                     spine: m.spine,
-                    dst_shard,
+                    dst_shard: leaver.to,
                 },
                 false,
                 &mut self.frame_buf,
@@ -625,16 +590,32 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
         Ok(())
     }
 
-    /// Collect one epoch frame from every peer, appending the
-    /// migrations addressed to this shard to `adopt` (unsorted; the
-    /// caller orders and adopts them). Stray state frames received
-    /// while waiting are applied to the replicas as usual.
+    /// Finish a placement epoch on this peer: collect one epoch frame
+    /// from every peer and adopt the migrations addressed to this shard
+    /// in ascending token order — the order an in-process epoch seats
+    /// them in, whichever peers they came from.
     ///
     /// # Errors
     /// A [`PeerError`]; an epoch is a barrier, so unlike a state round
     /// a peer whose epoch frame never arrives is
     /// [`PeerError::EpochTimeout`], not a late round.
-    pub fn gather_epoch(&mut self, adopt: &mut Vec<FlowMigration>) -> Result<(), PeerError> {
+    pub fn adopt_epoch(&mut self) -> Result<(), PeerError> {
+        let mut adopt = Vec::new();
+        self.gather_epoch(&mut adopt)?;
+        adopt.sort_unstable_by_key(|m| m.token);
+        for m in adopt {
+            self.svc
+                .adopt_flow(m)
+                .expect("tokens are unique across peers");
+        }
+        Ok(())
+    }
+
+    /// Collect one epoch frame from every peer, appending the
+    /// migrations addressed to this shard to `adopt` (in arrival order).
+    /// Stray state frames received while waiting are applied to the
+    /// replicas as usual.
+    fn gather_epoch(&mut self, adopt: &mut Vec<FlowMigration>) -> Result<(), PeerError> {
         let me = self.tx.shard();
         for slot in 0..self.lag.len() {
             let Some(&peer) = self.rt.peers().get(slot) else {
@@ -709,42 +690,5 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
             self.tx_frames += 1;
         }
         Ok(())
-    }
-}
-
-/// One in-flight exchange round: the session between
-/// [`ShardPeer::begin_round`] (allocator tick + broadcast, already
-/// done) and the barrier + install in [`ExchangeRound::finish`]. The
-/// exclusive borrow of the peer makes starting a second round before
-/// finishing this one a compile error; a round dropped unfinished is
-/// caught up by the peer's next tick.
-#[must_use = "finish() runs the exchange barrier; dropping delays it to the next tick"]
-#[derive(Debug)]
-pub struct ExchangeRound<'p, T: Transport, E: RateAllocator = SerialAllocator> {
-    peer: &'p mut ShardPeer<T, E>,
-    updates: Vec<(u16, Message)>,
-}
-
-impl<T: Transport, E: RateAllocator> ExchangeRound<'_, T, E> {
-    /// The rate-update stream produced by this round's allocator tick.
-    pub fn updates(&self) -> &[(u16, Message)] {
-        &self.updates
-    }
-
-    /// Move this round's updates into `out` (appended), leaving the
-    /// round's own list empty — for callers recycling one buffer
-    /// across ticks.
-    pub fn take_updates_into(&mut self, out: &mut Vec<(u16, Message)>) {
-        out.append(&mut self.updates);
-    }
-
-    /// Run the staleness-aware barrier and install the round, returning
-    /// the tick's updates.
-    ///
-    /// # Errors
-    /// A [`PeerError`] from the receive path.
-    pub fn finish(self) -> Result<Vec<(u16, Message)>, PeerError> {
-        self.peer.exchange_finish()?;
-        Ok(self.updates)
     }
 }

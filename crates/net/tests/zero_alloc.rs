@@ -38,7 +38,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService};
+use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver};
 use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
@@ -434,7 +434,7 @@ impl flowtune_net::Receiver for CountedReceiver {
 fn steady_state_peer_cluster_tick_allocates_nothing() {
     use std::time::Duration;
 
-    use flowtune::{ExchangeConfig, TickDriver};
+    use flowtune::ExchangeConfig;
     use flowtune_net::{mem_mesh, PeerCluster, ShardPeer};
     use flowtune_topo::FlowId;
 

@@ -21,7 +21,7 @@
 mod common;
 
 use common::{assert_bit_for_bit, fabric, start, Replay, StatsCheck};
-use flowtune::{AllocatorService, FlowtuneConfig, ShardedService};
+use flowtune::{AllocatorService, FlowtuneConfig, ShardedService, TickDriver};
 use proptest::prelude::*;
 
 #[test]

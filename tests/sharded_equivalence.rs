@@ -18,7 +18,7 @@
 mod common;
 
 use common::{assert_bit_for_bit, fabric, start, Replay, StatsCheck};
-use flowtune::{AllocatorService, FlowtuneConfig, ShardedService};
+use flowtune::{AllocatorService, FlowtuneConfig, ShardedService, TickDriver};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 use proptest::prelude::*;
@@ -307,6 +307,96 @@ fn uds_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
             assert!(wire.tx_bytes > 0, "no bytes on the uds wire");
             assert_eq!(wire.late_rounds, 0, "on-time frames must never be late");
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn a_replacement_epoch_is_bit_for_bit_on_both_planes() {
+    // Both planes run the router's one extraction plan (leavers leave in
+    // ascending token order, every shard adopts its arrivals in ascending
+    // token order), so an epoch — engine slots, exchange catch-up and all
+    // — must leave a mem-mesh cluster and the in-process service
+    // indistinguishable: same update stream every tick after it, same
+    // rates to the bit, same counters.
+    use std::time::Duration;
+
+    use flowtune::{ExchangeConfig, Placement, TrafficMatrix};
+    use flowtune_net::{mem_mesh, PeerCluster, ShardPeer};
+
+    let fabric = fabric();
+    let cfg = FlowtuneConfig {
+        exchange_every: 1,
+        ..FlowtuneConfig::default()
+    };
+    let exchange = ExchangeConfig::from_flowtune(&cfg).round_timeout(Duration::from_secs(5));
+    for (shards, unit) in [(2usize, 8usize), (4, 4)] {
+        for seed in [7u64, 42] {
+            let mut svc = ShardedService::new(&fabric, cfg, shards);
+            let peers: Vec<_> = mem_mesh(shards)
+                .into_iter()
+                .map(|t| {
+                    ShardPeer::new(AllocatorService::new(&fabric, cfg), t, exchange)
+                        .expect("mem transport splits infallibly")
+                })
+                .collect();
+            let mut cluster = PeerCluster::from_peers(peers);
+            let label = format!("{shards} shards, seed {seed}");
+
+            let churn = Replay::churn(&fabric, seed, 150);
+            let (before, after) = churn.rounds.split_at(75);
+            let before = Replay {
+                rounds: before.to_vec(),
+            };
+            assert_bit_for_bit(
+                &format!("before the epoch, {label}"),
+                &before,
+                &mut svc,
+                &mut cluster,
+                StatsCheck::Exact,
+            );
+
+            // Make the last unit the heavy anchor: it lands in shard 0,
+            // so the contiguous ranges rotate and live flows must move.
+            let units = 16 / unit;
+            let mut matrix = TrafficMatrix::new(units);
+            matrix.add(units - 1, units - 1, 100.0);
+            matrix.add(0, 0, 1.0);
+            let placement = Placement::traffic(16, unit, shards, &matrix, false);
+            let moved = svc.replace(placement.clone());
+            assert!(moved > 0, "{label}: the epoch must migrate something");
+            assert_eq!(
+                cluster.replace(placement).expect("epoch over the mem mesh"),
+                moved,
+                "{label}: both planes run one plan"
+            );
+            for t in before.live_tokens() {
+                assert_eq!(
+                    svc.shard_for_token(t),
+                    cluster.router().shard_for_token(t),
+                    "{label}: token {t:?} re-routed differently"
+                );
+            }
+
+            let after = Replay {
+                rounds: after.to_vec(),
+            };
+            assert_bit_for_bit(
+                &format!("after the epoch, {label}"),
+                &after,
+                &mut svc,
+                &mut cluster,
+                StatsCheck::Exact,
+            );
+            // `after` alone does not know the flows that started before
+            // the epoch; the whole schedule does.
+            for t in churn.live_tokens() {
+                assert_eq!(
+                    svc.flow_rate_gbps(t).map(f64::to_bits),
+                    cluster.flow_rate_gbps(t).map(f64::to_bits),
+                    "{label}: rate of token {t:?} diverged after the epoch"
+                );
+            }
         }
     }
 }

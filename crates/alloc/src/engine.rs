@@ -2,15 +2,32 @@
 //!
 //! [`RateAllocator`] is the contract between the control-plane service
 //! (`flowtune::AllocatorService`) and whatever computes per-flow rates
-//! behind it. Three engines implement it today:
+//! behind it. Four engines implement it today:
 //!
 //! * [`SerialAllocator`](crate::SerialAllocator) — the single-threaded
 //!   reference NED engine;
 //! * [`MulticoreAllocator`](crate::MulticoreAllocator) — the §5
 //!   FlowBlock/LinkBlock parallel engine (bit-for-bit equal to serial);
+//! * [`GradientAllocator`](crate::GradientAllocator) — the first-order
+//!   §6.6 baseline;
 //! * `flowtune_fastpass::FastpassAdapter` — a Fastpass-style per-packet
 //!   timeslot arbiter exposed through the same interface, the baseline
 //!   the paper's §6.1 comparison is made against.
+//!
+//! **Who implements what.** An engine must provide seven methods:
+//! `add_flow`, `remove_flow`, `iterate`, `flow_count`, `flow_rate`,
+//! `rates_into` and `name`. Everything else has a default that is right
+//! for an engine without the feature: no change tracking (every flow is
+//! lent), no dirty counters, no link state to share (the three link
+//! exports leave their buffer empty and the three installs are ignored).
+//! An engine overrides only what it has.
+//!
+//! **The buffer form is the primitive.** Every query that returns a
+//! vector's worth of data writes into a caller-provided buffer (cleared
+//! first), so per-tick callers never allocate once their buffers are
+//! warm. The only allocating query is the provided
+//! [`RateAllocator::rates`], written once over `rates_into` for tests
+//! and one-shot readers; engines do not override it.
 //!
 //! The trait is object safe, so services that choose their engine at run
 //! time hold a [`BoxEngine`].
@@ -61,20 +78,21 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// Number of registered flows.
     fn flow_count(&self) -> usize;
 
-    /// All flows' current allocations (Gbit/s), in an engine-defined but
-    /// deterministic order.
-    fn rates(&self) -> Vec<FlowRate>;
-
     /// One flow's current allocation, if registered.
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate>;
 
-    /// [`RateAllocator::rates`] into a caller-provided buffer (cleared
-    /// first), which must not allocate once the buffer is warm. The
-    /// default delegates to the allocating variant; every engine a
-    /// service can run overrides it.
-    fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        out.clear();
-        out.extend_from_slice(&self.rates());
+    /// All flows' current allocations (Gbit/s), in an engine-defined but
+    /// deterministic order, into a caller-provided buffer (cleared
+    /// first). Must not allocate once the buffer is warm.
+    fn rates_into(&self, out: &mut Vec<FlowRate>);
+
+    /// [`RateAllocator::rates_into`] into a fresh vector: the one
+    /// allocating query, for tests and one-shot readers. Not overridden
+    /// by any engine.
+    fn rates(&self) -> Vec<FlowRate> {
+        let mut out = Vec::with_capacity(self.flow_count());
+        self.rates_into(&mut out);
+        out
     }
 
     /// The per-tick export: lends `sink` the ids and normalized rates
@@ -99,29 +117,22 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         None
     }
 
-    /// This engine's own per-link loads: for every fabric link (indexed
-    /// by global [`LinkId`](flowtune_topo::LinkId)), the sum of the raw
+    /// This engine's own per-link loads into `out` (cleared first): for
+    /// every fabric link (indexed by global
+    /// [`LinkId`](flowtune_topo::LinkId)), the sum of the raw
     /// (pre-normalization) rates of *this engine's* flows crossing it —
     /// exactly the load term its own price update uses. Background loads
     /// installed with [`RateAllocator::set_background_loads`] are **not**
     /// echoed back, so a sharded control plane can sum shards' exports
-    /// without double counting.
+    /// without double counting. Per-tick exporters (the sharded
+    /// exchange) call this every round: it must not allocate once the
+    /// buffer is warm.
     ///
-    /// Engines that do not price fabric links (the Fastpass arbiter)
-    /// return an empty vector, which callers must treat as "no link
-    /// state to share".
-    fn link_loads(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// [`RateAllocator::link_loads`] into a caller-provided buffer, for
-    /// per-tick exporters (the sharded exchange) that must not allocate
-    /// once their buffers are warm. `out` is cleared first; engines with
-    /// nothing to export leave it empty. The default delegates to the
-    /// allocating variant — engines on the tick path override it.
+    /// Engines that do not price fabric links (the Fastpass arbiter,
+    /// which allocates endpoint-pair timeslots) leave `out` empty — the
+    /// default — which callers must treat as "no link state to share".
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(&self.link_loads());
     }
 
     /// Installs an exogenous per-link load (global
@@ -134,26 +145,18 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         let _ = loads;
     }
 
-    /// The engine's own per-link Hessian diagonal: `Σ ∂x/∂p` over its
-    /// flows crossing each link (global
+    /// The engine's own per-link Hessian diagonal into `out` (cleared
+    /// first): `Σ ∂x/∂p` over its flows crossing each link (global
     /// [`LinkId`](flowtune_topo::LinkId) indexing, entries ≤ 0). A
     /// partitioned allocator ships this alongside
-    /// [`RateAllocator::link_loads`] so every shard's Newton step
+    /// [`RateAllocator::link_loads_into`] so every shard's Newton step
     /// divides the global gradient by the global sensitivity — with only
     /// its own diagonal, a shard's effective step grows with the shard
-    /// count and leaves NED's stable γ range. Empty for engines whose
-    /// price update has no second-order term (Fastpass, gradient
-    /// projection).
-    fn link_hessians(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// [`RateAllocator::link_hessians`] into a caller-provided buffer
-    /// (cleared first; left empty by engines without a second-order
-    /// term), the allocation-free export the sharded exchange uses.
+    /// count and leaves NED's stable γ range. Left empty (the default)
+    /// by engines whose price update has no second-order term (Fastpass,
+    /// gradient projection).
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(&self.link_hessians());
     }
 
     /// [`RateAllocator::link_loads_into`] and
@@ -168,27 +171,19 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     }
 
     /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (other shards' [`RateAllocator::link_hessians`]
-    /// sum). An empty slice clears it. Engines without a second-order
-    /// price term ignore the call.
+    /// background loads (other shards'
+    /// [`RateAllocator::link_hessians_into`] sum). An empty slice clears
+    /// it. Engines without a second-order price term ignore the call.
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         let _ = hdiag;
     }
 
-    /// The engine's current per-link duals (prices), global
-    /// [`LinkId`](flowtune_topo::LinkId) indexing — the exchange's
-    /// export half of dual consensus. Empty for engines that do not
-    /// price fabric links.
-    fn link_prices(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    /// [`RateAllocator::link_prices`] into a caller-provided buffer
-    /// (cleared first; left empty by engines that do not price fabric
-    /// links), the allocation-free export the sharded exchange uses.
+    /// The engine's current per-link duals (prices) into `out` (cleared
+    /// first), global [`LinkId`](flowtune_topo::LinkId) indexing — the
+    /// exchange's export half of dual consensus. Left empty (the
+    /// default) by engines that do not price fabric links.
     fn link_prices_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(&self.link_prices());
     }
 
     /// Overwrites the engine's per-link duals with consensus values;
@@ -272,10 +267,6 @@ impl RateAllocator for BoxEngine {
         (**self).flow_count()
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        (**self).rates()
-    }
-
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         (**self).flow_rate(id)
     }
@@ -292,20 +283,12 @@ impl RateAllocator for BoxEngine {
         (**self).dirty_counters()
     }
 
-    fn link_loads(&self) -> Vec<f64> {
-        (**self).link_loads()
-    }
-
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         (**self).link_loads_into(out);
     }
 
     fn set_background_loads(&mut self, loads: &[f64]) {
         (**self).set_background_loads(loads);
-    }
-
-    fn link_hessians(&self) -> Vec<f64> {
-        (**self).link_hessians()
     }
 
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
@@ -318,10 +301,6 @@ impl RateAllocator for BoxEngine {
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         (**self).set_background_hessians(hdiag);
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        (**self).link_prices()
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
@@ -357,16 +336,8 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::iterate(self);
     }
 
-    fn run_iterations(&mut self, n: usize) {
-        crate::SerialAllocator::run_iterations(self, n);
-    }
-
     fn flow_count(&self) -> usize {
         crate::SerialAllocator::flow_count(self)
-    }
-
-    fn rates(&self) -> Vec<FlowRate> {
-        crate::SerialAllocator::rates(self)
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
@@ -385,20 +356,12 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::dirty_counters(self)
     }
 
-    fn link_loads(&self) -> Vec<f64> {
-        crate::SerialAllocator::link_loads(self)
-    }
-
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         crate::SerialAllocator::link_loads_into(self, out);
     }
 
     fn set_background_loads(&mut self, loads: &[f64]) {
         crate::SerialAllocator::set_background_loads(self, loads);
-    }
-
-    fn link_hessians(&self) -> Vec<f64> {
-        crate::SerialAllocator::link_hessians(self)
     }
 
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
@@ -411,10 +374,6 @@ impl RateAllocator for crate::SerialAllocator {
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         crate::SerialAllocator::set_background_hessians(self, hdiag);
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        crate::SerialAllocator::link_prices(self)
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
@@ -430,6 +389,7 @@ impl RateAllocator for crate::SerialAllocator {
     }
 }
 
+/// Everything but the iteration is the wrapped grid's.
 impl RateAllocator for crate::MulticoreAllocator {
     fn add_flow(
         &mut self,
@@ -439,11 +399,11 @@ impl RateAllocator for crate::MulticoreAllocator {
         weight: f64,
         path: &Path,
     ) {
-        crate::MulticoreAllocator::add_flow(self, id, src_server, dst_server, weight, path);
+        self.grid.add_flow(id, src_server, dst_server, weight, path);
     }
 
     fn remove_flow(&mut self, id: FlowId) -> bool {
-        crate::MulticoreAllocator::remove_flow(self, id)
+        self.grid.remove_flow(id)
     }
 
     fn iterate(&mut self) {
@@ -457,67 +417,51 @@ impl RateAllocator for crate::MulticoreAllocator {
     }
 
     fn flow_count(&self) -> usize {
-        crate::MulticoreAllocator::flow_count(self)
-    }
-
-    fn rates(&self) -> Vec<FlowRate> {
-        crate::MulticoreAllocator::rates(self)
+        self.grid.flow_count()
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        crate::MulticoreAllocator::flow_rate(self, id)
+        self.grid.flow_rate(id)
     }
 
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        crate::MulticoreAllocator::rates_into(self, out);
+        self.grid.rates_into(out);
     }
 
     fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        crate::MulticoreAllocator::drain_changed_rates(self, sink);
+        self.grid.drain_changed_rates(sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
-        crate::MulticoreAllocator::dirty_counters(self)
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        crate::MulticoreAllocator::link_loads(self)
+        self.grid.dirty_counters()
     }
 
     fn link_loads_into(&self, out: &mut Vec<f64>) {
-        crate::MulticoreAllocator::link_loads_into(self, out);
+        self.grid.link_loads_into(out);
     }
 
     fn set_background_loads(&mut self, loads: &[f64]) {
-        crate::MulticoreAllocator::set_background_loads(self, loads);
-    }
-
-    fn link_hessians(&self) -> Vec<f64> {
-        crate::MulticoreAllocator::link_hessians(self)
+        self.grid.set_background_loads(loads);
     }
 
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        crate::MulticoreAllocator::link_hessians_into(self, out);
+        self.grid.link_hessians_into(out);
     }
 
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        crate::MulticoreAllocator::link_state_into(self, loads, hessians);
+        self.grid.link_state_into(loads, hessians);
     }
 
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        crate::MulticoreAllocator::set_background_hessians(self, hdiag);
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        crate::MulticoreAllocator::link_prices(self)
+        self.grid.set_background_hessians(hdiag);
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {
-        crate::MulticoreAllocator::link_prices_into(self, out);
+        self.grid.link_prices_into(out);
     }
 
     fn set_link_prices(&mut self, prices: &[f64]) {
-        crate::MulticoreAllocator::set_link_prices(self, prices);
+        self.grid.set_link_prices(prices);
     }
 
     fn name(&self) -> &'static str {
@@ -528,27 +472,142 @@ impl RateAllocator for crate::MulticoreAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocConfig, MulticoreAllocator, SerialAllocator};
+    use crate::{AllocConfig, GradientAllocator, MulticoreAllocator, SerialAllocator};
     use flowtune_topo::{ClosConfig, TwoTierClos};
+    use std::collections::BTreeMap;
 
+    /// The least an engine can be: the seven required methods over a map
+    /// of flows, each held at its weight in Gbit/s.
+    #[derive(Debug, Default)]
+    struct Minimal(BTreeMap<FlowId, f64>);
+
+    impl RateAllocator for Minimal {
+        fn add_flow(&mut self, id: FlowId, _src: usize, _dst: usize, weight: f64, _path: &Path) {
+            assert!(self.0.insert(id, weight).is_none(), "duplicate {id}");
+        }
+
+        fn remove_flow(&mut self, id: FlowId) -> bool {
+            self.0.remove(&id).is_some()
+        }
+
+        fn iterate(&mut self) {}
+
+        fn flow_count(&self) -> usize {
+            self.0.len()
+        }
+
+        fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
+            let &rate = self.0.get(&id)?;
+            Some(FlowRate {
+                id,
+                rate,
+                normalized: rate,
+            })
+        }
+
+        fn rates_into(&self, out: &mut Vec<FlowRate>) {
+            out.clear();
+            out.extend(self.0.keys().map(|&id| self.flow_rate(id).expect("listed")));
+        }
+
+        fn name(&self) -> &'static str {
+            "minimal"
+        }
+    }
+
+    /// Every engine in the crate plus the double, all full-sweep.
     fn engines(fabric: &TwoTierClos) -> Vec<BoxEngine> {
+        let cfg = AllocConfig::default();
         vec![
-            Box::new(SerialAllocator::new(fabric, AllocConfig::default())),
-            Box::new(MulticoreAllocator::new(fabric, AllocConfig::default())),
+            Box::new(SerialAllocator::new(fabric, cfg)),
+            Box::new(MulticoreAllocator::new(fabric, cfg)),
+            Box::new(GradientAllocator::new(fabric, cfg)),
+            Box::new(Minimal::default()),
         ]
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn trait_objects_drive_both_ned_engines() {
+    fn trait_objects_drive_every_engine() {
         let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-        for mut engine in engines(&fabric) {
+        let links = fabric.topology().link_count();
+        for mut boxed in engines(&fabric) {
+            let engine: &mut dyn RateAllocator = &mut *boxed;
+            let name = engine.name();
             let p = fabric.path(3, 13, FlowId(7));
             engine.add_flow(FlowId(7), 3, 13, 1.0, &p);
             engine.run_iterations(300);
             let r = engine.flow_rate(FlowId(7)).unwrap();
-            assert!((r.rate - 40.0).abs() < 1e-4, "{}: {r:?}", engine.name());
-            assert_eq!(engine.flow_count(), 1);
-            assert!(engine.remove_flow(FlowId(7)));
+            if matches!(name, "serial" | "multicore") {
+                assert!((r.rate - 40.0).abs() < 1e-4, "{name}: {r:?}");
+            }
+            // Contended flows, so the exports below are not trivial.
+            let pairs = [(0, 8), (0, 12), (5, 3), (14, 2), (9, 0), (0, 1)];
+            for (i, (src, dst)) in pairs.into_iter().enumerate() {
+                let id = FlowId(100 + i as u64);
+                let weight = 1.0 + (i % 3) as f64;
+                engine.add_flow(id, src, dst, weight, &fabric.path(src, dst, id));
+            }
+            engine.run_iterations(25);
+            assert_eq!(engine.flow_count(), 7, "{name}");
+
+            // The provided allocating query is the buffer form.
+            let mut listed = vec![r; 3];
+            engine.rates_into(&mut listed);
+            assert_eq!(engine.rates(), listed, "{name}");
+            assert_eq!(listed.len(), 7, "{name}");
+
+            // A full-sweep engine lends every flow, each exactly once, at
+            // the normalized rate the listing reports.
+            let mut lent = Vec::new();
+            engine.drain_changed_rates(&mut |ids, normalized| {
+                assert_eq!(ids.len(), normalized.len());
+                lent.extend(ids.iter().zip(normalized).map(|(&id, r)| (id, r.to_bits())));
+            });
+            lent.sort_unstable();
+            let mut want: Vec<_> = listed
+                .iter()
+                .map(|r| (r.id, r.normalized.to_bits()))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(lent, want, "{name}");
+
+            // The one-walk export is bit-for-bit the two single exports,
+            // whatever the buffers held before.
+            let (mut loads, mut hessians) = (vec![f64::NAN; 3], vec![1.0; links + 5]);
+            engine.link_state_into(&mut loads, &mut hessians);
+            let (mut single_loads, mut single_hessians) = (vec![2.0], Vec::new());
+            engine.link_loads_into(&mut single_loads);
+            engine.link_hessians_into(&mut single_hessians);
+            assert_eq!(bits(&loads), bits(&single_loads), "{name}");
+            assert_eq!(bits(&hessians), bits(&single_hessians), "{name}");
+            let mut prices = vec![f64::NAN; 2];
+            engine.link_prices_into(&mut prices);
+            if name == "minimal" {
+                // Nothing overridden: nothing to share, installs accepted
+                // and without effect.
+                assert!(loads.is_empty() && hessians.is_empty() && prices.is_empty());
+                assert_eq!(engine.dirty_counters(), None);
+                engine.set_background_loads(&vec![1.0; links]);
+                engine.set_background_hessians(&vec![-1.0; links]);
+                engine.set_link_prices(&vec![0.5; links]);
+                engine.run_iterations(2);
+                assert_eq!(engine.rates(), listed);
+            } else {
+                assert_eq!(loads.len(), links, "{name}");
+                assert_eq!(prices.len(), links, "{name}");
+                assert!(loads.iter().any(|&x| x > 0.0), "{name}");
+                // Second-order engines only.
+                assert_eq!(hessians.len(), if name == "gradient" { 0 } else { links });
+            }
+
+            for id in listed.iter().map(|r| r.id) {
+                assert!(engine.remove_flow(id), "{name}");
+            }
+            assert!(!engine.remove_flow(FlowId(7)), "{name}: double remove");
             assert_eq!(engine.rates().len(), 0);
         }
     }
@@ -576,6 +635,6 @@ mod tests {
     fn engine_names_are_distinct() {
         let fabric = TwoTierClos::build(ClosConfig::multicore(1, 2, 4));
         let names: Vec<&str> = engines(&fabric).iter().map(|e| e.name()).collect();
-        assert_eq!(names, vec!["serial", "multicore"]);
+        assert_eq!(names, vec!["serial", "multicore", "gradient", "minimal"]);
     }
 }

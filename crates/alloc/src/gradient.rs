@@ -28,7 +28,7 @@ pub struct GradientAllocator {
     f_norm: bool,
     /// flow id → problem slot.
     index: HashMap<FlowId, usize>,
-    /// problem slot → flow id (for deterministic `rates()` output).
+    /// problem slot → flow id (for deterministic `rates_into` output).
     slot_ids: Vec<Option<FlowId>>,
     /// Per-slot F-NORMed rates, refreshed each iteration.
     normalized: Vec<f64>,
@@ -124,12 +124,6 @@ impl RateAllocator for GradientAllocator {
         self.index.len()
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        let mut out = Vec::with_capacity(self.index.len());
-        self.rates_into(&mut out);
-        out
-    }
-
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         out.extend(self.problem.iter_flows().map(|(slot, ..)| FlowRate {
@@ -157,28 +151,12 @@ impl RateAllocator for GradientAllocator {
         })
     }
 
-    fn link_loads(&self) -> Vec<f64> {
-        self.problem.link_loads(&self.state.rates)
-    }
-
     fn link_loads_into(&self, out: &mut Vec<f64>) {
-        // The num layer's own buffer variant: same sums, no allocation.
         self.problem.link_loads_into(&self.state.rates, out);
     }
 
     fn set_background_loads(&mut self, loads: &[f64]) {
         self.problem.set_background_loads(loads);
-    }
-
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        // First-order engine: no second-order term to export (the
-        // default would reach the same empty answer via `link_hessians`;
-        // spelled out so the export path is visibly a no-op).
-        out.clear();
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        self.state.prices.clone()
     }
 
     fn link_prices_into(&self, out: &mut Vec<f64>) {

@@ -21,14 +21,21 @@
 //! Two interchangeable engines implement this, behind the
 //! [`RateAllocator`] trait the control-plane service is generic over:
 //!
-//! * [`SerialAllocator`] — one thread, same arithmetic, same summation
-//!   order; the reference the parallel engine is tested against
-//!   (bit-for-bit) and the default engine of the network simulator.
-//! * [`MulticoreAllocator`] — one OS thread per FlowBlock with barrier
-//!   synchronization and mutex-protected buffer exchange, driven by a
-//!   persistent [`WorkerPool`] that parks between ticks (no spawn/join
-//!   on the 10 µs tick path); the engine the §6.1 throughput benchmarks
-//!   run.
+//! * [`SerialAllocator`] — the grid itself and every operation on it
+//!   (flow add/remove, the rate and link-state queries, the installs),
+//!   iterated on one thread; the reference the parallel engine is tested
+//!   against (bit-for-bit) and the default engine of the network
+//!   simulator.
+//! * [`MulticoreAllocator`] — wraps a [`SerialAllocator`] and replaces
+//!   only its full-sweep iteration: one OS thread per FlowBlock with
+//!   barrier synchronization and mutex-protected buffer exchange, driven
+//!   by a persistent [`WorkerPool`] that parks between ticks (no
+//!   spawn/join on the 10 µs tick path); the engine the §6.1 throughput
+//!   benchmarks run. Everything else is reached through
+//!   [`RateAllocator`].
+//!
+//! [`engine`] says which seven methods a new engine must implement and
+//! what the other defaults mean; queries fill caller-provided buffers.
 //!
 //! Two more [`RateAllocator`]s serve as comparison baselines:
 //! [`GradientAllocator`] (first-order gradient projection, §6.6 /

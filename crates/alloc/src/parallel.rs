@@ -15,8 +15,8 @@
 //! 5. **F-NORM** — private state only.
 //!
 //! The engine produces *bit-for-bit* the same rates as
-//! [`SerialAllocator`](crate::SerialAllocator): aggregation follows the
-//! same pairwise summation order, and everything else is element-wise.
+//! [`SerialAllocator`]: aggregation follows the same pairwise summation
+//! order, and everything else is element-wise.
 //!
 //! When the grid has more FlowBlocks than the machine has cores, several
 //! logical workers share one OS thread (the paper does the same: "we
@@ -29,24 +29,24 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use flowtune_topo::{FlowId, Path, TwoTierClos};
+use flowtune_topo::TwoTierClos;
 
-use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass, FlowRate};
+use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass};
 use crate::pool::WorkerPool;
 use crate::reduce::{
     down_aggregate, down_distribute, down_root, steps, up_aggregate, up_distribute, up_root, Role,
 };
-use crate::serial::GridState;
-use crate::AllocConfig;
+use crate::{AllocConfig, SerialAllocator};
 
 /// The parallel allocator engine. Construction, flow add/remove, and rate
-/// queries run on the caller's thread;
+/// queries are the wrapped [`SerialAllocator`]'s, on the caller's thread
+/// (reached through [`crate::RateAllocator`]);
 /// [`MulticoreAllocator::run_iterations`] drives the worker grid on a
 /// persistent [`WorkerPool`] that parks between calls, so a 10 µs tick
 /// cadence never pays thread spawn/join.
 #[derive(Debug)]
 pub struct MulticoreAllocator {
-    grid: GridState,
+    pub(crate) grid: SerialAllocator,
     /// Worker-thread cap; `None` sizes to the host (cores, max 16).
     workers: Option<usize>,
     /// Parked worker threads, created on the first `run_iterations` call
@@ -61,7 +61,7 @@ impl MulticoreAllocator {
     /// [`MulticoreAllocator::with_workers`] for an explicit count.
     pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
         Self {
-            grid: GridState::new(fabric, cfg),
+            grid: SerialAllocator::new(fabric, cfg),
             workers: None,
             pool: None,
         }
@@ -73,71 +73,10 @@ impl MulticoreAllocator {
     /// globally barrier-synchronized — only the parallelism.
     pub fn with_workers(fabric: &TwoTierClos, cfg: AllocConfig, workers: usize) -> Self {
         Self {
-            grid: GridState::new(fabric, cfg),
+            grid: SerialAllocator::new(fabric, cfg),
             workers: (workers > 0).then_some(workers),
             pool: None,
         }
-    }
-
-    /// The configured worker-thread cap, if one was set.
-    pub fn worker_cap(&self) -> Option<usize> {
-        self.workers
-    }
-
-    /// Number of OS threads the persistent pool holds (caller slot
-    /// included), once the first `run_iterations` call has sized it.
-    pub fn pool_size(&self) -> Option<usize> {
-        self.pool.as_ref().map(WorkerPool::size)
-    }
-
-    /// Registers a flow (see [`crate::SerialAllocator::add_flow`]).
-    pub fn add_flow(
-        &mut self,
-        id: FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &Path,
-    ) {
-        self.grid.add_flow(id, src_server, dst_server, weight, path);
-    }
-
-    /// Deregisters a flow; returns whether it existed.
-    pub fn remove_flow(&mut self, id: FlowId) -> bool {
-        self.grid.remove_flow(id)
-    }
-
-    /// Number of registered flows.
-    pub fn flow_count(&self) -> usize {
-        self.grid.flow_count()
-    }
-
-    /// All flows' current allocations (Gbit/s).
-    pub fn rates(&self) -> Vec<FlowRate> {
-        self.grid.rates()
-    }
-
-    /// [`MulticoreAllocator::rates`] into a caller-provided buffer
-    /// (cleared first); allocation-free once the buffer is warm.
-    pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        self.grid.rates_into(out);
-    }
-
-    /// Lends `sink` the changed FlowBlocks' id and normalized-rate columns
-    /// (see [`crate::RateAllocator::drain_changed_rates`]).
-    pub fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        self.grid.drain_changed_rates(sink);
-    }
-
-    /// Cumulative `(dirty_flows, dirty_links)` counters, when running
-    /// incrementally (see [`crate::RateAllocator::dirty_counters`]).
-    pub fn dirty_counters(&self) -> Option<(u64, u64)> {
-        self.grid.dirty_counters()
-    }
-
-    /// One flow's current allocation.
-    pub fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        self.grid.flow_rate(id)
     }
 
     /// Runs `n` iterations across B² logical workers and returns the wall
@@ -324,65 +263,6 @@ impl MulticoreAllocator {
     pub fn iterate(&mut self) {
         self.run_iterations(1);
     }
-
-    /// Own per-link loads (see [`crate::RateAllocator::link_loads`]).
-    pub fn link_loads(&self) -> Vec<f64> {
-        self.grid.link_loads()
-    }
-
-    /// [`MulticoreAllocator::link_loads`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_loads_into`]).
-    pub fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_loads_into(out);
-    }
-
-    /// Installs an exogenous per-link load priced alongside this engine's
-    /// own flows (see [`crate::RateAllocator::set_background_loads`]).
-    pub fn set_background_loads(&mut self, loads: &[f64]) {
-        self.grid.set_background_loads(loads);
-    }
-
-    /// Current per-link duals (see [`crate::RateAllocator::link_prices`]).
-    pub fn link_prices(&self) -> Vec<f64> {
-        self.grid.link_prices()
-    }
-
-    /// [`MulticoreAllocator::link_prices`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_prices_into`]).
-    pub fn link_prices_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_prices_into(out);
-    }
-
-    /// Overwrites per-link duals; `NaN` entries keep the current price
-    /// (see [`crate::RateAllocator::set_link_prices`]).
-    pub fn set_link_prices(&mut self, prices: &[f64]) {
-        self.grid.set_link_prices(prices);
-    }
-
-    /// Own per-link Hessian diagonal (see
-    /// [`crate::RateAllocator::link_hessians`]).
-    pub fn link_hessians(&self) -> Vec<f64> {
-        self.grid.link_hessians()
-    }
-
-    /// [`MulticoreAllocator::link_hessians`] into a caller-provided
-    /// buffer (see [`crate::RateAllocator::link_hessians_into`]).
-    pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_hessians_into(out);
-    }
-
-    /// Own loads and Hessian diagonal in one walk over the flows (see
-    /// [`crate::RateAllocator::link_state_into`]).
-    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        self.grid.link_state_into(loads, hessians);
-    }
-
-    /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (see
-    /// [`crate::RateAllocator::set_background_hessians`]).
-    pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        self.grid.set_background_hessians(hdiag);
-    }
 }
 
 /// Sense-reversing spin barrier: threads busy-wait (with periodic yields,
@@ -429,8 +309,8 @@ impl SpinBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SerialAllocator;
-    use flowtune_topo::ClosConfig;
+    use crate::RateAllocator;
+    use flowtune_topo::{ClosConfig, FlowId, Path};
 
     /// Deterministic pseudo-random flow set over a fabric.
     fn spray_flows(
@@ -540,19 +420,17 @@ mod tests {
             assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{:?}", x.id);
             assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
         }
-        // And the exports agree bit-for-bit too.
-        for (x, y) in serial.link_loads().iter().zip(parallel.link_loads()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in serial.link_hessians().iter().zip(parallel.link_hessians()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // As does the one-walk export of both, with each single export.
+        // And the exports agree bit-for-bit too (the one-walk
+        // `link_state_into` against the single exports is pinned for
+        // every engine in engine.rs).
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (mut loads, mut hessians) = (vec![f64::NAN; 3], Vec::new());
-        parallel.link_state_into(&mut loads, &mut hessians);
-        assert_eq!(bits(&loads), bits(&serial.link_loads()));
-        assert_eq!(bits(&hessians), bits(&serial.link_hessians()));
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        serial.link_loads_into(&mut x);
+        parallel.link_loads_into(&mut y);
+        assert_eq!(bits(&x), bits(&y));
+        serial.link_hessians_into(&mut x);
+        parallel.link_hessians_into(&mut y);
+        assert_eq!(bits(&x), bits(&y));
     }
 
     #[test]

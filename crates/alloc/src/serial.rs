@@ -19,32 +19,34 @@ use crate::layout::BlockLayout;
 use crate::reduce::{binomial_reduce_in_order, down_root, down_worker, up_root, up_worker};
 use crate::AllocConfig;
 
-/// Shared flow/worker bookkeeping used by both engines.
+/// The single-threaded allocator engine: the §5 FlowBlock × LinkBlock
+/// grid and every operation on it. The multicore engine wraps one and
+/// replaces only the full-sweep iteration with its barrier pipeline.
 #[derive(Debug)]
-pub(crate) struct GridState {
-    pub layout: BlockLayout,
-    pub cfg: AllocConfig,
+pub struct SerialAllocator {
+    pub(crate) layout: BlockLayout,
+    pub(crate) cfg: AllocConfig,
     /// server index → block, for FlowBlock assignment.
-    pub server_block: Vec<BlockId>,
+    server_block: Vec<BlockId>,
     /// B² workers in row-major (src block, dst block) order.
-    pub workers: Vec<WorkerCore>,
+    pub(crate) workers: Vec<WorkerCore>,
     /// flow id → (worker, slot within worker).
-    pub index: HashMap<FlowId, (usize, usize)>,
+    index: HashMap<FlowId, (usize, usize)>,
     /// Exogenous per-link load (other shards' flows), pre-split per
     /// LinkBlock so the price update indexes it like `load`/`capacity`.
     /// `None` (no exchange installed) takes the exact pre-exchange
     /// arithmetic path.
-    pub bg: Option<BgLoads>,
+    pub(crate) bg: Option<BgLoads>,
     /// Exogenous per-link Hessian diagonal (other shards' `Σ ∂x/∂p`),
     /// same layout; folded into the price update's `H` so the Newton
     /// step divides the global gradient by the global sensitivity.
-    pub bg_h: Option<BgLoads>,
+    pub(crate) bg_h: Option<BgLoads>,
     /// Dirty-set bookkeeping when `cfg.incremental` is on; `None` runs
     /// the classic full sweep every iteration.
-    pub dirty: Option<DirtySet>,
+    dirty: Option<DirtySet>,
     /// Preallocated per-iteration buffers (aggregation partials and the
     /// distribute copies), so the steady-state tick path never allocates.
-    pub scratch: IterScratch,
+    scratch: IterScratch,
 }
 
 /// Reusable buffers for one iteration: the binomial-tree partials (one
@@ -53,10 +55,10 @@ pub(crate) struct GridState {
 /// construction — the fabric shape is fixed — so iterations never
 /// reallocate.
 #[derive(Debug, Clone)]
-pub(crate) struct IterScratch {
-    pub partials: Vec<Vec<[f64; 2]>>,
-    pub prices: Vec<f64>,
-    pub ratios: Vec<f64>,
+struct IterScratch {
+    partials: Vec<Vec<[f64; 2]>>,
+    prices: Vec<f64>,
+    ratios: Vec<f64>,
 }
 
 /// Background (other-shard) per-link values in LinkBlock layout: one
@@ -86,8 +88,11 @@ impl WorkerCore {
     }
 }
 
-impl GridState {
-    pub(crate) fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
+impl SerialAllocator {
+    /// Builds an allocator over `fabric`. The fabric's block count must be
+    /// a power of two (1 is fine: a single-block fabric degenerates to
+    /// plain NED with no aggregation steps).
+    pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
         assert!(
             fabric.block_count().is_power_of_two(),
             "the aggregation tree needs a power-of-two block count"
@@ -120,7 +125,12 @@ impl GridState {
         }
     }
 
-    pub(crate) fn add_flow(
+    /// Registers a flow. `path` must come from the same fabric.
+    ///
+    /// # Panics
+    /// Panics on duplicate ids, non-positive weights, or paths that
+    /// violate block locality.
+    pub fn add_flow(
         &mut self,
         id: FlowId,
         src_server: usize,
@@ -154,7 +164,8 @@ impl GridState {
         self.index.insert(id, (w, flows.len() - 1));
     }
 
-    pub(crate) fn remove_flow(&mut self, id: FlowId) -> bool {
+    /// Deregisters a flow; returns whether it existed.
+    pub fn remove_flow(&mut self, id: FlowId) -> bool {
         let Some((w, slot)) = self.index.remove(&id) else {
             return false;
         };
@@ -170,19 +181,16 @@ impl GridState {
         true
     }
 
-    pub(crate) fn flow_count(&self) -> usize {
+    /// Number of registered flows.
+    pub fn flow_count(&self) -> usize {
         self.index.len()
     }
 
-    pub(crate) fn rates(&self) -> Vec<FlowRate> {
-        let mut out = Vec::with_capacity(self.index.len());
-        self.rates_into(&mut out);
-        out
-    }
-
-    /// [`GridState::rates`] into a caller-provided buffer (cleared
-    /// first): materializes every flow, for readers off the tick path.
-    pub(crate) fn rates_into(&self, out: &mut Vec<FlowRate>) {
+    /// All flows' current allocations (Gbit/s), in deterministic
+    /// (FlowBlock, slot) order, into a caller-provided buffer (cleared
+    /// first; allocation-free once it is warm): materializes every flow,
+    /// for readers off the tick path.
+    pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         for worker in &self.workers {
             out.extend((0..worker.flows.len()).map(|slot| worker.flows.flow_rate(slot)));
@@ -191,8 +199,9 @@ impl GridState {
 
     /// Drains the changed-rate set: lends `sink` the id and normalized
     /// columns of every worker whose output may have moved since the last
-    /// drain — of every worker, without a dirty set. Nothing is copied.
-    pub(crate) fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+    /// drain — of every worker, without a dirty set. Nothing is copied
+    /// (see [`crate::RateAllocator::drain_changed_rates`]).
+    pub fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         for (w, worker) in self.workers.iter().enumerate() {
             if let Some(ds) = &mut self.dirty {
                 if !std::mem::take(&mut ds.export_dirty[w]) {
@@ -204,28 +213,41 @@ impl GridState {
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters, when the engine
-    /// runs incrementally.
-    pub(crate) fn dirty_counters(&self) -> Option<(u64, u64)> {
+    /// runs incrementally (see [`crate::RateAllocator::dirty_counters`]).
+    pub fn dirty_counters(&self) -> Option<(u64, u64)> {
         self.dirty.as_ref().map(DirtySet::counters)
     }
 
-    pub(crate) fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
+    /// The links marked dirty by flow intake (adds/removes) since the
+    /// last iteration, as global link ids in first-marked order. Empty
+    /// when not running incrementally. Observability hook for tests: an
+    /// add/remove must dirty exactly the links the flow traverses.
+    pub fn dirty_link_ids(&self) -> Vec<flowtune_topo::LinkId> {
+        let Some(ds) = &self.dirty else {
+            return Vec::new();
+        };
+        ds.intake_list
+            .iter()
+            .map(|&(up, block, offset)| {
+                if up {
+                    self.layout.up_links(block as usize)[offset as usize]
+                } else {
+                    self.layout.down_links(block as usize)[offset as usize]
+                }
+            })
+            .collect()
+    }
+
+    /// One flow's current allocation.
+    pub fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         let &(w, slot) = self.index.get(&id)?;
         Some(self.workers[w].flows.flow_rate(slot))
     }
 
     /// Own per-link loads, global-link indexed: each flow's current raw
     /// rate summed onto the links its path crosses. Background loads are
-    /// *not* included (see [`crate::RateAllocator::link_loads`]).
-    pub(crate) fn link_loads(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_loads_into(&mut out);
-        out
-    }
-
-    /// [`GridState::link_loads`] into a caller-provided buffer — the
-    /// allocation-free export the sharded exchange calls every round.
-    pub(crate) fn link_loads_into(&self, out: &mut Vec<f64>) {
+    /// *not* included (see [`crate::RateAllocator::link_loads_into`]).
+    pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
         self.for_each_hop(|link, rate, _| out[link] += rate);
@@ -258,14 +280,7 @@ impl GridState {
     /// Current per-link duals, global-link indexed, read from the
     /// authoritative (root) LinkBlock copies. Links outside any
     /// LinkBlock (control links) report 0.
-    pub(crate) fn link_prices(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_prices_into(&mut out);
-        out
-    }
-
-    /// [`GridState::link_prices`] into a caller-provided buffer.
-    pub(crate) fn link_prices_into(&self, out: &mut Vec<f64>) {
+    pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         let b = self.layout.blocks();
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
@@ -287,7 +302,7 @@ impl GridState {
     /// reads the per-worker copies before any distribution step — already
     /// prices flows with the consensus duals, identically in the serial
     /// and multicore engines.
-    pub(crate) fn set_link_prices(&mut self, prices: &[f64]) {
+    pub fn set_link_prices(&mut self, prices: &[f64]) {
         if prices.is_empty() {
             return;
         }
@@ -396,32 +411,25 @@ impl GridState {
 
     /// Installs (or clears, for an empty slice) the exogenous per-link
     /// load, re-split into LinkBlock layout for the price update.
-    pub(crate) fn set_background_loads(&mut self, loads: &[f64]) {
+    pub fn set_background_loads(&mut self, loads: &[f64]) {
         Self::refill_bg(&self.layout, &mut self.bg, loads);
     }
 
     /// Own per-link Hessian diagonal, global-link indexed: `Σ ∂x/∂p`
     /// over this engine's flows crossing each link — the same values the
     /// engine's own rate pass accumulates beside the loads in `Accums`.
-    pub(crate) fn link_hessians(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_hessians_into(&mut out);
-        out
-    }
-
-    /// [`GridState::link_hessians`] into a caller-provided buffer.
-    pub(crate) fn link_hessians_into(&self, out: &mut Vec<f64>) {
+    pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
         self.for_each_hop(|link, _, dx| out[link] += dx);
     }
 
-    /// [`GridState::link_loads_into`] and
-    /// [`GridState::link_hessians_into`] in one walk over the flows: the
-    /// exchange wants both every round. Both vectors accumulate in the
-    /// order the single-vector exports use, so every per-link sum is
-    /// bit-identical to theirs.
-    pub(crate) fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+    /// [`SerialAllocator::link_loads_into`] and
+    /// [`SerialAllocator::link_hessians_into`] in one walk over the
+    /// flows: the exchange wants both every round. Both vectors
+    /// accumulate in the order the single-vector exports use, so every
+    /// per-link sum is bit-identical to theirs.
+    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         loads.clear();
         loads.resize(self.layout.total_links(), 0.0);
         hessians.clear();
@@ -434,15 +442,17 @@ impl GridState {
 
     /// Installs (or clears, for an empty slice) the exogenous per-link
     /// Hessian diagonal accompanying the background loads.
-    pub(crate) fn set_background_hessians(&mut self, hdiag: &[f64]) {
+    pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
         Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
     }
 
-    /// One full NED iteration, dispatching to the incremental path when a
-    /// dirty set is installed. Both engines call this on one thread; the
+    /// One full NED iteration: rate pass → aggregate → price update →
+    /// distribute → (optionally) F-NORM, dispatching to the incremental
+    /// path (see [`crate::dirty`]) when [`AllocConfig::incremental`]
+    /// installed a dirty set. Both engines call this on one thread; the
     /// multicore engine only takes its barrier pipeline when running the
     /// classic full sweep.
-    pub(crate) fn iterate(&mut self) {
+    pub fn iterate(&mut self) {
         if self.dirty.is_some() {
             self.iterate_incremental();
         } else {
@@ -450,9 +460,16 @@ impl GridState {
         }
     }
 
+    /// Runs `n` iterations.
+    pub fn run_iterations(&mut self, n: usize) {
+        for _ in 0..n {
+            self.iterate();
+        }
+    }
+
     /// The classic full sweep: rate pass everywhere → aggregate → price
     /// update → distribute → F-NORM everywhere.
-    pub(crate) fn iterate_full(&mut self) {
+    fn iterate_full(&mut self) {
         self.rate_phase_full();
         self.aggregate_and_price();
         self.distribute();
@@ -481,7 +498,7 @@ impl GridState {
     /// by construction and the periodic full sweep re-marks every
     /// worker, letting the next price update apply it before float
     /// drift can compound.
-    pub(crate) fn iterate_incremental(&mut self) {
+    fn iterate_incremental(&mut self) {
         {
             let ds = self.dirty.as_mut().expect("incremental path");
             ds.drain_intake();
@@ -695,7 +712,7 @@ impl GridState {
     /// Phase E (incremental): F-NORM only where the inputs changed — the
     /// worker recomputed its rates this iteration, or a ratio on a
     /// traversed link moved. Every worker that runs is marked
-    /// export-dirty for [`GridState::drain_changed_rates`].
+    /// export-dirty for [`SerialAllocator::drain_changed_rates`].
     fn normalize_phase_dirty(&mut self) {
         let f_norm = self.cfg.f_norm;
         let Self { workers, dirty, .. } = self;
@@ -714,183 +731,16 @@ impl GridState {
             }
         }
     }
-}
-
-/// The single-threaded allocator engine.
-#[derive(Debug)]
-pub struct SerialAllocator {
-    grid: GridState,
-}
-
-impl SerialAllocator {
-    /// Builds an allocator over `fabric`. The fabric's block count must be
-    /// a power of two (1 is fine: a single-block fabric degenerates to
-    /// plain NED with no aggregation steps).
-    pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
-        Self {
-            grid: GridState::new(fabric, cfg),
-        }
-    }
-
-    /// Registers a flow. `path` must come from the same fabric.
-    ///
-    /// # Panics
-    /// Panics on duplicate ids, non-positive weights, or paths that
-    /// violate block locality.
-    pub fn add_flow(
-        &mut self,
-        id: FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &Path,
-    ) {
-        self.grid.add_flow(id, src_server, dst_server, weight, path);
-    }
-
-    /// Deregisters a flow; returns whether it existed.
-    pub fn remove_flow(&mut self, id: FlowId) -> bool {
-        self.grid.remove_flow(id)
-    }
-
-    /// Number of registered flows.
-    pub fn flow_count(&self) -> usize {
-        self.grid.flow_count()
-    }
-
-    /// All flows' current allocations (Gbit/s), in deterministic
-    /// (FlowBlock, slot) order.
-    pub fn rates(&self) -> Vec<FlowRate> {
-        self.grid.rates()
-    }
-
-    /// [`SerialAllocator::rates`] into a caller-provided buffer (cleared
-    /// first); allocation-free once the buffer is warm.
-    pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        self.grid.rates_into(out);
-    }
-
-    /// Lends `sink` the id and normalized-rate columns of every FlowBlock
-    /// whose rates may have moved since the last drain (see
-    /// [`crate::RateAllocator::drain_changed_rates`]).
-    pub fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        self.grid.drain_changed_rates(sink);
-    }
-
-    /// Cumulative `(dirty_flows, dirty_links)` counters, when running
-    /// incrementally (see [`crate::RateAllocator::dirty_counters`]).
-    pub fn dirty_counters(&self) -> Option<(u64, u64)> {
-        self.grid.dirty_counters()
-    }
-
-    /// The links marked dirty by flow intake (adds/removes) since the
-    /// last iteration, as global link ids in first-marked order. Empty
-    /// when not running incrementally. Observability hook for tests: an
-    /// add/remove must dirty exactly the links the flow traverses.
-    pub fn dirty_link_ids(&self) -> Vec<flowtune_topo::LinkId> {
-        let Some(ds) = &self.grid.dirty else {
-            return Vec::new();
-        };
-        ds.intake_list
-            .iter()
-            .map(|&(up, block, offset)| {
-                if up {
-                    self.grid.layout.up_links(block as usize)[offset as usize]
-                } else {
-                    self.grid.layout.down_links(block as usize)[offset as usize]
-                }
-            })
-            .collect()
-    }
-
-    /// One flow's current allocation.
-    pub fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        self.grid.flow_rate(id)
-    }
-
-    /// Runs one full allocator iteration: rate pass → aggregate → price
-    /// update → distribute → (optionally) F-NORM. With
-    /// [`AllocConfig::incremental`] set, the rate and normalize passes
-    /// touch only dirty workers (see [`crate::dirty`]).
-    pub fn iterate(&mut self) {
-        self.grid.iterate();
-    }
-
-    /// Runs `n` iterations.
-    pub fn run_iterations(&mut self, n: usize) {
-        for _ in 0..n {
-            self.iterate();
-        }
-    }
-
-    /// Own per-link loads (see [`crate::RateAllocator::link_loads`]).
-    pub fn link_loads(&self) -> Vec<f64> {
-        self.grid.link_loads()
-    }
-
-    /// [`SerialAllocator::link_loads`] into a caller-provided buffer (see
-    /// [`crate::RateAllocator::link_loads_into`]).
-    pub fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_loads_into(out);
-    }
-
-    /// Installs an exogenous per-link load priced alongside this engine's
-    /// own flows (see [`crate::RateAllocator::set_background_loads`]).
-    pub fn set_background_loads(&mut self, loads: &[f64]) {
-        self.grid.set_background_loads(loads);
-    }
-
-    /// Current per-link duals (see [`crate::RateAllocator::link_prices`]).
-    pub fn link_prices(&self) -> Vec<f64> {
-        self.grid.link_prices()
-    }
-
-    /// [`SerialAllocator::link_prices`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_prices_into`]).
-    pub fn link_prices_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_prices_into(out);
-    }
-
-    /// Overwrites per-link duals; `NaN` entries keep the current price
-    /// (see [`crate::RateAllocator::set_link_prices`]).
-    pub fn set_link_prices(&mut self, prices: &[f64]) {
-        self.grid.set_link_prices(prices);
-    }
-
-    /// Own per-link Hessian diagonal (see
-    /// [`crate::RateAllocator::link_hessians`]).
-    pub fn link_hessians(&self) -> Vec<f64> {
-        self.grid.link_hessians()
-    }
-
-    /// [`SerialAllocator::link_hessians`] into a caller-provided buffer
-    /// (see [`crate::RateAllocator::link_hessians_into`]).
-    pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_hessians_into(out);
-    }
-
-    /// Own loads and Hessian diagonal in one walk over the flows (see
-    /// [`crate::RateAllocator::link_state_into`]).
-    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        self.grid.link_state_into(loads, hessians);
-    }
-
-    /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (see
-    /// [`crate::RateAllocator::set_background_hessians`]).
-    pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        self.grid.set_background_hessians(hdiag);
-    }
 
     /// The current price of a (data-plane) link, if it belongs to a
     /// LinkBlock.
     pub fn link_price(&self, link: flowtune_topo::LinkId) -> Option<f64> {
-        let slot = self.grid.layout.slot(link)?;
-        let b = self.grid.layout.blocks();
+        let slot = self.layout.slot(link)?;
+        let b = self.layout.blocks();
         let view = if slot.up {
-            &self.grid.workers[up_root(slot.block.index(), b)].view
+            &self.workers[up_root(slot.block.index(), b)].view
         } else {
-            &self.grid.workers[down_root(slot.block.index(), b)].view
+            &self.workers[down_root(slot.block.index(), b)].view
         };
         Some(if slot.up {
             view.up_prices[slot.offset as usize]
@@ -903,6 +753,7 @@ impl SerialAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RateAllocator;
     use flowtune_topo::ClosConfig;
 
     fn fabric() -> TwoTierClos {
@@ -1043,7 +894,8 @@ mod tests {
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
         alloc.run_iterations(200);
-        let loads = alloc.link_loads();
+        let mut loads = Vec::new();
+        alloc.link_loads_into(&mut loads);
         // The shared server-0 uplink carries both flows' raw rates …
         let shared = p1.links()[0];
         assert_eq!(shared, p2.links()[0]);
@@ -1053,8 +905,8 @@ mod tests {
         assert!((loads[last1.index()] - 20.0).abs() < 1e-6);
         // Installing a background must NOT be echoed back by the export.
         alloc.set_background_loads(&vec![7.0; loads.len()]);
-        let again = alloc.link_loads();
-        assert!((again[shared.index()] - 40.0).abs() < 1e-6, "no echo");
+        alloc.link_loads_into(&mut loads);
+        assert!((loads[shared.index()] - 40.0).abs() < 1e-6, "no echo");
     }
 
     #[test]
@@ -1068,7 +920,7 @@ mod tests {
         let p2 = f.path(0, 12, FlowId(2));
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
-        let mut bg = vec![0.0; alloc.link_loads().len()];
+        let mut bg = vec![0.0; f.topology().link_count()];
         bg[p1.links()[0].index()] = 20.0;
         alloc.set_background_loads(&bg);
         alloc.run_iterations(400);
@@ -1105,6 +957,7 @@ mod tests {
         let mut present: Vec<FlowId> = Vec::new();
         let mut next = 0u64;
         let mut scratch = Vec::new();
+        let (mut full_prices, mut inc_prices) = (Vec::new(), Vec::new());
         for step in 0..120u64 {
             // Deterministic churn: add two flows, occasionally remove one.
             for _ in 0..2 {
@@ -1127,7 +980,7 @@ mod tests {
                 assert!(inc.remove_flow(victim));
             }
             if step == 40 {
-                let bg: Vec<f64> = (0..full.link_loads().len())
+                let bg: Vec<f64> = (0..f.topology().link_count())
                     .map(|l| (l % 5) as f64)
                     .collect();
                 full.set_background_loads(&bg);
@@ -1151,7 +1004,9 @@ mod tests {
                     y.normalized,
                 );
             }
-            assert_eq!(full.link_prices(), inc.link_prices());
+            full.link_prices_into(&mut full_prices);
+            inc.link_prices_into(&mut inc_prices);
+            assert_eq!(full_prices, inc_prices);
         }
         assert!(inc.dirty_counters().is_some());
         assert!(full.dirty_counters().is_none());
@@ -1234,8 +1089,8 @@ mod tests {
 
     /// Every per-link array's sentinel entry, over all workers.
     fn sentinels(alloc: &SerialAllocator) -> Vec<f64> {
-        let lpl = alloc.grid.layout.links_per_lb();
-        let views = alloc.grid.workers.iter().map(|w| &w.view);
+        let lpl = alloc.layout.links_per_lb();
+        let views = alloc.workers.iter().map(|w| &w.view);
         views
             .flat_map(|v| [&v.up_prices, &v.down_prices, &v.up_ratio, &v.down_ratio])
             .map(|column| {
@@ -1276,9 +1131,9 @@ mod tests {
                 alloc.iterate();
                 assert!(sentinels(&alloc).iter().all(|&x| x == 0.0), "step {step}");
             }
-            let lpl = alloc.grid.layout.links_per_lb();
+            let lpl = alloc.layout.links_per_lb();
             assert!(
-                alloc.grid.workers[0].acc.up[lpl][0] > 0.0,
+                alloc.workers[0].acc.up[lpl][0] > 0.0,
                 "premise: padded flows do scatter into the sentinel accumulator"
             );
         }
@@ -1294,12 +1149,12 @@ mod tests {
                 ..cfg()
             },
         );
-        let lpl = inc.grid.layout.links_per_lb();
+        let lpl = inc.layout.links_per_lb();
         // A same-rack flow: one real hop each way, one padded.
         let p = f.path(0, 1, FlowId(1));
         assert_eq!(p.links().len(), 2);
         inc.add_flow(FlowId(1), 0, 1, 1.0, &p);
-        let ds = inc.grid.dirty.as_ref().unwrap();
+        let ds = inc.dirty.as_ref().unwrap();
         // The touch arrays have no slot for it, and exactly the real hops
         // are counted.
         assert!(ds
@@ -1316,7 +1171,7 @@ mod tests {
         assert_eq!(dirty, want);
         inc.iterate();
         assert!(inc.remove_flow(FlowId(1)));
-        let ds = inc.grid.dirty.as_ref().unwrap();
+        let ds = inc.dirty.as_ref().unwrap();
         assert!(ds.up_touch[0]
             .iter()
             .chain(&ds.down_touch[0])
@@ -1349,24 +1204,21 @@ mod tests {
             assert!(alloc.remove_flow(victim));
             assert_eq!(alloc.flow_count(), live.len());
             for &(id, src, dst, w) in &live {
-                let &(worker, slot) = alloc.grid.index.get(&id).expect("survivor indexed");
-                let flows = &alloc.grid.workers[worker].flows;
+                let &(worker, slot) = alloc.index.get(&id).expect("survivor indexed");
+                let flows = &alloc.workers[worker].flows;
                 assert_eq!(flows.ids[slot], id);
                 assert_eq!(flows.weight[slot], w);
                 let was = before.iter().find(|r| r.id == id).unwrap();
                 assert_eq!(alloc.flow_rate(id), Some(*was), "rates moved with the flow");
                 // Its path columns are what a fresh add would store.
                 reference.add_flow(id, src, dst, w, &f.path(src, dst, id));
-                let &(rw, rs) = reference.grid.index.get(&id).unwrap();
+                let &(rw, rs) = reference.index.get(&id).unwrap();
                 assert_eq!(rw, worker);
-                assert_eq!(flows.path(slot), reference.grid.workers[rw].flows.path(rs));
-                assert_eq!(
-                    flows.floor[slot],
-                    reference.grid.workers[rw].flows.floor[rs]
-                );
+                assert_eq!(flows.path(slot), reference.workers[rw].flows.path(rs));
+                assert_eq!(flows.floor[slot], reference.workers[rw].flows.floor[rs]);
                 reference.remove_flow(id);
             }
-            let held: usize = alloc.grid.workers.iter().map(|w| w.flows.len()).sum();
+            let held: usize = alloc.workers.iter().map(|w| w.flows.len()).sum();
             assert_eq!(held, live.len());
         }
     }

@@ -1,7 +1,7 @@
 //! Property tests over the block-decomposed allocator: random flow sets
 //! and churn sequences on random power-of-two fabrics.
 
-use flowtune_alloc::{AllocConfig, MulticoreAllocator, SerialAllocator};
+use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator, SerialAllocator};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use proptest::prelude::*;
 
@@ -34,39 +34,8 @@ fn churn_strategy() -> impl Strategy<Value = Churn> {
     })
 }
 
-/// The operations both engines expose, as one object-safe surface.
-trait Engine {
-    fn add(&mut self, id: FlowId, src: usize, dst: usize, weight: f64, fabric: &TwoTierClos);
-    fn remove(&mut self, id: FlowId) -> bool;
-    fn iterate_n(&mut self, n: usize);
-}
-
-impl Engine for SerialAllocator {
-    fn add(&mut self, id: FlowId, src: usize, dst: usize, weight: f64, fabric: &TwoTierClos) {
-        self.add_flow(id, src, dst, weight, &fabric.path(src, dst, id));
-    }
-    fn remove(&mut self, id: FlowId) -> bool {
-        self.remove_flow(id)
-    }
-    fn iterate_n(&mut self, n: usize) {
-        self.run_iterations(n);
-    }
-}
-
-impl Engine for MulticoreAllocator {
-    fn add(&mut self, id: FlowId, src: usize, dst: usize, weight: f64, fabric: &TwoTierClos) {
-        self.add_flow(id, src, dst, weight, &fabric.path(src, dst, id));
-    }
-    fn remove(&mut self, id: FlowId) -> bool {
-        self.remove_flow(id)
-    }
-    fn iterate_n(&mut self, n: usize) {
-        self.run_iterations(n);
-    }
-}
-
 /// Applies the churn sequence; returns the live flow ids.
-fn apply(churn: &Churn, fabric: &TwoTierClos, engine: &mut dyn Engine) -> Vec<FlowId> {
+fn apply(churn: &Churn, fabric: &TwoTierClos, engine: &mut dyn RateAllocator) -> Vec<FlowId> {
     let mut live: Vec<FlowId> = Vec::new();
     let mut next = 0u64;
     let servers = fabric.config().server_count();
@@ -76,16 +45,16 @@ fn apply(churn: &Churn, fabric: &TwoTierClos, engine: &mut dyn Engine) -> Vec<Fl
                 let dst = if dst == src { (dst + 1) % servers } else { dst };
                 let id = FlowId(next);
                 next += 1;
-                engine.add(id, src, dst, weight, fabric);
+                engine.add_flow(id, src, dst, weight, &fabric.path(src, dst, id));
                 live.push(id);
             }
             Op::Remove { nth } => {
                 if !live.is_empty() {
                     let id = live.remove(nth % live.len());
-                    assert!(engine.remove(id));
+                    assert!(engine.remove_flow(id));
                 }
             }
-            Op::Iterate { n } => engine.iterate_n(n),
+            Op::Iterate { n } => engine.run_iterations(n),
         }
     }
     live

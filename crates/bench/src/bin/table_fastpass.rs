@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use flowtune_alloc::{AllocConfig, MulticoreAllocator};
+use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator};
 use flowtune_bench::Opts;
 use flowtune_fastpass::Arbiter;
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};

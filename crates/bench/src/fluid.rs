@@ -76,8 +76,9 @@ pub struct FluidDriver {
 }
 
 impl FluidDriver {
-    /// Builds a driver over `servers` servers (racks of 16) running
-    /// `workload` at `load` with the serial reference engine.
+    /// Builds a driver over `servers` servers (racks of 16) running the
+    /// uniform `workload` at `load` with the serial reference engine,
+    /// in-process.
     pub fn new(
         workload: Workload,
         load: f64,
@@ -85,61 +86,39 @@ impl FluidDriver {
         cfg: FlowtuneConfig,
         seed: u64,
     ) -> Self {
-        Self::with_engine(workload, load, servers, cfg, seed, Engine::Serial)
-    }
-
-    /// [`FluidDriver::new`] with an explicit allocation engine (the
-    /// binaries' `--engine` / `--shards` flags land here; an
-    /// [`Engine::Sharded`] spec runs the real sharded control plane).
-    pub fn with_engine(
-        workload: Workload,
-        load: f64,
-        servers: usize,
-        cfg: FlowtuneConfig,
-        seed: u64,
-        engine: Engine,
-    ) -> Self {
-        Self::with_affinity(workload, load, 0.0, servers, cfg, seed, engine)
-    }
-
-    /// [`FluidDriver::with_engine`] with a rack-affine workload: with
-    /// probability `affinity` a flowlet's destination is drawn from the
-    /// source's rack-affinity class (two interleaved classes of 16-server
-    /// racks, see [`flowtune_workload::RackAffinity`]); 0.0 is the
-    /// uniform workload. When the configuration asks for traffic-aware
-    /// shard placement ([`FlowtuneConfig::placement`]), the placer's
-    /// matrix is sampled from this same trace configuration (first 4096
-    /// events — deterministic in the seed), so `--placement traffic` sees
-    /// exactly the workload it will place for.
-    pub fn with_affinity(
-        workload: Workload,
-        load: f64,
-        affinity: f64,
-        servers: usize,
-        cfg: FlowtuneConfig,
-        seed: u64,
-        engine: Engine,
-    ) -> Self {
         Self::with_transport(
             workload,
             load,
-            affinity,
+            0.0,
             servers,
             cfg,
             seed,
-            engine,
+            Engine::Serial,
             WireTransport::InProcess,
         )
     }
 
-    /// [`FluidDriver::with_affinity`] with the control plane on a wire
-    /// (the binaries' `--transport` flag lands here): for a wire
-    /// transport a sharded engine runs as one serial-engine
-    /// [`flowtune_net::ShardPeer`] per shard over that transport, driven
-    /// in lockstep by a [`flowtune_net::PeerCluster`] — every rate and
-    /// control byte this driver accounts then crossed the real frame
-    /// codec (and, for `uds`/`tcp`, a kernel socket). Output is
-    /// bit-for-bit identical to the in-process run.
+    /// The full constructor, where the binaries' `--engine` / `--shards`
+    /// / `--affinity` / `--transport` flags land.
+    ///
+    /// `engine`: an [`Engine::Sharded`] spec runs the real sharded
+    /// control plane.
+    ///
+    /// `affinity`: with this probability a flowlet's destination is drawn
+    /// from the source's rack-affinity class (two interleaved classes of
+    /// 16-server racks, see [`flowtune_workload::RackAffinity`]); 0.0 is
+    /// the uniform workload. When the configuration asks for
+    /// traffic-aware shard placement ([`FlowtuneConfig::placement`]), the
+    /// placer's matrix is sampled from this same trace configuration
+    /// (first 4096 events — deterministic in the seed), so `--placement
+    /// traffic` sees exactly the workload it will place for.
+    ///
+    /// `transport`: for a wire transport a sharded engine runs as one
+    /// serial-engine [`flowtune_net::ShardPeer`] per shard over that
+    /// transport, driven in lockstep by a [`flowtune_net::PeerCluster`] —
+    /// every rate and control byte this driver accounts then crossed the
+    /// real frame codec (and, for `uds`/`tcp`, a kernel socket). Output
+    /// is bit-for-bit identical to the in-process run.
     ///
     /// # Panics
     /// Wire transports run the serial engine per shard over the
@@ -383,13 +362,15 @@ mod tests {
                 exchange_every: 1,
                 ..FlowtuneConfig::default()
             };
-            let mut d = FluidDriver::with_engine(
+            let mut d = FluidDriver::with_transport(
                 Workload::Web,
                 0.7,
+                0.0,
                 32,
                 cfg,
                 13,
                 Engine::Serial.sharded(2),
+                WireTransport::InProcess,
             );
             let stats = d.run(1_000_000_000, 6_000_000_000);
             let mut rates: Vec<(Token, u64)> = d
@@ -417,13 +398,15 @@ mod tests {
             Engine::Gradient,
             Engine::Serial.sharded(2),
         ] {
-            let mut d = FluidDriver::with_engine(
+            let mut d = FluidDriver::with_transport(
                 Workload::Web,
                 0.4,
+                0.0,
                 32,
                 FlowtuneConfig::default(),
                 5,
                 engine.clone(),
+                WireTransport::InProcess,
             );
             let stats = d.run(1_000_000_000, 4_000_000_000);
             assert!(stats.flowlets > 0, "{}: no flowlets", engine.name());
@@ -438,7 +421,7 @@ mod tests {
             placement: PlacementSpec::Traffic { refine: true },
             ..FlowtuneConfig::default()
         };
-        let mut d = FluidDriver::with_affinity(
+        let mut d = FluidDriver::with_transport(
             Workload::Web,
             0.4,
             0.9,
@@ -446,6 +429,7 @@ mod tests {
             cfg,
             5,
             Engine::Serial.sharded(2),
+            WireTransport::InProcess,
         );
         let stats = d.run(1_000_000_000, 4_000_000_000);
         assert!(stats.flowlets > 0);

@@ -117,7 +117,9 @@ pub trait TickDriver: std::fmt::Debug + Send {
     /// indexed by global [`LinkId`](flowtune_topo::LinkId) (summed over
     /// shards, where applicable). Empty when the engine does not price
     /// fabric links (Fastpass). Powers the over-allocation telemetry of
-    /// the Figure-12 experiment and capacity assertions in tests.
+    /// the Figure-12 experiment and capacity assertions in tests — the
+    /// one allocating link-state query; everything on the tick path uses
+    /// the `_into` forms.
     fn link_loads(&self) -> Vec<f64>;
 
     /// The fabric this control plane serves.
@@ -199,7 +201,9 @@ impl<E: RateAllocator> TickDriver for AllocatorService<E> {
     }
 
     fn link_loads(&self) -> Vec<f64> {
-        AllocatorService::link_loads(self)
+        let mut loads = Vec::new();
+        self.link_loads_into(&mut loads);
+        loads
     }
 
     fn fabric(&self) -> &TwoTierClos {

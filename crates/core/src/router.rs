@@ -382,8 +382,9 @@ impl<S: ShardSet> TickDriver for Router<S> {
     /// The element-wise sum of the shards' own loads (empty if no shard
     /// prices fabric links). Telemetry path — allocates.
     fn link_loads(&self) -> Vec<f64> {
-        let mut total = Vec::new();
-        for export in self.shards().map(|s| s.link_loads()) {
+        let (mut total, mut export) = (Vec::new(), Vec::new());
+        for shard in self.shards() {
+            shard.link_loads_into(&mut export);
             // A shard whose engine prices no links exports nothing.
             total.resize(total.len().max(export.len()), 0.0);
             for (acc, x) in total.iter_mut().zip(&export) {

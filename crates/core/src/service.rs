@@ -839,16 +839,11 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.cfg
     }
 
-    /// The engine's own per-link loads (raw rates summed per global link;
-    /// see [`RateAllocator::link_loads`]). Empty for engines that do not
-    /// price fabric links.
-    pub fn link_loads(&self) -> Vec<f64> {
-        self.engine.link_loads()
-    }
-
-    /// [`AllocatorService::link_loads`] into a caller-provided buffer
-    /// (see [`RateAllocator::link_loads_into`]) — the allocation-free
-    /// export the sharded exchange calls every round.
+    /// The engine's own per-link loads (raw rates summed per global
+    /// link) into a caller-provided buffer (see
+    /// [`RateAllocator::link_loads_into`]) — the allocation-free export
+    /// the sharded exchange calls every round. Left empty by engines
+    /// that do not price fabric links.
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.engine.link_loads_into(out);
     }
@@ -860,15 +855,10 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.engine.set_background_loads(loads);
     }
 
-    /// The engine's own per-link Hessian diagonal (see
-    /// [`RateAllocator::link_hessians`]). Empty for engines without a
-    /// second-order price term.
-    pub fn link_hessians(&self) -> Vec<f64> {
-        self.engine.link_hessians()
-    }
-
-    /// [`AllocatorService::link_hessians`] into a caller-provided buffer
-    /// (see [`RateAllocator::link_hessians_into`]).
+    /// The engine's own per-link Hessian diagonal into a
+    /// caller-provided buffer (see
+    /// [`RateAllocator::link_hessians_into`]). Left empty by engines
+    /// without a second-order price term.
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.engine.link_hessians_into(out);
     }
@@ -894,15 +884,9 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.engine.rates_into(out);
     }
 
-    /// The engine's current per-link duals (see
-    /// [`RateAllocator::link_prices`]). Empty for engines that do not
-    /// price fabric links.
-    pub fn link_prices(&self) -> Vec<f64> {
-        self.engine.link_prices()
-    }
-
-    /// [`AllocatorService::link_prices`] into a caller-provided buffer
-    /// (see [`RateAllocator::link_prices_into`]).
+    /// The engine's current per-link duals into a caller-provided
+    /// buffer (see [`RateAllocator::link_prices_into`]). Left empty by
+    /// engines that do not price fabric links.
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.engine.link_prices_into(out);
     }
@@ -918,11 +902,6 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// `gradient`).
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
-    }
-
-    /// Read access to the engine, for engine-specific telemetry.
-    pub fn engine(&self) -> &E {
-        &self.engine
     }
 }
 

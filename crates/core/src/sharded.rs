@@ -714,7 +714,12 @@ mod tests {
         let entry = 4 + 8 * 3; // id + load + dual + Hessian (serial NED)
         let exports: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = twin
             .shards()
-            .map(|s| (s.link_loads(), s.link_prices(), s.link_hessians()))
+            .map(|s| {
+                let (mut loads, mut prices, mut hess) = (Vec::new(), Vec::new(), Vec::new());
+                s.link_state_into(&mut loads, &mut hess);
+                s.link_prices_into(&mut prices);
+                (loads, prices, hess)
+            })
             .collect();
         let dirty: Vec<Vec<bool>> = exports
             .iter()

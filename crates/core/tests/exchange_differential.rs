@@ -72,20 +72,20 @@ impl RateAllocator for Scripted {
     fn flow_count(&self) -> usize {
         0
     }
-    fn rates(&self) -> Vec<FlowRate> {
-        Vec::new()
+    fn rates_into(&self, out: &mut Vec<FlowRate>) {
+        out.clear();
     }
     fn flow_rate(&self, _: FlowId) -> Option<FlowRate> {
         None
     }
-    fn link_loads(&self) -> Vec<f64> {
-        self.current().0.clone()
+    fn link_loads_into(&self, out: &mut Vec<f64>) {
+        out.clone_from(&self.current().0);
     }
-    fn link_hessians(&self) -> Vec<f64> {
-        self.current().1.clone()
+    fn link_hessians_into(&self, out: &mut Vec<f64>) {
+        out.clone_from(&self.current().1);
     }
-    fn link_prices(&self) -> Vec<f64> {
-        self.current().2.clone()
+    fn link_prices_into(&self, out: &mut Vec<f64>) {
+        out.clone_from(&self.current().2);
     }
     fn set_background_loads(&mut self, loads: &[f64]) {
         let mut installed = self.installed.lock().unwrap();

@@ -61,7 +61,7 @@ pub struct FastpassAdapter {
     line_rate_gbps: f64,
     /// Timeslots advanced per `iterate()` call.
     slots_per_iteration: usize,
-    /// Flow table; `BTreeMap` keeps `rates()` order deterministic
+    /// Flow table; `BTreeMap` keeps `rates_into` order deterministic
     /// (sorted by flow id). Only that listing order depends on the ids:
     /// arbitration tops up and matches per `(src, dst)` pair (`pairs`),
     /// so callers that reuse ids after `remove_flow` get the same rates.
@@ -198,12 +198,6 @@ impl RateAllocator for FastpassAdapter {
         self.flows.len()
     }
 
-    fn rates(&self) -> Vec<FlowRate> {
-        let mut out = Vec::with_capacity(self.flows.len());
-        self.rates_into(&mut out);
-        out
-    }
-
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         out.extend(self.flows.iter().map(|(&id, f)| {
@@ -229,51 +223,6 @@ impl RateAllocator for FastpassAdapter {
             rate: gbps,
             normalized: gbps,
         })
-    }
-
-    fn link_loads(&self) -> Vec<f64> {
-        // Deliberately empty: the arbiter allocates endpoint-pair
-        // timeslots and never prices fabric links, so it has no per-link
-        // load vector to export. A sharded control plane treats an empty
-        // export as "nothing to share" — inter-shard link-state exchange
-        // degrades to a no-op over Fastpass shards, exactly like real
-        // Fastpass arbiters, which coordinate through timeslot horizons
-        // rather than link duals.
-        Vec::new()
-    }
-
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        // Empty on purpose, like `link_loads`: clearing the buffer is the
-        // whole export.
-        out.clear();
-    }
-
-    fn set_background_loads(&mut self, loads: &[f64]) {
-        // Deliberately a no-op (see `link_loads`): matchings are driven
-        // by outstanding per-pair demand, and an exogenous per-link load
-        // has no seat in a maximal matching over endpoint pairs.
-        let _ = loads;
-    }
-
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        // Empty on purpose (see `link_loads`).
-        out.clear();
-    }
-
-    fn link_prices(&self) -> Vec<f64> {
-        // No duals either (see `link_loads`): the arbiter has no price
-        // state, so it abstains from inter-shard dual consensus.
-        Vec::new()
-    }
-
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        // Empty on purpose (see `link_prices`).
-        out.clear();
-    }
-
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        // Deliberately a no-op (see `link_prices`).
-        let _ = prices;
     }
 
     fn name(&self) -> &'static str {

@@ -116,19 +116,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/alloc/src/parallel.rs",
-        hot_fns: &[
-            "iterate",
-            "run_iterations",
-            "rates_into",
-            "drain_changed_rates",
-            "link_loads_into",
-            "link_hessians_into",
-            "link_state_into",
-            "link_prices_into",
-            "set_background_loads",
-            "set_background_hessians",
-            "set_link_prices",
-        ],
+        hot_fns: &["iterate", "run_iterations"],
     },
     HotModule {
         path: "crates/core/src/service.rs",
@@ -307,7 +295,7 @@ pub const FLOAT_KERNELS: &[HotModule] = &[
     },
     HotModule {
         path: "crates/alloc/src/parallel.rs",
-        hot_fns: &["run_iterations", "drain_changed_rates"],
+        hot_fns: &["run_iterations"],
     },
     HotModule {
         path: "crates/core/src/service.rs",

@@ -438,8 +438,8 @@ impl flowtune_alloc::RateAllocator for PanickyEngine {
         self.inner.flow_count()
     }
 
-    fn rates(&self) -> Vec<flowtune_alloc::FlowRate> {
-        self.inner.rates()
+    fn rates_into(&self, out: &mut Vec<flowtune_alloc::FlowRate>) {
+        self.inner.rates_into(out);
     }
 
     fn flow_rate(&self, id: flowtune_topo::FlowId) -> Option<flowtune_alloc::FlowRate> {

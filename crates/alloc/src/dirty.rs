@@ -64,7 +64,8 @@ pub struct DirtySet {
     pub(crate) recomputed: Vec<bool>,
     /// Worker's rates/normalized may have changed since the last
     /// [`drain_changed_rates`](crate::RateAllocator::drain_changed_rates)
-    /// drain (accumulates across iterations within a tick).
+    /// drain (accumulates across iterations within a tick): the workers
+    /// the drain runs its report pass over.
     pub(crate) export_dirty: Vec<bool>,
     /// Per worker, per upward-LinkBlock offset: how many of the worker's
     /// flows traverse that link. A price move only dirties workers whose

@@ -17,10 +17,13 @@
 //! **Who implements what.** An engine must provide seven methods:
 //! `add_flow`, `remove_flow`, `iterate`, `flow_count`, `flow_rate`,
 //! `rates_into` and `name`. Everything else has a default that is right
-//! for an engine without the feature: no change tracking (every flow is
-//! lent), no dirty counters, no link state to share (the three link
-//! exports leave their buffer empty and the three installs are ignored).
-//! An engine overrides only what it has.
+//! for an engine without the feature: no report memory (every drain
+//! lends every flow), no dirty counters, no link state to share (the
+//! three link exports leave their buffer empty and the three installs
+//! are ignored). An engine overrides only what it has — and every engine
+//! a service can be built over has the memory: the drain
+//! ([`RateAllocator::drain_changed_rates`]) is where the §6.4 update
+//! threshold runs, against what the engine itself last lent.
 //!
 //! **The buffer form is the primitive.** Every query that returns a
 //! vector's worth of data writes into a caller-provided buffer (cleared
@@ -34,7 +37,7 @@
 
 use flowtune_topo::{FlowId, Path};
 
-use crate::flowblock::FlowRate;
+use crate::flowblock::{must_report, FlowRate, UNREPORTED};
 
 /// A rate-allocation engine: maintains a set of weighted flows over a
 /// fixed fabric and, on every iteration, refreshes each flow's allocated
@@ -97,16 +100,31 @@ pub trait RateAllocator: std::fmt::Debug + Send {
 
     /// The per-tick export: lends `sink` the ids and normalized rates
     /// (Gbit/s; two slices of one length, element `i` of each the same
-    /// flow) of every flow whose rate may have changed since the last
-    /// drain, in as many calls as the engine has runs of them — the NED
-    /// engines lend each changed FlowBlock's columns in place and copy
-    /// nothing. Engines without change tracking lend every flow; a flow
-    /// that is not lent has not moved. Engines without columns go
-    /// through [`lend_in_chunks`]; the default does so out of the
-    /// allocating [`RateAllocator::rates`], and every engine a service
-    /// can run overrides it with a walk that does not allocate.
-    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        lend_in_chunks(self.rates().iter().map(|r| (r.id, r.normalized)), sink);
+    /// flow) of exactly the flows that **must be reported** — whose
+    /// rate moved by more than `threshold` (§6.4, relative) from what
+    /// this engine last lent for them, or for which it never lent any —
+    /// and remembers what it lent. The rule is
+    /// `flowtune_proto::ThresholdFilter::passes` bit for bit, the memory
+    /// is the engine's: it lives with the flow's rate, starts empty at
+    /// [`RateAllocator::add_flow`] and goes with
+    /// [`RateAllocator::remove_flow`], so a recycled id inherits
+    /// nothing. A flow that is not lent needs no update. The NED engines
+    /// run one packed pass ([`crate::flowblock::report_pass`]) over each
+    /// FlowBlock whose output may have moved since the last drain;
+    /// engines without columns go through [`lend_passers`].
+    ///
+    /// The default is for test doubles — no engine a service builder can
+    /// build uses it: it keeps **no memory**, so every flow is lent on
+    /// every drain, out of the allocating [`RateAllocator::rates`].
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        // A throwaway word per flow that says "never": the owned
+        // listing's raw-rate field, which the drain has no use for.
+        let mut listed = self.rates();
+        let flows = listed.iter_mut().map(|r| {
+            r.rate = UNREPORTED;
+            (r.id, r.normalized, &mut r.rate)
+        });
+        lend_passers(threshold, flows, sink);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters for engines
@@ -210,22 +228,31 @@ pub trait RateAllocator: std::fmt::Debug + Send {
 /// A run-time-chosen engine.
 pub type BoxEngine = Box<dyn RateAllocator>;
 
-/// Flows per [`lend_in_chunks`] run.
+/// Flows per [`lend_passers`] run.
 const LEND_CHUNK: usize = 64;
 
 /// The drain of an engine whose rates do not sit in id / rate columns
-/// (gradient's sparse slots, Fastpass's map): gathers `flows` into two
-/// stack columns and lends `sink` a run each time they fill, so the
-/// sink's `dyn` call is paid once per `LEND_CHUNK` flows and nothing
-/// touches the heap.
-pub fn lend_in_chunks(
-    flows: impl Iterator<Item = (FlowId, f64)>,
+/// (gradient's sparse slots, Fastpass's map): `flows` yields each flow's
+/// id, normalized rate and the word the engine keeps beside that rate
+/// for what it last lent ([`UNREPORTED`] at `add_flow`). The flows that
+/// must be reported — the §6.4 rule [`crate::flowblock::report_pass`]
+/// packs, here one flow at a time — are gathered into two stack columns,
+/// recorded as reported, and lent to `sink` a run each time the columns
+/// fill, so the sink's `dyn` call is paid once per `LEND_CHUNK` passers
+/// and nothing touches the heap.
+pub fn lend_passers<'a>(
+    threshold: f64,
+    flows: impl Iterator<Item = (FlowId, f64, &'a mut f64)>,
     sink: &mut dyn FnMut(&[FlowId], &[f64]),
 ) {
     let mut ids = [FlowId(0); LEND_CHUNK];
     let mut normalized = [0.0f64; LEND_CHUNK];
     let mut n = 0;
-    for (id, rate) in flows {
+    for (id, rate, reported) in flows {
+        if !must_report(threshold, *reported, rate) {
+            continue;
+        }
+        *reported = rate;
         ids[n] = id;
         normalized[n] = rate;
         n += 1;
@@ -275,8 +302,8 @@ impl RateAllocator for BoxEngine {
         (**self).rates_into(out);
     }
 
-    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        (**self).drain_changed_rates(sink);
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        (**self).drain_changed_rates(threshold, sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
@@ -348,8 +375,8 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::rates_into(self, out);
     }
 
-    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        crate::SerialAllocator::drain_changed_rates(self, sink);
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        crate::SerialAllocator::drain_changed_rates(self, threshold, sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
@@ -428,8 +455,8 @@ impl RateAllocator for crate::MulticoreAllocator {
         self.grid.rates_into(out);
     }
 
-    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        self.grid.drain_changed_rates(sink);
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        self.grid.drain_changed_rates(threshold, sink);
     }
 
     fn dirty_counters(&self) -> Option<(u64, u64)> {
@@ -560,20 +587,28 @@ mod tests {
             assert_eq!(engine.rates(), listed, "{name}");
             assert_eq!(listed.len(), 7, "{name}");
 
-            // A full-sweep engine lends every flow, each exactly once, at
-            // the normalized rate the listing reports.
-            let mut lent = Vec::new();
-            engine.drain_changed_rates(&mut |ids, normalized| {
-                assert_eq!(ids.len(), normalized.len());
-                lent.extend(ids.iter().zip(normalized).map(|(&id, r)| (id, r.to_bits())));
-            });
-            lent.sort_unstable();
+            // The first drain lends every flow, each exactly once, at the
+            // normalized rate the listing reports; an immediate second
+            // one has nothing left to report — unless the engine is the
+            // double, whose default drain remembers nothing.
             let mut want: Vec<_> = listed
                 .iter()
                 .map(|r| (r.id, r.normalized.to_bits()))
                 .collect();
             want.sort_unstable();
-            assert_eq!(lent, want, "{name}");
+            for pass in 0..2 {
+                let mut lent = Vec::new();
+                engine.drain_changed_rates(0.01, &mut |ids, normalized| {
+                    assert_eq!(ids.len(), normalized.len());
+                    lent.extend(ids.iter().zip(normalized).map(|(&id, r)| (id, r.to_bits())));
+                });
+                lent.sort_unstable();
+                if pass == 0 || name == "minimal" {
+                    assert_eq!(lent, want, "{name}, drain {pass}");
+                } else {
+                    assert_eq!(lent, vec![], "{name}: nothing moved since the last drain");
+                }
+            }
 
             // The one-walk export is bit-for-bit the two single exports,
             // whatever the buffers held before.
@@ -613,21 +648,39 @@ mod tests {
     }
 
     #[test]
-    fn lend_in_chunks_lends_every_flow_once_in_order() {
+    fn lend_passers_lends_what_must_be_reported_once_in_order() {
         for n in [0usize, 1, 63, 64, 65, 130] {
-            let flows: Vec<(FlowId, f64)> =
-                (0..n).map(|i| (FlowId(i as u64), i as f64 * 0.5)).collect();
-            let mut lent = Vec::new();
-            lend_in_chunks(flows.iter().copied(), &mut |ids, normalized| {
-                assert_eq!(ids.len(), normalized.len());
-                assert!(
-                    (1..=LEND_CHUNK).contains(&ids.len()),
-                    "run of {}",
-                    ids.len()
-                );
-                lent.extend(ids.iter().copied().zip(normalized.iter().copied()));
-            });
-            assert_eq!(lent, flows, "n = {n}");
+            let mut flows: Vec<(FlowId, f64, f64)> = (0..n)
+                .map(|i| (FlowId(i as u64), i as f64 * 0.5, UNREPORTED))
+                .collect();
+            let drain = |flows: &mut Vec<(FlowId, f64, f64)>| {
+                let mut lent = Vec::new();
+                let words = flows.iter_mut().map(|(id, rate, word)| (*id, *rate, word));
+                lend_passers(0.01, words, &mut |ids, normalized| {
+                    assert_eq!(ids.len(), normalized.len());
+                    assert!(
+                        (1..=LEND_CHUNK).contains(&ids.len()),
+                        "run of {}",
+                        ids.len()
+                    );
+                    lent.extend(ids.iter().copied().zip(normalized.iter().copied()));
+                });
+                lent
+            };
+            // Never reported: every flow, in order. Then nothing, until a
+            // rate moves beyond the threshold of what was lent for it.
+            let all: Vec<(FlowId, f64)> = flows.iter().map(|&(id, r, _)| (id, r)).collect();
+            assert_eq!(drain(&mut flows), all, "n = {n}");
+            assert_eq!(drain(&mut flows), vec![], "n = {n}");
+            for (_, rate, _) in flows.iter_mut().skip(1) {
+                *rate *= 1.005;
+            }
+            assert_eq!(drain(&mut flows), vec![], "n = {n}: within 1 %");
+            if let Some((id, rate, _)) = flows.last_mut().filter(|_| n > 1) {
+                *rate *= 1.02;
+                let moved = vec![(*id, *rate)];
+                assert_eq!(drain(&mut flows), moved, "n = {n}");
+            }
         }
     }
 

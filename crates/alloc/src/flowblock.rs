@@ -1,4 +1,5 @@
-//! FlowBlock worker state and the three per-iteration compute kernels.
+//! FlowBlock worker state, the three per-iteration compute kernels and
+//! the per-drain report kernel.
 //!
 //! All arithmetic lives here, shared verbatim by the serial and parallel
 //! engines so their results are bit-for-bit identical.
@@ -12,6 +13,12 @@
 //! back through the offsets. A path shorter than two hops is padded
 //! with its LinkBlock's **sentinel slot**: one extra entry past the real
 //! links in every per-link array of [`PriceView`] and [`Accums`].
+//!
+//! The fourth kernel, [`report_pass`], runs once per drain rather than
+//! per iteration: the §6.4 update-threshold rule (`must_report`) over
+//! the `normalized` column against the `reported` column — what was
+//! last lent for each flow — compacting the few flows that pass into the
+//! sink's hands. It needs no gather: both of its inputs are columns.
 //!
 //! Sentinel invariant: the sentinel's price and utilization ratio are
 //! `0.0` forever — [`price_update`] and the engines' install steps write
@@ -53,6 +60,9 @@ pub struct FlowBlock {
     /// Rates after F-NORM (a copy of `rates` when normalization is off),
     /// written by [`normalize_pass`].
     pub normalized: Vec<f64>,
+    /// The normalized rate [`report_pass`] last lent for the flow — the
+    /// §6.4 filter memory — or [`UNREPORTED`].
+    pub reported: Vec<f64>,
     /// The padding offset: the index one past the real links.
     sentinel: u32,
 }
@@ -68,6 +78,7 @@ impl FlowBlock {
             floor: Vec::new(),
             rates: Vec::new(),
             normalized: Vec::new(),
+            reported: Vec::new(),
             sentinel: links_per_lb as u32,
         }
     }
@@ -82,8 +93,8 @@ impl FlowBlock {
         self.ids.is_empty()
     }
 
-    /// Appends a flow (≤ 2 offsets each way) at rate zero; `x_max` is its
-    /// bottleneck line rate in Gbit/s.
+    /// Appends a flow (≤ 2 offsets each way) at rate zero and never
+    /// reported; `x_max` is its bottleneck line rate in Gbit/s.
     pub fn push(&mut self, id: FlowId, weight: f64, up: &[u32], down: &[u32], x_max: f64) {
         assert!(up.len() <= 2 && down.len() <= 2, "2-tier paths only");
         let pad = |offsets: &[u32]| {
@@ -98,6 +109,7 @@ impl FlowBlock {
         self.floor.push(weight / x_max);
         self.rates.push(0.0);
         self.normalized.push(0.0);
+        self.reported.push(UNREPORTED);
     }
 
     /// Removes the flow in `slot` by moving the last flow into it (every
@@ -111,6 +123,7 @@ impl FlowBlock {
         self.floor.swap_remove(slot);
         self.rates.swap_remove(slot);
         self.normalized.swap_remove(slot);
+        self.reported.swap_remove(slot);
         self.ids.get(slot).copied()
     }
 
@@ -329,6 +342,68 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
     }
 }
 
+/// "None yet" in a flow's `reported` word: nothing was ever lent for it,
+/// so whatever rate it has must be. (`NaN` is free to mean this because
+/// no kernel produces a `NaN` rate.)
+pub const UNREPORTED: f64 = f64::NAN;
+
+/// The §6.4 rule: must `rate` be reported for a flow whose last reported
+/// rate was `reported` ([`UNREPORTED`] always must)? Only a change beyond
+/// `threshold` relative to `reported` passes; leaving a zero rate is
+/// always a change, staying at zero never is. Bit for bit
+/// `flowtune_proto::ThresholdFilter::passes` (the differential test in
+/// this module pins it), written without a branch so [`report_pass`]
+/// packs it: every lane pays the one division, the zero and never cases
+/// are selected afterwards.
+#[inline]
+pub(crate) fn must_report(threshold: f64, reported: f64, rate: f64) -> bool {
+    debug_assert!(!rate.is_nan(), "the kernels keep rates finite");
+    let from_zero = reported == 0.0;
+    let moved = (rate - reported).abs() / reported > threshold;
+    reported.is_nan() | (from_zero & (rate != 0.0)) | (!from_zero & moved)
+}
+
+/// Kernel 4 — the §6.4 report rule over one FlowBlock, once per drain:
+/// lends `sink` the ids and normalized rates of exactly the flows whose
+/// rate moved beyond `threshold` relative to `flows.reported` (or that
+/// were never reported), and records each as reported — bit for bit
+/// `flowtune_proto::ThresholdFilter::passes` per flow. Per chunk: the
+/// pass flags over the two columns, then — only in a chunk that has a
+/// passer, which a converged block's chunks do not — a branch-free
+/// compaction into two stack columns and one `sink` call.
+pub fn report_pass(flows: &mut FlowBlock, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+    let n = flows.len();
+    let (ids, normalized) = (&flows.ids[..n], &flows.normalized[..n]);
+    let reported = &mut flows.reported[..n];
+    let mut pass = [false; CHUNK];
+    let mut lent_ids = [FlowId(0); CHUNK];
+    let mut lent_rates = [0.0f64; CHUNK];
+    for start in (0..n).step_by(CHUNK) {
+        let end = (start + CHUNK).min(n);
+        let (rates, reported) = (&normalized[start..end], &mut reported[start..end]);
+        let mut any = false;
+        for ((flag, &rate), &last) in pass.iter_mut().zip(rates).zip(reported.iter()) {
+            *flag = must_report(threshold, last, rate);
+            any |= *flag;
+        }
+        if !any {
+            continue;
+        }
+        // Every flow is written to the next free lent slot; only a
+        // passer advances it (and so keeps its slot) and has its rate
+        // remembered.
+        let mut lent = 0;
+        let columns = ids[start..end].iter().zip(rates).zip(reported);
+        for (&flag, ((&id, &rate), last)) in pass.iter().zip(columns) {
+            lent_ids[lent] = id;
+            lent_rates[lent] = rate;
+            *last = if flag { rate } else { *last };
+            lent += usize::from(flag);
+        }
+        sink(&lent_ids[..lent], &lent_rates[..lent]);
+    }
+}
+
 /// The array-of-structs kernels the columnar ones replaced, kept as the
 /// oracle the differential tests compare against: one `BlockFlow` per
 /// flow with variable-length paths, four separate accumulator arrays, a
@@ -418,6 +493,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtune_proto::ThresholdFilter;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
@@ -589,6 +665,49 @@ mod tests {
         assert_eq!(b.swap_remove(1), None, "the last flow moves nothing");
         assert_eq!(b.swap_remove(0), None);
         assert!(b.is_empty() && b.up.is_empty() && b.normalized.is_empty());
+        assert!(b.reported.is_empty());
+    }
+
+    /// One drain: what `report_pass` lends, as `(id, rate bits)`, after
+    /// checking every run is one chunk's worth at most.
+    fn drain(flows: &mut FlowBlock, threshold: f64) -> Vec<(FlowId, u64)> {
+        let (mut lent, mut runs) = (Vec::new(), 0);
+        report_pass(flows, threshold, &mut |ids, rates| {
+            assert_eq!(ids.len(), rates.len());
+            assert!((1..=CHUNK).contains(&ids.len()), "run of {}", ids.len());
+            runs += 1;
+            lent.extend(ids.iter().zip(rates).map(|(&id, r)| (id, r.to_bits())));
+        });
+        assert!(runs <= flows.len().div_ceil(CHUNK), "one run a chunk");
+        lent
+    }
+
+    #[test]
+    fn swap_remove_carries_the_report_memory_with_the_flow() {
+        let mut b = block(&[
+            (1.0, &[0], &[1], 10.0),
+            (1.0, &[2], &[3], 10.0),
+            (1.0, &[4], &[5], 10.0),
+        ]);
+        b.normalized.copy_from_slice(&[1.0, 2.0, 3.0]);
+        let first = drain(&mut b, 0.01);
+        assert_eq!(first.len(), 3, "never-reported flows always are");
+        assert_eq!(drain(&mut b, 0.01), vec![], "nothing moved");
+        // Flow 2 moves into slot 0 with what was reported for it; the
+        // newcomer pushed behind it has no memory, whatever the slot's
+        // earlier tenants were told.
+        assert_eq!(b.swap_remove(0), Some(FlowId(2)));
+        b.push(FlowId(9), 1.0, &[0], &[1], 10.0);
+        assert_eq!(bits(&b.reported[..2]), bits(&[3.0, 2.0]));
+        assert!(b.reported[2].is_nan());
+        b.normalized[2] = 3.0;
+        assert_eq!(drain(&mut b, 0.01), vec![(FlowId(9), 3.0f64.to_bits())]);
+        // A move of 0.5 % stays silent, 2 % does not, and the memory is
+        // the last *reported* rate, not the last seen.
+        b.normalized[0] = 3.015;
+        assert_eq!(drain(&mut b, 0.01), vec![]);
+        b.normalized[0] = 3.045;
+        assert_eq!(drain(&mut b, 0.01), vec![(FlowId(2), 3.045f64.to_bits())]);
     }
 
     /// A random FlowBlock in both layouts with a random view: 1-hop and
@@ -677,6 +796,85 @@ mod tests {
             normalize_pass(&mut flows, &view);
             oracle::normalize_pass(&aos, &view, &want_rates, &mut want_normalized);
             prop_assert_eq!(bits(&flows.normalized), bits(&want_normalized));
+        }
+
+        // `report_pass` against the rule it packs: the scalar
+        // `ThresholdFilter::passes` over a `Vec` of what each flow was
+        // last sent, through several drains with churn in between.
+        #[test]
+        fn report_pass_matches_the_scalar_rule_bit_for_bit(
+            n in prop_oneof![
+                Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(129), 0usize..300
+            ],
+            threshold in prop_oneof![Just(0.0f64), Just(0.01), Just(0.5), Just(0.25)],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::deterministic(&format!("report-{seed}"));
+            let mut flows = FlowBlock::new(LINKS);
+            let mut sent: Vec<Option<f64>> = Vec::new();
+            let mut next_id = 0u64;
+            let mut push = |flows: &mut FlowBlock, sent: &mut Vec<Option<f64>>| {
+                flows.push(FlowId(next_id), 1.0, &[0], &[0], 10.0);
+                sent.push(None);
+                next_id += 1;
+            };
+            for _ in 0..n {
+                push(&mut flows, &mut sent);
+            }
+            for round in 0..5 {
+                // Whole-block shapes first: everything new, nothing moved,
+                // only the first and last flow of every chunk moved; then
+                // a free mix.
+                let shape = if round < 3 { round } else { 3 + rng.below(2) };
+                let len = flows.len();
+                for (i, rate) in flows.normalized.iter_mut().enumerate() {
+                    let last = sent[i].unwrap_or(1.0);
+                    let edge = i % CHUNK == 0 || i % CHUNK == CHUNK - 1 || i + 1 == len;
+                    *rate = match (shape, edge) {
+                        (0, _) | (2, true) => rng.unit_f64() * 40.0,
+                        (1, _) | (2, false) => sent[i].unwrap_or(*rate),
+                        _ => match rng.below(8) {
+                            0 => 0.0,
+                            1 => last,
+                            // On the boundary as nearly as floats allow,
+                            // from both sides (exactly on it for the
+                            // dyadic thresholds).
+                            2 => last * (1.0 + threshold),
+                            3 => last * (1.0 - threshold),
+                            4 => last * (1.0 + threshold) * (1.0 + f64::EPSILON),
+                            5 => last * (1.0 + rng.unit_f64() * 2.0 * threshold),
+                            6 => f64::MIN_POSITIVE * rng.unit_f64(),
+                            _ => rng.unit_f64() * 40.0,
+                        },
+                    };
+                }
+                let mut want = Vec::new();
+                for ((&id, &rate), last) in flows.ids.iter().zip(&flows.normalized).zip(&mut sent) {
+                    if ThresholdFilter::passes(threshold, *last, rate) {
+                        *last = Some(rate);
+                        want.push((id, rate.to_bits()));
+                    }
+                }
+                prop_assert_eq!(drain(&mut flows, threshold), want, "round {}", round);
+                let memory: Vec<Option<u64>> = flows
+                    .reported
+                    .iter()
+                    .map(|r| (!r.is_nan()).then_some(r.to_bits()))
+                    .collect();
+                let want_memory: Vec<Option<u64>> =
+                    sent.iter().map(|s| s.map(f64::to_bits)).collect();
+                prop_assert_eq!(memory, want_memory, "round {}", round);
+                // Churn: a few flows leave (their successors in the slot
+                // keep their own memory), a few never-reported ones join.
+                for _ in 0..rng.below(4).min(flows.len()) {
+                    let slot = rng.below(flows.len());
+                    flows.swap_remove(slot);
+                    sent.swap_remove(slot);
+                }
+                for _ in 0..rng.below(4) {
+                    push(&mut flows, &mut sent);
+                }
+            }
         }
     }
 }

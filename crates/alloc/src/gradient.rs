@@ -17,7 +17,7 @@ use flowtune_num::{normalize, Gradient, NumProblem, Optimizer, SolverState, Util
 use flowtune_topo::{FlowId, Path, TwoTierClos};
 
 use crate::flowblock::FlowRate;
-use crate::{lend_in_chunks, AllocConfig, RateAllocator};
+use crate::{lend_passers, AllocConfig, RateAllocator, UNREPORTED};
 
 /// The gradient-projection allocation engine (§6.6 baseline).
 #[derive(Debug)]
@@ -32,6 +32,8 @@ pub struct GradientAllocator {
     slot_ids: Vec<Option<FlowId>>,
     /// Per-slot F-NORMed rates, refreshed each iteration.
     normalized: Vec<f64>,
+    /// Per-slot normalized rate last lent by the drain (§6.4 memory).
+    reported: Vec<f64>,
     /// Per-link utilization scratch for the in-place F-NORM.
     ratios: Vec<f64>,
 }
@@ -60,6 +62,7 @@ impl GradientAllocator {
             index: HashMap::new(),
             slot_ids: Vec::new(),
             normalized: Vec::new(),
+            reported: Vec::new(),
             ratios: Vec::new(),
         }
     }
@@ -86,11 +89,13 @@ impl RateAllocator for GradientAllocator {
         if self.slot_ids.len() < self.problem.flow_slots() {
             self.slot_ids.resize(self.problem.flow_slots(), None);
             self.normalized.resize(self.problem.flow_slots(), 0.0);
+            self.reported.resize(self.problem.flow_slots(), UNREPORTED);
         }
         // A reused slot may hold the previous occupant's rate; a new flow
-        // starts at zero until the next iteration.
+        // starts at zero, never reported, until the next iteration.
         self.state.rates[slot] = 0.0;
         self.normalized[slot] = 0.0;
+        self.reported[slot] = UNREPORTED;
         self.slot_ids[slot] = Some(id);
         self.index.insert(id, slot);
     }
@@ -133,13 +138,13 @@ impl RateAllocator for GradientAllocator {
         }));
     }
 
-    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        // Slots are sparse, so there is no column to lend whole.
-        let flows = self.problem.iter_flows().map(|(slot, ..)| {
-            let id = self.slot_ids[slot].expect("active slot has an id");
-            (id, self.normalized[slot])
-        });
-        lend_in_chunks(flows, sink);
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        // Slots are sparse, so there is no column to run the kernel over.
+        let slots = self.slot_ids.iter().zip(&self.normalized);
+        let flows = slots
+            .zip(&mut self.reported)
+            .filter_map(|((id, &rate), reported)| Some(((*id)?, rate, reported)));
+        lend_passers(threshold, flows, sink);
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {

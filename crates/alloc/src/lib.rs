@@ -37,6 +37,16 @@
 //! [`engine`] says which seven methods a new engine must implement and
 //! what the other defaults mean; queries fill caller-provided buffers.
 //!
+//! The per-tick export is part of the engine too. Each flow's row carries
+//! the normalized rate last *reported* for it, and
+//! [`RateAllocator::drain_changed_rates`] lends its caller exactly the
+//! flows whose rate has since moved beyond the §6.4 update threshold —
+//! for the NED engines one packed pass over two contiguous columns
+//! ([`flowblock::report_pass`], the fourth FlowBlock kernel), only over
+//! the FlowBlocks the dirty set says may have moved. The control-plane
+//! service above keeps no per-flow filter state and touches its flow
+//! table only for the flows it actually notifies.
+//!
 //! Two more [`RateAllocator`]s serve as comparison baselines:
 //! [`GradientAllocator`] (first-order gradient projection, §6.6 /
 //! Figure 12) and `flowtune_fastpass::FastpassAdapter` (per-packet
@@ -55,8 +65,8 @@ pub mod reduce;
 pub mod serial;
 
 pub use dirty::DirtySet;
-pub use engine::{lend_in_chunks, BoxEngine, RateAllocator};
-pub use flowblock::FlowRate;
+pub use engine::{lend_passers, BoxEngine, RateAllocator};
+pub use flowblock::{FlowRate, UNREPORTED};
 pub use gradient::GradientAllocator;
 pub use layout::BlockLayout;
 pub use parallel::MulticoreAllocator;

@@ -13,7 +13,8 @@ use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
 use crate::flowblock::{
-    absorb, normalize_pass, price_update, rate_pass, Accums, FlowBlock, FlowRate, PriceView,
+    absorb, normalize_pass, price_update, rate_pass, report_pass, Accums, FlowBlock, FlowRate,
+    PriceView,
 };
 use crate::layout::BlockLayout;
 use crate::reduce::{binomial_reduce_in_order, down_root, down_worker, up_root, up_worker};
@@ -197,18 +198,21 @@ impl SerialAllocator {
         }
     }
 
-    /// Drains the changed-rate set: lends `sink` the id and normalized
-    /// columns of every worker whose output may have moved since the last
-    /// drain — of every worker, without a dirty set. Nothing is copied
-    /// (see [`crate::RateAllocator::drain_changed_rates`]).
-    pub fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        for (w, worker) in self.workers.iter().enumerate() {
+    /// Drains the changed-rate set: runs [`report_pass`] — the §6.4 rule
+    /// against each flow's `reported` word — over every worker whose
+    /// output may have moved since the last drain (every worker, without
+    /// a dirty set), lending `sink` exactly the flows that must be
+    /// reported (see [`crate::RateAllocator::drain_changed_rates`]). A
+    /// worker that is skipped is bitwise as the last drain left it, and
+    /// what did not pass then does not pass now.
+    pub fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        for (w, worker) in self.workers.iter_mut().enumerate() {
             if let Some(ds) = &mut self.dirty {
                 if !std::mem::take(&mut ds.export_dirty[w]) {
                     continue;
                 }
             }
-            sink(&worker.flows.ids, &worker.flows.normalized);
+            report_pass(&mut worker.flows, threshold, sink);
         }
     }
 
@@ -1014,8 +1018,9 @@ mod tests {
 
     #[test]
     fn changed_rate_drain_covers_all_updates() {
-        // Replaying only the drained changed-rate sets on top of a map
-        // must reproduce the full export at every step.
+        // At threshold zero every changed bit must be reported: replaying
+        // only the drained sets on top of a map must reproduce the full
+        // export at every step.
         use std::collections::HashMap;
         let f = fabric();
         let mut inc = SerialAllocator::new(
@@ -1036,7 +1041,7 @@ mod tests {
                 inc.add_flow(FlowId(3), 5, 9, 2.0, &p3);
             }
             inc.iterate();
-            inc.drain_changed_rates(&mut |ids, normalized| {
+            inc.drain_changed_rates(0.0, &mut |ids, normalized| {
                 assert_eq!(ids.len(), normalized.len());
                 replay.extend(ids.iter().zip(normalized).map(|(&id, r)| (id, r.to_bits())));
             });
@@ -1051,18 +1056,25 @@ mod tests {
         }
         // Late in a converged quiet run the drain should be empty.
         inc.iterate();
-        inc.drain_changed_rates(&mut |_, _| {});
+        inc.drain_changed_rates(0.0, &mut |_, _| {});
         inc.iterate();
-        inc.drain_changed_rates(&mut |ids, _| panic!("converged tick still lent {ids:?}"));
-        // A full-sweep engine tracks nothing and lends every flow.
+        inc.drain_changed_rates(0.0, &mut |ids, _| {
+            panic!("converged tick still lent {ids:?}")
+        });
+        // A full-sweep engine has no dirty set to skip workers by, and
+        // the same memory: every flow once, then only what moves.
         let mut full = SerialAllocator::new(&f, cfg());
         full.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         full.add_flow(FlowId(2), 0, 12, 1.0, &p2);
-        for _ in 0..2 {
+        let drain = |full: &mut SerialAllocator| {
             let mut lent = Vec::new();
-            full.drain_changed_rates(&mut |ids, _| lent.extend_from_slice(ids));
-            assert_eq!(lent, vec![FlowId(1), FlowId(2)]);
-        }
+            full.drain_changed_rates(0.0, &mut |ids, _| lent.extend_from_slice(ids));
+            lent
+        };
+        assert_eq!(drain(&mut full), vec![FlowId(1), FlowId(2)]);
+        assert_eq!(drain(&mut full), vec![]);
+        full.iterate();
+        assert_eq!(drain(&mut full), vec![FlowId(1), FlowId(2)]);
     }
 
     #[test]

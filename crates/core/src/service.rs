@@ -14,9 +14,11 @@
 //!    projection, the §6.6/Figure-12 baseline).
 //! 2. **[`AllocatorService`]** is the Figure-1 box around one engine: it
 //!    consumes flowlet start/end notifications, keeps the flow table (a
-//!    slab indexed by the engine-side [`FlowId`], with the §6.4 filter
-//!    memory inline), and on every [`AllocatorService::tick_into`]
-//!    (§6.2: every 10 µs) emits threshold-filtered rate updates. It is
+//!    slab indexed by the engine-side [`FlowId`]: who a flow is, not
+//!    what it was last told — the §6.4 filter memory sits in the
+//!    engine, beside the rate it is compared with), and on every
+//!    [`AllocatorService::tick_into`] (§6.2: every 10 µs) emits the rate
+//!    updates the engine's threshold-filtered drain lends it. It is
 //!    sans-IO — the network simulator delivers the messages over
 //!    simulated TCP, the examples call it directly.
 //! 3. **[`TickDriver`](crate::TickDriver)** abstracts "a thing with an
@@ -43,19 +45,19 @@ use std::time::Instant;
 use flowtune_alloc::{AllocConfig, BoxEngine, FlowRate, RateAllocator, SerialAllocator};
 use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::codec::RATE_BYTES;
-use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
+use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
 
 use crate::driver::PhaseTimings;
 use crate::FlowtuneConfig;
 
-/// One slab slot: a live flowlet's registration and its §6.4 filter
-/// memory, found by the [`FlowId`] the engine reports rates under — the
-/// export touches exactly this and nothing keyed by token.
+/// One slab slot: a live flowlet's registration, found by the
+/// [`FlowId`] the engine reports rates under. The table is cold: the
+/// export reads a slot only for a flow whose update is actually sent
+/// (the §6.4 memory that decides it lives in the engine, beside the
+/// flow's rate).
 #[derive(Debug, Clone, Copy)]
 struct Registered {
-    /// The rate last sent to the endpoint; meaningful only once `sent`.
-    last_sent: f64,
     token: Token,
     src: u16,
     /// Destination, weight and spine are retained so a registration can
@@ -64,13 +66,11 @@ struct Registered {
     dst: u16,
     weight_q8: u16,
     spine: u8,
-    /// Whether any rate has been sent yet (the first always is).
-    sent: bool,
 }
 
-// The export reads one slot per exported rate: a slot that outgrows
-// 24 bytes costs every tick cache misses and every flow table memory.
-const _: () = assert!(std::mem::size_of::<Registered>() <= 24);
+// A slot is what every live flowlet costs the table, and one cache line
+// holds five of them.
+const _: () = assert!(std::mem::size_of::<Registered>() <= 12);
 
 /// A flowlet registration detached from its service, carrying everything
 /// needed to re-register the flow elsewhere — the unit of flow-state
@@ -525,8 +525,8 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     cfg: FlowtuneConfig,
     /// The flow table: slot `i` holds the flow the engine knows as
     /// `FlowId(i)`, so an id the engine lends resolves to its
-    /// registration and filter memory with one index. Slots outside
-    /// `index` are vacant (listed in `free`) and hold stale data.
+    /// registration with one index. Slots outside `index` are vacant
+    /// (listed in `free`) and hold stale data.
     slab: Vec<Registered>,
     /// Vacant slab slots, reused (last freed first) before the slab
     /// grows — ids are recycled, see [`RateAllocator::add_flow`].
@@ -675,32 +675,27 @@ impl<E: RateAllocator> AllocatorService<E> {
         crate::TickDriver::tick(self)
     }
 
-    /// The update export. The engine lends the ids and normalized rates
-    /// that may have moved (its changed set when it tracks one, every
-    /// flow otherwise) in *its* order and layout — nothing is copied
-    /// out; each resolves to its slab slot, where the §6.4 rule runs
-    /// against the inline last-sent rate; only the passers are sorted
-    /// into token order and emitted. The rule reads and writes
-    /// one flow's state, so filtering before sorting yields exactly the
-    /// stream of a token-ordered walk. Flows the engine did not export
-    /// cannot have moved, so every live flow that did not pass counts as
-    /// suppressed.
+    /// The update export. The engine runs the §6.4 rule where the rates
+    /// are — against what it last lent for each flow, see
+    /// [`RateAllocator::drain_changed_rates`] — and lends only the flows
+    /// whose update must be sent, in *its* order and layout; each of
+    /// those resolves to its slab slot for the token and source, and the
+    /// batch is sorted into token order and emitted. The rule reads and
+    /// writes one flow's state, so filtering before sorting yields
+    /// exactly the stream of a token-ordered walk. Every live flow that
+    /// was not lent counts as suppressed.
     fn export_into(&mut self, out: &mut Vec<(u16, Message)>) {
         out.clear();
-        let threshold = self.cfg.update_threshold;
-        let (slab, pass_buf) = (&mut self.slab, &mut self.pass_buf);
+        let (slab, pass_buf) = (&self.slab, &mut self.pass_buf);
         pass_buf.clear();
-        self.engine.drain_changed_rates(&mut |ids, normalized| {
-            for (id, &rate) in ids.iter().zip(normalized) {
-                let reg = &mut slab[id.0 as usize];
-                let prev = reg.sent.then_some(reg.last_sent);
-                if ThresholdFilter::passes(threshold, prev, rate) {
-                    reg.last_sent = rate;
-                    reg.sent = true;
-                    pass_buf.push((reg.token, reg.src, Rate16::encode(rate)));
-                }
-            }
-        });
+        let threshold = self.cfg.update_threshold;
+        self.engine
+            .drain_changed_rates(threshold, &mut |ids, normalized| {
+                pass_buf.extend(ids.iter().zip(normalized).map(|(id, &rate)| {
+                    let reg = &slab[id.0 as usize];
+                    (reg.token, reg.src, Rate16::encode(rate))
+                }));
+            });
         pass_buf.sort_unstable_by_key(|&(token, ..)| token);
         out.reserve(pass_buf.len());
         for &(token, src, rate) in pass_buf.iter() {
@@ -729,8 +724,8 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// [`AllocatorService::adopt_flow`]. Unlike a `FlowletEnd` this is a
     /// *migration*, not churn: no counter moves (`starts`/`ends`/bytes
     /// stay put, so aggregate stats are placement-invariant). The flow's
-    /// threshold-filter memory is dropped — the adopting shard reports a
-    /// fresh rate once the flow re-converges there.
+    /// threshold-filter memory goes with its engine row — the adopting
+    /// shard reports a fresh rate once the flow re-converges there.
     pub fn extract_flow(&mut self, token: Token) -> Option<FlowMigration> {
         let reg = self.release(token)?;
         Some(FlowMigration {
@@ -777,17 +772,12 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// from freshly started ones in weight or path rules. The token must
     /// be fresh and the endpoint fields validated by the caller.
     fn register(&mut self, token: Token, src: u16, dst: u16, weight_q8: u16, spine: u8) {
-        // The slot is overwritten whole: a recycled one must not inherit
-        // its predecessor's last-sent rate, or the newcomer's first
-        // update could be suppressed.
         let reg = Registered {
-            last_sent: 0.0,
             token,
             src,
             dst,
             weight_q8,
             spine,
-            sent: false,
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -908,6 +898,7 @@ impl<E: RateAllocator> AllocatorService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtune_proto::ThresholdFilter;
     use flowtune_topo::ClosConfig;
 
     fn fabric() -> TwoTierClos {
@@ -1038,24 +1029,28 @@ mod tests {
     fn recycled_slot_starts_without_a_last_sent_rate() {
         // A wide threshold makes inheritance observable: the successor's
         // first rate lands well within 50 % of what its predecessor was
-        // last sent, so a slot that kept that memory would stay silent.
+        // last sent, so an id that kept that memory would stay silent.
         let cfg = FlowtuneConfig {
             update_threshold: 0.5,
             ..FlowtuneConfig::default()
         };
         let mut svc = AllocatorService::new(&fabric(), cfg);
         svc.on_message(start(1, 0, 140)).unwrap();
+        // What the predecessor was last sent, as the endpoint decoded it
+        // (Rate16's ≤ 0.025 % is nothing beside the threshold).
+        let mut last_sent = None;
         for _ in 0..200 {
-            svc.tick();
+            if let [(_, Message::RateUpdate { rate, .. })] = svc.tick()[..] {
+                last_sent = Some(rate.decode());
+            }
         }
+        assert!(last_sent.is_some());
         let slot = svc.index[&Token::new(1)];
-        let predecessor = svc.slab[slot as usize];
-        assert!(predecessor.sent);
         // Same path, same tick: the prices the successor meets are the
         // converged ones its predecessor left behind.
         svc.on_message(end(1)).unwrap();
         svc.on_message(start(2, 0, 140)).unwrap();
-        assert_eq!(svc.index[&Token::new(2)], slot, "slot is recycled");
+        assert_eq!(svc.index[&Token::new(2)], slot, "slot (and id) recycled");
         let updates = svc.tick();
         assert_eq!(
             update_tokens(&updates),
@@ -1064,9 +1059,8 @@ mod tests {
         );
         let first = svc.flow_rate_gbps(Token::new(2)).unwrap();
         assert!(
-            !ThresholdFilter::passes(cfg.update_threshold, Some(predecessor.last_sent), first),
-            "premise: {first} must be within the threshold of {}",
-            predecessor.last_sent
+            !ThresholdFilter::passes(cfg.update_threshold, last_sent, first),
+            "premise: {first} must be within the threshold of {last_sent:?}"
         );
     }
 

@@ -204,6 +204,10 @@ struct ShardSlot<E: RateAllocator> {
     updates: Vec<(u16, Message)>,
     /// Link-state export, refreshed only on exchange rounds.
     export: LinkExport,
+    /// Cumulative time spent refreshing `export` — phase 1's share of
+    /// the exchange, timed per shard because the shards run it
+    /// concurrently.
+    refresh_time: Duration,
 }
 
 /// The shards of one process (see the module docs): ticked on a worker
@@ -235,7 +239,8 @@ pub struct InProcess<E: RateAllocator = SerialAllocator> {
     /// The exchange's rounds and logical bytes (zero whenever the
     /// exchange is off).
     counters: ServiceStats,
-    /// Cumulative wall time spent in the exchange barrier (phase 2).
+    /// Cumulative wall time spent in the exchange barrier (phase 2); the
+    /// shards' `refresh_time` is the rest of the exchange.
     exchange_time: Duration,
 }
 
@@ -313,6 +318,7 @@ impl<E: RateAllocator> ShardedService<E> {
                     filter: ShardFilter::new(i as u16, cfg.exchange_delta_eps),
                     updates: Vec::new(),
                     export: LinkExport::default(),
+                    refresh_time: Duration::ZERO,
                 })
                 .collect(),
             exchange: ExchangeConfig::from_flowtune(&cfg),
@@ -440,8 +446,13 @@ impl<E: RateAllocator> ShardSet for InProcess<E> {
         self.counters
     }
 
+    /// The barrier's wall time plus every shard's link-state export, as
+    /// `flowtune-net`'s `ShardPeer::tick_export` counts it on the wire
+    /// plane. Where the exports ran concurrently the sum is CPU time,
+    /// like the other phases of a concurrent tick.
     fn exchange_time(&self) -> Duration {
-        self.exchange_time
+        let refresh: Duration = self.slots.iter().map(|slot| slot.refresh_time).sum();
+        self.exchange_time + refresh
     }
 
     fn contained(err: &ServiceError) -> Option<ServiceError> {
@@ -519,7 +530,9 @@ impl<E: RateAllocator> InProcess<E> {
 fn tick_shard<E: RateAllocator>(slot: &mut ShardSlot<E>, export: bool) {
     slot.svc.tick_into(&mut slot.updates);
     if export {
+        let t0 = Instant::now();
         slot.export.refresh(&slot.svc);
+        slot.refresh_time += t0.elapsed();
     }
 }
 
@@ -832,6 +845,43 @@ mod tests {
             disjoint + 2 * entry,
             "sharing a receiver must cost exactly the 2 shared links' fresh imports"
         );
+    }
+
+    #[test]
+    fn phase_timings_cover_the_whole_exchange() {
+        let mk = |exchange_every| {
+            let cfg = FlowtuneConfig {
+                exchange_every,
+                ..FlowtuneConfig::default()
+            };
+            let mut svc = ShardedService::new(&fabric(), cfg, 2);
+            svc.on_message(start(1, 0, 12)).unwrap();
+            svc.on_message(start(2, 8, 4)).unwrap();
+            svc
+        };
+        // Every exchange round costs each shard a link-state export
+        // (phase 1) and the caller the barrier (phase 2): both count.
+        let mut svc = mk(1);
+        assert_eq!(svc.phase_timings().exchange, Duration::ZERO);
+        let mut before = Duration::ZERO;
+        for _ in 0..20 {
+            svc.tick();
+            let now = svc.phase_timings().exchange;
+            assert!(now > before, "an exchange round takes time");
+            before = now;
+        }
+        let set = svc.shard_set();
+        let refresh: Duration = set.slots.iter().map(|s| s.refresh_time).sum();
+        assert!(set.slots.iter().all(|s| s.refresh_time > Duration::ZERO));
+        assert!(set.exchange_time > Duration::ZERO);
+        assert_eq!(svc.phase_timings().exchange, set.exchange_time + refresh);
+        // No exchange, no exchange time — the shards never export.
+        let mut off = mk(0);
+        for _ in 0..20 {
+            off.tick();
+        }
+        assert_eq!(off.phase_timings().exchange, Duration::ZERO);
+        assert!(off.phase_timings().export > Duration::ZERO);
     }
 
     #[test]

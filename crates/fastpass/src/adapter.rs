@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use flowtune_alloc::{lend_in_chunks, AllocConfig, FlowRate, RateAllocator};
+use flowtune_alloc::{lend_passers, AllocConfig, FlowRate, RateAllocator, UNREPORTED};
 use flowtune_topo::{FlowId, Path, TwoTierClos};
 
 use crate::Arbiter;
@@ -39,6 +39,8 @@ struct FpFlow {
     src: u16,
     dst: u16,
     weight: f64,
+    /// The rate last lent by the drain (§6.4 memory).
+    reported: f64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,10 +117,17 @@ impl FastpassAdapter {
         self.slots_per_iteration
     }
 
+    /// A flow's weighted split of its pair's share of the line rate.
     fn flow_rate_of(&self, f: &FpFlow) -> f64 {
-        let pair = &self.pairs[&(f.src, f.dst)];
-        self.line_rate_gbps * pair.share * f.weight / pair.weight_sum
+        pair_split(self.line_rate_gbps, &self.pairs, f)
     }
+}
+
+/// [`FastpassAdapter::flow_rate_of`] over the fields it reads, for the
+/// drain, which holds the flow table mutably meanwhile.
+fn pair_split(line_rate_gbps: f64, pairs: &BTreeMap<(u16, u16), PairState>, f: &FpFlow) -> f64 {
+    let pair = &pairs[&(f.src, f.dst)];
+    line_rate_gbps * pair.share * f.weight / pair.weight_sum
 }
 
 impl RateAllocator for FastpassAdapter {
@@ -136,6 +145,7 @@ impl RateAllocator for FastpassAdapter {
             src: src_server as u16,
             dst: dst_server as u16,
             weight,
+            reported: UNREPORTED,
         };
         assert!(
             self.flows.insert(id, flow).is_none(),
@@ -210,9 +220,13 @@ impl RateAllocator for FastpassAdapter {
         }));
     }
 
-    fn drain_changed_rates(&mut self, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        let flows = self.flows.iter().map(|(&id, f)| (id, self.flow_rate_of(f)));
-        lend_in_chunks(flows, sink);
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        let (line_rate, pairs) = (self.line_rate_gbps, &self.pairs);
+        let flows = self.flows.iter_mut().map(|(&id, f)| {
+            let rate = pair_split(line_rate, pairs, f);
+            (id, rate, &mut f.reported)
+        });
+        lend_passers(threshold, flows, sink);
     }
 
     fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {

@@ -80,6 +80,8 @@ pub const HOT_MODULES: &[HotModule] = &[
             "rate_pass",
             "price_update",
             "normalize_pass",
+            "must_report",
+            "report_pass",
             "absorb",
             "add_pair",
             "clear",
@@ -92,7 +94,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "run_iterations",
             "rates_into",
             "drain_changed_rates",
-            "lend_in_chunks",
+            "lend_passers",
             "link_loads_into",
             "link_hessians_into",
             "link_state_into",
@@ -278,6 +280,8 @@ pub const FLOAT_KERNELS: &[HotModule] = &[
             "rate_pass",
             "price_update",
             "normalize_pass",
+            "must_report",
+            "report_pass",
             "absorb",
             "add_pair",
         ],

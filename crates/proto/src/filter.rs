@@ -5,6 +5,14 @@
 //! 0.01, a flow allocated 1 Gbit/s will only be notified when its rate
 //! changes above 1.01 or below 0.99 Gbits/s." The matching capacity
 //! headroom lives in `flowtune_alloc::AllocConfig::capacity_fraction`.
+//!
+//! [`ThresholdFilter::passes`] is the rule's one scalar statement. The
+//! allocator's tick does not call it: the engines run the same rule
+//! packed, over their own rate columns, with the last-sent memory kept
+//! beside each flow's rate (`flowtune_alloc::flowblock::report_pass`),
+//! and a differential test there pins that kernel to `passes` bit for
+//! bit. The token-keyed [`ThresholdFilter`] is the reference the service
+//! model test and the benchmark's probes run.
 
 use std::collections::HashMap;
 
@@ -43,9 +51,11 @@ impl ThresholdFilter {
     /// to a flowlet whose last *sent* rate was `prev` (`None` = nothing
     /// sent yet, which always passes)? Only changes beyond `threshold`
     /// relative to `prev` pass; leaving a zero rate is always a change,
-    /// staying at zero never is. The one place the rule is written —
-    /// [`ThresholdFilter::should_send`] and the allocator service's
-    /// export (which keeps `prev` inline in its flow table) both call it.
+    /// staying at zero never is. The one scalar statement of the rule:
+    /// [`ThresholdFilter::should_send`] calls it, and the engines' packed
+    /// report kernel is tested against it bit for bit — keep the
+    /// `(rate − prev).abs() / prev > threshold` form, a rearrangement
+    /// rounds differently.
     pub fn passes(threshold: f64, prev: Option<f64>, rate: f64) -> bool {
         match prev {
             None => true,

@@ -17,7 +17,9 @@
 //! code with ≤0.025% relative error — far below the 1% default update
 //! threshold (§6.4), so quantization never masks a real change.
 //!
-//! [`ThresholdFilter`] implements the §6.4 update suppression, and
+//! [`ThresholdFilter`] states the §6.4 update-suppression rule (the
+//! allocator engines run it packed over their rate columns, pinned bit
+//! for bit to [`ThresholdFilter::passes`]), and
 //! [`wire`] the byte-accounting helpers (Ethernet minimum frame and
 //! header overheads) used by the overhead figures. [`exchange`] is the
 //! shard-to-shard side of the control plane: the versioned frame format

@@ -1,23 +1,28 @@
 //! The slab flow table against the design it replaced.
 //!
 //! `AllocatorService` keeps its flows in a slab indexed by the engine-side
-//! `FlowId`, recycles slots (and therefore ids), keeps the §6.4 filter
-//! memory inline, and exports filter-then-sort. [`Model`] is the table it
-//! replaced, kept here as the reference: a `BTreeMap<Token, _>` walked in
-//! token order each tick, never-reused engine ids, a per-flow
-//! `flow_rate` probe and a separate [`ThresholdFilter`]. Random intake —
-//! duplicate starts, unknown ends, migrations, and a token space small
-//! enough that tokens and slots are reused constantly — must leave the
-//! two indistinguishable: the same update stream every tick, the same
-//! `ServiceStats` after every operation, the same rates at the end.
+//! `FlowId`, recycles slots (and therefore ids), leaves the §6.4 filter —
+//! rule and memory — to the engine's drain, and sorts what the drain
+//! lends. [`Model`] is the table it replaced, kept here as the reference:
+//! a `BTreeMap<Token, _>` walked in token order each tick, never-reused
+//! engine ids, a per-flow `flow_rate` probe and a separate
+//! [`ThresholdFilter`] keyed by token. Random intake — duplicate starts,
+//! unknown ends, migrations, and a token space small enough that tokens
+//! and slots are reused constantly — must leave the two
+//! indistinguishable over every engine a builder can build: the same
+//! update stream every tick, the same `ServiceStats` after every
+//! operation, the same rates at the end.
 
 mod common;
 
 use std::collections::BTreeMap;
 
 use common::fabric;
-use flowtune::{AllocatorService, FlowtuneConfig, ServiceError, ServiceStats};
-use flowtune_alloc::{AllocConfig, SerialAllocator};
+use flowtune::{AllocatorService, Engine, FlowtuneConfig, ServiceError, ServiceStats};
+use flowtune_alloc::{
+    AllocConfig, BoxEngine, GradientAllocator, MulticoreAllocator, RateAllocator, SerialAllocator,
+};
+use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
 use proptest::prelude::*;
@@ -26,7 +31,7 @@ use proptest::prelude::*;
 struct Model {
     fabric: TwoTierClos,
     cfg: FlowtuneConfig,
-    engine: SerialAllocator,
+    engine: BoxEngine,
     registry: BTreeMap<Token, (FlowId, Message)>,
     filter: ThresholdFilter,
     next_internal: u64,
@@ -34,7 +39,8 @@ struct Model {
 }
 
 impl Model {
-    fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig) -> Self {
+    /// Hosts the engine `ServiceBuilder::build` would build for `engine`.
+    fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig, engine: &Engine) -> Self {
         let alloc_cfg = AllocConfig {
             gamma: cfg.gamma,
             f_norm: cfg.f_norm,
@@ -43,10 +49,24 @@ impl Model {
             full_sweep_every: cfg.full_sweep_every,
             dirty_eps: cfg.dirty_eps,
         };
+        let engine: BoxEngine = match *engine {
+            Engine::Serial => Box::new(SerialAllocator::new(fabric, alloc_cfg)),
+            Engine::Multicore { workers } => {
+                Box::new(MulticoreAllocator::with_workers(fabric, alloc_cfg, workers))
+            }
+            Engine::Gradient => Box::new(GradientAllocator::new(fabric, alloc_cfg)),
+            Engine::Fastpass => Box::new(
+                FastpassAdapter::new(fabric, alloc_cfg).with_iteration_time_ps(
+                    cfg.tick_interval_ps / cfg.iterations_per_tick.max(1) as u64,
+                    fabric.config().host_link_bps,
+                ),
+            ),
+            Engine::Sharded { .. } => unreachable!("the model is one service"),
+        };
         Self {
             fabric: fabric.clone(),
             cfg,
-            engine: SerialAllocator::new(fabric, alloc_cfg),
+            engine,
             registry: BTreeMap::new(),
             filter: ThresholdFilter::new(cfg.update_threshold),
             next_internal: 0,
@@ -189,10 +209,15 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn check(cfg: FlowtuneConfig, ops: &[Op]) {
+fn check(engine: Engine, cfg: FlowtuneConfig, ops: &[Op]) {
     let fabric = fabric();
-    let mut svc = AllocatorService::new(&fabric, cfg);
-    let mut model = Model::new(&fabric, cfg);
+    let mut model = Model::new(&fabric, cfg, &engine);
+    let mut svc = AllocatorService::builder()
+        .fabric(&fabric)
+        .config(cfg)
+        .engine(engine)
+        .build()
+        .expect("unsharded engine over a fabric");
     let mut out = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match *op {
@@ -246,14 +271,29 @@ proptest! {
 
     #[test]
     fn slab_service_matches_the_token_walk(ops in proptest::collection::vec(op(), 1..160)) {
-        check(FlowtuneConfig::default(), &ops);
-        // Incremental at eps 0: the service filters only the engine's
-        // changed set, the model still walks everything.
+        // Each engine carries its own §6.4 memory; the model's is one
+        // token-keyed filter whatever it hosts.
+        for engine in [
+            Engine::Serial,
+            Engine::Multicore { workers: 2 },
+            Engine::Gradient,
+            Engine::Fastpass,
+        ] {
+            check(engine, FlowtuneConfig::default(), &ops);
+        }
+        // Incremental at eps 0: the engine filters only its changed
+        // set, the model still walks everything.
         let incremental = FlowtuneConfig {
             incremental: true,
             full_sweep_every: 8,
             ..FlowtuneConfig::default()
         };
-        check(incremental, &ops);
+        check(Engine::Serial, incremental, &ops);
+        // The rule runs once per drain, not once per iteration.
+        let two_iterations = FlowtuneConfig {
+            iterations_per_tick: 2,
+            ..FlowtuneConfig::default()
+        };
+        check(Engine::Serial, two_iterations, &ops);
     }
 }

@@ -446,6 +446,14 @@ impl flowtune_alloc::RateAllocator for PanickyEngine {
         self.inner.flow_rate(id)
     }
 
+    fn drain_changed_rates(
+        &mut self,
+        threshold: f64,
+        sink: &mut dyn FnMut(&[flowtune_topo::FlowId], &[f64]),
+    ) {
+        self.inner.drain_changed_rates(threshold, sink);
+    }
+
     fn name(&self) -> &'static str {
         "panicky"
     }

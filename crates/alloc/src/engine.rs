@@ -146,6 +146,22 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// exchange) call this every round: it must not allocate once the
     /// buffer is warm.
     ///
+    /// **Own link state is as of the last iteration** — here and in
+    /// [`RateAllocator::link_hessians_into`] /
+    /// [`RateAllocator::link_state_into`]. The NED engines export the
+    /// sums their last price update consumed, kept per LinkBlock, in
+    /// `O(links)`: full-length zeros before the first iteration; a flow
+    /// removed since the last iteration still counts until the next one,
+    /// and a flow added since does not count yet (its rate is still 0).
+    /// Read right after [`RateAllocator::iterate`], as every caller in
+    /// this workspace does, that is the current rates' link state, and a
+    /// link no flow crosses reads exactly `0.0`. (The gradient baseline
+    /// keeps no per-link sums — its optimizer reduces loads inside
+    /// `flowtune-num` — and re-sums the current rates on every call: the
+    /// same values right after an iteration, while a flow removed since
+    /// is gone from its export at once. Callers must not lean on either
+    /// between iterations.)
+    ///
     /// Engines that do not price fabric links (the Fastpass arbiter,
     /// which allocates endpoint-pair timeslots) leave `out` empty — the
     /// default — which callers must treat as "no link state to share".
@@ -165,7 +181,8 @@ pub trait RateAllocator: std::fmt::Debug + Send {
 
     /// The engine's own per-link Hessian diagonal into `out` (cleared
     /// first): `Σ ∂x/∂p` over its flows crossing each link (global
-    /// [`LinkId`](flowtune_topo::LinkId) indexing, entries ≤ 0). A
+    /// [`LinkId`](flowtune_topo::LinkId) indexing, entries ≤ 0), as of
+    /// the last iteration — the `H` its price update divided by. A
     /// partitioned allocator ships this alongside
     /// [`RateAllocator::link_loads_into`] so every shard's Newton step
     /// divides the global gradient by the global sensitivity — with only
@@ -179,10 +196,11 @@ pub trait RateAllocator: std::fmt::Debug + Send {
 
     /// [`RateAllocator::link_loads_into`] and
     /// [`RateAllocator::link_hessians_into`] together — what an exchange
-    /// round exports. The two are the same walk over every flow's path,
-    /// so engines whose exports are such walks override this with a
-    /// single one; each vector must come out bit-identical to its
-    /// single-vector export.
+    /// round exports: the `(G, H)` pair of the engine's last price
+    /// update, as of the last iteration (see
+    /// [`RateAllocator::link_loads_into`]). Engines that keep the two
+    /// side by side override this with one pass over both; each vector
+    /// must come out bit-identical to its single-vector export.
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         self.link_loads_into(loads);
         self.link_hessians_into(hessians);
@@ -209,7 +227,13 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// untouched (a partitioned allocator passes `NaN` for links no
     /// shard currently loads — each engine keeps decaying its own stale
     /// price there). Engines that do not price fabric links ignore the
-    /// call.
+    /// call. The next rate pass must already price flows with the
+    /// installed duals. An engine that holds several copies of a link's
+    /// price (the §5 grid: one per FlowBlock worker of the LinkBlock's
+    /// row or column) keeps them bitwise equal to the authoritative one
+    /// between calls, so the install patches the authoritative copies
+    /// and re-distributes them, `O(links)` compares instead of a rewrite
+    /// of every copy.
     ///
     /// Dual consensus is what makes a partitioned allocator's fixed
     /// point unique: background loads alone pin only the *total* on a

@@ -18,6 +18,15 @@
 //! [`SerialAllocator`]: aggregation follows the same pairwise summation
 //! order, and everything else is element-wise.
 //!
+//! The same holds for its link state. The tree absorbs in place, so when
+//! the pool returns, the 2·B root workers' accumulators are the totals
+//! the last price update consumed; the caller thread copies them into
+//! the grid's per-LinkBlock buffers, where the serial iteration leaves
+//! its own, and every export reads those (see [`crate::serial`]). The
+//! reverse tree likewise leaves every worker's price and ratio copy
+//! equal to its root's — the invariant the grid's consensus install
+//! relies on.
+//!
 //! When the grid has more FlowBlocks than the machine has cores, several
 //! logical workers share one OS thread (the paper does the same: "we
 //! divided all FlowBlocks into groups of 2-by-2, and put two adjacent
@@ -254,6 +263,16 @@ impl MulticoreAllocator {
 
         // flowtune-lint: allow(hot-path-alloc, "O(blocks) unwrap per call, amortized over n iterations")
         self.grid.workers = cells.into_iter().map(Mutex::into_inner).collect();
+        // The tree absorbs in place, so each root's accumulators now *are*
+        // its LinkBlock's totals (the other workers' are partly absorbed
+        // and must not be reduced again): keep them for the exports, as
+        // the serial iteration does.
+        let (workers, totals) = (&self.grid.workers, &mut self.grid.totals);
+        let lpl = layout.links_per_lb();
+        for blk in 0..b {
+            totals.up[blk].copy_from_slice(&workers[up_root(blk, b)].acc.up[..lpl]);
+            totals.down[blk].copy_from_slice(&workers[down_root(blk, b)].acc.down[..lpl]);
+        }
         let took = *elapsed.lock();
         took
     }
@@ -395,42 +414,63 @@ mod tests {
         let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
         let cfg = AllocConfig::default();
         let mut serial = SerialAllocator::new(&fabric, cfg);
-        let mut parallel = MulticoreAllocator::new(&fabric, cfg);
+        // Two threads over sixteen workers: every tree step crosses the
+        // thread boundary.
+        let mut parallel = MulticoreAllocator::with_workers(&fabric, cfg, 2);
+        // The dirty-set path of the same grid, on the caller's thread.
+        let mut incremental = MulticoreAllocator::new(
+            &fabric,
+            AllocConfig {
+                incremental: true,
+                full_sweep_every: 16,
+                ..cfg
+            },
+        );
+        let mut others: [&mut dyn RateAllocator; 2] = [&mut parallel, &mut incremental];
         spray_flows(&fabric, 48, |id, s, d, w, p| {
             serial.add_flow(id, s, d, w, p)
-        });
-        spray_flows(&fabric, 48, |id, s, d, w, p| {
-            parallel.add_flow(id, s, d, w, p)
         });
         let bg: Vec<f64> = (0..fabric.topology().link_count())
             .map(|l| ((l * 31 + 7) % 11) as f64)
             .collect();
         serial.set_background_loads(&bg);
-        parallel.set_background_loads(&bg);
         let bg_h: Vec<f64> = bg.iter().map(|x| -x / 4.0).collect();
         serial.set_background_hessians(&bg_h);
-        parallel.set_background_hessians(&bg_h);
-        serial.run_iterations(37);
-        parallel.run_iterations(37);
-        let a = serial.rates();
-        let b = parallel.rates();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{:?}", x.id);
-            assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
+        for other in &mut others {
+            spray_flows(&fabric, 48, |id, s, d, w, p| other.add_flow(id, s, d, w, p));
+            other.set_background_loads(&bg);
+            other.set_background_hessians(&bg_h);
         }
-        // And the exports agree bit-for-bit too (the one-walk
-        // `link_state_into` against the single exports is pinned for
-        // every engine in engine.rs).
+        // All three link-state exports: the pipeline leaves them in the
+        // roots' accumulators, the serial iteration in its reduction
+        // scratch, a skipped quiet iteration where they were.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        serial.link_loads_into(&mut x);
-        parallel.link_loads_into(&mut y);
-        assert_eq!(bits(&x), bits(&y));
-        serial.link_hessians_into(&mut x);
-        parallel.link_hessians_into(&mut y);
-        assert_eq!(bits(&x), bits(&y));
+        let exports = |engine: &dyn RateAllocator| {
+            let (mut l, mut h, mut sl, mut sh) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            engine.link_state_into(&mut l, &mut h);
+            engine.link_loads_into(&mut sl);
+            engine.link_hessians_into(&mut sh);
+            [bits(&l), bits(&h), bits(&sl), bits(&sh)]
+        };
+        // A run of several iterations, single ones, and none at all.
+        for n in [37, 1, 1, 0, 5] {
+            serial.run_iterations(n);
+            let a = serial.rates();
+            let want = exports(&serial);
+            assert!(want[0].iter().any(|&x| f64::from_bits(x) > 0.0));
+            assert!(want[1].iter().any(|&x| f64::from_bits(x) < 0.0));
+            for other in &mut others {
+                other.run_iterations(n);
+                let b = other.rates();
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.id, y.id);
+                    assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{:?}", x.id);
+                    assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
+                }
+                assert_eq!(exports(&**other), want, "{} after {n}", other.name());
+            }
+        }
     }
 
     #[test]

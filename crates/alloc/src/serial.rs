@@ -6,6 +6,23 @@
 //! distribution back — just on one thread. The `parallel_matches_serial`
 //! tests assert bit-for-bit equality, which is what makes the parallel
 //! engine trustworthy.
+//!
+//! **Link state is read, not re-derived.** The `[load, hessian]` totals
+//! each price update reduces are kept per LinkBlock (`LinkTotals`),
+//! and the three link-state exports are one scatter of them to global
+//! link ids: `O(links)`, no walk over the flows. What an export reports
+//! is therefore the engine's own link state *as of its last iteration* —
+//! the sums its own price update just used; see
+//! [`crate::RateAllocator::link_loads_into`] for the contract.
+//!
+//! **Every price copy equals its root's.** Construction, every
+//! distribution (here and the multicore reverse tree), a skipped quiet
+//! iteration and a consensus install all leave each worker's copy of a
+//! LinkBlock's prices and ratios bitwise equal to the root worker's.
+//! The diff phase reads roots as proxies for "what this worker would
+//! read" on that ground, and [`SerialAllocator::set_link_prices`]
+//! patches the 2·B roots and runs the distribution step's price copies
+//! instead of rewriting B² copies link by link.
 
 use std::collections::HashMap;
 
@@ -45,6 +62,8 @@ pub struct SerialAllocator {
     /// Dirty-set bookkeeping when `cfg.incremental` is on; `None` runs
     /// the classic full sweep every iteration.
     dirty: Option<DirtySet>,
+    /// What the last price update summed, kept for the exports.
+    pub(crate) totals: LinkTotals,
     /// Preallocated per-iteration buffers (aggregation partials and the
     /// distribute copies), so the steady-state tick path never allocates.
     scratch: IterScratch,
@@ -60,6 +79,17 @@ struct IterScratch {
     partials: Vec<Vec<[f64; 2]>>,
     prices: Vec<f64>,
     ratios: Vec<f64>,
+}
+
+/// Each LinkBlock's reduced `[load, hessian]` pairs (real links only) —
+/// the `(G, H)` the last price update consumed, over this engine's own
+/// flows. All zeros until the first iteration; carried unchanged across
+/// a skipped quiet iteration, when no accumulator moved and a
+/// re-aggregation would reproduce them bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkTotals {
+    pub up: Vec<Vec<[f64; 2]>>,
+    pub down: Vec<Vec<[f64; 2]>>,
 }
 
 /// Background (other-shard) per-link values in LinkBlock layout: one
@@ -105,10 +135,17 @@ impl SerialAllocator {
             .collect();
         let lpl = layout.links_per_lb();
         let workers = (0..b * b).map(|_| WorkerCore::new(lpl)).collect();
+        // B LinkBlocks of pairs: the shape of the tree's partials (one per
+        // virtual index) and of each direction's totals alike.
+        let zeros = vec![vec![[0.0; 2]; lpl]; b];
         let scratch = IterScratch {
-            partials: vec![vec![[0.0; 2]; lpl]; b],
+            partials: zeros.clone(),
             prices: vec![0.0; lpl + 1],
             ratios: vec![0.0; lpl + 1],
+        };
+        let totals = LinkTotals {
+            up: zeros.clone(),
+            down: zeros,
         };
         let dirty = cfg
             .incremental
@@ -122,6 +159,7 @@ impl SerialAllocator {
             bg: None,
             bg_h: None,
             dirty,
+            totals,
             scratch,
         }
     }
@@ -248,36 +286,27 @@ impl SerialAllocator {
         Some(self.workers[w].flows.flow_rate(slot))
     }
 
-    /// Own per-link loads, global-link indexed: each flow's current raw
-    /// rate summed onto the links its path crosses. Background loads are
-    /// *not* included (see [`crate::RateAllocator::link_loads_into`]).
+    /// Own per-link loads as of the last iteration, global-link indexed:
+    /// the raw rates its rate pass summed onto each link. Background
+    /// loads are *not* included (see
+    /// [`crate::RateAllocator::link_loads_into`]).
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
-        self.for_each_hop(|link, rate, _| out[link] += rate);
+        self.for_each_total(|link, [load, _]| out[link] = load);
     }
 
-    /// Calls `hop(global link index, rate, ∂x/∂p)` for every link of every
-    /// flow's path, in (worker, slot, path) order — the one walk, and so
-    /// the one summation order, behind every link-state export. For the
-    /// log-utility hot path `∂x/∂p = −x/λ = −x²/w`, reconstructed from the
-    /// stored rate and weight.
-    fn for_each_hop(&self, mut hop: impl FnMut(usize, f64, f64)) {
-        let b = self.layout.blocks();
-        for (w, worker) in self.workers.iter().enumerate() {
-            let up_links = self.layout.up_links(w / b);
-            let down_links = self.layout.down_links(w % b);
-            let flows = &worker.flows;
-            for (slot, (&rate, &weight)) in flows.rates.iter().zip(&flows.weight).enumerate() {
-                let dx = -(rate * rate) / weight;
-                let (up, down) = flows.path(slot);
-                for &o in up {
-                    hop(up_links[o as usize].index(), rate, dx);
-                }
-                for &o in down {
-                    hop(down_links[o as usize].index(), rate, dx);
-                }
-            }
+    /// Calls `put(global link index, [load, hessian])` for every link of
+    /// every LinkBlock, from [`LinkTotals`] — the one scatter behind
+    /// every link-state export. Links outside any LinkBlock (control
+    /// links) are not visited.
+    fn for_each_total(&self, mut put: impl FnMut(usize, [f64; 2])) {
+        for blk in 0..self.layout.blocks() {
+            let (up, down) = (&self.totals.up[blk], &self.totals.down[blk]);
+            let up = self.layout.up_links(blk).iter().zip(up);
+            let down = self.layout.down_links(blk).iter().zip(down);
+            up.chain(down)
+                .for_each(|(link, &pair)| put(link.index(), pair));
         }
     }
 
@@ -301,11 +330,18 @@ impl SerialAllocator {
     }
 
     /// Overwrites per-link duals from a global-link-indexed vector; `NaN`
-    /// entries keep the current price. Every worker's LinkBlock copy is
-    /// rewritten (not only the roots'), so the next rate pass — which
-    /// reads the per-worker copies before any distribution step — already
-    /// prices flows with the consensus duals, identically in the serial
-    /// and multicore engines.
+    /// entries keep the current price. The 2·B root copies are patched
+    /// link by link — on the incremental path the same pass marks: an
+    /// install that moves a dual beyond eps invalidates the rate pass of
+    /// every worker whose flows traverse that link — and then copied to
+    /// their row / column members the way a distribution step copies
+    /// prices, so the next rate pass, which reads the per-worker copies
+    /// before any distribution step, already prices flows with the
+    /// consensus duals, identically in the serial and multicore engines.
+    /// Every copy equals its root on entry (see the module docs), so
+    /// this is bit for bit a rewrite of each worker's copy from `prices`
+    /// (the tests' oracle), and the old root value is the comparison
+    /// point for every worker at once.
     pub fn set_link_prices(&mut self, prices: &[f64]) {
         if prices.is_empty() {
             return;
@@ -316,26 +352,20 @@ impl SerialAllocator {
             "price vector must cover every fabric link"
         );
         let b = self.layout.blocks();
-        if self.dirty.is_some() {
-            // Marking pass (before the overwrite below): an install that
-            // actually moves a dual beyond eps invalidates the rate pass
-            // of every worker whose flows traverse that link. The current
-            // root views are valid comparison points because distribution
-            // keeps every copy exactly synced to the roots.
-            let Self {
-                layout,
-                workers,
-                dirty,
-                ..
-            } = self;
-            let ds = dirty.as_mut().expect("checked above");
-            for blk in 0..b {
-                let up_view = &workers[up_root(blk, b)].view;
-                for (o, link) in layout.up_links(blk).iter().enumerate() {
-                    let p = prices[link.index()];
-                    if p.is_nan() || (p - up_view.up_prices[o]).abs() <= ds.eps {
-                        continue;
-                    }
+        let Self {
+            layout,
+            workers,
+            dirty,
+            ..
+        } = self;
+        for blk in 0..b {
+            let root = &mut workers[up_root(blk, b)].view.up_prices;
+            for (o, link) in layout.up_links(blk).iter().enumerate() {
+                let p = prices[link.index()];
+                if p.is_nan() {
+                    continue;
+                }
+                if let Some(ds) = dirty.as_mut().filter(|ds| (p - root[o]).abs() > ds.eps) {
                     ds.moving = true;
                     ds.dirty_links += 1;
                     ds.prev_up_prices[blk][o] = p;
@@ -346,12 +376,15 @@ impl SerialAllocator {
                         }
                     }
                 }
-                let down_view = &workers[down_root(blk, b)].view;
-                for (o, link) in layout.down_links(blk).iter().enumerate() {
-                    let p = prices[link.index()];
-                    if p.is_nan() || (p - down_view.down_prices[o]).abs() <= ds.eps {
-                        continue;
-                    }
+                root[o] = p;
+            }
+            let root = &mut workers[down_root(blk, b)].view.down_prices;
+            for (o, link) in layout.down_links(blk).iter().enumerate() {
+                let p = prices[link.index()];
+                if p.is_nan() {
+                    continue;
+                }
+                if let Some(ds) = dirty.as_mut().filter(|ds| (p - root[o]).abs() > ds.eps) {
                     ds.moving = true;
                     ds.dirty_links += 1;
                     ds.prev_down_prices[blk][o] = p;
@@ -362,24 +395,10 @@ impl SerialAllocator {
                         }
                     }
                 }
+                root[o] = p;
             }
         }
-        for (w, worker) in self.workers.iter_mut().enumerate() {
-            let up_links = self.layout.up_links(w / b);
-            let down_links = self.layout.down_links(w % b);
-            for (o, link) in up_links.iter().enumerate() {
-                let p = prices[link.index()];
-                if !p.is_nan() {
-                    worker.view.up_prices[o] = p;
-                }
-            }
-            for (o, link) in down_links.iter().enumerate() {
-                let p = prices[link.index()];
-                if !p.is_nan() {
-                    worker.view.down_prices[o] = p;
-                }
-            }
-        }
+        self.distribute(false);
     }
 
     /// Re-splits a global-link-indexed vector into the LinkBlock-layout
@@ -419,28 +438,28 @@ impl SerialAllocator {
         Self::refill_bg(&self.layout, &mut self.bg, loads);
     }
 
-    /// Own per-link Hessian diagonal, global-link indexed: `Σ ∂x/∂p`
-    /// over this engine's flows crossing each link — the same values the
-    /// engine's own rate pass accumulates beside the loads in `Accums`.
+    /// Own per-link Hessian diagonal as of the last iteration,
+    /// global-link indexed: `Σ ∂x/∂p` over this engine's flows crossing
+    /// each link — the values its rate pass accumulated beside the loads
+    /// in `Accums`.
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
-        self.for_each_hop(|link, _, dx| out[link] += dx);
+        self.for_each_total(|link, [_, h]| out[link] = h);
     }
 
     /// [`SerialAllocator::link_loads_into`] and
-    /// [`SerialAllocator::link_hessians_into`] in one walk over the
-    /// flows: the exchange wants both every round. Both vectors
-    /// accumulate in the order the single-vector exports use, so every
-    /// per-link sum is bit-identical to theirs.
+    /// [`SerialAllocator::link_hessians_into`] in one scatter: the
+    /// exchange wants both every round. All three copy the same
+    /// `LinkTotals` entries, so they agree bit for bit.
     pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         loads.clear();
         loads.resize(self.layout.total_links(), 0.0);
         hessians.clear();
         hessians.resize(self.layout.total_links(), 0.0);
-        self.for_each_hop(|link, rate, dx| {
-            loads[link] += rate;
-            hessians[link] += dx;
+        self.for_each_total(|link, [load, h]| {
+            loads[link] = load;
+            hessians[link] = h;
         });
     }
 
@@ -476,7 +495,7 @@ impl SerialAllocator {
     fn iterate_full(&mut self) {
         self.rate_phase_full();
         self.aggregate_and_price();
-        self.distribute();
+        self.distribute(true);
         self.normalize_phase_full();
     }
 
@@ -515,7 +534,7 @@ impl SerialAllocator {
         if recomputed || self.dirty.as_ref().expect("incremental path").moving {
             self.aggregate_and_price();
             self.diff_and_mark();
-            self.distribute();
+            self.distribute(true);
         }
         self.normalize_phase_dirty();
     }
@@ -556,7 +575,10 @@ impl SerialAllocator {
 
     /// Phases B+C: aggregate each LinkBlock along the binomial tree (in
     /// the tree's exact pairwise order) into preallocated scratch and run
-    /// the NED price update on the diagonal owner's copy.
+    /// the NED price update on the diagonal owner's copy. The reduced
+    /// totals trade places with the LinkBlock's [`LinkTotals`] buffer —
+    /// no copy; the next reduction overwrites all of `partials[0]` — so
+    /// the exports read exactly what the update was given.
     fn aggregate_and_price(&mut self) {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
@@ -566,9 +588,10 @@ impl SerialAllocator {
                 part.copy_from_slice(&self.workers[up_worker(i, k, b)].acc.up[..lpl]);
             }
             binomial_reduce_in_order(partials, |a, o| absorb(a, o));
+            std::mem::swap(&mut partials[0], &mut self.totals.up[i]);
             let view = &mut self.workers[up_root(i, b)].view;
             price_update(
-                &partials[0],
+                &self.totals.up[i],
                 self.bg.as_ref().map(|bg| bg.up[i].as_slice()),
                 self.bg_h.as_ref().map(|bg| bg.up[i].as_slice()),
                 self.layout.up_capacity(i),
@@ -582,9 +605,10 @@ impl SerialAllocator {
                 part.copy_from_slice(&self.workers[down_worker(j, k, b)].acc.down[..lpl]);
             }
             binomial_reduce_in_order(partials, |a, o| absorb(a, o));
+            std::mem::swap(&mut partials[0], &mut self.totals.down[j]);
             let view = &mut self.workers[down_root(j, b)].view;
             price_update(
-                &partials[0],
+                &self.totals.down[j],
                 self.bg.as_ref().map(|bg| bg.down[j].as_slice()),
                 self.bg_h.as_ref().map(|bg| bg.down[j].as_slice()),
                 self.layout.down_capacity(j),
@@ -672,8 +696,10 @@ impl SerialAllocator {
     /// content is identical to the reverse-tree broadcast). Runs in full
     /// on the incremental path too: it keeps every view exactly synced to
     /// the roots, which is what makes the diff phase's root comparisons
-    /// valid as proxies for "what this worker would read".
-    fn distribute(&mut self) {
+    /// valid as proxies for "what this worker would read". A consensus
+    /// install, which moves prices only, passes `ratios: false` and gets
+    /// the price copies alone.
+    fn distribute(&mut self, ratios: bool) {
         let b = self.layout.blocks();
         let Self {
             workers, scratch, ..
@@ -681,21 +707,29 @@ impl SerialAllocator {
         for i in 0..b {
             let root = &workers[up_root(i, b)].view;
             scratch.prices.copy_from_slice(&root.up_prices);
-            scratch.ratios.copy_from_slice(&root.up_ratio);
+            if ratios {
+                scratch.ratios.copy_from_slice(&root.up_ratio);
+            }
             for j in 0..b {
                 let view = &mut workers[i * b + j].view;
                 view.up_prices.copy_from_slice(&scratch.prices);
-                view.up_ratio.copy_from_slice(&scratch.ratios);
+                if ratios {
+                    view.up_ratio.copy_from_slice(&scratch.ratios);
+                }
             }
         }
         for j in 0..b {
             let root = &workers[down_root(j, b)].view;
             scratch.prices.copy_from_slice(&root.down_prices);
-            scratch.ratios.copy_from_slice(&root.down_ratio);
+            if ratios {
+                scratch.ratios.copy_from_slice(&root.down_ratio);
+            }
             for i in 0..b {
                 let view = &mut workers[i * b + j].view;
                 view.down_prices.copy_from_slice(&scratch.prices);
-                view.down_ratio.copy_from_slice(&scratch.ratios);
+                if ratios {
+                    view.down_ratio.copy_from_slice(&scratch.ratios);
+                }
             }
         }
     }
@@ -759,6 +793,110 @@ mod tests {
     use super::*;
     use crate::RateAllocator;
     use flowtune_topo::ClosConfig;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// What the link-state exports and the consensus install did before
+    /// they read the price update's sums and wrote through the roots,
+    /// kept as the oracles the differential tests compare against.
+    impl SerialAllocator {
+        /// Calls `hop(global link index, rate, ∂x/∂p)` for every link of
+        /// every flow's path, in (worker, slot, path) order. For the
+        /// log-utility hot path `∂x/∂p = −x/λ = −x²/w`, reconstructed
+        /// from the stored rate and weight.
+        fn for_each_hop(&self, mut hop: impl FnMut(usize, f64, f64)) {
+            let b = self.layout.blocks();
+            for (w, worker) in self.workers.iter().enumerate() {
+                let up_links = self.layout.up_links(w / b);
+                let down_links = self.layout.down_links(w % b);
+                let flows = &worker.flows;
+                for (slot, (&rate, &weight)) in flows.rates.iter().zip(&flows.weight).enumerate() {
+                    let dx = -(rate * rate) / weight;
+                    let (up, down) = flows.path(slot);
+                    for &o in up {
+                        hop(up_links[o as usize].index(), rate, dx);
+                    }
+                    for &o in down {
+                        hop(down_links[o as usize].index(), rate, dx);
+                    }
+                }
+            }
+        }
+
+        /// `(loads, hessians)` of the *current* flows at their current
+        /// rates, by the walk.
+        fn link_state_by_walk(&self) -> (Vec<f64>, Vec<f64>) {
+            let mut loads = vec![0.0; self.layout.total_links()];
+            let mut hessians = loads.clone();
+            self.for_each_hop(|link, rate, dx| {
+                loads[link] += rate;
+                hessians[link] += dx;
+            });
+            (loads, hessians)
+        }
+
+        /// The install as a marking pass over the roots and then a
+        /// rewrite of every worker's copy, link by link, from `prices`.
+        fn set_link_prices_every_worker(&mut self, prices: &[f64]) {
+            let b = self.layout.blocks();
+            let Self {
+                layout,
+                workers,
+                dirty,
+                ..
+            } = self;
+            if let Some(ds) = dirty {
+                for blk in 0..b {
+                    let up_view = &workers[up_root(blk, b)].view;
+                    for (o, link) in layout.up_links(blk).iter().enumerate() {
+                        let p = prices[link.index()];
+                        if p.is_nan() || (p - up_view.up_prices[o]).abs() <= ds.eps {
+                            continue;
+                        }
+                        ds.moving = true;
+                        ds.dirty_links += 1;
+                        ds.prev_up_prices[blk][o] = p;
+                        for j in 0..b {
+                            let w = blk * b + j;
+                            if ds.up_touch[w][o] > 0 {
+                                ds.rate_dirty[w] = true;
+                            }
+                        }
+                    }
+                    let down_view = &workers[down_root(blk, b)].view;
+                    for (o, link) in layout.down_links(blk).iter().enumerate() {
+                        let p = prices[link.index()];
+                        if p.is_nan() || (p - down_view.down_prices[o]).abs() <= ds.eps {
+                            continue;
+                        }
+                        ds.moving = true;
+                        ds.dirty_links += 1;
+                        ds.prev_down_prices[blk][o] = p;
+                        for i in 0..b {
+                            let w = i * b + blk;
+                            if ds.down_touch[w][o] > 0 {
+                                ds.rate_dirty[w] = true;
+                            }
+                        }
+                    }
+                }
+            }
+            for (w, worker) in workers.iter_mut().enumerate() {
+                for (o, link) in layout.up_links(w / b).iter().enumerate() {
+                    let p = prices[link.index()];
+                    if !p.is_nan() {
+                        worker.view.up_prices[o] = p;
+                    }
+                }
+                for (o, link) in layout.down_links(w % b).iter().enumerate() {
+                    let p = prices[link.index()];
+                    if !p.is_nan() {
+                        worker.view.down_prices[o] = p;
+                    }
+                }
+            }
+        }
+    }
 
     fn fabric() -> TwoTierClos {
         TwoTierClos::build(ClosConfig::multicore(2, 2, 4))
@@ -1011,9 +1149,104 @@ mod tests {
             full.link_prices_into(&mut full_prices);
             inc.link_prices_into(&mut inc_prices);
             assert_eq!(full_prices, inc_prices);
+            // The totals a skipped (quiet) iteration carried over are
+            // the ones the full sweep re-reduced.
+            assert_eq!(exports(&full), exports(&inc), "step {step}");
         }
         assert!(inc.dirty_counters().is_some());
         assert!(full.dirty_counters().is_none());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// All three link-state exports, as bits: the fused pair (into dirty
+    /// buffers), then the two single ones — after asserting the fused
+    /// pair *is* the single ones.
+    fn exports(alloc: &SerialAllocator) -> [Vec<u64>; 2] {
+        let (mut loads, mut hessians) = (vec![f64::NAN; 3], vec![7.0; 1000]);
+        alloc.link_state_into(&mut loads, &mut hessians);
+        let (mut single_loads, mut single_hessians) = (vec![1.0], Vec::new());
+        alloc.link_loads_into(&mut single_loads);
+        alloc.link_hessians_into(&mut single_hessians);
+        assert_eq!(bits(&loads), bits(&single_loads));
+        assert_eq!(bits(&hessians), bits(&single_hessians));
+        assert_eq!(loads.len(), alloc.layout.total_links());
+        assert_eq!(hessians.len(), alloc.layout.total_links());
+        [bits(&loads), bits(&hessians)]
+    }
+
+    #[test]
+    fn link_state_is_as_of_the_last_iteration() {
+        let f = fabric();
+        for incremental in [false, true] {
+            let mut alloc = SerialAllocator::new(
+                &f,
+                AllocConfig {
+                    incremental,
+                    ..cfg()
+                },
+            );
+            let links = f.topology().link_count();
+            // Before the first iteration: zeros at full length, flows or
+            // not (an added flow's rate is still 0).
+            let zeros = [bits(&vec![0.0; links]), bits(&vec![0.0; links])];
+            assert_eq!(exports(&alloc), zeros);
+            let (p1, p2) = (f.path(0, 8, FlowId(1)), f.path(5, 13, FlowId(2)));
+            alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
+            alloc.add_flow(FlowId(2), 5, 13, 2.0, &p2);
+            assert_eq!(exports(&alloc), zeros);
+            alloc.run_iterations(30);
+            let before = exports(&alloc);
+            let private = p2.links()[0].index();
+            assert!(f64::from_bits(before[0][private]) > 0.0);
+            assert!(f64::from_bits(before[1][private]) < 0.0);
+            // A removed flow is counted until the next iteration …
+            assert!(alloc.remove_flow(FlowId(2)));
+            assert_eq!(exports(&alloc), before, "no iteration, no change");
+            // … and gone, to an exact 0.0, after it.
+            alloc.iterate();
+            let after = exports(&alloc);
+            for l in p2.links() {
+                assert_eq!(after[0][l.index()], 0.0f64.to_bits(), "{l}");
+                assert_eq!(after[1][l.index()], 0.0f64.to_bits(), "{l}");
+            }
+            let (want_loads, _) = alloc.link_state_by_walk();
+            assert_eq!(after[0], bits(&want_loads), "one flow a link: one term");
+        }
+    }
+
+    #[test]
+    fn a_quiet_incremental_tick_exports_what_the_one_before_did() {
+        let f = fabric();
+        let mut inc = SerialAllocator::new(
+            &f,
+            AllocConfig {
+                incremental: true,
+                ..cfg()
+            },
+        );
+        for (i, (src, dst)) in [(0, 8), (0, 12), (5, 4), (9, 1)].into_iter().enumerate() {
+            let id = FlowId(i as u64);
+            inc.add_flow(id, src, dst, 1.0 + i as f64, &f.path(src, dst, id));
+        }
+        // Converge until an iteration recomputes no worker and runs no
+        // price update: the aggregation is skipped, the totals are not.
+        let mut quiet = 0;
+        let mut last = (inc.dirty_counters(), exports(&inc));
+        for _ in 0..2000 {
+            inc.iterate();
+            let now = (inc.dirty_counters(), exports(&inc));
+            if now.0 == last.0 {
+                assert_eq!(now.1, last.1, "quiet tick, same export");
+                quiet += 1;
+            }
+            last = now;
+        }
+        assert!(quiet > 100, "the engine never went quiet ({quiet})");
+        let (loads, hessians) = inc.link_state_by_walk();
+        assert!(loads.iter().any(|&x| x > 0.0) && hessians.iter().any(|&x| x < 0.0));
     }
 
     #[test]
@@ -1243,5 +1476,172 @@ mod tests {
         let p = f.path(0, 8, FlowId(1));
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p);
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p);
+    }
+
+    /// Seeded churn over one or more engines kept in lockstep: each call
+    /// adds up to six flows — every third one inside the source's rack
+    /// (one hop each way, the rest padded), the others anywhere — and
+    /// removes up to two.
+    struct Churn {
+        rng: TestRng,
+        servers: usize,
+        next: u64,
+        live: Vec<FlowId>,
+    }
+
+    impl Churn {
+        fn new(fabric: &TwoTierClos, label: &str) -> Self {
+            Churn {
+                rng: TestRng::deterministic(label),
+                servers: fabric.config().server_count(),
+                next: 0,
+                live: Vec::new(),
+            }
+        }
+
+        fn step(&mut self, fabric: &TwoTierClos, engines: &mut [&mut SerialAllocator]) {
+            for _ in 0..self.rng.below(7) {
+                let id = FlowId(self.next);
+                self.next += 1;
+                let src = self.rng.below(self.servers);
+                let dst = if id.0.is_multiple_of(3) {
+                    src ^ 1 // racks hold 4 servers: the neighbour shares one
+                } else {
+                    (src + 1 + self.rng.below(self.servers - 1)) % self.servers
+                };
+                let weight = 1.0 + self.rng.below(4) as f64;
+                let path = fabric.path(src, dst, id);
+                for engine in engines.iter_mut() {
+                    engine.add_flow(id, src, dst, weight, &path);
+                }
+                self.live.push(id);
+            }
+            for _ in 0..self.rng.below(3).min(self.live.len()) {
+                let victim = self.live.swap_remove(self.rng.below(self.live.len()));
+                for engine in engines.iter_mut() {
+                    assert!(engine.remove_flow(victim));
+                }
+            }
+        }
+
+        /// A global-link-indexed vector of `draw`s.
+        fn per_link(&mut self, links: usize, draw: impl Fn(&mut TestRng) -> f64) -> Vec<f64> {
+            (0..links).map(|_| draw(&mut self.rng)).collect()
+        }
+    }
+
+    proptest! {
+        // The exports against the walk they replaced: same terms, summed
+        // (slot, then tree) instead of (FlowBlock, slot).
+        #[test]
+        fn exports_match_the_flow_walk(
+            blocks in prop_oneof![Just(1usize), Just(2), Just(4)],
+            incremental in any::<bool>(),
+            per_tick in 1usize..3,
+            background in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let f = TwoTierClos::build(ClosConfig::multicore(blocks, 2, 4));
+            let links = f.topology().link_count();
+            let mut alloc = SerialAllocator::new(
+                &f,
+                AllocConfig {
+                    incremental,
+                    full_sweep_every: 5,
+                    ..cfg()
+                },
+            );
+            let mut churn = Churn::new(&f, &format!("export-{seed}"));
+            for step in 0..10 {
+                churn.step(&f, &mut [&mut alloc]);
+                if background && step == 3 {
+                    // Priced, never echoed.
+                    alloc.set_background_loads(&churn.per_link(links, |r| r.unit_f64() * 9.0));
+                    alloc.set_background_hessians(&churn.per_link(links, |r| -r.unit_f64()));
+                }
+                alloc.run_iterations(per_tick);
+                let [loads, hessians] = exports(&alloc);
+                let (want_loads, want_hessians) = alloc.link_state_by_walk();
+                let got = loads.iter().chain(&hessians).map(|&x| f64::from_bits(x));
+                for (l, (got, want)) in got.zip(want_loads.iter().chain(&want_hessians)).enumerate() {
+                    if *want == 0.0 {
+                        // No flow crosses it: an exact +0.0 in both.
+                        prop_assert_eq!((got.to_bits(), want.to_bits()), (0, 0), "entry {}", l);
+                    } else {
+                        prop_assert!(
+                            (got - want).abs() <= 1e-12 * want.abs(),
+                            "step {} entry {}: {} vs walk {}", step, l, got, want
+                        );
+                    }
+                }
+                prop_assert!(churn.live.is_empty() || want_loads.iter().any(|&x| x > 0.0));
+            }
+        }
+
+        // The root-patching install against the every-worker rewrite.
+        #[test]
+        fn set_link_prices_matches_the_every_worker_rewrite(
+            blocks in prop_oneof![Just(1usize), Just(2), Just(4)],
+            incremental in any::<bool>(),
+            dirty_eps in prop_oneof![Just(0.0f64), Just(1e-3)],
+            seed in any::<u64>(),
+        ) {
+            let f = TwoTierClos::build(ClosConfig::multicore(blocks, 2, 4));
+            let links = f.topology().link_count();
+            let build = || SerialAllocator::new(
+                &f,
+                AllocConfig {
+                    incremental,
+                    dirty_eps,
+                    full_sweep_every: 6,
+                    ..cfg()
+                },
+            );
+            let (mut new, mut old) = (build(), build());
+            let mut churn = Churn::new(&f, &format!("install-{seed}"));
+            let mut current = Vec::new();
+            for step in 0..8 {
+                churn.step(&f, &mut [&mut new, &mut old]);
+                new.run_iterations(1 + step % 2);
+                old.run_iterations(1 + step % 2);
+                // Holes, the price already held (no move to mark), a
+                // move inside eps, and fresh values.
+                new.link_prices_into(&mut current);
+                let prices: Vec<f64> = current
+                    .iter()
+                    .map(|&p| match churn.rng.below(5) {
+                        0 => f64::NAN,
+                        1 => p,
+                        2 => p + 5e-4,
+                        _ => churn.rng.unit_f64() * 2.0,
+                    })
+                    .collect();
+                prop_assert_eq!(prices.len(), links);
+                new.set_link_prices(&prices);
+                old.set_link_prices_every_worker(&prices);
+                let lpl = new.layout.links_per_lb();
+                for (w, (a, b)) in new.workers.iter().zip(&old.workers).enumerate() {
+                    prop_assert_eq!(bits(&a.view.up_prices), bits(&b.view.up_prices), "worker {}", w);
+                    prop_assert_eq!(bits(&a.view.down_prices), bits(&b.view.down_prices), "worker {}", w);
+                    prop_assert_eq!(bits(&a.view.up_ratio), bits(&b.view.up_ratio), "worker {}", w);
+                    prop_assert_eq!(bits(&a.view.down_ratio), bits(&b.view.down_ratio), "worker {}", w);
+                    prop_assert_eq!((a.view.up_prices[lpl], a.view.down_prices[lpl]), (0.0, 0.0));
+                    // Every copy of a LinkBlock is its root's.
+                    let (up, down) = (up_root(w / blocks, blocks), down_root(w % blocks, blocks));
+                    prop_assert_eq!(bits(&a.view.up_prices), bits(&new.workers[up].view.up_prices));
+                    prop_assert_eq!(bits(&a.view.down_prices), bits(&new.workers[down].view.down_prices));
+                }
+                prop_assert_eq!(new.dirty_counters(), old.dirty_counters());
+                if let (Some(a), Some(b)) = (&new.dirty, &old.dirty) {
+                    prop_assert_eq!((&a.rate_dirty, a.moving), (&b.rate_dirty, b.moving));
+                    prop_assert_eq!(&a.prev_up_prices, &b.prev_up_prices);
+                    prop_assert_eq!(&a.prev_down_prices, &b.prev_down_prices);
+                }
+            }
+            // And what the installs led to is the same allocation.
+            new.run_iterations(3);
+            old.run_iterations(3);
+            prop_assert_eq!(new.rates(), old.rates());
+        }
     }
 }

@@ -113,7 +113,9 @@ pub trait TickDriver: std::fmt::Debug + Send {
         PhaseTimings::default()
     }
 
-    /// Per-link loads of the control plane's current raw allocation,
+    /// Per-link loads of the control plane's raw allocation as of its
+    /// last tick (what the engines' own price updates summed — see
+    /// [`RateAllocator::link_loads_into`]; read it after a tick),
     /// indexed by global [`LinkId`](flowtune_topo::LinkId) (summed over
     /// shards, where applicable). Empty when the engine does not price
     /// fabric links (Fastpass). Powers the over-allocation telemetry of

@@ -112,11 +112,12 @@ impl std::fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// One shard's fresh link-state export — the `(G, H)` pair and the duals
-/// its own price update uses — in buffers reused every round, so a
-/// steady-state exchange allocates nothing. All three are the fabric's
-/// link count long, or `hessians` is empty (first-order engines), or all
-/// are empty (engines that do not price fabric links).
+/// One shard's fresh link-state export — the `(G, H)` pair its own
+/// price update summed in the tick just run, and the duals that update
+/// produced — in buffers reused every round, so a steady-state exchange
+/// allocates nothing. All three are the fabric's link count long, or
+/// `hessians` is empty (first-order engines), or all are empty (engines
+/// that do not price fabric links).
 #[derive(Debug, Default)]
 pub struct LinkExport {
     /// Per-link loads of the shard's own flows.
@@ -128,7 +129,11 @@ pub struct LinkExport {
 }
 
 impl LinkExport {
-    /// Overwrites the buffers with `svc`'s post-tick link state.
+    /// Overwrites the buffers with `svc`'s post-tick link state: three
+    /// `O(links)` scatters out of the engine — its sums are as of its
+    /// last iteration (see
+    /// [`RateAllocator::link_state_into`]), so call this right after
+    /// the tick, as both shard sets do.
     pub fn refresh<E: RateAllocator>(&mut self, svc: &AllocatorService<E>) {
         svc.link_state_into(&mut self.loads, &mut self.hessians);
         svc.link_prices_into(&mut self.prices);

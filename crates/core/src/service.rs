@@ -830,10 +830,10 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     /// The engine's own per-link loads (raw rates summed per global
-    /// link) into a caller-provided buffer (see
-    /// [`RateAllocator::link_loads_into`]) — the allocation-free export
-    /// the sharded exchange calls every round. Left empty by engines
-    /// that do not price fabric links.
+    /// link, as of its last iteration) into a caller-provided buffer
+    /// (see [`RateAllocator::link_loads_into`]) — the allocation-free
+    /// export the sharded exchange calls every round. Left empty by
+    /// engines that do not price fabric links.
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.engine.link_loads_into(out);
     }
@@ -854,9 +854,10 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 
     /// [`AllocatorService::link_loads_into`] and
-    /// [`AllocatorService::link_hessians_into`] in one walk over the
-    /// engine's flows (see [`RateAllocator::link_state_into`]) — the
-    /// exchange's per-round export.
+    /// [`AllocatorService::link_hessians_into`] in one pass (see
+    /// [`RateAllocator::link_state_into`]) — the exchange's per-round
+    /// export: the engine's own link state as of its last iteration, so
+    /// read it after [`AllocatorService::tick_into`].
     pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         self.engine.link_state_into(loads, hessians);
     }

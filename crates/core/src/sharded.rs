@@ -79,8 +79,9 @@
 //! **link-state exchange**. Every
 //! [`FlowtuneConfig::exchange_every`](crate::FlowtuneConfig) ticks, each
 //! shard exports its per-link loads and Hessian diagonals (the `(G, H)`
-//! pair its own price update uses) and its per-link duals, and the
-//! exchange runs three consensus parts:
+//! pair its own price update just used — read back from the engine, not
+//! recomputed) and its per-link duals, and the exchange runs three
+//! consensus parts:
 //!
 //! * **load aggregation** — each shard imports the *other* shards' load
 //!   sum as exogenous background load
@@ -103,11 +104,13 @@
 //! ## One shared table, a sparse delta protocol
 //!
 //! Exports go through the engines' buffer variants
-//! ([`flowtune_alloc::RateAllocator::link_state_into`] — loads and
-//! Hessians in one walk over the flows — and
+//! ([`flowtune_alloc::RateAllocator::link_state_into`] — the loads and
+//! Hessians the engine's last price update summed, scattered to global
+//! link ids: `O(links)`, no walk over the flows — and
 //! [`flowtune_alloc::RateAllocator::link_prices_into`]) into a per-shard
 //! [`LinkExport`] reused every round, so a steady-state exchange
-//! allocates nothing.
+//! allocates nothing. The export is the shard's own link state *as of
+//! its last iteration*, and it is taken right after the shard's tick.
 //!
 //! The shards of one process exchange through **one shared link-state
 //! table** ([`crate::exchange`]): a row per shard holding what that

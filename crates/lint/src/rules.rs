@@ -64,7 +64,7 @@ pub const HOT_MODULES: &[HotModule] = &[
             "run_iterations",
             "rates_into",
             "drain_changed_rates",
-            "for_each_hop",
+            "for_each_total",
             "link_loads_into",
             "link_hessians_into",
             "link_state_into",
@@ -290,7 +290,6 @@ pub const FLOAT_KERNELS: &[HotModule] = &[
         path: "crates/alloc/src/serial.rs",
         hot_fns: &[
             "aggregate_and_price",
-            "for_each_hop",
             "link_loads_into",
             "link_hessians_into",
             "link_state_into",

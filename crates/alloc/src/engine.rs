@@ -48,7 +48,11 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// unique among the flows currently registered: an id may be handed
     /// out again after [`RateAllocator::remove_flow`] (the allocator
     /// service recycles its flow-table slots as ids), so an engine must
-    /// not derive rates from id values or their order.
+    /// not derive rates from id values or their order. Ids are the
+    /// *embedder's* numbering, never a value read off the wire: the NED
+    /// engines index them under a cheap unkeyed hash, which an adversary
+    /// who could pick ids could degrade — map wire identities (tokens)
+    /// to ids of your own first, as the service does.
     ///
     /// # Panics
     /// Panics on duplicate ids, non-positive weights, or paths that do

@@ -142,34 +142,42 @@ impl BlockLayout {
 
     /// Splits a flow's path into (src-block up offsets, dst-block down
     /// offsets), verifying the block-locality invariant that makes the
-    /// decomposition contention-free.
+    /// decomposition contention-free. Each half is [`Hops`]: inline, so
+    /// registering a flow allocates nothing here.
     ///
     /// # Panics
     /// Panics if any path link is a control link or lies outside the
-    /// expected LinkBlocks (which would indicate a routing bug).
+    /// expected LinkBlocks (which would indicate a routing bug), or if
+    /// the path has more than two links in either direction.
     pub fn split_path(
         &self,
         path: &flowtune_topo::Path,
         src_block: BlockId,
         dst_block: BlockId,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let mut up = Vec::with_capacity(2);
-        let mut down = Vec::with_capacity(2);
+    ) -> (Hops, Hops) {
+        let (mut up, mut down) = (Hops::default(), Hops::default());
         for link in path.iter() {
             let slot = self
                 .slot(link)
                 .unwrap_or_else(|| panic!("path crosses non-data link {link}"));
-            if slot.up {
+            let half = if slot.up {
                 assert_eq!(slot.block, src_block, "up link outside source block");
-                up.push(slot.offset);
+                &mut up
             } else {
                 assert_eq!(slot.block, dst_block, "down link outside destination block");
-                down.push(slot.offset);
-            }
+                &mut down
+            };
+            assert!(half.1 < half.0.len(), "2-tier paths only");
+            half.0[half.1] = slot.offset;
+            half.1 += 1;
         }
         (up, down)
     }
 }
+
+/// One direction of a split path: its LinkBlock offsets — two at most, the
+/// two-tier maximum — and how many of them are real.
+pub type Hops = ([u32; 2], usize);
 
 #[cfg(test)]
 mod tests {
@@ -224,9 +232,9 @@ mod tests {
         let src = 0usize;
         let dst = f.config().server_count() - 1;
         let path = f.path(src, dst, FlowId(9));
-        let (up, down) = layout.split_path(&path, f.block_of_server(src), f.block_of_server(dst));
-        assert_eq!(up.len(), 2);
-        assert_eq!(down.len(), 2);
+        let ((up, ups), (down, downs)) =
+            layout.split_path(&path, f.block_of_server(src), f.block_of_server(dst));
+        assert_eq!((ups, downs), (2, 2));
         // Offsets must point back at the path's links.
         let sb = f.block_of_server(src).index();
         let db = f.block_of_server(dst).index();
@@ -240,8 +248,18 @@ mod tests {
         let layout = BlockLayout::new(&f, 1.0);
         let path = f.path(0, 1, FlowId(3));
         let b = f.block_of_server(0);
-        let (up, down) = layout.split_path(&path, b, b);
-        assert_eq!((up.len(), down.len()), (1, 1));
+        let ((_, ups), (_, downs)) = layout.split_path(&path, b, b);
+        assert_eq!((ups, downs), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "2-tier paths only")]
+    fn a_third_hop_one_way_is_caught() {
+        let f = fabric();
+        let layout = BlockLayout::new(&f, 1.0);
+        let up = f.path(0, 63, FlowId(3)).links()[0];
+        let b = f.block_of_server(0);
+        let _ = layout.split_path(&flowtune_topo::Path::new(vec![up; 3]), b, b);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! instead of rewriting B² copies link by link.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
@@ -49,7 +50,7 @@ pub struct SerialAllocator {
     /// B² workers in row-major (src block, dst block) order.
     pub(crate) workers: Vec<WorkerCore>,
     /// flow id → (worker, slot within worker).
-    index: HashMap<FlowId, (usize, usize)>,
+    index: HashMap<FlowId, (u32, u32), BuildHasherDefault<IdHasher>>,
     /// Exogenous per-link load (other shards' flows), pre-split per
     /// LinkBlock so the price update indexes it like `load`/`capacity`.
     /// `None` (no exchange installed) takes the exact pre-exchange
@@ -67,6 +68,32 @@ pub struct SerialAllocator {
     /// Preallocated per-iteration buffers (aggregation partials and the
     /// distribute copies), so the steady-state tick path never allocates.
     scratch: IterScratch,
+}
+
+/// The flow index's hasher: one multiply by 2⁶⁴/φ and a rotate. Unkeyed
+/// on purpose — engine ids are chosen by the embedder (the service hands
+/// out its dense slab slots), never read off the wire, so there is no
+/// adversary to collide them and SipHash's cost buys nothing. The rotate
+/// brings the product's high, best-mixed bits down to where hashbrown
+/// picks its bucket: ids whose low bits are all zero have a product whose
+/// low bits are too.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = ((self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15)).rotate_left(26);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Reusable buffers for one iteration: the binomial-tree partials (one
@@ -155,7 +182,7 @@ impl SerialAllocator {
             cfg,
             server_block,
             workers,
-            index: HashMap::new(),
+            index: HashMap::default(),
             bg: None,
             bg_h: None,
             dirty,
@@ -185,7 +212,8 @@ impl SerialAllocator {
         let b = self.layout.blocks();
         let src_block = self.server_block[src_server];
         let dst_block = self.server_block[dst_server];
-        let (up, down) = self.layout.split_path(path, src_block, dst_block);
+        let ((up, ups), (down, downs)) = self.layout.split_path(path, src_block, dst_block);
+        let (up, down) = (&up[..ups], &down[..downs]);
         let x_max = up
             .iter()
             .map(|&o| self.layout.up_capacity(src_block.index())[o as usize])
@@ -196,11 +224,16 @@ impl SerialAllocator {
             .fold(f64::INFINITY, f64::min);
         let w = src_block.index() * b + dst_block.index();
         if let Some(ds) = &mut self.dirty {
-            ds.note_add(w, &up, &down);
+            ds.note_add(w, up, down);
         }
         let flows = &mut self.workers[w].flows;
-        flows.push(id, weight, &up, &down, x_max);
-        self.index.insert(id, (w, flows.len() - 1));
+        flows.push(id, weight, up, down, x_max);
+        let slot = flows.len() - 1;
+        assert!(
+            w <= u32::MAX as usize && slot <= u32::MAX as usize,
+            "worker {w} / slot {slot} does not fit the index"
+        );
+        self.index.insert(id, (w as u32, slot as u32));
     }
 
     /// Deregisters a flow; returns whether it existed.
@@ -208,6 +241,7 @@ impl SerialAllocator {
         let Some((w, slot)) = self.index.remove(&id) else {
             return false;
         };
+        let (w, slot) = (w as usize, slot as usize);
         let flows = &mut self.workers[w].flows;
         if let Some(ds) = &mut self.dirty {
             let (up, down) = flows.path(slot);
@@ -215,7 +249,7 @@ impl SerialAllocator {
         }
         if let Some(moved) = flows.swap_remove(slot) {
             // A flow was moved into the vacated slot; re-index it.
-            self.index.insert(moved, (w, slot));
+            self.index.insert(moved, (w as u32, slot as u32));
         }
         true
     }
@@ -283,7 +317,7 @@ impl SerialAllocator {
     /// One flow's current allocation.
     pub fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         let &(w, slot) = self.index.get(&id)?;
-        Some(self.workers[w].flows.flow_rate(slot))
+        Some(self.workers[w as usize].flows.flow_rate(slot as usize))
     }
 
     /// Own per-link loads as of the last iteration, global-link indexed:
@@ -1450,6 +1484,7 @@ mod tests {
             assert_eq!(alloc.flow_count(), live.len());
             for &(id, src, dst, w) in &live {
                 let &(worker, slot) = alloc.index.get(&id).expect("survivor indexed");
+                let (worker, slot) = (worker as usize, slot as usize);
                 let flows = &alloc.workers[worker].flows;
                 assert_eq!(flows.ids[slot], id);
                 assert_eq!(flows.weight[slot], w);
@@ -1458,6 +1493,7 @@ mod tests {
                 // Its path columns are what a fresh add would store.
                 reference.add_flow(id, src, dst, w, &f.path(src, dst, id));
                 let &(rw, rs) = reference.index.get(&id).unwrap();
+                let (rw, rs) = (rw as usize, rs as usize);
                 assert_eq!(rw, worker);
                 assert_eq!(flows.path(slot), reference.workers[rw].flows.path(rs));
                 assert_eq!(flows.floor[slot], reference.workers[rw].flows.floor[rs]);
@@ -1465,6 +1501,28 @@ mod tests {
             }
             let held: usize = alloc.workers.iter().map(|w| w.flows.len()).sum();
             assert_eq!(held, live.len());
+        }
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_and_shifted_ids() {
+        use std::hash::BuildHasher;
+        // hashbrown picks the bucket with a hash's low bits and tags it
+        // with the top seven: 4096 ids must reach nearly all 4096 values
+        // of the low twelve and nearly all 128 tags, for dense ids and
+        // for ids with sixteen zero low bits alike.
+        for step in [1u64, 1 << 16] {
+            let hashes: Vec<u64> = (0..4096)
+                .map(|k| BuildHasherDefault::<IdHasher>::default().hash_one(FlowId(k * step)))
+                .collect();
+            let distinct = |part: fn(u64) -> u64| {
+                let parts: std::collections::HashSet<u64> =
+                    hashes.iter().map(|&h| part(h)).collect();
+                parts.len()
+            };
+            let (buckets, tags) = (distinct(|h| h & 0xFFF), distinct(|h| h >> 57));
+            assert!(buckets * 10 >= 4096 * 9, "step {step}: {buckets} buckets");
+            assert!(tags * 10 >= 128 * 9, "step {step}: {tags} tags");
         }
     }
 

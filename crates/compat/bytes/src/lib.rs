@@ -32,11 +32,13 @@ impl BytesMut {
     }
 
     /// Number of bytes in the buffer.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -47,6 +49,7 @@ impl BytesMut {
     }
 
     /// Appends `src`.
+    #[inline]
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
@@ -63,6 +66,7 @@ impl BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
@@ -92,11 +96,13 @@ impl Bytes {
     }
 
     /// Remaining (unconsumed) length.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len() - self.off
     }
 
     /// Whether all bytes were consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -121,6 +127,7 @@ impl Bytes {
         }
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.off..]
     }
@@ -129,6 +136,7 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -165,6 +173,7 @@ pub trait Buf {
     fn advance(&mut self, cnt: usize);
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
         self.advance(1);
@@ -172,6 +181,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         let c = self.chunk();
         let v = u16::from_be_bytes([c[0], c[1]]);
@@ -180,6 +190,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         let c = self.chunk();
         let v = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -188,6 +199,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u64`.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         let c = self.chunk();
         let mut b = [0u8; 8];
@@ -198,14 +210,17 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance past end of Bytes");
         self.off += cnt;
@@ -218,27 +233,32 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }

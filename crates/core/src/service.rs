@@ -39,7 +39,7 @@
 //! crashes: [`AllocatorService::on_message`] returns a [`ServiceError`]
 //! and bumps [`ServiceStats::rejected`].
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 use flowtune_alloc::{AllocConfig, BoxEngine, FlowRate, RateAllocator, SerialAllocator};
@@ -51,31 +51,17 @@ use flowtune_topo::{FlowId, TwoTierClos};
 use crate::driver::PhaseTimings;
 use crate::FlowtuneConfig;
 
-/// One slab slot: a live flowlet's registration, found by the
-/// [`FlowId`] the engine reports rates under. The table is cold: the
-/// export reads a slot only for a flow whose update is actually sent
-/// (the §6.4 memory that decides it lives in the engine, beside the
-/// flow's rate).
-#[derive(Debug, Clone, Copy)]
-struct Registered {
-    token: Token,
-    src: u16,
-    /// Destination, weight and spine are retained so a registration can
-    /// be re-created verbatim in another shard when a re-placement epoch
-    /// migrates the flow (see [`AllocatorService::extract_flow`]).
-    dst: u16,
-    weight_q8: u16,
-    spine: u8,
-}
-
-// A slot is what every live flowlet costs the table, and one cache line
-// holds five of them.
-const _: () = assert!(std::mem::size_of::<Registered>() <= 12);
-
-/// A flowlet registration detached from its service, carrying everything
-/// needed to re-register the flow elsewhere — the unit of flow-state
-/// migration between shards during a re-placement epoch
+/// A flowlet's registration: what a `FlowletStart` said about it. Held
+/// in the service's flow table while the flowlet is live (one slab slot,
+/// found by the [`FlowId`] the engine reports rates under), and handed
+/// out detached, carrying everything needed to re-register the flow
+/// elsewhere — the unit of flow-state migration between shards during a
+/// re-placement epoch
 /// ([`ShardedService::replace`](crate::ShardedService::replace)).
+///
+/// The table is cold: the export reads a slot only for a flow whose
+/// update is actually sent (the §6.4 memory that decides it lives in the
+/// engine, beside the flow's rate), and then only `token` and `src`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowMigration {
     /// The endpoint-visible flowlet token.
@@ -90,6 +76,18 @@ pub struct FlowMigration {
     /// The ECMP spine of the flow's path.
     pub spine: u8,
 }
+
+impl FlowMigration {
+    /// The flow's export key less its rate: `token << 32 | src << 16`
+    /// (see [`emit_ordered`]).
+    fn key(&self) -> u64 {
+        u64::from(self.token.get()) << 32 | u64::from(self.src) << 16
+    }
+}
+
+// A slot is what every live flowlet costs the table, and one cache line
+// holds five of them.
+const _: () = assert!(std::mem::size_of::<FlowMigration>() <= 12);
 
 /// Operating counters, mostly for the overhead experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -527,17 +525,20 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     /// `FlowId(i)`, so an id the engine lends resolves to its
     /// registration with one index. Slots outside `index` are vacant
     /// (listed in `free`) and hold stale data.
-    slab: Vec<Registered>,
+    slab: Vec<FlowMigration>,
     /// Vacant slab slots, reused (last freed first) before the slab
     /// grows — ids are recycled, see [`RateAllocator::add_flow`].
     free: Vec<u32>,
     /// Token → slab slot, for the paths that are handed a token: intake,
-    /// migration and rate queries. The tick never consults it — update
-    /// order comes from sorting each tick's passers, not from this map.
-    index: BTreeMap<Token, u32>,
-    /// Scratch buffer: the tick's passers, sorted into token order
-    /// before they are emitted.
-    pass_buf: Vec<(Token, u16, Rate16)>,
+    /// migration and rate queries. Hashed, under std's keyed hasher —
+    /// tokens come off the wire — and never iterated: the tick does not
+    /// consult it, update order comes from ordering each tick's passers
+    /// ([`emit_ordered`]), not from this map.
+    index: HashMap<Token, u32>,
+    /// Scratch buffers, kept across ticks: the tick's passers as packed
+    /// keys, and the radix passes' second buffer.
+    pass_buf: Vec<u64>,
+    radix_buf: Vec<u64>,
     stats: ServiceStats,
     timings: PhaseTimings,
 }
@@ -581,8 +582,9 @@ impl<E: RateAllocator> AllocatorService<E> {
             cfg,
             slab: Vec::new(),
             free: Vec::new(),
-            index: BTreeMap::new(),
+            index: HashMap::new(),
             pass_buf: Vec::new(),
+            radix_buf: Vec::new(),
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
         }
@@ -616,25 +618,18 @@ impl<E: RateAllocator> AllocatorService<E> {
                 spine,
                 ..
             } => {
-                if self.index.contains_key(&token) {
-                    self.stats.rejected += 1;
-                    return Err(ServiceError::DuplicateToken(token));
+                let started = self.register(FlowMigration {
+                    token,
+                    src,
+                    dst,
+                    weight_q8,
+                    spine,
+                });
+                match started {
+                    Ok(()) => self.stats.starts += 1,
+                    Err(_) => self.stats.rejected += 1,
                 }
-                // Endpoint fields come off the wire too: a corrupted
-                // src/dst/spine must be a rejection, not an engine panic.
-                let clos = self.fabric.config();
-                let servers = clos.server_count();
-                if src as usize >= servers
-                    || dst as usize >= servers
-                    || src == dst
-                    || spine as usize >= clos.spines
-                {
-                    self.stats.rejected += 1;
-                    return Err(ServiceError::MalformedStart(token));
-                }
-                self.register(token, src, dst, weight_q8, spine);
-                self.stats.starts += 1;
-                Ok(())
+                started
             }
             Message::FlowletEnd { token } => {
                 if self.release(token).is_some() {
@@ -679,29 +674,24 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// are — against what it last lent for each flow, see
     /// [`RateAllocator::drain_changed_rates`] — and lends only the flows
     /// whose update must be sent, in *its* order and layout; each of
-    /// those resolves to its slab slot for the token and source, and the
-    /// batch is sorted into token order and emitted. The rule reads and
-    /// writes one flow's state, so filtering before sorting yields
-    /// exactly the stream of a token-ordered walk. Every live flow that
-    /// was not lent counts as suppressed.
+    /// those becomes one packed key (its slab slot's token and source,
+    /// the rate's [`Rate16`] code), and [`emit_ordered`] writes the batch
+    /// out in token order. The rule reads and writes one flow's state,
+    /// so filtering before ordering yields exactly the stream of a
+    /// token-ordered walk. Every live flow that was not lent counts as
+    /// suppressed.
     fn export_into(&mut self, out: &mut Vec<(u16, Message)>) {
-        out.clear();
         let (slab, pass_buf) = (&self.slab, &mut self.pass_buf);
         pass_buf.clear();
         let threshold = self.cfg.update_threshold;
         self.engine
             .drain_changed_rates(threshold, &mut |ids, normalized| {
                 pass_buf.extend(ids.iter().zip(normalized).map(|(id, &rate)| {
-                    let reg = &slab[id.0 as usize];
-                    (reg.token, reg.src, Rate16::encode(rate))
+                    slab[id.0 as usize].key() | u64::from(Rate16::encode(rate).bits())
                 }));
             });
-        pass_buf.sort_unstable_by_key(|&(token, ..)| token);
-        out.reserve(pass_buf.len());
-        for &(token, src, rate) in pass_buf.iter() {
-            out.push((src, Message::RateUpdate { token, rate }));
-        }
-        let sent = pass_buf.len() as u64;
+        emit_ordered(pass_buf, &mut self.radix_buf, out);
+        let sent = out.len() as u64;
         self.stats.bytes_out += sent * RATE_BYTES as u64;
         self.stats.updates_sent += sent;
         self.stats.updates_suppressed += self.index.len() as u64 - sent;
@@ -727,58 +717,57 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// threshold-filter memory goes with its engine row — the adopting
     /// shard reports a fresh rate once the flow re-converges there.
     pub fn extract_flow(&mut self, token: Token) -> Option<FlowMigration> {
-        let reg = self.release(token)?;
-        Some(FlowMigration {
-            token,
-            src: reg.src,
-            dst: reg.dst,
-            weight_q8: reg.weight_q8,
-            spine: reg.spine,
-        })
+        self.release(token)
     }
 
     /// Registers a flowlet previously detached with
     /// [`AllocatorService::extract_flow`] — the receiving half of a
     /// migration. The flow re-enters the engine at its initial rate and
-    /// re-converges under this shard's prices; the fields were validated
-    /// at original intake, so only token freshness is re-checked. No
-    /// counter moves.
+    /// re-converges under this shard's prices. No counter moves.
     ///
     /// # Errors
     /// [`ServiceError::DuplicateToken`] if the token is already active
-    /// here.
+    /// here; [`ServiceError::MalformedStart`] if the endpoints are not
+    /// this fabric's (never, for a flow extracted from a shard of the
+    /// same fabric: intake checked them).
     pub fn adopt_flow(&mut self, m: FlowMigration) -> Result<(), ServiceError> {
-        if self.index.contains_key(&m.token) {
-            return Err(ServiceError::DuplicateToken(m.token));
-        }
-        self.register(m.token, m.src, m.dst, m.weight_q8, m.spine);
-        Ok(())
+        self.register(m)
     }
 
     /// The single de-registration path `FlowletEnd` and migration share:
     /// drops the flow from the index and the engine and puts its slot on
     /// the free list. Returns the vacated registration.
-    fn release(&mut self, token: Token) -> Option<Registered> {
+    fn release(&mut self, token: Token) -> Option<FlowMigration> {
         let slot = self.index.remove(&token)?;
         self.engine.remove_flow(FlowId(slot as u64));
         self.free.push(slot);
         Some(self.slab[slot as usize])
     }
 
-    /// The single registration path intake and migration share: take a
-    /// slab slot (its index is the engine-side id), decode the Q8
-    /// weight, build the path, seat the flow in the engine and the flow
+    /// The single registration path intake and migration share: probe
+    /// the index once (the vacant entry it finds is the one filled at
+    /// the end), check the endpoint fields, take a slab slot (its index
+    /// is the engine-side id), decode the Q8 weight, build the path —
+    /// inline, no heap — and seat the flow in the engine and the flow
     /// table. One implementation, so migrated flows can never diverge
-    /// from freshly started ones in weight or path rules. The token must
-    /// be fresh and the endpoint fields validated by the caller.
-    fn register(&mut self, token: Token, src: u16, dst: u16, weight_q8: u16, spine: u8) {
-        let reg = Registered {
-            token,
-            src,
-            dst,
-            weight_q8,
-            spine,
+    /// from freshly started ones in weight or path rules.
+    ///
+    /// # Errors
+    /// [`ServiceError::DuplicateToken`] if the token is live,
+    /// [`ServiceError::MalformedStart`] if the fabric has no such
+    /// endpoints or spine; nothing is changed either way.
+    fn register(&mut self, reg: FlowMigration) -> Result<(), ServiceError> {
+        let Entry::Vacant(vacant) = self.index.entry(reg.token) else {
+            return Err(ServiceError::DuplicateToken(reg.token));
         };
+        // Endpoint fields come off the wire too: a corrupted
+        // src/dst/spine must be a rejection, not an engine panic.
+        let clos = self.fabric.config();
+        let (src, dst, spine) = (reg.src as usize, reg.dst as usize, reg.spine as usize);
+        let servers = clos.server_count();
+        if src >= servers || dst >= servers || src == dst || spine >= clos.spines {
+            return Err(ServiceError::MalformedStart(reg.token));
+        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = reg;
@@ -789,18 +778,16 @@ impl<E: RateAllocator> AllocatorService<E> {
                 (self.slab.len() - 1) as u32
             }
         };
-        let internal = FlowId(slot as u64);
-        let weight = if weight_q8 == 0 {
+        let weight = if reg.weight_q8 == 0 {
             self.cfg.default_weight
         } else {
-            weight_q8 as f64 / 256.0
+            reg.weight_q8 as f64 / 256.0
         };
-        let path = self
-            .fabric
-            .path_via_spine(src as usize, dst as usize, spine as usize);
+        let path = self.fabric.path_via_spine(src, dst, spine);
         self.engine
-            .add_flow(internal, src as usize, dst as usize, weight, &path);
-        self.index.insert(token, slot);
+            .add_flow(FlowId(slot as u64), src, dst, weight, &path);
+        vacant.insert(slot);
+        Ok(())
     }
 
     /// Number of active flowlets.
@@ -896,11 +883,76 @@ impl<E: RateAllocator> AllocatorService<E> {
     }
 }
 
+/// Batches shorter than this go through `sort_unstable`: below it the
+/// radix passes' fixed cost (three 256-entry histograms to zero and
+/// prefix-sum, ≈ 0.4 µs) is the larger. Measured crossover: 130–190 keys.
+const RADIX_CUTOFF: usize = 128;
+
+/// Writes the tick's passers into `out` (cleared first) in ascending
+/// token order. A passer is one key, `token << 32 | src << 16 | rate16`;
+/// live tokens are distinct, so the emitted stream is a function of the
+/// *set* of keys — the one a comparison sort by token would give.
+///
+/// The order is an LSD radix sort over the token's three bytes (the wire
+/// gives a token 24 bits, [`Token::MAX`], so three 8-bit counting passes
+/// are total, and their cost does not depend on the input): all three
+/// histograms from one read of the keys, `keys` → `scratch` → `keys`,
+/// and the last pass scatters the decoded updates straight into `out`.
+fn emit_ordered(keys: &mut [u64], scratch: &mut Vec<u64>, out: &mut Vec<(u16, Message)>) {
+    let update = |key: u64| {
+        let token = Token::new((key >> 32) as u32);
+        let rate = Rate16::from_bits(key as u16);
+        ((key >> 16) as u16, Message::RateUpdate { token, rate })
+    };
+    out.clear();
+    if keys.len() < RADIX_CUTOFF {
+        keys.sort_unstable();
+        out.extend(keys.iter().map(|&key| update(key)));
+        return;
+    }
+    let digit = |key: u64, byte: usize| (key >> (32 + 8 * byte)) as u8 as usize;
+    // Counts, then each digit's first position: an exclusive prefix sum.
+    let mut next = [[0u32; 256]; 3];
+    for &key in keys.iter() {
+        for (byte, counts) in next.iter_mut().enumerate() {
+            counts[digit(key, byte)] += 1;
+        }
+    }
+    for counts in &mut next {
+        let mut first = 0;
+        for count in counts.iter_mut() {
+            first += std::mem::replace(count, first);
+        }
+    }
+    let mut place = |byte: usize, key: u64| {
+        let at = &mut next[byte][digit(key, byte)];
+        *at += 1;
+        *at as usize - 1
+    };
+    // Every slot of the prefix is overwritten: only ever grown.
+    if scratch.len() < keys.len() {
+        scratch.resize(keys.len(), 0);
+    }
+    let scratch = &mut scratch[..keys.len()];
+    for &key in keys.iter() {
+        scratch[place(0, key)] = key;
+    }
+    for &key in scratch.iter() {
+        keys[place(1, key)] = key;
+    }
+    out.resize(keys.len(), update(0));
+    for &key in keys.iter() {
+        out[place(2, key)] = update(key);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowtune_proto::ThresholdFilter;
     use flowtune_topo::ClosConfig;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn fabric() -> TwoTierClos {
         TwoTierClos::build(ClosConfig::paper_eval())
@@ -1024,6 +1076,65 @@ mod tests {
         assert_eq!(update_tokens(&updates), vec![2, 4, 7, 9]);
         let sources: Vec<u16> = updates.iter().map(|&(src, _)| src).collect();
         assert_eq!(sources, vec![20, 60, 40, 80]);
+    }
+
+    proptest! {
+        // `emit_ordered` against the comparison sort it replaced: the
+        // same batch as the old `(Token, u16, Rate16)` tuples through
+        // `sort_unstable_by_key(token)`, element for element.
+        #[test]
+        fn emit_ordered_matches_the_comparison_sort(
+            n in prop_oneof![
+                Just(0usize), Just(1), Just(RADIX_CUTOFF - 1), Just(RADIX_CUTOFF),
+                Just(RADIX_CUTOFF + 1), Just(1000), Just(70_000)
+            ],
+            shape in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::deterministic(&format!("emit-{seed}"));
+            // Distinct tokens: an odd multiplier permutes any power-of-two
+            // range, so `i * odd` walks it without a repeat.
+            let odd = rng.next_u64() as u32 | 1;
+            let mut tokens: Vec<u32> = match shape {
+                // All 24 bits, in no order, ascending, descending.
+                0..=2 => (0..n as u32).map(|i| i.wrapping_mul(odd) & Token::MAX).collect(),
+                // One 256-token window wherever it falls, then an aligned
+                // one — only the low byte differs, two digits constant.
+                _ => {
+                    let base = rng.below((Token::MAX - 255) as usize) as u32;
+                    let base = if shape == 3 { base } else { base & !0xFF };
+                    (0..n.min(256) as u32).map(|i| base + (i.wrapping_mul(odd) & 0xFF)).collect()
+                }
+            };
+            match shape {
+                1 => tokens.sort_unstable(),
+                2 => tokens.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => {}
+            }
+            let mut tuples: Vec<(Token, u16, Rate16)> = tokens
+                .iter()
+                .map(|&t| {
+                    let bits = rng.next_u64();
+                    (Token::new(t), bits as u16, Rate16::from_bits((bits >> 16) as u16))
+                })
+                .collect();
+            let mut keys: Vec<u64> = tuples
+                .iter()
+                .map(|&(token, src, rate)| {
+                    u64::from(token.get()) << 32 | u64::from(src) << 16 | u64::from(rate.bits())
+                })
+                .collect();
+            // Stale scratch and output from an earlier, longer tick.
+            let mut scratch = vec![u64::MAX; n + 7];
+            let mut out = vec![(7, end(7)); n + 7];
+            emit_ordered(&mut keys, &mut scratch, &mut out);
+            tuples.sort_unstable_by_key(|&(token, ..)| token);
+            let want: Vec<(u16, Message)> = tuples
+                .iter()
+                .map(|&(token, src, rate)| (src, Message::RateUpdate { token, rate }))
+                .collect();
+            prop_assert!(out == want, "n {} shape {} seed {}", n, shape, seed);
+        }
     }
 
     #[test]

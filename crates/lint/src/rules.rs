@@ -45,8 +45,9 @@ pub struct HotModule {
     pub hot_fns: &'static [&'static str],
 }
 
-/// The designated steady-state modules (ISSUE: the allocator tick, the
-/// exchange, and the transport recv paths).
+/// The designated steady-state modules: the allocator tick, the
+/// notification path into it (intake down to the engine's columns), the
+/// exchange, and the transport recv paths.
 pub const HOT_MODULES: &[HotModule] = &[
     HotModule {
         path: "crates/alloc/src/serial.rs",
@@ -72,11 +73,23 @@ pub const HOT_MODULES: &[HotModule] = &[
             "set_background_loads",
             "set_background_hessians",
             "set_link_prices",
+            "add_flow",
+            "remove_flow",
         ],
+    },
+    HotModule {
+        path: "crates/alloc/src/layout.rs",
+        hot_fns: &["split_path"],
+    },
+    HotModule {
+        path: "crates/topo/src/clos.rs",
+        hot_fns: &["path_via_spine"],
     },
     HotModule {
         path: "crates/alloc/src/flowblock.rs",
         hot_fns: &[
+            "push",
+            "swap_remove",
             "rate_pass",
             "price_update",
             "normalize_pass",
@@ -123,8 +136,12 @@ pub const HOT_MODULES: &[HotModule] = &[
     HotModule {
         path: "crates/core/src/service.rs",
         hot_fns: &[
+            "on_message_inner",
+            "register",
+            "release",
             "tick_into",
             "export_into",
+            "emit_ordered",
             "rates_into",
             "link_loads_into",
             "link_hessians_into",

@@ -9,15 +9,18 @@
 //!   engine iteration, rate export, update filtering — touches the heap
 //!   zero times after warm-up, with the incremental engine on or off,
 //!   including the periodic full-sweep ticks and `rates_into` reads of
-//!   every rate — and so does a tick that emits updates: the export
-//!   borrows the engine's id and rate columns through the lending drain
-//!   (called directly, and through a boxed engine's two `dyn` hops)
-//!   and copies nothing but the passers;
+//!   every rate — and so does a round of churn: a `FlowletEnd` and a
+//!   `FlowletStart` through `on_message` (hashed indexes, a recycled
+//!   slab slot, an inline path) and the tick that reports the newcomer,
+//!   whose export borrows the engine's id and rate columns through the
+//!   lending drain (called directly, and through a boxed engine's two
+//!   `dyn` hops) and copies nothing but the passers;
 //! * so does a 4-shard sequential `ShardedService::try_tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
 //!   buffers, the filters writing the shared link-state table, the
-//!   consensus and installs — quiet, and on ticks that emit updates from
-//!   every shard, where the k-way merge has streams to merge;
+//!   consensus and installs — quiet, and on rounds that swap a flowlet
+//!   in every shard through the router and emit the updates, where the
+//!   k-way merge has streams to merge;
 //! * a converged peer cluster over the mem transport — send path,
 //!   receiver threads, mailboxes, barrier, install, k-way merge —
 //!   recycles every frame buffer through the pools and ticks without
@@ -269,11 +272,13 @@ fn allocator_ticks_allocate_nothing<E: RateAllocator>(
     );
     assert_eq!(rates.len(), 32);
 
-    // Ticks that emit: one flow is swapped for a fresh token (with the
-    // window shut — intake is not what this pins), so the next tick's
-    // drain lends a FlowBlock holding a flow with no last-sent rate, and
-    // its neighbours' rates move. The first two emitting ticks warm the
-    // passer scratch and `updates`; after them nothing may touch the heap.
+    // Churn, intake included: one flow is swapped for a fresh token
+    // inside the window — the end frees a slab slot, an index entry and
+    // an engine row, the start takes them back and builds its path
+    // inline — so the next tick's drain lends a FlowBlock holding a flow
+    // with no last-sent rate, and its neighbours' rates move. The first
+    // two swaps warm the free list, the passer scratch and `updates`;
+    // after them nothing may touch the heap.
     for round in 0..8u16 {
         if round == 2 {
             ALLOCS.store(0, Ordering::Relaxed);
@@ -282,9 +287,10 @@ fn allocator_ticks_allocate_nothing<E: RateAllocator>(
         let end = Message::FlowletEnd {
             token: Token::new(old),
         };
-        svc.on_message(end).unwrap();
-        svc.on_message(start(new, round, 0)).unwrap();
+        let begin = start(new, round, 0);
         ENABLED.store(true, Ordering::Relaxed);
+        svc.on_message(end).unwrap();
+        svc.on_message(begin).unwrap();
         svc.tick_into(&mut updates);
         ENABLED.store(false, Ordering::Relaxed);
         assert!(!updates.is_empty(), "the newcomer's first rate is sent");
@@ -292,8 +298,8 @@ fn allocator_ticks_allocate_nothing<E: RateAllocator>(
     let allocs = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
         allocs, 0,
-        "allocator ticks that emit updates must not allocate \
-         ({what}: {allocs} allocations over 6 ticks)"
+        "a flowlet swap and the tick that reports it must not allocate \
+         ({what}: {allocs} allocations over 6 rounds)"
     );
 }
 
@@ -358,16 +364,18 @@ fn steady_state_sharded_tick_allocates_nothing() {
         "every measured tick ran an exchange round"
     );
 
-    // Ticks that emit: one flow per shard is swapped for a fresh token
-    // (with the window shut — intake is not what this pins), so the next
-    // tick sends four first rates, one in each shard's stream, for the
-    // merge to interleave. A shard's update buffer trades places with
-    // its merge stream every tick, so the first two emitting ticks warm
-    // the pair; from the third on nothing may touch the heap.
+    // Churn, intake included: one flow per shard is swapped for a fresh
+    // token inside the window (the router's own token map trades an
+    // entry for an entry), so the next tick sends four first rates, one
+    // in each shard's stream, for the merge to interleave. A shard's
+    // update buffer trades places with its merge stream every tick, so
+    // the first two rounds warm the pair; from the third on nothing may
+    // touch the heap.
     for round in 0..8u16 {
         if round == 2 {
             ALLOCS.store(0, Ordering::Relaxed);
         }
+        ENABLED.store(true, Ordering::Relaxed);
         for shard in 0..4u16 {
             let src = shard * 8 + round;
             svc.on_message(Message::FlowletEnd {
@@ -376,7 +384,6 @@ fn steady_state_sharded_tick_allocates_nothing() {
             .unwrap();
             svc.on_message(start(u32::from(src) + 101, src)).unwrap();
         }
-        ENABLED.store(true, Ordering::Relaxed);
         svc.try_tick_into(&mut out).expect("emitting tick");
         ENABLED.store(false, Ordering::Relaxed);
         assert!(out.len() >= 4, "every shard sends its newcomer's rate");
@@ -384,7 +391,8 @@ fn steady_state_sharded_tick_allocates_nothing() {
     let allocs = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
         allocs, 0,
-        "sharded ticks that emit updates must not allocate ({allocs} allocations over 6 ticks)"
+        "sharded swaps and the ticks that report them must not allocate \
+         ({allocs} allocations over 6 rounds)"
     );
 }
 

@@ -309,20 +309,7 @@ impl TwoTierClos {
     /// # Panics
     /// Panics if `src == dst` or either index is out of range.
     pub fn path(&self, src: usize, dst: usize, flow: FlowId) -> Path {
-        assert_ne!(src, dst, "a flow needs distinct endpoints");
-        let src_rack = self.rack_of_server(src).index();
-        let dst_rack = self.rack_of_server(dst).index();
-        if src_rack == dst_rack {
-            Path::new(vec![self.up_host[src], self.down_host[dst]])
-        } else {
-            let sp = self.ecmp_spine(src, dst, flow);
-            Path::new(vec![
-                self.up_host[src],
-                self.up_fabric[src_rack][sp],
-                self.down_fabric[sp][dst_rack],
-                self.down_host[dst],
-            ])
-        }
+        self.path_via_spine(src, dst, self.ecmp_spine(src, dst, flow))
     }
 
     /// The path of a flow through an explicitly-chosen spine — how the
@@ -338,9 +325,9 @@ impl TwoTierClos {
         let src_rack = self.rack_of_server(src).index();
         let dst_rack = self.rack_of_server(dst).index();
         if src_rack == dst_rack {
-            Path::new(vec![self.up_host[src], self.down_host[dst]])
+            Path::from_links(&[self.up_host[src], self.down_host[dst]])
         } else {
-            Path::new(vec![
+            Path::from_links(&[
                 self.up_host[src],
                 self.up_fabric[src_rack][spine],
                 self.down_fabric[spine][dst_rack],

@@ -32,12 +32,27 @@ pub use topology::{Node, NodeKind, Topology};
 /// traverses from source host to destination host.
 ///
 /// Paths in a two-tier Clos have at most 4 links (host→ToR, ToR→spine,
-/// spine→ToR, ToR→host), but the type supports arbitrary lengths so the NUM
-/// solvers can also be exercised on synthetic topologies (parking-lot
-/// chains, random graphs) in tests.
+/// spine→ToR, ToR→host) and are stored inline — building one touches no
+/// heap, which keeps flowlet intake allocation-free. The type still
+/// supports arbitrary lengths, on the heap, so the NUM solvers can also be
+/// exercised on synthetic topologies (parking-lot chains, random graphs)
+/// in tests.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Path {
-    links: Vec<LinkId>,
+pub struct Path(Repr);
+
+/// Links a [`Path`] holds without a heap allocation: the two-tier maximum.
+const INLINE_LINKS: usize = 4;
+
+/// Canonical by construction — a path of at most [`INLINE_LINKS`] links is
+/// always `Inline` with its unused slots zeroed — so the derived `Eq` and
+/// `Hash` compare paths, not representations.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    Inline {
+        len: u8,
+        links: [LinkId; INLINE_LINKS],
+    },
+    Heap(Vec<LinkId>),
 }
 
 impl Path {
@@ -47,18 +62,38 @@ impl Path {
     /// Panics if `links` is empty: every flow traverses at least one link
     /// (§3: "Each flow passes through at least one link").
     pub fn new(links: Vec<LinkId>) -> Self {
+        if links.len() <= INLINE_LINKS {
+            Self::from_links(&links)
+        } else {
+            Path(Repr::Heap(links))
+        }
+    }
+
+    /// [`Path::new`] from a slice; up to four links touch no heap.
+    pub fn from_links(links: &[LinkId]) -> Self {
         assert!(!links.is_empty(), "a path must traverse at least one link");
-        Self { links }
+        if links.len() > INLINE_LINKS {
+            return Path(Repr::Heap(links.to_vec()));
+        }
+        let mut inline = [LinkId(0); INLINE_LINKS];
+        inline[..links.len()].copy_from_slice(links);
+        Path(Repr::Inline {
+            len: links.len() as u8,
+            links: inline,
+        })
     }
 
     /// The links of the path, in traversal order.
     pub fn links(&self) -> &[LinkId] {
-        &self.links
+        match &self.0 {
+            Repr::Inline { len, links } => &links[..*len as usize],
+            Repr::Heap(links) => links,
+        }
     }
 
     /// Number of links (hops) in the path.
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.links().len()
     }
 
     /// Paths are never empty; provided for clippy-completeness.
@@ -68,7 +103,7 @@ impl Path {
 
     /// Iterates over the links of the path.
     pub fn iter(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.links.iter().copied()
+        self.links().iter().copied()
     }
 }
 
@@ -77,7 +112,7 @@ impl<'a> IntoIterator for &'a Path {
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, LinkId>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.links.iter().copied()
+        self.links().iter().copied()
     }
 }
 
@@ -95,6 +130,26 @@ mod tests {
         assert_eq!(collected, vec![LinkId(3), LinkId(7)]);
         let collected2: Vec<LinkId> = (&p).into_iter().collect();
         assert_eq!(collected2, collected);
+    }
+
+    #[test]
+    fn short_paths_are_inline_and_every_path_is_canonical() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        for n in 1..=8u32 {
+            let links: Vec<LinkId> = (0..n).map(|l| LinkId(l * 3 + 1)).collect();
+            let (owned, sliced) = (Path::new(links.clone()), Path::from_links(&links));
+            let inline = matches!(owned.0, Repr::Inline { .. });
+            assert_eq!(inline, n <= 4, "{n} links");
+            assert_eq!(owned.links(), &links[..], "links() round-trips");
+            assert_eq!(owned.len(), n as usize);
+            assert_eq!(owned, sliced, "one representation per path");
+            assert_eq!(hasher.hash_one(&owned), hasher.hash_one(&sliced));
+            assert_eq!(owned.clone(), owned);
+            // A prefix is a different path, whatever the spare slots hold.
+            let prefix = Path::from_links(&links[..links.len().max(2) - 1]);
+            assert_eq!(prefix != owned, n > 1);
+        }
     }
 
     #[test]

@@ -803,23 +803,6 @@ impl SerialAllocator {
             }
         }
     }
-
-    /// The current price of a (data-plane) link, if it belongs to a
-    /// LinkBlock.
-    pub fn link_price(&self, link: flowtune_topo::LinkId) -> Option<f64> {
-        let slot = self.layout.slot(link)?;
-        let b = self.layout.blocks();
-        let view = if slot.up {
-            &self.workers[up_root(slot.block.index(), b)].view
-        } else {
-            &self.workers[down_root(slot.block.index(), b)].view
-        };
-        Some(if slot.up {
-            view.up_prices[slot.offset as usize]
-        } else {
-            view.down_prices[slot.offset as usize]
-        })
-    }
 }
 
 #[cfg(test)]

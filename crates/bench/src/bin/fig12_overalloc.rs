@@ -81,16 +81,17 @@ fn main() {
             PlacementSpec::Contiguous,
         ),
     ];
-    if opts.placement != PlacementSpec::Contiguous {
+    let placement = opts.config().placement;
+    if placement != PlacementSpec::Contiguous {
         rows.push((
             format!(
                 "{}-sharded{shards}-x{cadence}-{}",
                 base.name(),
-                opts.placement.name()
+                placement.name()
             ),
             base.sharded(shards),
             cadence,
-            opts.placement,
+            placement,
         ));
     }
     println!(

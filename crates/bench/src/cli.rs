@@ -10,7 +10,7 @@ use flowtune_workload::ScenarioKind;
 /// The experiment binaries' shared usage text (`--help`). Every
 /// [`FlowtuneConfig`] knob the CLI can set appears here with its flag —
 /// audited by the `every_config_knob_has_a_documented_flag` test, so a
-/// knob added to [`Opts::config`] without a usage line fails the build's
+/// knob the parser learns to set without a usage line fails the build's
 /// tests rather than shipping undocumented.
 pub const USAGE: &str = "\
 shared experiment flags:
@@ -45,8 +45,8 @@ shared experiment flags:
                           inproc|mem|uds|tcp (default inproc = the in-process
                           ShardedService; the others run one ShardPeer per
                           shard over that transport — serial engine only;
-                          honored by the fluid-driver figures fig5/6/7/12 and
-                          service_tick, rejected by the packet-sim binaries)
+                          honored by the fluid-driver figures fig5/6/7/12,
+                          rejected by the packet-sim binaries)
   --placement P           endpoint-to-shard placement:
                           contiguous|traffic|traffic:refine
                           (config placement; default contiguous; traffic
@@ -101,8 +101,7 @@ impl WireTransport {
 /// [`WireTransport::InProcess`] — callers keep their existing
 /// `AllocatorService::builder()` path, so wire support is purely
 /// additive. Taking `cfg` (rather than deriving it from [`Opts`]) lets
-/// the figure drivers put *their* per-row configuration on the wire; the
-/// flag-derived entry point is [`Opts::wire_driver`].
+/// the figure drivers put *their* per-row configuration on the wire.
 ///
 /// # Panics
 /// The wire transports run one serial-engine service per shard: panics
@@ -217,28 +216,9 @@ pub struct Opts {
     /// (`--engine serial|multicore|fastpass|gradient`, optionally wrapped
     /// in `Engine::Sharded` by `--shards N`).
     pub engine: Engine,
-    /// Inter-shard link-state exchange cadence in ticks
-    /// (`--exchange-every K`; 0 — the default — disables the exchange).
-    /// Only affects sharded runs (`--shards ≥ 2`).
-    pub exchange_every: u64,
-    /// The exchange's delta filter (`--exchange-delta-eps X`; 0 — the
-    /// default — re-ships any changed link). A shard re-ships a link's
-    /// state only when its load, dual or Hessian moved by more than
-    /// this since the last shipped values. Only affects exchanging
-    /// sharded runs.
-    pub exchange_delta_eps: f64,
-    /// Whether the sharded control plane ticks its shards concurrently
-    /// on per-shard OS threads (`--parallel-shards` to force on,
-    /// `--parallel-shards=off` to force the sequential fallback; `None` —
-    /// the default — leaves the config default, which is on). The output
-    /// is bit-for-bit identical either way. Only affects sharded runs.
-    pub parallel_shards: Option<bool>,
-    /// Endpoint-to-shard placement
-    /// (`--placement contiguous|traffic|traffic:refine`; contiguous —
-    /// the default — is the historical equal-range split). Traffic
-    /// placement groups communicating racks into the same shard from the
-    /// workload's sampled traffic matrix. Only affects sharded runs.
-    pub placement: PlacementSpec,
+    /// What [`Opts::config`] returns; the knob flags parse straight into
+    /// it.
+    config: FlowtuneConfig,
     /// Rack-affine workload skew (`--pair-affinity F` in `[0, 1]`; 0 —
     /// the default — keeps destinations uniform): the probability a
     /// flowlet's destination is drawn from its source's interleaved rack
@@ -249,21 +229,8 @@ pub struct Opts {
     /// inproc|mem|uds|tcp`; inproc — the default — is the in-process
     /// `ShardedService`). The wire choices drive the identical exchange
     /// through the serialized frame codec and a real transport; see
-    /// [`Opts::wire_driver`]. Only affects sharded runs.
+    /// [`wire_cluster`]. Only affects sharded runs.
     pub transport: WireTransport,
-    /// Incremental NED ticks (`--incremental` to force on,
-    /// `--incremental=off` to force off; `None` — the default — leaves
-    /// the config default, which is off). With `--dirty-eps 0` the
-    /// output is bit-for-bit identical to the full sweep.
-    pub incremental: Option<bool>,
-    /// Incremental full-sweep cadence in iterations
-    /// (`--full-sweep-every K`; `None` — the default — leaves the config
-    /// default). Only affects incremental runs.
-    pub full_sweep_every: Option<u64>,
-    /// Incremental dirty threshold (`--dirty-eps X`; `None` — the
-    /// default — leaves the config default of 0, exact equivalence).
-    /// Only affects incremental runs.
-    pub dirty_eps: Option<f64>,
     /// Scenario-family filter for the scenario table
     /// (`--scenario allreduce:ring|allreduce:tree|alltoall|burst|
     /// permshift|incast`; `None` — the default — runs every family).
@@ -277,15 +244,9 @@ impl Default for Opts {
             quick: true,
             seed: 42,
             engine: Engine::Serial,
-            exchange_every: 0,
-            exchange_delta_eps: 0.0,
-            parallel_shards: None,
-            placement: PlacementSpec::Contiguous,
+            config: FlowtuneConfig::default(),
             pair_affinity: 0.0,
             transport: WireTransport::InProcess,
-            incremental: None,
-            full_sweep_every: None,
-            dirty_eps: None,
             scenario: None,
         }
     }
@@ -335,7 +296,8 @@ impl Opts {
                 }
                 "--exchange-every" => {
                     let v = it.next().expect("--exchange-every needs a value");
-                    opts.exchange_every = v.parse().expect("--exchange-every needs an integer");
+                    opts.config.exchange_every =
+                        v.parse().expect("--exchange-every needs an integer");
                 }
                 "--exchange-delta-eps" => {
                     let v = it.next().expect("--exchange-delta-eps needs a value");
@@ -344,24 +306,24 @@ impl Opts {
                         eps >= 0.0 && eps.is_finite(),
                         "--exchange-delta-eps needs a finite non-negative number"
                     );
-                    opts.exchange_delta_eps = eps;
+                    opts.config.exchange_delta_eps = eps;
                 }
                 "--parallel-shards" | "--parallel-shards=on" | "--parallel-shards=true" => {
-                    opts.parallel_shards = Some(true);
+                    opts.config.parallel_shards = true;
                 }
                 "--parallel-shards=off" | "--parallel-shards=false" => {
-                    opts.parallel_shards = Some(false);
+                    opts.config.parallel_shards = false;
                 }
                 "--incremental" | "--incremental=on" | "--incremental=true" => {
-                    opts.incremental = Some(true);
+                    opts.config.incremental = true;
                 }
                 "--incremental=off" | "--incremental=false" => {
-                    opts.incremental = Some(false);
+                    opts.config.incremental = false;
                 }
                 "--full-sweep-every" => {
                     let v = it.next().expect("--full-sweep-every needs a value");
-                    opts.full_sweep_every =
-                        Some(v.parse().expect("--full-sweep-every needs an integer"));
+                    opts.config.full_sweep_every =
+                        v.parse().expect("--full-sweep-every needs an integer");
                 }
                 "--dirty-eps" => {
                     let v = it.next().expect("--dirty-eps needs a value");
@@ -370,11 +332,11 @@ impl Opts {
                         eps >= 0.0 && eps.is_finite(),
                         "--dirty-eps needs a finite non-negative number"
                     );
-                    opts.dirty_eps = Some(eps);
+                    opts.config.dirty_eps = eps;
                 }
                 "--placement" => {
                     let v = it.next().expect("--placement needs a value");
-                    opts.placement =
+                    opts.config.placement =
                         PlacementSpec::parse(&v).unwrap_or_else(|e| panic!("{e}\n{USAGE}"));
                 }
                 "--transport" => {
@@ -426,34 +388,12 @@ impl Opts {
     }
 
     /// The control-plane configuration these options describe: paper
-    /// defaults with the `--exchange-every` cadence,
-    /// `--exchange-delta-eps` filter, `--parallel-shards` choice and
-    /// `--placement` spec applied.
+    /// defaults with every knob flag applied (`--exchange-every`,
+    /// `--exchange-delta-eps`, `--parallel-shards`, `--placement`,
+    /// `--incremental`, `--full-sweep-every`, `--dirty-eps`; [`USAGE`]
+    /// documents each).
     pub fn config(&self) -> FlowtuneConfig {
-        let defaults = FlowtuneConfig::default();
-        FlowtuneConfig {
-            exchange_every: self.exchange_every,
-            exchange_delta_eps: self.exchange_delta_eps,
-            parallel_shards: self.parallel_shards.unwrap_or(defaults.parallel_shards),
-            placement: self.placement,
-            incremental: self.incremental.unwrap_or(defaults.incremental),
-            full_sweep_every: self.full_sweep_every.unwrap_or(defaults.full_sweep_every),
-            dirty_eps: self.dirty_eps.unwrap_or(defaults.dirty_eps),
-            ..defaults
-        }
-    }
-
-    /// Builds the control-plane driver a wire `--transport` asks for:
-    /// one serial-engine `ShardPeer` per shard over the chosen
-    /// transport, driven in lockstep by a `PeerCluster`. Returns `None`
-    /// for the default in-process transport — callers keep their
-    /// existing `AllocatorService::builder()` path, so the flag is
-    /// purely additive.
-    ///
-    /// # Panics
-    /// See [`wire_cluster`].
-    pub fn wire_driver(&self, fabric: &TwoTierClos) -> Option<BoxTickDriver> {
-        wire_cluster(self.transport, &self.engine, fabric, self.config())
+        self.config
     }
 
     /// Panics when a wire `--transport` was requested: `bin` drives a
@@ -469,7 +409,7 @@ impl Opts {
             self.transport,
             WireTransport::InProcess,
             "{bin} does not support --transport {:?}; wire transports apply to the \
-             fluid-driver figures (fig5/6/7/12) and the service_tick bench",
+             fluid-driver figures (fig5/6/7/12)",
             self.transport
         );
     }
@@ -486,7 +426,7 @@ impl Opts {
             Engine::Sharded { shards, inner } => (*inner, shards),
             engine => (engine, 2),
         };
-        (base, shards, self.exchange_every.max(1))
+        (base, shards, self.config.exchange_every.max(1))
     }
 }
 
@@ -496,6 +436,11 @@ mod tests {
 
     fn parse(args: &[&str]) -> Opts {
         Opts::from_args(args.iter().map(|s| s.to_string()))
+    }
+
+    /// [`wire_cluster`] as a figure driver calls it for parsed flags.
+    fn wire_driver(opts: &Opts, fabric: &TwoTierClos) -> Option<BoxTickDriver> {
+        wire_cluster(opts.transport, &opts.engine, fabric, opts.config())
     }
 
     #[test]
@@ -558,28 +503,22 @@ mod tests {
     #[test]
     fn exchange_every_reaches_the_config() {
         let o = parse(&["--shards", "2", "--exchange-every", "4"]);
-        assert_eq!(o.exchange_every, 4);
         assert_eq!(o.config().exchange_every, 4);
         // Default is off, and everything else keeps the paper values.
-        let d = parse(&[]);
-        assert_eq!(d.exchange_every, 0);
-        assert_eq!(d.config(), flowtune::FlowtuneConfig::default());
+        assert_eq!(parse(&[]).config(), FlowtuneConfig::default());
     }
 
     #[test]
     fn parallel_shards_and_delta_eps_reach_the_config() {
         // Default: flag absent leaves the config default (on).
         let d = parse(&[]);
-        assert_eq!(d.parallel_shards, None);
         assert!(d.config().parallel_shards);
         assert_eq!(d.config().exchange_delta_eps, 0.0);
         // Bare flag and =on force the concurrent path.
-        assert_eq!(parse(&["--parallel-shards"]).parallel_shards, Some(true));
+        assert!(parse(&["--parallel-shards"]).config().parallel_shards);
         assert!(parse(&["--parallel-shards=on"]).config().parallel_shards);
         // =off forces the sequential fallback.
-        let off = parse(&["--parallel-shards=off"]);
-        assert_eq!(off.parallel_shards, Some(false));
-        assert!(!off.config().parallel_shards);
+        assert!(!parse(&["--parallel-shards=off"]).config().parallel_shards);
         // The delta filter composes with the rest of the exchange flags.
         let o = parse(&[
             "--shards",
@@ -589,7 +528,6 @@ mod tests {
             "--exchange-delta-eps",
             "0.5",
         ]);
-        assert_eq!(o.exchange_delta_eps, 0.5);
         assert_eq!(o.config().exchange_delta_eps, 0.5);
         assert_eq!(o.config().exchange_every, 1);
     }
@@ -597,11 +535,13 @@ mod tests {
     #[test]
     fn placement_and_affinity_reach_the_config() {
         let d = parse(&[]);
-        assert_eq!(d.placement, PlacementSpec::Contiguous);
+        assert_eq!(d.config().placement, PlacementSpec::Contiguous);
         assert_eq!(d.pair_affinity, 0.0);
         let o = parse(&["--placement", "traffic", "--pair-affinity", "0.8"]);
-        assert_eq!(o.placement, PlacementSpec::Traffic { refine: false });
-        assert_eq!(o.config().placement, o.placement);
+        assert_eq!(
+            o.config().placement,
+            PlacementSpec::Traffic { refine: false }
+        );
         assert_eq!(o.pair_affinity, 0.8);
         assert_eq!(
             parse(&["--placement", "traffic:refine"]).config().placement,
@@ -704,7 +644,6 @@ mod tests {
     fn incremental_flags_reach_the_config() {
         // Flag absent: the config defaults stand (incremental off).
         let d = parse(&[]);
-        assert_eq!(d.incremental, None);
         assert!(!d.config().incremental);
         assert_eq!(d.config().full_sweep_every, 64);
         assert_eq!(d.config().dirty_eps, 0.0);
@@ -760,7 +699,7 @@ mod tests {
         use flowtune::TickDriver;
         use flowtune_topo::ClosConfig;
         let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-        assert!(parse(&["--shards", "2"]).wire_driver(&fabric).is_none());
+        assert!(wire_driver(&parse(&["--shards", "2"]), &fabric).is_none());
         let opts = parse(&[
             "--shards",
             "2",
@@ -769,7 +708,7 @@ mod tests {
             "--transport",
             "mem",
         ]);
-        let mut driver = opts.wire_driver(&fabric).expect("mem wire builds");
+        let mut driver = wire_driver(&opts, &fabric).expect("mem wire builds");
         assert_eq!(driver.engine_name(), "peer-cluster");
         assert!(driver.tick().is_empty(), "no flows yet, no updates");
     }
@@ -793,7 +732,7 @@ mod tests {
             "--transport",
             "mem",
         ]);
-        let _ = opts.wire_driver(&fabric);
+        let _ = wire_driver(&opts, &fabric);
     }
 
     #[test]
@@ -809,7 +748,7 @@ mod tests {
             "--placement",
             "traffic",
         ]);
-        let _ = opts.wire_driver(&fabric);
+        let _ = wire_driver(&opts, &fabric);
     }
 
     #[test]

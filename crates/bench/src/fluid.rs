@@ -16,7 +16,7 @@ use flowtune::{
     AllocatorService, BoxTickDriver, Engine, FlowtuneConfig, PlacementSpec, ServiceStats,
     TickDriver, TickLoop, TrafficMatrix,
 };
-use flowtune_proto::{codec, wire, Message, Token};
+use flowtune_proto::{wire, Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 use flowtune_workload::{rack_traffic_matrix, RackAffinity, TraceConfig, TraceGenerator, Workload};
 
@@ -67,7 +67,6 @@ pub struct FluidDriver {
     /// polls it.
     ticker: TickLoop<BoxTickDriver>,
     trace: TraceGenerator,
-    servers: usize,
     /// token → remaining bytes.
     remaining: HashMap<Token, f64>,
     next_token: u32,
@@ -175,7 +174,6 @@ impl FluidDriver {
         Self {
             ticker: TickLoop::new(service, cfg.tick_interval_ps),
             trace,
-            servers,
             remaining: HashMap::new(),
             next_token: 0,
             stats: FluidStats::default(),
@@ -291,16 +289,6 @@ impl FluidDriver {
         self.stats
     }
 
-    /// Fraction helpers need these.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// Active flowlets right now.
-    pub fn active(&self) -> usize {
-        self.remaining.len()
-    }
-
     /// The control plane's own operating counters — exchange
     /// rounds/bytes, intake, update filtering (aggregated over shards,
     /// where applicable).
@@ -326,16 +314,6 @@ pub fn overallocation_gbps(drv: &dyn TickDriver) -> f64 {
         .zip(&loads)
         .map(|(link, &load)| (load - link.capacity_bps as f64 / 1e9).max(0.0))
         .sum()
-}
-
-/// Encodes a message batch and returns its total payload length —
-/// convenience for tests.
-pub fn payload_len(msgs: &[Message]) -> usize {
-    let mut buf = bytes::BytesMut::new();
-    for m in msgs {
-        codec::encode(m, &mut buf);
-    }
-    buf.len()
 }
 
 #[cfg(test)]
@@ -499,18 +477,5 @@ mod tests {
             web.wire_from_alloc,
             hadoop.wire_from_alloc
         );
-    }
-
-    #[test]
-    fn payload_len_matches_encodings() {
-        let msgs = [
-            Message::FlowletEnd {
-                token: Token::new(1),
-            },
-            Message::FlowletEnd {
-                token: Token::new(2),
-            },
-        ];
-        assert_eq!(payload_len(&msgs), 8);
     }
 }

@@ -84,10 +84,9 @@ pub struct FlowtuneConfig {
     /// NED step size γ (§6.2: "experiments have γ = 0.4"; any value in
     /// [0.2, 1.5] behaves similarly).
     pub gamma: f64,
-    /// NED iterations per allocator tick (1 in the paper: "The allocator
-    /// performs an iteration every 10 µs").
-    pub iterations_per_tick: usize,
-    /// Allocator tick interval in picoseconds (10 µs).
+    /// Allocator tick interval in picoseconds (10 µs). A tick is one NED
+    /// iteration (§6.2: "The allocator performs an iteration every
+    /// 10 µs").
     pub tick_interval_ps: u64,
     /// Rate-update suppression threshold (§6.4; 0.01 default).
     pub update_threshold: f64,
@@ -95,9 +94,6 @@ pub struct FlowtuneConfig {
     /// (§1: "a flowlet ends when there is a threshold amount of time
     /// during which a sender's queue is empty"). Default 30 µs ≈ 2 RTTs.
     pub flowlet_idle_ps: u64,
-    /// Default proportional-fairness weight for flows that don't specify
-    /// one.
-    pub default_weight: f64,
     /// Whether the allocator F-NORMs rates before sending them (§4.2; on
     /// in every end-to-end experiment).
     pub f_norm: bool,
@@ -176,11 +172,9 @@ impl Default for FlowtuneConfig {
     fn default() -> Self {
         Self {
             gamma: 0.4,
-            iterations_per_tick: 1,
             tick_interval_ps: 10_000_000, // 10 µs
             update_threshold: 0.01,
             flowlet_idle_ps: 30_000_000, // 30 µs
-            default_weight: 1.0,
             f_norm: true,
             incremental: false,
             full_sweep_every: 64,

@@ -217,20 +217,15 @@ impl<E: RateAllocator> TickDriver for AllocatorService<E> {
     }
 }
 
-/// The per-tick callback [`TickLoop::run_wall`] hands each tick's update
-/// stream to, together with the driver for rate queries.
-pub type UpdateSink<'a, D> = dyn FnMut(&mut D, &[(u16, Message)]) + 'a;
-
 /// A [`TickDriver`] plus its tick cadence: the adapter that owns *when*
 /// the allocator ticks, so embedders stop hand-rolling sleep loops.
 ///
 /// The loop is clocked in **picoseconds on the caller's time base** —
 /// simulated time (the fluid driver polls it with its simulation clock)
-/// or wall time (map `Instant::elapsed()` to ps, or use
-/// [`TickLoop::run_wall`]). This is what makes it async-friendly: an
-/// event-loop embedder sleeps (or `await`s a timer) until
-/// [`TickLoop::next_tick_ps`], then calls [`TickLoop::poll`] — no thread
-/// is parked inside this type, and `poll` never blocks. A poll that
+/// or wall time (map `Instant::elapsed()` to ps). This is what makes it
+/// async-friendly: an event-loop embedder sleeps (or `await`s a timer)
+/// until [`TickLoop::next_tick_ps`], then calls [`TickLoop::poll`] — no
+/// thread is parked inside this type, and `poll` never blocks. A poll that
 /// arrives late catches up one tick per call, so
 /// `while let Some(updates) = tick_loop.poll(now_ps) { … }` runs exactly
 /// the ticks the cadence owed at `now_ps`. The loop owns the update
@@ -291,11 +286,6 @@ impl<D: TickDriver> TickLoop<D> {
         &mut self.driver
     }
 
-    /// Unwraps the driver.
-    pub fn into_driver(self) -> D {
-        self.driver
-    }
-
     /// Runs one tick if one is due at `now_ps`, lending out its update
     /// stream (valid until the next poll); `None` means the cadence owes
     /// nothing yet (call again at [`TickLoop::next_tick_ps`]). When
@@ -310,28 +300,6 @@ impl<D: TickDriver> TickLoop<D> {
         self.ticks += 1;
         self.driver.tick_into(&mut self.updates);
         Some(&self.updates)
-    }
-
-    /// Drives the cadence against the wall clock for `duration`,
-    /// sleeping between ticks and handing every tick's updates (with the
-    /// driver, for rate queries) to `sink` — the blocking convenience
-    /// for embedders without an event loop of their own.
-    pub fn run_wall(&mut self, duration: std::time::Duration, sink: &mut UpdateSink<'_, D>) {
-        let t0 = std::time::Instant::now();
-        let origin = self.next_ps;
-        let horizon = duration.as_nanos().saturating_mul(1000) as u64;
-        loop {
-            let elapsed = (t0.elapsed().as_nanos().saturating_mul(1000) as u64).min(horizon);
-            let now_ps = origin + elapsed;
-            while self.poll(now_ps).is_some() {
-                sink(&mut self.driver, &self.updates);
-            }
-            if elapsed >= horizon {
-                return;
-            }
-            let wait_ps = self.next_ps.saturating_sub(now_ps);
-            std::thread::sleep(std::time::Duration::from_nanos(wait_ps.div_ceil(1000)));
-        }
     }
 }
 
@@ -405,22 +373,6 @@ mod tests {
         assert_eq!(caught_up, 4, "ticks at 20, 30, 40, 50");
         assert_eq!(tl.next_tick_ps(), 60);
         assert_eq!(tl.driver().stats().iterations, tl.ticks());
-    }
-
-    #[test]
-    fn tick_loop_run_wall_drives_the_cadence() {
-        // A coarse 2 ms interval keeps the assertion robust on loaded
-        // machines: over 11 ms the catch-up loop owes 5–6 ticks and can
-        // never run more than duration/interval + 1.
-        let mut tl = TickLoop::new(service(), 2_000_000_000);
-        tl.driver_mut().on_message(start(1)).unwrap();
-        let mut polled = 0u64;
-        tl.run_wall(std::time::Duration::from_millis(11), &mut |drv, _| {
-            polled += 1;
-            assert!(drv.flow_rate_gbps(Token::new(1)).is_some());
-        });
-        assert_eq!(polled, tl.ticks());
-        assert!((5..=6).contains(&tl.ticks()), "{} ticks", tl.ticks());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use flowtune_proto::{Message, Token};
 use flowtune_topo::clos::splitmix64;
 
 use crate::flowlet::{FlowletAction, FlowletTracker};
+use crate::service::DEFAULT_WEIGHT;
 use crate::token::TokenAllocator;
 use crate::FlowtuneConfig;
 
@@ -78,7 +79,7 @@ impl EndpointAgent {
     /// toward `dst`. Returns a `FlowletStart` to forward to the allocator
     /// if this backlog begins a new flowlet.
     pub fn on_backlog(&mut self, flow: u64, dst: u16, bytes: u64, now_ps: u64) -> Option<Message> {
-        self.on_backlog_weighted(flow, dst, bytes, self.cfg.default_weight, now_ps)
+        self.on_backlog_weighted(flow, dst, bytes, DEFAULT_WEIGHT, now_ps)
     }
 
     /// [`EndpointAgent::on_backlog`] with an explicit proportional-fairness

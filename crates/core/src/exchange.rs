@@ -772,15 +772,6 @@ impl ExchangeCore {
     pub fn round_ship_counts(&self) -> &[u32] {
         self.tables.ship_counts()
     }
-
-    /// Total links across all shards' announced subscriptions — a
-    /// visibility counter for peer telemetry.
-    pub fn announced_subscriptions(&self) -> usize {
-        std::iter::once(&self.filter.announced)
-            .chain(&self.remote_subs)
-            .map(|subs| subs.iter().filter(|&&s| s).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -24,16 +24,17 @@ use flowtune_workload::{Admission, Phase, Scenario};
 use crate::driver::{TickDriver, TickLoop};
 use crate::service::ServiceStats;
 
+/// Ticks after an admission before feasibility peaks are sampled, giving
+/// the allocator its reaction window (a tick to see the arrivals, a tick
+/// to converge the prices).
+const GRACE_TICKS: u64 = 3;
+
 /// Knobs for a scenario run.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioOptions {
     /// Hard tick budget; the run reports `truncated = true` if the
     /// scenario has not drained by then.
     pub max_ticks: u64,
-    /// Ticks after an admission before feasibility peaks are sampled,
-    /// giving the allocator its reaction window (a tick to see the
-    /// arrivals, a tick to converge the prices).
-    pub grace_ticks: u64,
     /// Proportional-fairness weight stamped on every flow (256 = 1.0).
     pub weight_q8: u16,
 }
@@ -42,7 +43,6 @@ impl Default for ScenarioOptions {
     fn default() -> Self {
         ScenarioOptions {
             max_ticks: 200_000,
-            grace_ticks: 3,
             weight_q8: 256,
         }
     }
@@ -169,7 +169,6 @@ struct RunnerState {
     ended: Vec<usize>,
     phases: Vec<PhaseState>,
     last_admit_tick: u64,
-    grace_ticks: u64,
     peak_overalloc: f64,
     peak_oversub: f64,
 }
@@ -193,7 +192,6 @@ impl RunnerState {
             ended: Vec::with_capacity(64),
             phases: Vec::new(),
             last_admit_tick: 0,
-            grace_ticks: opts.grace_ticks,
             peak_overalloc: 0.0,
             peak_oversub: f64::NEG_INFINITY,
         }
@@ -296,7 +294,7 @@ impl RunnerState {
     /// samples the feasibility peaks. This is the scenario hot path —
     /// it must not allocate in steady state.
     fn drain_and_sample<D: TickDriver>(&mut self, ticker: &TickLoop<D>, tick: u64) {
-        let sample = !self.active.is_empty() && tick >= self.last_admit_tick + self.grace_ticks;
+        let sample = !self.active.is_empty() && tick >= self.last_admit_tick + GRACE_TICKS;
         if sample {
             self.loads.fill(0.0);
         }

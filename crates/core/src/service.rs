@@ -70,8 +70,8 @@ pub struct FlowMigration {
     pub src: u16,
     /// Destination server index.
     pub dst: u16,
-    /// Proportional-fairness weight in Q8 fixed point (0 = the config
-    /// default), exactly as the original `FlowletStart` carried it.
+    /// Proportional-fairness weight in Q8 fixed point (0 = unspecified:
+    /// weight 1), exactly as the original `FlowletStart` carried it.
     pub weight_q8: u16,
     /// The ECMP spine of the flow's path.
     pub spine: u8,
@@ -84,6 +84,9 @@ impl FlowMigration {
         u64::from(self.token.get()) << 32 | u64::from(self.src) << 16
     }
 }
+
+/// Proportional-fairness weight of a flow that does not specify one.
+pub(crate) const DEFAULT_WEIGHT: f64 = 1.0;
 
 // A slot is what every live flowlet costs the table, and one cache line
 // holds five of them.
@@ -425,18 +428,13 @@ impl ServiceBuilder {
             Engine::Multicore { workers } => Box::new(
                 flowtune_alloc::MulticoreAllocator::with_workers(&fabric, alloc_cfg, workers),
             ),
-            Engine::Fastpass => {
-                // NED engines interpret iterations-per-tick as extra
-                // optimization work inside the same 10 µs; the arbiter's
-                // iterations *are* fabric time, so split the tick across
-                // them to keep its clock honest.
-                let iteration_ps =
-                    self.cfg.tick_interval_ps / self.cfg.iterations_per_tick.max(1) as u64;
-                Box::new(
-                    FastpassAdapter::new(&fabric, alloc_cfg)
-                        .with_iteration_time_ps(iteration_ps, fabric.config().host_link_bps),
-                )
-            }
+            // The arbiter's iteration *is* fabric time: one tick of it.
+            Engine::Fastpass => Box::new(
+                FastpassAdapter::new(&fabric, alloc_cfg).with_iteration_time_ps(
+                    self.cfg.tick_interval_ps,
+                    fabric.config().host_link_bps,
+                ),
+            ),
             Engine::Gradient => {
                 Box::new(flowtune_alloc::GradientAllocator::new(&fabric, alloc_cfg))
             }
@@ -644,15 +642,15 @@ impl<E: RateAllocator> AllocatorService<E> {
         }
     }
 
-    /// One allocator tick (§6.2: every 10 µs): runs the configured number
-    /// of engine iterations and fills `out` (cleared first) with the
+    /// One allocator tick (§6.2: every 10 µs): runs one engine
+    /// iteration and fills `out` (cleared first) with the
     /// `(source server, update)` pairs of every flow whose normalized
     /// rate moved beyond the threshold, in ascending token order. With a
     /// warm `out` a tick that sends nothing touches the heap zero times.
     pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         let t0 = Instant::now();
-        self.engine.run_iterations(self.cfg.iterations_per_tick);
-        self.stats.iterations += self.cfg.iterations_per_tick as u64;
+        self.engine.iterate();
+        self.stats.iterations += 1;
         let t1 = Instant::now();
         self.timings.allocate += t1 - t0;
         if let Some((dirty_flows, dirty_links)) = self.engine.dirty_counters() {
@@ -779,7 +777,7 @@ impl<E: RateAllocator> AllocatorService<E> {
             }
         };
         let weight = if reg.weight_q8 == 0 {
-            self.cfg.default_weight
+            DEFAULT_WEIGHT
         } else {
             reg.weight_q8 as f64 / 256.0
         };

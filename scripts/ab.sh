@@ -32,7 +32,11 @@
 #                 bound (unless every change run beats every parent run);
 #   within-bound  neither, and the spread is inside the bound —
 # then whether update_digest, event_digest and `failed` matched on every
-# pair. Every run's raw output stays in $AB_DIR/runs/.
+# pair. Exits non-zero when they did not, or when any verdict is `worse`:
+# that is the rule a PR is held to, and CI's perf-pairs job is this
+# script against the PR's base. Every run's raw output stays in
+# $AB_DIR/runs/; the judging is scripts/ab_judge.py <that directory>
+# (scripts/ab_selftest.sh checks its verdicts on two made-up sets).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,76 +110,4 @@ for i in $(seq 1 "$pairs"); do
     echo "ab.sh: pair $i/$pairs done ($order)" >&2
 done
 
-python3 - "$runs" "$pairs" "$trace" "$layers" <<'EOF'
-import json, re, statistics, sys
-
-runs, pairs, trace = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
-layers = [name for name in sys.argv[4].split(",") if name]
-with open("BENCHMARK.json") as f:
-    bench = json.load(f)
-
-
-def load(i, side):
-    """One run: its metrics, and what must be identical across a pair."""
-    text = open(f"{runs}/{i}-{side}.txt").read()
-    status = re.search(r"^ab\.sh: exit status (\d+)$", text, re.M)
-    digests = re.search(r"update_digest (\w+) event_digest (\w+)", text)
-    try:
-        result = json.loads(text.strip().splitlines()[-1 - bool(status)])
-    except (ValueError, IndexError):
-        sys.exit(f"pair {i} {side}: no result line, see {runs}/{i}-{side}.txt")
-    same = (digests.groups() if digests else None, result["failed"], result["correct"])
-    return {k: m["value"] for k, m in result["metrics"].items()}, same
-
-
-parent, change, mismatched = [], [], []
-for i in range(1, pairs + 1):
-    (p, p_same), (c, c_same) = load(i, "parent"), load(i, "change")
-    parent.append(p)
-    change.append(c)
-    if p_same != c_same or p_same[0] is None:
-        mismatched.append((i, p_same, c_same))
-
-listed = bench["per_layer" if trace else "end_to_end"]
-unknown = set(layers) - {m["name"] for m in listed}
-if unknown:
-    sys.exit(f"--layers: not a per_layer metric of BENCHMARK.json: {sorted(unknown)}")
-width = max(len(m["name"]) for m in listed) + 2
-print(f"{'metric':<{width}}{'parent med':>13}{'change med':>13}{'ratio':>8}"
-      f"{'parent q1':>13}{'parent q3':>13}{'won':>7}" + ("" if trace else "  verdict"))
-for m in listed:
-    # A traced run reports the layers its plane has; the others are absent.
-    if not all(m["name"] in r for r in parent + change):
-        continue
-    a = [r[m["name"]] for r in parent]
-    b = [r[m["name"]] for r in change]
-    sign = -1 if m["better"] == "lower" else 1
-    won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-    med_a, med_b = statistics.median(a), statistics.median(b)
-    q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (med_a,) * 3
-    better_by = sign * (med_b - med_a)
-    if trace:
-        shown = m["name"] in layers if layers else abs(better_by) > q3 - q1
-        if not shown:
-            continue
-        verdict = ""
-    elif won >= 0.9 * pairs and better_by > q3 - q1:
-        verdict = "gain"
-    elif -better_by > m["bound"] * med_a:
-        verdict = "worse"
-    elif q3 - q1 > m["bound"] * med_a and not (
-            min(sign * y for y in b) > max(sign * x for x in a)):
-        verdict = "unresolved"
-    else:
-        verdict = "within-bound"
-    ratio = f"{med_b / med_a:>8.3f}" if med_a else f"{'-':>8}"
-    print(f"{m['name']:<{width}}{med_a:>13.5g}{med_b:>13.5g}{ratio}"
-          f"{q1:>13.5g}{q3:>13.5g}{won:>4}/{pairs:<2}  {verdict}")
-
-if mismatched:
-    print(f"digests / failed: MISMATCH on {len(mismatched)} of {pairs} pairs")
-    for i, p_same, c_same in mismatched:
-        print(f"  pair {i}: parent {p_same} change {c_same}")
-    sys.exit(1)
-print(f"digests / failed: update_digest, event_digest and failed matched on all {pairs} pairs")
-EOF
+python3 scripts/ab_judge.py "$runs" "$trace" "$layers"

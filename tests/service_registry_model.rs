@@ -30,7 +30,6 @@ use proptest::prelude::*;
 /// The pre-slab service, reduced to what the comparison observes.
 struct Model {
     fabric: TwoTierClos,
-    cfg: FlowtuneConfig,
     engine: BoxEngine,
     registry: BTreeMap<Token, (FlowId, Message)>,
     filter: ThresholdFilter,
@@ -56,16 +55,13 @@ impl Model {
             }
             Engine::Gradient => Box::new(GradientAllocator::new(fabric, alloc_cfg)),
             Engine::Fastpass => Box::new(
-                FastpassAdapter::new(fabric, alloc_cfg).with_iteration_time_ps(
-                    cfg.tick_interval_ps / cfg.iterations_per_tick.max(1) as u64,
-                    fabric.config().host_link_bps,
-                ),
+                FastpassAdapter::new(fabric, alloc_cfg)
+                    .with_iteration_time_ps(cfg.tick_interval_ps, fabric.config().host_link_bps),
             ),
             Engine::Sharded { .. } => unreachable!("the model is one service"),
         };
         Self {
             fabric: fabric.clone(),
-            cfg,
             engine,
             registry: BTreeMap::new(),
             filter: ThresholdFilter::new(cfg.update_threshold),
@@ -90,7 +86,7 @@ impl Model {
         let id = FlowId(self.next_internal);
         self.next_internal += 1;
         let weight = if weight_q8 == 0 {
-            self.cfg.default_weight
+            1.0
         } else {
             weight_q8 as f64 / 256.0
         };
@@ -139,8 +135,8 @@ impl Model {
     }
 
     fn tick(&mut self) -> Vec<(u16, Message)> {
-        self.engine.run_iterations(self.cfg.iterations_per_tick);
-        self.stats.iterations += self.cfg.iterations_per_tick as u64;
+        self.engine.iterate();
+        self.stats.iterations += 1;
         if let Some((flows, links)) = self.engine.dirty_counters() {
             self.stats.dirty_flows = flows;
             self.stats.dirty_links = links;
@@ -289,11 +285,5 @@ proptest! {
             ..FlowtuneConfig::default()
         };
         check(Engine::Serial, incremental, &ops);
-        // The rule runs once per drain, not once per iteration.
-        let two_iterations = FlowtuneConfig {
-            iterations_per_tick: 2,
-            ..FlowtuneConfig::default()
-        };
-        check(Engine::Serial, two_iterations, &ops);
     }
 }

@@ -34,8 +34,6 @@ use crate::service::{AllocatorService, ServiceError, ServiceStats};
 /// reports its shards' sums plus its own exchange time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Message intake (`on_message`): registry and engine add/remove.
-    pub intake: std::time::Duration,
     /// Engine iterations (`run_iterations` inside `tick`).
     pub allocate: std::time::Duration,
     /// Update export: rate reads, threshold filtering, message encoding.

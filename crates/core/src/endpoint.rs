@@ -6,27 +6,45 @@
 //! rate the transport must honour. §6.2: "Whenever a server receives a
 //! rate update for a flow from the allocator, it opens the flow's TCP
 //! window and paces packets on that flow according to the allocated rate."
+//!
+//! The agent's state is a slab and two thin indexes (ARCHITECTURE.md,
+//! "The endpoint agent"): a rate update names a token the agent minted
+//! itself, so finding its flow is a binary search over the live tokens,
+//! not a keyed hash; only the transport's own flow ids, which are
+//! foreign input, go through a `HashMap`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use flowtune_proto::{Message, Token};
 use flowtune_topo::clos::splitmix64;
 
-use crate::flowlet::{FlowletAction, FlowletTracker};
+use crate::flowlet::{FlowletAction, FlowletState, FlowletTracker};
 use crate::service::DEFAULT_WEIGHT;
 use crate::token::TokenAllocator;
 use crate::FlowtuneConfig;
 
+/// One slab row: a flow id the transport has named, with or without an
+/// active flowlet. Rows are never removed — an ended flow keeps its last
+/// rate (§2's "starting point") and its id is usually backlogged again.
 #[derive(Debug)]
 struct FlowState {
+    flow: u64,
     tracker: FlowletTracker,
     /// Token of the active flowlet, if any.
     token: Option<Token>,
     dst: u16,
     spine: u8,
+    /// Whether this row's slot is in [`EndpointAgent::draining`].
+    listed: bool,
     /// Last allocated pacing rate, Gbit/s; `None` until the first update.
     rate_gbps: Option<f64>,
 }
+
+// What the two-map agent's `HashMap` value cost before its 8-byte key:
+// the row gained `flow` and `listed` and gave up the tracker's private
+// copy of the idle threshold.
+const _: () = assert!(std::mem::size_of::<FlowState>() <= 56);
 
 /// Per-server Flowtune agent (sans-IO: the caller moves the messages).
 #[derive(Debug)]
@@ -35,8 +53,24 @@ pub struct EndpointAgent {
     spines: usize,
     cfg: FlowtuneConfig,
     tokens: TokenAllocator,
-    flows: HashMap<u64, FlowState>,
-    by_token: HashMap<Token, u64>,
+    /// The slab; a slot is the order in which its flow id was first seen.
+    flows: Vec<FlowState>,
+    /// Flow id → slot. The ids are the caller's, so std's keyed hasher
+    /// stays.
+    by_flow: HashMap<u64, u32>,
+    /// The live tokens with their slots, ascending by token. Minting is
+    /// monotone, so a start appends except after the counter wraps.
+    by_token: Vec<(Token, u32)>,
+    /// Slots whose queue drained and whose flowlet has not ended yet: all
+    /// a poll can end. A slot is listed at most once (`FlowState::listed`);
+    /// one that was backlogged again stays until the next poll drops it.
+    draining: Vec<u32>,
+    /// Where in `by_token` the last rate update hit. The allocator emits
+    /// a server's updates in ascending token order, so the next one
+    /// usually names the entry after it: one compare, not a search. Only
+    /// a hint — the entry's token is compared, so a stale cursor costs
+    /// the search and never names a wrong flow.
+    cursor: usize,
 }
 
 impl EndpointAgent {
@@ -60,8 +94,11 @@ impl EndpointAgent {
             spines,
             cfg,
             tokens: TokenAllocator::new(server, cluster_size),
-            flows: HashMap::new(),
-            by_token: HashMap::new(),
+            flows: Vec::new(),
+            by_flow: HashMap::new(),
+            by_token: Vec::new(),
+            draining: Vec::new(),
+            cursor: 0,
         }
     }
 
@@ -84,6 +121,12 @@ impl EndpointAgent {
 
     /// [`EndpointAgent::on_backlog`] with an explicit proportional-fairness
     /// weight.
+    ///
+    /// The start carries a token no live flowlet of this server holds:
+    /// the counter skips values still in use after it wraps. With every
+    /// counter value in use ([`TokenAllocator::capacity`] concurrent
+    /// flowlets) the start is refused — `None`, the flow stays idle and a
+    /// later backlog tries again — rather than collide.
     pub fn on_backlog_weighted(
         &mut self,
         flow: u64,
@@ -93,18 +136,37 @@ impl EndpointAgent {
         now_ps: u64,
     ) -> Option<Message> {
         let spine = self.spine_for(flow, dst);
-        let state = self.flows.entry(flow).or_insert_with(|| FlowState {
-            tracker: FlowletTracker::new(self.cfg.flowlet_idle_ps),
-            token: None,
-            dst,
-            spine,
-            rate_gbps: None,
-        });
+        let slot = match self.by_flow.entry(flow) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let slot = u32::try_from(self.flows.len()).expect("fewer than 2^32 flow ids");
+                self.flows.push(FlowState {
+                    flow,
+                    tracker: FlowletTracker::new(),
+                    token: None,
+                    dst,
+                    spine,
+                    listed: false,
+                    rate_gbps: None,
+                });
+                *e.insert(slot)
+            }
+        };
+        let state = &mut self.flows[slot as usize];
+        if !state.tracker.active() && self.by_token.len() >= self.tokens.capacity() as usize {
+            return None;
+        }
         match state.tracker.on_backlog(now_ps) {
             FlowletAction::Started => {
-                let token = self.tokens.mint();
+                // Terminates: fewer than `capacity` values are live.
+                let (token, at) = loop {
+                    let token = self.tokens.mint();
+                    if let Err(at) = self.by_token.binary_search_by_key(&token, |e| e.0) {
+                        break (token, at);
+                    }
+                };
+                self.by_token.insert(at, (token, slot));
                 state.token = Some(token);
-                self.by_token.insert(token, flow);
                 Some(Message::FlowletStart {
                     token,
                     src: self.server,
@@ -120,74 +182,111 @@ impl EndpointAgent {
 
     /// The send queue of `flow` drained at `now`.
     pub fn on_drained(&mut self, flow: u64, now_ps: u64) {
-        if let Some(state) = self.flows.get_mut(&flow) {
-            let _ = state.tracker.on_drained(now_ps);
+        let Some(&slot) = self.by_flow.get(&flow) else {
+            return;
+        };
+        let state = &mut self.flows[slot as usize];
+        let _ = state.tracker.on_drained(now_ps);
+        if !state.listed && is_draining(&state.tracker) {
+            state.listed = true;
+            self.draining.push(slot);
         }
     }
 
     /// Clock tick: returns `FlowletEnd` messages for flows whose queues
-    /// stayed empty past the idle threshold. Ended flows keep their last
-    /// rate as the §2 "starting point" for a future flowlet or a TCP
-    /// fallback.
+    /// stayed empty past the idle threshold, in the order they drained.
+    /// Ended flows keep their last rate as the §2 "starting point" for a
+    /// future flowlet or a TCP fallback.
     pub fn poll(&mut self, now_ps: u64) -> Vec<Message> {
+        // flowtune-lint: allow(hot-path-alloc, "the ends are returned by value; an empty Vec owns no heap, so a poll that ends nothing allocates nothing (crates/net/tests/zero_alloc.rs)")
         let mut out = Vec::new();
-        for state in self.flows.values_mut() {
-            if state.tracker.poll(now_ps) == FlowletAction::Ended {
+        let idle_ps = self.cfg.flowlet_idle_ps;
+        let (flows, by_token) = (&mut self.flows, &mut self.by_token);
+        self.draining.retain(|&slot| {
+            let state = &mut flows[slot as usize];
+            if state.tracker.poll(now_ps, idle_ps) == FlowletAction::Ended {
                 if let Some(token) = state.token.take() {
-                    self.by_token.remove(&token);
+                    if let Ok(at) = by_token.binary_search_by_key(&token, |e| e.0) {
+                        by_token.remove(at);
+                    }
                     out.push(Message::FlowletEnd { token });
                 }
             }
-        }
+            // Ended, or backlogged again since it drained: off the list.
+            state.listed = is_draining(&state.tracker);
+            state.listed
+        });
         out
     }
 
     /// Earliest deadline at which [`EndpointAgent::poll`] could emit an
     /// end, for event-driven callers.
     pub fn next_deadline_ps(&self) -> Option<u64> {
-        self.flows
-            .values()
-            .filter_map(|s| s.tracker.end_deadline_ps())
+        self.draining
+            .iter()
+            .filter_map(|&slot| {
+                self.flows[slot as usize]
+                    .tracker
+                    .end_deadline_ps(self.cfg.flowlet_idle_ps)
+            })
             .min()
     }
 
     /// Handles a rate update from the allocator; returns the flow it
-    /// applied to and the new pacing rate (Gbit/s).
+    /// applied to and the new pacing rate (Gbit/s). A token that is not
+    /// live here — ended, another server's, forged — returns `None`.
     pub fn on_rate_update(&mut self, msg: &Message) -> Option<(u64, f64)> {
         let Message::RateUpdate { token, rate } = msg else {
             return None;
         };
-        let flow = *self.by_token.get(token)?;
+        let next = self.cursor.wrapping_add(1);
+        let at = if self.by_token.get(next).is_some_and(|e| e.0 == *token) {
+            next
+        } else {
+            self.by_token.binary_search_by_key(token, |e| e.0).ok()?
+        };
+        self.cursor = at;
+        let state = &mut self.flows[self.by_token[at].1 as usize];
         let gbps = rate.decode();
-        self.flows.get_mut(&flow)?.rate_gbps = Some(gbps);
-        Some((flow, gbps))
+        state.rate_gbps = Some(gbps);
+        Some((state.flow, gbps))
+    }
+
+    fn state(&self, flow: u64) -> Option<&FlowState> {
+        self.by_flow
+            .get(&flow)
+            .map(|&slot| &self.flows[slot as usize])
     }
 
     /// The current pacing rate of a flow (Gbit/s), if the allocator has
     /// assigned one.
     pub fn pacing_rate_gbps(&self, flow: u64) -> Option<f64> {
-        self.flows.get(&flow)?.rate_gbps
+        self.state(flow)?.rate_gbps
     }
 
     /// Whether `flow` currently has an active (notified) flowlet.
     pub fn flowlet_active(&self, flow: u64) -> bool {
-        self.flows.get(&flow).is_some_and(|s| s.token.is_some())
+        self.state(flow).is_some_and(|s| s.token.is_some())
     }
 
     /// The active flowlet's token, if any.
     pub fn token_of(&self, flow: u64) -> Option<Token> {
-        self.flows.get(&flow).and_then(|s| s.token)
+        self.state(flow).and_then(|s| s.token)
     }
 
     /// The destination this flow was registered toward.
     pub fn dst_of(&self, flow: u64) -> Option<u16> {
-        self.flows.get(&flow).map(|s| s.dst)
+        self.state(flow).map(|s| s.dst)
     }
 
     /// The spine carried in this flow's start notification.
     pub fn spine_of(&self, flow: u64) -> Option<u8> {
-        self.flows.get(&flow).map(|s| s.spine)
+        self.state(flow).map(|s| s.spine)
     }
+}
+
+fn is_draining(tracker: &FlowletTracker) -> bool {
+    matches!(tracker.state(), FlowletState::Draining { .. })
 }
 
 #[cfg(test)]
@@ -288,6 +387,47 @@ mod tests {
             a.pacing_rate_gbps(1).is_some(),
             "kept as TCP starting point"
         );
+    }
+
+    #[test]
+    fn start_is_refused_while_every_counter_value_is_live() {
+        // 65 536 servers leave a token 8 counter bits.
+        let mut a = EndpointAgent::with_config(9, 65_536, 4, FlowtuneConfig::default());
+        let tokens: std::collections::HashSet<Token> = (0..256u64)
+            .map(|flow| match a.on_backlog(flow, 1, 100, 0) {
+                Some(Message::FlowletStart { token, .. }) => token,
+                other => panic!("flow {flow}: {other:?}"),
+            })
+            .collect();
+        assert_eq!(tokens.len(), 256);
+        assert_eq!(a.on_backlog(256, 1, 100, 0), None, "no token left");
+        assert!(!a.flowlet_active(256));
+
+        let freed = a.token_of(7);
+        a.on_drained(7, 0);
+        assert_eq!(a.poll(40 * US).len(), 1);
+        assert!(a.on_backlog(256, 1, 100, 40 * US).is_some(), "one is free");
+        assert_eq!(a.token_of(256), freed);
+    }
+
+    #[test]
+    fn a_flow_is_listed_as_draining_once() {
+        let mut a = EndpointAgent::new(0, 16);
+        a.on_backlog(1, 2, 100, 0);
+        for round in 0..3 {
+            a.on_drained(1, round * US);
+            a.on_backlog(1, 2, 100, round * US);
+        }
+        a.on_drained(1, 5 * US);
+        assert_eq!(a.draining, [0]);
+        assert_eq!(a.next_deadline_ps(), Some(5 * US + 30 * US));
+        // Backlogged again before the poll: the poll drops the entry.
+        a.on_backlog(1, 2, 100, 6 * US);
+        assert!(a.poll(100 * US).is_empty());
+        assert!(a.draining.is_empty() && a.flowlet_active(1));
+        a.on_drained(1, 100 * US);
+        assert_eq!(a.poll(130 * US).len(), 1);
+        assert!(a.draining.is_empty() && !a.flowlet_active(1));
     }
 
     #[test]

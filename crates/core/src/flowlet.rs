@@ -4,12 +4,14 @@
 //! sender; a flowlet ends when there is a threshold amount of time during
 //! which a sender's queue is empty." The tracker is a small, sans-IO state
 //! machine driven by queue occupancy transitions and a clock; the endpoint
-//! agent owns one per flow.
+//! agent owns one per flow and hands it the idle threshold with the clock,
+//! so a tracker is its state and nothing else.
 
 /// Lifecycle state of one flow's current flowlet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowletState {
     /// No active flowlet (initial, or after an end was reported).
+    #[default]
     Idle,
     /// The sender's queue is non-empty.
     Backlogged,
@@ -22,9 +24,8 @@ pub enum FlowletState {
 }
 
 /// Per-flow flowlet state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowletTracker {
-    idle_threshold_ps: u64,
     state: FlowletState,
 }
 
@@ -40,12 +41,9 @@ pub enum FlowletAction {
 }
 
 impl FlowletTracker {
-    /// Creates a tracker with the configured idle threshold.
-    pub fn new(idle_threshold_ps: u64) -> Self {
-        Self {
-            idle_threshold_ps,
-            state: FlowletState::Idle,
-        }
+    /// Creates an idle tracker.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current state.
@@ -86,11 +84,11 @@ impl FlowletTracker {
         FlowletAction::None
     }
 
-    /// Clock tick: ends the flowlet if the queue has been empty long
-    /// enough.
-    pub fn poll(&mut self, now_ps: u64) -> FlowletAction {
+    /// Clock tick: ends the flowlet if the queue has been empty for
+    /// `idle_threshold_ps`.
+    pub fn poll(&mut self, now_ps: u64, idle_threshold_ps: u64) -> FlowletAction {
         if let FlowletState::Draining { empty_since_ps } = self.state {
-            if now_ps.saturating_sub(empty_since_ps) >= self.idle_threshold_ps {
+            if now_ps.saturating_sub(empty_since_ps) >= idle_threshold_ps {
                 self.state = FlowletState::Idle;
                 return FlowletAction::Ended;
             }
@@ -101,11 +99,9 @@ impl FlowletTracker {
     /// The earliest time a [`FlowletTracker::poll`] could report an end,
     /// if the flow is draining — lets an event-driven caller set a timer
     /// instead of polling.
-    pub fn end_deadline_ps(&self) -> Option<u64> {
+    pub fn end_deadline_ps(&self, idle_threshold_ps: u64) -> Option<u64> {
         match self.state {
-            FlowletState::Draining { empty_since_ps } => {
-                Some(empty_since_ps + self.idle_threshold_ps)
-            }
+            FlowletState::Draining { empty_since_ps } => Some(empty_since_ps + idle_threshold_ps),
             _ => None,
         }
     }
@@ -119,7 +115,7 @@ mod tests {
 
     #[test]
     fn backlog_starts_exactly_one_flowlet() {
-        let mut f = FlowletTracker::new(T);
+        let mut f = FlowletTracker::new();
         assert_eq!(f.on_backlog(0), FlowletAction::Started);
         assert_eq!(f.on_backlog(5), FlowletAction::None);
         assert!(f.active());
@@ -127,62 +123,62 @@ mod tests {
 
     #[test]
     fn ends_only_after_threshold_idle() {
-        let mut f = FlowletTracker::new(T);
+        let mut f = FlowletTracker::new();
         f.on_backlog(0);
         f.on_drained(1_000);
-        assert_eq!(f.poll(1_000 + T - 1), FlowletAction::None);
-        assert_eq!(f.poll(1_000 + T), FlowletAction::Ended);
+        assert_eq!(f.poll(1_000 + T - 1, T), FlowletAction::None);
+        assert_eq!(f.poll(1_000 + T, T), FlowletAction::Ended);
         assert!(!f.active());
     }
 
     #[test]
     fn refill_during_drain_continues_the_flowlet() {
-        let mut f = FlowletTracker::new(T);
+        let mut f = FlowletTracker::new();
         f.on_backlog(0);
         f.on_drained(1_000);
         // New data arrives before the threshold: same flowlet.
         assert_eq!(f.on_backlog(1_000 + T / 2), FlowletAction::None);
-        assert_eq!(f.poll(1_000 + 2 * T), FlowletAction::None, "backlogged");
+        assert_eq!(f.poll(1_000 + 2 * T, T), FlowletAction::None, "backlogged");
         // Drain again; only now does the clock restart.
         f.on_drained(3 * T);
-        assert_eq!(f.poll(4 * T), FlowletAction::Ended);
+        assert_eq!(f.poll(4 * T, T), FlowletAction::Ended);
     }
 
     #[test]
     fn gap_longer_than_threshold_makes_two_flowlets() {
         // §1 footnote: "long lived flows that send intermittently generate
         // multiple flowlets".
-        let mut f = FlowletTracker::new(T);
+        let mut f = FlowletTracker::new();
         assert_eq!(f.on_backlog(0), FlowletAction::Started);
         f.on_drained(10);
-        assert_eq!(f.poll(10 + T), FlowletAction::Ended);
+        assert_eq!(f.poll(10 + T, T), FlowletAction::Ended);
         assert_eq!(f.on_backlog(10 + 2 * T), FlowletAction::Started);
     }
 
     #[test]
     fn drained_while_idle_is_a_noop() {
-        let mut f = FlowletTracker::new(T);
+        let mut f = FlowletTracker::new();
         assert_eq!(f.on_drained(5), FlowletAction::None);
-        assert_eq!(f.poll(5 + 2 * T), FlowletAction::None);
+        assert_eq!(f.poll(5 + 2 * T, T), FlowletAction::None);
         assert_eq!(f.state(), FlowletState::Idle);
     }
 
     #[test]
     fn deadline_reflects_drain_time() {
-        let mut f = FlowletTracker::new(T);
-        assert_eq!(f.end_deadline_ps(), None);
+        let mut f = FlowletTracker::new();
+        assert_eq!(f.end_deadline_ps(T), None);
         f.on_backlog(0);
-        assert_eq!(f.end_deadline_ps(), None);
+        assert_eq!(f.end_deadline_ps(T), None);
         f.on_drained(7);
-        assert_eq!(f.end_deadline_ps(), Some(7 + T));
+        assert_eq!(f.end_deadline_ps(T), Some(7 + T));
     }
 
     #[test]
     fn poll_is_idempotent_after_end() {
-        let mut f = FlowletTracker::new(T);
+        let mut f = FlowletTracker::new();
         f.on_backlog(0);
         f.on_drained(0);
-        assert_eq!(f.poll(T), FlowletAction::Ended);
-        assert_eq!(f.poll(2 * T), FlowletAction::None);
+        assert_eq!(f.poll(T, T), FlowletAction::Ended);
+        assert_eq!(f.poll(2 * T, T), FlowletAction::None);
     }
 }

@@ -361,7 +361,7 @@ impl<S: ShardSet> TickDriver for Router<S> {
         total
     }
 
-    /// The shards' intake/allocate/export phases summed over shards, plus
+    /// The shards' allocate/export phases summed over shards, plus
     /// the shard set's exchange time. Where shards run concurrently the
     /// sum is CPU time, not wall time — still the right weight for "where
     /// do the cycles go" breakdowns.
@@ -372,7 +372,6 @@ impl<S: ShardSet> TickDriver for Router<S> {
         };
         for s in self.shards() {
             let t = s.phase_timings();
-            total.intake += t.intake;
             total.allocate += t.allocate;
             total.export += t.export;
         }

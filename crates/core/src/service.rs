@@ -599,13 +599,6 @@ impl<E: RateAllocator> AllocatorService<E> {
     /// message is dropped, [`ServiceStats::rejected`] is bumped, and the
     /// service remains consistent — rejecting is not fatal.
     pub fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        let t0 = Instant::now();
-        let result = self.on_message_inner(msg);
-        self.timings.intake += t0.elapsed();
-        result
-    }
-
-    fn on_message_inner(&mut self, msg: Message) -> Result<(), ServiceError> {
         self.stats.bytes_in += msg.encoded_len() as u64;
         match msg {
             Message::FlowletStart {
@@ -798,8 +791,8 @@ impl<E: RateAllocator> AllocatorService<E> {
         self.stats
     }
 
-    /// Cumulative per-phase wall time (intake / allocate / export; this
-    /// unsharded service has no exchange phase).
+    /// Cumulative per-phase wall time (allocate / export; this unsharded
+    /// service has no exchange phase).
     pub fn phase_timings(&self) -> PhaseTimings {
         self.timings
     }

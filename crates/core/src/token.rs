@@ -36,19 +36,23 @@ impl TokenAllocator {
         }
     }
 
-    /// Mints the next token. Counters wrap; a wrap only collides if a
-    /// single server holds 2^counter_bits concurrent flowlets, far beyond
-    /// the tens-to-hundreds of flows per server real datacenters see
-    /// (§5: "datacenter measurements show average flow count per server at
-    /// tens to hundreds of flows").
+    /// Mints the next token: the server prefix and the counter, which
+    /// then advances and wraps after [`TokenAllocator::capacity`] mints.
+    /// The allocator does not know which tokens are still in use, so
+    /// after a wrap it returns the token of any flowlet that has outlived
+    /// `capacity` later starts on this server — one long-lived flowlet is
+    /// enough (2¹⁷ starts at 128 servers, 2⁸ at 65 536). The caller must
+    /// mint again while the token it got is live, as
+    /// [`EndpointAgent::on_backlog`](crate::EndpointAgent::on_backlog)
+    /// does.
     pub fn mint(&mut self) -> Token {
         let t = self.prefix | (self.next & ((1 << self.counter_bits) - 1));
         self.next = self.next.wrapping_add(1);
         Token::new(t)
     }
 
-    /// How many flowlets this endpoint can have in flight before a token
-    /// collision becomes possible.
+    /// How many distinct tokens this endpoint has: the most flowlets it
+    /// can have in flight at once.
     pub fn capacity(&self) -> u32 {
         1 << self.counter_bits
     }

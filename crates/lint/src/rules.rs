@@ -136,7 +136,7 @@ pub const HOT_MODULES: &[HotModule] = &[
     HotModule {
         path: "crates/core/src/service.rs",
         hot_fns: &[
-            "on_message_inner",
+            "on_message",
             "register",
             "release",
             "tick_into",
@@ -151,6 +151,10 @@ pub const HOT_MODULES: &[HotModule] = &[
             "set_background_hessians",
             "set_link_prices",
         ],
+    },
+    HotModule {
+        path: "crates/core/src/endpoint.rs",
+        hot_fns: &["on_rate_update", "on_drained", "poll"],
     },
     HotModule {
         path: "crates/core/src/exchange.rs",

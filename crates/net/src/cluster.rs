@@ -355,7 +355,6 @@ mod tests {
         }
         assert_eq!(c.stats().exchange_rounds, 20);
         let t = c.phase_timings();
-        assert!(t.intake > Duration::ZERO, "{t:?}");
         assert!(t.allocate > Duration::ZERO, "{t:?}");
         assert!(t.export > Duration::ZERO, "{t:?}");
         assert!(t.exchange > Duration::ZERO, "{t:?}");

@@ -21,6 +21,10 @@
 //!   consensus and installs — quiet, and on rounds that swap a flowlet
 //!   in every shard through the router and emit the updates, where the
 //!   k-way merge has streams to merge;
+//! * the endpoint half of the loop: a warmed `EndpointAgent` applies a
+//!   round's rate updates (sorted token index, no hash), takes a drain
+//!   for every flow, polls without ending any and takes the refills that
+//!   keep the flowlets alive, all without touching the heap;
 //! * a converged peer cluster over the mem transport — send path,
 //!   receiver threads, mailboxes, barrier, install, k-way merge —
 //!   recycles every frame buffer through the pools and ticks without
@@ -41,9 +45,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver};
+use flowtune::{
+    AllocatorService, EndpointAgent, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver,
+};
 use flowtune_alloc::RateAllocator;
-use flowtune_proto::{Message, Token};
+use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
 struct CountingAlloc;
@@ -300,6 +306,58 @@ fn allocator_ticks_allocate_nothing<E: RateAllocator>(
         allocs, 0,
         "a flowlet swap and the tick that reports it must not allocate \
          ({what}: {allocs} allocations over 6 rounds)"
+    );
+}
+
+#[test]
+fn steady_state_endpoint_agent_allocates_nothing() {
+    let _window = Window::lock();
+    const FLOWS: u64 = 32;
+    let idle_ps = FlowtuneConfig::default().flowlet_idle_ps;
+    let mut agent = EndpointAgent::new(3, 144);
+    let updates: Vec<Message> = (0..FLOWS)
+        .map(|flow| {
+            let start = agent.on_backlog(flow, 100, 1_000_000, 0);
+            let Some(Message::FlowletStart { token, .. }) = start else {
+                panic!("flow {flow} did not start a flowlet");
+            };
+            Message::RateUpdate {
+                token,
+                rate: Rate16::encode(1.0 + flow as f64),
+            }
+        })
+        .collect();
+
+    // What a server does between two flowlet boundaries: the allocator's
+    // updates arrive in token order, every queue runs empty, the clock
+    // poll finds no flowlet idle for long enough, and data refills the
+    // queues before one is. The first round sizes the draining list.
+    for round in 0..=MEASURED_ROUNDS {
+        if round == 1 {
+            ALLOCS.store(0, Ordering::Relaxed);
+            ENABLED.store(true, Ordering::Relaxed);
+        }
+        let now_ps = round * idle_ps;
+        for update in &updates {
+            assert!(agent.on_rate_update(update).is_some());
+        }
+        for flow in 0..FLOWS {
+            agent.on_drained(flow, now_ps);
+        }
+        assert!(agent.poll(now_ps + idle_ps - 1).is_empty());
+        assert_eq!(agent.next_deadline_ps(), Some(now_ps + idle_ps));
+        for flow in 0..FLOWS {
+            let refill = agent.on_backlog(flow, 100, 1_000, now_ps + idle_ps - 1);
+            assert!(refill.is_none(), "a refill continues the flowlet");
+        }
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "a warmed endpoint agent must not allocate between flowlet boundaries \
+         ({allocs} allocations over {MEASURED_ROUNDS} rounds)"
     );
 }
 

@@ -283,3 +283,42 @@ fn update_traffic_is_quiet_at_steady_state() {
         "converged allocation must be silent under the threshold filter"
     );
 }
+
+#[test]
+fn token_counter_wrap_skips_the_live_flowlet() {
+    // At 65 536 servers a token keeps 8 counter bits: the counter wraps
+    // every 256 starts, onto the token of a flowlet that started 256
+    // starts ago if that one is still live.
+    let (_, mut svc, _) = setup();
+    let mut agent = EndpointAgent::with_config(5, 65_536, 4, FlowtuneConfig::default());
+    let long_lived = agent.on_backlog(0, 99, 1 << 30, 0).unwrap();
+    let Message::FlowletStart { token: held, .. } = long_lived else {
+        panic!("expected a start")
+    };
+    svc.on_message(long_lived).unwrap();
+
+    let mut now_ps = 0;
+    for flow in 1..=300u64 {
+        let start = agent.on_backlog(flow, 99, 1000, now_ps).unwrap();
+        assert_eq!(
+            svc.on_message(start),
+            Ok(()),
+            "start {flow} reused a live token"
+        );
+        assert_ne!(agent.token_of(flow), Some(held));
+        agent.on_drained(flow, now_ps);
+        now_ps += FlowtuneConfig::default().flowlet_idle_ps;
+        for end in agent.poll(now_ps) {
+            svc.on_message(end).unwrap();
+        }
+        assert!(!agent.flowlet_active(flow));
+    }
+    assert_eq!(svc.stats().rejected, 0);
+    assert_eq!(svc.active_flows(), 1);
+    assert_eq!(agent.token_of(0), Some(held));
+    let update = Message::RateUpdate {
+        token: held,
+        rate: Rate16::encode(3.0),
+    };
+    assert_eq!(agent.on_rate_update(&update).map(|(flow, _)| flow), Some(0));
+}

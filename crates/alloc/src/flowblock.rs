@@ -6,13 +6,26 @@
 //!
 //! A FlowBlock is stored column-wise ([`FlowBlock`]) and every path has
 //! the same arity — two upward and two downward offsets — so the flow
-//! kernels run as three stages over chunks of 64 flows: *gather*
-//! per-link values through the offsets into a stack buffer, *compute*
-//! over contiguous columns (no data-dependent branch or index, so the
-//! compiler packs the `max` and the divisions), *scatter* the result
-//! back through the offsets. A path shorter than two hops is padded
-//! with its LinkBlock's **sentinel slot**: one extra entry past the real
-//! links in every per-link array of [`PriceView`] and [`Accums`].
+//! kernels have no data-dependent branch. Each is one loop over *pairs*
+//! of flows: the per-link values of both are gathered through the
+//! offsets, the `max` and the divisions run packed over the pair, and
+//! [`rate_pass`] then adds the `[x, dx]` of flow *i* and of flow *i + 1*
+//! to their links in that order, so every link's sums still see their
+//! addends in slot order. Nothing is staged through a buffer: the
+//! divider works under the neighbouring pairs' loads and stores (the
+//! loops are bound by instruction issue, not by the divider or the load
+//! and store ports — see ARCHITECTURE). A path shorter than two hops is
+//! padded with its LinkBlock's **sentinel slot**: one extra entry past
+//! the real links in every per-link array of [`PriceView`] and
+//! [`Accums`].
+//!
+//! **No instruction in those loops guards an index.** The per-link
+//! arrays are [`padded_len`] long — the links, the sentinel, zeros up to
+//! a power of two — and the kernels index them at `offset & (len - 1)`,
+//! which the compiler can see is in bounds; the range check proper sits
+//! where offsets enter, in [`FlowBlock::push`], so the mask is the
+//! identity on every offset that exists. `scripts/kernel_asm.sh` fails
+//! if a bounds check reappears in either kernel.
 //!
 //! The fourth kernel, [`report_pass`], runs once per drain rather than
 //! per iteration: the §6.4 update-threshold rule (`must_report`) over
@@ -32,7 +45,8 @@
 //! adds. Checked with `objdump -d` on the default build and under
 //! `-C target-cpu=x86-64-v3`: between the flags loop's compares and the
 //! `sink` call the only conditional jumps are loop back-edges and the
-//! lent-slot bounds check. Re-read the disassembly when touching it.
+//! lent-slot bounds check. Re-read the disassembly when touching it
+//! (`scripts/kernel_asm.sh` prints each kernel's jump count).
 //!
 //! Sentinel invariant: the sentinel's price and utilization ratio are
 //! `0.0` forever — [`price_update`] and the engines' install steps write
@@ -40,12 +54,15 @@
 //! another's — and its accumulator, which collects the padded flows'
 //! rates, is never aggregated or read. Padding therefore changes no bit:
 //! it adds `+0.0` to a path price and takes `max(·, 0.0)` of a worst
-//! ratio that is already ≥ 0.
+//! ratio that is already ≥ 0. The entries past the sentinel are `+0.0`
+//! forever for the same reason — no offset reaches them, and the copies
+//! that cover them copy zeros.
 
+use flowtune_num::solver::decay_idle_price;
 use flowtune_topo::FlowId;
 
-/// Flows gathered, computed and scattered at a time: the stage buffers
-/// (one or two `f64` per flow) stay on the stack and in L1.
+/// Flows [`report_pass`] flags, selects and compacts at a time: its stage
+/// buffers stay on the stack and in L1.
 const CHUNK: usize = 64;
 
 /// One FlowBlock's flows, a column per field; slot `i` of every column
@@ -57,10 +74,12 @@ const CHUNK: usize = 64;
 pub struct FlowBlock {
     /// External flow identities.
     pub ids: Vec<FlowId>,
-    /// Offsets into the upward LinkBlock.
-    pub up: Vec<[u32; 2]>,
-    /// Offsets into the downward LinkBlock.
-    pub down: Vec<[u32; 2]>,
+    /// Offsets into the upward LinkBlock, each `≤ sentinel`: private so
+    /// that [`FlowBlock::push`] is the one place an offset enters, and
+    /// the kernels' index masks are the identity on all of them.
+    up: Vec<[u32; 2]>,
+    /// Offsets into the downward LinkBlock, likewise.
+    down: Vec<[u32; 2]>,
     /// Proportional-fairness weights (log utility `w log x`). The hot
     /// path is specialized to log utility — the objective the paper's
     /// allocator runs; other utilities are available in the serial
@@ -107,11 +126,17 @@ impl FlowBlock {
         self.ids.is_empty()
     }
 
-    /// Appends a flow (≤ 2 offsets each way) at rate zero and never
-    /// reported; `x_max` is its bottleneck line rate in Gbit/s.
+    /// Appends a flow (≤ 2 offsets each way, each a real link's or the
+    /// sentinel's) at rate zero and never reported; `x_max` is its
+    /// bottleneck line rate in Gbit/s.
     pub fn push(&mut self, id: FlowId, weight: f64, up: &[u32], down: &[u32], x_max: f64) {
         assert!(up.len() <= 2 && down.len() <= 2, "2-tier paths only");
         let pad = |offsets: &[u32]| {
+            assert!(
+                offsets.iter().all(|&o| o <= self.sentinel),
+                "offset past the LinkBlock's {} links",
+                self.sentinel
+            );
             let mut padded = [self.sentinel; 2];
             padded[..offsets.len()].copy_from_slice(offsets);
             padded
@@ -162,6 +187,15 @@ impl FlowBlock {
     }
 }
 
+/// Entries in every per-link array the flow kernels index through a
+/// flow's offsets ([`PriceView`]'s four, [`Accums`]' two) for LinkBlocks
+/// of `links_per_lb` real links: the links, the sentinel, and zero
+/// padding up to a power of two, so that `offset & (len - 1)` is an
+/// in-bounds index with no check (see `slot` in this module).
+pub fn padded_len(links_per_lb: usize) -> usize {
+    (links_per_lb + 1).next_power_of_two()
+}
+
 /// A flow's allocation after an iteration, in Gbit/s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRate {
@@ -176,8 +210,8 @@ pub struct FlowRate {
 /// Per-worker private accumulators for its two LinkBlock copies: one
 /// `[load, hessian]` pair per link — the sum of flow rates and the sum
 /// of demand derivatives (Hessian diagonal) — so a flow's contribution
-/// to a link lands with one 16-byte add. The last entry of each array
-/// is the sentinel's.
+/// to a link lands with one 16-byte add. Entry `n` of each array is the
+/// sentinel's; the arrays are [`padded_len`] long.
 #[derive(Debug, Clone)]
 pub struct Accums {
     /// Upward-LinkBlock pairs.
@@ -190,8 +224,8 @@ impl Accums {
     /// Zero-filled accumulators for LinkBlocks of `n` real links.
     pub fn new(n: usize) -> Self {
         Self {
-            up: vec![[0.0; 2]; n + 1],
-            down: vec![[0.0; 2]; n + 1],
+            up: vec![[0.0; 2]; padded_len(n)],
+            down: vec![[0.0; 2]; padded_len(n)],
         }
     }
 
@@ -216,8 +250,9 @@ fn add_pair(link: &mut [f64; 2], pair: &[f64; 2]) {
 }
 
 /// Per-worker copies of its two LinkBlocks' prices and utilization ratios
-/// (refreshed by the distribution phase each iteration). The last entry
-/// of each array is the sentinel's `0.0`.
+/// (refreshed by the distribution phase each iteration). Entry `n` of
+/// each array is the sentinel's `0.0`; the arrays are [`padded_len`]
+/// long, `0.0` from the sentinel on.
 #[derive(Debug, Clone)]
 pub struct PriceView {
     /// Upward LinkBlock prices.
@@ -233,13 +268,13 @@ pub struct PriceView {
 impl PriceView {
     /// Initial view over `n` real links: all prices 1 (§3), ratios 0.
     pub fn new(n: usize) -> Self {
-        let mut prices = vec![1.0; n + 1];
-        prices[n] = 0.0;
+        let mut prices = vec![0.0; padded_len(n)];
+        prices[..n].fill(1.0);
         Self {
             up_prices: prices.clone(),
             down_prices: prices,
-            up_ratio: vec![0.0; n + 1],
-            down_ratio: vec![0.0; n + 1],
+            up_ratio: vec![0.0; padded_len(n)],
+            down_ratio: vec![0.0; padded_len(n)],
         }
     }
 }
@@ -252,42 +287,89 @@ pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
     let (weight, floor) = (&flows.weight[..n], &flows.floor[..n]);
     let rates = &mut flows.rates[..n];
-    let mut lambda = [0.0f64; CHUNK];
-    let mut x_dx = [[0.0f64; 2]; CHUNK];
-    for start in (0..n).step_by(CHUNK) {
-        let end = (start + CHUNK).min(n);
-        let (up, down) = (&up[start..end], &down[start..end]);
-        // Gather: the path price, summed in path order. (A sum seeded
-        // with 0.0 differs only when every price is -0.0, and the floor
-        // below is positive.)
-        for ((l, u), d) in lambda.iter_mut().zip(up).zip(down) {
-            *l = view.up_prices[u[0] as usize]
-                + view.up_prices[u[1] as usize]
-                + view.down_prices[d[0] as usize]
-                + view.down_prices[d[1] as usize];
-        }
-        // Compute. The price floor at the line-rate kink keeps the demand
-        // finite and the diagonal strictly negative (see flowtune-num
-        // docs).
-        let columns = weight[start..end].iter().zip(&floor[start..end]);
-        let outputs = rates[start..end].iter_mut().zip(&mut x_dx);
-        for (((w, f), l), (rate, pair)) in columns.zip(&lambda).zip(outputs) {
-            let l = l.max(*f);
-            let x = w / l;
-            *rate = x;
-            *pair = [x, -x / l]; // dx = -w/λ²
-        }
-        // Scatter, flows in slot order: a link's sums accumulate in the
-        // order a per-flow loop would add them.
-        for ((pair, u), d) in x_dx.iter().zip(up).zip(down) {
-            for &o in u {
-                add_pair(&mut acc.up[o as usize], pair);
-            }
-            for &o in d {
-                add_pair(&mut acc.down[o as usize], pair);
-            }
-        }
+    let (up_prices, down_prices) = (&view.up_prices[..], &view.down_prices[..]);
+    let (acc_up, acc_down) = (&mut acc.up[..], &mut acc.down[..]);
+    check_padded(
+        flows.sentinel,
+        [
+            up_prices.len(),
+            down_prices.len(),
+            acc_up.len(),
+            acc_down.len(),
+        ],
+    );
+    let mut i = 0;
+    while i + 1 < n {
+        let j = i + 1;
+        // The price floor at the line-rate kink keeps the demand finite
+        // and the diagonal strictly negative (see flowtune-num docs).
+        let l = [
+            path_sum(up_prices, down_prices, up[i], down[i]).max(floor[i]),
+            path_sum(up_prices, down_prices, up[j], down[j]).max(floor[j]),
+        ];
+        let x = [weight[i] / l[0], weight[j] / l[1]];
+        // dx = -w/λ²
+        let dx = [-x[0] / l[0], -x[1] / l[1]];
+        // Flows in slot order: a link's sums accumulate in the order a
+        // per-flow loop would add them.
+        path_add(acc_up, acc_down, up[i], down[i], [x[0], dx[0]]);
+        path_add(acc_up, acc_down, up[j], down[j], [x[1], dx[1]]);
+        // Stored last: the gathered indices then stay in registers for
+        // the adds above (measured, 3.4 → 3.05 ns a flow).
+        rates[i] = x[0];
+        rates[j] = x[1];
+        i += 2;
     }
+    if i < n {
+        let l = path_sum(up_prices, down_prices, up[i], down[i]).max(floor[i]);
+        let x = weight[i] / l;
+        rates[i] = x;
+        path_add(acc_up, acc_down, up[i], down[i], [x, -x / l]);
+    }
+}
+
+/// The kernels' one check on the per-link arrays they index through a
+/// flow's offsets: all one length, a power of two, past the sentinel.
+/// [`slot`] is then in bounds for any offset, and the identity on every
+/// offset `flows` holds ([`FlowBlock::push`] admitted none above the
+/// sentinel). Inlined, because the kernel's loop must see these facts.
+#[inline(always)]
+fn check_padded<const N: usize>(sentinel: u32, lens: [usize; N]) {
+    let len = lens[0];
+    assert!(
+        len.is_power_of_two() && (sentinel as usize) < len && lens.iter().all(|&l| l == len),
+        "per-link arrays are padded to one power-of-two length past the sentinel"
+    );
+}
+
+/// A path's price: its four links', summed in path order. (A sum seeded
+/// with 0.0 differs only when every price is -0.0, and the floor the
+/// caller applies is positive.)
+#[inline(always)]
+fn path_sum(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
+    up[slot(up.len(), u[0])]
+        + up[slot(up.len(), u[1])]
+        + down[slot(down.len(), d[0])]
+        + down[slot(down.len(), d[1])]
+}
+
+/// Adds a flow's `[x, dx]` to its four links' sums, in path order.
+#[inline(always)]
+fn path_add(up: &mut [[f64; 2]], down: &mut [[f64; 2]], u: [u32; 2], d: [u32; 2], pair: [f64; 2]) {
+    add_pair(&mut up[slot(up.len(), u[0])], &pair);
+    add_pair(&mut up[slot(up.len(), u[1])], &pair);
+    add_pair(&mut down[slot(down.len(), d[0])], &pair);
+    add_pair(&mut down[slot(down.len(), d[1])], &pair);
+}
+
+/// `offset` as an index into a per-link array of `len` entries. Written
+/// against the array's own length so that `slot(a.len(), o) < a.len()`
+/// folds to `a.len() != 0`, which [`check_padded`] established: the
+/// index carries no bounds check and no panic edge. (A mask shared
+/// between arrays, or narrowed to 32 bits, is not recognized.)
+#[inline(always)]
+fn slot(len: usize, offset: u32) -> usize {
+    offset as usize & (len - 1)
 }
 
 /// Kernel 2 — NED price update (Algorithm 1, eq. 4) plus utilization
@@ -323,9 +405,9 @@ pub fn price_update(
             prices[l] = (prices[l] - gamma * g / h).max(0.0);
         } else {
             // No *own* flow crosses this link, so its price carries no
-            // information for this engine: decay the stale value (same
-            // rule as the serial NED in flowtune-num).
-            prices[l] *= 0.5;
+            // information for this engine: decay the stale value (the
+            // serial NED's rule in flowtune-num, snap to zero included).
+            prices[l] = decay_idle_price(prices[l]);
         }
     }
 }
@@ -339,21 +421,38 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
     let rates = &flows.rates[..n];
     let normalized = &mut flows.normalized[..n];
-    let mut worst = [0.0f64; CHUNK];
-    for start in (0..n).step_by(CHUNK) {
-        let end = (start + CHUNK).min(n);
-        for ((w, u), d) in worst.iter_mut().zip(&up[start..end]).zip(&down[start..end]) {
-            *w = 0.0f64
-                .max(view.up_ratio[u[0] as usize])
-                .max(view.up_ratio[u[1] as usize])
-                .max(view.down_ratio[d[0] as usize])
-                .max(view.down_ratio[d[1] as usize]);
-        }
-        let columns = rates[start..end].iter().zip(&worst);
-        for (out, (rate, w)) in normalized[start..end].iter_mut().zip(columns) {
-            *out = rate / if *w > 0.0 { *w } else { 1.0 };
-        }
+    let (up_ratio, down_ratio) = (&view.up_ratio[..], &view.down_ratio[..]);
+    check_padded(flows.sentinel, [up_ratio.len(), down_ratio.len()]);
+    let divisor = |w: f64| if w > 0.0 { w } else { 1.0 };
+    let mut i = 0;
+    while i + 1 < n {
+        let j = i + 1;
+        let w = [
+            path_max(up_ratio, down_ratio, up[i], down[i]),
+            path_max(up_ratio, down_ratio, up[j], down[j]),
+        ];
+        // Built as arrays so the select and the division pack: as two
+        // scalar statements they compile to a jump on `w > 0` each.
+        let d = [divisor(w[0]), divisor(w[1])];
+        let out = [rates[i] / d[0], rates[j] / d[1]];
+        normalized[i] = out[0];
+        normalized[j] = out[1];
+        i += 2;
     }
+    if i < n {
+        normalized[i] = rates[i] / divisor(path_max(up_ratio, down_ratio, up[i], down[i]));
+    }
+}
+
+/// The worst utilization ratio on a path, or `0.0` for one with no
+/// loaded link.
+#[inline(always)]
+fn path_max(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
+    0.0f64
+        .max(up[slot(up.len(), u[0])])
+        .max(up[slot(up.len(), u[1])])
+        .max(down[slot(down.len(), d[0])])
+        .max(down[slot(down.len(), d[1])])
 }
 
 /// "None yet" in a flow's `reported` word: nothing was ever lent for it,
@@ -660,9 +759,11 @@ mod tests {
         let mut a = Accums::new(2);
         a.up[..2].copy_from_slice(&[[1.0, -1.0], [2.0, 0.0]]);
         absorb(&mut a.up[..2], &[[0.5, -1.0], [0.25, 0.0]]);
-        assert_eq!(a.up, vec![[1.5, -2.0], [2.25, 0.0], [0.0, 0.0]]);
+        // Two links, the sentinel, and padding up to a power of two.
+        assert_eq!(padded_len(2), 4);
+        assert_eq!(a.up, vec![[1.5, -2.0], [2.25, 0.0], [0.0; 2], [0.0; 2]]);
         a.clear();
-        assert_eq!(a.up, vec![[0.0, 0.0]; 3]);
+        assert_eq!(a.up, vec![[0.0, 0.0]; 4]);
     }
 
     #[test]
@@ -688,6 +789,41 @@ mod tests {
         assert_eq!(b.swap_remove(0), None);
         assert!(b.is_empty() && b.up.is_empty() && b.normalized.is_empty());
         assert!(b.reported.is_empty());
+    }
+
+    // The kernels mask offsets instead of checking them, so the check
+    // is here: one above the sentinel is refused in each position.
+    #[test]
+    #[should_panic(expected = "offset past the LinkBlock's 6 links")]
+    fn push_refuses_a_first_up_offset_past_the_sentinel() {
+        block(&[(1.0, &[7, 0], &[0, 1], 10.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset past the LinkBlock's 6 links")]
+    fn push_refuses_a_second_up_offset_past_the_sentinel() {
+        block(&[(1.0, &[0, 7], &[0, 1], 10.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset past the LinkBlock's 6 links")]
+    fn push_refuses_a_first_down_offset_past_the_sentinel() {
+        block(&[(1.0, &[0, 1], &[u32::MAX, 0], 10.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset past the LinkBlock's 6 links")]
+    fn push_refuses_a_second_down_offset_past_the_sentinel() {
+        block(&[(1.0, &[0, 1], &[0, 7], 10.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "padded to one power-of-two length")]
+    fn kernels_refuse_per_link_arrays_that_are_not_padded() {
+        let mut flows = block(&[(1.0, &[0], &[1], 10.0)]);
+        let mut view = PriceView::new(LINKS);
+        view.down_prices.truncate(LINKS + 1);
+        rate_pass(&mut flows, &view, &mut Accums::new(LINKS));
     }
 
     /// One drain: what `report_pass` lends, as `(id, rate bits)`, after
@@ -732,11 +868,43 @@ mod tests {
         assert_eq!(drain(&mut b, 0.01), vec![(FlowId(2), 3.045f64.to_bits())]);
     }
 
-    /// A random FlowBlock in both layouts with a random view: 1-hop and
-    /// 2-hop paths mixed, weights 1–4, some prices and ratios zero. Link 0
-    /// is free and idle both ways and every seventh flow runs over it
-    /// alone: pinned at its `x_max` floor, with no ratio to divide by.
-    fn random_case(n: usize, seed: u64) -> (FlowBlock, Vec<oracle::BlockFlow>, PriceView) {
+    /// Where the pair loop's seams fall: which flows of a pair are
+    /// same-rack (one real hop each way, one padded) and which share
+    /// links.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        /// 1-hop and 2-hop paths mixed freely.
+        Mixed,
+        /// The first flow of every pair is padded, the second is not.
+        PaddedFirst,
+        /// The second flow of every pair is padded, the first is not.
+        PaddedLast,
+        /// Only the last flow is padded: alone in the scalar tail when
+        /// the count is odd.
+        PaddedTail,
+        /// Both flows of a pair run over the same four links, so the
+        /// second's adds land on what the first's just stored.
+        Twins,
+    }
+
+    const SHAPES: [Shape; 5] = [
+        Shape::Mixed,
+        Shape::PaddedFirst,
+        Shape::PaddedLast,
+        Shape::PaddedTail,
+        Shape::Twins,
+    ];
+
+    /// A random FlowBlock in both layouts with a random view: weights
+    /// 1–4, some prices and ratios zero, paths as `shape` says. Link 0 is
+    /// free and idle both ways and every seventh flow runs over it alone,
+    /// whatever the shape: pinned at its `x_max` floor, with no ratio to
+    /// divide by.
+    fn random_case(
+        n: usize,
+        shape: Shape,
+        seed: u64,
+    ) -> (FlowBlock, Vec<oracle::BlockFlow>, PriceView) {
         let mut rng = TestRng::deterministic(&format!("flowblock-{seed}"));
         let mut view = PriceView::new(LINKS);
         for l in 0..LINKS {
@@ -752,16 +920,29 @@ mod tests {
         (view.up_prices[0], view.down_prices[0]) = (0.0, 0.0);
         (view.up_ratio[0], view.down_ratio[0]) = (0.0, 0.0);
         let mut columnar = FlowBlock::new(LINKS);
-        let mut aos = Vec::new();
+        let mut aos: Vec<oracle::BlockFlow> = Vec::new();
         for i in 0..n {
-            let path = |rng: &mut TestRng| -> Vec<u32> {
-                (0..1 + rng.below(2))
-                    .map(|_| rng.below(LINKS) as u32)
-                    .collect()
+            let path = |rng: &mut TestRng, hops: usize| -> Vec<u32> {
+                (0..hops).map(|_| rng.below(LINKS) as u32).collect()
             };
-            let (up, down) = match i % 7 {
-                0 => (vec![0], vec![0]),
-                _ => (path(&mut rng), path(&mut rng)),
+            let padded = match shape {
+                Shape::Mixed => None,
+                Shape::PaddedFirst => Some(i % 2 == 0),
+                Shape::PaddedLast => Some(i % 2 == 1),
+                Shape::PaddedTail => Some(i + 1 == n),
+                Shape::Twins => Some(false),
+            };
+            let (up, down) = match (i % 7, padded) {
+                (0, _) => (vec![0], vec![0]),
+                _ if shape == Shape::Twins && i % 2 == 1 => {
+                    (aos[i - 1].up.clone(), aos[i - 1].down.clone())
+                }
+                (_, Some(true)) => (path(&mut rng, 1), path(&mut rng, 1)),
+                (_, Some(false)) => (path(&mut rng, 2), path(&mut rng, 2)),
+                (_, None) => {
+                    let (ups, downs) = (1 + rng.below(2), 1 + rng.below(2));
+                    (path(&mut rng, ups), path(&mut rng, downs))
+                }
             };
             let weight = 1.0 + rng.below(4) as f64;
             let x_max = [10.0, 39.6, 40.0][rng.below(3)];
@@ -784,40 +965,72 @@ mod tests {
         pairs[..LINKS].iter().map(|p| p[half].to_bits()).collect()
     }
 
+    /// Both flow kernels against the oracle on one random case: rates,
+    /// all four accumulator columns and normalized rates, by bits.
+    fn check_kernels_against_oracle(n: usize, shape: Shape, zero_rates: bool, seed: u64) {
+        let case = format!("n {n}, {shape:?}, zero_rates {zero_rates}, seed {seed}");
+        let (mut flows, aos, view) = random_case(n, shape, seed);
+        let mut acc = Accums::new(LINKS);
+        let mut want_acc = oracle::Accums::new(LINKS);
+        let mut want_rates = vec![0.0; n];
+        rate_pass(&mut flows, &view, &mut acc);
+        oracle::rate_pass(&aos, &view, &mut want_acc, &mut want_rates);
+        assert_eq!(bits(&flows.rates), bits(&want_rates), "{case}");
+        assert_eq!(column(&acc.up, 0), bits(&want_acc.up_load), "{case}");
+        assert_eq!(column(&acc.up, 1), bits(&want_acc.up_h), "{case}");
+        assert_eq!(column(&acc.down, 0), bits(&want_acc.down_load), "{case}");
+        assert_eq!(column(&acc.down, 1), bits(&want_acc.down_h), "{case}");
+        let padding = acc.up[LINKS + 1..].iter().chain(&acc.down[LINKS + 1..]);
+        assert!(
+            padding.flatten().all(|x| x.to_bits() == 0),
+            "no offset reaches past the sentinel: {case}"
+        );
+        let pinned = aos
+            .iter()
+            .zip(&flows.rates)
+            .filter(|(f, &r)| r == f.x_max)
+            .count();
+        assert!(
+            pinned >= n.div_ceil(7),
+            "every seventh flow sits at its x_max floor: {case}"
+        );
+        if zero_rates {
+            // Flows added since the last rate pass: F-NORM must map
+            // their zero rate to zero whatever their path's ratios.
+            for r in flows.rates.iter_mut().step_by(3) {
+                *r = 0.0;
+            }
+            want_rates.clone_from(&flows.rates);
+        }
+        let mut want_normalized = vec![f64::NAN; n];
+        normalize_pass(&mut flows, &view);
+        oracle::normalize_pass(&aos, &view, &want_rates, &mut want_normalized);
+        assert_eq!(bits(&flows.normalized), bits(&want_normalized), "{case}");
+    }
+
+    /// The sizes and shapes the pair loop makes interesting, each one
+    /// every run: nothing, the tail alone, one pair, a pair and a tail,
+    /// and the seams of the 64-flow stages the loop replaced.
+    #[test]
+    fn kernels_match_the_aos_oracle_at_every_seam() {
+        for n in [0, 1, 2, 3, 63, 64, 65, 129] {
+            for shape in SHAPES {
+                for zero_rates in [false, true] {
+                    check_kernels_against_oracle(n, shape, zero_rates, n as u64);
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn kernels_match_the_aos_oracle_bit_for_bit(
-            n in prop_oneof![
-                Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(1000), 0usize..300
-            ],
+            n in prop_oneof![Just(1000usize), 0usize..300],
+            shape in 0..SHAPES.len(),
             zero_rates in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let (mut flows, aos, view) = random_case(n, seed);
-            let mut acc = Accums::new(LINKS);
-            let mut want_acc = oracle::Accums::new(LINKS);
-            let mut want_rates = vec![0.0; n];
-            rate_pass(&mut flows, &view, &mut acc);
-            oracle::rate_pass(&aos, &view, &mut want_acc, &mut want_rates);
-            prop_assert_eq!(bits(&flows.rates), bits(&want_rates));
-            prop_assert_eq!(column(&acc.up, 0), bits(&want_acc.up_load));
-            prop_assert_eq!(column(&acc.up, 1), bits(&want_acc.up_h));
-            prop_assert_eq!(column(&acc.down, 0), bits(&want_acc.down_load));
-            prop_assert_eq!(column(&acc.down, 1), bits(&want_acc.down_h));
-            let pinned = aos.iter().zip(&flows.rates).filter(|(f, &r)| r == f.x_max).count();
-            prop_assert!(pinned >= n.div_ceil(7), "every seventh flow sits at its x_max floor");
-            if zero_rates {
-                // Flows added since the last rate pass: F-NORM must map
-                // their zero rate to zero whatever their path's ratios.
-                for r in flows.rates.iter_mut().step_by(3) {
-                    *r = 0.0;
-                }
-                want_rates.clone_from(&flows.rates);
-            }
-            let mut want_normalized = vec![f64::NAN; n];
-            normalize_pass(&mut flows, &view);
-            oracle::normalize_pass(&aos, &view, &want_rates, &mut want_normalized);
-            prop_assert_eq!(bits(&flows.normalized), bits(&want_normalized));
+            check_kernels_against_oracle(n, SHAPES[shape], zero_rates, seed);
         }
 
         // `report_pass` against the rule it packs: the scalar

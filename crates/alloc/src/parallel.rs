@@ -154,7 +154,7 @@ impl MulticoreAllocator {
             // Scratch for the copy-out exchange: a LinkBlock of `[load,
             // hessian]` pairs in aggregation; flattened, a prices half and
             // a ratios half in distribution. Only the real links travel —
-            // nobody's sentinel slot is read or written.
+            // nobody's sentinel slot or padding is read or written.
             let lpl = layout.links_per_lb();
             let mut buf = vec![[0.0f64; 2]; lpl]; // flowtune-lint: allow(hot-path-alloc, "per-thread scratch, once per run not per iteration")
             for _ in 0..n {

@@ -31,8 +31,8 @@ use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
 use crate::flowblock::{
-    absorb, normalize_pass, price_update, rate_pass, report_pass, Accums, FlowBlock, FlowRate,
-    PriceView,
+    absorb, normalize_pass, padded_len, price_update, rate_pass, report_pass, Accums, FlowBlock,
+    FlowRate, PriceView,
 };
 use crate::layout::BlockLayout;
 use crate::reduce::{binomial_reduce_in_order, down_root, down_worker, up_root, up_worker};
@@ -98,8 +98,9 @@ impl Hasher for IdHasher {
 
 /// Reusable buffers for one iteration: the binomial-tree partials (one
 /// LinkBlock of `[load, hessian]` pairs per virtual index) and the root
-/// price/ratio copies the distribute phase fans out. Sized once at
-/// construction — the fabric shape is fixed — so iterations never
+/// price/ratio copies the distribute phase fans out — whole
+/// [`padded_len`] arrays, like the views they travel between. Sized once
+/// at construction — the fabric shape is fixed — so iterations never
 /// reallocate.
 #[derive(Debug, Clone)]
 struct IterScratch {
@@ -167,8 +168,8 @@ impl SerialAllocator {
         let zeros = vec![vec![[0.0; 2]; lpl]; b];
         let scratch = IterScratch {
             partials: zeros.clone(),
-            prices: vec![0.0; lpl + 1],
-            ratios: vec![0.0; lpl + 1],
+            prices: vec![0.0; padded_len(lpl)],
+            ratios: vec![0.0; padded_len(lpl)],
         };
         let totals = LinkTotals {
             up: zeros.clone(),
@@ -1349,17 +1350,30 @@ mod tests {
         assert!(inc.dirty_link_ids().is_empty(), "iterate drains intake");
     }
 
-    /// Every per-link array's sentinel entry, over all workers.
-    fn sentinels(alloc: &SerialAllocator) -> Vec<f64> {
+    /// Every entry no link owns in every worker's six per-link arrays,
+    /// as bits: the sentinel's and the padding's in the four views', the
+    /// padding's in the two accumulators' (whose sentinel entry collects
+    /// the padded flows' rates and is never read).
+    fn unowned_entries(alloc: &SerialAllocator) -> Vec<u64> {
         let lpl = alloc.layout.links_per_lb();
-        let views = alloc.workers.iter().map(|w| &w.view);
-        views
-            .flat_map(|v| [&v.up_prices, &v.down_prices, &v.up_ratio, &v.down_ratio])
-            .map(|column| {
-                assert_eq!(column.len(), lpl + 1);
-                column[lpl]
-            })
-            .collect()
+        let mut bits = Vec::new();
+        for worker in &alloc.workers {
+            let view = &worker.view;
+            for column in [
+                &view.up_prices,
+                &view.down_prices,
+                &view.up_ratio,
+                &view.down_ratio,
+            ] {
+                assert_eq!(column.len(), padded_len(lpl));
+                bits.extend(column[lpl..].iter().map(|x| x.to_bits()));
+            }
+            for pairs in [&worker.acc.up, &worker.acc.down] {
+                assert_eq!(pairs.len(), padded_len(lpl));
+                bits.extend(pairs[lpl + 1..].iter().flatten().map(|x| x.to_bits()));
+            }
+        }
+        bits
     }
 
     #[test]
@@ -1391,7 +1405,10 @@ mod tests {
                     alloc.set_background_hessians(&vec![-0.5; links]);
                 }
                 alloc.iterate();
-                assert!(sentinels(&alloc).iter().all(|&x| x == 0.0), "step {step}");
+                assert!(
+                    unowned_entries(&alloc).iter().all(|&x| x == 0),
+                    "step {step}"
+                );
             }
             let lpl = alloc.layout.links_per_lb();
             assert!(
@@ -1399,6 +1416,86 @@ mod tests {
                 "premise: padded flows do scatter into the sentinel accumulator"
             );
         }
+    }
+
+    #[test]
+    fn padding_stays_zero_through_churn() {
+        // The kernels index at `offset & (len - 1)`; that is the identity
+        // only while nothing but `+0.0` lives past the sentinel. Adds,
+        // swap-removes, a consensus install and 200 iterations, on the
+        // full sweep, the incremental path and the barrier pipeline.
+        let f = fabric();
+        let servers = f.config().server_count();
+        let links = f.topology().link_count();
+        for (incremental, multicore) in [(false, false), (true, false), (false, true)] {
+            let cfg = AllocConfig {
+                incremental,
+                ..cfg()
+            };
+            let mut engine = crate::MulticoreAllocator::with_workers(&f, cfg, 2);
+            let mut rng = TestRng::deterministic("padding-churn");
+            let (mut live, mut next_id) = (Vec::new(), 0);
+            for step in 0..200 {
+                let alloc = &mut engine.grid;
+                for _ in 0..rng.below(4) {
+                    let (src, dst) = (rng.below(servers), rng.below(servers));
+                    if src != dst {
+                        let id = FlowId(next_id);
+                        next_id += 1;
+                        alloc.add_flow(id, src, dst, 1.0, &f.path(src, dst, id));
+                        live.push(id);
+                    }
+                }
+                if live.len() > 6 {
+                    let id = live.swap_remove(rng.below(live.len()));
+                    assert!(alloc.remove_flow(id));
+                }
+                if step == 100 {
+                    alloc.set_link_prices(&vec![0.3; links]);
+                }
+                if multicore {
+                    engine.run_iterations(1);
+                } else {
+                    engine.grid.iterate();
+                }
+                assert!(
+                    unowned_entries(&engine.grid).iter().all(|&x| x == 0),
+                    "step {step}, incremental {incremental}, multicore {multicore}"
+                );
+            }
+            assert!(live.len() >= 6, "premise: the churn kept flows in");
+        }
+    }
+
+    #[test]
+    fn an_idle_links_dual_snaps_to_zero_at_the_subnormal_edge() {
+        // Halving from 1.0 reaches the smallest normal after 1022 steps
+        // and would crawl through 52 subnormal ones — a microcode assist
+        // a link a tick — before rounding to 0.0.
+        let f = fabric();
+        let mut alloc = SerialAllocator::new(&f, cfg());
+        let mut prices = Vec::new();
+        for iteration in 1..=1100 {
+            alloc.iterate();
+            alloc.link_prices_into(&mut prices);
+            assert!(
+                prices.iter().all(|p| !p.is_subnormal()),
+                "iteration {iteration}"
+            );
+            if iteration == 1022 {
+                assert!(prices.iter().all(|&p| p == f64::MIN_POSITIVE));
+            }
+            if iteration >= 1023 {
+                assert!(prices.iter().all(|&p| p == 0.0), "iteration {iteration}");
+            }
+        }
+        // A free fabric: the newcomer is capped by its line rate alone.
+        let id = FlowId(1);
+        alloc.add_flow(id, 0, 9, 1.0, &f.path(0, 9, id));
+        alloc.iterate();
+        let got = alloc.flow_rate(id).unwrap();
+        let line_rate = f.config().host_link_bps as f64 / 1e9;
+        assert_eq!((got.rate, got.normalized), (line_rate, line_rate));
     }
 
     #[test]

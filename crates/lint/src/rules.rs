@@ -91,8 +91,11 @@ pub const HOT_MODULES: &[HotModule] = &[
             "push",
             "swap_remove",
             "rate_pass",
+            "path_sum",
+            "path_add",
             "price_update",
             "normalize_pass",
+            "path_max",
             "must_report",
             "report_pass",
             "absorb",
@@ -299,8 +302,11 @@ pub const FLOAT_KERNELS: &[HotModule] = &[
         path: "crates/alloc/src/flowblock.rs",
         hot_fns: &[
             "rate_pass",
+            "path_sum",
+            "path_add",
             "price_update",
             "normalize_pass",
+            "path_max",
             "must_report",
             "report_pass",
             "absorb",

@@ -17,7 +17,7 @@
 //! [`Fgm::reset_momentum`] to study the (better-behaved) restarted variant.
 
 use crate::problem::NumProblem;
-use crate::solver::{Optimizer, SolverState};
+use crate::solver::{decay_idle_price, Optimizer, SolverState};
 
 /// The fast weighted gradient method.
 #[derive(Debug, Clone, Default)]
@@ -91,7 +91,7 @@ impl Optimizer for Fgm {
                 let g = self.loads[l] - c;
                 (self.y[l] + g / self.lipschitz[l]).max(0.0)
             } else {
-                state.prices[l] * 0.5
+                decay_idle_price(state.prices[l])
             };
             self.y[l] = p_new + beta * (p_new - self.p_prev[l]);
             self.p_prev[l] = p_new;

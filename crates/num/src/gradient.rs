@@ -8,7 +8,7 @@
 
 use crate::ned::fast_recip;
 use crate::problem::NumProblem;
-use crate::solver::{Optimizer, SolverState};
+use crate::solver::{decay_idle_price, Optimizer, SolverState};
 use crate::utility::Utility;
 
 /// Gradient projection with a fixed step size (double precision).
@@ -78,7 +78,7 @@ impl Optimizer for Gradient {
                 let g = self.loads[l] + bg - c;
                 state.prices[l] = (state.prices[l] + self.gamma * g).max(0.0);
             } else {
-                state.prices[l] *= 0.5;
+                state.prices[l] = decay_idle_price(state.prices[l]);
             }
         }
     }
@@ -140,7 +140,7 @@ impl Optimizer for GradientRt {
                 let g = self.loads[l] + bg - c as f32;
                 state.prices[l] = (state.prices[l] + (self.gamma * g) as f64).max(0.0);
             } else {
-                state.prices[l] *= 0.5;
+                state.prices[l] = decay_idle_price(state.prices[l]);
             }
         }
     }

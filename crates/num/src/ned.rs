@@ -17,7 +17,7 @@
 //! Newton steps.
 
 use crate::problem::NumProblem;
-use crate::solver::{Optimizer, SolverState};
+use crate::solver::{decay_idle_price, Optimizer, SolverState};
 use crate::utility::Utility;
 
 /// The Newton-Exact-Diagonal optimizer (double precision reference).
@@ -105,7 +105,7 @@ impl Optimizer for Ned {
                 // No flow crosses this link, so its price carries no
                 // information; decay it so a later flowlet doesn't start
                 // from a stale, over-priced dual.
-                state.prices[l] *= 0.5;
+                state.prices[l] = decay_idle_price(state.prices[l]);
             }
         }
     }
@@ -213,7 +213,7 @@ impl Optimizer for NedRt {
                 let step = self.gamma * g * -fast_recip(-h);
                 state.prices[l] = (state.prices[l] - step as f64).max(0.0);
             } else {
-                state.prices[l] *= 0.5;
+                state.prices[l] = decay_idle_price(state.prices[l]);
             }
         }
     }

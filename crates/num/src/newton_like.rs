@@ -12,7 +12,7 @@
 //! throughput measurements.
 
 use crate::problem::NumProblem;
-use crate::solver::{Optimizer, SolverState};
+use crate::solver::{decay_idle_price, Optimizer, SolverState};
 
 /// Newton-like dual method with measured curvature.
 #[derive(Debug, Clone)]
@@ -87,7 +87,7 @@ impl Optimizer for NewtonLike {
 
         for (l, &c) in problem.capacities().iter().enumerate() {
             if self.loads[l] == 0.0 {
-                state.prices[l] *= 0.5;
+                state.prices[l] = decay_idle_price(state.prices[l]);
                 continue;
             }
             let g = self.loads[l] - c;

@@ -62,6 +62,26 @@ pub fn update_rates(problem: &NumProblem, prices: &[f64], rates: &mut [f64]) {
     }
 }
 
+/// The price of a link none of the instance's flows cross, one iteration
+/// on: halved, so a later flowlet does not start from a stale,
+/// over-priced dual, and `0.0` once the half leaves the normal range.
+/// Left to underflow, the decay from 1.0 spends 52 of its 1074 steps in
+/// the subnormals, each multiply a microcode assist (≈ 50 ns a link
+/// where a normal one costs 1); no rate can tell a subnormal price from
+/// zero — it vanishes beside any normal price on the path, and an
+/// all-idle path's price is under the flow's floor either way.
+///
+/// Shared by all optimizers and by the block engine's price update.
+#[inline]
+pub fn decay_idle_price(price: f64) -> f64 {
+    let half = price * 0.5;
+    if half < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        half
+    }
+}
+
 /// KKT residual of the current allocation: the worst, capacity-relative
 /// violation of complementary slackness over all *loaded* links —
 /// `|G_ℓ|/c_ℓ` where the link is priced, `max(0, G_ℓ)/c_ℓ` where free.
@@ -144,6 +164,22 @@ mod tests {
     use super::*;
     use crate::utility::Utility;
     use flowtune_topo::LinkId;
+
+    #[test]
+    fn idle_price_decay_halves_then_snaps_to_zero() {
+        assert_eq!(decay_idle_price(0.8), 0.4);
+        assert_eq!(decay_idle_price(2.0 * f64::MIN_POSITIVE), f64::MIN_POSITIVE);
+        assert_eq!(decay_idle_price(f64::MIN_POSITIVE).to_bits(), 0);
+        assert_eq!(decay_idle_price(0.0).to_bits(), 0);
+        // From the initial price: 1022 normal steps, then zero — never
+        // one of the 52 subnormal values plain halving passes through.
+        let mut p = 1.0;
+        for step in 1..=1100 {
+            p = decay_idle_price(p);
+            assert!(!p.is_subnormal(), "step {step}");
+            assert_eq!(p == 0.0, step >= 1023, "step {step}");
+        }
+    }
 
     #[test]
     fn state_fit_grows_monotonically() {

@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# What the compiler made of the FlowBlock kernels (crates/alloc/src/flowblock.rs).
+#
+#   scripts/kernel_asm.sh [target-cpu ...]     default: default x86-64-v3
+#
+# Per target CPU: builds flowtune-alloc's library with `--emit asm` into
+# its own target dir, cuts rate_pass, normalize_pass and report_pass out
+# of the assembly and prints each kernel's instruction count, divisions
+# and conditional jumps — the numbers ARCHITECTURE's "FlowBlock layout
+# and kernels" quotes. Exits non-zero if rate_pass or normalize_pass
+# references `panic_bounds_check`: their per-link indices are masked, not
+# checked, and a check that comes back (with its panic edge and the
+# register it pins) costs the sweep a fifth of its speed without failing
+# any test.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+cpus=("$@")
+[ ${#cpus[@]} -gt 0 ] || cpus=(default x86-64-v3)
+status=0
+for cpu in "${cpus[@]}"; do
+    dir="${CARGO_TARGET_DIR:-target}/kernel-asm/$cpu"
+    flags="${RUSTFLAGS:-}"
+    [ "$cpu" = default ] || flags="$flags -C target-cpu=$cpu"
+    RUSTFLAGS="$flags" cargo rustc --release --offline --quiet -p flowtune-alloc --lib \
+        --target-dir "$dir" -- --emit asm
+    asm=$(ls -t "$dir"/release/deps/flowtune_alloc-*.s | head -n 1)
+    echo "target-cpu $cpu ($asm)"
+    for kernel in rate_pass normalize_pass report_pass; do
+        # Every symbol of the kernel (a closure that was not inlined is
+        # one too), label to .cfi_endproc; instructions are the indented
+        # lines that are neither directives nor comments.
+        awk -v kernel="$kernel" '
+            $0 ~ "^_ZN14flowtune_alloc9flowblock[0-9]+" kernel "[0-9]+.*:$" { inside = 1; found = 1; next }
+            inside && /\.cfi_endproc/ { inside = 0 }
+            inside && /^\t[a-z]/ {
+                insns++
+                if ($1 ~ /^v?div/) divs++
+                if ($1 ~ /^j/ && $1 != "jmp") jumps++
+                if ($0 ~ /panic_bounds_check/) checks++
+            }
+            END {
+                if (!found) { print "  " kernel ": symbol not found"; exit 1 }
+                printf "  %-15s %4d instructions  %2d div  %3d conditional jumps  %d bounds checks\n",
+                    kernel, insns, divs, jumps, checks
+                if (checks && kernel != "report_pass") {
+                    print "  " kernel " must not reference panic_bounds_check"
+                    exit 1
+                }
+            }' "$asm" || status=1
+    done
+done
+exit "$status"

@@ -32,8 +32,10 @@
 //! [`RateAllocator::rates`], written once over `rates_into` for tests
 //! and one-shot readers; engines do not override it.
 //!
-//! The trait is object safe, so services that choose their engine at run
-//! time hold a [`BoxEngine`].
+//! The trait is object safe, and every service holds its engine as a
+//! [`BoxEngine`] and calls it through the trait object: there is no
+//! forwarding `impl RateAllocator for BoxEngine` for a newly provided
+//! method to be missing from.
 
 use flowtune_topo::{FlowId, Path};
 
@@ -74,8 +76,9 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// Fastpass adapter: a batch of timeslot matchings).
     fn iterate(&mut self);
 
-    /// Runs `n` iterations. Engines with per-call setup cost (thread
-    /// spawns) override this with an amortized implementation.
+    /// Runs `n` iterations. Engines with per-call setup cost (waking a
+    /// parked worker pool) override this with an amortized
+    /// implementation.
     fn run_iterations(&mut self, n: usize) {
         for _ in 0..n {
             self.iterate();
@@ -253,7 +256,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 }
 
-/// A run-time-chosen engine.
+/// An engine behind the trait object — how every service holds one.
 pub type BoxEngine = Box<dyn RateAllocator>;
 
 /// Flows per [`lend_passers`] run.
@@ -291,83 +294,6 @@ pub fn lend_passers<'a>(
     }
     if n > 0 {
         sink(&ids[..n], &normalized[..n]);
-    }
-}
-
-impl RateAllocator for BoxEngine {
-    fn add_flow(
-        &mut self,
-        id: FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &Path,
-    ) {
-        (**self).add_flow(id, src_server, dst_server, weight, path);
-    }
-
-    fn remove_flow(&mut self, id: FlowId) -> bool {
-        (**self).remove_flow(id)
-    }
-
-    fn iterate(&mut self) {
-        (**self).iterate();
-    }
-
-    fn run_iterations(&mut self, n: usize) {
-        (**self).run_iterations(n);
-    }
-
-    fn flow_count(&self) -> usize {
-        (**self).flow_count()
-    }
-
-    fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        (**self).flow_rate(id)
-    }
-
-    fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        (**self).rates_into(out);
-    }
-
-    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        (**self).drain_changed_rates(threshold, sink);
-    }
-
-    fn dirty_counters(&self) -> Option<(u64, u64)> {
-        (**self).dirty_counters()
-    }
-
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        (**self).link_loads_into(out);
-    }
-
-    fn set_background_loads(&mut self, loads: &[f64]) {
-        (**self).set_background_loads(loads);
-    }
-
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        (**self).link_hessians_into(out);
-    }
-
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        (**self).link_state_into(loads, hessians);
-    }
-
-    fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        (**self).set_background_hessians(hdiag);
-    }
-
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        (**self).link_prices_into(out);
-    }
-
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        (**self).set_link_prices(prices);
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 

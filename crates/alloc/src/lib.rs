@@ -19,7 +19,7 @@
 //! are distributed back along the reverse pattern.
 //!
 //! Two interchangeable engines implement this, behind the
-//! [`RateAllocator`] trait the control-plane service is generic over:
+//! [`RateAllocator`] trait the control-plane service holds a box of:
 //!
 //! * [`SerialAllocator`] — the grid itself and every operation on it
 //!   (flow add/remove, the rate and link-state queries, the installs),

@@ -5,35 +5,18 @@
 
 use flowtune_bench::{run_cell, CellSpec, Opts};
 use flowtune_sim::{Scheme, MS};
-use flowtune_workload::Workload;
 
 fn main() {
     let opts = Opts::parse();
     opts.require_in_process("fig10_drops");
-    let servers = opts.scaled(144, 48) as usize;
-    let horizon = opts.scaled(60 * MS, 8 * MS);
     let drain = opts.scaled(40 * MS, 30 * MS);
-    let loads: &[f64] = if opts.quick {
-        &[0.4, 0.8]
-    } else {
-        &[0.2, 0.4, 0.6, 0.8]
-    };
     println!("# Figure 10 — dropped data (Gbit/s), and as % of delivered");
     println!("load,scheme,drop_gbps,drop_pct_of_offered");
-    for &load in loads {
+    for &load in CellSpec::web_loads(&opts) {
         for scheme in Scheme::ALL {
-            let r = run_cell(&CellSpec {
-                scheme,
-                engine: opts.engine.clone(),
-                flowtune: opts.config(),
-                workload: Workload::Web,
-                load,
-                servers,
-                horizon_ps: horizon,
-                drain_ps: drain,
-                seed: opts.seed,
-            });
-            let offered_gbps = load * servers as f64 * 10.0;
+            let spec = CellSpec::web(&opts, scheme, load, drain);
+            let r = run_cell(&spec);
+            let offered_gbps = load * spec.servers as f64 * 10.0;
             println!(
                 "{load},{},{:.3},{:.2}",
                 r.scheme,

@@ -7,33 +7,15 @@
 
 use flowtune_bench::{run_cell, CellSpec, Opts};
 use flowtune_sim::{Scheme, MS};
-use flowtune_workload::Workload;
 
 fn main() {
     let opts = Opts::parse();
     opts.require_in_process("fig11_fairness");
-    let servers = opts.scaled(144, 48) as usize;
-    let horizon = opts.scaled(60 * MS, 8 * MS);
     let drain = opts.scaled(40 * MS, 30 * MS);
-    let loads: &[f64] = if opts.quick {
-        &[0.4, 0.8]
-    } else {
-        &[0.2, 0.4, 0.6, 0.8]
-    };
     println!("# Figure 11 — per-flow fairness score relative to Flowtune");
     println!("load,scheme,score,relative_to_flowtune");
-    for &load in loads {
-        let spec = |scheme| CellSpec {
-            scheme,
-            engine: opts.engine.clone(),
-            flowtune: opts.config(),
-            workload: Workload::Web,
-            load,
-            servers,
-            horizon_ps: horizon,
-            drain_ps: drain,
-            seed: opts.seed,
-        };
+    for &load in CellSpec::web_loads(&opts) {
+        let spec = |scheme| CellSpec::web(&opts, scheme, load, drain);
         let ft = run_cell(&spec(Scheme::Flowtune));
         println!("{load},Flowtune,{:.3},0.000", ft.fairness);
         for scheme in [

@@ -8,34 +8,16 @@
 
 use flowtune_bench::{run_cell, CellSpec, Opts};
 use flowtune_sim::{Scheme, MS};
-use flowtune_workload::Workload;
 
 fn main() {
     let opts = Opts::parse();
     opts.require_in_process("fig9_queueing");
-    let servers = opts.scaled(144, 48) as usize;
-    let horizon = opts.scaled(60 * MS, 8 * MS);
     let drain = opts.scaled(40 * MS, 30 * MS);
-    let loads: &[f64] = if opts.quick {
-        &[0.4, 0.8]
-    } else {
-        &[0.2, 0.4, 0.6, 0.8]
-    };
     println!("# Figure 9 — p99 queueing delay (µs) on sampled 2-hop / 4-hop paths");
     println!("load,scheme,p99_2hop_us,p99_4hop_us");
-    for &load in loads {
+    for &load in CellSpec::web_loads(&opts) {
         for scheme in [Scheme::Flowtune, Scheme::Dctcp, Scheme::Xcp] {
-            let r = run_cell(&CellSpec {
-                scheme,
-                engine: opts.engine.clone(),
-                flowtune: opts.config(),
-                workload: Workload::Web,
-                load,
-                servers,
-                horizon_ps: horizon,
-                drain_ps: drain,
-                seed: opts.seed,
-            });
+            let r = run_cell(&CellSpec::web(&opts, scheme, load, drain));
             println!(
                 "{load},{},{:.2},{:.2}",
                 r.scheme, r.p99_qdelay_2hop_us, r.p99_qdelay_4hop_us

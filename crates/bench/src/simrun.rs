@@ -31,6 +31,35 @@ pub struct CellSpec {
     pub seed: u64,
 }
 
+impl CellSpec {
+    /// The cell figures 8–11 sweep: the Web workload at `load` under
+    /// `scheme` on the figures' shared fabric and horizon (144 servers
+    /// for 60 ms; 48 for 8 ms under `--quick`), with `opts`' engine,
+    /// control-plane settings and seed.
+    pub fn web(opts: &crate::Opts, scheme: Scheme, load: f64, drain_ps: u64) -> Self {
+        CellSpec {
+            scheme,
+            engine: opts.engine.clone(),
+            flowtune: opts.config(),
+            workload: Workload::Web,
+            load,
+            servers: opts.scaled(144, 48) as usize,
+            horizon_ps: opts.scaled(60 * MS, 8 * MS),
+            drain_ps,
+            seed: opts.seed,
+        }
+    }
+
+    /// The loads figures 8–11 sweep.
+    pub fn web_loads(opts: &crate::Opts) -> &'static [f64] {
+        if opts.quick {
+            &[0.4, 0.8]
+        } else {
+            &[0.2, 0.4, 0.6, 0.8]
+        }
+    }
+}
+
 /// Summary of one cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {

@@ -4,7 +4,8 @@
 //! that consumes flowlet notifications and, on every 10 µs tick, produces
 //! `(source server, rate update)` pairs. Two implementations exist:
 //!
-//! * [`AllocatorService`] — one service, one engine (the Figure-1 box);
+//! * [`AllocatorService`] — one service, one boxed engine (the Figure-1
+//!   box);
 //! * [`Router`](crate::router::Router) — N inner services, the endpoint
 //!   space partitioned across them, generic over where the shards live:
 //!   [`ShardedService`](crate::ShardedService) is the router over the
@@ -22,7 +23,6 @@
 //! embedders poll one clock-driven object instead of hand-rolling
 //! sleep/accumulator loops around `tick()`.
 
-use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
@@ -113,9 +113,9 @@ pub trait TickDriver: std::fmt::Debug + Send {
 
     /// Per-link loads of the control plane's raw allocation as of its
     /// last tick (what the engines' own price updates summed — see
-    /// [`RateAllocator::link_loads_into`]; read it after a tick),
-    /// indexed by global [`LinkId`](flowtune_topo::LinkId) (summed over
-    /// shards, where applicable). Empty when the engine does not price
+    /// [`flowtune_alloc::RateAllocator::link_loads_into`]; read it after a
+    /// tick), indexed by global [`LinkId`](flowtune_topo::LinkId) (summed
+    /// over shards, where applicable). Empty when the engine does not price
     /// fabric links (Fastpass). Powers the over-allocation telemetry of
     /// the Figure-12 experiment and capacity assertions in tests — the
     /// one allocating link-state query; everything on the tick path uses
@@ -175,7 +175,7 @@ impl TickDriver for BoxTickDriver {
     }
 }
 
-impl<E: RateAllocator> TickDriver for AllocatorService<E> {
+impl TickDriver for AllocatorService {
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
         AllocatorService::on_message(self, msg)
     }

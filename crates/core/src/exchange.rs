@@ -39,7 +39,6 @@
 //! it; the broadcast's real cost is reported separately by the
 //! transports as on-wire bytes.
 
-use flowtune_alloc::RateAllocator;
 use flowtune_proto::exchange::{
     encode_header, encode_record, FrameError, FrameHeader, FrameKind, Record, RecordIter,
 };
@@ -132,9 +131,9 @@ impl LinkExport {
     /// Overwrites the buffers with `svc`'s post-tick link state: three
     /// `O(links)` scatters out of the engine — its sums are as of its
     /// last iteration (see
-    /// [`RateAllocator::link_state_into`]), so call this right after
-    /// the tick, as both shard sets do.
-    pub fn refresh<E: RateAllocator>(&mut self, svc: &AllocatorService<E>) {
+    /// [`flowtune_alloc::RateAllocator::link_state_into`]), so call this
+    /// right after the tick, as both shard sets do.
+    pub fn refresh(&mut self, svc: &AllocatorService) {
         svc.link_state_into(&mut self.loads, &mut self.hessians);
         svc.link_prices_into(&mut self.prices);
     }
@@ -471,11 +470,7 @@ impl ShardFilter {
     /// and install them into `svc`. Returns the round's logical exchange
     /// bytes for this shard (own entries out plus subscribed entries in
     /// — the hub-model accounting).
-    pub(crate) fn install<E: RateAllocator>(
-        &mut self,
-        tables: &LinkTables,
-        svc: &mut AllocatorService<E>,
-    ) -> u64 {
+    pub(crate) fn install(&mut self, tables: &LinkTables, svc: &mut AllocatorService) -> u64 {
         let me = self.shard as usize;
         tables.sum_others(me, |row| &row.loads, &self.fresh_sub, &mut self.scratch);
         svc.set_background_loads(&self.scratch);
@@ -758,7 +753,7 @@ impl ExchangeCore {
     /// entries out plus subscribed entries in — the hub-model
     /// accounting), or `None` when no shard exported any links this
     /// round (the round does not count).
-    pub fn install<E: RateAllocator>(&mut self, svc: &mut AllocatorService<E>) -> Option<u64> {
+    pub fn install(&mut self, svc: &mut AllocatorService) -> Option<u64> {
         if !self.tables.agree() {
             return None;
         }

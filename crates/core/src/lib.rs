@@ -31,7 +31,8 @@
 //!
 //! The allocator is assembled with a builder; the engine — serial NED,
 //! multicore NED, Fastpass-style arbitration, or gradient projection —
-//! is a run-time choice behind one API, and
+//! is a run-time choice behind one type ([`AllocatorService`] holds a
+//! boxed [`RateAllocator`]), and
 //! [`ServiceBuilder::build_driver`] additionally shards the whole
 //! control plane ([`Engine::Sharded`] → [`ShardedService`], the one
 //! [`router::Router`] over in-process shards; `flowtune-net` runs the
@@ -105,8 +106,8 @@ pub use scenario::{
     jain_index, run_scenario, run_scenario_traced, PhaseReport, ScenarioOptions, ScenarioReport,
 };
 pub use service::{
-    AllocatorService, DynAllocatorService, Engine, FlowMigration, ParseEngineError, ServiceBuilder,
-    ServiceError, ServiceStats, ENGINE_NAMES,
+    AllocatorService, Engine, FlowMigration, ParseEngineError, ServiceBuilder, ServiceError,
+    ServiceStats, ENGINE_NAMES,
 };
 pub use sharded::ShardedService;
 pub use token::TokenAllocator;

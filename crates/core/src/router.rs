@@ -30,13 +30,13 @@
 //! one shared link-state table; [`ShardedService`](crate::ShardedService)
 //! is the router over it) and `flowtune-net`'s peers (split-phase ticks
 //! over a transport; `PeerCluster` holds the router over them). The
-//! router is generic over the set, so the hot path is statically
-//! dispatched either way.
+//! router is generic over the set, so the calls into the set are
+//! statically dispatched either way; each shard's service reaches its
+//! engine through the same boxed trait object on both.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
@@ -48,8 +48,6 @@ use crate::service::{AllocatorService, FlowMigration, ServiceError, ServiceStats
 /// (see the module docs). Shard `i` of the set is shard `i` of the
 /// router's [`Placement`].
 pub trait ShardSet: std::fmt::Debug + Send {
-    /// The engine every shard runs.
-    type Engine: RateAllocator;
     /// What a failed tick reports.
     type Error: std::fmt::Display;
     /// The [`TickDriver::engine_name`] of a router over this set.
@@ -59,10 +57,10 @@ pub trait ShardSet: std::fmt::Debug + Send {
     fn shard_count(&self) -> usize;
 
     /// Shard `shard`'s service.
-    fn service(&self, shard: usize) -> &AllocatorService<Self::Engine>;
+    fn service(&self, shard: usize) -> &AllocatorService;
 
     /// Shard `shard`'s service, for intake and flow extraction.
-    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<Self::Engine>;
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService;
 
     /// One tick of every shard, and — when the cadence is due — the
     /// link-state exchange between them: shard `i`'s token-ordered update
@@ -125,15 +123,26 @@ pub struct Router<S: ShardSet> {
 }
 
 impl<S: ShardSet> Router<S> {
-    /// Routes over `shards` (all serving the same fabric) by `placement`.
+    /// Routes over `shards` by `placement`.
     ///
     /// # Panics
-    /// Panics if `shards` is empty or the placement's shape (server
-    /// count, shard count) does not match it.
+    /// Panics if `shards` is empty, the shards disagree on the fabric or
+    /// the configuration, or the placement's shape (server count, shard
+    /// count) does not match.
     pub fn over(shards: S, placement: Placement) -> Self {
         let n = shards.shard_count();
         assert!(n > 0, "a router needs at least one shard");
-        let clos = shards.service(0).fabric().config();
+        let first = shards.service(0);
+        let (clos, cfg) = (first.fabric().config(), first.config());
+        let services = || (0..n).map(|i| shards.service(i));
+        assert!(
+            services().all(|s| s.fabric().config() == clos),
+            "all shards must serve the same fabric"
+        );
+        assert!(
+            services().all(|s| s.config() == cfg),
+            "all shards must run under one configuration"
+        );
         assert_eq!(
             placement.servers(),
             clos.server_count(),
@@ -176,7 +185,7 @@ impl<S: ShardSet> Router<S> {
     }
 
     /// Read access to the shards' services, in partition order.
-    pub fn shards(&self) -> impl ExactSizeIterator<Item = &AllocatorService<S::Engine>> {
+    pub fn shards(&self) -> impl ExactSizeIterator<Item = &AllocatorService> {
         (0..self.shards.shard_count()).map(|i| self.shards.service(i))
     }
 

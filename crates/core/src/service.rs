@@ -12,7 +12,9 @@
 //!    [`Engine::Fastpass`] (per-packet timeslot arbitration, the §6.1
 //!    baseline) and [`Engine::Gradient`] (first-order gradient
 //!    projection, the §6.6/Figure-12 baseline).
-//! 2. **[`AllocatorService`]** is the Figure-1 box around one engine: it
+//! 2. **[`AllocatorService`]** is the Figure-1 box around one engine,
+//!    held as a boxed [`RateAllocator`] — one concrete service type
+//!    whatever runs behind it, three dynamic calls a tick. It
 //!    consumes flowlet start/end notifications, keeps the flow table (a
 //!    slab indexed by the engine-side [`FlowId`]: who a flow is, not
 //!    what it was last told — the §6.4 filter memory sits in the
@@ -417,7 +419,7 @@ impl ServiceBuilder {
     /// [`Engine::Sharded`] (a sharded control plane is not a single
     /// `AllocatorService` — build it with
     /// [`ServiceBuilder::build_driver`]).
-    pub fn build(self) -> Result<AllocatorService<BoxEngine>, ServiceError> {
+    pub fn build(self) -> Result<AllocatorService, ServiceError> {
         if matches!(self.engine, Engine::Sharded { .. }) {
             return Err(ServiceError::ShardedNeedsDriver);
         }
@@ -509,15 +511,17 @@ fn alloc_config(cfg: &FlowtuneConfig) -> AllocConfig {
     }
 }
 
-/// The centralized rate allocator (engine + F-NORM + update filtering),
-/// generic over its [`RateAllocator`] engine. `AllocatorService` without
-/// a type argument is the serial reference configuration;
-/// [`AllocatorService::builder`] yields the boxed, run-time-chosen form
-/// ([`DynAllocatorService`]).
+/// The centralized rate allocator (engine + F-NORM + update filtering).
+/// The engine sits behind one seam, a boxed [`RateAllocator`]: a tick
+/// crosses it three times (`iterate`, `dirty_counters`,
+/// `drain_changed_rates`) whichever engine was chosen, and whoever chose
+/// it — [`AllocatorService::new`] (serial), [`AllocatorService::builder`]
+/// (an [`Engine`] by name) or [`AllocatorService::with_engine`] (any
+/// implementation, test doubles included).
 #[derive(Debug)]
-pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
+pub struct AllocatorService {
     fabric: TwoTierClos,
-    engine: E,
+    engine: BoxEngine,
     cfg: FlowtuneConfig,
     /// The flow table: slot `i` holds the flow the engine knows as
     /// `FlowId(i)`, so an id the engine lends resolves to its
@@ -541,35 +545,31 @@ pub struct AllocatorService<E: RateAllocator = SerialAllocator> {
     timings: PhaseTimings,
 }
 
-/// An [`AllocatorService`] whose engine was chosen at run time.
-pub type DynAllocatorService = AllocatorService<BoxEngine>;
-
 impl AllocatorService {
-    /// Builds the serial-engine service over `fabric` — the compile-time
-    /// shortcut the simulator's defaults and the unit tests use. The
-    /// §6.4 capacity headroom (`1 − update_threshold`) is applied to
-    /// every link.
+    /// Builds the serial-engine service over `fabric` — the shortcut the
+    /// simulator's defaults and the unit tests use. The §6.4 capacity
+    /// headroom (`1 − update_threshold`) is applied to every link.
     pub fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig) -> Self {
         let engine = SerialAllocator::new(fabric, alloc_config(&cfg));
         Self::with_engine(fabric, cfg, engine)
     }
-}
 
-impl AllocatorService<BoxEngine> {
     /// Starts configuring a service with a run-time engine choice.
     pub fn builder() -> ServiceBuilder {
         ServiceBuilder::default()
     }
-}
 
-impl<E: RateAllocator> AllocatorService<E> {
     /// Builds the service around an already-constructed engine. The
     /// engine must have been built over the same `fabric`.
-    pub fn with_engine(fabric: &TwoTierClos, cfg: FlowtuneConfig, engine: E) -> Self {
-        Self::from_parts(fabric.clone(), cfg, engine)
+    pub fn with_engine(
+        fabric: &TwoTierClos,
+        cfg: FlowtuneConfig,
+        engine: impl RateAllocator + 'static,
+    ) -> Self {
+        Self::from_parts(fabric.clone(), cfg, Box::new(engine))
     }
 
-    fn from_parts(fabric: TwoTierClos, cfg: FlowtuneConfig, engine: E) -> Self {
+    fn from_parts(fabric: TwoTierClos, cfg: FlowtuneConfig, engine: BoxEngine) -> Self {
         assert!(
             cfg.update_threshold >= 0.0 && cfg.update_threshold.is_finite(),
             "update threshold must be ≥ 0"

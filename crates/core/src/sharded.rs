@@ -177,7 +177,7 @@
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
-use flowtune_alloc::{RateAllocator, SerialAllocator, WorkerPool};
+use flowtune_alloc::WorkerPool;
 use flowtune_proto::Message;
 use flowtune_topo::TwoTierClos;
 
@@ -190,15 +190,15 @@ use crate::{ExchangeConfig, FlowtuneConfig};
 /// N independent [`AllocatorService`] shards of one process behind one
 /// [`TickDriver`](crate::TickDriver) face: the [`Router`] over the
 /// [`InProcess`] shard set.
-pub type ShardedService<E = SerialAllocator> = Router<InProcess<E>>;
+pub type ShardedService = Router<InProcess>;
 
 /// One shard: its service, plus the per-tick outputs and export scratch
 /// phase 1 writes and phase 2 reads — kept beside the service so the
 /// fan-out hands each pool slot one item, and reused across ticks so the
 /// hot path does not allocate.
 #[derive(Debug)]
-struct ShardSlot<E: RateAllocator> {
-    svc: AllocatorService<E>,
+struct ShardSlot {
+    svc: AllocatorService,
     /// The shard's side of the exchange: the delta filter that writes
     /// its row of the shared [`LinkTables`], and its install.
     filter: ShardFilter,
@@ -217,9 +217,9 @@ struct ShardSlot<E: RateAllocator> {
 /// pool or one after another, exchanging link state through one shared
 /// table set.
 #[derive(Debug)]
-pub struct InProcess<E: RateAllocator = SerialAllocator> {
+pub struct InProcess {
     /// The shards, in partition order.
-    slots: Vec<ShardSlot<E>>,
+    slots: Vec<ShardSlot>,
     /// The exchange cadence, from the shards' shared configuration (the
     /// delta filter lives in each slot's [`ShardFilter`]).
     exchange: ExchangeConfig,
@@ -248,8 +248,8 @@ pub struct InProcess<E: RateAllocator = SerialAllocator> {
 }
 
 impl ShardedService {
-    /// Builds `shards` serial-engine shards over `fabric` — the
-    /// compile-time shortcut mirroring [`AllocatorService::new`].
+    /// Builds `shards` serial-engine shards over `fabric` — the shortcut
+    /// mirroring [`AllocatorService::new`].
     ///
     /// # Panics
     /// Panics if `shards` is 0.
@@ -260,9 +260,7 @@ impl ShardedService {
                 .collect(),
         )
     }
-}
 
-impl<E: RateAllocator> ShardedService<E> {
     /// Assembles the service from already-built shards (all over the same
     /// fabric) under the contiguous placement: shard `i` owns the `i`-th
     /// contiguous slice of the server space. The shards'
@@ -277,7 +275,7 @@ impl<E: RateAllocator> ShardedService<E> {
     /// # Panics
     /// Panics if `shards` is empty or the shards disagree on the fabric
     /// or the configuration.
-    pub fn from_shards(shards: Vec<AllocatorService<E>>) -> Self {
+    pub fn from_shards(shards: Vec<AllocatorService>) -> Self {
         let first = shards
             .first()
             .expect("a sharded service needs at least one shard");
@@ -297,19 +295,11 @@ impl<E: RateAllocator> ShardedService<E> {
     /// Panics if `shards` is empty, the shards disagree on the fabric or
     /// the configuration, or the placement's shape (server count, shard
     /// count) does not match.
-    pub fn with_placement(shards: Vec<AllocatorService<E>>, placement: Placement) -> Self {
-        let first = shards
+    pub fn with_placement(shards: Vec<AllocatorService>, placement: Placement) -> Self {
+        let cfg = shards
             .first()
-            .expect("a sharded service needs at least one shard");
-        let (clos, cfg) = (first.fabric().config(), first.config());
-        assert!(
-            shards.iter().all(|s| s.fabric().config() == clos),
-            "all shards must serve the same fabric"
-        );
-        assert!(
-            shards.iter().all(|s| s.config() == cfg),
-            "all shards must run under one configuration"
-        );
+            .expect("a sharded service needs at least one shard")
+            .config();
         let n = shards.len();
         let set = InProcess {
             parallel: cfg.parallel_shards && n > 1,
@@ -378,8 +368,7 @@ impl<E: RateAllocator> ShardedService<E> {
     }
 }
 
-impl<E: RateAllocator> ShardSet for InProcess<E> {
-    type Engine = E;
+impl ShardSet for InProcess {
     type Error = ServiceError;
     const NAME: &'static str = "sharded";
 
@@ -387,11 +376,11 @@ impl<E: RateAllocator> ShardSet for InProcess<E> {
         self.slots.len()
     }
 
-    fn service(&self, shard: usize) -> &AllocatorService<E> {
+    fn service(&self, shard: usize) -> &AllocatorService {
         &self.slots[shard].svc
     }
 
-    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<E> {
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService {
         &mut self.slots[shard].svc
     }
 
@@ -463,7 +452,7 @@ impl<E: RateAllocator> ShardSet for InProcess<E> {
     }
 }
 
-impl<E: RateAllocator> InProcess<E> {
+impl InProcess {
     /// One round of the inter-shard link-state exchange, in three parts
     /// (the §5 aggregation's `(load, H)` pairs plus its
     /// owner-distributes-the-price step, one level up):
@@ -530,7 +519,7 @@ impl<E: RateAllocator> InProcess<E> {
 /// state into the slot's reusable buffers. Runs with no shared state —
 /// concurrently on pool slots or sequentially on the caller, with
 /// identical results.
-fn tick_shard<E: RateAllocator>(slot: &mut ShardSlot<E>, export: bool) {
+fn tick_shard(slot: &mut ShardSlot, export: bool) {
     slot.svc.tick_into(&mut slot.updates);
     if export {
         let t0 = Instant::now();

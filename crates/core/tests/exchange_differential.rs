@@ -153,7 +153,7 @@ fn service(
     fabric: &TwoTierClos,
     cfg: FlowtuneConfig,
     script: &Arc<Vec<Export>>,
-) -> (AllocatorService<Scripted>, Arc<Mutex<Installed>>) {
+) -> (AllocatorService, Arc<Mutex<Installed>>) {
     let installed = Arc::new(Mutex::new(Installed::default()));
     let engine = Scripted {
         script: Arc::clone(script),

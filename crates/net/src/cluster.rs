@@ -25,7 +25,6 @@ use std::time::Duration;
 
 use flowtune::router::{Router, ShardSet};
 use flowtune::{AllocatorService, PhaseTimings, Placement, ServiceError, ServiceStats, TickDriver};
-use flowtune_alloc::{RateAllocator, SerialAllocator};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
@@ -35,14 +34,13 @@ use crate::transport::Transport;
 /// The [`ShardSet`] of a [`PeerCluster`]: peers in shard order, ticked
 /// split-phase.
 #[derive(Debug)]
-pub struct Peers<T: Transport, E: RateAllocator> {
-    peers: Vec<ShardPeer<T, E>>,
+pub struct Peers<T: Transport> {
+    peers: Vec<ShardPeer<T>>,
     /// Monotonic placement-epoch counter for [`PeerCluster::replace`].
     epoch: u64,
 }
 
-impl<T: Transport, E: RateAllocator> ShardSet for Peers<T, E> {
-    type Engine = E;
+impl<T: Transport> ShardSet for Peers<T> {
     type Error = PeerError;
     const NAME: &'static str = "peer-cluster";
 
@@ -50,11 +48,11 @@ impl<T: Transport, E: RateAllocator> ShardSet for Peers<T, E> {
         self.peers.len()
     }
 
-    fn service(&self, shard: usize) -> &AllocatorService<E> {
+    fn service(&self, shard: usize) -> &AllocatorService {
         self.peers[shard].service()
     }
 
-    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService<E> {
+    fn service_mut(&mut self, shard: usize) -> &mut AllocatorService {
         self.peers[shard].service_mut()
     }
 
@@ -90,20 +88,24 @@ impl<T: Transport, E: RateAllocator> ShardSet for Peers<T, E> {
 /// N [`ShardPeer`]s behind one [`TickDriver`] face (see the module
 /// docs).
 #[derive(Debug)]
-pub struct PeerCluster<T: Transport, E: RateAllocator = SerialAllocator> {
-    router: Router<Peers<T, E>>,
+pub struct PeerCluster<T: Transport> {
+    router: Router<Peers<T>>,
 }
 
-impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
+impl<T: Transport> PeerCluster<T> {
     /// Assemble a cluster from peers under the default contiguous
     /// placement ([`PeerCluster::replace`] installs another). Peers must
     /// arrive in shard order and agree with their transports on the
-    /// cluster size.
+    /// cluster size, and with each other on the fabric, the
+    /// configuration and the exchange cadence and delta filter — a peer
+    /// that skips a round the others run makes them wait out their
+    /// barrier timeout for a frame that never comes.
     ///
     /// # Panics
-    /// Panics if `peers` is empty or a peer's shard id or peer count
-    /// disagrees with its position.
-    pub fn from_peers(peers: Vec<ShardPeer<T, E>>) -> Self {
+    /// Panics if `peers` is empty, a peer's shard id or peer count
+    /// disagrees with its position, or the peers disagree on any of the
+    /// above.
+    pub fn from_peers(peers: Vec<ShardPeer<T>>) -> Self {
         assert!(!peers.is_empty(), "a cluster needs at least one peer");
         for (i, peer) in peers.iter().enumerate() {
             assert_eq!(
@@ -119,6 +121,11 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
                 peer.peers(),
                 peers.len()
             );
+            let (own, first) = (peer.exchange(), peers[0].exchange());
+            assert!(
+                (own.every, own.delta_eps) == (first.every, first.delta_eps),
+                "all peers must run one exchange cadence and delta filter"
+            );
         }
         let servers = peers[0].service().fabric().config().server_count();
         let placement = Placement::contiguous(servers, peers.len());
@@ -128,12 +135,12 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
     }
 
     /// The routing layer: placement, token table, observed matrix.
-    pub fn router(&self) -> &Router<Peers<T, E>> {
+    pub fn router(&self) -> &Router<Peers<T>> {
         &self.router
     }
 
     /// Read access to the peers, in shard order.
-    pub fn peers(&self) -> &[ShardPeer<T, E>] {
+    pub fn peers(&self) -> &[ShardPeer<T>] {
         &self.router.shard_set().peers
     }
 
@@ -226,7 +233,7 @@ impl<T: Transport, E: RateAllocator> PeerCluster<T, E> {
 }
 
 /// Every method is the router's.
-impl<T: Transport, E: RateAllocator> TickDriver for PeerCluster<T, E> {
+impl<T: Transport> TickDriver for PeerCluster<T> {
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
         self.router.on_message(msg)
     }
@@ -304,6 +311,38 @@ mod tests {
             })
             .collect();
         PeerCluster::from_peers(peers)
+    }
+
+    #[test]
+    #[should_panic(expected = "same fabric")]
+    fn from_peers_rejects_a_peer_over_another_fabric() {
+        let other = TwoTierClos::build(ClosConfig::multicore(2, 2, 8));
+        let cfg = FlowtuneConfig::default();
+        let exchange = ExchangeConfig::from_flowtune(&cfg);
+        let peers = mem_mesh(2)
+            .into_iter()
+            .zip([fabric(), other])
+            .map(|(t, f)| ShardPeer::new(AllocatorService::new(&f, cfg), t, exchange).unwrap())
+            .collect();
+        let _ = PeerCluster::from_peers(peers);
+    }
+
+    #[test]
+    #[should_panic(expected = "one exchange cadence")]
+    fn from_peers_rejects_peers_on_different_cadences() {
+        let (f, cfg) = (fabric(), FlowtuneConfig::default());
+        let peers = mem_mesh(2)
+            .into_iter()
+            .zip([1, 2])
+            .map(|(t, every)| {
+                let exchange = ExchangeConfig {
+                    every,
+                    ..ExchangeConfig::default()
+                };
+                ShardPeer::new(AllocatorService::new(&f, cfg), t, exchange).unwrap()
+            })
+            .collect();
+        let _ = PeerCluster::from_peers(peers);
     }
 
     #[test]

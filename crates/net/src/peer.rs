@@ -47,7 +47,6 @@ use flowtune::router::Leaver;
 use flowtune::{
     AllocatorService, ExchangeConfig, ExchangeCore, FlowMigration, ServiceError, ServiceStats,
 };
-use flowtune_alloc::{RateAllocator, SerialAllocator};
 use flowtune_proto::exchange::{
     decode_header, encode_header, encode_record, FrameHeader, FrameKind, Record, RecordIter,
 };
@@ -233,8 +232,8 @@ struct SlotLag {
 
 /// One shard's allocator service plus its side of the wire exchange.
 #[derive(Debug)]
-pub struct ShardPeer<T: Transport, E: RateAllocator = SerialAllocator> {
-    svc: AllocatorService<E>,
+pub struct ShardPeer<T: Transport> {
+    svc: AllocatorService,
     core: ExchangeCore,
     tx: T::Tx,
     rt: RecvRuntime,
@@ -265,7 +264,7 @@ pub struct ShardPeer<T: Transport, E: RateAllocator = SerialAllocator> {
     exchange_time: Duration,
 }
 
-impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
+impl<T: Transport> ShardPeer<T> {
     /// Wrap `svc` as the shard `transport.shard()` peer of a
     /// `transport.peers()`-shard cluster, splitting the transport and
     /// spawning the receiver runtime. The exchange cadence, delta
@@ -276,7 +275,7 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
     /// # Errors
     /// [`PeerError::Setup`] when splitting the transport fails.
     pub fn new(
-        svc: AllocatorService<E>,
+        svc: AllocatorService,
         transport: T,
         exchange: ExchangeConfig,
     ) -> Result<Self, PeerError> {
@@ -320,14 +319,19 @@ impl<T: Transport, E: RateAllocator> ShardPeer<T, E> {
         self.tx.peers()
     }
 
+    /// The exchange configuration this peer runs under.
+    pub(crate) fn exchange(&self) -> ExchangeConfig {
+        self.exchange
+    }
+
     /// The wrapped allocator service (message intake for flows this
     /// shard owns goes through here).
-    pub fn service(&self) -> &AllocatorService<E> {
+    pub fn service(&self) -> &AllocatorService {
         &self.svc
     }
 
     /// Mutable access to the wrapped service.
-    pub fn service_mut(&mut self) -> &mut AllocatorService<E> {
+    pub fn service_mut(&mut self) -> &mut AllocatorService {
         &mut self.svc
     }
 

@@ -13,8 +13,8 @@
 //!   `FlowletStart` through `on_message` (hashed indexes, a recycled
 //!   slab slot, an inline path) and the tick that reports the newcomer,
 //!   whose export borrows the engine's id and rate columns through the
-//!   lending drain (called directly, and through a boxed engine's two
-//!   `dyn` hops) and copies nothing but the passers;
+//!   lending drain (the boxed engine's `dyn` hop, then the sink's) and
+//!   copies nothing but the passers;
 //! * so does a 4-shard sequential `ShardedService::try_tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
 //!   buffers, the filters writing the shared link-state table, the
@@ -48,7 +48,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use flowtune::{
     AllocatorService, EndpointAgent, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver,
 };
-use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -210,28 +209,18 @@ fn steady_state_allocator_tick_allocates_nothing() {
             full_sweep_every: 8,
             ..FlowtuneConfig::default()
         };
-        // The engine held by value (the drain is a direct call) and
-        // boxed, as the builder hands it out (the sink crosses the
-        // `dyn RateAllocator` hop on top of its own `dyn FnMut`).
+        // Built as the planes build it: the sink crosses the
+        // `dyn RateAllocator` hop on top of its own `dyn FnMut`.
+        let builder = AllocatorService::builder().fabric(&fabric).config(cfg);
         allocator_ticks_allocate_nothing(
-            AllocatorService::new(&fabric, cfg),
+            builder.build().expect("fabric is set"),
             &fabric,
-            &format!("serial by value, incremental={incremental}"),
-        );
-        let boxed = AllocatorService::builder().fabric(&fabric).config(cfg);
-        allocator_ticks_allocate_nothing(
-            boxed.build().expect("fabric is set"),
-            &fabric,
-            &format!("boxed serial, incremental={incremental}"),
+            &format!("incremental={incremental}"),
         );
     }
 }
 
-fn allocator_ticks_allocate_nothing<E: RateAllocator>(
-    mut svc: AllocatorService<E>,
-    fabric: &TwoTierClos,
-    what: &str,
-) {
+fn allocator_ticks_allocate_nothing(mut svc: AllocatorService, fabric: &TwoTierClos, what: &str) {
     let start = |token: u32, src: u16, k: u16| {
         let dst = (src + 5 + 3 * k) % 16;
         let id = flowtune_topo::FlowId(u64::from(token));

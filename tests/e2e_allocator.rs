@@ -6,16 +6,14 @@
 //! through the engine-agnostic builder API, which is exactly the claim of
 //! §5: the parallel engine is a drop-in replacement.
 
-use flowtune::{
-    AllocatorService, DynAllocatorService, EndpointAgent, Engine, FlowtuneConfig, ServiceError,
-};
+use flowtune::{AllocatorService, EndpointAgent, Engine, FlowtuneConfig, ServiceError};
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
 /// Both NED engines; every converging test must pass under each.
 const NED_ENGINES: [Engine; 2] = [Engine::Serial, Engine::Multicore { workers: 2 }];
 
-fn setup_with(engine: Engine) -> (TwoTierClos, DynAllocatorService, Vec<EndpointAgent>) {
+fn setup_with(engine: Engine) -> (TwoTierClos, AllocatorService, Vec<EndpointAgent>) {
     let fabric = TwoTierClos::build(ClosConfig::paper_eval());
     let servers = fabric.config().server_count();
     let svc = AllocatorService::builder()
@@ -30,12 +28,12 @@ fn setup_with(engine: Engine) -> (TwoTierClos, DynAllocatorService, Vec<Endpoint
     (fabric, svc, agents)
 }
 
-fn setup() -> (TwoTierClos, DynAllocatorService, Vec<EndpointAgent>) {
+fn setup() -> (TwoTierClos, AllocatorService, Vec<EndpointAgent>) {
     setup_with(Engine::Serial)
 }
 
 /// Delivers all pending updates to the right agents.
-fn pump(svc: &mut DynAllocatorService, agents: &mut [EndpointAgent], ticks: usize) {
+fn pump(svc: &mut AllocatorService, agents: &mut [EndpointAgent], ticks: usize) {
     for _ in 0..ticks {
         for (server, msg) in svc.tick() {
             agents[server as usize].on_rate_update(&msg);

@@ -3,7 +3,7 @@
 //! through the *public service API* (builder + messages + ticks), plus
 //! engine-level churn/feasibility checks.
 
-use flowtune::{AllocatorService, DynAllocatorService, Engine, FlowtuneConfig};
+use flowtune::{AllocatorService, Engine, FlowtuneConfig};
 use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator, SerialAllocator};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
@@ -27,7 +27,7 @@ fn trace_flows(fabric: &TwoTierClos, n: usize, seed: u64) -> Vec<(FlowId, usize,
         .collect()
 }
 
-fn service_on(fabric: &TwoTierClos, engine: Engine) -> DynAllocatorService {
+fn service_on(fabric: &TwoTierClos, engine: Engine) -> AllocatorService {
     AllocatorService::builder()
         .fabric(fabric)
         .config(FlowtuneConfig::default())

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use common::fabric;
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ServiceError, ServiceStats};
 use flowtune_alloc::{
-    AllocConfig, BoxEngine, GradientAllocator, MulticoreAllocator, RateAllocator, SerialAllocator,
+    AllocConfig, BoxEngine, GradientAllocator, MulticoreAllocator, SerialAllocator,
 };
 use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};

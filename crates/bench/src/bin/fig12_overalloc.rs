@@ -39,9 +39,9 @@
 //! (default 1), `--placement P` the placed row's placement and
 //! `--pair-affinity F` the workload's rack-affine skew.
 
-use flowtune::{Engine, FlowtuneConfig, PlacementSpec};
+use flowtune::{overallocation_gbps, Engine, FlowtuneConfig, PlacementSpec};
 use flowtune_bench::cli::WireTransport;
-use flowtune_bench::{overallocation_gbps, FluidDriver, Opts};
+use flowtune_bench::{FluidDriver, Opts};
 use flowtune_workload::Workload;
 
 fn main() {

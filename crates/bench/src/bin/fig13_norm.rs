@@ -7,13 +7,13 @@
 //! occasionally slightly exceed the optimal" (more throughput at slightly
 //! worse fairness — never above link capacity).
 
-use flowtune::{AllocatorService, TickDriver};
+use flowtune::{add_path_load, worst_oversubscription, AllocatorService, TickDriver};
 use flowtune_bench::num_churn::NumChurn;
 use flowtune_bench::Opts;
 use flowtune_num::normalize::{f_norm, total_throughput, u_norm};
 use flowtune_num::{solve, Gradient, Ned, Optimizer, SolverState};
 use flowtune_proto::{Message, Token};
-use flowtune_topo::{ClosConfig, TwoTierClos};
+use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use flowtune_workload::Workload;
 
 fn main() {
@@ -95,11 +95,7 @@ fn sharded_incast_panel(opts: &Opts) {
     let sources: Vec<u16> = (0..servers - 1).step_by(2).collect();
     let drive = |svc: &mut dyn TickDriver| -> (f64, f64) {
         for (i, &src) in sources.iter().enumerate() {
-            let spine = fabric.ecmp_spine(
-                src as usize,
-                receiver as usize,
-                flowtune_topo::FlowId(i as u64),
-            );
+            let spine = fabric.ecmp_spine(src as usize, receiver as usize, FlowId(i as u64));
             svc.on_message(Message::FlowletStart {
                 token: Token::new(i as u32 + 1),
                 src,
@@ -118,26 +114,10 @@ fn sharded_incast_panel(opts: &Opts) {
         for (i, &src) in sources.iter().enumerate() {
             let rate = svc.flow_rate_gbps(Token::new(i as u32 + 1)).unwrap();
             throughput += rate;
-            let spine = fabric.ecmp_spine(
-                src as usize,
-                receiver as usize,
-                flowtune_topo::FlowId(i as u64),
-            );
-            for link in fabric
-                .path_via_spine(src as usize, receiver as usize, spine)
-                .iter()
-            {
-                loads[link.index()] += rate;
-            }
+            let path = fabric.path(src as usize, receiver as usize, FlowId(i as u64));
+            add_path_load(&mut loads, &path, rate);
         }
-        let over = fabric
-            .topology()
-            .links()
-            .iter()
-            .zip(&loads)
-            .map(|(link, &load)| load / (link.capacity_bps as f64 / 1e9) - 1.0)
-            .fold(0.0f64, f64::max);
-        (throughput, over)
+        (throughput, worst_oversubscription(&fabric, &loads))
     };
     let mut unsharded = AllocatorService::builder()
         .fabric(&fabric)
@@ -166,6 +146,6 @@ fn sharded_incast_panel(opts: &Opts) {
             .build_driver()
             .expect("fabric is set and shards do not nest");
         let (throughput, over) = drive(svc.as_mut());
-        println!("{label},{:.4},{:.4}", throughput / optimal, over.max(0.0));
+        println!("{label},{:.4},{over:.4}", throughput / optimal);
     }
 }

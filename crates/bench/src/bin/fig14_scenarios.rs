@@ -18,7 +18,7 @@
 //! ignored (the engine sweep *is* the table). `--full` doubles the
 //! fabric and payload scale.
 
-use flowtune::{AllocatorService, Engine, ScenarioOptions, TickLoop};
+use flowtune::{AllocatorService, Engine, FluidPlane, ScenarioOptions};
 use flowtune_bench::Opts;
 use flowtune_topo::{ClosConfig, TwoTierClos};
 use flowtune_workload::ScenarioKind;
@@ -53,10 +53,10 @@ fn main() {
                 .engine(engine.clone())
                 .build_driver()
                 .expect("fabric is set and the engine is unsharded");
-            let mut ticker = TickLoop::new(driver, opts.config().tick_interval_ps);
+            let mut plane = FluidPlane::new(driver, opts.config().tick_interval_ps);
             let mut scenario = kind.build(servers, bytes);
             let report =
-                flowtune::run_scenario(&mut ticker, scenario.as_mut(), &ScenarioOptions::default());
+                flowtune::run_scenario(&mut plane, scenario.as_mut(), &ScenarioOptions::default());
             let completion_us = report
                 .max_phase_completion_ps()
                 .map_or(f64::NAN, |ps| ps as f64 / 1e6);

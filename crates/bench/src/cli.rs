@@ -3,7 +3,9 @@
 use flowtune::{
     AllocatorService, BoxTickDriver, Engine, ExchangeConfig, FlowtuneConfig, PlacementSpec,
 };
-use flowtune_net::{mem_mesh, tcp_mesh, uds_mesh, PeerCluster, ShardPeer, Transport};
+use flowtune_net::{
+    free_tcp_port_run, mem_mesh, tcp_mesh, uds_mesh, PeerCluster, ShardPeer, Transport,
+};
 use flowtune_topo::TwoTierClos;
 use flowtune_workload::ScenarioKind;
 
@@ -178,22 +180,7 @@ pub fn wire_cluster(
             Some(Box::new(built))
         }
         WireTransport::Tcp => {
-            // Probe a free run of loopback ports off a kernel-picked
-            // base.
-            let base = (0..16)
-                .find_map(|_| {
-                    let probe =
-                        std::net::TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).ok()?;
-                    let base = probe.local_addr().ok()?.port();
-                    drop(probe);
-                    base.checked_add(shards as u16)?;
-                    (0..shards as u16)
-                        .map(|i| {
-                            std::net::TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, base + i))
-                        })
-                        .all(|r| r.is_ok())
-                        .then_some(base)
-                })
+            let base = free_tcp_port_run(shards as u16)
                 .expect("no free loopback port run for the tcp mesh");
             Some(Box::new(cluster(
                 fabric,

@@ -3,20 +3,20 @@
 //!
 //! Update-traffic volume is a property of the allocator's threshold
 //! filtering and the flowlet churn, not of packet-level queueing, so these
-//! figures run the *real* [`AllocatorService`] against a fluid data plane:
-//! every 10 µs tick, each active flowlet drains at its currently allocated
-//! (normalized) rate, and ends exactly when its bytes run out. Control
-//! bytes are accounted with the real 16/4/6-byte encodings plus Ethernet
-//! framing ([`flowtune_proto::wire`]).
-
-use std::collections::HashMap;
+//! figures run the *real* [`AllocatorService`] under the fluid data plane
+//! ([`FluidPlane`]: every 10 µs tick, each active flowlet drains at its
+//! currently allocated, normalized rate and ends exactly when its bytes
+//! run out). What is this driver's own is trace admission, the warm-up
+//! window and the byte accounting, with the real 16/4/6-byte encodings
+//! plus Ethernet framing ([`flowtune_proto::wire`]).
 
 use crate::cli::{self, WireTransport};
 use flowtune::{
-    AllocatorService, BoxTickDriver, Engine, FlowtuneConfig, PlacementSpec, ServiceStats,
-    TickDriver, TickLoop, TrafficMatrix,
+    AllocatorService, Engine, FlowtuneConfig, FluidPlane, PlacementSpec, ServiceStats, TickDriver,
+    TrafficMatrix,
 };
-use flowtune_proto::{wire, Message, Token};
+use flowtune_proto::codec::{END_BYTES, START_BYTES};
+use flowtune_proto::wire;
 use flowtune_topo::{ClosConfig, TwoTierClos};
 use flowtune_workload::{rack_traffic_matrix, RackAffinity, TraceConfig, TraceGenerator, Workload};
 
@@ -51,6 +51,12 @@ impl FluidStats {
         bits / secs / (servers as f64 * link_bps as f64)
     }
 
+    /// Counts one endpoint→allocator notification of `len` payload bytes.
+    fn account_to_alloc(&mut self, len: usize) {
+        self.payload_to_alloc += len as u64;
+        self.wire_to_alloc += wire::segment_wire_bytes(len) as u64;
+    }
+
     /// Update traffic *to* the allocator as a capacity fraction.
     pub fn to_alloc_fraction(&self, servers: usize, link_bps: u64) -> f64 {
         let secs = self.duration_ps as f64 / 1e12;
@@ -62,14 +68,10 @@ impl FluidStats {
 /// The fluid-model experiment driver.
 #[derive(Debug)]
 pub struct FluidDriver {
-    /// The control plane behind its cadence: [`TickLoop`] owns when the
-    /// allocator ticks; this driver just advances simulated time and
-    /// polls it.
-    ticker: TickLoop<BoxTickDriver>,
+    /// The control plane under its data plane; this driver advances
+    /// simulated time and steps it.
+    plane: FluidPlane,
     trace: TraceGenerator,
-    /// token → remaining bytes.
-    remaining: HashMap<Token, f64>,
-    next_token: u32,
     stats: FluidStats,
     now_ps: u64,
 }
@@ -172,19 +174,11 @@ impl FluidDriver {
         };
         let trace = TraceGenerator::new(trace_cfg);
         Self {
-            ticker: TickLoop::new(service, cfg.tick_interval_ps),
+            plane: FluidPlane::new(service, cfg.tick_interval_ps),
             trace,
-            remaining: HashMap::new(),
-            next_token: 0,
             stats: FluidStats::default(),
             now_ps: 0,
         }
-    }
-
-    fn account_to_alloc(&mut self, msg: &Message) {
-        let len = msg.encoded_len();
-        self.stats.payload_to_alloc += len as u64;
-        self.stats.wire_to_alloc += wire::segment_wire_bytes(len) as u64;
     }
 
     /// Runs the fluid simulation for `duration_ps`, returning the
@@ -203,87 +197,46 @@ impl FluidDriver {
         duration_ps: u64,
         sample: &mut dyn FnMut(&dyn TickDriver),
     ) -> FluidStats {
-        let tick = self.ticker.interval_ps();
+        let tick = self.plane.interval_ps();
         let end = warmup_ps + duration_ps;
         let mut pending = self.trace.next_event();
         while self.now_ps < end {
             let in_window = self.now_ps >= warmup_ps;
-            // Admit arrivals up to now.
+            // Admit arrivals up to now; the ECMP hash input is the trace's
+            // own event id.
             while pending.at_ps <= self.now_ps {
-                let token = Token::new(self.next_token & Token::MAX);
-                self.next_token = (self.next_token + 1) & Token::MAX;
-                let spine = {
-                    let f = self.ticker.driver().fabric();
-                    f.ecmp_spine(
-                        pending.src as usize,
-                        pending.dst as usize,
-                        flowtune_topo::FlowId(pending.id),
-                    )
-                };
-                let msg = Message::FlowletStart {
-                    token,
-                    src: pending.src as u16,
-                    dst: pending.dst as u16,
-                    size_hint: pending.bytes.min(u32::MAX as u64) as u32,
-                    weight_q8: 256,
-                    spine: spine as u8,
-                };
-                self.ticker
-                    .driver_mut()
-                    .on_message(msg)
-                    .expect("fluid driver mints unique tokens");
-                self.remaining.insert(token, pending.bytes as f64);
+                let (src, dst) = (pending.src as u16, pending.dst as u16);
+                self.plane
+                    .start(src, dst, pending.bytes, 256, Some(pending.id));
                 if in_window {
                     self.stats.flowlets += 1;
-                    self.account_to_alloc(&msg);
+                    self.stats.account_to_alloc(START_BYTES);
                 }
                 pending = self.trace.next_event();
             }
 
-            // Allocator ticks the cadence owes at this simulated instant
-            // (exactly one per loop step, since the step is the interval).
-            while let Some(updates) = self.ticker.poll(self.now_ps) {
-                if in_window {
-                    for (_, msg) in updates {
-                        let len = msg.encoded_len();
-                        self.stats.payload_from_alloc += len as u64;
-                        self.stats.wire_from_alloc += wire::segment_wire_bytes(len) as u64;
-                        self.stats.updates_sent += 1;
-                    }
-                    sample(self.ticker.driver());
+            // One step per simulated interval: the allocator ticks, the
+            // flowlets drain, the finished ones end.
+            let updates = self.plane.tick();
+            if in_window {
+                for (_, msg) in updates {
+                    let len = msg.encoded_len();
+                    self.stats.payload_from_alloc += len as u64;
+                    self.stats.wire_from_alloc += wire::segment_wire_bytes(len) as u64;
+                    self.stats.updates_sent += 1;
                 }
+                sample(self.plane.driver());
             }
-
-            // Fluid drain at allocated rates.
-            let dt_secs = tick as f64 / 1e12;
-            let mut ended = Vec::new();
-            for (&token, rem) in self.remaining.iter_mut() {
-                let gbps = self.ticker.driver().flow_rate_gbps(token).unwrap_or(0.0);
-                *rem -= gbps * 1e9 / 8.0 * dt_secs;
-                if *rem <= 0.0 {
-                    ended.push(token);
-                }
-            }
-            // The map's order is random per process, and end order decides
-            // which slab slots the next starts reuse — hence engine flow
-            // ids and float summation order. Token order makes a seed
-            // reproduce its run to the bit.
-            ended.sort_unstable();
-            for token in ended {
-                self.remaining.remove(&token);
-                let msg = Message::FlowletEnd { token };
-                self.ticker
-                    .driver_mut()
-                    .on_message(msg)
-                    .expect("flowlet ends are always accepted");
-                if in_window {
-                    self.account_to_alloc(&msg);
+            let ended = self.plane.drain(|_, _| {}).len();
+            if in_window {
+                for _ in 0..ended {
+                    self.stats.account_to_alloc(END_BYTES);
                 }
             }
 
             self.now_ps += tick;
         }
-        let svc = self.ticker.driver().stats();
+        let svc = self.plane.driver().stats();
         self.stats.updates_suppressed = svc.updates_suppressed;
         self.stats.duration_ps = duration_ps;
         self.stats
@@ -293,32 +246,14 @@ impl FluidDriver {
     /// rounds/bytes, intake, update filtering (aggregated over shards,
     /// where applicable).
     pub fn control_stats(&self) -> ServiceStats {
-        self.ticker.driver().stats()
+        self.plane.driver().stats()
     }
-}
-
-/// Total over-capacity allocation of a control plane's current *raw*
-/// rates, `Σ_ℓ max(0, load_ℓ − c_ℓ)` in Gbit/s — Figure 12's quantity,
-/// measured through the service path via
-/// [`TickDriver::link_loads`]. Engines that do not price fabric links
-/// (Fastpass) report 0.
-pub fn overallocation_gbps(drv: &dyn TickDriver) -> f64 {
-    let loads = drv.link_loads();
-    if loads.is_empty() {
-        return 0.0;
-    }
-    drv.fabric()
-        .topology()
-        .links()
-        .iter()
-        .zip(&loads)
-        .map(|(link, &load)| (load - link.capacity_bps as f64 / 1e9).max(0.0))
-        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtune_proto::Token;
 
     #[test]
     fn fluid_run_reaches_steady_state_and_accounts() {
@@ -333,8 +268,8 @@ mod tests {
 
     #[test]
     fn a_seed_reproduces_its_run_to_the_bit() {
-        // Two drivers in one process hash their `remaining` maps
-        // differently; everything observable must agree anyway.
+        // Two drivers in one process (hash seeds differ between them):
+        // everything observable must agree.
         let run = || {
             let cfg = FlowtuneConfig {
                 exchange_every: 1,
@@ -351,15 +286,15 @@ mod tests {
                 WireTransport::InProcess,
             );
             let stats = d.run(1_000_000_000, 6_000_000_000);
-            let mut rates: Vec<(Token, u64)> = d
-                .remaining
+            let rates: Vec<(Token, u64)> = d
+                .plane
+                .flows()
                 .keys()
-                .map(|&t| {
-                    let rate = d.ticker.driver().flow_rate_gbps(t).expect("live flowlet");
+                .map(|t| {
+                    let rate = d.plane.driver().flow_rate_gbps(t).expect("live flowlet");
                     (t, rate.to_bits())
                 })
                 .collect();
-            rates.sort_unstable();
             (stats, d.control_stats(), rates)
         };
         let (a, b) = (run(), run());

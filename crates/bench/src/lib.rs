@@ -15,5 +15,5 @@ pub mod num_churn;
 pub mod simrun;
 
 pub use cli::Opts;
-pub use fluid::{overallocation_gbps, FluidDriver, FluidStats};
+pub use fluid::{FluidDriver, FluidStats};
 pub use simrun::{run_cell, CellResult, CellSpec};

@@ -1,11 +1,12 @@
 //! Flowlet churn driver in the NUM domain, for the §6.6 normalization
 //! experiments (Figures 12 and 13): a stream of flowlets arrives and
-//! drains (fluid model) while a chosen optimizer iterates online, exactly
+//! drains (the fluid model of [`flowtune::fluid`], keyed by flow index:
+//! finished flows leave the problem in ascending index order, so a seed
+//! reproduces its run) while a chosen optimizer iterates online, exactly
 //! like the allocator does — warm-starting from the previous prices at
 //! every change.
 
-use std::collections::HashMap;
-
+use flowtune::FluidFlows;
 use flowtune_num::{solver::update_rates, FlowIdx, NumProblem, Optimizer, SolverState, Utility};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use flowtune_workload::{FlowletEvent, TraceConfig, TraceGenerator, Workload};
@@ -27,8 +28,8 @@ pub struct NumChurn {
     pub problem: NumProblem,
     trace: TraceGenerator,
     pending: FlowletEvent,
-    /// flow idx → remaining bytes.
-    remaining: HashMap<FlowIdx, f64>,
+    /// The draining flows, by index into `problem`.
+    flows: FluidFlows<FlowIdx>,
     tick_ps: u64,
     now_ps: u64,
 }
@@ -58,7 +59,7 @@ impl NumChurn {
             problem,
             trace,
             pending,
-            remaining: HashMap::new(),
+            flows: FluidFlows::default(),
             tick_ps: 10_000_000, // 10 µs, like the allocator
             now_ps: 0,
         }
@@ -77,7 +78,7 @@ impl NumChurn {
             let idx = self
                 .problem
                 .add_flow(path.links().to_vec(), Utility::log(1.0));
-            self.remaining.insert(idx, e.bytes as f64);
+            self.flows.admit(idx, e.bytes as f64);
             self.pending = self.trace.next_event();
         }
         state.fit(&self.problem);
@@ -89,23 +90,15 @@ impl NumChurn {
         update_rates(&self.problem, &state.prices, &mut state.rates);
         let over = self.problem.total_overallocation(&state.rates);
 
-        // Fluid drain.
-        let dt = self.tick_ps as f64 / 1e12;
-        let mut done = Vec::new();
-        for (&idx, rem) in self.remaining.iter_mut() {
-            *rem -= state.rates[idx] * 1e9 / 8.0 * dt;
-            if *rem <= 0.0 {
-                done.push(idx);
-            }
-        }
-        for idx in done {
-            self.remaining.remove(&idx);
-            self.problem.remove_flow(idx);
+        // Fluid drain at the raw rates.
+        let rates = &state.rates;
+        for done in self.flows.drain(self.tick_ps, |idx| rates[idx]) {
+            self.problem.remove_flow(done.key);
         }
         self.now_ps += self.tick_ps;
         ChurnTick {
             overallocation_gbps: over,
-            active: self.remaining.len(),
+            active: self.flows.len(),
         }
     }
 
@@ -134,6 +127,33 @@ mod tests {
             }
         }
         assert!(saw_active, "flows should arrive within 5 ms at load 0.5");
+    }
+
+    #[test]
+    fn a_seed_reproduces_its_run_to_the_bit() {
+        // Finished flows free their `NumProblem` slots in the order they
+        // leave, the next arrivals reuse them in that order, and slot
+        // order is float summation order: two runs of one seed in one
+        // process must agree on every tick.
+        let run = || {
+            let mut churn = NumChurn::new(Workload::Web, 0.75, 42);
+            let mut ned = Ned::new(0.4);
+            let mut state = SolverState::new(&churn.problem);
+            let ticks: Vec<(u64, usize)> = (0..3000)
+                .map(|_| {
+                    let t = churn.advance(&mut ned, &mut state);
+                    (t.overallocation_gbps.to_bits(), t.active)
+                })
+                .collect();
+            let prices: Vec<u64> = state.prices.iter().map(|p| p.to_bits()).collect();
+            (ticks, prices)
+        };
+        let (a, b) = (run(), run());
+        assert!(
+            a.0.iter().any(|&(_, active)| active > 100),
+            "churn too thin"
+        );
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! so "how many shards" is a run-time configuration like the engine
 //! choice, not a compile-time fork.
 //!
-//! [`TickLoop`] wraps a driver together with its tick cadence, so
-//! embedders poll one clock-driven object instead of hand-rolling
-//! sleep/accumulator loops around `tick()`.
+//! The fluid-model experiments put a driver under a
+//! [`FluidPlane`](crate::FluidPlane), which owns its cadence, the
+//! tokens and the flowlets' drain; the packet simulator ticks its driver
+//! from its own event loop.
 
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
@@ -215,113 +216,11 @@ impl TickDriver for AllocatorService {
     }
 }
 
-/// A [`TickDriver`] plus its tick cadence: the adapter that owns *when*
-/// the allocator ticks, so embedders stop hand-rolling sleep loops.
-///
-/// The loop is clocked in **picoseconds on the caller's time base** —
-/// simulated time (the fluid driver polls it with its simulation clock)
-/// or wall time (map `Instant::elapsed()` to ps). This is what makes it
-/// async-friendly: an event-loop embedder sleeps (or `await`s a timer)
-/// until [`TickLoop::next_tick_ps`], then calls [`TickLoop::poll`] — no
-/// thread is parked inside this type, and `poll` never blocks. A poll that
-/// arrives late catches up one tick per call, so
-/// `while let Some(updates) = tick_loop.poll(now_ps) { … }` runs exactly
-/// the ticks the cadence owed at `now_ps`. The loop owns the update
-/// buffer its driver ticks into and lends each tick's stream out, so a
-/// steady cadence allocates nothing.
-#[derive(Debug)]
-pub struct TickLoop<D: TickDriver = BoxTickDriver> {
-    driver: D,
-    interval_ps: u64,
-    next_ps: u64,
-    ticks: u64,
-    /// The latest tick's update stream, reused across ticks.
-    updates: Vec<(u16, Message)>,
-}
-
-impl<D: TickDriver> TickLoop<D> {
-    /// Wraps `driver` with a tick every `interval_ps` picoseconds (§6.2:
-    /// 10 µs = 10 000 000 ps; see
-    /// [`FlowtuneConfig::tick_interval_ps`](crate::FlowtuneConfig)). The
-    /// first tick is due at time 0.
-    ///
-    /// # Panics
-    /// Panics if `interval_ps` is 0.
-    pub fn new(driver: D, interval_ps: u64) -> Self {
-        assert!(interval_ps > 0, "a tick cadence needs a nonzero interval");
-        Self {
-            driver,
-            interval_ps,
-            next_ps: 0,
-            ticks: 0,
-            updates: Vec::new(),
-        }
-    }
-
-    /// The tick interval, ps.
-    pub fn interval_ps(&self) -> u64 {
-        self.interval_ps
-    }
-
-    /// When the next tick is due, ps on the caller's time base.
-    pub fn next_tick_ps(&self) -> u64 {
-        self.next_ps
-    }
-
-    /// Ticks driven so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The wrapped driver (message intake goes through here:
-    /// `tick_loop.driver_mut().on_message(…)`).
-    pub fn driver(&self) -> &D {
-        &self.driver
-    }
-
-    /// Mutable access to the wrapped driver.
-    pub fn driver_mut(&mut self) -> &mut D {
-        &mut self.driver
-    }
-
-    /// Runs one tick if one is due at `now_ps`, lending out its update
-    /// stream (valid until the next poll); `None` means the cadence owes
-    /// nothing yet (call again at [`TickLoop::next_tick_ps`]). When
-    /// `now_ps` has overshot several intervals, each call pays off one
-    /// owed tick, so a catch-up loop (`while let Some(…) = poll(now_ps)`)
-    /// restores the cadence.
-    pub fn poll(&mut self, now_ps: u64) -> Option<&[(u16, Message)]> {
-        if now_ps < self.next_ps {
-            return None;
-        }
-        self.next_ps += self.interval_ps;
-        self.ticks += 1;
-        self.driver.tick_into(&mut self.updates);
-        Some(&self.updates)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FlowtuneConfig;
     use flowtune_topo::ClosConfig;
-
-    fn service() -> AllocatorService {
-        let fabric = TwoTierClos::build(ClosConfig::paper_eval());
-        AllocatorService::new(&fabric, FlowtuneConfig::default())
-    }
-
-    fn start(token: u32) -> Message {
-        Message::FlowletStart {
-            token: Token::new(token),
-            src: 0,
-            dst: 140,
-            size_hint: 1,
-            weight_q8: 256,
-            spine: 1,
-        }
-    }
 
     #[test]
     fn allocator_service_is_a_tick_driver() {
@@ -345,37 +244,5 @@ mod tests {
         assert_eq!(drv.stats().starts, 1);
         // The default fallible tick simply runs the tick.
         assert!(drv.try_tick().is_ok());
-    }
-
-    #[test]
-    fn tick_loop_owes_one_tick_per_interval() {
-        let mut tl = TickLoop::new(service(), 10);
-        tl.driver_mut().on_message(start(1)).unwrap();
-        // Nothing owed before time 0 is polled; the first poll at 0 ticks.
-        assert_eq!(tl.next_tick_ps(), 0);
-        let updates = tl.poll(0).expect("tick due at 0");
-        assert_eq!(updates.len(), 1);
-        assert_eq!(tl.ticks(), 1);
-        assert_eq!(tl.next_tick_ps(), 10);
-        // Not due yet.
-        assert!(tl.poll(5).is_none());
-        assert_eq!(tl.ticks(), 1);
-        // Exactly due.
-        assert!(tl.poll(10).is_some());
-        assert_eq!(tl.ticks(), 2);
-        // A late poll catches up one owed tick per call.
-        let mut caught_up = 0;
-        while tl.poll(55).is_some() {
-            caught_up += 1;
-        }
-        assert_eq!(caught_up, 4, "ticks at 20, 30, 40, 50");
-        assert_eq!(tl.next_tick_ps(), 60);
-        assert_eq!(tl.driver().stats().iterations, tl.ticks());
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero interval")]
-    fn tick_loop_rejects_zero_interval() {
-        let _ = TickLoop::new(service(), 0);
     }
 }

@@ -555,11 +555,6 @@ fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<()
 pub struct ExchangeCore {
     filter: ShardFilter,
     tables: LinkTables,
-    /// Every other shard's announced subscriptions, as its `SubAdd` /
-    /// `SubRemove` records left them (informational; the install math
-    /// uses fresh exports, not announcements). Own slot stays empty —
-    /// the filter holds this shard's.
-    remote_subs: Vec<Vec<bool>>,
 }
 
 impl ExchangeCore {
@@ -576,7 +571,6 @@ impl ExchangeCore {
         ExchangeCore {
             filter: ShardFilter::new(shard, eps),
             tables: LinkTables::new(shard_count),
-            remote_subs: (0..shard_count).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -669,7 +663,7 @@ impl ExchangeCore {
             ..
         } = &mut self.tables;
         let from = header.shard as usize;
-        let (Some(row), Some(subs)) = (rows.get_mut(from), self.remote_subs.get_mut(from)) else {
+        let Some(row) = rows.get_mut(from) else {
             return Err(bad_shard);
         };
         *any_h |= header.has_hessians;
@@ -730,17 +724,14 @@ impl ExchangeCore {
                         }
                     }
                 }
-                Record::SubAdd { link } | Record::SubRemove { link } => {
-                    if subs.len() < n {
-                        subs.resize(n, false);
-                    }
-                    if let Some(sub) = subs.get_mut(link as usize) {
-                        *sub = matches!(record, Record::SubAdd { .. });
-                    }
-                }
-                // State frames do not carry epoch records; tolerate and
-                // skip them if a mixed frame ever arrives.
-                Record::EpochBegin { .. } | Record::Migration { .. } => {}
+                // A peer's subscription announcements are decoded and
+                // range-checked, not kept: the install math uses fresh
+                // exports. State frames do not carry epoch records;
+                // tolerate and skip them if a mixed frame ever arrives.
+                Record::SubAdd { .. }
+                | Record::SubRemove { .. }
+                | Record::EpochBegin { .. }
+                | Record::Migration { .. } => {}
             }
         }
         Ok(())

@@ -86,6 +86,7 @@ pub mod driver;
 pub mod endpoint;
 pub mod exchange;
 pub mod flowlet;
+pub mod fluid;
 pub mod placement;
 pub mod router;
 pub mod scenario;
@@ -94,10 +95,13 @@ pub mod sharded;
 pub mod token;
 
 pub use config::{ExchangeConfig, FlowtuneConfig};
-pub use driver::{BoxTickDriver, PhaseTimings, TickDriver, TickLoop};
+pub use driver::{BoxTickDriver, PhaseTimings, TickDriver};
 pub use endpoint::EndpointAgent;
 pub use exchange::{ApplyError, ExchangeCore};
 pub use flowlet::FlowletTracker;
+pub use fluid::{
+    add_path_load, overallocation_gbps, worst_oversubscription, Ended, FluidFlows, FluidPlane,
+};
 pub use placement::{
     ParsePlacementError, Placement, PlacementSpec, TrafficMatrix, PLACEMENT_NAMES,
 };

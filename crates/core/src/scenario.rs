@@ -3,12 +3,12 @@
 //!
 //! The workload side ([`flowtune_workload::Scenario`]) is pure data — a
 //! stream of [`Phase`]s with barrier or timed admission. This module owns
-//! the control side: it mints tokens, hashes flows onto ECMP spines,
-//! feeds `FlowletStart`/`FlowletEnd` notifications into a [`TickLoop`],
-//! and drains each flow with the same fluid model the bench driver uses
-//! (`delivered = rate · Δt`, the endpoint pacing its normalized rate).
-//! A barrier phase is admitted only when no earlier flow remains active;
-//! a cut phase force-ends survivors first, so the allocator sees the same
+//! what is a scenario's own — phases, barriers, cuts, per-phase reports
+//! and grace-windowed feasibility sampling — over a [`FluidPlane`], which
+//! mints the tokens, feeds the `FlowletStart`/`FlowletEnd` notifications
+//! and drains each flow (the one fluid model, `crate::fluid`). A barrier
+//! phase is admitted only when no earlier flow remains active; a cut
+//! phase force-ends survivors first, so the allocator sees the same
 //! abrupt arrival/departure edges a real collective or burst produces.
 //!
 //! Per phase the runner reports completion time, p99 flow-completion
@@ -18,10 +18,11 @@
 //! rates vs link capacity — the feasibility F-NORM guarantees).
 
 use flowtune_proto::{Message, Token};
-use flowtune_topo::FlowId;
+use flowtune_topo::{FlowId, Path};
 use flowtune_workload::{Admission, Phase, Scenario};
 
-use crate::driver::{TickDriver, TickLoop};
+use crate::driver::TickDriver;
+use crate::fluid::{add_path_load, overallocation_gbps, worst_oversubscription, Ended, FluidPlane};
 use crate::service::ServiceStats;
 
 /// Ticks after an admission before feasibility peaks are sampled, giving
@@ -98,8 +99,8 @@ pub struct ScenarioReport {
     /// engines that do not price links (Fastpass).
     pub peak_overallocation_gbps: f64,
     /// Peak per-link (load/capacity − 1) of the **normalized**,
-    /// endpoint-visible rates, sampled outside grace windows. ≤ 0 means
-    /// no link was ever over-subscribed.
+    /// endpoint-visible rates, sampled outside grace windows. 0 means no
+    /// link was ever over-subscribed.
     pub peak_oversubscription: f64,
     /// The tick budget ran out before the scenario drained.
     pub truncated: bool,
@@ -127,17 +128,13 @@ impl ScenarioReport {
     }
 }
 
-/// An admitted, not-yet-finished flow.
+/// What the runner keeps per draining flow, beside the plane's own row.
 #[derive(Debug)]
 struct ActiveFlow {
-    token: u32,
+    token: Token,
     phase: usize,
     admitted_tick: u64,
-    delivered_bytes: f64,
-    remaining_bytes: f64,
-    /// `links[links_start..links_end]` in the runner's arena.
-    links_start: u32,
-    links_end: u32,
+    path: Path,
 }
 
 #[derive(Debug)]
@@ -152,21 +149,29 @@ struct PhaseState {
     throughput_gbps: Vec<f64>,
 }
 
-/// Runner state: active flows, reusable per-tick buffers, and peaks.
+impl PhaseState {
+    /// Books a flow that left after `lifetime_ps` having moved
+    /// `delivered_bytes` (completed or cut).
+    fn credit(&mut self, delivered_bytes: f64, lifetime_ps: u64) {
+        self.outstanding -= 1;
+        if lifetime_ps > 0 {
+            // bytes · 8 bits / (ps · 1e-12 s) / 1e9 = bytes · 8e3 / ps Gbit/s.
+            self.throughput_gbps
+                .push(delivered_bytes * 8.0 / (lifetime_ps as f64 * 1e-3));
+        }
+    }
+}
+
+/// Runner state: the draining flows by token, a reusable load
+/// accumulator, per-phase books and the feasibility peaks.
 #[derive(Debug)]
 struct RunnerState {
     interval_ps: u64,
     weight_q8: u16,
-    next_token: u32,
+    /// Sorted by token, as the plane's table is.
     active: Vec<ActiveFlow>,
-    /// Flat arena of link indices; each flow owns a slice of it.
-    link_arena: Vec<u32>,
-    /// Per-link capacity, Gbit/s.
-    cap_gbps: Vec<f64>,
     /// Per-link normalized load accumulator, reused every sampled tick.
     loads: Vec<f64>,
-    /// Indices into `active` that finished this tick, reused.
-    ended: Vec<usize>,
     phases: Vec<PhaseState>,
     last_admit_tick: u64,
     peak_overalloc: f64,
@@ -174,68 +179,48 @@ struct RunnerState {
 }
 
 impl RunnerState {
-    fn new<D: TickDriver>(ticker: &TickLoop<D>, opts: &ScenarioOptions) -> Self {
-        let topo = ticker.driver().fabric().topology();
-        let cap_gbps: Vec<f64> = topo
-            .links()
-            .iter()
-            .map(|l| l.capacity_bps as f64 / 1e9)
-            .collect();
+    fn new<D: TickDriver>(plane: &FluidPlane<D>, opts: &ScenarioOptions) -> Self {
         RunnerState {
-            interval_ps: ticker.interval_ps(),
+            interval_ps: plane.interval_ps(),
             weight_q8: opts.weight_q8,
-            next_token: 1,
             active: Vec::new(),
-            link_arena: Vec::new(),
-            loads: vec![0.0; cap_gbps.len()],
-            cap_gbps,
-            ended: Vec::with_capacity(64),
+            loads: vec![0.0; plane.driver().fabric().topology().link_count()],
             phases: Vec::new(),
             last_admit_tick: 0,
             peak_overalloc: 0.0,
-            peak_oversub: f64::NEG_INFINITY,
+            peak_oversub: 0.0,
         }
     }
 
-    /// Force-ends every active flow (a cut phase's `ends_previous`),
-    /// crediting each with the bytes it actually moved.
-    fn cut_active<D: TickDriver>(
-        &mut self,
-        ticker: &mut TickLoop<D>,
-        tick: u64,
-        trace: &mut dyn FnMut(u64, &Message),
-    ) {
-        for flow in self.active.drain(..) {
-            let msg = Message::FlowletEnd {
-                token: Token::new(flow.token),
-            };
-            trace(tick, &msg);
-            ticker
-                .driver_mut()
-                .on_message(msg)
-                .expect("cut flow is active");
-            let phase = &mut self.phases[flow.phase];
-            phase.outstanding -= 1;
-            phase.cut += 1;
-            let lifetime_ps = (tick - flow.admitted_tick) * self.interval_ps;
-            if lifetime_ps > 0 {
-                phase
-                    .throughput_gbps
-                    .push(flow.delivered_bytes * 8.0 / (lifetime_ps as f64 * 1e-3));
-            }
-        }
+    /// Takes the runner's row of a flow the plane retired.
+    fn retire(&mut self, ended: &Ended<Token>) -> ActiveFlow {
+        let at = self
+            .active
+            .binary_search_by_key(&ended.key, |f| f.token)
+            .expect("the plane retires only flows the runner admitted");
+        self.active.remove(at)
     }
 
-    /// Admits one phase's flows at `tick`.
+    /// Admits one phase's flows at `tick`; a cut phase (`ends_previous`)
+    /// force-ends every active flow first, crediting each with the bytes
+    /// it actually moved.
     fn admit<D: TickDriver>(
         &mut self,
-        ticker: &mut TickLoop<D>,
+        plane: &mut FluidPlane<D>,
         tick: u64,
         phase: Phase,
         trace: &mut dyn FnMut(u64, &Message),
     ) {
         if phase.ends_previous {
-            self.cut_active(ticker, tick, trace);
+            // Both tables are sorted by token and hold the same flows.
+            for (ended, flow) in plane.cut_all().iter().zip(self.active.drain(..)) {
+                assert_eq!(ended.key, flow.token, "plane and runner disagree");
+                trace(tick, &ended.notification());
+                let phase = &mut self.phases[flow.phase];
+                phase.cut += 1;
+                let lifetime_ps = (tick - flow.admitted_tick) * self.interval_ps;
+                phase.credit(ended.delivered_bytes, lifetime_ps);
+            }
         }
         let phase_idx = self.phases.len();
         self.phases.push(PhaseState {
@@ -254,122 +239,65 @@ impl RunnerState {
         });
         self.last_admit_tick = tick;
         for f in &phase.flows {
-            let token = self.next_token;
-            self.next_token += 1;
-            let links_start = self.link_arena.len() as u32;
-            let spine = {
-                let fabric = ticker.driver().fabric();
-                let spine = fabric.ecmp_spine(f.src as usize, f.dst as usize, FlowId(token as u64));
-                let path = fabric.path_via_spine(f.src as usize, f.dst as usize, spine);
-                self.link_arena.extend(path.links().iter().map(|l| l.0));
-                spine
-            };
-            let msg = Message::FlowletStart {
-                token: Token::new(token),
-                src: f.src as u16,
-                dst: f.dst as u16,
-                size_hint: f.bytes.min(u32::MAX as u64) as u32,
-                weight_q8: self.weight_q8,
-                spine: spine as u8,
-            };
+            let (src, dst) = (f.src as u16, f.dst as u16);
+            let (token, msg) = plane.start(src, dst, f.bytes, self.weight_q8, None);
             trace(tick, &msg);
-            ticker
-                .driver_mut()
-                .on_message(msg)
-                .expect("scenario flows are valid by construction");
-            self.active.push(ActiveFlow {
-                token,
-                phase: phase_idx,
-                admitted_tick: tick,
-                delivered_bytes: 0.0,
-                remaining_bytes: f.bytes as f64,
-                links_start,
-                links_end: self.link_arena.len() as u32,
-            });
+            let fabric = plane.driver().fabric();
+            let path = fabric.path(src as usize, dst as usize, FlowId(token.get() as u64));
+            let at = self.active.partition_point(|a| a.token < token);
+            self.active.insert(
+                at,
+                ActiveFlow {
+                    token,
+                    phase: phase_idx,
+                    admitted_tick: tick,
+                    path,
+                },
+            );
         }
     }
 
-    /// One post-tick pass: drains every active flow by `rate · Δt`,
-    /// collects the ones that finished, and (outside grace windows)
-    /// samples the feasibility peaks. This is the scenario hot path —
-    /// it must not allocate in steady state.
-    fn drain_and_sample<D: TickDriver>(&mut self, ticker: &TickLoop<D>, tick: u64) {
-        let sample = !self.active.is_empty() && tick >= self.last_admit_tick + GRACE_TICKS;
-        if sample {
-            self.loads.fill(0.0);
-        }
-        // Gbit/s → bytes per tick: 1e9 bits/s · (interval/1e12) s / 8.
-        let bytes_per_gbit_tick = self.interval_ps as f64 / 8_000.0;
-        self.ended.clear();
-        let driver = ticker.driver();
-        for (i, flow) in self.active.iter_mut().enumerate() {
-            let rate = driver.flow_rate_gbps(Token::new(flow.token)).unwrap_or(0.0);
-            let delivered = (rate * bytes_per_gbit_tick).min(flow.remaining_bytes);
-            flow.delivered_bytes += delivered;
-            flow.remaining_bytes -= delivered;
-            if flow.remaining_bytes <= 0.0 {
-                self.ended.push(i);
-            }
-            if sample {
-                for &l in &self.link_arena[flow.links_start as usize..flow.links_end as usize] {
-                    self.loads[l as usize] += rate;
-                }
-            }
-        }
-        if sample {
-            let mut oversub = f64::NEG_INFINITY;
-            for (l, &load) in self.loads.iter().enumerate() {
-                let cap = self.cap_gbps[l];
-                if cap > 0.0 && load > 0.0 {
-                    oversub = oversub.max(load / cap - 1.0);
-                }
-            }
-            if oversub > self.peak_oversub {
-                self.peak_oversub = oversub;
-            }
-            let mut overalloc = 0.0;
-            let raw = driver.link_loads();
-            for (l, &load) in raw.iter().enumerate() {
-                overalloc += (load - self.cap_gbps[l]).max(0.0);
-            }
-            if overalloc > self.peak_overalloc {
-                self.peak_overalloc = overalloc;
-            }
-        }
-    }
-
-    /// Retires the flows [`RunnerState::drain_and_sample`] found done
-    /// after tick `tick`, feeding their `FlowletEnd`s (they land before
-    /// tick `tick + 1` runs, hence the trace stamp).
-    fn finish_ended<D: TickDriver>(
+    /// Tick `tick`: the allocator ticks, the feasibility peaks are sampled
+    /// (outside grace windows) — the raw allocation right after the tick,
+    /// the normalized rates as the flows drain at them — and the flows
+    /// the plane retired are booked; their `FlowletEnd`s land before tick
+    /// `tick + 1` runs, hence the trace stamp.
+    fn step<D: TickDriver>(
         &mut self,
-        ticker: &mut TickLoop<D>,
+        plane: &mut FluidPlane<D>,
         tick: u64,
         trace: &mut dyn FnMut(u64, &Message),
     ) {
-        for &i in self.ended.iter().rev() {
-            let flow = self.active.swap_remove(i);
-            let msg = Message::FlowletEnd {
-                token: Token::new(flow.token),
-            };
-            trace(tick + 1, &msg);
-            ticker
-                .driver_mut()
-                .on_message(msg)
-                .expect("finished flow is active");
+        plane.tick();
+        let sample = !self.active.is_empty() && tick >= self.last_admit_tick + GRACE_TICKS;
+        if sample {
+            self.peak_overalloc = self.peak_overalloc.max(overallocation_gbps(plane.driver()));
+            self.loads.fill(0.0);
+        }
+        // The plane drains in ascending token order — the order of `active`.
+        let (mut rows, loads) = (self.active.iter(), &mut self.loads);
+        let ended = plane.drain(|token, rate| {
+            if sample {
+                let flow = rows.next().filter(|f| f.token == token);
+                let flow = flow.expect("the plane drains exactly the flows the runner admitted");
+                add_path_load(loads, &flow.path, rate);
+            }
+        });
+        for ended in ended {
+            trace(tick + 1, &ended.notification());
+            let flow = self.retire(ended);
             let fct_ps = (tick + 1 - flow.admitted_tick) * self.interval_ps;
             let phase = &mut self.phases[flow.phase];
             phase.fct_ps.push(fct_ps as f64);
-            // bytes · 8 bits / (ps · 1e-12 s) / 1e9 = bytes · 8e3 / ps Gbit/s.
-            phase
-                .throughput_gbps
-                .push(flow.delivered_bytes * 8.0 / (fct_ps as f64 * 1e-3));
-            phase.outstanding -= 1;
+            phase.credit(ended.delivered_bytes, fct_ps);
             if phase.outstanding == 0 && phase.completion_ps.is_none() {
                 phase.completion_ps = Some((tick + 1 - phase.admitted_tick) * self.interval_ps);
             }
         }
-        self.ended.clear();
+        if sample {
+            let over = worst_oversubscription(plane.driver().fabric(), &self.loads);
+            self.peak_oversub = self.peak_oversub.max(over);
+        }
     }
 
     fn into_report(
@@ -381,11 +309,6 @@ impl RunnerState {
         stats: ServiceStats,
     ) -> ScenarioReport {
         let interval_ps = self.interval_ps;
-        let peak_oversub = if self.peak_oversub == f64::NEG_INFINITY {
-            0.0
-        } else {
-            self.peak_oversub
-        };
         let phases = self
             .phases
             .into_iter()
@@ -410,7 +333,7 @@ impl RunnerState {
             ticks,
             duration_ps: ticks * interval_ps,
             peak_overallocation_gbps: self.peak_overalloc,
-            peak_oversubscription: peak_oversub,
+            peak_oversubscription: self.peak_oversub,
             truncated,
             stats,
         }
@@ -428,17 +351,16 @@ fn percentile(xs: &mut [f64], p: f64) -> Option<f64> {
 }
 
 /// Runs `scenario` to completion (or the tick budget) against the driver
-/// wrapped in `ticker`, reporting per-phase and whole-run metrics.
+/// under `plane`, reporting per-phase and whole-run metrics.
 ///
-/// The ticker is polled at exactly its own cadence, one tick per
-/// simulated interval; timestamps in the report are relative to the
-/// runner's first tick.
+/// The plane steps once per simulated interval; timestamps in the report
+/// are relative to the runner's first tick.
 pub fn run_scenario<D: TickDriver>(
-    ticker: &mut TickLoop<D>,
+    plane: &mut FluidPlane<D>,
     scenario: &mut dyn Scenario,
     opts: &ScenarioOptions,
 ) -> ScenarioReport {
-    run_scenario_traced(ticker, scenario, opts, &mut |_, _| {})
+    run_scenario_traced(plane, scenario, opts, &mut |_, _| {})
 }
 
 /// [`run_scenario`], additionally handing every notification the runner
@@ -446,12 +368,12 @@ pub fn run_scenario<D: TickDriver>(
 /// lands before that tick runs. This is the hook the differential
 /// conformance harness records replay streams with.
 pub fn run_scenario_traced<D: TickDriver>(
-    ticker: &mut TickLoop<D>,
+    plane: &mut FluidPlane<D>,
     scenario: &mut dyn Scenario,
     opts: &ScenarioOptions,
     trace: &mut dyn FnMut(u64, &Message),
 ) -> ScenarioReport {
-    let mut state = RunnerState::new(ticker, opts);
+    let mut state = RunnerState::new(plane, opts);
     let mut pending = scenario.next_phase();
     let mut truncated = false;
     let mut ticks = 0u64;
@@ -468,7 +390,7 @@ pub fn run_scenario_traced<D: TickDriver>(
                 pending = Some(phase);
                 break;
             }
-            state.admit(ticker, tick, phase, trace);
+            state.admit(plane, tick, phase, trace);
             pending = scenario.next_phase();
         }
         if pending.is_none() && state.active.is_empty() {
@@ -480,16 +402,11 @@ pub fn run_scenario_traced<D: TickDriver>(
             ticks = tick;
             break;
         }
-        let owed = ticker.next_tick_ps();
-        let _updates = ticker
-            .poll(owed)
-            .expect("a tick is always owed at its own deadline");
-        state.drain_and_sample(ticker, tick);
-        state.finish_ended(ticker, tick, trace);
+        state.step(plane, tick, trace);
     }
     let name = scenario.name();
-    let engine = ticker.driver().engine_name();
-    let stats = ticker.driver().stats();
+    let engine = plane.driver().engine_name();
+    let stats = plane.driver().stats();
     state.into_report(name, engine, ticks, truncated, stats)
 }
 
@@ -501,9 +418,9 @@ mod tests {
     use flowtune_topo::{ClosConfig, TwoTierClos};
     use flowtune_workload::ScenarioKind;
 
-    fn ticker(fabric: &TwoTierClos) -> TickLoop<AllocatorService> {
+    fn ticker(fabric: &TwoTierClos) -> FluidPlane<AllocatorService> {
         let cfg = FlowtuneConfig::default();
-        TickLoop::new(AllocatorService::new(fabric, cfg), cfg.tick_interval_ps)
+        FluidPlane::new(AllocatorService::new(fabric, cfg), cfg.tick_interval_ps)
     }
 
     #[test]
@@ -608,15 +525,14 @@ mod tests {
             },
         );
         assert!(!report.truncated);
-        let mut twin = ticker(&fabric);
+        let mut twin = AllocatorService::new(&fabric, FlowtuneConfig::default());
         for round in &rounds {
             for msg in round {
-                twin.driver_mut().on_message(*msg).unwrap();
+                twin.on_message(*msg).unwrap();
             }
-            let owed = twin.next_tick_ps();
-            twin.poll(owed).unwrap();
+            twin.tick();
         }
-        assert_eq!(twin.driver().stats().starts, report.stats.starts);
-        assert_eq!(twin.driver().stats().ends, report.stats.ends);
+        assert_eq!(twin.stats().starts, report.stats.starts);
+        assert_eq!(twin.stats().ends, report.stats.ends);
     }
 }

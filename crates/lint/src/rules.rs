@@ -190,11 +190,15 @@ pub const HOT_MODULES: &[HotModule] = &[
     },
     HotModule {
         path: "crates/core/src/driver.rs",
-        hot_fns: &["tick_into", "try_tick_into", "poll"],
+        hot_fns: &["tick_into", "try_tick_into"],
+    },
+    HotModule {
+        path: "crates/core/src/fluid.rs",
+        hot_fns: &["tick", "drain"],
     },
     HotModule {
         path: "crates/core/src/scenario.rs",
-        hot_fns: &["drain_and_sample"],
+        hot_fns: &["step"],
     },
     HotModule {
         path: "crates/net/src/transport.rs",
@@ -277,8 +281,9 @@ pub const PANIC_SCOPES: &[PanicScope] = &[
 ];
 
 /// Pricing / exchange / export modules whose outputs the equivalence
-/// tests pin bit-for-bit — `HashMap`/`HashSet` iteration order must
-/// never reach them.
+/// tests pin bit-for-bit, and the fluid drivers whose retirement order
+/// decides the engines' slot reuse — `HashMap`/`HashSet` iteration order
+/// must never reach them.
 pub const FLOAT_DET_FILES: &[&str] = &[
     "crates/alloc/src/serial.rs",
     "crates/alloc/src/gradient.rs",
@@ -287,6 +292,9 @@ pub const FLOAT_DET_FILES: &[&str] = &[
     "crates/core/src/router.rs",
     "crates/core/src/sharded.rs",
     "crates/core/src/exchange.rs",
+    "crates/core/src/fluid.rs",
+    "crates/bench/src/fluid.rs",
+    "crates/bench/src/num_churn.rs",
     "crates/net/src/peer.rs",
     "crates/net/src/cluster.rs",
     "crates/proto/src/filter.rs",

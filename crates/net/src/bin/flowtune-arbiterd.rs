@@ -29,8 +29,11 @@ use std::io::{self, Write};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use flowtune::{AllocatorService, ExchangeConfig, FlowtuneConfig, Placement};
-use flowtune_net::{tcp_connect, uds_connect, ShardPeer, Transport};
+use flowtune::{
+    add_path_load, worst_oversubscription, AllocatorService, ExchangeConfig, FlowtuneConfig,
+    Placement,
+};
+use flowtune_net::{free_tcp_port_run, tcp_connect, uds_connect, ShardPeer, Transport};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 
@@ -395,28 +398,6 @@ fn unsharded_rates(ticks: u64) -> Vec<(u32, f64)> {
         .collect()
 }
 
-/// Probe a run of `n` free loopback ports and return the base.
-fn probe_tcp_base(n: u16) -> io::Result<u16> {
-    for _ in 0..16 {
-        let probe = std::net::TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-        let base = probe.local_addr()?.port();
-        drop(probe);
-        if base.checked_add(n).is_none() {
-            continue;
-        }
-        let holds: Vec<_> = (0..n)
-            .map(|i| std::net::TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, base + i)))
-            .collect();
-        if holds.iter().all(Result::is_ok) {
-            return Ok(base);
-        }
-    }
-    Err(io::Error::new(
-        io::ErrorKind::AddrInUse,
-        "no free loopback port run found",
-    ))
-}
-
 fn run_demo(opts: &Opts) -> Result<(), String> {
     let n = opts.demo.expect("demo mode needs --demo");
     assert!(n >= 1, "--demo needs at least one shard");
@@ -427,7 +408,7 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
         if opts.base_port != 0 {
             opts.base_port
         } else {
-            probe_tcp_base(n).map_err(|e| format!("port probe: {e}"))?
+            free_tcp_port_run(n).map_err(|e| format!("port probe: {e}"))?
         }
     } else {
         0
@@ -518,20 +499,11 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
     // no link may exceed its capacity.
     let mut loads = vec![0.0f64; fabric.topology().link_count()];
     for &(token, rate) in &distributed {
-        let src = SOURCES[(token - 1) as usize];
-        let spine = fabric.ecmp_spine(src as usize, RECEIVER as usize, FlowId(u64::from(token)));
-        let path = fabric.path_via_spine(src as usize, RECEIVER as usize, spine);
-        for link in path.iter() {
-            loads[link.index()] += rate;
-        }
+        let src = SOURCES[(token - 1) as usize] as usize;
+        let path = fabric.path(src, RECEIVER as usize, FlowId(u64::from(token)));
+        add_path_load(&mut loads, &path, rate);
     }
-    let over = fabric
-        .topology()
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(l, link)| (loads[l] / (link.capacity_bps as f64 / 1e9)) - 1.0)
-        .fold(0.0f64, f64::max);
+    let over = worst_oversubscription(&fabric, &loads);
     println!(
         "check worst_oversubscription={over:.2e} {}",
         if over <= 1e-6 { "ok" } else { "FAIL" }

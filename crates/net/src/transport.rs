@@ -766,6 +766,36 @@ pub fn tcp_mesh(base_port: u16, n: u16) -> io::Result<Vec<TcpTransport>> {
         .collect()
 }
 
+/// Probes for `n` consecutive free loopback TCP ports and returns the
+/// first — a base for [`tcp_mesh`] / [`tcp_connect`]. The kernel picks a
+/// candidate base (bind to port 0); the run holds if all `n` ports bind.
+/// The ports are released on return, so a racing process can still take
+/// one before the mesh binds them.
+///
+/// # Errors
+/// A bind to port 0 failed, or 16 candidates in a row had a taken port in
+/// their run (`AddrInUse`).
+pub fn free_tcp_port_run(n: u16) -> io::Result<u16> {
+    for _ in 0..16 {
+        let probe = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
+        let base = probe.local_addr()?.port();
+        drop(probe);
+        if base.checked_add(n).is_none() {
+            continue;
+        }
+        let holds: Vec<_> = (0..n)
+            .map(|i| TcpListener::bind((Ipv4Addr::LOCALHOST, base + i)))
+            .collect();
+        if holds.iter().all(Result::is_ok) {
+            return Ok(base);
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::AddrInUse,
+        "no free loopback port run found",
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,13 +918,11 @@ mod tests {
 
     #[test]
     fn tcp_mesh_roundtrips() {
-        // Find a free base port pair, racing rarely enough for a test:
-        // bind an ephemeral listener, reuse its port as the base.
+        // The probed pair is free until someone else binds it: racing
+        // rarely enough for a test, retried when it happens.
         let mut endpoints = None;
         for _ in 0..10 {
-            let probe = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-            let base = probe.local_addr().unwrap().port();
-            drop(probe);
+            let base = free_tcp_port_run(2).unwrap();
             if let Ok(m) = tcp_mesh(base, 2) {
                 endpoints = Some(m);
                 break;

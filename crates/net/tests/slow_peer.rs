@@ -60,20 +60,11 @@ fn flows() -> Vec<(u32, u16)> {
 fn worst_oversubscription(fabric: &TwoTierClos, rates: &[(u32, f64)]) -> f64 {
     let mut loads = vec![0.0f64; fabric.topology().link_count()];
     for &(token, rate) in rates {
-        let src = SOURCES[(token - 1) as usize];
-        let spine = fabric.ecmp_spine(src as usize, RECEIVER as usize, FlowId(u64::from(token)));
-        let path = fabric.path_via_spine(src as usize, RECEIVER as usize, spine);
-        for link in path.iter() {
-            loads[link.index()] += rate;
-        }
+        let src = SOURCES[(token - 1) as usize] as usize;
+        let path = fabric.path(src, RECEIVER as usize, FlowId(u64::from(token)));
+        flowtune::add_path_load(&mut loads, &path, rate);
     }
-    fabric
-        .topology()
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(l, link)| (loads[l] / (link.capacity_bps as f64 / 1e9)) - 1.0)
-        .fold(f64::MIN, f64::max)
+    flowtune::worst_oversubscription(fabric, &loads)
 }
 
 #[test]

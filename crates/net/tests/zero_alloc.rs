@@ -25,6 +25,11 @@
 //!   round's rate updates (sorted token index, no hash), takes a drain
 //!   for every flow, polls without ending any and takes the refills that
 //!   keep the flowlets alive, all without touching the heap;
+//! * the fluid data plane over a serial service (`FluidPlane::tick` +
+//!   `FluidPlane::drain`, the loop under the fig5–7 / 12 / 14 bins): with
+//!   the update and retirement buffers warm, a window of steps in which
+//!   flowlets run out and are ended — rate reads, the in-place compaction
+//!   of the flow table, the `FlowletEnd`s — touches the heap zero times;
 //! * a converged peer cluster over the mem transport — send path,
 //!   receiver threads, mailboxes, barrier, install, k-way merge —
 //!   recycles every frame buffer through the pools and ticks without
@@ -46,7 +51,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use flowtune::{
-    AllocatorService, EndpointAgent, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver,
+    AllocatorService, EndpointAgent, ExchangeCore, FlowtuneConfig, FluidPlane, ShardedService,
+    TickDriver,
 };
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
@@ -347,6 +353,58 @@ fn steady_state_endpoint_agent_allocates_nothing() {
         allocs, 0,
         "a warmed endpoint agent must not allocate between flowlet boundaries \
          ({allocs} allocations over {MEASURED_ROUNDS} rounds)"
+    );
+}
+
+#[test]
+fn warmed_fluid_plane_steps_allocate_nothing_while_flowlets_end() {
+    let _window = Window::lock();
+    let fabric = TwoTierClos::build(ClosConfig::paper_eval());
+    let cfg = FlowtuneConfig::default();
+    let mut plane = FluidPlane::new(AllocatorService::new(&fabric, cfg), cfg.tick_interval_ps);
+    // Disjoint pairs inside a rack (no shared uplink), so every flowlet
+    // runs at its 9.9 Gbit/s line share, 12 375 bytes a tick. A first
+    // generation of one-byte flowlets ends together on one step — sizing
+    // the retirement buffer and the service's free lists past anything
+    // the window sees — and a second runs out one or two a step from the
+    // tenth step on.
+    let pair = |i: u16| {
+        let src = i / 8 * 16 + i % 8;
+        (src, src + 8)
+    };
+    for i in 0..40 {
+        let (src, dst) = pair(i);
+        plane.start(src, dst, 1, 256, None);
+    }
+    plane.tick();
+    assert_eq!(plane.drain(|_, _| {}).len(), 40);
+    for i in 0..40 {
+        let (src, dst) = pair(i);
+        plane.start(src, dst, (10 + i as u64) * 12_000, 256, None);
+    }
+    let mut ended_in_window = 0;
+    for step in 0..MEASURED_ROUNDS {
+        if step == WARM_ROUNDS {
+            ALLOCS.store(0, Ordering::Relaxed);
+            ENABLED.store(true, Ordering::Relaxed);
+        }
+        plane.tick();
+        let ended = plane.drain(|_, _| {}).len();
+        if step >= WARM_ROUNDS {
+            ended_in_window += ended;
+        }
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+
+    assert_eq!(ended_in_window, 40, "every staggered flowlet ran out");
+    assert!(plane.flows().is_empty());
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs,
+        0,
+        "a warmed fluid plane must not allocate while flowlets end and none start \
+         ({allocs} allocations over {} steps)",
+        MEASURED_ROUNDS - WARM_ROUNDS
     );
 }
 

@@ -23,7 +23,7 @@
 #![allow(dead_code)] // each integration-test binary uses a subset
 
 use flowtune::{
-    run_scenario_traced, ScenarioOptions, ScenarioReport, ServiceStats, TickDriver, TickLoop,
+    run_scenario_traced, FluidPlane, ScenarioOptions, ScenarioReport, ServiceStats, TickDriver,
 };
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
@@ -123,15 +123,15 @@ impl Replay {
     }
 
     /// Records the notification stream of a scenario run driven against
-    /// the oracle inside `ticker`, returning the schedule and the
+    /// the oracle under `plane`, returning the schedule and the
     /// oracle's report.
     pub fn record<D: TickDriver>(
-        ticker: &mut TickLoop<D>,
+        plane: &mut FluidPlane<D>,
         scenario: &mut dyn Scenario,
         opts: &ScenarioOptions,
     ) -> (Replay, ScenarioReport) {
         let mut rounds: Vec<Vec<Message>> = Vec::new();
-        let report = run_scenario_traced(ticker, scenario, opts, &mut |tick, msg| {
+        let report = run_scenario_traced(plane, scenario, opts, &mut |tick, msg| {
             let t = tick as usize;
             if rounds.len() <= t {
                 rounds.resize_with(t + 1, Vec::new);

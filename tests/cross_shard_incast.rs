@@ -10,7 +10,10 @@
 //! the first so the failure mode stays visible, the second as the
 //! exchange's acceptance criterion.
 
-use flowtune::{AllocatorService, FlowtuneConfig, ShardedService, TickDriver};
+use flowtune::{
+    add_path_load, worst_oversubscription, AllocatorService, FlowtuneConfig, ShardedService,
+    TickDriver,
+};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -65,29 +68,11 @@ fn endpoint_link_loads(
     let mut loads = vec![0.0; fabric.topology().link_count()];
     for &(token, src) in flows {
         let rate = svc.flow_rate_gbps(token).unwrap();
-        let spine = fabric.ecmp_spine(
-            src as usize,
-            receiver as usize,
-            flowtune_topo::FlowId(token.get() as u64),
-        );
-        let path = fabric.path_via_spine(src as usize, receiver as usize, spine);
-        for link in path.iter() {
-            loads[link.index()] += rate;
-        }
+        let flow = flowtune_topo::FlowId(token.get() as u64);
+        let path = fabric.path(src as usize, receiver as usize, flow);
+        add_path_load(&mut loads, &path, rate);
     }
     loads
-}
-
-/// Worst over-subscription across links, as a fraction of capacity
-/// (0 = every link within capacity).
-fn worst_oversubscription(fabric: &TwoTierClos, loads: &[f64]) -> f64 {
-    fabric
-        .topology()
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(l, link)| (loads[l] / (link.capacity_bps as f64 / 1e9)) - 1.0)
-        .fold(0.0f64, f64::max)
 }
 
 const TICKS: usize = 400;

@@ -131,23 +131,11 @@ fn worst_oversubscription(
     let mut loads = vec![0.0; fabric.topology().link_count()];
     for (&token, &(src, dst)) in tokens.iter().zip(flows) {
         let rate = svc.flow_rate_gbps(token).unwrap();
-        let spine = fabric.ecmp_spine(
-            src as usize,
-            dst as usize,
-            flowtune_topo::FlowId(token.get() as u64),
-        );
-        let path = fabric.path_via_spine(src as usize, dst as usize, spine);
-        for link in path.iter() {
-            loads[link.index()] += rate;
-        }
+        let flow = flowtune_topo::FlowId(token.get() as u64);
+        let path = fabric.path(src as usize, dst as usize, flow);
+        flowtune::add_path_load(&mut loads, &path, rate);
     }
-    fabric
-        .topology()
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(l, link)| (loads[l] / (link.capacity_bps as f64 / 1e9)) - 1.0)
-        .fold(0.0f64, f64::max)
+    flowtune::worst_oversubscription(fabric, &loads)
 }
 
 fn exchange_cfg() -> FlowtuneConfig {

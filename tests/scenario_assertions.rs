@@ -20,7 +20,7 @@
 mod common;
 
 use common::fabric;
-use flowtune::{AllocatorService, FlowtuneConfig, ScenarioOptions, ScenarioReport, TickLoop};
+use flowtune::{AllocatorService, FlowtuneConfig, FluidPlane, ScenarioOptions, ScenarioReport};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 use flowtune_workload::{BurstyOnOff, Incast, PermutationShift, Scenario};
 
@@ -30,7 +30,7 @@ fn run_on(
     opts: &ScenarioOptions,
 ) -> ScenarioReport {
     let cfg = FlowtuneConfig::default();
-    let mut ticker = TickLoop::new(AllocatorService::new(fabric, cfg), cfg.tick_interval_ps);
+    let mut ticker = FluidPlane::new(AllocatorService::new(fabric, cfg), cfg.tick_interval_ps);
     flowtune::run_scenario(&mut ticker, scenario, opts)
 }
 

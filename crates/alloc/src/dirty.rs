@@ -152,6 +152,7 @@ impl DirtySet {
     /// Records a flow added to worker `w` traversing the given
     /// upward/downward offsets: bumps the touch counts, marks the worker
     /// rate-dirty, and marks the traversed links as intake-dirty.
+    // flowtune-lint: hot
     pub(crate) fn note_add(&mut self, w: usize, up: &[u32], down: &[u32]) {
         self.rate_dirty[w] = true;
         let b = self.blocks;
@@ -169,6 +170,7 @@ impl DirtySet {
     /// `FlowBlock::path` reports them — never the sentinel): decrements
     /// the touch counts, marks the worker rate-dirty, and marks the
     /// traversed links as intake-dirty.
+    // flowtune-lint: hot
     pub(crate) fn note_remove(&mut self, w: usize, up: &[u32], down: &[u32]) {
         self.rate_dirty[w] = true;
         let b = self.blocks;
@@ -183,6 +185,7 @@ impl DirtySet {
     }
 
     /// Dedup-marks one link as intake-dirty.
+    // flowtune-lint: hot
     fn mark_intake(&mut self, up: bool, block: u32, offset: u32) {
         let grid = if up {
             &mut self.intake_up
@@ -198,6 +201,7 @@ impl DirtySet {
 
     /// Clears the intake marks (called at the start of each iteration,
     /// after they have served their purpose of marking workers).
+    // flowtune-lint: hot
     pub(crate) fn drain_intake(&mut self) {
         for &(up, block, offset) in &self.intake_list {
             let grid = if up {

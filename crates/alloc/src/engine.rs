@@ -79,6 +79,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// Runs `n` iterations. Engines with per-call setup cost (waking a
     /// parked worker pool) override this with an amortized
     /// implementation.
+    // flowtune-lint: hot
     fn run_iterations(&mut self, n: usize) {
         for _ in 0..n {
             self.iterate();
@@ -123,6 +124,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// The default is for test doubles — no engine a service builder can
     /// build uses it: it keeps **no memory**, so every flow is lent on
     /// every drain, out of the allocating [`RateAllocator::rates`].
+    // flowtune-lint: hot
     fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         // A throwaway word per flow that says "never": the owned
         // listing's raw-rate field, which the drain has no use for.
@@ -172,6 +174,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// Engines that do not price fabric links (the Fastpass arbiter,
     /// which allocates endpoint-pair timeslots) leave `out` empty — the
     /// default — which callers must treat as "no link state to share".
+    // flowtune-lint: hot
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
     }
@@ -182,6 +185,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// engine's own flows — the other shards' contribution on shared
     /// links. An empty slice clears it. Engines that do not price fabric
     /// links ignore the call.
+    // flowtune-lint: hot
     fn set_background_loads(&mut self, loads: &[f64]) {
         let _ = loads;
     }
@@ -197,6 +201,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// count and leaves NED's stable γ range. Left empty (the default)
     /// by engines whose price update has no second-order term (Fastpass,
     /// gradient projection).
+    // flowtune-lint: hot
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         out.clear();
     }
@@ -208,6 +213,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// [`RateAllocator::link_loads_into`]). Engines that keep the two
     /// side by side override this with one pass over both; each vector
     /// must come out bit-identical to its single-vector export.
+    // flowtune-lint: hot
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         self.link_loads_into(loads);
         self.link_hessians_into(hessians);
@@ -217,6 +223,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// background loads (other shards'
     /// [`RateAllocator::link_hessians_into`] sum). An empty slice clears
     /// it. Engines without a second-order price term ignore the call.
+    // flowtune-lint: hot
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         let _ = hdiag;
     }
@@ -225,6 +232,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// first), global [`LinkId`](flowtune_topo::LinkId) indexing — the
     /// exchange's export half of dual consensus. Left empty (the
     /// default) by engines that do not price fabric links.
+    // flowtune-lint: hot
     fn link_prices_into(&self, out: &mut Vec<f64>) {
         out.clear();
     }
@@ -248,6 +256,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// demands sum to capacity would be stationary — shards must agree
     /// on the price itself, like §5's single authoritative LinkBlock
     /// owner.
+    // flowtune-lint: hot
     fn set_link_prices(&mut self, prices: &[f64]) {
         let _ = prices;
     }
@@ -271,6 +280,7 @@ const LEND_CHUNK: usize = 64;
 /// recorded as reported, and lent to `sink` a run each time the columns
 /// fill, so the sink's `dyn` call is paid once per `LEND_CHUNK` passers
 /// and nothing touches the heap.
+// flowtune-lint: hot
 pub fn lend_passers<'a>(
     threshold: f64,
     flows: impl Iterator<Item = (FlowId, f64, &'a mut f64)>,
@@ -313,6 +323,7 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::remove_flow(self, id)
     }
 
+    // flowtune-lint: hot
     fn iterate(&mut self) {
         crate::SerialAllocator::iterate(self);
     }
@@ -325,10 +336,12 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::flow_rate(self, id)
     }
 
+    // flowtune-lint: hot
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         crate::SerialAllocator::rates_into(self, out);
     }
 
+    // flowtune-lint: hot
     fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         crate::SerialAllocator::drain_changed_rates(self, threshold, sink);
     }
@@ -337,30 +350,37 @@ impl RateAllocator for crate::SerialAllocator {
         crate::SerialAllocator::dirty_counters(self)
     }
 
+    // flowtune-lint: hot
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         crate::SerialAllocator::link_loads_into(self, out);
     }
 
+    // flowtune-lint: hot
     fn set_background_loads(&mut self, loads: &[f64]) {
         crate::SerialAllocator::set_background_loads(self, loads);
     }
 
+    // flowtune-lint: hot
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         crate::SerialAllocator::link_hessians_into(self, out);
     }
 
+    // flowtune-lint: hot
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         crate::SerialAllocator::link_state_into(self, loads, hessians);
     }
 
+    // flowtune-lint: hot
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         crate::SerialAllocator::set_background_hessians(self, hdiag);
     }
 
+    // flowtune-lint: hot
     fn link_prices_into(&self, out: &mut Vec<f64>) {
         crate::SerialAllocator::link_prices_into(self, out);
     }
 
+    // flowtune-lint: hot
     fn set_link_prices(&mut self, prices: &[f64]) {
         crate::SerialAllocator::set_link_prices(self, prices);
     }
@@ -387,12 +407,14 @@ impl RateAllocator for crate::MulticoreAllocator {
         self.grid.remove_flow(id)
     }
 
+    // flowtune-lint: hot
     fn iterate(&mut self) {
         // One parallel round; the Duration the inherent method returns is
         // a benchmarking aid the service interface does not need.
         let _ = crate::MulticoreAllocator::run_iterations(self, 1);
     }
 
+    // flowtune-lint: hot
     fn run_iterations(&mut self, n: usize) {
         let _ = crate::MulticoreAllocator::run_iterations(self, n);
     }
@@ -405,10 +427,12 @@ impl RateAllocator for crate::MulticoreAllocator {
         self.grid.flow_rate(id)
     }
 
+    // flowtune-lint: hot
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.grid.rates_into(out);
     }
 
+    // flowtune-lint: hot
     fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         self.grid.drain_changed_rates(threshold, sink);
     }
@@ -417,30 +441,37 @@ impl RateAllocator for crate::MulticoreAllocator {
         self.grid.dirty_counters()
     }
 
+    // flowtune-lint: hot
     fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.grid.link_loads_into(out);
     }
 
+    // flowtune-lint: hot
     fn set_background_loads(&mut self, loads: &[f64]) {
         self.grid.set_background_loads(loads);
     }
 
+    // flowtune-lint: hot
     fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.grid.link_hessians_into(out);
     }
 
+    // flowtune-lint: hot
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         self.grid.link_state_into(loads, hessians);
     }
 
+    // flowtune-lint: hot
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         self.grid.set_background_hessians(hdiag);
     }
 
+    // flowtune-lint: hot
     fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.grid.link_prices_into(out);
     }
 
+    // flowtune-lint: hot
     fn set_link_prices(&mut self, prices: &[f64]) {
         self.grid.set_link_prices(prices);
     }

@@ -129,6 +129,7 @@ impl FlowBlock {
     /// Appends a flow (≤ 2 offsets each way, each a real link's or the
     /// sentinel's) at rate zero and never reported; `x_max` is its
     /// bottleneck line rate in Gbit/s.
+    // flowtune-lint: hot
     pub fn push(&mut self, id: FlowId, weight: f64, up: &[u32], down: &[u32], x_max: f64) {
         assert!(up.len() <= 2 && down.len() <= 2, "2-tier paths only");
         let pad = |offsets: &[u32]| {
@@ -154,6 +155,7 @@ impl FlowBlock {
     /// Removes the flow in `slot` by moving the last flow into it (every
     /// column alike), and returns the id of the flow that now occupies
     /// `slot`, if any.
+    // flowtune-lint: hot
     pub fn swap_remove(&mut self, slot: usize) -> Option<FlowId> {
         self.ids.swap_remove(slot);
         self.up.swap_remove(slot);
@@ -230,6 +232,7 @@ impl Accums {
     }
 
     /// Resets both arrays to zero.
+    // flowtune-lint: hot
     pub fn clear(&mut self) {
         self.up.fill([0.0; 2]);
         self.down.fill([0.0; 2]);
@@ -238,12 +241,14 @@ impl Accums {
 
 /// `a[l] += b[l]` on both halves of every pair — the unit of
 /// "communication" in the aggregation tree.
+// flowtune-lint: hot, float-kernel
 pub fn absorb(a: &mut [[f64; 2]], b: &[[f64; 2]]) {
     for (x, y) in a.iter_mut().zip(b) {
         add_pair(x, y);
     }
 }
 
+// flowtune-lint: hot, float-kernel
 #[inline]
 fn add_pair(link: &mut [f64; 2], pair: &[f64; 2]) {
     *link = [link[0] + pair[0], link[1] + pair[1]];
@@ -282,6 +287,7 @@ impl PriceView {
 /// Kernel 1 — Algorithm 1's rate update over one FlowBlock, writing
 /// `flows.rates` and accumulating link loads and the exact Hessian
 /// diagonal into the worker's private LinkBlock copies.
+// flowtune-lint: hot, float-kernel
 pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
     let n = flows.len();
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
@@ -345,6 +351,7 @@ fn check_padded<const N: usize>(sentinel: u32, lens: [usize; N]) {
 /// A path's price: its four links', summed in path order. (A sum seeded
 /// with 0.0 differs only when every price is -0.0, and the floor the
 /// caller applies is positive.)
+// flowtune-lint: hot, float-kernel
 #[inline(always)]
 fn path_sum(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
     up[slot(up.len(), u[0])]
@@ -354,6 +361,7 @@ fn path_sum(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
 }
 
 /// Adds a flow's `[x, dx]` to its four links' sums, in path order.
+// flowtune-lint: hot, float-kernel
 #[inline(always)]
 fn path_add(up: &mut [[f64; 2]], down: &mut [[f64; 2]], u: [u32; 2], d: [u32; 2], pair: [f64; 2]) {
     add_pair(&mut up[slot(up.len(), u[0])], &pair);
@@ -386,6 +394,7 @@ fn slot(len: usize, offset: u32) -> usize {
 /// count, which pushes the effective γ out of its stable range. `None`
 /// for either means no exogenous term, and takes exactly the
 /// pre-exchange arithmetic path (bit-for-bit).
+// flowtune-lint: hot, float-kernel
 pub fn price_update(
     acc: &[[f64; 2]],
     background: Option<&[f64]>,
@@ -416,6 +425,7 @@ pub fn price_update(
 /// the worst utilization ratio on its own path, into `flows.normalized`.
 /// A path with no loaded link divides by one instead, which is the
 /// identity (and `0 / d` is the zero a rate of zero normalizes to).
+// flowtune-lint: hot, float-kernel
 pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
     let n = flows.len();
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
@@ -446,6 +456,7 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
 
 /// The worst utilization ratio on a path, or `0.0` for one with no
 /// loaded link.
+// flowtune-lint: hot, float-kernel
 #[inline(always)]
 fn path_max(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
     0.0f64
@@ -468,6 +479,7 @@ pub const UNREPORTED: f64 = f64::NAN;
 /// this module pins it), written without a branch so [`report_pass`]
 /// packs it: every lane pays the one division, the zero and never cases
 /// are selected afterwards.
+// flowtune-lint: hot, float-kernel
 #[inline]
 pub(crate) fn must_report(threshold: f64, reported: f64, rate: f64) -> bool {
     debug_assert!(!rate.is_nan(), "the kernels keep rates finite");
@@ -487,6 +499,7 @@ pub(crate) fn must_report(threshold: f64, reported: f64, rate: f64) -> bool {
 /// stores every flow and advances by the flag, and one `sink` call. No
 /// jump depends on a flag (see the module docs for what that means and
 /// how it is checked).
+// flowtune-lint: hot, float-kernel
 pub fn report_pass(flows: &mut FlowBlock, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
     let n = flows.len();
     let (ids, normalized) = (&flows.ids[..n], &flows.normalized[..n]);

@@ -129,6 +129,7 @@ impl RateAllocator for GradientAllocator {
         self.index.len()
     }
 
+    // flowtune-lint: hot
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         out.extend(self.problem.iter_flows().map(|(slot, ..)| FlowRate {
@@ -138,6 +139,7 @@ impl RateAllocator for GradientAllocator {
         }));
     }
 
+    // flowtune-lint: hot
     fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         // Slots are sparse, so there is no column to run the kernel over.
         let slots = self.slot_ids.iter().zip(&self.normalized);

@@ -149,6 +149,7 @@ impl BlockLayout {
     /// Panics if any path link is a control link or lies outside the
     /// expected LinkBlocks (which would indicate a routing bug), or if
     /// the path has more than two links in either direction.
+    // flowtune-lint: hot
     pub fn split_path(
         &self,
         path: &flowtune_topo::Path,

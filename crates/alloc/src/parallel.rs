@@ -34,9 +34,8 @@
 //! the aggregation schedule and therefore the arithmetic are unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use flowtune_topo::TwoTierClos;
 
@@ -94,6 +93,7 @@ impl MulticoreAllocator {
     /// reports. The OS threads come from a persistent [`WorkerPool`] that
     /// parks between calls — the first call pays thread spawn, subsequent
     /// ticks pay one lock + wakeup.
+    // flowtune-lint: hot, float-kernel
     // Worker loops index `cells[w]` because `w` also names the grid cell
     // in the tree-role lookups; an iterator would obscure that.
     #[allow(clippy::needless_range_loop)]
@@ -160,7 +160,7 @@ impl MulticoreAllocator {
             for _ in 0..n {
                 // Phase 1: rate pass.
                 for w in lo..hi {
-                    let mut me = cells[w].lock();
+                    let mut me = lock(&cells[w]);
                     let me = &mut *me;
                     me.acc.clear();
                     rate_pass(&mut me.flows, &me.view, &mut me.acc);
@@ -172,12 +172,12 @@ impl MulticoreAllocator {
                     for w in lo..hi {
                         let (i, j) = (w / b, w % b);
                         if let Role::Recv { from } = up_aggregate(i, j, b, s) {
-                            buf.copy_from_slice(&cells[from].lock().acc.up[..lpl]);
-                            absorb(&mut cells[w].lock().acc.up[..lpl], &buf);
+                            buf.copy_from_slice(&lock(&cells[from]).acc.up[..lpl]);
+                            absorb(&mut lock(&cells[w]).acc.up[..lpl], &buf);
                         }
                         if let Role::Recv { from } = down_aggregate(i, j, b, s) {
-                            buf.copy_from_slice(&cells[from].lock().acc.down[..lpl]);
-                            absorb(&mut cells[w].lock().acc.down[..lpl], &buf);
+                            buf.copy_from_slice(&lock(&cells[from]).acc.down[..lpl]);
+                            absorb(&mut lock(&cells[w]).acc.down[..lpl], &buf);
                         }
                     }
                     barrier.wait();
@@ -187,7 +187,7 @@ impl MulticoreAllocator {
                 for w in lo..hi {
                     let (i, j) = (w / b, w % b);
                     if w == up_root(i, b) {
-                        let mut me = cells[w].lock();
+                        let mut me = lock(&cells[w]);
                         let me = &mut *me;
                         price_update(
                             &me.acc.up,
@@ -200,7 +200,7 @@ impl MulticoreAllocator {
                         );
                     }
                     if w == down_root(j, b) {
-                        let mut me = cells[w].lock();
+                        let mut me = lock(&cells[w]);
                         let me = &mut *me;
                         price_update(
                             &me.acc.down,
@@ -222,21 +222,21 @@ impl MulticoreAllocator {
                         let (i, j) = (w / b, w % b);
                         if let Role::Recv { from } = up_distribute(i, j, b, s) {
                             {
-                                let peer = cells[from].lock();
+                                let peer = lock(&cells[from]);
                                 prices.copy_from_slice(&peer.view.up_prices[..lpl]);
                                 ratios.copy_from_slice(&peer.view.up_ratio[..lpl]);
                             }
-                            let mut me = cells[w].lock();
+                            let mut me = lock(&cells[w]);
                             me.view.up_prices[..lpl].copy_from_slice(prices);
                             me.view.up_ratio[..lpl].copy_from_slice(ratios);
                         }
                         if let Role::Recv { from } = down_distribute(i, j, b, s) {
                             {
-                                let peer = cells[from].lock();
+                                let peer = lock(&cells[from]);
                                 prices.copy_from_slice(&peer.view.down_prices[..lpl]);
                                 ratios.copy_from_slice(&peer.view.down_ratio[..lpl]);
                             }
-                            let mut me = cells[w].lock();
+                            let mut me = lock(&cells[w]);
                             me.view.down_prices[..lpl].copy_from_slice(prices);
                             me.view.down_ratio[..lpl].copy_from_slice(ratios);
                         }
@@ -246,7 +246,7 @@ impl MulticoreAllocator {
 
                 // Phase 5: normalization.
                 for w in lo..hi {
-                    let mut me = cells[w].lock();
+                    let mut me = lock(&cells[w]);
                     let me = &mut *me;
                     if f_norm {
                         normalize_pass(&mut me.flows, &me.view);
@@ -257,12 +257,13 @@ impl MulticoreAllocator {
                 barrier.wait();
             }
             if t == 0 {
-                *elapsed.lock() = t0.elapsed();
+                *lock(&elapsed) = t0.elapsed();
             }
         });
 
+        let unpoison = |cell: Mutex<_>| cell.into_inner().unwrap_or_else(PoisonError::into_inner);
         // flowtune-lint: allow(hot-path-alloc, "O(blocks) unwrap per call, amortized over n iterations")
-        self.grid.workers = cells.into_iter().map(Mutex::into_inner).collect();
+        self.grid.workers = cells.into_iter().map(unpoison).collect();
         // The tree absorbs in place, so each root's accumulators now *are*
         // its LinkBlock's totals (the other workers' are partly absorbed
         // and must not be reduced again): keep them for the exports, as
@@ -273,15 +274,22 @@ impl MulticoreAllocator {
             totals.up[blk].copy_from_slice(&workers[up_root(blk, b)].acc.up[..lpl]);
             totals.down[blk].copy_from_slice(&workers[down_root(blk, b)].acc.down[..lpl]);
         }
-        let took = *elapsed.lock();
+        let took = *lock(&elapsed);
         took
     }
 
     /// Runs a single iteration (convenience wrapper; the persistent pool
     /// makes per-call overhead one park/unpark, not a thread spawn).
+    // flowtune-lint: hot
     pub fn iterate(&mut self) {
         self.run_iterations(1);
     }
+}
+
+/// Locks a worker cell. A poisoned lock is recovered, not re-raised: a
+/// worker panic the pool contains must not become a second panic here.
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Sense-reversing spin barrier: threads busy-wait (with periodic yields,

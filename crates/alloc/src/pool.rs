@@ -33,8 +33,7 @@ use std::thread::JoinHandle;
 /// Unlike [`WorkerPool::run`] — which re-raises worker panics on the
 /// caller — [`WorkerPool::fan_out`] turns them into this error so a
 /// control plane can report a failed shard (the call's remaining items
-/// still ran to completion) instead of aborting its tick. The original
-/// payload is preserved for callers that want to re-raise after all.
+/// still ran to completion) instead of aborting its tick.
 pub struct FanOutError {
     item: usize,
     payload: Box<dyn std::any::Any + Send>,
@@ -58,11 +57,6 @@ impl FanOutError {
         } else {
             "non-string panic payload"
         }
-    }
-
-    /// Re-raises the original panic on the current thread.
-    pub fn resume(self) -> ! {
-        std::panic::resume_unwind(self.payload)
     }
 }
 

@@ -197,6 +197,7 @@ impl SerialAllocator {
     /// # Panics
     /// Panics on duplicate ids, non-positive weights, or paths that
     /// violate block locality.
+    // flowtune-lint: hot
     pub fn add_flow(
         &mut self,
         id: FlowId,
@@ -238,6 +239,7 @@ impl SerialAllocator {
     }
 
     /// Deregisters a flow; returns whether it existed.
+    // flowtune-lint: hot
     pub fn remove_flow(&mut self, id: FlowId) -> bool {
         let Some((w, slot)) = self.index.remove(&id) else {
             return false;
@@ -264,6 +266,7 @@ impl SerialAllocator {
     /// (FlowBlock, slot) order, into a caller-provided buffer (cleared
     /// first; allocation-free once it is warm): materializes every flow,
     /// for readers off the tick path.
+    // flowtune-lint: hot
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         for worker in &self.workers {
@@ -278,6 +281,7 @@ impl SerialAllocator {
     /// reported (see [`crate::RateAllocator::drain_changed_rates`]). A
     /// worker that is skipped is bitwise as the last drain left it, and
     /// what did not pass then does not pass now.
+    // flowtune-lint: hot, float-kernel
     pub fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         for (w, worker) in self.workers.iter_mut().enumerate() {
             if let Some(ds) = &mut self.dirty {
@@ -325,6 +329,7 @@ impl SerialAllocator {
     /// the raw rates its rate pass summed onto each link. Background
     /// loads are *not* included (see
     /// [`crate::RateAllocator::link_loads_into`]).
+    // flowtune-lint: hot, float-kernel
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
@@ -335,6 +340,7 @@ impl SerialAllocator {
     /// every LinkBlock, from [`LinkTotals`] — the one scatter behind
     /// every link-state export. Links outside any LinkBlock (control
     /// links) are not visited.
+    // flowtune-lint: hot
     fn for_each_total(&self, mut put: impl FnMut(usize, [f64; 2])) {
         for blk in 0..self.layout.blocks() {
             let (up, down) = (&self.totals.up[blk], &self.totals.down[blk]);
@@ -348,6 +354,7 @@ impl SerialAllocator {
     /// Current per-link duals, global-link indexed, read from the
     /// authoritative (root) LinkBlock copies. Links outside any
     /// LinkBlock (control links) report 0.
+    // flowtune-lint: hot
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         let b = self.layout.blocks();
         out.clear();
@@ -377,6 +384,7 @@ impl SerialAllocator {
     /// this is bit for bit a rewrite of each worker's copy from `prices`
     /// (the tests' oracle), and the old root value is the comparison
     /// point for every worker at once.
+    // flowtune-lint: hot
     pub fn set_link_prices(&mut self, prices: &[f64]) {
         if prices.is_empty() {
             return;
@@ -469,6 +477,7 @@ impl SerialAllocator {
 
     /// Installs (or clears, for an empty slice) the exogenous per-link
     /// load, re-split into LinkBlock layout for the price update.
+    // flowtune-lint: hot
     pub fn set_background_loads(&mut self, loads: &[f64]) {
         Self::refill_bg(&self.layout, &mut self.bg, loads);
     }
@@ -477,6 +486,7 @@ impl SerialAllocator {
     /// global-link indexed: `Σ ∂x/∂p` over this engine's flows crossing
     /// each link — the values its rate pass accumulated beside the loads
     /// in `Accums`.
+    // flowtune-lint: hot, float-kernel
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
@@ -487,6 +497,7 @@ impl SerialAllocator {
     /// [`SerialAllocator::link_hessians_into`] in one scatter: the
     /// exchange wants both every round. All three copy the same
     /// `LinkTotals` entries, so they agree bit for bit.
+    // flowtune-lint: hot, float-kernel
     pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         loads.clear();
         loads.resize(self.layout.total_links(), 0.0);
@@ -500,6 +511,7 @@ impl SerialAllocator {
 
     /// Installs (or clears, for an empty slice) the exogenous per-link
     /// Hessian diagonal accompanying the background loads.
+    // flowtune-lint: hot
     pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
         Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
     }
@@ -510,6 +522,7 @@ impl SerialAllocator {
     /// installed a dirty set. Both engines call this on one thread; the
     /// multicore engine only takes its barrier pipeline when running the
     /// classic full sweep.
+    // flowtune-lint: hot
     pub fn iterate(&mut self) {
         if self.dirty.is_some() {
             self.iterate_incremental();
@@ -519,6 +532,7 @@ impl SerialAllocator {
     }
 
     /// Runs `n` iterations.
+    // flowtune-lint: hot
     pub fn run_iterations(&mut self, n: usize) {
         for _ in 0..n {
             self.iterate();
@@ -527,6 +541,7 @@ impl SerialAllocator {
 
     /// The classic full sweep: rate pass everywhere → aggregate → price
     /// update → distribute → F-NORM everywhere.
+    // flowtune-lint: hot
     fn iterate_full(&mut self) {
         self.rate_phase_full();
         self.aggregate_and_price();
@@ -556,6 +571,7 @@ impl SerialAllocator {
     /// by construction and the periodic full sweep re-marks every
     /// worker, letting the next price update apply it before float
     /// drift can compound.
+    // flowtune-lint: hot
     fn iterate_incremental(&mut self) {
         {
             let ds = self.dirty.as_mut().expect("incremental path");
@@ -576,6 +592,7 @@ impl SerialAllocator {
 
     /// Phase A (full): clear accumulators and re-run the rate pass in
     /// every worker.
+    // flowtune-lint: hot
     fn rate_phase_full(&mut self) {
         for worker in &mut self.workers {
             worker.acc.clear();
@@ -590,6 +607,7 @@ impl SerialAllocator {
     /// the lazy per-epoch one: it happens here, only for recomputed
     /// workers, instead of globally every iteration. Returns whether any
     /// worker recomputed, which gates the link-proportional phases.
+    // flowtune-lint: hot
     fn rate_phase_dirty(&mut self) -> bool {
         let Self { workers, dirty, .. } = self;
         let ds = dirty.as_mut().expect("incremental path");
@@ -614,6 +632,7 @@ impl SerialAllocator {
     /// totals trade places with the LinkBlock's [`LinkTotals`] buffer —
     /// no copy; the next reduction overwrites all of `partials[0]` — so
     /// the exports read exactly what the update was given.
+    // flowtune-lint: hot, float-kernel
     fn aggregate_and_price(&mut self) {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
@@ -661,6 +680,7 @@ impl SerialAllocator {
     /// exactly like the full sweep); a ratio move beyond eps norm-dirties
     /// traversing workers for *this* iteration's F-NORM, which reads the
     /// post-update ratios.
+    // flowtune-lint: hot
     fn diff_and_mark(&mut self) {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
@@ -734,6 +754,7 @@ impl SerialAllocator {
     /// valid as proxies for "what this worker would read". A consensus
     /// install, which moves prices only, passes `ratios: false` and gets
     /// the price copies alone.
+    // flowtune-lint: hot
     fn distribute(&mut self, ratios: bool) {
         let b = self.layout.blocks();
         let Self {
@@ -770,6 +791,7 @@ impl SerialAllocator {
     }
 
     /// Phase E (full): F-NORM (or a plain copy) in every worker.
+    // flowtune-lint: hot
     fn normalize_phase_full(&mut self) {
         if self.cfg.f_norm {
             for worker in &mut self.workers {
@@ -786,6 +808,7 @@ impl SerialAllocator {
     /// worker recomputed its rates this iteration, or a ratio on a
     /// traversed link moved. Every worker that runs is marked
     /// export-dirty for [`SerialAllocator::drain_changed_rates`].
+    // flowtune-lint: hot
     fn normalize_phase_dirty(&mut self) {
         let f_norm = self.cfg.f_norm;
         let Self { workers, dirty, .. } = self;

@@ -73,6 +73,7 @@ pub trait TickDriver: std::fmt::Debug + Send {
     /// # Errors
     /// [`ServiceError::ShardPanicked`] from drivers with per-shard panic
     /// isolation.
+    // flowtune-lint: hot
     fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
         self.tick_into(out);
         Ok(())
@@ -139,10 +140,12 @@ impl TickDriver for BoxTickDriver {
         (**self).on_message(msg)
     }
 
+    // flowtune-lint: hot
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         (**self).tick_into(out);
     }
 
+    // flowtune-lint: hot
     fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
         (**self).try_tick_into(out)
     }
@@ -181,6 +184,7 @@ impl TickDriver for AllocatorService {
         AllocatorService::on_message(self, msg)
     }
 
+    // flowtune-lint: hot
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         AllocatorService::tick_into(self, out);
     }

@@ -181,6 +181,7 @@ impl EndpointAgent {
     }
 
     /// The send queue of `flow` drained at `now`.
+    // flowtune-lint: hot
     pub fn on_drained(&mut self, flow: u64, now_ps: u64) {
         let Some(&slot) = self.by_flow.get(&flow) else {
             return;
@@ -197,6 +198,7 @@ impl EndpointAgent {
     /// stayed empty past the idle threshold, in the order they drained.
     /// Ended flows keep their last rate as the §2 "starting point" for a
     /// future flowlet or a TCP fallback.
+    // flowtune-lint: hot
     pub fn poll(&mut self, now_ps: u64) -> Vec<Message> {
         // flowtune-lint: allow(hot-path-alloc, "the ends are returned by value; an empty Vec owns no heap, so a poll that ends nothing allocates nothing (crates/net/tests/zero_alloc.rs)")
         let mut out = Vec::new();
@@ -235,6 +237,7 @@ impl EndpointAgent {
     /// Handles a rate update from the allocator; returns the flow it
     /// applied to and the new pacing rate (Gbit/s). A token that is not
     /// live here — ended, another server's, forged — returns `None`.
+    // flowtune-lint: hot
     pub fn on_rate_update(&mut self, msg: &Message) -> Option<(u64, f64)> {
         let Message::RateUpdate { token, rate } = msg else {
             return None;

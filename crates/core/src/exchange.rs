@@ -133,6 +133,7 @@ impl LinkExport {
     /// last iteration (see
     /// [`flowtune_alloc::RateAllocator::link_state_into`]), so call this
     /// right after the tick, as both shard sets do.
+    // flowtune-lint: hot
     pub fn refresh(&mut self, svc: &AllocatorService) {
         svc.link_state_into(&mut self.loads, &mut self.hessians);
         svc.link_prices_into(&mut self.prices);
@@ -149,6 +150,7 @@ struct Row {
 }
 
 impl Row {
+    // flowtune-lint: hot
     fn nonzero_at(&self, l: usize) -> bool {
         self.loads.get(l).is_some_and(|&v| v != 0.0)
             || self.prices.get(l).is_some_and(|&v| v != 0.0)
@@ -198,6 +200,7 @@ impl LinkTables {
     }
 
     /// Forget the previous round's dirty marks; the rows stay.
+    // flowtune-lint: hot
     pub(crate) fn start_round(&mut self) {
         self.round_links = 0;
         self.any_h = false;
@@ -216,6 +219,7 @@ impl LinkTables {
     /// the per-link state counts, from every row in shard order. Returns
     /// `false` when no shard exported any links this round (the round
     /// does not count and nothing is installed).
+    // flowtune-lint: hot, untrusted-input
     pub(crate) fn agree(&mut self) -> bool {
         let n_links = self.round_links;
         if n_links == 0 {
@@ -258,6 +262,7 @@ impl LinkTables {
     /// shard's shipped `column` at `l` — on the links `subscribed` marks,
     /// zero elsewhere (no knowledge there, and the local dual just decays
     /// as if idle).
+    // flowtune-lint: hot, untrusted-input
     fn sum_others(
         &self,
         me: usize,
@@ -293,6 +298,7 @@ impl LinkTables {
 /// (`Σ load·price` and `Σ load` over positive loads, and one more holder
 /// wherever any of the row's three values is non-zero), with the row's
 /// Hessians passed apart so a Hessian-less row can read as all zeros.
+// flowtune-lint: hot, untrusted-input
 fn accumulate<'a>(
     (nums, weights, holders): (&mut [f64], &mut [f64], &mut [u32]),
     row: &'a Row,
@@ -373,6 +379,7 @@ impl ShardFilter {
     ///
     /// # Panics
     /// Panics if this filter's shard has no row in `tables`.
+    // flowtune-lint: hot
     pub(crate) fn export(
         &mut self,
         tables: &mut LinkTables,
@@ -470,6 +477,7 @@ impl ShardFilter {
     /// and install them into `svc`. Returns the round's logical exchange
     /// bytes for this shard (own entries out plus subscribed entries in
     /// — the hub-model accounting).
+    // flowtune-lint: hot, untrusted-input
     pub(crate) fn install(&mut self, tables: &LinkTables, svc: &mut AllocatorService) -> u64 {
         let me = self.shard as usize;
         tables.sum_others(me, |row| &row.loads, &self.fresh_sub, &mut self.scratch);
@@ -574,20 +582,11 @@ impl ExchangeCore {
         }
     }
 
-    /// This core's shard id.
-    pub fn shard(&self) -> u16 {
-        self.filter.shard
-    }
-
-    /// Number of shards in the cluster.
-    pub fn shard_count(&self) -> usize {
-        self.tables.rows.len()
-    }
-
     /// Request that the next round's frame carry catch-up records for
     /// every non-zero entry that the delta filter would otherwise skip —
     /// re-seeding peers whose rows may predate this shard's state (after
     /// a placement epoch, or when a restarted peer rejoins).
+    // flowtune-lint: hot
     pub fn request_resync(&mut self) {
         self.filter.resync_pending = true;
     }
@@ -597,6 +596,7 @@ impl ExchangeCore {
     /// empty; all empty when the engine prices no links) against the
     /// last-shipped row and append this shard's state frame to `out`.
     /// Returns the frame's length in bytes.
+    // flowtune-lint: hot
     pub fn begin_round(
         &mut self,
         round: u64,
@@ -636,6 +636,7 @@ impl ExchangeCore {
     /// different length than the rows already held (checked before
     /// anything is resized). After a record-level error the row keeps
     /// whatever the frame carried up to it (a re-ship heals it).
+    // flowtune-lint: hot, untrusted-input
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<(), ApplyError> {
         let (header, records) = RecordIter::new(frame)?;
         if header.kind != FrameKind::State {
@@ -744,6 +745,7 @@ impl ExchangeCore {
     /// entries out plus subscribed entries in — the hub-model
     /// accounting), or `None` when no shard exported any links this
     /// round (the round does not count).
+    // flowtune-lint: hot, untrusted-input
     pub fn install(&mut self, svc: &mut AllocatorService) -> Option<u64> {
         if !self.tables.agree() {
             return None;

@@ -114,6 +114,7 @@ impl<K: Copy + Ord> FluidFlows<K> {
     /// `rate_of(key)` Gbit/s and retires the ones that ran out, lending
     /// them out in ascending key order (valid until the next drain or
     /// cut). Allocates nothing once the buffers are warm.
+    // flowtune-lint: hot
     pub fn drain(&mut self, interval_ps: u64, mut rate_of: impl FnMut(K) -> f64) -> &[Ended<K>] {
         // Gbit/s → bytes per tick: 1e9 bits/s · (interval/1e12) s / 8.
         let bytes_per_gbit_tick = interval_ps as f64 / 8_000.0;
@@ -256,6 +257,7 @@ impl<D: TickDriver> FluidPlane<D> {
     /// [`FluidPlane::drain`] the driver holds exactly the flowlets the
     /// tick allocated for — the moment to read its link state, which
     /// some engines re-sum from their current flows.
+    // flowtune-lint: hot
     pub fn tick(&mut self) -> &[(u16, Message)] {
         self.driver.tick_into(&mut self.updates);
         &self.updates
@@ -267,6 +269,7 @@ impl<D: TickDriver> FluidPlane<D> {
     /// are retired — their `FlowletEnd`s fed in ascending token order,
     /// landing before the next tick. Lends out the retired flowlets,
     /// valid until the next drain or cut.
+    // flowtune-lint: hot
     pub fn drain(&mut self, mut observe: impl FnMut(Token, f64)) -> &[Ended<Token>] {
         let driver = &self.driver;
         let ended = self.flows.drain(self.interval_ps, |token| {

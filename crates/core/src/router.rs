@@ -225,6 +225,7 @@ impl<S: ShardSet> Router<S> {
     /// # Errors
     /// [`ShardSet::tick`]'s error; `out` is left empty — a merged stream
     /// would be missing the failed shard's updates.
+    // flowtune-lint: hot
     pub fn tick_shards(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), S::Error> {
         out.clear();
         self.shards.tick(&mut self.streams)?;
@@ -336,6 +337,7 @@ impl<S: ShardSet> TickDriver for Router<S> {
     /// Propagates a failed tick as a panic on the caller; use
     /// [`TickDriver::try_tick_into`] or [`Router::tick_shards`] to get an
     /// error instead.
+    // flowtune-lint: hot
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         if let Err(e) = self.try_tick_into(out) {
             panic!("{e}");
@@ -345,6 +347,7 @@ impl<S: ShardSet> TickDriver for Router<S> {
     /// # Panics
     /// Panics on a failure the shard set does not contain
     /// ([`ShardSet::contained`]).
+    // flowtune-lint: hot
     fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
         self.tick_shards(out).map_err(|e| match S::contained(&e) {
             Some(contained) => contained,
@@ -432,6 +435,7 @@ fn update_token(msg: &Message) -> Token {
 /// Once `out` has grown to a tick's update volume the merge allocates
 /// nothing, which is what lets [`Router::tick_shards`] run alloc-free
 /// whether or not the tick emits updates.
+// flowtune-lint: hot
 pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
     out.clear();
     let total: usize = streams.iter().map(Vec::len).sum();

@@ -262,6 +262,7 @@ impl RunnerState {
     /// the normalized rates as the flows drain at them — and the flows
     /// the plane retired are booked; their `FlowletEnd`s land before tick
     /// `tick + 1` runs, hence the trace stamp.
+    // flowtune-lint: hot
     fn step<D: TickDriver>(
         &mut self,
         plane: &mut FluidPlane<D>,

@@ -118,11 +118,9 @@ pub struct ServiceStats {
     /// unsharded service and for sharded services with the exchange
     /// disabled ([`crate::FlowtuneConfig::exchange_every`] = 0).
     pub exchange_rounds: u64,
-    /// Bytes of link state shipped between shards by those rounds. Each
-    /// round, every exporting shard sends its load, Hessian-diagonal
-    /// (second-order engines only) and dual (price) vectors and receives
-    /// the background and consensus counterparts — up to six vectors of
-    /// 8 bytes per link.
+    /// Bytes of link state shipped between shards by those rounds: a
+    /// 4-byte link id plus 8 bytes per vector for each entry the delta
+    /// filter ships or a subscribed shard imports ([`crate::sharded`]).
     pub exchange_bytes: u64,
     /// Exchange frames that failed to decode or apply (truncated or
     /// corrupt bytes off a transport, version mismatches, out-of-range
@@ -598,6 +596,7 @@ impl AllocatorService {
     /// if a `RateUpdate` is delivered to the allocator. Either way the
     /// message is dropped, [`ServiceStats::rejected`] is bumped, and the
     /// service remains consistent — rejecting is not fatal.
+    // flowtune-lint: hot
     pub fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
         self.stats.bytes_in += msg.encoded_len() as u64;
         match msg {
@@ -640,6 +639,7 @@ impl AllocatorService {
     /// `(source server, update)` pairs of every flow whose normalized
     /// rate moved beyond the threshold, in ascending token order. With a
     /// warm `out` a tick that sends nothing touches the heap zero times.
+    // flowtune-lint: hot
     pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         let t0 = Instant::now();
         self.engine.iterate();
@@ -671,6 +671,7 @@ impl AllocatorService {
     /// so filtering before ordering yields exactly the stream of a
     /// token-ordered walk. Every live flow that was not lent counts as
     /// suppressed.
+    // flowtune-lint: hot, float-kernel
     fn export_into(&mut self, out: &mut Vec<(u16, Message)>) {
         let (slab, pass_buf) = (&self.slab, &mut self.pass_buf);
         pass_buf.clear();
@@ -728,6 +729,7 @@ impl AllocatorService {
     /// The single de-registration path `FlowletEnd` and migration share:
     /// drops the flow from the index and the engine and puts its slot on
     /// the free list. Returns the vacated registration.
+    // flowtune-lint: hot
     fn release(&mut self, token: Token) -> Option<FlowMigration> {
         let slot = self.index.remove(&token)?;
         self.engine.remove_flow(FlowId(slot as u64));
@@ -747,6 +749,7 @@ impl AllocatorService {
     /// [`ServiceError::DuplicateToken`] if the token is live,
     /// [`ServiceError::MalformedStart`] if the fabric has no such
     /// endpoints or spine; nothing is changed either way.
+    // flowtune-lint: hot
     fn register(&mut self, reg: FlowMigration) -> Result<(), ServiceError> {
         let Entry::Vacant(vacant) = self.index.entry(reg.token) else {
             return Err(ServiceError::DuplicateToken(reg.token));
@@ -812,6 +815,7 @@ impl AllocatorService {
     /// (see [`RateAllocator::link_loads_into`]) — the allocation-free
     /// export the sharded exchange calls every round. Left empty by
     /// engines that do not price fabric links.
+    // flowtune-lint: hot
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.engine.link_loads_into(out);
     }
@@ -819,6 +823,7 @@ impl AllocatorService {
     /// Installs an exogenous per-link load the engine prices alongside
     /// its own flows (see [`RateAllocator::set_background_loads`]) — the
     /// import half of the sharded control plane's link-state exchange.
+    // flowtune-lint: hot
     pub fn set_background_loads(&mut self, loads: &[f64]) {
         self.engine.set_background_loads(loads);
     }
@@ -827,6 +832,7 @@ impl AllocatorService {
     /// caller-provided buffer (see
     /// [`RateAllocator::link_hessians_into`]). Left empty by engines
     /// without a second-order price term.
+    // flowtune-lint: hot
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         self.engine.link_hessians_into(out);
     }
@@ -836,12 +842,14 @@ impl AllocatorService {
     /// [`RateAllocator::link_state_into`]) — the exchange's per-round
     /// export: the engine's own link state as of its last iteration, so
     /// read it after [`AllocatorService::tick_into`].
+    // flowtune-lint: hot
     pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         self.engine.link_state_into(loads, hessians);
     }
 
     /// Installs the exogenous per-link Hessian diagonal accompanying the
     /// background loads (see [`RateAllocator::set_background_hessians`]).
+    // flowtune-lint: hot
     pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
         self.engine.set_background_hessians(hdiag);
     }
@@ -849,6 +857,7 @@ impl AllocatorService {
     /// Every flow's current allocation into a caller-provided buffer
     /// (cleared first) — the allocation-free steady-state export (see
     /// [`RateAllocator::rates_into`]).
+    // flowtune-lint: hot
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.engine.rates_into(out);
     }
@@ -856,6 +865,7 @@ impl AllocatorService {
     /// The engine's current per-link duals into a caller-provided
     /// buffer (see [`RateAllocator::link_prices_into`]). Left empty by
     /// engines that do not price fabric links.
+    // flowtune-lint: hot
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.engine.link_prices_into(out);
     }
@@ -863,6 +873,7 @@ impl AllocatorService {
     /// Overwrites the engine's per-link duals with consensus values;
     /// `NaN` entries keep the current price (see
     /// [`RateAllocator::set_link_prices`]).
+    // flowtune-lint: hot
     pub fn set_link_prices(&mut self, prices: &[f64]) {
         self.engine.set_link_prices(prices);
     }
@@ -889,6 +900,7 @@ const RADIX_CUTOFF: usize = 128;
 /// are total, and their cost does not depend on the input): all three
 /// histograms from one read of the keys, `keys` → `scratch` → `keys`,
 /// and the last pass scatters the decoded updates straight into `out`.
+// flowtune-lint: hot
 fn emit_ordered(keys: &mut [u64], scratch: &mut Vec<u64>, out: &mut Vec<(u16, Message)>) {
     let update = |key: u64| {
         let token = Token::new((key >> 32) as u32);

@@ -393,6 +393,7 @@ impl ShardSet for InProcess {
     /// # Errors
     /// [`ServiceError::ShardPanicked`] naming the lowest-indexed shard
     /// whose tick panicked.
+    // flowtune-lint: hot
     fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), ServiceError> {
         self.ticks += 1;
         let exchange = self.exchange.due(self.ticks, self.slots.len());
@@ -487,6 +488,7 @@ impl InProcess {
     /// exactly the entries the filters write here (see
     /// [`crate::exchange`]). Engines with no second-order term (gradient
     /// projection) skip the Hessian part only.
+    // flowtune-lint: hot
     fn exchange_link_state(&mut self) {
         self.tables.start_round();
         for slot in &mut self.slots {
@@ -519,6 +521,7 @@ impl InProcess {
 /// state into the slot's reusable buffers. Runs with no shared state —
 /// concurrently on pool slots or sequentially on the caller, with
 /// identical results.
+// flowtune-lint: hot
 fn tick_shard(slot: &mut ShardSlot, export: bool) {
     slot.svc.tick_into(&mut slot.updates);
     if export {

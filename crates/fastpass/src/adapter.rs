@@ -91,12 +91,6 @@ impl FastpassAdapter {
         }
     }
 
-    /// Overrides the number of timeslots one `iterate()` advances.
-    pub fn with_slots_per_iteration(mut self, slots: usize) -> Self {
-        self.slots_per_iteration = slots.max(1);
-        self
-    }
-
     /// Sizes one `iterate()` to `iteration_ps` of fabric time (MTU slots
     /// at the access line rate). Services that run several engine
     /// iterations per tick use this so the arbiter still advances one
@@ -208,6 +202,7 @@ impl RateAllocator for FastpassAdapter {
         self.flows.len()
     }
 
+    // flowtune-lint: hot
     fn rates_into(&self, out: &mut Vec<FlowRate>) {
         out.clear();
         out.extend(self.flows.iter().map(|(&id, f)| {
@@ -220,6 +215,7 @@ impl RateAllocator for FastpassAdapter {
         }));
     }
 
+    // flowtune-lint: hot
     fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         let (line_rate, pairs) = (self.line_rate_gbps, &self.pairs);
         let flows = self.flows.iter_mut().map(|(&id, f)| {

@@ -1,8 +1,9 @@
-//! Structural facts the rules share: function body spans and
-//! `#[cfg(test)]` / `#[test]` regions, recovered from the token stream
-//! by brace matching (no full parse needed).
+//! Structural facts the rules share: function body spans, the scopes
+//! their markers put them in, and `#[cfg(test)]` / `#[test]` regions,
+//! recovered from the token stream by brace matching (no full parse
+//! needed).
 
-use crate::lexer::{Lexed, Tok};
+use crate::lexer::{Lexed, Tok, TokKind};
 
 /// One function body located in the token stream.
 #[derive(Debug, Clone)]
@@ -16,6 +17,17 @@ pub struct FnSpan {
     pub body_end: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
+    /// Token index of the `fn` keyword.
+    pub keyword: usize,
+    /// Scopes named by the markers attached to this function.
+    pub scopes: Vec<String>,
+}
+
+impl FnSpan {
+    /// Does a marker put this function in `scope`?
+    pub fn marked(&self, scope: &str) -> bool {
+        self.scopes.iter().any(|s| s == scope)
+    }
 }
 
 /// Line ranges (inclusive) covered by test-only code.
@@ -36,6 +48,8 @@ pub struct Analysis {
     pub fns: Vec<FnSpan>,
     /// Test-only line ranges.
     pub tests: TestRegions,
+    /// Lines of the markers attached to no function body.
+    pub dangling: Vec<u32>,
 }
 
 /// The innermost function containing token index `i`, if any.
@@ -45,7 +59,10 @@ pub fn enclosing_fn(fns: &[FnSpan], i: usize) -> Option<&FnSpan> {
         .max_by_key(|f| f.body_start)
 }
 
-/// Walk the token stream recovering function spans and test regions.
+/// Walk the token stream recovering function spans and test regions,
+/// then attach each outer marker to the next `fn` item, provided no `{`
+/// or `;` comes first; one that reaches either, or whose `fn` has no
+/// body, is [`Analysis::dangling`].
 pub fn analyze(lexed: &Lexed) -> Analysis {
     let toks = &lexed.tokens;
     let mut fns: Vec<FnSpan> = Vec::new();
@@ -57,6 +74,7 @@ pub fn analyze(lexed: &Lexed) -> Analysis {
     // declarations, `mod foo;`).
     struct Pending {
         name: String,
+        keyword: usize,
         line: u32,
         is_fn: bool,
         is_test: bool,
@@ -81,9 +99,10 @@ pub fn analyze(lexed: &Lexed) -> Analysis {
         match t {
             _ if t.is_ident("fn") => {
                 if let Some(name_tok) = toks.get(i + 1) {
-                    if name_tok.kind == crate::lexer::TokKind::Ident {
+                    if name_tok.kind == TokKind::Ident {
                         pending = Some(Pending {
                             name: name_tok.text.clone(),
+                            keyword: i,
                             line: t.line,
                             is_fn: true,
                             is_test: test_attr,
@@ -106,9 +125,10 @@ pub fn analyze(lexed: &Lexed) -> Analysis {
                 pending = Some(Pending {
                     name: toks
                         .get(i + 1)
-                        .filter(|n| n.kind == crate::lexer::TokKind::Ident)
+                        .filter(|n| n.kind == TokKind::Ident)
                         .map(|n| n.text.clone())
                         .unwrap_or_default(),
+                    keyword: i,
                     line: t.line,
                     is_fn: false,
                     is_test: test_attr,
@@ -134,6 +154,8 @@ pub fn analyze(lexed: &Lexed) -> Analysis {
                                 body_start: i,
                                 body_end: toks.len(),
                                 line: p.line,
+                                keyword: p.keyword,
+                                scopes: Vec::new(),
                             });
                             Some(fns.len() - 1)
                         } else {
@@ -165,9 +187,20 @@ pub fn analyze(lexed: &Lexed) -> Analysis {
         i += 1;
     }
 
+    let mut dangling = Vec::new();
+    for m in lexed.markers.iter().filter(|m| !m.inner) {
+        let stop = (m.tok..toks.len()).find(|&k| {
+            toks[k].is_punct('{') || toks[k].is_punct(';') || fns.iter().any(|f| f.keyword == k)
+        });
+        match stop.and_then(|k| fns.iter_mut().find(|f| f.keyword == k)) {
+            Some(f) => f.scopes.extend_from_slice(&m.scopes),
+            None => dangling.push(m.line),
+        }
+    }
     Analysis {
         fns,
         tests: TestRegions(tests),
+        dangling,
     }
 }
 

@@ -4,7 +4,9 @@
 //! literals and char literals have been stripped — so a `format!` inside
 //! a doc comment or an `unwrap` inside an error-message string never
 //! fires a rule. Comments are not discarded blindly: each one is scanned
-//! for a `flowtune-lint:` suppression directive first.
+//! for a `flowtune-lint:` directive first — a suppression
+//! (`allow(rule, "why")`) or a scope marker (`hot`, `untrusted-input`,
+//! `float-kernel`, comma-separated).
 //!
 //! The tricky corners this lexer gets right (and the test suite pins):
 //!
@@ -69,13 +71,38 @@ pub struct Directive {
     pub reason: Option<String>,
 }
 
+/// A `// flowtune-lint: <scope>[, <scope>]` marker found in a comment.
+#[derive(Debug, Clone)]
+pub struct Marker {
+    /// 1-based line the comment sits on.
+    pub line: u32,
+    /// Index of the first token after the comment; the analysis attaches
+    /// the marker to the next `fn` from there.
+    pub tok: usize,
+    /// An inner `//!` marker: it scopes its whole file (its whole package
+    /// when the file is the package's `src/lib.rs`), not one function.
+    pub inner: bool,
+    /// The scope names, unvalidated.
+    pub scopes: Vec<String>,
+}
+
 /// Result of lexing one file.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// The token stream, comments and literal contents stripped.
     pub tokens: Vec<Tok>,
-    /// Every `flowtune-lint:` directive found in a comment.
+    /// Every `flowtune-lint: allow(..)` suppression found in a comment.
     pub directives: Vec<Directive>,
+    /// Every other `flowtune-lint:` comment: a scope marker.
+    pub markers: Vec<Marker>,
+}
+
+impl Lexed {
+    /// The scopes this file's inner `//!` markers name.
+    pub fn inner_scopes(&self) -> impl Iterator<Item = &String> {
+        let inner = self.markers.iter().filter(|m| m.inner);
+        inner.flat_map(|m| &m.scopes)
+    }
 }
 
 /// Marker kept in place of string/char literal contents.
@@ -190,14 +217,29 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Parse `flowtune-lint: allow(rule, "reason")` out of a comment body.
-fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
-    let at = comment.find("flowtune-lint:")?;
-    let rest = comment[at + "flowtune-lint:".len()..].trim_start();
-    let rest = rest.strip_prefix("allow")?.trim_start();
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.rfind(')')?;
-    let inner = &rest[..close];
+/// Parse a `flowtune-lint:` comment: `allow(rule, "reason")` into
+/// `out.directives` (and return true), any other text into `out.markers`.
+fn parse_directive(comment: &str, line: u32, out: &mut Lexed) -> bool {
+    let Some(at) = comment.find("flowtune-lint:") else {
+        return false;
+    };
+    let rest = comment[at + "flowtune-lint:".len()..].trim();
+    let Some(rest) = rest.strip_prefix("allow") else {
+        out.markers.push(Marker {
+            line,
+            tok: out.tokens.len(),
+            inner: comment.starts_with("//!"),
+            scopes: rest.split(',').map(|s| s.trim().to_owned()).collect(),
+        });
+        return false;
+    };
+    let Some((inner, _)) = rest
+        .trim_start()
+        .strip_prefix('(')
+        .and_then(|r| r.rsplit_once(')'))
+    else {
+        return false;
+    };
     let (rule, reason) = match inner.find(',') {
         Some(comma) => {
             let why = inner[comma + 1..].trim();
@@ -209,15 +251,16 @@ fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
         }
         None => (inner.trim(), None),
     };
-    Some(Directive {
+    out.directives.push(Directive {
         line,
         applies_to: line, // fixed up by `lex` once token lines are known
         rule: rule.to_owned(),
         reason: reason.filter(|r| !r.trim().is_empty()),
-    })
+    });
+    true
 }
 
-/// Lex `src` into tokens + directives. Never fails: unterminated
+/// Lex `src` into tokens, suppressions and markers. Never fails: unterminated
 /// constructs consume to end of input.
 pub fn lex(src: &str) -> Lexed {
     let mut cur = Cursor {
@@ -241,10 +284,8 @@ pub fn lex(src: &str) -> Lexed {
                 while cur.peek().is_some_and(|c| c != b'\n') {
                     cur.bump();
                 }
-                let text = &src[start..cur.pos];
-                if let Some(d) = parse_directive(text, line) {
+                if parse_directive(&src[start..cur.pos], line, &mut out) {
                     own_line.push(out.tokens.last().is_none_or(|t| t.line != line));
-                    out.directives.push(d);
                 }
             }
             b'/' if cur.peek_at(1) == Some(b'*') => {
@@ -270,10 +311,8 @@ pub fn lex(src: &str) -> Lexed {
                         }
                     }
                 }
-                let text = &src[start..cur.pos];
-                if let Some(d) = parse_directive(text, line) {
+                if parse_directive(&src[start..cur.pos], line, &mut out) {
                     own_line.push(out.tokens.last().is_none_or(|t| t.line != line));
-                    out.directives.push(d);
                 }
             }
             b'\'' => {

@@ -14,20 +14,24 @@
 //! * **wire-exhaustive** — every `TAG_*` record constant appears on
 //!   both the encode and decode side, tag values are unique, and the
 //!   bytes `encode_header` appends agree with `FRAME_HEADER_BYTES`.
-//! * **float-determinism** — no `HashMap`/`HashSet`-order iteration in
-//!   pricing/exchange/export code, where iteration order would make
-//!   f64 accumulation order (and thus emitted rates) nondeterministic.
+//! * **float-determinism** — no `HashMap`/`HashSet`-order iteration,
+//!   which would make f64 accumulation order (and thus emitted rates)
+//!   nondeterministic; inside the float kernels, no fused or
+//!   reassociated arithmetic.
 //!
-//! The first, second and fourth are scoped by tables of file paths and
-//! function names (`rules::HOT_MODULES` and friends). A workspace run
-//! also checks the tables against the tree — **stale-table-entry**: a
-//! listed path that is gone, or a listed function its file no longer
-//! defines outside test code — so moving a function cannot silently
-//! take it out of a rule's scope.
+//! The wire rule and the map half of float-determinism run on every
+//! file. The others run on the functions a marker puts in their scope:
+//! `// flowtune-lint: hot`, `untrusted-input` or `float-kernel`
+//! (comma-separated for several) attaches to the next `fn`, provided no
+//! `{` or `;` comes first, so it may sit above attributes. An inner
+//! `//! flowtune-lint: <scope>` scopes its whole file, or its whole
+//! package from `src/lib.rs` — how all of `flowtune-proto` is
+//! `untrusted-input`. A marker with an unknown scope or no function is
+//! a `directive` finding.
 //!
 //! Findings are suppressed line-by-line with
 //! `// flowtune-lint: allow(<rule>, "<why>")`; a suppression without a
-//! justification is itself a finding.
+//! justification, or one that suppresses nothing, is itself a finding.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -39,11 +43,41 @@ pub mod rules;
 use report::{apply_suppressions, Finding};
 use std::path::{Path, PathBuf};
 
-/// Lint one file's source text. `rel_path` must be workspace-relative
-/// with `/` separators — it selects which rule scopes apply.
+/// Lint one file's source text as a file of the workspace that contains
+/// the current directory. `rel_path` must be workspace-relative with `/`
+/// separators — it names the package whose `src/lib.rs` markers apply.
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<Finding> {
-    let (raw, lexed) = rules::lint_source(rel_path, source);
+    lint_in(&workspace_root(), rel_path, source)
+}
+
+/// [`lint_file`] in the workspace at `root`, whose package `src/lib.rs`
+/// is read for its inner markers.
+fn lint_in(root: &Path, rel_path: &str, source: &str) -> Vec<Finding> {
+    let lib_rs = rel_path
+        .find("src/")
+        .map(|at| format!("{}lib.rs", &rel_path[..at + 4]));
+    let package_scopes: Vec<String> = (lib_rs.filter(|lib| lib != rel_path))
+        .and_then(|lib| std::fs::read_to_string(root.join(lib)).ok())
+        .map_or_else(Vec::new, |lib| {
+            lexer::lex(&lib).inner_scopes().cloned().collect()
+        });
+    let (raw, lexed) = rules::lint_source(source, &package_scopes);
     apply_suppressions(rel_path, raw, &lexed)
+}
+
+/// Walk up from the current directory to the first `Cargo.toml`
+/// declaring `[workspace]`.
+pub fn workspace_root() -> PathBuf {
+    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    loop {
+        if std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+        {
+            return dir;
+        }
+        if !dir.pop() {
+            return PathBuf::from(".");
+        }
+    }
 }
 
 /// Directories scanned under the workspace root, relative to it.
@@ -69,29 +103,21 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         let rel = path
             .strip_prefix(root)
             .map_err(|_| format!("path {} escapes root", path.display()))?;
+        if SKIP_CRATES
+            .iter()
+            .any(|c| rel.starts_with(Path::new("crates").join(c)))
+        {
+            continue;
+        }
         let rel_str = rel
             .components()
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        if SKIP_CRATES
-            .iter()
-            .any(|c| rel_str.starts_with(&format!("crates/{c}/")))
-        {
-            continue;
-        }
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        findings.extend(lint_file(&rel_str, &source));
+        findings.extend(lint_in(root, &rel_str, &source));
     }
-    findings.extend(rules::stale_table_entries(&|path| {
-        let on_disk = root.join(path);
-        if path.ends_with('/') {
-            on_disk.is_dir().then(String::new)
-        } else {
-            std::fs::read_to_string(on_disk).ok()
-        }
-    }));
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Ok(findings)
 }

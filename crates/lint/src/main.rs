@@ -33,8 +33,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "flowtune-lint [--json] [--baseline] [--root <workspace>]\n\
-                     rules: hot-path-alloc, panic, wire-exhaustive, float-determinism,\n\
-                     stale-table-entry (scope tables vs the tree; not suppressible)\n\
+                     rules: hot-path-alloc, panic, wire-exhaustive, float-determinism\n\
+                     scope a fn with: // flowtune-lint: hot | untrusted-input | float-kernel\n\
                      suppress with: // flowtune-lint: allow(<rule>, \"<why>\")"
                 );
                 return ExitCode::SUCCESS;
@@ -45,7 +45,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let root = root.unwrap_or_else(find_workspace_root);
+    let root = root.unwrap_or_else(flowtune_lint::workspace_root);
     let findings = match flowtune_lint::lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
@@ -63,22 +63,5 @@ fn main() -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Walk up from the current directory to the first `Cargo.toml`
-/// declaring `[workspace]`.
-fn find_workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Suppression application and the human / JSON reporters.
 
 use crate::lexer::Lexed;
-use crate::rules::RawFinding;
+use crate::rules::{RawFinding, RULES};
 
 /// A finding attributed to a file, after suppression processing.
 #[derive(Debug, Clone)]
@@ -22,28 +22,47 @@ pub struct Finding {
 /// findings of one file. A directive silences findings of its rule on
 /// the line it applies to — but only when it carries a justification;
 /// malformed directives were already turned into findings by the rule
-/// pass, and `directive` findings themselves can never be suppressed.
+/// pass, and `directive` findings themselves can never be suppressed. A
+/// well-formed directive that silences nothing is a `directive` finding:
+/// it points at code that moved or a rule that no longer looks there.
 pub fn apply_suppressions(file: &str, raw: Vec<RawFinding>, lexed: &Lexed) -> Vec<Finding> {
-    raw.into_iter()
+    let mut used = vec![false; lexed.directives.len()];
+    let mut out: Vec<Finding> = raw
+        .into_iter()
         .map(|f| {
-            let suppressed = if f.rule == "directive" {
-                None
-            } else {
-                lexed
-                    .directives
-                    .iter()
-                    .find(|d| d.rule == f.rule && d.applies_to == f.line && d.reason.is_some())
-                    .and_then(|d| d.reason.clone())
-            };
+            let by = (lexed.directives.iter()).position(|d| {
+                f.rule != "directive"
+                    && d.rule == f.rule
+                    && d.applies_to == f.line
+                    && d.reason.is_some()
+            });
+            if let Some(k) = by {
+                used[k] = true;
+            }
             Finding {
                 file: file.to_owned(),
                 line: f.line,
                 rule: f.rule,
                 message: f.message,
-                suppressed,
+                suppressed: by.and_then(|k| lexed.directives[k].reason.clone()),
             }
         })
-        .collect()
+        .collect();
+    for (d, _) in lexed.directives.iter().zip(used).filter(|(_, used)| !used) {
+        if d.reason.is_some() && RULES.contains(&d.rule.as_str()) {
+            out.push(Finding {
+                file: file.to_owned(),
+                line: d.line,
+                rule: "directive",
+                message: format!(
+                    "`allow({})` suppresses nothing on line {}; delete it",
+                    d.rule, d.applies_to
+                ),
+                suppressed: None,
+            });
+        }
+    }
+    out
 }
 
 /// Render findings for a terminal. Returns the report text.

@@ -1,15 +1,13 @@
-//! The rule families and their workspace scope configuration.
-//!
-//! Every rule is repo-specific: the scopes below name the modules (and,
-//! within them, the functions) whose invariants the runtime test suite
-//! pins — the zero-allocation steady state, panic-free decode, the
-//! bit-for-bit equivalence that nondeterministic map iteration would
-//! break. Amend the tables here when a module joins a hot path; the
-//! procedure is documented in ARCHITECTURE.md §Static analysis.
+//! The rule families. Every rule is repo-specific: the hot, kernel and
+//! panic rules check the functions a `// flowtune-lint: hot |
+//! untrusted-input | float-kernel` marker puts in their scope — the code
+//! whose invariants the runtime test suite pins (the zero-allocation
+//! steady state, panic-free decode, bit-for-bit float results); the map
+//! and wire rules check every file. ARCHITECTURE.md §Static analysis has
+//! the marker rule.
 
-use crate::analysis::{analyze, enclosing_fn, Analysis, FnSpan};
+use crate::analysis::{analyze, enclosing_fn, Analysis};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
-use crate::report::Finding;
 
 /// Canonical rule names, also accepted in `allow(...)` directives.
 pub const RULES: &[&str] = &[
@@ -17,9 +15,11 @@ pub const RULES: &[&str] = &[
     "panic",
     "wire-exhaustive",
     "float-determinism",
-    "stale-table-entry",
     "directive",
 ];
+
+/// Scope names a `// flowtune-lint: <scope>[, <scope>]` marker accepts.
+pub const SCOPES: &[&str] = &["hot", "untrusted-input", "float-kernel"];
 
 /// One reported finding (suppression not yet applied).
 #[derive(Debug, Clone)]
@@ -32,318 +32,6 @@ pub struct RawFinding {
     pub message: String,
 }
 
-// ------------------------------------------------------------- scopes
-
-/// A module on the zero-allocation steady-state path, with the
-/// functions that path runs. `crates/net/tests/zero_alloc.rs` proves
-/// the discipline on the code these functions execute; the lint extends
-/// it to the branches the test never takes.
-pub struct HotModule {
-    /// Path relative to the workspace root.
-    pub path: &'static str,
-    /// Steady-state functions inside that module.
-    pub hot_fns: &'static [&'static str],
-}
-
-/// The designated steady-state modules: the allocator tick, the
-/// notification path into it (intake down to the engine's columns), the
-/// exchange, and the transport recv paths.
-pub const HOT_MODULES: &[HotModule] = &[
-    HotModule {
-        path: "crates/alloc/src/serial.rs",
-        hot_fns: &[
-            "iterate",
-            "iterate_full",
-            "iterate_incremental",
-            "rate_phase_full",
-            "rate_phase_dirty",
-            "aggregate_and_price",
-            "diff_and_mark",
-            "distribute",
-            "normalize_phase_full",
-            "normalize_phase_dirty",
-            "run_iterations",
-            "rates_into",
-            "drain_changed_rates",
-            "for_each_total",
-            "link_loads_into",
-            "link_hessians_into",
-            "link_state_into",
-            "link_prices_into",
-            "set_background_loads",
-            "set_background_hessians",
-            "set_link_prices",
-            "add_flow",
-            "remove_flow",
-        ],
-    },
-    HotModule {
-        path: "crates/alloc/src/layout.rs",
-        hot_fns: &["split_path"],
-    },
-    HotModule {
-        path: "crates/topo/src/clos.rs",
-        hot_fns: &["path_via_spine"],
-    },
-    HotModule {
-        path: "crates/alloc/src/flowblock.rs",
-        hot_fns: &[
-            "push",
-            "swap_remove",
-            "rate_pass",
-            "path_sum",
-            "path_add",
-            "price_update",
-            "normalize_pass",
-            "path_max",
-            "must_report",
-            "report_pass",
-            "absorb",
-            "add_pair",
-            "clear",
-        ],
-    },
-    HotModule {
-        path: "crates/alloc/src/engine.rs",
-        hot_fns: &[
-            "iterate",
-            "run_iterations",
-            "rates_into",
-            "drain_changed_rates",
-            "lend_passers",
-            "link_loads_into",
-            "link_hessians_into",
-            "link_state_into",
-            "link_prices_into",
-            "set_background_loads",
-            "set_background_hessians",
-            "set_link_prices",
-        ],
-    },
-    HotModule {
-        path: "crates/alloc/src/gradient.rs",
-        hot_fns: &["rates_into", "drain_changed_rates"],
-    },
-    HotModule {
-        path: "crates/fastpass/src/adapter.rs",
-        hot_fns: &["rates_into", "drain_changed_rates"],
-    },
-    HotModule {
-        path: "crates/alloc/src/dirty.rs",
-        hot_fns: &["note_add", "note_remove", "mark_intake", "drain_intake"],
-    },
-    HotModule {
-        path: "crates/alloc/src/parallel.rs",
-        hot_fns: &["iterate", "run_iterations"],
-    },
-    HotModule {
-        path: "crates/core/src/service.rs",
-        hot_fns: &[
-            "on_message",
-            "register",
-            "release",
-            "tick_into",
-            "export_into",
-            "emit_ordered",
-            "rates_into",
-            "link_loads_into",
-            "link_hessians_into",
-            "link_state_into",
-            "link_prices_into",
-            "set_background_loads",
-            "set_background_hessians",
-            "set_link_prices",
-        ],
-    },
-    HotModule {
-        path: "crates/core/src/endpoint.rs",
-        hot_fns: &["on_rate_update", "on_drained", "poll"],
-    },
-    HotModule {
-        path: "crates/core/src/exchange.rs",
-        hot_fns: &[
-            "begin_round",
-            "apply_frame",
-            "install",
-            "start_round",
-            "export",
-            "agree",
-            "accumulate",
-            "sum_others",
-            "nonzero_at",
-            "request_resync",
-            "refresh",
-        ],
-    },
-    HotModule {
-        path: "crates/core/src/router.rs",
-        hot_fns: &[
-            "tick_shards",
-            "tick_into",
-            "try_tick_into",
-            "merge_by_token_into",
-        ],
-    },
-    HotModule {
-        path: "crates/core/src/sharded.rs",
-        hot_fns: &["tick", "tick_shard", "exchange_link_state"],
-    },
-    HotModule {
-        path: "crates/core/src/driver.rs",
-        hot_fns: &["tick_into", "try_tick_into"],
-    },
-    HotModule {
-        path: "crates/core/src/fluid.rs",
-        hot_fns: &["tick", "drain"],
-    },
-    HotModule {
-        path: "crates/core/src/scenario.rs",
-        hot_fns: &["step"],
-    },
-    HotModule {
-        path: "crates/net/src/transport.rs",
-        hot_fns: &["send", "recv", "read_full"],
-    },
-    HotModule {
-        path: "crates/net/src/peer.rs",
-        hot_fns: &[
-            "tick_export",
-            "exchange_finish",
-            "collect_slot",
-            "tick_into",
-            "broadcast_frame_buf",
-        ],
-    },
-    HotModule {
-        path: "crates/net/src/runtime.rs",
-        hot_fns: &["receive_loop", "pop_with", "recycle"],
-    },
-    HotModule {
-        path: "crates/net/src/cluster.rs",
-        hot_fns: &["tick", "try_tick", "try_tick_into", "tick_into"],
-    },
-];
-
-/// Where every failure must surface as an error value, never a panic:
-/// the whole `flowtune-proto` crate, plus the decode/receive functions
-/// of the net crate and the core exchange.
-pub struct PanicScope {
-    /// Path relative to the workspace root.
-    pub path: &'static str,
-    /// Functions covered; empty slice = every function in the file.
-    pub fns: &'static [&'static str],
-}
-
-/// Panic-freedom scopes.
-pub const PANIC_SCOPES: &[PanicScope] = &[
-    PanicScope {
-        path: "crates/proto/src/",
-        fns: &[],
-    },
-    PanicScope {
-        path: "crates/net/src/transport.rs",
-        fns: &["recv", "read_full", "stream"],
-    },
-    PanicScope {
-        path: "crates/net/src/peer.rs",
-        fns: &[
-            "exchange_finish",
-            "collect_slot",
-            "closed_error",
-            "gather_epoch",
-        ],
-    },
-    PanicScope {
-        path: "crates/net/src/runtime.rs",
-        fns: &[
-            "receive_loop",
-            "pop_with",
-            "recycle",
-            "take_failure",
-            "lock",
-        ],
-    },
-    PanicScope {
-        path: "crates/net/src/cluster.rs",
-        fns: &["tick", "try_tick", "try_tick_into"],
-    },
-    PanicScope {
-        path: "crates/core/src/exchange.rs",
-        // The decode, and the install math that reads what it stored.
-        fns: &[
-            "apply_frame",
-            "install",
-            "agree",
-            "accumulate",
-            "sum_others",
-        ],
-    },
-];
-
-/// Pricing / exchange / export modules whose outputs the equivalence
-/// tests pin bit-for-bit, and the fluid drivers whose retirement order
-/// decides the engines' slot reuse — `HashMap`/`HashSet` iteration order
-/// must never reach them.
-pub const FLOAT_DET_FILES: &[&str] = &[
-    "crates/alloc/src/serial.rs",
-    "crates/alloc/src/gradient.rs",
-    "crates/alloc/src/parallel.rs",
-    "crates/core/src/service.rs",
-    "crates/core/src/router.rs",
-    "crates/core/src/sharded.rs",
-    "crates/core/src/exchange.rs",
-    "crates/core/src/fluid.rs",
-    "crates/bench/src/fluid.rs",
-    "crates/bench/src/num_churn.rs",
-    "crates/net/src/peer.rs",
-    "crates/net/src/cluster.rs",
-    "crates/proto/src/filter.rs",
-];
-
-/// The arithmetic kernels and the rate drain: functions whose float
-/// results the differential and equivalence tests pin to the bit, at
-/// every vector width CI builds. Inside them the operation order must
-/// be the one written — no fused multiply-add, no iterator reduction
-/// whose association the reader has to look up, no fast-math intrinsic.
-pub const FLOAT_KERNELS: &[HotModule] = &[
-    HotModule {
-        path: "crates/alloc/src/flowblock.rs",
-        hot_fns: &[
-            "rate_pass",
-            "path_sum",
-            "path_add",
-            "price_update",
-            "normalize_pass",
-            "path_max",
-            "must_report",
-            "report_pass",
-            "absorb",
-            "add_pair",
-        ],
-    },
-    HotModule {
-        path: "crates/alloc/src/serial.rs",
-        hot_fns: &[
-            "aggregate_and_price",
-            "link_loads_into",
-            "link_hessians_into",
-            "link_state_into",
-            "drain_changed_rates",
-        ],
-    },
-    HotModule {
-        path: "crates/alloc/src/parallel.rs",
-        hot_fns: &["run_iterations"],
-    },
-    HotModule {
-        path: "crates/core/src/service.rs",
-        hot_fns: &["export_into"],
-    },
-];
-
-/// Files holding wire-protocol tag constants to cross-check.
-pub const WIRE_FILES: &[&str] = &["crates/proto/src/exchange.rs", "crates/proto/src/codec.rs"];
-
 // ------------------------------------------------------------ helpers
 
 fn tok(toks: &[Tok], i: usize) -> Option<&Tok> {
@@ -354,16 +42,6 @@ fn is_path_sep(toks: &[Tok], i: usize) -> bool {
     // `::` lexes as two `:` puncts.
     tok(toks, i).is_some_and(|t| t.is_punct(':'))
         && tok(toks, i + 1).is_some_and(|t| t.is_punct(':'))
-}
-
-/// Does `path` (workspace-relative, `/`-separated) fall in `scope`?
-/// A scope ending in `/` is a directory prefix, otherwise exact match.
-fn in_scope(path: &str, scope: &str) -> bool {
-    if let Some(dir) = scope.strip_suffix('/') {
-        path.starts_with(dir) && path.len() > dir.len()
-    } else {
-        path == scope
-    }
 }
 
 // ------------------------------------------------------- rule: alloc
@@ -380,24 +58,9 @@ const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "
 /// Allocating macros.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// The non-test functions of the file at `path` that `table` lists.
-fn listed_fns<'a>(
-    table: &[HotModule],
-    path: &str,
-    an: &'a Analysis,
-) -> impl Iterator<Item = &'a FnSpan> {
-    let listed = table
-        .iter()
-        .find(|m| in_scope(path, m.path))
-        .map_or(&[][..], |m| m.hot_fns);
-    an.fns
-        .iter()
-        .filter(move |f| listed.contains(&f.name.as_str()) && !an.tests.contains(f.line))
-}
-
-fn hot_path_alloc(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+fn hot_path_alloc(lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
     let toks = &lexed.tokens;
-    for f in listed_fns(HOT_MODULES, path, an) {
+    for f in an.fns.iter().filter(|f| f.marked("hot")) {
         for i in f.body_start..f.body_end.min(toks.len()) {
             let t = &toks[i];
             if t.kind != TokKind::Ident {
@@ -453,29 +116,13 @@ fn hot_path_alloc(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFin
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-fn panic_freedom(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
-    let scopes: Vec<&PanicScope> = PANIC_SCOPES
-        .iter()
-        .filter(|s| in_scope(path, s.path))
-        .collect();
-    if scopes.is_empty() {
-        return;
-    }
-    let covered = |f: &FnSpan| {
-        scopes
-            .iter()
-            .any(|s| s.fns.is_empty() || s.fns.contains(&f.name.as_str()))
-    };
+fn panic_freedom(lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
         let t = &toks[i];
-        if an.tests.contains(t.line) {
-            continue;
-        }
-        let Some(f) = enclosing_fn(&an.fns, i) else {
-            continue;
-        };
-        if !covered(f) {
+        if an.tests.contains(t.line)
+            || !enclosing_fn(&an.fns, i).is_some_and(|f| f.marked("untrusted-input"))
+        {
             continue;
         }
         match t.kind {
@@ -567,11 +214,15 @@ const REORDERING_METHODS: &[&str] = &["mul_add", "sum", "product"];
 /// `algebraic_add`, …), which license the compiler to do either.
 const REORDERING_INTRINSICS: &[&str] = &["_fast", "algebraic_"];
 
-/// The kernel half of the rule: inside [`FLOAT_KERNELS`] functions,
-/// every float operation must be an explicit `+ - * /` in source order.
-fn float_kernel_order(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+/// The kernel half of the rule: inside `float-kernel` functions — the
+/// arithmetic kernels and the rate drain, whose results the differential
+/// and equivalence tests pin to the bit at every vector width CI builds
+/// — every float operation must be an explicit `+ - * /` in source
+/// order: no fused multiply-add, no iterator reduction whose association
+/// the reader has to look up, no fast-math intrinsic.
+fn float_kernel_order(lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
     let toks = &lexed.tokens;
-    for f in listed_fns(FLOAT_KERNELS, path, an) {
+    for f in an.fns.iter().filter(|f| f.marked("float-kernel")) {
         for i in f.body_start..f.body_end.min(toks.len()) {
             let t = &toks[i];
             if t.kind != TokKind::Ident {
@@ -598,11 +249,11 @@ fn float_kernel_order(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<Ra
     }
 }
 
-fn float_determinism(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
-    float_kernel_order(path, lexed, an, out);
-    if !FLOAT_DET_FILES.iter().any(|f| in_scope(path, f)) {
-        return;
-    }
+/// The map half, run on every file: `HashMap`/`HashSet` iteration order
+/// must never reach float accumulation, an export, or the order in which
+/// flows retire (which decides the engines' slot reuse).
+fn float_determinism(lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+    float_kernel_order(lexed, an, out);
     let toks = &lexed.tokens;
     // Pass 1: names bound to HashMap/HashSet — `name: HashMap<..>`
     // fields/params and `let [mut] name = …HashMap…;` bindings.
@@ -660,8 +311,7 @@ fn float_determinism(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<Raw
                 line: t.line,
                 rule: "float-determinism",
                 message: format!(
-                    "`{}.{}()` iterates a hash map in nondeterministic order on a \
-                     pricing/exchange/export path",
+                    "`{}.{}()` iterates a hash map in nondeterministic order",
                     toks[i - 2].text,
                     t.text
                 ),
@@ -687,8 +337,7 @@ fn float_determinism(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<Raw
                         line: a.line,
                         rule: "float-determinism",
                         message: format!(
-                            "`for … in {}` iterates a hash map in nondeterministic order on a \
-                             pricing/exchange/export path",
+                            "`for … in {}` iterates a hash map in nondeterministic order",
                             a.text
                         ),
                     });
@@ -711,10 +360,7 @@ const PUT_SIZES: &[(&str, usize)] = &[
     ("put_u64", 8),
 ];
 
-fn wire_exhaustive(path: &str, lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
-    if !WIRE_FILES.iter().any(|f| in_scope(path, f)) {
-        return;
-    }
+fn wire_exhaustive(lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
     let toks = &lexed.tokens;
     // Collect `const TAG_X: u8 = N;` (outside tests).
     struct TagConst {
@@ -894,80 +540,58 @@ fn parse_int(s: &str) -> Option<u64> {
     }
 }
 
-// ------------------------------------------------- rule: stale tables
-
-/// Every row of the scope tables as `(table, path, listed fns)`; the
-/// path-only tables list no functions.
-fn table_rows() -> impl Iterator<Item = (&'static str, &'static str, &'static [&'static str])> {
-    let fns =
-        |name, table: &'static [HotModule]| table.iter().map(move |m| (name, m.path, m.hot_fns));
-    let paths =
-        |name, table: &'static [&'static str]| table.iter().map(move |&p| (name, p, &[][..]));
-    fns("HOT_MODULES", HOT_MODULES)
-        .chain(fns("FLOAT_KERNELS", FLOAT_KERNELS))
-        .chain(PANIC_SCOPES.iter().map(|s| ("PANIC_SCOPES", s.path, s.fns)))
-        .chain(paths("FLOAT_DET_FILES", FLOAT_DET_FILES))
-        .chain(paths("WIRE_FILES", WIRE_FILES))
-}
-
-/// `stale-table-entry`: the scope tables checked against the tree. The
-/// tables match by path and function name, so a function that is moved
-/// or renamed silently leaves its rule's scope unless this fires.
-/// `read` returns the source of a workspace-relative file, or anything
-/// for a directory scope (a path ending in `/`) that exists; `None` is a
-/// listed path that is gone. Not suppressible — the fix is to amend the
-/// table.
-pub fn stale_table_entries(read: &dyn Fn(&str) -> Option<String>) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (table, path, fns) in table_rows() {
-        let mut stale = |what: String| {
-            out.push(Finding {
-                file: path.to_owned(),
-                line: 1,
-                rule: "stale-table-entry",
-                message: format!(
-                    "{table} lists {what}; update the table in crates/lint/src/rules.rs"
-                ),
-                suppressed: None,
-            });
-        };
-        let Some(source) = read(path) else {
-            stale(format!("`{path}`, which does not exist"));
-            continue;
-        };
-        let an = analyze(&lex(&source));
-        for &name in fns {
-            let defined = |f: &FnSpan| f.name == name && !an.tests.contains(f.line);
-            if !an.fns.iter().any(defined) {
-                stale(format!(
-                    "`{name}`, which this file does not define outside test code"
-                ));
-            }
-        }
-    }
-    out
-}
-
 // -------------------------------------------------------- entry point
 
-/// Run every rule family over one file. `path` must be workspace-
-/// relative with `/` separators (it selects the rule scopes).
-pub fn lint_source(path: &str, source: &str) -> (Vec<RawFinding>, Lexed) {
+/// Run every rule family over one file. `package_scopes` are the scopes
+/// of its package's inner `//!` markers; they and the file's own put
+/// every function of the file in scope.
+pub fn lint_source(source: &str, package_scopes: &[String]) -> (Vec<RawFinding>, Lexed) {
     let lexed = lex(source);
-    let an = analyze(&lexed);
+    let mut an = analyze(&lexed);
+    let file_scopes: Vec<String> = lexed
+        .inner_scopes()
+        .chain(package_scopes)
+        .cloned()
+        .collect();
+    for f in &mut an.fns {
+        f.scopes.extend_from_slice(&file_scopes);
+    }
     let mut out = Vec::new();
-    hot_path_alloc(path, &lexed, &an, &mut out);
-    panic_freedom(path, &lexed, &an, &mut out);
-    float_determinism(path, &lexed, &an, &mut out);
-    wire_exhaustive(path, &lexed, &an, &mut out);
-    validate_directives(&lexed, &mut out);
+    hot_path_alloc(&lexed, &an, &mut out);
+    panic_freedom(&lexed, &an, &mut out);
+    float_determinism(&lexed, &an, &mut out);
+    wire_exhaustive(&lexed, &an, &mut out);
+    validate_directives(&lexed, &an, &mut out);
     out.sort_by_key(|f| (f.line, f.rule));
     (out, lexed)
 }
 
-/// A malformed suppression is itself a finding (and can never be
-/// suppressed): unknown rule name, or no justification string.
-fn validate_directives(lexed: &Lexed, out: &mut Vec<RawFinding>) {
+/// A malformed directive is itself a finding (and can never be
+/// suppressed): a suppression with an unknown rule name or no
+/// justification string, a marker with an unknown scope or attached to
+/// no function.
+fn validate_directives(lexed: &Lexed, an: &Analysis, out: &mut Vec<RawFinding>) {
+    for m in &lexed.markers {
+        for s in m.scopes.iter().filter(|s| !SCOPES.contains(&s.as_str())) {
+            out.push(RawFinding {
+                line: m.line,
+                rule: "directive",
+                message: format!(
+                    "marker names unknown scope `{s}` (known: {})",
+                    SCOPES.join(", ")
+                ),
+            });
+        }
+    }
+    for &line in &an.dangling {
+        out.push(RawFinding {
+            line,
+            rule: "directive",
+            message: "marker attaches to no function: a `{` or `;` comes before the next \
+                      `fn` with a body"
+                .to_owned(),
+        });
+    }
     for d in &lexed.directives {
         if !RULES.contains(&d.rule.as_str()) {
             out.push(RawFinding {

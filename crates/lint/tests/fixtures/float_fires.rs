@@ -1,5 +1,5 @@
 // Fixture: hash-map-order iteration feeding float accumulation.
-// Linted under the virtual path crates/core/src/service.rs.
+// The map rule runs on every file, so any path will do.
 
 use std::collections::HashMap;
 

@@ -1,6 +1,6 @@
 // Fixture: fused and reassociated float arithmetic inside a kernel.
-// Linted under the virtual path crates/alloc/src/flowblock.rs.
 
+// flowtune-lint: hot, float-kernel
 pub fn rate_pass(weights: &[f64], prices: &[f64], out: &mut [f64]) -> f64 {
     for ((w, p), o) in weights.iter().zip(prices).zip(out.iter_mut()) {
         *o = w.mul_add(*p, 1.0); // line 6: fires (fused)

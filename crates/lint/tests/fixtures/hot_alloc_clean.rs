@@ -6,6 +6,7 @@ pub struct DirtySet {
 }
 
 impl DirtySet {
+    // flowtune-lint: hot
     pub fn note_add(&mut self, link: u32) {
         self.scratch.clear();
         if let Some(slot) = self.links.iter_mut().find(|l| **l == link) {

@@ -6,6 +6,7 @@ pub struct DirtySet {
 }
 
 impl DirtySet {
+    // flowtune-lint: hot
     pub fn note_add(&mut self, link: u32) {
         let copy = self.links.to_vec(); // flowtune-lint: allow(hot-path-alloc, "one-shot resync copy, not per-tick")
         // flowtune-lint: allow(hot-path-alloc, "grows once then reused")

@@ -6,6 +6,7 @@ pub enum DecodeError {
     Truncated,
 }
 
+// flowtune-lint: untrusted-input
 pub fn decode_u16(buf: &[u8], off: usize) -> Result<u16, DecodeError> {
     let hi = *buf.get(off).ok_or(DecodeError::Truncated)?;
     let lo = *buf.get(off + 1).ok_or(DecodeError::Truncated)?;

@@ -1,5 +1,5 @@
-// Fixture: wire-protocol defects. Linted under the virtual path
-// crates/proto/src/exchange.rs so the wire-exhaustive rule applies.
+// Fixture: wire-protocol defects. The wire-exhaustive rule runs on
+// every file, so any path will do.
 
 pub const TAG_LINK: u8 = 1; // encoded and decoded: fine
 pub const TAG_ORPHAN: u8 = 2; // line 5: encoded, never decoded — fires

@@ -135,3 +135,25 @@ fn directive_without_reason_has_none() {
     assert_eq!(lexed.directives.len(), 1);
     assert!(lexed.directives[0].reason.is_none());
 }
+
+#[test]
+fn scope_markers_are_not_suppressions() {
+    let src =
+        "//! flowtune-lint: untrusted-input\n// flowtune-lint: hot, float-kernel\nfn f() {}\n";
+    let lexed = lex(src);
+    assert!(lexed.directives.is_empty());
+    let m: Vec<_> = (lexed.markers.iter())
+        .map(|m| (m.line, m.inner, m.scopes.join("|")))
+        .collect();
+    assert_eq!(
+        m,
+        vec![
+            (1, true, "untrusted-input".to_owned()),
+            (2, false, "hot|float-kernel".to_owned())
+        ]
+    );
+    assert_eq!(
+        lexed.markers[1].tok, 0,
+        "the marker precedes the first token"
+    );
+}

@@ -169,3 +169,43 @@ fn workspace_lint_runs_clean_end_to_end() {
     let live: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
     assert!(live.is_empty(), "unsuppressed findings: {live:#?}");
 }
+
+#[test]
+fn renamed_marked_function_stays_in_scope() {
+    // A rename must not take a function out of scope — the failure a
+    // table of names had, and `stale-table-entry` only reported. The
+    // marker moves with the function.
+    let rel = "crates/alloc/src/serial.rs";
+    let src = workspace_source(rel).replace("fn rate_phase_full(", "fn rate_phase_all(");
+    let (bad, line) = inject_after(
+        &src,
+        "fn rate_phase_all(",
+        "        let _trace = format!(\"tick\");",
+    );
+    let live = unsuppressed(lint_file(rel, &bad));
+    assert!(
+        live.iter()
+            .any(|f| f.rule == "hot-path-alloc" && f.line == line),
+        "expected hot-path-alloc at line {line}: {live:?}"
+    );
+}
+
+#[test]
+fn injected_hashmap_iteration_in_any_file_is_caught() {
+    // The simulator's metrics were never on a table of pricing files;
+    // the map rule now runs everywhere.
+    let rel = "crates/sim/src/metrics.rs";
+    let src = workspace_source(rel);
+    assert!(unsuppressed(lint_file(rel, &src)).is_empty());
+    let (bad, line) = inject_after(
+        &src,
+        "pub fn fairness_score(",
+        "        let _bins: usize = self.throughput_bins.values().map(Vec::len).sum();",
+    );
+    let live = unsuppressed(lint_file(rel, &bad));
+    assert!(
+        live.iter()
+            .any(|f| f.rule == "float-determinism" && f.line == line),
+        "expected float-determinism at line {line}: {live:?}"
+    );
+}

@@ -56,6 +56,7 @@ impl<T: Transport> ShardSet for Peers<T> {
         self.peers[shard].service_mut()
     }
 
+    // flowtune-lint: hot, untrusted-input
     fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), PeerError> {
         for (peer, stream) in self.peers.iter_mut().zip(streams) {
             peer.tick_export(stream)?;
@@ -152,8 +153,8 @@ impl<T: Transport> PeerCluster<T> {
     /// # Errors
     /// The first [`PeerError`] encountered; the tick's update stream is
     /// dropped.
+    // flowtune-lint: untrusted-input
     pub fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, PeerError> {
-        // flowtune-lint: allow(hot-path-alloc, "owned-stream convenience entry; steady-state drivers use try_tick_into")
         let mut out = Vec::new();
         self.try_tick_into(&mut out)?;
         Ok(out)
@@ -166,6 +167,7 @@ impl<T: Transport> PeerCluster<T> {
     /// # Errors
     /// The first [`PeerError`] encountered; the tick's update stream is
     /// dropped.
+    // flowtune-lint: hot, untrusted-input
     pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
         self.router.tick_shards(out)
     }
@@ -241,6 +243,7 @@ impl<T: Transport> TickDriver for PeerCluster<T> {
     /// # Panics
     /// Panics on a peer failure; use [`PeerCluster::try_tick_into`] for
     /// an error instead.
+    // flowtune-lint: hot
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         self.router.tick_into(out);
     }

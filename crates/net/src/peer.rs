@@ -400,6 +400,7 @@ impl<T: Transport> ShardPeer<T> {
     /// # Errors
     /// Either phase's [`PeerError`]; `out` holds the tick's updates
     /// even when the barrier fails.
+    // flowtune-lint: hot
     pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
         self.tick_export(out)?;
         self.exchange_finish()
@@ -408,6 +409,7 @@ impl<T: Transport> ShardPeer<T> {
     /// Phase 1: catch up an unfinished round, tick the service into
     /// `out` (cleared first), and when a round is due, export +
     /// broadcast.
+    // flowtune-lint: hot
     pub(crate) fn tick_export(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
         out.clear();
         // A tick that failed between its phases leaves the barrier
@@ -439,6 +441,7 @@ impl<T: Transport> ShardPeer<T> {
     /// peers that were fresh last round (or are past the staleness
     /// bound), polling the rest — then install the recomputed
     /// aggregation into the service. A no-op when no round is due.
+    // flowtune-lint: hot, untrusted-input
     pub(crate) fn exchange_finish(&mut self) -> Result<(), PeerError> {
         if !self.round_due {
             return Ok(());
@@ -461,6 +464,7 @@ impl<T: Transport> ShardPeer<T> {
     /// arrival order (the replica ends on the freshest), set epoch
     /// frames aside, and decide fresh/stale from the newest round seen
     /// once the mailbox runs dry.
+    // flowtune-lint: hot, untrusted-input
     fn collect_slot(&mut self, slot: usize, target: u64) -> Result<(), PeerError> {
         let Some(&peer) = self.rt.peers().get(slot) else {
             return Ok(());
@@ -545,6 +549,7 @@ impl<T: Transport> ShardPeer<T> {
 
     /// The error for a closed mailbox: the thread's recorded failure if
     /// it is still unclaimed, the generic receiver-gone otherwise.
+    // flowtune-lint: untrusted-input
     fn closed_error(&self, slot: usize, peer: u16) -> PeerError {
         match self.rt.take_failure(slot) {
             Some(e) => io_to_peer(peer, e),
@@ -619,6 +624,7 @@ impl<T: Transport> ShardPeer<T> {
     /// migrations addressed to this shard to `adopt` (in arrival order).
     /// Stray state frames received while waiting are applied to the
     /// replicas as usual.
+    // flowtune-lint: untrusted-input
     fn gather_epoch(&mut self, adopt: &mut Vec<FlowMigration>) -> Result<(), PeerError> {
         let me = self.tx.shard();
         for slot in 0..self.lag.len() {
@@ -680,6 +686,7 @@ impl<T: Transport> ShardPeer<T> {
         Ok(())
     }
 
+    // flowtune-lint: hot
     fn broadcast_frame_buf(&mut self) -> Result<(), PeerError> {
         let me = self.tx.shard();
         for p in 0..self.tx.peers() as u16 {

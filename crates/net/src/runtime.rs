@@ -75,6 +75,7 @@ struct Shared {
 /// A poisoned mailbox means a receiver thread panicked mid-deposit; the
 /// counters and queue are still structurally sound, so recovering the
 /// guard beats poisoning the whole control plane.
+// flowtune-lint: untrusted-input
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -144,6 +145,7 @@ impl RecvRuntime {
         self.pop_with(slot, Some(deadline))
     }
 
+    // flowtune-lint: hot, untrusted-input
     fn pop_with(&self, slot: usize, deadline: Option<Instant>) -> Polled {
         let Some(mb) = self.shared.boxes.get(slot) else {
             return Polled::Closed;
@@ -172,6 +174,7 @@ impl RecvRuntime {
 
     /// Return a drained frame buffer to the pool for the receiver
     /// threads to reuse.
+    // flowtune-lint: hot, untrusted-input
     pub fn recycle(&self, buf: Vec<u8>) {
         self.shared.pool_put(buf);
     }
@@ -191,6 +194,7 @@ impl RecvRuntime {
 
     /// Take `slot`'s terminal receive failure, if its thread has exited
     /// with one. Subsequent calls return `None`.
+    // flowtune-lint: untrusted-input
     pub fn take_failure(&self, slot: usize) -> Option<io::Error> {
         let mb = self.shared.boxes.get(slot)?;
         lock(&mb.state).failed.take()
@@ -209,6 +213,7 @@ impl Drop for RecvRuntime {
     }
 }
 
+// flowtune-lint: hot, untrusted-input
 fn receive_loop<R: Receiver>(mut rx: R, shared: &Shared, slot: usize) {
     let Some(mb) = shared.boxes.get(slot) else {
         return;

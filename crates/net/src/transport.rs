@@ -284,6 +284,7 @@ impl Sender for MemSender {
         self.mesh.n
     }
 
+    // flowtune-lint: hot
     fn send(&mut self, to: u16, frame: &[u8]) -> io::Result<u64> {
         let n = self.mesh.n;
         if usize::from(to) >= n || to == self.me {
@@ -296,7 +297,6 @@ impl Sender for MemSender {
             .map_err(|_| TransportError::Poisoned { what: "frame pool" })?
             .get(frame.len());
         msg.extend_from_slice(frame);
-        // flowtune-lint: allow(panic, "bounded: to < n checked above, links holds n*n queues")
         let (queue, cv) = &self.mesh.links[usize::from(self.me) * n + usize::from(to)];
         queue
             .lock()
@@ -312,6 +312,7 @@ impl Receiver for MemReceiver {
         self.from
     }
 
+    // flowtune-lint: hot, untrusted-input
     fn recv(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<Option<u64>> {
         let n = self.mesh.n;
         // flowtune-lint: allow(panic, "bounded: from < n held by construction, links holds n*n queues")
@@ -444,6 +445,7 @@ pub struct SocketReceiver<S: FrameStream> {
 }
 
 impl<S: FrameStream> SocketSender<S> {
+    // flowtune-lint: untrusted-input
     fn stream(&mut self, peer: u16) -> io::Result<&mut S> {
         self.streams
             .get_mut(usize::from(peer))
@@ -456,6 +458,7 @@ impl<S: FrameStream> SocketSender<S> {
 /// before the first byte (only allowed when `allow_empty` — the start
 /// of a frame); a timeout mid-buffer retries up to
 /// [`MID_FRAME_RETRIES`] times and then errors (a torn frame).
+// flowtune-lint: hot, untrusted-input
 fn read_full<S: FrameStream>(
     s: &mut S,
     out: &mut [u8],
@@ -527,6 +530,7 @@ impl<S: FrameStream> Sender for SocketSender<S> {
         self.streams.len()
     }
 
+    // flowtune-lint: hot
     fn send(&mut self, to: u16, frame: &[u8]) -> io::Result<u64> {
         let len = u32::try_from(frame.len())
             .map_err(|_| TransportError::FrameTooLarge { len: frame.len() })?;
@@ -543,6 +547,7 @@ impl<S: FrameStream> Receiver for SocketReceiver<S> {
         self.from
     }
 
+    // flowtune-lint: hot, untrusted-input
     fn recv(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<Option<u64>> {
         // A zero read timeout means "block forever" to the socket
         // layer; clamp to the smallest real window instead.

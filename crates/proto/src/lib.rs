@@ -24,6 +24,10 @@
 //! header overheads) used by the overhead figures. [`exchange`] is the
 //! shard-to-shard side of the control plane: the versioned frame format
 //! the distributed arbiter peers speak over a real transport.
+//!
+//! Every byte this crate decodes may come from a peer, so all of it is
+//! in the panic rule's scope:
+//! flowtune-lint: untrusted-input
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

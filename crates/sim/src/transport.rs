@@ -234,11 +234,6 @@ impl Conn {
         self.cwnd
     }
 
-    /// Smoothed RTT estimate (ps), 0 before the first sample.
-    pub fn srtt_ps(&self) -> u64 {
-        self.srtt as u64
-    }
-
     /// Next byte the sender will transmit.
     pub fn snd_nxt(&self) -> u64 {
         self.snd_nxt
@@ -271,11 +266,6 @@ impl Conn {
             self.pace_next_ps = now;
         }
         self.pump(now, out);
-    }
-
-    /// The current pacing rate, if in paced mode.
-    pub fn paced_rate_gbps(&self) -> Option<f64> {
-        self.paced_rate_bps.map(|b| b / 1e9)
     }
 
     // ------------------------------------------------------------ sending

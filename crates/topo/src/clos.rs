@@ -320,6 +320,7 @@ impl TwoTierClos {
     /// # Panics
     /// Panics if `src == dst`, any index is out of range, or `spine` is
     /// not a valid spine index for cross-rack flows.
+    // flowtune-lint: hot
     pub fn path_via_spine(&self, src: usize, dst: usize, spine: usize) -> Path {
         assert_ne!(src, dst, "a flow needs distinct endpoints");
         let src_rack = self.rack_of_server(src).index();

@@ -191,11 +191,6 @@ impl Incast {
     pub fn fan_in(&self) -> usize {
         self.sources.len()
     }
-
-    /// Bytes each source sends.
-    pub fn bytes_per_source(&self) -> u64 {
-        self.bytes
-    }
 }
 
 impl Scenario for Incast {

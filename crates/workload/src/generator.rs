@@ -109,11 +109,6 @@ impl TraceGenerator {
         self.arrivals.rate_per_sec()
     }
 
-    /// Mean flowlet size of the configured workload (bytes).
-    pub fn mean_bytes(&self) -> f64 {
-        self.cdf.mean()
-    }
-
     /// Generates the next flowlet (arrival times strictly increase).
     pub fn next_event(&mut self) -> FlowletEvent {
         self.clock_ps += self.arrivals.next_gap_ps(&mut self.rng).max(1);

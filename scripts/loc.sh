@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test, non-comment, non-blank Rust lines over crates/ and src/: each
-# file is counted up to its first `#[cfg(test)]`, `tests/` directories are
-# skipped. The figure ROADMAP item 6 tracks ("lines removed since PR 14").
+# file is counted up to its first `#[cfg(test)]` attribute (at the start of
+# a line, so a comment that quotes it does not stop the count), `tests/`
+# directories are skipped. The figure ROADMAP item 6 tracks ("lines removed
+# since PR 14").
 #
 #   scripts/loc.sh                the working tree's figure
 #   scripts/loc.sh --below <rev>  <rev>'s figure (from a `git archive`),
@@ -14,7 +16,7 @@ cd "$(dirname "$0")/.."
 count() ( # <root>
     cd "$1"
     find crates src -name '*.rs' -not -path '*/tests/*' -print0 |
-        xargs -0 -I{} awk '/#\[cfg\(test\)\]/{exit} {l=$0; sub(/^[ \t]+/,"",l); if (l!="" && l !~ /^\/\//) n++} END{print n+0}' {} |
+        xargs -0 -I{} awk '/^[ \t]*#\[cfg\(test\)\]/{exit} {l=$0; sub(/^[ \t]+/,"",l); if (l!="" && l !~ /^\/\//) n++} END{print n+0}' {} |
         awk '{s+=$1} END{print s+0}'
 )
 

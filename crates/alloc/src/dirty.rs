@@ -38,13 +38,15 @@
 //! periodic full sweep (`full_sweep_every`) re-marks every worker to
 //! rebuild all accumulators from scratch and bound the drift.
 
+use crate::reduce::{members, position, Dir, DIRS};
+
 /// Dirty-state bookkeeping for one engine's B×B worker grid.
 ///
 /// Owned by the engine's grid when
 /// [`AllocConfig::incremental`](crate::AllocConfig::incremental) is set;
 /// all mutation happens inside the engine's iterate/intake/install paths.
 #[derive(Debug)]
-pub struct DirtySet {
+pub(crate) struct DirtySet {
     /// Price/ratio movement at or below this threshold is ignored.
     pub(crate) eps: f64,
     /// Force-mark every worker each time `iter` hits a multiple of this
@@ -67,29 +69,23 @@ pub struct DirtySet {
     /// drain (accumulates across iterations within a tick): the workers
     /// the drain runs its report pass over.
     pub(crate) export_dirty: Vec<bool>,
-    /// Per worker, per upward-LinkBlock offset: how many of the worker's
-    /// flows traverse that link. A price move only dirties workers whose
-    /// count is positive — the others never read the moved price.
-    pub(crate) up_touch: Vec<Vec<u32>>,
-    /// Downward-LinkBlock touch counts.
-    pub(crate) down_touch: Vec<Vec<u32>>,
-    /// Per block: the upward root prices as of the last time each link
-    /// was marked (diffs compare against these, with `> eps` hysteresis).
-    pub(crate) prev_up_prices: Vec<Vec<f64>>,
-    /// Downward root price snapshots.
-    pub(crate) prev_down_prices: Vec<Vec<f64>>,
-    /// Upward root utilization-ratio snapshots.
-    pub(crate) prev_up_ratio: Vec<Vec<f64>>,
-    /// Downward root utilization-ratio snapshots.
-    pub(crate) prev_down_ratio: Vec<Vec<f64>>,
-    /// Per block, per upward offset: marked by intake since the last
-    /// iteration (observability: `dirty_link_ids`).
-    pub(crate) intake_up: Vec<Vec<bool>>,
-    /// Downward intake marks.
-    pub(crate) intake_down: Vec<Vec<bool>>,
-    /// Dedup'd `(up, block, offset)` list of the intake marks above, in
-    /// first-marked order.
-    pub(crate) intake_list: Vec<(bool, u32, u32)>,
+    /// Per direction, per worker, per LinkBlock offset: how many of the
+    /// worker's flows traverse that link. A price move only dirties
+    /// workers whose count is positive — the others never read the moved
+    /// price.
+    pub(crate) touch: [Vec<Vec<u32>>; 2],
+    /// Per direction, per block: the root prices as of the last time each
+    /// link was marked (diffs compare against these, with `> eps`
+    /// hysteresis).
+    pub(crate) prev_prices: [Vec<Vec<f64>>; 2],
+    /// Per direction, per block: the root utilization-ratio snapshots.
+    pub(crate) prev_ratio: [Vec<Vec<f64>>; 2],
+    /// Per direction, per block, per offset: marked by intake since the
+    /// last iteration (observability: `dirty_link_ids`).
+    pub(crate) intake: [Vec<Vec<bool>>; 2],
+    /// Dedup'd `(direction, block, offset)` list of the intake marks
+    /// above, in first-marked order.
+    pub(crate) intake_list: Vec<(Dir, u32, u32)>,
     /// Some price or ratio is still in motion: the last diff phase saw a
     /// move beyond `eps` on *any* link — including links no flow touches
     /// (the decay branch keeps evolving an unloaded link's dual long
@@ -111,7 +107,7 @@ impl DirtySet {
     /// `links_per_lb` links each. Every worker starts rate-dirty (the
     /// first iteration is a full sweep by construction) and the price
     /// snapshots start at the `PriceView::new` initial values.
-    pub fn new(blocks: usize, links_per_lb: usize, eps: f64, full_sweep_every: u64) -> Self {
+    pub(crate) fn new(blocks: usize, links_per_lb: usize, eps: f64, full_sweep_every: u64) -> Self {
         let n = blocks * blocks;
         Self {
             eps,
@@ -122,15 +118,11 @@ impl DirtySet {
             norm_dirty: vec![false; n],
             recomputed: vec![false; n],
             export_dirty: vec![false; n],
-            up_touch: vec![vec![0; links_per_lb]; n],
-            down_touch: vec![vec![0; links_per_lb]; n],
+            touch: [(); 2].map(|_| vec![vec![0; links_per_lb]; n]),
             // PriceView::new starts all prices at 1 and all ratios at 0.
-            prev_up_prices: vec![vec![1.0; links_per_lb]; blocks],
-            prev_down_prices: vec![vec![1.0; links_per_lb]; blocks],
-            prev_up_ratio: vec![vec![0.0; links_per_lb]; blocks],
-            prev_down_ratio: vec![vec![0.0; links_per_lb]; blocks],
-            intake_up: vec![vec![false; links_per_lb]; blocks],
-            intake_down: vec![vec![false; links_per_lb]; blocks],
+            prev_prices: [(); 2].map(|_| vec![vec![1.0; links_per_lb]; blocks]),
+            prev_ratio: [(); 2].map(|_| vec![vec![0.0; links_per_lb]; blocks]),
+            intake: [(); 2].map(|_| vec![vec![false; links_per_lb]; blocks]),
             intake_list: Vec::new(),
             moving: true,
             dirty_flows: 0,
@@ -138,32 +130,18 @@ impl DirtySet {
         }
     }
 
-    /// The movement threshold the set was built with.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
     /// Cumulative `(dirty_flows, dirty_links)` counters: flows whose rate
     /// pass re-ran, and per-iteration link price moves beyond `eps`.
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.dirty_flows, self.dirty_links)
     }
 
     /// Records a flow added to worker `w` traversing the given
-    /// upward/downward offsets: bumps the touch counts, marks the worker
+    /// per-direction offsets: bumps the touch counts, marks the worker
     /// rate-dirty, and marks the traversed links as intake-dirty.
     // flowtune-lint: hot
-    pub(crate) fn note_add(&mut self, w: usize, up: &[u32], down: &[u32]) {
-        self.rate_dirty[w] = true;
-        let b = self.blocks;
-        for &o in up {
-            self.up_touch[w][o as usize] += 1;
-            self.mark_intake(true, (w / b) as u32, o);
-        }
-        for &o in down {
-            self.down_touch[w][o as usize] += 1;
-            self.mark_intake(false, (w % b) as u32, o);
-        }
+    pub(crate) fn note_add(&mut self, w: usize, path: [&[u32]; 2]) {
+        self.note(w, path, |count| *count += 1);
     }
 
     /// Records a flow removed from worker `w` (its real offsets, as
@@ -171,31 +149,24 @@ impl DirtySet {
     /// the touch counts, marks the worker rate-dirty, and marks the
     /// traversed links as intake-dirty.
     // flowtune-lint: hot
-    pub(crate) fn note_remove(&mut self, w: usize, up: &[u32], down: &[u32]) {
-        self.rate_dirty[w] = true;
-        let b = self.blocks;
-        for &o in up {
-            self.up_touch[w][o as usize] -= 1;
-            self.mark_intake(true, (w / b) as u32, o);
-        }
-        for &o in down {
-            self.down_touch[w][o as usize] -= 1;
-            self.mark_intake(false, (w % b) as u32, o);
-        }
+    pub(crate) fn note_remove(&mut self, w: usize, path: [&[u32]; 2]) {
+        self.note(w, path, |count| *count -= 1);
     }
 
-    /// Dedup-marks one link as intake-dirty.
+    /// What an add and a remove share; `step` moves one touch count.
     // flowtune-lint: hot
-    fn mark_intake(&mut self, up: bool, block: u32, offset: u32) {
-        let grid = if up {
-            &mut self.intake_up
-        } else {
-            &mut self.intake_down
-        };
-        let cell = &mut grid[block as usize][offset as usize];
-        if !*cell {
-            *cell = true;
-            self.intake_list.push((up, block, offset));
+    fn note(&mut self, w: usize, path: [&[u32]; 2], step: impl Fn(&mut u32)) {
+        self.rate_dirty[w] = true;
+        for d in DIRS {
+            let block = position(d, w, self.blocks).0 as u32;
+            for &o in path[d] {
+                step(&mut self.touch[d][w][o as usize]);
+                let cell = &mut self.intake[d][block as usize][o as usize];
+                if !*cell {
+                    *cell = true;
+                    self.intake_list.push((d, block, o));
+                }
+            }
         }
     }
 
@@ -203,44 +174,64 @@ impl DirtySet {
     /// after they have served their purpose of marking workers).
     // flowtune-lint: hot
     pub(crate) fn drain_intake(&mut self) {
-        for &(up, block, offset) in &self.intake_list {
-            let grid = if up {
-                &mut self.intake_up
-            } else {
-                &mut self.intake_down
-            };
-            grid[block as usize][offset as usize] = false;
+        for &(d, block, offset) in &self.intake_list {
+            self.intake[d][block as usize][offset as usize] = false;
         }
         self.intake_list.clear();
+    }
+
+    /// Sets `norm_dirty` (else `rate_dirty`) on every member of LinkBlock
+    /// `(d, blk)` whose flows traverse offset `o`.
+    // flowtune-lint: hot
+    pub(crate) fn mark_crossers(&mut self, d: Dir, blk: usize, o: usize, norm: bool) {
+        let flags = if norm {
+            &mut self.norm_dirty
+        } else {
+            &mut self.rate_dirty
+        };
+        for w in members(d, blk, self.blocks) {
+            if self.touch[d][w][o] > 0 {
+                flags[w] = true;
+            }
+        }
+    }
+
+    /// A root price of LinkBlock `(d, blk)` moved beyond eps to `p`, by a
+    /// price update or an install: snapshot it and rate-dirty every
+    /// worker whose flows cross the link.
+    // flowtune-lint: hot
+    pub(crate) fn price_moved(&mut self, d: Dir, blk: usize, o: usize, p: f64) {
+        self.moving = true;
+        self.dirty_links += 1;
+        self.prev_prices[d][blk][o] = p;
+        self.mark_crossers(d, blk, o, false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::{DOWN, UP};
 
     #[test]
     fn touch_counts_follow_add_remove() {
         let mut ds = DirtySet::new(2, 4, 0.0, 0);
-        ds.note_add(1, &[0, 2], &[3]);
-        assert_eq!(ds.up_touch[1][0], 1);
-        assert_eq!(ds.up_touch[1][2], 1);
-        assert_eq!(ds.down_touch[1][3], 1);
+        ds.note_add(1, [&[0, 2], &[3]]);
+        assert_eq!(ds.touch[UP][1][0], 1);
+        assert_eq!(ds.touch[UP][1][2], 1);
+        assert_eq!(ds.touch[DOWN][1][3], 1);
         assert!(ds.rate_dirty[1]);
         // Worker 1 = (row 0, col 1): up block 0, down block 1.
-        assert_eq!(
-            ds.intake_list,
-            vec![(true, 0, 0), (true, 0, 2), (false, 1, 3)]
-        );
+        assert_eq!(ds.intake_list, vec![(UP, 0, 0), (UP, 0, 2), (DOWN, 1, 3)]);
         // A second flow on a shared link dedups the intake mark.
-        ds.note_add(1, &[0], &[3]);
-        assert_eq!(ds.up_touch[1][0], 2);
+        ds.note_add(1, [&[0], &[3]]);
+        assert_eq!(ds.touch[UP][1][0], 2);
         assert_eq!(ds.intake_list.len(), 3);
         ds.drain_intake();
         assert!(ds.intake_list.is_empty());
-        ds.note_remove(1, &[0, 2], &[3]);
-        assert_eq!(ds.up_touch[1][0], 1);
-        assert_eq!(ds.up_touch[1][2], 0);
+        ds.note_remove(1, [&[0, 2], &[3]]);
+        assert_eq!(ds.touch[UP][1][0], 1);
+        assert_eq!(ds.touch[UP][1][2], 0);
         assert_eq!(ds.intake_list.len(), 3, "remove re-marks its links");
     }
 
@@ -250,8 +241,8 @@ mod tests {
         assert_eq!(ds.counters(), (0, 0));
         assert!(ds.rate_dirty.iter().all(|&d| d));
         assert!(ds.export_dirty.iter().all(|&d| !d));
-        assert_eq!(ds.eps(), 1e-9);
-        assert_eq!(ds.prev_up_prices[0][0], 1.0);
-        assert_eq!(ds.prev_up_ratio[0][0], 0.0);
+        assert_eq!(ds.eps, 1e-9);
+        assert_eq!(ds.prev_prices[UP][0][0], 1.0);
+        assert_eq!(ds.prev_ratio[UP][0][0], 0.0);
     }
 }

@@ -216,26 +216,24 @@ pub struct FlowRate {
 /// sentinel's; the arrays are [`padded_len`] long.
 #[derive(Debug, Clone)]
 pub struct Accums {
-    /// Upward-LinkBlock pairs.
-    pub up: Vec<[f64; 2]>,
-    /// Downward-LinkBlock pairs.
-    pub down: Vec<[f64; 2]>,
+    /// The upward and the downward LinkBlock's pairs, in that order.
+    pub pairs: [Vec<[f64; 2]>; 2],
 }
 
 impl Accums {
     /// Zero-filled accumulators for LinkBlocks of `n` real links.
     pub fn new(n: usize) -> Self {
         Self {
-            up: vec![[0.0; 2]; padded_len(n)],
-            down: vec![[0.0; 2]; padded_len(n)],
+            pairs: [(); 2].map(|_| vec![[0.0; 2]; padded_len(n)]),
         }
     }
 
     /// Resets both arrays to zero.
     // flowtune-lint: hot
     pub fn clear(&mut self) {
-        self.up.fill([0.0; 2]);
-        self.down.fill([0.0; 2]);
+        for pairs in &mut self.pairs {
+            pairs.fill([0.0; 2]);
+        }
     }
 }
 
@@ -260,14 +258,10 @@ fn add_pair(link: &mut [f64; 2], pair: &[f64; 2]) {
 /// long, `0.0` from the sentinel on.
 #[derive(Debug, Clone)]
 pub struct PriceView {
-    /// Upward LinkBlock prices.
-    pub up_prices: Vec<f64>,
-    /// Downward LinkBlock prices.
-    pub down_prices: Vec<f64>,
-    /// Upward LinkBlock utilization ratios `r_ℓ` (for F-NORM).
-    pub up_ratio: Vec<f64>,
-    /// Downward LinkBlock utilization ratios.
-    pub down_ratio: Vec<f64>,
+    /// The upward and the downward LinkBlock's prices, in that order.
+    pub prices: [Vec<f64>; 2],
+    /// The two LinkBlocks' utilization ratios `r_ℓ` (for F-NORM).
+    pub ratios: [Vec<f64>; 2],
 }
 
 impl PriceView {
@@ -276,10 +270,8 @@ impl PriceView {
         let mut prices = vec![0.0; padded_len(n)];
         prices[..n].fill(1.0);
         Self {
-            up_prices: prices.clone(),
-            down_prices: prices,
-            up_ratio: vec![0.0; padded_len(n)],
-            down_ratio: vec![0.0; padded_len(n)],
+            prices: [prices.clone(), prices],
+            ratios: [(); 2].map(|_| vec![0.0; padded_len(n)]),
         }
     }
 }
@@ -293,8 +285,8 @@ pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
     let (weight, floor) = (&flows.weight[..n], &flows.floor[..n]);
     let rates = &mut flows.rates[..n];
-    let (up_prices, down_prices) = (&view.up_prices[..], &view.down_prices[..]);
-    let (acc_up, acc_down) = (&mut acc.up[..], &mut acc.down[..]);
+    let [up_prices, down_prices] = view.prices.each_ref().map(|v| &v[..]);
+    let [acc_up, acc_down] = acc.pairs.each_mut().map(|v| &mut v[..]);
     check_padded(
         flows.sentinel,
         [
@@ -431,7 +423,7 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
     let rates = &flows.rates[..n];
     let normalized = &mut flows.normalized[..n];
-    let (up_ratio, down_ratio) = (&view.up_ratio[..], &view.down_ratio[..]);
+    let [up_ratio, down_ratio] = view.ratios.each_ref().map(|v| &v[..]);
     check_padded(flows.sentinel, [up_ratio.len(), down_ratio.len()]);
     let divisor = |w: f64| if w > 0.0 { w } else { 1.0 };
     let mut i = 0;
@@ -545,6 +537,7 @@ pub fn report_pass(flows: &mut FlowBlock, threshold: f64, sink: &mut dyn FnMut(&
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::PriceView;
+    use crate::reduce::{DOWN, UP};
 
     #[derive(Debug, Clone)]
     pub struct BlockFlow {
@@ -577,10 +570,10 @@ pub(crate) mod oracle {
         for (flow, rate) in flows.iter().zip(rates.iter_mut()) {
             let mut lambda = 0.0;
             for &o in &flow.up {
-                lambda += view.up_prices[o as usize];
+                lambda += view.prices[UP][o as usize];
             }
             for &o in &flow.down {
-                lambda += view.down_prices[o as usize];
+                lambda += view.prices[DOWN][o as usize];
             }
             let lambda = lambda.max(flow.weight / flow.x_max);
             let x = flow.weight / lambda;
@@ -610,10 +603,10 @@ pub(crate) mod oracle {
             }
             let mut worst = 0.0f64;
             for &o in &flow.up {
-                worst = worst.max(view.up_ratio[o as usize]);
+                worst = worst.max(view.ratios[UP][o as usize]);
             }
             for &o in &flow.down {
-                worst = worst.max(view.down_ratio[o as usize]);
+                worst = worst.max(view.ratios[DOWN][o as usize]);
             }
             normalized[i] = if worst > 0.0 {
                 rates[i] / worst
@@ -627,6 +620,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::{DOWN, UP};
     use flowtune_proto::ThresholdFilter;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -645,23 +639,23 @@ mod tests {
     fn rate_pass_matches_hand_computation() {
         let mut flows = block(&[(1.0, &[0], &[1], 10.0)]);
         let mut view = PriceView::new(LINKS);
-        view.up_prices[..2].copy_from_slice(&[0.3, 0.0]);
-        view.down_prices[..2].copy_from_slice(&[0.0, 0.2]);
+        view.prices[UP][..2].copy_from_slice(&[0.3, 0.0]);
+        view.prices[DOWN][..2].copy_from_slice(&[0.0, 0.2]);
         let mut acc = Accums::new(LINKS);
         rate_pass(&mut flows, &view, &mut acc);
         assert!((flows.rates[0] - 2.0).abs() < 1e-12); // 1/(0.3+0.2)
-        assert!((acc.up[0][0] - 2.0).abs() < 1e-12);
-        assert!((acc.down[1][0] - 2.0).abs() < 1e-12);
-        assert!((acc.up[0][1] - (-4.0)).abs() < 1e-12); // -1/0.25
-        assert_eq!(acc.up[1], [0.0, 0.0]);
+        let [up, down] = &acc.pairs;
+        assert!((up[0][0] - 2.0).abs() < 1e-12);
+        assert!((down[1][0] - 2.0).abs() < 1e-12);
+        assert!((up[0][1] - (-4.0)).abs() < 1e-12); // -1/0.25
+        assert_eq!(up[1], [0.0, 0.0]);
     }
 
     #[test]
     fn rate_pass_honours_line_rate_cap() {
         let mut flows = block(&[(1.0, &[0], &[0], 10.0)]);
         let mut view = PriceView::new(LINKS);
-        view.up_prices.fill(0.0);
-        view.down_prices.fill(0.0);
+        view.prices.iter_mut().for_each(|p| p.fill(0.0));
         rate_pass(&mut flows, &view, &mut Accums::new(LINKS));
         assert_eq!(flows.rates[0], 10.0);
     }
@@ -759,8 +753,8 @@ mod tests {
     fn normalize_pass_divides_by_worst_path_ratio() {
         let mut flows = block(&[(1.0, &[0], &[0], 10.0), (1.0, &[1], &[1], 10.0)]);
         let mut view = PriceView::new(LINKS);
-        view.up_ratio[..2].copy_from_slice(&[2.0, 0.5]);
-        view.down_ratio[..2].copy_from_slice(&[1.0, 0.25]);
+        view.ratios[UP][..2].copy_from_slice(&[2.0, 0.5]);
+        view.ratios[DOWN][..2].copy_from_slice(&[1.0, 0.25]);
         flows.rates.copy_from_slice(&[6.0, 6.0]);
         normalize_pass(&mut flows, &view);
         assert_eq!(flows.normalized[0], 3.0); // divided by 2.0
@@ -770,13 +764,16 @@ mod tests {
     #[test]
     fn absorb_is_a_pairwise_sum_and_clear_zeroes() {
         let mut a = Accums::new(2);
-        a.up[..2].copy_from_slice(&[[1.0, -1.0], [2.0, 0.0]]);
-        absorb(&mut a.up[..2], &[[0.5, -1.0], [0.25, 0.0]]);
+        a.pairs[UP][..2].copy_from_slice(&[[1.0, -1.0], [2.0, 0.0]]);
+        absorb(&mut a.pairs[UP][..2], &[[0.5, -1.0], [0.25, 0.0]]);
         // Two links, the sentinel, and padding up to a power of two.
         assert_eq!(padded_len(2), 4);
-        assert_eq!(a.up, vec![[1.5, -2.0], [2.25, 0.0], [0.0; 2], [0.0; 2]]);
+        assert_eq!(
+            a.pairs[UP],
+            vec![[1.5, -2.0], [2.25, 0.0], [0.0; 2], [0.0; 2]]
+        );
         a.clear();
-        assert_eq!(a.up, vec![[0.0, 0.0]; 4]);
+        assert_eq!(a.pairs[UP], vec![[0.0, 0.0]; 4]);
     }
 
     #[test]
@@ -835,7 +832,7 @@ mod tests {
     fn kernels_refuse_per_link_arrays_that_are_not_padded() {
         let mut flows = block(&[(1.0, &[0], &[1], 10.0)]);
         let mut view = PriceView::new(LINKS);
-        view.down_prices.truncate(LINKS + 1);
+        view.prices[DOWN].truncate(LINKS + 1);
         rate_pass(&mut flows, &view, &mut Accums::new(LINKS));
     }
 
@@ -925,13 +922,14 @@ mod tests {
                 0 => 0.0,
                 _ => rng.unit_f64() * 3.0,
             };
-            view.up_prices[l] = draw();
-            view.down_prices[l] = draw();
-            view.up_ratio[l] = draw();
-            view.down_ratio[l] = draw();
+            view.prices[UP][l] = draw();
+            view.prices[DOWN][l] = draw();
+            view.ratios[UP][l] = draw();
+            view.ratios[DOWN][l] = draw();
         }
-        (view.up_prices[0], view.down_prices[0]) = (0.0, 0.0);
-        (view.up_ratio[0], view.down_ratio[0]) = (0.0, 0.0);
+        for column in view.prices.iter_mut().chain(&mut view.ratios) {
+            column[0] = 0.0;
+        }
         let mut columnar = FlowBlock::new(LINKS);
         let mut aos: Vec<oracle::BlockFlow> = Vec::new();
         for i in 0..n {
@@ -989,11 +987,12 @@ mod tests {
         rate_pass(&mut flows, &view, &mut acc);
         oracle::rate_pass(&aos, &view, &mut want_acc, &mut want_rates);
         assert_eq!(bits(&flows.rates), bits(&want_rates), "{case}");
-        assert_eq!(column(&acc.up, 0), bits(&want_acc.up_load), "{case}");
-        assert_eq!(column(&acc.up, 1), bits(&want_acc.up_h), "{case}");
-        assert_eq!(column(&acc.down, 0), bits(&want_acc.down_load), "{case}");
-        assert_eq!(column(&acc.down, 1), bits(&want_acc.down_h), "{case}");
-        let padding = acc.up[LINKS + 1..].iter().chain(&acc.down[LINKS + 1..]);
+        let [up, down] = &acc.pairs;
+        assert_eq!(column(up, 0), bits(&want_acc.up_load), "{case}");
+        assert_eq!(column(up, 1), bits(&want_acc.up_h), "{case}");
+        assert_eq!(column(down, 0), bits(&want_acc.down_load), "{case}");
+        assert_eq!(column(down, 1), bits(&want_acc.down_h), "{case}");
+        let padding = up[LINKS + 1..].iter().chain(&down[LINKS + 1..]);
         assert!(
             padding.flatten().all(|x| x.to_bits() == 0),
             "no offset reaches past the sentinel: {case}"

@@ -3,33 +3,34 @@
 
 use flowtune_topo::{BlockId, LinkId, TwoTierClos};
 
+use crate::reduce::{Dir, DIRS, UP};
+
 /// Where a link lives in the block decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkSlot {
-    /// `true` → the link belongs to its block's upward LinkBlock.
-    pub up: bool,
+pub(crate) struct LinkSlot {
+    /// `true` → the link belongs to its block's upward LinkBlock (a flag,
+    /// not a `Dir`, so that an `Option<LinkSlot>` per fabric link stays
+    /// 8 bytes).
+    pub(crate) up: bool,
     /// Owning block.
-    pub block: BlockId,
+    pub(crate) block: BlockId,
     /// Dense offset within the LinkBlock's arrays.
-    pub offset: u32,
+    pub(crate) offset: u32,
 }
 
 /// The static link partition of a fabric: B upward and B downward
 /// LinkBlocks, all of identical size (§5: "each LinkBlock contains exactly
 /// the same number of links, making transfer latency more predictable").
 #[derive(Debug, Clone)]
-pub struct BlockLayout {
+pub(crate) struct BlockLayout {
     blocks: usize,
     links_per_lb: usize,
-    /// Per block: global ids of its upward LinkBlock's links (slot order).
-    up_links: Vec<Vec<LinkId>>,
-    /// Per block: global ids of its downward LinkBlock's links.
-    down_links: Vec<Vec<LinkId>>,
-    /// Per block: capacities of the upward LinkBlock's links (slot order),
-    /// in Gbit/s.
-    up_capacity: Vec<Vec<f64>>,
-    /// Per block: capacities of the downward LinkBlock's links, in Gbit/s.
-    down_capacity: Vec<Vec<f64>>,
+    /// Per direction, per block: global ids of the LinkBlock's links
+    /// (slot order).
+    links: [Vec<Vec<LinkId>>; 2],
+    /// Per direction, per block: capacities of the LinkBlock's links
+    /// (slot order), in Gbit/s.
+    capacity: [Vec<Vec<f64>>; 2],
     /// Global link id → slot (None for control-plane links).
     slots: Vec<Option<LinkSlot>>,
 }
@@ -38,7 +39,7 @@ impl BlockLayout {
     /// Builds the layout for a fabric, scaling capacities by
     /// `capacity_fraction` (see [`crate::AllocConfig::capacity_fraction`])
     /// and converting to Gbit/s.
-    pub fn new(fabric: &TwoTierClos, capacity_fraction: f64) -> Self {
+    pub(crate) fn new(fabric: &TwoTierClos, capacity_fraction: f64) -> Self {
         assert!(
             capacity_fraction > 0.0 && capacity_fraction <= 1.0,
             "capacity fraction must be in (0, 1]"
@@ -46,98 +47,66 @@ impl BlockLayout {
         let blocks = fabric.block_count();
         let topo = fabric.topology();
         let mut slots = vec![None; topo.link_count()];
-        let mut up_links = Vec::with_capacity(blocks);
-        let mut down_links = Vec::with_capacity(blocks);
-        let mut up_capacity = Vec::with_capacity(blocks);
-        let mut down_capacity = Vec::with_capacity(blocks);
-        let to_gbps = |bps: u64| bps as f64 / 1e9 * capacity_fraction;
-        for b in 0..blocks {
-            let block = BlockId(b as u16);
-            let up = fabric.up_linkblock(block);
-            let down = fabric.down_linkblock(block);
-            for (offset, &l) in up.iter().enumerate() {
-                slots[l.index()] = Some(LinkSlot {
-                    up: true,
-                    block,
-                    offset: offset as u32,
-                });
+        let (mut links, mut capacity) = ([vec![], vec![]], [vec![], vec![]]);
+        let to_gbps = |l: &LinkId| topo.link(*l).capacity_bps as f64 / 1e9 * capacity_fraction;
+        for dir in DIRS {
+            let up = dir == UP;
+            for b in 0..blocks {
+                let block = BlockId(b as u16);
+                let lb = if up {
+                    fabric.up_linkblock(block)
+                } else {
+                    fabric.down_linkblock(block)
+                };
+                for (offset, &l) in lb.iter().enumerate() {
+                    let offset = offset as u32;
+                    slots[l.index()] = Some(LinkSlot { up, block, offset });
+                }
+                capacity[dir].push(lb.iter().map(to_gbps).collect());
+                links[dir].push(lb);
             }
-            for (offset, &l) in down.iter().enumerate() {
-                slots[l.index()] = Some(LinkSlot {
-                    up: false,
-                    block,
-                    offset: offset as u32,
-                });
-            }
-            up_capacity.push(
-                up.iter()
-                    .map(|&l| to_gbps(topo.link(l).capacity_bps))
-                    .collect(),
-            );
-            down_capacity.push(
-                down.iter()
-                    .map(|&l| to_gbps(topo.link(l).capacity_bps))
-                    .collect(),
-            );
-            up_links.push(up);
-            down_links.push(down);
         }
-        let links_per_lb = up_links.first().map_or(0, Vec::len);
-        debug_assert!(up_links.iter().all(|v| v.len() == links_per_lb));
-        debug_assert!(down_links.iter().all(|v| v.len() == links_per_lb));
+        let links_per_lb = links[UP].first().map_or(0, Vec::len);
+        debug_assert!(links.iter().flatten().all(|v| v.len() == links_per_lb));
         Self {
             blocks,
             links_per_lb,
-            up_links,
-            down_links,
-            up_capacity,
-            down_capacity,
+            links,
+            capacity,
             slots,
         }
     }
 
     /// Number of blocks B.
-    pub fn blocks(&self) -> usize {
+    pub(crate) fn blocks(&self) -> usize {
         self.blocks
     }
 
     /// Links per LinkBlock (identical for every LinkBlock).
-    pub fn links_per_lb(&self) -> usize {
+    pub(crate) fn links_per_lb(&self) -> usize {
         self.links_per_lb
     }
 
     /// Total links in the underlying topology (data-plane *and* control
     /// links) — the length of global-link-indexed vectors such as
     /// engine link-load exports.
-    pub fn total_links(&self) -> usize {
+    pub(crate) fn total_links(&self) -> usize {
         self.slots.len()
     }
 
     /// The slot of a global link, or `None` for control-plane links.
-    pub fn slot(&self, link: LinkId) -> Option<LinkSlot> {
+    pub(crate) fn slot(&self, link: LinkId) -> Option<LinkSlot> {
         self.slots.get(link.index()).copied().flatten()
     }
 
-    /// Global link ids of block `b`'s upward LinkBlock, in slot order.
-    pub fn up_links(&self, b: usize) -> &[LinkId] {
-        &self.up_links[b]
+    /// Global link ids of LinkBlock `(d, b)`, in slot order.
+    pub(crate) fn links(&self, d: Dir, b: usize) -> &[LinkId] {
+        &self.links[d][b]
     }
 
-    /// Global link ids of block `b`'s downward LinkBlock, in slot order.
-    pub fn down_links(&self, b: usize) -> &[LinkId] {
-        &self.down_links[b]
-    }
-
-    /// Capacities (Gbit/s, already scaled) of block `b`'s upward
-    /// LinkBlock.
-    pub fn up_capacity(&self, b: usize) -> &[f64] {
-        &self.up_capacity[b]
-    }
-
-    /// Capacities (Gbit/s, already scaled) of block `b`'s downward
-    /// LinkBlock.
-    pub fn down_capacity(&self, b: usize) -> &[f64] {
-        &self.down_capacity[b]
+    /// Capacities (Gbit/s, already scaled) of LinkBlock `(d, b)`.
+    pub(crate) fn capacity(&self, d: Dir, b: usize) -> &[f64] {
+        &self.capacity[d][b]
     }
 
     /// Splits a flow's path into (src-block up offsets, dst-block down
@@ -150,7 +119,7 @@ impl BlockLayout {
     /// expected LinkBlocks (which would indicate a routing bug), or if
     /// the path has more than two links in either direction.
     // flowtune-lint: hot
-    pub fn split_path(
+    pub(crate) fn split_path(
         &self,
         path: &flowtune_topo::Path,
         src_block: BlockId,
@@ -178,11 +147,12 @@ impl BlockLayout {
 
 /// One direction of a split path: its LinkBlock offsets — two at most, the
 /// two-tier maximum — and how many of them are real.
-pub type Hops = ([u32; 2], usize);
+pub(crate) type Hops = ([u32; 2], usize);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::DOWN;
     use flowtune_topo::{ClosConfig, FlowId};
 
     fn fabric() -> TwoTierClos {
@@ -194,16 +164,15 @@ mod tests {
         let f = fabric();
         let layout = BlockLayout::new(&f, 1.0);
         let mut seen = std::collections::HashSet::new();
-        for b in 0..layout.blocks() {
-            for (off, &l) in layout.up_links(b).iter().enumerate() {
-                let s = layout.slot(l).unwrap();
-                assert!(s.up && s.block == BlockId(b as u16) && s.offset == off as u32);
-                assert!(seen.insert(l));
-            }
-            for (off, &l) in layout.down_links(b).iter().enumerate() {
-                let s = layout.slot(l).unwrap();
-                assert!(!s.up && s.block == BlockId(b as u16) && s.offset == off as u32);
-                assert!(seen.insert(l));
+        for dir in DIRS {
+            for b in 0..layout.blocks() {
+                for (off, &l) in layout.links(dir, b).iter().enumerate() {
+                    let offset = off as u32;
+                    let block = BlockId(b as u16);
+                    let up = dir == UP;
+                    assert_eq!(layout.slot(l), Some(LinkSlot { up, block, offset }));
+                    assert!(seen.insert(l));
+                }
             }
         }
         assert_eq!(seen.len(), f.topology().link_count());
@@ -223,7 +192,7 @@ mod tests {
         let f = fabric();
         let layout = BlockLayout::new(&f, 0.99);
         // multicore config: 40 G host links.
-        assert!((layout.up_capacity(0)[0] - 40.0 * 0.99).abs() < 1e-12);
+        assert!((layout.capacity(UP, 0)[0] - 40.0 * 0.99).abs() < 1e-12);
     }
 
     #[test]
@@ -239,8 +208,8 @@ mod tests {
         // Offsets must point back at the path's links.
         let sb = f.block_of_server(src).index();
         let db = f.block_of_server(dst).index();
-        assert_eq!(layout.up_links(sb)[up[0] as usize], path.links()[0]);
-        assert_eq!(layout.down_links(db)[down[1] as usize], path.links()[3]);
+        assert_eq!(layout.links(UP, sb)[up[0] as usize], path.links()[0]);
+        assert_eq!(layout.links(DOWN, db)[down[1] as usize], path.links()[3]);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //!
 //! * **flows** into a B×B grid of [FlowBlocks](flowblock) by (source
 //!   block, destination block) — each owned by exactly one worker;
-//! * **links** into B upward and B downward
-//!   [LinkBlocks](layout::BlockLayout) — every flow of FlowBlock (i,j)
-//!   touches only up-LinkBlock *i* and down-LinkBlock *j*.
+//! * **links** into B upward and B downward LinkBlocks — every flow of
+//!   FlowBlock (i,j) touches only up-LinkBlock *i* and down-LinkBlock *j*.
 //!
 //! Each worker keeps *private copies* of the two LinkBlocks it needs. An
 //! iteration runs entirely on private state, then the modified copies are
 //! summed to authoritative copies on the grid diagonals in `log₂ B`
 //! butterfly steps (Figure 3), prices are updated there (NED), and the
 //! results — prices plus the per-link utilization ratios F-NORM needs —
-//! are distributed back along the reverse pattern.
+//! are distributed back along the reverse pattern. Only which grid line a
+//! LinkBlock is summed along, and onto which diagonal, tells the two
+//! directions apart: every per-direction quantity is a two-element array,
+//! and every LinkBlock phase is written once for both.
 //!
 //! Two interchangeable engines implement this, behind the
 //! [`RateAllocator`] trait the control-plane service holds a box of:
@@ -54,30 +56,30 @@
 
 #![deny(missing_docs)]
 
-pub mod dirty;
+mod dirty;
 pub mod engine;
 pub mod flowblock;
 pub mod gradient;
-pub mod layout;
+mod layout;
 pub mod parallel;
 pub mod pool;
-pub mod reduce;
+mod reduce;
 pub mod serial;
 
-pub use dirty::DirtySet;
 pub use engine::{lend_passers, BoxEngine, RateAllocator};
 pub use flowblock::{FlowRate, UNREPORTED};
 pub use gradient::GradientAllocator;
-pub use layout::BlockLayout;
 pub use parallel::MulticoreAllocator;
 pub use pool::{FanOutError, WorkerPool};
 pub use serial::SerialAllocator;
 
+/// NED step size γ (Algorithm 1). §6.2: "experiments have γ = 0.4"; any
+/// value in [0.2, 1.5] behaves similarly, so it is not a knob.
+pub const GAMMA: f64 = 0.4;
+
 /// Configuration shared by both allocator engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocConfig {
-    /// NED step size γ (Algorithm 1; the paper's simulations use 0.4).
-    pub gamma: f64,
     /// Whether to F-NORM the rates after each iteration (§4.2). U-NORM is
     /// deliberately unsupported here: it needs a *global* max, which
     /// breaks the block decomposition — §4.2 notes F-NORM is the scheme
@@ -88,7 +90,7 @@ pub struct AllocConfig {
     /// threshold; with a 0.01 threshold, the allocator would allocate 99%
     /// of link capacities."
     pub capacity_fraction: f64,
-    /// Run iterations incrementally: a [`DirtySet`] tracks which
+    /// Run iterations incrementally: a dirty set tracks which
     /// FlowBlock workers saw a price move (beyond [`AllocConfig::dirty_eps`])
     /// on a link their flows traverse, or had flows added/removed, and the
     /// rate/normalize passes touch only those. With `dirty_eps = 0` the
@@ -110,7 +112,6 @@ pub struct AllocConfig {
 impl Default for AllocConfig {
     fn default() -> Self {
         Self {
-            gamma: 0.4,
             f_norm: true,
             capacity_fraction: 1.0,
             incremental: false,

@@ -41,10 +41,8 @@ use flowtune_topo::TwoTierClos;
 
 use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass};
 use crate::pool::WorkerPool;
-use crate::reduce::{
-    down_aggregate, down_distribute, down_root, steps, up_aggregate, up_distribute, up_root, Role,
-};
-use crate::{AllocConfig, SerialAllocator};
+use crate::reduce::{aggregate, distribute, position, root, steps, Role, DIRS};
+use crate::{AllocConfig, SerialAllocator, GAMMA};
 
 /// The parallel allocator engine. Construction, flow add/remove, and rate
 /// queries are the wrapped [`SerialAllocator`]'s, on the caller's thread
@@ -114,7 +112,6 @@ impl MulticoreAllocator {
         let b = self.grid.layout.blocks();
         let n_workers = b * b;
         let tree_steps = steps(b);
-        let gamma = self.grid.cfg.gamma;
         let f_norm = self.grid.cfg.f_norm;
         let layout = &self.grid.layout;
         let bg = &self.grid.bg;
@@ -170,46 +167,34 @@ impl MulticoreAllocator {
                 // Phase 2: aggregation tree.
                 for s in 0..tree_steps {
                     for w in lo..hi {
-                        let (i, j) = (w / b, w % b);
-                        if let Role::Recv { from } = up_aggregate(i, j, b, s) {
-                            buf.copy_from_slice(&lock(&cells[from]).acc.up[..lpl]);
-                            absorb(&mut lock(&cells[w]).acc.up[..lpl], &buf);
-                        }
-                        if let Role::Recv { from } = down_aggregate(i, j, b, s) {
-                            buf.copy_from_slice(&lock(&cells[from]).acc.down[..lpl]);
-                            absorb(&mut lock(&cells[w]).acc.down[..lpl], &buf);
+                        for d in DIRS {
+                            if let Role::Recv { from } = aggregate(d, w, b, s) {
+                                buf.copy_from_slice(&lock(&cells[from]).acc.pairs[d][..lpl]);
+                                absorb(&mut lock(&cells[w]).acc.pairs[d][..lpl], &buf);
+                            }
                         }
                     }
                     barrier.wait();
                 }
 
-                // Phase 3: price update on the diagonal owners.
+                // Phase 3: price update on the diagonal owners, the
+                // LinkBlocks' members at virtual index 0.
                 for w in lo..hi {
-                    let (i, j) = (w / b, w % b);
-                    if w == up_root(i, b) {
+                    for d in DIRS {
+                        let (blk, k) = position(d, w, b);
+                        if k != 0 {
+                            continue;
+                        }
                         let mut me = lock(&cells[w]);
                         let me = &mut *me;
                         price_update(
-                            &me.acc.up,
-                            bg.as_ref().map(|bg| bg.up[i].as_slice()),
-                            bg_h.as_ref().map(|bg| bg.up[i].as_slice()),
-                            layout.up_capacity(i),
-                            gamma,
-                            &mut me.view.up_prices,
-                            &mut me.view.up_ratio,
-                        );
-                    }
-                    if w == down_root(j, b) {
-                        let mut me = lock(&cells[w]);
-                        let me = &mut *me;
-                        price_update(
-                            &me.acc.down,
-                            bg.as_ref().map(|bg| bg.down[j].as_slice()),
-                            bg_h.as_ref().map(|bg| bg.down[j].as_slice()),
-                            layout.down_capacity(j),
-                            gamma,
-                            &mut me.view.down_prices,
-                            &mut me.view.down_ratio,
+                            &me.acc.pairs[d],
+                            bg.as_ref().map(|bg| bg[d][blk].as_slice()),
+                            bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
+                            layout.capacity(d, blk),
+                            GAMMA,
+                            &mut me.view.prices[d],
+                            &mut me.view.ratios[d],
                         );
                     }
                 }
@@ -219,26 +204,18 @@ impl MulticoreAllocator {
                 let (prices, ratios) = buf.as_flattened_mut().split_at_mut(lpl);
                 for s in (0..tree_steps).rev() {
                     for w in lo..hi {
-                        let (i, j) = (w / b, w % b);
-                        if let Role::Recv { from } = up_distribute(i, j, b, s) {
+                        for d in DIRS {
+                            let Role::Recv { from } = distribute(d, w, b, s) else {
+                                continue;
+                            };
                             {
                                 let peer = lock(&cells[from]);
-                                prices.copy_from_slice(&peer.view.up_prices[..lpl]);
-                                ratios.copy_from_slice(&peer.view.up_ratio[..lpl]);
+                                prices.copy_from_slice(&peer.view.prices[d][..lpl]);
+                                ratios.copy_from_slice(&peer.view.ratios[d][..lpl]);
                             }
                             let mut me = lock(&cells[w]);
-                            me.view.up_prices[..lpl].copy_from_slice(prices);
-                            me.view.up_ratio[..lpl].copy_from_slice(ratios);
-                        }
-                        if let Role::Recv { from } = down_distribute(i, j, b, s) {
-                            {
-                                let peer = lock(&cells[from]);
-                                prices.copy_from_slice(&peer.view.down_prices[..lpl]);
-                                ratios.copy_from_slice(&peer.view.down_ratio[..lpl]);
-                            }
-                            let mut me = lock(&cells[w]);
-                            me.view.down_prices[..lpl].copy_from_slice(prices);
-                            me.view.down_ratio[..lpl].copy_from_slice(ratios);
+                            me.view.prices[d][..lpl].copy_from_slice(prices);
+                            me.view.ratios[d][..lpl].copy_from_slice(ratios);
                         }
                     }
                     barrier.wait();
@@ -270,9 +247,10 @@ impl MulticoreAllocator {
         // the serial iteration does.
         let (workers, totals) = (&self.grid.workers, &mut self.grid.totals);
         let lpl = layout.links_per_lb();
-        for blk in 0..b {
-            totals.up[blk].copy_from_slice(&workers[up_root(blk, b)].acc.up[..lpl]);
-            totals.down[blk].copy_from_slice(&workers[down_root(blk, b)].acc.down[..lpl]);
+        for d in DIRS {
+            for (blk, total) in totals[d].iter_mut().enumerate() {
+                total.copy_from_slice(&workers[root(d, blk, b)].acc.pairs[d][..lpl]);
+            }
         }
         let took = *lock(&elapsed);
         took

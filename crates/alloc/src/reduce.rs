@@ -1,4 +1,5 @@
-//! The Figure-3 aggregation/distribution schedule.
+//! The Figure-3 aggregation/distribution schedule, and the one place the
+//! two LinkBlock directions differ.
 //!
 //! Workers form a B×B grid (worker `(i, j)` owns FlowBlock src-block `i` →
 //! dst-block `j`). Upward LinkBlock `i` is aggregated *along row i* onto
@@ -9,13 +10,31 @@
 //! `log₂ B` steps: "n² processors require only log₂ n steps rather than
 //! log₂ n²" (§5).
 //!
+//! That row-or-column, which-diagonal choice is all that tells the
+//! directions apart, and [`member`] / [`position`] are where it is made.
+//! Everything per direction elsewhere is a two-element array indexed by a
+//! [`Dir`], and every LinkBlock phase is one loop over [`DIRS`].
+//!
 //! Distribution runs the identical tree in reverse (receivers become
 //! senders), so "distribution follows the reverse of the aggregation
 //! pattern".
 
+/// A LinkBlock direction, as the index of its half in every
+/// per-direction pair: [`UP`] or [`DOWN`].
+pub(crate) type Dir = usize;
+
+/// The upward LinkBlocks: block `i`'s links are summed along grid row `i`.
+pub(crate) const UP: Dir = 0;
+
+/// The downward LinkBlocks: block `j`'s links are summed along column `j`.
+pub(crate) const DOWN: Dir = 1;
+
+/// Both directions, in the order every LinkBlock phase walks them.
+pub(crate) const DIRS: [Dir; 2] = [UP, DOWN];
+
 /// What a worker does for one LinkBlock in one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// Absorb the partial state of worker `from` (aggregation) or copy the
     /// authoritative state from worker `from` (distribution).
     Recv {
@@ -33,32 +52,43 @@ pub enum Role {
 
 /// Number of tree steps for a B×B grid (`log₂ B`); B must be a power of
 /// two.
-pub fn steps(blocks: usize) -> usize {
+pub(crate) fn steps(blocks: usize) -> usize {
     debug_assert!(blocks.is_power_of_two());
     blocks.trailing_zeros() as usize
 }
 
-/// Virtual index of worker `(i, j)` for its row's upward LinkBlock:
-/// distance (mod B) from the main-diagonal worker `(i, i)`.
-fn k_up(i: usize, j: usize, b: usize) -> usize {
-    (j + b - i) % b
+/// Flat index of the worker at virtual index `k` of LinkBlock `(d, blk)`:
+/// up-LinkBlock `blk` is row `blk` counted from the main diagonal,
+/// down-LinkBlock `blk` is column `blk` counted from the secondary one.
+/// B is a power of two, so "mod B" is a mask.
+pub(crate) fn member(d: Dir, blk: usize, k: usize, b: usize) -> usize {
+    if d == UP {
+        blk * b + ((blk + k) & (b - 1))
+    } else {
+        ((b - 1 - blk + k) & (b - 1)) * b + blk
+    }
 }
 
-/// Virtual index of worker `(i, j)` for its column's downward LinkBlock:
-/// distance (mod B) from the secondary-diagonal worker `(B−1−j, j)`.
-fn k_down(i: usize, j: usize, b: usize) -> usize {
-    let target_row = b - 1 - j;
-    (i + b - target_row) % b
+/// The LinkBlock `(d, blk)`'s members, in virtual-index order.
+pub(crate) fn members(d: Dir, blk: usize, b: usize) -> impl Iterator<Item = usize> {
+    (0..b).map(move |k| member(d, blk, k, b))
 }
 
-/// Flat worker index of the row-`i` worker with up-virtual-index `k`.
-pub fn up_worker(i: usize, k: usize, b: usize) -> usize {
-    i * b + (i + k) % b
+/// The worker that ends up owning LinkBlock `(d, blk)`: its member at
+/// virtual index 0, on the main (up) or secondary (down) diagonal.
+pub(crate) fn root(d: Dir, blk: usize, b: usize) -> usize {
+    member(d, blk, 0, b)
 }
 
-/// Flat worker index of the column-`j` worker with down-virtual-index `k`.
-pub fn down_worker(j: usize, k: usize, b: usize) -> usize {
-    ((b - 1 - j + k) % b) * b + j
+/// Which direction-`d` LinkBlock worker `w` reads, and its virtual index
+/// in it — the inverse of [`member`].
+pub(crate) fn position(d: Dir, w: usize, b: usize) -> (usize, usize) {
+    let (i, j) = (w / b, w % b);
+    if d == UP {
+        (i, (j + b - i) & (b - 1))
+    } else {
+        (j, (i + j + 1) & (b - 1))
+    }
 }
 
 /// Binomial-tree role of virtual index `k` at aggregation step `s`.
@@ -80,31 +110,16 @@ enum TreeRole {
     Out,
 }
 
-/// Aggregation role of worker `(i, j)` for its **upward** LinkBlock at
-/// step `s`.
-pub fn up_aggregate(i: usize, j: usize, b: usize, s: usize) -> Role {
-    let k = k_up(i, j, b);
+/// Aggregation role of worker `w` for its direction-`d` LinkBlock at step
+/// `s`.
+pub(crate) fn aggregate(d: Dir, w: usize, b: usize, s: usize) -> Role {
+    let (blk, k) = position(d, w, b);
     match tree_role(k, s) {
         TreeRole::Root => Role::Recv {
-            from: up_worker(i, k + (1 << s), b),
+            from: member(d, blk, k + (1 << s), b),
         },
         TreeRole::Leaf => Role::Peer {
-            to: up_worker(i, k - (1 << s), b),
-        },
-        TreeRole::Out => Role::Idle,
-    }
-}
-
-/// Aggregation role of worker `(i, j)` for its **downward** LinkBlock at
-/// step `s`.
-pub fn down_aggregate(i: usize, j: usize, b: usize, s: usize) -> Role {
-    let k = k_down(i, j, b);
-    match tree_role(k, s) {
-        TreeRole::Root => Role::Recv {
-            from: down_worker(j, k + (1 << s), b),
-        },
-        TreeRole::Leaf => Role::Peer {
-            to: down_worker(j, k - (1 << s), b),
+            to: member(d, blk, k - (1 << s), b),
         },
         TreeRole::Out => Role::Idle,
     }
@@ -113,39 +128,19 @@ pub fn down_aggregate(i: usize, j: usize, b: usize, s: usize) -> Role {
 /// Distribution role at (descending) step `s`: the reverse of aggregation
 /// — the step-`s` aggregation root now *feeds* its former leaf, so the
 /// leaf reports `Recv` and the root `Peer`.
-pub fn up_distribute(i: usize, j: usize, b: usize, s: usize) -> Role {
-    match up_aggregate(i, j, b, s) {
+pub(crate) fn distribute(d: Dir, w: usize, b: usize, s: usize) -> Role {
+    match aggregate(d, w, b, s) {
         Role::Recv { from } => Role::Peer { to: from },
         Role::Peer { to } => Role::Recv { from: to },
         Role::Idle => Role::Idle,
     }
-}
-
-/// Distribution role for the downward LinkBlock at (descending) step `s`.
-pub fn down_distribute(i: usize, j: usize, b: usize, s: usize) -> Role {
-    match down_aggregate(i, j, b, s) {
-        Role::Recv { from } => Role::Peer { to: from },
-        Role::Peer { to } => Role::Recv { from: to },
-        Role::Idle => Role::Idle,
-    }
-}
-
-/// The main-diagonal worker that ends up owning upward LinkBlock `i`.
-pub fn up_root(i: usize, b: usize) -> usize {
-    i * b + i
-}
-
-/// The secondary-diagonal worker that ends up owning downward LinkBlock
-/// `j`.
-pub fn down_root(j: usize, b: usize) -> usize {
-    (b - 1 - j) * b + j
 }
 
 /// Reduces `partials[k]` (indexed by virtual index) with the exact
 /// pairwise order of the parallel tree; the result lands in
 /// `partials[0]`. Used by the serial engine so serial and parallel sums
 /// are bit-for-bit identical.
-pub fn binomial_reduce_in_order<T, F: FnMut(&mut T, &T)>(partials: &mut [T], mut absorb: F)
+pub(crate) fn binomial_reduce_in_order<T, F: FnMut(&mut T, &T)>(partials: &mut [T], mut absorb: F)
 where
     T: Sized,
 {
@@ -166,25 +161,27 @@ where
 mod tests {
     use super::*;
 
+    /// Flat indices of LinkBlock `(d, block)`'s workers, in grid order:
+    /// row `block` up, column `block` down.
+    fn grid_members(d: Dir, block: usize, b: usize) -> Vec<usize> {
+        if d == UP {
+            (0..b).map(|j| block * b + j).collect()
+        } else {
+            (0..b).map(|i| i * b + block).collect()
+        }
+    }
+
     /// Simulate the aggregation for one LinkBlock kind and check every
     /// partial reaches the right diagonal exactly once.
-    fn check_aggregation(b: usize, up: bool) {
+    fn check_aggregation(b: usize, d: Dir) {
         // Each worker starts holding the multiset {flat index} for each
         // LinkBlock it contributes to.
         let mut holdings: Vec<Vec<usize>> = (0..b * b).map(|w| vec![w]).collect();
         for s in 0..steps(b) {
             let mut moves = Vec::new();
-            for i in 0..b {
-                for j in 0..b {
-                    let w = i * b + j;
-                    let role = if up {
-                        up_aggregate(i, j, b, s)
-                    } else {
-                        down_aggregate(i, j, b, s)
-                    };
-                    if let Role::Recv { from } = role {
-                        moves.push((from, w));
-                    }
+            for w in 0..b * b {
+                if let Role::Recv { from } = aggregate(d, w, b, s) {
+                    moves.push((from, w));
                 }
             }
             for (from, to) in moves {
@@ -193,27 +190,18 @@ mod tests {
             }
         }
         for block in 0..b {
-            let root = if up {
-                up_root(block, b)
-            } else {
-                down_root(block, b)
-            };
-            let members: Vec<usize> = if up {
-                (0..b).map(|j| block * b + j).collect()
-            } else {
-                (0..b).map(|i| i * b + block).collect()
-            };
-            let mut got = holdings[root].clone();
+            let mut got = holdings[root(d, block, b)].clone();
             got.sort_unstable();
-            assert_eq!(got, members, "b={b} up={up} block={block}");
+            assert_eq!(got, grid_members(d, block, b), "b={b} d={d} block={block}");
         }
     }
 
     #[test]
     fn aggregation_reaches_diagonals() {
         for b in [1, 2, 4, 8] {
-            check_aggregation(b, true);
-            check_aggregation(b, false);
+            for d in DIRS {
+                check_aggregation(b, d);
+            }
         }
     }
 
@@ -221,10 +209,26 @@ mod tests {
     fn roots_are_on_the_diagonals() {
         let b = 4;
         for i in 0..b {
-            assert_eq!(up_root(i, b), i * b + i);
-            let dr = down_root(i, b);
+            assert_eq!(root(UP, i, b), i * b + i);
+            let dr = root(DOWN, i, b);
             let (r, c) = (dr / b, dr % b);
-            assert_eq!(r + c, b - 1, "secondary diagonal");
+            assert_eq!((r + c, c), (b - 1, i), "secondary diagonal");
+        }
+    }
+
+    #[test]
+    fn member_and_position_are_inverse() {
+        for b in [1, 2, 4, 8] {
+            for d in DIRS {
+                for blk in 0..b {
+                    let mut got: Vec<usize> = members(d, blk, b).collect();
+                    for (k, &w) in got.iter().enumerate() {
+                        assert_eq!(position(d, w, b), (blk, k), "b={b} d={d}");
+                    }
+                    got.sort_unstable();
+                    assert_eq!(got, grid_members(d, blk, b));
+                }
+            }
         }
     }
 
@@ -233,15 +237,10 @@ mod tests {
         // If w receives from v, then v must be a peer pointing at w.
         let b = 8;
         for s in 0..steps(b) {
-            for i in 0..b {
-                for j in 0..b {
-                    if let Role::Recv { from } = up_aggregate(i, j, b, s) {
-                        let (fi, fj) = (from / b, from % b);
-                        assert_eq!(up_aggregate(fi, fj, b, s), Role::Peer { to: i * b + j });
-                    }
-                    if let Role::Recv { from } = down_aggregate(i, j, b, s) {
-                        let (fi, fj) = (from / b, from % b);
-                        assert_eq!(down_aggregate(fi, fj, b, s), Role::Peer { to: i * b + j });
+            for d in DIRS {
+                for w in 0..b * b {
+                    if let Role::Recv { from } = aggregate(d, w, b, s) {
+                        assert_eq!(aggregate(d, from, b, s), Role::Peer { to: w });
                     }
                 }
             }
@@ -250,30 +249,29 @@ mod tests {
 
     #[test]
     fn distribution_reaches_every_worker() {
-        let b = 4;
-        // Start with only the roots holding the result.
-        let mut has_up = vec![false; b * b];
-        for i in 0..b {
-            has_up[up_root(i, b)] = true;
-        }
-        for s in (0..steps(b)).rev() {
-            let mut grants = Vec::new();
-            for i in 0..b {
-                for j in 0..b {
-                    if let Role::Recv { from } = up_distribute(i, j, b, s) {
-                        grants.push((from, i * b + j));
+        for b in [1, 2, 4, 8] {
+            for d in DIRS {
+                // Start with only the roots holding the result.
+                let mut has = vec![false; b * b];
+                for blk in 0..b {
+                    has[root(d, blk, b)] = true;
+                }
+                for s in (0..steps(b)).rev() {
+                    let mut grants = Vec::new();
+                    for w in 0..b * b {
+                        if let Role::Recv { from } = distribute(d, w, b, s) {
+                            grants.push((from, w));
+                        }
+                    }
+                    for (from, to) in grants {
+                        assert!(has[from], "distributing from a worker without data");
+                        assert_eq!(position(d, from, b).0, position(d, to, b).0);
+                        has[to] = true;
                     }
                 }
-            }
-            for (from, to) in grants {
-                assert!(has_up[from], "distributing from a worker without data");
-                has_up[to] = true;
+                assert!(has.iter().all(|&x| x), "b={b} d={d}: a worker missed it");
             }
         }
-        assert!(
-            has_up.iter().all(|&x| x),
-            "some worker missed the broadcast"
-        );
     }
 
     #[test]
@@ -295,7 +293,7 @@ mod tests {
     #[test]
     fn single_block_grid_is_trivial() {
         assert_eq!(steps(1), 0);
-        assert_eq!(up_root(0, 1), 0);
-        assert_eq!(down_root(0, 1), 0);
+        assert_eq!(root(UP, 0, 1), 0);
+        assert_eq!(root(DOWN, 0, 1), 0);
     }
 }

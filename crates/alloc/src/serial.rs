@@ -35,8 +35,8 @@ use crate::flowblock::{
     FlowRate, PriceView,
 };
 use crate::layout::BlockLayout;
-use crate::reduce::{binomial_reduce_in_order, down_root, down_worker, up_root, up_worker};
-use crate::AllocConfig;
+use crate::reduce::{binomial_reduce_in_order, member, members, root, DIRS, DOWN, UP};
+use crate::{AllocConfig, GAMMA};
 
 /// The single-threaded allocator engine: the §5 FlowBlock × LinkBlock
 /// grid and every operation on it. The multicore engine wraps one and
@@ -109,25 +109,17 @@ struct IterScratch {
     ratios: Vec<f64>,
 }
 
-/// Each LinkBlock's reduced `[load, hessian]` pairs (real links only) —
-/// the `(G, H)` the last price update consumed, over this engine's own
-/// flows. All zeros until the first iteration; carried unchanged across
-/// a skipped quiet iteration, when no accumulator moved and a
-/// re-aggregation would reproduce them bit for bit.
-#[derive(Debug, Clone)]
-pub(crate) struct LinkTotals {
-    pub up: Vec<Vec<[f64; 2]>>,
-    pub down: Vec<Vec<[f64; 2]>>,
-}
+/// Per direction, each LinkBlock's reduced `[load, hessian]` pairs (real
+/// links only) — the `(G, H)` the last price update consumed, over this
+/// engine's own flows. All zeros until the first iteration; carried
+/// unchanged across a skipped quiet iteration, when no accumulator moved
+/// and a re-aggregation would reproduce them bit for bit.
+pub(crate) type LinkTotals = [Vec<Vec<[f64; 2]>>; 2];
 
-/// Background (other-shard) per-link values in LinkBlock layout: one
-/// slice per block for the upward and downward LinkBlocks, offsets
-/// matching the capacity arrays (holds loads or Hessian diagonals).
-#[derive(Debug, Clone)]
-pub(crate) struct BgLoads {
-    pub up: Vec<Vec<f64>>,
-    pub down: Vec<Vec<f64>>,
-}
+/// Background (other-shard) per-link values in LinkBlock layout: per
+/// direction, one slice per block, offsets matching the capacity arrays
+/// (holds loads or Hessian diagonals).
+pub(crate) type BgLoads = [Vec<Vec<f64>>; 2];
 
 /// One FlowBlock worker's private state.
 #[derive(Debug, Clone)]
@@ -171,10 +163,6 @@ impl SerialAllocator {
             prices: vec![0.0; padded_len(lpl)],
             ratios: vec![0.0; padded_len(lpl)],
         };
-        let totals = LinkTotals {
-            up: zeros.clone(),
-            down: zeros,
-        };
         let dirty = cfg
             .incremental
             .then(|| DirtySet::new(b, lpl, cfg.dirty_eps, cfg.full_sweep_every));
@@ -187,7 +175,7 @@ impl SerialAllocator {
             bg: None,
             bg_h: None,
             dirty,
-            totals,
+            totals: [zeros.clone(), zeros],
             scratch,
         }
     }
@@ -218,15 +206,15 @@ impl SerialAllocator {
         let (up, down) = (&up[..ups], &down[..downs]);
         let x_max = up
             .iter()
-            .map(|&o| self.layout.up_capacity(src_block.index())[o as usize])
+            .map(|&o| self.layout.capacity(UP, src_block.index())[o as usize])
             .chain(
                 down.iter()
-                    .map(|&o| self.layout.down_capacity(dst_block.index())[o as usize]),
+                    .map(|&o| self.layout.capacity(DOWN, dst_block.index())[o as usize]),
             )
             .fold(f64::INFINITY, f64::min);
         let w = src_block.index() * b + dst_block.index();
         if let Some(ds) = &mut self.dirty {
-            ds.note_add(w, up, down);
+            ds.note_add(w, [up, down]);
         }
         let flows = &mut self.workers[w].flows;
         flows.push(id, weight, up, down, x_max);
@@ -248,7 +236,7 @@ impl SerialAllocator {
         let flows = &mut self.workers[w].flows;
         if let Some(ds) = &mut self.dirty {
             let (up, down) = flows.path(slot);
-            ds.note_remove(w, up, down);
+            ds.note_remove(w, [up, down]);
         }
         if let Some(moved) = flows.swap_remove(slot) {
             // A flow was moved into the vacated slot; re-index it.
@@ -309,13 +297,7 @@ impl SerialAllocator {
         };
         ds.intake_list
             .iter()
-            .map(|&(up, block, offset)| {
-                if up {
-                    self.layout.up_links(block as usize)[offset as usize]
-                } else {
-                    self.layout.down_links(block as usize)[offset as usize]
-                }
-            })
+            .map(|&(d, block, offset)| self.layout.links(d, block as usize)[offset as usize])
             .collect()
     }
 
@@ -342,12 +324,12 @@ impl SerialAllocator {
     /// links) are not visited.
     // flowtune-lint: hot
     fn for_each_total(&self, mut put: impl FnMut(usize, [f64; 2])) {
-        for blk in 0..self.layout.blocks() {
-            let (up, down) = (&self.totals.up[blk], &self.totals.down[blk]);
-            let up = self.layout.up_links(blk).iter().zip(up);
-            let down = self.layout.down_links(blk).iter().zip(down);
-            up.chain(down)
-                .for_each(|(link, &pair)| put(link.index(), pair));
+        for d in DIRS {
+            for blk in 0..self.layout.blocks() {
+                for (link, &pair) in self.layout.links(d, blk).iter().zip(&self.totals[d][blk]) {
+                    put(link.index(), pair);
+                }
+            }
         }
     }
 
@@ -359,14 +341,12 @@ impl SerialAllocator {
         let b = self.layout.blocks();
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
-        for blk in 0..b {
-            let up_view = &self.workers[up_root(blk, b)].view;
-            for (o, link) in self.layout.up_links(blk).iter().enumerate() {
-                out[link.index()] = up_view.up_prices[o];
-            }
-            let down_view = &self.workers[down_root(blk, b)].view;
-            for (o, link) in self.layout.down_links(blk).iter().enumerate() {
-                out[link.index()] = down_view.down_prices[o];
+        for d in DIRS {
+            for blk in 0..b {
+                let prices = &self.workers[root(d, blk, b)].view.prices[d];
+                for (link, &p) in self.layout.links(d, blk).iter().zip(prices) {
+                    out[link.index()] = p;
+                }
             }
         }
     }
@@ -401,44 +381,19 @@ impl SerialAllocator {
             dirty,
             ..
         } = self;
-        for blk in 0..b {
-            let root = &mut workers[up_root(blk, b)].view.up_prices;
-            for (o, link) in layout.up_links(blk).iter().enumerate() {
-                let p = prices[link.index()];
-                if p.is_nan() {
-                    continue;
-                }
-                if let Some(ds) = dirty.as_mut().filter(|ds| (p - root[o]).abs() > ds.eps) {
-                    ds.moving = true;
-                    ds.dirty_links += 1;
-                    ds.prev_up_prices[blk][o] = p;
-                    for j in 0..b {
-                        let w = blk * b + j;
-                        if ds.up_touch[w][o] > 0 {
-                            ds.rate_dirty[w] = true;
-                        }
+        for d in DIRS {
+            for blk in 0..b {
+                let held = &mut workers[root(d, blk, b)].view.prices[d];
+                for (o, link) in layout.links(d, blk).iter().enumerate() {
+                    let p = prices[link.index()];
+                    if p.is_nan() {
+                        continue;
                     }
-                }
-                root[o] = p;
-            }
-            let root = &mut workers[down_root(blk, b)].view.down_prices;
-            for (o, link) in layout.down_links(blk).iter().enumerate() {
-                let p = prices[link.index()];
-                if p.is_nan() {
-                    continue;
-                }
-                if let Some(ds) = dirty.as_mut().filter(|ds| (p - root[o]).abs() > ds.eps) {
-                    ds.moving = true;
-                    ds.dirty_links += 1;
-                    ds.prev_down_prices[blk][o] = p;
-                    for i in 0..b {
-                        let w = i * b + blk;
-                        if ds.down_touch[w][o] > 0 {
-                            ds.rate_dirty[w] = true;
-                        }
+                    if let Some(ds) = dirty.as_mut().filter(|ds| (p - held[o]).abs() > ds.eps) {
+                        ds.price_moved(d, blk, o, p);
                     }
+                    held[o] = p;
                 }
-                root[o] = p;
             }
         }
         self.distribute(false);
@@ -461,16 +416,12 @@ impl SerialAllocator {
         );
         let b = layout.blocks();
         let lpl = layout.links_per_lb();
-        let bg = slot.get_or_insert_with(|| BgLoads {
-            up: vec![vec![0.0; lpl]; b],
-            down: vec![vec![0.0; lpl]; b],
-        });
-        for blk in 0..b {
-            for (o, link) in layout.up_links(blk).iter().enumerate() {
-                bg.up[blk][o] = values[link.index()];
-            }
-            for (o, link) in layout.down_links(blk).iter().enumerate() {
-                bg.down[blk][o] = values[link.index()];
+        let bg = slot.get_or_insert_with(|| [(); 2].map(|_| vec![vec![0.0; lpl]; b]));
+        for d in DIRS {
+            for (blk, bg) in bg[d].iter_mut().enumerate() {
+                for (v, link) in bg.iter_mut().zip(layout.links(d, blk)) {
+                    *v = values[link.index()];
+                }
             }
         }
     }
@@ -516,45 +467,18 @@ impl SerialAllocator {
         Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
     }
 
-    /// One full NED iteration: rate pass → aggregate → price update →
-    /// distribute → (optionally) F-NORM, dispatching to the incremental
-    /// path (see [`crate::dirty`]) when [`AllocConfig::incremental`]
-    /// installed a dirty set. Both engines call this on one thread; the
-    /// multicore engine only takes its barrier pipeline when running the
-    /// classic full sweep.
-    // flowtune-lint: hot
-    pub fn iterate(&mut self) {
-        if self.dirty.is_some() {
-            self.iterate_incremental();
-        } else {
-            self.iterate_full();
-        }
-    }
-
-    /// Runs `n` iterations.
-    // flowtune-lint: hot
-    pub fn run_iterations(&mut self, n: usize) {
-        for _ in 0..n {
-            self.iterate();
-        }
-    }
-
-    /// The classic full sweep: rate pass everywhere → aggregate → price
-    /// update → distribute → F-NORM everywhere.
-    // flowtune-lint: hot
-    fn iterate_full(&mut self) {
-        self.rate_phase_full();
-        self.aggregate_and_price();
-        self.distribute(true);
-        self.normalize_phase_full();
-    }
-
-    /// The incremental iteration. The flow-proportional phases (rate
-    /// pass, F-NORM) are gated per worker on the dirty set, and a diff
-    /// phase converts observed price/ratio movement into next-iteration
-    /// dirtiness. Phases B–D (aggregate, price update, distribute) are
-    /// `O(B²·L)` in links, not flows, and run whenever *any* worker
-    /// recomputed — but are skipped entirely on a fully quiet iteration.
+    /// One NED iteration: rate pass → aggregate → price update →
+    /// distribute → (optionally) F-NORM. Both engines call this on one
+    /// thread; the multicore engine only takes its barrier pipeline when
+    /// running the classic full sweep, with no dirty set.
+    ///
+    /// With a dirty set (see `crate::dirty`) the iteration is
+    /// incremental. The flow-proportional phases (rate pass, F-NORM) are
+    /// gated per worker on the dirty set, and a diff phase converts
+    /// observed price/ratio movement into next-iteration dirtiness. The
+    /// link phases (aggregate, price update, distribute) are `O(B²·L)` in
+    /// links, not flows, and run whenever *any* worker recomputed — but
+    /// are skipped entirely on a fully quiet iteration.
     ///
     /// The quiet-iteration skip is what lets the engine reach true
     /// quiescence. With zero recomputes every accumulator is bitwise
@@ -572,54 +496,53 @@ impl SerialAllocator {
     /// worker, letting the next price update apply it before float
     /// drift can compound.
     // flowtune-lint: hot
-    fn iterate_incremental(&mut self) {
-        {
-            let ds = self.dirty.as_mut().expect("incremental path");
+    pub fn iterate(&mut self) {
+        let mut moving = true;
+        if let Some(ds) = &mut self.dirty {
             ds.drain_intake();
             if ds.full_sweep_every > 0 && ds.iter.is_multiple_of(ds.full_sweep_every) {
                 ds.rate_dirty.fill(true);
             }
             ds.iter += 1;
+            moving = ds.moving;
         }
-        let recomputed = self.rate_phase_dirty();
-        if recomputed || self.dirty.as_ref().expect("incremental path").moving {
+        if self.rate_phase() || moving {
             self.aggregate_and_price();
             self.diff_and_mark();
             self.distribute(true);
         }
-        self.normalize_phase_dirty();
+        self.normalize_phase();
     }
 
-    /// Phase A (full): clear accumulators and re-run the rate pass in
-    /// every worker.
+    /// Runs `n` iterations.
     // flowtune-lint: hot
-    fn rate_phase_full(&mut self) {
-        for worker in &mut self.workers {
-            worker.acc.clear();
-            rate_pass(&mut worker.flows, &worker.view, &mut worker.acc);
+    pub fn run_iterations(&mut self, n: usize) {
+        for _ in 0..n {
+            self.iterate();
         }
     }
 
-    /// Phase A (incremental): re-run the rate pass only in rate-dirty
-    /// workers. A clean worker's accumulators and rates are bitwise what
-    /// a recompute would produce — its flow set and every price it reads
-    /// are unchanged — so skipping it is exact. The accumulator clear is
-    /// the lazy per-epoch one: it happens here, only for recomputed
-    /// workers, instead of globally every iteration. Returns whether any
-    /// worker recomputed, which gates the link-proportional phases.
+    /// Phase A: clear the accumulators and re-run the rate pass in every
+    /// worker — with a dirty set, only in the rate-dirty ones. A clean
+    /// worker's accumulators and rates are bitwise what a recompute
+    /// would produce — its flow set and every price it reads are
+    /// unchanged — so skipping it is exact. The accumulator clear is the
+    /// lazy per-epoch one: it happens here, only for recomputed workers,
+    /// instead of globally every iteration. Returns whether any worker
+    /// recomputed, which gates the link-proportional phases.
     // flowtune-lint: hot
-    fn rate_phase_dirty(&mut self) -> bool {
+    fn rate_phase(&mut self) -> bool {
         let Self { workers, dirty, .. } = self;
-        let ds = dirty.as_mut().expect("incremental path");
         let mut any = false;
         for (w, worker) in workers.iter_mut().enumerate() {
-            ds.recomputed[w] = ds.rate_dirty[w];
-            if !ds.rate_dirty[w] {
-                continue;
+            if let Some(ds) = dirty {
+                ds.recomputed[w] = std::mem::take(&mut ds.rate_dirty[w]);
+                if !ds.recomputed[w] {
+                    continue;
+                }
+                ds.dirty_flows += worker.flows.len() as u64;
             }
             any = true;
-            ds.rate_dirty[w] = false;
-            ds.dirty_flows += worker.flows.len() as u64;
             worker.acc.clear();
             rate_pass(&mut worker.flows, &worker.view, &mut worker.acc);
         }
@@ -637,44 +560,29 @@ impl SerialAllocator {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
         let partials = &mut self.scratch.partials;
-        for i in 0..b {
-            for (k, part) in partials.iter_mut().enumerate() {
-                part.copy_from_slice(&self.workers[up_worker(i, k, b)].acc.up[..lpl]);
+        for d in DIRS {
+            for blk in 0..b {
+                for (k, part) in partials.iter_mut().enumerate() {
+                    part.copy_from_slice(&self.workers[member(d, blk, k, b)].acc.pairs[d][..lpl]);
+                }
+                binomial_reduce_in_order(partials, |a, o| absorb(a, o));
+                std::mem::swap(&mut partials[0], &mut self.totals[d][blk]);
+                let view = &mut self.workers[root(d, blk, b)].view;
+                price_update(
+                    &self.totals[d][blk],
+                    self.bg.as_ref().map(|bg| bg[d][blk].as_slice()),
+                    self.bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
+                    self.layout.capacity(d, blk),
+                    GAMMA,
+                    &mut view.prices[d],
+                    &mut view.ratios[d],
+                );
             }
-            binomial_reduce_in_order(partials, |a, o| absorb(a, o));
-            std::mem::swap(&mut partials[0], &mut self.totals.up[i]);
-            let view = &mut self.workers[up_root(i, b)].view;
-            price_update(
-                &self.totals.up[i],
-                self.bg.as_ref().map(|bg| bg.up[i].as_slice()),
-                self.bg_h.as_ref().map(|bg| bg.up[i].as_slice()),
-                self.layout.up_capacity(i),
-                self.cfg.gamma,
-                &mut view.up_prices,
-                &mut view.up_ratio,
-            );
-        }
-        for j in 0..b {
-            for (k, part) in partials.iter_mut().enumerate() {
-                part.copy_from_slice(&self.workers[down_worker(j, k, b)].acc.down[..lpl]);
-            }
-            binomial_reduce_in_order(partials, |a, o| absorb(a, o));
-            std::mem::swap(&mut partials[0], &mut self.totals.down[j]);
-            let view = &mut self.workers[down_root(j, b)].view;
-            price_update(
-                &self.totals.down[j],
-                self.bg.as_ref().map(|bg| bg.down[j].as_slice()),
-                self.bg_h.as_ref().map(|bg| bg.down[j].as_slice()),
-                self.layout.down_capacity(j),
-                self.cfg.gamma,
-                &mut view.down_prices,
-                &mut view.down_ratio,
-            );
         }
     }
 
-    /// Diff phase (incremental only): compare the fresh root prices and
-    /// ratios against the per-link snapshots. A price move beyond eps
+    /// Diff phase (with a dirty set only): compare the fresh root prices
+    /// and ratios against the per-link snapshots. A price move beyond eps
     /// rate-dirties every traversing worker for the *next* iteration (the
     /// rates they computed this iteration used the pre-update price —
     /// exactly like the full sweep); a ratio move beyond eps norm-dirties
@@ -684,62 +592,31 @@ impl SerialAllocator {
     fn diff_and_mark(&mut self) {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
-        let Self { workers, dirty, .. } = self;
-        let ds = dirty.as_mut().expect("incremental path");
+        let Self {
+            workers,
+            dirty: Some(ds),
+            ..
+        } = self
+        else {
+            return;
+        };
         // Rebuilt from scratch each diff: stays false only when *no*
         // price or ratio anywhere moved beyond eps — touched or not —
         // which is the precondition for freezing the price phases.
         ds.moving = false;
-        for blk in 0..b {
-            let view = &workers[up_root(blk, b)].view;
-            for o in 0..lpl {
-                let p = view.up_prices[o];
-                if (p - ds.prev_up_prices[blk][o]).abs() > ds.eps {
-                    ds.moving = true;
-                    ds.dirty_links += 1;
-                    ds.prev_up_prices[blk][o] = p;
-                    for j in 0..b {
-                        let w = blk * b + j;
-                        if ds.up_touch[w][o] > 0 {
-                            ds.rate_dirty[w] = true;
-                        }
+        for d in DIRS {
+            for blk in 0..b {
+                let view = &workers[root(d, blk, b)].view;
+                for o in 0..lpl {
+                    let p = view.prices[d][o];
+                    if (p - ds.prev_prices[d][blk][o]).abs() > ds.eps {
+                        ds.price_moved(d, blk, o, p);
                     }
-                }
-                let r = view.up_ratio[o];
-                if (r - ds.prev_up_ratio[blk][o]).abs() > ds.eps {
-                    ds.moving = true;
-                    ds.prev_up_ratio[blk][o] = r;
-                    for j in 0..b {
-                        let w = blk * b + j;
-                        if ds.up_touch[w][o] > 0 {
-                            ds.norm_dirty[w] = true;
-                        }
-                    }
-                }
-            }
-            let view = &workers[down_root(blk, b)].view;
-            for o in 0..lpl {
-                let p = view.down_prices[o];
-                if (p - ds.prev_down_prices[blk][o]).abs() > ds.eps {
-                    ds.moving = true;
-                    ds.dirty_links += 1;
-                    ds.prev_down_prices[blk][o] = p;
-                    for i in 0..b {
-                        let w = i * b + blk;
-                        if ds.down_touch[w][o] > 0 {
-                            ds.rate_dirty[w] = true;
-                        }
-                    }
-                }
-                let r = view.down_ratio[o];
-                if (r - ds.prev_down_ratio[blk][o]).abs() > ds.eps {
-                    ds.moving = true;
-                    ds.prev_down_ratio[blk][o] = r;
-                    for i in 0..b {
-                        let w = i * b + blk;
-                        if ds.down_touch[w][o] > 0 {
-                            ds.norm_dirty[w] = true;
-                        }
+                    let r = view.ratios[d][o];
+                    if (r - ds.prev_ratio[d][blk][o]).abs() > ds.eps {
+                        ds.moving = true;
+                        ds.prev_ratio[d][blk][o] = r;
+                        ds.mark_crossers(d, blk, o, true);
                     }
                 }
             }
@@ -760,66 +637,40 @@ impl SerialAllocator {
         let Self {
             workers, scratch, ..
         } = self;
-        for i in 0..b {
-            let root = &workers[up_root(i, b)].view;
-            scratch.prices.copy_from_slice(&root.up_prices);
-            if ratios {
-                scratch.ratios.copy_from_slice(&root.up_ratio);
-            }
-            for j in 0..b {
-                let view = &mut workers[i * b + j].view;
-                view.up_prices.copy_from_slice(&scratch.prices);
+        for d in DIRS {
+            for blk in 0..b {
+                let owner = &workers[root(d, blk, b)].view;
+                scratch.prices.copy_from_slice(&owner.prices[d]);
                 if ratios {
-                    view.up_ratio.copy_from_slice(&scratch.ratios);
+                    scratch.ratios.copy_from_slice(&owner.ratios[d]);
                 }
-            }
-        }
-        for j in 0..b {
-            let root = &workers[down_root(j, b)].view;
-            scratch.prices.copy_from_slice(&root.down_prices);
-            if ratios {
-                scratch.ratios.copy_from_slice(&root.down_ratio);
-            }
-            for i in 0..b {
-                let view = &mut workers[i * b + j].view;
-                view.down_prices.copy_from_slice(&scratch.prices);
-                if ratios {
-                    view.down_ratio.copy_from_slice(&scratch.ratios);
+                for w in members(d, blk, b) {
+                    let view = &mut workers[w].view;
+                    view.prices[d].copy_from_slice(&scratch.prices);
+                    if ratios {
+                        view.ratios[d].copy_from_slice(&scratch.ratios);
+                    }
                 }
             }
         }
     }
 
-    /// Phase E (full): F-NORM (or a plain copy) in every worker.
+    /// Phase E: F-NORM (or a plain copy) in every worker — with a dirty
+    /// set, only where the inputs changed: the worker recomputed its
+    /// rates this iteration, or a ratio on a traversed link moved. Each
+    /// of those is marked export-dirty for
+    /// [`SerialAllocator::drain_changed_rates`].
     // flowtune-lint: hot
-    fn normalize_phase_full(&mut self) {
-        if self.cfg.f_norm {
-            for worker in &mut self.workers {
-                normalize_pass(&mut worker.flows, &worker.view);
-            }
-        } else {
-            for worker in &mut self.workers {
-                worker.flows.normalized.copy_from_slice(&worker.flows.rates);
-            }
-        }
-    }
-
-    /// Phase E (incremental): F-NORM only where the inputs changed — the
-    /// worker recomputed its rates this iteration, or a ratio on a
-    /// traversed link moved. Every worker that runs is marked
-    /// export-dirty for [`SerialAllocator::drain_changed_rates`].
-    // flowtune-lint: hot
-    fn normalize_phase_dirty(&mut self) {
+    fn normalize_phase(&mut self) {
         let f_norm = self.cfg.f_norm;
         let Self { workers, dirty, .. } = self;
-        let ds = dirty.as_mut().expect("incremental path");
         for (w, worker) in workers.iter_mut().enumerate() {
-            let run = ds.recomputed[w] || ds.norm_dirty[w];
-            ds.norm_dirty[w] = false;
-            if !run {
-                continue;
+            if let Some(ds) = dirty {
+                if !(std::mem::take(&mut ds.norm_dirty[w]) | ds.recomputed[w]) {
+                    continue;
+                }
+                ds.export_dirty[w] = true;
             }
-            ds.export_dirty[w] = true;
             if f_norm {
                 normalize_pass(&mut worker.flows, &worker.view);
             } else {
@@ -848,8 +699,8 @@ mod tests {
         fn for_each_hop(&self, mut hop: impl FnMut(usize, f64, f64)) {
             let b = self.layout.blocks();
             for (w, worker) in self.workers.iter().enumerate() {
-                let up_links = self.layout.up_links(w / b);
-                let down_links = self.layout.down_links(w % b);
+                let up_links = self.layout.links(UP, w / b);
+                let down_links = self.layout.links(DOWN, w % b);
                 let flows = &worker.flows;
                 for (slot, (&rate, &weight)) in flows.rates.iter().zip(&flows.weight).enumerate() {
                     let dx = -(rate * rate) / weight;
@@ -888,34 +739,34 @@ mod tests {
             } = self;
             if let Some(ds) = dirty {
                 for blk in 0..b {
-                    let up_view = &workers[up_root(blk, b)].view;
-                    for (o, link) in layout.up_links(blk).iter().enumerate() {
+                    let up_view = &workers[root(UP, blk, b)].view;
+                    for (o, link) in layout.links(UP, blk).iter().enumerate() {
                         let p = prices[link.index()];
-                        if p.is_nan() || (p - up_view.up_prices[o]).abs() <= ds.eps {
+                        if p.is_nan() || (p - up_view.prices[UP][o]).abs() <= ds.eps {
                             continue;
                         }
                         ds.moving = true;
                         ds.dirty_links += 1;
-                        ds.prev_up_prices[blk][o] = p;
+                        ds.prev_prices[UP][blk][o] = p;
                         for j in 0..b {
                             let w = blk * b + j;
-                            if ds.up_touch[w][o] > 0 {
+                            if ds.touch[UP][w][o] > 0 {
                                 ds.rate_dirty[w] = true;
                             }
                         }
                     }
-                    let down_view = &workers[down_root(blk, b)].view;
-                    for (o, link) in layout.down_links(blk).iter().enumerate() {
+                    let down_view = &workers[root(DOWN, blk, b)].view;
+                    for (o, link) in layout.links(DOWN, blk).iter().enumerate() {
                         let p = prices[link.index()];
-                        if p.is_nan() || (p - down_view.down_prices[o]).abs() <= ds.eps {
+                        if p.is_nan() || (p - down_view.prices[DOWN][o]).abs() <= ds.eps {
                             continue;
                         }
                         ds.moving = true;
                         ds.dirty_links += 1;
-                        ds.prev_down_prices[blk][o] = p;
+                        ds.prev_prices[DOWN][blk][o] = p;
                         for i in 0..b {
                             let w = i * b + blk;
-                            if ds.down_touch[w][o] > 0 {
+                            if ds.touch[DOWN][w][o] > 0 {
                                 ds.rate_dirty[w] = true;
                             }
                         }
@@ -923,16 +774,16 @@ mod tests {
                 }
             }
             for (w, worker) in workers.iter_mut().enumerate() {
-                for (o, link) in layout.up_links(w / b).iter().enumerate() {
+                for (o, link) in layout.links(UP, w / b).iter().enumerate() {
                     let p = prices[link.index()];
                     if !p.is_nan() {
-                        worker.view.up_prices[o] = p;
+                        worker.view.prices[UP][o] = p;
                     }
                 }
-                for (o, link) in layout.down_links(w % b).iter().enumerate() {
+                for (o, link) in layout.links(DOWN, w % b).iter().enumerate() {
                     let p = prices[link.index()];
                     if !p.is_nan() {
-                        worker.view.down_prices[o] = p;
+                        worker.view.prices[DOWN][o] = p;
                     }
                 }
             }
@@ -945,7 +796,6 @@ mod tests {
 
     fn cfg() -> AllocConfig {
         AllocConfig {
-            gamma: 0.4,
             f_norm: true,
             capacity_fraction: 1.0,
             ..AllocConfig::default()
@@ -1382,16 +1232,11 @@ mod tests {
         let mut bits = Vec::new();
         for worker in &alloc.workers {
             let view = &worker.view;
-            for column in [
-                &view.up_prices,
-                &view.down_prices,
-                &view.up_ratio,
-                &view.down_ratio,
-            ] {
+            for column in view.prices.iter().chain(&view.ratios) {
                 assert_eq!(column.len(), padded_len(lpl));
                 bits.extend(column[lpl..].iter().map(|x| x.to_bits()));
             }
-            for pairs in [&worker.acc.up, &worker.acc.down] {
+            for pairs in &worker.acc.pairs {
                 assert_eq!(pairs.len(), padded_len(lpl));
                 bits.extend(pairs[lpl + 1..].iter().flatten().map(|x| x.to_bits()));
             }
@@ -1435,7 +1280,7 @@ mod tests {
             }
             let lpl = alloc.layout.links_per_lb();
             assert!(
-                alloc.workers[0].acc.up[lpl][0] > 0.0,
+                alloc.workers[0].acc.pairs[UP][lpl][0] > 0.0,
                 "premise: padded flows do scatter into the sentinel accumulator"
             );
         }
@@ -1539,13 +1384,9 @@ mod tests {
         let ds = inc.dirty.as_ref().unwrap();
         // The touch arrays have no slot for it, and exactly the real hops
         // are counted.
-        assert!(ds
-            .up_touch
-            .iter()
-            .chain(&ds.down_touch)
-            .all(|t| t.len() == lpl));
-        assert_eq!(ds.up_touch[0].iter().sum::<u32>(), 1);
-        assert_eq!(ds.down_touch[0].iter().sum::<u32>(), 1);
+        assert!(ds.touch.iter().flatten().all(|t| t.len() == lpl));
+        assert_eq!(ds.touch[UP][0].iter().sum::<u32>(), 1);
+        assert_eq!(ds.touch[DOWN][0].iter().sum::<u32>(), 1);
         let mut dirty = inc.dirty_link_ids();
         dirty.sort_unstable();
         let mut want = p.links().to_vec();
@@ -1554,10 +1395,7 @@ mod tests {
         inc.iterate();
         assert!(inc.remove_flow(FlowId(1)));
         let ds = inc.dirty.as_ref().unwrap();
-        assert!(ds.up_touch[0]
-            .iter()
-            .chain(&ds.down_touch[0])
-            .all(|&t| t == 0));
+        assert!(ds.touch.iter().flat_map(|t| &t[0]).all(|&t| t == 0));
         assert_eq!(inc.dirty_link_ids().len(), 2);
     }
 
@@ -1782,21 +1620,19 @@ mod tests {
                 old.set_link_prices_every_worker(&prices);
                 let lpl = new.layout.links_per_lb();
                 for (w, (a, b)) in new.workers.iter().zip(&old.workers).enumerate() {
-                    prop_assert_eq!(bits(&a.view.up_prices), bits(&b.view.up_prices), "worker {}", w);
-                    prop_assert_eq!(bits(&a.view.down_prices), bits(&b.view.down_prices), "worker {}", w);
-                    prop_assert_eq!(bits(&a.view.up_ratio), bits(&b.view.up_ratio), "worker {}", w);
-                    prop_assert_eq!(bits(&a.view.down_ratio), bits(&b.view.down_ratio), "worker {}", w);
-                    prop_assert_eq!((a.view.up_prices[lpl], a.view.down_prices[lpl]), (0.0, 0.0));
-                    // Every copy of a LinkBlock is its root's.
-                    let (up, down) = (up_root(w / blocks, blocks), down_root(w % blocks, blocks));
-                    prop_assert_eq!(bits(&a.view.up_prices), bits(&new.workers[up].view.up_prices));
-                    prop_assert_eq!(bits(&a.view.down_prices), bits(&new.workers[down].view.down_prices));
+                    for d in DIRS {
+                        prop_assert_eq!(bits(&a.view.prices[d]), bits(&b.view.prices[d]), "worker {}", w);
+                        prop_assert_eq!(bits(&a.view.ratios[d]), bits(&b.view.ratios[d]), "worker {}", w);
+                        prop_assert_eq!(a.view.prices[d][lpl], 0.0);
+                        // Every copy of a LinkBlock is its root's.
+                        let owner = root(d, crate::reduce::position(d, w, blocks).0, blocks);
+                        prop_assert_eq!(bits(&a.view.prices[d]), bits(&new.workers[owner].view.prices[d]));
+                    }
                 }
                 prop_assert_eq!(new.dirty_counters(), old.dirty_counters());
                 if let (Some(a), Some(b)) = (&new.dirty, &old.dirty) {
                     prop_assert_eq!((&a.rate_dirty, a.moving), (&b.rate_dirty, b.moving));
-                    prop_assert_eq!(&a.prev_up_prices, &b.prev_up_prices);
-                    prop_assert_eq!(&a.prev_down_prices, &b.prev_down_prices);
+                    prop_assert_eq!(&a.prev_prices, &b.prev_prices);
                 }
             }
             // And what the installs led to is the same allocation.

@@ -81,9 +81,6 @@ impl ExchangeConfig {
 /// Tunables of a Flowtune deployment, with the paper's values as defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowtuneConfig {
-    /// NED step size γ (§6.2: "experiments have γ = 0.4"; any value in
-    /// [0.2, 1.5] behaves similarly).
-    pub gamma: f64,
     /// Allocator tick interval in picoseconds (10 µs). A tick is one NED
     /// iteration (§6.2: "The allocator performs an iteration every
     /// 10 µs").
@@ -171,7 +168,6 @@ pub struct FlowtuneConfig {
 impl Default for FlowtuneConfig {
     fn default() -> Self {
         Self {
-            gamma: 0.4,
             tick_interval_ps: 10_000_000, // 10 µs
             update_threshold: 0.01,
             flowlet_idle_ps: 30_000_000, // 30 µs
@@ -202,7 +198,7 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let c = FlowtuneConfig::default();
-        assert_eq!(c.gamma, 0.4);
+        assert_eq!(flowtune_alloc::GAMMA, 0.4);
         assert_eq!(c.tick_interval_ps, 10_000_000);
         assert_eq!(c.update_threshold, 0.01);
         assert!((c.capacity_fraction() - 0.99).abs() < 1e-12);

@@ -500,7 +500,6 @@ impl ServiceBuilder {
 /// The §6.4 capacity/threshold coupling, shared by every engine path.
 fn alloc_config(cfg: &FlowtuneConfig) -> AllocConfig {
     AllocConfig {
-        gamma: cfg.gamma,
         f_norm: cfg.f_norm,
         capacity_fraction: cfg.capacity_fraction(),
         incremental: cfg.incremental,

@@ -74,7 +74,7 @@ pub struct FastpassAdapter {
 impl FastpassAdapter {
     /// Builds an adapter for `fabric`'s endpoints. `cfg.capacity_fraction`
     /// scales the allocatable line rate exactly as it scales the NED
-    /// engines' link capacities; the NED-specific knobs (γ, F-NORM) are
+    /// engines' link capacities; the NED-specific knob (F-NORM) is
     /// ignored.
     pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
         let clos = fabric.config();

@@ -60,7 +60,7 @@ fn injected_format_in_hot_allocator_path_is_caught() {
     let src = workspace_source(rel);
     let (bad, line) = inject_after(
         &src,
-        "fn rate_phase_full(",
+        "fn rate_phase(",
         "        let _trace = format!(\"tick\");",
     );
     let live = unsuppressed(lint_file(rel, &bad));
@@ -176,7 +176,7 @@ fn renamed_marked_function_stays_in_scope() {
     // table of names had, and `stale-table-entry` only reported. The
     // marker moves with the function.
     let rel = "crates/alloc/src/serial.rs";
-    let src = workspace_source(rel).replace("fn rate_phase_full(", "fn rate_phase_all(");
+    let src = workspace_source(rel).replace("fn rate_phase(", "fn rate_phase_all(");
     let (bad, line) = inject_after(
         &src,
         "fn rate_phase_all(",

@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use flowtune_proto::exchange::framed_wire_bytes;
+use flowtune_proto::exchange::{framed_wire_bytes, MAX_FRAME_BYTES};
 
 use crate::pool::BufferPool;
 
@@ -59,9 +59,11 @@ pub enum TransportError {
         /// Which shared structure the lock guards.
         what: &'static str,
     },
-    /// The frame does not fit the u32 length prefix.
+    /// The frame is longer than [`MAX_FRAME_BYTES`], the longest any
+    /// encoder emits: refused by `send`, and by `recv` on its length
+    /// prefix alone, before anything is buffered.
     FrameTooLarge {
-        /// The frame length that overflowed.
+        /// The frame length sent or announced.
         len: usize,
     },
     /// The peer stalled mid-frame past the retry budget.
@@ -77,7 +79,7 @@ impl std::fmt::Display for TransportError {
             TransportError::NotConnected { peer } => write!(f, "no stream to peer {peer}"),
             TransportError::Poisoned { what } => write!(f, "{what} lock poisoned"),
             TransportError::FrameTooLarge { len } => {
-                write!(f, "frame of {len} bytes exceeds the u32 length prefix")
+                write!(f, "frame of {len} bytes exceeds {MAX_FRAME_BYTES}")
             }
             TransportError::TornFrame => write!(f, "torn frame: peer stalled mid-frame"),
             TransportError::PeerClosed => write!(f, "peer closed the stream mid-frame"),
@@ -532,10 +534,11 @@ impl<S: FrameStream> Sender for SocketSender<S> {
 
     // flowtune-lint: hot
     fn send(&mut self, to: u16, frame: &[u8]) -> io::Result<u64> {
-        let len = u32::try_from(frame.len())
-            .map_err(|_| TransportError::FrameTooLarge { len: frame.len() })?;
+        if frame.len() > MAX_FRAME_BYTES {
+            return Err(TransportError::FrameTooLarge { len: frame.len() }.into());
+        }
         let s = self.stream(to)?;
-        s.write_all(&len.to_be_bytes())?;
+        s.write_all(&(frame.len() as u32).to_be_bytes())?;
         s.write_all(frame)?;
         s.flush()?;
         Ok(framed_wire_bytes(frame.len()))
@@ -561,6 +564,9 @@ impl<S: FrameStream> Receiver for SocketReceiver<S> {
             return Ok(None);
         }
         let len = u32::from_be_bytes(prefix) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(TransportError::FrameTooLarge { len }.into());
+        }
         buf.clear();
         buf.resize(len, 0);
         read_full(&mut self.stream, buf, false)?;
@@ -884,6 +890,36 @@ mod tests {
         let b = endpoints.pop().unwrap();
         let a = endpoints.pop().unwrap();
         roundtrip_pair(a, b);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_oversized_length_prefix_is_refused_unbuffered() {
+        let dir = std::env::temp_dir().join(format!("flowtune-uds-len-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut endpoints = uds_mesh(&dir, 2).unwrap();
+        let (_b_tx, mut b_rxs) = endpoints.pop().unwrap().split().unwrap();
+        let (mut a_tx, _a_rxs) = endpoints.pop().unwrap().split().unwrap();
+        let len = MAX_FRAME_BYTES + 1;
+        let prefix = u32::try_from(len).unwrap().to_be_bytes();
+        a_tx.stream(1).unwrap().write_all(&prefix).unwrap();
+        let mut buf = Vec::new();
+        let t0 = Instant::now();
+        let err = b_rxs[0]
+            .recv(&mut buf, Duration::from_millis(10))
+            .unwrap_err();
+        let err = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<TransportError>());
+        assert_eq!(err, Some(&TransportError::FrameTooLarge { len }));
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "no torn-frame wait"
+        );
+        assert_eq!(buf.capacity(), 0, "nothing buffered");
+        // Nor does a sender emit one (zeroed pages: never touched).
+        let err = a_tx.send(1, &vec![0; len]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

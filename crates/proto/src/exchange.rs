@@ -46,6 +46,16 @@ pub const EXCHANGE_VERSION: u8 = 1;
 /// Fixed frame header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 17;
 
+/// The longest frame any encoder emits, and so the largest length prefix
+/// a transport accepts before buffering a frame: 2²⁸ bytes. A state
+/// frame carries, per link, at most one subscription record (5 bytes) and
+/// one link-state *or* catch-up record (29 bytes with the Hessian word),
+/// over at most 2²² links (the exchange core's `MAX_UNCHECKED_LINKS`), so
+/// 17 + 34 · 2²² ≈ 1.4 · 10⁸. An epoch frame carries one epoch record
+/// (9 bytes) and a 14-byte migration record per flow, over at most 2²⁴
+/// tokens, so 17 + 9 + 14 · 2²⁴ ≈ 2.3 · 10⁸. Both round up to 2²⁸.
+pub const MAX_FRAME_BYTES: usize = 1 << 28;
+
 /// Length prefix a stream transport prepends to every frame.
 pub const LENGTH_PREFIX_BYTES: usize = 4;
 

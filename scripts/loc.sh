@@ -2,7 +2,7 @@
 # Non-test, non-comment, non-blank Rust lines over crates/ and src/: each
 # file is counted up to its first `#[cfg(test)]` attribute (at the start of
 # a line, so a comment that quotes it does not stop the count), `tests/`
-# directories are skipped. The figure ROADMAP item 6 tracks ("lines removed
+# directories are skipped. The figure ROADMAP item 9 tracks ("lines removed
 # since PR 14").
 #
 #   scripts/loc.sh                the working tree's figure

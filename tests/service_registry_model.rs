@@ -41,7 +41,6 @@ impl Model {
     /// Hosts the engine `ServiceBuilder::build` would build for `engine`.
     fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig, engine: &Engine) -> Self {
         let alloc_cfg = AllocConfig {
-            gamma: cfg.gamma,
             f_norm: cfg.f_norm,
             capacity_fraction: cfg.capacity_fraction(),
             incremental: cfg.incremental,

@@ -140,7 +140,7 @@ impl DirtySet {
     /// per-direction offsets: bumps the touch counts, marks the worker
     /// rate-dirty, and marks the traversed links as intake-dirty.
     // flowtune-lint: hot
-    pub(crate) fn note_add(&mut self, w: usize, path: [&[u32]; 2]) {
+    pub(crate) fn note_add(&mut self, w: usize, path: [&[u16]; 2]) {
         self.note(w, path, |count| *count += 1);
     }
 
@@ -149,13 +149,13 @@ impl DirtySet {
     /// the touch counts, marks the worker rate-dirty, and marks the
     /// traversed links as intake-dirty.
     // flowtune-lint: hot
-    pub(crate) fn note_remove(&mut self, w: usize, path: [&[u32]; 2]) {
+    pub(crate) fn note_remove(&mut self, w: usize, path: [&[u16]; 2]) {
         self.note(w, path, |count| *count -= 1);
     }
 
     /// What an add and a remove share; `step` moves one touch count.
     // flowtune-lint: hot
-    fn note(&mut self, w: usize, path: [&[u32]; 2], step: impl Fn(&mut u32)) {
+    fn note(&mut self, w: usize, path: [&[u16]; 2], step: impl Fn(&mut u32)) {
         self.rate_dirty[w] = true;
         for d in DIRS {
             let block = position(d, w, self.blocks).0 as u32;
@@ -164,7 +164,7 @@ impl DirtySet {
                 let cell = &mut self.intake[d][block as usize][o as usize];
                 if !*cell {
                     *cell = true;
-                    self.intake_list.push((d, block, o));
+                    self.intake_list.push((d, block, o.into()));
                 }
             }
         }

@@ -51,14 +51,16 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// out again after [`RateAllocator::remove_flow`] (the allocator
     /// service recycles its flow-table slots as ids), so an engine must
     /// not derive rates from id values or their order. Ids are the
-    /// *embedder's* numbering, never a value read off the wire: the NED
-    /// engines index them under a cheap unkeyed hash, which an adversary
-    /// who could pick ids could degrade — map wire identities (tokens)
-    /// to ids of your own first, as the service does.
+    /// *embedder's* dense numbering, never a value read off the wire: the
+    /// NED engines index a table by the id itself, grown to the largest
+    /// id registered, so a sparse or adversarial id costs memory in
+    /// proportion to its value — map wire identities (tokens) to dense
+    /// ids of your own first, as the service does with its slab slots.
     ///
     /// # Panics
     /// Panics on duplicate ids, non-positive weights, or paths that do
-    /// not belong to the engine's fabric.
+    /// not belong to the engine's fabric; the NED engines also on ids of
+    /// 2³² or more.
     fn add_flow(
         &mut self,
         id: FlowId,

@@ -66,20 +66,22 @@ use flowtune_topo::FlowId;
 const CHUNK: usize = 64;
 
 /// One FlowBlock's flows, a column per field; slot `i` of every column
-/// is the same flow. Paths are offsets into the source block's upward
-/// LinkBlock and the destination block's downward LinkBlock (1 real
-/// offset each for intra-rack flows, 2 each for spine-crossing flows),
-/// padded to two with the sentinel.
+/// is the same flow — 52 bytes a flow. Paths are offsets into the source
+/// block's upward LinkBlock and the destination block's downward
+/// LinkBlock (1 real offset each for intra-rack flows, 2 each for
+/// spine-crossing flows), padded to two with the sentinel.
 #[derive(Debug, Clone)]
 pub struct FlowBlock {
-    /// External flow identities.
-    pub ids: Vec<FlowId>,
+    /// External flow identities, narrowed to the 32 bits the engine's
+    /// dense index admits; widened to [`FlowId`] where they leave the
+    /// block ([`report_pass`]'s lent runs, [`FlowBlock::flow_rate`]).
+    pub ids: Vec<u32>,
     /// Offsets into the upward LinkBlock, each `≤ sentinel`: private so
     /// that [`FlowBlock::push`] is the one place an offset enters, and
     /// the kernels' index masks are the identity on all of them.
-    up: Vec<[u32; 2]>,
+    up: Vec<[u16; 2]>,
     /// Offsets into the downward LinkBlock, likewise.
-    down: Vec<[u32; 2]>,
+    down: Vec<[u16; 2]>,
     /// Proportional-fairness weights (log utility `w log x`). The hot
     /// path is specialized to log utility — the objective the paper's
     /// allocator runs; other utilities are available in the serial
@@ -97,11 +99,27 @@ pub struct FlowBlock {
     /// §6.4 filter memory — or [`UNREPORTED`].
     pub reported: Vec<f64>,
     /// The padding offset: the index one past the real links.
-    sentinel: u32,
+    sentinel: u16,
+}
+
+/// The sentinel offset of LinkBlocks of `links_per_lb` real links: the
+/// index one past them, which every offset column must be able to hold.
+///
+/// # Panics
+/// Panics if it does not fit a `u16` offset (more than 65 535 links in
+/// one LinkBlock).
+pub(crate) fn sentinel(links_per_lb: usize) -> u16 {
+    u16::try_from(links_per_lb).unwrap_or_else(|_| {
+        panic!("a LinkBlock of {links_per_lb} links: its sentinel does not fit a u16 offset")
+    })
 }
 
 impl FlowBlock {
     /// An empty block whose LinkBlocks hold `links_per_lb` real links.
+    ///
+    /// # Panics
+    /// Panics if their sentinel offset, `links_per_lb`, does not fit a
+    /// `u16`.
     pub fn new(links_per_lb: usize) -> Self {
         Self {
             ids: Vec::new(),
@@ -112,7 +130,7 @@ impl FlowBlock {
             rates: Vec::new(),
             normalized: Vec::new(),
             reported: Vec::new(),
-            sentinel: links_per_lb as u32,
+            sentinel: sentinel(links_per_lb),
         }
     }
 
@@ -126,13 +144,13 @@ impl FlowBlock {
         self.ids.is_empty()
     }
 
-    /// Appends a flow (≤ 2 offsets each way, each a real link's or the
+    /// Appends flow `id` (≤ 2 offsets each way, each a real link's or the
     /// sentinel's) at rate zero and never reported; `x_max` is its
     /// bottleneck line rate in Gbit/s.
     // flowtune-lint: hot
-    pub fn push(&mut self, id: FlowId, weight: f64, up: &[u32], down: &[u32], x_max: f64) {
+    pub fn push(&mut self, id: u32, weight: f64, up: &[u16], down: &[u16], x_max: f64) {
         assert!(up.len() <= 2 && down.len() <= 2, "2-tier paths only");
-        let pad = |offsets: &[u32]| {
+        let pad = |offsets: &[u16]| {
             assert!(
                 offsets.iter().all(|&o| o <= self.sentinel),
                 "offset past the LinkBlock's {} links",
@@ -156,7 +174,7 @@ impl FlowBlock {
     /// column alike), and returns the id of the flow that now occupies
     /// `slot`, if any.
     // flowtune-lint: hot
-    pub fn swap_remove(&mut self, slot: usize) -> Option<FlowId> {
+    pub fn swap_remove(&mut self, slot: usize) -> Option<u32> {
         self.ids.swap_remove(slot);
         self.up.swap_remove(slot);
         self.down.swap_remove(slot);
@@ -170,11 +188,11 @@ impl FlowBlock {
 
     /// The real (unpadded) upward and downward offsets of the flow in
     /// `slot`.
-    pub fn path(&self, slot: usize) -> (&[u32], &[u32]) {
+    pub fn path(&self, slot: usize) -> (&[u16], &[u16]) {
         (self.real(&self.up[slot]), self.real(&self.down[slot]))
     }
 
-    fn real<'a>(&self, offsets: &'a [u32; 2]) -> &'a [u32] {
+    fn real<'a>(&self, offsets: &'a [u16; 2]) -> &'a [u16] {
         let hops = offsets.iter().take_while(|&&o| o != self.sentinel).count();
         &offsets[..hops]
     }
@@ -182,7 +200,7 @@ impl FlowBlock {
     /// The allocation of the flow in `slot`.
     pub fn flow_rate(&self, slot: usize) -> FlowRate {
         FlowRate {
-            id: self.ids[slot],
+            id: FlowId(u64::from(self.ids[slot])),
             rate: self.rates[slot],
             normalized: self.normalized[slot],
         }
@@ -299,19 +317,21 @@ pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
     let mut i = 0;
     while i + 1 < n {
         let j = i + 1;
+        let (ui, di) = (offsets(&up[i]), offsets(&down[i]));
+        let (uj, dj) = (offsets(&up[j]), offsets(&down[j]));
         // The price floor at the line-rate kink keeps the demand finite
         // and the diagonal strictly negative (see flowtune-num docs).
         let l = [
-            path_sum(up_prices, down_prices, up[i], down[i]).max(floor[i]),
-            path_sum(up_prices, down_prices, up[j], down[j]).max(floor[j]),
+            path_sum(up_prices, down_prices, ui, di).max(floor[i]),
+            path_sum(up_prices, down_prices, uj, dj).max(floor[j]),
         ];
         let x = [weight[i] / l[0], weight[j] / l[1]];
         // dx = -w/λ²
         let dx = [-x[0] / l[0], -x[1] / l[1]];
         // Flows in slot order: a link's sums accumulate in the order a
         // per-flow loop would add them.
-        path_add(acc_up, acc_down, up[i], down[i], [x[0], dx[0]]);
-        path_add(acc_up, acc_down, up[j], down[j], [x[1], dx[1]]);
+        path_add(acc_up, acc_down, ui, di, [x[0], dx[0]]);
+        path_add(acc_up, acc_down, uj, dj, [x[1], dx[1]]);
         // Stored last: the gathered indices then stay in registers for
         // the adds above (measured, 3.4 → 3.05 ns a flow).
         rates[i] = x[0];
@@ -319,10 +339,11 @@ pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
         i += 2;
     }
     if i < n {
-        let l = path_sum(up_prices, down_prices, up[i], down[i]).max(floor[i]);
+        let (u, d) = (offsets(&up[i]), offsets(&down[i]));
+        let l = path_sum(up_prices, down_prices, u, d).max(floor[i]);
         let x = weight[i] / l;
         rates[i] = x;
-        path_add(acc_up, acc_down, up[i], down[i], [x, -x / l]);
+        path_add(acc_up, acc_down, u, d, [x, -x / l]);
     }
 }
 
@@ -332,10 +353,10 @@ pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
 /// offset `flows` holds ([`FlowBlock::push`] admitted none above the
 /// sentinel). Inlined, because the kernel's loop must see these facts.
 #[inline(always)]
-fn check_padded<const N: usize>(sentinel: u32, lens: [usize; N]) {
+fn check_padded<const N: usize>(sentinel: u16, lens: [usize; N]) {
     let len = lens[0];
     assert!(
-        len.is_power_of_two() && (sentinel as usize) < len && lens.iter().all(|&l| l == len),
+        len.is_power_of_two() && usize::from(sentinel) < len && lens.iter().all(|&l| l == len),
         "per-link arrays are padded to one power-of-two length past the sentinel"
     );
 }
@@ -345,7 +366,7 @@ fn check_padded<const N: usize>(sentinel: u32, lens: [usize; N]) {
 /// caller applies is positive.)
 // flowtune-lint: hot, float-kernel
 #[inline(always)]
-fn path_sum(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
+fn path_sum(up: &[f64], down: &[f64], u: [u16; 2], d: [u16; 2]) -> f64 {
     up[slot(up.len(), u[0])]
         + up[slot(up.len(), u[1])]
         + down[slot(down.len(), d[0])]
@@ -355,21 +376,33 @@ fn path_sum(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
 /// Adds a flow's `[x, dx]` to its four links' sums, in path order.
 // flowtune-lint: hot, float-kernel
 #[inline(always)]
-fn path_add(up: &mut [[f64; 2]], down: &mut [[f64; 2]], u: [u32; 2], d: [u32; 2], pair: [f64; 2]) {
+fn path_add(up: &mut [[f64; 2]], down: &mut [[f64; 2]], u: [u16; 2], d: [u16; 2], pair: [f64; 2]) {
     add_pair(&mut up[slot(up.len(), u[0])], &pair);
     add_pair(&mut up[slot(up.len(), u[1])], &pair);
     add_pair(&mut down[slot(down.len(), d[0])], &pair);
     add_pair(&mut down[slot(down.len(), d[1])], &pair);
 }
 
-/// `offset` as an index into a per-link array of `len` entries. Written
-/// against the array's own length so that `slot(a.len(), o) < a.len()`
-/// folds to `a.len() != 0`, which [`check_padded`] established: the
-/// index carries no bounds check and no panic edge. (A mask shared
-/// between arrays, or narrowed to 32 bits, is not recognized.)
+/// `offset`, zero-extended, as an index into a per-link array of `len`
+/// entries. Masked against the array's own length so that
+/// `slot(a.len(), o) < a.len()` folds to `a.len() != 0`, which
+/// [`check_padded`] established: the index carries no bounds check and
+/// no panic edge. (A mask shared between arrays, or narrowed to 32 bits,
+/// is not recognized.)
 #[inline(always)]
-fn slot(len: usize, offset: u32) -> usize {
-    offset as usize & (len - 1)
+fn slot(len: usize, offset: u16) -> usize {
+    usize::from(offset) & (len - 1)
+}
+
+/// A flow's two offsets one way, read as two `u16` loads. Copied as one
+/// `[u16; 2]`, the pair is loaded as a 32-bit word whose low half costs
+/// a zero-extension after [`slot`]'s mask (`scripts/kernel_asm.sh`:
+/// eight instructions more in `normalize_pass`'s pair loop), and taken
+/// by reference into the path helpers it is read again after
+/// `rate_pass`'s first scatter.
+#[inline(always)]
+fn offsets(pair: &[u16; 2]) -> [u16; 2] {
+    [pair[0], pair[1]]
 }
 
 /// Kernel 2 — NED price update (Algorithm 1, eq. 4) plus utilization
@@ -430,8 +463,8 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
     while i + 1 < n {
         let j = i + 1;
         let w = [
-            path_max(up_ratio, down_ratio, up[i], down[i]),
-            path_max(up_ratio, down_ratio, up[j], down[j]),
+            path_max(up_ratio, down_ratio, offsets(&up[i]), offsets(&down[i])),
+            path_max(up_ratio, down_ratio, offsets(&up[j]), offsets(&down[j])),
         ];
         // Built as arrays so the select and the division pack: as two
         // scalar statements they compile to a jump on `w > 0` each.
@@ -442,7 +475,8 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
         i += 2;
     }
     if i < n {
-        normalized[i] = rates[i] / divisor(path_max(up_ratio, down_ratio, up[i], down[i]));
+        let worst = path_max(up_ratio, down_ratio, offsets(&up[i]), offsets(&down[i]));
+        normalized[i] = rates[i] / divisor(worst);
     }
 }
 
@@ -450,7 +484,7 @@ pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
 /// loaded link.
 // flowtune-lint: hot, float-kernel
 #[inline(always)]
-fn path_max(up: &[f64], down: &[f64], u: [u32; 2], d: [u32; 2]) -> f64 {
+fn path_max(up: &[f64], down: &[f64], u: [u16; 2], d: [u16; 2]) -> f64 {
     0.0f64
         .max(up[slot(up.len(), u[0])])
         .max(up[slot(up.len(), u[1])])
@@ -519,10 +553,10 @@ pub fn report_pass(flows: &mut FlowBlock, threshold: f64, sink: &mut dyn FnMut(&
         }
         // Every flow is stored to the next free lent slot and only a
         // passer advances it (and so keeps its slot): stores and an add,
-        // nothing selected.
+        // nothing selected. The id is widened here, where it is lent.
         let mut lent = 0;
         for ((&id, &rate), &mask) in ids[start..end].iter().zip(rates).zip(&pass) {
-            lent_ids[lent] = id;
+            lent_ids[lent] = FlowId(u64::from(id));
             lent_rates[lent] = rate;
             lent += (mask & 1) as usize;
         }
@@ -542,8 +576,8 @@ pub(crate) mod oracle {
     #[derive(Debug, Clone)]
     pub struct BlockFlow {
         pub weight: f64,
-        pub up: Vec<u32>,
-        pub down: Vec<u32>,
+        pub up: Vec<u16>,
+        pub down: Vec<u16>,
         pub x_max: f64,
     }
 
@@ -627,10 +661,10 @@ mod tests {
 
     const LINKS: usize = 6;
 
-    fn block(flows: &[(f64, &[u32], &[u32], f64)]) -> FlowBlock {
+    fn block(flows: &[(f64, &[u16], &[u16], f64)]) -> FlowBlock {
         let mut b = FlowBlock::new(LINKS);
         for (i, &(weight, up, down, x_max)) in flows.iter().enumerate() {
-            b.push(FlowId(i as u64), weight, up, down, x_max);
+            b.push(i as u32, weight, up, down, x_max);
         }
         b
     }
@@ -785,16 +819,16 @@ mod tests {
         ]);
         b.rates.copy_from_slice(&[1.5, 2.5, 3.5]);
         b.normalized.copy_from_slice(&[1.25, 2.25, 3.25]);
-        assert_eq!(b.swap_remove(0), Some(FlowId(2)));
+        assert_eq!(b.swap_remove(0), Some(2));
         assert_eq!(b.len(), 2);
-        assert_eq!(b.path(0), (&[1u32][..], &[0u32, 2][..]));
+        assert_eq!(b.path(0), (&[1u16][..], &[0u16, 2][..]));
         assert_eq!((b.weight[0], b.floor[0]), (3.0, 0.1));
         let moved = b.flow_rate(0);
         assert_eq!(
             (moved.id, moved.rate, moved.normalized),
             (FlowId(2), 3.5, 3.25)
         );
-        assert_eq!(b.path(1), (&[2u32, 3][..], &[4u32, 5][..]));
+        assert_eq!(b.path(1), (&[2u16, 3][..], &[4u16, 5][..]));
         assert_eq!(b.swap_remove(1), None, "the last flow moves nothing");
         assert_eq!(b.swap_remove(0), None);
         assert!(b.is_empty() && b.up.is_empty() && b.normalized.is_empty());
@@ -818,13 +852,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "offset past the LinkBlock's 6 links")]
     fn push_refuses_a_first_down_offset_past_the_sentinel() {
-        block(&[(1.0, &[0, 1], &[u32::MAX, 0], 10.0)]);
+        block(&[(1.0, &[0, 1], &[u16::MAX, 0], 10.0)]);
     }
 
     #[test]
     #[should_panic(expected = "offset past the LinkBlock's 6 links")]
     fn push_refuses_a_second_down_offset_past_the_sentinel() {
         block(&[(1.0, &[0, 1], &[0, 7], 10.0)]);
+    }
+
+    #[test]
+    fn the_widest_linkblock_a_u16_offset_holds_is_admitted() {
+        let mut b = FlowBlock::new(u16::MAX as usize);
+        b.push(0, 1.0, &[u16::MAX - 1], &[u16::MAX], 10.0);
+        assert_eq!(b.path(0), (&[u16::MAX - 1][..], &[][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a LinkBlock of 65536 links: its sentinel does not fit a u16 offset")]
+    fn new_refuses_a_linkblock_whose_sentinel_does_not_fit_u16() {
+        FlowBlock::new(1 << 16);
     }
 
     #[test]
@@ -864,8 +911,8 @@ mod tests {
         // Flow 2 moves into slot 0 with what was reported for it; the
         // newcomer pushed behind it has no memory, whatever the slot's
         // earlier tenants were told.
-        assert_eq!(b.swap_remove(0), Some(FlowId(2)));
-        b.push(FlowId(9), 1.0, &[0], &[1], 10.0);
+        assert_eq!(b.swap_remove(0), Some(2));
+        b.push(9, 1.0, &[0], &[1], 10.0);
         assert_eq!(bits(&b.reported[..2]), bits(&[3.0, 2.0]));
         assert!(b.reported[2].is_nan());
         b.normalized[2] = 3.0;
@@ -933,8 +980,8 @@ mod tests {
         let mut columnar = FlowBlock::new(LINKS);
         let mut aos: Vec<oracle::BlockFlow> = Vec::new();
         for i in 0..n {
-            let path = |rng: &mut TestRng, hops: usize| -> Vec<u32> {
-                (0..hops).map(|_| rng.below(LINKS) as u32).collect()
+            let path = |rng: &mut TestRng, hops: usize| -> Vec<u16> {
+                (0..hops).map(|_| rng.below(LINKS) as u16).collect()
             };
             let padded = match shape {
                 Shape::Mixed => None,
@@ -957,7 +1004,7 @@ mod tests {
             };
             let weight = 1.0 + rng.below(4) as f64;
             let x_max = [10.0, 39.6, 40.0][rng.below(3)];
-            columnar.push(FlowId(i as u64), weight, &up, &down, x_max);
+            columnar.push(i as u32, weight, &up, &down, x_max);
             aos.push(oracle::BlockFlow {
                 weight,
                 up,
@@ -1059,9 +1106,9 @@ mod tests {
             let mut rng = TestRng::deterministic(&format!("report-{seed}"));
             let mut flows = FlowBlock::new(LINKS);
             let mut sent: Vec<Option<f64>> = Vec::new();
-            let mut next_id = 0u64;
+            let mut next_id = 0u32;
             let mut push = |flows: &mut FlowBlock, sent: &mut Vec<Option<f64>>| {
-                flows.push(FlowId(next_id), 1.0, &[0], &[0], 10.0);
+                flows.push(next_id, 1.0, &[0], &[0], 10.0);
                 sent.push(None);
                 next_id += 1;
             };
@@ -1099,7 +1146,7 @@ mod tests {
                 for ((&id, &rate), last) in flows.ids.iter().zip(&flows.normalized).zip(&mut sent) {
                     if ThresholdFilter::passes(threshold, *last, rate) {
                         *last = Some(rate);
-                        want.push((id, rate.to_bits()));
+                        want.push((FlowId(u64::from(id)), rate.to_bits()));
                     }
                 }
                 prop_assert_eq!(drain(&mut flows, threshold), want, "round {}", round);

@@ -3,6 +3,7 @@
 
 use flowtune_topo::{BlockId, LinkId, TwoTierClos};
 
+use crate::flowblock::sentinel;
 use crate::reduce::{Dir, DIRS, UP};
 
 /// Where a link lives in the block decomposition.
@@ -15,7 +16,7 @@ pub(crate) struct LinkSlot {
     /// Owning block.
     pub(crate) block: BlockId,
     /// Dense offset within the LinkBlock's arrays.
-    pub(crate) offset: u32,
+    pub(crate) offset: u16,
 }
 
 /// The static link partition of a fabric: B upward and B downward
@@ -39,6 +40,10 @@ impl BlockLayout {
     /// Builds the layout for a fabric, scaling capacities by
     /// `capacity_fraction` (see [`crate::AllocConfig::capacity_fraction`])
     /// and converting to Gbit/s.
+    ///
+    /// # Panics
+    /// Panics if a LinkBlock's sentinel does not fit a `u16` offset (see
+    /// [`sentinel`]).
     pub(crate) fn new(fabric: &TwoTierClos, capacity_fraction: f64) -> Self {
         assert!(
             capacity_fraction > 0.0 && capacity_fraction <= 1.0,
@@ -58,8 +63,8 @@ impl BlockLayout {
                 } else {
                     fabric.down_linkblock(block)
                 };
-                for (offset, &l) in lb.iter().enumerate() {
-                    let offset = offset as u32;
+                sentinel(lb.len());
+                for (offset, &l) in (0..).zip(&lb) {
                     slots[l.index()] = Some(LinkSlot { up, block, offset });
                 }
                 capacity[dir].push(lb.iter().map(to_gbps).collect());
@@ -147,7 +152,7 @@ impl BlockLayout {
 
 /// One direction of a split path: its LinkBlock offsets — two at most, the
 /// two-tier maximum — and how many of them are real.
-pub(crate) type Hops = ([u32; 2], usize);
+pub(crate) type Hops = ([u16; 2], usize);
 
 #[cfg(test)]
 mod tests {
@@ -167,7 +172,7 @@ mod tests {
         for dir in DIRS {
             for b in 0..layout.blocks() {
                 for (off, &l) in layout.links(dir, b).iter().enumerate() {
-                    let offset = off as u32;
+                    let offset = off as u16;
                     let block = BlockId(b as u16);
                     let up = dir == UP;
                     assert_eq!(layout.slot(l), Some(LinkSlot { up, block, offset }));
@@ -230,6 +235,14 @@ mod tests {
         let up = f.path(0, 63, FlowId(3)).links()[0];
         let b = f.block_of_server(0);
         let _ = layout.split_path(&flowtune_topo::Path::new(vec![up; 3]), b, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "a LinkBlock of 65536 links: its sentinel does not fit a u16 offset")]
+    fn a_linkblock_past_u16_offsets_is_refused() {
+        // One rack of 65 532 servers under 4 spines: 65 536 links a way.
+        let f = TwoTierClos::build(ClosConfig::multicore(1, 1, 65_532));
+        let _ = BlockLayout::new(&f, 1.0);
     }
 
     #[test]

@@ -24,9 +24,6 @@
 //! patches the 2·B roots and runs the distribution step's price copies
 //! instead of rewriting B² copies link by link.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
@@ -49,8 +46,13 @@ pub struct SerialAllocator {
     server_block: Vec<BlockId>,
     /// B² workers in row-major (src block, dst block) order.
     pub(crate) workers: Vec<WorkerCore>,
-    /// flow id → (worker, slot within worker).
-    index: HashMap<FlowId, (u32, u32), BuildHasherDefault<IdHasher>>,
+    /// Flow id → (worker, slot within worker), [`VACANT`] for an id no
+    /// flow holds: a dense table indexed by the id itself, grown to the
+    /// largest id registered so far — engine ids are dense (see
+    /// [`SerialAllocator::add_flow`]).
+    index: Vec<(u32, u32)>,
+    /// Number of registered flows.
+    flows: usize,
     /// Exogenous per-link load (other shards' flows), pre-split per
     /// LinkBlock so the price update indexes it like `load`/`capacity`.
     /// `None` (no exchange installed) takes the exact pre-exchange
@@ -70,31 +72,9 @@ pub struct SerialAllocator {
     scratch: IterScratch,
 }
 
-/// The flow index's hasher: one multiply by 2⁶⁴/φ and a rotate. Unkeyed
-/// on purpose — engine ids are chosen by the embedder (the service hands
-/// out its dense slab slots), never read off the wire, so there is no
-/// adversary to collide them and SipHash's cost buys nothing. The rotate
-/// brings the product's high, best-mixed bits down to where hashbrown
-/// picks its bucket: ids whose low bits are all zero have a product whose
-/// low bits are too.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = ((self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15)).rotate_left(26);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The index entry of an id no flow holds: no grid has `u32::MAX`
+/// workers.
+const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Reusable buffers for one iteration: the binomial-tree partials (one
 /// LinkBlock of `[load, hessian]` pairs per virtual index) and the root
@@ -171,7 +151,8 @@ impl SerialAllocator {
             cfg,
             server_block,
             workers,
-            index: HashMap::default(),
+            index: Vec::new(),
+            flows: 0,
             bg: None,
             bg_h: None,
             dirty,
@@ -180,11 +161,14 @@ impl SerialAllocator {
         }
     }
 
-    /// Registers a flow. `path` must come from the same fabric.
+    /// Registers a flow. `path` must come from the same fabric. The id
+    /// indexes a table grown to the largest id registered, so ids must be
+    /// dense — `0..n`, or slots recycled the way the service recycles its
+    /// flow-table slots — not hashes or wire values.
     ///
     /// # Panics
-    /// Panics on duplicate ids, non-positive weights, or paths that
-    /// violate block locality.
+    /// Panics on duplicate ids, ids of 2³² or more, non-positive weights,
+    /// or paths that violate block locality.
     // flowtune-lint: hot
     pub fn add_flow(
         &mut self,
@@ -195,10 +179,13 @@ impl SerialAllocator {
         path: &Path,
     ) {
         assert!(weight > 0.0 && weight.is_finite(), "weight must be > 0");
-        assert!(
-            !self.index.contains_key(&id),
-            "flow {id} already registered"
-        );
+        let Ok(key) = u32::try_from(id.0) else {
+            panic!(
+                "flow id {} does not fit the dense flow index (ids below 2^32)",
+                id.0
+            );
+        };
+        assert!(self.locate(id).is_none(), "flow {id} already registered");
         let b = self.layout.blocks();
         let src_block = self.server_block[src_server];
         let dst_block = self.server_block[dst_server];
@@ -217,22 +204,35 @@ impl SerialAllocator {
             ds.note_add(w, [up, down]);
         }
         let flows = &mut self.workers[w].flows;
-        flows.push(id, weight, up, down, x_max);
+        flows.push(key, weight, up, down, x_max);
         let slot = flows.len() - 1;
         assert!(
-            w <= u32::MAX as usize && slot <= u32::MAX as usize,
+            w < VACANT.0 as usize && slot <= u32::MAX as usize,
             "worker {w} / slot {slot} does not fit the index"
         );
-        self.index.insert(id, (w as u32, slot as u32));
+        let key = key as usize;
+        if key >= self.index.len() {
+            self.index.resize(key + 1, VACANT);
+        }
+        self.index[key] = (w as u32, slot as u32);
+        self.flows += 1;
+    }
+
+    /// `(worker, slot)` of a registered flow.
+    // flowtune-lint: hot
+    fn locate(&self, id: FlowId) -> Option<(usize, usize)> {
+        let &(w, slot) = self.index.get(usize::try_from(id.0).ok()?)?;
+        (w != VACANT.0).then_some((w as usize, slot as usize))
     }
 
     /// Deregisters a flow; returns whether it existed.
     // flowtune-lint: hot
     pub fn remove_flow(&mut self, id: FlowId) -> bool {
-        let Some((w, slot)) = self.index.remove(&id) else {
+        let Some((w, slot)) = self.locate(id) else {
             return false;
         };
-        let (w, slot) = (w as usize, slot as usize);
+        self.index[id.0 as usize] = VACANT;
+        self.flows -= 1;
         let flows = &mut self.workers[w].flows;
         if let Some(ds) = &mut self.dirty {
             let (up, down) = flows.path(slot);
@@ -240,14 +240,14 @@ impl SerialAllocator {
         }
         if let Some(moved) = flows.swap_remove(slot) {
             // A flow was moved into the vacated slot; re-index it.
-            self.index.insert(moved, (w as u32, slot as u32));
+            self.index[moved as usize] = (w as u32, slot as u32);
         }
         true
     }
 
     /// Number of registered flows.
     pub fn flow_count(&self) -> usize {
-        self.index.len()
+        self.flows
     }
 
     /// All flows' current allocations (Gbit/s), in deterministic
@@ -303,8 +303,8 @@ impl SerialAllocator {
 
     /// One flow's current allocation.
     pub fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        let &(w, slot) = self.index.get(&id)?;
-        Some(self.workers[w as usize].flows.flow_rate(slot as usize))
+        let (w, slot) = self.locate(id)?;
+        Some(self.workers[w].flows.flow_rate(slot))
     }
 
     /// Own per-link loads as of the last iteration, global-link indexed:
@@ -1424,17 +1424,15 @@ mod tests {
             assert!(alloc.remove_flow(victim));
             assert_eq!(alloc.flow_count(), live.len());
             for &(id, src, dst, w) in &live {
-                let &(worker, slot) = alloc.index.get(&id).expect("survivor indexed");
-                let (worker, slot) = (worker as usize, slot as usize);
+                let (worker, slot) = alloc.locate(id).expect("survivor indexed");
                 let flows = &alloc.workers[worker].flows;
-                assert_eq!(flows.ids[slot], id);
+                assert_eq!(u64::from(flows.ids[slot]), id.0);
                 assert_eq!(flows.weight[slot], w);
                 let was = before.iter().find(|r| r.id == id).unwrap();
                 assert_eq!(alloc.flow_rate(id), Some(*was), "rates moved with the flow");
                 // Its path columns are what a fresh add would store.
                 reference.add_flow(id, src, dst, w, &f.path(src, dst, id));
-                let &(rw, rs) = reference.index.get(&id).unwrap();
-                let (rw, rs) = (rw as usize, rs as usize);
+                let (rw, rs) = reference.locate(id).unwrap();
                 assert_eq!(rw, worker);
                 assert_eq!(flows.path(slot), reference.workers[rw].flows.path(rs));
                 assert_eq!(flows.floor[slot], reference.workers[rw].flows.floor[rs]);
@@ -1446,28 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn id_hasher_spreads_dense_and_shifted_ids() {
-        use std::hash::BuildHasher;
-        // hashbrown picks the bucket with a hash's low bits and tags it
-        // with the top seven: 4096 ids must reach nearly all 4096 values
-        // of the low twelve and nearly all 128 tags, for dense ids and
-        // for ids with sixteen zero low bits alike.
-        for step in [1u64, 1 << 16] {
-            let hashes: Vec<u64> = (0..4096)
-                .map(|k| BuildHasherDefault::<IdHasher>::default().hash_one(FlowId(k * step)))
-                .collect();
-            let distinct = |part: fn(u64) -> u64| {
-                let parts: std::collections::HashSet<u64> =
-                    hashes.iter().map(|&h| part(h)).collect();
-                parts.len()
-            };
-            let (buckets, tags) = (distinct(|h| h & 0xFFF), distinct(|h| h >> 57));
-            assert!(buckets * 10 >= 4096 * 9, "step {step}: {buckets} buckets");
-            assert!(tags * 10 >= 128 * 9, "step {step}: {tags} tags");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn duplicate_flow_id_rejected() {
         let f = fabric();
@@ -1475,6 +1451,39 @@ mod tests {
         let p = f.path(0, 8, FlowId(1));
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p);
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow id 4294967296 does not fit the dense flow index")]
+    fn an_id_past_the_dense_index_is_refused() {
+        let f = fabric();
+        let mut alloc = SerialAllocator::new(&f, cfg());
+        let id = FlowId(1 << 32);
+        alloc.add_flow(id, 0, 8, 1.0, &f.path(0, 8, id));
+    }
+
+    #[test]
+    fn the_index_is_dense_and_recycles_ids() {
+        // Ids may come back in any order after a remove, and a hole
+        // below the largest id is simply vacant.
+        let f = fabric();
+        let mut alloc = SerialAllocator::new(&f, cfg());
+        for k in [5u64, 0, 9] {
+            alloc.add_flow(FlowId(k), 0, 8, 1.0, &f.path(0, 8, FlowId(k)));
+        }
+        assert_eq!((alloc.flow_count(), alloc.index.len()), (3, 10));
+        assert!(alloc.flow_rate(FlowId(3)).is_none());
+        assert!(alloc.flow_rate(FlowId(u64::MAX)).is_none());
+        assert!(!alloc.remove_flow(FlowId(3)) && !alloc.remove_flow(FlowId(10)));
+        assert!(alloc.remove_flow(FlowId(5)));
+        alloc.add_flow(FlowId(5), 3, 13, 2.0, &f.path(3, 13, FlowId(5)));
+        assert_eq!(alloc.flow_count(), 3);
+        let ids: Vec<FlowId> = alloc.rates().iter().map(|r| r.id).collect();
+        assert_eq!(ids.len(), 3);
+        for id in ids {
+            let (w, slot) = alloc.locate(id).unwrap();
+            assert_eq!(u64::from(alloc.workers[w].flows.ids[slot]), id.0);
+        }
     }
 
     /// Seeded churn over one or more engines kept in lockstep: each call

@@ -31,20 +31,35 @@ use crate::FlowtuneConfig;
 struct FlowState {
     flow: u64,
     tracker: FlowletTracker,
-    /// Token of the active flowlet, if any.
-    token: Option<Token>,
+    /// Last allocated pacing rate, Gbit/s; `NaN` until the first update
+    /// (no [`flowtune_proto::Rate16`] decodes to `NaN`).
+    rate_gbps: f64,
+    /// The active flowlet's raw token; [`NO_TOKEN`] exactly while the
+    /// tracker is idle.
+    token: u32,
     dst: u16,
     spine: u8,
     /// Whether this row's slot is in [`EndpointAgent::draining`].
     listed: bool,
-    /// Last allocated pacing rate, Gbit/s; `None` until the first update.
-    rate_gbps: Option<f64>,
 }
 
-// What the two-map agent's `HashMap` value cost before its 8-byte key:
-// the row gained `flow` and `listed` and gave up the tracker's private
-// copy of the idle threshold.
-const _: () = assert!(std::mem::size_of::<FlowState>() <= 56);
+/// A row's `token` when it has no active flowlet: outside the 24-bit
+/// token space.
+const NO_TOKEN: u32 = u32::MAX;
+
+// Half a cache line a flow id: the tracker is one word and neither the
+// token nor the rate pays for an `Option` tag.
+const _: () = assert!(std::mem::size_of::<FlowState>() <= 32);
+
+impl FlowState {
+    fn token(&self) -> Option<Token> {
+        (self.token != NO_TOKEN).then(|| Token::new(self.token))
+    }
+
+    fn rate_gbps(&self) -> Option<f64> {
+        (!self.rate_gbps.is_nan()).then_some(self.rate_gbps)
+    }
+}
 
 /// Per-server Flowtune agent (sans-IO: the caller moves the messages).
 #[derive(Debug)]
@@ -120,13 +135,18 @@ impl EndpointAgent {
     }
 
     /// [`EndpointAgent::on_backlog`] with an explicit proportional-fairness
-    /// weight.
+    /// weight, carried in Q8 fixed point (clamped to `1/256 ..= 65535/256`).
     ///
     /// The start carries a token no live flowlet of this server holds:
     /// the counter skips values still in use after it wraps. With every
     /// counter value in use ([`TokenAllocator::capacity`] concurrent
     /// flowlets) the start is refused — `None`, the flow stays idle and a
     /// later backlog tries again — rather than collide.
+    ///
+    /// # Panics
+    /// Panics unless `weight` is positive and finite — the engines' own
+    /// contract, which a `NaN` (sent as Q8 0, read back as weight 1) or
+    /// a negative weight (clamped to 1/256) would otherwise dodge.
     pub fn on_backlog_weighted(
         &mut self,
         flow: u64,
@@ -135,6 +155,10 @@ impl EndpointAgent {
         weight: f64,
         now_ps: u64,
     ) -> Option<Message> {
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "weight must be > 0 and finite, got {weight}"
+        );
         let spine = self.spine_for(flow, dst);
         let slot = match self.by_flow.entry(flow) {
             Entry::Occupied(e) => *e.get(),
@@ -143,11 +167,11 @@ impl EndpointAgent {
                 self.flows.push(FlowState {
                     flow,
                     tracker: FlowletTracker::new(),
-                    token: None,
+                    rate_gbps: f64::NAN,
+                    token: NO_TOKEN,
                     dst,
                     spine,
                     listed: false,
-                    rate_gbps: None,
                 });
                 *e.insert(slot)
             }
@@ -166,7 +190,7 @@ impl EndpointAgent {
                     }
                 };
                 self.by_token.insert(at, (token, slot));
-                state.token = Some(token);
+                state.token = token.get();
                 Some(Message::FlowletStart {
                     token,
                     src: self.server,
@@ -207,7 +231,8 @@ impl EndpointAgent {
         self.draining.retain(|&slot| {
             let state = &mut flows[slot as usize];
             if state.tracker.poll(now_ps, idle_ps) == FlowletAction::Ended {
-                if let Some(token) = state.token.take() {
+                if let Some(token) = state.token() {
+                    state.token = NO_TOKEN;
                     if let Ok(at) = by_token.binary_search_by_key(&token, |e| e.0) {
                         by_token.remove(at);
                     }
@@ -251,7 +276,7 @@ impl EndpointAgent {
         self.cursor = at;
         let state = &mut self.flows[self.by_token[at].1 as usize];
         let gbps = rate.decode();
-        state.rate_gbps = Some(gbps);
+        state.rate_gbps = gbps;
         Some((state.flow, gbps))
     }
 
@@ -264,17 +289,17 @@ impl EndpointAgent {
     /// The current pacing rate of a flow (Gbit/s), if the allocator has
     /// assigned one.
     pub fn pacing_rate_gbps(&self, flow: u64) -> Option<f64> {
-        self.state(flow)?.rate_gbps
+        self.state(flow)?.rate_gbps()
     }
 
     /// Whether `flow` currently has an active (notified) flowlet.
     pub fn flowlet_active(&self, flow: u64) -> bool {
-        self.state(flow).is_some_and(|s| s.token.is_some())
+        self.state(flow).is_some_and(|s| s.token != NO_TOKEN)
     }
 
     /// The active flowlet's token, if any.
     pub fn token_of(&self, flow: u64) -> Option<Token> {
-        self.state(flow).and_then(|s| s.token)
+        self.state(flow).and_then(FlowState::token)
     }
 
     /// The destination this flow was registered toward.
@@ -431,6 +456,18 @@ mod tests {
         a.on_drained(1, 100 * US);
         assert_eq!(a.poll(130 * US).len(), 1);
         assert!(a.draining.is_empty() && !a.flowlet_active(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be > 0 and finite, got NaN")]
+    fn a_nan_weight_is_refused_not_sent_as_the_default() {
+        EndpointAgent::new(3, 144).on_backlog_weighted(1, 100, 1000, f64::NAN, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be > 0 and finite, got -2")]
+    fn a_negative_weight_is_refused_not_clamped() {
+        EndpointAgent::new(3, 144).on_backlog_weighted(1, 100, 1000, -2.0, 0);
     }
 
     #[test]

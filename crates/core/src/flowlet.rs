@@ -23,11 +23,21 @@ pub enum FlowletState {
     },
 }
 
-/// Per-flow flowlet state machine.
-#[derive(Debug, Clone, Default)]
+/// Per-flow flowlet state machine, in one word: the drain time while
+/// [`FlowletState::Draining`], and above every drain time a tag for each
+/// of the other two states. A drain later than `u64::MAX - 2` ps (213
+/// days) is recorded as `u64::MAX - 2`.
+#[derive(Debug, Clone)]
 pub struct FlowletTracker {
-    state: FlowletState,
+    word: u64,
 }
+
+/// The tracker word of an idle flow.
+const IDLE: u64 = u64::MAX;
+/// The tracker word of a backlogged flow.
+const BACKLOGGED: u64 = u64::MAX - 1;
+/// The latest drain time the word can hold.
+const LAST_DRAIN_PS: u64 = u64::MAX - 2;
 
 /// What the caller must do after feeding an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +50,12 @@ pub enum FlowletAction {
     Ended,
 }
 
+impl Default for FlowletTracker {
+    fn default() -> Self {
+        Self { word: IDLE }
+    }
+}
+
 impl FlowletTracker {
     /// Creates an idle tracker.
     pub fn new() -> Self {
@@ -48,38 +64,37 @@ impl FlowletTracker {
 
     /// Current state.
     pub fn state(&self) -> FlowletState {
-        self.state
+        match self.word {
+            IDLE => FlowletState::Idle,
+            BACKLOGGED => FlowletState::Backlogged,
+            empty_since_ps => FlowletState::Draining { empty_since_ps },
+        }
     }
 
     /// True between `Started` and `Ended` reports.
     pub fn active(&self) -> bool {
-        !matches!(self.state, FlowletState::Idle)
+        self.word != IDLE
     }
 
     /// The sender queued data for this flow at time `now`.
     pub fn on_backlog(&mut self, _now_ps: u64) -> FlowletAction {
-        match self.state {
-            FlowletState::Idle => {
-                self.state = FlowletState::Backlogged;
-                FlowletAction::Started
-            }
-            // A refill during draining resumes the same flowlet — that is
-            // the entire point of the idle threshold: "long lived flows
-            // that send intermittently generate multiple flowlets" only
-            // when the gap exceeds it.
-            FlowletState::Draining { .. } | FlowletState::Backlogged => {
-                self.state = FlowletState::Backlogged;
-                FlowletAction::None
-            }
+        // A refill during draining resumes the same flowlet — that is the
+        // entire point of the idle threshold: "long lived flows that send
+        // intermittently generate multiple flowlets" only when the gap
+        // exceeds it.
+        let started = self.word == IDLE;
+        self.word = BACKLOGGED;
+        if started {
+            FlowletAction::Started
+        } else {
+            FlowletAction::None
         }
     }
 
     /// The sender's queue for this flow drained at time `now`.
     pub fn on_drained(&mut self, now_ps: u64) -> FlowletAction {
-        if matches!(self.state, FlowletState::Backlogged) {
-            self.state = FlowletState::Draining {
-                empty_since_ps: now_ps,
-            };
+        if self.word == BACKLOGGED {
+            self.word = now_ps.min(LAST_DRAIN_PS);
         }
         FlowletAction::None
     }
@@ -87,9 +102,9 @@ impl FlowletTracker {
     /// Clock tick: ends the flowlet if the queue has been empty for
     /// `idle_threshold_ps`.
     pub fn poll(&mut self, now_ps: u64, idle_threshold_ps: u64) -> FlowletAction {
-        if let FlowletState::Draining { empty_since_ps } = self.state {
+        if let FlowletState::Draining { empty_since_ps } = self.state() {
             if now_ps.saturating_sub(empty_since_ps) >= idle_threshold_ps {
-                self.state = FlowletState::Idle;
+                self.word = IDLE;
                 return FlowletAction::Ended;
             }
         }
@@ -100,7 +115,7 @@ impl FlowletTracker {
     /// if the flow is draining — lets an event-driven caller set a timer
     /// instead of polling.
     pub fn end_deadline_ps(&self, idle_threshold_ps: u64) -> Option<u64> {
-        match self.state {
+        match self.state() {
             FlowletState::Draining { empty_since_ps } => Some(empty_since_ps + idle_threshold_ps),
             _ => None,
         }
@@ -171,6 +186,32 @@ mod tests {
         assert_eq!(f.end_deadline_ps(T), None);
         f.on_drained(7);
         assert_eq!(f.end_deadline_ps(T), Some(7 + T));
+    }
+
+    #[test]
+    fn the_tracker_is_one_word_and_every_state_round_trips() {
+        assert_eq!(std::mem::size_of::<FlowletTracker>(), 8);
+        let mut f = FlowletTracker::new();
+        assert_eq!(f.state(), FlowletState::Idle);
+        f.on_backlog(0);
+        assert_eq!(f.state(), FlowletState::Backlogged);
+        for at in [0, 1, LAST_DRAIN_PS] {
+            f.on_backlog(at);
+            f.on_drained(at);
+            assert_eq!(f.state(), FlowletState::Draining { empty_since_ps: at });
+        }
+        // A drain past the last representable time is held there, not
+        // mistaken for a tag.
+        f.on_backlog(0);
+        f.on_drained(u64::MAX);
+        assert!(f.active());
+        assert_eq!(
+            f.state(),
+            FlowletState::Draining {
+                empty_since_ps: LAST_DRAIN_PS
+            }
+        );
+        assert_eq!(f.poll(u64::MAX, 2), FlowletAction::Ended);
     }
 
     #[test]

@@ -169,7 +169,8 @@ fn op() -> impl Strategy<Value = Op> {
             flow,
             dst: 100 + dst,
             bytes: [1, 1500, u64::MAX][size as usize],
-            weight: [None, Some(0.0), Some(0.5), Some(2.5), Some(1e9)][w],
+            // 1e-3 and 1e9 clamp to the Q8 range's ends.
+            weight: [None, Some(1e-3), Some(0.5), Some(2.5), Some(1e9)][w],
         }),
         // FLOWS, never backlogged, is a drain for an unknown flow.
         6 => (0..=FLOWS).prop_map(Op::Drained),

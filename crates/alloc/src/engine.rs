@@ -2,12 +2,12 @@
 //!
 //! [`RateAllocator`] is the contract between the control-plane service
 //! (`flowtune::AllocatorService`) and whatever computes per-flow rates
-//! behind it. Four engines implement it today:
+//! behind it. Three engines implement it today:
 //!
-//! * [`SerialAllocator`](crate::SerialAllocator) — the single-threaded
-//!   reference NED engine;
-//! * [`MulticoreAllocator`](crate::MulticoreAllocator) — the §5
-//!   FlowBlock/LinkBlock parallel engine (bit-for-bit equal to serial);
+//! * [`SerialAllocator`](crate::SerialAllocator) — the §5
+//!   FlowBlock/LinkBlock NED grid, iterating on the caller's thread
+//!   (`serial`) or with full sweeps spread over a worker pool
+//!   (`multicore`, bit-for-bit equal);
 //! * [`GradientAllocator`](crate::GradientAllocator) — the first-order
 //!   §6.6 baseline;
 //! * `flowtune_fastpass::FastpassAdapter` — a Fastpass-style per-packet
@@ -19,8 +19,8 @@
 //! `rates_into` and `name`. Everything else has a default that is right
 //! for an engine without the feature: no report memory (every drain
 //! lends every flow), no dirty counters, no link state to share (the
-//! three link exports leave their buffer empty and the three installs
-//! are ignored). An engine overrides only what it has — and every engine
+//! link exports leave their buffers empty and the three installs are
+//! ignored). An engine overrides only what it has — and every engine
 //! a service can be built over has the memory: the drain
 //! ([`RateAllocator::drain_changed_rates`]) is where the §6.4 update
 //! threshold runs, against what the engine itself last lent.
@@ -146,39 +146,49 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         None
     }
 
-    /// This engine's own per-link loads into `out` (cleared first): for
-    /// every fabric link (indexed by global
-    /// [`LinkId`](flowtune_topo::LinkId)), the sum of the raw
-    /// (pre-normalization) rates of *this engine's* flows crossing it —
-    /// exactly the load term its own price update uses. Background loads
-    /// installed with [`RateAllocator::set_background_loads`] are **not**
-    /// echoed back, so a sharded control plane can sum shards' exports
-    /// without double counting. Per-tick exporters (the sharded
-    /// exchange) call this every round: it must not allocate once the
-    /// buffer is warm.
+    /// The engine's own link state — what an exchange round exports —
+    /// into two buffers (each cleared first), indexed by global
+    /// [`LinkId`](flowtune_topo::LinkId):
     ///
-    /// **Own link state is as of the last iteration** — here and in
-    /// [`RateAllocator::link_hessians_into`] /
-    /// [`RateAllocator::link_state_into`]. The NED engines export the
-    /// sums their last price update consumed, kept per LinkBlock, in
-    /// `O(links)`: full-length zeros before the first iteration; a flow
-    /// removed since the last iteration still counts until the next one,
-    /// and a flow added since does not count yet (its rate is still 0).
-    /// Read right after [`RateAllocator::iterate`], as every caller in
-    /// this workspace does, that is the current rates' link state, and a
-    /// link no flow crosses reads exactly `0.0`. (The gradient baseline
-    /// keeps no per-link sums — its optimizer reduces loads inside
-    /// `flowtune-num` — and re-sums the current rates on every call: the
-    /// same values right after an iteration, while a flow removed since
-    /// is gone from its export at once. Callers must not lean on either
-    /// between iterations.)
+    /// * `loads`: for every fabric link, the sum of the raw
+    ///   (pre-normalization) rates of *this engine's* flows crossing it —
+    ///   exactly the load term its own price update uses. Background
+    ///   loads installed with [`RateAllocator::set_background_loads`] are
+    ///   **not** echoed back, so a sharded control plane can sum shards'
+    ///   exports without double counting.
+    /// * `hessians`: `Σ ∂x/∂p` over the same flows (entries ≤ 0) — the
+    ///   `H` its price update divided by. A partitioned allocator ships it
+    ///   alongside the loads so every shard's Newton step divides the
+    ///   global gradient by the global sensitivity — with only its own
+    ///   diagonal, a shard's effective step grows with the shard count and
+    ///   leaves NED's stable γ range. Left empty by engines whose price
+    ///   update has no second-order term (gradient projection).
+    ///
+    /// The sharded exchange calls this every round: it must not allocate
+    /// once the buffers are warm.
+    ///
+    /// **Own link state is as of the last iteration.** The NED grid
+    /// exports the `(G, H)` its last price update consumed, kept per
+    /// LinkBlock, in `O(links)`: full-length zeros before the first
+    /// iteration; a flow removed since the last iteration still counts
+    /// until the next one, and a flow added since does not count yet (its
+    /// rate is still 0). Read right after [`RateAllocator::iterate`], as
+    /// every caller in this workspace does, that is the current rates'
+    /// link state, and a link no flow crosses reads exactly `0.0`. (The
+    /// gradient baseline keeps no per-link sums — its optimizer reduces
+    /// loads inside `flowtune-num` — and re-sums the current rates on
+    /// every call: the same values right after an iteration, while a flow
+    /// removed since is gone from its export at once. Callers must not
+    /// lean on either between iterations.)
     ///
     /// Engines that do not price fabric links (the Fastpass arbiter,
-    /// which allocates endpoint-pair timeslots) leave `out` empty — the
-    /// default — which callers must treat as "no link state to share".
+    /// which allocates endpoint-pair timeslots) leave both buffers empty
+    /// — the default — which callers must treat as "no link state to
+    /// share".
     // flowtune-lint: hot
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        out.clear();
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        loads.clear();
+        hessians.clear();
     }
 
     /// Installs an exogenous per-link load (global
@@ -192,39 +202,11 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         let _ = loads;
     }
 
-    /// The engine's own per-link Hessian diagonal into `out` (cleared
-    /// first): `Σ ∂x/∂p` over its flows crossing each link (global
-    /// [`LinkId`](flowtune_topo::LinkId) indexing, entries ≤ 0), as of
-    /// the last iteration — the `H` its price update divided by. A
-    /// partitioned allocator ships this alongside
-    /// [`RateAllocator::link_loads_into`] so every shard's Newton step
-    /// divides the global gradient by the global sensitivity — with only
-    /// its own diagonal, a shard's effective step grows with the shard
-    /// count and leaves NED's stable γ range. Left empty (the default)
-    /// by engines whose price update has no second-order term (Fastpass,
-    /// gradient projection).
-    // flowtune-lint: hot
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-    }
-
-    /// [`RateAllocator::link_loads_into`] and
-    /// [`RateAllocator::link_hessians_into`] together — what an exchange
-    /// round exports: the `(G, H)` pair of the engine's last price
-    /// update, as of the last iteration (see
-    /// [`RateAllocator::link_loads_into`]). Engines that keep the two
-    /// side by side override this with one pass over both; each vector
-    /// must come out bit-identical to its single-vector export.
-    // flowtune-lint: hot
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        self.link_loads_into(loads);
-        self.link_hessians_into(hessians);
-    }
-
     /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (other shards'
-    /// [`RateAllocator::link_hessians_into`] sum). An empty slice clears
-    /// it. Engines without a second-order price term ignore the call.
+    /// background loads (the other shards' summed
+    /// [`RateAllocator::link_state_into`] Hessians). An empty slice
+    /// clears it. Engines without a second-order price term ignore the
+    /// call.
     // flowtune-lint: hot
     fn set_background_hessians(&mut self, hdiag: &[f64]) {
         let _ = hdiag;
@@ -309,184 +291,10 @@ pub fn lend_passers<'a>(
     }
 }
 
-impl RateAllocator for crate::SerialAllocator {
-    fn add_flow(
-        &mut self,
-        id: FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &Path,
-    ) {
-        crate::SerialAllocator::add_flow(self, id, src_server, dst_server, weight, path);
-    }
-
-    fn remove_flow(&mut self, id: FlowId) -> bool {
-        crate::SerialAllocator::remove_flow(self, id)
-    }
-
-    // flowtune-lint: hot
-    fn iterate(&mut self) {
-        crate::SerialAllocator::iterate(self);
-    }
-
-    fn flow_count(&self) -> usize {
-        crate::SerialAllocator::flow_count(self)
-    }
-
-    fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        crate::SerialAllocator::flow_rate(self, id)
-    }
-
-    // flowtune-lint: hot
-    fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        crate::SerialAllocator::rates_into(self, out);
-    }
-
-    // flowtune-lint: hot
-    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        crate::SerialAllocator::drain_changed_rates(self, threshold, sink);
-    }
-
-    fn dirty_counters(&self) -> Option<(u64, u64)> {
-        crate::SerialAllocator::dirty_counters(self)
-    }
-
-    // flowtune-lint: hot
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        crate::SerialAllocator::link_loads_into(self, out);
-    }
-
-    // flowtune-lint: hot
-    fn set_background_loads(&mut self, loads: &[f64]) {
-        crate::SerialAllocator::set_background_loads(self, loads);
-    }
-
-    // flowtune-lint: hot
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        crate::SerialAllocator::link_hessians_into(self, out);
-    }
-
-    // flowtune-lint: hot
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        crate::SerialAllocator::link_state_into(self, loads, hessians);
-    }
-
-    // flowtune-lint: hot
-    fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        crate::SerialAllocator::set_background_hessians(self, hdiag);
-    }
-
-    // flowtune-lint: hot
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        crate::SerialAllocator::link_prices_into(self, out);
-    }
-
-    // flowtune-lint: hot
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        crate::SerialAllocator::set_link_prices(self, prices);
-    }
-
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-}
-
-/// Everything but the iteration is the wrapped grid's.
-impl RateAllocator for crate::MulticoreAllocator {
-    fn add_flow(
-        &mut self,
-        id: FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &Path,
-    ) {
-        self.grid.add_flow(id, src_server, dst_server, weight, path);
-    }
-
-    fn remove_flow(&mut self, id: FlowId) -> bool {
-        self.grid.remove_flow(id)
-    }
-
-    // flowtune-lint: hot
-    fn iterate(&mut self) {
-        // One parallel round; the Duration the inherent method returns is
-        // a benchmarking aid the service interface does not need.
-        let _ = crate::MulticoreAllocator::run_iterations(self, 1);
-    }
-
-    // flowtune-lint: hot
-    fn run_iterations(&mut self, n: usize) {
-        let _ = crate::MulticoreAllocator::run_iterations(self, n);
-    }
-
-    fn flow_count(&self) -> usize {
-        self.grid.flow_count()
-    }
-
-    fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        self.grid.flow_rate(id)
-    }
-
-    // flowtune-lint: hot
-    fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        self.grid.rates_into(out);
-    }
-
-    // flowtune-lint: hot
-    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        self.grid.drain_changed_rates(threshold, sink);
-    }
-
-    fn dirty_counters(&self) -> Option<(u64, u64)> {
-        self.grid.dirty_counters()
-    }
-
-    // flowtune-lint: hot
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_loads_into(out);
-    }
-
-    // flowtune-lint: hot
-    fn set_background_loads(&mut self, loads: &[f64]) {
-        self.grid.set_background_loads(loads);
-    }
-
-    // flowtune-lint: hot
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_hessians_into(out);
-    }
-
-    // flowtune-lint: hot
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        self.grid.link_state_into(loads, hessians);
-    }
-
-    // flowtune-lint: hot
-    fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        self.grid.set_background_hessians(hdiag);
-    }
-
-    // flowtune-lint: hot
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        self.grid.link_prices_into(out);
-    }
-
-    // flowtune-lint: hot
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        self.grid.set_link_prices(prices);
-    }
-
-    fn name(&self) -> &'static str {
-        "multicore"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocConfig, GradientAllocator, MulticoreAllocator, SerialAllocator};
+    use crate::{AllocConfig, GradientAllocator, SerialAllocator};
     use flowtune_topo::{ClosConfig, TwoTierClos};
     use std::collections::BTreeMap;
 
@@ -529,12 +337,13 @@ mod tests {
         }
     }
 
-    /// Every engine in the crate plus the double, all full-sweep.
+    /// Every engine in the crate — the grid on both schedules — plus the
+    /// double, all full-sweep.
     fn engines(fabric: &TwoTierClos) -> Vec<BoxEngine> {
         let cfg = AllocConfig::default();
         vec![
             Box::new(SerialAllocator::new(fabric, cfg)),
-            Box::new(MulticoreAllocator::new(fabric, cfg)),
+            Box::new(SerialAllocator::multicore(fabric, cfg, 2)),
             Box::new(GradientAllocator::new(fabric, cfg)),
             Box::new(Minimal::default()),
         ]
@@ -597,15 +406,13 @@ mod tests {
                 }
             }
 
-            // The one-walk export is bit-for-bit the two single exports,
-            // whatever the buffers held before.
+            // The export is the same whatever the buffers held before.
             let (mut loads, mut hessians) = (vec![f64::NAN; 3], vec![1.0; links + 5]);
             engine.link_state_into(&mut loads, &mut hessians);
-            let (mut single_loads, mut single_hessians) = (vec![2.0], Vec::new());
-            engine.link_loads_into(&mut single_loads);
-            engine.link_hessians_into(&mut single_hessians);
-            assert_eq!(bits(&loads), bits(&single_loads), "{name}");
-            assert_eq!(bits(&hessians), bits(&single_hessians), "{name}");
+            let (mut fresh_loads, mut fresh_hessians) = (Vec::new(), Vec::new());
+            engine.link_state_into(&mut fresh_loads, &mut fresh_hessians);
+            assert_eq!(bits(&loads), bits(&fresh_loads), "{name}");
+            assert_eq!(bits(&hessians), bits(&fresh_hessians), "{name}");
             let mut prices = vec![f64::NAN; 2];
             engine.link_prices_into(&mut prices);
             if name == "minimal" {

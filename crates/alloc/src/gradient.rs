@@ -158,8 +158,10 @@ impl RateAllocator for GradientAllocator {
         })
     }
 
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.problem.link_loads_into(&self.state.rates, out);
+    /// Loads re-summed from the current rates; no Hessians (first order).
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        self.problem.link_loads_into(&self.state.rates, loads);
+        hessians.clear();
     }
 
     fn set_background_loads(&mut self, loads: &[f64]) {

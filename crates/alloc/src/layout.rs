@@ -42,12 +42,12 @@ impl BlockLayout {
     /// and converting to Gbit/s.
     ///
     /// # Panics
-    /// Panics if a LinkBlock's sentinel does not fit a `u16` offset (see
-    /// [`sentinel`]).
+    /// Panics if `capacity_fraction` is outside `(0, 1]` or a LinkBlock's
+    /// sentinel does not fit a `u16` offset (see [`sentinel`]).
     pub(crate) fn new(fabric: &TwoTierClos, capacity_fraction: f64) -> Self {
         assert!(
             capacity_fraction > 0.0 && capacity_fraction <= 1.0,
-            "capacity fraction must be in (0, 1]"
+            "capacity_fraction must be in (0, 1], got {capacity_fraction}"
         );
         let blocks = fabric.block_count();
         let topo = fabric.topology();

@@ -20,21 +20,21 @@
 //! directions apart: every per-direction quantity is a two-element array,
 //! and every LinkBlock phase is written once for both.
 //!
-//! Two interchangeable engines implement this, behind the
-//! [`RateAllocator`] trait the control-plane service holds a box of:
+//! One engine type implements this, behind the [`RateAllocator`] trait
+//! the control-plane service holds a box of: [`SerialAllocator`], the
+//! grid itself and every operation on it (flow add/remove, the rate and
+//! link-state queries, the installs), with two ways to schedule an
+//! iteration that agree bit for bit:
 //!
-//! * [`SerialAllocator`] — the grid itself and every operation on it
-//!   (flow add/remove, the rate and link-state queries, the installs),
-//!   iterated on one thread; the reference the parallel engine is tested
-//!   against (bit-for-bit) and the default engine of the network
-//!   simulator.
-//! * [`MulticoreAllocator`] — wraps a [`SerialAllocator`] and replaces
-//!   only its full-sweep iteration: one OS thread per FlowBlock with
+//! * on the caller's thread ([`SerialAllocator::new`], engine name
+//!   `serial`) — the reference, the default engine of the network
+//!   simulator, and the path every incremental tick takes;
+//! * as a barrier pipeline ([`SerialAllocator::multicore`], engine name
+//!   `multicore`, parallel.rs) — full sweeps spread over OS threads with
 //!   barrier synchronization and mutex-protected buffer exchange, driven
 //!   by a persistent [`WorkerPool`] that parks between ticks (no
-//!   spawn/join on the 10 µs tick path); the engine the §6.1 throughput
-//!   benchmarks run. Everything else is reached through
-//!   [`RateAllocator`].
+//!   spawn/join on the 10 µs tick path); the schedule the §6.1
+//!   throughput benchmarks run.
 //!
 //! [`engine`] says which seven methods a new engine must implement and
 //! what the other defaults mean; queries fill caller-provided buffers.
@@ -61,7 +61,7 @@ pub mod engine;
 pub mod flowblock;
 pub mod gradient;
 mod layout;
-pub mod parallel;
+mod parallel;
 pub mod pool;
 mod reduce;
 pub mod serial;
@@ -69,7 +69,6 @@ pub mod serial;
 pub use engine::{lend_passers, BoxEngine, RateAllocator};
 pub use flowblock::{FlowRate, UNREPORTED};
 pub use gradient::GradientAllocator;
-pub use parallel::MulticoreAllocator;
 pub use pool::{FanOutError, WorkerPool};
 pub use serial::SerialAllocator;
 
@@ -77,7 +76,7 @@ pub use serial::SerialAllocator;
 /// value in [0.2, 1.5] behaves similarly, so it is not a knob.
 pub const GAMMA: f64 = 0.4;
 
-/// Configuration shared by both allocator engines.
+/// Configuration of an allocator engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocConfig {
     /// Whether to F-NORM the rates after each iteration (§4.2). U-NORM is

@@ -1,9 +1,11 @@
-//! The multicore engine: one OS thread per FlowBlock.
+//! The §5 thread schedule: a full sweep as a barrier pipeline, one OS
+//! thread per group of FlowBlocks.
 //!
-//! Every phase boundary is a barrier; LinkBlock exchange happens through
-//! per-worker mutexes, never holding two locks at once (the receiver copies
-//! the peer's buffer out under the peer's lock, then merges under its own).
-//! The phase structure per iteration is:
+//! A grid built with [`SerialAllocator::multicore`] runs its full sweeps
+//! here. Every phase boundary is a barrier; LinkBlock exchange happens
+//! through per-worker mutexes, never holding two locks at once (the
+//! receiver copies the peer's buffer out under the peer's lock, then
+//! merges under its own). The phase structure per iteration is:
 //!
 //! 1. **rate pass** — private state only, no sharing;
 //! 2. `log₂ B` **aggregation** steps (Figure 3) — up partials move along
@@ -14,16 +16,16 @@
 //!    prices and utilization ratios;
 //! 5. **F-NORM** — private state only.
 //!
-//! The engine produces *bit-for-bit* the same rates as
-//! [`SerialAllocator`]: aggregation follows the same pairwise summation
-//! order, and everything else is element-wise.
+//! The pipeline produces *bit-for-bit* the same rates as the caller-thread
+//! schedule: aggregation follows the same pairwise summation order, and
+//! everything else is element-wise.
 //!
 //! The same holds for its link state. The tree absorbs in place, so when
 //! the pool returns, the 2·B root workers' accumulators are the totals
 //! the last price update consumed; the caller thread copies them into
-//! the grid's per-LinkBlock buffers, where the serial iteration leaves
-//! its own, and every export reads those (see [`crate::serial`]). The
-//! reverse tree likewise leaves every worker's price and ratio copy
+//! the grid's per-LinkBlock buffers, where the caller-thread iteration
+//! leaves its own, and the export reads those (see [`crate::serial`]).
+//! The reverse tree likewise leaves every worker's price and ratio copy
 //! equal to its root's — the invariant the grid's consensus install
 //! relies on.
 //!
@@ -37,111 +39,38 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use flowtune_topo::TwoTierClos;
-
 use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass};
 use crate::pool::WorkerPool;
 use crate::reduce::{aggregate, distribute, position, root, steps, Role, DIRS};
-use crate::{AllocConfig, SerialAllocator, GAMMA};
+use crate::{SerialAllocator, GAMMA};
 
-/// The parallel allocator engine. Construction, flow add/remove, and rate
-/// queries are the wrapped [`SerialAllocator`]'s, on the caller's thread
-/// (reached through [`crate::RateAllocator`]);
-/// [`MulticoreAllocator::run_iterations`] drives the worker grid on a
-/// persistent [`WorkerPool`] that parks between calls, so a 10 µs tick
-/// cadence never pays thread spawn/join.
-#[derive(Debug)]
-pub struct MulticoreAllocator {
-    pub(crate) grid: SerialAllocator,
-    /// Worker-thread cap; `None` sizes to the host (cores, max 16).
-    workers: Option<usize>,
-    /// Parked worker threads, created on the first `run_iterations` call
-    /// (the thread count depends on the grid and host) and reused for
-    /// every call after.
-    pool: Option<WorkerPool>,
-}
-
-impl MulticoreAllocator {
-    /// Builds an allocator over `fabric`; the block count must be a power
-    /// of two. Threads are sized to the host; see
-    /// [`MulticoreAllocator::with_workers`] for an explicit count.
-    pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
-        Self {
-            grid: SerialAllocator::new(fabric, cfg),
-            workers: None,
-            pool: None,
-        }
-    }
-
-    /// Builds an allocator that runs on exactly `workers` OS threads
-    /// (clamped to the B² logical workers; `0` means size to the host).
-    /// The thread count never changes the arithmetic — phases stay
-    /// globally barrier-synchronized — only the parallelism.
-    pub fn with_workers(fabric: &TwoTierClos, cfg: AllocConfig, workers: usize) -> Self {
-        Self {
-            grid: SerialAllocator::new(fabric, cfg),
-            workers: (workers > 0).then_some(workers),
-            pool: None,
-        }
-    }
-
-    /// Runs `n` iterations across B² logical workers and returns the wall
-    /// time spent *inside* the iteration loop (pool handoff excluded), so
-    /// `elapsed / n` is the per-iteration allocator latency the §6.1 table
-    /// reports. The OS threads come from a persistent [`WorkerPool`] that
-    /// parks between calls — the first call pays thread spawn, subsequent
-    /// ticks pay one lock + wakeup.
+impl SerialAllocator {
+    /// Runs `n` full-sweep iterations across B² logical workers on
+    /// `threads` OS threads and returns the wall time spent *inside* the
+    /// iteration loop (pool handoff excluded). The threads come from a
+    /// persistent [`WorkerPool`] that parks between calls — the first
+    /// call pays thread spawn, subsequent ticks pay one lock + wakeup.
     // flowtune-lint: hot, float-kernel
     // Worker loops index `cells[w]` because `w` also names the grid cell
     // in the tree-role lookups; an iterator would obscure that.
     #[allow(clippy::needless_range_loop)]
-    pub fn run_iterations(&mut self, n: usize) -> Duration {
-        if self.grid.cfg.incremental {
-            // The incremental path is flow-sparse by design: on a quiet
-            // tick almost every worker is skipped, so the per-phase work
-            // is far below the barrier cost that makes the thread grid
-            // pay. Run the shared single-threaded incremental iteration
-            // — bit-for-bit the same arithmetic (it is the same code the
-            // serial engine runs).
-            let t0 = Instant::now();
-            for _ in 0..n {
-                self.grid.iterate();
-            }
-            return t0.elapsed();
-        }
-        let b = self.grid.layout.blocks();
+    pub(crate) fn run_pipeline(&mut self, threads: usize, n: usize) -> Duration {
+        let b = self.layout.blocks();
         let n_workers = b * b;
         let tree_steps = steps(b);
-        let f_norm = self.grid.cfg.f_norm;
-        let layout = &self.grid.layout;
-        let bg = &self.grid.bg;
-        let bg_h = &self.grid.bg_h;
-
-        // OS threads: one per FlowBlock up to the core count; beyond
-        // that, logical workers are chunked onto threads.
-        // Cap the thread count: beyond ~8 threads the barrier cost on
-        // typical hosts outweighs the extra parallelism for the small
-        // per-phase work (the paper's own profile: "Communication between
-        // CPUs in the aggregate and distribute steps took more than half
-        // of the runtime in all experiments").
-        let cores = std::thread::available_parallelism().map_or(8, |c| c.get());
-        let cap = self.workers.unwrap_or_else(|| cores.min(16));
-        let n_threads = n_workers.min(cap).max(1);
-        let chunk = n_workers.div_ceil(n_threads);
+        let chunk = n_workers.div_ceil(threads);
+        let f_norm = self.cfg.f_norm;
+        let layout = &self.layout;
+        let bg = &self.bg;
+        let bg_h = &self.bg_h;
 
         // Move every worker's state under a mutex for the parallel phase.
         let cells: Vec<Mutex<crate::serial::WorkerCore>> =
             // flowtune-lint: allow(hot-path-alloc, "O(blocks) mutex wrap per call, amortized over n iterations")
-            self.grid.workers.drain(..).map(Mutex::new).collect();
-        let barrier = SpinBarrier::new(n_threads);
+            self.workers.drain(..).map(Mutex::new).collect();
+        let barrier = SpinBarrier::new(threads);
         let elapsed = Mutex::new(Duration::ZERO);
-
-        // The grid shape is fixed at construction, so after the first call
-        // the pool is always the right size and is reused as-is.
-        if self.pool.as_ref().map(WorkerPool::size) != Some(n_threads) {
-            self.pool = Some(WorkerPool::new(n_threads));
-        }
-        let pool = self.pool.as_mut().expect("pool was just sized");
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
 
         pool.run(&|t| {
             let lo = t * chunk;
@@ -240,27 +169,19 @@ impl MulticoreAllocator {
 
         let unpoison = |cell: Mutex<_>| cell.into_inner().unwrap_or_else(PoisonError::into_inner);
         // flowtune-lint: allow(hot-path-alloc, "O(blocks) unwrap per call, amortized over n iterations")
-        self.grid.workers = cells.into_iter().map(unpoison).collect();
+        self.workers = cells.into_iter().map(unpoison).collect();
         // The tree absorbs in place, so each root's accumulators now *are*
         // its LinkBlock's totals (the other workers' are partly absorbed
-        // and must not be reduced again): keep them for the exports, as
-        // the serial iteration does.
-        let (workers, totals) = (&self.grid.workers, &mut self.grid.totals);
-        let lpl = layout.links_per_lb();
+        // and must not be reduced again): keep them for the export, as
+        // the caller-thread iteration does.
+        let lpl = self.layout.links_per_lb();
         for d in DIRS {
-            for (blk, total) in totals[d].iter_mut().enumerate() {
-                total.copy_from_slice(&workers[root(d, blk, b)].acc.pairs[d][..lpl]);
+            for (blk, total) in self.totals[d].iter_mut().enumerate() {
+                total.copy_from_slice(&self.workers[root(d, blk, b)].acc.pairs[d][..lpl]);
             }
         }
         let took = *lock(&elapsed);
         took
-    }
-
-    /// Runs a single iteration (convenience wrapper; the persistent pool
-    /// makes per-call overhead one park/unpark, not a thread spawn).
-    // flowtune-lint: hot
-    pub fn iterate(&mut self) {
-        self.run_iterations(1);
     }
 }
 
@@ -314,8 +235,8 @@ impl SpinBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RateAllocator;
-    use flowtune_topo::{ClosConfig, FlowId, Path};
+    use crate::{AllocConfig, RateAllocator};
+    use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 
     /// Deterministic pseudo-random flow set over a fabric.
     fn spray_flows(
@@ -341,7 +262,7 @@ mod tests {
         let fabric = TwoTierClos::build(ClosConfig::multicore(blocks, 2, 4));
         let cfg = AllocConfig::default();
         let mut serial = SerialAllocator::new(&fabric, cfg);
-        let mut parallel = MulticoreAllocator::new(&fabric, cfg);
+        let mut parallel = SerialAllocator::multicore(&fabric, cfg, 2);
         spray_flows(&fabric, 64, |id, s, d, w, p| {
             serial.add_flow(id, s, d, w, p)
         });
@@ -394,7 +315,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_with_background_load() {
-        // The background-load path must keep the engines' bit-for-bit
+        // The background-load path must keep the schedules' bit-for-bit
         // contract: both split the same global vector into LinkBlock
         // slices and hand it to the same price-update kernel.
         let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
@@ -402,60 +323,42 @@ mod tests {
         let mut serial = SerialAllocator::new(&fabric, cfg);
         // Two threads over sixteen workers: every tree step crosses the
         // thread boundary.
-        let mut parallel = MulticoreAllocator::with_workers(&fabric, cfg, 2);
-        // The dirty-set path of the same grid, on the caller's thread.
-        let mut incremental = MulticoreAllocator::new(
-            &fabric,
-            AllocConfig {
-                incremental: true,
-                full_sweep_every: 16,
-                ..cfg
-            },
-        );
-        let mut others: [&mut dyn RateAllocator; 2] = [&mut parallel, &mut incremental];
-        spray_flows(&fabric, 48, |id, s, d, w, p| {
-            serial.add_flow(id, s, d, w, p)
-        });
+        let mut parallel = SerialAllocator::multicore(&fabric, cfg, 2);
         let bg: Vec<f64> = (0..fabric.topology().link_count())
             .map(|l| ((l * 31 + 7) % 11) as f64)
             .collect();
-        serial.set_background_loads(&bg);
         let bg_h: Vec<f64> = bg.iter().map(|x| -x / 4.0).collect();
-        serial.set_background_hessians(&bg_h);
-        for other in &mut others {
-            spray_flows(&fabric, 48, |id, s, d, w, p| other.add_flow(id, s, d, w, p));
-            other.set_background_loads(&bg);
-            other.set_background_hessians(&bg_h);
+        for engine in [&mut serial, &mut parallel] {
+            spray_flows(&fabric, 48, |id, s, d, w, p| {
+                engine.add_flow(id, s, d, w, p)
+            });
+            engine.set_background_loads(&bg);
+            engine.set_background_hessians(&bg_h);
         }
-        // All three link-state exports: the pipeline leaves them in the
-        // roots' accumulators, the serial iteration in its reduction
-        // scratch, a skipped quiet iteration where they were.
+        // The link-state export: the pipeline leaves it in the roots'
+        // accumulators, the caller-thread iteration in its reduction
+        // scratch.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let exports = |engine: &dyn RateAllocator| {
-            let (mut l, mut h, mut sl, mut sh) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let exports = |engine: &SerialAllocator| {
+            let (mut l, mut h) = (Vec::new(), Vec::new());
             engine.link_state_into(&mut l, &mut h);
-            engine.link_loads_into(&mut sl);
-            engine.link_hessians_into(&mut sh);
-            [bits(&l), bits(&h), bits(&sl), bits(&sh)]
+            [bits(&l), bits(&h)]
         };
         // A run of several iterations, single ones, and none at all.
         for n in [37, 1, 1, 0, 5] {
             serial.run_iterations(n);
-            let a = serial.rates();
+            parallel.run_iterations(n);
             let want = exports(&serial);
             assert!(want[0].iter().any(|&x| f64::from_bits(x) > 0.0));
             assert!(want[1].iter().any(|&x| f64::from_bits(x) < 0.0));
-            for other in &mut others {
-                other.run_iterations(n);
-                let b = other.rates();
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.id, y.id);
-                    assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{:?}", x.id);
-                    assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
-                }
-                assert_eq!(exports(&**other), want, "{} after {n}", other.name());
+            let (a, b) = (serial.rates(), parallel.rates());
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.id, y.id);
+                assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{:?}", x.id);
+                assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
             }
+            assert_eq!(exports(&parallel), want, "after {n}");
         }
     }
 
@@ -463,7 +366,7 @@ mod tests {
     fn churn_between_parallel_runs() {
         let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
         let cfg = AllocConfig::default();
-        let mut alloc = MulticoreAllocator::new(&fabric, cfg);
+        let mut alloc = SerialAllocator::multicore(&fabric, cfg, 2);
         spray_flows(&fabric, 16, |id, s, d, w, p| alloc.add_flow(id, s, d, w, p));
         alloc.run_iterations(20);
         assert!(alloc.remove_flow(FlowId(0)));
@@ -480,39 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_multicore_matches_full_serial() {
-        // The multicore engine's incremental mode (which runs the shared
-        // single-threaded incremental path) must stay bit-for-bit equal
-        // to a full-sweep serial engine.
-        let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
-        let mut full = SerialAllocator::new(&fabric, AllocConfig::default());
-        let mut inc = MulticoreAllocator::new(
-            &fabric,
-            AllocConfig {
-                incremental: true,
-                full_sweep_every: 16,
-                ..AllocConfig::default()
-            },
-        );
-        spray_flows(&fabric, 48, |id, s, d, w, p| full.add_flow(id, s, d, w, p));
-        spray_flows(&fabric, 48, |id, s, d, w, p| inc.add_flow(id, s, d, w, p));
-        full.run_iterations(37);
-        inc.run_iterations(37);
-        let a = full.rates();
-        let b = inc.rates();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{:?}", x.id);
-            assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
-        }
-        assert!(inc.dirty_counters().is_some());
-    }
-
-    #[test]
     fn returns_nonzero_elapsed() {
         let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-        let mut alloc = MulticoreAllocator::new(&fabric, AllocConfig::default());
+        let mut alloc = SerialAllocator::multicore(&fabric, AllocConfig::default(), 2);
         spray_flows(&fabric, 8, |id, s, d, w, p| alloc.add_flow(id, s, d, w, p));
         let took = alloc.run_iterations(10);
         assert!(took > Duration::ZERO);

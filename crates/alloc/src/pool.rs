@@ -1,8 +1,10 @@
-//! A persistent worker pool for the multicore engine.
+//! A persistent worker pool for the grid's thread schedule and the
+//! sharded tick.
 //!
 //! The allocator ticks every 10 µs; spawning and joining OS threads on
-//! every [`MulticoreAllocator::run_iterations`](crate::MulticoreAllocator)
-//! call puts tens of microseconds of `clone(2)` on the tick path.
+//! every pipelined iteration of a
+//! [`SerialAllocator::multicore`](crate::SerialAllocator::multicore)
+//! grid puts tens of microseconds of `clone(2)` on the tick path.
 //! [`WorkerPool`] instead keeps its threads alive between calls, parked on
 //! a condvar, and hands each call's work over with one lock + notify:
 //!
@@ -205,6 +207,10 @@ impl WorkerPool {
     /// # Panics
     /// Re-raises a panic if any slot's task panicked.
     pub fn run(&mut self, task: &(dyn Fn(usize) + Sync)) {
+        if self.size == 1 {
+            // No worker to hand anything to.
+            return task(0);
+        }
         // SAFETY: the pointer is only dereferenced by workers between the
         // notify below and the `remaining == 0` wait; we do not return
         // (ending the borrow) until that wait completes, and `&mut self`

@@ -1,28 +1,32 @@
-//! Single-threaded reference engine.
+//! The §5 grid engine and its caller-thread schedule.
 //!
-//! Performs exactly the same arithmetic, in exactly the same order, as the
-//! parallel engine: per-FlowBlock rate passes, binomial-tree aggregation of
-//! LinkBlock partials, NED price update on the diagonal copies, and
-//! distribution back — just on one thread. The `parallel_matches_serial`
-//! tests assert bit-for-bit equality, which is what makes the parallel
-//! engine trustworthy.
+//! An iteration is per-FlowBlock rate passes, binomial-tree aggregation
+//! of LinkBlock partials, NED price update on the diagonal copies, and
+//! distribution back. Here it runs on the caller's thread; a grid built
+//! with [`SerialAllocator::multicore`] runs its full sweeps through the
+//! barrier pipeline in [`crate::parallel`] instead — exactly the same
+//! arithmetic in exactly the same order, which the
+//! `parallel_matches_serial` tests assert bit for bit.
 //!
 //! **Link state is read, not re-derived.** The `[load, hessian]` totals
 //! each price update reduces are kept per LinkBlock (`LinkTotals`),
-//! and the three link-state exports are one scatter of them to global
-//! link ids: `O(links)`, no walk over the flows. What an export reports
-//! is therefore the engine's own link state *as of its last iteration* —
-//! the sums its own price update just used; see
-//! [`crate::RateAllocator::link_loads_into`] for the contract.
+//! and the link-state export is one scatter of them to global link ids:
+//! `O(links)`, no walk over the flows. What it reports is therefore the
+//! engine's own link state *as of its last iteration* — the sums its
+//! own price update just used; see
+//! [`crate::RateAllocator::link_state_into`] for the contract.
 //!
 //! **Every price copy equals its root's.** Construction, every
-//! distribution (here and the multicore reverse tree), a skipped quiet
+//! distribution (here and the pipeline's reverse tree), a skipped quiet
 //! iteration and a consensus install all leave each worker's copy of a
 //! LinkBlock's prices and ratios bitwise equal to the root worker's.
 //! The diff phase reads roots as proxies for "what this worker would
-//! read" on that ground, and [`SerialAllocator::set_link_prices`]
-//! patches the 2·B roots and runs the distribution step's price copies
-//! instead of rewriting B² copies link by link.
+//! read" on that ground, and the consensus install
+//! ([`crate::RateAllocator::set_link_prices`]) patches the 2·B roots and
+//! runs the distribution step's price copies instead of rewriting B²
+//! copies link by link.
+
+use std::time::{Duration, Instant};
 
 use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
@@ -32,12 +36,15 @@ use crate::flowblock::{
     FlowRate, PriceView,
 };
 use crate::layout::BlockLayout;
+use crate::pool::WorkerPool;
 use crate::reduce::{binomial_reduce_in_order, member, members, root, DIRS, DOWN, UP};
-use crate::{AllocConfig, GAMMA};
+use crate::{AllocConfig, RateAllocator, GAMMA};
 
-/// The single-threaded allocator engine: the §5 FlowBlock × LinkBlock
-/// grid and every operation on it. The multicore engine wraps one and
-/// replaces only the full-sweep iteration with its barrier pipeline.
+/// The §5 FlowBlock × LinkBlock grid and every operation on it, with two
+/// ways to schedule an iteration: on the caller's thread
+/// ([`SerialAllocator::new`], engine name `serial`), or with full sweeps
+/// spread over a worker pool ([`SerialAllocator::multicore`], engine name
+/// `multicore`). The schedule never changes a bit of the output.
 #[derive(Debug)]
 pub struct SerialAllocator {
     pub(crate) layout: BlockLayout,
@@ -70,6 +77,12 @@ pub struct SerialAllocator {
     /// Preallocated per-iteration buffers (aggregation partials and the
     /// distribute copies), so the steady-state tick path never allocates.
     scratch: IterScratch,
+    /// OS threads of the pool schedule; `None` iterates on the caller's
+    /// thread.
+    threads: Option<usize>,
+    /// The pool schedule's parked worker threads, built on its first
+    /// full sweep and reused for every one after.
+    pub(crate) pool: Option<WorkerPool>,
 }
 
 /// The index entry of an id no flow holds: no grid has `u32::MAX`
@@ -120,13 +133,25 @@ impl WorkerCore {
 }
 
 impl SerialAllocator {
-    /// Builds an allocator over `fabric`. The fabric's block count must be
-    /// a power of two (1 is fine: a single-block fabric degenerates to
-    /// plain NED with no aggregation steps).
+    /// Builds an allocator over `fabric` that iterates on the caller's
+    /// thread. The fabric's block count must be a power of two (1 is
+    /// fine: a single-block fabric degenerates to plain NED with no
+    /// aggregation steps).
+    ///
+    /// # Panics
+    /// Panics on a block count that is not a power of two, a
+    /// `capacity_fraction` outside `(0, 1]`, or a `dirty_eps` that is not
+    /// a finite value ≥ 0 (a `NaN` or infinite one would never re-dirty a
+    /// worker).
     pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
         assert!(
             fabric.block_count().is_power_of_two(),
             "the aggregation tree needs a power-of-two block count"
+        );
+        assert!(
+            cfg.dirty_eps >= 0.0 && cfg.dirty_eps.is_finite(),
+            "dirty_eps must be finite and ≥ 0, got {}",
+            cfg.dirty_eps
         );
         let layout = BlockLayout::new(fabric, cfg.capacity_fraction);
         let b = layout.blocks();
@@ -158,6 +183,29 @@ impl SerialAllocator {
             dirty,
             totals: [zeros.clone(), zeros],
             scratch,
+            threads: None,
+            pool: None,
+        }
+    }
+
+    /// [`SerialAllocator::new`] on the pool schedule: full sweeps run as
+    /// the barrier pipeline over B² logical workers on at most `workers`
+    /// OS threads (`0` sizes to the host, capped at 16 — beyond that the
+    /// barriers cost more than the small per-phase work gains, the
+    /// paper's own profile: "Communication between CPUs in the aggregate
+    /// and distribute steps took more than half of the runtime in all
+    /// experiments"). An incremental grid iterates on the caller's thread
+    /// either way: on a quiet tick almost every worker is skipped, far
+    /// below the barrier cost.
+    pub fn multicore(fabric: &TwoTierClos, cfg: AllocConfig, workers: usize) -> Self {
+        let grid = Self::new(fabric, cfg);
+        let cap = match workers {
+            0 => std::thread::available_parallelism().map_or(8, |c| c.get().min(16)),
+            n => n,
+        };
+        Self {
+            threads: Some(grid.workers.len().min(cap)),
+            ..grid
         }
     }
 
@@ -245,11 +293,6 @@ impl SerialAllocator {
         true
     }
 
-    /// Number of registered flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows
-    }
-
     /// All flows' current allocations (Gbit/s), in deterministic
     /// (FlowBlock, slot) order, into a caller-provided buffer (cleared
     /// first; allocation-free once it is warm): materializes every flow,
@@ -260,31 +303,6 @@ impl SerialAllocator {
         for worker in &self.workers {
             out.extend((0..worker.flows.len()).map(|slot| worker.flows.flow_rate(slot)));
         }
-    }
-
-    /// Drains the changed-rate set: runs [`report_pass`] — the §6.4 rule
-    /// against each flow's `reported` word — over every worker whose
-    /// output may have moved since the last drain (every worker, without
-    /// a dirty set), lending `sink` exactly the flows that must be
-    /// reported (see [`crate::RateAllocator::drain_changed_rates`]). A
-    /// worker that is skipped is bitwise as the last drain left it, and
-    /// what did not pass then does not pass now.
-    // flowtune-lint: hot, float-kernel
-    pub fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        for (w, worker) in self.workers.iter_mut().enumerate() {
-            if let Some(ds) = &mut self.dirty {
-                if !std::mem::take(&mut ds.export_dirty[w]) {
-                    continue;
-                }
-            }
-            report_pass(&mut worker.flows, threshold, sink);
-        }
-    }
-
-    /// Cumulative `(dirty_flows, dirty_links)` counters, when the engine
-    /// runs incrementally (see [`crate::RateAllocator::dirty_counters`]).
-    pub fn dirty_counters(&self) -> Option<(u64, u64)> {
-        self.dirty.as_ref().map(DirtySet::counters)
     }
 
     /// The links marked dirty by flow intake (adds/removes) since the
@@ -305,98 +323,6 @@ impl SerialAllocator {
     pub fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
         let (w, slot) = self.locate(id)?;
         Some(self.workers[w].flows.flow_rate(slot))
-    }
-
-    /// Own per-link loads as of the last iteration, global-link indexed:
-    /// the raw rates its rate pass summed onto each link. Background
-    /// loads are *not* included (see
-    /// [`crate::RateAllocator::link_loads_into`]).
-    // flowtune-lint: hot, float-kernel
-    pub fn link_loads_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.layout.total_links(), 0.0);
-        self.for_each_total(|link, [load, _]| out[link] = load);
-    }
-
-    /// Calls `put(global link index, [load, hessian])` for every link of
-    /// every LinkBlock, from [`LinkTotals`] — the one scatter behind
-    /// every link-state export. Links outside any LinkBlock (control
-    /// links) are not visited.
-    // flowtune-lint: hot
-    fn for_each_total(&self, mut put: impl FnMut(usize, [f64; 2])) {
-        for d in DIRS {
-            for blk in 0..self.layout.blocks() {
-                for (link, &pair) in self.layout.links(d, blk).iter().zip(&self.totals[d][blk]) {
-                    put(link.index(), pair);
-                }
-            }
-        }
-    }
-
-    /// Current per-link duals, global-link indexed, read from the
-    /// authoritative (root) LinkBlock copies. Links outside any
-    /// LinkBlock (control links) report 0.
-    // flowtune-lint: hot
-    pub fn link_prices_into(&self, out: &mut Vec<f64>) {
-        let b = self.layout.blocks();
-        out.clear();
-        out.resize(self.layout.total_links(), 0.0);
-        for d in DIRS {
-            for blk in 0..b {
-                let prices = &self.workers[root(d, blk, b)].view.prices[d];
-                for (link, &p) in self.layout.links(d, blk).iter().zip(prices) {
-                    out[link.index()] = p;
-                }
-            }
-        }
-    }
-
-    /// Overwrites per-link duals from a global-link-indexed vector; `NaN`
-    /// entries keep the current price. The 2·B root copies are patched
-    /// link by link — on the incremental path the same pass marks: an
-    /// install that moves a dual beyond eps invalidates the rate pass of
-    /// every worker whose flows traverse that link — and then copied to
-    /// their row / column members the way a distribution step copies
-    /// prices, so the next rate pass, which reads the per-worker copies
-    /// before any distribution step, already prices flows with the
-    /// consensus duals, identically in the serial and multicore engines.
-    /// Every copy equals its root on entry (see the module docs), so
-    /// this is bit for bit a rewrite of each worker's copy from `prices`
-    /// (the tests' oracle), and the old root value is the comparison
-    /// point for every worker at once.
-    // flowtune-lint: hot
-    pub fn set_link_prices(&mut self, prices: &[f64]) {
-        if prices.is_empty() {
-            return;
-        }
-        assert_eq!(
-            prices.len(),
-            self.layout.total_links(),
-            "price vector must cover every fabric link"
-        );
-        let b = self.layout.blocks();
-        let Self {
-            layout,
-            workers,
-            dirty,
-            ..
-        } = self;
-        for d in DIRS {
-            for blk in 0..b {
-                let held = &mut workers[root(d, blk, b)].view.prices[d];
-                for (o, link) in layout.links(d, blk).iter().enumerate() {
-                    let p = prices[link.index()];
-                    if p.is_nan() {
-                        continue;
-                    }
-                    if let Some(ds) = dirty.as_mut().filter(|ds| (p - held[o]).abs() > ds.eps) {
-                        ds.price_moved(d, blk, o, p);
-                    }
-                    held[o] = p;
-                }
-            }
-        }
-        self.distribute(false);
     }
 
     /// Re-splits a global-link-indexed vector into the LinkBlock-layout
@@ -426,51 +352,38 @@ impl SerialAllocator {
         }
     }
 
-    /// Installs (or clears, for an empty slice) the exogenous per-link
-    /// load, re-split into LinkBlock layout for the price update.
+    /// One NED iteration, on the schedule the grid was built for: the
+    /// barrier pipeline for a [`SerialAllocator::multicore`] grid running
+    /// full sweeps, the caller's thread otherwise.
     // flowtune-lint: hot
-    pub fn set_background_loads(&mut self, loads: &[f64]) {
-        Self::refill_bg(&self.layout, &mut self.bg, loads);
+    pub fn iterate(&mut self) {
+        match self.threads {
+            Some(threads) if self.dirty.is_none() => {
+                self.run_pipeline(threads, 1);
+            }
+            _ => self.sweep(),
+        }
     }
 
-    /// Own per-link Hessian diagonal as of the last iteration,
-    /// global-link indexed: `Σ ∂x/∂p` over this engine's flows crossing
-    /// each link — the values its rate pass accumulated beside the loads
-    /// in `Accums`.
-    // flowtune-lint: hot, float-kernel
-    pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.layout.total_links(), 0.0);
-        self.for_each_total(|link, [_, h]| out[link] = h);
-    }
-
-    /// [`SerialAllocator::link_loads_into`] and
-    /// [`SerialAllocator::link_hessians_into`] in one scatter: the
-    /// exchange wants both every round. All three copy the same
-    /// `LinkTotals` entries, so they agree bit for bit.
-    // flowtune-lint: hot, float-kernel
-    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        loads.clear();
-        loads.resize(self.layout.total_links(), 0.0);
-        hessians.clear();
-        hessians.resize(self.layout.total_links(), 0.0);
-        self.for_each_total(|link, [load, h]| {
-            loads[link] = load;
-            hessians[link] = h;
-        });
-    }
-
-    /// Installs (or clears, for an empty slice) the exogenous per-link
-    /// Hessian diagonal accompanying the background loads.
+    /// Runs `n` iterations and returns the wall time spent inside the
+    /// iteration loop — on the pool schedule, pool handoff excluded — so
+    /// `elapsed / n` is the per-iteration latency the §6.1 table reports.
     // flowtune-lint: hot
-    pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
+    pub fn run_iterations(&mut self, n: usize) -> Duration {
+        match self.threads {
+            Some(threads) if self.dirty.is_none() => self.run_pipeline(threads, n),
+            _ => {
+                let t0 = Instant::now();
+                for _ in 0..n {
+                    self.sweep();
+                }
+                t0.elapsed()
+            }
+        }
     }
 
-    /// One NED iteration: rate pass → aggregate → price update →
-    /// distribute → (optionally) F-NORM. Both engines call this on one
-    /// thread; the multicore engine only takes its barrier pipeline when
-    /// running the classic full sweep, with no dirty set.
+    /// One NED iteration on the caller's thread: rate pass → aggregate →
+    /// price update → distribute → (optionally) F-NORM.
     ///
     /// With a dirty set (see `crate::dirty`) the iteration is
     /// incremental. The flow-proportional phases (rate pass, F-NORM) are
@@ -496,7 +409,7 @@ impl SerialAllocator {
     /// worker, letting the next price update apply it before float
     /// drift can compound.
     // flowtune-lint: hot
-    pub fn iterate(&mut self) {
+    fn sweep(&mut self) {
         let mut moving = true;
         if let Some(ds) = &mut self.dirty {
             ds.drain_intake();
@@ -512,14 +425,6 @@ impl SerialAllocator {
             self.distribute(true);
         }
         self.normalize_phase();
-    }
-
-    /// Runs `n` iterations.
-    // flowtune-lint: hot
-    pub fn run_iterations(&mut self, n: usize) {
-        for _ in 0..n {
-            self.iterate();
-        }
     }
 
     /// Phase A: clear the accumulators and re-run the rate pass in every
@@ -658,8 +563,8 @@ impl SerialAllocator {
     /// Phase E: F-NORM (or a plain copy) in every worker — with a dirty
     /// set, only where the inputs changed: the worker recomputed its
     /// rates this iteration, or a ratio on a traversed link moved. Each
-    /// of those is marked export-dirty for
-    /// [`SerialAllocator::drain_changed_rates`].
+    /// of those is marked export-dirty for the drain
+    /// ([`RateAllocator::drain_changed_rates`]).
     // flowtune-lint: hot
     fn normalize_phase(&mut self) {
         let f_norm = self.cfg.f_norm;
@@ -680,10 +585,173 @@ impl SerialAllocator {
     }
 }
 
+/// The grid's trait face. The six operations flowbench's probes call
+/// without importing the trait stay inherent and are forwarded; every
+/// other body lives here.
+impl RateAllocator for SerialAllocator {
+    fn add_flow(
+        &mut self,
+        id: FlowId,
+        src_server: usize,
+        dst_server: usize,
+        weight: f64,
+        path: &Path,
+    ) {
+        SerialAllocator::add_flow(self, id, src_server, dst_server, weight, path);
+    }
+
+    fn remove_flow(&mut self, id: FlowId) -> bool {
+        SerialAllocator::remove_flow(self, id)
+    }
+
+    // flowtune-lint: hot
+    fn iterate(&mut self) {
+        SerialAllocator::iterate(self);
+    }
+
+    // flowtune-lint: hot
+    fn run_iterations(&mut self, n: usize) {
+        SerialAllocator::run_iterations(self, n);
+    }
+
+    fn flow_count(&self) -> usize {
+        self.flows
+    }
+
+    fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
+        SerialAllocator::flow_rate(self, id)
+    }
+
+    // flowtune-lint: hot
+    fn rates_into(&self, out: &mut Vec<FlowRate>) {
+        SerialAllocator::rates_into(self, out);
+    }
+
+    /// Runs [`report_pass`] — the §6.4 rule against each flow's
+    /// `reported` word — over every worker whose output may have moved
+    /// since the last drain (every worker, without a dirty set). A worker
+    /// that is skipped is bitwise as the last drain left it, and what did
+    /// not pass then does not pass now.
+    // flowtune-lint: hot, float-kernel
+    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        for (w, worker) in self.workers.iter_mut().enumerate() {
+            if let Some(ds) = &mut self.dirty {
+                if !std::mem::take(&mut ds.export_dirty[w]) {
+                    continue;
+                }
+            }
+            report_pass(&mut worker.flows, threshold, sink);
+        }
+    }
+
+    fn dirty_counters(&self) -> Option<(u64, u64)> {
+        self.dirty.as_ref().map(DirtySet::counters)
+    }
+
+    /// One scatter of [`LinkTotals`] to global link ids. Links outside
+    /// any LinkBlock (control links) read 0.
+    // flowtune-lint: hot, float-kernel
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        for out in [&mut *loads, &mut *hessians] {
+            out.clear();
+            out.resize(self.layout.total_links(), 0.0);
+        }
+        for d in DIRS {
+            for blk in 0..self.layout.blocks() {
+                let totals = self.layout.links(d, blk).iter().zip(&self.totals[d][blk]);
+                for (link, &[load, h]) in totals {
+                    loads[link.index()] = load;
+                    hessians[link.index()] = h;
+                }
+            }
+        }
+    }
+
+    // flowtune-lint: hot
+    fn set_background_loads(&mut self, loads: &[f64]) {
+        Self::refill_bg(&self.layout, &mut self.bg, loads);
+    }
+
+    // flowtune-lint: hot
+    fn set_background_hessians(&mut self, hdiag: &[f64]) {
+        Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
+    }
+
+    /// Read from the authoritative (root) LinkBlock copies. Links outside
+    /// any LinkBlock (control links) report 0.
+    // flowtune-lint: hot
+    fn link_prices_into(&self, out: &mut Vec<f64>) {
+        let b = self.layout.blocks();
+        out.clear();
+        out.resize(self.layout.total_links(), 0.0);
+        for d in DIRS {
+            for blk in 0..b {
+                let prices = &self.workers[root(d, blk, b)].view.prices[d];
+                for (link, &p) in self.layout.links(d, blk).iter().zip(prices) {
+                    out[link.index()] = p;
+                }
+            }
+        }
+    }
+
+    /// The 2·B root copies are patched link by link — on the incremental
+    /// path the same pass marks: an install that moves a dual beyond eps
+    /// invalidates the rate pass of every worker whose flows traverse
+    /// that link — and then copied to their row / column members the way
+    /// a distribution step copies prices, so the next rate pass, which
+    /// reads the per-worker copies before any distribution step, already
+    /// prices flows with the consensus duals, on either schedule. Every
+    /// copy equals its root on entry (see the module docs), so this is
+    /// bit for bit a rewrite of each worker's copy from `prices` (the
+    /// tests' oracle), and the old root value is the comparison point for
+    /// every worker at once.
+    // flowtune-lint: hot
+    fn set_link_prices(&mut self, prices: &[f64]) {
+        if prices.is_empty() {
+            return;
+        }
+        assert_eq!(
+            prices.len(),
+            self.layout.total_links(),
+            "price vector must cover every fabric link"
+        );
+        let b = self.layout.blocks();
+        let Self {
+            layout,
+            workers,
+            dirty,
+            ..
+        } = self;
+        for d in DIRS {
+            for blk in 0..b {
+                let held = &mut workers[root(d, blk, b)].view.prices[d];
+                for (o, link) in layout.links(d, blk).iter().enumerate() {
+                    let p = prices[link.index()];
+                    if p.is_nan() {
+                        continue;
+                    }
+                    if let Some(ds) = dirty.as_mut().filter(|ds| (p - held[o]).abs() > ds.eps) {
+                        ds.price_moved(d, blk, o, p);
+                    }
+                    held[o] = p;
+                }
+            }
+        }
+        self.distribute(false);
+    }
+
+    fn name(&self) -> &'static str {
+        if self.threads.is_some() {
+            "multicore"
+        } else {
+            "serial"
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RateAllocator;
     use flowtune_topo::ClosConfig;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -927,8 +995,8 @@ mod tests {
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
         alloc.run_iterations(200);
-        let mut loads = Vec::new();
-        alloc.link_loads_into(&mut loads);
+        let (mut loads, mut hessians) = (Vec::new(), Vec::new());
+        alloc.link_state_into(&mut loads, &mut hessians);
         // The shared server-0 uplink carries both flows' raw rates …
         let shared = p1.links()[0];
         assert_eq!(shared, p2.links()[0]);
@@ -938,7 +1006,7 @@ mod tests {
         assert!((loads[last1.index()] - 20.0).abs() < 1e-6);
         // Installing a background must NOT be echoed back by the export.
         alloc.set_background_loads(&vec![7.0; loads.len()]);
-        alloc.link_loads_into(&mut loads);
+        alloc.link_state_into(&mut loads, &mut hessians);
         assert!((loads[shared.index()] - 40.0).abs() < 1e-6, "no echo");
     }
 
@@ -1052,17 +1120,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// All three link-state exports, as bits: the fused pair (into dirty
-    /// buffers), then the two single ones — after asserting the fused
-    /// pair *is* the single ones.
+    /// The link-state export, as bits, taken into dirty buffers.
     fn exports(alloc: &SerialAllocator) -> [Vec<u64>; 2] {
         let (mut loads, mut hessians) = (vec![f64::NAN; 3], vec![7.0; 1000]);
         alloc.link_state_into(&mut loads, &mut hessians);
-        let (mut single_loads, mut single_hessians) = (vec![1.0], Vec::new());
-        alloc.link_loads_into(&mut single_loads);
-        alloc.link_hessians_into(&mut single_hessians);
-        assert_eq!(bits(&loads), bits(&single_loads));
-        assert_eq!(bits(&hessians), bits(&single_hessians));
         assert_eq!(loads.len(), alloc.layout.total_links());
         assert_eq!(hessians.len(), alloc.layout.total_links());
         [bits(&loads), bits(&hessians)]
@@ -1300,11 +1361,14 @@ mod tests {
                 incremental,
                 ..cfg()
             };
-            let mut engine = crate::MulticoreAllocator::with_workers(&f, cfg, 2);
+            let mut alloc = if multicore {
+                SerialAllocator::multicore(&f, cfg, 2)
+            } else {
+                SerialAllocator::new(&f, cfg)
+            };
             let mut rng = TestRng::deterministic("padding-churn");
             let (mut live, mut next_id) = (Vec::new(), 0);
             for step in 0..200 {
-                let alloc = &mut engine.grid;
                 for _ in 0..rng.below(4) {
                     let (src, dst) = (rng.below(servers), rng.below(servers));
                     if src != dst {
@@ -1321,13 +1385,9 @@ mod tests {
                 if step == 100 {
                     alloc.set_link_prices(&vec![0.3; links]);
                 }
-                if multicore {
-                    engine.run_iterations(1);
-                } else {
-                    engine.grid.iterate();
-                }
+                alloc.iterate();
                 assert!(
-                    unowned_entries(&engine.grid).iter().all(|&x| x == 0),
+                    unowned_entries(&alloc).iter().all(|&x| x == 0),
                     "step {step}, incremental {incremental}, multicore {multicore}"
                 );
             }
@@ -1451,6 +1511,47 @@ mod tests {
         let p = f.path(0, 8, FlowId(1));
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p);
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p);
+    }
+
+    /// A grid over [`fabric`] with `cfg()` changed by `edit`.
+    fn build_with(edit: impl FnOnce(&mut AllocConfig)) -> SerialAllocator {
+        let mut cfg = AllocConfig {
+            incremental: true,
+            ..cfg()
+        };
+        edit(&mut cfg);
+        SerialAllocator::new(&fabric(), cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty_eps must be finite and ≥ 0, got NaN")]
+    fn a_nan_dirty_eps_is_refused() {
+        // Every `> eps` compare would be false: no price move re-dirties.
+        build_with(|c| c.dirty_eps = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty_eps must be finite and ≥ 0, got inf")]
+    fn an_infinite_dirty_eps_is_refused() {
+        build_with(|c| c.dirty_eps = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty_eps must be finite and ≥ 0, got -0.001")]
+    fn a_negative_dirty_eps_is_refused() {
+        build_with(|c| c.dirty_eps = -1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity_fraction must be in (0, 1], got 0")]
+    fn a_zero_capacity_fraction_is_refused() {
+        build_with(|c| c.capacity_fraction = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity_fraction must be in (0, 1], got 1.5")]
+    fn a_capacity_fraction_above_one_is_refused() {
+        build_with(|c| c.capacity_fraction = 1.5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests over the block-decomposed allocator: random flow sets
 //! and churn sequences on random power-of-two fabrics.
 
-use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator, SerialAllocator};
+use flowtune_alloc::{AllocConfig, RateAllocator, SerialAllocator};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use proptest::prelude::*;
 
@@ -68,7 +68,7 @@ proptest! {
         let fabric = TwoTierClos::build(ClosConfig::multicore(churn.blocks, 2, 4));
         let cfg = AllocConfig::default();
         let mut serial = SerialAllocator::new(&fabric, cfg);
-        let mut parallel = MulticoreAllocator::new(&fabric, cfg);
+        let mut parallel = SerialAllocator::multicore(&fabric, cfg, 2);
 
         apply(&churn, &fabric, &mut serial);
         apply(&churn, &fabric, &mut parallel);

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator};
+use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_bench::Opts;
 use flowtune_fastpass::Arbiter;
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
@@ -41,7 +41,7 @@ fn main() {
     let blocks = 2;
     let fabric = TwoTierClos::build(ClosConfig::multicore(blocks, 4, 48));
     let servers = fabric.config().server_count();
-    let mut alloc = MulticoreAllocator::new(&fabric, AllocConfig::default());
+    let mut alloc = SerialAllocator::multicore(&fabric, AllocConfig::default(), 0);
     for f in 0..opts.scaled(3072, 1024) {
         let src = (f as usize * 7919) % servers;
         let mut dst = (f as usize * 104_729 + 13) % servers;

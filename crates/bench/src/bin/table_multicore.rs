@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator};
+use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_bench::Opts;
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 
@@ -23,7 +23,7 @@ fn run_row(row: &Row, iters: usize, seed: u64) -> (usize, usize, Duration) {
     let cfg = ClosConfig::multicore(row.blocks, row.racks_per_block, servers_per_rack);
     let fabric = TwoTierClos::build(cfg);
     let servers = fabric.config().server_count();
-    let mut alloc = MulticoreAllocator::new(&fabric, AllocConfig::default());
+    let mut alloc = SerialAllocator::multicore(&fabric, AllocConfig::default(), 0);
     for f in 0..row.flows {
         let id = FlowId(f as u64);
         let src = (f.wrapping_mul(7919).wrapping_add(seed as usize)) % servers;

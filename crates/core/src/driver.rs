@@ -115,7 +115,7 @@ pub trait TickDriver: std::fmt::Debug + Send {
 
     /// Per-link loads of the control plane's raw allocation as of its
     /// last tick (what the engines' own price updates summed — see
-    /// [`flowtune_alloc::RateAllocator::link_loads_into`]; read it after a
+    /// [`flowtune_alloc::RateAllocator::link_state_into`]; read it after a
     /// tick), indexed by global [`LinkId`](flowtune_topo::LinkId) (summed
     /// over shards, where applicable). Empty when the engine does not price
     /// fabric links (Fastpass). Powers the over-allocation telemetry of

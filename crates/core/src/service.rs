@@ -422,23 +422,23 @@ impl ServiceBuilder {
             return Err(ServiceError::ShardedNeedsDriver);
         }
         let fabric = self.fabric.ok_or(ServiceError::MissingFabric)?;
-        let alloc_cfg = alloc_config(&self.cfg);
-        let engine: BoxEngine = match self.engine {
-            Engine::Serial => Box::new(SerialAllocator::new(&fabric, alloc_cfg)),
-            Engine::Multicore { workers } => Box::new(
-                flowtune_alloc::MulticoreAllocator::with_workers(&fabric, alloc_cfg, workers),
-            ),
-            // The arbiter's iteration *is* fabric time: one tick of it.
-            Engine::Fastpass => Box::new(
-                FastpassAdapter::new(&fabric, alloc_cfg).with_iteration_time_ps(
-                    self.cfg.tick_interval_ps,
-                    fabric.config().host_link_bps,
+        let tick_ps = self.cfg.tick_interval_ps;
+        let engine = move |fabric: &TwoTierClos, alloc_cfg| -> BoxEngine {
+            match self.engine {
+                Engine::Serial => Box::new(SerialAllocator::new(fabric, alloc_cfg)),
+                Engine::Multicore { workers } => {
+                    Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
+                }
+                // The arbiter's iteration *is* fabric time: one tick of it.
+                Engine::Fastpass => Box::new(
+                    FastpassAdapter::new(fabric, alloc_cfg)
+                        .with_iteration_time_ps(tick_ps, fabric.config().host_link_bps),
                 ),
-            ),
-            Engine::Gradient => {
-                Box::new(flowtune_alloc::GradientAllocator::new(&fabric, alloc_cfg))
+                Engine::Gradient => {
+                    Box::new(flowtune_alloc::GradientAllocator::new(fabric, alloc_cfg))
+                }
+                Engine::Sharded { .. } => unreachable!("rejected above"),
             }
-            Engine::Sharded { .. } => unreachable!("rejected above"),
         };
         Ok(AllocatorService::from_parts(fabric, self.cfg, engine))
     }
@@ -546,9 +546,13 @@ impl AllocatorService {
     /// Builds the serial-engine service over `fabric` — the shortcut the
     /// simulator's defaults and the unit tests use. The §6.4 capacity
     /// headroom (`1 − update_threshold`) is applied to every link.
+    ///
+    /// # Panics
+    /// Panics on an `update_threshold` outside `[0, 1)`.
     pub fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig) -> Self {
-        let engine = SerialAllocator::new(fabric, alloc_config(&cfg));
-        Self::with_engine(fabric, cfg, engine)
+        Self::from_parts(fabric.clone(), cfg, |fabric, alloc_cfg| {
+            Box::new(SerialAllocator::new(fabric, alloc_cfg))
+        })
     }
 
     /// Starts configuring a service with a run-time engine choice.
@@ -563,14 +567,23 @@ impl AllocatorService {
         cfg: FlowtuneConfig,
         engine: impl RateAllocator + 'static,
     ) -> Self {
-        Self::from_parts(fabric.clone(), cfg, Box::new(engine))
+        Self::from_parts(fabric.clone(), cfg, |_, _| Box::new(engine))
     }
 
-    fn from_parts(fabric: TwoTierClos, cfg: FlowtuneConfig, engine: BoxEngine) -> Self {
+    /// Checks `cfg`, then builds the engine from the fabric and the
+    /// engine configuration `cfg` implies.
+    fn from_parts(
+        fabric: TwoTierClos,
+        cfg: FlowtuneConfig,
+        engine: impl FnOnce(&TwoTierClos, AllocConfig) -> BoxEngine,
+    ) -> Self {
+        // The engines allocate `1 − update_threshold` of every link.
         assert!(
-            cfg.update_threshold >= 0.0 && cfg.update_threshold.is_finite(),
-            "update threshold must be ≥ 0"
+            (0.0..1.0).contains(&cfg.update_threshold),
+            "update_threshold must be in [0, 1), got {}",
+            cfg.update_threshold
         );
+        let engine = engine(&fabric, alloc_config(&cfg));
         Self {
             fabric,
             engine,
@@ -809,14 +822,12 @@ impl AllocatorService {
         self.cfg
     }
 
-    /// The engine's own per-link loads (raw rates summed per global
-    /// link, as of its last iteration) into a caller-provided buffer
-    /// (see [`RateAllocator::link_loads_into`]) — the allocation-free
-    /// export the sharded exchange calls every round. Left empty by
-    /// engines that do not price fabric links.
-    // flowtune-lint: hot
+    /// The loads half of [`AllocatorService::link_state_into`] (raw
+    /// rates summed per global link, as of the engine's last iteration)
+    /// into a caller-provided buffer. Left empty by engines that do not
+    /// price fabric links. Allocates the half it drops.
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.engine.link_loads_into(out);
+        self.engine.link_state_into(out, &mut Vec::new());
     }
 
     /// Installs an exogenous per-link load the engine prices alongside
@@ -827,20 +838,17 @@ impl AllocatorService {
         self.engine.set_background_loads(loads);
     }
 
-    /// The engine's own per-link Hessian diagonal into a
-    /// caller-provided buffer (see
-    /// [`RateAllocator::link_hessians_into`]). Left empty by engines
-    /// without a second-order price term.
-    // flowtune-lint: hot
+    /// The Hessian half of [`AllocatorService::link_state_into`] into a
+    /// caller-provided buffer. Left empty by engines without a
+    /// second-order price term. Allocates the half it drops.
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        self.engine.link_hessians_into(out);
+        self.engine.link_state_into(&mut Vec::new(), out);
     }
 
-    /// [`AllocatorService::link_loads_into`] and
-    /// [`AllocatorService::link_hessians_into`] in one pass (see
-    /// [`RateAllocator::link_state_into`]) — the exchange's per-round
-    /// export: the engine's own link state as of its last iteration, so
-    /// read it after [`AllocatorService::tick_into`].
+    /// The engine's own per-link loads and Hessian diagonal in one pass
+    /// (see [`RateAllocator::link_state_into`]) — the exchange's
+    /// per-round export: the engine's own link state as of its last
+    /// iteration, so read it after [`AllocatorService::tick_into`].
     // flowtune-lint: hot
     pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         self.engine.link_state_into(loads, hessians);
@@ -985,6 +993,32 @@ mod tests {
         assert!((rate - 9.9).abs() < 0.05, "rate {rate}");
         // Converged ⇒ the filter suppresses further updates.
         assert!(last.is_empty(), "{last:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "update_threshold must be in [0, 1), got 1")]
+    fn an_update_threshold_of_one_is_refused() {
+        // It would leave the engine `1 − 1 = 0` of every link.
+        let cfg = FlowtuneConfig {
+            update_threshold: 1.0,
+            ..FlowtuneConfig::default()
+        };
+        let _ = AllocatorService::builder()
+            .fabric(&fabric())
+            .config(cfg)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "update_threshold must be in [0, 1), got 1.5")]
+    fn an_update_threshold_above_one_is_refused() {
+        let _ = AllocatorService::new(
+            &fabric(),
+            FlowtuneConfig {
+                update_threshold: 1.5,
+                ..FlowtuneConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -57,9 +57,11 @@
 //!    merge exact).
 //!
 //! [`FlowtuneConfig::parallel_shards`](crate::FlowtuneConfig) (default
-//! on) selects phase 1's concurrent path; turning it off ticks the shards
-//! sequentially on the caller — same bytes out, useful on single-core
-//! hosts and as the reference in equivalence tests. A shard whose engine
+//! on) sizes phase 1's pool: one slot per shard, or — turned off, or
+//! with one shard — a single slot that ticks the shards one after
+//! another on the caller's thread. Same bytes out either way; the
+//! one-slot pool is useful on single-core hosts and as the reference in
+//! equivalence tests. A shard whose engine
 //! panics mid-tick is *contained*: siblings complete, the pool survives,
 //! and [`TickDriver::try_tick_into`](crate::TickDriver::try_tick_into)
 //! reports [`ServiceError::ShardPanicked`] instead of aborting the
@@ -174,7 +176,6 @@
 //! there is nothing to exchange and the path is never taken, keeping
 //! one-shard deployments bit-for-bit equal to the unsharded service.
 
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 use flowtune_alloc::WorkerPool;
@@ -214,8 +215,7 @@ struct ShardSlot {
 }
 
 /// The shards of one process (see the module docs): ticked on a worker
-/// pool or one after another, exchanging link state through one shared
-/// table set.
+/// pool, exchanging link state through one shared table set.
 #[derive(Debug)]
 pub struct InProcess {
     /// The shards, in partition order.
@@ -223,12 +223,10 @@ pub struct InProcess {
     /// The exchange cadence, from the shards' shared configuration (the
     /// delta filter lives in each slot's [`ShardFilter`]).
     exchange: ExchangeConfig,
-    /// Whether phase 1 runs on the worker pool (config `parallel_shards`
-    /// and more than one shard).
-    parallel: bool,
-    /// Per-shard OS threads for the concurrent tick, created on the first
-    /// parallel tick and parked between ticks.
-    pool: Option<WorkerPool>,
+    /// Phase 1's pool: a slot per shard (config `parallel_shards` and
+    /// more than one shard), its threads parked between ticks, or one
+    /// slot, the caller's thread.
+    pool: WorkerPool,
     /// Ticks driven so far (the exchange fires when `ticks` is a
     /// multiple of the cadence).
     ticks: u64,
@@ -302,7 +300,6 @@ impl ShardedService {
             .config();
         let n = shards.len();
         let set = InProcess {
-            parallel: cfg.parallel_shards && n > 1,
             slots: shards
                 .into_iter()
                 .enumerate()
@@ -315,7 +312,7 @@ impl ShardedService {
                 })
                 .collect(),
             exchange: ExchangeConfig::from_flowtune(&cfg),
-            pool: None,
+            pool: WorkerPool::new(if cfg.parallel_shards { n } else { 1 }),
             ticks: 0,
             tables: LinkTables::new(n),
             shipped_totals: Vec::new(),
@@ -327,7 +324,7 @@ impl ShardedService {
 
     /// Whether ticks run the shards concurrently on the worker pool.
     pub fn parallel_shards(&self) -> bool {
-        self.shard_set().parallel
+        self.shard_set().pool.size() > 1
     }
 
     /// Cumulative count of exchange entries shipped per link (summed over
@@ -400,26 +397,11 @@ impl ShardSet for InProcess {
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
         // rounds, exports its link state) with no shared state.
-        let mut panicked: Option<usize> = None;
-        if self.parallel {
-            let n = self.slots.len();
-            let pool = self.pool.get_or_insert_with(|| WorkerPool::new(n));
-            if let Err(e) = pool.fan_out(&mut self.slots, &|_, slot| tick_shard(slot, exchange)) {
-                panicked = Some(e.item());
-            }
-        } else {
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                // Same containment as the pool path: siblings complete,
-                // the lowest-indexed panic is reported.
-                let outcome =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| tick_shard(slot, exchange)));
-                if outcome.is_err() && panicked.is_none() {
-                    panicked = Some(i);
-                }
-            }
-        }
-        if let Some(shard) = panicked {
-            return Err(ServiceError::ShardPanicked { shard });
+        let phase1 = self
+            .pool
+            .fan_out(&mut self.slots, &|_, slot| tick_shard(slot, exchange));
+        if let Err(e) = phase1 {
+            return Err(ServiceError::ShardPanicked { shard: e.item() });
         }
 
         // Phase 2: the fan-out return is the barrier — cross-shard

@@ -78,11 +78,9 @@ impl RateAllocator for Scripted {
     fn flow_rate(&self, _: FlowId) -> Option<FlowRate> {
         None
     }
-    fn link_loads_into(&self, out: &mut Vec<f64>) {
-        out.clone_from(&self.current().0);
-    }
-    fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        out.clone_from(&self.current().1);
+    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
+        loads.clone_from(&self.current().0);
+        hessians.clone_from(&self.current().1);
     }
     fn link_prices_into(&self, out: &mut Vec<f64>) {
         out.clone_from(&self.current().2);

@@ -23,6 +23,7 @@ cd "$(dirname "$0")/.."
 
 RUNS=(
     "fig5_update_traffic"
+    "fig5_update_traffic --engine multicore --workers 2"
     "fig6_threshold"
     "fig7_scaling"
     "fig7_scaling --shards 2 --exchange-every 1"

@@ -4,7 +4,7 @@
 //! engine-level churn/feasibility checks.
 
 use flowtune::{AllocatorService, Engine, FlowtuneConfig};
-use flowtune_alloc::{AllocConfig, MulticoreAllocator, RateAllocator, SerialAllocator};
+use flowtune_alloc::{AllocConfig, RateAllocator, SerialAllocator};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use flowtune_workload::{TraceConfig, TraceGenerator, Workload};
@@ -99,7 +99,7 @@ fn f_norm_off_matches_too() {
         ..AllocConfig::default()
     };
     let mut serial = SerialAllocator::new(&fabric, cfg);
-    let mut parallel = MulticoreAllocator::new(&fabric, cfg);
+    let mut parallel = SerialAllocator::multicore(&fabric, cfg, 2);
     for (id, src, dst) in trace_flows(&fabric, 40, 9) {
         let path = fabric.path(src, dst, id);
         serial.add_flow(id, src, dst, 1.0, &path);

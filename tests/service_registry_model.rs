@@ -19,9 +19,7 @@ use std::collections::BTreeMap;
 
 use common::fabric;
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ServiceError, ServiceStats};
-use flowtune_alloc::{
-    AllocConfig, BoxEngine, GradientAllocator, MulticoreAllocator, SerialAllocator,
-};
+use flowtune_alloc::{AllocConfig, BoxEngine, GradientAllocator, SerialAllocator};
 use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
@@ -50,7 +48,7 @@ impl Model {
         let engine: BoxEngine = match *engine {
             Engine::Serial => Box::new(SerialAllocator::new(fabric, alloc_cfg)),
             Engine::Multicore { workers } => {
-                Box::new(MulticoreAllocator::with_workers(fabric, alloc_cfg, workers))
+                Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
             }
             Engine::Gradient => Box::new(GradientAllocator::new(fabric, alloc_cfg)),
             Engine::Fastpass => Box::new(

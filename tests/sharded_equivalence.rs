@@ -19,6 +19,7 @@ mod common;
 
 use common::{assert_bit_for_bit, fabric, start, Replay, StatsCheck};
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ShardedService, TickDriver};
+use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 use proptest::prelude::*;
@@ -451,7 +452,7 @@ struct PanickyEngine {
     panics_left: u32,
 }
 
-impl flowtune_alloc::RateAllocator for PanickyEngine {
+impl RateAllocator for PanickyEngine {
     fn add_flow(
         &mut self,
         id: flowtune_topo::FlowId,

@@ -9,7 +9,7 @@
 //! * a worker is **rate-dirty** when a flow was added to or removed from
 //!   it, or when the authoritative price of a link its flows traverse
 //!   moved by more than `eps` since the worker last ran its rate pass
-//!   (detected by diffing the freshly updated root prices against a
+//!   (detected by diffing the freshly updated LinkBlock prices against a
 //!   per-link snapshot, or by an exchange install overwriting a dual);
 //! * a worker is **norm-dirty** when a utilization ratio on a link its
 //!   flows traverse moved by more than `eps` this iteration (F-NORM
@@ -26,8 +26,8 @@
 //! reset only in the iteration ("epoch") that actually recomputes it —
 //! `DirtySet::iter` is that epoch counter.
 //!
-//! The aggregate/price-update/distribute phases cost `O(B²·L)` (links,
-//! not flows) and run whenever any worker recomputed *or* any price or
+//! The aggregate/price-update phases cost `O(B²·L)` (links, not flows)
+//! and run whenever any worker recomputed *or* any price or
 //! ratio is still in motion (`DirtySet::moving`) — the NED price update
 //! is not idempotent before convergence, so it must keep integrating
 //! until the whole system is numerically stationary. Once no worker is
@@ -74,11 +74,11 @@ pub(crate) struct DirtySet {
     /// workers whose count is positive — the others never read the moved
     /// price.
     pub(crate) touch: [Vec<Vec<u32>>; 2],
-    /// Per direction, per block: the root prices as of the last time each
-    /// link was marked (diffs compare against these, with `> eps`
-    /// hysteresis).
+    /// Per direction, per block: the LinkBlock's prices as of the last
+    /// time each link was marked (diffs compare against these, with
+    /// `> eps` hysteresis).
     pub(crate) prev_prices: [Vec<Vec<f64>>; 2],
-    /// Per direction, per block: the root utilization-ratio snapshots.
+    /// Per direction, per block: the utilization-ratio snapshots.
     pub(crate) prev_ratio: [Vec<Vec<f64>>; 2],
     /// Per direction, per block, per offset: marked by intake since the
     /// last iteration (observability: `dirty_link_ids`).
@@ -90,15 +90,15 @@ pub(crate) struct DirtySet {
     /// move beyond `eps` on *any* link — including links no flow touches
     /// (the decay branch keeps evolving an unloaded link's dual long
     /// after every touch count is zero) — or an exchange install
-    /// overwrote a dual since. While set, the aggregate/price/distribute
-    /// phases must keep running even with zero rate-dirty workers, or
+    /// overwrote a dual since. While set, the aggregate/price phases
+    /// must keep running even with zero rate-dirty workers, or
     /// the frozen trajectory would diverge from the full sweep's the
     /// moment a new flow lands on one of those links.
     pub(crate) moving: bool,
     /// Cumulative count of flows whose rate pass was re-run.
     pub(crate) dirty_flows: u64,
     /// Cumulative count of (link, iteration) price moves beyond `eps`
-    /// (root diffs and exchange installs).
+    /// (price-update diffs and exchange installs).
     pub(crate) dirty_links: u64,
 }
 
@@ -196,7 +196,7 @@ impl DirtySet {
         }
     }
 
-    /// A root price of LinkBlock `(d, blk)` moved beyond eps to `p`, by a
+    /// A price of LinkBlock `(d, blk)` moved beyond eps to `p`, by a
     /// price update or an install: snapshot it and rate-dirty every
     /// worker whose flows cross the link.
     // flowtune-lint: hot

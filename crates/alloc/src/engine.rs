@@ -74,7 +74,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     fn remove_flow(&mut self, id: FlowId) -> bool;
 
     /// Runs one allocation iteration (for NED engines: rate pass →
-    /// aggregate → price update → distribute → normalize; for the
+    /// aggregate → price update → normalize; for the
     /// Fastpass adapter: a batch of timeslot matchings).
     fn iterate(&mut self);
 
@@ -227,12 +227,10 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// shard currently loads — each engine keeps decaying its own stale
     /// price there). Engines that do not price fabric links ignore the
     /// call. The next rate pass must already price flows with the
-    /// installed duals. An engine that holds several copies of a link's
-    /// price (the §5 grid: one per FlowBlock worker of the LinkBlock's
-    /// row or column) keeps them bitwise equal to the authoritative one
-    /// between calls, so the install patches the authoritative copies
-    /// and re-distributes them, `O(links)` compares instead of a rewrite
-    /// of every copy.
+    /// installed duals. The §5 grid holds one copy of a link's price —
+    /// its LinkBlock's, which every FlowBlock worker of the LinkBlock's
+    /// row or column reads — so its install is `O(links)`: one patch of
+    /// each copy, nothing to re-distribute.
     ///
     /// Dual consensus is what makes a partitioned allocator's fixed
     /// point unique: background loads alone pin only the *total* on a

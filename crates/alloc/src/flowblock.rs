@@ -17,7 +17,8 @@
 //! and store ports — see ARCHITECTURE). A path shorter than two hops is
 //! padded with its LinkBlock's **sentinel slot**: one extra entry past
 //! the real links in every per-link array of [`PriceView`] and
-//! [`Accums`].
+//! [`Accums`]. The kernels take a worker's two LinkBlocks' arrays as an
+//! `[up, down]` pair of slices, whoever holds them.
 //!
 //! **No instruction in those loops guards an index.** The per-link
 //! arrays are [`padded_len`] long — the links, the sentinel, zeros up to
@@ -50,13 +51,12 @@
 //!
 //! Sentinel invariant: the sentinel's price and utilization ratio are
 //! `0.0` forever — [`price_update`] and the engines' install steps write
-//! the real links only, and distribution copies one view's sentinel onto
-//! another's — and its accumulator, which collects the padded flows'
-//! rates, is never aggregated or read. Padding therefore changes no bit:
-//! it adds `+0.0` to a path price and takes `max(·, 0.0)` of a worst
-//! ratio that is already ≥ 0. The entries past the sentinel are `+0.0`
-//! forever for the same reason — no offset reaches them, and the copies
-//! that cover them copy zeros.
+//! the real links only — and its accumulator, which collects the padded
+//! flows' rates, is never aggregated or read. Padding therefore changes
+//! no bit: it adds `+0.0` to a path price and takes `max(·, 0.0)` of a
+//! worst ratio that is already ≥ 0. The entries past the sentinel are
+//! `+0.0` forever for the same reason: no offset reaches them, and
+//! nothing else writes them.
 
 use flowtune_num::solver::decay_idle_price;
 use flowtune_topo::FlowId;
@@ -208,7 +208,7 @@ impl FlowBlock {
 }
 
 /// Entries in every per-link array the flow kernels index through a
-/// flow's offsets ([`PriceView`]'s four, [`Accums`]' two) for LinkBlocks
+/// flow's offsets ([`PriceView`]'s two, [`Accums`]' two) for LinkBlocks
 /// of `links_per_lb` real links: the links, the sentinel, and zero
 /// padding up to a power of two, so that `offset & (len - 1)` is an
 /// in-bounds index with no check (see `slot` in this module).
@@ -246,11 +246,13 @@ impl Accums {
         }
     }
 
-    /// Resets both arrays to zero.
+    /// Resets both arrays to zero up to and including the sentinel of
+    /// LinkBlocks of `links_per_lb` real links: no offset reaches past
+    /// it, so the padding is still the zero it was built with.
     // flowtune-lint: hot
-    pub fn clear(&mut self) {
+    pub fn clear(&mut self, links_per_lb: usize) {
         for pairs in &mut self.pairs {
-            pairs.fill([0.0; 2]);
+            pairs[..=links_per_lb].fill([0.0; 2]);
         }
     }
 }
@@ -270,16 +272,16 @@ fn add_pair(link: &mut [f64; 2], pair: &[f64; 2]) {
     *link = [link[0] + pair[0], link[1] + pair[1]];
 }
 
-/// Per-worker copies of its two LinkBlocks' prices and utilization ratios
-/// (refreshed by the distribution phase each iteration). Entry `n` of
-/// each array is the sentinel's `0.0`; the arrays are [`padded_len`]
-/// long, `0.0` from the sentinel on.
-#[derive(Debug, Clone)]
+/// One LinkBlock's prices and utilization ratios: the one copy the
+/// price update writes and every FlowBlock worker of the LinkBlock's
+/// row or column reads. Entry `n` of each array is the sentinel's `0.0`;
+/// the arrays are [`padded_len`] long, `0.0` from the sentinel on.
+#[derive(Debug, Clone, Default)]
 pub struct PriceView {
-    /// The upward and the downward LinkBlock's prices, in that order.
-    pub prices: [Vec<f64>; 2],
-    /// The two LinkBlocks' utilization ratios `r_ℓ` (for F-NORM).
-    pub ratios: [Vec<f64>; 2],
+    /// The links' prices (duals).
+    pub prices: Vec<f64>,
+    /// The links' utilization ratios `r_ℓ` (for F-NORM).
+    pub ratios: Vec<f64>,
 }
 
 impl PriceView {
@@ -288,22 +290,23 @@ impl PriceView {
         let mut prices = vec![0.0; padded_len(n)];
         prices[..n].fill(1.0);
         Self {
-            prices: [prices.clone(), prices],
-            ratios: [(); 2].map(|_| vec![0.0; padded_len(n)]),
+            prices,
+            ratios: vec![0.0; padded_len(n)],
         }
     }
 }
 
-/// Kernel 1 — Algorithm 1's rate update over one FlowBlock, writing
-/// `flows.rates` and accumulating link loads and the exact Hessian
-/// diagonal into the worker's private LinkBlock copies.
+/// Kernel 1 — Algorithm 1's rate update over one FlowBlock, reading its
+/// upward and downward LinkBlock's `prices`, writing `flows.rates` and
+/// accumulating link loads and the exact Hessian diagonal into the
+/// worker's private accumulators.
 // flowtune-lint: hot, float-kernel
-pub fn rate_pass(flows: &mut FlowBlock, view: &PriceView, acc: &mut Accums) {
+pub fn rate_pass(flows: &mut FlowBlock, prices: [&[f64]; 2], acc: &mut Accums) {
     let n = flows.len();
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
     let (weight, floor) = (&flows.weight[..n], &flows.floor[..n]);
     let rates = &mut flows.rates[..n];
-    let [up_prices, down_prices] = view.prices.each_ref().map(|v| &v[..]);
+    let [up_prices, down_prices] = prices;
     let [acc_up, acc_down] = acc.pairs.each_mut().map(|v| &mut v[..]);
     check_padded(
         flows.sentinel,
@@ -447,16 +450,17 @@ pub fn price_update(
 }
 
 /// Kernel 3 — F-NORM (§4.2) over one FlowBlock: divide each flow's rate by
-/// the worst utilization ratio on its own path, into `flows.normalized`.
-/// A path with no loaded link divides by one instead, which is the
-/// identity (and `0 / d` is the zero a rate of zero normalizes to).
+/// the worst utilization ratio on its own path — its upward and
+/// downward LinkBlock's `ratios` — into `flows.normalized`. A path with
+/// no loaded link divides by one instead, which is the identity (and
+/// `0 / d` is the zero a rate of zero normalizes to).
 // flowtune-lint: hot, float-kernel
-pub fn normalize_pass(flows: &mut FlowBlock, view: &PriceView) {
+pub fn normalize_pass(flows: &mut FlowBlock, ratios: [&[f64]; 2]) {
     let n = flows.len();
     let (up, down) = (&flows.up[..n], &flows.down[..n]);
     let rates = &flows.rates[..n];
     let normalized = &mut flows.normalized[..n];
-    let [up_ratio, down_ratio] = view.ratios.each_ref().map(|v| &v[..]);
+    let [up_ratio, down_ratio] = ratios;
     check_padded(flows.sentinel, [up_ratio.len(), down_ratio.len()]);
     let divisor = |w: f64| if w > 0.0 { w } else { 1.0 };
     let mut i = 0;
@@ -570,7 +574,6 @@ pub fn report_pass(flows: &mut FlowBlock, threshold: f64, sink: &mut dyn FnMut(&
 /// scalar loop with a branch per flow.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::PriceView;
     use crate::reduce::{DOWN, UP};
 
     #[derive(Debug, Clone)]
@@ -600,14 +603,19 @@ pub(crate) mod oracle {
         }
     }
 
-    pub fn rate_pass(flows: &[BlockFlow], view: &PriceView, acc: &mut Accums, rates: &mut [f64]) {
+    pub fn rate_pass(
+        flows: &[BlockFlow],
+        prices: [&[f64]; 2],
+        acc: &mut Accums,
+        rates: &mut [f64],
+    ) {
         for (flow, rate) in flows.iter().zip(rates.iter_mut()) {
             let mut lambda = 0.0;
             for &o in &flow.up {
-                lambda += view.prices[UP][o as usize];
+                lambda += prices[UP][o as usize];
             }
             for &o in &flow.down {
-                lambda += view.prices[DOWN][o as usize];
+                lambda += prices[DOWN][o as usize];
             }
             let lambda = lambda.max(flow.weight / flow.x_max);
             let x = flow.weight / lambda;
@@ -626,7 +634,7 @@ pub(crate) mod oracle {
 
     pub fn normalize_pass(
         flows: &[BlockFlow],
-        view: &PriceView,
+        ratios: [&[f64]; 2],
         rates: &[f64],
         normalized: &mut [f64],
     ) {
@@ -637,10 +645,10 @@ pub(crate) mod oracle {
             }
             let mut worst = 0.0f64;
             for &o in &flow.up {
-                worst = worst.max(view.ratios[UP][o as usize]);
+                worst = worst.max(ratios[UP][o as usize]);
             }
             for &o in &flow.down {
-                worst = worst.max(view.ratios[DOWN][o as usize]);
+                worst = worst.max(ratios[DOWN][o as usize]);
             }
             normalized[i] = if worst > 0.0 {
                 rates[i] / worst
@@ -661,6 +669,19 @@ mod tests {
 
     const LINKS: usize = 6;
 
+    /// A worker's two LinkBlock views, `[up, down]`, as built.
+    fn views() -> [PriceView; 2] {
+        [(); 2].map(|_| PriceView::new(LINKS))
+    }
+
+    fn prices(views: &[PriceView; 2]) -> [&[f64]; 2] {
+        views.each_ref().map(|v| &v.prices[..])
+    }
+
+    fn ratios(views: &[PriceView; 2]) -> [&[f64]; 2] {
+        views.each_ref().map(|v| &v.ratios[..])
+    }
+
     fn block(flows: &[(f64, &[u16], &[u16], f64)]) -> FlowBlock {
         let mut b = FlowBlock::new(LINKS);
         for (i, &(weight, up, down, x_max)) in flows.iter().enumerate() {
@@ -672,11 +693,11 @@ mod tests {
     #[test]
     fn rate_pass_matches_hand_computation() {
         let mut flows = block(&[(1.0, &[0], &[1], 10.0)]);
-        let mut view = PriceView::new(LINKS);
-        view.prices[UP][..2].copy_from_slice(&[0.3, 0.0]);
-        view.prices[DOWN][..2].copy_from_slice(&[0.0, 0.2]);
+        let mut views = views();
+        views[UP].prices[..2].copy_from_slice(&[0.3, 0.0]);
+        views[DOWN].prices[..2].copy_from_slice(&[0.0, 0.2]);
         let mut acc = Accums::new(LINKS);
-        rate_pass(&mut flows, &view, &mut acc);
+        rate_pass(&mut flows, prices(&views), &mut acc);
         assert!((flows.rates[0] - 2.0).abs() < 1e-12); // 1/(0.3+0.2)
         let [up, down] = &acc.pairs;
         assert!((up[0][0] - 2.0).abs() < 1e-12);
@@ -688,9 +709,9 @@ mod tests {
     #[test]
     fn rate_pass_honours_line_rate_cap() {
         let mut flows = block(&[(1.0, &[0], &[0], 10.0)]);
-        let mut view = PriceView::new(LINKS);
-        view.prices.iter_mut().for_each(|p| p.fill(0.0));
-        rate_pass(&mut flows, &view, &mut Accums::new(LINKS));
+        let mut views = views();
+        views.iter_mut().for_each(|v| v.prices.fill(0.0));
+        rate_pass(&mut flows, prices(&views), &mut Accums::new(LINKS));
         assert_eq!(flows.rates[0], 10.0);
     }
 
@@ -786,11 +807,11 @@ mod tests {
     #[test]
     fn normalize_pass_divides_by_worst_path_ratio() {
         let mut flows = block(&[(1.0, &[0], &[0], 10.0), (1.0, &[1], &[1], 10.0)]);
-        let mut view = PriceView::new(LINKS);
-        view.ratios[UP][..2].copy_from_slice(&[2.0, 0.5]);
-        view.ratios[DOWN][..2].copy_from_slice(&[1.0, 0.25]);
+        let mut views = views();
+        views[UP].ratios[..2].copy_from_slice(&[2.0, 0.5]);
+        views[DOWN].ratios[..2].copy_from_slice(&[1.0, 0.25]);
         flows.rates.copy_from_slice(&[6.0, 6.0]);
-        normalize_pass(&mut flows, &view);
+        normalize_pass(&mut flows, ratios(&views));
         assert_eq!(flows.normalized[0], 3.0); // divided by 2.0
         assert_eq!(flows.normalized[1], 12.0); // scaled up by 1/0.5 — still capacity-safe
     }
@@ -806,7 +827,7 @@ mod tests {
             a.pairs[UP],
             vec![[1.5, -2.0], [2.25, 0.0], [0.0; 2], [0.0; 2]]
         );
-        a.clear();
+        a.clear(2);
         assert_eq!(a.pairs[UP], vec![[0.0, 0.0]; 4]);
     }
 
@@ -878,9 +899,9 @@ mod tests {
     #[should_panic(expected = "padded to one power-of-two length")]
     fn kernels_refuse_per_link_arrays_that_are_not_padded() {
         let mut flows = block(&[(1.0, &[0], &[1], 10.0)]);
-        let mut view = PriceView::new(LINKS);
-        view.prices[DOWN].truncate(LINKS + 1);
-        rate_pass(&mut flows, &view, &mut Accums::new(LINKS));
+        let mut views = views();
+        views[DOWN].prices.truncate(LINKS + 1);
+        rate_pass(&mut flows, prices(&views), &mut Accums::new(LINKS));
     }
 
     /// One drain: what `report_pass` lends, as `(id, rate bits)`, after
@@ -961,21 +982,22 @@ mod tests {
         n: usize,
         shape: Shape,
         seed: u64,
-    ) -> (FlowBlock, Vec<oracle::BlockFlow>, PriceView) {
+    ) -> (FlowBlock, Vec<oracle::BlockFlow>, [PriceView; 2]) {
         let mut rng = TestRng::deterministic(&format!("flowblock-{seed}"));
-        let mut view = PriceView::new(LINKS);
+        let mut views = views();
         for l in 0..LINKS {
             let mut draw = || match rng.below(4) {
                 0 => 0.0,
                 _ => rng.unit_f64() * 3.0,
             };
-            view.prices[UP][l] = draw();
-            view.prices[DOWN][l] = draw();
-            view.ratios[UP][l] = draw();
-            view.ratios[DOWN][l] = draw();
+            views[UP].prices[l] = draw();
+            views[DOWN].prices[l] = draw();
+            views[UP].ratios[l] = draw();
+            views[DOWN].ratios[l] = draw();
         }
-        for column in view.prices.iter_mut().chain(&mut view.ratios) {
-            column[0] = 0.0;
+        for view in &mut views {
+            view.prices[0] = 0.0;
+            view.ratios[0] = 0.0;
         }
         let mut columnar = FlowBlock::new(LINKS);
         let mut aos: Vec<oracle::BlockFlow> = Vec::new();
@@ -1012,7 +1034,7 @@ mod tests {
                 x_max,
             });
         }
-        (columnar, aos, view)
+        (columnar, aos, views)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1027,12 +1049,12 @@ mod tests {
     /// all four accumulator columns and normalized rates, by bits.
     fn check_kernels_against_oracle(n: usize, shape: Shape, zero_rates: bool, seed: u64) {
         let case = format!("n {n}, {shape:?}, zero_rates {zero_rates}, seed {seed}");
-        let (mut flows, aos, view) = random_case(n, shape, seed);
+        let (mut flows, aos, views) = random_case(n, shape, seed);
         let mut acc = Accums::new(LINKS);
         let mut want_acc = oracle::Accums::new(LINKS);
         let mut want_rates = vec![0.0; n];
-        rate_pass(&mut flows, &view, &mut acc);
-        oracle::rate_pass(&aos, &view, &mut want_acc, &mut want_rates);
+        rate_pass(&mut flows, prices(&views), &mut acc);
+        oracle::rate_pass(&aos, prices(&views), &mut want_acc, &mut want_rates);
         assert_eq!(bits(&flows.rates), bits(&want_rates), "{case}");
         let [up, down] = &acc.pairs;
         assert_eq!(column(up, 0), bits(&want_acc.up_load), "{case}");
@@ -1062,8 +1084,8 @@ mod tests {
             want_rates.clone_from(&flows.rates);
         }
         let mut want_normalized = vec![f64::NAN; n];
-        normalize_pass(&mut flows, &view);
-        oracle::normalize_pass(&aos, &view, &want_rates, &mut want_normalized);
+        normalize_pass(&mut flows, ratios(&views));
+        oracle::normalize_pass(&aos, ratios(&views), &want_rates, &mut want_normalized);
         assert_eq!(bits(&flows.normalized), bits(&want_normalized), "{case}");
     }
 

@@ -10,15 +10,22 @@
 //! * **links** into B upward and B downward LinkBlocks — every flow of
 //!   FlowBlock (i,j) touches only up-LinkBlock *i* and down-LinkBlock *j*.
 //!
-//! Each worker keeps *private copies* of the two LinkBlocks it needs. An
-//! iteration runs entirely on private state, then the modified copies are
-//! summed to authoritative copies on the grid diagonals in `log₂ B`
-//! butterfly steps (Figure 3), prices are updated there (NED), and the
-//! results — prices plus the per-link utilization ratios F-NORM needs —
-//! are distributed back along the reverse pattern. Only which grid line a
-//! LinkBlock is summed along, and onto which diagonal, tells the two
-//! directions apart: every per-direction quantity is a two-element array,
-//! and every LinkBlock phase is written once for both.
+//! Each worker keeps *private* accumulators for the two LinkBlocks it
+//! needs. A rate pass writes only those; then they are summed onto the
+//! grid diagonals in `log₂ B` butterfly steps (Figure 3), and the
+//! diagonal owner runs the price update (NED), writing the LinkBlock's
+//! prices and the per-link utilization ratios F-NORM needs. Figure 3
+//! distributes those back along the reverse pattern, into a private
+//! copy per worker. On shared memory that copy buys nothing: the
+//! coherence traffic the paper avoids comes from cores *writing* the
+//! same lines, and between two price updates the prices and ratios are
+//! only read. So every worker of a LinkBlock's row or column reads the
+//! one copy the price update wrote, there is no distribution step, and
+//! a consensus install patches 2·B copies instead of B². Only which
+//! grid line a LinkBlock is summed along, and onto which diagonal, tells
+//! the two directions apart: every per-direction quantity is a
+//! two-element array, and every LinkBlock phase is written once for
+//! both.
 //!
 //! One engine type implements this, behind the [`RateAllocator`] trait
 //! the control-plane service holds a box of: [`SerialAllocator`], the

@@ -2,32 +2,35 @@
 //! thread per group of FlowBlocks.
 //!
 //! A grid built with [`SerialAllocator::multicore`] runs its full sweeps
-//! here. Every phase boundary is a barrier; LinkBlock exchange happens
-//! through per-worker mutexes, never holding two locks at once (the
-//! receiver copies the peer's buffer out under the peer's lock, then
-//! merges under its own). The phase structure per iteration is:
+//! here. Every phase boundary is a barrier. A worker's private state sits
+//! behind its own mutex, and partials move between workers through those
+//! mutexes, never holding two at once (the receiver copies the peer's
+//! buffer out under the peer's lock, then merges under its own). Each
+//! LinkBlock's one price view sits behind an `RwLock`: the flow passes
+//! read-lock it, and its diagonal owner write-locks it for the price
+//! update, in a phase of its own. The phase structure per iteration is:
 //!
-//! 1. **rate pass** — private state only, no sharing;
+//! 1. **rate pass** — private accumulators, the two views read;
 //! 2. `log₂ B` **aggregation** steps (Figure 3) — up partials move along
 //!    rows toward the main diagonal, down partials along columns toward the
 //!    secondary diagonal;
-//! 3. **price update** — only the 2B diagonal workers are active;
-//! 4. `log₂ B` **distribution** steps — the reverse tree broadcasts fresh
-//!    prices and utilization ratios;
-//! 5. **F-NORM** — private state only.
+//! 3. **price update** — only the 2B diagonal workers are active, each
+//!    writing its LinkBlock's view;
+//! 4. **F-NORM** — private rates, the two views read.
+//!
+//! Figure 3's reverse tree, which distributes fresh prices back to every
+//! worker, has no phase here: on shared memory every worker reads the
+//! view the price update wrote (see [`crate::serial`]).
 //!
 //! The pipeline produces *bit-for-bit* the same rates as the caller-thread
 //! schedule: aggregation follows the same pairwise summation order, and
-//! everything else is element-wise.
+//! everything else is element-wise over the same arrays.
 //!
 //! The same holds for its link state. The tree absorbs in place, so when
 //! the pool returns, the 2·B root workers' accumulators are the totals
 //! the last price update consumed; the caller thread copies them into
 //! the grid's per-LinkBlock buffers, where the caller-thread iteration
 //! leaves its own, and the export reads those (see [`crate::serial`]).
-//! The reverse tree likewise leaves every worker's price and ratio copy
-//! equal to its root's — the invariant the grid's consensus install
-//! relies on.
 //!
 //! When the grid has more FlowBlocks than the machine has cores, several
 //! logical workers share one OS thread (the paper does the same: "we
@@ -36,12 +39,13 @@
 //! the aggregation schedule and therefore the arithmetic are unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass};
+use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass, PriceView};
 use crate::pool::WorkerPool;
-use crate::reduce::{aggregate, distribute, position, root, steps, Role, DIRS};
+use crate::reduce::{aggregate, position, root, steps, Role, DIRS};
+use crate::serial::{views_of, WorkerCore};
 use crate::{SerialAllocator, GAMMA};
 
 impl SerialAllocator {
@@ -56,6 +60,7 @@ impl SerialAllocator {
     #[allow(clippy::needless_range_loop)]
     pub(crate) fn run_pipeline(&mut self, threads: usize, n: usize) -> Duration {
         let b = self.layout.blocks();
+        let lpl = self.layout.links_per_lb();
         let n_workers = b * b;
         let tree_steps = steps(b);
         let chunk = n_workers.div_ceil(threads);
@@ -64,10 +69,13 @@ impl SerialAllocator {
         let bg = &self.bg;
         let bg_h = &self.bg_h;
 
-        // Move every worker's state under a mutex for the parallel phase.
-        let cells: Vec<Mutex<crate::serial::WorkerCore>> =
+        // Move every worker's state under a mutex, and every view under
+        // its lock, for the parallel phase.
+        let cells: Vec<Mutex<WorkerCore>> =
             // flowtune-lint: allow(hot-path-alloc, "O(blocks) mutex wrap per call, amortized over n iterations")
             self.workers.drain(..).map(Mutex::new).collect();
+        swap_views(&mut self.views, &mut self.pool_views);
+        let views = &self.pool_views;
         let barrier = SpinBarrier::new(threads);
         let elapsed = Mutex::new(Duration::ZERO);
         let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
@@ -77,19 +85,22 @@ impl SerialAllocator {
             let hi = ((t + 1) * chunk).min(n_workers);
             barrier.wait();
             let t0 = Instant::now();
-            // Scratch for the copy-out exchange: a LinkBlock of `[load,
-            // hessian]` pairs in aggregation; flattened, a prices half and
-            // a ratios half in distribution. Only the real links travel —
+            // Scratch for the aggregation's copy-out exchange: a LinkBlock
+            // of `[load, hessian]` pairs. Only the real links travel —
             // nobody's sentinel slot or padding is read or written.
-            let lpl = layout.links_per_lb();
             let mut buf = vec![[0.0f64; 2]; lpl]; // flowtune-lint: allow(hot-path-alloc, "per-thread scratch, once per run not per iteration")
             for _ in 0..n {
                 // Phase 1: rate pass.
                 for w in lo..hi {
                     let mut me = lock(&cells[w]);
                     let me = &mut *me;
-                    me.acc.clear();
-                    rate_pass(&mut me.flows, &me.view, &mut me.acc);
+                    let held = views_of(views, w, b).map(read);
+                    me.acc.clear(lpl);
+                    rate_pass(
+                        &mut me.flows,
+                        held.each_ref().map(|v| &v.prices[..]),
+                        &mut me.acc,
+                    );
                 }
                 barrier.wait();
 
@@ -114,48 +125,29 @@ impl SerialAllocator {
                         if k != 0 {
                             continue;
                         }
-                        let mut me = lock(&cells[w]);
-                        let me = &mut *me;
+                        let me = lock(&cells[w]);
+                        let mut view = write(&views[d][blk]);
+                        let view = &mut *view;
                         price_update(
                             &me.acc.pairs[d],
                             bg.as_ref().map(|bg| bg[d][blk].as_slice()),
                             bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
                             layout.capacity(d, blk),
                             GAMMA,
-                            &mut me.view.prices[d],
-                            &mut me.view.ratios[d],
+                            &mut view.prices,
+                            &mut view.ratios,
                         );
                     }
                 }
                 barrier.wait();
 
-                // Phase 4: distribution (reverse tree).
-                let (prices, ratios) = buf.as_flattened_mut().split_at_mut(lpl);
-                for s in (0..tree_steps).rev() {
-                    for w in lo..hi {
-                        for d in DIRS {
-                            let Role::Recv { from } = distribute(d, w, b, s) else {
-                                continue;
-                            };
-                            {
-                                let peer = lock(&cells[from]);
-                                prices.copy_from_slice(&peer.view.prices[d][..lpl]);
-                                ratios.copy_from_slice(&peer.view.ratios[d][..lpl]);
-                            }
-                            let mut me = lock(&cells[w]);
-                            me.view.prices[d][..lpl].copy_from_slice(prices);
-                            me.view.ratios[d][..lpl].copy_from_slice(ratios);
-                        }
-                    }
-                    barrier.wait();
-                }
-
-                // Phase 5: normalization.
+                // Phase 4: normalization.
                 for w in lo..hi {
                     let mut me = lock(&cells[w]);
                     let me = &mut *me;
                     if f_norm {
-                        normalize_pass(&mut me.flows, &me.view);
+                        let held = views_of(views, w, b).map(read);
+                        normalize_pass(&mut me.flows, held.each_ref().map(|v| &v.ratios[..]));
                     } else {
                         me.flows.normalized.copy_from_slice(&me.flows.rates);
                     }
@@ -167,6 +159,7 @@ impl SerialAllocator {
             }
         });
 
+        swap_views(&mut self.views, &mut self.pool_views);
         let unpoison = |cell: Mutex<_>| cell.into_inner().unwrap_or_else(PoisonError::into_inner);
         // flowtune-lint: allow(hot-path-alloc, "O(blocks) unwrap per call, amortized over n iterations")
         self.workers = cells.into_iter().map(unpoison).collect();
@@ -174,7 +167,6 @@ impl SerialAllocator {
         // its LinkBlock's totals (the other workers' are partly absorbed
         // and must not be reduced again): keep them for the export, as
         // the caller-thread iteration does.
-        let lpl = self.layout.links_per_lb();
         for d in DIRS {
             for (blk, total) in self.totals[d].iter_mut().enumerate() {
                 total.copy_from_slice(&self.workers[root(d, blk, b)].acc.pairs[d][..lpl]);
@@ -185,14 +177,39 @@ impl SerialAllocator {
     }
 }
 
+/// Trades every view for its pool lock's contents: a pipelined run moves
+/// the views into the locks before it starts and back out after it ends.
+// flowtune-lint: hot
+fn swap_views(views: &mut [Vec<PriceView>; 2], locks: &mut [Vec<RwLock<PriceView>>; 2]) {
+    for (view, slot) in views.iter_mut().flatten().zip(locks.iter_mut().flatten()) {
+        std::mem::swap(view, slot.get_mut().unwrap_or_else(PoisonError::into_inner));
+    }
+}
+
 /// Locks a worker cell. A poisoned lock is recovered, not re-raised: a
 /// worker panic the pool contains must not become a second panic here.
 fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
     cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Sense-reversing spin barrier: threads busy-wait (with periodic yields,
-/// for oversubscribed grids) instead of parking on a condvar, keeping
+/// Read-locks a view, recovering a poisoned lock as [`lock`] does.
+fn read<T>(view: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    view.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks a view, recovering a poisoned lock as [`lock`] does.
+fn write<T>(view: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    view.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Spins a [`SpinBarrier`] waiter makes before it starts yielding: a few
+/// µs, about one phase of a small grid (a `spin_loop` is one `pause`,
+/// 10–140 cycles by core). A longer spin only delays a peer that is
+/// waiting for this core, by up to the whole spin each phase.
+const SPINS_BEFORE_YIELD: u32 = 512;
+
+/// Sense-reversing spin barrier: threads busy-wait for about a phase,
+/// then yield between polls, instead of parking on a condvar — keeping
 /// phase-boundary latency in the sub-microsecond range the §6.1 numbers
 /// depend on.
 #[derive(Debug)]
@@ -220,12 +237,13 @@ impl SpinBarrier {
         }
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == generation {
-            spins = spins.wrapping_add(1);
-            if spins < 500_000 {
+            spins = spins.saturating_add(1);
+            if spins < SPINS_BEFORE_YIELD {
                 std::hint::spin_loop();
             } else {
-                // Oversubscribed (more workers than cores): let the peers
-                // run.
+                // A peer is late by more than a phase: it may be waiting
+                // for this core (oversubscribed, or descheduled), so let
+                // it run.
                 std::thread::yield_now();
             }
         }
@@ -317,7 +335,9 @@ mod tests {
     fn parallel_matches_serial_with_background_load() {
         // The background-load path must keep the schedules' bit-for-bit
         // contract: both split the same global vector into LinkBlock
-        // slices and hand it to the same price-update kernel.
+        // slices and hand it to the same price-update kernel. So must a
+        // consensus install between runs: the pipeline's first rate pass
+        // reads the patched views, with no distribution step between.
         let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
         let cfg = AllocConfig::default();
         let mut serial = SerialAllocator::new(&fabric, cfg);
@@ -344,8 +364,21 @@ mod tests {
             engine.link_state_into(&mut l, &mut h);
             [bits(&l), bits(&h)]
         };
-        // A run of several iterations, single ones, and none at all.
-        for n in [37, 1, 1, 0, 5] {
+        // A run of several iterations, single ones, and none at all, each
+        // after an install that leaves every third link's dual alone.
+        let mut prices = Vec::new();
+        for (round, n) in [37, 1, 1, 0, 5].into_iter().enumerate() {
+            serial.link_prices_into(&mut prices);
+            for (l, p) in prices.iter_mut().enumerate() {
+                *p = match (l + round) % 3 {
+                    0 => f64::NAN,
+                    1 => *p * 1.5,
+                    _ => 0.05 * (l % 7) as f64,
+                };
+            }
+            for engine in [&mut serial, &mut parallel] {
+                engine.set_link_prices(&prices);
+            }
             serial.run_iterations(n);
             parallel.run_iterations(n);
             let want = exports(&serial);
@@ -359,6 +392,10 @@ mod tests {
                 assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
             }
             assert_eq!(exports(&parallel), want, "after {n}");
+            let mut got = Vec::new();
+            parallel.link_prices_into(&mut got);
+            serial.link_prices_into(&mut prices);
+            assert_eq!(bits(&got), bits(&prices), "after {n}");
         }
     }
 

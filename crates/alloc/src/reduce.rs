@@ -1,5 +1,5 @@
-//! The Figure-3 aggregation/distribution schedule, and the one place the
-//! two LinkBlock directions differ.
+//! The Figure-3 aggregation schedule, and the one place the two
+//! LinkBlock directions differ.
 //!
 //! Workers form a B×B grid (worker `(i, j)` owns FlowBlock src-block `i` →
 //! dst-block `j`). Upward LinkBlock `i` is aggregated *along row i* onto
@@ -15,9 +15,9 @@
 //! Everything per direction elsewhere is a two-element array indexed by a
 //! [`Dir`], and every LinkBlock phase is one loop over [`DIRS`].
 //!
-//! Distribution runs the identical tree in reverse (receivers become
-//! senders), so "distribution follows the reverse of the aggregation
-//! pattern".
+//! Figure 3 also runs the tree in reverse to distribute fresh prices
+//! back to every worker. On shared memory the workers read the one copy
+//! the price update wrote instead, so there is no distribution schedule.
 
 /// A LinkBlock direction, as the index of its half in every
 /// per-direction pair: [`UP`] or [`DOWN`].
@@ -35,13 +35,12 @@ pub(crate) const DIRS: [Dir; 2] = [UP, DOWN];
 /// What a worker does for one LinkBlock in one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
-    /// Absorb the partial state of worker `from` (aggregation) or copy the
-    /// authoritative state from worker `from` (distribution).
+    /// Absorb the partial state of worker `from`.
     Recv {
         /// Flat index (`i·B + j`) of the peer.
         from: usize,
     },
-    /// This worker's buffer is consumed/read by `to`; it does nothing.
+    /// This worker's buffer is consumed by `to`; it does nothing.
     Peer {
         /// Flat index of the peer that acts on this worker's buffer.
         to: usize,
@@ -122,17 +121,6 @@ pub(crate) fn aggregate(d: Dir, w: usize, b: usize, s: usize) -> Role {
             to: member(d, blk, k - (1 << s), b),
         },
         TreeRole::Out => Role::Idle,
-    }
-}
-
-/// Distribution role at (descending) step `s`: the reverse of aggregation
-/// — the step-`s` aggregation root now *feeds* its former leaf, so the
-/// leaf reports `Recv` and the root `Peer`.
-pub(crate) fn distribute(d: Dir, w: usize, b: usize, s: usize) -> Role {
-    match aggregate(d, w, b, s) {
-        Role::Recv { from } => Role::Peer { to: from },
-        Role::Peer { to } => Role::Recv { from: to },
-        Role::Idle => Role::Idle,
     }
 }
 
@@ -243,33 +231,6 @@ mod tests {
                         assert_eq!(aggregate(d, from, b, s), Role::Peer { to: w });
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn distribution_reaches_every_worker() {
-        for b in [1, 2, 4, 8] {
-            for d in DIRS {
-                // Start with only the roots holding the result.
-                let mut has = vec![false; b * b];
-                for blk in 0..b {
-                    has[root(d, blk, b)] = true;
-                }
-                for s in (0..steps(b)).rev() {
-                    let mut grants = Vec::new();
-                    for w in 0..b * b {
-                        if let Role::Recv { from } = distribute(d, w, b, s) {
-                            grants.push((from, w));
-                        }
-                    }
-                    for (from, to) in grants {
-                        assert!(has[from], "distributing from a worker without data");
-                        assert_eq!(position(d, from, b).0, position(d, to, b).0);
-                        has[to] = true;
-                    }
-                }
-                assert!(has.iter().all(|&x| x), "b={b} d={d}: a worker missed it");
             }
         }
     }

@@ -1,8 +1,8 @@
 //! The §5 grid engine and its caller-thread schedule.
 //!
 //! An iteration is per-FlowBlock rate passes, binomial-tree aggregation
-//! of LinkBlock partials, NED price update on the diagonal copies, and
-//! distribution back. Here it runs on the caller's thread; a grid built
+//! of LinkBlock partials, the NED price update of each LinkBlock's
+//! prices, and F-NORM. Here it runs on the caller's thread; a grid built
 //! with [`SerialAllocator::multicore`] runs its full sweeps through the
 //! barrier pipeline in [`crate::parallel`] instead — exactly the same
 //! arithmetic in exactly the same order, which the
@@ -16,28 +16,29 @@
 //! own price update just used; see
 //! [`crate::RateAllocator::link_state_into`] for the contract.
 //!
-//! **Every price copy equals its root's.** Construction, every
-//! distribution (here and the pipeline's reverse tree), a skipped quiet
-//! iteration and a consensus install all leave each worker's copy of a
-//! LinkBlock's prices and ratios bitwise equal to the root worker's.
-//! The diff phase reads roots as proxies for "what this worker would
-//! read" on that ground, and the consensus install
-//! ([`crate::RateAllocator::set_link_prices`]) patches the 2·B roots and
-//! runs the distribution step's price copies instead of rewriting B²
-//! copies link by link.
+//! **One copy of a LinkBlock's prices.** Each worker's accumulators are
+//! private — its rate pass writes nothing else — but the prices and
+//! ratios it reads are its two LinkBlocks' one [`PriceView`] each, the
+//! copy the price update writes. A flow pass only reads prices, so
+//! sharing the copy between the LinkBlock's B workers shares no write,
+//! and there is no distribution step and nothing to keep in step: the
+//! diff phase, the price export and the consensus install
+//! ([`crate::RateAllocator::set_link_prices`]) read and patch exactly
+//! what the next flow pass reads, 2·B views of `O(links)` each.
 
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
 use crate::flowblock::{
-    absorb, normalize_pass, padded_len, price_update, rate_pass, report_pass, Accums, FlowBlock,
-    FlowRate, PriceView,
+    absorb, normalize_pass, price_update, rate_pass, report_pass, Accums, FlowBlock, FlowRate,
+    PriceView,
 };
 use crate::layout::BlockLayout;
 use crate::pool::WorkerPool;
-use crate::reduce::{binomial_reduce_in_order, member, members, root, DIRS, DOWN, UP};
+use crate::reduce::{binomial_reduce_in_order, member, position, DIRS, DOWN, UP};
 use crate::{AllocConfig, RateAllocator, GAMMA};
 
 /// The §5 FlowBlock × LinkBlock grid and every operation on it, with two
@@ -53,6 +54,10 @@ pub struct SerialAllocator {
     server_block: Vec<BlockId>,
     /// B² workers in row-major (src block, dst block) order.
     pub(crate) workers: Vec<WorkerCore>,
+    /// Per direction, each LinkBlock's prices and ratios: the one copy
+    /// the price update writes and every worker of the LinkBlock reads
+    /// ([`views_of`]).
+    pub(crate) views: [Vec<PriceView>; 2],
     /// Flow id → (worker, slot within worker), [`VACANT`] for an id no
     /// flow holds: a dense table indexed by the id itself, grown to the
     /// largest id registered so far — engine ids are dense (see
@@ -74,33 +79,26 @@ pub struct SerialAllocator {
     dirty: Option<DirtySet>,
     /// What the last price update summed, kept for the exports.
     pub(crate) totals: LinkTotals,
-    /// Preallocated per-iteration buffers (aggregation partials and the
-    /// distribute copies), so the steady-state tick path never allocates.
-    scratch: IterScratch,
+    /// The binomial tree's partials, one LinkBlock of `[load, hessian]`
+    /// pairs per virtual index: sized once at construction — the fabric
+    /// shape is fixed — so iterations never reallocate.
+    partials: Vec<Vec<[f64; 2]>>,
     /// OS threads of the pool schedule; `None` iterates on the caller's
     /// thread.
     threads: Option<usize>,
     /// The pool schedule's parked worker threads, built on its first
     /// full sweep and reused for every one after.
     pub(crate) pool: Option<WorkerPool>,
+    /// Where the pool schedule's threads reach [`SerialAllocator::views`]:
+    /// one lock per view, which a pipelined run swaps the views into and
+    /// back out of, so the caller's thread reads plain fields and takes
+    /// no lock. Empty on a caller-thread grid.
+    pub(crate) pool_views: [Vec<RwLock<PriceView>>; 2],
 }
 
 /// The index entry of an id no flow holds: no grid has `u32::MAX`
 /// workers.
 const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Reusable buffers for one iteration: the binomial-tree partials (one
-/// LinkBlock of `[load, hessian]` pairs per virtual index) and the root
-/// price/ratio copies the distribute phase fans out — whole
-/// [`padded_len`] arrays, like the views they travel between. Sized once
-/// at construction — the fabric shape is fixed — so iterations never
-/// reallocate.
-#[derive(Debug, Clone)]
-struct IterScratch {
-    partials: Vec<Vec<[f64; 2]>>,
-    prices: Vec<f64>,
-    ratios: Vec<f64>,
-}
 
 /// Per direction, each LinkBlock's reduced `[load, hessian]` pairs (real
 /// links only) — the `(G, H)` the last price update consumed, over this
@@ -119,7 +117,6 @@ pub(crate) type BgLoads = [Vec<Vec<f64>>; 2];
 pub(crate) struct WorkerCore {
     pub flows: FlowBlock,
     pub acc: Accums,
-    pub view: PriceView,
 }
 
 impl WorkerCore {
@@ -127,9 +124,14 @@ impl WorkerCore {
         Self {
             flows: FlowBlock::new(links_per_lb),
             acc: Accums::new(links_per_lb),
-            view: PriceView::new(links_per_lb),
         }
     }
+}
+
+/// The two views worker `w` of a `b`-block grid reads, `[up, down]`: its
+/// up-LinkBlock's and its down-LinkBlock's.
+pub(crate) fn views_of<V>(views: &[Vec<V>; 2], w: usize, b: usize) -> [&V; 2] {
+    DIRS.map(|d| &views[d][position(d, w, b).0])
 }
 
 impl SerialAllocator {
@@ -163,11 +165,6 @@ impl SerialAllocator {
         // B LinkBlocks of pairs: the shape of the tree's partials (one per
         // virtual index) and of each direction's totals alike.
         let zeros = vec![vec![[0.0; 2]; lpl]; b];
-        let scratch = IterScratch {
-            partials: zeros.clone(),
-            prices: vec![0.0; padded_len(lpl)],
-            ratios: vec![0.0; padded_len(lpl)],
-        };
         let dirty = cfg
             .incremental
             .then(|| DirtySet::new(b, lpl, cfg.dirty_eps, cfg.full_sweep_every));
@@ -176,15 +173,17 @@ impl SerialAllocator {
             cfg,
             server_block,
             workers,
+            views: [(); 2].map(|_| vec![PriceView::new(lpl); b]),
             index: Vec::new(),
             flows: 0,
             bg: None,
             bg_h: None,
             dirty,
+            partials: zeros.clone(),
             totals: [zeros.clone(), zeros],
-            scratch,
             threads: None,
             pool: None,
+            pool_views: [Vec::new(), Vec::new()],
         }
     }
 
@@ -203,8 +202,10 @@ impl SerialAllocator {
             0 => std::thread::available_parallelism().map_or(8, |c| c.get().min(16)),
             n => n,
         };
+        let b = grid.layout.blocks();
         Self {
             threads: Some(grid.workers.len().min(cap)),
+            pool_views: [(); 2].map(|_| (0..b).map(|_| RwLock::default()).collect()),
             ..grid
         }
     }
@@ -383,15 +384,15 @@ impl SerialAllocator {
     }
 
     /// One NED iteration on the caller's thread: rate pass → aggregate →
-    /// price update → distribute → (optionally) F-NORM.
+    /// price update → (optionally) F-NORM.
     ///
     /// With a dirty set (see `crate::dirty`) the iteration is
     /// incremental. The flow-proportional phases (rate pass, F-NORM) are
     /// gated per worker on the dirty set, and a diff phase converts
     /// observed price/ratio movement into next-iteration dirtiness. The
-    /// link phases (aggregate, price update, distribute) are `O(B²·L)` in
-    /// links, not flows, and run whenever *any* worker recomputed — but
-    /// are skipped entirely on a fully quiet iteration.
+    /// link phases (aggregate, price update) are `O(B²·L)` in links, not
+    /// flows, and run whenever *any* worker recomputed — but are skipped
+    /// entirely on a fully quiet iteration.
     ///
     /// The quiet-iteration skip is what lets the engine reach true
     /// quiescence. With zero recomputes every accumulator is bitwise
@@ -422,7 +423,6 @@ impl SerialAllocator {
         if self.rate_phase() || moving {
             self.aggregate_and_price();
             self.diff_and_mark();
-            self.distribute(true);
         }
         self.normalize_phase();
     }
@@ -433,11 +433,18 @@ impl SerialAllocator {
     /// would produce — its flow set and every price it reads are
     /// unchanged — so skipping it is exact. The accumulator clear is the
     /// lazy per-epoch one: it happens here, only for recomputed workers,
-    /// instead of globally every iteration. Returns whether any worker
-    /// recomputed, which gates the link-proportional phases.
+    /// instead of globally every iteration, and stops at the sentinel.
+    /// Returns whether any worker recomputed, which gates the
+    /// link-proportional phases.
     // flowtune-lint: hot
     fn rate_phase(&mut self) -> bool {
-        let Self { workers, dirty, .. } = self;
+        let (b, lpl) = (self.layout.blocks(), self.layout.links_per_lb());
+        let Self {
+            workers,
+            views,
+            dirty,
+            ..
+        } = self;
         let mut any = false;
         for (w, worker) in workers.iter_mut().enumerate() {
             if let Some(ds) = dirty {
@@ -448,23 +455,24 @@ impl SerialAllocator {
                 ds.dirty_flows += worker.flows.len() as u64;
             }
             any = true;
-            worker.acc.clear();
-            rate_pass(&mut worker.flows, &worker.view, &mut worker.acc);
+            worker.acc.clear(lpl);
+            let prices = views_of(views, w, b).map(|v| &v.prices[..]);
+            rate_pass(&mut worker.flows, prices, &mut worker.acc);
         }
         any
     }
 
     /// Phases B+C: aggregate each LinkBlock along the binomial tree (in
     /// the tree's exact pairwise order) into preallocated scratch and run
-    /// the NED price update on the diagonal owner's copy. The reduced
-    /// totals trade places with the LinkBlock's [`LinkTotals`] buffer —
-    /// no copy; the next reduction overwrites all of `partials[0]` — so
-    /// the exports read exactly what the update was given.
+    /// the NED price update on its view. The reduced totals trade places
+    /// with the LinkBlock's [`LinkTotals`] buffer — no copy; the next
+    /// reduction overwrites all of `partials[0]` — so the exports read
+    /// exactly what the update was given.
     // flowtune-lint: hot, float-kernel
     fn aggregate_and_price(&mut self) {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
-        let partials = &mut self.scratch.partials;
+        let partials = &mut self.partials;
         for d in DIRS {
             for blk in 0..b {
                 for (k, part) in partials.iter_mut().enumerate() {
@@ -472,22 +480,22 @@ impl SerialAllocator {
                 }
                 binomial_reduce_in_order(partials, |a, o| absorb(a, o));
                 std::mem::swap(&mut partials[0], &mut self.totals[d][blk]);
-                let view = &mut self.workers[root(d, blk, b)].view;
+                let view = &mut self.views[d][blk];
                 price_update(
                     &self.totals[d][blk],
                     self.bg.as_ref().map(|bg| bg[d][blk].as_slice()),
                     self.bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
                     self.layout.capacity(d, blk),
                     GAMMA,
-                    &mut view.prices[d],
-                    &mut view.ratios[d],
+                    &mut view.prices,
+                    &mut view.ratios,
                 );
             }
         }
     }
 
-    /// Diff phase (with a dirty set only): compare the fresh root prices
-    /// and ratios against the per-link snapshots. A price move beyond eps
+    /// Diff phase (with a dirty set only): compare the fresh prices and
+    /// ratios against the per-link snapshots. A price move beyond eps
     /// rate-dirties every traversing worker for the *next* iteration (the
     /// rates they computed this iteration used the pre-update price —
     /// exactly like the full sweep); a ratio move beyond eps norm-dirties
@@ -495,10 +503,9 @@ impl SerialAllocator {
     /// post-update ratios.
     // flowtune-lint: hot
     fn diff_and_mark(&mut self) {
-        let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
         let Self {
-            workers,
+            views,
             dirty: Some(ds),
             ..
         } = self
@@ -510,14 +517,13 @@ impl SerialAllocator {
         // which is the precondition for freezing the price phases.
         ds.moving = false;
         for d in DIRS {
-            for blk in 0..b {
-                let view = &workers[root(d, blk, b)].view;
+            for (blk, view) in views[d].iter().enumerate() {
                 for o in 0..lpl {
-                    let p = view.prices[d][o];
+                    let p = view.prices[o];
                     if (p - ds.prev_prices[d][blk][o]).abs() > ds.eps {
                         ds.price_moved(d, blk, o, p);
                     }
-                    let r = view.ratios[d][o];
+                    let r = view.ratios[o];
                     if (r - ds.prev_ratio[d][blk][o]).abs() > ds.eps {
                         ds.moving = true;
                         ds.prev_ratio[d][blk][o] = r;
@@ -528,39 +534,7 @@ impl SerialAllocator {
         }
     }
 
-    /// Phase D: distribute prices + ratios from the roots back to every
-    /// row/column member via the preallocated scratch copies (the byte
-    /// content is identical to the reverse-tree broadcast). Runs in full
-    /// on the incremental path too: it keeps every view exactly synced to
-    /// the roots, which is what makes the diff phase's root comparisons
-    /// valid as proxies for "what this worker would read". A consensus
-    /// install, which moves prices only, passes `ratios: false` and gets
-    /// the price copies alone.
-    // flowtune-lint: hot
-    fn distribute(&mut self, ratios: bool) {
-        let b = self.layout.blocks();
-        let Self {
-            workers, scratch, ..
-        } = self;
-        for d in DIRS {
-            for blk in 0..b {
-                let owner = &workers[root(d, blk, b)].view;
-                scratch.prices.copy_from_slice(&owner.prices[d]);
-                if ratios {
-                    scratch.ratios.copy_from_slice(&owner.ratios[d]);
-                }
-                for w in members(d, blk, b) {
-                    let view = &mut workers[w].view;
-                    view.prices[d].copy_from_slice(&scratch.prices);
-                    if ratios {
-                        view.ratios[d].copy_from_slice(&scratch.ratios);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Phase E: F-NORM (or a plain copy) in every worker — with a dirty
+    /// Phase D: F-NORM (or a plain copy) in every worker — with a dirty
     /// set, only where the inputs changed: the worker recomputed its
     /// rates this iteration, or a ratio on a traversed link moved. Each
     /// of those is marked export-dirty for the drain
@@ -568,7 +542,13 @@ impl SerialAllocator {
     // flowtune-lint: hot
     fn normalize_phase(&mut self) {
         let f_norm = self.cfg.f_norm;
-        let Self { workers, dirty, .. } = self;
+        let b = self.layout.blocks();
+        let Self {
+            workers,
+            views,
+            dirty,
+            ..
+        } = self;
         for (w, worker) in workers.iter_mut().enumerate() {
             if let Some(ds) = dirty {
                 if !(std::mem::take(&mut ds.norm_dirty[w]) | ds.recomputed[w]) {
@@ -577,7 +557,8 @@ impl SerialAllocator {
                 ds.export_dirty[w] = true;
             }
             if f_norm {
-                normalize_pass(&mut worker.flows, &worker.view);
+                let ratios = views_of(views, w, b).map(|v| &v.ratios[..]);
+                normalize_pass(&mut worker.flows, ratios);
             } else {
                 worker.flows.normalized.copy_from_slice(&worker.flows.rates);
             }
@@ -677,34 +658,26 @@ impl RateAllocator for SerialAllocator {
         Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
     }
 
-    /// Read from the authoritative (root) LinkBlock copies. Links outside
-    /// any LinkBlock (control links) report 0.
+    /// One scatter of the LinkBlock views' prices. Links outside any
+    /// LinkBlock (control links) report 0.
     // flowtune-lint: hot
     fn link_prices_into(&self, out: &mut Vec<f64>) {
-        let b = self.layout.blocks();
         out.clear();
         out.resize(self.layout.total_links(), 0.0);
         for d in DIRS {
-            for blk in 0..b {
-                let prices = &self.workers[root(d, blk, b)].view.prices[d];
-                for (link, &p) in self.layout.links(d, blk).iter().zip(prices) {
+            for (blk, view) in self.views[d].iter().enumerate() {
+                for (link, &p) in self.layout.links(d, blk).iter().zip(&view.prices) {
                     out[link.index()] = p;
                 }
             }
         }
     }
 
-    /// The 2·B root copies are patched link by link — on the incremental
+    /// The 2·B LinkBlock views — what the next rate pass reads, on
+    /// either schedule — are patched link by link. On the incremental
     /// path the same pass marks: an install that moves a dual beyond eps
     /// invalidates the rate pass of every worker whose flows traverse
-    /// that link — and then copied to their row / column members the way
-    /// a distribution step copies prices, so the next rate pass, which
-    /// reads the per-worker copies before any distribution step, already
-    /// prices flows with the consensus duals, on either schedule. Every
-    /// copy equals its root on entry (see the module docs), so this is
-    /// bit for bit a rewrite of each worker's copy from `prices` (the
-    /// tests' oracle), and the old root value is the comparison point for
-    /// every worker at once.
+    /// that link.
     // flowtune-lint: hot
     fn set_link_prices(&mut self, prices: &[f64]) {
         if prices.is_empty() {
@@ -715,16 +688,15 @@ impl RateAllocator for SerialAllocator {
             self.layout.total_links(),
             "price vector must cover every fabric link"
         );
-        let b = self.layout.blocks();
         let Self {
             layout,
-            workers,
+            views,
             dirty,
             ..
         } = self;
         for d in DIRS {
-            for blk in 0..b {
-                let held = &mut workers[root(d, blk, b)].view.prices[d];
+            for (blk, view) in views[d].iter_mut().enumerate() {
+                let held = &mut view.prices;
                 for (o, link) in layout.links(d, blk).iter().enumerate() {
                     let p = prices[link.index()];
                     if p.is_nan() {
@@ -737,7 +709,6 @@ impl RateAllocator for SerialAllocator {
                 }
             }
         }
-        self.distribute(false);
     }
 
     fn name(&self) -> &'static str {
@@ -752,13 +723,15 @@ impl RateAllocator for SerialAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flowblock::padded_len;
     use flowtune_topo::ClosConfig;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
-    /// What the link-state exports and the consensus install did before
-    /// they read the price update's sums and wrote through the roots,
-    /// kept as the oracles the differential tests compare against.
+    /// What the link-state exports did before they read the price
+    /// update's sums, and the consensus install as a marking pass and a
+    /// rewrite, kept as the oracles the differential tests compare
+    /// against.
     impl SerialAllocator {
         /// Calls `hop(global link index, rate, ∂x/∂p)` for every link of
         /// every flow's path, in (worker, slot, path) order. For the
@@ -795,63 +768,46 @@ mod tests {
             (loads, hessians)
         }
 
-        /// The install as a marking pass over the roots and then a
-        /// rewrite of every worker's copy, link by link, from `prices`.
-        fn set_link_prices_every_worker(&mut self, prices: &[f64]) {
+        /// The install as a marking pass over the views and then a
+        /// rewrite of each view, link by link, from `prices`.
+        fn set_link_prices_link_by_link(&mut self, prices: &[f64]) {
             let b = self.layout.blocks();
             let Self {
                 layout,
-                workers,
+                views,
                 dirty,
                 ..
             } = self;
             if let Some(ds) = dirty {
-                for blk in 0..b {
-                    let up_view = &workers[root(UP, blk, b)].view;
-                    for (o, link) in layout.links(UP, blk).iter().enumerate() {
-                        let p = prices[link.index()];
-                        if p.is_nan() || (p - up_view.prices[UP][o]).abs() <= ds.eps {
-                            continue;
-                        }
-                        ds.moving = true;
-                        ds.dirty_links += 1;
-                        ds.prev_prices[UP][blk][o] = p;
-                        for j in 0..b {
-                            let w = blk * b + j;
-                            if ds.touch[UP][w][o] > 0 {
-                                ds.rate_dirty[w] = true;
+                for d in DIRS {
+                    for (blk, view) in views[d].iter().enumerate() {
+                        for (o, link) in layout.links(d, blk).iter().enumerate() {
+                            let p = prices[link.index()];
+                            if p.is_nan() || (p - view.prices[o]).abs() <= ds.eps {
+                                continue;
                             }
-                        }
-                    }
-                    let down_view = &workers[root(DOWN, blk, b)].view;
-                    for (o, link) in layout.links(DOWN, blk).iter().enumerate() {
-                        let p = prices[link.index()];
-                        if p.is_nan() || (p - down_view.prices[DOWN][o]).abs() <= ds.eps {
-                            continue;
-                        }
-                        ds.moving = true;
-                        ds.dirty_links += 1;
-                        ds.prev_prices[DOWN][blk][o] = p;
-                        for i in 0..b {
-                            let w = i * b + blk;
-                            if ds.touch[DOWN][w][o] > 0 {
-                                ds.rate_dirty[w] = true;
+                            ds.moving = true;
+                            ds.dirty_links += 1;
+                            ds.prev_prices[d][blk][o] = p;
+                            // The LinkBlock's workers: grid row `blk` up,
+                            // column `blk` down.
+                            for k in 0..b {
+                                let w = if d == UP { blk * b + k } else { k * b + blk };
+                                if ds.touch[d][w][o] > 0 {
+                                    ds.rate_dirty[w] = true;
+                                }
                             }
                         }
                     }
                 }
             }
-            for (w, worker) in workers.iter_mut().enumerate() {
-                for (o, link) in layout.links(UP, w / b).iter().enumerate() {
-                    let p = prices[link.index()];
-                    if !p.is_nan() {
-                        worker.view.prices[UP][o] = p;
-                    }
-                }
-                for (o, link) in layout.links(DOWN, w % b).iter().enumerate() {
-                    let p = prices[link.index()];
-                    if !p.is_nan() {
-                        worker.view.prices[DOWN][o] = p;
+            for d in DIRS {
+                for (blk, view) in views[d].iter_mut().enumerate() {
+                    for (o, link) in layout.links(d, blk).iter().enumerate() {
+                        let p = prices[link.index()];
+                        if !p.is_nan() {
+                            view.prices[o] = p;
+                        }
                     }
                 }
             }
@@ -1284,19 +1240,25 @@ mod tests {
         assert!(inc.dirty_link_ids().is_empty(), "iterate drains intake");
     }
 
-    /// Every entry no link owns in every worker's six per-link arrays,
-    /// as bits: the sentinel's and the padding's in the four views', the
-    /// padding's in the two accumulators' (whose sentinel entry collects
-    /// the padded flows' rates and is never read).
+    /// Every entry no link owns in the per-link arrays, as bits: the
+    /// sentinel's and the padding's in the 2·B LinkBlock views' prices
+    /// and ratios, the padding's in every worker's two accumulators
+    /// (whose sentinel entry collects the padded flows' rates and is
+    /// never read).
     fn unowned_entries(alloc: &SerialAllocator) -> Vec<u64> {
         let lpl = alloc.layout.links_per_lb();
         let mut bits = Vec::new();
-        for worker in &alloc.workers {
-            let view = &worker.view;
-            for column in view.prices.iter().chain(&view.ratios) {
+        assert_eq!(
+            alloc.views.iter().flatten().count(),
+            2 * alloc.layout.blocks()
+        );
+        for view in alloc.views.iter().flatten() {
+            for column in [&view.prices, &view.ratios] {
                 assert_eq!(column.len(), padded_len(lpl));
                 bits.extend(column[lpl..].iter().map(|x| x.to_bits()));
             }
+        }
+        for worker in &alloc.workers {
             for pairs in &worker.acc.pairs {
                 assert_eq!(pairs.len(), padded_len(lpl));
                 bits.extend(pairs[lpl + 1..].iter().flatten().map(|x| x.to_bits()));
@@ -1308,9 +1270,9 @@ mod tests {
     #[test]
     fn sentinel_price_and_ratio_stay_zero() {
         // Same-rack flows (1 up + 1 down hop) pad with the sentinel, so
-        // its accumulator fills with their rates; price update,
-        // distribution, a consensus install and a background install must
-        // all leave its price and ratio at the 0.0 the kernels rely on.
+        // its accumulator fills with their rates; price update, a
+        // consensus install and a background install must all leave its
+        // price and ratio at the 0.0 the kernels rely on.
         let f = fabric();
         for incremental in [false, true] {
             let mut alloc = SerialAllocator::new(
@@ -1687,9 +1649,9 @@ mod tests {
             }
         }
 
-        // The root-patching install against the every-worker rewrite.
+        // The marking install against a marking pass and a rewrite.
         #[test]
-        fn set_link_prices_matches_the_every_worker_rewrite(
+        fn set_link_prices_matches_the_link_by_link_rewrite(
             blocks in prop_oneof![Just(1usize), Just(2), Just(4)],
             incremental in any::<bool>(),
             dirty_eps in prop_oneof![Just(0.0f64), Just(1e-3)],
@@ -1727,16 +1689,13 @@ mod tests {
                     .collect();
                 prop_assert_eq!(prices.len(), links);
                 new.set_link_prices(&prices);
-                old.set_link_prices_every_worker(&prices);
+                old.set_link_prices_link_by_link(&prices);
                 let lpl = new.layout.links_per_lb();
-                for (w, (a, b)) in new.workers.iter().zip(&old.workers).enumerate() {
-                    for d in DIRS {
-                        prop_assert_eq!(bits(&a.view.prices[d]), bits(&b.view.prices[d]), "worker {}", w);
-                        prop_assert_eq!(bits(&a.view.ratios[d]), bits(&b.view.ratios[d]), "worker {}", w);
-                        prop_assert_eq!(a.view.prices[d][lpl], 0.0);
-                        // Every copy of a LinkBlock is its root's.
-                        let owner = root(d, crate::reduce::position(d, w, blocks).0, blocks);
-                        prop_assert_eq!(bits(&a.view.prices[d]), bits(&new.workers[owner].view.prices[d]));
+                for d in DIRS {
+                    for (blk, (a, b)) in new.views[d].iter().zip(&old.views[d]).enumerate() {
+                        prop_assert_eq!(bits(&a.prices), bits(&b.prices), "view {} {}", d, blk);
+                        prop_assert_eq!(bits(&a.ratios), bits(&b.ratios), "view {} {}", d, blk);
+                        prop_assert_eq!(a.prices[lpl], 0.0);
                     }
                 }
                 prop_assert_eq!(new.dirty_counters(), old.dirty_counters());

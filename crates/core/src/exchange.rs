@@ -61,7 +61,7 @@ const MAX_UNCHECKED_LINKS: usize = 1 << 22;
 /// Why a received frame could not be applied: either it failed to
 /// decode, or it decoded to values that cannot be valid in this cluster
 /// (a shard or link index out of range, a link vector of the wrong
-/// length).
+/// length, link state no engine exports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyError {
     /// The frame failed to decode.
@@ -85,6 +85,15 @@ pub enum ApplyError {
         /// The `n_links` found in the header.
         n_links: u32,
     },
+    /// A state record carries a load or dual that is negative or not
+    /// finite, or a Hessian that is positive or not finite — nothing an
+    /// engine exports. Installed, an infinite load would zero every
+    /// normalized rate on the link and a `NaN` one would over-allocate
+    /// it; the record is refused before it is written.
+    BadValue {
+        /// The record's link index.
+        link: u32,
+    },
 }
 
 impl From<FrameError> for ApplyError {
@@ -104,6 +113,9 @@ impl std::fmt::Display for ApplyError {
                     f,
                     "frame announces {n_links} links, not this fabric's count"
                 )
+            }
+            ApplyError::BadValue { link } => {
+                write!(f, "record carries impossible link state for link {link}")
             }
         }
     }
@@ -349,12 +361,20 @@ pub(crate) struct ShardFilter {
 }
 
 impl ShardFilter {
-    /// A filter for shard `shard`, with the delta threshold `eps`
-    /// (clamped at 0).
+    /// A filter for shard `shard`, with the delta threshold `eps`.
+    ///
+    /// # Panics
+    /// Panics on an `eps` that is not a finite value ≥ 0: a `NaN` or
+    /// infinite one would make every `moved` compare false, so the shard
+    /// would never ship its link state.
     pub(crate) fn new(shard: u16, eps: f64) -> Self {
+        assert!(
+            eps >= 0.0 && eps.is_finite(),
+            "exchange_delta_eps must be finite and ≥ 0, got {eps}"
+        );
         ShardFilter {
             shard,
-            eps: eps.max(0.0),
+            eps,
             sub_prev: Vec::new(),
             announced: Vec::new(),
             resync_pending: false,
@@ -532,6 +552,16 @@ impl ShardFilter {
     }
 }
 
+/// Whether a decoded record's state is what an engine exports: a load
+/// and a dual that are finite and ≥ 0, a Hessian that is finite and
+/// ≤ 0 (a frame without Hessians decodes them as 0). `NaN` is none of
+/// these.
+// flowtune-lint: hot, untrusted-input
+fn exportable(load: f64, dual: f64, hessian: f64) -> bool {
+    let non_negative = |v: f64| (0.0..f64::INFINITY).contains(&v);
+    non_negative(load) && non_negative(dual) && non_negative(-hessian)
+}
+
 // Write one decoded state word into a row column, or report the
 // record's link as bad when the column does not reach that far.
 fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<(), ApplyError> {
@@ -567,10 +597,11 @@ pub struct ExchangeCore {
 
 impl ExchangeCore {
     /// A core for shard `shard` of `shard_count`, with the delta
-    /// filter's threshold `eps` (clamped at 0).
+    /// filter's threshold `eps`.
     ///
     /// # Panics
-    /// Panics if `shard` is not less than `shard_count`.
+    /// Panics if `shard` is not less than `shard_count`, or on an `eps`
+    /// that is not a finite value ≥ 0.
     pub fn new(shard: u16, shard_count: usize, eps: f64) -> Self {
         assert!(
             (shard as usize) < shard_count,
@@ -632,10 +663,12 @@ impl ExchangeCore {
     ///
     /// # Errors
     /// [`ApplyError`] if the frame fails to decode, names a shard or
-    /// link this cluster does not have, or announces a link vector of a
+    /// link this cluster does not have, announces a link vector of a
     /// different length than the rows already held (checked before
-    /// anything is resized). After a record-level error the row keeps
-    /// whatever the frame carried up to it (a re-ship heals it).
+    /// anything is resized), or carries link state no engine exports
+    /// (checked before the record is written). After a record-level
+    /// error the row keeps whatever the frame carried up to it (a
+    /// re-ship heals it).
     // flowtune-lint: hot, untrusted-input
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<(), ApplyError> {
         let (header, records) = RecordIter::new(frame)?;
@@ -711,6 +744,9 @@ impl ExchangeCore {
                     dual,
                     hessian,
                 } => {
+                    if !exportable(load, dual, hessian) {
+                        return Err(ApplyError::BadValue { link });
+                    }
                     let l = link as usize;
                     write_state(&mut row.loads, l, load, link)?;
                     write_state(&mut row.prices, l, dual, link)?;
@@ -944,6 +980,88 @@ mod tests {
             &mut buf,
         );
         assert_eq!(core.apply_frame(&buf), Err(ApplyError::BadLink { link: 5 }));
+    }
+
+    /// A Hessian-carrying state frame from shard 1 over four links, with
+    /// one record at link 2.
+    fn state_at_link_2(catch_up: bool, load: f64, dual: f64, hessian: f64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_header(
+            &FrameHeader {
+                kind: FrameKind::State,
+                shard: 1,
+                round: 1,
+                n_links: 4,
+                active: true,
+                has_hessians: true,
+            },
+            &mut buf,
+        );
+        let link = 2;
+        let record = if catch_up {
+            Record::CatchUp {
+                link,
+                load,
+                dual,
+                hessian,
+            }
+        } else {
+            Record::LinkState {
+                link,
+                load,
+                dual,
+                hessian,
+            }
+        };
+        encode_record(&record, true, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn impossible_link_state_is_refused_before_it_is_written() {
+        let mut core = ExchangeCore::new(0, 2, 0.0);
+        core.apply_frame(&state_at_link_2(false, 1.5, 0.25, -0.75))
+            .unwrap();
+        let entry = |core: &ExchangeCore| {
+            let row = &core.tables.rows[1];
+            [row.loads[2], row.prices[2], row.hessians[2]].map(f64::to_bits)
+        };
+        let held = entry(&core);
+        let bad = [
+            (f64::NAN, 0.25, -0.75),
+            (f64::INFINITY, 0.25, -0.75),
+            (f64::NEG_INFINITY, 0.25, -0.75),
+            (-1.0, 0.25, -0.75),
+            (1.5, -0.5, -0.75),
+            (1.5, f64::NAN, -0.75),
+            (1.5, 0.25, 0.5),
+            (1.5, 0.25, f64::NEG_INFINITY),
+        ];
+        for (load, dual, hessian) in bad {
+            for catch_up in [false, true] {
+                assert_eq!(
+                    core.apply_frame(&state_at_link_2(catch_up, load, dual, hessian)),
+                    Err(ApplyError::BadValue { link: 2 }),
+                    "({load}, {dual}, {hessian}), catch-up {catch_up}"
+                );
+                assert_eq!(entry(&core), held, "({load}, {dual}, {hessian})");
+            }
+        }
+        // The edges of what an engine exports are not refused: an idle
+        // link (zeros of either sign) and a Hessian-free frame's 0.
+        for (load, dual, hessian) in [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (2.0, 0.5, 0.0)] {
+            assert_eq!(
+                core.apply_frame(&state_at_link_2(false, load, dual, hessian)),
+                Ok(())
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange_delta_eps must be finite and ≥ 0, got inf")]
+    fn an_infinite_delta_eps_is_refused() {
+        // Every `moved` compare would be false: nothing would ever ship.
+        ExchangeCore::new(0, 2, f64::INFINITY);
     }
 
     /// A header-only active state frame from shard 1.

@@ -1385,6 +1385,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exchange_delta_eps must be finite and ≥ 0, got NaN")]
+    fn a_nan_exchange_delta_eps_is_refused() {
+        let cfg = FlowtuneConfig {
+            exchange_delta_eps: f64::NAN,
+            ..FlowtuneConfig::default()
+        };
+        let _ = AllocatorService::builder()
+            .fabric(&fabric())
+            .config(cfg)
+            .engine(Engine::Serial.sharded(2))
+            .build_driver();
+    }
+
+    #[test]
     fn build_driver_rejects_sharded_fastpass() {
         let sharded = |n| {
             AllocatorService::builder()

@@ -136,7 +136,9 @@ fn steady_state_exchange_round_allocates_nothing() {
 
     let mut loads_a = vec![1.0f64; LINKS];
     let mut loads_b = vec![2.0f64; LINKS];
-    let hessians: Vec<f64> = vec![0.5; LINKS];
+    // A Hessian diagonal is a sum of `-x²/w`: never positive, and a
+    // frame that carries a positive one is refused.
+    let hessians: Vec<f64> = vec![-0.5; LINKS];
     let prices: Vec<f64> = vec![0.25; LINKS];
 
     // One generously pre-reserved flat buffer per side — the same

@@ -4,7 +4,7 @@
 //! of LinkBlock partials, the NED price update of each LinkBlock's
 //! prices, and F-NORM. Here it runs on the caller's thread; a grid built
 //! with [`SerialAllocator::multicore`] runs its full sweeps through the
-//! barrier pipeline in [`crate::parallel`] instead — exactly the same
+//! barrier pipeline in `parallel.rs` instead — exactly the same
 //! arithmetic in exactly the same order, which the
 //! `parallel_matches_serial` tests assert bit for bit.
 //!
@@ -629,7 +629,7 @@ impl RateAllocator for SerialAllocator {
         self.dirty.as_ref().map(DirtySet::counters)
     }
 
-    /// One scatter of [`LinkTotals`] to global link ids. Links outside
+    /// One scatter of `LinkTotals` to global link ids. Links outside
     /// any LinkBlock (control links) read 0.
     // flowtune-lint: hot, float-kernel
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {

@@ -8,7 +8,6 @@ use flowtune_sim::{Scheme, MS};
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig10_drops");
     let drain = opts.scaled(40 * MS, 30 * MS);
     println!("# Figure 10 — dropped data (Gbit/s), and as % of delivered");
     println!("load,scheme,drop_gbps,drop_pct_of_offered");

@@ -10,7 +10,6 @@ use flowtune_sim::{Scheme, MS};
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig11_fairness");
     let drain = opts.scaled(40 * MS, 30 * MS);
     println!("# Figure 11 — per-flow fairness score relative to Flowtune");
     println!("load,scheme,score,relative_to_flowtune");

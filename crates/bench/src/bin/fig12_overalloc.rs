@@ -40,7 +40,6 @@
 //! `--pair-affinity F` the workload's rack-affine skew.
 
 use flowtune::{overallocation_gbps, Engine, FlowtuneConfig, PlacementSpec};
-use flowtune_bench::cli::WireTransport;
 use flowtune_bench::{FluidDriver, Opts};
 use flowtune_workload::Workload;
 
@@ -109,19 +108,7 @@ fn main() {
                 placement: *placement,
                 ..opts.config()
             };
-            // `--transport` puts the sharded rows on the wire; the
-            // unsharded baselines and the traffic-placement row have no
-            // wire equivalent and stay in-process (output is bit-for-bit
-            // identical either way, so the rows remain comparable).
-            let wire = match (engine, placement) {
-                (Engine::Sharded { inner, .. }, PlacementSpec::Contiguous)
-                    if **inner == Engine::Serial =>
-                {
-                    opts.transport
-                }
-                _ => WireTransport::InProcess,
-            };
-            let mut driver = FluidDriver::with_transport(
+            let mut driver = FluidDriver::with_engine(
                 Workload::Web,
                 load,
                 opts.pair_affinity,
@@ -129,7 +116,6 @@ fn main() {
                 cfg,
                 opts.seed,
                 engine.clone(),
-                wire,
             );
             let mut samples = Vec::new();
             driver.run_sampled(warmup, window, &mut |drv| {

@@ -18,7 +18,6 @@ use flowtune_workload::Workload;
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig13_norm");
     let ticks = opts.scaled(20_000, 3_000) as usize;
     let warmup = ticks / 5;
     let sample_every = 10;

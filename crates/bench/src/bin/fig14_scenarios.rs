@@ -25,7 +25,6 @@ use flowtune_workload::ScenarioKind;
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig14_scenarios");
     // Quick: the 16-server equivalence fabric. Full: 32 servers across
     // two blocks, with paper-scale payloads.
     let (fabric_cfg, servers, bytes) = if opts.quick {

@@ -13,7 +13,6 @@ use flowtune_workload::ConvergenceScenario;
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig4_convergence");
     let scen = ConvergenceScenario::paper_default();
     // Quick mode shrinks the stagger to 2 ms so the run is 20 ms.
     let stagger = opts.scaled(scen.stagger_ps, 2 * MS);
@@ -30,6 +29,7 @@ fn main() {
     for scheme in Scheme::ALL {
         let mut cfg = SimConfig::paper(scheme);
         cfg.engine = opts.engine.clone();
+        cfg.flowtune = opts.config();
         cfg.throughput_bin_ps = bin;
         let mut sim = Simulation::new(cfg);
         let mut ids = Vec::new();

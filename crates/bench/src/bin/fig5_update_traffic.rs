@@ -5,7 +5,6 @@
 //! the Hadoop, cache, and web workloads"; traffic *to* the allocator is
 //! substantially lower than *from* it.
 
-use flowtune::FlowtuneConfig;
 use flowtune_bench::{FluidDriver, Opts};
 use flowtune_workload::Workload;
 
@@ -18,15 +17,14 @@ fn main() {
     println!("workload,load,from_alloc_fraction,to_alloc_fraction,flowlets_per_s,updates_per_s");
     for workload in Workload::ALL {
         for load in [0.2, 0.4, 0.6, 0.8] {
-            let mut d = FluidDriver::with_transport(
+            let mut d = FluidDriver::with_engine(
                 workload,
                 load,
-                0.0,
+                opts.pair_affinity,
                 servers,
-                FlowtuneConfig::default(),
+                opts.config(),
                 opts.seed,
                 opts.engine.clone(),
-                opts.transport,
             );
             let stats = d.run(warmup, window);
             let secs = window as f64 / 1e12;

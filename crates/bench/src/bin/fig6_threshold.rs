@@ -22,17 +22,16 @@ fn main() {
             for &t in &thresholds {
                 let cfg = FlowtuneConfig {
                     update_threshold: t,
-                    ..FlowtuneConfig::default()
+                    ..opts.config()
                 };
-                let mut d = FluidDriver::with_transport(
+                let mut d = FluidDriver::with_engine(
                     workload,
                     load,
-                    0.0,
+                    opts.pair_affinity,
                     servers,
                     cfg,
                     opts.seed,
                     opts.engine.clone(),
-                    opts.transport,
                 );
                 let stats = d.run(warmup, window);
                 if t == 0.01 {

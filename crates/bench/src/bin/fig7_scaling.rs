@@ -22,15 +22,14 @@ fn main() {
         for load in [0.4, 0.6, 0.8] {
             // `opts.config()` carries `--exchange-every` into sharded
             // runs, so this figure also covers exchange-enabled scaling.
-            let mut d = FluidDriver::with_transport(
+            let mut d = FluidDriver::with_engine(
                 Workload::Web,
                 load,
-                0.0,
+                opts.pair_affinity,
                 servers,
                 opts.config(),
                 opts.seed,
                 opts.engine.clone(),
-                opts.transport,
             );
             let stats = d.run(warmup, window);
             println!(

@@ -11,7 +11,6 @@ use flowtune_sim::{Scheme, MS};
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig8_p99_fct");
     let drain = opts.scaled(60 * MS, 40 * MS);
     println!("# Figure 8 — p99 FCT slowdown per bin, and speedup of Flowtune over each scheme");
     println!("load,scheme,bin,p99_slowdown,flowtune_speedup");

@@ -11,7 +11,6 @@ use flowtune_sim::{Scheme, MS};
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("fig9_queueing");
     let drain = opts.scaled(40 * MS, 30 * MS);
     println!("# Figure 9 — p99 queueing delay (µs) on sampled 2-hop / 4-hop paths");
     println!("load,scheme,p99_2hop_us,p99_4hop_us");

@@ -15,7 +15,6 @@ use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("table_fastpass");
     let endpoints = 256usize;
     let mtu = 1500u64;
 

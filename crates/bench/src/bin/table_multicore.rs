@@ -42,7 +42,6 @@ fn run_row(row: &Row, iters: usize, seed: u64) -> (usize, usize, Duration) {
 
 fn main() {
     let opts = Opts::parse();
-    opts.require_in_process("table_multicore");
     let iters = opts.scaled(1000, 100) as usize;
     // The paper's seven rows: (blocks → cores = B², racks/block, flows).
     let rows = [

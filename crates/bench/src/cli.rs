@@ -1,12 +1,12 @@
 //! Minimal flag parsing shared by the experiment binaries.
+//!
+//! Every binary builds its control plane in process, through
+//! `ServiceBuilder::build_driver`, from [`Opts::engine`] and
+//! [`Opts::config`]. The same plane on a wire (`flowtune_net`'s
+//! `PeerCluster`) is pinned bit for bit to it by the repository's
+//! sharded equivalence suites and priced by flowbench's `wire2uds`.
 
-use flowtune::{
-    AllocatorService, BoxTickDriver, Engine, ExchangeConfig, FlowtuneConfig, PlacementSpec,
-};
-use flowtune_net::{
-    free_tcp_port_run, mem_mesh, tcp_mesh, uds_mesh, PeerCluster, ShardPeer, Transport,
-};
-use flowtune_topo::TwoTierClos;
+use flowtune::{Engine, FlowtuneConfig, PlacementSpec};
 use flowtune_workload::ScenarioKind;
 
 /// The experiment binaries' shared usage text (`--help`). Every
@@ -43,12 +43,6 @@ shared experiment flags:
   --dirty-eps X           incremental only: price/ratio moves at or below X
                           do not re-dirty a link's flows (config dirty_eps;
                           default 0 = exact equivalence)
-  --transport T           wire for the sharded control plane:
-                          inproc|mem|uds|tcp (default inproc = the in-process
-                          ShardedService; the others run one ShardPeer per
-                          shard over that transport — serial engine only;
-                          honored by the fluid-driver figures fig5/6/7/12,
-                          rejected by the packet-sim binaries)
   --placement P           endpoint-to-shard placement:
                           contiguous|traffic|traffic:refine
                           (config placement; default contiguous; traffic
@@ -62,135 +56,6 @@ shared experiment flags:
                           alltoall|burst|permshift|incast (default: every
                           family; other binaries ignore the flag)
   --help                  print this help and exit";
-
-/// The wire the sharded control plane runs over (`--transport`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireTransport {
-    /// The in-process `ShardedService` (the default): shards are plain
-    /// struct fields and the exchange is a buffer handoff.
-    #[default]
-    InProcess,
-    /// One `ShardPeer` per shard over the in-memory channel mesh — the
-    /// wire codec and peer runtime with no kernel in the path.
-    Mem,
-    /// One `ShardPeer` per shard over Unix-domain sockets.
-    Uds,
-    /// One `ShardPeer` per shard over loopback TCP.
-    Tcp,
-}
-
-impl WireTransport {
-    /// Parses a `--transport` value.
-    ///
-    /// # Errors
-    /// Unknown name; the message lists the valid ones.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "inproc" | "in-process" => Ok(Self::InProcess),
-            "mem" => Ok(Self::Mem),
-            "uds" => Ok(Self::Uds),
-            "tcp" => Ok(Self::Tcp),
-            other => Err(format!(
-                "unknown transport `{other}`; valid transports: inproc, mem, uds, tcp"
-            )),
-        }
-    }
-}
-
-/// Builds the sharded control plane `transport` asks for over `fabric`
-/// with exactly `cfg`: one serial-engine [`ShardPeer`] per shard, driven
-/// in lockstep by a [`PeerCluster`]. Returns `None` for
-/// [`WireTransport::InProcess`] — callers keep their existing
-/// `AllocatorService::builder()` path, so wire support is purely
-/// additive. Taking `cfg` (rather than deriving it from [`Opts`]) lets
-/// the figure drivers put *their* per-row configuration on the wire.
-///
-/// # Panics
-/// The wire transports run one serial-engine service per shard: panics
-/// when `engine` asks for anything else, when `cfg` asks for a
-/// non-contiguous placement (the peers bootstrap with the contiguous
-/// endpoint map; re-placement is a runtime epoch, not a config knob),
-/// and on transport setup failure (socket dir, port probe, mesh
-/// bootstrap).
-pub fn wire_cluster(
-    transport: WireTransport,
-    engine: &Engine,
-    fabric: &TwoTierClos,
-    cfg: FlowtuneConfig,
-) -> Option<BoxTickDriver> {
-    use std::time::Duration;
-
-    if transport == WireTransport::InProcess {
-        return None;
-    }
-    let shards = match engine {
-        Engine::Sharded { shards, inner } => {
-            assert_eq!(
-                **inner,
-                Engine::Serial,
-                "--transport {transport:?} runs the serial engine per shard; \
-                 got --engine {inner:?}"
-            );
-            *shards
-        }
-        Engine::Serial => 1,
-        other => panic!(
-            "--transport {transport:?} runs the serial engine per shard; got --engine {other:?}"
-        ),
-    };
-    assert_eq!(
-        cfg.placement,
-        PlacementSpec::Contiguous,
-        "--transport {transport:?} bootstraps the contiguous endpoint map; \
-         --placement traffic is in-process only"
-    );
-    let timeout = Duration::from_secs(5);
-    fn cluster<T: Transport + 'static>(
-        fabric: &TwoTierClos,
-        cfg: FlowtuneConfig,
-        timeout: std::time::Duration,
-        transports: Vec<T>,
-    ) -> PeerCluster<T> {
-        let exchange = ExchangeConfig::from_flowtune(&cfg).round_timeout(timeout);
-        let peers = transports
-            .into_iter()
-            .map(|t| {
-                ShardPeer::new(AllocatorService::new(fabric, cfg), t, exchange)
-                    .expect("bench mesh transports split infallibly")
-            })
-            .collect();
-        PeerCluster::from_peers(peers)
-    }
-    match transport {
-        WireTransport::InProcess => unreachable!("handled above"),
-        WireTransport::Mem => Some(Box::new(cluster(fabric, cfg, timeout, mem_mesh(shards)))),
-        WireTransport::Uds => {
-            static NEXT_MESH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "flowtune-bench-uds-{}-{}",
-                std::process::id(),
-                NEXT_MESH.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir).expect("create uds socket dir");
-            let transports = uds_mesh(&dir, shards as u16).expect("uds mesh bootstrap");
-            let built = cluster(fabric, cfg, timeout, transports);
-            // The streams are connected; the socket files have done
-            // their job.
-            let _ = std::fs::remove_dir_all(&dir);
-            Some(Box::new(built))
-        }
-        WireTransport::Tcp => {
-            let base = free_tcp_port_run(shards as u16)
-                .expect("no free loopback port run for the tcp mesh");
-            Some(Box::new(cluster(
-                fabric,
-                cfg,
-                timeout,
-                tcp_mesh(base, shards as u16).expect("tcp mesh bootstrap"),
-            )))
-        }
-    }
-}
 
 /// Common experiment options.
 #[derive(Debug, Clone)]
@@ -212,12 +77,6 @@ pub struct Opts {
     /// class, the communicating-racks structure traffic placement
     /// exploits.
     pub pair_affinity: f64,
-    /// The wire the sharded control plane runs over (`--transport
-    /// inproc|mem|uds|tcp`; inproc — the default — is the in-process
-    /// `ShardedService`). The wire choices drive the identical exchange
-    /// through the serialized frame codec and a real transport; see
-    /// [`wire_cluster`]. Only affects sharded runs.
-    pub transport: WireTransport,
     /// Scenario-family filter for the scenario table
     /// (`--scenario allreduce:ring|allreduce:tree|alltoall|burst|
     /// permshift|incast`; `None` — the default — runs every family).
@@ -233,7 +92,6 @@ impl Default for Opts {
             engine: Engine::Serial,
             config: FlowtuneConfig::default(),
             pair_affinity: 0.0,
-            transport: WireTransport::InProcess,
             scenario: None,
         }
     }
@@ -326,11 +184,6 @@ impl Opts {
                     opts.config.placement =
                         PlacementSpec::parse(&v).unwrap_or_else(|e| panic!("{e}\n{USAGE}"));
                 }
-                "--transport" => {
-                    let v = it.next().expect("--transport needs a value");
-                    opts.transport =
-                        WireTransport::parse(&v).unwrap_or_else(|e| panic!("{e}\n{USAGE}"));
-                }
                 "--scenario" => {
                     let v = it.next().expect("--scenario needs a value");
                     opts.scenario =
@@ -383,24 +236,6 @@ impl Opts {
         self.config
     }
 
-    /// Panics when a wire `--transport` was requested: `bin` drives a
-    /// surface (packet simulator, numeric study, single-service table)
-    /// with no sharded control plane to put on a wire. Binaries that
-    /// cannot honor the flag call this right after [`Opts::parse`] so
-    /// the request fails loudly instead of being silently ignored.
-    ///
-    /// # Panics
-    /// Whenever `--transport` is anything but the default `inproc`.
-    pub fn require_in_process(&self, bin: &str) {
-        assert_eq!(
-            self.transport,
-            WireTransport::InProcess,
-            "{bin} does not support --transport {:?}; wire transports apply to the \
-             fluid-driver figures (fig5/6/7/12)",
-            self.transport
-        );
-    }
-
     /// The shape shared by the figures' sharded comparison rows: the
     /// base (inner) engine — `--engine`, unwrapped if the caller already
     /// passed `--shards` — the shard count (`--shards`, default 2), and
@@ -423,11 +258,6 @@ mod tests {
 
     fn parse(args: &[&str]) -> Opts {
         Opts::from_args(args.iter().map(|s| s.to_string()))
-    }
-
-    /// [`wire_cluster`] as a figure driver calls it for parsed flags.
-    fn wire_driver(opts: &Opts, fabric: &TwoTierClos) -> Option<BoxTickDriver> {
-        wire_cluster(opts.transport, &opts.engine, fabric, opts.config())
     }
 
     #[test]
@@ -599,7 +429,6 @@ mod tests {
             "--quick",
             "--full",
             "--pair-affinity",
-            "--transport",
             "--scenario",
             "--help",
         ] {
@@ -656,97 +485,6 @@ mod tests {
     #[should_panic(expected = "--dirty-eps needs a finite non-negative number")]
     fn negative_dirty_eps_panics() {
         let _ = parse(&["--dirty-eps", "-0.5"]);
-    }
-
-    #[test]
-    fn transport_parses_and_defaults_to_in_process() {
-        assert_eq!(parse(&[]).transport, WireTransport::InProcess);
-        assert_eq!(
-            parse(&["--transport", "inproc"]).transport,
-            WireTransport::InProcess
-        );
-        assert_eq!(parse(&["--transport", "mem"]).transport, WireTransport::Mem);
-        assert_eq!(parse(&["--transport", "uds"]).transport, WireTransport::Uds);
-        assert_eq!(parse(&["--transport", "tcp"]).transport, WireTransport::Tcp);
-        // The flag composes with sharding like the other wire knobs.
-        let o = parse(&[
-            "--shards",
-            "2",
-            "--exchange-every",
-            "1",
-            "--transport",
-            "mem",
-        ]);
-        assert_eq!(o.engine, Engine::Serial.sharded(2));
-        assert_eq!(o.transport, WireTransport::Mem);
-    }
-
-    #[test]
-    fn wire_driver_builds_a_cluster_only_for_wire_transports() {
-        use flowtune::TickDriver;
-        use flowtune_topo::ClosConfig;
-        let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-        assert!(wire_driver(&parse(&["--shards", "2"]), &fabric).is_none());
-        let opts = parse(&[
-            "--shards",
-            "2",
-            "--exchange-every",
-            "1",
-            "--transport",
-            "mem",
-        ]);
-        let mut driver = wire_driver(&opts, &fabric).expect("mem wire builds");
-        assert_eq!(driver.engine_name(), "peer-cluster");
-        assert!(driver.tick().is_empty(), "no flows yet, no updates");
-    }
-
-    #[test]
-    #[should_panic(expected = "valid transports: inproc, mem, uds, tcp")]
-    fn bad_transport_message_lists_valid_names() {
-        let _ = parse(&["--transport", "pigeon"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "serial engine per shard")]
-    fn wire_transport_rejects_non_serial_engines() {
-        use flowtune_topo::ClosConfig;
-        let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-        let opts = parse(&[
-            "--engine",
-            "gradient",
-            "--shards",
-            "2",
-            "--transport",
-            "mem",
-        ]);
-        let _ = wire_driver(&opts, &fabric);
-    }
-
-    #[test]
-    #[should_panic(expected = "--placement traffic is in-process only")]
-    fn wire_transport_rejects_traffic_placement() {
-        use flowtune_topo::ClosConfig;
-        let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-        let opts = parse(&[
-            "--shards",
-            "2",
-            "--transport",
-            "mem",
-            "--placement",
-            "traffic",
-        ]);
-        let _ = wire_driver(&opts, &fabric);
-    }
-
-    #[test]
-    #[should_panic(expected = "fig9_queueing does not support --transport")]
-    fn require_in_process_rejects_wire_transports() {
-        parse(&["--transport", "uds"]).require_in_process("fig9_queueing");
-    }
-
-    #[test]
-    fn require_in_process_accepts_the_default() {
-        parse(&[]).require_in_process("fig9_queueing");
     }
 
     #[test]

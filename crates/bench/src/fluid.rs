@@ -8,9 +8,10 @@
 //! currently allocated, normalized rate and ends exactly when its bytes
 //! run out). What is this driver's own is trace admission, the warm-up
 //! window and the byte accounting, with the real 16/4/6-byte encodings
-//! plus Ethernet framing ([`flowtune_proto::wire`]).
+//! plus Ethernet framing ([`flowtune_proto::wire`]). The control plane is
+//! whatever `ServiceBuilder::build_driver` makes of the engine and
+//! configuration the binary parsed, sharded or not, always in process.
 
-use crate::cli::{self, WireTransport};
 use flowtune::{
     AllocatorService, Engine, FlowtuneConfig, FluidPlane, PlacementSpec, ServiceStats, TickDriver,
     TrafficMatrix,
@@ -78,8 +79,7 @@ pub struct FluidDriver {
 
 impl FluidDriver {
     /// Builds a driver over `servers` servers (racks of 16) running the
-    /// uniform `workload` at `load` with the serial reference engine,
-    /// in-process.
+    /// uniform `workload` at `load` with the serial reference engine.
     pub fn new(
         workload: Workload,
         load: f64,
@@ -87,20 +87,11 @@ impl FluidDriver {
         cfg: FlowtuneConfig,
         seed: u64,
     ) -> Self {
-        Self::with_transport(
-            workload,
-            load,
-            0.0,
-            servers,
-            cfg,
-            seed,
-            Engine::Serial,
-            WireTransport::InProcess,
-        )
+        Self::with_engine(workload, load, 0.0, servers, cfg, seed, Engine::Serial)
     }
 
     /// The full constructor, where the binaries' `--engine` / `--shards`
-    /// / `--affinity` / `--transport` flags land.
+    /// / `--pair-affinity` flags and their parsed configuration land.
     ///
     /// `engine`: an [`Engine::Sharded`] spec runs the real sharded
     /// control plane.
@@ -113,19 +104,7 @@ impl FluidDriver {
     /// placer's matrix is sampled from this same trace configuration
     /// (first 4096 events — deterministic in the seed), so `--placement
     /// traffic` sees exactly the workload it will place for.
-    ///
-    /// `transport`: for a wire transport a sharded engine runs as one
-    /// serial-engine [`flowtune_net::ShardPeer`] per shard over that
-    /// transport, driven in lockstep by a [`flowtune_net::PeerCluster`] —
-    /// every rate and control byte this driver accounts then crossed the
-    /// real frame codec (and, for `uds`/`tcp`, a kernel socket). Output
-    /// is bit-for-bit identical to the in-process run.
-    ///
-    /// # Panics
-    /// Wire transports run the serial engine per shard over the
-    /// contiguous placement; see [`cli::wire_cluster`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_transport(
+    pub fn with_engine(
         workload: Workload,
         load: f64,
         affinity: f64,
@@ -133,7 +112,6 @@ impl FluidDriver {
         cfg: FlowtuneConfig,
         seed: u64,
         engine: Engine,
-        transport: WireTransport,
     ) -> Self {
         assert!(servers.is_multiple_of(16), "whole racks of 16 expected");
         let clos = ClosConfig {
@@ -154,24 +132,20 @@ impl FluidDriver {
                 ..RackAffinity::heavy()
             }),
         };
-        let service = if let Some(cluster) = cli::wire_cluster(transport, &engine, &fabric, cfg) {
-            cluster
-        } else {
-            let mut builder = AllocatorService::builder()
-                .fabric(&fabric)
-                .config(cfg)
-                .engine(engine);
-            if cfg.placement != PlacementSpec::Contiguous {
-                let racks = servers / 16;
-                builder = builder.traffic_matrix(TrafficMatrix::from_weights(
-                    racks,
-                    rack_traffic_matrix(&trace_cfg, 16, 4096),
-                ));
-            }
-            builder
-                .build_driver()
-                .expect("fabric is set and the engine spec is sane")
-        };
+        let mut builder = AllocatorService::builder()
+            .fabric(&fabric)
+            .config(cfg)
+            .engine(engine);
+        if cfg.placement != PlacementSpec::Contiguous {
+            let racks = servers / 16;
+            builder = builder.traffic_matrix(TrafficMatrix::from_weights(
+                racks,
+                rack_traffic_matrix(&trace_cfg, 16, 4096),
+            ));
+        }
+        let service = builder
+            .build_driver()
+            .expect("fabric is set and the engine spec is sane");
         let trace = TraceGenerator::new(trace_cfg);
         Self {
             plane: FluidPlane::new(service, cfg.tick_interval_ps),
@@ -275,7 +249,7 @@ mod tests {
                 exchange_every: 1,
                 ..FlowtuneConfig::default()
             };
-            let mut d = FluidDriver::with_transport(
+            let mut d = FluidDriver::with_engine(
                 Workload::Web,
                 0.7,
                 0.0,
@@ -283,7 +257,6 @@ mod tests {
                 cfg,
                 13,
                 Engine::Serial.sharded(2),
-                WireTransport::InProcess,
             );
             let stats = d.run(1_000_000_000, 6_000_000_000);
             let rates: Vec<(Token, u64)> = d
@@ -311,7 +284,7 @@ mod tests {
             Engine::Gradient,
             Engine::Serial.sharded(2),
         ] {
-            let mut d = FluidDriver::with_transport(
+            let mut d = FluidDriver::with_engine(
                 Workload::Web,
                 0.4,
                 0.0,
@@ -319,7 +292,6 @@ mod tests {
                 FlowtuneConfig::default(),
                 5,
                 engine.clone(),
-                WireTransport::InProcess,
             );
             let stats = d.run(1_000_000_000, 4_000_000_000);
             assert!(stats.flowlets > 0, "{}: no flowlets", engine.name());
@@ -334,7 +306,7 @@ mod tests {
             placement: PlacementSpec::Traffic { refine: true },
             ..FlowtuneConfig::default()
         };
-        let mut d = FluidDriver::with_transport(
+        let mut d = FluidDriver::with_engine(
             Workload::Web,
             0.4,
             0.9,
@@ -342,40 +314,12 @@ mod tests {
             cfg,
             5,
             Engine::Serial.sharded(2),
-            WireTransport::InProcess,
         );
         let stats = d.run(1_000_000_000, 4_000_000_000);
         assert!(stats.flowlets > 0);
         let svc = d.control_stats();
         assert!(svc.exchange_rounds > 0, "exchange must run");
         assert!(svc.exchange_bytes > 0);
-    }
-
-    #[test]
-    fn wire_transport_run_is_bit_for_bit_the_in_process_run() {
-        let cfg = FlowtuneConfig {
-            exchange_every: 1,
-            ..FlowtuneConfig::default()
-        };
-        let run = |transport: WireTransport| {
-            let mut d = FluidDriver::with_transport(
-                Workload::Web,
-                0.5,
-                0.0,
-                32,
-                cfg,
-                9,
-                Engine::Serial.sharded(2),
-                transport,
-            );
-            let stats = d.run(1_000_000_000, 4_000_000_000);
-            (stats, d.control_stats())
-        };
-        let (inproc, inproc_svc) = run(WireTransport::InProcess);
-        let (mem, mem_svc) = run(WireTransport::Mem);
-        assert_eq!(inproc, mem, "fluid accounting must not see the wire");
-        assert_eq!(inproc_svc, mem_svc, "control-plane stats must match");
-        assert!(mem_svc.exchange_rounds > 0, "exchange must have run");
     }
 
     #[test]

@@ -97,10 +97,11 @@ impl<T: Transport> PeerCluster<T> {
     /// Assemble a cluster from peers under the default contiguous
     /// placement ([`PeerCluster::replace`] installs another). Peers must
     /// arrive in shard order and agree with their transports on the
-    /// cluster size, and with each other on the fabric, the
-    /// configuration and the exchange cadence and delta filter — a peer
-    /// that skips a round the others run makes them wait out their
-    /// barrier timeout for a frame that never comes.
+    /// cluster size, and with each other on the fabric and the
+    /// configuration. [`ShardPeer::new`] holds each peer's exchange
+    /// cadence and delta filter to its service's config, so one
+    /// configuration means one cadence: no peer skips a round the others
+    /// run and leaves them waiting out their barrier timeout.
     ///
     /// # Panics
     /// Panics if `peers` is empty, a peer's shard id or peer count
@@ -121,11 +122,6 @@ impl<T: Transport> PeerCluster<T> {
                 "peer {i}'s transport spans {} peers, cluster has {}",
                 peer.peers(),
                 peers.len()
-            );
-            let (own, first) = (peer.exchange(), peers[0].exchange());
-            assert!(
-                (own.every, own.delta_eps) == (first.every, first.delta_eps),
-                "all peers must run one exchange cadence and delta filter"
             );
         }
         let servers = peers[0].service().fabric().config().server_count();
@@ -330,22 +326,39 @@ mod tests {
         let _ = PeerCluster::from_peers(peers);
     }
 
+    /// Each peer's cadence is its service's, so peers on different
+    /// cadences are peers under different configurations.
     #[test]
-    #[should_panic(expected = "one exchange cadence")]
+    #[should_panic(expected = "one configuration")]
     fn from_peers_rejects_peers_on_different_cadences() {
-        let (f, cfg) = (fabric(), FlowtuneConfig::default());
+        let f = fabric();
         let peers = mem_mesh(2)
             .into_iter()
             .zip([1, 2])
             .map(|(t, every)| {
-                let exchange = ExchangeConfig {
-                    every,
-                    ..ExchangeConfig::default()
+                let cfg = FlowtuneConfig {
+                    exchange_every: every,
+                    ..FlowtuneConfig::default()
                 };
+                let exchange = ExchangeConfig::from_flowtune(&cfg);
                 ShardPeer::new(AllocatorService::new(&f, cfg), t, exchange).unwrap()
             })
             .collect();
         let _ = PeerCluster::from_peers(peers);
+    }
+
+    /// A default-config service runs no exchange in process; its peer
+    /// must not run one on the wire.
+    #[test]
+    #[should_panic(expected = "differs from the service config")]
+    fn a_peer_refuses_an_exchange_its_service_config_turns_off() {
+        let t = mem_mesh(2).remove(0);
+        let exchange = ExchangeConfig {
+            every: 1,
+            ..ExchangeConfig::default()
+        };
+        let svc = AllocatorService::new(&fabric(), FlowtuneConfig::default());
+        let _ = ShardPeer::new(svc, t, exchange);
     }
 
     #[test]

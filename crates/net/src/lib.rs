@@ -59,7 +59,7 @@ pub use peer::{PeerError, PeerLag, ShardPeer, WireStats};
 pub use pool::BufferPool;
 pub use runtime::{Polled, RecvRuntime};
 pub use transport::{
-    free_tcp_port_run, mem_mesh, tcp_connect, tcp_mesh, uds_connect, uds_mesh, uds_socket_path,
-    FrameStream, MemReceiver, MemSender, MemTransport, Receiver, Sender, SocketReceiver,
-    SocketSender, SocketTransport, TcpTransport, Transport, UdsTransport,
+    free_tcp_port_run, mem_mesh, tcp_connect, uds_connect, uds_mesh, uds_socket_path, FrameStream,
+    MemReceiver, MemSender, MemTransport, Receiver, Sender, SocketReceiver, SocketSender,
+    SocketTransport, TcpTransport, Transport, UdsTransport,
 };

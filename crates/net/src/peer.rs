@@ -269,16 +269,31 @@ impl<T: Transport> ShardPeer<T> {
     /// `transport.peers()`-shard cluster, splitting the transport and
     /// spawning the receiver runtime. The exchange cadence, delta
     /// filter, barrier timeout and staleness bound all come from
-    /// `exchange` ([`ExchangeConfig::from_flowtune`] lifts them from a
-    /// service's flat config).
+    /// `exchange` ([`ExchangeConfig::from_flowtune`] lifts the first two
+    /// from a service's flat config).
     ///
     /// # Errors
     /// [`PeerError::Setup`] when splitting the transport fails.
+    ///
+    /// # Panics
+    /// Panics if `exchange`'s cadence or delta filter differs from
+    /// `svc`'s config: the in-process plane reads them from the config,
+    /// so a peer that disagreed would exchange where it does not.
     pub fn new(
         svc: AllocatorService,
         transport: T,
         exchange: ExchangeConfig,
     ) -> Result<Self, PeerError> {
+        let cfg = svc.config();
+        assert!(
+            (exchange.every, exchange.delta_eps) == (cfg.exchange_every, cfg.exchange_delta_eps),
+            "exchange (every, delta_eps) = ({}, {}) differs from the service config's \
+             (exchange_every, exchange_delta_eps) = ({}, {})",
+            exchange.every,
+            exchange.delta_eps,
+            cfg.exchange_every,
+            cfg.exchange_delta_eps
+        );
         let shard = transport.shard();
         let peers = transport.peers();
         let core = ExchangeCore::new(shard, peers, exchange.delta_eps);
@@ -317,11 +332,6 @@ impl<T: Transport> ShardPeer<T> {
     /// Total peers in the cluster, this one included.
     pub fn peers(&self) -> usize {
         self.tx.peers()
-    }
-
-    /// The exchange configuration this peer runs under.
-    pub(crate) fn exchange(&self) -> ExchangeConfig {
-        self.exchange
     }
 
     /// The wrapped allocator service (message intake for flows this

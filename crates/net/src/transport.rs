@@ -212,19 +212,6 @@ pub fn mem_mesh(n: usize) -> Vec<MemTransport> {
         .collect()
 }
 
-impl MemTransport {
-    /// Buffer-pool `(hits, misses)` across the whole mesh — a warm
-    /// exchange recycles every frame buffer it ships.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        mesh_pool_stats(&self.mesh)
-    }
-}
-
-fn mesh_pool_stats(mesh: &MemMesh) -> (u64, u64) {
-    let pool = mesh.pool.lock().expect("pool poisoned");
-    (pool.hits(), pool.misses())
-}
-
 /// The send half of a [`MemTransport`].
 #[derive(Debug)]
 pub struct MemSender {
@@ -244,7 +231,8 @@ impl MemSender {
     /// Buffer-pool `(hits, misses)` across the whole mesh — a warm
     /// exchange recycles every frame buffer it ships.
     pub fn pool_stats(&self) -> (u64, u64) {
-        mesh_pool_stats(&self.mesh)
+        let pool = self.mesh.pool.lock().expect("pool poisoned");
+        (pool.hits(), pool.misses())
     }
 }
 
@@ -410,8 +398,8 @@ const MID_FRAME_RETRIES: u32 = 100;
 
 /// Length-prefixed framing (u32 big-endian, then the frame) over one
 /// [`FrameStream`] per peer. Built by [`uds_connect`] / [`tcp_connect`]
-/// (one process per peer) or [`uds_mesh`] / [`tcp_mesh`] (all peers in
-/// one process, for tests and benches).
+/// (one process per peer) or [`uds_mesh`] (all peers in one process, for
+/// tests and benches).
 #[derive(Debug)]
 pub struct SocketTransport<S: FrameStream> {
     me: u16,
@@ -697,7 +685,9 @@ pub fn uds_connect(dir: &Path, shard: u16, peers: u16) -> io::Result<UdsTranspor
 /// stream.
 ///
 /// # Errors
-/// Binding, dialing or accepting failed, or a peer never showed.
+/// `InvalidInput` when the port run `base_port..base_port + peers` does
+/// not fit in `u16`; otherwise binding, dialing or accepting failed, or
+/// a peer never showed.
 ///
 /// # Panics
 /// Panics if `shard >= peers` or `peers` is 0.
@@ -707,6 +697,12 @@ pub fn tcp_connect(base_port: u16, shard: u16, peers: u16) -> io::Result<TcpTran
         shard < peers,
         "shard {shard} out of range for {peers} peers"
     );
+    if base_port.checked_add(peers - 1).is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{peers} ports from base port {base_port} run past 65535"),
+        ));
+    }
     let deadline = Instant::now() + SETUP_TIMEOUT;
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, base_port + shard))?;
     listener.set_nonblocking(true)?;
@@ -758,30 +754,11 @@ pub fn uds_mesh(dir: &Path, n: u16) -> io::Result<Vec<UdsTransport>> {
         .collect()
 }
 
-/// [`uds_mesh`] over loopback TCP at `base_port..base_port + n`.
-///
-/// # Errors
-/// Any peer's [`tcp_connect`] failed.
-///
-/// # Panics
-/// Panics if `n` is 0 or a setup thread panicked.
-pub fn tcp_mesh(base_port: u16, n: u16) -> io::Result<Vec<TcpTransport>> {
-    let handles: Vec<_> = (0..n)
-        .map(|i| std::thread::spawn(move || tcp_connect(base_port, i, n)))
-        .collect();
-    handles
-        .into_iter()
-        // A panic in a setup thread is a bug in this module, not a peer
-        // failure; propagating it is the honest report.
-        .map(|h| h.join().expect("mesh setup thread panicked"))
-        .collect()
-}
-
 /// Probes for `n` consecutive free loopback TCP ports and returns the
-/// first — a base for [`tcp_mesh`] / [`tcp_connect`]. The kernel picks a
-/// candidate base (bind to port 0); the run holds if all `n` ports bind.
-/// The ports are released on return, so a racing process can still take
-/// one before the mesh binds them.
+/// first — a base for [`tcp_connect`]. The kernel picks a candidate base
+/// (bind to port 0); the run holds if all `n` ports bind. The ports are
+/// released on return, so a racing process can still take one before the
+/// mesh binds them.
 ///
 /// # Errors
 /// A bind to port 0 failed, or 16 candidates in a row had a taken port in
@@ -810,6 +787,17 @@ pub fn free_tcp_port_run(n: u16) -> io::Result<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`uds_mesh`] over loopback TCP at `base_port..base_port + n`.
+    fn tcp_mesh(base_port: u16, n: u16) -> io::Result<Vec<TcpTransport>> {
+        let handles: Vec<_> = (0..n)
+            .map(|i| std::thread::spawn(move || tcp_connect(base_port, i, n)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("mesh setup thread panicked"))
+            .collect()
+    }
 
     fn roundtrip_pair<T: Transport>(a: T, b: T) {
         // Split both endpoints into their halves: the send half plus
@@ -973,5 +961,20 @@ mod tests {
         let b = endpoints.pop().unwrap();
         let a = endpoints.pop().unwrap();
         roundtrip_pair(a, b);
+    }
+
+    #[test]
+    fn a_port_run_past_65535_is_refused_before_binding() {
+        // Shard 1 of 2 at base 65535 would listen on port 65536.
+        let t0 = Instant::now();
+        let err = tcp_connect(u16::MAX, 1, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(1), "no setup wait");
+        // The last base whose run fits is not refused for its ports:
+        // shard 0 of 1 at 65535 binds (or meets a taken port), it never
+        // reports InvalidInput.
+        if let Err(e) = tcp_connect(u16::MAX, 0, 1) {
+            assert_ne!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+        }
     }
 }

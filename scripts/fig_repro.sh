@@ -24,7 +24,9 @@ cd "$(dirname "$0")/.."
 RUNS=(
     "fig5_update_traffic"
     "fig5_update_traffic --engine multicore --workers 2"
+    "fig5_update_traffic --shards 2 --exchange-every 1"
     "fig6_threshold"
+    "fig6_threshold --shards 2 --exchange-every 1"
     "fig7_scaling"
     "fig7_scaling --shards 2 --exchange-every 1"
     "fig12_overalloc"

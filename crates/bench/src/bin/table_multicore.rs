@@ -4,7 +4,7 @@
 //! flows; 5–7: more nodes). "Cycles" are derived from wall time at the
 //! nominal 2.4 GHz of the paper's E7-8870s so the two reports are directly
 //! comparable; absolute values differ with host hardware, the scaling
-//! shape is the claim (see EXPERIMENTS.md).
+//! shape is the claim.
 
 use std::time::Duration;
 
@@ -19,7 +19,7 @@ struct Row {
 }
 
 fn run_row(row: &Row, iters: usize, seed: u64) -> (usize, usize, Duration) {
-    let servers_per_rack = 48; // Jupiter-like racks, as in DESIGN.md
+    let servers_per_rack = 48; // Jupiter-like racks
     let cfg = ClosConfig::multicore(row.blocks, row.racks_per_block, servers_per_rack);
     let fabric = TwoTierClos::build(cfg);
     let servers = fabric.config().server_count();

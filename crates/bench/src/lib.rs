@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (one per paper table /
-//! figure — see DESIGN.md §3 for the index).
+//! figure — crates/bench/README.md lists them).
 //!
 //! Every binary accepts `--quick` (reduced scale, the default) and
 //! `--full` (paper scale); `--seed N` overrides the trace seed. Output is

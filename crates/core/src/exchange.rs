@@ -24,7 +24,7 @@
 //! so [`ExchangeCore`] — the unit a `ShardPeer` owns — pairs one filter
 //! with a *private* table set and moves rows through the codec: the sink
 //! of [`ExchangeCore::begin_round`] encodes each shipped entry into a
-//! [`FrameKind::State`] frame, and [`ExchangeCore::apply_frame`] decodes
+//! state frame, and [`ExchangeCore::apply_frame`] decodes
 //! a peer's frame into that peer's row. The codec lives only there.
 //!
 //! The protocol on the wire is a **mesh broadcast**: every shard ships
@@ -40,7 +40,7 @@
 //! transports as on-wire bytes.
 
 use flowtune_proto::exchange::{
-    encode_header, encode_record, FrameError, FrameHeader, FrameKind, Record, RecordIter,
+    encode_header, encode_record, FrameError, FrameHeader, Record, RecordIter,
 };
 
 use crate::service::AllocatorService;
@@ -184,7 +184,8 @@ pub(crate) struct LinkTables {
     round_links: usize,
     /// Whether any shard's export carried Hessians this round.
     any_h: bool,
-    /// Per-link count of shards that shipped the link this round.
+    /// Per-link count of shards that shipped the link this round — the
+    /// inbound half of the byte accounting.
     ship_counts: Vec<u32>,
     // ---- results of `agree`, reused every round ----
     /// Load-weighted mean price per loaded link, `NaN` where no shard
@@ -217,13 +218,6 @@ impl LinkTables {
         self.round_links = 0;
         self.any_h = false;
         self.ship_counts.clear();
-    }
-
-    /// Per-link count of shards that shipped the link this round — what
-    /// the in-process shard set folds into its cumulative shipped-counts
-    /// signal.
-    pub(crate) fn ship_counts(&self) -> &[u32] {
-        &self.ship_counts
     }
 
     /// The round-wide half of the install math, run once all of the
@@ -344,8 +338,8 @@ pub(crate) struct ShardFilter {
     /// Own announced subscriptions — what the sink was last told, as
     /// opposed to `sub_prev` which follows the accounting's cadence.
     announced: Vec<bool>,
-    /// Re-ship unmoved non-zero entries on the next round (set after a
-    /// placement epoch, or to bootstrap a restarted peer's rows).
+    /// Re-ship unmoved non-zero entries on the next round (set to
+    /// bootstrap a restarted peer's rows).
     resync_pending: bool,
     // ---- per-round state, valid from export to install ----
     own_active: bool,
@@ -615,8 +609,8 @@ impl ExchangeCore {
 
     /// Request that the next round's frame carry catch-up records for
     /// every non-zero entry that the delta filter would otherwise skip —
-    /// re-seeding peers whose rows may predate this shard's state (after
-    /// a placement epoch, or when a restarted peer rejoins).
+    /// re-seeding peers whose rows may predate this shard's state (when a
+    /// restarted peer rejoins).
     // flowtune-lint: hot
     pub fn request_resync(&mut self) {
         self.filter.resync_pending = true;
@@ -640,7 +634,6 @@ impl ExchangeCore {
         let has_hessians = !hessians.is_empty();
         encode_header(
             &FrameHeader {
-                kind: FrameKind::State,
                 shard: self.filter.shard,
                 round,
                 n_links: loads.len() as u32,
@@ -657,9 +650,7 @@ impl ExchangeCore {
         out.len() - start
     }
 
-    /// Apply another shard's state frame to its row. Epoch frames are
-    /// ignored (they are routed to the flow-migration path by the peer
-    /// runtime before reaching the core).
+    /// Apply another shard's state frame to its row.
     ///
     /// # Errors
     /// [`ApplyError`] if the frame fails to decode, names a shard or
@@ -672,9 +663,6 @@ impl ExchangeCore {
     // flowtune-lint: hot, untrusted-input
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<(), ApplyError> {
         let (header, records) = RecordIter::new(frame)?;
-        if header.kind != FrameKind::State {
-            return Ok(());
-        }
         let bad_shard = ApplyError::BadShard {
             shard: header.shard,
         };
@@ -763,12 +751,8 @@ impl ExchangeCore {
                 }
                 // A peer's subscription announcements are decoded and
                 // range-checked, not kept: the install math uses fresh
-                // exports. State frames do not carry epoch records;
-                // tolerate and skip them if a mixed frame ever arrives.
-                Record::SubAdd { .. }
-                | Record::SubRemove { .. }
-                | Record::EpochBegin { .. }
-                | Record::Migration { .. } => {}
+                // exports.
+                Record::SubAdd { .. } | Record::SubRemove { .. } => {}
             }
         }
         Ok(())
@@ -787,14 +771,6 @@ impl ExchangeCore {
             return None;
         }
         Some(self.filter.install(&self.tables, svc))
-    }
-
-    /// Per-link count of shards that shipped the link this round (own
-    /// dirty marks plus received link-state records) — identical at
-    /// every core after a full round, and what the in-process shard set
-    /// folds into its cumulative shipped-counts signal.
-    pub fn round_ship_counts(&self) -> &[u32] {
-        self.tables.ship_counts()
     }
 }
 
@@ -943,7 +919,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_header(
             &FrameHeader {
-                kind: FrameKind::State,
                 shard: 7,
                 round: 1,
                 n_links: 1,
@@ -960,7 +935,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_header(
             &FrameHeader {
-                kind: FrameKind::State,
                 shard: 1,
                 round: 1,
                 n_links: 1,
@@ -988,7 +962,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_header(
             &FrameHeader {
-                kind: FrameKind::State,
                 shard: 1,
                 round: 1,
                 n_links: 4,
@@ -1069,7 +1042,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_header(
             &FrameHeader {
-                kind: FrameKind::State,
                 shard: 1,
                 round: 1,
                 n_links,
@@ -1116,48 +1088,117 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The two frames shard 1 of 3 ships over four links: a first round,
+    /// then a round after a resync request.
+    fn pinned_frames() -> [Vec<u8>; 2] {
+        let mut core = ExchangeCore::new(1, 3, 0.0);
+        let mut first = Vec::new();
+        let len = core.begin_round(
+            7,
+            &[0.0, 2.5, 0.0, 1.0],
+            &[0.0, -0.5, 0.0, -0.25],
+            &[0.0, 0.75, 0.125, 0.0],
+            &mut first,
+        );
+        assert_eq!(len, first.len());
+        core.request_resync();
+        let mut second = Vec::new();
+        core.begin_round(
+            8,
+            &[0.0, 2.5, 0.5, 0.0],
+            &[0.0, -0.5, -1.0, 0.0],
+            &[0.0, 0.75, 0.125, 0.0],
+            &mut second,
+        );
+        [first, second]
+    }
+
     #[test]
     fn begin_round_frames_are_pinned_byte_for_byte() {
         // Recorded from the commit before the filter and the codec were
         // separated: header, subscription deltas, link-state records in
         // link order, then (second frame, after a resync request) the
         // catch-up record for the entry that did not move.
-        let mut core = ExchangeCore::new(1, 3, 0.0);
-        let mut frame = Vec::new();
-        let len = core.begin_round(
-            7,
-            &[0.0, 2.5, 0.0, 1.0],
-            &[0.0, -0.5, 0.0, -0.25],
-            &[0.0, 0.75, 0.125, 0.0],
-            &mut frame,
-        );
-        assert_eq!(len, frame.len());
+        let [first, second] = pinned_frames();
         assert_eq!(
-            hex(&frame),
-            "0101030001000000000000000700000004\
+            hex(&first),
+            "0201030001000000000000000700000004\
              0300000001\
              0300000003\
              010000000140040000000000003fe8000000000000bfe0000000000000\
              010000000200000000000000003fc00000000000000000000000000000\
              01000000033ff00000000000000000000000000000bfd0000000000000"
         );
-        core.request_resync();
-        frame.clear();
-        core.begin_round(
-            8,
-            &[0.0, 2.5, 0.5, 0.0],
-            &[0.0, -0.5, -1.0, 0.0],
-            &[0.0, 0.75, 0.125, 0.0],
-            &mut frame,
-        );
         assert_eq!(
-            hex(&frame),
-            "0101030001000000000000000800000004\
+            hex(&second),
+            "0201030001000000000000000800000004\
              0300000002\
              0400000003\
              01000000023fe00000000000003fc0000000000000bff0000000000000\
              0100000003000000000000000000000000000000000000000000000000\
              020000000140040000000000003fe8000000000000bfe0000000000000"
         );
+    }
+
+    #[test]
+    fn every_prefix_and_byte_substitution_of_the_pinned_frames_is_refused_or_applied() {
+        use flowtune_proto::exchange::FRAME_HEADER_BYTES;
+        // A receiver that has begun a round holds the fabric's link
+        // count, so a mutated `n_links` meets `BadLinkCount`, not a
+        // resize.
+        let mut core = ExchangeCore::new(0, 3, 0.0);
+        core.begin_round(
+            1,
+            &[1.0, 0.0, 0.0, 0.0],
+            &[],
+            &[0.5, 0.0, 0.0, 0.0],
+            &mut Vec::new(),
+        );
+        for frame in pinned_frames() {
+            assert_eq!(core.apply_frame(&frame), Ok(()));
+            for cut in 0..frame.len() {
+                let applied = core.apply_frame(&frame[..cut]);
+                if cut < FRAME_HEADER_BYTES {
+                    assert!(
+                        matches!(
+                            applied,
+                            Err(ApplyError::Frame(FrameError::Truncated { .. }))
+                        ),
+                        "prefix {cut}: {applied:?}"
+                    );
+                }
+            }
+            let mut mutated = frame.clone();
+            for at in 0..frame.len() {
+                for byte in (0..=u8::MAX).filter(|&b| b != frame[at]) {
+                    mutated[at] = byte;
+                    // No panic, and a refusal is an `ApplyError`; the
+                    // version byte is refused before anything else.
+                    let applied = core.apply_frame(&mutated);
+                    if at == 0 {
+                        let version = FrameError::BadVersion { version: byte };
+                        assert_eq!(applied, Err(ApplyError::Frame(version)));
+                    }
+                }
+                mutated[at] = frame[at];
+            }
+            // The retired epoch kind and its two record tags are refused.
+            mutated[1] = 2;
+            assert_eq!(
+                core.apply_frame(&mutated),
+                Err(ApplyError::Frame(FrameError::BadKind { kind: 2 }))
+            );
+            mutated[1] = frame[1];
+            for tag in [5, 6] {
+                mutated[FRAME_HEADER_BYTES] = tag;
+                assert_eq!(
+                    core.apply_frame(&mutated),
+                    Err(ApplyError::Frame(FrameError::BadTag {
+                        tag,
+                        offset: FRAME_HEADER_BYTES
+                    }))
+                );
+            }
+        }
     }
 }

@@ -110,8 +110,8 @@ pub use scenario::{
     jain_index, run_scenario, run_scenario_traced, PhaseReport, ScenarioOptions, ScenarioReport,
 };
 pub use service::{
-    AllocatorService, Engine, FlowMigration, ParseEngineError, ServiceBuilder, ServiceError,
-    ServiceStats, ENGINE_NAMES,
+    AllocatorService, Engine, ParseEngineError, ServiceBuilder, ServiceError, ServiceStats,
+    ENGINE_NAMES,
 };
 pub use sharded::ShardedService;
 pub use token::TokenAllocator;

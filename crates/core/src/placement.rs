@@ -21,15 +21,10 @@
 //! senders concentrate in one shard, shared links become single-shard
 //! links, and the sparse exchange re-ships them once instead of once per
 //! loading shard (and installs fewer consensus duals back). The traffic
-//! matrix can be supplied up front (sampled from the workload generator,
-//! see `flowtune_workload::rack_traffic_matrix`) or accumulated online by
-//! the running service
-//! ([`ShardedService::observed_matrix`](crate::ShardedService::observed_matrix));
-//! the exchange's cumulative per-link ship counters
-//! ([`ShardedService::exchange_shipped_counts`](crate::ShardedService::exchange_shipped_counts))
-//! are the *trigger* signal — links that keep re-shipping under churn
-//! mark a placement worth redoing via
-//! [`ShardedService::replace`](crate::ShardedService::replace).
+//! matrix is supplied when the plane is built (sampled from the workload
+//! generator, see `flowtune_workload::rack_traffic_matrix`, and handed to
+//! [`ServiceBuilder::traffic_matrix`](crate::ServiceBuilder::traffic_matrix));
+//! the placement then stays fixed for the plane's life.
 //!
 //! When the matrix carries no signal (all zeros, or a shape the fabric
 //! does not match), [`Placement::traffic`] falls back to the contiguous
@@ -119,9 +114,7 @@ impl PlacementSpec {
 /// A rack-by-rack traffic matrix: `weights[src_rack][dst_rack]` in
 /// offered bytes (any consistent unit works — the placer only compares
 /// magnitudes). Built from a sampled workload trace
-/// (`flowtune_workload::rack_traffic_matrix`) or accumulated online from
-/// flowlet intake
-/// ([`ShardedService::observed_matrix`](crate::ShardedService::observed_matrix)).
+/// (`flowtune_workload::rack_traffic_matrix`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMatrix {
     racks: usize,
@@ -180,10 +173,8 @@ impl TrafficMatrix {
     }
 }
 
-/// A materialized endpoint→shard mapping, consulted by
-/// [`ShardedService`](crate::ShardedService) on every `FlowletStart` and
-/// swappable at run time via
-/// [`ShardedService::replace`](crate::ShardedService::replace).
+/// A materialized endpoint→shard mapping, fixed when a sharded plane is
+/// built and consulted by its router on every `FlowletStart`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// server index → shard index.

@@ -16,13 +16,10 @@
 //!   [`merge_by_token_into`] folds the token-ordered, token-disjoint
 //!   streams into the one stream an unsharded service would emit;
 //! * **aggregation** — rates, flow counts, counters, phase timings and
-//!   link loads summed over the shards;
-//! * **re-placement epochs** — [`Router::begin_epoch`] swaps the
-//!   [`Placement`] at run time: every active flowlet whose source now
-//!   belongs to a different shard is extracted from its old shard in
-//!   ascending token order and listed, with the shard that adopts it, for
-//!   the shard set to deliver. One plan, so every plane re-seats the same
-//!   flows in the same order.
+//!   link loads summed over the shards.
+//!
+//! The [`Placement`] is fixed when the router is built: a flowlet stays in
+//! the shard its source endpoint routed it to until it ends.
 //!
 //! What differs between planes is the [`ShardSet`]: how a round's work
 //! and link state move between the shards. Two exist —
@@ -41,8 +38,8 @@ use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
 use crate::driver::{PhaseTimings, TickDriver};
-use crate::placement::{Placement, TrafficMatrix};
-use crate::service::{AllocatorService, FlowMigration, ServiceError, ServiceStats};
+use crate::placement::Placement;
+use crate::service::{AllocatorService, ServiceError, ServiceStats};
 
 /// The shards behind a [`Router`], and how one tick moves through them
 /// (see the module docs). Shard `i` of the set is shard `i` of the
@@ -59,7 +56,7 @@ pub trait ShardSet: std::fmt::Debug + Send {
     /// Shard `shard`'s service.
     fn service(&self, shard: usize) -> &AllocatorService;
 
-    /// Shard `shard`'s service, for intake and flow extraction.
+    /// Shard `shard`'s service, for intake.
     fn service_mut(&mut self, shard: usize) -> &mut AllocatorService;
 
     /// One tick of every shard, and — when the cadence is due — the
@@ -88,32 +85,14 @@ pub trait ShardSet: std::fmt::Debug + Send {
     }
 }
 
-/// One flow a re-placement epoch moves: already extracted from shard
-/// `from`, to be adopted by shard `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Leaver {
-    /// The detached registration.
-    pub flow: FlowMigration,
-    /// The shard it left.
-    pub from: u16,
-    /// The shard the new placement assigns it to.
-    pub to: u16,
-}
-
 /// N shards behind one [`TickDriver`] face (see the module docs).
 #[derive(Debug)]
 pub struct Router<S: ShardSet> {
     shards: S,
     /// token → shard, for `FlowletEnd` routing and rate queries.
     route: HashMap<Token, u32>,
-    /// The endpoint→shard mapping `FlowletStart`s route by; swapped by
-    /// [`Router::begin_epoch`].
+    /// The endpoint→shard mapping `FlowletStart`s route by.
     placement: Placement,
-    /// Servers per rack, for the observed matrix's rack granularity.
-    servers_per_rack: usize,
-    /// Rack-level traffic matrix accumulated from accepted starts — the
-    /// online placement signal.
-    observed: TrafficMatrix,
     /// Counters for the messages the router disposed of itself
     /// (duplicates, unknown ends, stray rate updates).
     local: ServiceStats,
@@ -153,14 +132,10 @@ impl<S: ShardSet> Router<S> {
             n,
             "placement must map onto exactly the built shards"
         );
-        let servers_per_rack = clos.servers_per_rack;
-        let racks = clos.server_count() / servers_per_rack;
         Self {
             shards,
             route: HashMap::new(),
             placement,
-            servers_per_rack,
-            observed: TrafficMatrix::new(racks),
             local: ServiceStats::default(),
             streams: (0..n).map(|_| Vec::new()).collect(),
         }
@@ -176,20 +151,12 @@ impl<S: ShardSet> Router<S> {
         &self.shards
     }
 
-    /// Mutable access to the shard set, for delivering an epoch's
-    /// [`Leaver`]s. Flows must enter and leave shards only through the
-    /// router's intake and [`Router::begin_epoch`], or its token table
-    /// goes stale.
-    pub fn shard_set_mut(&mut self) -> &mut S {
-        &mut self.shards
-    }
-
     /// Read access to the shards' services, in partition order.
     pub fn shards(&self) -> impl ExactSizeIterator<Item = &AllocatorService> {
         (0..self.shards.shard_count()).map(|i| self.shards.service(i))
     }
 
-    /// The shard owning source endpoint `src`, per the current
+    /// The shard owning source endpoint `src`, per the router's
     /// [`Placement`] (under the default contiguous placement, shard =
     /// block when the shard count equals the fabric's block count).
     /// Out-of-range endpoints clamp to the last server's shard, whose
@@ -198,7 +165,7 @@ impl<S: ShardSet> Router<S> {
         self.placement.shard_of(src)
     }
 
-    /// The endpoint→shard mapping currently routing `FlowletStart`s.
+    /// The endpoint→shard mapping routing `FlowletStart`s.
     pub fn placement(&self) -> &Placement {
         &self.placement
     }
@@ -206,14 +173,6 @@ impl<S: ShardSet> Router<S> {
     /// The shard an active flowlet is registered in.
     pub fn shard_for_token(&self, token: Token) -> Option<usize> {
         self.route.get(&token).map(|&s| s as usize)
-    }
-
-    /// The rack-level traffic matrix accumulated from accepted flowlet
-    /// starts since construction (offered bytes by `size_hint`, floored
-    /// at 1 so zero-hint flowlets still register) — the online signal
-    /// [`crate::Placement::traffic`] consumes for a re-placement epoch.
-    pub fn observed_matrix(&self) -> &TrafficMatrix {
-        &self.observed
     }
 
     /// [`TickDriver::tick_into`] reporting a failed tick as the shard
@@ -232,58 +191,6 @@ impl<S: ShardSet> Router<S> {
         merge_by_token_into(&mut self.streams, out);
         Ok(())
     }
-
-    /// Installs a new [`Placement`] and starts a **re-placement epoch**:
-    /// every active flowlet whose source endpoint now belongs to a
-    /// different shard is detached from its old shard (engine state and
-    /// threshold-filter memory dropped) in ascending token order, and the
-    /// token table is re-pointed. Returns the leavers in that order; the
-    /// caller's shard set must have each adopted by its `to` shard before
-    /// the next tick. Migrated flows re-enter their engine at the
-    /// initial rate and re-converge under the new shard's prices (F-NORM
-    /// keeps the transient feasible); unmoved flows are untouched, and
-    /// aggregate stats do not move — migration is not intake churn.
-    ///
-    /// # Panics
-    /// Panics if the placement's shape (server count, shard count) does
-    /// not match this router.
-    pub fn begin_epoch(&mut self, placement: Placement) -> Vec<Leaver> {
-        assert_eq!(
-            placement.servers(),
-            self.placement.servers(),
-            "replacement must cover the same server space"
-        );
-        assert_eq!(
-            placement.shard_count(),
-            self.shards.shard_count(),
-            "replacement must map onto the same shard count"
-        );
-        // flowtune-lint: allow(float-determinism, "snapshot is sorted by token before any flow moves")
-        let mut tokens: Vec<(Token, u32)> = self.route.iter().map(|(&t, &s)| (t, s)).collect();
-        tokens.sort_unstable_by_key(|&(t, _)| t);
-        let mut leavers = Vec::new();
-        for (token, old) in tokens {
-            let svc = self.shards.service_mut(old as usize);
-            let src = svc
-                .flow_source(token)
-                .expect("routed token must be registered in its shard");
-            let new = placement.shard_of(src) as u32;
-            if new == old {
-                continue;
-            }
-            let flow = svc
-                .extract_flow(token)
-                .expect("routed token must be extractable");
-            leavers.push(Leaver {
-                flow,
-                from: old as u16,
-                to: new as u16,
-            });
-            self.route.insert(token, new);
-        }
-        self.placement = placement;
-        leavers
-    }
 }
 
 impl<S: ShardSet> TickDriver for Router<S> {
@@ -291,13 +198,7 @@ impl<S: ShardSet> TickDriver for Router<S> {
     /// including rejection counting — matches the unsharded service.
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
         match msg {
-            Message::FlowletStart {
-                token,
-                src,
-                dst,
-                size_hint,
-                ..
-            } => {
+            Message::FlowletStart { token, src, .. } => {
                 if self.route.contains_key(&token) {
                     // Cross-shard duplicate detection must happen here: the
                     // original may live in a different shard than the one
@@ -309,11 +210,6 @@ impl<S: ShardSet> TickDriver for Router<S> {
                 let shard = self.placement.shard_of(src);
                 self.shards.service_mut(shard).on_message(msg)?;
                 self.route.insert(token, shard as u32);
-                // Accepted (so src/dst are in range): feed the online
-                // placement signal at rack granularity.
-                let rack_of = |s: u16| s as usize / self.servers_per_rack;
-                self.observed
-                    .add(rack_of(src), rack_of(dst), f64::from(size_hint.max(1)));
                 Ok(())
             }
             Message::FlowletEnd { token } => match self.route.remove(&token) {

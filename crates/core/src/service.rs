@@ -55,31 +55,27 @@ use crate::FlowtuneConfig;
 
 /// A flowlet's registration: what a `FlowletStart` said about it. Held
 /// in the service's flow table while the flowlet is live (one slab slot,
-/// found by the [`FlowId`] the engine reports rates under), and handed
-/// out detached, carrying everything needed to re-register the flow
-/// elsewhere — the unit of flow-state migration between shards during a
-/// re-placement epoch
-/// ([`ShardedService::replace`](crate::ShardedService::replace)).
+/// found by the [`FlowId`] the engine reports rates under).
 ///
 /// The table is cold: the export reads a slot only for a flow whose
 /// update is actually sent (the §6.4 memory that decides it lives in the
 /// engine, beside the flow's rate), and then only `token` and `src`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowMigration {
+struct FlowEntry {
     /// The endpoint-visible flowlet token.
-    pub token: Token,
+    token: Token,
     /// Source server index.
-    pub src: u16,
+    src: u16,
     /// Destination server index.
-    pub dst: u16,
+    dst: u16,
     /// Proportional-fairness weight in Q8 fixed point (0 = unspecified:
     /// weight 1), exactly as the original `FlowletStart` carried it.
-    pub weight_q8: u16,
+    weight_q8: u16,
     /// The ECMP spine of the flow's path.
-    pub spine: u8,
+    spine: u8,
 }
 
-impl FlowMigration {
+impl FlowEntry {
     /// The flow's export key less its rate: `token << 32 | src << 16`
     /// (see [`emit_ordered`]).
     fn key(&self) -> u64 {
@@ -92,7 +88,7 @@ pub(crate) const DEFAULT_WEIGHT: f64 = 1.0;
 
 // A slot is what every live flowlet costs the table, and one cache line
 // holds five of them.
-const _: () = assert!(std::mem::size_of::<FlowMigration>() <= 12);
+const _: () = assert!(std::mem::size_of::<FlowEntry>() <= 12);
 
 /// Operating counters, mostly for the overhead experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -401,9 +397,7 @@ impl ServiceBuilder {
     /// Supplies the rack-by-rack traffic matrix a
     /// [`crate::PlacementSpec::Traffic`] placement partitions by —
     /// sampled from the workload up front
-    /// (`flowtune_workload::rack_traffic_matrix`) or exported by a
-    /// running service
-    /// ([`ShardedService::observed_matrix`](crate::ShardedService::observed_matrix)).
+    /// (`flowtune_workload::rack_traffic_matrix`).
     pub fn traffic_matrix(mut self, matrix: crate::placement::TrafficMatrix) -> Self {
         self.matrix = Some(matrix);
         self
@@ -524,13 +518,13 @@ pub struct AllocatorService {
     /// `FlowId(i)`, so an id the engine lends resolves to its
     /// registration with one index. Slots outside `index` are vacant
     /// (listed in `free`) and hold stale data.
-    slab: Vec<FlowMigration>,
+    slab: Vec<FlowEntry>,
     /// Vacant slab slots, reused (last freed first) before the slab
     /// grows — ids are recycled, see [`RateAllocator::add_flow`].
     free: Vec<u32>,
-    /// Token → slab slot, for the paths that are handed a token: intake,
-    /// migration and rate queries. Hashed, under std's keyed hasher —
-    /// tokens come off the wire — and never iterated: the tick does not
+    /// Token → slab slot, for the paths that are handed a token: intake
+    /// and rate queries. Hashed, under std's keyed hasher — tokens come
+    /// off the wire — and never iterated: the tick does not
     /// consult it, update order comes from ordering each tick's passers
     /// ([`emit_ordered`]), not from this map.
     index: HashMap<Token, u32>,
@@ -620,7 +614,7 @@ impl AllocatorService {
                 spine,
                 ..
             } => {
-                let started = self.register(FlowMigration {
+                let started = self.register(FlowEntry {
                     token,
                     src,
                     dst,
@@ -634,7 +628,7 @@ impl AllocatorService {
                 started
             }
             Message::FlowletEnd { token } => {
-                if self.release(token).is_some() {
+                if self.release(token) {
                     self.stats.ends += 1;
                 }
                 Ok(())
@@ -707,62 +701,31 @@ impl AllocatorService {
         Some(self.engine.flow_rate(FlowId(slot as u64))?.normalized)
     }
 
-    /// Source server of an active flowlet — the key re-placement routing
-    /// decisions are made on.
-    pub fn flow_source(&self, token: Token) -> Option<u16> {
-        Some(self.slab[*self.index.get(&token)? as usize].src)
-    }
-
-    /// Removes an active flowlet and returns its detached registration,
-    /// for re-registration in another shard via
-    /// [`AllocatorService::adopt_flow`]. Unlike a `FlowletEnd` this is a
-    /// *migration*, not churn: no counter moves (`starts`/`ends`/bytes
-    /// stay put, so aggregate stats are placement-invariant). The flow's
-    /// threshold-filter memory goes with its engine row — the adopting
-    /// shard reports a fresh rate once the flow re-converges there.
-    pub fn extract_flow(&mut self, token: Token) -> Option<FlowMigration> {
-        self.release(token)
-    }
-
-    /// Registers a flowlet previously detached with
-    /// [`AllocatorService::extract_flow`] — the receiving half of a
-    /// migration. The flow re-enters the engine at its initial rate and
-    /// re-converges under this shard's prices. No counter moves.
-    ///
-    /// # Errors
-    /// [`ServiceError::DuplicateToken`] if the token is already active
-    /// here; [`ServiceError::MalformedStart`] if the endpoints are not
-    /// this fabric's (never, for a flow extracted from a shard of the
-    /// same fabric: intake checked them).
-    pub fn adopt_flow(&mut self, m: FlowMigration) -> Result<(), ServiceError> {
-        self.register(m)
-    }
-
-    /// The single de-registration path `FlowletEnd` and migration share:
-    /// drops the flow from the index and the engine and puts its slot on
-    /// the free list. Returns the vacated registration.
+    /// The `FlowletEnd` path: drops the flow from the index and the
+    /// engine and puts its slot on the free list. Returns whether the
+    /// token was live.
     // flowtune-lint: hot
-    fn release(&mut self, token: Token) -> Option<FlowMigration> {
-        let slot = self.index.remove(&token)?;
+    fn release(&mut self, token: Token) -> bool {
+        let Some(slot) = self.index.remove(&token) else {
+            return false;
+        };
         self.engine.remove_flow(FlowId(slot as u64));
         self.free.push(slot);
-        Some(self.slab[slot as usize])
+        true
     }
 
-    /// The single registration path intake and migration share: probe
-    /// the index once (the vacant entry it finds is the one filled at
-    /// the end), check the endpoint fields, take a slab slot (its index
-    /// is the engine-side id), decode the Q8 weight, build the path —
-    /// inline, no heap — and seat the flow in the engine and the flow
-    /// table. One implementation, so migrated flows can never diverge
-    /// from freshly started ones in weight or path rules.
+    /// The `FlowletStart` path: probe the index once (the vacant entry
+    /// it finds is the one filled at the end), check the endpoint
+    /// fields, take a slab slot (its index is the engine-side id), decode
+    /// the Q8 weight, build the path — inline, no heap — and seat the
+    /// flow in the engine and the flow table.
     ///
     /// # Errors
     /// [`ServiceError::DuplicateToken`] if the token is live,
     /// [`ServiceError::MalformedStart`] if the fabric has no such
     /// endpoints or spine; nothing is changed either way.
     // flowtune-lint: hot
-    fn register(&mut self, reg: FlowMigration) -> Result<(), ServiceError> {
+    fn register(&mut self, reg: FlowEntry) -> Result<(), ServiceError> {
         let Entry::Vacant(vacant) = self.index.entry(reg.token) else {
             return Err(ServiceError::DuplicateToken(reg.token));
         };
@@ -1096,6 +1059,11 @@ mod tests {
             .collect()
     }
 
+    /// The source server the flow table holds for a live token.
+    fn source_of(svc: &AllocatorService, token: u32) -> Option<u16> {
+        Some(svc.slab[*svc.index.get(&Token::new(token))? as usize].src)
+    }
+
     #[test]
     fn updates_are_token_ordered_when_the_slab_is_not() {
         let mut svc = AllocatorService::new(&fabric(), FlowtuneConfig::default());
@@ -1219,7 +1187,7 @@ mod tests {
         svc.on_message(start(2, 17, 99)).unwrap();
         svc.on_message(end(1)).unwrap();
         assert_eq!(svc.active_flows(), 1);
-        assert_eq!(svc.flow_source(Token::new(1)), None);
+        assert_eq!(source_of(&svc, 1), None);
         assert_eq!(svc.flow_rate_gbps(Token::new(1)), None);
         // Token 3 takes over token 1's slot; token 1 stays unknown and
         // token 2 is undisturbed.
@@ -1230,9 +1198,9 @@ mod tests {
             "the freed slot is reused, not grown past"
         );
         assert_eq!(svc.active_flows(), 2);
-        assert_eq!(svc.flow_source(Token::new(3)), Some(30));
-        assert_eq!(svc.flow_source(Token::new(2)), Some(17));
-        assert_eq!(svc.flow_source(Token::new(1)), None);
+        assert_eq!(source_of(&svc, 3), Some(30));
+        assert_eq!(source_of(&svc, 2), Some(17));
+        assert_eq!(source_of(&svc, 1), None);
         for _ in 0..100 {
             svc.tick();
         }
@@ -1242,7 +1210,7 @@ mod tests {
         // A token can come back on a different slot after its own ended.
         svc.on_message(end(2)).unwrap();
         svc.on_message(start(1, 50, 120)).unwrap();
-        assert_eq!(svc.flow_source(Token::new(1)), Some(50));
+        assert_eq!(source_of(&svc, 1), Some(50));
         assert_eq!(update_tokens(&svc.tick()), vec![1]);
     }
 

@@ -16,21 +16,12 @@
 //! exactly one §5 block, so a shard's flows enter the fabric through its
 //! own up-LinkBlock; a traffic-aware placement groups communicating racks
 //! instead, see [`crate::placement`]), the token→shard table, duplicate
-//! and stray accounting, the stream merge, stat aggregation and the
-//! re-placement epoch plan — is the router's, and shared with every other
-//! plane (see [`crate::router`]). This module is what is particular to
-//! shards that share an address space: how they tick, how their link
-//! state meets, and how an epoch's leavers reach their new shard
-//! ([`ShardedService::replace`] hands them over directly). Each shard
-//! runs a full [`AllocatorService`] over the whole fabric but sees only
-//! its own flows.
-//!
-//! The service accumulates the signals a re-placement decision needs
-//! while it runs: a rack-level traffic matrix from flowlet intake
-//! ([`Router::observed_matrix`]) and the exchange's cumulative per-link
-//! ship counters ([`ShardedService::exchange_shipped_counts`] — links
-//! that keep re-shipping under churn are the shared hot links a better
-//! placement would unshare).
+//! and stray accounting, the stream merge and stat aggregation — is the
+//! router's, and shared with every other plane (see [`crate::router`]).
+//! This module is what is particular to shards that share an address
+//! space: how they tick and how their link state meets. Each shard runs
+//! a full [`AllocatorService`] over the whole fabric but sees only its
+//! own flows.
 //!
 //! # The two-phase tick
 //!
@@ -233,10 +224,6 @@ pub struct InProcess {
     /// The exchange's one table set: every shard's last-shipped row,
     /// written by that shard's filter and read by every shard's install.
     tables: LinkTables,
-    /// Cumulative count of exchange entries shipped per link (summed
-    /// over shards) — the re-placement *trigger* signal: links that keep
-    /// re-shipping are shared hot links.
-    shipped_totals: Vec<u64>,
     /// The exchange's rounds and logical bytes (zero whenever the
     /// exchange is off).
     counters: ServiceStats,
@@ -315,7 +302,6 @@ impl ShardedService {
             pool: WorkerPool::new(if cfg.parallel_shards { n } else { 1 }),
             ticks: 0,
             tables: LinkTables::new(n),
-            shipped_totals: Vec::new(),
             counters: ServiceStats::default(),
             exchange_time: Duration::ZERO,
         };
@@ -325,43 +311,6 @@ impl ShardedService {
     /// Whether ticks run the shards concurrently on the worker pool.
     pub fn parallel_shards(&self) -> bool {
         self.shard_set().pool.size() > 1
-    }
-
-    /// Cumulative count of exchange entries shipped per link (summed over
-    /// shards; indexed by global link id, empty until the first exchange
-    /// round). Links that keep re-shipping under steady churn are the
-    /// shared hot links an exchange-aware placement would unshare — a
-    /// rising tail here is the signal to compute a fresh placement from
-    /// [`Router::observed_matrix`] and call [`ShardedService::replace`].
-    pub fn exchange_shipped_counts(&self) -> &[u64] {
-        &self.shard_set().shipped_totals
-    }
-
-    /// Installs a new [`Placement`] — a **re-placement epoch**
-    /// ([`Router::begin_epoch`]), with every leaver handed straight to
-    /// the shard that adopts it, in ascending token order. Returns the
-    /// number of flows migrated.
-    ///
-    /// The exchange's last-shipped rows are deliberately kept: they
-    /// record what the other shards are still pricing, and the delta
-    /// filter re-ships exactly what the migration moved on the next
-    /// round. (A distributed cluster additionally re-ships unmoved
-    /// entries as catch-up records after an epoch, for peers whose copies
-    /// of the rows may be stale; here every shard reads the one table
-    /// set, which cannot be.)
-    ///
-    /// # Panics
-    /// Panics if the placement's shape (server count, shard count) does
-    /// not match this service.
-    pub fn replace(&mut self, placement: Placement) -> usize {
-        let leavers = self.begin_epoch(placement);
-        for leaver in &leavers {
-            self.shard_set_mut().slots[usize::from(leaver.to)]
-                .svc
-                .adopt_flow(leaver.flow)
-                .expect("tokens are unique across shards");
-        }
-        leavers.len()
     }
 }
 
@@ -491,11 +440,6 @@ impl InProcess {
             self.counters.exchange_bytes += slot.filter.install(&self.tables, &mut slot.svc);
         }
         self.counters.exchange_rounds += 1;
-        let ships = self.tables.ship_counts();
-        self.shipped_totals.resize(ships.len(), 0);
-        for (total, &c) in self.shipped_totals.iter_mut().zip(ships) {
-            *total += u64::from(c);
-        }
     }
 }
 
@@ -516,7 +460,6 @@ fn tick_shard(slot: &mut ShardSlot, export: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::TrafficMatrix;
     use crate::TickDriver;
     use flowtune_proto::{Rate16, Token};
     use flowtune_topo::ClosConfig;
@@ -918,13 +861,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "same shard count")]
-    fn replace_rejects_a_mismatched_shard_count() {
-        let mut svc = sharded(2);
-        svc.replace(crate::Placement::contiguous(16, 3));
-    }
-
-    #[test]
     #[should_panic(expected = "exactly the built shards")]
     fn with_placement_rejects_a_mismatched_placement() {
         let f = fabric();
@@ -932,86 +868,6 @@ mod tests {
             .map(|_| AllocatorService::new(&f, FlowtuneConfig::default()))
             .collect();
         let _ = ShardedService::with_placement(shards, crate::Placement::contiguous(16, 3));
-    }
-
-    #[test]
-    fn replace_migrates_moved_tokens_and_reroutes() {
-        // Swap the two shards' endpoint ranges: every active flow moves.
-        let mut svc = sharded(2);
-        svc.on_message(start(1, 0, 12)).unwrap(); // shard 0
-        svc.on_message(start(2, 8, 4)).unwrap(); // shard 1
-        for _ in 0..50 {
-            svc.tick();
-        }
-        let starts_before = svc.stats().starts;
-        // A signal-free traffic placement falls back to contiguous — a
-        // no-op replace that migrates nothing.
-        let fallback = crate::Placement::traffic(16, 8, 2, &TrafficMatrix::new(2), false);
-        assert_eq!(svc.replace(fallback), 0);
-        // Now actually move everything: over two 8-server units, a matrix
-        // that makes unit 1 the heavy anchor lands it in shard 0 —
-        // reversing the contiguous ranges.
-        let mut m = TrafficMatrix::new(2);
-        m.add(1, 1, 100.0);
-        m.add(0, 0, 1.0);
-        let reversed = crate::Placement::traffic(16, 8, 2, &m, false);
-        assert_eq!(reversed.shard_of(8), 0, "heavy rack 1 anchors shard 0");
-        assert_eq!(reversed.shard_of(0), 1);
-        let moved = svc.replace(reversed);
-        assert_eq!(moved, 2, "both flows changed shards");
-        assert_eq!(svc.shard_for_token(Token::new(1)), Some(1));
-        assert_eq!(svc.shard_for_token(Token::new(2)), Some(0));
-        assert_eq!(svc.active_flows(), 2);
-        // Migration is not churn: intake counters are unmoved.
-        assert_eq!(svc.stats().starts, starts_before);
-        assert_eq!(svc.stats().ends, 0);
-        // The service keeps operating: both flows re-converge.
-        for _ in 0..200 {
-            svc.tick();
-        }
-        for t in [1u32, 2] {
-            let rate = svc.flow_rate_gbps(Token::new(t)).unwrap();
-            assert!((rate - 39.6).abs() < 0.2, "token {t}: {rate}");
-        }
-        // New starts route by the new placement.
-        svc.on_message(start(3, 0, 12)).unwrap();
-        assert_eq!(svc.shard_for_token(Token::new(3)), Some(1));
-    }
-
-    #[test]
-    fn observed_matrix_accumulates_accepted_starts_only() {
-        let mut svc = sharded(2);
-        svc.on_message(start(1, 0, 12)).unwrap(); // rack 0 → rack 3
-        svc.on_message(start(2, 1, 13)).unwrap(); // rack 0 → rack 3
-        svc.on_message(start(1, 5, 9)).unwrap_err(); // duplicate: no signal
-        svc.on_message(Message::FlowletEnd {
-            token: Token::new(99),
-        })
-        .unwrap(); // unknown end: no signal
-        let m = svc.observed_matrix();
-        assert_eq!(m.racks(), 4, "4 racks of 4 servers");
-        assert_eq!(m.get(0, 3), 2.0 * 100_000.0, "both accepted starts counted");
-        assert_eq!(m.total(), 2.0 * 100_000.0);
-    }
-
-    #[test]
-    fn shipped_counts_track_exchange_activity() {
-        let f = fabric();
-        let cfg = FlowtuneConfig {
-            exchange_every: 1,
-            ..FlowtuneConfig::default()
-        };
-        let mut svc = ShardedService::new(&f, cfg, 2);
-        assert!(svc.exchange_shipped_counts().is_empty(), "no round yet");
-        svc.on_message(start(1, 0, 12)).unwrap();
-        svc.on_message(start(2, 8, 4)).unwrap();
-        for _ in 0..5 {
-            svc.tick();
-        }
-        let counts = svc.exchange_shipped_counts();
-        assert_eq!(counts.len(), f.topology().link_count());
-        let total: u64 = counts.iter().sum();
-        assert!(total > 0, "five exchange rounds shipped something");
     }
 
     #[test]

@@ -8,16 +8,13 @@
 //! assembled from one filter and one statement of the install math, and
 //! this test holds them to it: fed the same scripted per-shard exports —
 //! a shard whose engine exports nothing, one without Hessians, loads too
-//! small to pass a positive `eps`, resyncs after a re-placement epoch —
+//! small to pass a positive `eps`, catch-up resyncs on the framed side —
 //! every round must install the same background loads, Hessians and
-//! duals into every shard bit for bit, count the same logical bytes, and
-//! report the same per-link ship counts.
+//! duals into every shard bit for bit and count the same logical bytes.
 
 use std::sync::{Arc, Mutex};
 
-use flowtune::{
-    AllocatorService, ExchangeCore, FlowtuneConfig, Placement, ShardedService, TickDriver,
-};
+use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver};
 use flowtune_alloc::{FlowRate, RateAllocator};
 use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 use proptest::prelude::*;
@@ -199,7 +196,6 @@ proptest! {
         // The shared-table plane: the real service over scripted engines.
         let (shards, shared): (Vec<_>, Vec<_>) =
             scripts.iter().map(|s| service(&fabric, cfg, s)).unzip();
-        let servers = fabric.config().server_count();
         let mut sharded = ShardedService::from_shards(shards);
 
         // The frame-connected plane: one core and one service per shard.
@@ -212,14 +208,12 @@ proptest! {
         let mut updates = Vec::new();
         let mut wire = Vec::new();
         let mut frame_ends = Vec::new();
-        let mut ship_totals = [0u64; LINKS];
         let (mut framed_rounds, mut framed_bytes) = (0u64, 0u64);
-        for (round, (_, epoch)) in rounds.iter().enumerate() {
-            if *epoch == 0 {
-                // A re-placement epoch: the cluster re-ships unmoved
-                // entries as catch-up records; the shared table has no
-                // copies to heal. Neither may move any state or count.
-                prop_assert_eq!(sharded.replace(Placement::contiguous(servers, n)), 0);
+        for (round, (_, resync)) in rounds.iter().enumerate() {
+            if *resync == 0 {
+                // The cluster re-ships unmoved entries as catch-up
+                // records; the shared table has no copies to heal. The
+                // catch-up may move no installed state and no count.
                 for core in &mut cores {
                     core.request_resync();
                 }
@@ -251,12 +245,6 @@ proptest! {
             }
             if counted {
                 framed_rounds += 1;
-                for core in &cores {
-                    prop_assert_eq!(core.round_ship_counts(), cores[0].round_ship_counts());
-                }
-                for (total, &ships) in ship_totals.iter_mut().zip(cores[0].round_ship_counts()) {
-                    *total += u64::from(ships);
-                }
             }
 
             for (i, (shared, framed)) in shared.iter().zip(&framed).enumerate() {
@@ -270,9 +258,6 @@ proptest! {
             prop_assert_eq!(stats.exchange_rounds, framed_rounds, "round {}", round + 1);
             prop_assert_eq!(stats.exchange_bytes, framed_bytes, "round {}", round + 1);
             prop_assert_eq!(stats.exchange_decode_errors, 0);
-            if framed_rounds > 0 {
-                prop_assert_eq!(sharded.exchange_shipped_counts(), &ship_totals[..]);
-            }
         }
     }
 }

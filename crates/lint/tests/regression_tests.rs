@@ -114,7 +114,7 @@ fn injected_encoder_only_tag_is_caught() {
     // A new record tag the encoder emits but no decode arm matches.
     let (bad, line) = inject_after(
         &src,
-        "const TAG_MIGRATION",
+        "const TAG_SUB_REMOVE",
         "pub const TAG_PHANTOM: u8 = 250;\npub fn encode_phantom(out: &mut Vec<u8>) { out.push(TAG_PHANTOM); }",
     );
     let live = unsuppressed(lint_file(rel, &bad));

@@ -3,17 +3,16 @@
 //!
 //! Routing — `FlowletStart`s by source endpoint through a [`Placement`],
 //! token-addressed messages by the token→shard table, duplicates and
-//! strays disposed of and counted, the stream merge, stat aggregation,
-//! the re-placement plan — is the router's, the same code that routes
-//! the in-process `ShardedService`. This module supplies only what a
-//! wire changes: `Peers`, the [`ShardSet`] whose tick is split-phase
-//! and whose exchange runs through each peer's [`Transport`], epochs
-//! that move flows in frames, and the on-wire counters. Over the
-//! in-memory transport the whole construction is **bit-for-bit
+//! strays disposed of and counted, the stream merge, stat aggregation —
+//! is the router's, the same code that routes the in-process
+//! `ShardedService`. This module supplies only what a wire changes:
+//! `Peers`, the [`ShardSet`] whose tick is split-phase and whose exchange
+//! runs through each peer's [`Transport`], and the on-wire counters. Over
+//! the in-memory transport the whole construction is **bit-for-bit
 //! identical** to `ShardedService`: same update streams, same rates,
-//! same stats, re-placement epochs included (pinned by the repository's
-//! sharded equivalence tests). Over sockets it is the single-process
-//! harness the benches use to price the wire.
+//! same stats (pinned by the repository's sharded equivalence tests).
+//! Over sockets it is the single-process harness the benches use to
+//! price the wire.
 //!
 //! A cluster tick is split-phase across the peers — every peer ticks
 //! and broadcasts before any peer's exchange barrier runs (collect +
@@ -36,8 +35,6 @@ use crate::transport::Transport;
 #[derive(Debug)]
 pub struct Peers<T: Transport> {
     peers: Vec<ShardPeer<T>>,
-    /// Monotonic placement-epoch counter for [`PeerCluster::replace`].
-    epoch: u64,
 }
 
 impl<T: Transport> ShardSet for Peers<T> {
@@ -94,10 +91,9 @@ pub struct PeerCluster<T: Transport> {
 }
 
 impl<T: Transport> PeerCluster<T> {
-    /// Assemble a cluster from peers under the default contiguous
-    /// placement ([`PeerCluster::replace`] installs another). Peers must
-    /// arrive in shard order and agree with their transports on the
-    /// cluster size, and with each other on the fabric and the
+    /// Assemble a cluster from peers under the contiguous placement.
+    /// Peers must arrive in shard order and agree with their transports
+    /// on the cluster size, and with each other on the fabric and the
     /// configuration. [`ShardPeer::new`] holds each peer's exchange
     /// cadence and delta filter to its service's config, so one
     /// configuration means one cadence: no peer skips a round the others
@@ -127,11 +123,11 @@ impl<T: Transport> PeerCluster<T> {
         let servers = peers[0].service().fabric().config().server_count();
         let placement = Placement::contiguous(servers, peers.len());
         PeerCluster {
-            router: Router::over(Peers { peers, epoch: 0 }, placement),
+            router: Router::over(Peers { peers }, placement),
         }
     }
 
-    /// The routing layer: placement, token table, observed matrix.
+    /// The routing layer: placement and token table.
     pub fn router(&self) -> &Router<Peers<T>> {
         &self.router
     }
@@ -166,33 +162,6 @@ impl<T: Transport> PeerCluster<T> {
     // flowtune-lint: hot, untrusted-input
     pub fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
         self.router.tick_shards(out)
-    }
-
-    /// Installs a new [`Placement`] — a distributed **re-placement
-    /// epoch**. The router extracts the flows the new placement moves
-    /// (`Router::begin_epoch`, the plan the in-process service runs);
-    /// each peer broadcasts the ones that left it in an epoch frame,
-    /// gathers every peer's frame, adopts the migrations addressed to it
-    /// in ascending token order, and marks its exchange for a catch-up
-    /// resync. Returns the number of flows migrated.
-    ///
-    /// # Errors
-    /// A [`PeerError`]; an epoch is a barrier, so a missing peer frame
-    /// is an error, not a late round.
-    ///
-    /// # Panics
-    /// Panics if the placement's shape does not match this cluster.
-    pub fn replace(&mut self, placement: Placement) -> Result<usize, PeerError> {
-        let leavers = self.router.begin_epoch(placement);
-        let Peers { peers, epoch } = self.router.shard_set_mut();
-        *epoch += 1;
-        for peer in peers.iter_mut() {
-            peer.broadcast_epoch(*epoch, &leavers)?;
-        }
-        for peer in peers {
-            peer.adopt_epoch()?;
-        }
-        Ok(leavers.len())
     }
 
     /// The peers' on-wire transport counters: totals summed, plus the
@@ -413,42 +382,6 @@ mod tests {
         assert!(t.allocate > Duration::ZERO, "{t:?}");
         assert!(t.export > Duration::ZERO, "{t:?}");
         assert!(t.exchange > Duration::ZERO, "{t:?}");
-    }
-
-    #[test]
-    fn replace_migrates_flows_over_epoch_frames() {
-        let f = fabric();
-        let cfg = FlowtuneConfig {
-            exchange_every: 1,
-            ..FlowtuneConfig::default()
-        };
-        let mut c = cluster(&f, cfg, 2);
-        c.on_message(start(1, 0, 12)).unwrap(); // shard 0
-        c.on_message(start(2, 8, 4)).unwrap(); // shard 1
-        for _ in 0..50 {
-            c.tick();
-        }
-        // Swap the shards' ranges: both flows migrate, over the wire.
-        let mut m = flowtune::placement::TrafficMatrix::new(2);
-        m.add(1, 1, 100.0);
-        m.add(0, 0, 1.0);
-        let reversed = Placement::traffic(16, 8, 2, &m, false);
-        let moved = c.replace(reversed).unwrap();
-        assert_eq!(moved, 2);
-        assert_eq!(c.router().shard_for_token(Token::new(1)), Some(1));
-        assert_eq!(c.router().shard_for_token(Token::new(2)), Some(0));
-        assert_eq!(c.active_flows(), 2);
-        // The cluster keeps operating and both flows re-converge.
-        for _ in 0..200 {
-            c.tick();
-        }
-        for t in [1u32, 2] {
-            let rate = c.flow_rate_gbps(Token::new(t)).unwrap();
-            assert!((rate - 39.6).abs() < 0.2, "token {t}: {rate}");
-        }
-        // New starts route by the new placement.
-        c.on_message(start(3, 0, 12)).unwrap();
-        assert_eq!(c.router().shard_for_token(Token::new(3)), Some(1));
     }
 
     #[test]

@@ -35,10 +35,9 @@
 //! * [`PeerCluster`] — a `TickDriver` over a set of peers: the core
 //!   crate's `Router` over the [`cluster::Peers`] shard set, which runs
 //!   every peer's first phase before any peer's second. Routing, the
-//!   stream merge, stat aggregation and the re-placement plan are the
-//!   router's — nothing here restates them — so when every frame is on
-//!   time the cluster is bit-for-bit identical to `ShardedService`,
-//!   over every transport, re-placement epochs included.
+//!   stream merge and stat aggregation are the router's — nothing here
+//!   restates them — so when every frame is on time the cluster is
+//!   bit-for-bit identical to `ShardedService`, over every transport.
 //! * `flowtune-arbiterd` (this crate's binary) — one shard peer per
 //!   process, plus a `--demo` launcher that spawns an N-process
 //!   cluster, checks it converges to the unsharded optimum, reports

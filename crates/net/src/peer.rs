@@ -33,6 +33,11 @@
 //!   waited for again each round, so a free-running cluster cannot
 //!   drift unboundedly ahead of a laggard's state.
 //!
+//! A peer is fresh for a round only when a frame of that round from it
+//! was applied. A frame that fails to decode or apply, or whose header
+//! names another shard than the link it arrived on, counts one
+//! `exchange_decode_errors` and credits nothing.
+//!
 //! The peer reports two byte counts: the *logical* hub-model accounting
 //! (`ServiceStats::exchange_bytes`, identical to in-process) and the
 //! actual on-wire bytes its transport moved ([`WireStats`]), frame
@@ -43,14 +48,9 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use flowtune::exchange::LinkExport;
-use flowtune::router::Leaver;
-use flowtune::{
-    AllocatorService, ExchangeConfig, ExchangeCore, FlowMigration, ServiceError, ServiceStats,
-};
-use flowtune_proto::exchange::{
-    decode_header, encode_header, encode_record, FrameHeader, FrameKind, Record, RecordIter,
-};
-use flowtune_proto::{Message, Token};
+use flowtune::{AllocatorService, ExchangeConfig, ExchangeCore, ServiceError, ServiceStats};
+use flowtune_proto::exchange::decode_header;
+use flowtune_proto::Message;
 
 use crate::runtime::{Polled, RecvRuntime};
 use crate::transport::{Sender, Transport, TransportError};
@@ -76,12 +76,6 @@ pub enum PeerError {
         /// The raw cause.
         error: io::Error,
     },
-    /// `peer`'s epoch frame never arrived. An epoch is a barrier —
-    /// unlike a state round it cannot degrade to stale state.
-    EpochTimeout {
-        /// The peer whose epoch frame is missing.
-        peer: u16,
-    },
     /// `peer`'s receiver thread is gone and its mailbox is empty; the
     /// terminal cause was already reported.
     ReceiverGone {
@@ -100,9 +94,6 @@ impl std::fmt::Display for PeerError {
         match self {
             PeerError::Transport { peer, error } => write!(f, "peer {peer}: {error}"),
             PeerError::Io { peer, error } => write!(f, "peer {peer}: {error}"),
-            PeerError::EpochTimeout { peer } => {
-                write!(f, "epoch frame from peer {peer} never arrived")
-            }
             PeerError::ReceiverGone { peer } => {
                 write!(f, "receive path to peer {peer} is gone")
             }
@@ -116,7 +107,7 @@ impl std::error::Error for PeerError {
         match self {
             PeerError::Transport { error, .. } => Some(error),
             PeerError::Io { error, .. } | PeerError::Setup { error } => Some(error),
-            PeerError::EpochTimeout { .. } | PeerError::ReceiverGone { .. } => None,
+            PeerError::ReceiverGone { .. } => None,
         }
     }
 }
@@ -126,7 +117,6 @@ impl From<PeerError> for io::Error {
         let kind = match &e {
             PeerError::Transport { error, .. } => io::Error::from(*error).kind(),
             PeerError::Io { error, .. } | PeerError::Setup { error } => error.kind(),
-            PeerError::EpochTimeout { .. } => io::ErrorKind::TimedOut,
             PeerError::ReceiverGone { .. } => io::ErrorKind::BrokenPipe,
         };
         io::Error::new(kind, e)
@@ -247,9 +237,6 @@ pub struct ShardPeer<T: Transport> {
     frame_buf: Vec<u8>,
     /// Per-mailbox-slot staleness bookkeeping.
     lag: Vec<SlotLag>,
-    /// Epoch frames the barrier set aside for [`ShardPeer::gather_epoch`],
-    /// per mailbox slot.
-    epoch_stash: Vec<std::collections::VecDeque<Vec<u8>>>,
     /// This peer's exchange counters (rounds, logical bytes, decode
     /// errors) — the distributed share of what the in-process routing
     /// layer counts centrally.
@@ -313,9 +300,6 @@ impl<T: Transport> ShardPeer<T> {
             export: LinkExport::default(),
             frame_buf: Vec::new(),
             lag: vec![SlotLag::default(); slots],
-            epoch_stash: (0..slots)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
             local: ServiceStats::default(),
             tx_bytes: 0,
             tx_frames: 0,
@@ -470,10 +454,12 @@ impl<T: Transport> ShardPeer<T> {
         Ok(())
     }
 
-    /// Drain one peer's mailbox: apply every buffered state frame in
-    /// arrival order (the replica ends on the freshest), set epoch
-    /// frames aside, and decide fresh/stale from the newest round seen
-    /// once the mailbox runs dry.
+    /// Drain one peer's mailbox: apply every buffered frame in arrival
+    /// order (the replica ends on the freshest), and decide fresh/stale
+    /// from the newest round applied once the mailbox runs dry. A frame
+    /// that fails to decode or apply, or whose header names a shard other
+    /// than the peer it arrived from, counts one decode error and does
+    /// not make the peer fresh.
     // flowtune-lint: hot, untrusted-input
     fn collect_slot(&mut self, slot: usize, target: u64) -> Result<(), PeerError> {
         let Some(&peer) = self.rt.peers().get(slot) else {
@@ -515,28 +501,17 @@ impl<T: Transport> ShardPeer<T> {
                     return Err(self.closed_error(slot, peer));
                 }
                 Polled::Frame(frame) => {
-                    let header = match decode_header(&frame) {
-                        Ok(h) => h,
-                        Err(_) => {
-                            self.local.exchange_decode_errors += 1;
-                            self.rt.recycle(frame);
-                            continue;
+                    let applied = match decode_header(&frame) {
+                        Ok(header) if header.shard == peer => {
+                            self.core.apply_frame(&frame).map(|()| header.round).ok()
                         }
+                        _ => None,
                     };
-                    if header.kind == FrameKind::Epoch {
-                        // An epoch announcement racing the tick stream;
-                        // gather_epoch consumes it.
-                        if let Some(stash) = self.epoch_stash.get_mut(slot) {
-                            stash.push_back(frame);
-                        }
-                        continue;
-                    }
-                    let round = header.round;
-                    if self.core.apply_frame(&frame).is_err() {
-                        self.local.exchange_decode_errors += 1;
-                    }
                     self.rt.recycle(frame);
-                    freshest = freshest.max(round);
+                    match applied {
+                        Some(round) => freshest = freshest.max(round),
+                        None => self.local.exchange_decode_errors += 1,
+                    }
                 }
             }
         }
@@ -565,135 +540,6 @@ impl<T: Transport> ShardPeer<T> {
             Some(e) => io_to_peer(peer, e),
             None => PeerError::ReceiverGone { peer },
         }
-    }
-
-    /// Announce a placement epoch: broadcast an epoch frame carrying
-    /// the flows of `leavers` that left *this* shard (each with the shard
-    /// that adopts it) and mark the exchange for a catch-up resync. The
-    /// counterpart [`ShardPeer::adopt_epoch`] must run on every peer.
-    ///
-    /// # Errors
-    /// A [`PeerError`] from a broadcast send.
-    pub fn broadcast_epoch(&mut self, epoch: u64, leavers: &[Leaver]) -> Result<(), PeerError> {
-        let me = self.tx.shard();
-        self.frame_buf.clear();
-        encode_header(
-            &FrameHeader {
-                kind: FrameKind::Epoch,
-                shard: me,
-                round: self.ticks,
-                n_links: 0,
-                active: false,
-                has_hessians: false,
-            },
-            &mut self.frame_buf,
-        );
-        encode_record(&Record::EpochBegin { epoch }, false, &mut self.frame_buf);
-        for leaver in leavers.iter().filter(|l| l.from == me) {
-            let m = leaver.flow;
-            encode_record(
-                &Record::Migration {
-                    token: m.token.get(),
-                    src: m.src,
-                    dst: m.dst,
-                    weight_q8: m.weight_q8,
-                    spine: m.spine,
-                    dst_shard: leaver.to,
-                },
-                false,
-                &mut self.frame_buf,
-            );
-        }
-        self.broadcast_frame_buf()?;
-        self.core.request_resync();
-        Ok(())
-    }
-
-    /// Finish a placement epoch on this peer: collect one epoch frame
-    /// from every peer and adopt the migrations addressed to this shard
-    /// in ascending token order — the order an in-process epoch seats
-    /// them in, whichever peers they came from.
-    ///
-    /// # Errors
-    /// A [`PeerError`]; an epoch is a barrier, so unlike a state round
-    /// a peer whose epoch frame never arrives is
-    /// [`PeerError::EpochTimeout`], not a late round.
-    pub fn adopt_epoch(&mut self) -> Result<(), PeerError> {
-        let mut adopt = Vec::new();
-        self.gather_epoch(&mut adopt)?;
-        adopt.sort_unstable_by_key(|m| m.token);
-        for m in adopt {
-            self.svc
-                .adopt_flow(m)
-                .expect("tokens are unique across peers");
-        }
-        Ok(())
-    }
-
-    /// Collect one epoch frame from every peer, appending the
-    /// migrations addressed to this shard to `adopt` (in arrival order).
-    /// Stray state frames received while waiting are applied to the
-    /// replicas as usual.
-    // flowtune-lint: untrusted-input
-    fn gather_epoch(&mut self, adopt: &mut Vec<FlowMigration>) -> Result<(), PeerError> {
-        let me = self.tx.shard();
-        for slot in 0..self.lag.len() {
-            let Some(&peer) = self.rt.peers().get(slot) else {
-                continue;
-            };
-            let deadline = Instant::now() + self.exchange.round_timeout;
-            loop {
-                let frame = match self.epoch_stash.get_mut(slot).and_then(|s| s.pop_front()) {
-                    Some(f) => f,
-                    None => match self.rt.pop_deadline(slot, deadline) {
-                        Polled::Frame(f) => f,
-                        Polled::Empty => return Err(PeerError::EpochTimeout { peer }),
-                        Polled::Closed => return Err(self.closed_error(slot, peer)),
-                    },
-                };
-                let (header, records) = match RecordIter::new(&frame) {
-                    Ok(decoded) => decoded,
-                    Err(_) => {
-                        self.local.exchange_decode_errors += 1;
-                        self.rt.recycle(frame);
-                        continue;
-                    }
-                };
-                if header.kind != FrameKind::Epoch {
-                    if self.core.apply_frame(&frame).is_err() {
-                        self.local.exchange_decode_errors += 1;
-                    }
-                    self.rt.recycle(frame);
-                    continue;
-                }
-                for record in records {
-                    match record {
-                        Ok(Record::Migration {
-                            token,
-                            src,
-                            dst,
-                            weight_q8,
-                            spine,
-                            dst_shard,
-                        }) if dst_shard == me => adopt.push(FlowMigration {
-                            token: Token::new(token),
-                            src,
-                            dst,
-                            weight_q8,
-                            spine,
-                        }),
-                        Ok(_) => {}
-                        Err(_) => {
-                            self.local.exchange_decode_errors += 1;
-                            break;
-                        }
-                    }
-                }
-                self.rt.recycle(frame);
-                break;
-            }
-        }
-        Ok(())
     }
 
     // flowtune-lint: hot

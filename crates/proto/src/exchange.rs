@@ -18,8 +18,8 @@
 //! * `ver` — protocol version, always [`EXCHANGE_VERSION`]. A receiver
 //!   rejects any other value ([`FrameError::BadVersion`]) rather than
 //!   guessing at the layout; peers of different versions never exchange.
-//! * `kind` — [`FrameKind::State`] for the per-round link-state delta,
-//!   [`FrameKind::Epoch`] for a placement-epoch / flow-migration batch.
+//! * `kind` — always 1, the per-round link-state delta; a receiver
+//!   rejects any other value ([`FrameError::BadKind`]).
 //! * `flags` — bit 0 ([`FLAG_ACTIVE`]): the sender exported a non-empty
 //!   load vector this round; bit 1 ([`FLAG_HESSIANS`]): the sender's
 //!   link-state records carry a Hessian-diagonal word.
@@ -41,7 +41,7 @@
 //! transports (see [`framed_wire_bytes`]).
 
 /// The only protocol version this build speaks.
-pub const EXCHANGE_VERSION: u8 = 1;
+pub const EXCHANGE_VERSION: u8 = 2;
 
 /// Fixed frame header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 17;
@@ -51,9 +51,7 @@ pub const FRAME_HEADER_BYTES: usize = 17;
 /// frame carries, per link, at most one subscription record (5 bytes) and
 /// one link-state *or* catch-up record (29 bytes with the Hessian word),
 /// over at most 2²² links (the exchange core's `MAX_UNCHECKED_LINKS`), so
-/// 17 + 34 · 2²² ≈ 1.4 · 10⁸. An epoch frame carries one epoch record
-/// (9 bytes) and a 14-byte migration record per flow, over at most 2²⁴
-/// tokens, so 17 + 9 + 14 · 2²⁴ ≈ 2.3 · 10⁸. Both round up to 2²⁸.
+/// 17 + 34 · 2²² ≈ 1.4 · 10⁸, which rounds up to 2²⁸.
 pub const MAX_FRAME_BYTES: usize = 1 << 28;
 
 /// Length prefix a stream transport prepends to every frame.
@@ -69,41 +67,14 @@ const TAG_LINK_STATE: u8 = 1;
 const TAG_CATCH_UP: u8 = 2;
 const TAG_SUB_ADD: u8 = 3;
 const TAG_SUB_REMOVE: u8 = 4;
-const TAG_EPOCH_BEGIN: u8 = 5;
-const TAG_MIGRATION: u8 = 6;
 
-/// What a frame carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Per-round link-state delta (link-state, catch-up, subscription
-    /// records).
-    State,
-    /// Placement-epoch announcement with flow-migration records.
-    Epoch,
-}
-
-impl FrameKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            FrameKind::State => 1,
-            FrameKind::Epoch => 2,
-        }
-    }
-
-    fn from_u8(kind: u8) -> Result<Self, FrameError> {
-        match kind {
-            1 => Ok(FrameKind::State),
-            2 => Ok(FrameKind::Epoch),
-            _ => Err(FrameError::BadKind { kind }),
-        }
-    }
-}
+/// The one frame kind: a per-round link-state delta (link-state,
+/// catch-up and subscription records).
+const STATE_KIND: u8 = 1;
 
 /// Decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// What the frame carries.
-    pub kind: FrameKind,
     /// Sender's shard id.
     pub shard: u16,
     /// Sender's tick counter when the frame was built.
@@ -132,7 +103,7 @@ pub enum Record {
         /// Exported Hessian diagonal (∂x/∂p sum) on the link.
         hessian: f64,
     },
-    /// A re-shipped, unchanged entry: sent after a placement epoch so a
+    /// A re-shipped, unchanged entry: sent after a resync request so a
     /// peer whose replica may predate the sender's state is re-seeded.
     /// Same layout as [`Record::LinkState`] but does not count as fresh
     /// movement.
@@ -157,26 +128,6 @@ pub enum Record {
         /// Global link index.
         link: u32,
     },
-    /// A placement epoch begins; migration records follow.
-    EpochBegin {
-        /// Monotonic epoch counter.
-        epoch: u64,
-    },
-    /// One flow handed off between shards during a placement epoch.
-    Migration {
-        /// Flowlet token.
-        token: u32,
-        /// Source server.
-        src: u16,
-        /// Destination server.
-        dst: u16,
-        /// Q8.8 fixed-point flow weight.
-        weight_q8: u16,
-        /// Pinned ECMP spine.
-        spine: u8,
-        /// Shard that adopts the flow.
-        dst_shard: u16,
-    },
 }
 
 /// Why a frame failed to decode. Offsets are byte positions from the
@@ -194,7 +145,7 @@ pub enum FrameError {
         /// The version byte found.
         version: u8,
     },
-    /// The kind byte is not a known [`FrameKind`].
+    /// The kind byte is not 1, the link-state delta.
     BadKind {
         /// The kind byte found.
         kind: u8,
@@ -257,7 +208,7 @@ fn rd_u64(buf: &[u8], off: usize) -> Option<u64> {
 /// Append `header` to `buf` (exactly [`FRAME_HEADER_BYTES`] bytes).
 pub fn encode_header(header: &FrameHeader, buf: &mut Vec<u8>) {
     buf.push(EXCHANGE_VERSION);
-    buf.push(header.kind.to_u8());
+    buf.push(STATE_KIND);
     let mut flags = 0u8;
     if header.active {
         flags |= FLAG_ACTIVE;
@@ -284,10 +235,12 @@ pub fn decode_header(frame: &[u8]) -> Result<FrameHeader, FrameError> {
     if version != EXCHANGE_VERSION {
         return Err(FrameError::BadVersion { version });
     }
-    let kind = FrameKind::from_u8(*frame.get(1).ok_or(truncated)?)?;
+    let kind = *frame.get(1).ok_or(truncated)?;
+    if kind != STATE_KIND {
+        return Err(FrameError::BadKind { kind });
+    }
     let flags = *frame.get(2).ok_or(truncated)?;
     Ok(FrameHeader {
-        kind,
         shard: rd_u16(frame, 3).ok_or(truncated)?,
         round: rd_u64(frame, 5).ok_or(truncated)?,
         n_links: rd_u32(frame, 13).ok_or(truncated)?,
@@ -336,26 +289,6 @@ pub fn encode_record(record: &Record, has_hessians: bool, buf: &mut Vec<u8>) {
         Record::SubRemove { link } => {
             buf.push(TAG_SUB_REMOVE);
             put_u32(buf, link);
-        }
-        Record::EpochBegin { epoch } => {
-            buf.push(TAG_EPOCH_BEGIN);
-            put_u64(buf, epoch);
-        }
-        Record::Migration {
-            token,
-            src,
-            dst,
-            weight_q8,
-            spine,
-            dst_shard,
-        } => {
-            buf.push(TAG_MIGRATION);
-            put_u32(buf, token);
-            put_u16(buf, src);
-            put_u16(buf, dst);
-            put_u16(buf, weight_q8);
-            buf.push(spine);
-            put_u16(buf, dst_shard);
         }
     }
 }
@@ -431,23 +364,6 @@ impl<'a> RecordIter<'a> {
         })
     }
 
-    fn migration_record(&mut self) -> Result<Record, FrameError> {
-        let off = self.offset + 1;
-        if self.frame.len() < self.offset + 14 {
-            return Err(self.truncated());
-        }
-        let record = Record::Migration {
-            token: rd_u32(self.frame, off).ok_or(self.truncated())?,
-            src: rd_u16(self.frame, off + 4).ok_or(self.truncated())?,
-            dst: rd_u16(self.frame, off + 6).ok_or(self.truncated())?,
-            weight_q8: rd_u16(self.frame, off + 8).ok_or(self.truncated())?,
-            spine: *self.frame.get(off + 10).ok_or(self.truncated())?,
-            dst_shard: rd_u16(self.frame, off + 11).ok_or(self.truncated())?,
-        };
-        self.offset += 14;
-        Ok(record)
-    }
-
     fn next_record(&mut self) -> Option<Result<Record, FrameError>> {
         let tag = *self.frame.get(self.offset)?;
         let result = match tag {
@@ -466,16 +382,6 @@ impl<'a> RecordIter<'a> {
                     offset: self.frame.len(),
                 }),
             },
-            TAG_EPOCH_BEGIN => match rd_u64(self.frame, self.offset + 1) {
-                Some(epoch) => {
-                    self.offset += 9;
-                    Ok(Record::EpochBegin { epoch })
-                }
-                None => Err(FrameError::Truncated {
-                    offset: self.frame.len(),
-                }),
-            },
-            TAG_MIGRATION => self.migration_record(),
             _ => Err(FrameError::BadTag {
                 tag,
                 offset: self.offset,
@@ -511,9 +417,8 @@ pub fn framed_wire_bytes(frame_len: usize) -> u64 {
 mod tests {
     use super::*;
 
-    fn header(kind: FrameKind, has_hessians: bool) -> FrameHeader {
+    fn header(has_hessians: bool) -> FrameHeader {
         FrameHeader {
-            kind,
             shard: 3,
             round: 41,
             n_links: 48,
@@ -525,13 +430,11 @@ mod tests {
     #[test]
     fn header_roundtrips() {
         for has_h in [false, true] {
-            for kind in [FrameKind::State, FrameKind::Epoch] {
-                let h = header(kind, has_h);
-                let mut buf = Vec::new();
-                encode_header(&h, &mut buf);
-                assert_eq!(buf.len(), FRAME_HEADER_BYTES);
-                assert_eq!(decode_header(&buf).unwrap(), h);
-            }
+            let h = header(has_h);
+            let mut buf = Vec::new();
+            encode_header(&h, &mut buf);
+            assert_eq!(buf.len(), FRAME_HEADER_BYTES);
+            assert_eq!(decode_header(&buf).unwrap(), h);
         }
     }
 
@@ -552,19 +455,10 @@ mod tests {
             },
             Record::SubAdd { link: 9 },
             Record::SubRemove { link: 10 },
-            Record::EpochBegin { epoch: 5 },
-            Record::Migration {
-                token: 0xABCDEF,
-                src: 1,
-                dst: 15,
-                weight_q8: 256,
-                spine: 2,
-                dst_shard: 1,
-            },
         ];
         for has_h in [false, true] {
             let mut buf = Vec::new();
-            encode_header(&header(FrameKind::State, has_h), &mut buf);
+            encode_header(&header(has_h), &mut buf);
             for r in &records {
                 encode_record(r, has_h, &mut buf);
             }
@@ -621,7 +515,7 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let mut buf = Vec::new();
-        encode_header(&header(FrameKind::State, false), &mut buf);
+        encode_header(&header(false), &mut buf);
         buf[0] = 9;
         assert_eq!(
             decode_header(&buf),
@@ -632,7 +526,7 @@ mod tests {
     #[test]
     fn bad_tag_reports_its_offset() {
         let mut buf = Vec::new();
-        encode_header(&header(FrameKind::State, false), &mut buf);
+        encode_header(&header(false), &mut buf);
         encode_record(&Record::SubAdd { link: 1 }, false, &mut buf);
         let bad_at = buf.len();
         buf.push(0xEE);
@@ -652,7 +546,7 @@ mod tests {
     #[test]
     fn every_truncation_point_errors_without_panicking() {
         let mut buf = Vec::new();
-        encode_header(&header(FrameKind::State, true), &mut buf);
+        encode_header(&header(true), &mut buf);
         encode_record(
             &Record::LinkState {
                 link: 3,
@@ -663,7 +557,7 @@ mod tests {
             true,
             &mut buf,
         );
-        encode_record(&Record::EpochBegin { epoch: 1 }, true, &mut buf);
+        encode_record(&Record::SubRemove { link: 1 }, true, &mut buf);
         for cut in 0..buf.len() {
             let prefix = &buf[..cut];
             match RecordIter::new(prefix) {

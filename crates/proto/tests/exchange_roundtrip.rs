@@ -2,14 +2,10 @@
 //! round-trip bit-exact, and truncated buffers error without panicking.
 
 use flowtune_proto::exchange::{
-    decode_header, encode_header, encode_record, FrameError, FrameHeader, FrameKind, Record,
-    RecordIter, FRAME_HEADER_BYTES,
+    decode_header, encode_header, encode_record, FrameError, FrameHeader, Record, RecordIter,
+    FRAME_HEADER_BYTES,
 };
 use proptest::prelude::*;
-
-fn arb_kind() -> impl Strategy<Value = FrameKind> {
-    prop_oneof![Just(FrameKind::State), Just(FrameKind::Epoch)]
-}
 
 fn arb_f64_bits() -> impl Strategy<Value = f64> {
     // Raw bit patterns: covers NaNs, infinities and subnormals — the
@@ -37,31 +33,11 @@ fn arb_record() -> impl Strategy<Value = Record> {
         ),
         any::<u32>().prop_map(|link| Record::SubAdd { link }),
         any::<u32>().prop_map(|link| Record::SubRemove { link }),
-        any::<u64>().prop_map(|epoch| Record::EpochBegin { epoch }),
-        (
-            any::<u32>(),
-            any::<u16>(),
-            any::<u16>(),
-            any::<u16>(),
-            any::<u8>(),
-            any::<u16>()
-        )
-            .prop_map(|(token, src, dst, weight_q8, spine, dst_shard)| {
-                Record::Migration {
-                    token,
-                    src,
-                    dst,
-                    weight_q8,
-                    spine,
-                    dst_shard,
-                }
-            }),
     ]
 }
 
 fn arb_header() -> impl Strategy<Value = FrameHeader> {
     (
-        arb_kind(),
         any::<u16>(),
         any::<u64>(),
         any::<u32>(),
@@ -69,8 +45,7 @@ fn arb_header() -> impl Strategy<Value = FrameHeader> {
         any::<bool>(),
     )
         .prop_map(
-            |(kind, shard, round, n_links, active, has_hessians)| FrameHeader {
-                kind,
+            |(shard, round, n_links, active, has_hessians)| FrameHeader {
                 shard,
                 round,
                 n_links,

@@ -12,7 +12,7 @@
 //!   "Cubic-over-sfqCoDel").
 //! * **Pfabric** — the minimal pFabric transport: fixed BDP window, no
 //!   congestion control, priority = remaining bytes, small fixed RTO with
-//!   go-back-N (probe mode is simplified away; see DESIGN.md).
+//!   go-back-N (probe mode is simplified away).
 //! * **Xcp** — window set by router feedback carried in headers.
 //! * **FlowtunePaced** — starts as Reno ("servers start a regular TCP
 //!   connection, and in parallel send a notification to the allocator"),

@@ -10,7 +10,7 @@
 //!
 //! The exact Facebook CDFs are not published as data; [`facebook`]
 //! provides piecewise-linear approximations of the published curves that
-//! preserve the properties the evaluation depends on (see DESIGN.md §4):
+//! preserve the properties the evaluation depends on:
 //! Web has the smallest flows (hence the highest flowlet churn and the
 //! most allocator update traffic), Cache intermediate objects, Hadoop the
 //! heavy tail.

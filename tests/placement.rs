@@ -7,16 +7,12 @@
 //!   formula exactly, and a sharded service built through the builder
 //!   with the default placement emits the same update stream as one
 //!   built directly;
-//! * **traffic placement is deterministic** — same matrix, same shape ⇒
-//!   identical assignment, and identical post-[`ShardedService::replace`]
-//!   update streams bit for bit;
 //! * **the win** — on a rack-affine 2-shard workload with churn, traffic
 //!   placement cuts [`ServiceStats::exchange_bytes`] by ≥ 30% at equal
 //!   `exchange_every`, and never over-subscribes a link at steady state.
 
 use flowtune::{
-    AllocatorService, Engine, FlowtuneConfig, Placement, ServiceStats, ShardedService, TickDriver,
-    TrafficMatrix,
+    AllocatorService, Engine, FlowtuneConfig, Placement, ShardedService, TickDriver, TrafficMatrix,
 };
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
@@ -265,113 +261,4 @@ fn contiguous_placement_is_bit_for_bit_the_direct_construction() {
         );
     }
     assert_eq!(TickDriver::stats(&direct), built.stats());
-}
-
-#[test]
-fn same_matrix_and_seed_give_identical_placement_and_replace_streams() {
-    // Determinism, end to end: the same traffic matrix yields the same
-    // assignment, and two identical services replaced with it emit
-    // bit-for-bit identical update streams afterwards.
-    let f = fabric();
-    let flows = affine_flows(32, 4, 3);
-    let m = matrix_of(&flows, 8, 4);
-    let p1 = Placement::traffic(32, 4, 2, &m, true);
-    let p2 = Placement::traffic(32, 4, 2, &m, true);
-    assert_eq!(p1, p2, "same matrix ⇒ same placement");
-
-    let cfg = exchange_cfg();
-    let run = |placement: Placement| -> (Vec<Vec<(u16, Message)>>, ServiceStats) {
-        let mut svc = ShardedService::new(&f, cfg, 2);
-        let mut token = 0u32;
-        for &(src, dst) in &flows {
-            token += 1;
-            svc.on_message(start(&f, token, src, dst)).unwrap();
-        }
-        for _ in 0..50 {
-            svc.tick();
-        }
-        let moved = svc.replace(placement);
-        assert!(moved > 0, "the affine placement must move flows");
-        let streams: Vec<_> = (0..100).map(|_| svc.tick()).collect();
-        (streams, svc.stats())
-    };
-    let (sa, stats_a) = run(p1);
-    let (sb, stats_b) = run(p2);
-    assert_eq!(sa, sb, "post-replace update streams must be bit-for-bit");
-    assert_eq!(stats_a, stats_b);
-}
-
-#[test]
-fn online_epoch_learns_the_workload_and_cuts_the_exchange() {
-    // The online path: run contiguous, let the service accumulate its
-    // observed matrix from intake, re-place from that matrix, and verify
-    // the new epoch (a) grouped the classes and (b) ships fewer exchange
-    // bytes per round than the contiguous epoch did under the same
-    // churn.
-    let f = fabric();
-    let flows = affine_flows(32, 4, 3);
-    let cfg = exchange_cfg();
-    let mut svc = ShardedService::new(&f, cfg, 2);
-    let mut token = 0u32;
-    for &(src, dst) in &flows {
-        token += 1;
-        svc.on_message(start(&f, token, src, dst)).unwrap();
-    }
-    // Epoch 1: contiguous, with churn to make the exchange work.
-    let mut cursor = 0usize;
-    let mut live: Vec<(Token, usize)> = (1..=flows.len() as u32)
-        .map(|t| (Token::new(t), (t - 1) as usize))
-        .collect();
-    let mut churn =
-        |svc: &mut ShardedService, token: &mut u32, rounds: usize, cursor: &mut usize| {
-            for round in 0..rounds {
-                if round % 5 == 0 {
-                    let slot = *cursor % live.len();
-                    *cursor += 1;
-                    let (old, idx) = live[slot];
-                    svc.on_message(Message::FlowletEnd { token: old }).unwrap();
-                    *token += 1;
-                    let (src, dst) = flows[idx];
-                    svc.on_message(start(&f, *token, src, dst)).unwrap();
-                    live[slot] = (Token::new(*token), idx);
-                }
-                svc.tick();
-            }
-        };
-    churn(&mut svc, &mut token, 300, &mut cursor);
-    let epoch1 = svc.stats();
-    assert!(epoch1.exchange_bytes > 0);
-    // The hot shared links kept re-shipping — the re-placement trigger.
-    assert!(svc.exchange_shipped_counts().iter().sum::<u64>() > 0);
-
-    // Re-place from what the service itself observed.
-    let observed = svc.observed_matrix().clone();
-    let placement = Placement::traffic(32, 4, 2, &observed, true);
-    // The learned placement groups the interleaved classes.
-    for rack in 0..8 {
-        assert_eq!(
-            placement.shard_of((rack * 4) as u16),
-            placement.shard_of((4 * (rack % 2)) as u16),
-            "rack {rack} not grouped with its class"
-        );
-    }
-    let moved = svc.replace(placement);
-    assert!(moved > 0);
-
-    // Epoch 2: same churn schedule length; let the migration transient
-    // settle first so the comparison is steady churn vs steady churn.
-    for _ in 0..100 {
-        svc.tick();
-    }
-    let settled = svc.stats();
-    churn(&mut svc, &mut token, 300, &mut cursor);
-    let epoch2 = svc.stats();
-
-    let bytes_per_round_1 = epoch1.exchange_bytes as f64 / epoch1.exchange_rounds as f64;
-    let bytes_per_round_2 = (epoch2.exchange_bytes - settled.exchange_bytes) as f64
-        / (epoch2.exchange_rounds - settled.exchange_rounds) as f64;
-    assert!(
-        bytes_per_round_2 < bytes_per_round_1,
-        "online epoch did not cut the exchange: {bytes_per_round_1:.0} → {bytes_per_round_2:.0} B/round"
-    );
 }

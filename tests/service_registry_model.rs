@@ -7,8 +7,8 @@
 //! a `BTreeMap<Token, _>` walked in token order each tick, never-reused
 //! engine ids, a per-flow `flow_rate` probe and a separate
 //! [`ThresholdFilter`] keyed by token. Random intake — duplicate starts,
-//! unknown ends, migrations, and a token space small enough that tokens
-//! and slots are reused constantly — must leave the two
+//! unknown ends, and a token space small enough that tokens and slots
+//! are reused constantly — must leave the two
 //! indistinguishable over every engine a builder can build: the same
 //! update stream every tick, the same `ServiceStats` after every
 //! operation, the same rates at the end.
@@ -95,11 +95,13 @@ impl Model {
         self.registry.insert(token, (id, start));
     }
 
-    fn unregister(&mut self, token: Token) -> Option<Message> {
-        let (id, start) = self.registry.remove(&token)?;
+    fn unregister(&mut self, token: Token) -> bool {
+        let Some((id, _)) = self.registry.remove(&token) else {
+            return false;
+        };
         self.engine.remove_flow(id);
         self.filter.forget(token);
-        Some(start)
+        true
     }
 
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
@@ -114,21 +116,13 @@ impl Model {
                 self.stats.starts += 1;
             }
             Message::FlowletEnd { token } => {
-                if self.unregister(token).is_some() {
+                if self.unregister(token) {
                     self.stats.ends += 1;
                 }
             }
             Message::RateUpdate { .. } => unreachable!("not generated"),
         }
         Ok(())
-    }
-
-    /// Extract + adopt in one step: no counter moves, the flow re-enters
-    /// the engine fresh and the filter forgets it.
-    fn migrate(&mut self, token: Token) {
-        if let Some(start) = self.unregister(token) {
-            self.register(start);
-        }
     }
 
     fn tick(&mut self) -> Vec<(u16, Message)> {
@@ -175,13 +169,12 @@ enum Op {
         spine: u8,
     },
     End(u32),
-    Migrate(u32),
     Tick,
 }
 
 /// Ten tokens for up to 160 operations: most starts after the first few
 /// hit a live token (rejected) or a token whose flow ended (reused), most
-/// ends and migrations hit a live flow, some hit nothing.
+/// ends hit a live flow, some hit nothing.
 const TOKENS: u32 = 10;
 
 fn op() -> impl Strategy<Value = Op> {
@@ -197,7 +190,6 @@ fn op() -> impl Strategy<Value = Op> {
             }
         ),
         3 => (0..TOKENS).prop_map(Op::End),
-        1 => (0..TOKENS).prop_map(Op::Migrate),
         4 => Just(Op::Tick),
     ]
 }
@@ -236,14 +228,6 @@ fn check(engine: Engine, cfg: FlowtuneConfig, ops: &[Op]) {
                     token: Token::new(token),
                 };
                 prop_assert_eq!(svc.on_message(msg), model.on_message(msg), "op {}", i);
-            }
-            Op::Migrate(token) => {
-                let token = Token::new(token);
-                if let Some(m) = svc.extract_flow(token) {
-                    prop_assert_eq!(svc.flow_source(token), None);
-                    svc.adopt_flow(m).expect("just extracted");
-                }
-                model.migrate(token);
             }
             Op::Tick => {
                 svc.tick_into(&mut out);

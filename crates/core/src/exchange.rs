@@ -94,6 +94,14 @@ pub enum ApplyError {
         /// The record's link index.
         link: u32,
     },
+    /// An active frame carries Hessian diagonals from a shard whose row
+    /// this core already holds without them: that shard's engine is
+    /// first-order, and an engine does not change order. Refused before
+    /// a Hessian row is sized.
+    BadHessians {
+        /// The shard id found in the header.
+        shard: u16,
+    },
 }
 
 impl From<FrameError> for ApplyError {
@@ -116,6 +124,9 @@ impl std::fmt::Display for ApplyError {
             }
             ApplyError::BadValue { link } => {
                 write!(f, "record carries impossible link state for link {link}")
+            }
+            ApplyError::BadHessians { shard } => {
+                write!(f, "frame carries Hessians for first-order shard {shard}")
             }
         }
     }
@@ -655,8 +666,9 @@ impl ExchangeCore {
     /// # Errors
     /// [`ApplyError`] if the frame fails to decode, names a shard or
     /// link this cluster does not have, announces a link vector of a
-    /// different length than the rows already held (checked before
-    /// anything is resized), or carries link state no engine exports
+    /// different length than the rows already held or Hessians for a
+    /// row held without them (both checked before anything is resized),
+    /// or carries link state no engine exports
     /// (checked before the record is written). After a record-level
     /// error the row keeps whatever the frame carried up to it (a
     /// re-ship heals it).
@@ -688,7 +700,6 @@ impl ExchangeCore {
         let Some(row) = rows.get_mut(from) else {
             return Err(bad_shard);
         };
-        *any_h |= header.has_hessians;
         // An inactive frame carries no link vector: it sizes nothing,
         // and any record it smuggles names a link past its end.
         let mut n = 0;
@@ -697,6 +708,11 @@ impl ExchangeCore {
             if held.map_or(n > MAX_UNCHECKED_LINKS, |len| n != len) {
                 return Err(ApplyError::BadLinkCount {
                     n_links: header.n_links,
+                });
+            }
+            if header.has_hessians && !row.loads.is_empty() && row.hessians.is_empty() {
+                return Err(ApplyError::BadHessians {
+                    shard: header.shard,
                 });
             }
             *round_links = (*round_links).max(n);
@@ -709,6 +725,7 @@ impl ExchangeCore {
                 row.hessians.resize(n, 0.0);
             }
         }
+        *any_h |= header.has_hessians;
         for record in records {
             let record = record?;
             match record {
@@ -1028,6 +1045,37 @@ mod tests {
                 Ok(())
             );
         }
+    }
+
+    #[test]
+    fn a_first_order_row_refuses_a_frame_with_hessians_before_sizing_one() {
+        let mut core = ExchangeCore::new(0, 2, 0.0);
+        let mut first_order = header_only(4);
+        core.apply_frame(&first_order).unwrap();
+        // The same shard's header with the Hessian flag set: the frame a
+        // corrupted flags byte makes of it.
+        first_order.clear();
+        encode_header(
+            &FrameHeader {
+                shard: 1,
+                round: 2,
+                n_links: 4,
+                active: true,
+                has_hessians: true,
+            },
+            &mut first_order,
+        );
+        assert_eq!(
+            core.apply_frame(&first_order),
+            Err(ApplyError::BadHessians { shard: 1 })
+        );
+        assert!(core.tables.rows[1].hessians.is_empty());
+        assert!(!core.tables.any_h, "a refused frame marks nothing");
+        // A row the core has not held yet is sized by its first frame,
+        // Hessians included.
+        let mut fresh = ExchangeCore::new(0, 2, 0.0);
+        assert_eq!(fresh.apply_frame(&first_order), Ok(()));
+        assert_eq!(fresh.tables.rows[1].hessians.len(), 4);
     }
 
     #[test]

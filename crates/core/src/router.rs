@@ -12,9 +12,10 @@
 //!   counted — here, so the aggregate [`ServiceStats`] equal an unsharded
 //!   service's byte for byte;
 //! * **the tick** — the shards tick (however their [`ShardSet`] runs
-//!   them) into per-shard stream scratch the router owns, and
-//!   [`merge_by_token_into`] folds the token-ordered, token-disjoint
-//!   streams into the one stream an unsharded service would emit;
+//!   them) and append their unordered passers to one [`Passers`] batch
+//!   the router owns, which it orders once: token sets are disjoint
+//!   across shards, so the order of the union is the one stream an
+//!   unsharded service would emit;
 //! * **aggregation** — rates, flow counts, counters, phase timings and
 //!   link loads summed over the shards.
 //!
@@ -32,14 +33,14 @@
 //! engine through the same boxed trait object on both.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
 use crate::driver::{PhaseTimings, TickDriver};
 use crate::placement::Placement;
-use crate::service::{AllocatorService, ServiceError, ServiceStats};
+use crate::service::{AllocatorService, Passers, ServiceError, ServiceStats};
 
 /// The shards behind a [`Router`], and how one tick moves through them
 /// (see the module docs). Shard `i` of the set is shard `i` of the
@@ -60,13 +61,13 @@ pub trait ShardSet: std::fmt::Debug + Send {
     fn service_mut(&mut self, shard: usize) -> &mut AllocatorService;
 
     /// One tick of every shard, and — when the cadence is due — the
-    /// link-state exchange between them: shard `i`'s token-ordered update
-    /// stream replaces the contents of `streams[i]`.
+    /// link-state exchange between them: every shard's passers are
+    /// appended, unordered, to `passers`.
     ///
     /// # Errors
-    /// The set's error; the streams are then unspecified and the router
+    /// The set's error; `passers` is then unspecified and the router
     /// drops the tick's output.
-    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), Self::Error>;
+    fn tick(&mut self, passers: &mut Passers) -> Result<(), Self::Error>;
 
     /// The set's exchange counters — `exchange_rounds`, `exchange_bytes`
     /// and `exchange_decode_errors`, every other field zero — which the
@@ -96,9 +97,12 @@ pub struct Router<S: ShardSet> {
     /// Counters for the messages the router disposed of itself
     /// (duplicates, unknown ends, stray rate updates).
     local: ServiceStats,
-    /// The merge's inputs, one per shard, reused across ticks so a quiet
-    /// tick allocates nothing.
-    streams: Vec<Vec<(u16, Message)>>,
+    /// Every shard's passers of the tick, ordered once into its stream;
+    /// reused across ticks so a quiet tick allocates nothing.
+    passers: Passers,
+    /// Cumulative time spent ordering `passers` — export, which
+    /// [`TickDriver::phase_timings`] adds to the shards' own.
+    emit_time: Duration,
 }
 
 impl<S: ShardSet> Router<S> {
@@ -137,7 +141,8 @@ impl<S: ShardSet> Router<S> {
             route: HashMap::new(),
             placement,
             local: ServiceStats::default(),
-            streams: (0..n).map(|_| Vec::new()).collect(),
+            passers: Passers::default(),
+            emit_time: Duration::ZERO,
         }
     }
 
@@ -176,19 +181,22 @@ impl<S: ShardSet> Router<S> {
     }
 
     /// [`TickDriver::tick_into`] reporting a failed tick as the shard
-    /// set's own error: `out` is cleared, every shard ticks, and the
-    /// per-shard streams are merged into `out` as one token-ordered
-    /// stream. With a warm `out` a tick that sends nothing allocates
-    /// nothing.
+    /// set's own error: `out` is cleared, every shard ticks into the
+    /// router's one batch of passers, and the batch is written into
+    /// `out` as one token-ordered stream. With a warm `out` a tick that
+    /// sends nothing allocates nothing.
     ///
     /// # Errors
-    /// [`ShardSet::tick`]'s error; `out` is left empty — a merged stream
+    /// [`ShardSet::tick`]'s error; `out` is left empty — the stream
     /// would be missing the failed shard's updates.
     // flowtune-lint: hot
     pub fn tick_shards(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), S::Error> {
         out.clear();
-        self.shards.tick(&mut self.streams)?;
-        merge_by_token_into(&mut self.streams, out);
+        self.passers.clear();
+        self.shards.tick(&mut self.passers)?;
+        let t0 = Instant::now();
+        self.passers.emit(out);
+        self.emit_time += t0.elapsed();
         Ok(())
     }
 }
@@ -270,11 +278,13 @@ impl<S: ShardSet> TickDriver for Router<S> {
     }
 
     /// The shards' allocate/export phases summed over shards, plus
-    /// the shard set's exchange time. Where shards run concurrently the
-    /// sum is CPU time, not wall time — still the right weight for "where
-    /// do the cycles go" breakdowns.
+    /// the router's ordering of their passers (export) and the shard
+    /// set's exchange time. Where shards run concurrently the sum is CPU
+    /// time, not wall time — still the right weight for "where do the
+    /// cycles go" breakdowns.
     fn phase_timings(&self) -> PhaseTimings {
         let mut total = PhaseTimings {
+            export: self.emit_time,
             exchange: self.shards.exchange_time(),
             ..PhaseTimings::default()
         };
@@ -320,18 +330,18 @@ fn update_token(msg: &Message) -> Token {
 
 /// K-way merge of token-ordered update streams: each emitted element is
 /// the smallest of the streams' heads, found by scanning them — `k`
-/// comparisons per element for `k` streams, which at a control plane's
-/// shard counts beats maintaining a heap of heads and needs no storage
-/// beside the streams themselves. Token sets are disjoint across shards
-/// so ties cannot occur; if a caller violated that, the lower stream
-/// index goes first.
+/// comparisons per element for `k` streams. Token sets are disjoint
+/// across shards so ties cannot occur; if a caller violated that, the
+/// lower stream index goes first.
 ///
 /// Clears `out`, drains every stream in `streams` (their capacity
 /// survives for reuse), and appends the merged order, reserving once.
-/// Once `out` has grown to a tick's update volume the merge allocates
-/// nothing, which is what lets [`Router::tick_shards`] run alloc-free
-/// whether or not the tick emits updates.
-// flowtune-lint: hot
+///
+/// No tick calls it: [`Router::tick_shards`] orders the union of the
+/// shards' passers once instead ([`Passers::emit`]). It stays as the
+/// reference that one emit is checked against (per-shard emit, then
+/// this merge, must give the same stream) and as what flowbench's
+/// `sharded.merge_us` probe times.
 pub fn merge_by_token_into(streams: &mut [Vec<(u16, Message)>], out: &mut Vec<(u16, Message)>) {
     out.clear();
     let total: usize = streams.iter().map(Vec::len).sum();

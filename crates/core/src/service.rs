@@ -30,8 +30,8 @@
 //!    [`ShardedService`](crate::ShardedService) is that router over N
 //!    inner services of one process (one fabric block each,
 //!    [`Engine::Sharded`]): it routes notifications by source endpoint
-//!    and merges the shards' update streams back into one token-ordered
-//!    stream. Embedders that should
+//!    and orders every shard's passers ([`Passers`]) into one
+//!    token-ordered stream. Embedders that should
 //!    run sharded or unsharded by configuration hold a
 //!    [`BoxTickDriver`](crate::BoxTickDriver) built with
 //!    [`ServiceBuilder::build_driver`].
@@ -526,12 +526,11 @@ pub struct AllocatorService {
     /// and rate queries. Hashed, under std's keyed hasher — tokens come
     /// off the wire — and never iterated: the tick does not
     /// consult it, update order comes from ordering each tick's passers
-    /// ([`emit_ordered`]), not from this map.
+    /// ([`Passers::emit`]), not from this map.
     index: HashMap<Token, u32>,
-    /// Scratch buffers, kept across ticks: the tick's passers as packed
-    /// keys, and the radix passes' second buffer.
-    pass_buf: Vec<u64>,
-    radix_buf: Vec<u64>,
+    /// The passers [`AllocatorService::tick_into`] orders, kept across
+    /// ticks.
+    passers: Passers,
     stats: ServiceStats,
     timings: PhaseTimings,
 }
@@ -585,8 +584,7 @@ impl AllocatorService {
             slab: Vec::new(),
             free: Vec::new(),
             index: HashMap::new(),
-            pass_buf: Vec::new(),
-            radix_buf: Vec::new(),
+            passers: Passers::default(),
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
         }
@@ -647,6 +645,37 @@ impl AllocatorService {
     /// warm `out` a tick that sends nothing touches the heap zero times.
     // flowtune-lint: hot
     pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
+        let mut passers = std::mem::take(&mut self.passers);
+        passers.clear();
+        let export_start = self.allocate();
+        self.export_into(&mut passers);
+        passers.emit(out);
+        self.timings.export += export_start.elapsed();
+        self.passers = passers;
+    }
+
+    /// [`AllocatorService::tick_into`] without the ordering: one engine
+    /// iteration, then this tick's passers appended to `passers`
+    /// (unordered, and whatever it already held kept). A partitioned
+    /// plane hands every shard one batch and orders it once, which gives
+    /// the stream an unsharded service would emit: live tokens are
+    /// distinct across shards.
+    // flowtune-lint: hot
+    pub fn tick_passers(&mut self, passers: &mut Passers) {
+        let export_start = self.allocate();
+        self.export_into(passers);
+        self.timings.export += export_start.elapsed();
+    }
+
+    /// [`AllocatorService::tick_into`] returning an owned batch.
+    pub fn tick(&mut self) -> Vec<(u16, Message)> {
+        crate::TickDriver::tick(self)
+    }
+
+    /// One engine iteration, timed as the allocate phase; returns when it
+    /// ended, which is when the export begins.
+    // flowtune-lint: hot
+    fn allocate(&mut self) -> Instant {
         let t0 = Instant::now();
         self.engine.iterate();
         self.stats.iterations += 1;
@@ -658,38 +687,30 @@ impl AllocatorService {
             self.stats.dirty_flows = dirty_flows;
             self.stats.dirty_links = dirty_links;
         }
-        self.export_into(out);
-        self.timings.export += t1.elapsed();
+        t1
     }
 
-    /// [`AllocatorService::tick_into`] returning an owned batch.
-    pub fn tick(&mut self) -> Vec<(u16, Message)> {
-        crate::TickDriver::tick(self)
-    }
-
-    /// The update export. The engine runs the §6.4 rule where the rates
-    /// are — against what it last lent for each flow, see
-    /// [`RateAllocator::drain_changed_rates`] — and lends only the flows
-    /// whose update must be sent, in *its* order and layout; each of
-    /// those becomes one packed key (its slab slot's token and source,
-    /// the rate's [`Rate16`] code), and [`emit_ordered`] writes the batch
-    /// out in token order. The rule reads and writes one flow's state,
-    /// so filtering before ordering yields exactly the stream of a
-    /// token-ordered walk. Every live flow that was not lent counts as
-    /// suppressed.
+    /// The update export, appended to `passers`. The engine runs the
+    /// §6.4 rule where the rates are — against what it last lent for
+    /// each flow, see [`RateAllocator::drain_changed_rates`] — and lends
+    /// only the flows whose update must be sent, in *its* order and
+    /// layout; each of those becomes one packed key (its slab slot's
+    /// token and source, the rate's [`Rate16`] code). The rule reads and
+    /// writes one flow's state, so filtering before ordering yields
+    /// exactly the stream of a token-ordered walk. Every live flow that
+    /// was not lent counts as suppressed.
     // flowtune-lint: hot, float-kernel
-    fn export_into(&mut self, out: &mut Vec<(u16, Message)>) {
-        let (slab, pass_buf) = (&self.slab, &mut self.pass_buf);
-        pass_buf.clear();
+    fn export_into(&mut self, passers: &mut Passers) {
+        let (slab, keys) = (&self.slab, &mut passers.keys);
+        let before = keys.len();
         let threshold = self.cfg.update_threshold;
         self.engine
             .drain_changed_rates(threshold, &mut |ids, normalized| {
-                pass_buf.extend(ids.iter().zip(normalized).map(|(id, &rate)| {
+                keys.extend(ids.iter().zip(normalized).map(|(id, &rate)| {
                     slab[id.0 as usize].key() | u64::from(Rate16::encode(rate).bits())
                 }));
             });
-        emit_ordered(pass_buf, &mut self.radix_buf, out);
-        let sent = out.len() as u64;
+        let sent = (keys.len() - before) as u64;
         self.stats.bytes_out += sent * RATE_BYTES as u64;
         self.stats.updates_sent += sent;
         self.stats.updates_suppressed += self.index.len() as u64 - sent;
@@ -855,15 +876,58 @@ impl AllocatorService {
     }
 }
 
+/// A tick's passers: the flows whose update passed the §6.4 threshold,
+/// each kept as one packed key, `token << 32 | src << 16 | rate16`, in no
+/// particular order until [`Passers::emit`] orders them.
+/// [`AllocatorService::tick_passers`] appends a service's passers;
+/// [`Router`](crate::router::Router) gathers every shard's into one batch
+/// and emits it once, and an unsharded [`AllocatorService::tick_into`]
+/// emits its own. Reused across ticks: both buffers keep their capacity.
+#[derive(Debug, Default)]
+pub struct Passers {
+    keys: Vec<u64>,
+    /// The radix passes' second buffer; only ever grown.
+    scratch: Vec<u64>,
+}
+
+impl Passers {
+    /// Empties the batch, keeping its capacity.
+    // flowtune-lint: hot
+    #[inline]
+    pub fn clear(&mut self) {
+        self.keys.clear();
+    }
+
+    /// Appends `other`'s passers — another shard's batch of the same
+    /// tick.
+    // flowtune-lint: hot
+    #[inline]
+    pub fn append(&mut self, other: &Passers) {
+        self.keys.extend_from_slice(&other.keys);
+    }
+
+    /// Writes the batch into `out` (cleared first) as `(source server,
+    /// update)` pairs in ascending token order — an LSD radix sort over
+    /// the token's three bytes, a comparison sort below 128 keys; the
+    /// batch itself is left in that order. With warm buffers it
+    /// allocates nothing.
+    // flowtune-lint: hot
+    pub fn emit(&mut self, out: &mut Vec<(u16, Message)>) {
+        emit_ordered(&mut self.keys, &mut self.scratch, out);
+    }
+}
+
 /// Batches shorter than this go through `sort_unstable`: below it the
 /// radix passes' fixed cost (three 256-entry histograms to zero and
 /// prefix-sum, ≈ 0.4 µs) is the larger. Measured crossover: 130–190 keys.
 const RADIX_CUTOFF: usize = 128;
 
 /// Writes the tick's passers into `out` (cleared first) in ascending
-/// token order. A passer is one key, `token << 32 | src << 16 | rate16`;
-/// live tokens are distinct, so the emitted stream is a function of the
-/// *set* of keys — the one a comparison sort by token would give.
+/// token order — the body of [`Passers::emit`]. A passer is one key,
+/// `token << 32 | src << 16 | rate16`; live tokens are distinct (across
+/// shards too: the router refuses a duplicate), so the emitted stream is
+/// a function of the *set* of keys — the one a comparison sort by token
+/// would give.
 ///
 /// The order is an LSD radix sort over the token's three bytes (the wire
 /// gives a token 24 bits, [`Token::MAX`], so three 8-bit counting passes
@@ -1138,6 +1202,61 @@ mod tests {
                 .map(|&(token, src, rate)| (src, Message::RateUpdate { token, rate }))
                 .collect();
             prop_assert!(out == want, "n {} shape {} seed {}", n, shape, seed);
+        }
+
+        // The router's one emit of every shard's appended, unordered
+        // batch against what it replaced: each shard's batch emitted
+        // alone, then `merge_by_token_into` over those streams. Tokens
+        // are disjoint across shards, as the router keeps them.
+        #[test]
+        fn emit_ordered_of_the_appended_shard_batches_equals_per_shard_emit_then_merge(
+            sizes in proptest::collection::vec(
+                prop_oneof![
+                    Just(0usize), Just(1), Just(RADIX_CUTOFF - 1), Just(RADIX_CUTOFF),
+                    Just(RADIX_CUTOFF + 1), 0usize..=1000
+                ],
+                1..=8,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::deterministic(&format!("shards-{seed}"));
+            let odd = rng.next_u64() as u32 | 1;
+            let mut next = 0u32;
+            let shards: Vec<Passers> = sizes
+                .iter()
+                .map(|&n| {
+                    let mut batch = Passers::default();
+                    batch.keys.extend((0..n).map(|_| {
+                        let token = next.wrapping_mul(odd) & Token::MAX;
+                        next += 1;
+                        u64::from(token) << 32 | rng.next_u64() & 0xFFFF_FFFF
+                    }));
+                    batch
+                })
+                .collect();
+            // A warm batch from an earlier, longer tick.
+            let mut all = Passers {
+                keys: vec![u64::MAX; 9000],
+                scratch: vec![u64::MAX; 9000],
+            };
+            all.clear();
+            for shard in &shards {
+                all.append(shard);
+            }
+            let mut once = vec![(7, end(7)); 3];
+            all.emit(&mut once);
+            let mut streams: Vec<Vec<(u16, Message)>> = shards
+                .into_iter()
+                .map(|mut shard| {
+                    let mut stream = Vec::new();
+                    shard.emit(&mut stream);
+                    stream
+                })
+                .collect();
+            let mut merged = Vec::new();
+            crate::router::merge_by_token_into(&mut streams, &mut merged);
+            prop_assert!(once.len() == sizes.iter().sum::<usize>(), "sizes {:?}", sizes);
+            prop_assert!(once == merged, "sizes {:?} seed {}", sizes, seed);
         }
     }
 

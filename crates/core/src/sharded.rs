@@ -16,8 +16,9 @@
 //! exactly one §5 block, so a shard's flows enter the fabric through its
 //! own up-LinkBlock; a traffic-aware placement groups communicating racks
 //! instead, see [`crate::placement`]), the token→shard table, duplicate
-//! and stray accounting, the stream merge and stat aggregation — is the
-//! router's, and shared with every other plane (see [`crate::router`]).
+//! and stray accounting, the one ordering of the shards' passers and stat
+//! aggregation — is the router's, and shared with every other plane (see
+//! [`crate::router`]).
 //! This module is what is particular to shards that share an address
 //! space: how they tick and how their link state meets. Each shard runs
 //! a full [`AllocatorService`] over the whole fabric but sees only its
@@ -29,7 +30,8 @@
 //! separated by a barrier:
 //!
 //! 1. **allocate ∥** — every shard's per-tick work (engine iterations,
-//!    threshold-filtered update export, and — when an exchange round is
+//!    the threshold filter's passers into the slot's own unordered batch
+//!    ([`AllocatorService::tick_passers`]), and — when an exchange round is
 //!    due — its link-state export into reusable buffers) runs
 //!    *concurrently*, one shard per slot of a persistent
 //!    [`flowtune_alloc::WorkerPool`] whose OS threads park between
@@ -42,10 +44,11 @@
 //!    pool's fan-out *is* the barrier), the exchange (when due) runs on
 //!    the caller thread — each shard's delta filter into its row of the
 //!    shared link-state table, the cross-shard consensus once, then per
-//!    shard the background load/Hessian sums and the installs — and the
-//!    shards' token-ordered update streams are handed to the router,
-//!    which k-way merges them into one (disjoint token sets make the
-//!    merge exact).
+//!    shard the background load/Hessian sums and the installs — and
+//!    every slot's batch is appended to the router's one [`Passers`],
+//!    which the router orders once ([`Passers::emit`]). Token sets are
+//!    disjoint across shards, so the order of the union is exactly the
+//!    stream an unsharded service would emit; no shard orders its own.
 //!
 //! [`FlowtuneConfig::parallel_shards`](crate::FlowtuneConfig) (default
 //! on) sizes phase 1's pool: one slot per shard, or — turned off, or
@@ -170,13 +173,12 @@
 use std::time::{Duration, Instant};
 
 use flowtune_alloc::WorkerPool;
-use flowtune_proto::Message;
 use flowtune_topo::TwoTierClos;
 
 use crate::exchange::{LinkExport, LinkTables, ShardFilter};
 use crate::placement::Placement;
 use crate::router::{Router, ShardSet};
-use crate::service::{AllocatorService, ServiceError, ServiceStats};
+use crate::service::{AllocatorService, Passers, ServiceError, ServiceStats};
 use crate::{ExchangeConfig, FlowtuneConfig};
 
 /// N independent [`AllocatorService`] shards of one process behind one
@@ -194,9 +196,10 @@ struct ShardSlot {
     /// The shard's side of the exchange: the delta filter that writes
     /// its row of the shared [`LinkTables`], and its install.
     filter: ShardFilter,
-    /// The shard's token-ordered update stream from this tick; trades
-    /// places with the router's merge input once the tick is complete.
-    updates: Vec<(u16, Message)>,
+    /// The shard's passers from this tick, unordered; phase 2 appends
+    /// them to the router's batch. Its own buffer so pool slots share
+    /// nothing.
+    updates: Passers,
     /// Link-state export, refreshed only on exchange rounds.
     export: LinkExport,
     /// Cumulative time spent refreshing `export` — phase 1's share of
@@ -293,7 +296,7 @@ impl ShardedService {
                 .map(|(i, svc)| ShardSlot {
                     svc,
                     filter: ShardFilter::new(i as u16, cfg.exchange_delta_eps),
-                    updates: Vec::new(),
+                    updates: Passers::default(),
                     export: LinkExport::default(),
                     refresh_time: Duration::ZERO,
                 })
@@ -340,7 +343,7 @@ impl ShardSet for InProcess {
     /// [`ServiceError::ShardPanicked`] naming the lowest-indexed shard
     /// whose tick panicked.
     // flowtune-lint: hot
-    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), ServiceError> {
+    fn tick(&mut self, passers: &mut Passers) -> Result<(), ServiceError> {
         self.ticks += 1;
         let exchange = self.exchange.due(self.ticks, self.slots.len());
 
@@ -360,8 +363,8 @@ impl ShardSet for InProcess {
             self.exchange_link_state();
             self.exchange_time += t0.elapsed();
         }
-        for (slot, stream) in self.slots.iter_mut().zip(streams) {
-            std::mem::swap(&mut slot.updates, stream);
+        for slot in &self.slots {
+            passers.append(&slot.updates);
         }
         Ok(())
     }
@@ -443,13 +446,14 @@ impl InProcess {
     }
 }
 
-/// One shard's phase-1 work: tick, and on exchange rounds export its link
-/// state into the slot's reusable buffers. Runs with no shared state —
-/// concurrently on pool slots or sequentially on the caller, with
-/// identical results.
+/// One shard's phase-1 work: tick into the slot's batch of passers, and
+/// on exchange rounds export its link state into the slot's reusable
+/// buffers. Runs with no shared state — concurrently on pool slots or
+/// sequentially on the caller, with identical results.
 // flowtune-lint: hot
 fn tick_shard(slot: &mut ShardSlot, export: bool) {
-    slot.svc.tick_into(&mut slot.updates);
+    slot.updates.clear();
+    slot.svc.tick_passers(&mut slot.updates);
     if export {
         let t0 = Instant::now();
         slot.export.refresh(&slot.svc);
@@ -461,7 +465,7 @@ fn tick_shard(slot: &mut ShardSlot, export: bool) {
 mod tests {
     use super::*;
     use crate::TickDriver;
-    use flowtune_proto::{Rate16, Token};
+    use flowtune_proto::{Message, Rate16, Token};
     use flowtune_topo::ClosConfig;
 
     fn fabric() -> TwoTierClos {
@@ -526,15 +530,23 @@ mod tests {
 
     #[test]
     fn merged_updates_come_out_in_token_order() {
-        let mut svc = sharded(2);
-        // Interleave tokens across shards: odd tokens on shard 0, even on
-        // shard 1.
-        for (t, src) in [(1u32, 0u16), (2, 12), (3, 1), (4, 13), (5, 2)] {
-            let dst = if src < 8 { src + 8 } else { src - 8 };
-            svc.on_message(start(t, src, dst)).unwrap();
+        // Past the radix cutoff: 300 flows over 4 shards (one rack each),
+        // tokens dealt round-robin so every shard's passers interleave
+        // with every other's. Each flow stays inside its source's rack,
+        // so no link carries two shards' flows and the first tick's
+        // updates are an unsharded service's.
+        let f = fabric();
+        let mut svc = sharded(4);
+        let mut plain = AllocatorService::new(&f, FlowtuneConfig::default());
+        for t in 1..=300u32 {
+            let rack = (t % 4) as u16 * 4;
+            let (src, hop) = ((t / 4 % 4) as u16, (t / 16 % 3) as u16);
+            let msg = start(t, rack + src, rack + (src + 1 + hop) % 4);
+            svc.on_message(msg).unwrap();
+            plain.on_message(msg).unwrap();
         }
         let updates = svc.tick();
-        assert_eq!(updates.len(), 5);
+        assert_eq!(updates.len(), 300);
         let tokens: Vec<u32> = updates
             .iter()
             .map(|(_, m)| match m {
@@ -542,7 +554,8 @@ mod tests {
                 other => panic!("tick emitted {other:?}"),
             })
             .collect();
-        assert_eq!(tokens, vec![1, 2, 3, 4, 5]);
+        assert_eq!(tokens, (1..=300).collect::<Vec<u32>>());
+        assert_eq!(updates, plain.tick());
     }
 
     #[test]
@@ -795,6 +808,9 @@ mod tests {
         assert!(set.slots.iter().all(|s| s.refresh_time > Duration::ZERO));
         assert!(set.exchange_time > Duration::ZERO);
         assert_eq!(svc.phase_timings().exchange, set.exchange_time + refresh);
+        // The router's emit of the shards' passers is export too.
+        let shards_export: Duration = svc.shards().map(|s| s.phase_timings().export).sum();
+        assert!(svc.phase_timings().export > shards_export);
         // No exchange, no exchange time — the shards never export.
         let mut off = mk(0);
         for _ in 0..20 {

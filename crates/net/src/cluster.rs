@@ -3,8 +3,9 @@
 //!
 //! Routing — `FlowletStart`s by source endpoint through a [`Placement`],
 //! token-addressed messages by the token→shard table, duplicates and
-//! strays disposed of and counted, the stream merge, stat aggregation —
-//! is the router's, the same code that routes the in-process
+//! strays disposed of and counted, the one ordering of every peer's
+//! passers, stat aggregation — is the router's, the same code that
+//! routes the in-process
 //! `ShardedService`. This module supplies only what a wire changes:
 //! `Peers`, the [`ShardSet`] whose tick is split-phase and whose exchange
 //! runs through each peer's [`Transport`], and the on-wire counters. Over
@@ -15,15 +16,18 @@
 //! price the wire.
 //!
 //! A cluster tick is split-phase across the peers — every peer ticks
-//! and broadcasts before any peer's exchange barrier runs (collect +
-//! install) — so peers never deadlock waiting for a frame a later peer
-//! has not produced yet, and the lockstep schedule reproduces the
-//! in-process barrier.
+//! (appending its passers to the router's one batch) and broadcasts
+//! before any peer's exchange barrier runs (collect + install) — so
+//! peers never deadlock waiting for a frame a later peer has not
+//! produced yet, and the lockstep schedule reproduces the in-process
+//! barrier.
 
 use std::time::Duration;
 
 use flowtune::router::{Router, ShardSet};
-use flowtune::{AllocatorService, PhaseTimings, Placement, ServiceError, ServiceStats, TickDriver};
+use flowtune::{
+    AllocatorService, Passers, PhaseTimings, Placement, ServiceError, ServiceStats, TickDriver,
+};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
@@ -54,9 +58,9 @@ impl<T: Transport> ShardSet for Peers<T> {
     }
 
     // flowtune-lint: hot, untrusted-input
-    fn tick(&mut self, streams: &mut [Vec<(u16, Message)>]) -> Result<(), PeerError> {
-        for (peer, stream) in self.peers.iter_mut().zip(streams) {
-            peer.tick_export(stream)?;
+    fn tick(&mut self, passers: &mut Passers) -> Result<(), PeerError> {
+        for peer in &mut self.peers {
+            peer.tick_export(passers)?;
         }
         for peer in &mut self.peers {
             peer.exchange_finish()?;
@@ -139,8 +143,8 @@ impl<T: Transport> PeerCluster<T> {
 
     /// One lockstep tick of the whole cluster: every peer ticks and
     /// broadcasts, then every peer runs its exchange barrier and
-    /// installs, then the router merges the per-peer update streams into
-    /// one token-ordered stream.
+    /// installs, then the router orders every peer's passers into one
+    /// token-ordered stream.
     ///
     /// # Errors
     /// The first [`PeerError`] encountered; the tick's update stream is
@@ -153,7 +157,7 @@ impl<T: Transport> PeerCluster<T> {
     }
 
     /// [`PeerCluster::try_tick`] into a caller-owned buffer: `out` is
-    /// cleared and receives the merged update stream. In the converged
+    /// cleared and receives the tick's update stream. In the converged
     /// steady state (no updates) this allocates nothing.
     ///
     /// # Errors

@@ -35,7 +35,8 @@
 //! * [`PeerCluster`] — a `TickDriver` over a set of peers: the core
 //!   crate's `Router` over the [`cluster::Peers`] shard set, which runs
 //!   every peer's first phase before any peer's second. Routing, the
-//!   stream merge and stat aggregation are the router's — nothing here
+//!   one ordering of the peers' passers and stat aggregation are the
+//!   router's — nothing here
 //!   restates them — so when every frame is on time the cluster is
 //!   bit-for-bit identical to `ShardedService`, over every transport.
 //! * `flowtune-arbiterd` (this crate's binary) — one shard peer per

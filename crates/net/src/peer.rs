@@ -48,7 +48,9 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use flowtune::exchange::LinkExport;
-use flowtune::{AllocatorService, ExchangeConfig, ExchangeCore, ServiceError, ServiceStats};
+use flowtune::{
+    AllocatorService, ExchangeConfig, ExchangeCore, Passers, ServiceError, ServiceStats,
+};
 use flowtune_proto::exchange::decode_header;
 use flowtune_proto::Message;
 
@@ -235,6 +237,10 @@ pub struct ShardPeer<T: Transport> {
     // once these are warm.
     export: LinkExport,
     frame_buf: Vec<u8>,
+    /// The passers [`ShardPeer::tick_into`] orders. A peer ticked by a
+    /// `PeerCluster` appends to the router's batch instead, and this
+    /// stays empty.
+    passers: Passers,
     /// Per-mailbox-slot staleness bookkeeping.
     lag: Vec<SlotLag>,
     /// This peer's exchange counters (rounds, logical bytes, decode
@@ -299,6 +305,7 @@ impl<T: Transport> ShardPeer<T> {
             round_due: false,
             export: LinkExport::default(),
             frame_buf: Vec::new(),
+            passers: Passers::default(),
             lag: vec![SlotLag::default(); slots],
             local: ServiceStats::default(),
             tx_bytes: 0,
@@ -396,22 +403,26 @@ impl<T: Transport> ShardPeer<T> {
     /// even when the barrier fails.
     // flowtune-lint: hot
     pub fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
-        self.tick_export(out)?;
+        let mut passers = std::mem::take(&mut self.passers);
+        passers.clear();
+        let exported = self.tick_export(&mut passers);
+        passers.emit(out);
+        self.passers = passers;
+        exported?;
         self.exchange_finish()
     }
 
-    /// Phase 1: catch up an unfinished round, tick the service into
-    /// `out` (cleared first), and when a round is due, export +
-    /// broadcast.
+    /// Phase 1: catch up an unfinished round, tick the service — its
+    /// passers appended, unordered, to `passers` — and when a round is
+    /// due, export + broadcast.
     // flowtune-lint: hot
-    pub(crate) fn tick_export(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), PeerError> {
-        out.clear();
+    pub(crate) fn tick_export(&mut self, passers: &mut Passers) -> Result<(), PeerError> {
         // A tick that failed between its phases leaves the barrier
         // pending; run it before starting the next tick so rounds never
         // interleave.
         self.exchange_finish()?;
         self.ticks += 1;
-        self.svc.tick_into(out);
+        self.svc.tick_passers(passers);
         self.round_due = self.exchange.due(self.ticks, self.tx.peers());
         if self.round_due {
             let t0 = Instant::now();

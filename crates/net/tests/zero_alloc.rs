@@ -5,6 +5,10 @@
 //!   after warm-up — the frame goes into one flat reusable buffer and
 //!   the receiver's replicas are grown once, steady-state rounds only
 //!   overwrite;
+//! * so does the decoder corpus: every prefix and single-byte
+//!   substitution of a peer's frame through `ExchangeCore::apply_frame`
+//!   on a warm core, each one refused or applied over rows already
+//!   sized;
 //! * a quiet allocator service tick (`AllocatorService::tick_into`) —
 //!   engine iteration, rate export, update filtering — touches the heap
 //!   zero times after warm-up, with the incremental engine on or off,
@@ -17,10 +21,10 @@
 //!   copies nothing but the passers;
 //! * so does a 4-shard sequential `ShardedService::try_tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
-//!   buffers, the filters writing the shared link-state table, the
-//!   consensus and installs — quiet, and on rounds that swap a flowlet
-//!   in every shard through the router and emit the updates, where the
-//!   k-way merge has streams to merge;
+//!   batches of passers, the filters writing the shared link-state
+//!   table, the consensus and installs — quiet, and on rounds that swap
+//!   a flowlet in every shard through the router and emit the updates,
+//!   where the router has every shard's passers to order;
 //! * the endpoint half of the loop: a warmed `EndpointAgent` applies a
 //!   round's rate updates (sorted token index, no hash), takes a drain
 //!   for every flow, polls without ending any and takes the refills that
@@ -31,7 +35,7 @@
 //!   flowlets run out and are ended — rate reads, the in-place compaction
 //!   of the flow table, the `FlowletEnd`s — touches the heap zero times;
 //! * a converged peer cluster over the mem transport — send path,
-//!   receiver threads, mailboxes, barrier, install, k-way merge —
+//!   receiver threads, mailboxes, barrier, install, the router's emit —
 //!   recycles every frame buffer through the pools and ticks without
 //!   touching the heap (`PeerCluster::try_tick_into`).
 //!
@@ -201,6 +205,79 @@ fn steady_state_exchange_round_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state exchange rounds must not allocate ({allocs} allocations over {MEASURED_ROUNDS} rounds)"
+    );
+}
+
+#[test]
+fn every_prefix_and_byte_substitution_of_a_peer_frame_allocates_nothing() {
+    let _window = Window::lock();
+    // Second-order (NED) frames carry Hessians, first-order (gradient)
+    // ones do not; a flipped flags byte must not size a Hessian row for
+    // the latter.
+    for second_order in [true, false] {
+        decoder_corpus_allocates_nothing(second_order);
+    }
+}
+
+fn decoder_corpus_allocates_nothing(second_order: bool) {
+    const FRAME_LINKS: usize = 6;
+    // Shard `shard`'s first-round frame: a mix of loaded, priced-only and
+    // idle links, so it carries subscriptions and state records.
+    let frame_of = |core: &mut ExchangeCore, shard: u16| {
+        let scale = 1.0 + f64::from(shard);
+        let loads: Vec<f64> = (0..FRAME_LINKS).map(|l| (l % 3) as f64 * scale).collect();
+        let hessians: Vec<f64> = if second_order {
+            loads.iter().map(|x| -0.5 * x).collect()
+        } else {
+            Vec::new()
+        };
+        let prices: Vec<f64> = (0..FRAME_LINKS)
+            .map(|l| (l % 2) as f64 * 0.25 * scale)
+            .collect();
+        let mut frame = Vec::new();
+        core.begin_round(1, &loads, &hessians, &prices, &mut frame);
+        frame
+    };
+    // The warm receiver: its own round begun, each remote row sized by
+    // one good frame.
+    let mut core = ExchangeCore::new(0, 3, 0.0);
+    frame_of(&mut core, 0);
+    let frames = [1, 2].map(|shard| frame_of(&mut ExchangeCore::new(shard, 3, 0.0), shard));
+    for frame in &frames {
+        core.apply_frame(frame).expect("a good frame applies");
+    }
+
+    let frame = &frames[0];
+    let mut mutated = frame.clone();
+    // The first mutation that allocated, if any: a fixed slot, so that
+    // recording it cannot allocate.
+    let mut first = None;
+    let mut check = |what: (usize, Option<u8>)| {
+        if first.is_none() && ALLOCS.load(Ordering::Relaxed) > 0 {
+            first = Some(what);
+        }
+    };
+    ALLOCS.store(0, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
+    for cut in 0..=frame.len() {
+        let _ = core.apply_frame(&frame[..cut]);
+        check((cut, None));
+    }
+    for at in 0..frame.len() {
+        for byte in (0..=u8::MAX).filter(|&b| b != frame[at]) {
+            mutated[at] = byte;
+            let _ = core.apply_frame(&mutated);
+            check((at, Some(byte)));
+        }
+        mutated[at] = frame[at];
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "the decoder corpus must not allocate (second order: {second_order}; {allocs} \
+         allocations, the first at (prefix length or offset, substituted byte) = {first:?})"
     );
 }
 
@@ -474,10 +551,9 @@ fn steady_state_sharded_tick_allocates_nothing() {
     // Churn, intake included: one flow per shard is swapped for a fresh
     // token inside the window (the router's own token map trades an
     // entry for an entry), so the next tick sends four first rates, one
-    // in each shard's stream, for the merge to interleave. A shard's
-    // update buffer trades places with its merge stream every tick, so
-    // the first two rounds warm the pair; from the third on nothing may
-    // touch the heap.
+    // in each shard's batch, for the router's one emit to interleave.
+    // The first two rounds warm the batches and the emit's scratch; from
+    // the third on nothing may touch the heap.
     for round in 0..8u16 {
         if round == 2 {
             ALLOCS.store(0, Ordering::Relaxed);

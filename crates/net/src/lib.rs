@@ -9,29 +9,24 @@
 //! and the same router drives it. The pieces:
 //!
 //! * [`Transport`] — a connected mesh endpoint that [`Transport::split`]s
-//!   into a [`Sender`] half (kept by the tick thread) and one [`Receiver`]
-//!   half per remote peer (each moved onto its own receiver thread).
-//!   Three implementations: the in-process [`MemTransport`] mesh (the
-//!   bit-for-bit reference), length-prefixed Unix-domain sockets
-//!   ([`UdsTransport`]) and TCP ([`TcpTransport`]).
-//! * [`RecvRuntime`] — the async peer runtime: one thread per remote
-//!   peer drains its receiver into a per-peer mailbox, so frames are
-//!   pulled off the wire the moment they arrive instead of when the
-//!   tick loop gets around to a blocking `recv`. Frame buffers recycle
-//!   through a shared [`BufferPool`], keeping the steady state
-//!   allocation-free.
+//!   into a [`Sender`] half and one [`Receiver`] half per remote peer,
+//!   all kept by the peer that ticks: no thread here outlives the
+//!   constructor that spawned it. Three implementations: the in-process
+//!   [`MemTransport`] mesh (the bit-for-bit reference), length-prefixed
+//!   Unix-domain sockets ([`UdsTransport`]) and TCP ([`TcpTransport`]).
 //! * [`ShardPeer`] — one shard's `AllocatorService` plus its side of
 //!   the exchange (an `ExchangeCore`: the filter and install math the
 //!   in-process service runs over its shared table, here over private
 //!   rows filled from frames). A tick is two phases: run the allocator
 //!   and broadcast this shard's frame, then a staleness-aware barrier
-//!   over the mailboxes: a peer that was fresh last round is awaited up
-//!   to the configured round timeout, a peer already behind is only
-//!   polled (its frames install whenever they arrive), and a peer
-//!   behind by `max_rounds_behind` rounds is awaited again so the lag
-//!   stays bounded. Stale rounds install from last-shipped state;
-//!   per-peer [`PeerLag`] (current and peak `rounds_behind`) is
-//!   surfaced through [`WireStats`].
+//!   that polls every receive half on the tick thread against one
+//!   deadline read from the peer's [`Clock`]: a peer that was fresh
+//!   last round is awaited up to the configured round timeout, a peer
+//!   already behind is only polled (its frames install whenever they
+//!   arrive), and a peer behind by `max_rounds_behind` rounds is
+//!   awaited again so the lag stays bounded. Stale rounds install from
+//!   last-shipped state; per-peer [`PeerLag`] (current and peak
+//!   `rounds_behind`) is surfaced through [`WireStats`].
 //! * [`PeerCluster`] — a `TickDriver` over a set of peers: the core
 //!   crate's `Router` over the [`cluster::Peers`] shard set, which runs
 //!   every peer's first phase before any peer's second. Routing, the
@@ -50,14 +45,10 @@
 
 pub mod cluster;
 pub mod peer;
-pub mod pool;
-pub mod runtime;
 pub mod transport;
 
 pub use cluster::PeerCluster;
-pub use peer::{PeerError, PeerLag, ShardPeer, WireStats};
-pub use pool::BufferPool;
-pub use runtime::{Polled, RecvRuntime};
+pub use peer::{Clock, PeerError, PeerLag, ShardPeer, WallClock, WireStats};
 pub use transport::{
     free_tcp_port_run, mem_mesh, tcp_connect, uds_connect, uds_mesh, uds_socket_path, FrameStream,
     MemReceiver, MemSender, MemTransport, Receiver, Sender, SocketReceiver, SocketSender,

@@ -15,15 +15,18 @@
 //! `PeerCluster` interleaves across its peers, every first phase before
 //! any second.
 //!
-//! Receiving is asynchronous: a [`RecvRuntime`] thread per remote peer
-//! drains that peer's frames into a mailbox as they arrive, and the
-//! barrier in the second phase installs **the freshest
-//! state each mailbox holds** rather than blocking per socket:
+//! The peer owns one thread's worth of work: the barrier in the second
+//! phase polls every remote peer's [`Receiver`] without blocking, on
+//! the tick thread, and installs **the freshest state each one holds**
+//! — every frame buffered on a link is applied in arrival order, so a
+//! backlog drains in one barrier. All awaited peers share one deadline,
+//! [`ExchangeConfig::round_timeout`] after the barrier starts, read
+//! from the peer's [`Clock`]:
 //!
-//! * a peer that was fresh last round is waited for (up to the round
-//!   timeout) — in a healthy cluster frames are already buffered and
-//!   the wait is a mailbox handoff, which is what keeps the on-time
-//!   path bit-for-bit identical to the old blocking lockstep;
+//! * a peer that was fresh last round is waited for — in a healthy
+//!   cluster its frame is already in the socket and the wait is one
+//!   read, which is what keeps the on-time path bit-for-bit identical
+//!   to a blocking lockstep;
 //! * a peer that already missed a barrier is only *polled* — its missed
 //!   rounds cost nothing, the round installs from the last state it
 //!   shipped, and [`WireStats`] reports how far behind it is
@@ -54,8 +57,34 @@ use flowtune::{
 use flowtune_proto::exchange::decode_header;
 use flowtune_proto::Message;
 
-use crate::runtime::{Polled, RecvRuntime};
-use crate::transport::{Sender, Transport, TransportError};
+use crate::transport::{Receiver, Sender, Transport, TransportError};
+
+/// Where a peer's exchange barrier reads the time, and how it spends a
+/// wait. Every barrier deadline comes from the clock, so a test can
+/// step virtual time instead of sleeping ([`ShardPeer::with_clock`]);
+/// phase timings stay on [`Instant`].
+pub trait Clock: std::fmt::Debug + Send {
+    /// The current time.
+    fn now(&mut self) -> Instant;
+
+    /// Called between two polls of a barrier that is still waiting.
+    fn idle(&mut self);
+}
+
+/// The clock of a deployed peer: [`Instant::now`], and a wait yields
+/// the thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WallClock;
+
+impl Clock for WallClock {
+    fn now(&mut self) -> Instant {
+        Instant::now()
+    }
+
+    fn idle(&mut self) {
+        std::thread::yield_now();
+    }
+}
 
 /// What went wrong driving a peer's exchange. Layered over
 /// [`TransportError`]: transport-level faults keep their typed cause,
@@ -78,12 +107,6 @@ pub enum PeerError {
         /// The raw cause.
         error: io::Error,
     },
-    /// `peer`'s receiver thread is gone and its mailbox is empty; the
-    /// terminal cause was already reported.
-    ReceiverGone {
-        /// The peer whose receive path died.
-        peer: u16,
-    },
     /// Splitting the transport into its halves failed at construction.
     Setup {
         /// The raw cause.
@@ -96,9 +119,6 @@ impl std::fmt::Display for PeerError {
         match self {
             PeerError::Transport { peer, error } => write!(f, "peer {peer}: {error}"),
             PeerError::Io { peer, error } => write!(f, "peer {peer}: {error}"),
-            PeerError::ReceiverGone { peer } => {
-                write!(f, "receive path to peer {peer} is gone")
-            }
             PeerError::Setup { error } => write!(f, "transport split failed: {error}"),
         }
     }
@@ -109,7 +129,6 @@ impl std::error::Error for PeerError {
         match self {
             PeerError::Transport { error, .. } => Some(error),
             PeerError::Io { error, .. } | PeerError::Setup { error } => Some(error),
-            PeerError::ReceiverGone { .. } => None,
         }
     }
 }
@@ -119,7 +138,6 @@ impl From<PeerError> for io::Error {
         let kind = match &e {
             PeerError::Transport { error, .. } => io::Error::from(*error).kind(),
             PeerError::Io { error, .. } | PeerError::Setup { error } => error.kind(),
-            PeerError::ReceiverGone { .. } => io::ErrorKind::BrokenPipe,
         };
         io::Error::new(kind, e)
     }
@@ -151,9 +169,10 @@ pub struct PeerLag {
     /// in time for the barrier.
     pub last_fresh_round: u64,
     /// Bytes received from this peer (length prefixes included),
-    /// counted at mailbox arrival.
+    /// counted when a barrier reads them.
     pub rx_bytes: u64,
-    /// Frames received from this peer, counted at mailbox arrival.
+    /// Frames received from this peer, counted when a barrier reads
+    /// them.
     pub rx_frames: u64,
 }
 
@@ -209,12 +228,11 @@ impl WireStats {
     }
 }
 
-/// Per-slot staleness bookkeeping behind [`PeerLag`].
-#[derive(Debug, Clone, Copy, Default)]
-struct SlotLag {
-    rounds_behind: u64,
-    peak_rounds_behind: u64,
-    last_fresh_round: u64,
+/// One remote peer's receive half and staleness bookkeeping.
+#[derive(Debug)]
+struct Slot<R> {
+    rx: R,
+    lag: PeerLag,
     /// Newest state-frame round ever applied from this peer. Carried
     /// across barriers: a free-running peer's frame for round `T+1` can
     /// be swept up during barrier `T`, and must still satisfy barrier
@@ -228,7 +246,10 @@ pub struct ShardPeer<T: Transport> {
     svc: AllocatorService,
     core: ExchangeCore,
     tx: T::Tx,
-    rt: RecvRuntime,
+    /// One per remote peer, ascending by shard id.
+    slots: Vec<Slot<T::Rx>>,
+    /// What the barrier reads its deadline from.
+    clock: Box<dyn Clock>,
     exchange: ExchangeConfig,
     ticks: u64,
     /// An exchange round was exported this tick and awaits its barrier.
@@ -237,18 +258,17 @@ pub struct ShardPeer<T: Transport> {
     // once these are warm.
     export: LinkExport,
     frame_buf: Vec<u8>,
+    /// The frame the barrier reads into.
+    rx_buf: Vec<u8>,
     /// The passers [`ShardPeer::tick_into`] orders. A peer ticked by a
     /// `PeerCluster` appends to the router's batch instead, and this
     /// stays empty.
     passers: Passers,
-    /// Per-mailbox-slot staleness bookkeeping.
-    lag: Vec<SlotLag>,
     /// This peer's exchange counters (rounds, logical bytes, decode
     /// errors) — the distributed share of what the in-process routing
     /// layer counts centrally.
     local: ServiceStats,
-    /// Send-side wire counters; the receive side lives in the runtime's
-    /// mailboxes.
+    /// Send-side wire counters; the receive side lives in the slots.
     tx_bytes: u64,
     tx_frames: u64,
     late_rounds: u64,
@@ -259,11 +279,11 @@ pub struct ShardPeer<T: Transport> {
 
 impl<T: Transport> ShardPeer<T> {
     /// Wrap `svc` as the shard `transport.shard()` peer of a
-    /// `transport.peers()`-shard cluster, splitting the transport and
-    /// spawning the receiver runtime. The exchange cadence, delta
-    /// filter, barrier timeout and staleness bound all come from
-    /// `exchange` ([`ExchangeConfig::from_flowtune`] lifts the first two
-    /// from a service's flat config).
+    /// `transport.peers()`-shard cluster, splitting the transport. The
+    /// exchange cadence, delta filter, barrier timeout and staleness
+    /// bound all come from `exchange` ([`ExchangeConfig::from_flowtune`]
+    /// lifts the first two from a service's flat config). The barrier
+    /// runs on the [`WallClock`].
     ///
     /// # Errors
     /// [`PeerError::Setup`] when splitting the transport fails.
@@ -276,6 +296,23 @@ impl<T: Transport> ShardPeer<T> {
         svc: AllocatorService,
         transport: T,
         exchange: ExchangeConfig,
+    ) -> Result<Self, PeerError> {
+        Self::with_clock(svc, transport, exchange, Box::new(WallClock))
+    }
+
+    /// [`ShardPeer::new`] with the barrier's deadlines read from
+    /// `clock`.
+    ///
+    /// # Errors
+    /// [`PeerError::Setup`] when splitting the transport fails.
+    ///
+    /// # Panics
+    /// As [`ShardPeer::new`].
+    pub fn with_clock(
+        svc: AllocatorService,
+        transport: T,
+        exchange: ExchangeConfig,
+        clock: Box<dyn Clock>,
     ) -> Result<Self, PeerError> {
         let cfg = svc.config();
         assert!(
@@ -293,20 +330,30 @@ impl<T: Transport> ShardPeer<T> {
         let (tx, rxs) = transport
             .split()
             .map_err(|error| PeerError::Setup { error })?;
-        let slots = rxs.len();
-        let rt = RecvRuntime::spawn(rxs);
+        let slots = rxs
+            .into_iter()
+            .map(|rx| Slot {
+                lag: PeerLag {
+                    peer: rx.remote_peer(),
+                    ..PeerLag::default()
+                },
+                rx,
+                freshest_round: 0,
+            })
+            .collect();
         Ok(ShardPeer {
             svc,
             core,
             tx,
-            rt,
+            slots,
+            clock,
             exchange,
             ticks: 0,
             round_due: false,
             export: LinkExport::default(),
             frame_buf: Vec::new(),
+            rx_buf: Vec::new(),
             passers: Passers::default(),
-            lag: vec![SlotLag::default(); slots],
             local: ServiceStats::default(),
             tx_bytes: 0,
             tx_frames: 0,
@@ -348,28 +395,15 @@ impl<T: Transport> ShardPeer<T> {
     /// On-wire transport counters, including the per-peer
     /// receive/staleness breakdown.
     pub fn wire_stats(&self) -> WireStats {
-        let mut ws = WireStats {
+        let peers: Vec<PeerLag> = self.slots.iter().map(|s| s.lag).collect();
+        WireStats {
             tx_bytes: self.tx_bytes,
             tx_frames: self.tx_frames,
             late_rounds: self.late_rounds,
-            rx_bytes: 0,
-            rx_frames: 0,
-            peers: Vec::with_capacity(self.lag.len()),
-        };
-        for (slot, (&peer, lag)) in self.rt.peers().iter().zip(&self.lag).enumerate() {
-            let (rx_bytes, rx_frames) = self.rt.rx_counters(slot);
-            ws.rx_bytes += rx_bytes;
-            ws.rx_frames += rx_frames;
-            ws.peers.push(PeerLag {
-                peer,
-                rounds_behind: lag.rounds_behind,
-                peak_rounds_behind: lag.peak_rounds_behind,
-                last_fresh_round: lag.last_fresh_round,
-                rx_bytes,
-                rx_frames,
-            });
+            rx_bytes: peers.iter().map(|l| l.rx_bytes).sum(),
+            rx_frames: peers.iter().map(|l| l.rx_frames).sum(),
+            peers,
         }
-        ws
     }
 
     /// This peer's exchange counters alone (logical bytes, rounds,
@@ -441,11 +475,12 @@ impl<T: Transport> ShardPeer<T> {
         Ok(())
     }
 
-    /// Phase 2: the staleness-aware barrier. For each remote peer,
-    /// install the freshest state its mailbox holds — waiting only for
-    /// peers that were fresh last round (or are past the staleness
-    /// bound), polling the rest — then install the recomputed
-    /// aggregation into the service. A no-op when no round is due.
+    /// Phase 2: the staleness-aware barrier. Poll every remote peer
+    /// until each one it waits for — fresh last round, or past the
+    /// staleness bound — has shipped this round, or until one shared
+    /// deadline passes; then settle each peer's staleness and install
+    /// the recomputed aggregation into the service. A no-op when no
+    /// round is due.
     // flowtune-lint: hot, untrusted-input
     pub(crate) fn exchange_finish(&mut self) -> Result<(), PeerError> {
         if !self.round_due {
@@ -454,81 +489,14 @@ impl<T: Transport> ShardPeer<T> {
         self.round_due = false;
         let t0 = Instant::now();
         let target = self.ticks;
-        for slot in 0..self.lag.len() {
-            self.collect_slot(slot, target)?;
+        let deadline = self.clock.now() + self.exchange.round_timeout;
+        while self.poll_slots(target)? && self.clock.now() < deadline {
+            self.clock.idle();
         }
-        if let Some(bytes) = self.core.install(&mut self.svc) {
-            self.local.exchange_rounds += 1;
-            self.local.exchange_bytes += bytes;
-        }
-        self.exchange_time += t0.elapsed();
-        Ok(())
-    }
-
-    /// Drain one peer's mailbox: apply every buffered frame in arrival
-    /// order (the replica ends on the freshest), and decide fresh/stale
-    /// from the newest round applied once the mailbox runs dry. A frame
-    /// that fails to decode or apply, or whose header names a shard other
-    /// than the peer it arrived from, counts one decode error and does
-    /// not make the peer fresh.
-    // flowtune-lint: hot, untrusted-input
-    fn collect_slot(&mut self, slot: usize, target: u64) -> Result<(), PeerError> {
-        let Some(&peer) = self.rt.peers().get(slot) else {
-            return Ok(());
-        };
-        let (behind, mut freshest) = match self.lag.get(slot) {
-            Some(l) => (l.rounds_behind, l.freshest_round),
-            None => return Ok(()),
-        };
-        let throttle = self.exchange.max_rounds_behind;
-        // Fresh peers are waited for — in a healthy cluster their frame
-        // is already buffered and the wait is a mailbox handoff. A peer
-        // that already missed a barrier is only polled, so its missed
-        // rounds cost nothing; once it is `max_rounds_behind` barriers
-        // behind we wait again every round, bounding the drift.
-        let wait = behind == 0 || (throttle > 0 && behind >= throttle);
-        let deadline = Instant::now() + self.exchange.round_timeout;
-        loop {
-            let polled = if wait && freshest < target {
-                self.rt.pop_deadline(slot, deadline)
-            } else {
-                // Target reached (or peer not waited for): sweep
-                // whatever else is already buffered so a recovering
-                // peer's backlog drains in one barrier, not one frame
-                // per round.
-                self.rt.try_pop(slot)
-            };
-            match polled {
-                Polled::Empty => break,
-                Polled::Closed => {
-                    // The peer's stream ended. A round its final frame
-                    // already satisfied still completes (the normal
-                    // shutdown race: the peer sent its last round and
-                    // exited); the first barrier the closure leaves
-                    // unsatisfied surfaces it as an error.
-                    if freshest >= target {
-                        break;
-                    }
-                    return Err(self.closed_error(slot, peer));
-                }
-                Polled::Frame(frame) => {
-                    let applied = match decode_header(&frame) {
-                        Ok(header) if header.shard == peer => {
-                            self.core.apply_frame(&frame).map(|()| header.round).ok()
-                        }
-                        _ => None,
-                    };
-                    self.rt.recycle(frame);
-                    match applied {
-                        Some(round) => freshest = freshest.max(round),
-                        None => self.local.exchange_decode_errors += 1,
-                    }
-                }
-            }
-        }
-        if let Some(l) = self.lag.get_mut(slot) {
-            l.freshest_round = freshest;
-            if freshest >= target {
+        let mut late = false;
+        for slot in &mut self.slots {
+            let l = &mut slot.lag;
+            if slot.freshest_round >= target {
                 l.rounds_behind = 0;
                 l.last_fresh_round = target;
             } else {
@@ -537,20 +505,67 @@ impl<T: Transport> ShardPeer<T> {
                 // frame heals the replica.
                 l.rounds_behind += 1;
                 l.peak_rounds_behind = l.peak_rounds_behind.max(l.rounds_behind);
-                self.late_rounds += 1;
+                late = true;
             }
         }
+        self.late_rounds += u64::from(late);
+        if let Some(bytes) = self.core.install(&mut self.svc) {
+            self.local.exchange_rounds += 1;
+            self.local.exchange_bytes += bytes;
+        }
+        self.exchange_time += t0.elapsed();
         Ok(())
     }
 
-    /// The error for a closed mailbox: the thread's recorded failure if
-    /// it is still unclaimed, the generic receiver-gone otherwise.
-    // flowtune-lint: untrusted-input
-    fn closed_error(&self, slot: usize, peer: u16) -> PeerError {
-        match self.rt.take_failure(slot) {
-            Some(e) => io_to_peer(peer, e),
-            None => PeerError::ReceiverGone { peer },
+    /// Drain every remote peer's receive half without blocking: apply
+    /// each frame it holds in arrival order (the replica ends on the
+    /// freshest). Returns whether a peer this barrier waits for still
+    /// lacks a frame of round `target`. A peer that already missed a
+    /// barrier is not waited for, so its missed rounds cost nothing;
+    /// once it is `max_rounds_behind` barriers behind it is waited for
+    /// again every round, bounding the drift. A frame that fails to
+    /// decode or apply, or whose header names a shard other than the
+    /// peer it arrived from, counts one decode error and does not make
+    /// the peer fresh.
+    // flowtune-lint: hot, untrusted-input
+    fn poll_slots(&mut self, target: u64) -> Result<bool, PeerError> {
+        let throttle = self.exchange.max_rounds_behind;
+        let mut waiting = false;
+        for slot in &mut self.slots {
+            let peer = slot.lag.peer;
+            loop {
+                match slot.rx.recv(&mut self.rx_buf, Duration::ZERO) {
+                    Ok(None) => break,
+                    Ok(Some(bytes)) => {
+                        slot.lag.rx_bytes += bytes;
+                        slot.lag.rx_frames += 1;
+                        let applied = match decode_header(&self.rx_buf) {
+                            Ok(header) if header.shard == peer => self
+                                .core
+                                .apply_frame(&self.rx_buf)
+                                .map(|()| header.round)
+                                .ok(),
+                            _ => None,
+                        };
+                        match applied {
+                            Some(round) => slot.freshest_round = slot.freshest_round.max(round),
+                            None => self.local.exchange_decode_errors += 1,
+                        }
+                    }
+                    // The peer's stream ended. A round its final frame
+                    // already satisfied still completes (the normal
+                    // shutdown race: the peer sent its last round and
+                    // exited); the first barrier the closure leaves
+                    // unsatisfied surfaces it as an error.
+                    Err(_) if slot.freshest_round >= target => break,
+                    Err(e) => return Err(io_to_peer(peer, e)),
+                }
+            }
+            let behind = slot.lag.rounds_behind;
+            let awaited = behind == 0 || (throttle > 0 && behind >= throttle);
+            waiting |= awaited && slot.freshest_round < target;
         }
+        Ok(waiting)
     }
 
     // flowtune-lint: hot
@@ -568,5 +583,138 @@ impl<T: Transport> ShardPeer<T> {
             self.tx_frames += 1;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use flowtune::FlowtuneConfig;
+    use flowtune_topo::{ClosConfig, TwoTierClos};
+
+    use super::*;
+    use crate::transport::{mem_mesh, MemTransport};
+
+    const ROUND_TIMEOUT: Duration = Duration::from_millis(10);
+
+    /// Virtual time: `now` is a fixed origin plus what the barriers have
+    /// idled, and every idle steps it by `step`.
+    #[derive(Debug)]
+    struct Stepped {
+        origin: Instant,
+        idled: Arc<Mutex<Duration>>,
+        step: Duration,
+    }
+
+    impl Clock for Stepped {
+        fn now(&mut self) -> Instant {
+            self.origin + *self.idled.lock().unwrap()
+        }
+
+        fn idle(&mut self) {
+            *self.idled.lock().unwrap() += self.step;
+        }
+    }
+
+    fn fabric() -> TwoTierClos {
+        TwoTierClos::build(ClosConfig::multicore(2, 2, 4))
+    }
+
+    /// Shard 0 of an `n`-peer mem mesh exchanging every tick on a
+    /// stepped clock, the other endpoints unsplit, and the clock's
+    /// virtual time idled so far.
+    fn stepped_peer(
+        n: usize,
+        max_rounds_behind: u64,
+        step: Duration,
+    ) -> (
+        ShardPeer<MemTransport>,
+        Vec<MemTransport>,
+        Arc<Mutex<Duration>>,
+    ) {
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
+        };
+        let exchange = ExchangeConfig::from_flowtune(&cfg)
+            .round_timeout(ROUND_TIMEOUT)
+            .max_rounds_behind(max_rounds_behind);
+        let idled = Arc::new(Mutex::new(Duration::ZERO));
+        let clock = Stepped {
+            origin: Instant::now(),
+            idled: Arc::clone(&idled),
+            step,
+        };
+        let mut endpoints = mem_mesh(n).into_iter();
+        let t0 = endpoints.next().unwrap();
+        let svc = AllocatorService::new(&fabric(), cfg);
+        let peer = ShardPeer::with_clock(svc, t0, exchange, Box::new(clock)).unwrap();
+        (peer, endpoints.collect(), idled)
+    }
+
+    /// One tick of `peer`, returning the virtual time its barrier waited.
+    fn timed_tick(peer: &mut ShardPeer<MemTransport>, idled: &Mutex<Duration>) -> Duration {
+        let before = *idled.lock().unwrap();
+        peer.tick().expect("a late peer is not an error");
+        *idled.lock().unwrap() - before
+    }
+
+    #[test]
+    fn silent_peers_share_one_barrier_deadline() {
+        // A step that does not divide the timeout: the barrier idles
+        // past the deadline by less than one step.
+        let step = Duration::from_millis(3);
+        let (mut peer, _silent, idled) = stepped_peer(3, 8, step);
+        let waited = timed_tick(&mut peer, &idled);
+        assert!(
+            waited >= ROUND_TIMEOUT && waited < ROUND_TIMEOUT + step,
+            "two silent peers cost {waited:?}, one round timeout is {ROUND_TIMEOUT:?}"
+        );
+        let wire = peer.wire_stats();
+        assert_eq!(wire.rounds_behind(1), Some(1), "{wire:?}");
+        assert_eq!(wire.rounds_behind(2), Some(1), "{wire:?}");
+        assert_eq!(wire.late_rounds, 1, "one late round, two late peers");
+    }
+
+    #[test]
+    fn the_throttle_envelope_in_virtual_time() {
+        const BOUND: u64 = 4;
+        const SILENT: u64 = BOUND + 3;
+        let (mut peer, others, idled) = stepped_peer(2, BOUND, Duration::from_millis(1));
+        let (mut remote, _) = others.into_iter().next().unwrap().split().unwrap();
+
+        // The remote ships nothing for SILENT ticks. The barrier waits a
+        // round timeout when it detects that, then only polls, then
+        // waits again every round once the peer is BOUND behind.
+        let mut waits = Vec::new();
+        for tick in 1..=SILENT {
+            waits.push(timed_tick(&mut peer, &idled));
+            assert_eq!(peer.wire_stats().rounds_behind(1), Some(tick));
+        }
+        let mut expect = vec![ROUND_TIMEOUT];
+        expect.extend((1..BOUND).map(|_| Duration::ZERO));
+        expect.extend((BOUND..SILENT).map(|_| ROUND_TIMEOUT));
+        assert_eq!(waits, expect);
+
+        // It catches up: every round through the next one, shipped
+        // before that tick, drains in one barrier without a wait.
+        let links = fabric().topology().link_count();
+        let (mut loads, prices) = (vec![0.0; links], vec![0.5; links]);
+        let mut core = ExchangeCore::new(1, 2, 0.0);
+        let mut frame = Vec::new();
+        for round in 1..=SILENT + 1 {
+            loads[0] = round as f64;
+            frame.clear();
+            core.begin_round(round, &loads, &[], &prices, &mut frame);
+            remote.send(0, &frame).unwrap();
+        }
+        assert_eq!(timed_tick(&mut peer, &idled), Duration::ZERO);
+        let wire = peer.wire_stats();
+        assert_eq!(wire.rounds_behind(1), Some(0), "{wire:?}");
+        assert_eq!(wire.max_peak_rounds_behind(), SILENT, "the peak survives");
+        assert_eq!(wire.rx_frames, SILENT + 1);
+        assert_eq!(wire.late_rounds, SILENT);
+        assert_eq!(peer.exchange_stats().exchange_decode_errors, 0);
     }
 }

@@ -89,4 +89,5 @@ fn a_frame_naming_another_shard_is_refused() {
     let wire = peer.wire_stats();
     assert_eq!(wire.rounds_behind(1), Some(1), "{wire:?}");
     assert_eq!(wire.rounds_behind(2), Some(1), "{wire:?}");
+    assert_eq!(wire.late_rounds, 1, "one late round, two late peers");
 }

@@ -35,20 +35,21 @@
 //!   flowlets run out and are ended — rate reads, the in-place compaction
 //!   of the flow table, the `FlowletEnd`s — touches the heap zero times;
 //! * a converged peer cluster over the mem transport — send path,
-//!   receiver threads, mailboxes, barrier, install, the router's emit —
-//!   recycles every frame buffer through the pools and ticks without
-//!   touching the heap (`PeerCluster::try_tick_into`).
+//!   barrier polls, install, the router's emit — recycles every frame
+//!   buffer through the links' spare lists and ticks without touching
+//!   the heap (`PeerCluster::try_tick_into`), and so does one over Unix
+//!   sockets, its reassembly buffers included.
 //!
 //! A counting `#[global_allocator]` makes the claims checkable without
 //! tooling: while the measured window is open it counts every
 //! `alloc`/`realloc`/`alloc_zeroed` made by a thread that has marked
 //! itself as part of the measured path — the measuring thread for as
-//! long as it holds the [`Window`], the peer cluster's receiver threads
-//! through [`CountedTransport`]. The test harness's own threads (its main
-//! thread printing a result, a finished test's thread reporting one) never
-//! mark themselves, so they cannot dirty another test's window. This
-//! lives in its own integration-test binary so the counter sees nothing
-//! but these tests.
+//! long as it holds the [`Window`], and any thread that polls a receive
+//! half through [`CountedTransport`]. The test harness's own threads (its
+//! main thread printing a result, a finished test's thread reporting one)
+//! never mark themselves, so they cannot dirty another test's window.
+//! This lives in its own integration-test binary so the counter sees
+//! nothing but these tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -580,8 +581,8 @@ fn steady_state_sharded_tick_allocates_nothing() {
 }
 
 /// A mem-mesh endpoint whose receive halves mark the thread that polls
-/// them as counted: the peer cluster's receiver threads are part of the
-/// measured path, and this is the one seam they cross in test code.
+/// them as counted: whichever thread polls a receive half is on the
+/// measured path, and this is the one seam it crosses in test code.
 #[derive(Debug)]
 struct CountedTransport(flowtune_net::MemTransport);
 
@@ -685,5 +686,72 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
         allocs, 0,
         "steady-state peer cluster ticks must not allocate \
          ({allocs} allocations over {MEASURED_ROUNDS} ticks, receiver threads included)"
+    );
+}
+
+#[test]
+fn steady_state_uds_peer_cluster_tick_allocates_nothing() {
+    use std::time::Duration;
+
+    use flowtune::ExchangeConfig;
+    use flowtune_net::{uds_mesh, PeerCluster, ShardPeer};
+    use flowtune_topo::FlowId;
+
+    let _window = Window::lock();
+    let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
+    let cfg = FlowtuneConfig {
+        exchange_every: 1,
+        ..FlowtuneConfig::default()
+    };
+    let exchange = ExchangeConfig::from_flowtune(&cfg).round_timeout(Duration::from_secs(5));
+    let dir = std::env::temp_dir().join(format!("flowtune-zero-alloc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mesh = uds_mesh(&dir, 2).expect("bind and connect two uds peers");
+    let _ = std::fs::remove_dir_all(&dir);
+    let peers: Vec<_> = mesh
+        .into_iter()
+        .map(|t| ShardPeer::new(AllocatorService::new(&fabric, cfg), t, exchange).unwrap())
+        .collect();
+    let mut cluster = PeerCluster::from_peers(peers);
+    for src in 0..16u16 {
+        let (token, dst) = (u32::from(src) + 1, (src + 5) % 16);
+        let spine = fabric.ecmp_spine(src as usize, dst as usize, FlowId(u64::from(token)));
+        cluster
+            .on_message(Message::FlowletStart {
+                token: Token::new(token),
+                src,
+                dst,
+                size_hint: 1_000_000,
+                weight_q8: 256,
+                spine: spine as u8,
+            })
+            .unwrap();
+    }
+    let mut out = Vec::new();
+    // Warm-up: converge, and size the frame scratch, the buffer each
+    // barrier reads into and the sockets' reassembly buffers.
+    for _ in 0..300 {
+        cluster.try_tick_into(&mut out).expect("warm-up tick");
+    }
+    let frames_before = cluster.wire_stats().rx_frames;
+
+    ALLOCS.store(0, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
+    for _ in 0..MEASURED_ROUNDS {
+        cluster.try_tick_into(&mut out).expect("measured tick");
+        assert!(out.is_empty(), "quiet cluster ticks must suppress updates");
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "steady-state peer cluster ticks over Unix sockets must not allocate \
+         ({allocs} allocations over {MEASURED_ROUNDS} ticks)"
+    );
+    assert_eq!(
+        cluster.wire_stats().rx_frames - frames_before,
+        2 * MEASURED_ROUNDS,
+        "every measured tick read a frame off each socket"
     );
 }

@@ -305,7 +305,7 @@ fn mem_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
 fn uds_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
     // The same pin over a kernel transport: peers speaking the exchange
     // over Unix-domain sockets — real syscalls, real socket buffers,
-    // the receiver threads draining a real wire — still reproduce the
+    // each barrier reading a real wire without blocking — reproduce the
     // in-process ShardedService to the bit when every frame arrives on
     // time. (Smaller matrix than the mem pin: the property is transport
     // independence, the churn breadth is covered above.)

@@ -13,10 +13,12 @@
 //! over-allocation on cross-shard hot links), with `--exchange-every K`
 //! the shards price true totals and the row drops back to the unsharded
 //! NED's transient-only over-allocation. The `exchange_bytes` column
-//! prices that correction: the exchange's cumulative wire cost over the
-//! whole run (warmup included — identical across rows, so rows compare).
+//! prices that correction: the bytes of every exchange frame the shards
+//! built over the whole run (warmup included — identical across rows,
+//! so rows compare), before a transport copies each frame to every
+//! receiver behind a length prefix.
 //!
-//! Passing `--placement traffic[:refine]` adds a placed twin of the
+//! Passing `--placement traffic` adds a placed twin of the
 //! exchanging sharded row: same engine, same cadence, but endpoints
 //! partitioned by the workload's sampled traffic matrix instead of
 //! contiguous ranges. To quantify the placement win, run it on a
@@ -27,7 +29,8 @@
 //!     --placement traffic --pair-affinity 0.8 --exchange-delta-eps 0.001
 //! ```
 //!
-//! — the placed row then ships markedly fewer exchange bytes at the same
+//! — the placed row then ships fewer exchange bytes (1–5 % fewer per
+//! load in quick mode, more as load grows) at the same
 //! (non-)over-allocation: communicating racks share a shard, so fewer
 //! links are priced from two sides. (With the default `eps = 0` every
 //! float wiggle of every loaded link re-ships each round, identically

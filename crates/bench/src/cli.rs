@@ -43,8 +43,7 @@ shared experiment flags:
   --dirty-eps X           incremental only: price/ratio moves at or below X
                           do not re-dirty a link's flows (config dirty_eps;
                           default 0 = exact equivalence)
-  --placement P           endpoint-to-shard placement:
-                          contiguous|traffic|traffic:refine
+  --placement P           endpoint-to-shard placement: contiguous|traffic
                           (config placement; default contiguous; traffic
                           groups communicating racks from the workload's
                           sampled traffic matrix)
@@ -355,15 +354,8 @@ mod tests {
         assert_eq!(d.config().placement, PlacementSpec::Contiguous);
         assert_eq!(d.pair_affinity, 0.0);
         let o = parse(&["--placement", "traffic", "--pair-affinity", "0.8"]);
-        assert_eq!(
-            o.config().placement,
-            PlacementSpec::Traffic { refine: false }
-        );
+        assert_eq!(o.config().placement, PlacementSpec::Traffic);
         assert_eq!(o.pair_affinity, 0.8);
-        assert_eq!(
-            parse(&["--placement", "traffic:refine"]).config().placement,
-            PlacementSpec::Traffic { refine: true }
-        );
         assert_eq!(
             parse(&["--placement", "contiguous"]).config().placement,
             PlacementSpec::Contiguous
@@ -500,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "valid placements: contiguous, traffic, traffic:refine")]
+    #[should_panic(expected = "valid placements: contiguous, traffic")]
     fn bad_placement_message_lists_valid_names() {
         let _ = parse(&["--placement", "quantum"]);
     }

@@ -303,7 +303,7 @@ mod tests {
     fn traffic_placement_runs_and_reports_exchange_stats() {
         let cfg = FlowtuneConfig {
             exchange_every: 1,
-            placement: PlacementSpec::Traffic { refine: true },
+            placement: PlacementSpec::Traffic,
             ..FlowtuneConfig::default()
         };
         let mut d = FluidDriver::with_engine(

@@ -2,16 +2,15 @@
 //! the in-process one behind [`crate::ShardedService`] and a distributed
 //! shard peer — assemble differently but never restate:
 //!
-//! * `ShardFilter` — one shard's **delta filter and accounting**: it
-//!   compares the shard's fresh link-state export against the row it
-//!   last shipped, overwrites the entries that moved, and hands each
-//!   shipped entry to a caller-supplied sink as a [`Record`]. It also
-//!   owns the per-shard half of the install (below).
-//! * `LinkTables` — the **table set**: one last-shipped row per shard
-//!   plus the round's dirty marks, and the round-wide quantities every
-//!   shard's install reads and that are the same for all of them — the
-//!   load-weighted dual consensus and the per-link count of shards
-//!   holding state — computed once per round by `LinkTables::agree`.
+//! * `ShardFilter` — one shard's **delta filter**: it compares the
+//!   shard's fresh link-state export against the row it last shipped,
+//!   overwrites the entries that moved, and hands each shipped entry to
+//!   a caller-supplied sink as a [`Record`]. It also owns the per-shard
+//!   half of the install (below).
+//! * `LinkTables` — the **table set**: one last-shipped row per shard,
+//!   and the round-wide quantity every shard's install reads and that is
+//!   the same for all of them — the load-weighted dual consensus —
+//!   computed once per round by `LinkTables::agree`.
 //! * the **install math** — `LinkTables::agree` and then, per shard,
 //!   `ShardFilter::install`: background load/Hessian sums over the
 //!   *other* shards' rows, the subscription mask, and the three `set_*`
@@ -32,25 +31,17 @@
 //! shipped rows, so each peer recomputes the aggregation locally and
 //! needs nothing from the others beyond their frames — which is what
 //! makes the distributed exchange bit-for-bit identical to the
-//! in-process one. The *logical* byte accounting retained in
-//! [`ServiceStats::exchange_bytes`](crate::ServiceStats) still models
-//! the subscription-pruned hub protocol (aggregated entries down, 4+8·v
-//! bytes per entry) exactly as the in-process service always counted
-//! it; the broadcast's real cost is reported separately by the
-//! transports as on-wire bytes.
+//! in-process one. [`ServiceStats::exchange_bytes`](crate::ServiceStats)
+//! is what the broadcast sends: every shard's frame, header and records,
+//! on every round that counts. In process the frames are counted, not
+//! encoded; a transport adds its length prefix and one copy per
+//! receiver on top.
 
 use flowtune_proto::exchange::{
     encode_header, encode_record, FrameError, FrameHeader, Record, RecordIter,
 };
 
 use crate::service::AllocatorService;
-
-/// Logical bytes of one shipped exchange entry: a 4-byte link id plus 8
-/// bytes per 64-bit vector element riding along (loads and duals always;
-/// Hessian diagonals only for second-order engines).
-fn entry_bytes(vectors: u64) -> u64 {
-    4 + 8 * vectors
-}
 
 /// The longest link vector a frame may announce to a core that holds no
 /// row to compare it against (a core that has not exported yet, or whose
@@ -195,16 +186,10 @@ pub(crate) struct LinkTables {
     round_links: usize,
     /// Whether any shard's export carried Hessians this round.
     any_h: bool,
-    /// Per-link count of shards that shipped the link this round — the
-    /// inbound half of the byte accounting.
-    ship_counts: Vec<u32>,
     // ---- results of `agree`, reused every round ----
     /// Load-weighted mean price per loaded link, `NaN` where no shard
     /// holds a positive load.
     consensus: Vec<f64>,
-    /// Per-link count of shards holding any non-zero shipped state —
-    /// what a new subscriber would have to be caught up on.
-    state_count: Vec<u32>,
     /// `agree`'s scratch: Σ positive load per link.
     weight: Vec<f64>,
 }
@@ -216,26 +201,24 @@ impl LinkTables {
             rows: (0..shard_count).map(|_| Row::default()).collect(),
             round_links: 0,
             any_h: false,
-            ship_counts: Vec::new(),
             consensus: Vec::new(),
-            state_count: Vec::new(),
             weight: Vec::new(),
         }
     }
 
-    /// Forget the previous round's dirty marks; the rows stay.
+    /// Forget the previous round's link count and Hessian mark; the rows
+    /// stay.
     // flowtune-lint: hot
     pub(crate) fn start_round(&mut self) {
         self.round_links = 0;
         self.any_h = false;
-        self.ship_counts.clear();
     }
 
     /// The round-wide half of the install math, run once all of the
-    /// round's rows are written: the load-weighted dual consensus and
-    /// the per-link state counts, from every row in shard order. Returns
-    /// `false` when no shard exported any links this round (the round
-    /// does not count and nothing is installed).
+    /// round's rows are written: the load-weighted dual consensus, from
+    /// every row in shard order. Returns `false` when no shard exported
+    /// any links this round (the round does not count and nothing is
+    /// installed).
     // flowtune-lint: hot, untrusted-input
     pub(crate) fn agree(&mut self) -> bool {
         let n_links = self.round_links;
@@ -247,22 +230,17 @@ impl LinkTables {
         self.consensus.resize(n_links, 0.0);
         self.weight.clear();
         self.weight.resize(n_links, 0.0);
-        self.state_count.clear();
-        self.state_count.resize(n_links, 0);
         for (j, row) in self.rows.iter().enumerate() {
             if row.loads.is_empty() {
                 continue;
             }
             debug_assert_eq!(row.loads.len(), n_links, "short row of shard {j}");
-            let sums = (
-                self.consensus.as_mut_slice(),
-                self.weight.as_mut_slice(),
-                self.state_count.as_mut_slice(),
-            );
-            if row.hessians.is_empty() {
-                accumulate(sums, row, std::iter::repeat(&0.0));
-            } else {
-                accumulate(sums, row, row.hessians.iter());
+            let sums = self.consensus.iter_mut().zip(&mut self.weight);
+            for ((num, weight), (&load, &price)) in sums.zip(row.loads.iter().zip(&row.prices)) {
+                if load > 0.0 {
+                    *num += load * price;
+                    *weight += load;
+                }
             }
         }
         for (num, &weight) in self.consensus.iter_mut().zip(&self.weight) {
@@ -311,54 +289,20 @@ impl LinkTables {
     }
 }
 
-/// One row's contribution to [`LinkTables::agree`]'s per-link sums
-/// (`Σ load·price` and `Σ load` over positive loads, and one more holder
-/// wherever any of the row's three values is non-zero), with the row's
-/// Hessians passed apart so a Hessian-less row can read as all zeros.
-// flowtune-lint: hot, untrusted-input
-fn accumulate<'a>(
-    (nums, weights, holders): (&mut [f64], &mut [f64], &mut [u32]),
-    row: &'a Row,
-    hessians: impl Iterator<Item = &'a f64>,
-) {
-    let sums = nums.iter_mut().zip(weights).zip(holders);
-    let state = row.loads.iter().zip(&row.prices).zip(hessians);
-    for (((num, weight), holders), ((&load, &price), &hessian)) in sums.zip(state) {
-        if load > 0.0 {
-            *num += load * price;
-            *weight += load;
-        }
-        if load != 0.0 || price != 0.0 || hessian != 0.0 {
-            *holders += 1;
-        }
-    }
-}
-
-/// One shard's delta filter, its logical byte accounting, and the
-/// per-shard half of the install (see the module docs). The row it
-/// filters against lives in the [`LinkTables`] passed to each call — the
-/// shared set in process, an [`ExchangeCore`]'s private one on a peer.
+/// One shard's delta filter and the per-shard half of the install (see
+/// the module docs). The row it filters against lives in the
+/// [`LinkTables`] passed to each call — the shared set in process, an
+/// [`ExchangeCore`]'s private one on a peer.
 #[derive(Debug)]
 pub(crate) struct ShardFilter {
     shard: u16,
     eps: f64,
-    /// Own subscription mask from the previous exchange round (the
-    /// catch-up accounting's "was I subscribed then" bit). Only updated
-    /// on rounds this shard is active.
-    sub_prev: Vec<bool>,
-    /// Own announced subscriptions — what the sink was last told, as
-    /// opposed to `sub_prev` which follows the accounting's cadence.
-    announced: Vec<bool>,
     /// Re-ship unmoved non-zero entries on the next round (set to
     /// bootstrap a restarted peer's rows).
     resync_pending: bool,
     // ---- per-round state, valid from export to install ----
     own_active: bool,
     own_has_h: bool,
-    /// Own entries shipped this round (outbound accounting).
-    own_shipped: u64,
-    /// Own dirty marks this round.
-    own_dirty: Vec<bool>,
     /// Own fresh subscription mask this round (positive fresh load).
     fresh_sub: Vec<bool>,
     /// Install scratch, reused every round.
@@ -380,13 +324,9 @@ impl ShardFilter {
         ShardFilter {
             shard,
             eps,
-            sub_prev: Vec::new(),
-            announced: Vec::new(),
             resync_pending: false,
             own_active: false,
             own_has_h: false,
-            own_shipped: 0,
-            own_dirty: Vec::new(),
             fresh_sub: Vec::new(),
             scratch: Vec::new(),
         }
@@ -395,12 +335,12 @@ impl ShardFilter {
     /// Delta-filter the shard's fresh export (`loads`/`hessians`/
     /// `prices`, all the same length or `hessians` empty; all empty when
     /// the engine prices no links) against its row of `tables`: entries
-    /// that moved overwrite the row, mark the round's dirty counts and
-    /// go to `ship` as [`Record::LinkState`], preceded by the
-    /// subscription deltas and followed, after a resync request, by
-    /// [`Record::CatchUp`] for the unmoved non-zero entries. `ship` sees
-    /// exactly the records of the shard's wire frame, in frame order; a
-    /// caller whose consumers read `tables` directly passes a no-op.
+    /// that moved overwrite the row and go to `ship` as
+    /// [`Record::LinkState`]; after a resync request, the unmoved
+    /// non-zero entries go as [`Record::CatchUp`]. `ship` sees exactly
+    /// the records of the shard's wire frame, in frame order (link
+    /// order); a caller whose consumers read `tables` directly only
+    /// counts them.
     ///
     /// # Panics
     /// Panics if this filter's shard has no row in `tables`.
@@ -417,9 +357,6 @@ impl ShardFilter {
         let has_h = !hessians.is_empty();
         self.own_active = n > 0;
         self.own_has_h = has_h;
-        self.own_shipped = 0;
-        self.own_dirty.clear();
-        self.own_dirty.resize(n, false);
         self.fresh_sub.clear();
         self.fresh_sub.extend(loads.iter().map(|&v| v > 0.0));
         tables.round_links = tables.round_links.max(n);
@@ -429,23 +366,6 @@ impl ShardFilter {
         }
         debug_assert!(!has_h || hessians.len() == n, "short hessian export");
         debug_assert_eq!(prices.len(), n, "short price export");
-        if tables.ship_counts.len() < n {
-            tables.ship_counts.resize(n, 0);
-        }
-        // Subscription deltas: announce the links this shard started or
-        // stopped carrying load on since its last announcement.
-        self.announced.resize(n, false);
-        for (l, (announced, &sub)) in self.announced.iter_mut().zip(&self.fresh_sub).enumerate() {
-            if *announced != sub {
-                let link = l as u32;
-                ship(if sub {
-                    Record::SubAdd { link }
-                } else {
-                    Record::SubRemove { link }
-                });
-                *announced = sub;
-            }
-        }
         let own = &mut tables.rows[self.shard as usize];
         own.loads.resize(n, 0.0);
         own.prices.resize(n, 0.0);
@@ -465,25 +385,16 @@ impl ShardFilter {
                 if has_h {
                     own.hessians[l] = hessians[l];
                 }
-                self.own_dirty[l] = true;
-                tables.ship_counts[l] += 1;
-                self.own_shipped += 1;
                 ship(Record::LinkState {
                     link: l as u32,
                     load: loads[l],
                     dual: prices[l],
                     hessian: if has_h { hessians[l] } else { 0.0 },
                 });
-            }
-        }
-        if self.resync_pending {
-            // Catch-up: re-ship what the filter skipped but a peer with
-            // stale rows would be missing. Receivers apply these
-            // idempotently (they set, not accumulate).
-            for l in 0..n {
-                if self.own_dirty[l] || !own.nonzero_at(l) {
-                    continue;
-                }
+            } else if self.resync_pending && own.nonzero_at(l) {
+                // Catch-up: re-ship what the filter skipped but a peer
+                // with stale rows would be missing. Receivers apply
+                // these idempotently (they set, not accumulate).
                 ship(Record::CatchUp {
                     link: l as u32,
                     load: own.loads[l],
@@ -491,19 +402,17 @@ impl ShardFilter {
                     hessian: if has_h { own.hessians[l] } else { 0.0 },
                 });
             }
-            self.resync_pending = false;
         }
+        self.resync_pending = false;
     }
 
     /// The per-shard half of the install math, after
     /// [`LinkTables::agree`] returned `true`: sum the *other* shards'
     /// rows into this shard's background load (and Hessian), mask both
     /// and the consensus duals to the links this shard subscribes to,
-    /// and install them into `svc`. Returns the round's logical exchange
-    /// bytes for this shard (own entries out plus subscribed entries in
-    /// — the hub-model accounting).
+    /// and install them into `svc`.
     // flowtune-lint: hot, untrusted-input
-    pub(crate) fn install(&mut self, tables: &LinkTables, svc: &mut AllocatorService) -> u64 {
+    pub(crate) fn install(&mut self, tables: &LinkTables, svc: &mut AllocatorService) {
         let me = self.shard as usize;
         tables.sum_others(me, |row| &row.loads, &self.fresh_sub, &mut self.scratch);
         svc.set_background_loads(&self.scratch);
@@ -513,19 +422,11 @@ impl ShardFilter {
             tables.sum_others(me, |row| &row.hessians, &self.fresh_sub, &mut self.scratch);
             svc.set_background_hessians(&self.scratch);
         }
-        self.sub_prev.resize(tables.round_links, false);
-
-        // Outbound logical bytes: id + load + dual (+ Hessian) per
-        // entry this shard shipped.
-        let mut bytes = self.own_shipped * entry_bytes(2 + u64::from(self.own_has_h));
         if !self.own_active {
-            return bytes;
+            return;
         }
-        let Some(own) = tables.rows.get(me) else {
-            return bytes;
-        };
-        // Consensus duals install (and count) only on links this shard
-        // prices; elsewhere NaN keeps its own decaying dual.
+        // Consensus duals install only on links this shard prices;
+        // elsewhere NaN keeps its own decaying dual.
         self.scratch.clear();
         self.scratch.extend(
             self.fresh_sub
@@ -534,26 +435,6 @@ impl ShardFilter {
                 .map(|(&sub, &dual)| if sub { dual } else { f64::NAN }),
         );
         svc.set_link_prices(&self.scratch);
-        // Inbound logical bytes (the hub model): one aggregated entry
-        // per subscribed link that some *other* shard re-shipped this
-        // round — or, on a newly subscribed link, a catch-up entry for
-        // the state other shards already hold.
-        let reshipped = tables
-            .ship_counts
-            .iter()
-            .zip(&self.own_dirty)
-            .map(|(&ships, &mine)| ships > u32::from(mine));
-        let subscriptions = self.fresh_sub.iter().zip(&self.sub_prev);
-        let recv = subscriptions
-            .zip(reshipped.zip(&tables.state_count))
-            .enumerate()
-            .filter(|&(l, ((&sub, &was_sub), (reshipped, &holders)))| {
-                sub && (reshipped || (!was_sub && holders > u32::from(own.nonzero_at(l))))
-            })
-            .count() as u64;
-        self.sub_prev.clone_from(&self.fresh_sub);
-        bytes += recv * entry_bytes(2 + u64::from(self.own_has_h && tables.any_h));
-        bytes
     }
 }
 
@@ -598,6 +479,8 @@ fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<()
 pub struct ExchangeCore {
     filter: ShardFilter,
     tables: LinkTables,
+    /// Length of the frame the last `begin_round` appended.
+    frame_bytes: u64,
 }
 
 impl ExchangeCore {
@@ -615,6 +498,7 @@ impl ExchangeCore {
         ExchangeCore {
             filter: ShardFilter::new(shard, eps),
             tables: LinkTables::new(shard_count),
+            frame_bytes: 0,
         }
     }
 
@@ -658,7 +542,9 @@ impl ExchangeCore {
             .export(&mut self.tables, loads, hessians, prices, |record| {
                 encode_record(&record, has_hessians, out);
             });
-        out.len() - start
+        let len = out.len() - start;
+        self.frame_bytes = len as u64;
+        len
     }
 
     /// Apply another shard's state frame to its row.
@@ -670,8 +556,9 @@ impl ExchangeCore {
     /// row held without them (both checked before anything is resized),
     /// or carries link state no engine exports
     /// (checked before the record is written). After a record-level
-    /// error the row keeps whatever the frame carried up to it (a
-    /// re-ship heals it).
+    /// error the row keeps whatever the frame carried up to it, and
+    /// nothing re-ships the rest: the sender's filter has already
+    /// recorded those entries as shipped.
     // flowtune-lint: hot, untrusted-input
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<(), ApplyError> {
         let (header, records) = RecordIter::new(frame)?;
@@ -693,7 +580,6 @@ impl ExchangeCore {
             rows,
             round_links,
             any_h,
-            ship_counts,
             ..
         } = &mut self.tables;
         let from = header.shard as usize;
@@ -716,9 +602,6 @@ impl ExchangeCore {
                 });
             }
             *round_links = (*round_links).max(n);
-            if ship_counts.len() < n {
-                ship_counts.resize(n, 0);
-            }
             row.loads.resize(n, 0.0);
             row.prices.resize(n, 0.0);
             if header.has_hessians {
@@ -726,50 +609,32 @@ impl ExchangeCore {
             }
         }
         *any_h |= header.has_hessians;
+        // A catch-up entry sets the row exactly as a link-state one
+        // does.
         for record in records {
-            let record = record?;
-            match record {
-                Record::LinkState { link, .. }
-                | Record::CatchUp { link, .. }
-                | Record::SubAdd { link }
-                | Record::SubRemove { link }
-                    if link as usize >= n =>
-                {
-                    return Err(ApplyError::BadLink { link });
-                }
-                Record::LinkState {
-                    link,
-                    load,
-                    dual,
-                    hessian,
-                }
-                | Record::CatchUp {
-                    link,
-                    load,
-                    dual,
-                    hessian,
-                } => {
-                    if !exportable(load, dual, hessian) {
-                        return Err(ApplyError::BadValue { link });
-                    }
-                    let l = link as usize;
-                    write_state(&mut row.loads, l, load, link)?;
-                    write_state(&mut row.prices, l, dual, link)?;
-                    if header.has_hessians {
-                        write_state(&mut row.hessians, l, hessian, link)?;
-                    }
-                    // A catch-up entry is not fresh movement: it does
-                    // not count toward this round's dirty marks.
-                    if matches!(record, Record::LinkState { .. }) {
-                        if let Some(ships) = ship_counts.get_mut(l) {
-                            *ships += 1;
-                        }
-                    }
-                }
-                // A peer's subscription announcements are decoded and
-                // range-checked, not kept: the install math uses fresh
-                // exports.
-                Record::SubAdd { .. } | Record::SubRemove { .. } => {}
+            let (Record::LinkState {
+                link,
+                load,
+                dual,
+                hessian,
+            }
+            | Record::CatchUp {
+                link,
+                load,
+                dual,
+                hessian,
+            }) = record?;
+            if link as usize >= n {
+                return Err(ApplyError::BadLink { link });
+            }
+            if !exportable(load, dual, hessian) {
+                return Err(ApplyError::BadValue { link });
+            }
+            let l = link as usize;
+            write_state(&mut row.loads, l, load, link)?;
+            write_state(&mut row.prices, l, dual, link)?;
+            if header.has_hessians {
+                write_state(&mut row.hessians, l, hessian, link)?;
             }
         }
         Ok(())
@@ -778,25 +643,27 @@ impl ExchangeCore {
     /// Finish the round: run the install math over the rows — the
     /// round-wide consensus, then this shard's background sums and mask
     /// — and install the result into `svc` (this shard's service).
-    /// Returns the round's logical exchange bytes for this shard (own
-    /// entries out plus subscribed entries in — the hub-model
-    /// accounting), or `None` when no shard exported any links this
-    /// round (the round does not count).
+    /// Returns the length of the frame this round's
+    /// [`ExchangeCore::begin_round`] appended — what the round costs this
+    /// shard in `ServiceStats::exchange_bytes` — or `None` when no shard
+    /// exported any links this round (the round does not count).
     // flowtune-lint: hot, untrusted-input
     pub fn install(&mut self, svc: &mut AllocatorService) -> Option<u64> {
         if !self.tables.agree() {
             return None;
         }
-        Some(self.filter.install(&self.tables, svc))
+        self.filter.install(&self.tables, svc);
+        Some(self.frame_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtune_proto::exchange::{record_bytes, FRAME_HEADER_BYTES};
 
     /// Run one full round across a set of cores given each shard's fresh
-    /// exports, returning each core's logical bytes.
+    /// exports, returning what each core's install charges the round.
     fn round(
         cores: &mut [ExchangeCore],
         round_no: u64,
@@ -867,29 +734,18 @@ mod tests {
             export(links, &[(1, 2.0, 0.25)]),
         ];
         let bytes1 = round(&mut cores, 1, &exports, &mut svcs);
-        // Round 1: each ships its one moved entry (out 20) and receives
-        // nothing it subscribes to (disjoint links).
-        assert_eq!(bytes1, vec![Some(20), Some(20)]);
-        // Round 2 with identical exports: nothing moves, nothing ships.
+        // Round 1: each frame is a header and the one moved entry, a
+        // Hessian-free record.
+        let one_entry = (FRAME_HEADER_BYTES + record_bytes(false)) as u64;
+        assert_eq!(bytes1, vec![Some(one_entry), Some(one_entry)]);
+        // Round 2 with identical exports: nothing moves, the frames are
+        // bare headers.
         let bytes2 = round(&mut cores, 2, &exports, &mut svcs);
-        assert_eq!(bytes2, vec![Some(0), Some(0)]);
+        let header = FRAME_HEADER_BYTES as u64;
+        assert_eq!(bytes2, vec![Some(header), Some(header)]);
         // Each core's copy of the other's row now matches what was shipped.
         assert_eq!(cores[0].tables.rows[1].loads[1], 2.0);
         assert_eq!(cores[1].tables.rows[0].loads[0], 1.0);
-    }
-
-    #[test]
-    fn shared_link_pays_inbound_entries() {
-        let mut cores = vec![ExchangeCore::new(0, 2, 0.0), ExchangeCore::new(1, 2, 0.0)];
-        let (mut svcs, links) = two_svcs();
-        let exports = vec![
-            export(links, &[(0, 1.0, 0.5)]),
-            export(links, &[(0, 2.0, 0.7)]),
-        ];
-        let bytes = round(&mut cores, 1, &exports, &mut svcs);
-        // Each ships its entry (20) and receives the aggregated entry
-        // for the shared link it subscribes to (20).
-        assert_eq!(bytes, vec![Some(40), Some(40)]);
     }
 
     #[test]
@@ -901,17 +757,19 @@ mod tests {
             export(links, &[(0, 2.0, 0.7)]),
         ];
         round(&mut cores, 1, &exports, &mut svcs);
-        // Steady state: no movement, nothing shipped, nothing received.
+        // Steady state: no movement, header-only frames.
+        let header = FRAME_HEADER_BYTES as u64;
         assert_eq!(
             round(&mut cores, 2, &exports, &mut svcs),
-            vec![Some(0), Some(0)],
+            vec![Some(header), Some(header)],
         );
-        // A resync re-ships shard 0's entry as catch-up: the rows stay
-        // identical and the logical accounting does not move.
+        // A resync re-ships shard 0's entry as catch-up, which its frame
+        // carries and its install charges; the receiver's rows stay
+        // identical.
         cores[0].request_resync();
         let mut buf = Vec::new();
         let len = cores[0].begin_round(4, &exports[0].0, &exports[0].1, &exports[0].2, &mut buf);
-        assert!(len > flowtune_proto::exchange::FRAME_HEADER_BYTES);
+        assert_eq!(len, FRAME_HEADER_BYTES + record_bytes(false));
         let before = cores[1].tables.rows[0].loads.clone();
         cores[1].begin_round(
             4,
@@ -922,7 +780,8 @@ mod tests {
         );
         cores[1].apply_frame(&buf).unwrap();
         assert_eq!(cores[1].tables.rows[0].loads, before);
-        assert_eq!(cores[1].install(&mut svcs[1]), Some(0));
+        assert_eq!(cores[1].install(&mut svcs[1]), Some(header));
+        assert_eq!(cores[0].install(&mut svcs[0]), Some(len as u64));
     }
 
     #[test]
@@ -1117,7 +976,8 @@ mod tests {
             );
             assert!(core.tables.rows[1].loads.is_empty());
         }
-        assert_eq!(core.install(&mut svcs[0]), Some(20), "own entry out");
+        let own_frame = (FRAME_HEADER_BYTES + record_bytes(false)) as u64;
+        assert_eq!(core.install(&mut svcs[0]), Some(own_frame), "own frame");
         // The fabric's own count is what a peer legitimately sends.
         assert_eq!(core.apply_frame(&header_only(links as u32)), Ok(()));
         assert_eq!(core.tables.rows[1].loads.len(), links);
@@ -1163,34 +1023,29 @@ mod tests {
 
     #[test]
     fn begin_round_frames_are_pinned_byte_for_byte() {
-        // Recorded from the commit before the filter and the codec were
-        // separated: header, subscription deltas, link-state records in
-        // link order, then (second frame, after a resync request) the
-        // catch-up record for the entry that did not move.
+        // Version 3: a 16-byte header (version, flags, shard, round,
+        // n_links), then one record per link in link order — link state
+        // for an entry that moved, and (second frame, after a resync
+        // request) catch-up for a non-zero entry that did not.
         let [first, second] = pinned_frames();
         assert_eq!(
             hex(&first),
-            "0201030001000000000000000700000004\
-             0300000001\
-             0300000003\
+            "03030001000000000000000700000004\
              010000000140040000000000003fe8000000000000bfe0000000000000\
              010000000200000000000000003fc00000000000000000000000000000\
              01000000033ff00000000000000000000000000000bfd0000000000000"
         );
         assert_eq!(
             hex(&second),
-            "0201030001000000000000000800000004\
-             0300000002\
-             0400000003\
+            "03030001000000000000000800000004\
+             020000000140040000000000003fe8000000000000bfe0000000000000\
              01000000023fe00000000000003fc0000000000000bff0000000000000\
-             0100000003000000000000000000000000000000000000000000000000\
-             020000000140040000000000003fe8000000000000bfe0000000000000"
+             0100000003000000000000000000000000000000000000000000000000"
         );
     }
 
     #[test]
     fn every_prefix_and_byte_substitution_of_the_pinned_frames_is_refused_or_applied() {
-        use flowtune_proto::exchange::FRAME_HEADER_BYTES;
         // A receiver that has begun a round holds the fabric's link
         // count, so a mutated `n_links` meets `BadLinkCount`, not a
         // resize.
@@ -1230,14 +1085,8 @@ mod tests {
                 }
                 mutated[at] = frame[at];
             }
-            // The retired epoch kind and its two record tags are refused.
-            mutated[1] = 2;
-            assert_eq!(
-                core.apply_frame(&mutated),
-                Err(ApplyError::Frame(FrameError::BadKind { kind: 2 }))
-            );
-            mutated[1] = frame[1];
-            for tag in [5, 6] {
+            // The retired subscription and epoch record tags are refused.
+            for tag in 3..=6 {
                 mutated[FRAME_HEADER_BYTES] = tag;
                 assert_eq!(
                     core.apply_frame(&mutated),

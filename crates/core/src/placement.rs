@@ -15,12 +15,12 @@
 //!
 //! [`Placement::traffic`] instead partitions **racks** by the workload's
 //! traffic matrix: a deterministic greedy grouping (communicating racks
-//! attract) followed by an optional Kernighan–Lin-style swap refinement,
+//! attract) followed by a Kernighan–Lin-style swap refinement,
 //! both over rack-aligned units with balanced shard sizes. Racks that
 //! exchange traffic end up in the same shard, so each destination's
 //! senders concentrate in one shard, shared links become single-shard
 //! links, and the sparse exchange re-ships them once instead of once per
-//! loading shard (and installs fewer consensus duals back). The traffic
+//! loading shard. The traffic
 //! matrix is supplied when the plane is built (sampled from the workload
 //! generator, see `flowtune_workload::rack_traffic_matrix`, and handed to
 //! [`ServiceBuilder::traffic_matrix`](crate::ServiceBuilder::traffic_matrix));
@@ -44,18 +44,15 @@ pub enum PlacementSpec {
     /// bit-for-bit identical to the pre-placement sharded service.
     #[default]
     Contiguous,
-    /// Traffic-matrix-driven rack grouping (greedy agglomeration;
-    /// `refine` adds the Kernighan–Lin-style swap pass). Falls back to
+    /// Traffic-matrix-driven rack grouping (greedy agglomeration, then
+    /// the Kernighan–Lin-style swap pass). Falls back to
     /// [`PlacementSpec::Contiguous`] when no matrix is supplied or the
     /// matrix carries no signal.
-    Traffic {
-        /// Run the swap-refinement pass after the greedy grouping.
-        refine: bool,
-    },
+    Traffic,
 }
 
 /// `--placement` names [`PlacementSpec::parse`] accepts.
-pub const PLACEMENT_NAMES: [&str; 3] = ["contiguous", "traffic", "traffic:refine"];
+pub const PLACEMENT_NAMES: [&str; 2] = ["contiguous", "traffic"];
 
 /// A `--placement` value [`PlacementSpec::parse`] did not recognize; its
 /// `Display` lists the valid names so surfacing it verbatim gives the
@@ -95,18 +92,16 @@ impl PlacementSpec {
     pub fn parse(s: &str) -> Result<PlacementSpec, ParsePlacementError> {
         match s {
             "contiguous" => Ok(PlacementSpec::Contiguous),
-            "traffic" => Ok(PlacementSpec::Traffic { refine: false }),
-            "traffic:refine" => Ok(PlacementSpec::Traffic { refine: true }),
+            "traffic" => Ok(PlacementSpec::Traffic),
             _ => Err(ParsePlacementError { got: s.to_string() }),
         }
     }
 
-    /// The flag-style name (`contiguous` / `traffic` / `traffic:refine`).
+    /// The flag-style name (`contiguous` / `traffic`).
     pub fn name(&self) -> &'static str {
         match self {
             PlacementSpec::Contiguous => "contiguous",
-            PlacementSpec::Traffic { refine: false } => "traffic",
-            PlacementSpec::Traffic { refine: true } => "traffic:refine",
+            PlacementSpec::Traffic => "traffic",
         }
     }
 }
@@ -218,7 +213,7 @@ impl Placement {
     ///    order each join the non-full shard they are most attracted to
     ///    (largest summed [`TrafficMatrix::pair_weight`] to the racks
     ///    already there; ties pick the lowest shard index);
-    /// 2. **swap refinement** (when `refine`) — repeatedly apply the
+    /// 2. **swap refinement** — repeatedly apply the
     ///    cross-shard rack swap with the largest positive gain in
     ///    intra-shard weight (the Kernighan–Lin move, size-preserving by
     ///    construction) until no swap gains.
@@ -237,7 +232,6 @@ impl Placement {
         servers_per_rack: usize,
         shards: usize,
         matrix: &TrafficMatrix,
-        refine: bool,
     ) -> Self {
         assert!(servers > 0, "a placement needs at least one server");
         assert!(servers_per_rack > 0, "racks need at least one server");
@@ -251,7 +245,7 @@ impl Placement {
             return Self::contiguous(servers, shards);
         }
 
-        let rack_shard = refine_racks(greedy_racks(racks, shards, matrix), matrix, refine);
+        let rack_shard = refine_racks(greedy_racks(racks, shards, matrix), matrix);
 
         let mut shard_of = Vec::with_capacity(servers);
         for (r, &shard) in rack_shard.iter().enumerate() {
@@ -261,7 +255,7 @@ impl Placement {
         Self {
             shard_of,
             shards,
-            strategy: if refine { "traffic:refine" } else { "traffic" },
+            strategy: "traffic",
         }
     }
 
@@ -283,8 +277,8 @@ impl Placement {
         self.shard_of[(src as usize).min(self.shard_of.len() - 1)] as usize
     }
 
-    /// The strategy that produced this placement (`contiguous`,
-    /// `traffic`, `traffic:refine`) — telemetry only. A traffic request
+    /// The strategy that produced this placement (`contiguous` or
+    /// `traffic`) — telemetry only. A traffic request
     /// that fell back reports `contiguous`, honestly.
     pub fn strategy(&self) -> &'static str {
         self.strategy
@@ -360,10 +354,7 @@ fn greedy_racks(racks: usize, shards: usize, matrix: &TrafficMatrix) -> Vec<u32>
 /// applied swap strictly increases intra-shard weight, so the loop
 /// terminates; the scan order (and strict improvement) makes it
 /// deterministic.
-fn refine_racks(mut assignment: Vec<u32>, matrix: &TrafficMatrix, refine: bool) -> Vec<u32> {
-    if !refine {
-        return assignment;
-    }
+fn refine_racks(mut assignment: Vec<u32>, matrix: &TrafficMatrix) -> Vec<u32> {
     let racks = assignment.len();
     // Attraction of rack r to every rack currently in `shard`, excluding
     // a rack to ignore (the swap partner, which is leaving).
@@ -404,11 +395,7 @@ mod tests {
 
     #[test]
     fn spec_parses_and_roundtrips() {
-        for spec in [
-            PlacementSpec::Contiguous,
-            PlacementSpec::Traffic { refine: false },
-            PlacementSpec::Traffic { refine: true },
-        ] {
+        for spec in [PlacementSpec::Contiguous, PlacementSpec::Traffic] {
             assert_eq!(PlacementSpec::parse(spec.name()), Ok(spec));
         }
         let err = PlacementSpec::parse("hilbert").unwrap_err();
@@ -449,37 +436,30 @@ mod tests {
     #[test]
     fn traffic_groups_communicating_racks() {
         let m = interleaved(6);
-        for refine in [false, true] {
-            let p = Placement::traffic(24, 4, 2, &m, refine);
-            assert_eq!(
-                p.strategy(),
-                if refine { "traffic:refine" } else { "traffic" }
-            );
-            // Each class lands in one shard; sizes balance 12/12.
-            assert_eq!(p.shard_size(0), 12);
-            assert_eq!(p.shard_size(1), 12);
-            for rack in 0..6 {
-                let shard = p.shard_of((rack * 4) as u16);
-                let class_anchor = p.shard_of((4 * (rack % 2)) as u16);
-                assert_eq!(shard, class_anchor, "rack {rack} left its class");
-                // Rack-aligned: all four servers of the rack agree.
-                for s in 0..4u16 {
-                    assert_eq!(p.shard_of((rack * 4) as u16 + s), shard);
-                }
+        let p = Placement::traffic(24, 4, 2, &m);
+        assert_eq!(p.strategy(), "traffic");
+        // Each class lands in one shard; sizes balance 12/12.
+        assert_eq!(p.shard_size(0), 12);
+        assert_eq!(p.shard_size(1), 12);
+        for rack in 0..6 {
+            let shard = p.shard_of((rack * 4) as u16);
+            let class_anchor = p.shard_of((4 * (rack % 2)) as u16);
+            assert_eq!(shard, class_anchor, "rack {rack} left its class");
+            // Rack-aligned: all four servers of the rack agree.
+            for s in 0..4u16 {
+                assert_eq!(p.shard_of((rack * 4) as u16 + s), shard);
             }
-            // The two classes are in *different* shards.
-            assert_ne!(p.shard_of(0), p.shard_of(4));
         }
+        // The two classes are in *different* shards.
+        assert_ne!(p.shard_of(0), p.shard_of(4));
     }
 
     #[test]
     fn traffic_placement_is_deterministic() {
         let m = interleaved(6);
-        for refine in [false, true] {
-            let a = Placement::traffic(24, 4, 2, &m, refine);
-            let b = Placement::traffic(24, 4, 2, &m, refine);
-            assert_eq!(a, b);
-        }
+        let a = Placement::traffic(24, 4, 2, &m);
+        let b = Placement::traffic(24, 4, 2, &m);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -495,7 +475,12 @@ mod tests {
         m.add(1, 2, 100.0);
         // A decoy edge that misleads the greedy phase.
         m.add(0, 1, 60.0);
-        let refined = Placement::traffic(16, 4, 2, &m, true);
+        assert_eq!(
+            greedy_racks(4, 2, &m),
+            [0, 0, 1, 1],
+            "greedy takes the decoy"
+        );
+        let refined = Placement::traffic(16, 4, 2, &m);
         assert_eq!(refined.shard_of(0), refined.shard_of(12), "pair (0,3)");
         assert_eq!(refined.shard_of(4), refined.shard_of(8), "pair (1,2)");
         assert_ne!(refined.shard_of(0), refined.shard_of(4));
@@ -506,15 +491,15 @@ mod tests {
         let servers = 24;
         let contiguous = Placement::contiguous(servers, 2);
         // Zero matrix.
-        let zero = Placement::traffic(servers, 4, 2, &TrafficMatrix::new(6), true);
+        let zero = Placement::traffic(servers, 4, 2, &TrafficMatrix::new(6));
         assert_eq!(zero, contiguous);
         assert_eq!(zero.strategy(), "contiguous");
         // Rack-count mismatch.
-        let wrong = Placement::traffic(servers, 4, 2, &interleaved(5), false);
+        let wrong = Placement::traffic(servers, 4, 2, &interleaved(5));
         assert_eq!(wrong, contiguous);
         // More shards than racks.
         let m2 = interleaved(2);
-        let crowded = Placement::traffic(8, 4, 3, &m2, false);
+        let crowded = Placement::traffic(8, 4, 3, &m2);
         assert_eq!(crowded, Placement::contiguous(8, 3));
     }
 
@@ -529,7 +514,7 @@ mod tests {
                 }
             }
         }
-        let p = Placement::traffic(20, 4, 2, &m, true);
+        let p = Placement::traffic(20, 4, 2, &m);
         let sizes = [p.shard_size(0), p.shard_size(1)];
         assert_eq!(sizes.iter().sum::<usize>(), 20);
         assert!(sizes.contains(&12) && sizes.contains(&8), "{sizes:?}");
@@ -552,6 +537,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must divide")]
     fn ragged_rack_size_rejected() {
-        let _ = Placement::traffic(10, 4, 2, &TrafficMatrix::new(2), false);
+        let _ = Placement::traffic(10, 4, 2, &TrafficMatrix::new(2));
     }
 }

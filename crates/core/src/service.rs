@@ -114,9 +114,10 @@ pub struct ServiceStats {
     /// unsharded service and for sharded services with the exchange
     /// disabled ([`crate::FlowtuneConfig::exchange_every`] = 0).
     pub exchange_rounds: u64,
-    /// Bytes of link state shipped between shards by those rounds: a
-    /// 4-byte link id plus 8 bytes per vector for each entry the delta
-    /// filter ships or a subscribed shard imports ([`crate::sharded`]).
+    /// Bytes of the exchange frames those rounds carried: every shard's
+    /// frame header plus one record per entry its delta filter shipped
+    /// ([`crate::sharded`]), before a transport copies each frame to
+    /// every other shard.
     pub exchange_bytes: u64,
     /// Exchange frames that failed to decode or apply (truncated or
     /// corrupt bytes off a transport, version mismatches, out-of-range
@@ -457,7 +458,7 @@ impl ServiceBuilder {
                     crate::PlacementSpec::Contiguous => {
                         crate::Placement::contiguous(clos.server_count(), shards)
                     }
-                    crate::PlacementSpec::Traffic { refine } => {
+                    crate::PlacementSpec::Traffic => {
                         // Without a matrix the placer has no signal, and
                         // Placement::traffic falls back to contiguous.
                         let racks = clos.server_count() / clos.servers_per_rack;
@@ -467,7 +468,6 @@ impl ServiceBuilder {
                             clos.servers_per_rack,
                             shards,
                             self.matrix.as_ref().unwrap_or(&empty),
-                            refine,
                         )
                     }
                 };

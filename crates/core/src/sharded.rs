@@ -113,9 +113,9 @@
 //! shard last shipped, written only by that shard's filter and read by
 //! every shard's install. Nothing is encoded or decoded, and a row
 //! exists once — not once per reader. What is the same for every shard
-//! (the dual consensus, the per-link counts the byte accounting needs)
-//! is computed once per round; only the background sums, which leave
-//! out the shard's own row, and the subscription mask are per shard.
+//! (the dual consensus) is computed once per round; only the background
+//! sums, which leave out the shard's own row, and the subscription mask
+//! are per shard.
 //! The serialized form of the same round — frames carrying exactly the
 //! entries the filters write — exists only between processes, where
 //! `flowtune-net`'s shard peers each keep private copies of the rows;
@@ -133,31 +133,32 @@
 //! loaded and fully decayed) cost nothing. Note that an idle link still
 //! re-ships while its initial dual decays toward zero under `eps = 0`
 //! (and a freshly started system ships nearly everything, each entry
-//! paying a 4-byte id the dense protocol didn't) — a small positive
-//! `eps` cuts that tail immediately, which is the knob's point.
-//! [`ServiceStats::exchange_bytes`] counts the sparse wire size: per
-//! shipped entry, a 4-byte link id plus 8 bytes per vector shipped
-//! (loads and duals always; Hessian diagonals only for second-order
-//! engines), in both directions (deltas out; changed background sums and
-//! consensus duals back in).
+//! paying a tag and a 4-byte id the dense protocol didn't) — a small
+//! positive `eps` cuts that tail immediately, which is the knob's point.
+//! [`ServiceStats::exchange_bytes`] counts the frames a wire would
+//! carry, though nothing here encodes one: per shard and counted round,
+//! a frame header plus one record per shipped entry (a tag, a 4-byte
+//! link id, 8 bytes each for load and dual, and 8 for the Hessian
+//! diagonal of second-order engines). It is the same number a
+//! `flowtune-net` cluster reports, whose transports then send each frame
+//! once per receiver behind a length prefix.
 //!
-//! Inbound, the exchange is **subscription-pruned**: a shard imports
-//! (and is charged for) another shard's entry only on links it currently
-//! prices itself — its own fresh export carries a positive load there
-//! (the un-filtered export, so even a load too small to pass the
-//! outbound delta filter still subscribes its shard). Link state on
+//! The install is **subscription-masked**: a shard installs the other
+//! shards' background sums and the consensus dual only on links it
+//! currently prices itself — its own fresh export carries a positive
+//! load there (the un-filtered export, so even a load too small to pass
+//! the outbound delta filter still subscribes its shard). Link state on
 //! a link a shard has no flows on cannot change its allocation (prices
-//! enter rates only through flows' paths), so those imports are pure
-//! waste; skipping them makes the inbound cost proportional to how many
-//! links the partition actually *shares*. That is the lever
-//! exchange-aware placement (see [`crate::placement`]) pulls: grouping
-//! communicating racks into one shard unshares the hot links, and both
-//! the double-shipping and the cross-subscriptions disappear. A shard
-//! that gains a flow on a new link subscribes the same round it first
-//! exports a load for it (exports are taken after the tick, installs
-//! after the exports), so pruning adds no staleness beyond the exchange
-//! cadence itself; an unsubscribed link's local dual simply keeps
-//! decaying, exactly as if the link were idle.
+//! enter rates only through flows' paths), so masking them costs the
+//! shard's rates nothing; it keeps an unsubscribed link's local dual
+//! decaying, exactly as if the link were idle. A shard that gains a
+//! flow on a new link subscribes the same round it first exports a load
+//! for it (exports are taken after the tick, installs after the
+//! exports), so the mask adds no staleness beyond the exchange cadence
+//! itself. What exchange-aware placement (see [`crate::placement`])
+//! saves is outbound: grouping communicating racks into one shard
+//! leaves fewer links loaded from two sides, so fewer entries move and
+//! re-ship.
 //!
 //! The cadence remains a staleness/bandwidth trade-off: between
 //! exchanges a shard prices other shards' traffic at its last imported
@@ -173,6 +174,7 @@
 use std::time::{Duration, Instant};
 
 use flowtune_alloc::WorkerPool;
+use flowtune_proto::exchange::{record_bytes, FRAME_HEADER_BYTES};
 use flowtune_topo::TwoTierClos;
 
 use crate::exchange::{LinkExport, LinkTables, ShardFilter};
@@ -227,7 +229,7 @@ pub struct InProcess {
     /// The exchange's one table set: every shard's last-shipped row,
     /// written by that shard's filter and read by every shard's install.
     tables: LinkTables,
-    /// The exchange's rounds and logical bytes (zero whenever the
+    /// The exchange's rounds and frame bytes (zero whenever the
     /// exchange is off).
     counters: ServiceStats,
     /// Cumulative wall time spent in the exchange barrier (phase 2); the
@@ -415,24 +417,31 @@ impl InProcess {
     /// The round runs over the one shared [`LinkTables`]: every shard's
     /// [`ShardFilter`] delta-filters its fresh export into its own row,
     /// [`LinkTables::agree`] computes what is the same for every shard —
-    /// the dual consensus and the per-link state counts — once, and every
-    /// shard's filter then sums the *other* rows, masks to its
-    /// subscriptions and installs into its own service. Nothing is
-    /// serialized: the frames a distributed deployment ships carry
-    /// exactly the entries the filters write here (see
-    /// [`crate::exchange`]). Engines with no second-order term (gradient
-    /// projection) skip the Hessian part only.
+    /// the dual consensus — once, and every shard's filter then sums the
+    /// *other* rows, masks to its subscriptions and installs into its
+    /// own service. Nothing is serialized: the frames a distributed
+    /// deployment ships carry exactly the entries the filters write here
+    /// (see [`crate::exchange`]), and the round is charged their length.
+    /// Engines with no second-order term (gradient projection) skip the
+    /// Hessian part only.
     // flowtune-lint: hot
     fn exchange_link_state(&mut self) {
         self.tables.start_round();
+        // The frames a wire would carry, counted instead of encoded: a
+        // header per shard, active or not, plus its records.
+        let mut bytes = 0;
         for slot in &mut self.slots {
             let LinkExport {
                 loads,
                 hessians,
                 prices,
             } = &slot.export;
+            let record = record_bytes(!hessians.is_empty());
+            bytes += FRAME_HEADER_BYTES;
             slot.filter
-                .export(&mut self.tables, loads, hessians, prices, |_| {});
+                .export(&mut self.tables, loads, hessians, prices, |_| {
+                    bytes += record;
+                });
         }
         // `false` means no shard exported any links — the round does
         // not count.
@@ -440,9 +449,10 @@ impl InProcess {
             return;
         }
         for slot in &mut self.slots {
-            self.counters.exchange_bytes += slot.filter.install(&self.tables, &mut slot.svc);
+            slot.filter.install(&self.tables, &mut slot.svc);
         }
         self.counters.exchange_rounds += 1;
+        self.counters.exchange_bytes += bytes as u64;
     }
 }
 
@@ -615,12 +625,12 @@ mod tests {
         }
         let st = svc.stats();
         assert_eq!(st.exchange_rounds, 2, "rounds at ticks 4 and 8");
-        // A round can never cost more than every link shipped by every
-        // shard in both directions; the exact early-round counts are
-        // pinned against the exports in the exact-accounting test, and
-        // the steady-state win over the dense protocol in the delta-
-        // filter test.
-        let worst = st.exchange_rounds * 2 * 2 * f.topology().link_count() as u64 * (4 + 8 * 3);
+        // A round can never cost more than two frames that ship every
+        // link; the exact early-round counts are pinned against the
+        // exports in the exact-accounting test, and the steady-state win
+        // over the dense protocol in the delta-filter test.
+        let full_frame = FRAME_HEADER_BYTES + f.topology().link_count() * record_bytes(true);
+        let worst = st.exchange_rounds * 2 * full_frame as u64;
         assert!(st.exchange_bytes > 0);
         assert!(
             st.exchange_bytes <= worst,
@@ -634,14 +644,14 @@ mod tests {
         // One tick, one exchange round, fresh tables: the delta filter
         // must ship exactly the entries whose (load, dual, Hessian)
         // tuple differs from the all-zero tables, and the byte counter
-        // must equal id + three 8-byte values per entry, in both
-        // directions. The expectation is recomputed independently from
-        // the public exports of a *no-exchange twin* — same flows, same
-        // single tick — because the exchanging service's own exports are
-        // already mutated by the round's consensus install. In
-        // particular, links with zero load but a decaying initial dual
-        // ship (receivers track the dual), while links whose whole tuple
-        // is zero never do.
+        // must equal the two shards' frames: a header each plus one
+        // record per shipped entry. The expectation is recomputed
+        // independently from the public exports of a *no-exchange twin*
+        // — same flows, same single tick — because the exchanging
+        // service's own exports are already mutated by the round's
+        // consensus install. In particular, links with zero load but a
+        // decaying initial dual ship (receivers track the dual), while
+        // links whose whole tuple is zero never do.
         let f = fabric();
         let mk = |exchange_every| {
             let cfg = FlowtuneConfig {
@@ -657,48 +667,22 @@ mod tests {
         let svc = mk(1);
         let twin = mk(0);
         assert_eq!(twin.stats().exchange_bytes, 0, "twin must not exchange");
-        let entry = 4 + 8 * 3; // id + load + dual + Hessian (serial NED)
-        let exports: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = twin
-            .shards()
-            .map(|s| {
-                let (mut loads, mut prices, mut hess) = (Vec::new(), Vec::new(), Vec::new());
-                s.link_state_into(&mut loads, &mut hess);
-                s.link_prices_into(&mut prices);
-                (loads, prices, hess)
-            })
-            .collect();
-        let dirty: Vec<Vec<bool>> = exports
-            .iter()
-            .map(|(loads, prices, hess)| {
-                (0..loads.len())
-                    .map(|l| loads[l] != 0.0 || prices[l] != 0.0 || hess[l] != 0.0)
-                    .collect()
-            })
-            .collect();
-        // Out: each shard's dirty entries. In: each shard *subscribes*
-        // only to the links it prices (its own load is positive), so it
-        // receives the other shard's dirty entries on exactly those.
-        let out: usize = dirty.iter().map(|d| d.iter().filter(|&&x| x).count()).sum();
-        let recv_into = |me: usize, other: usize| -> usize {
-            dirty[other]
-                .iter()
-                .enumerate()
-                .filter(|&(l, &d)| d && exports[me].0[l] > 0.0)
-                .count()
-        };
-        let entries = out + recv_into(0, 1) + recv_into(1, 0);
-        assert!(entries > 0, "a first round must ship something");
-        // Only shipped entries are counted (the PR 4 satellite fix: the
-        // old dense accounting charged six full vectors per shard
-        // whatever moved), and inbound only on subscribed links (this
-        // PR: a shard with no flows on a link imports nothing for it).
-        // On this fresh system every link is dirty outbound (initial
-        // duals are decaying everywhere), but each shard's two disjoint
-        // flows subscribe it to just its own four path links; the
-        // delta-filter test covers the converged end where almost
-        // nothing ships at all.
-        assert!(entries < 2 * dirty[0].len() * 2, "pruning must bite");
-        assert_eq!(svc.stats().exchange_bytes, (entries * entry) as u64);
+        let mut dirty = 0;
+        for shard in twin.shards() {
+            let (mut loads, mut prices, mut hess) = (Vec::new(), Vec::new(), Vec::new());
+            shard.link_state_into(&mut loads, &mut hess);
+            shard.link_prices_into(&mut prices);
+            dirty += (0..loads.len())
+                .filter(|&l| loads[l] != 0.0 || prices[l] != 0.0 || hess[l] != 0.0)
+                .count();
+        }
+        assert!(dirty > 0, "a first round must ship something");
+        // Serial NED exports Hessians: 29-byte records.
+        assert_eq!(record_bytes(true), 29);
+        assert_eq!(
+            svc.stats().exchange_bytes,
+            (2 * FRAME_HEADER_BYTES + dirty * record_bytes(true)) as u64
+        );
     }
 
     #[test]
@@ -722,8 +706,9 @@ mod tests {
         let st = svc.stats();
         assert_eq!(st.exchange_rounds, 350, "rounds keep firing");
         assert_eq!(
-            st.exchange_bytes, settled,
-            "converged state moves less than eps, so nothing ships"
+            st.exchange_bytes - settled,
+            50 * 2 * FRAME_HEADER_BYTES as u64,
+            "converged state moves less than eps: the frames carry headers only"
         );
         // This is where the sparse protocol earns its keep: a dense
         // exchange would have shipped six full 8-byte-per-link vectors
@@ -733,50 +718,6 @@ mod tests {
             st.exchange_bytes < dense / 5,
             "sparse {} vs dense {dense}",
             st.exchange_bytes
-        );
-    }
-
-    #[test]
-    fn a_new_subscriber_pays_catch_up_for_state_it_is_handed() {
-        // Two runs, identical except for where the late flow lands: on a
-        // receiver whose links shard 0 already prices (shared), or on a
-        // fully disjoint path. In both, the late shard newly subscribes
-        // to 4 links and ships 4 entries; in the shared case the round
-        // additionally carries shard 0's fresh imports of the 2 shared
-        // entries — the difference the wire must pay for sharing a
-        // receiver. (Catch-up for state held from the decay era is
-        // charged identically in both runs: `last` tables hold nonzero
-        // final-shipped prices everywhere.)
-        let f = fabric();
-        let cfg = FlowtuneConfig {
-            exchange_every: 1,
-            exchange_delta_eps: 1e-3,
-            ..FlowtuneConfig::default()
-        };
-        let run = |late_dst: u16| {
-            let mut svc = ShardedService::new(&f, cfg, 2);
-            svc.on_message(start(1, 0, 12)).unwrap(); // shard 0
-            for _ in 0..300 {
-                svc.tick();
-            }
-            let settled = svc.stats().exchange_bytes;
-            svc.tick();
-            assert_eq!(svc.stats().exchange_bytes, settled, "must be converged");
-            svc.on_message(start(2, 8, late_dst)).unwrap(); // shard 1
-            svc.tick();
-            svc.stats().exchange_bytes - settled
-        };
-        // start() pins spine 1, so (8 → 12) shares exactly two links with
-        // (0 → 12): the spine→ToR down link and the receiver's access
-        // link. (8 → 4) shares none.
-        let shared = run(12);
-        let disjoint = run(4);
-        assert!(disjoint > 0, "a new flow's links must ship");
-        let entry = 4 + 8 * 3;
-        assert_eq!(
-            shared,
-            disjoint + 2 * entry,
-            "sharing a receiver must cost exactly the 2 shared links' fresh imports"
         );
     }
 

@@ -10,12 +10,14 @@
 //! a shard whose engine exports nothing, one without Hessians, loads too
 //! small to pass a positive `eps`, catch-up resyncs on the framed side —
 //! every round must install the same background loads, Hessians and
-//! duals into every shard bit for bit and count the same logical bytes.
+//! duals into every shard bit for bit, and the shared table must count
+//! exactly the bytes of the frames the framed side encodes.
 
 use std::sync::{Arc, Mutex};
 
 use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver};
 use flowtune_alloc::{FlowRate, RateAllocator};
+use flowtune_proto::exchange::{record_bytes, Record, RecordIter};
 use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 use proptest::prelude::*;
 
@@ -144,6 +146,14 @@ fn export(kind: Kind, draws: &[u8]) -> Export {
     (loads, hessians, prices)
 }
 
+/// Bytes of the catch-up records in `frame`: entries the framed side's
+/// resyncs re-ship and the shared table has no copy of to heal.
+fn catch_up_bytes(frame: &[u8]) -> usize {
+    let (header, records) = RecordIter::new(frame).expect("a frame just encoded");
+    let catch_ups = records.filter(|r| matches!(r, Ok(Record::CatchUp { .. })));
+    catch_ups.count() * record_bytes(header.has_hessians)
+}
+
 fn service(
     fabric: &TwoTierClos,
     cfg: FlowtuneConfig,
@@ -213,7 +223,8 @@ proptest! {
             if *resync == 0 {
                 // The cluster re-ships unmoved entries as catch-up
                 // records; the shared table has no copies to heal. The
-                // catch-up may move no installed state and no count.
+                // catch-up may move no installed state and no count but
+                // its own bytes.
                 for core in &mut cores {
                     core.request_resync();
                 }
@@ -222,10 +233,13 @@ proptest! {
 
             wire.clear();
             frame_ends.clear();
+            let (mut round_bytes, mut catch_up) = (0, 0);
             for (core, script) in cores.iter_mut().zip(&scripts) {
                 let (loads, hessians, prices) = &script[round];
-                core.begin_round(round as u64 + 1, loads, hessians, prices, &mut wire);
+                let start = wire.len();
+                round_bytes += core.begin_round(round as u64 + 1, loads, hessians, prices, &mut wire);
                 frame_ends.push(wire.len());
+                catch_up += catch_up_bytes(&wire[start..]);
             }
             for (j, core) in cores.iter_mut().enumerate() {
                 let mut start = 0;
@@ -237,14 +251,17 @@ proptest! {
                 }
             }
             let mut counted = false;
-            for (core, svc) in cores.iter_mut().zip(&mut svcs) {
+            let mut start = 0;
+            for ((core, svc), &end) in cores.iter_mut().zip(&mut svcs).zip(&frame_ends) {
                 if let Some(bytes) = core.install(svc) {
-                    framed_bytes += bytes;
+                    prop_assert_eq!(bytes, (end - start) as u64, "install charges its frame");
                     counted = true;
                 }
+                start = end;
             }
             if counted {
                 framed_rounds += 1;
+                framed_bytes += (round_bytes - catch_up) as u64;
             }
 
             for (i, (shared, framed)) in shared.iter().zip(&framed).enumerate() {

@@ -270,7 +270,7 @@ fn run_peer_on<T: Transport>(transport: T, opts: &Opts) -> io::Result<()> {
     let wire = peer.wire_stats();
     writeln!(
         out,
-        "stats shard={} rounds={} logical_bytes={} decode_errors={} tx_bytes={} rx_bytes={} tx_frames={} rx_frames={} late_rounds={}",
+        "stats shard={} rounds={} frame_bytes={} decode_errors={} tx_bytes={} rx_bytes={} tx_frames={} rx_frames={} late_rounds={}",
         peer.shard(),
         st.exchange_rounds,
         st.exchange_bytes,
@@ -328,7 +328,7 @@ struct PeerReport {
     decode_errors: u64,
     late_rounds: u64,
     rounds: u64,
-    logical_bytes: u64,
+    frame_bytes: u64,
     /// `(peer, rounds_behind, peak_rounds_behind)` per remote peer.
     lags: Vec<(u16, u64, u64)>,
 }
@@ -357,7 +357,7 @@ fn parse_report(stdout: &str, report: &mut PeerReport) -> Result<(), String> {
                     .map_err(|e| format!("{key}: {e}"))
             };
             report.rounds = get("rounds")?;
-            report.logical_bytes = get("logical_bytes")?;
+            report.frame_bytes = get("frame_bytes")?;
             report.decode_errors = get("decode_errors")?;
             report.tx_bytes = get("tx_bytes")?;
             report.rx_bytes = get("rx_bytes")?;
@@ -516,8 +516,8 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
     let rx: u64 = reports.iter().map(|r| r.rx_bytes).sum();
     let decode_errors: u64 = reports.iter().map(|r| r.decode_errors).sum();
     let late: u64 = reports.iter().map(|r| r.late_rounds).sum();
-    let logical: u64 = reports.iter().map(|r| r.logical_bytes).sum();
-    println!("wire tx_bytes={tx} rx_bytes={rx} logical_bytes={logical} decode_errors={decode_errors} late_rounds={late}");
+    let frames: u64 = reports.iter().map(|r| r.frame_bytes).sum();
+    println!("wire tx_bytes={tx} rx_bytes={rx} frame_bytes={frames} decode_errors={decode_errors} late_rounds={late}");
     if n > 1 {
         let wire_ok = tx > 0 && rx > 0;
         println!(

@@ -69,8 +69,8 @@ impl<T: Transport> ShardSet for Peers<T> {
     }
 
     /// Exchange rounds are a cluster-wide event every peer counts once,
-    /// so they aggregate as the max; logical bytes — each peer's own
-    /// out + in share — and decode errors sum.
+    /// so they aggregate as the max; frame bytes — each peer's own
+    /// frames — and decode errors sum.
     fn exchange_stats(&self) -> ServiceStats {
         let mut total = ServiceStats::default();
         for peer in &self.peers {
@@ -249,6 +249,7 @@ impl<T: Transport> TickDriver for PeerCluster<T> {
 #[cfg(test)]
 mod tests {
     use flowtune::{ExchangeConfig, FlowtuneConfig, ShardedService};
+    use flowtune_proto::exchange::LENGTH_PREFIX_BYTES;
     use flowtune_topo::ClosConfig;
 
     use super::*;
@@ -365,6 +366,33 @@ mod tests {
         assert!(wire.tx_bytes > 0, "frames crossed the transport");
         assert_eq!(wire.tx_frames, wire.rx_frames, "lockstep loses nothing");
         assert_eq!(wire.late_rounds, 0);
+    }
+
+    #[test]
+    fn wire_bytes_are_the_counted_frames_sent_to_every_other_peer() {
+        let f = fabric();
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
+        };
+        let peers = 3;
+        let mut c = cluster(&f, cfg, peers);
+        // One flow per shard, two of them onto one receiver.
+        for (t, src, dst) in [(1u32, 0u16, 15u16), (2, 8, 15), (3, 12, 1)] {
+            c.on_message(start(t, src, dst)).unwrap();
+        }
+        for _ in 0..30 {
+            c.tick();
+        }
+        let st = c.stats();
+        assert_eq!(st.exchange_rounds, 30);
+        let frames = st.exchange_rounds * peers as u64;
+        let receivers = peers as u64 - 1;
+        let prefixes = LENGTH_PREFIX_BYTES as u64 * frames;
+        let wire = c.wire_stats();
+        assert_eq!(wire.tx_frames, receivers * frames);
+        assert_eq!(wire.tx_bytes, receivers * (st.exchange_bytes + prefixes));
+        assert_eq!(wire.rx_bytes, wire.tx_bytes, "lockstep loses nothing");
     }
 
     #[test]

@@ -41,10 +41,10 @@
 //! names another shard than the link it arrived on, counts one
 //! `exchange_decode_errors` and credits nothing.
 //!
-//! The peer reports two byte counts: the *logical* hub-model accounting
-//! (`ServiceStats::exchange_bytes`, identical to in-process) and the
-//! actual on-wire bytes its transport moved ([`WireStats`]), frame
-//! headers, record tags and length prefixes included — now with a
+//! The peer's `ServiceStats::exchange_bytes` is the length of each frame
+//! it built, on every round that counts — the same number the
+//! in-process plane reports. [`WireStats`] is what its transport moved:
+//! that frame once per remote peer, each behind a length prefix, with a
 //! per-peer receive/staleness breakdown.
 
 use std::io;
@@ -176,9 +176,9 @@ pub struct PeerLag {
     pub rx_frames: u64,
 }
 
-/// On-wire counters of one peer's transport use (separate from the
-/// logical `ServiceStats::exchange_bytes` accounting — see the module
-/// docs).
+/// On-wire counters of one peer's transport use: its frames, as
+/// `ServiceStats::exchange_bytes` counts them, times the remote peers,
+/// plus a length prefix each (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Bytes shipped to peers (length prefixes included).
@@ -264,7 +264,7 @@ pub struct ShardPeer<T: Transport> {
     /// `PeerCluster` appends to the router's batch instead, and this
     /// stays empty.
     passers: Passers,
-    /// This peer's exchange counters (rounds, logical bytes, decode
+    /// This peer's exchange counters (rounds, frame bytes, decode
     /// errors) — the distributed share of what the in-process routing
     /// layer counts centrally.
     local: ServiceStats,
@@ -406,7 +406,7 @@ impl<T: Transport> ShardPeer<T> {
         }
     }
 
-    /// This peer's exchange counters alone (logical bytes, rounds,
+    /// This peer's exchange counters alone (frame bytes, rounds,
     /// decode errors) — what a cluster aggregates across peers.
     pub fn exchange_stats(&self) -> ServiceStats {
         self.local

@@ -2,10 +2,9 @@
 //!
 //! A [`Transport`] moves already-encoded exchange frames (see
 //! [`flowtune_proto::exchange`]) between the peers of one cluster and
-//! reports the **on-wire** cost of doing so — the frame bytes plus the
-//! 4-byte length prefix ([`framed_wire_bytes`]) — separately from the
-//! *logical* hub-model accounting kept in
-//! `ServiceStats::exchange_bytes`. Three implementations:
+//! reports the **on-wire** cost of doing so: per copy sent, the frame
+//! bytes that `ServiceStats::exchange_bytes` counts plus the 4-byte
+//! length prefix ([`framed_wire_bytes`]). Three implementations:
 //!
 //! * [`MemTransport`] — an in-process mesh of queues, one per directed
 //!   peer pair, each with a spare list the receiver hands drained

@@ -667,8 +667,8 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
     }
     let mut out = Vec::new();
     // Warm-up: converge (quiet ticks, empty update streams) and size
-    // every reusable buffer — frame scratch, mailbox queues, the frame
-    // pools on both the send and receive side.
+    // every reusable buffer — frame scratch, the mesh's queues and the
+    // spare buffers they hand back, the barrier's receive buffer.
     for _ in 0..300 {
         cluster.try_tick_into(&mut out).expect("warm-up tick");
     }
@@ -685,7 +685,7 @@ fn steady_state_peer_cluster_tick_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state peer cluster ticks must not allocate \
-         ({allocs} allocations over {MEASURED_ROUNDS} ticks, receiver threads included)"
+         ({allocs} allocations over {MEASURED_ROUNDS} ticks)"
     );
 }
 

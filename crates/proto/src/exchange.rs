@@ -1,57 +1,54 @@
 //! Versioned wire format for the inter-shard link-state exchange.
 //!
 //! Each exchange round every shard emits exactly one **frame**: a fixed
-//! 17-byte big-endian header followed by a run of tagged records. Frames
+//! 16-byte big-endian header followed by a run of tagged records. Frames
 //! are written into a single flat caller-owned buffer (no per-record
 //! allocation), and a transport ships them with a 4-byte length prefix.
 //!
 //! ```text
-//!  0       1       2       3         5                13            17
-//!  +-------+-------+-------+---------+----------------+-------------+
-//!  | ver   | kind  | flags | shard   | round          | n_links     |
-//!  | u8    | u8    | u8    | u16 BE  | u64 BE         | u32 BE      |
-//!  +-------+-------+-------+---------+----------------+-------------+
-//!  | tagged records ...                                             |
-//!  +----------------------------------------------------------------+
+//!  0       1       2         4                12            16
+//!  +-------+-------+---------+----------------+-------------+
+//!  | ver   | flags | shard   | round          | n_links     |
+//!  | u8    | u8    | u16 BE  | u64 BE         | u32 BE      |
+//!  +-------+-------+---------+----------------+-------------+
+//!  | tagged records ...                                     |
+//!  +--------------------------------------------------------+
 //! ```
 //!
 //! * `ver` — protocol version, always [`EXCHANGE_VERSION`]. A receiver
 //!   rejects any other value ([`FrameError::BadVersion`]) rather than
 //!   guessing at the layout; peers of different versions never exchange.
-//! * `kind` — always 1, the per-round link-state delta; a receiver
-//!   rejects any other value ([`FrameError::BadKind`]).
 //! * `flags` — bit 0 ([`FLAG_ACTIVE`]): the sender exported a non-empty
 //!   load vector this round; bit 1 ([`FLAG_HESSIANS`]): the sender's
-//!   link-state records carry a Hessian-diagonal word.
+//!   records carry a Hessian-diagonal word.
 //! * `shard` — the sender's shard id.
 //! * `round` — the sender's tick counter when the frame was built; used
 //!   to match frames to rounds and detect late arrivals.
 //! * `n_links` — length of the sender's exported link vectors (0 when
 //!   inactive), so a receiver can size its replica before decoding.
 //!
-//! Records are tagged with a single byte; link-state and catch-up
-//! records are 21 bytes (29 with the Hessian word), `f64` fields travel
-//! as `to_bits` so every value — including NaN — round-trips bit-exact.
+//! Records are tagged with a single byte: 1 link state, 2 catch-up; any
+//! other tag is refused ([`FrameError::BadTag`]). Both are
+//! [`record_bytes`] long — 21 bytes, 29 with the Hessian word — and
+//! `f64` fields travel as `to_bits`, so every value, `NaN` included,
+//! round-trips bit-exact.
 //!
-//! The *logical* exchange accounting (`ServiceStats::exchange_bytes`)
-//! intentionally keeps the in-process entry size (4 bytes of link id +
-//! 8 per vector, no tag): it models the aggregated hub protocol the
-//! paper costs out. The on-wire byte count — frame header, record tags
-//! and the transport's length prefix — is reported separately by the
-//! transports (see [`framed_wire_bytes`]).
+//! A frame's length is what `ServiceStats::exchange_bytes` charges: the
+//! in-process exchange encodes nothing and counts header plus
+//! [`record_bytes`] per record instead. A stream transport adds its
+//! length prefix on top (see [`framed_wire_bytes`]).
 
 /// The only protocol version this build speaks.
-pub const EXCHANGE_VERSION: u8 = 2;
+pub const EXCHANGE_VERSION: u8 = 3;
 
 /// Fixed frame header size in bytes.
-pub const FRAME_HEADER_BYTES: usize = 17;
+pub const FRAME_HEADER_BYTES: usize = 16;
 
 /// The longest frame any encoder emits, and so the largest length prefix
-/// a transport accepts before buffering a frame: 2²⁸ bytes. A state
-/// frame carries, per link, at most one subscription record (5 bytes) and
-/// one link-state *or* catch-up record (29 bytes with the Hessian word),
+/// a transport accepts before buffering a frame: 2²⁸ bytes. A frame
+/// carries at most one record per link (29 bytes with the Hessian word)
 /// over at most 2²² links (the exchange core's `MAX_UNCHECKED_LINKS`), so
-/// 17 + 34 · 2²² ≈ 1.4 · 10⁸, which rounds up to 2²⁸.
+/// 16 + 29 · 2²² ≈ 1.2 · 10⁸, under 2²⁸.
 pub const MAX_FRAME_BYTES: usize = 1 << 28;
 
 /// Length prefix a stream transport prepends to every frame.
@@ -60,17 +57,19 @@ pub const LENGTH_PREFIX_BYTES: usize = 4;
 /// Header flag: the sender exported a non-empty load vector this round.
 pub const FLAG_ACTIVE: u8 = 0b0000_0001;
 
-/// Header flag: link-state / catch-up records carry a Hessian word.
+/// Header flag: the records carry a Hessian word.
 pub const FLAG_HESSIANS: u8 = 0b0000_0010;
 
 const TAG_LINK_STATE: u8 = 1;
 const TAG_CATCH_UP: u8 = 2;
-const TAG_SUB_ADD: u8 = 3;
-const TAG_SUB_REMOVE: u8 = 4;
 
-/// The one frame kind: a per-round link-state delta (link-state,
-/// catch-up and subscription records).
-const STATE_KIND: u8 = 1;
+/// Encoded length of one record in a frame whose [`FLAG_HESSIANS`] is
+/// `has_hessians`: the tag, the link id, the load and dual words, and
+/// the Hessian word when the frame carries one.
+#[inline]
+pub const fn record_bytes(has_hessians: bool) -> usize {
+    1 + 4 + 8 * (2 + has_hessians as usize)
+}
 
 /// Decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +82,7 @@ pub struct FrameHeader {
     pub n_links: u32,
     /// Sender exported a non-empty load vector this round.
     pub active: bool,
-    /// Link-state / catch-up records carry a Hessian word.
+    /// The records carry a Hessian word.
     pub has_hessians: bool,
 }
 
@@ -117,17 +116,6 @@ pub enum Record {
         /// Current exported Hessian diagonal on the link.
         hessian: f64,
     },
-    /// The sender now carries load on `link` (informational subscription
-    /// announcement).
-    SubAdd {
-        /// Global link index.
-        link: u32,
-    },
-    /// The sender no longer carries load on `link`.
-    SubRemove {
-        /// Global link index.
-        link: u32,
-    },
 }
 
 /// Why a frame failed to decode. Offsets are byte positions from the
@@ -144,11 +132,6 @@ pub enum FrameError {
     BadVersion {
         /// The version byte found.
         version: u8,
-    },
-    /// The kind byte is not 1, the link-state delta.
-    BadKind {
-        /// The kind byte found.
-        kind: u8,
     },
     /// An unknown record tag.
     BadTag {
@@ -171,7 +154,6 @@ impl std::fmt::Display for FrameError {
                     "exchange frame version {version} (this build speaks {EXCHANGE_VERSION})"
                 )
             }
-            FrameError::BadKind { kind } => write!(f, "unknown exchange frame kind {kind}"),
             FrameError::BadTag { tag, offset } => {
                 write!(f, "unknown exchange record tag {tag} at byte {offset}")
             }
@@ -208,7 +190,6 @@ fn rd_u64(buf: &[u8], off: usize) -> Option<u64> {
 /// Append `header` to `buf` (exactly [`FRAME_HEADER_BYTES`] bytes).
 pub fn encode_header(header: &FrameHeader, buf: &mut Vec<u8>) {
     buf.push(EXCHANGE_VERSION);
-    buf.push(STATE_KIND);
     let mut flags = 0u8;
     if header.active {
         flags |= FLAG_ACTIVE;
@@ -235,25 +216,21 @@ pub fn decode_header(frame: &[u8]) -> Result<FrameHeader, FrameError> {
     if version != EXCHANGE_VERSION {
         return Err(FrameError::BadVersion { version });
     }
-    let kind = *frame.get(1).ok_or(truncated)?;
-    if kind != STATE_KIND {
-        return Err(FrameError::BadKind { kind });
-    }
-    let flags = *frame.get(2).ok_or(truncated)?;
+    let flags = *frame.get(1).ok_or(truncated)?;
     Ok(FrameHeader {
-        shard: rd_u16(frame, 3).ok_or(truncated)?,
-        round: rd_u64(frame, 5).ok_or(truncated)?,
-        n_links: rd_u32(frame, 13).ok_or(truncated)?,
+        shard: rd_u16(frame, 2).ok_or(truncated)?,
+        round: rd_u64(frame, 4).ok_or(truncated)?,
+        n_links: rd_u32(frame, 12).ok_or(truncated)?,
         active: flags & FLAG_ACTIVE != 0,
         has_hessians: flags & FLAG_HESSIANS != 0,
     })
 }
 
-/// Append one record to `buf`. `has_hessians` must match the frame
-/// header's [`FLAG_HESSIANS`] — it decides whether link-state and
-/// catch-up records carry the Hessian word.
+/// Append one record ([`record_bytes`] long) to `buf`. `has_hessians`
+/// must match the frame header's [`FLAG_HESSIANS`] — it decides whether
+/// the record carries the Hessian word.
 pub fn encode_record(record: &Record, has_hessians: bool, buf: &mut Vec<u8>) {
-    match *record {
+    let (link, load, dual, hessian) = match *record {
         Record::LinkState {
             link,
             load,
@@ -261,12 +238,7 @@ pub fn encode_record(record: &Record, has_hessians: bool, buf: &mut Vec<u8>) {
             hessian,
         } => {
             buf.push(TAG_LINK_STATE);
-            put_u32(buf, link);
-            put_u64(buf, load.to_bits());
-            put_u64(buf, dual.to_bits());
-            if has_hessians {
-                put_u64(buf, hessian.to_bits());
-            }
+            (link, load, dual, hessian)
         }
         Record::CatchUp {
             link,
@@ -275,21 +247,14 @@ pub fn encode_record(record: &Record, has_hessians: bool, buf: &mut Vec<u8>) {
             hessian,
         } => {
             buf.push(TAG_CATCH_UP);
-            put_u32(buf, link);
-            put_u64(buf, load.to_bits());
-            put_u64(buf, dual.to_bits());
-            if has_hessians {
-                put_u64(buf, hessian.to_bits());
-            }
+            (link, load, dual, hessian)
         }
-        Record::SubAdd { link } => {
-            buf.push(TAG_SUB_ADD);
-            put_u32(buf, link);
-        }
-        Record::SubRemove { link } => {
-            buf.push(TAG_SUB_REMOVE);
-            put_u32(buf, link);
-        }
+    };
+    put_u32(buf, link);
+    put_u64(buf, load.to_bits());
+    put_u64(buf, dual.to_bits());
+    if has_hessians {
+        put_u64(buf, hessian.to_bits());
     }
 }
 
@@ -333,8 +298,7 @@ impl<'a> RecordIter<'a> {
 
     fn state_record(&mut self, catch_up: bool) -> Result<Record, FrameError> {
         let off = self.offset + 1;
-        let words = if self.has_hessians { 3 } else { 2 };
-        let need = 1 + 4 + 8 * words;
+        let need = record_bytes(self.has_hessians);
         if self.frame.len() < self.offset + need {
             return Err(self.truncated());
         }
@@ -369,19 +333,6 @@ impl<'a> RecordIter<'a> {
         let result = match tag {
             TAG_LINK_STATE => self.state_record(false),
             TAG_CATCH_UP => self.state_record(true),
-            TAG_SUB_ADD | TAG_SUB_REMOVE => match rd_u32(self.frame, self.offset + 1) {
-                Some(link) => {
-                    self.offset += 5;
-                    if tag == TAG_SUB_ADD {
-                        Ok(Record::SubAdd { link })
-                    } else {
-                        Ok(Record::SubRemove { link })
-                    }
-                }
-                None => Err(FrameError::Truncated {
-                    offset: self.frame.len(),
-                }),
-            },
             _ => Err(FrameError::BadTag {
                 tag,
                 offset: self.offset,
@@ -453,8 +404,6 @@ mod tests {
                 dual: f64::NAN,
                 hessian: 1e-300,
             },
-            Record::SubAdd { link: 9 },
-            Record::SubRemove { link: 10 },
         ];
         for has_h in [false, true] {
             let mut buf = Vec::new();
@@ -462,6 +411,10 @@ mod tests {
             for r in &records {
                 encode_record(r, has_h, &mut buf);
             }
+            assert_eq!(
+                buf.len(),
+                FRAME_HEADER_BYTES + records.len() * record_bytes(has_h)
+            );
             let (h, iter) = RecordIter::new(&buf).unwrap();
             assert_eq!(h.has_hessians, has_h);
             let decoded: Vec<_> = iter.map(|r| r.unwrap()).collect();
@@ -527,12 +480,18 @@ mod tests {
     fn bad_tag_reports_its_offset() {
         let mut buf = Vec::new();
         encode_header(&header(false), &mut buf);
-        encode_record(&Record::SubAdd { link: 1 }, false, &mut buf);
+        let record = Record::CatchUp {
+            link: 1,
+            load: 0.5,
+            dual: 0.25,
+            hessian: 0.0,
+        };
+        encode_record(&record, false, &mut buf);
         let bad_at = buf.len();
         buf.push(0xEE);
         let (_, iter) = RecordIter::new(&buf).unwrap();
         let results: Vec<_> = iter.collect();
-        assert_eq!(results[0], Ok(Record::SubAdd { link: 1 }));
+        assert_eq!(results[0], Ok(record));
         assert_eq!(
             results[1],
             Err(FrameError::BadTag {
@@ -557,7 +516,16 @@ mod tests {
             true,
             &mut buf,
         );
-        encode_record(&Record::SubRemove { link: 1 }, true, &mut buf);
+        encode_record(
+            &Record::CatchUp {
+                link: 1,
+                load: 4.0,
+                dual: 5.0,
+                hessian: 6.0,
+            },
+            true,
+            &mut buf,
+        );
         for cut in 0..buf.len() {
             let prefix = &buf[..cut];
             match RecordIter::new(prefix) {

@@ -31,8 +31,6 @@ fn arb_record() -> impl Strategy<Value = Record> {
                 hessian,
             }
         ),
-        any::<u32>().prop_map(|link| Record::SubAdd { link }),
-        any::<u32>().prop_map(|link| Record::SubRemove { link }),
     ]
 }
 
@@ -58,40 +56,30 @@ fn arb_header() -> impl Strategy<Value = FrameHeader> {
 /// Bit-exact record equality (`==` on f64 treats NaN != NaN and
 /// -0.0 == 0.0, neither of which is what the wire must preserve).
 fn same_bits(a: &Record, b: &Record) -> bool {
-    fn state(r: &Record) -> Option<(bool, u32, u64, u64, u64)> {
-        match *r {
+    fn state(r: &Record) -> (bool, u32, u64, u64, u64) {
+        let (catch_up, link, load, dual, hessian) = match *r {
             Record::LinkState {
                 link,
                 load,
                 dual,
                 hessian,
-            } => Some((
-                false,
-                link,
-                load.to_bits(),
-                dual.to_bits(),
-                hessian.to_bits(),
-            )),
+            } => (false, link, load, dual, hessian),
             Record::CatchUp {
                 link,
                 load,
                 dual,
                 hessian,
-            } => Some((
-                true,
-                link,
-                load.to_bits(),
-                dual.to_bits(),
-                hessian.to_bits(),
-            )),
-            _ => None,
-        }
+            } => (true, link, load, dual, hessian),
+        };
+        (
+            catch_up,
+            link,
+            load.to_bits(),
+            dual.to_bits(),
+            hessian.to_bits(),
+        )
     }
-    match (state(a), state(b)) {
-        (Some(x), Some(y)) => x == y,
-        (None, None) => a == b,
-        _ => false,
-    }
+    state(a) == state(b)
 }
 
 proptest! {
@@ -119,7 +107,6 @@ proptest! {
                     dual,
                     hessian: if header.has_hessians { hessian } else { 0.0 },
                 },
-                other => other,
             })
             .collect();
         for r in &records {

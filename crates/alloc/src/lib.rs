@@ -76,7 +76,7 @@ pub mod serial;
 pub use engine::{lend_passers, BoxEngine, RateAllocator};
 pub use flowblock::{FlowRate, UNREPORTED};
 pub use gradient::GradientAllocator;
-pub use pool::{FanOutError, WorkerPool};
+pub use pool::WorkerPool;
 pub use serial::SerialAllocator;
 
 /// NED step size γ (Algorithm 1). §6.2: "experiments have γ = 0.4"; any

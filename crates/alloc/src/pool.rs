@@ -14,9 +14,7 @@
 //!   the borrow cannot end before `run` returns.
 //! * [`WorkerPool::fan_out`] is the data-parallel form: it stripes a
 //!   `&mut [T]` of work items across the slots (one `&mut` item per task
-//!   call) and *contains* per-item panics as a [`FanOutError`] instead of
-//!   re-raising, so a sharded control plane can turn a dead shard into a
-//!   reportable condition while its siblings' results survive.
+//!   call). An item's panic is re-raised on the caller like any slot's.
 //! * Workers park again immediately after finishing; a pool that is never
 //!   run again costs nothing but memory.
 //! * Dropping the pool shuts the threads down and joins them.
@@ -26,56 +24,8 @@
 //! spawn/join, which is precisely the part the §6.1 tick-latency numbers
 //! must not pay.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-
-/// A fan-out task panicked on one of the items.
-///
-/// Unlike [`WorkerPool::run`] — which re-raises worker panics on the
-/// caller — [`WorkerPool::fan_out`] turns them into this error so a
-/// control plane can report a failed shard (the call's remaining items
-/// still ran to completion) instead of aborting its tick.
-pub struct FanOutError {
-    item: usize,
-    payload: Box<dyn std::any::Any + Send>,
-}
-
-impl FanOutError {
-    /// Index of the panicking item (the lowest index, if several items
-    /// panicked in one call — deterministic regardless of which worker
-    /// reported first).
-    pub fn item(&self) -> usize {
-        self.item
-    }
-
-    /// The panic message, when the payload was a string (the common
-    /// `panic!("…")` case).
-    pub fn message(&self) -> &str {
-        if let Some(s) = self.payload.downcast_ref::<&str>() {
-            s
-        } else if let Some(s) = self.payload.downcast_ref::<String>() {
-            s
-        } else {
-            "non-string panic payload"
-        }
-    }
-}
-
-impl std::fmt::Debug for FanOutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanOutError")
-            .field("item", &self.item)
-            .field("message", &self.message())
-            .finish()
-    }
-}
-
-impl std::fmt::Display for FanOutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fan-out item {} panicked: {}", self.item, self.message())
-    }
-}
 
 /// A lifetime-erased `*mut T` that may cross threads. Soundness is
 /// provided by [`WorkerPool::fan_out`]: each index is visited by exactly
@@ -263,23 +213,13 @@ impl WorkerPool {
     /// has finished, which is what makes the borrowed items and task
     /// sound.
     ///
-    /// Panic containment: a panicking item neither poisons the pool nor
-    /// disturbs its siblings — every other item still runs to completion
-    /// and keeps its result, and the pool stays usable. The first
-    /// (lowest-index) panic is reported as a [`FanOutError`] carrying the
-    /// original payload.
-    ///
-    /// # Errors
-    /// [`FanOutError`] if any item's task panicked.
-    pub fn fan_out<T: Send>(
-        &mut self,
-        items: &mut [T],
-        task: &(dyn Fn(usize, &mut T) + Sync),
-    ) -> Result<(), FanOutError> {
+    /// # Panics
+    /// Re-raises a panic if any item's task panicked, as
+    /// [`WorkerPool::run`] does; the pool stays usable.
+    pub fn fan_out<T: Send>(&mut self, items: &mut [T], task: &(dyn Fn(usize, &mut T) + Sync)) {
         let len = items.len();
         let stride = self.size;
         let base = SendPtr(items.as_mut_ptr());
-        let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
         self.run(&|slot| {
             let mut i = slot;
             while i < len {
@@ -287,29 +227,10 @@ impl WorkerPool {
                 // this slot, indices are in bounds, and `run` does not
                 // return (ending the `items` borrow) until every slot is
                 // done.
-                let item = unsafe { &mut *base.get().add(i) };
-                if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| task(i, item))) {
-                    panics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((i, p));
-                }
+                task(i, unsafe { &mut *base.get().add(i) });
                 i += stride;
             }
         });
-        let mut panics = panics.into_inner().unwrap_or_else(PoisonError::into_inner);
-        match panics
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (item, _))| *item)
-            .map(|(pos, _)| pos)
-        {
-            Some(pos) => {
-                let (item, payload) = panics.swap_remove(pos);
-                Err(FanOutError { item, payload })
-            }
-            None => Ok(()),
-        }
     }
 }
 
@@ -489,54 +410,25 @@ mod tests {
             let mut items: Vec<usize> = vec![0; n_items];
             pool.fan_out(&mut items, &|i, item| {
                 *item += i + 1;
-            })
-            .expect("no panics");
+            });
             let want: Vec<usize> = (0..n_items).map(|i| i + 1).collect();
             assert_eq!(items, want, "{n_items} items");
         }
-    }
-
-    #[test]
-    fn fan_out_contains_a_panicking_item() {
-        let mut pool = WorkerPool::new(2);
-        let mut items: Vec<(usize, bool)> = (0..6).map(|i| (i, false)).collect();
-        let err = pool
-            .fan_out(&mut items, &|i, item| {
-                if i == 3 {
+        // An item's panic reaches the caller with its own payload, and
+        // the next fan-out on the same pool still visits every item.
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.fan_out(&mut [0usize; 6], &|i, _| {
+                if i == 4 {
                     panic!("item boom");
                 }
-                item.1 = true;
-            })
-            .expect_err("item 3 panicked");
-        assert_eq!(err.item(), 3);
-        assert_eq!(err.message(), "item boom");
-        // Siblings' results survive: every other item completed.
-        for (i, done) in &items {
-            assert_eq!(*done, *i != 3, "item {i}");
-        }
-        // The pool is not poisoned: both plain runs and fan-outs work.
-        let count = AtomicUsize::new(0);
-        pool.run(&|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 2);
-        let mut again = vec![0usize; 4];
-        pool.fan_out(&mut again, &|_, x| *x = 7).unwrap();
-        assert_eq!(again, vec![7; 4]);
-    }
-
-    #[test]
-    fn fan_out_reports_the_lowest_panicking_item() {
-        let mut pool = WorkerPool::new(4);
-        let mut items = vec![(); 8];
-        let err = pool
-            .fan_out(&mut items, &|i, ()| {
-                if i % 2 == 1 {
-                    panic!("boom {i}");
-                }
-            })
-            .expect_err("half the items panicked");
-        assert_eq!(err.item(), 1, "lowest index wins deterministically");
-        assert_eq!(err.message(), "boom 1");
+            });
+        }));
+        assert_eq!(
+            r.expect_err("item 4 panicked").downcast_ref::<&str>(),
+            Some(&"item boom")
+        );
+        let mut again = vec![0usize; 10];
+        pool.fan_out(&mut again, &|i, x| *x = i + 1);
+        assert_eq!(again, (1..=10).collect::<Vec<_>>());
     }
 }

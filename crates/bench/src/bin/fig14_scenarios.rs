@@ -52,7 +52,7 @@ fn main() {
                 .engine(engine.clone())
                 .build_driver()
                 .expect("fabric is set and the engine is unsharded");
-            let mut plane = FluidPlane::new(driver, opts.config().tick_interval_ps);
+            let mut plane = FluidPlane::new(driver);
             let mut scenario = kind.build(servers, bytes);
             let report =
                 flowtune::run_scenario(&mut plane, scenario.as_mut(), &ScenarioOptions::default());

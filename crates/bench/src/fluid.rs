@@ -148,7 +148,7 @@ impl FluidDriver {
             .expect("fabric is set and the engine spec is sane");
         let trace = TraceGenerator::new(trace_cfg);
         Self {
-            plane: FluidPlane::new(service, cfg.tick_interval_ps),
+            plane: FluidPlane::new(service),
             trace,
             stats: FluidStats::default(),
             now_ps: 0,
@@ -171,7 +171,7 @@ impl FluidDriver {
         duration_ps: u64,
         sample: &mut dyn FnMut(&dyn TickDriver),
     ) -> FluidStats {
-        let tick = self.plane.interval_ps();
+        let tick = flowtune::TICK_INTERVAL_PS;
         let end = warmup_ps + duration_ps;
         let mut pending = self.trace.next_event();
         while self.now_ps < end {

@@ -78,13 +78,13 @@ impl ExchangeConfig {
     }
 }
 
+/// Allocator tick interval in picoseconds (10 µs). A tick is one NED
+/// iteration (§6.2: "The allocator performs an iteration every 10 µs").
+pub const TICK_INTERVAL_PS: u64 = 10_000_000;
+
 /// Tunables of a Flowtune deployment, with the paper's values as defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowtuneConfig {
-    /// Allocator tick interval in picoseconds (10 µs). A tick is one NED
-    /// iteration (§6.2: "The allocator performs an iteration every
-    /// 10 µs").
-    pub tick_interval_ps: u64,
     /// Rate-update suppression threshold (§6.4; 0.01 default).
     pub update_threshold: f64,
     /// Idle time after which a sender's empty queue ends the flowlet
@@ -168,7 +168,6 @@ pub struct FlowtuneConfig {
 impl Default for FlowtuneConfig {
     fn default() -> Self {
         Self {
-            tick_interval_ps: 10_000_000, // 10 µs
             update_threshold: 0.01,
             flowlet_idle_ps: 30_000_000, // 30 µs
             f_norm: true,
@@ -199,7 +198,7 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = FlowtuneConfig::default();
         assert_eq!(flowtune_alloc::GAMMA, 0.4);
-        assert_eq!(c.tick_interval_ps, 10_000_000);
+        assert_eq!(TICK_INTERVAL_PS, 10_000_000);
         assert_eq!(c.update_threshold, 0.01);
         assert!((c.capacity_fraction() - 0.99).abs() < 1e-12);
         // Incremental ticks are opt-in; the full-sweep cadence and zero

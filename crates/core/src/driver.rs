@@ -63,38 +63,12 @@ pub trait TickDriver: std::fmt::Debug + Send {
     /// want an owned batch.
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>);
 
-    /// [`TickDriver::tick_into`] with engine panics contained where the
-    /// implementation supports it: a sharded control plane reports a
-    /// panicking shard as [`ServiceError::ShardPanicked`] (siblings and
-    /// the worker pool survive) instead of aborting the embedder's loop.
-    /// The default simply runs `tick_into` — single-engine services have
-    /// no isolation boundary to contain a panic behind.
-    ///
-    /// # Errors
-    /// [`ServiceError::ShardPanicked`] from drivers with per-shard panic
-    /// isolation.
-    // flowtune-lint: hot
-    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
-        self.tick_into(out);
-        Ok(())
-    }
-
     /// [`TickDriver::tick_into`] returning an owned batch, sized once by
     /// the implementation's single reserve.
     fn tick(&mut self) -> Vec<(u16, Message)> {
         let mut out = Vec::new();
         self.tick_into(&mut out);
         out
-    }
-
-    /// [`TickDriver::try_tick_into`] returning an owned batch.
-    ///
-    /// # Errors
-    /// As [`TickDriver::try_tick_into`].
-    fn try_tick(&mut self) -> Result<Vec<(u16, Message)>, ServiceError> {
-        let mut out = Vec::new();
-        self.try_tick_into(&mut out)?;
-        Ok(out)
     }
 
     /// Current normalized rate of an active flowlet, Gbit/s.
@@ -143,11 +117,6 @@ impl TickDriver for BoxTickDriver {
     // flowtune-lint: hot
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
         (**self).tick_into(out);
-    }
-
-    // flowtune-lint: hot
-    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
-        (**self).try_tick_into(out)
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
@@ -246,7 +215,5 @@ mod tests {
         assert_eq!(drv.engine_name(), "serial");
         assert_eq!(drv.fabric().config().server_count(), 144);
         assert_eq!(drv.stats().starts, 1);
-        // The default fallible tick simply runs the tick.
-        assert!(drv.try_tick().is_ok());
     }
 }

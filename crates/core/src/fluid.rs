@@ -27,6 +27,7 @@ use flowtune_proto::{Message, Token};
 use flowtune_topo::{FlowId, Path, TwoTierClos};
 
 use crate::driver::{BoxTickDriver, TickDriver};
+use crate::TICK_INTERVAL_PS;
 
 /// A flow that left a [`FluidFlows`] table, with the bytes it moved.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,16 +149,15 @@ impl<K: Copy + Ord> FluidFlows<K> {
     }
 }
 
-/// A [`TickDriver`] under the fluid data plane: the driver, its tick
-/// interval, the update buffer it ticks into, the flows it is draining
-/// and the mint for their tokens. Every notification the driver sees
-/// comes from [`FluidPlane::start`], [`FluidPlane::drain`] or
+/// A [`TickDriver`] under the fluid data plane: the driver, the update
+/// buffer it ticks into, the flows it is draining and the mint for their
+/// tokens. Every notification the driver sees comes from
+/// [`FluidPlane::start`], [`FluidPlane::drain`] or
 /// [`FluidPlane::cut_all`], so the plane's table and the driver's
 /// registry hold the same flowlets at every step.
 #[derive(Debug)]
 pub struct FluidPlane<D: TickDriver = BoxTickDriver> {
     driver: D,
-    interval_ps: u64,
     /// The latest tick's update stream, reused across ticks.
     updates: Vec<(u16, Message)>,
     flows: FluidFlows<Token>,
@@ -166,25 +166,14 @@ pub struct FluidPlane<D: TickDriver = BoxTickDriver> {
 
 impl<D: TickDriver> FluidPlane<D> {
     /// Puts `driver` under a fluid data plane that ticks every
-    /// `interval_ps` picoseconds (§6.2: 10 µs; see
-    /// [`FlowtuneConfig::tick_interval_ps`](crate::FlowtuneConfig)).
-    ///
-    /// # Panics
-    /// Panics if `interval_ps` is 0.
-    pub fn new(driver: D, interval_ps: u64) -> Self {
-        assert!(interval_ps > 0, "a tick cadence needs a nonzero interval");
+    /// [`TICK_INTERVAL_PS`] (§6.2: 10 µs).
+    pub fn new(driver: D) -> Self {
         FluidPlane {
             driver,
-            interval_ps,
             updates: Vec::new(),
             flows: FluidFlows::default(),
             next_token: 1,
         }
-    }
-
-    /// The tick interval, ps.
-    pub fn interval_ps(&self) -> u64 {
-        self.interval_ps
     }
 
     /// The control plane under the data plane (read-only: notifications
@@ -272,7 +261,7 @@ impl<D: TickDriver> FluidPlane<D> {
     // flowtune-lint: hot
     pub fn drain(&mut self, mut observe: impl FnMut(Token, f64)) -> &[Ended<Token>] {
         let driver = &self.driver;
-        let ended = self.flows.drain(self.interval_ps, |token| {
+        let ended = self.flows.drain(TICK_INTERVAL_PS, |token| {
             let rate = driver.flow_rate_gbps(token).unwrap_or(0.0);
             observe(token, rate);
             rate
@@ -344,12 +333,10 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
-    const TICK_PS: u64 = 10_000_000;
-
     fn plane() -> FluidPlane<AllocatorService> {
         let fabric = TwoTierClos::build(ClosConfig::paper_eval());
         let cfg = FlowtuneConfig::default();
-        FluidPlane::new(AllocatorService::new(&fabric, cfg), cfg.tick_interval_ps)
+        FluidPlane::new(AllocatorService::new(&fabric, cfg))
     }
 
     #[test]
@@ -362,9 +349,9 @@ mod tests {
         ] {
             let mut flows = FluidFlows::default();
             flows.admit(7u32, bytes as f64);
-            let steps = (8_000.0 * bytes as f64 / (rate * TICK_PS as f64)).ceil() as u64;
+            let steps = (8_000.0 * bytes as f64 / (rate * TICK_INTERVAL_PS as f64)).ceil() as u64;
             for step in 1..=steps {
-                let ended = flows.drain(TICK_PS, |_| rate).to_vec();
+                let ended = flows.drain(TICK_INTERVAL_PS, |_| rate).to_vec();
                 assert_eq!(
                     ended.is_empty(),
                     step < steps,
@@ -400,7 +387,7 @@ mod tests {
             }
             let mut left = Vec::new();
             for _ in 0..3 {
-                let ended = flows.drain(TICK_PS, |_| 10.0);
+                let ended = flows.drain(TICK_INTERVAL_PS, |_| 10.0);
                 prop_assert!(ended.windows(2).all(|w| w[0].key < w[1].key), "{ended:?}");
                 left.extend(ended.iter().map(|e| e.key));
             }
@@ -415,8 +402,8 @@ mod tests {
         let mut flows = FluidFlows::default();
         flows.admit(9u32, 1e9);
         flows.admit(2u32, 1e9);
-        assert!(flows.drain(TICK_PS, |key| key as f64).is_empty());
-        assert!(flows.drain(TICK_PS, |key| key as f64).is_empty());
+        assert!(flows.drain(TICK_INTERVAL_PS, |key| key as f64).is_empty());
+        assert!(flows.drain(TICK_INTERVAL_PS, |key| key as f64).is_empty());
         let cut = flows.cut_all().to_vec();
         // Two ticks at `key` Gbit/s, 1250 B per Gbit/s per tick.
         assert_eq!(
@@ -466,13 +453,6 @@ mod tests {
         assert_eq!((stats.iterations, stats.starts, stats.ends), (3, 1, 1));
         assert!(plane.flows().is_empty());
         assert_eq!(plane.driver().active_flows(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero interval")]
-    fn the_plane_rejects_a_zero_interval() {
-        let fabric = TwoTierClos::build(ClosConfig::paper_eval());
-        let _ = FluidPlane::new(AllocatorService::new(&fabric, FlowtuneConfig::default()), 0);
     }
 
     #[test]

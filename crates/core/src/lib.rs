@@ -94,7 +94,7 @@ pub mod service;
 pub mod sharded;
 pub mod token;
 
-pub use config::{ExchangeConfig, FlowtuneConfig};
+pub use config::{ExchangeConfig, FlowtuneConfig, TICK_INTERVAL_PS};
 pub use driver::{BoxTickDriver, PhaseTimings, TickDriver};
 pub use endpoint::EndpointAgent;
 pub use exchange::{ApplyError, ExchangeCore};

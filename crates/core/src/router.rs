@@ -76,14 +76,6 @@ pub trait ShardSet: std::fmt::Debug + Send {
 
     /// Cumulative wall time the set spent exchanging link state.
     fn exchange_time(&self) -> Duration;
-
-    /// The [`ServiceError`] [`TickDriver::try_tick_into`] returns for a
-    /// failed tick, if the failure was contained behind an isolation
-    /// boundary; `None` (the default) makes it a panic, as in
-    /// [`TickDriver::tick_into`].
-    fn contained(_err: &Self::Error) -> Option<ServiceError> {
-        None
-    }
 }
 
 /// N shards behind one [`TickDriver`] face (see the module docs).
@@ -238,25 +230,14 @@ impl<S: ShardSet> TickDriver for Router<S> {
     }
 
     /// # Panics
-    /// Propagates a failed tick as a panic on the caller; use
-    /// [`TickDriver::try_tick_into`] or [`Router::tick_shards`] to get an
-    /// error instead.
+    /// Panics on a failed tick — only a wire's shard set fails one; use
+    /// [`Router::tick_shards`] to get its error instead. A shard engine's
+    /// panic reaches the caller as it is.
     // flowtune-lint: hot
     fn tick_into(&mut self, out: &mut Vec<(u16, Message)>) {
-        if let Err(e) = self.try_tick_into(out) {
-            panic!("{e}");
+        if let Err(e) = self.tick_shards(out) {
+            panic!("{} tick failed: {e}", S::NAME);
         }
-    }
-
-    /// # Panics
-    /// Panics on a failure the shard set does not contain
-    /// ([`ShardSet::contained`]).
-    // flowtune-lint: hot
-    fn try_tick_into(&mut self, out: &mut Vec<(u16, Message)>) -> Result<(), ServiceError> {
-        self.tick_shards(out).map_err(|e| match S::contained(&e) {
-            Some(contained) => contained,
-            None => panic!("{} tick failed: {e}", S::NAME),
-        })
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {

@@ -24,6 +24,7 @@ use flowtune_workload::{Admission, Phase, Scenario};
 use crate::driver::TickDriver;
 use crate::fluid::{add_path_load, overallocation_gbps, worst_oversubscription, Ended, FluidPlane};
 use crate::service::ServiceStats;
+use crate::TICK_INTERVAL_PS;
 
 /// Ticks after an admission before feasibility peaks are sampled, giving
 /// the allocator its reaction window (a tick to see the arrivals, a tick
@@ -166,7 +167,6 @@ impl PhaseState {
 /// accumulator, per-phase books and the feasibility peaks.
 #[derive(Debug)]
 struct RunnerState {
-    interval_ps: u64,
     weight_q8: u16,
     /// Sorted by token, as the plane's table is.
     active: Vec<ActiveFlow>,
@@ -181,7 +181,6 @@ struct RunnerState {
 impl RunnerState {
     fn new<D: TickDriver>(plane: &FluidPlane<D>, opts: &ScenarioOptions) -> Self {
         RunnerState {
-            interval_ps: plane.interval_ps(),
             weight_q8: opts.weight_q8,
             active: Vec::new(),
             loads: vec![0.0; plane.driver().fabric().topology().link_count()],
@@ -218,7 +217,7 @@ impl RunnerState {
                 trace(tick, &ended.notification());
                 let phase = &mut self.phases[flow.phase];
                 phase.cut += 1;
-                let lifetime_ps = (tick - flow.admitted_tick) * self.interval_ps;
+                let lifetime_ps = (tick - flow.admitted_tick) * TICK_INTERVAL_PS;
                 phase.credit(ended.delivered_bytes, lifetime_ps);
             }
         }
@@ -287,12 +286,12 @@ impl RunnerState {
         for ended in ended {
             trace(tick + 1, &ended.notification());
             let flow = self.retire(ended);
-            let fct_ps = (tick + 1 - flow.admitted_tick) * self.interval_ps;
+            let fct_ps = (tick + 1 - flow.admitted_tick) * TICK_INTERVAL_PS;
             let phase = &mut self.phases[flow.phase];
             phase.fct_ps.push(fct_ps as f64);
             phase.credit(ended.delivered_bytes, fct_ps);
             if phase.outstanding == 0 && phase.completion_ps.is_none() {
-                phase.completion_ps = Some((tick + 1 - phase.admitted_tick) * self.interval_ps);
+                phase.completion_ps = Some((tick + 1 - phase.admitted_tick) * TICK_INTERVAL_PS);
             }
         }
         if sample {
@@ -309,7 +308,6 @@ impl RunnerState {
         truncated: bool,
         stats: ServiceStats,
     ) -> ScenarioReport {
-        let interval_ps = self.interval_ps;
         let phases = self
             .phases
             .into_iter()
@@ -332,7 +330,7 @@ impl RunnerState {
             engine: engine.to_string(),
             phases,
             ticks,
-            duration_ps: ticks * interval_ps,
+            duration_ps: ticks * TICK_INTERVAL_PS,
             peak_overallocation_gbps: self.peak_overalloc,
             peak_oversubscription: self.peak_oversub,
             truncated,
@@ -421,7 +419,7 @@ mod tests {
 
     fn ticker(fabric: &TwoTierClos) -> FluidPlane<AllocatorService> {
         let cfg = FlowtuneConfig::default();
-        FluidPlane::new(AllocatorService::new(fabric, cfg), cfg.tick_interval_ps)
+        FluidPlane::new(AllocatorService::new(fabric, cfg))
     }
 
     #[test]

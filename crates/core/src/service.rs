@@ -51,7 +51,7 @@ use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
 
 use crate::driver::PhaseTimings;
-use crate::FlowtuneConfig;
+use crate::{FlowtuneConfig, TICK_INTERVAL_PS};
 
 /// A flowlet's registration: what a `FlowletStart` said about it. Held
 /// in the service's flow table while the flowlet is live (one slab slot,
@@ -197,16 +197,6 @@ pub enum ServiceError {
     /// [`Engine::Sharded`] named an impossible partition (zero shards,
     /// shards nested inside shards, or several Fastpass arbiters).
     BadShards(&'static str),
-    /// A shard's engine panicked during a sharded
-    /// [`TickDriver::try_tick_into`](crate::TickDriver::try_tick_into). The
-    /// sibling shards completed the tick and the worker pool survives
-    /// (the panic payload is printed by the panic hook as usual); the
-    /// merged update stream for the tick is dropped because it would be
-    /// missing the dead shard's updates.
-    ShardPanicked {
-        /// Index of the shard whose tick panicked.
-        shard: usize,
-    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -232,9 +222,6 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::BadShards(why) => {
                 write!(f, "bad shard spec: {why}")
-            }
-            ServiceError::ShardPanicked { shard } => {
-                write!(f, "shard {shard} panicked during its tick")
             }
         }
     }
@@ -417,7 +404,6 @@ impl ServiceBuilder {
             return Err(ServiceError::ShardedNeedsDriver);
         }
         let fabric = self.fabric.ok_or(ServiceError::MissingFabric)?;
-        let tick_ps = self.cfg.tick_interval_ps;
         let engine = move |fabric: &TwoTierClos, alloc_cfg| -> BoxEngine {
             match self.engine {
                 Engine::Serial => Box::new(SerialAllocator::new(fabric, alloc_cfg)),
@@ -427,7 +413,7 @@ impl ServiceBuilder {
                 // The arbiter's iteration *is* fabric time: one tick of it.
                 Engine::Fastpass => Box::new(
                     FastpassAdapter::new(fabric, alloc_cfg)
-                        .with_iteration_time_ps(tick_ps, fabric.config().host_link_bps),
+                        .with_iteration_time_ps(TICK_INTERVAL_PS, fabric.config().host_link_bps),
                 ),
                 Engine::Gradient => {
                     Box::new(flowtune_alloc::GradientAllocator::new(fabric, alloc_cfg))

@@ -55,11 +55,10 @@
 //! with one shard — a single slot that ticks the shards one after
 //! another on the caller's thread. Same bytes out either way; the
 //! one-slot pool is useful on single-core hosts and as the reference in
-//! equivalence tests. A shard whose engine
-//! panics mid-tick is *contained*: siblings complete, the pool survives,
-//! and [`TickDriver::try_tick_into`](crate::TickDriver::try_tick_into)
-//! reports [`ServiceError::ShardPanicked`] instead of aborting the
-//! process.
+//! equivalence tests. A shard whose engine panics mid-tick panics the
+//! tick: the payload reaches the caller of
+//! [`TickDriver::tick`](crate::TickDriver::tick) with its own message,
+//! once every other slot has finished.
 //!
 //! # Cross-shard link-state exchange
 //!
@@ -180,7 +179,7 @@ use flowtune_topo::TwoTierClos;
 use crate::exchange::{LinkExport, LinkTables, ShardFilter};
 use crate::placement::Placement;
 use crate::router::{Router, ShardSet};
-use crate::service::{AllocatorService, Passers, ServiceError, ServiceStats};
+use crate::service::{AllocatorService, Passers, ServiceStats};
 use crate::{ExchangeConfig, FlowtuneConfig};
 
 /// N independent [`AllocatorService`] shards of one process behind one
@@ -320,7 +319,7 @@ impl ShardedService {
 }
 
 impl ShardSet for InProcess {
-    type Error = ServiceError;
+    type Error = std::convert::Infallible;
     const NAME: &'static str = "sharded";
 
     fn shard_count(&self) -> usize {
@@ -335,28 +334,19 @@ impl ShardSet for InProcess {
         &mut self.slots[shard].svc
     }
 
-    /// The two-phase tick of the module docs. Shard panics are contained:
-    /// if a shard's engine panics mid-tick, the sibling shards still
-    /// complete their tick, the worker pool survives, and the error names
-    /// the dead shard. The panic payload reaches the panic hook (stderr)
-    /// as usual.
+    /// The two-phase tick of the module docs.
     ///
-    /// # Errors
-    /// [`ServiceError::ShardPanicked`] naming the lowest-indexed shard
-    /// whose tick panicked.
+    /// # Panics
+    /// Re-raises a shard engine's panic, with its own payload.
     // flowtune-lint: hot
-    fn tick(&mut self, passers: &mut Passers) -> Result<(), ServiceError> {
+    fn tick(&mut self, passers: &mut Passers) -> Result<(), Self::Error> {
         self.ticks += 1;
         let exchange = self.exchange.due(self.ticks, self.slots.len());
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
         // rounds, exports its link state) with no shared state.
-        let phase1 = self
-            .pool
+        self.pool
             .fan_out(&mut self.slots, &|_, slot| tick_shard(slot, exchange));
-        if let Err(e) = phase1 {
-            return Err(ServiceError::ShardPanicked { shard: e.item() });
-        }
 
         // Phase 2: the fan-out return is the barrier — cross-shard
         // consensus and installs run with every shard's tick complete.
@@ -382,10 +372,6 @@ impl ShardSet for InProcess {
     fn exchange_time(&self) -> Duration {
         let refresh: Duration = self.slots.iter().map(|slot| slot.refresh_time).sum();
         self.exchange_time + refresh
-    }
-
-    fn contained(err: &ServiceError) -> Option<ServiceError> {
-        Some(*err)
     }
 }
 
@@ -474,7 +460,7 @@ fn tick_shard(slot: &mut ShardSlot, export: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TickDriver;
+    use crate::{ServiceError, TickDriver};
     use flowtune_proto::{Message, Rate16, Token};
     use flowtune_topo::ClosConfig;
 

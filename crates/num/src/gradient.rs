@@ -9,7 +9,6 @@
 use crate::ned::fast_recip;
 use crate::problem::NumProblem;
 use crate::solver::{decay_idle_price, Optimizer, SolverState};
-use crate::utility::Utility;
 
 /// Gradient projection with a fixed step size (double precision).
 #[derive(Debug, Clone)]
@@ -124,10 +123,7 @@ impl Optimizer for GradientRt {
         for (i, links, utility, x_max) in problem.iter_flows() {
             let lambda: f32 = links.iter().map(|l| state.prices[l.index()] as f32).sum();
             let lambda = lambda.max(utility.price_floor(x_max) as f32);
-            let x = match utility {
-                Utility::Log { weight } => weight as f32 * fast_recip(lambda),
-                u => u.demand(lambda as f64) as f32,
-            };
+            let x = utility.weight() as f32 * fast_recip(lambda);
             state.rates[i] = x as f64;
             for l in links {
                 self.loads[l.index()] += x;
@@ -150,6 +146,7 @@ impl Optimizer for GradientRt {
 mod tests {
     use super::*;
     use crate::solver::solve;
+    use crate::utility::Utility;
     use flowtune_topo::LinkId;
 
     fn l(i: u32) -> LinkId {

@@ -4,8 +4,8 @@
 //! `Σ_s U_s(x_s)` subject to `Σ_{s∈S(ℓ)} x_s ≤ c_ℓ` for every link ℓ. This
 //! crate implements the dual (price-based) machinery:
 //!
-//! * [`Utility`] — strictly concave utility functions (weighted log for
-//!   proportional fairness, α-fair as an extension),
+//! * [`Utility`] — the strictly concave utility (weighted log for
+//!   proportional fairness),
 //! * [`NumProblem`] — a dynamic flow/link instance supporting online flowlet
 //!   arrival and departure,
 //! * [`Ned`] — the paper's contribution, **Newton-Exact-Diagonal**

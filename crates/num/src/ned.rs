@@ -148,23 +148,13 @@ impl NedRt {
         }
     }
 
-    /// Single-precision demand: `w/λ` for log via [`fast_recip`], `powf`
-    /// fallback for α-fair. Returns `(x, ∂x/∂λ)`.
+    /// Single-precision demand: `w/λ` via [`fast_recip`]. Returns
+    /// `(x, ∂x/∂λ)`.
     #[inline]
     fn demand_f32(utility: Utility, lambda: f32) -> (f32, f32) {
-        match utility {
-            Utility::Log { weight } => {
-                let r = fast_recip(lambda);
-                let x = weight as f32 * r;
-                (x, -x * r)
-            }
-            Utility::AlphaFair { weight, alpha } => {
-                let (w, a) = (weight as f32, alpha as f32);
-                let x = (lambda / w).powf(-1.0 / a);
-                let dx = -(1.0 / a) * (lambda / w).powf(-1.0 / a - 1.0) / w;
-                (x, dx)
-            }
-        }
+        let r = fast_recip(lambda);
+        let x = utility.weight() as f32 * r;
+        (x, -x * r)
     }
 }
 

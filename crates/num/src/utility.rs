@@ -9,9 +9,8 @@
 
 /// A strictly concave, differentiable, monotonically increasing utility.
 ///
-/// An enum rather than a trait so the optimizer inner loops are free of
-/// dynamic dispatch; different flows may still use different variants
-/// ("different flows can have different utility functions", §2).
+/// Only the paper's objective is implemented, the one the FlowBlock
+/// kernel computes; flows differ by their weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Utility {
     /// `U(x) = w·log x` — weighted proportional fairness (the paper's
@@ -20,16 +19,6 @@ pub enum Utility {
     Log {
         /// Weight `w > 0`.
         weight: f64,
-    },
-    /// `U(x) = w·x^(1−α)/(1−α)`, `α > 0`, `α ≠ 1` — the α-fair family
-    /// (α→1 recovers `Log`; α=2 approximates minimum potential delay
-    /// fairness). An extension beyond the paper's experiments, exercised
-    /// by the ablation benches.
-    AlphaFair {
-        /// Weight `w > 0`.
-        weight: f64,
-        /// Fairness parameter `α`.
-        alpha: f64,
     },
 }
 
@@ -43,52 +32,30 @@ impl Utility {
         Utility::Log { weight }
     }
 
-    /// α-fair utility.
-    ///
-    /// # Panics
-    /// Panics unless `weight > 0`, `alpha > 0`, `alpha ≠ 1` (use
-    /// [`Utility::log`] for α = 1).
-    pub fn alpha_fair(weight: f64, alpha: f64) -> Self {
-        assert!(weight > 0.0 && weight.is_finite(), "weight must be > 0");
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be > 0");
-        assert!(alpha != 1.0, "alpha = 1 is Utility::log");
-        Utility::AlphaFair { weight, alpha }
-    }
-
     /// The weight `w`.
     #[inline]
     pub fn weight(&self) -> f64 {
-        match *self {
-            Utility::Log { weight } | Utility::AlphaFair { weight, .. } => weight,
-        }
+        let Utility::Log { weight } = *self;
+        weight
     }
 
     /// `U(x)`.
     #[inline]
     pub fn utility(&self, x: f64) -> f64 {
-        match *self {
-            Utility::Log { weight } => weight * x.ln(),
-            Utility::AlphaFair { weight, alpha } => weight * x.powf(1.0 - alpha) / (1.0 - alpha),
-        }
+        self.weight() * x.ln()
     }
 
     /// Marginal utility `U'(x)`.
     #[inline]
     pub fn marginal(&self, x: f64) -> f64 {
-        match *self {
-            Utility::Log { weight } => weight / x,
-            Utility::AlphaFair { weight, alpha } => weight * x.powf(-alpha),
-        }
+        self.weight() / x
     }
 
     /// Demand function `(U')⁻¹(λ)`: the rate a selfish flow picks when its
     /// path price is `λ` (Algorithm 1's rate update, eq. 3).
     #[inline]
     pub fn demand(&self, lambda: f64) -> f64 {
-        match *self {
-            Utility::Log { weight } => weight / lambda,
-            Utility::AlphaFair { weight, alpha } => (lambda / weight).powf(-1.0 / alpha),
-        }
+        self.weight() / lambda
     }
 
     /// Price sensitivity `((U')⁻¹)'(λ) = ∂x/∂λ ≤ 0` — the flow's
@@ -96,12 +63,7 @@ impl Utility {
     /// `∂x_s(p)/∂p_ℓ`).
     #[inline]
     pub fn demand_derivative(&self, lambda: f64) -> f64 {
-        match *self {
-            Utility::Log { weight } => -weight / (lambda * lambda),
-            Utility::AlphaFair { weight, alpha } => {
-                -(1.0 / alpha) * (lambda / weight).powf(-1.0 / alpha - 1.0) / weight
-            }
-        }
+        -self.weight() / (lambda * lambda)
     }
 
     /// The path price at which the demand equals `x_max` — the "kink"
@@ -131,44 +93,32 @@ mod tests {
     }
 
     #[test]
-    fn alpha_fair_demand_inverts_marginal() {
-        let u = Utility::alpha_fair(1.5, 2.0);
-        for &x in &[0.01, 1.0, 7.3, 100.0] {
-            let lambda = u.marginal(x);
-            assert!((u.demand(lambda) - x).abs() < 1e-7 * x);
-        }
-    }
-
-    #[test]
     fn demand_derivative_matches_finite_difference() {
-        for u in [Utility::log(1.0), Utility::alpha_fair(2.0, 0.5)] {
-            for &lambda in &[0.1, 1.0, 10.0] {
-                let h = 1e-6 * lambda;
-                let fd = (u.demand(lambda + h) - u.demand(lambda - h)) / (2.0 * h);
-                let an = u.demand_derivative(lambda);
-                assert!(
-                    (fd - an).abs() < 1e-4 * an.abs(),
-                    "{u:?} λ={lambda}: fd={fd} an={an}"
-                );
-            }
+        let u = Utility::log(1.0);
+        for &lambda in &[0.1, 1.0, 10.0] {
+            let h = 1e-6 * lambda;
+            let fd = (u.demand(lambda + h) - u.demand(lambda - h)) / (2.0 * h);
+            let an = u.demand_derivative(lambda);
+            assert!(
+                (fd - an).abs() < 1e-4 * an.abs(),
+                "λ={lambda}: fd={fd} an={an}"
+            );
         }
     }
 
     #[test]
     fn demand_is_decreasing_and_negative_derivative() {
-        for u in [Utility::log(1.0), Utility::alpha_fair(1.0, 3.0)] {
-            assert!(u.demand(1.0) > u.demand(2.0));
-            assert!(u.demand_derivative(1.0) < 0.0);
-        }
+        let u = Utility::log(1.0);
+        assert!(u.demand(1.0) > u.demand(2.0));
+        assert!(u.demand_derivative(1.0) < 0.0);
     }
 
     #[test]
     fn utility_is_concave_increasing() {
-        for u in [Utility::log(1.0), Utility::alpha_fair(1.0, 2.0)] {
-            let (a, b, c) = (u.utility(1.0), u.utility(2.0), u.utility(3.0));
-            assert!(b > a && c > b, "increasing");
-            assert!(b - a > c - b, "concave (diminishing returns)");
-        }
+        let u = Utility::log(1.0);
+        let (a, b, c) = (u.utility(1.0), u.utility(2.0), u.utility(3.0));
+        assert!(b > a && c > b, "increasing");
+        assert!(b - a > c - b, "concave (diminishing returns)");
     }
 
     #[test]
@@ -193,11 +143,5 @@ mod tests {
     #[should_panic(expected = "weight must be > 0")]
     fn zero_weight_rejected() {
         let _ = Utility::log(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha = 1")]
-    fn alpha_one_rejected() {
-        let _ = Utility::alpha_fair(1.0, 1.0);
     }
 }

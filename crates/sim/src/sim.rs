@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 
 use bytes_shim::ByteBuf;
-use flowtune::{AllocatorService, BoxTickDriver, EndpointAgent, Engine, FlowtuneConfig};
+use flowtune::{
+    AllocatorService, BoxTickDriver, EndpointAgent, Engine, FlowtuneConfig, TICK_INTERVAL_PS,
+};
 use flowtune_proto::codec;
 use flowtune_topo::{ClosConfig, FlowId, LinkId, TwoTierClos};
 
@@ -264,8 +266,7 @@ impl Simulation {
 
         if is_flowtune {
             sim.create_ctrl_streams();
-            sim.queue
-                .push(cfg.flowtune.tick_interval_ps, Event::AllocTick);
+            sim.queue.push(TICK_INTERVAL_PS, Event::AllocTick);
             sim.queue.push(10 * US, Event::AgentPoll);
         }
         if cfg.scheme == Scheme::Xcp {
@@ -695,7 +696,7 @@ impl Simulation {
     }
 
     fn on_alloc_tick(&mut self) {
-        let interval = self.cfg.flowtune.tick_interval_ps;
+        let interval = TICK_INTERVAL_PS;
         self.queue.push(self.now + interval, Event::AllocTick);
         let Some(alloc) = &mut self.alloc else {
             return;

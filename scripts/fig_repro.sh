@@ -29,6 +29,7 @@ RUNS=(
     "fig6_threshold --shards 2 --exchange-every 1"
     "fig7_scaling"
     "fig7_scaling --shards 2 --exchange-every 1"
+    "fig7_scaling --incremental --full-sweep-every 16"
     "fig12_overalloc"
     "fig12_overalloc --shards 4 --exchange-every 1"
     "fig12_overalloc --shards 2 --exchange-every 1 --placement traffic --pair-affinity 0.8 --exchange-delta-eps 0.001"

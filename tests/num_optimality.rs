@@ -105,59 +105,3 @@ fn block_allocator_agrees_with_analytic_shares_on_a_fabric() {
         );
     }
 }
-
-#[test]
-fn alpha_fair_extension_matches_log_at_alpha_near_one() {
-    // α → 1 recovers proportional fairness; α = 1 ± ε should produce
-    // nearly identical allocations on an asymmetric instance.
-    let build = |u: Utility| {
-        let mut p = NumProblem::new(vec![10.0, 4.0]);
-        p.add_flow(vec![l(0), l(1)], u);
-        p.add_flow(vec![l(0)], u);
-        p
-    };
-    let plog = build(Utility::log(1.0));
-    let mut slog = SolverState::new(&plog);
-    assert!(solve(&mut Ned::new(0.4), &plog, &mut slog, 50_000, 1e-9).converged);
-
-    let pa = build(Utility::alpha_fair(1.0, 1.001));
-    let mut sa = SolverState::new(&pa);
-    assert!(solve(&mut Ned::new(0.4), &pa, &mut sa, 50_000, 1e-9).converged);
-
-    for i in 0..2 {
-        assert!(
-            (slog.rates[i] - sa.rates[i]).abs() < 0.01,
-            "flow {i}: log {} vs α-fair {}",
-            slog.rates[i],
-            sa.rates[i]
-        );
-    }
-}
-
-#[test]
-fn alpha_two_is_less_throughput_more_equal() {
-    // Higher α trades throughput for equality: on the parking lot, the
-    // multi-hop flow does better under α=2 than under proportional
-    // fairness, at lower total throughput.
-    let build = |u: Utility| {
-        let mut p = NumProblem::new(vec![1.0, 1.0]);
-        let long = p.add_flow(vec![l(0), l(1)], u);
-        p.add_flow(vec![l(0)], u);
-        p.add_flow(vec![l(1)], u);
-        (p, long)
-    };
-    let (plog, long_log) = build(Utility::log(1.0));
-    let mut slog = SolverState::new(&plog);
-    assert!(solve(&mut Ned::new(0.2), &plog, &mut slog, 100_000, 1e-9).converged);
-    let (p2, long_2) = build(Utility::alpha_fair(1.0, 2.0));
-    let mut s2 = SolverState::new(&p2);
-    assert!(solve(&mut Ned::new(0.2), &p2, &mut s2, 100_000, 1e-9).converged);
-
-    assert!(
-        s2.rates[long_2] > slog.rates[long_log],
-        "α=2 favours the long flow"
-    );
-    let total_log: f64 = slog.rates.iter().sum();
-    let total_2: f64 = s2.rates.iter().sum();
-    assert!(total_2 < total_log, "…at lower total throughput");
-}

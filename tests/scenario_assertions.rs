@@ -30,7 +30,7 @@ fn run_on(
     opts: &ScenarioOptions,
 ) -> ScenarioReport {
     let cfg = FlowtuneConfig::default();
-    let mut ticker = FluidPlane::new(AllocatorService::new(fabric, cfg), cfg.tick_interval_ps);
+    let mut ticker = FluidPlane::new(AllocatorService::new(fabric, cfg));
     flowtune::run_scenario(&mut ticker, scenario, opts)
 }
 

@@ -33,7 +33,7 @@ use flowtune_workload::ScenarioKind;
 /// Records a ring-allreduce stream from an unsharded oracle under `cfg`.
 fn recorded_allreduce(cfg: FlowtuneConfig) -> Replay {
     let fabric = fabric();
-    let mut ticker = FluidPlane::new(AllocatorService::new(&fabric, cfg), cfg.tick_interval_ps);
+    let mut ticker = FluidPlane::new(AllocatorService::new(&fabric, cfg));
     let mut scenario = ScenarioKind::AllreduceRing.build(16, 2_000_000);
     let (replay, report) =
         Replay::record(&mut ticker, scenario.as_mut(), &ScenarioOptions::default());

@@ -52,8 +52,10 @@ impl Model {
             }
             Engine::Gradient => Box::new(GradientAllocator::new(fabric, alloc_cfg)),
             Engine::Fastpass => Box::new(
-                FastpassAdapter::new(fabric, alloc_cfg)
-                    .with_iteration_time_ps(cfg.tick_interval_ps, fabric.config().host_link_bps),
+                FastpassAdapter::new(fabric, alloc_cfg).with_iteration_time_ps(
+                    flowtune::TICK_INTERVAL_PS,
+                    fabric.config().host_link_bps,
+                ),
             ),
             Engine::Sharded { .. } => unreachable!("the model is one service"),
         };

@@ -32,6 +32,14 @@
 //! the grid's per-LinkBlock buffers, where the caller-thread iteration
 //! leaves its own, and the export reads those (see [`crate::serial`]).
 //!
+//! The pipeline stays dense, on purpose: phase 1 clears every worker and
+//! the tree absorbs every partial, an empty FlowBlock's zeros included.
+//! The caller-thread iteration skips empty FlowBlocks; the pipeline is
+//! the reference that skip is tested against bit for bit
+//! (`check_equivalence` here, with flow sets that fill one grid row, one
+//! column or one cell, and `a_flowblock_that_empties_matches_the_dense_tree`
+//! in `serial.rs`).
+//!
 //! When the grid has more FlowBlocks than the machine has cores, several
 //! logical workers share one OS thread (the paper does the same: "we
 //! divided all FlowBlocks into groups of 2-by-2, and put two adjacent
@@ -45,7 +53,7 @@ use std::time::{Duration, Instant};
 use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass, PriceView};
 use crate::pool::WorkerPool;
 use crate::reduce::{aggregate, position, root, steps, Role, DIRS};
-use crate::serial::{views_of, WorkerCore};
+use crate::serial::views_of;
 use crate::{SerialAllocator, GAMMA};
 
 impl SerialAllocator {
@@ -71,11 +79,10 @@ impl SerialAllocator {
 
         // Move every worker's state under a mutex, and every view under
         // its lock, for the parallel phase.
-        let cells: Vec<Mutex<WorkerCore>> =
-            // flowtune-lint: allow(hot-path-alloc, "O(blocks) mutex wrap per call, amortized over n iterations")
-            self.workers.drain(..).map(Mutex::new).collect();
+        self.pool_cells
+            .extend(self.workers.drain(..).map(Mutex::new));
         swap_views(&mut self.views, &mut self.pool_views);
-        let views = &self.pool_views;
+        let (cells, scratch, views) = (&self.pool_cells, &self.pool_scratch, &self.pool_views);
         let barrier = SpinBarrier::new(threads);
         let elapsed = Mutex::new(Duration::ZERO);
         let pool = self.pool.get_or_insert_with(|| WorkerPool::new(threads));
@@ -85,10 +92,10 @@ impl SerialAllocator {
             let hi = ((t + 1) * chunk).min(n_workers);
             barrier.wait();
             let t0 = Instant::now();
-            // Scratch for the aggregation's copy-out exchange: a LinkBlock
-            // of `[load, hessian]` pairs. Only the real links travel —
-            // nobody's sentinel slot or padding is read or written.
-            let mut buf = vec![[0.0f64; 2]; lpl]; // flowtune-lint: allow(hot-path-alloc, "per-thread scratch, once per run not per iteration")
+            // This slot's scratch for the aggregation's copy-out exchange.
+            // Only the real links travel — nobody's sentinel slot or
+            // padding is read or written.
+            let mut buf = lock(&scratch[t]);
             for _ in 0..n {
                 // Phase 1: rate pass.
                 for w in lo..hi {
@@ -161,8 +168,7 @@ impl SerialAllocator {
 
         swap_views(&mut self.views, &mut self.pool_views);
         let unpoison = |cell: Mutex<_>| cell.into_inner().unwrap_or_else(PoisonError::into_inner);
-        // flowtune-lint: allow(hot-path-alloc, "O(blocks) unwrap per call, amortized over n iterations")
-        self.workers = cells.into_iter().map(unpoison).collect();
+        self.workers.extend(self.pool_cells.drain(..).map(unpoison));
         // The tree absorbs in place, so each root's accumulators now *are*
         // its LinkBlock's totals (the other workers' are partly absorbed
         // and must not be reduced again): keep them for the export, as
@@ -276,17 +282,40 @@ mod tests {
         }
     }
 
+    /// The schedules on 64 sprayed flows, and on the flow sets a shard's
+    /// grid holds, which leave FlowBlocks empty — one source block (a
+    /// grid row), one destination block (a column), one FlowBlock: the
+    /// caller-thread grid skips the empty ones, the dense pipeline adds
+    /// their zeros.
     fn check_equivalence(blocks: usize) {
+        let (last, wide) = (blocks - 1, 64 * blocks * blocks);
+        check_equivalence_of(blocks, 64, |_, _| true);
+        check_equivalence_of(blocks, wide, |src, _| src == last);
+        check_equivalence_of(blocks, wide, |_, dst| dst == 0);
+        check_equivalence_of(blocks, wide, |src, dst| (src, dst) == (0, 1 % blocks));
+    }
+
+    /// The schedules on those of `n` sprayed flows whose (source block,
+    /// destination block) `keep` admits.
+    fn check_equivalence_of(blocks: usize, n: usize, keep: impl Fn(usize, usize) -> bool) {
         let fabric = TwoTierClos::build(ClosConfig::multicore(blocks, 2, 4));
         let cfg = AllocConfig::default();
         let mut serial = SerialAllocator::new(&fabric, cfg);
         let mut parallel = SerialAllocator::multicore(&fabric, cfg, 2);
-        spray_flows(&fabric, 64, |id, s, d, w, p| {
-            serial.add_flow(id, s, d, w, p)
-        });
-        spray_flows(&fabric, 64, |id, s, d, w, p| {
-            parallel.add_flow(id, s, d, w, p)
-        });
+        let kept = |s: usize, d: usize| {
+            keep(
+                fabric.block_of_server(s).index(),
+                fabric.block_of_server(d).index(),
+            )
+        };
+        for engine in [&mut serial, &mut parallel] {
+            spray_flows(&fabric, n, |id, s, d, w, p| {
+                if kept(s, d) {
+                    engine.add_flow(id, s, d, w, p);
+                }
+            });
+        }
+        assert!(serial.flow_count() > 0, "premise: the set holds flows");
         serial.run_iterations(37);
         parallel.run_iterations(37);
         let a = serial.rates();

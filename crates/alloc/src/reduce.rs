@@ -127,11 +127,12 @@ pub(crate) fn aggregate(d: Dir, w: usize, b: usize, s: usize) -> Role {
 /// Reduces `partials[k]` (indexed by virtual index) with the exact
 /// pairwise order of the parallel tree; the result lands in
 /// `partials[0]`. Used by the serial engine so serial and parallel sums
-/// are bit-for-bit identical.
-pub(crate) fn binomial_reduce_in_order<T, F: FnMut(&mut T, &T)>(partials: &mut [T], mut absorb: F)
-where
-    T: Sized,
-{
+/// are bit-for-bit identical. `absorb(receiver, sender)` may take the
+/// sender's contents: a sender is not read after its step.
+pub(crate) fn binomial_reduce_in_order<T, F: FnMut(&mut T, &mut T)>(
+    partials: &mut [T],
+    mut absorb: F,
+) {
     let b = partials.len();
     debug_assert!(b.is_power_of_two());
     for s in 0..steps(b) {
@@ -140,7 +141,7 @@ where
         for k in (0..b).step_by(span) {
             // Split so we can borrow receiver and sender disjointly.
             let (head, tail) = partials.split_at_mut(k + half);
-            absorb(&mut head[k], &tail[0]);
+            absorb(&mut head[k], &mut tail[0]);
         }
     }
 }
@@ -245,7 +246,7 @@ mod tests {
         ];
         binomial_reduce_in_order(&mut partials, |a, b| {
             for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
+                *x += *y;
             }
         });
         assert_eq!(partials[0], vec![10.0, 100.0]);

@@ -25,8 +25,19 @@
 //! diff phase, the price export and the consensus install
 //! ([`crate::RateAllocator::set_link_prices`]) read and patch exactly
 //! what the next flow pass reads, 2·B views of `O(links)` each.
+//!
+//! **An empty FlowBlock costs nothing.** A shard's grid spans the whole
+//! fabric but holds flows in some FlowBlocks only — one row of four on a
+//! four-shard plane with contiguous placement. The caller-thread
+//! iteration passes over a FlowBlock with no flows in every flow phase
+//! (no clear, rate pass, F-NORM or report pass), and the aggregation
+//! tree neither copies nor absorbs it (`Partial`): a LinkBlock's totals
+//! are its live members' sum, bit for bit the dense tree's, which adds
+//! the empty ones' zeros. Emptiness is read off the flow set each
+//! iteration, so a stale accumulator is never read and nothing is
+//! cleared when a FlowBlock empties. The barrier pipeline stays dense.
 
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
@@ -79,10 +90,10 @@ pub struct SerialAllocator {
     dirty: Option<DirtySet>,
     /// What the last price update summed, kept for the exports.
     pub(crate) totals: LinkTotals,
-    /// The binomial tree's partials, one LinkBlock of `[load, hessian]`
-    /// pairs per virtual index: sized once at construction — the fabric
-    /// shape is fixed — so iterations never reallocate.
-    partials: Vec<Vec<[f64; 2]>>,
+    /// The binomial tree's partials, one per virtual index: sized once at
+    /// construction — the fabric shape is fixed — so iterations never
+    /// reallocate.
+    partials: Vec<Partial>,
     /// OS threads of the pool schedule; `None` iterates on the caller's
     /// thread.
     threads: Option<usize>,
@@ -94,6 +105,13 @@ pub struct SerialAllocator {
     /// back out of, so the caller's thread reads plain fields and takes
     /// no lock. Empty on a caller-thread grid.
     pub(crate) pool_views: [Vec<RwLock<PriceView>>; 2],
+    /// Where a pipelined run moves the workers, each under its own
+    /// mutex: empty between runs, its capacity kept from one to the next.
+    pub(crate) pool_cells: Vec<Mutex<WorkerCore>>,
+    /// One LinkBlock of `[load, hessian]` pairs per pool slot, the
+    /// pipeline's copy-out buffer for the aggregation: sized once, with
+    /// the pool schedule. Empty on a caller-thread grid.
+    pub(crate) pool_scratch: Vec<Mutex<Vec<[f64; 2]>>>,
 }
 
 /// The index entry of an id no flow holds: no grid has `u32::MAX`
@@ -124,6 +142,41 @@ impl WorkerCore {
         Self {
             flows: FlowBlock::new(links_per_lb),
             acc: Accums::new(links_per_lb),
+        }
+    }
+}
+
+/// One virtual index's partial in the caller-thread tree: a LinkBlock of
+/// `[load, hessian]` pairs, and whether it is *live* — whether any
+/// FlowBlock summed into it holds a flow. A dead partial stands for the
+/// all-`+0.0` one the dense tree adds; its buffer is stale and never read.
+#[derive(Debug)]
+struct Partial {
+    live: bool,
+    pairs: Vec<[f64; 2]>,
+}
+
+impl Partial {
+    /// One tree step, `self += sender`, skipping what adds nothing: a
+    /// dead sender is passed over, and a dead receiver takes the live
+    /// sender's buffer (the sender is not read again).
+    ///
+    /// Bit for bit the dense tree's `absorb`, which adds a dead
+    /// FlowBlock's cleared accumulators: `x + (+0.0)` and `(+0.0) + x`
+    /// are `x` for every `x` but `−0.0`, and no accumulator entry — nor
+    /// any sum of them — is `−0.0`. Loads sum rates `w/λ > 0` and
+    /// Hessian entries sum `−x/λ < 0`, each from the clear's `+0.0`, and
+    /// a round-to-nearest sum is `−0.0` only when both addends are: even
+    /// a term that underflowed to `−0.0` leaves a `+0.0` entry `+0.0`.
+    // flowtune-lint: hot, float-kernel
+    fn absorb(&mut self, sender: &mut Partial) {
+        if !sender.live {
+            return;
+        }
+        if self.live {
+            absorb(&mut self.pairs, &sender.pairs);
+        } else {
+            std::mem::swap(self, sender);
         }
     }
 }
@@ -162,8 +215,7 @@ impl SerialAllocator {
             .collect();
         let lpl = layout.links_per_lb();
         let workers = (0..b * b).map(|_| WorkerCore::new(lpl)).collect();
-        // B LinkBlocks of pairs: the shape of the tree's partials (one per
-        // virtual index) and of each direction's totals alike.
+        // B LinkBlocks of pairs: each direction's totals.
         let zeros = vec![vec![[0.0; 2]; lpl]; b];
         let dirty = cfg
             .incremental
@@ -179,11 +231,18 @@ impl SerialAllocator {
             bg: None,
             bg_h: None,
             dirty,
-            partials: zeros.clone(),
+            partials: (0..b)
+                .map(|_| Partial {
+                    live: false,
+                    pairs: vec![[0.0; 2]; lpl],
+                })
+                .collect(),
             totals: [zeros.clone(), zeros],
             threads: None,
             pool: None,
             pool_views: [Vec::new(), Vec::new()],
+            pool_cells: Vec::new(),
+            pool_scratch: Vec::new(),
         }
     }
 
@@ -202,10 +261,14 @@ impl SerialAllocator {
             0 => std::thread::available_parallelism().map_or(8, |c| c.get().min(16)),
             n => n,
         };
-        let b = grid.layout.blocks();
+        let (b, lpl) = (grid.layout.blocks(), grid.layout.links_per_lb());
+        let threads = grid.workers.len().min(cap);
         Self {
-            threads: Some(grid.workers.len().min(cap)),
+            threads: Some(threads),
             pool_views: [(); 2].map(|_| (0..b).map(|_| RwLock::default()).collect()),
+            pool_scratch: (0..threads)
+                .map(|_| Mutex::new(vec![[0.0; 2]; lpl]))
+                .collect(),
             ..grid
         }
     }
@@ -434,6 +497,10 @@ impl SerialAllocator {
     /// unchanged — so skipping it is exact. The accumulator clear is the
     /// lazy per-epoch one: it happens here, only for recomputed workers,
     /// instead of globally every iteration, and stops at the sentinel.
+    /// An empty FlowBlock is neither cleared nor passed: the tree does
+    /// not read a dead worker's accumulators ([`Partial`]). It still
+    /// counts as recomputed, so a FlowBlock whose last flow just left
+    /// takes its old sums out of the totals.
     /// Returns whether any worker recomputed, which gates the
     /// link-proportional phases.
     // flowtune-lint: hot
@@ -455,6 +522,9 @@ impl SerialAllocator {
                 ds.dirty_flows += worker.flows.len() as u64;
             }
             any = true;
+            if worker.flows.is_empty() {
+                continue;
+            }
             worker.acc.clear(lpl);
             let prices = views_of(views, w, b).map(|v| &v.prices[..]);
             rate_pass(&mut worker.flows, prices, &mut worker.acc);
@@ -464,9 +534,12 @@ impl SerialAllocator {
 
     /// Phases B+C: aggregate each LinkBlock along the binomial tree (in
     /// the tree's exact pairwise order) into preallocated scratch and run
-    /// the NED price update on its view. The reduced totals trade places
-    /// with the LinkBlock's [`LinkTotals`] buffer — no copy; the next
-    /// reduction overwrites all of `partials[0]` — so the exports read
+    /// the NED price update on its view. Only the members whose
+    /// FlowBlock holds flows are copied in and absorbed ([`Partial`]); a
+    /// LinkBlock with none gets zero totals, and its price update runs
+    /// all the same. The reduced totals trade places with the
+    /// LinkBlock's [`LinkTotals`] buffer — no copy; the next reduction
+    /// overwrites all of a live `partials[0]` — so the exports read
     /// exactly what the update was given.
     // flowtune-lint: hot, float-kernel
     fn aggregate_and_price(&mut self) {
@@ -476,10 +549,19 @@ impl SerialAllocator {
         for d in DIRS {
             for blk in 0..b {
                 for (k, part) in partials.iter_mut().enumerate() {
-                    part.copy_from_slice(&self.workers[member(d, blk, k, b)].acc.pairs[d][..lpl]);
+                    let worker = &self.workers[member(d, blk, k, b)];
+                    part.live = !worker.flows.is_empty();
+                    if part.live {
+                        part.pairs.copy_from_slice(&worker.acc.pairs[d][..lpl]);
+                    }
                 }
-                binomial_reduce_in_order(partials, |a, o| absorb(a, o));
-                std::mem::swap(&mut partials[0], &mut self.totals[d][blk]);
+                binomial_reduce_in_order(partials, Partial::absorb);
+                let total = &mut self.totals[d][blk];
+                if partials[0].live {
+                    std::mem::swap(&mut partials[0].pairs, total);
+                } else {
+                    total.fill([0.0; 2]);
+                }
                 let view = &mut self.views[d][blk];
                 price_update(
                     &self.totals[d][blk],
@@ -538,7 +620,8 @@ impl SerialAllocator {
     /// set, only where the inputs changed: the worker recomputed its
     /// rates this iteration, or a ratio on a traversed link moved. Each
     /// of those is marked export-dirty for the drain
-    /// ([`RateAllocator::drain_changed_rates`]).
+    /// ([`RateAllocator::drain_changed_rates`]). An empty FlowBlock has
+    /// nothing to normalize and is passed over.
     // flowtune-lint: hot
     fn normalize_phase(&mut self) {
         let f_norm = self.cfg.f_norm;
@@ -555,6 +638,9 @@ impl SerialAllocator {
                     continue;
                 }
                 ds.export_dirty[w] = true;
+            }
+            if worker.flows.is_empty() {
+                continue;
             }
             if f_norm {
                 let ratios = views_of(views, w, b).map(|v| &v.ratios[..]);
@@ -610,9 +696,9 @@ impl RateAllocator for SerialAllocator {
 
     /// Runs [`report_pass`] — the §6.4 rule against each flow's
     /// `reported` word — over every worker whose output may have moved
-    /// since the last drain (every worker, without a dirty set). A worker
-    /// that is skipped is bitwise as the last drain left it, and what did
-    /// not pass then does not pass now.
+    /// since the last drain (every worker, without a dirty set) and holds
+    /// flows. A worker that is skipped is bitwise as the last drain left
+    /// it, and what did not pass then does not pass now.
     // flowtune-lint: hot, float-kernel
     fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         for (w, worker) in self.workers.iter_mut().enumerate() {
@@ -620,6 +706,9 @@ impl RateAllocator for SerialAllocator {
                 if !std::mem::take(&mut ds.export_dirty[w]) {
                     continue;
                 }
+            }
+            if worker.flows.is_empty() {
+                continue;
             }
             report_pass(&mut worker.flows, threshold, sink);
         }
@@ -1313,8 +1402,9 @@ mod tests {
     fn padding_stays_zero_through_churn() {
         // The kernels index at `offset & (len - 1)`; that is the identity
         // only while nothing but `+0.0` lives past the sentinel. Adds,
-        // swap-removes, a consensus install and 200 iterations, on the
-        // full sweep, the incremental path and the barrier pipeline.
+        // swap-removes, a consensus install, a FlowBlock emptied and
+        // refilled, and 200 iterations, on the full sweep, the
+        // incremental path and the barrier pipeline.
         let f = fabric();
         let servers = f.config().server_count();
         let links = f.topology().link_count();
@@ -1347,6 +1437,16 @@ mod tests {
                 if step == 100 {
                     alloc.set_link_prices(&vec![0.3; links]);
                 }
+                if step == 120 {
+                    // Empty FlowBlock (1, 0); the churn refills it.
+                    let held = alloc.workers[2].flows.len();
+                    live.retain(|&id| {
+                        let here = alloc.locate(id).expect("live").0 == 2;
+                        assert!(!here || alloc.remove_flow(id));
+                        !here
+                    });
+                    assert!(held > 0 && alloc.workers[2].flows.is_empty());
+                }
                 alloc.iterate();
                 assert!(
                     unowned_entries(&alloc).iter().all(|&x| x == 0),
@@ -1354,7 +1454,89 @@ mod tests {
                 );
             }
             assert!(live.len() >= 6, "premise: the churn kept flows in");
+            assert!(!alloc.workers[2].flows.is_empty(), "premise: refilled");
         }
+    }
+
+    #[test]
+    fn a_flowblock_that_empties_matches_the_dense_tree() {
+        // A shard-shaped grid — flows in one row of FlowBlocks, plus one
+        // lone flow elsewhere — whose lone flow leaves and, 50 iterations
+        // later, comes back. The caller-thread grid skips the emptied
+        // FlowBlock with its old sums still in its accumulators; the
+        // pipeline clears and absorbs every FlowBlock. Every total,
+        // price and ratio must match, full sweep and incremental alike.
+        let f = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
+        let block = |s: usize| f.block_of_server(s).index();
+        let dense_cfg = AllocConfig {
+            dirty_eps: 0.0,
+            ..cfg()
+        };
+        let mut dense = SerialAllocator::multicore(&f, dense_cfg, 2);
+        let mut full = SerialAllocator::new(&f, dense_cfg);
+        let mut inc = SerialAllocator::new(
+            &f,
+            AllocConfig {
+                incremental: true,
+                ..dense_cfg
+            },
+        );
+        let servers = f.config().server_count();
+        let row = (0..servers).filter(|&s| block(s) == 1);
+        let pairs: Vec<(usize, usize)> = row
+            .flat_map(|src| [(src, (src * 5 + 3) % servers), (src, (src + 9) % servers)])
+            .filter(|&(src, dst)| src != dst)
+            .collect();
+        let (lone, lone_src, lone_dst) = (FlowId(pairs.len() as u64), 30, 21);
+        let lone_path = f.path(lone_src, lone_dst, lone);
+        let lone_cell = block(lone_src) * 4 + block(lone_dst);
+        for engine in [&mut dense, &mut full, &mut inc] {
+            for (i, &(src, dst)) in pairs.iter().enumerate() {
+                let id = FlowId(i as u64);
+                engine.add_flow(id, src, dst, 1.0 + (i % 3) as f64, &f.path(src, dst, id));
+            }
+            engine.add_flow(lone, lone_src, lone_dst, 2.0, &lone_path);
+        }
+        assert_eq!(full.workers[lone_cell].flows.len(), 1, "premise: alone");
+        let views = |alloc: &SerialAllocator| -> Vec<u64> {
+            let columns = alloc.views.iter().flatten();
+            columns
+                .flat_map(|v| bits(&v.prices).into_iter().chain(bits(&v.ratios)))
+                .collect()
+        };
+        for step in 0..200 {
+            if step == 20 {
+                for engine in [&mut dense, &mut full, &mut inc] {
+                    assert!(engine.remove_flow(lone));
+                }
+            }
+            if step == 70 {
+                for engine in [&mut dense, &mut full, &mut inc] {
+                    engine.add_flow(lone, lone_src, lone_dst, 2.0, &lone_path);
+                }
+            }
+            for engine in [&mut dense, &mut full, &mut inc] {
+                engine.iterate();
+            }
+            let want = (exports(&dense), views(&dense));
+            assert_eq!((exports(&full), views(&full)), want, "full, step {step}");
+            assert_eq!(
+                (exports(&inc), views(&inc)),
+                want,
+                "incremental, step {step}"
+            );
+            if (20..70).contains(&step) {
+                // The old sums are still there, and must not be read.
+                let stale = &full.workers[lone_cell].acc.pairs;
+                assert!(stale.iter().flatten().any(|p| p[0] > 0.0), "step {step}");
+            }
+        }
+        let empty = full.workers.iter().filter(|w| w.flows.is_empty()).count();
+        assert_eq!(
+            empty,
+            16 - 4 - 1,
+            "premise: one row and one cell hold flows"
+        );
     }
 
     #[test]

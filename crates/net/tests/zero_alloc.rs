@@ -56,8 +56,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use flowtune::{
-    AllocatorService, EndpointAgent, ExchangeCore, FlowtuneConfig, FluidPlane, ShardedService,
-    TickDriver,
+    AllocatorService, EndpointAgent, Engine, ExchangeCore, FlowtuneConfig, FluidPlane,
+    ShardedService, TickDriver,
 };
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
@@ -286,23 +286,30 @@ fn decoder_corpus_allocates_nothing(second_order: bool) {
 fn steady_state_allocator_tick_allocates_nothing() {
     let _window = Window::lock();
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-    for incremental in [true, false] {
-        let cfg = FlowtuneConfig {
-            incremental,
-            // Small cadence so the measured window provably crosses
-            // full-sweep ticks — the worst case for the export path
-            // (every worker drains) must be allocation-free too.
-            full_sweep_every: 8,
-            ..FlowtuneConfig::default()
-        };
-        // Built as the planes build it: the sink crosses the
-        // `dyn RateAllocator` hop on top of its own `dyn FnMut`.
-        let builder = AllocatorService::builder().fabric(&fabric).config(cfg);
-        allocator_ticks_allocate_nothing(
-            builder.build().expect("fabric is set"),
-            &fabric,
-            &format!("incremental={incremental}"),
-        );
+    // The multicore grid's full sweeps run the barrier pipeline, once a
+    // tick, on the caller's thread and one pool thread.
+    for engine in [Engine::Serial, Engine::Multicore { workers: 2 }] {
+        for incremental in [true, false] {
+            let cfg = FlowtuneConfig {
+                incremental,
+                // Small cadence so the measured window provably crosses
+                // full-sweep ticks — the worst case for the export path
+                // (every worker drains) must be allocation-free too.
+                full_sweep_every: 8,
+                ..FlowtuneConfig::default()
+            };
+            // Built as the planes build it: the sink crosses the
+            // `dyn RateAllocator` hop on top of its own `dyn FnMut`.
+            let builder = AllocatorService::builder()
+                .fabric(&fabric)
+                .config(cfg)
+                .engine(engine.clone());
+            allocator_ticks_allocate_nothing(
+                builder.build().expect("fabric is set"),
+                &fabric,
+                &format!("{engine:?}, incremental={incremental}"),
+            );
+        }
     }
 }
 

@@ -25,12 +25,14 @@ RUNS=(
     "fig5_update_traffic"
     "fig5_update_traffic --engine multicore --workers 2"
     "fig5_update_traffic --shards 2 --exchange-every 1"
+    "fig5_update_traffic --engine multicore --workers 2 --shards 2 --exchange-every 1"
     "fig6_threshold"
     "fig6_threshold --shards 2 --exchange-every 1"
     "fig7_scaling"
     "fig7_scaling --shards 2 --exchange-every 1"
     "fig7_scaling --incremental --full-sweep-every 16"
     "fig12_overalloc"
+    "fig12_overalloc --shards 2 --exchange-every 1"
     "fig12_overalloc --shards 4 --exchange-every 1"
     "fig12_overalloc --shards 2 --exchange-every 1 --placement traffic --pair-affinity 0.8 --exchange-delta-eps 0.001"
     "fig13_norm"

@@ -283,14 +283,6 @@ impl Placement {
     pub fn strategy(&self) -> &'static str {
         self.strategy
     }
-
-    /// Number of endpoints assigned to `shard`.
-    pub fn shard_size(&self, shard: usize) -> usize {
-        self.shard_of
-            .iter()
-            .filter(|&&s| s as usize == shard)
-            .count()
-    }
 }
 
 /// Phase 1: deterministic greedy agglomeration — racks in descending
@@ -393,6 +385,15 @@ fn refine_racks(mut assignment: Vec<u32>, matrix: &TrafficMatrix) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    /// How many of `servers` endpoints each of `shards` shards owns.
+    fn shard_sizes(p: &Placement, servers: u16, shards: usize) -> Vec<usize> {
+        let mut sizes = vec![0; shards];
+        for src in 0..servers {
+            sizes[p.shard_of(src)] += 1;
+        }
+        sizes
+    }
+
     #[test]
     fn spec_parses_and_roundtrips() {
         for spec in [PlacementSpec::Contiguous, PlacementSpec::Traffic] {
@@ -439,8 +440,7 @@ mod tests {
         let p = Placement::traffic(24, 4, 2, &m);
         assert_eq!(p.strategy(), "traffic");
         // Each class lands in one shard; sizes balance 12/12.
-        assert_eq!(p.shard_size(0), 12);
-        assert_eq!(p.shard_size(1), 12);
+        assert_eq!(shard_sizes(&p, 24, 2), [12, 12]);
         for rack in 0..6 {
             let shard = p.shard_of((rack * 4) as u16);
             let class_anchor = p.shard_of((4 * (rack % 2)) as u16);
@@ -515,7 +515,7 @@ mod tests {
             }
         }
         let p = Placement::traffic(20, 4, 2, &m);
-        let sizes = [p.shard_size(0), p.shard_size(1)];
+        let sizes = shard_sizes(&p, 20, 2);
         assert_eq!(sizes.iter().sum::<usize>(), 20);
         assert!(sizes.contains(&12) && sizes.contains(&8), "{sizes:?}");
     }

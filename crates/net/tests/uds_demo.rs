@@ -1,7 +1,8 @@
 //! Runs the `flowtune-arbiterd --demo` launcher end-to-end: two real
 //! shard processes exchanging over Unix-domain sockets must converge
-//! to the unsharded optimum with real bytes on the wire. This is the
-//! same invocation the CI smoke row uses.
+//! to the unsharded optimum with real bytes on the wire. CI has no
+//! separate step for this invocation; its `--demo 3`, TCP and
+//! latency-drill steps run the launcher with other arguments.
 
 use std::process::Command;
 

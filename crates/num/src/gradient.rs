@@ -5,12 +5,14 @@
 //! to a price change, so it must update prices very gently (i.e., γ must be
 //! small)" (§3) — γ here is an absolute step in price-per-unit-rate, so a
 //! safe value depends on the instance scale, unlike NED's dimensionless γ.
+//!
+//! The baseline of §6.6: fig13 runs [`Gradient`] through `NumChurn`, and
+//! `flowtune-alloc`'s gradient engine (fig12's Gradient row) iterates it.
 
-use crate::ned::fast_recip;
 use crate::problem::NumProblem;
 use crate::solver::{decay_idle_price, Optimizer, SolverState};
 
-/// Gradient projection with a fixed step size (double precision).
+/// Gradient projection with a fixed step size.
 #[derive(Debug, Clone)]
 pub struct Gradient {
     gamma: f64,
@@ -83,65 +85,6 @@ impl Optimizer for Gradient {
     }
 }
 
-/// Real-time gradient projection: `f32` arithmetic and [`fast_recip`] for
-/// log-utility demands (the Gradient-RT series of Figure 12).
-#[derive(Debug, Clone)]
-pub struct GradientRt {
-    gamma: f32,
-    loads: Vec<f32>,
-}
-
-impl GradientRt {
-    /// Creates gradient-RT with step `γ`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < γ` and finite.
-    pub fn new(gamma: f32) -> Self {
-        assert!(gamma > 0.0 && gamma.is_finite(), "gamma must be positive");
-        Self {
-            gamma,
-            loads: Vec::new(),
-        }
-    }
-}
-
-impl Default for GradientRt {
-    fn default() -> Self {
-        Self::new(Gradient::default().gamma as f32)
-    }
-}
-
-impl Optimizer for GradientRt {
-    fn name(&self) -> &'static str {
-        "Gradient-RT"
-    }
-
-    fn iterate(&mut self, problem: &NumProblem, state: &mut SolverState) {
-        state.fit(problem);
-        self.loads.clear();
-        self.loads.resize(problem.link_count(), 0.0);
-        for (i, links, utility, x_max) in problem.iter_flows() {
-            let lambda: f32 = links.iter().map(|l| state.prices[l.index()] as f32).sum();
-            let lambda = lambda.max(utility.price_floor(x_max) as f32);
-            let x = utility.weight() as f32 * fast_recip(lambda);
-            state.rates[i] = x as f64;
-            for l in links {
-                self.loads[l.index()] += x;
-            }
-        }
-        let background = problem.background_loads();
-        for (l, &c) in problem.capacities().iter().enumerate() {
-            if self.loads[l] > 0.0 {
-                let bg = background.get(l).copied().unwrap_or(0.0) as f32;
-                let g = self.loads[l] + bg - c as f32;
-                state.prices[l] = (state.prices[l] + (self.gamma * g) as f64).max(0.0);
-            } else {
-                state.prices[l] = decay_idle_price(state.prices[l]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,20 +133,6 @@ mod tests {
             grad.iterations,
             ned.iterations
         );
-    }
-
-    #[test]
-    fn gradient_rt_tracks_gradient() {
-        let mut p = NumProblem::new(vec![10.0]);
-        for _ in 0..4 {
-            p.add_flow(vec![l(0)], Utility::log(1.0));
-        }
-        let mut s = SolverState::new(&p);
-        let r = solve(&mut GradientRt::default(), &p, &mut s, 100_000, 1e-4);
-        assert!(r.converged, "{r:?}");
-        for i in 0..4 {
-            assert!((s.rates[i] - 2.5).abs() < 0.05, "{}", s.rates[i]);
-        }
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //! * [`NumProblem`] — a dynamic flow/link instance supporting online flowlet
 //!   arrival and departure,
 //! * [`Ned`] — the paper's contribution, **Newton-Exact-Diagonal**
-//!   (Algorithm 1), plus the real-time `f32` variant [`NedRt`],
-//! * baselines used in §6.6: [`Gradient`] projection (and [`GradientRt`]),
-//!   [`Fgm`] (Beck et al.'s fast weighted gradient), and the
-//!   measurement-based [`NewtonLike`] method of Athuraliya & Low,
+//!   (Algorithm 1),
+//! * [`Gradient`] projection, the §6.6 baseline,
 //! * [`normalize`] — U-NORM and F-NORM rate normalization (§4),
 //! * [`solver`] — a driver that runs any optimizer to convergence and
 //!   reports residuals.
+//!
+//! The optimizers are the two that §6.6's figures compare: fig12's
+//! over-allocation (through `flowtune-alloc`'s engines) and fig13's
+//! F-NORM against U-NORM (through `NumChurn`) both run NED and Gradient.
 //!
 //! # Units
 //!
@@ -27,19 +29,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fgm;
 pub mod gradient;
 pub mod ned;
-pub mod newton_like;
 pub mod normalize;
 pub mod problem;
 pub mod solver;
 pub mod utility;
 
-pub use fgm::Fgm;
-pub use gradient::{Gradient, GradientRt};
-pub use ned::{Ned, NedRt};
-pub use newton_like::NewtonLike;
+pub use gradient::Gradient;
+pub use ned::Ned;
 pub use problem::{FlowIdx, NumProblem};
 pub use solver::{solve, ConvergenceReport, Optimizer, SolverState};
 pub use utility::Utility;

@@ -11,16 +11,14 @@
 //! * price update: `p_ℓ ← max(0, p_ℓ − γ·H_ℓℓ⁻¹·G_ℓ)` where
 //!   `G_ℓ = Σ_{s∈S(ℓ)} x_s − c_ℓ` is the link's over-allocation.
 //!
-//! [`NedRt`] is the real-time variant benchmarked in §6.6 ("NED-RT ...
-//! single-point floating point operations and some numeric approximations
-//! for speed"): `f32` arithmetic with a bit-trick reciprocal refined by two
-//! Newton steps.
+//! fig13 runs [`Ned`] through `NumChurn`, and the block engine in
+//! `flowtune-alloc` is checked against it (`serial.rs`'s
+//! `matches_flowtune_num_ned`).
 
 use crate::problem::NumProblem;
 use crate::solver::{decay_idle_price, Optimizer, SolverState};
-use crate::utility::Utility;
 
-/// The Newton-Exact-Diagonal optimizer (double precision reference).
+/// The Newton-Exact-Diagonal optimizer.
 #[derive(Debug, Clone)]
 pub struct Ned {
     gamma: f64,
@@ -111,120 +109,15 @@ impl Optimizer for Ned {
     }
 }
 
-/// Fast reciprocal for positive normal `f32`s: initial bit-trick estimate
-/// (max ~10% error) refined by two Newton–Raphson steps to ~1e-5 relative
-/// error. This is the "numeric approximation" of the RT implementations.
-#[inline]
-pub fn fast_recip(x: f32) -> f32 {
-    debug_assert!(x > 0.0 && x.is_finite());
-    let mut y = f32::from_bits(0x7ef3_11c3u32.wrapping_sub(x.to_bits()));
-    y *= 2.0 - x * y;
-    y *= 2.0 - x * y;
-    y
-}
-
-/// Real-time NED: identical structure to [`Ned`] but single-precision
-/// state and [`fast_recip`] in place of division for log utilities.
-/// Trades ≤ ~1e-4 relative rate error for speed; Figure 12 shows its
-/// over-allocation behaviour tracks double-precision NED.
-#[derive(Debug, Clone)]
-pub struct NedRt {
-    gamma: f32,
-    loads: Vec<f32>,
-    hdiag: Vec<f32>,
-}
-
-impl NedRt {
-    /// Creates NED-RT with step size `γ` (see [`Ned::new`]).
-    ///
-    /// # Panics
-    /// Panics unless `0 < γ` and finite.
-    pub fn new(gamma: f32) -> Self {
-        assert!(gamma > 0.0 && gamma.is_finite(), "gamma must be positive");
-        Self {
-            gamma,
-            loads: Vec::new(),
-            hdiag: Vec::new(),
-        }
-    }
-
-    /// Single-precision demand: `w/λ` via [`fast_recip`]. Returns
-    /// `(x, ∂x/∂λ)`.
-    #[inline]
-    fn demand_f32(utility: Utility, lambda: f32) -> (f32, f32) {
-        let r = fast_recip(lambda);
-        let x = utility.weight() as f32 * r;
-        (x, -x * r)
-    }
-}
-
-impl Default for NedRt {
-    fn default() -> Self {
-        Self::new(1.0)
-    }
-}
-
-impl Optimizer for NedRt {
-    fn name(&self) -> &'static str {
-        "NED-RT"
-    }
-
-    fn iterate(&mut self, problem: &NumProblem, state: &mut SolverState) {
-        state.fit(problem);
-        let n_links = problem.link_count();
-        self.loads.clear();
-        self.loads.resize(n_links, 0.0);
-        self.hdiag.clear();
-        self.hdiag.resize(n_links, 0.0);
-
-        for (i, links, utility, x_max) in problem.iter_flows() {
-            let lambda: f32 = links.iter().map(|l| state.prices[l.index()] as f32).sum();
-            let lambda = lambda.max(utility.price_floor(x_max) as f32);
-            let (x, dx) = Self::demand_f32(utility, lambda);
-            state.rates[i] = x as f64;
-            for l in links {
-                self.loads[l.index()] += x;
-                self.hdiag[l.index()] += dx;
-            }
-        }
-
-        let capacities = problem.capacities();
-        let background = problem.background_loads();
-        let background_h = problem.background_hessians();
-        // Same four-array price update as `Ned`, single-precision.
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..n_links {
-            let h = self.hdiag[l];
-            if h < 0.0 {
-                let bg = background.get(l).copied().unwrap_or(0.0) as f32;
-                let h = h + background_h.get(l).copied().unwrap_or(0.0) as f32;
-                let g = self.loads[l] + bg - capacities[l] as f32;
-                // g / h computed as g * (−recip(−h)) to stay division-free.
-                let step = self.gamma * g * -fast_recip(-h);
-                state.prices[l] = (state.prices[l] - step as f64).max(0.0);
-            } else {
-                state.prices[l] = decay_idle_price(state.prices[l]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::{kkt_residual, solve};
+    use crate::utility::Utility;
     use flowtune_topo::LinkId;
 
     fn l(i: u32) -> LinkId {
         LinkId(i)
-    }
-
-    #[test]
-    fn fast_recip_accuracy() {
-        for &x in &[1e-4f32, 0.03, 0.5, 1.0, 7.0, 123.0, 9.5e4] {
-            let err = (fast_recip(x) - 1.0 / x).abs() * x;
-            assert!(err < 2e-5, "x={x} rel err={err}");
-        }
     }
 
     #[test]
@@ -431,25 +324,6 @@ mod tests {
             assert!(s.prices.iter().all(|&x| x >= 0.0));
         }
         assert!(s.prices[1] < 1e-9, "unused link price should decay");
-    }
-
-    #[test]
-    fn ned_rt_tracks_ned() {
-        let mut p = NumProblem::new(vec![10.0, 25.0, 40.0]);
-        p.add_flow(vec![l(0), l(1)], Utility::log(1.0));
-        p.add_flow(vec![l(1), l(2)], Utility::log(2.0));
-        p.add_flow(vec![l(0)], Utility::log(1.0));
-        p.add_flow(vec![l(2)], Utility::log(0.5));
-
-        let mut s64 = SolverState::new(&p);
-        solve(&mut Ned::default(), &p, &mut s64, 1000, 1e-10);
-        let mut s32 = SolverState::new(&p);
-        let r = solve(&mut NedRt::default(), &p, &mut s32, 1000, 1e-4);
-        assert!(r.converged, "{r:?}");
-        for i in 0..4 {
-            let rel = (s64.rates[i] - s32.rates[i]).abs() / s64.rates[i];
-            assert!(rel < 1e-2, "flow {i}: {} vs {}", s64.rates[i], s32.rates[i]);
-        }
     }
 
     #[test]

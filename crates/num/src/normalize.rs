@@ -19,18 +19,6 @@
 
 use crate::problem::NumProblem;
 
-/// Which normalizer to run after each optimizer iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NormKind {
-    /// No normalization (Figure 12's configuration).
-    None,
-    /// Uniform normalization (§4.1).
-    UNorm,
-    /// Per-flow normalization (§4.2) — Flowtune's choice.
-    #[default]
-    FNorm,
-}
-
 /// Per-link utilization ratios `r_ℓ = (Σ_{s∈S(ℓ)} x_s + b_ℓ) / c_ℓ`,
 /// where `b_ℓ` is the problem's exogenous background load
 /// ([`NumProblem::background_loads`]; zero when unset). Including the
@@ -111,26 +99,10 @@ pub fn f_norm_into(problem: &NumProblem, rates: &[f64], ratios: &mut Vec<f64>, o
     }
 }
 
-/// Applies the selected normalizer.
-pub fn apply(kind: NormKind, problem: &NumProblem, rates: &[f64]) -> Vec<f64> {
-    match kind {
-        NormKind::None => rates.to_vec(),
-        NormKind::UNorm => u_norm(problem, rates),
-        NormKind::FNorm => f_norm(problem, rates),
-    }
-}
-
 /// Total network throughput `Σ_s x_s` over active flows — the numerator of
 /// Figure 13's "fraction of optimal".
 pub fn total_throughput(problem: &NumProblem, rates: &[f64]) -> f64 {
     problem.iter_flows().map(|(i, ..)| rates[i]).sum()
-}
-
-/// The proportional-fairness score `Σ_s log₂(x_s)` used by Figure 11.
-/// Zero-rated flows contribute `-inf`, which is the honest score for a
-/// starved flow.
-pub fn fairness_score(problem: &NumProblem, rates: &[f64]) -> f64 {
-    problem.iter_flows().map(|(i, ..)| rates[i].log2()).sum()
 }
 
 #[cfg(test)]
@@ -185,10 +157,12 @@ mod tests {
     #[test]
     fn both_norms_are_capacity_safe() {
         let (p, rates) = fixture();
-        for kind in [NormKind::UNorm, NormKind::FNorm] {
-            let n = apply(kind, &p, &rates);
+        for (name, n) in [
+            ("U-NORM", u_norm(&p, &rates)),
+            ("F-NORM", f_norm(&p, &rates)),
+        ] {
             for (load, &c) in p.link_loads(&n).iter().zip(p.capacities()) {
-                assert!(*load <= c * (1.0 + 1e-12), "{kind:?}: {load} > {c}");
+                assert!(*load <= c * (1.0 + 1e-12), "{name}: {load} > {c}");
             }
         }
     }
@@ -233,24 +207,5 @@ mod tests {
         let rates = vec![0.0; 3];
         assert_eq!(u_norm(&p, &rates), rates);
         assert_eq!(f_norm(&p, &rates), rates);
-    }
-
-    #[test]
-    fn none_is_identity() {
-        let (p, rates) = fixture();
-        assert_eq!(apply(NormKind::None, &p, &rates), rates);
-    }
-
-    #[test]
-    fn fairness_score_matches_hand_computation() {
-        let (p, _) = fixture();
-        let score = fairness_score(&p, &[2.0, 4.0, 8.0]);
-        assert!((score - (1.0 + 2.0 + 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn starved_flow_gives_minus_infinity_fairness() {
-        let (p, _) = fixture();
-        assert_eq!(fairness_score(&p, &[0.0, 1.0, 1.0]), f64::NEG_INFINITY);
     }
 }

@@ -197,21 +197,6 @@ impl NumProblem {
         &self.capacities
     }
 
-    /// The links of flow `idx`, or `None` if the slot is empty.
-    pub fn flow_links(&self, idx: FlowIdx) -> Option<&[LinkId]> {
-        self.flows.get(idx)?.as_ref().map(|f| f.links.as_slice())
-    }
-
-    /// The utility of flow `idx`, or `None` if the slot is empty.
-    pub fn flow_utility(&self, idx: FlowIdx) -> Option<Utility> {
-        self.flows.get(idx)?.as_ref().map(|f| f.utility)
-    }
-
-    /// The bottleneck capacity of flow `idx`.
-    pub fn flow_x_max(&self, idx: FlowIdx) -> Option<f64> {
-        self.flows.get(idx)?.as_ref().map(|f| f.x_max)
-    }
-
     /// Iterates over `(index, links, utility, x_max)` of active flows, in
     /// slot order (deterministic).
     pub fn iter_flows(&self) -> impl Iterator<Item = (FlowIdx, &[LinkId], Utility, f64)> + '_ {
@@ -282,14 +267,16 @@ mod tests {
         let c = p.add_flow(vec![l(1)], Utility::log(2.0));
         assert_eq!(c, a, "slot reused");
         assert_eq!(p.flow_slots(), 2);
-        assert_eq!(p.flow_utility(c), Some(Utility::log(2.0)));
+        let (i, links, utility, _) = p.iter_flows().next().unwrap();
+        assert_eq!((i, links, utility), (c, &[l(1)][..], Utility::log(2.0)));
     }
 
     #[test]
     fn x_max_is_bottleneck() {
         let mut p = NumProblem::new(vec![10.0, 4.0, 7.0]);
         let f = p.add_flow(vec![l(0), l(1), l(2)], Utility::log(1.0));
-        assert_eq!(p.flow_x_max(f), Some(4.0));
+        let (i, .., x_max) = p.iter_flows().next().unwrap();
+        assert_eq!((i, x_max), (f, 4.0));
     }
 
     #[test]
@@ -310,9 +297,8 @@ mod tests {
         p.remove_flow(a);
         let rates = vec![100.0, 3.0];
         assert_eq!(p.link_loads(&rates), vec![3.0]);
-        assert_eq!(p.iter_flows().count(), 1);
-        assert_eq!(p.flow_links(a), None);
-        assert_eq!(p.flow_links(b), Some(&[l(0)][..]));
+        let live: Vec<_> = p.iter_flows().map(|(i, links, ..)| (i, links)).collect();
+        assert_eq!(live, [(b, &[l(0)][..])], "flow {a} left no links");
     }
 
     #[test]

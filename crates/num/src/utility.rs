@@ -10,16 +10,12 @@
 /// A strictly concave, differentiable, monotonically increasing utility.
 ///
 /// Only the paper's objective is implemented, the one the FlowBlock
-/// kernel computes; flows differ by their weight.
+/// kernel computes: `U(x) = w·log x`, weighted proportional fairness
+/// (§3: "the logarithmic utility function ... will optimize weighted
+/// proportional fairness"). Flows differ by their weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Utility {
-    /// `U(x) = w·log x` — weighted proportional fairness (the paper's
-    /// objective; §3: "the logarithmic utility function ... will optimize
-    /// weighted proportional fairness").
-    Log {
-        /// Weight `w > 0`.
-        weight: f64,
-    },
+pub struct Utility {
+    weight: f64,
 }
 
 impl Utility {
@@ -29,33 +25,32 @@ impl Utility {
     /// Panics unless `weight > 0` and finite.
     pub fn log(weight: f64) -> Self {
         assert!(weight > 0.0 && weight.is_finite(), "weight must be > 0");
-        Utility::Log { weight }
+        Utility { weight }
     }
 
     /// The weight `w`.
     #[inline]
     pub fn weight(&self) -> f64 {
-        let Utility::Log { weight } = *self;
-        weight
+        self.weight
     }
 
     /// `U(x)`.
     #[inline]
     pub fn utility(&self, x: f64) -> f64 {
-        self.weight() * x.ln()
+        self.weight * x.ln()
     }
 
     /// Marginal utility `U'(x)`.
     #[inline]
     pub fn marginal(&self, x: f64) -> f64 {
-        self.weight() / x
+        self.weight / x
     }
 
     /// Demand function `(U')⁻¹(λ)`: the rate a selfish flow picks when its
     /// path price is `λ` (Algorithm 1's rate update, eq. 3).
     #[inline]
     pub fn demand(&self, lambda: f64) -> f64 {
-        self.weight() / lambda
+        self.weight / lambda
     }
 
     /// Price sensitivity `((U')⁻¹)'(λ) = ∂x/∂λ ≤ 0` — the flow's
@@ -63,7 +58,7 @@ impl Utility {
     /// `∂x_s(p)/∂p_ℓ`).
     #[inline]
     pub fn demand_derivative(&self, lambda: f64) -> f64 {
-        -self.weight() / (lambda * lambda)
+        -self.weight / (lambda * lambda)
     }
 
     /// The path price at which the demand equals `x_max` — the "kink"

@@ -1,6 +1,6 @@
 //! Message definitions and the byte codec.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::rate16::Rate16;
 use crate::Token;
@@ -60,12 +60,6 @@ impl Message {
     }
 }
 
-fn get_u24(buf: &mut Bytes) -> u32 {
-    let hi = buf.get_u8() as u32;
-    let lo = buf.get_u16() as u32;
-    (hi << 16) | lo
-}
-
 /// Appends `msg` to `buf`: the whole message is assembled as one
 /// fixed-size array (fields big-endian, the token's 24 bits in three
 /// bytes) and written with a single `put_slice`.
@@ -101,17 +95,12 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
     }
 }
 
-/// Decode error, carrying the byte offset of the failure so a corrupt
-/// stream from a real socket is diagnosable. For [`decode`] the offset
-/// is relative to the front of the buffer (always 0 for a bad tag); for
-/// [`MessageIter`] it is the absolute offset within the iterated slice.
+/// Decode error, carrying the absolute byte offset of the failure within
+/// the slice [`MessageIter`] walks, so a corrupt stream from a real socket
+/// is diagnosable. A partial tail is not an error: the iterator stops
+/// before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The buffer holds a partial message (need more bytes).
-    Truncated {
-        /// Byte offset at which the incomplete message starts.
-        offset: usize,
-    },
     /// Unknown tag byte.
     BadTag {
         /// The tag byte found.
@@ -123,68 +112,12 @@ pub enum DecodeError {
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            DecodeError::Truncated { offset } => {
-                write!(f, "truncated message at byte {offset}")
-            }
-            DecodeError::BadTag { tag, offset } => {
-                write!(f, "unknown message tag {tag} at byte {offset}")
-            }
-        }
+        let DecodeError::BadTag { tag, offset } = *self;
+        write!(f, "unknown message tag {tag} at byte {offset}")
     }
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Decodes one message from the front of `buf`, consuming its bytes.
-pub fn decode(buf: &mut Bytes) -> Result<Message, DecodeError> {
-    if buf.is_empty() {
-        return Err(DecodeError::Truncated { offset: 0 });
-    }
-    // flowtune-lint: allow(panic, "bounded: is_empty checked on the line above")
-    let tag = buf[0];
-    let need = match tag {
-        TAG_START => START_BYTES,
-        TAG_END => END_BYTES,
-        TAG_RATE => RATE_BYTES,
-        other => {
-            return Err(DecodeError::BadTag {
-                tag: other,
-                offset: 0,
-            })
-        }
-    };
-    if buf.len() < need {
-        return Err(DecodeError::Truncated { offset: 0 });
-    }
-    buf.advance(1);
-    Ok(match tag {
-        TAG_START => {
-            let token = Token::new(get_u24(buf));
-            let src = buf.get_u16();
-            let dst = buf.get_u16();
-            let size_hint = buf.get_u32();
-            let weight_q8 = buf.get_u16();
-            let spine = buf.get_u8();
-            let _pad = buf.get_u8();
-            Message::FlowletStart {
-                token,
-                src,
-                dst,
-                size_hint,
-                weight_q8,
-                spine,
-            }
-        }
-        TAG_END => Message::FlowletEnd {
-            token: Token::new(get_u24(buf)),
-        },
-        _ => Message::RateUpdate {
-            token: Token::new(get_u24(buf)),
-            rate: Rate16::from_bits(buf.get_u16()),
-        },
-    })
-}
 
 /// Allocation-free iterator over the complete messages at the front of a
 /// byte slice. A stream segment may end mid-message; the iterator stops
@@ -193,9 +126,9 @@ pub fn decode(buf: &mut Bytes) -> Result<Message, DecodeError> {
 /// remainder for the next segment. A bad tag yields one `Err` (with its
 /// absolute byte offset) and then the iterator fuses.
 ///
-/// This is the hot-path variant of [`decode_stream`]: it never allocates,
-/// so a simulator draining thousands of control segments per tick does
-/// not pay a `Vec<Message>` per call.
+/// It is the crate's only message decoder. It never allocates, so a
+/// simulator draining thousands of control segments per tick pays no
+/// `Vec<Message>` per call.
 #[derive(Debug)]
 pub struct MessageIter<'a> {
     buf: &'a [u8],
@@ -287,26 +220,6 @@ impl Iterator for MessageIter<'_> {
     }
 }
 
-/// Decodes every complete message in `buf` (a TCP stream segment may end
-/// mid-message; the remainder stays in `buf` for the next call). On a bad
-/// tag, the messages before it are consumed and the error's offset points
-/// at the offending byte. Allocates the returned `Vec`; hot paths should
-/// iterate [`MessageIter`] directly.
-pub fn decode_stream(buf: &mut Bytes) -> Result<Vec<Message>, DecodeError> {
-    // flowtune-lint: allow(panic, "full-range slice of Bytes cannot be out of bounds")
-    let mut iter = MessageIter::new(&buf[..]);
-    let mut out = Vec::new();
-    let result = loop {
-        match iter.next() {
-            Some(Ok(m)) => out.push(m),
-            Some(Err(e)) => break Err(e),
-            None => break Ok(()),
-        }
-    };
-    buf.advance(iter.consumed());
-    result.map(|()| out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,6 +279,14 @@ mod tests {
         assert_eq!(&buf[..], [3, 0x01, 0x02, 0xFE, 0x9A, 0x5F]);
     }
 
+    /// The complete messages at the front of `buf` and the bytes they
+    /// took, as a stream reader sees them.
+    fn decode_front(buf: &[u8]) -> (Vec<Message>, usize) {
+        let mut iter = MessageIter::new(buf);
+        let msgs = iter.by_ref().map(|r| r.unwrap()).collect();
+        (msgs, iter.consumed())
+    }
+
     #[test]
     fn roundtrip_each_kind() {
         for msg in [
@@ -380,9 +301,11 @@ mod tests {
         ] {
             let mut buf = BytesMut::new();
             encode(&msg, &mut buf);
-            let mut bytes = buf.freeze();
-            assert_eq!(decode(&mut bytes).unwrap(), msg);
-            assert!(bytes.is_empty(), "no leftover bytes");
+            assert_eq!(
+                decode_front(&buf),
+                (vec![msg], buf.len()),
+                "no leftover bytes"
+            );
         }
     }
 
@@ -403,72 +326,44 @@ mod tests {
             },
             &mut buf,
         );
-        let all = buf.freeze();
-        // Split mid-second-message.
-        let mut first = all.slice(0..18);
-        let msgs = decode_stream(&mut first).unwrap();
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(first.len(), 2, "partial tail retained");
-        // Feed the rest.
-        let mut rest = BytesMut::from(&first[..]);
-        rest.extend_from_slice(&all[18..]);
-        let mut rest = rest.freeze();
-        let msgs2 = decode_stream(&mut rest).unwrap();
-        assert_eq!(msgs2.len(), 2);
-        assert!(rest.is_empty());
+        // Split mid-second-message: the start decodes, and `consumed`
+        // stops before the 2-byte partial tail.
+        let first = &buf[..18];
+        let (msgs, used) = decode_front(first);
+        assert_eq!(msgs, [start()]);
+        assert_eq!(used, START_BYTES, "partial tail retained");
+        // Feed the rest behind the retained tail.
+        let mut rest = first[used..].to_vec();
+        rest.extend_from_slice(&buf[18..]);
+        let (msgs, used) = decode_front(&rest);
+        assert_eq!(msgs.len(), 2);
+        assert_eq!(used, rest.len());
+        // Cut mid-third-message: the first two decode, the tail waits.
+        let (msgs, used) = decode_front(&buf[..START_BYTES + END_BYTES + 2]);
+        assert_eq!(msgs.len(), 2);
+        assert_eq!(used, START_BYTES + END_BYTES);
     }
 
     #[test]
     fn bad_tag_is_an_error() {
-        let mut bytes = Bytes::from_static(&[0xFF, 0, 0, 0]);
+        let mut iter = MessageIter::new(&[0xFF, 0, 0, 0]);
         assert_eq!(
-            decode(&mut bytes),
-            Err(DecodeError::BadTag {
+            iter.next(),
+            Some(Err(DecodeError::BadTag {
                 tag: 0xFF,
                 offset: 0
-            })
+            }))
         );
+        assert_eq!(iter.consumed(), 0);
     }
 
     #[test]
     fn truncated_is_reported_without_consuming() {
         let mut buf = BytesMut::new();
         encode(&start(), &mut buf);
-        let mut partial = buf.freeze().slice(0..10);
-        assert_eq!(
-            decode(&mut partial),
-            Err(DecodeError::Truncated { offset: 0 })
-        );
-        assert_eq!(partial.len(), 10, "nothing consumed");
-    }
-
-    #[test]
-    fn message_iter_matches_decode_stream() {
-        let mut buf = BytesMut::new();
-        encode(&start(), &mut buf);
-        encode(
-            &Message::FlowletEnd {
-                token: Token::new(7),
-            },
-            &mut buf,
-        );
-        encode(
-            &Message::RateUpdate {
-                token: Token::new(9),
-                rate: Rate16::encode(1.0),
-            },
-            &mut buf,
-        );
-        // Cut mid-third-message: the iterator decodes the first two and
-        // leaves the tail unconsumed, exactly like decode_stream.
-        let cut = START_BYTES + END_BYTES + 2;
-        let mut iter = MessageIter::new(&buf[..cut]);
-        let msgs: Vec<_> = iter.by_ref().map(|r| r.unwrap()).collect();
-        assert_eq!(msgs.len(), 2);
-        assert_eq!(iter.consumed(), START_BYTES + END_BYTES);
-        let mut bytes = buf.clone().freeze().slice(0..cut);
-        assert_eq!(decode_stream(&mut bytes).unwrap(), msgs);
-        assert_eq!(bytes.len(), 2);
+        let mut iter = MessageIter::new(&buf[..10]);
+        assert_eq!(iter.next(), None, "a partial message is not decoded");
+        assert_eq!(iter.consumed(), 0, "nothing consumed");
     }
 
     #[test]
@@ -481,7 +376,8 @@ mod tests {
             &mut buf,
         );
         buf.put_u8(0xEE);
-        let results: Vec<_> = MessageIter::new(&buf[..]).collect();
+        let mut iter = MessageIter::new(&buf[..]);
+        let results: Vec<_> = iter.by_ref().collect();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert_eq!(
@@ -491,15 +387,11 @@ mod tests {
                 offset: END_BYTES
             })
         );
-        // decode_stream consumes the good prefix and surfaces the error.
-        let mut bytes = buf.freeze();
+        assert_eq!(iter.next(), None, "fused after the error");
         assert_eq!(
-            decode_stream(&mut bytes),
-            Err(DecodeError::BadTag {
-                tag: 0xEE,
-                offset: END_BYTES
-            })
+            iter.consumed(),
+            END_BYTES,
+            "good prefix consumed, bad byte retained"
         );
-        assert_eq!(bytes.len(), 1, "good prefix consumed, bad byte retained");
     }
 }

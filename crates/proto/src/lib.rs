@@ -38,7 +38,7 @@ pub mod filter;
 pub mod rate16;
 pub mod wire;
 
-pub use codec::{decode, decode_stream, encode, Message, MessageIter};
+pub use codec::{encode, Message, MessageIter};
 pub use filter::ThresholdFilter;
 pub use rate16::Rate16;
 

@@ -39,12 +39,6 @@ pub fn batched_wire_bytes(total_payload: usize) -> usize {
     full * segment_wire_bytes(per_segment) + if rem > 0 { segment_wire_bytes(rem) } else { 0 }
 }
 
-/// The §7 observation, as a computable quantity: wire bytes per message
-/// when sent standalone vs batched.
-pub fn standalone_overhead_factor(payload: usize) -> f64 {
-    segment_wire_bytes(payload) as f64 / payload as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,7 +55,7 @@ mod tests {
     fn paper_ten_x_claim_for_8_byte_updates() {
         // "When sending an 8-byte rate update there is a 10× overhead":
         // 84 bytes on the wire for 8 useful bytes ≈ 10.5×.
-        let f = standalone_overhead_factor(8);
+        let f = segment_wire_bytes(8) as f64 / 8.0;
         assert!((9.0..12.0).contains(&f), "{f}");
     }
 

@@ -1,8 +1,9 @@
-//! Property tests: every message round-trips through the codec, and
-//! arbitrary byte splits of a message stream decode to the same sequence.
+//! Property tests: every message round-trips through `encode` and
+//! `MessageIter`, and a stream split at an arbitrary byte decodes to the
+//! same sequence when the tail behind `consumed()` is carried over.
 
 use bytes::BytesMut;
-use flowtune_proto::codec::{decode_stream, encode, Message};
+use flowtune_proto::codec::{encode, Message, MessageIter};
 use flowtune_proto::{Rate16, Token};
 use proptest::prelude::*;
 
@@ -36,6 +37,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// The complete messages at the front of `buf` and the bytes they took.
+fn decode_front(buf: &[u8]) -> (Vec<Message>, usize) {
+    let mut iter = MessageIter::new(buf);
+    let msgs = iter.by_ref().map(|r| r.unwrap()).collect();
+    (msgs, iter.consumed())
+}
+
 proptest! {
     #[test]
     fn stream_roundtrip(messages in proptest::collection::vec(arb_message(), 0..32)) {
@@ -43,9 +51,8 @@ proptest! {
         for m in &messages {
             encode(m, &mut buf);
         }
-        let mut bytes = buf.freeze();
-        let decoded = decode_stream(&mut bytes).unwrap();
-        prop_assert!(bytes.is_empty());
+        let (decoded, used) = decode_front(&buf);
+        prop_assert_eq!(used, buf.len());
         prop_assert_eq!(decoded, messages);
     }
 
@@ -58,17 +65,15 @@ proptest! {
         for m in &messages {
             encode(m, &mut buf);
         }
-        let all = buf.freeze();
-        let cut = cut.index(all.len());
+        let cut = cut.index(buf.len());
         // First chunk: decode what's complete.
-        let mut head = all.slice(0..cut);
-        let mut decoded = decode_stream(&mut head).unwrap();
+        let (mut decoded, used) = decode_front(&buf[..cut]);
         // Remainder of the stream = undecoded tail + rest.
-        let mut rest = BytesMut::from(&head[..]);
-        rest.extend_from_slice(&all[cut..]);
-        let mut rest = rest.freeze();
-        decoded.extend(decode_stream(&mut rest).unwrap());
-        prop_assert!(rest.is_empty());
+        let mut rest = buf[used..cut].to_vec();
+        rest.extend_from_slice(&buf[cut..]);
+        let (tail, used) = decode_front(&rest);
+        decoded.extend(tail);
+        prop_assert_eq!(used, rest.len());
         prop_assert_eq!(decoded, messages);
     }
 

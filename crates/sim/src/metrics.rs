@@ -100,21 +100,6 @@ impl Metrics {
         percentile(&mut v, p)
     }
 
-    /// The p-th percentile (0–100) of *raw* flow completion time (ps)
-    /// within a size bin; `None` if the bin is empty. The slowdown
-    /// percentile ([`Metrics::p_slowdown`]) is the paper's Figure-8
-    /// normalization; the raw quantity is what the scenario runner's
-    /// per-phase p99 reports, so the two surfaces stay comparable.
-    pub fn p_fct_ps(&self, bin: &str, p: f64) -> Option<u64> {
-        let mut v: Vec<f64> = self
-            .fcts
-            .iter()
-            .filter(|r| r.size_bin() == bin)
-            .map(|r| r.fct_ps() as f64)
-            .collect();
-        percentile(&mut v, p).map(|x| x as u64)
-    }
-
     /// The p-th percentile of queue delay (ps) over samples with the
     /// given hop tag.
     pub fn p_queue_delay(&self, hops: u8, p: f64) -> Option<u64> {
@@ -208,25 +193,6 @@ mod tests {
         assert!((p99 - 99.0).abs() < 1.5);
         assert_eq!(m.p_slowdown("10-100 packets", 99.0), Some(42.0));
         assert_eq!(m.p_slowdown("large", 99.0), None);
-    }
-
-    #[test]
-    fn p_fct_by_bin_uses_raw_completion_times() {
-        let mut m = Metrics::new(0);
-        for i in 0..100u64 {
-            m.fcts.push(FctRecord {
-                flow: i,
-                bytes: 1442,
-                start_ps: 1_000,
-                end_ps: 1_000 + (i + 1) * 1_000_000,
-                slowdown: 1.0,
-                packets: 1,
-            });
-        }
-        assert_eq!(m.p_fct_ps("1 packet", 100.0), Some(100_000_000));
-        let p50 = m.p_fct_ps("1 packet", 50.0).unwrap();
-        assert!((50_000_000..=51_000_000).contains(&p50), "{p50}");
-        assert_eq!(m.p_fct_ps("large", 99.0), None);
     }
 
     #[test]

@@ -18,12 +18,6 @@ pub fn tx_time_ps(bytes: u32, bps: u64) -> u64 {
     (u128::from(bytes) * 8 * u128::from(PS_PER_SEC) / u128::from(bps)) as u64
 }
 
-/// Picoseconds to seconds, for reporting.
-#[inline]
-pub fn to_secs(ps: u64) -> f64 {
-    ps as f64 / PS_PER_SEC as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,6 +36,5 @@ mod tests {
     fn constants_consistent() {
         assert_eq!(1000 * US, MS);
         assert_eq!(1000 * MS, PS_PER_SEC);
-        assert!((to_secs(PS_PER_SEC) - 1.0).abs() < 1e-12);
     }
 }

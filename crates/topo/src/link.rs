@@ -35,61 +35,3 @@ pub struct Link {
     /// Position in the Clos hierarchy.
     pub dir: LinkDir,
 }
-
-impl Link {
-    /// Time to serialize `bytes` onto this link, in picoseconds.
-    ///
-    /// Computed as `bits * 1e12 / capacity` using 128-bit intermediates so
-    /// it is exact for any realistic capacity (≥ 1 kbit/s) and size.
-    #[inline]
-    pub fn serialization_ps(&self, bytes: u32) -> u64 {
-        let bits = u128::from(bytes) * 8;
-        (bits * 1_000_000_000_000u128 / u128::from(self.capacity_bps)) as u64
-    }
-
-    /// Capacity expressed in bytes per picosecond × 10^12 (i.e. bytes/s).
-    #[inline]
-    pub fn capacity_bytes_per_sec(&self) -> f64 {
-        self.capacity_bps as f64 / 8.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn link(capacity_bps: u64) -> Link {
-        Link {
-            id: LinkId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            capacity_bps,
-            delay_ps: 1_500_000, // 1.5 us
-            dir: LinkDir::Up,
-        }
-    }
-
-    #[test]
-    fn serialization_time_10g_mtu() {
-        // 1500 B at 10 Gbit/s = 1.2 us = 1_200_000 ps.
-        let l = link(10_000_000_000);
-        assert_eq!(l.serialization_ps(1500), 1_200_000);
-    }
-
-    #[test]
-    fn serialization_time_40g_min_frame() {
-        // 64 B at 40 Gbit/s = 12.8 ns = 12_800 ps.
-        let l = link(40_000_000_000);
-        assert_eq!(l.serialization_ps(64), 12_800);
-    }
-
-    #[test]
-    fn serialization_zero_bytes_is_zero() {
-        assert_eq!(link(10_000_000_000).serialization_ps(0), 0);
-    }
-
-    #[test]
-    fn capacity_in_bytes() {
-        assert_eq!(link(8_000_000_000).capacity_bytes_per_sec(), 1e9);
-    }
-}

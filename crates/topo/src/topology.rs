@@ -115,31 +115,9 @@ impl Topology {
         &self.out_links[node.index()]
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// The outgoing link from `src` to `dst`, if one exists.
-    ///
-    /// Linear in the out-degree of `src`, which is constant for servers and
-    /// bounded by the spine count for switches.
-    pub fn find_link(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.out_links[src.index()]
-            .iter()
-            .copied()
-            .find(|&l| self.links[l.index()].dst == dst)
-    }
-
-    /// Capacities of all links in bits/s, indexed by [`LinkId`] — the form
-    /// the NUM solvers consume.
-    pub fn capacities_bps(&self) -> Vec<f64> {
-        self.links.iter().map(|l| l.capacity_bps as f64).collect()
     }
 }
 
@@ -160,7 +138,6 @@ mod tests {
     #[test]
     fn build_and_lookup() {
         let (t, a, b, c) = tiny();
-        assert_eq!(t.node_count(), 3);
         assert_eq!(t.link_count(), 2);
         assert_eq!(t.node(a).kind, NodeKind::Server);
         assert_eq!(t.node(b).kind, NodeKind::Tor);
@@ -169,21 +146,6 @@ mod tests {
         assert_eq!(t.out_links(c), &[] as &[LinkId]);
         assert_eq!(t.link(LinkId(0)).src, a);
         assert_eq!(t.link(LinkId(0)).dst, b);
-    }
-
-    #[test]
-    fn find_link_works() {
-        let (t, a, b, c) = tiny();
-        assert_eq!(t.find_link(a, b), Some(LinkId(0)));
-        assert_eq!(t.find_link(b, c), Some(LinkId(1)));
-        assert_eq!(t.find_link(a, c), None);
-        assert_eq!(t.find_link(c, b), None);
-    }
-
-    #[test]
-    fn capacities_vector_matches_links() {
-        let (t, ..) = tiny();
-        assert_eq!(t.capacities_bps(), vec![1e10, 1e10]);
     }
 
     #[test]

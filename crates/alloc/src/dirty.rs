@@ -1,4 +1,5 @@
-//! Dirty-set tracking for incremental NED iterations.
+//! Dirty-set tracking for incremental grid iterations (either price
+//! rule).
 //!
 //! At production scale most ticks are quiet: a handful of flowlet
 //! starts/ends against a steady mass of converged flows. A full sweep

@@ -2,14 +2,13 @@
 //!
 //! [`RateAllocator`] is the contract between the control-plane service
 //! (`flowtune::AllocatorService`) and whatever computes per-flow rates
-//! behind it. Three engines implement it today:
+//! behind it. Two engines implement it today:
 //!
 //! * [`SerialAllocator`](crate::SerialAllocator) — the §5
-//!   FlowBlock/LinkBlock NED grid, iterating on the caller's thread
+//!   FlowBlock/LinkBlock grid, iterating NED on the caller's thread
 //!   (`serial`) or with full sweeps spread over a worker pool
-//!   (`multicore`, bit-for-bit equal);
-//! * [`GradientAllocator`](crate::GradientAllocator) — the first-order
-//!   §6.6 baseline;
+//!   (`multicore`, bit-for-bit equal), or taking gradient projection's
+//!   price step instead (`gradient`, the first-order §6.6 baseline);
 //! * `flowtune_fastpass::FastpassAdapter` — a Fastpass-style per-packet
 //!   timeslot arbiter exposed through the same interface, the baseline
 //!   the paper's §6.1 comparison is made against.
@@ -52,15 +51,15 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// service recycles its flow-table slots as ids), so an engine must
     /// not derive rates from id values or their order. Ids are the
     /// *embedder's* dense numbering, never a value read off the wire: the
-    /// NED engines index a table by the id itself, grown to the largest
+    /// grid indexes a table by the id itself, grown to the largest
     /// id registered, so a sparse or adversarial id costs memory in
     /// proportion to its value — map wire identities (tokens) to dense
     /// ids of your own first, as the service does with its slab slots.
     ///
     /// # Panics
     /// Panics on duplicate ids, non-positive weights, or paths that do
-    /// not belong to the engine's fabric; the NED engines also on ids of
-    /// 2³² or more.
+    /// not belong to the engine's fabric; the grid also on ids of 2³² or
+    /// more.
     fn add_flow(
         &mut self,
         id: FlowId,
@@ -73,7 +72,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// Deregisters a flow; returns whether it existed.
     fn remove_flow(&mut self, id: FlowId) -> bool;
 
-    /// Runs one allocation iteration (for NED engines: rate pass →
+    /// Runs one allocation iteration (for the grid: rate pass →
     /// aggregate → price update → normalize; for the
     /// Fastpass adapter: a batch of timeslot matchings).
     fn iterate(&mut self);
@@ -118,8 +117,8 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// is the engine's: it lives with the flow's rate, starts empty at
     /// [`RateAllocator::add_flow`] and goes with
     /// [`RateAllocator::remove_flow`], so a recycled id inherits
-    /// nothing. A flow that is not lent needs no update. The NED engines
-    /// run one packed pass ([`crate::flowblock::report_pass`]) over each
+    /// nothing. A flow that is not lent needs no update. The grid runs
+    /// one packed pass ([`crate::flowblock::report_pass`]) over each
     /// FlowBlock whose output may have moved since the last drain;
     /// engines without columns go through [`lend_passers`].
     ///
@@ -162,24 +161,20 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     ///   global gradient by the global sensitivity — with only its own
     ///   diagonal, a shard's effective step grows with the shard count and
     ///   leaves NED's stable γ range. Left empty by engines whose price
-    ///   update has no second-order term (gradient projection).
+    ///   update has no second-order term (a gradient grid).
     ///
     /// The sharded exchange calls this every round: it must not allocate
     /// once the buffers are warm.
     ///
-    /// **Own link state is as of the last iteration.** The NED grid
-    /// exports the `(G, H)` its last price update consumed, kept per
-    /// LinkBlock, in `O(links)`: full-length zeros before the first
+    /// **Own link state is as of the last iteration.** The grid, under
+    /// either price rule, exports the sums its last price update consumed
+    /// (`G`, and `H` under NED), kept per LinkBlock, in `O(links)`:
+    /// full-length zeros before the first
     /// iteration; a flow removed since the last iteration still counts
     /// until the next one, and a flow added since does not count yet (its
     /// rate is still 0). Read right after [`RateAllocator::iterate`], as
     /// every caller in this workspace does, that is the current rates'
-    /// link state, and a link no flow crosses reads exactly `0.0`. (The
-    /// gradient baseline keeps no per-link sums — its optimizer reduces
-    /// loads inside `flowtune-num` — and re-sums the current rates on
-    /// every call: the same values right after an iteration, while a flow
-    /// removed since is gone from its export at once. Callers must not
-    /// lean on either between iterations.)
+    /// link state, and a link no flow crosses reads exactly `0.0`.
     ///
     /// Engines that do not price fabric links (the Fastpass arbiter,
     /// which allocates endpoint-pair timeslots) leave both buffers empty
@@ -254,7 +249,7 @@ pub type BoxEngine = Box<dyn RateAllocator>;
 const LEND_CHUNK: usize = 64;
 
 /// The drain of an engine whose rates do not sit in id / rate columns
-/// (gradient's sparse slots, Fastpass's map): `flows` yields each flow's
+/// (Fastpass's map): `flows` yields each flow's
 /// id, normalized rate and the word the engine keeps beside that rate
 /// for what it last lent ([`UNREPORTED`] at `add_flow`). The flows that
 /// must be reported — the §6.4 rule [`crate::flowblock::report_pass`]
@@ -292,7 +287,7 @@ pub fn lend_passers<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocConfig, GradientAllocator, SerialAllocator};
+    use crate::{AllocConfig, SerialAllocator};
     use flowtune_topo::{ClosConfig, TwoTierClos};
     use std::collections::BTreeMap;
 
@@ -335,14 +330,14 @@ mod tests {
         }
     }
 
-    /// Every engine in the crate — the grid on both schedules — plus the
-    /// double, all full-sweep.
+    /// Every engine in the crate — the grid on both schedules and under
+    /// the gradient rule — plus the double, all full-sweep.
     fn engines(fabric: &TwoTierClos) -> Vec<BoxEngine> {
         let cfg = AllocConfig::default();
         vec![
             Box::new(SerialAllocator::new(fabric, cfg)),
             Box::new(SerialAllocator::multicore(fabric, cfg, 2)),
-            Box::new(GradientAllocator::new(fabric, cfg)),
+            Box::new(SerialAllocator::gradient(fabric, cfg)),
             Box::new(Minimal::default()),
         ]
     }

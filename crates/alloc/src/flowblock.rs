@@ -1,5 +1,6 @@
-//! FlowBlock worker state, the three per-iteration compute kernels and
-//! the per-drain report kernel.
+//! FlowBlock worker state, the three per-iteration compute kernels (the
+//! price update in two rules, [`PriceRule`]) and the per-drain report
+//! kernel.
 //!
 //! All arithmetic lives here, shared verbatim by the serial and parallel
 //! engines so their results are bit-for-bit identical.
@@ -50,7 +51,7 @@
 //! (`scripts/kernel_asm.sh` prints each kernel's jump count).
 //!
 //! Sentinel invariant: the sentinel's price and utilization ratio are
-//! `0.0` forever — [`price_update`] and the engines' install steps write
+//! `0.0` forever — the price updates and the engines' install steps write
 //! the real links only — and its accumulator, which collects the padded
 //! flows' rates, is never aggregated or read. Padding therefore changes
 //! no bit: it adds `+0.0` to a path price and takes `max(·, 0.0)` of a
@@ -60,6 +61,8 @@
 
 use flowtune_num::solver::decay_idle_price;
 use flowtune_topo::FlowId;
+
+use crate::GAMMA;
 
 /// Flows [`report_pass`] flags, selects and compacts at a time: its stage
 /// buffers stay on the stack and in L1.
@@ -449,6 +452,76 @@ pub fn price_update(
     }
 }
 
+/// Kernel 2′ — gradient projection's price update (Low & Lapsley; §3's
+/// baseline), `p ← max(0, p + γ_G·G)`, plus the same utilization ratios
+/// as [`price_update`]. It reads the pairs' loads only: a first-order
+/// step has no sensitivity to divide by, so it takes no background
+/// Hessian either. A link none of the engine's own flows load decays as
+/// under NED. Step for step `flowtune_num::Gradient`'s price update.
+// flowtune-lint: hot, float-kernel
+pub fn gradient_price_update(
+    acc: &[[f64; 2]],
+    background: Option<&[f64]>,
+    capacity: &[f64],
+    step: f64,
+    prices: &mut [f64],
+    ratios: &mut [f64],
+) {
+    for l in 0..capacity.len() {
+        let load = acc[l][0];
+        let total = load + background.map_or(0.0, |b| b[l]);
+        ratios[l] = total / capacity[l];
+        prices[l] = if load > 0.0 {
+            (prices[l] + step * (total - capacity[l])).max(0.0)
+        } else {
+            decay_idle_price(prices[l])
+        };
+    }
+}
+
+/// The price step a grid takes (§3): NED and gradient projection compute
+/// the same rates, link sums and ratios, and differ only in how a link's
+/// excess demand `G` moves its price. Chosen once per grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PriceRule {
+    /// NED: [`price_update`] at step [`GAMMA`], `G` divided by the
+    /// Hessian diagonal.
+    Ned,
+    /// Gradient projection: [`gradient_price_update`] at this absolute
+    /// step γ_G.
+    Gradient(f64),
+}
+
+impl PriceRule {
+    /// Runs this rule's kernel over one LinkBlock's totals.
+    // flowtune-lint: hot, float-kernel
+    #[inline]
+    pub fn update(
+        self,
+        acc: &[[f64; 2]],
+        background: Option<&[f64]>,
+        background_h: Option<&[f64]>,
+        capacity: &[f64],
+        prices: &mut [f64],
+        ratios: &mut [f64],
+    ) {
+        match self {
+            PriceRule::Ned => price_update(
+                acc,
+                background,
+                background_h,
+                capacity,
+                GAMMA,
+                prices,
+                ratios,
+            ),
+            PriceRule::Gradient(step) => {
+                gradient_price_update(acc, background, capacity, step, prices, ratios);
+            }
+        }
+    }
+}
+
 /// Kernel 3 — F-NORM (§4.2) over one FlowBlock: divide each flow's rate by
 /// the worst utilization ratio on its own path — its upward and
 /// downward LinkBlock's `ratios` — into `flows.normalized`. A path with
@@ -791,6 +864,30 @@ mod tests {
         );
         assert_eq!(p2[0], 0.4);
         assert!((ratios[0] - 2.5).abs() < 1e-12, "ratio sees background");
+    }
+
+    #[test]
+    fn gradient_price_update_steps_by_the_excess_alone() {
+        // Own 5 + background 10 on capacity 10: G = 5 whatever H says.
+        let (mut prices, mut ratios) = (vec![0.1, 0.8, 0.7], vec![0.0; 3]);
+        gradient_price_update(
+            &[[5.0, -100.0], [0.0, 0.0], [123.0, -456.0]],
+            Some(&[10.0, 25.0]),
+            &[10.0, 10.0],
+            0.01,
+            &mut prices,
+            &mut ratios,
+        );
+        assert!((prices[0] - 0.15).abs() < 1e-12); // 0.1 + 0.01·5
+        assert_eq!(ratios[..2], [1.5, 2.5]);
+        // No own load: the price decays, background or not.
+        assert_eq!(prices[1], 0.4);
+        // The sentinel is past `capacity`: untouched.
+        assert_eq!((prices[2], ratios[2]), (0.7, 0.0));
+        // A step that would go negative stops at zero.
+        let mut p = vec![0.01];
+        gradient_price_update(&[[1.0, -1.0]], None, &[10.0], 0.01, &mut p, &mut ratios);
+        assert_eq!(p[0], 0.0);
     }
 
     #[test]

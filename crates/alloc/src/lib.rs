@@ -13,7 +13,8 @@
 //! Each worker keeps *private* accumulators for the two LinkBlocks it
 //! needs. A rate pass writes only those; then they are summed onto the
 //! grid diagonals in `log₂ B` butterfly steps (Figure 3), and the
-//! diagonal owner runs the price update (NED), writing the LinkBlock's
+//! diagonal owner runs the price update (NED's, or gradient projection's
+//! — §3: the two differ only in this step), writing the LinkBlock's
 //! prices and the per-link utilization ratios F-NORM needs. Figure 3
 //! distributes those back along the reverse pattern, into a private
 //! copy per worker. On shared memory that copy buys nothing: the
@@ -30,8 +31,12 @@
 //! One engine type implements this, behind the [`RateAllocator`] trait
 //! the control-plane service holds a box of: [`SerialAllocator`], the
 //! grid itself and every operation on it (flow add/remove, the rate and
-//! link-state queries, the installs), with two ways to schedule an
-//! iteration that agree bit for bit:
+//! link-state queries, the installs). Its price rule
+//! ([`flowblock::PriceRule`]) is chosen once per grid: NED, or gradient
+//! projection on a [`SerialAllocator::gradient`] grid (engine name
+//! `gradient`, the §6.6 / Figure 12 baseline), which gets every
+//! schedule, the incremental ticks and the exchange with it. There are
+//! two ways to schedule an iteration, and they agree bit for bit:
 //!
 //! * on the caller's thread ([`SerialAllocator::new`], engine name
 //!   `serial`) — the reference, the default engine of the network
@@ -50,23 +55,21 @@
 //! the normalized rate last *reported* for it, and
 //! [`RateAllocator::drain_changed_rates`] lends its caller exactly the
 //! flows whose rate has since moved beyond the §6.4 update threshold —
-//! for the NED engines one packed pass over two contiguous columns
+//! for the grid one packed pass over two contiguous columns
 //! ([`flowblock::report_pass`], the fourth FlowBlock kernel), only over
 //! the FlowBlocks the dirty set says may have moved. The control-plane
 //! service above keeps no per-flow filter state and touches its flow
 //! table only for the flows it actually notifies.
 //!
-//! Two more [`RateAllocator`]s serve as comparison baselines:
-//! [`GradientAllocator`] (first-order gradient projection, §6.6 /
-//! Figure 12) and `flowtune_fastpass::FastpassAdapter` (per-packet
-//! timeslot arbitration, §6.1).
+//! One more [`RateAllocator`] serves as a comparison baseline:
+//! `flowtune_fastpass::FastpassAdapter` (per-packet timeslot
+//! arbitration, §6.1).
 
 #![deny(missing_docs)]
 
 mod dirty;
 pub mod engine;
 pub mod flowblock;
-pub mod gradient;
 mod layout;
 mod parallel;
 pub mod pool;
@@ -75,7 +78,6 @@ pub mod serial;
 
 pub use engine::{lend_passers, BoxEngine, RateAllocator};
 pub use flowblock::{FlowRate, UNREPORTED};
-pub use gradient::GradientAllocator;
 pub use pool::WorkerPool;
 pub use serial::SerialAllocator;
 
@@ -96,11 +98,12 @@ pub struct AllocConfig {
     /// threshold; with a 0.01 threshold, the allocator would allocate 99%
     /// of link capacities."
     pub capacity_fraction: f64,
-    /// Run iterations incrementally: a dirty set tracks which
-    /// FlowBlock workers saw a price move (beyond [`AllocConfig::dirty_eps`])
-    /// on a link their flows traverse, or had flows added/removed, and the
-    /// rate/normalize passes touch only those. With `dirty_eps = 0` the
-    /// incremental path is bit-for-bit identical to the full sweep.
+    /// Run iterations incrementally, under either price rule (NED or
+    /// gradient): a dirty set tracks which FlowBlock workers saw a price
+    /// move (beyond [`AllocConfig::dirty_eps`]) on a link their flows
+    /// traverse, or had flows added/removed, and the rate/normalize
+    /// passes touch only those. With `dirty_eps = 0` the incremental path
+    /// is bit-for-bit identical to the full sweep.
     pub incremental: bool,
     /// When incremental, force a full rate-pass sweep every this many
     /// iterations to rebuild every accumulator from scratch and bound

@@ -50,11 +50,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crate::flowblock::{absorb, normalize_pass, price_update, rate_pass, PriceView};
+use crate::flowblock::{absorb, normalize_pass, rate_pass, PriceView};
 use crate::pool::WorkerPool;
 use crate::reduce::{aggregate, position, root, steps, Role, DIRS};
 use crate::serial::views_of;
-use crate::{SerialAllocator, GAMMA};
+use crate::SerialAllocator;
 
 impl SerialAllocator {
     /// Runs `n` full-sweep iterations across B² logical workers on
@@ -74,6 +74,7 @@ impl SerialAllocator {
         let chunk = n_workers.div_ceil(threads);
         let f_norm = self.cfg.f_norm;
         let layout = &self.layout;
+        let rule = self.rule;
         let bg = &self.bg;
         let bg_h = &self.bg_h;
 
@@ -135,12 +136,11 @@ impl SerialAllocator {
                         let me = lock(&cells[w]);
                         let mut view = write(&views[d][blk]);
                         let view = &mut *view;
-                        price_update(
+                        rule.update(
                             &me.acc.pairs[d],
                             bg.as_ref().map(|bg| bg[d][blk].as_slice()),
                             bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
                             layout.capacity(d, blk),
-                            GAMMA,
                             &mut view.prices,
                             &mut view.ratios,
                         );

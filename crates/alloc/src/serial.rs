@@ -1,8 +1,10 @@
 //! The §5 grid engine and its caller-thread schedule.
 //!
 //! An iteration is per-FlowBlock rate passes, binomial-tree aggregation
-//! of LinkBlock partials, the NED price update of each LinkBlock's
-//! prices, and F-NORM. Here it runs on the caller's thread; a grid built
+//! of LinkBlock partials, the price update of each LinkBlock's prices
+//! (NED's, or gradient projection's on a [`SerialAllocator::gradient`]
+//! grid: `flowblock::PriceRule`, the one place the two differ), and
+//! F-NORM. Here it runs on the caller's thread; a grid built
 //! with [`SerialAllocator::multicore`] runs its full sweeps through the
 //! barrier pipeline in `parallel.rs` instead — exactly the same
 //! arithmetic in exactly the same order, which the
@@ -44,13 +46,13 @@ use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
 use crate::flowblock::{
-    absorb, normalize_pass, price_update, rate_pass, report_pass, Accums, FlowBlock, FlowRate,
+    absorb, normalize_pass, rate_pass, report_pass, Accums, FlowBlock, FlowRate, PriceRule,
     PriceView,
 };
 use crate::layout::BlockLayout;
 use crate::pool::WorkerPool;
 use crate::reduce::{binomial_reduce_in_order, member, position, DIRS, DOWN, UP};
-use crate::{AllocConfig, RateAllocator, GAMMA};
+use crate::{AllocConfig, RateAllocator};
 
 /// The §5 FlowBlock × LinkBlock grid and every operation on it, with two
 /// ways to schedule an iteration: on the caller's thread
@@ -61,6 +63,9 @@ use crate::{AllocConfig, RateAllocator, GAMMA};
 pub struct SerialAllocator {
     pub(crate) layout: BlockLayout,
     pub(crate) cfg: AllocConfig,
+    /// The price step every LinkBlock's update takes: NED, or gradient
+    /// projection for a [`SerialAllocator::gradient`] grid.
+    pub(crate) rule: PriceRule,
     /// server index → block, for FlowBlock assignment.
     server_block: Vec<BlockId>,
     /// B² workers in row-major (src block, dst block) order.
@@ -223,6 +228,7 @@ impl SerialAllocator {
         Self {
             layout,
             cfg,
+            rule: PriceRule::Ned,
             server_block,
             workers,
             views: [(); 2].map(|_| vec![PriceView::new(lpl); b]),
@@ -256,20 +262,45 @@ impl SerialAllocator {
     /// either way: on a quiet tick almost every worker is skipped, far
     /// below the barrier cost.
     pub fn multicore(fabric: &TwoTierClos, cfg: AllocConfig, workers: usize) -> Self {
-        let grid = Self::new(fabric, cfg);
+        Self::new(fabric, cfg).on_pool(workers)
+    }
+
+    /// [`SerialAllocator::new`] with gradient projection's price step in
+    /// place of NED's (engine name `gradient`, the §6.6 baseline): the
+    /// same rate pass, tree, F-NORM, drain and incremental ticks, and a
+    /// first-order link-state export (no Hessians). The step is
+    /// `flowtune_num::Gradient::stable_for(c_max, 2.0, 1.0)`'s, `1 /
+    /// c_max²`, with `c_max` the largest link capacity in Gbit/s after
+    /// `capacity_fraction` (at least 1): half of the `2/L` bound for a
+    /// dual curvature `L ≈ c²/(n·w)` at two unit-weight flows a link.
+    pub fn gradient(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
+        let c_max = fabric
+            .topology()
+            .links()
+            .iter()
+            .map(|l| l.capacity_bps as f64 / 1e9 * cfg.capacity_fraction)
+            .fold(1.0f64, f64::max);
+        Self {
+            rule: PriceRule::Gradient(1.0 / (c_max * c_max)),
+            ..Self::new(fabric, cfg)
+        }
+    }
+
+    /// This grid on the pool schedule of [`SerialAllocator::multicore`].
+    pub(crate) fn on_pool(self, workers: usize) -> Self {
         let cap = match workers {
             0 => std::thread::available_parallelism().map_or(8, |c| c.get().min(16)),
             n => n,
         };
-        let (b, lpl) = (grid.layout.blocks(), grid.layout.links_per_lb());
-        let threads = grid.workers.len().min(cap);
+        let (b, lpl) = (self.layout.blocks(), self.layout.links_per_lb());
+        let threads = self.workers.len().min(cap);
         Self {
             threads: Some(threads),
             pool_views: [(); 2].map(|_| (0..b).map(|_| RwLock::default()).collect()),
             pool_scratch: (0..threads)
                 .map(|_| Mutex::new(vec![[0.0; 2]; lpl]))
                 .collect(),
-            ..grid
+            ..self
         }
     }
 
@@ -563,12 +594,11 @@ impl SerialAllocator {
                     total.fill([0.0; 2]);
                 }
                 let view = &mut self.views[d][blk];
-                price_update(
+                self.rule.update(
                     &self.totals[d][blk],
                     self.bg.as_ref().map(|bg| bg[d][blk].as_slice()),
                     self.bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
                     self.layout.capacity(d, blk),
-                    GAMMA,
                     &mut view.prices,
                     &mut view.ratios,
                 );
@@ -719,7 +749,8 @@ impl RateAllocator for SerialAllocator {
     }
 
     /// One scatter of `LinkTotals` to global link ids. Links outside
-    /// any LinkBlock (control links) read 0.
+    /// any LinkBlock (control links) read 0. A gradient grid's step has
+    /// no second-order term, so it exports no Hessians.
     // flowtune-lint: hot, float-kernel
     fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
         for out in [&mut *loads, &mut *hessians] {
@@ -734,6 +765,9 @@ impl RateAllocator for SerialAllocator {
                     hessians[link.index()] = h;
                 }
             }
+        }
+        if self.rule != PriceRule::Ned {
+            hessians.clear();
         }
     }
 
@@ -801,10 +835,10 @@ impl RateAllocator for SerialAllocator {
     }
 
     fn name(&self) -> &'static str {
-        if self.threads.is_some() {
-            "multicore"
-        } else {
-            "serial"
+        match (self.rule, self.threads) {
+            (PriceRule::Gradient(_), _) => "gradient",
+            (PriceRule::Ned, Some(_)) => "multicore",
+            (PriceRule::Ned, None) => "serial",
         }
     }
 }
@@ -1028,6 +1062,95 @@ mod tests {
                 (got - want).abs() < 1e-9 * want.max(1.0),
                 "flow {i}: block engine {got} vs NED {want}"
             );
+        }
+    }
+
+    #[test]
+    fn matches_flowtune_num_gradient() {
+        // The gradient rule must agree with the monolithic gradient
+        // projection from flowtune-num on the same instance, step and
+        // iteration count — raw rates and F-NORMed ones — on both
+        // schedules, which also agree with each other bit for bit.
+        use flowtune_num::{normalize, solver::Optimizer, Gradient, NumProblem};
+        use flowtune_num::{SolverState, Utility};
+        let f = fabric();
+        let caps_gbps: Vec<f64> = f
+            .topology()
+            .links()
+            .iter()
+            .map(|l| l.capacity_bps as f64 / 1e9)
+            .collect();
+        let c_max = caps_gbps.iter().fold(1.0f64, |a, &c| a.max(c));
+        let mut problem = NumProblem::new(caps_gbps);
+        let mut serial = SerialAllocator::gradient(&f, cfg());
+        let mut pool = SerialAllocator::gradient(&f, cfg()).on_pool(2);
+        let pairs = [(0, 9), (1, 8), (0, 12), (5, 3), (14, 2), (9, 0), (0, 1)];
+        let mut slot_of = Vec::new();
+        for (i, &(src, dst)) in pairs.iter().enumerate() {
+            let id = FlowId(i as u64);
+            let weight = 1.0 + (i % 3) as f64;
+            let path = f.path(src, dst, id);
+            for alloc in [&mut serial, &mut pool] {
+                alloc.add_flow(id, src, dst, weight, &path);
+            }
+            slot_of.push(problem.add_flow(path.links().to_vec(), Utility::log(weight)));
+        }
+        let mut state = SolverState::new(&problem);
+        let mut gradient = Gradient::stable_for(c_max, 2.0, 1.0);
+        assert_eq!(pool.name(), "gradient");
+        // In the transient and once converged.
+        for (done, n) in [(1, 1), (10, 9), (40, 30), (400, 360)] {
+            for _ in 0..n {
+                gradient.iterate(&problem, &mut state);
+            }
+            let normalized = normalize::f_norm(&problem, &state.rates);
+            serial.run_iterations(n);
+            pool.run_iterations(n);
+            assert_eq!(serial.rates(), pool.rates(), "the schedules agree");
+            for (i, &slot) in slot_of.iter().enumerate() {
+                let got = serial.flow_rate(FlowId(i as u64)).unwrap();
+                for (what, got, want) in [
+                    ("rate", got.rate, state.rates[slot]),
+                    ("normalized", got.normalized, normalized[slot]),
+                ] {
+                    assert!(
+                        (got - want).abs() < 1e-9 * want.max(1.0),
+                        "flow {i} after {done}: grid {what} {got} vs Gradient {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_single_flow_converges_to_line_rate() {
+        let f = fabric();
+        let mut alloc = SerialAllocator::gradient(&f, cfg());
+        let p = f.path(3, 13, FlowId(7));
+        alloc.add_flow(FlowId(7), 3, 13, 1.0, &p);
+        // First-order steps need far more iterations than NED — which is
+        // the very point of the §6.6 comparison.
+        alloc.run_iterations(20_000);
+        let r = alloc.flow_rate(FlowId(7)).unwrap();
+        assert!((r.rate - 40.0).abs() < 0.5, "{r:?}");
+        assert!(r.normalized <= 40.0 * (1.0 + 1e-9), "{r:?}");
+    }
+
+    #[test]
+    fn gradient_f_norm_keeps_shared_link_feasible_during_transients() {
+        let f = fabric();
+        let mut alloc = SerialAllocator::gradient(&f, cfg());
+        let p1 = f.path(0, 8, FlowId(1));
+        let p2 = f.path(0, 12, FlowId(2));
+        alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
+        alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
+        for _ in 0..500 {
+            alloc.iterate();
+            let r1 = alloc.flow_rate(FlowId(1)).unwrap().normalized;
+            let r2 = alloc.flow_rate(FlowId(2)).unwrap().normalized;
+            // The two flows share server 0's 40 G uplink; F-NORM must keep
+            // the pair feasible on every iteration, converged or not.
+            assert!(r1 + r2 <= 40.0 * (1.0 + 1e-9), "{r1} + {r2}");
         }
     }
 

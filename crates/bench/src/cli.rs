@@ -32,7 +32,8 @@ shared experiment flags:
   --parallel-shards[=on|off]
                           concurrent vs sequential sharded tick, bit-for-bit
                           identical output (config parallel_shards; default on)
-  --incremental[=on|off]  incremental NED ticks: only flows whose links moved
+  --incremental[=on|off]  incremental ticks of the grid engines (serial,
+                          multicore, gradient): only flows whose links moved
                           are recomputed; quiet ticks cost O(changed), not
                           O(flows) (config incremental; default off; at
                           --dirty-eps 0 bit-for-bit equal to the full sweep)

@@ -94,7 +94,8 @@ pub struct FlowtuneConfig {
     /// Whether the allocator F-NORMs rates before sending them (§4.2; on
     /// in every end-to-end experiment).
     pub f_norm: bool,
-    /// Run NED iterations incrementally: the engine's dirty set tracks
+    /// Run the grid's iterations incrementally (the `serial`,
+    /// `multicore` and `gradient` engines): the engine's dirty set tracks
     /// which FlowBlock workers saw flow churn or a price move beyond
     /// [`FlowtuneConfig::dirty_eps`] on a traversed link, and the
     /// flow-proportional passes touch only those — quiet ticks cost

@@ -244,8 +244,7 @@ impl<D: TickDriver> FluidPlane<D> {
     /// The first half of a step: one allocator tick, lending out its
     /// update stream (valid until the next call). Between this and
     /// [`FluidPlane::drain`] the driver holds exactly the flowlets the
-    /// tick allocated for — the moment to read its link state, which
-    /// some engines re-sum from their current flows.
+    /// tick allocated for — the moment to read its link state.
     // flowtune-lint: hot
     pub fn tick(&mut self) -> &[(u16, Message)] {
         self.driver.tick_into(&mut self.updates);

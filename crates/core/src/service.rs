@@ -10,8 +10,8 @@
 //!    NED optimizer), [`Engine::Multicore`] (the §5 FlowBlock-parallel
 //!    engine, bit-for-bit equal rates, persistent worker pool),
 //!    [`Engine::Fastpass`] (per-packet timeslot arbitration, the §6.1
-//!    baseline) and [`Engine::Gradient`] (first-order gradient
-//!    projection, the §6.6/Figure-12 baseline).
+//!    baseline) and [`Engine::Gradient`] (the same grid with first-order
+//!    gradient projection's price step, the §6.6/Figure-12 baseline).
 //! 2. **[`AllocatorService`]** is the Figure-1 box around one engine,
 //!    held as a boxed [`RateAllocator`] — one concrete service type
 //!    whatever runs behind it, three dynamic calls a tick. It
@@ -243,7 +243,8 @@ pub enum Engine {
     },
     /// Fastpass-style per-packet timeslot arbitration (§6.1 baseline).
     Fastpass,
-    /// First-order gradient projection (§6.6 / Figure-12 baseline).
+    /// The caller-thread grid with first-order gradient projection's
+    /// price step in place of NED's (§6.6 / Figure-12 baseline).
     Gradient,
     /// A [`ShardedService`](crate::ShardedService): `shards` independent
     /// inner services, each running its own `inner` engine over one slice
@@ -415,9 +416,7 @@ impl ServiceBuilder {
                     FastpassAdapter::new(fabric, alloc_cfg)
                         .with_iteration_time_ps(TICK_INTERVAL_PS, fabric.config().host_link_bps),
                 ),
-                Engine::Gradient => {
-                    Box::new(flowtune_alloc::GradientAllocator::new(fabric, alloc_cfg))
-                }
+                Engine::Gradient => Box::new(SerialAllocator::gradient(fabric, alloc_cfg)),
                 Engine::Sharded { .. } => unreachable!("rejected above"),
             }
         };

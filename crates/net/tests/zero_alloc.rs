@@ -287,8 +287,13 @@ fn steady_state_allocator_tick_allocates_nothing() {
     let _window = Window::lock();
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
     // The multicore grid's full sweeps run the barrier pipeline, once a
-    // tick, on the caller's thread and one pool thread.
-    for engine in [Engine::Serial, Engine::Multicore { workers: 2 }] {
+    // tick, on the caller's thread and one pool thread; the gradient grid
+    // runs the caller-thread schedule under its own price rule.
+    for engine in [
+        Engine::Serial,
+        Engine::Multicore { workers: 2 },
+        Engine::Gradient,
+    ] {
         for incremental in [true, false] {
             let cfg = FlowtuneConfig {
                 incremental,

@@ -6,8 +6,11 @@
 //! small)" (§3) — γ here is an absolute step in price-per-unit-rate, so a
 //! safe value depends on the instance scale, unlike NED's dimensionless γ.
 //!
-//! The baseline of §6.6: fig13 runs [`Gradient`] through `NumChurn`, and
-//! `flowtune-alloc`'s gradient engine (fig12's Gradient row) iterates it.
+//! The baseline of §6.6: fig13 runs [`Gradient`] through `NumChurn`.
+//! `flowtune-alloc`'s gradient grid (fig12's and fig14's Gradient rows)
+//! takes the same step in its own kernel
+//! (`flowblock::gradient_price_update`) and is checked against this one
+//! (`serial.rs`'s `matches_flowtune_num_gradient`).
 
 use crate::problem::NumProblem;
 use crate::solver::{decay_idle_price, Optimizer, SolverState};
@@ -66,17 +69,9 @@ impl Optimizer for Gradient {
                 self.loads[l.index()] += x;
             }
         }
-        // Background load (a partitioned allocator's other shards) joins
-        // the gradient but not the carries-own-traffic test: a link this
-        // instance's flows don't cross needs no price signal from it.
-        // `background_hessians` is deliberately ignored — a first-order
-        // step has no sensitivity term to fold it into, which is also why
-        // sharding never rescales this method's effective γ.
-        let background = problem.background_loads();
         for (l, &c) in problem.capacities().iter().enumerate() {
             if self.loads[l] > 0.0 {
-                let bg = background.get(l).copied().unwrap_or(0.0);
-                let g = self.loads[l] + bg - c;
+                let g = self.loads[l] - c;
                 state.prices[l] = (state.prices[l] + self.gamma * g).max(0.0);
             } else {
                 state.prices[l] = decay_idle_price(state.prices[l]);
@@ -133,23 +128,6 @@ mod tests {
             grad.iterations,
             ned.iterations
         );
-    }
-
-    #[test]
-    fn background_load_shrinks_own_share() {
-        // Same subproblem shape a sharded allocator hands its gradient
-        // engines: own flows compete with exogenous other-shard load.
-        let mut p = NumProblem::new(vec![10.0]);
-        for _ in 0..2 {
-            p.add_flow(vec![l(0)], Utility::log(1.0));
-        }
-        p.set_background_loads(&[5.0]);
-        let mut s = SolverState::new(&p);
-        let r = solve(&mut Gradient::default(), &p, &mut s, 100_000, 1e-6);
-        assert!(r.converged, "{r:?}");
-        for i in 0..2 {
-            assert!((s.rates[i] - 2.5).abs() < 1e-2, "rate {}", s.rates[i]);
-        }
     }
 
     #[test]

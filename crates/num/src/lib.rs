@@ -15,9 +15,11 @@
 //! * [`solver`] — a driver that runs any optimizer to convergence and
 //!   reports residuals.
 //!
-//! The optimizers are the two that §6.6's figures compare: fig12's
-//! over-allocation (through `flowtune-alloc`'s engines) and fig13's
-//! F-NORM against U-NORM (through `NumChurn`) both run NED and Gradient.
+//! The optimizers are the two that §6.6's figures compare. fig13's
+//! F-NORM against U-NORM runs them here (through `NumChurn`); fig12's
+//! over-allocation runs them as the two price rules of `flowtune-alloc`'s
+//! grid, whose kernels are pinned to these optimizers by differential
+//! tests.
 //!
 //! # Units
 //!

@@ -11,9 +11,10 @@
 //! * price update: `p_ℓ ← max(0, p_ℓ − γ·H_ℓℓ⁻¹·G_ℓ)` where
 //!   `G_ℓ = Σ_{s∈S(ℓ)} x_s − c_ℓ` is the link's over-allocation.
 //!
-//! fig13 runs [`Ned`] through `NumChurn`, and the block engine in
-//! `flowtune-alloc` is checked against it (`serial.rs`'s
-//! `matches_flowtune_num_ned`).
+//! fig13 runs [`Ned`] through `NumChurn`. `flowtune-alloc`'s grid takes
+//! the same step in its own kernel (`flowblock::price_update`) and is
+//! checked against this one (`serial.rs`'s `matches_flowtune_num_ned`),
+//! as its gradient rule is against [`crate::Gradient`].
 
 use crate::problem::NumProblem;
 use crate::solver::{decay_idle_price, Optimizer, SolverState};
@@ -81,23 +82,15 @@ impl Optimizer for Ned {
             }
         }
 
-        // Price update (eq. 4). Exogenous background load (other shards'
-        // flows) joins the over-allocation term G, and their exported
-        // Hessian diagonal joins H — without the latter, dividing the
-        // *global* gradient by only the *local* diagonal scales the
-        // Newton step by the shard count and destabilizes γ.
+        // Price update (eq. 4).
         let capacities = problem.capacities();
-        let background = problem.background_loads();
-        let background_h = problem.background_hessians();
-        // Indexing four parallel arrays by `l`; a zip chain would bury
-        // the equation.
+        // Indexing parallel arrays by `l`; a zip chain would bury the
+        // equation.
         #[allow(clippy::needless_range_loop)]
         for l in 0..n_links {
             let h = self.hdiag[l];
             if h < 0.0 {
-                let bg = background.get(l).copied().unwrap_or(0.0);
-                let h = h + background_h.get(l).copied().unwrap_or(0.0);
-                let g = self.loads[l] + bg - capacities[l];
+                let g = self.loads[l] - capacities[l];
                 state.prices[l] = (state.prices[l] - self.gamma * g / h).max(0.0);
             } else {
                 // No flow crosses this link, so its price carries no
@@ -244,73 +237,6 @@ mod tests {
         let mut s = SolverState::new(&p);
         let r = solve(&mut Ned::new(1.5), &p, &mut s, 2000, 1e-8);
         assert!(!r.converged, "γ=1.5 should oscillate on 2-hop paths");
-    }
-
-    #[test]
-    fn background_load_shrinks_own_share() {
-        // One 10 G link carrying 2 own flows plus 5 G of exogenous
-        // (other-shard) load: NED must price the link for the total and
-        // converge the own flows to equal shares of the remaining 5 G.
-        let mut p = NumProblem::new(vec![10.0]);
-        for _ in 0..2 {
-            p.add_flow(vec![l(0)], Utility::log(1.0));
-        }
-        p.set_background_loads(&[5.0]);
-        let mut s = SolverState::new(&p);
-        let r = solve(&mut Ned::new(0.4), &p, &mut s, 2000, 1e-8);
-        assert!(r.converged, "{r:?}");
-        for i in 0..2 {
-            assert!((s.rates[i] - 2.5).abs() < 1e-5, "rate {}", s.rates[i]);
-        }
-        // Clearing the background restores the full link.
-        p.set_background_loads(&[]);
-        let r = solve(&mut Ned::new(0.4), &p, &mut s, 2000, 1e-8);
-        assert!(r.converged, "{r:?}");
-        for i in 0..2 {
-            assert!((s.rates[i] - 5.0).abs() < 1e-5, "rate {}", s.rates[i]);
-        }
-    }
-
-    #[test]
-    fn background_hessian_tempers_the_newton_step() {
-        // The background Hessian widens |H| so the price step shrinks —
-        // the damping a shard needs when the background flows are *also*
-        // re-optimizing against the shared price (in this static
-        // instance it just slows convergence, which is the observable).
-        // 2 own flows + 7.5 G background on a 10 G link; background
-        // flows' exported diagonal −9.375 (6 flows at x = 1.25, w = 1).
-        let build = |with_h: bool| {
-            let mut p = NumProblem::new(vec![10.0]);
-            for _ in 0..2 {
-                p.add_flow(vec![l(0)], Utility::log(1.0));
-            }
-            p.set_background_loads(&[7.5]);
-            if with_h {
-                p.set_background_hessians(&[-9.375]);
-            }
-            p
-        };
-        // One iteration from the same state: the tempered step moves the
-        // price strictly less.
-        let mut fast = SolverState::new(&build(false));
-        Ned::new(0.4).iterate(&build(false), &mut fast);
-        let mut damped = SolverState::new(&build(true));
-        Ned::new(0.4).iterate(&build(true), &mut damped);
-        let move_fast = (fast.prices[0] - 1.0).abs();
-        let move_damped = (damped.prices[0] - 1.0).abs();
-        assert!(
-            move_damped < move_fast,
-            "background H must damp the step: {move_damped} vs {move_fast}"
-        );
-        // Both still converge to the same fixed point: own flows split
-        // the residual 2.5 G equally.
-        let p = build(true);
-        let mut s = SolverState::new(&p);
-        let r = solve(&mut Ned::new(0.4), &p, &mut s, 5000, 1e-8);
-        assert!(r.converged, "{r:?}");
-        for i in 0..2 {
-            assert!((s.rates[i] - 1.25).abs() < 1e-5, "rate {}", s.rates[i]);
-        }
     }
 
     #[test]

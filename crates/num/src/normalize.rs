@@ -19,43 +19,20 @@
 
 use crate::problem::NumProblem;
 
-/// Per-link utilization ratios `r_ℓ = (Σ_{s∈S(ℓ)} x_s + b_ℓ) / c_ℓ`,
-/// where `b_ℓ` is the problem's exogenous background load
-/// ([`NumProblem::background_loads`]; zero when unset). Including the
-/// background keeps normalization capacity-safe when this instance is one
-/// shard of a partitioned allocator: a shared link's ratio reflects the
-/// whole network's load, not just this shard's.
+/// Per-link utilization ratios `r_ℓ = Σ_{s∈S(ℓ)} x_s / c_ℓ`.
 pub fn utilization(problem: &NumProblem, rates: &[f64]) -> Vec<f64> {
-    let mut loads = problem.link_loads(rates);
-    add_background(problem, &mut loads);
-    loads
+    problem
+        .link_loads(rates)
         .iter()
         .zip(problem.capacities())
         .map(|(&load, &c)| load / c)
         .collect()
 }
 
-/// Element-wise add of the problem's background load (no-op when unset).
-fn add_background(problem: &NumProblem, loads: &mut [f64]) {
-    let bg = problem.background_loads();
-    if !bg.is_empty() {
-        for (l, b) in loads.iter_mut().zip(bg) {
-            *l += b;
-        }
-    }
-}
-
 /// U-NORM (§4.1): scales all flows by `r* = max_ℓ r_ℓ` so the most
 /// congested link runs exactly at capacity. Only links that carry traffic
 /// participate in the max (the "straightforward to avoid division by zero"
 /// caveat); if nothing is allocated the rates are returned unchanged.
-///
-/// Background load counts toward `r_ℓ` (via [`utilization`]): U-NORM's
-/// ratio is deliberately *network-wide*, so in a partitioned allocator a
-/// link hot with other shards' traffic throttles this shard's flows too —
-/// every shard then divides by the same global `r*`, which is exactly
-/// what an unpartitioned U-NORM would do (and §6.6's argument for
-/// preferring F-NORM, which maxes only over each flow's own path).
 pub fn u_norm(problem: &NumProblem, rates: &[f64]) -> Vec<f64> {
     let r_star = utilization(problem, rates)
         .into_iter()
@@ -70,22 +47,8 @@ pub fn u_norm(problem: &NumProblem, rates: &[f64]) -> Vec<f64> {
 /// congested link, `x̄_s = x_s / max_{ℓ∈L(s)} r_ℓ`. Flows with zero rate
 /// stay at zero.
 pub fn f_norm(problem: &NumProblem, rates: &[f64]) -> Vec<f64> {
-    let (mut ratios, mut out) = (Vec::new(), Vec::new());
-    f_norm_into(problem, rates, &mut ratios, &mut out);
-    out
-}
-
-/// [`f_norm`] into caller-provided buffers (`ratios` is scratch), so an
-/// engine normalizing on every iteration of a 10 µs tick allocates
-/// nothing after warm-up.
-pub fn f_norm_into(problem: &NumProblem, rates: &[f64], ratios: &mut Vec<f64>, out: &mut Vec<f64>) {
-    problem.link_loads_into(rates, ratios);
-    add_background(problem, ratios);
-    for (r, &c) in ratios.iter_mut().zip(problem.capacities()) {
-        *r /= c;
-    }
-    out.clear();
-    out.extend_from_slice(rates);
+    let ratios = utilization(problem, rates);
+    let mut out = rates.to_vec();
     for (i, links, ..) in problem.iter_flows() {
         if rates[i] == 0.0 {
             continue;
@@ -97,6 +60,7 @@ pub fn f_norm_into(problem: &NumProblem, rates: &[f64], ratios: &mut Vec<f64>, o
         debug_assert!(worst > 0.0, "flow with non-zero rate has zero-load links");
         out[i] = rates[i] / worst;
     }
+    out
 }
 
 /// Total network throughput `Σ_s x_s` over active flows — the numerator of
@@ -184,21 +148,6 @@ mod tests {
         let rates = vec![0.0, 8.0];
         assert_eq!(f_norm(&p, &rates)[0], 0.0);
         assert_eq!(u_norm(&p, &rates)[0], 0.0);
-    }
-
-    #[test]
-    fn background_load_counts_toward_ratios() {
-        let mut p = NumProblem::new(vec![10.0]);
-        p.add_flow(vec![l(0)], Utility::log(1.0));
-        let rates = vec![10.0];
-        // Alone, the flow keeps its full rate...
-        assert_eq!(f_norm(&p, &rates), vec![10.0]);
-        // ...but with 10 G of other-shard load the link is 2× subscribed,
-        // so F-NORM halves the flow and utilization reports the total.
-        p.set_background_loads(&[10.0]);
-        assert_eq!(utilization(&p, &rates), vec![2.0]);
-        assert_eq!(f_norm(&p, &rates), vec![5.0]);
-        assert_eq!(u_norm(&p, &rates), vec![5.0]);
     }
 
     #[test]

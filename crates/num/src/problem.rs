@@ -32,21 +32,6 @@ pub struct NumProblem {
     flows: Vec<Option<FlowEntry>>,
     free: Vec<FlowIdx>,
     active: usize,
-    /// Exogenous per-link load (same units as rates) contributed by flows
-    /// *outside* this instance — e.g. the other shards of a partitioned
-    /// allocator. Empty means none; optimizers and normalizers add it to
-    /// their own link loads when pricing and when computing utilization
-    /// ratios, so this instance prices shared links for their true total
-    /// load.
-    background: Vec<f64>,
-    /// Exogenous per-link Hessian diagonal (`Σ ∂x/∂p ≤ 0`) of the flows
-    /// behind [`NumProblem::background_loads`]. Second-order optimizers
-    /// (NED) add it to their own diagonal so the Newton step reflects
-    /// *every* flow's price sensitivity — without it a shard dividing the
-    /// global gradient by only its own diagonal takes steps `N×` too
-    /// large at `N` shards. First-order methods (gradient projection)
-    /// ignore it.
-    background_h: Vec<f64>,
 }
 
 impl NumProblem {
@@ -67,66 +52,7 @@ impl NumProblem {
             flows: Vec::new(),
             free: Vec::new(),
             active: 0,
-            background: Vec::new(),
-            background_h: Vec::new(),
         }
-    }
-
-    /// Sets the exogenous per-link background load (indexed by
-    /// [`LinkId`], same units as rates). An empty slice clears it. The
-    /// load is *additive*: optimizers price each link for
-    /// `own load + background`, and the normalizers compute utilization
-    /// ratios over the same total — which is how a partitioned allocator
-    /// makes each partition see the whole network's load on shared links.
-    ///
-    /// # Panics
-    /// Panics if `loads` is non-empty and not exactly one entry per link,
-    /// or contains a negative or non-finite value.
-    pub fn set_background_loads(&mut self, loads: &[f64]) {
-        assert!(
-            loads.is_empty() || loads.len() == self.capacities.len(),
-            "background loads must cover every link ({} != {})",
-            loads.len(),
-            self.capacities.len()
-        );
-        assert!(
-            loads.iter().all(|&x| x >= 0.0 && x.is_finite()),
-            "background loads must be finite and non-negative"
-        );
-        self.background.clear();
-        self.background.extend_from_slice(loads);
-    }
-
-    /// The exogenous per-link background load (empty when none is set).
-    pub fn background_loads(&self) -> &[f64] {
-        &self.background
-    }
-
-    /// Sets the exogenous per-link Hessian diagonal accompanying the
-    /// background load (see the field docs); an empty slice clears it.
-    ///
-    /// # Panics
-    /// Panics if `hdiag` is non-empty and not exactly one entry per link,
-    /// or contains a positive or non-finite value (demand curves slope
-    /// down: `∂x/∂p ≤ 0`).
-    pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        assert!(
-            hdiag.is_empty() || hdiag.len() == self.capacities.len(),
-            "background hessians must cover every link ({} != {})",
-            hdiag.len(),
-            self.capacities.len()
-        );
-        assert!(
-            hdiag.iter().all(|&x| x <= 0.0 && x.is_finite()),
-            "background hessians must be finite and non-positive"
-        );
-        self.background_h.clear();
-        self.background_h.extend_from_slice(hdiag);
-    }
-
-    /// The exogenous per-link Hessian diagonal (empty when none is set).
-    pub fn background_hessians(&self) -> &[f64] {
-        &self.background_h
     }
 
     /// Adds a flow over `links` with the given utility; returns its stable
@@ -211,21 +137,13 @@ impl NumProblem {
     /// # Panics
     /// Panics if `rates` is shorter than [`NumProblem::flow_slots`].
     pub fn link_loads(&self, rates: &[f64]) -> Vec<f64> {
-        let mut loads = Vec::new();
-        self.link_loads_into(rates, &mut loads);
-        loads
-    }
-
-    /// [`NumProblem::link_loads`] into a caller-provided buffer, for
-    /// per-iteration callers that must not allocate.
-    pub fn link_loads_into(&self, rates: &[f64], loads: &mut Vec<f64>) {
-        loads.clear();
-        loads.resize(self.capacities.len(), 0.0);
+        let mut loads = vec![0.0; self.capacities.len()];
         for (i, links, ..) in self.iter_flows() {
             for l in links {
                 loads[l.index()] += rates[i];
             }
         }
+        loads
     }
 
     /// Total positive over-allocation `Σ_ℓ max(0, load_ℓ − c_ℓ)` — the
@@ -308,30 +226,6 @@ mod tests {
         p.add_flow(vec![l(0)], Utility::log(2.0));
         let rates = vec![std::f64::consts::E, 1.0];
         assert!((p.objective(&rates) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn background_loads_roundtrip_and_clear() {
-        let mut p = NumProblem::new(vec![10.0, 5.0]);
-        assert!(p.background_loads().is_empty());
-        p.set_background_loads(&[1.0, 2.0]);
-        assert_eq!(p.background_loads(), &[1.0, 2.0]);
-        p.set_background_loads(&[]);
-        assert!(p.background_loads().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every link")]
-    fn background_loads_must_cover_every_link() {
-        let mut p = NumProblem::new(vec![10.0, 5.0]);
-        p.set_background_loads(&[1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_background_load_rejected() {
-        let mut p = NumProblem::new(vec![10.0]);
-        p.set_background_loads(&[-1.0]);
     }
 
     #[test]

@@ -86,20 +86,16 @@ pub fn decay_idle_price(price: f64) -> f64 {
 /// violation of complementary slackness over all *loaded* links —
 /// `|G_ℓ|/c_ℓ` where the link is priced, `max(0, G_ℓ)/c_ℓ` where free.
 /// Links carrying none of this instance's flows are skipped: their price
-/// cannot affect the primal allocation. `G_ℓ` includes the problem's
-/// exogenous background load ([`NumProblem::background_loads`]), matching
-/// the optimizers' price updates, so a shard's subproblem converges when
-/// *total* load meets capacity on its shared links.
+/// cannot affect the primal allocation.
 pub fn kkt_residual(problem: &NumProblem, state: &SolverState) -> f64 {
     const PRICED: f64 = 1e-9;
     let loads = problem.link_loads(&state.rates);
-    let background = problem.background_loads();
     let mut worst = 0.0f64;
     for (l, (&load, &c)) in loads.iter().zip(problem.capacities()).enumerate() {
         if load == 0.0 {
             continue;
         }
-        let g = load + background.get(l).copied().unwrap_or(0.0) - c;
+        let g = load - c;
         let viol = if state.prices[l] > PRICED {
             g.abs()
         } else {

@@ -35,6 +35,7 @@ RUNS=(
     "fig12_overalloc --shards 2 --exchange-every 1"
     "fig12_overalloc --shards 4 --exchange-every 1"
     "fig12_overalloc --shards 2 --exchange-every 1 --placement traffic --pair-affinity 0.8 --exchange-delta-eps 0.001"
+    "fig12_overalloc --engine gradient --shards 2 --exchange-every 1"
     "fig13_norm"
     "fig14_scenarios"
 )

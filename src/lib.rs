@@ -10,14 +10,15 @@
 //!   `AllocatorService::builder()`, endpoint agents, flowlet tracking;
 //! * `flowtune_topo` — two-tier Clos fabrics, ECMP paths, blocks;
 //! * `flowtune_num` — NED and the baseline NUM optimizers, U/F-NORM;
-//! * `flowtune_alloc` — the `RateAllocator` engine interface; serial and
-//!   §5 multicore NED engines;
+//! * `flowtune_alloc` — the `RateAllocator` engine interface; the §5
+//!   FlowBlock grid, NED on the caller's thread or a worker pool, or
+//!   gradient projection;
 //! * `flowtune_fastpass` — per-packet timeslot arbiter + its
 //!   `RateAllocator` adapter (the §6.1 baseline);
 //! * `flowtune_proto` — the 16/4/6-byte control messages;
 //! * `flowtune_sim` — deterministic packet-level simulator;
 //! * `flowtune_workload` / `flowtune_bench` — traces and experiment
-//!   binaries (all accept `--engine serial|multicore|fastpass`).
+//!   binaries (all accept `--engine serial|multicore|fastpass|gradient`).
 //!
 //! ## Quickstart
 //!

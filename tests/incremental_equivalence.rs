@@ -6,7 +6,8 @@
 //! * at `dirty_eps = 0` it is the full sweep — bit-for-bit: same update
 //!   stream every tick, same final rates, same aggregate counters (the
 //!   dirty-set telemetry aside, which the full sweep doesn't keep) —
-//!   across shard counts, exchange cadences, and churn schedules;
+//!   under either price rule (NED and gradient), across shard counts,
+//!   exchange cadences, and churn schedules;
 //! * at `dirty_eps > 0` it may skip recomputes whose inputs moved less
 //!   than `eps`, so rates can diverge from the full sweep — but only
 //!   boundedly, `O(eps)`, with the periodic full sweep
@@ -24,47 +25,56 @@
 mod common;
 
 use common::{assert_bit_for_bit, fabric, start, xorshift, Replay, StatsCheck};
-use flowtune::{AllocatorService, FlowtuneConfig, ShardedService, TickDriver};
+use flowtune::{AllocatorService, Engine, FlowtuneConfig, TickDriver};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 use proptest::prelude::*;
 
 #[test]
 fn incremental_is_bit_for_bit_the_full_sweep_at_eps_zero() {
     let fabric = fabric();
-    for shards in [1usize, 2, 4] {
-        for exchange_every in [0u64, 1] {
-            for seed in [1u64, 7, 42] {
-                let build = |incremental: bool| {
-                    let cfg = FlowtuneConfig {
-                        exchange_every,
-                        incremental,
-                        dirty_eps: 0.0,
-                        ..FlowtuneConfig::default()
+    for engine in [Engine::Serial, Engine::Gradient] {
+        let name = engine.name();
+        for shards in [1usize, 2, 4] {
+            for exchange_every in [0u64, 1] {
+                for seed in [1u64, 7, 42] {
+                    let build = |incremental: bool| {
+                        let cfg = FlowtuneConfig {
+                            exchange_every,
+                            incremental,
+                            dirty_eps: 0.0,
+                            ..FlowtuneConfig::default()
+                        };
+                        AllocatorService::builder()
+                            .fabric(&fabric)
+                            .config(cfg)
+                            .engine(engine.clone().sharded(shards))
+                            .build_driver()
+                            .expect("a shardable engine over a set fabric")
                     };
-                    ShardedService::new(&fabric, cfg, shards)
-                };
-                let mut inc = build(true);
-                let mut full = build(false);
-                let replay = Replay::churn(&fabric, seed, 120);
-                assert_bit_for_bit(
-                    &format!("incremental vs full sweep, {shards} shards, exchange {exchange_every}, seed {seed}"),
-                    &replay,
-                    &mut full,
-                    &mut inc,
-                    StatsCheck::MaskedDirty,
-                );
-                // The incremental run did skip work — the equivalence
-                // is not vacuous. A 120-tick full sweep would re-run
-                // every live flow's rate pass every tick; the dirty
-                // counter must come in strictly below that.
-                let live = replay.live_tokens();
-                let full_work: u64 = full.stats().iterations * live.len() as u64;
-                assert!(
-                    inc.stats().dirty_flows < full_work || live.is_empty(),
-                    "{shards} shards, exchange {exchange_every}, seed {seed}: \
-                     dirty_flows {} never skipped anything (full would be {full_work})",
-                    inc.stats().dirty_flows,
-                );
+                    let mut inc = build(true);
+                    let mut full = build(false);
+                    let replay = Replay::churn(&fabric, seed, 120);
+                    let at =
+                        format!("{name}, {shards} shards, exchange {exchange_every}, seed {seed}");
+                    assert_bit_for_bit(
+                        &format!("incremental vs full sweep, {at}"),
+                        &replay,
+                        &mut full,
+                        &mut inc,
+                        StatsCheck::MaskedDirty,
+                    );
+                    // The incremental run did skip work — the equivalence
+                    // is not vacuous. A 120-tick full sweep would re-run
+                    // every live flow's rate pass every tick; the dirty
+                    // counter must come in strictly below that.
+                    let live = replay.live_tokens();
+                    let full_work: u64 = full.stats().iterations * live.len() as u64;
+                    assert!(
+                        inc.stats().dirty_flows < full_work || live.is_empty(),
+                        "{at}: dirty_flows {} never skipped anything (full would be {full_work})",
+                        inc.stats().dirty_flows,
+                    );
+                }
             }
         }
     }

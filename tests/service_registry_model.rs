@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use common::fabric;
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ServiceError, ServiceStats};
-use flowtune_alloc::{AllocConfig, BoxEngine, GradientAllocator, SerialAllocator};
+use flowtune_alloc::{AllocConfig, BoxEngine, SerialAllocator};
 use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
@@ -50,7 +50,7 @@ impl Model {
             Engine::Multicore { workers } => {
                 Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
             }
-            Engine::Gradient => Box::new(GradientAllocator::new(fabric, alloc_cfg)),
+            Engine::Gradient => Box::new(SerialAllocator::gradient(fabric, alloc_cfg)),
             Engine::Fastpass => Box::new(
                 FastpassAdapter::new(fabric, alloc_cfg).with_iteration_time_ps(
                     flowtune::TICK_INTERVAL_PS,

@@ -52,9 +52,6 @@ fn workload(fabric: &TwoTierClos) -> Vec<Message> {
 fn one_shard_is_bit_for_bit_the_unsharded_service() {
     let fabric = fabric();
     let cfg = FlowtuneConfig::default();
-    let mut plain = AllocatorService::new(&fabric, cfg);
-    let mut sharded = ShardedService::new(&fabric, cfg, 1);
-
     // The original interleave as a replay schedule: five starts up
     // front, then the rest of the churn (duplicate, unknown end, real
     // end) dripped in every ten rounds across 300 rounds of ticking.
@@ -65,11 +62,29 @@ fn one_shard_is_bit_for_bit_the_unsharded_service() {
         rounds[i * 10].push(*msg);
     }
     let replay = Replay { rounds };
+    let mut plain = AllocatorService::new(&fabric, cfg);
+    let mut sharded = ShardedService::new(&fabric, cfg, 1);
     assert_bit_for_bit(
         "one shard vs unsharded",
         &replay,
         &mut plain,
         &mut sharded,
+        StatsCheck::Exact,
+    );
+    // The same under the gradient price rule, both built by name.
+    let build = |engine: Engine| {
+        AllocatorService::builder()
+            .fabric(&fabric)
+            .config(cfg)
+            .engine(engine)
+            .build_driver()
+            .expect("a shardable engine over a set fabric")
+    };
+    assert_bit_for_bit(
+        "one gradient shard vs unsharded gradient",
+        &replay,
+        &mut build(Engine::Gradient),
+        &mut build(Engine::Gradient.sharded(1)),
         StatsCheck::Exact,
     );
 }

@@ -121,7 +121,7 @@ fn main() {
                 engine.clone(),
             );
             let mut samples = Vec::new();
-            driver.run_sampled(warmup, window, &mut |drv| {
+            driver.run_sampled(warmup, window, &mut |drv, _| {
                 samples.push(overallocation_gbps(drv));
             });
             let mean = samples.iter().sum::<f64>() / samples.len().max(1) as f64;

@@ -6,19 +6,29 @@
 //! throughput too aggressively ... NED with F-NORM allocations
 //! occasionally slightly exceed the optimal" (more throughput at slightly
 //! worse fairness — never above link capacity).
+//!
+//! The churn rows run through the service path, as fig12's do: a
+//! [`FluidDriver`] puts `Engine::Serial` (NED) or `Engine::Gradient` with
+//! F-NORM off under the Web trace on the paper's 144-server fabric. Every
+//! tenth in-window tick the rows read the engine's raw rates, build that
+//! tick's NUM instance (the live flowlets' paths over capacities scaled
+//! by `capacity_fraction()`, the ones the engine prices), normalize the
+//! rates with `crates/num`'s F-NORM and U-NORM, and divide each total by
+//! the throughput of a NED oracle run to convergence on the instance
+//! (§6.6: "we ran a separate instance of NED until it converged to the
+//! optimal allocation"), warm-started from the previous sample's prices.
 
-use flowtune::{add_path_load, worst_oversubscription, AllocatorService, TickDriver};
-use flowtune_bench::num_churn::NumChurn;
-use flowtune_bench::Opts;
+use flowtune::{add_path_load, worst_oversubscription, AllocatorService, Engine, TickDriver};
+use flowtune_bench::{FluidDriver, Opts};
 use flowtune_num::normalize::{f_norm, total_throughput, u_norm};
-use flowtune_num::{solve, Gradient, Ned, Optimizer, SolverState};
+use flowtune_num::{solve, Ned, NumProblem, SolverState, Utility};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use flowtune_workload::Workload;
 
 fn main() {
     let opts = Opts::parse();
-    let ticks = opts.scaled(20_000, 3_000) as usize;
+    let ticks = opts.scaled(20_000, 3_000);
     let warmup = ticks / 5;
     let sample_every = 10;
     let loads: &[f64] = if opts.quick {
@@ -26,44 +36,56 @@ fn main() {
     } else {
         &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     };
+    let cfg = flowtune::FlowtuneConfig {
+        f_norm: false,
+        ..opts.config()
+    };
     println!("# Figure 13 — normalized throughput as fraction of the converged optimum");
     println!("algorithm,load,f_norm_fraction,u_norm_fraction");
-    type AlgoFactory = Box<dyn Fn() -> Box<dyn Optimizer>>;
-    let algos: Vec<(&str, AlgoFactory)> = vec![
-        ("NED", Box::new(|| Box::new(Ned::new(0.4)))),
-        (
-            "Gradient",
-            Box::new(|| Box::new(Gradient::stable_for(10.0, 4.0, 1.0))),
-        ),
-    ];
-    for (name, mk) in &algos {
+    for (name, engine) in [("NED", Engine::Serial), ("Gradient", Engine::Gradient)] {
         for &load in loads {
-            let mut churn = NumChurn::new(Workload::Web, load, opts.seed);
-            let mut opt = mk();
-            let mut state = SolverState::new(&churn.problem);
-            // The "oracle": a separate NED instance run to convergence on
-            // the same flow set (§6.6: "we ran a separate instance of NED
-            // until it converged to the optimal allocation").
-            let mut oracle_state = SolverState::new(&churn.problem);
-            let (mut f_sum, mut u_sum, mut n) = (0.0, 0.0, 0u64);
-            for i in 0..ticks {
-                churn.advance(opt.as_mut(), &mut state);
-                if i >= warmup && i % sample_every == 0 {
-                    let problem = &churn.problem;
-                    let mut oracle = Ned::new(1.0);
-                    oracle_state.fit(problem);
-                    solve(&mut oracle, problem, &mut oracle_state, 5_000, 1e-7);
-                    let optimal = total_throughput(problem, &oracle_state.rates);
-                    if optimal <= 0.0 {
-                        continue;
-                    }
-                    let f = total_throughput(problem, &f_norm(problem, &state.rates));
-                    let u = total_throughput(problem, &u_norm(problem, &state.rates));
-                    f_sum += f / optimal;
-                    u_sum += u / optimal;
-                    n += 1;
+            let mut driver = FluidDriver::with_engine(
+                Workload::Web,
+                load,
+                0.0,
+                144,
+                cfg,
+                opts.seed,
+                engine.clone(),
+            );
+            // `solve` fits the oracle's state to each instance: every
+            // price starts at 1 and is carried to the next sample.
+            let mut oracle = SolverState {
+                prices: Vec::new(),
+                rates: Vec::new(),
+            };
+            let (mut f_sum, mut u_sum, mut n, mut tick) = (0.0, 0.0, 0u64, 0u64);
+            let tick_ps = flowtune::TICK_INTERVAL_PS;
+            let window = (ticks - warmup) * tick_ps;
+            driver.run_sampled(warmup * tick_ps, window, &mut |drv, paths| {
+                let sampled = tick % sample_every == 0;
+                tick += 1;
+                if !sampled {
+                    return;
                 }
-            }
+                let links = drv.fabric().topology().links();
+                let capacity = |bps: u64| bps as f64 / 1e9 * cfg.capacity_fraction();
+                let mut problem =
+                    NumProblem::new(links.iter().map(|l| capacity(l.capacity_bps)).collect());
+                let mut rates = Vec::with_capacity(paths.len());
+                for (&token, path) in paths {
+                    problem.add_flow(path.links().to_vec(), Utility::log(1.0));
+                    rates.push(drv.flow_rate_gbps(token).expect("live flowlet"));
+                }
+                solve(&mut Ned::new(1.0), &problem, &mut oracle, 5_000, 1e-7);
+                let optimal = total_throughput(&problem, &oracle.rates);
+                if optimal <= 0.0 {
+                    return;
+                }
+                f_sum += total_throughput(&problem, &f_norm(&problem, &rates)) / optimal;
+                u_sum += total_throughput(&problem, &u_norm(&problem, &rates)) / optimal;
+                n += 1;
+            });
             if n > 0 {
                 println!(
                     "{name},{load},{:.4},{:.4}",

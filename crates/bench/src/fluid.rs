@@ -1,5 +1,5 @@
-//! Fluid-model driver for the control-plane overhead experiments
-//! (Figures 5–7).
+//! Fluid-model driver for the control-plane experiments (Figures 5–7,
+//! 12 and 13).
 //!
 //! Update-traffic volume is a property of the allocator's threshold
 //! filtering and the flowlet churn, not of packet-level queueing, so these
@@ -7,8 +7,9 @@
 //! ([`FluidPlane`]: every 10 µs tick, each active flowlet drains at its
 //! currently allocated, normalized rate and ends exactly when its bytes
 //! run out). What is this driver's own is trace admission, the warm-up
-//! window and the byte accounting, with the real 16/4/6-byte encodings
-//! plus Ethernet framing ([`flowtune_proto::wire`]). The control plane is
+//! window, each live flowlet's path and the byte accounting, with the
+//! real 16/4/6-byte encodings plus Ethernet framing
+//! ([`flowtune_proto::wire`]). The control plane is
 //! whatever `ServiceBuilder::build_driver` makes of the engine and
 //! configuration the binary parsed, sharded or not, always in process.
 
@@ -17,9 +18,10 @@ use flowtune::{
     TrafficMatrix,
 };
 use flowtune_proto::codec::{END_BYTES, START_BYTES};
-use flowtune_proto::wire;
-use flowtune_topo::{ClosConfig, TwoTierClos};
+use flowtune_proto::{wire, Token};
+use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 use flowtune_workload::{rack_traffic_matrix, RackAffinity, TraceConfig, TraceGenerator, Workload};
+use std::collections::BTreeMap;
 
 /// Accounting of one fluid run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -66,6 +68,9 @@ impl FluidStats {
     }
 }
 
+/// Every live flowlet's path, by token, as [`FluidDriver`] admitted it.
+pub type LivePaths = BTreeMap<Token, Path>;
+
 /// The fluid-model experiment driver.
 #[derive(Debug)]
 pub struct FluidDriver {
@@ -73,6 +78,7 @@ pub struct FluidDriver {
     /// simulated time and steps it.
     plane: FluidPlane,
     trace: TraceGenerator,
+    paths: LivePaths,
     stats: FluidStats,
     now_ps: u64,
 }
@@ -150,6 +156,7 @@ impl FluidDriver {
         Self {
             plane: FluidPlane::new(service),
             trace,
+            paths: LivePaths::new(),
             stats: FluidStats::default(),
             now_ps: 0,
         }
@@ -159,17 +166,19 @@ impl FluidDriver {
     /// accounting. A `warmup_ps` prefix is simulated but not accounted so
     /// steady-state concurrency is measured.
     pub fn run(&mut self, warmup_ps: u64, duration_ps: u64) -> FluidStats {
-        self.run_sampled(warmup_ps, duration_ps, &mut |_| {})
+        self.run_sampled(warmup_ps, duration_ps, &mut |_, _| {})
     }
 
     /// [`FluidDriver::run`] with a per-tick observer: after every
     /// in-window allocator tick, `sample` sees the driver's control plane
-    /// (for link-load / over-allocation telemetry, as in Figure 12).
+    /// (for link-load / over-allocation telemetry, as in Figure 12) and
+    /// the path of every flowlet the tick allocated for, by token (for
+    /// rebuilding the tick's NUM instance, as in Figure 13).
     pub fn run_sampled(
         &mut self,
         warmup_ps: u64,
         duration_ps: u64,
-        sample: &mut dyn FnMut(&dyn TickDriver),
+        sample: &mut dyn FnMut(&dyn TickDriver, &LivePaths),
     ) -> FluidStats {
         let tick = flowtune::TICK_INTERVAL_PS;
         let end = warmup_ps + duration_ps;
@@ -180,8 +189,15 @@ impl FluidDriver {
             // own event id.
             while pending.at_ps <= self.now_ps {
                 let (src, dst) = (pending.src as u16, pending.dst as u16);
-                self.plane
+                let (token, _) = self
+                    .plane
                     .start(src, dst, pending.bytes, 256, Some(pending.id));
+                let path = self.plane.driver().fabric().path(
+                    src as usize,
+                    dst as usize,
+                    FlowId(pending.id),
+                );
+                self.paths.insert(token, path);
                 if in_window {
                     self.stats.flowlets += 1;
                     self.stats.account_to_alloc(START_BYTES);
@@ -199,11 +215,11 @@ impl FluidDriver {
                     self.stats.wire_from_alloc += wire::segment_wire_bytes(len) as u64;
                     self.stats.updates_sent += 1;
                 }
-                sample(self.plane.driver());
+                sample(self.plane.driver(), &self.paths);
             }
-            let ended = self.plane.drain(|_, _| {}).len();
-            if in_window {
-                for _ in 0..ended {
+            for flow in self.plane.drain(|_, _| {}) {
+                self.paths.remove(&flow.key);
+                if in_window {
                     self.stats.account_to_alloc(END_BYTES);
                 }
             }
@@ -243,36 +259,68 @@ mod tests {
     #[test]
     fn a_seed_reproduces_its_run_to_the_bit() {
         // Two drivers in one process (hash seeds differ between them):
-        // everything observable must agree.
-        let run = || {
-            let cfg = FlowtuneConfig {
-                exchange_every: 1,
-                ..FlowtuneConfig::default()
-            };
-            let mut d = FluidDriver::with_engine(
-                Workload::Web,
-                0.7,
-                0.0,
-                32,
-                cfg,
-                13,
-                Engine::Serial.sharded(2),
-            );
-            let stats = d.run(1_000_000_000, 6_000_000_000);
-            let rates: Vec<(Token, u64)> = d
-                .plane
-                .flows()
-                .keys()
-                .map(|t| {
-                    let rate = d.plane.driver().flow_rate_gbps(t).expect("live flowlet");
-                    (t, rate.to_bits())
-                })
-                .collect();
-            (stats, d.control_stats(), rates)
+        // everything observable must agree — on fig12's sharded shape
+        // and on fig13's (Gradient, raw rates).
+        let sharded = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
         };
-        let (a, b) = (run(), run());
-        assert!(a.0.flowlets > 50 && !a.2.is_empty(), "{:?}", a.0);
-        assert_eq!(a, b);
+        let raw = FlowtuneConfig {
+            f_norm: false,
+            ..FlowtuneConfig::default()
+        };
+        for (cfg, engine) in [
+            (sharded, Engine::Serial.sharded(2)),
+            (raw, Engine::Gradient),
+        ] {
+            let run = || {
+                let mut d =
+                    FluidDriver::with_engine(Workload::Web, 0.7, 0.0, 32, cfg, 13, engine.clone());
+                let stats = d.run(1_000_000_000, 6_000_000_000);
+                let rates: Vec<(Token, u64)> = d
+                    .plane
+                    .flows()
+                    .keys()
+                    .map(|t| {
+                        let rate = d.plane.driver().flow_rate_gbps(t).expect("live flowlet");
+                        (t, rate.to_bits())
+                    })
+                    .collect();
+                (stats, d.control_stats(), rates)
+            };
+            let (a, b) = (run(), run());
+            assert!(a.0.flowlets > 50 && !a.2.is_empty(), "{:?}", a.0);
+            assert_eq!(a, b, "{}", engine.name());
+        }
+    }
+
+    #[test]
+    fn overallocation_settles_low_between_events() {
+        // fig13's shape: raw rates on the paper's 144 servers, on both
+        // price rules. The observer sees every live flowlet's path.
+        let cfg = FlowtuneConfig {
+            f_norm: false,
+            ..FlowtuneConfig::default()
+        };
+        for engine in [Engine::Serial, Engine::Gradient] {
+            let mut d =
+                FluidDriver::with_engine(Workload::Cache, 0.3, 0.0, 144, cfg, 9, engine.clone());
+            let tick = flowtune::TICK_INTERVAL_PS;
+            let mut samples = Vec::new();
+            d.run_sampled(201 * tick, 799 * tick, &mut |drv, paths| {
+                assert_eq!(paths.len(), drv.active_flows());
+                assert!(paths.keys().all(|&t| drv.flow_rate_gbps(t).is_some()));
+                samples.push(flowtune::overallocation_gbps(drv));
+            });
+            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+            // 144 servers × 10 G = 1.44 Tbit/s of access capacity; mean
+            // over-allocation must be a tiny fraction of it.
+            assert!(
+                mean < 100.0,
+                "{}: mean over-allocation {mean} Gbit/s",
+                engine.name()
+            );
+        }
     }
 
     #[test]

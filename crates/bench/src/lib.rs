@@ -11,7 +11,6 @@
 
 pub mod cli;
 pub mod fluid;
-pub mod num_churn;
 pub mod simrun;
 
 pub use cli::Opts;

@@ -16,9 +16,8 @@
 //! 3. **The mint.** Tokens ascend from 1 and, past [`Token::MAX`], take
 //!    the lowest value not live ([`crate::EndpointAgent`]'s rule).
 //!
-//! [`FluidFlows`] is rules 1 and 2 over any ordered key (the NUM-domain
-//! churn driver keys it by flow index); [`FluidPlane`] adds a
-//! [`TickDriver`], its cadence and rule 3. Beside them sit the two
+//! [`FluidFlows`] is rules 1 and 2 over flowlet tokens; [`FluidPlane`]
+//! adds a [`TickDriver`], its cadence and rule 3. Beside them sit the two
 //! feasibility meters every experiment reads off a plane:
 //! [`overallocation_gbps`] for the engine's raw allocation and
 //! [`worst_oversubscription`] for the normalized, endpoint-visible rates.
@@ -31,15 +30,15 @@ use crate::TICK_INTERVAL_PS;
 
 /// A flow that left a [`FluidFlows`] table, with the bytes it moved.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ended<K> {
-    /// The key it was admitted under.
-    pub key: K,
+pub struct Ended {
+    /// The token it was admitted under.
+    pub key: Token,
     /// Bytes delivered over its lifetime: its whole size when it drained,
     /// less when it was cut.
     pub delivered_bytes: f64,
 }
 
-impl Ended<Token> {
+impl Ended {
     /// The `FlowletEnd` the plane fed its driver for this flow.
     pub fn notification(&self) -> Message {
         Message::FlowletEnd { token: self.key }
@@ -47,32 +46,23 @@ impl Ended<Token> {
 }
 
 #[derive(Debug)]
-struct Row<K> {
-    key: K,
+struct Row {
+    key: Token,
     remaining: f64,
     delivered: f64,
 }
 
-/// The table of draining flows: rows sorted by key, so a drain visits —
-/// and retires — flows in ascending key order whatever order they were
+/// The table of draining flows: rows sorted by token, so a drain visits —
+/// and retires — flows in ascending token order whatever order they were
 /// admitted in.
-#[derive(Debug)]
-pub struct FluidFlows<K> {
-    rows: Vec<Row<K>>,
+#[derive(Debug, Default)]
+pub struct FluidFlows {
+    rows: Vec<Row>,
     /// The latest drain's or cut's leavers, reused across calls.
-    ended: Vec<Ended<K>>,
+    ended: Vec<Ended>,
 }
 
-impl<K> Default for FluidFlows<K> {
-    fn default() -> Self {
-        FluidFlows {
-            rows: Vec::new(),
-            ended: Vec::new(),
-        }
-    }
-}
-
-impl<K: Copy + Ord> FluidFlows<K> {
+impl FluidFlows {
     /// Live flows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -84,12 +74,12 @@ impl<K: Copy + Ord> FluidFlows<K> {
     }
 
     /// Whether `key` is live.
-    pub fn contains(&self, key: K) -> bool {
+    pub fn contains(&self, key: Token) -> bool {
         self.rows.binary_search_by_key(&key, |r| r.key).is_ok()
     }
 
     /// The live keys, ascending.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+    pub fn keys(&self) -> impl Iterator<Item = Token> + '_ {
         self.rows.iter().map(|r| r.key)
     }
 
@@ -97,7 +87,7 @@ impl<K: Copy + Ord> FluidFlows<K> {
     ///
     /// # Panics
     /// Panics if `key` is already live.
-    pub fn admit(&mut self, key: K, bytes: f64) {
+    pub fn admit(&mut self, key: Token, bytes: f64) {
         let Err(at) = self.rows.binary_search_by_key(&key, |r| r.key) else {
             panic!("fluid flow admitted twice under one key");
         };
@@ -116,7 +106,7 @@ impl<K: Copy + Ord> FluidFlows<K> {
     /// them out in ascending key order (valid until the next drain or
     /// cut). Allocates nothing once the buffers are warm.
     // flowtune-lint: hot
-    pub fn drain(&mut self, interval_ps: u64, mut rate_of: impl FnMut(K) -> f64) -> &[Ended<K>] {
+    pub fn drain(&mut self, interval_ps: u64, mut rate_of: impl FnMut(Token) -> f64) -> &[Ended] {
         // Gbit/s → bytes per tick: 1e9 bits/s · (interval/1e12) s / 8.
         let bytes_per_gbit_tick = interval_ps as f64 / 8_000.0;
         let ended = &mut self.ended;
@@ -139,7 +129,7 @@ impl<K: Copy + Ord> FluidFlows<K> {
 
     /// Retires every live flow where it stands, crediting each with the
     /// bytes it moved so far; ascending key order, as [`FluidFlows::drain`].
-    pub fn cut_all(&mut self) -> &[Ended<K>] {
+    pub fn cut_all(&mut self) -> &[Ended] {
         self.ended.clear();
         self.ended.extend(self.rows.drain(..).map(|row| Ended {
             key: row.key,
@@ -160,7 +150,7 @@ pub struct FluidPlane<D: TickDriver = BoxTickDriver> {
     driver: D,
     /// The latest tick's update stream, reused across ticks.
     updates: Vec<(u16, Message)>,
-    flows: FluidFlows<Token>,
+    flows: FluidFlows,
     next_token: u32,
 }
 
@@ -183,7 +173,7 @@ impl<D: TickDriver> FluidPlane<D> {
     }
 
     /// The flowlets draining, by token.
-    pub fn flows(&self) -> &FluidFlows<Token> {
+    pub fn flows(&self) -> &FluidFlows {
         &self.flows
     }
 
@@ -258,7 +248,7 @@ impl<D: TickDriver> FluidPlane<D> {
     /// landing before the next tick. Lends out the retired flowlets,
     /// valid until the next drain or cut.
     // flowtune-lint: hot
-    pub fn drain(&mut self, mut observe: impl FnMut(Token, f64)) -> &[Ended<Token>] {
+    pub fn drain(&mut self, mut observe: impl FnMut(Token, f64)) -> &[Ended] {
         let driver = &self.driver;
         let ended = self.flows.drain(TICK_INTERVAL_PS, |token| {
             let rate = driver.flow_rate_gbps(token).unwrap_or(0.0);
@@ -276,7 +266,7 @@ impl<D: TickDriver> FluidPlane<D> {
     /// Force-ends every flowlet (a cut phase), feeding their
     /// `FlowletEnd`s in ascending token order and crediting each with
     /// the bytes it moved.
-    pub fn cut_all(&mut self) -> &[Ended<Token>] {
+    pub fn cut_all(&mut self) -> &[Ended] {
         let cut = self.flows.cut_all();
         for flow in cut {
             self.driver
@@ -347,7 +337,7 @@ mod tests {
             (1_000_000, 3.7),
         ] {
             let mut flows = FluidFlows::default();
-            flows.admit(7u32, bytes as f64);
+            flows.admit(Token::new(7), bytes as f64);
             let steps = (8_000.0 * bytes as f64 / (rate * TICK_INTERVAL_PS as f64)).ceil() as u64;
             for step in 1..=steps {
                 let ended = flows.drain(TICK_INTERVAL_PS, |_| rate).to_vec();
@@ -357,7 +347,7 @@ mod tests {
                     "{bytes} B at {rate}: step {step}"
                 );
                 if let [flow] = ended[..] {
-                    assert_eq!(flow.key, 7);
+                    assert_eq!(flow.key, Token::new(7));
                     assert!((flow.delivered_bytes - bytes as f64).abs() < 1e-6);
                 }
             }
@@ -382,13 +372,13 @@ mod tests {
             let mut flows = FluidFlows::default();
             for &key in &order {
                 // One to three ticks' worth at 10 Gbit/s (12 500 B a tick).
-                flows.admit(key, (1 + rng.below(3)) as f64 * 12_500.0);
+                flows.admit(Token::new(key), (1 + rng.below(3)) as f64 * 12_500.0);
             }
             let mut left = Vec::new();
             for _ in 0..3 {
                 let ended = flows.drain(TICK_INTERVAL_PS, |_| 10.0);
                 prop_assert!(ended.windows(2).all(|w| w[0].key < w[1].key), "{ended:?}");
-                left.extend(ended.iter().map(|e| e.key));
+                left.extend(ended.iter().map(|e| e.key.get()));
             }
             prop_assert!(flows.is_empty());
             left.sort_unstable();
@@ -399,16 +389,17 @@ mod tests {
     #[test]
     fn cut_all_credits_the_bytes_moved_so_far() {
         let mut flows = FluidFlows::default();
-        flows.admit(9u32, 1e9);
-        flows.admit(2u32, 1e9);
-        assert!(flows.drain(TICK_INTERVAL_PS, |key| key as f64).is_empty());
-        assert!(flows.drain(TICK_INTERVAL_PS, |key| key as f64).is_empty());
+        flows.admit(Token::new(9), 1e9);
+        flows.admit(Token::new(2), 1e9);
+        let rate_of = |key: Token| key.get() as f64;
+        assert!(flows.drain(TICK_INTERVAL_PS, rate_of).is_empty());
+        assert!(flows.drain(TICK_INTERVAL_PS, rate_of).is_empty());
         let cut = flows.cut_all().to_vec();
         // Two ticks at `key` Gbit/s, 1250 B per Gbit/s per tick.
         assert_eq!(
             cut,
-            [2u32, 9].map(|key| Ended {
-                key,
+            [2, 9].map(|key| Ended {
+                key: Token::new(key),
                 delivered_bytes: 2.0 * key as f64 * 1250.0,
             })
         );

@@ -192,7 +192,7 @@ impl RunnerState {
     }
 
     /// Takes the runner's row of a flow the plane retired.
-    fn retire(&mut self, ended: &Ended<Token>) -> ActiveFlow {
+    fn retire(&mut self, ended: &Ended) -> ActiveFlow {
         let at = self
             .active
             .binary_search_by_key(&ended.key, |f| f.token)

@@ -6,9 +6,8 @@
 //! small)" (§3) — γ here is an absolute step in price-per-unit-rate, so a
 //! safe value depends on the instance scale, unlike NED's dimensionless γ.
 //!
-//! The baseline of §6.6: fig13 runs [`Gradient`] through `NumChurn`.
-//! `flowtune-alloc`'s gradient grid (fig12's and fig14's Gradient rows)
-//! takes the same step in its own kernel
+//! The baseline of §6.6. `flowtune-alloc`'s gradient grid (the Gradient
+//! rows of figs 12–14) takes the same step in its own kernel
 //! (`flowblock::gradient_price_update`) and is checked against this one
 //! (`serial.rs`'s `matches_flowtune_num_gradient`).
 

@@ -6,8 +6,8 @@
 //!
 //! * [`Utility`] — the strictly concave utility (weighted log for
 //!   proportional fairness),
-//! * [`NumProblem`] — a dynamic flow/link instance supporting online flowlet
-//!   arrival and departure,
+//! * [`NumProblem`] — a flow/link instance; a [`SolverState`] carries its
+//!   prices to the next instance when the flow set changes,
 //! * [`Ned`] — the paper's contribution, **Newton-Exact-Diagonal**
 //!   (Algorithm 1),
 //! * [`Gradient`] projection, the §6.6 baseline,
@@ -15,11 +15,11 @@
 //! * [`solver`] — a driver that runs any optimizer to convergence and
 //!   reports residuals.
 //!
-//! The optimizers are the two that §6.6's figures compare. fig13's
-//! F-NORM against U-NORM runs them here (through `NumChurn`); fig12's
-//! over-allocation runs them as the two price rules of `flowtune-alloc`'s
-//! grid, whose kernels are pinned to these optimizers by differential
-//! tests.
+//! The optimizers are the two that §6.6's figures compare. The figures
+//! run them as the two price rules of `flowtune-alloc`'s grid, whose
+//! kernels are pinned to these optimizers by differential tests; fig13
+//! normalizes the grid's raw rates with [`normalize`] and measures them
+//! against a [`Ned`] run to convergence.
 //!
 //! # Units
 //!

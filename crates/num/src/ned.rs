@@ -11,9 +11,9 @@
 //! * price update: `p_ℓ ← max(0, p_ℓ − γ·H_ℓℓ⁻¹·G_ℓ)` where
 //!   `G_ℓ = Σ_{s∈S(ℓ)} x_s − c_ℓ` is the link's over-allocation.
 //!
-//! fig13 runs [`Ned`] through `NumChurn`. `flowtune-alloc`'s grid takes
-//! the same step in its own kernel (`flowblock::price_update`) and is
-//! checked against this one (`serial.rs`'s `matches_flowtune_num_ned`),
+//! fig13's oracle runs [`Ned`] to convergence. `flowtune-alloc`'s grid
+//! takes the same step in its own kernel (`flowblock::price_update`) and
+//! is checked against this one (`serial.rs`'s `matches_flowtune_num_ned`),
 //! as its gradient rule is against [`crate::Gradient`].
 
 use crate::problem::NumProblem;
@@ -173,15 +173,19 @@ mod tests {
 
     #[test]
     fn warm_start_beats_cold_start() {
-        let mut p = NumProblem::new(vec![10.0]);
-        for _ in 0..8 {
-            p.add_flow(vec![l(0)], Utility::log(1.0));
-        }
-        let mut s = SolverState::new(&p);
-        solve(&mut Ned::default(), &p, &mut s, 500, 1e-9);
+        let flows = |n: usize| {
+            let mut p = NumProblem::new(vec![10.0]);
+            for _ in 0..n {
+                p.add_flow(vec![l(0)], Utility::log(1.0));
+            }
+            p
+        };
+        let mut s = SolverState::new(&flows(8));
+        solve(&mut Ned::default(), &flows(8), &mut s, 500, 1e-9);
 
-        // One flow leaves; re-converge warm vs cold.
-        p.remove_flow(0);
+        // One flow leaves: the instance is rebuilt without it, and the
+        // warm state carries its prices over.
+        let p = flows(7);
         let mut warm = s.clone();
         let warm_iters = solve(&mut Ned::default(), &p, &mut warm, 500, 1e-9).iterations;
         let mut cold = SolverState::new(&p);

@@ -3,16 +3,17 @@
 use crate::problem::NumProblem;
 
 /// Mutable dual/primal state shared by every optimizer: per-link prices and
-/// per-flow-slot rates.
+/// per-flow rates.
 ///
 /// Prices are initialized to 1 "only once, when the system first starts"
-/// (§3); across flowlet churn the same state is reused so the optimizer
-/// warm-starts from the previous prices.
+/// (§3); across flowlet churn the same state is reused on each new
+/// instance over the same links, so the optimizer warm-starts from the
+/// previous prices.
 #[derive(Debug, Clone)]
 pub struct SolverState {
     /// Dual variables (link prices), indexed by link.
     pub prices: Vec<f64>,
-    /// Primal variables (flow rates), indexed by flow slot.
+    /// Primal variables (flow rates), indexed by flow.
     pub rates: Vec<f64>,
 }
 
@@ -21,19 +22,18 @@ impl SolverState {
     pub fn new(problem: &NumProblem) -> Self {
         Self {
             prices: vec![1.0; problem.link_count()],
-            rates: vec![0.0; problem.flow_slots()],
+            rates: vec![0.0; problem.flow_count()],
         }
     }
 
-    /// Grows the state to match a problem that gained links or flow slots
-    /// (new links start at price 1, new slots at rate 0). Never shrinks, so
-    /// stable flow indices remain valid.
+    /// Grows the state to match a problem with more links or flows (new
+    /// links start at price 1, new flows at rate 0). Never shrinks.
     pub fn fit(&mut self, problem: &NumProblem) {
         if self.prices.len() < problem.link_count() {
             self.prices.resize(problem.link_count(), 1.0);
         }
-        if self.rates.len() < problem.flow_slots() {
-            self.rates.resize(problem.flow_slots(), 0.0);
+        if self.rates.len() < problem.flow_count() {
+            self.rates.resize(problem.flow_count(), 0.0);
         }
     }
 }

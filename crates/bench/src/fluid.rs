@@ -256,41 +256,75 @@ mod tests {
         assert!(frac > 0.0 && frac < 0.2, "fraction {frac}");
     }
 
+    /// Runs one seed twice in one process (hash seeds differ between
+    /// the two drivers): everything observable must agree.
+    fn assert_seed_reproduces(cfg: FlowtuneConfig, engine: Engine) {
+        let run = || {
+            let mut d =
+                FluidDriver::with_engine(Workload::Web, 0.7, 0.0, 32, cfg, 13, engine.clone());
+            let stats = d.run(1_000_000_000, 6_000_000_000);
+            let rates: Vec<(Token, u64)> = d
+                .plane
+                .flows()
+                .keys()
+                .map(|t| {
+                    let rate = d.plane.driver().flow_rate_gbps(t).expect("live flowlet");
+                    (t, rate.to_bits())
+                })
+                .collect();
+            (stats, d.control_stats(), rates)
+        };
+        let (a, b) = (run(), run());
+        assert!(a.0.flowlets > 50 && !a.2.is_empty(), "{:?}", a.0);
+        assert_eq!(a, b, "{}", engine.name());
+    }
+
+    /// fig13's shape: raw rates (F-NORM off).
+    fn raw_rates() -> FlowtuneConfig {
+        FlowtuneConfig {
+            f_norm: false,
+            ..FlowtuneConfig::default()
+        }
+    }
+
     #[test]
     fn a_seed_reproduces_its_run_to_the_bit() {
-        // Two drivers in one process (hash seeds differ between them):
-        // everything observable must agree — on fig12's sharded shape
-        // and on fig13's (Gradient, raw rates).
+        // fig12's sharded shape.
         let sharded = FlowtuneConfig {
             exchange_every: 1,
             ..FlowtuneConfig::default()
         };
-        let raw = FlowtuneConfig {
-            f_norm: false,
-            ..FlowtuneConfig::default()
-        };
-        for (cfg, engine) in [
-            (sharded, Engine::Serial.sharded(2)),
-            (raw, Engine::Gradient),
-        ] {
-            let run = || {
-                let mut d =
-                    FluidDriver::with_engine(Workload::Web, 0.7, 0.0, 32, cfg, 13, engine.clone());
-                let stats = d.run(1_000_000_000, 6_000_000_000);
-                let rates: Vec<(Token, u64)> = d
-                    .plane
-                    .flows()
-                    .keys()
-                    .map(|t| {
-                        let rate = d.plane.driver().flow_rate_gbps(t).expect("live flowlet");
-                        (t, rate.to_bits())
-                    })
-                    .collect();
-                (stats, d.control_stats(), rates)
-            };
-            let (a, b) = (run(), run());
-            assert!(a.0.flowlets > 50 && !a.2.is_empty(), "{:?}", a.0);
-            assert_eq!(a, b, "{}", engine.name());
+        assert_seed_reproduces(sharded, Engine::Serial.sharded(2));
+    }
+
+    #[test]
+    fn a_seed_reproduces_a_raw_rate_gradient_run_to_the_bit() {
+        // fig13's Gradient rows.
+        assert_seed_reproduces(raw_rates(), Engine::Gradient);
+    }
+
+    #[test]
+    fn a_raw_rate_churn_run_sustains_flows() {
+        // fig13's shape on the paper's 144 servers: within 5 ms at load
+        // 0.5, flowlets arrive and the allocator holds them, on both
+        // price rules.
+        for engine in [Engine::Serial, Engine::Gradient] {
+            let mut d = FluidDriver::with_engine(
+                Workload::Web,
+                0.5,
+                0.0,
+                144,
+                raw_rates(),
+                3,
+                engine.clone(),
+            );
+            let tick = flowtune::TICK_INTERVAL_PS;
+            let mut saw_active = false;
+            d.run_sampled(0, 500 * tick, &mut |drv, _| {
+                assert!(flowtune::overallocation_gbps(drv) >= 0.0);
+                saw_active |= drv.active_flows() > 0;
+            });
+            assert!(saw_active, "{}: no flowlet was ever live", engine.name());
         }
     }
 
@@ -298,10 +332,7 @@ mod tests {
     fn overallocation_settles_low_between_events() {
         // fig13's shape: raw rates on the paper's 144 servers, on both
         // price rules. The observer sees every live flowlet's path.
-        let cfg = FlowtuneConfig {
-            f_norm: false,
-            ..FlowtuneConfig::default()
-        };
+        let cfg = raw_rates();
         for engine in [Engine::Serial, Engine::Gradient] {
             let mut d =
                 FluidDriver::with_engine(Workload::Cache, 0.3, 0.0, 144, cfg, 9, engine.clone());

@@ -17,12 +17,21 @@
 //! `add_flow`, `remove_flow`, `iterate`, `flow_count`, `flow_rate`,
 //! `rates_into` and `name`. Everything else has a default that is right
 //! for an engine without the feature: no report memory (every drain
-//! lends every flow), no dirty counters, no link state to share (the
-//! link exports leave their buffers empty and the three installs are
-//! ignored). An engine overrides only what it has — and every engine
-//! a service can be built over has the memory: the drain
+//! lends every flow), no dirty counters, no link state to share (no
+//! slots, so the export visits nothing and the install fills nothing).
+//! An engine overrides only what it has — and every engine a service
+//! can be built over has the memory: the drain
 //! ([`RateAllocator::drain_changed_rates`]) is where the §6.4 update
 //! threshold runs, against what the engine itself last lent.
+//!
+//! **Link state is in the engine's own slot order.** Three methods carry
+//! it: [`RateAllocator::link_slots`], the one map from a slot to its
+//! global [`LinkId`]; [`RateAllocator::link_state`], the export, lent
+//! straight out of the engine's own sums and prices; and
+//! [`RateAllocator::install_link_state`], which lends the exchange the
+//! engine's own background buffers to write. No method takes or returns
+//! a vector indexed by global `LinkId`: whoever needs one (telemetry, the
+//! wire's frames) scatters or gathers through `link_slots` once.
 //!
 //! **The buffer form is the primitive.** Every query that returns a
 //! vector's worth of data writes into a caller-provided buffer (cleared
@@ -36,7 +45,7 @@
 //! forwarding `impl RateAllocator for BoxEngine` for a newly provided
 //! method to be missing from.
 
-use flowtune_topo::{FlowId, Path};
+use flowtune_topo::{FlowId, LinkId, Path};
 
 use crate::flowblock::{must_report, FlowRate, UNREPORTED};
 
@@ -145,87 +154,81 @@ pub trait RateAllocator: std::fmt::Debug + Send {
         None
     }
 
+    /// The global link each slot of the engine's link state stands for,
+    /// in slot order: the one map between the engine's own layout and
+    /// [`LinkId`]s. For the §5 grid a slot is a (direction, LinkBlock,
+    /// offset) triple — 2·B·lpl slots, every data link exactly once, no
+    /// control link. Empty (the default) for engines that do not price
+    /// fabric links, which then have no link state to share.
+    fn link_slots(&self) -> &[LinkId] {
+        &[]
+    }
+
     /// The engine's own link state — what an exchange round exports —
-    /// into two buffers (each cleared first), indexed by global
-    /// [`LinkId`](flowtune_topo::LinkId):
+    /// lent to `visit` in slot order, one [`LinkRun`] of consecutive
+    /// slots at a time (the grid: one per LinkBlock, read where its last
+    /// price update left it, nothing copied):
     ///
-    /// * `loads`: for every fabric link, the sum of the raw
-    ///   (pre-normalization) rates of *this engine's* flows crossing it —
-    ///   exactly the load term its own price update uses. Background
-    ///   loads installed with [`RateAllocator::set_background_loads`] are
+    /// * `totals`: per slot, the sum of the raw (pre-normalization)
+    ///   rates of *this engine's* flows crossing the link — exactly the
+    ///   load term its own price update uses — and `Σ ∂x/∂p` over the
+    ///   same flows (≤ 0), the `H` that update divided by. Background
+    ///   state installed with [`RateAllocator::install_link_state`] is
     ///   **not** echoed back, so a sharded control plane can sum shards'
-    ///   exports without double counting.
-    /// * `hessians`: `Σ ∂x/∂p` over the same flows (entries ≤ 0) — the
-    ///   `H` its price update divided by. A partitioned allocator ships it
-    ///   alongside the loads so every shard's Newton step divides the
+    ///   exports without double counting. A partitioned allocator ships
+    ///   `H` alongside the loads so every shard's Newton step divides the
     ///   global gradient by the global sensitivity — with only its own
     ///   diagonal, a shard's effective step grows with the shard count and
-    ///   leaves NED's stable γ range. Left empty by engines whose price
-    ///   update has no second-order term (a gradient grid).
+    ///   leaves NED's stable γ range. `hessians` is false for engines
+    ///   whose price update has no second-order term (a gradient grid):
+    ///   their Hessians are not part of the export.
+    /// * `prices`: the slots' current duals — the exchange's export half
+    ///   of dual consensus.
     ///
-    /// The sharded exchange calls this every round: it must not allocate
-    /// once the buffers are warm.
+    /// The sharded exchange calls this every round: it must not allocate.
     ///
     /// **Own link state is as of the last iteration.** The grid, under
-    /// either price rule, exports the sums its last price update consumed
-    /// (`G`, and `H` under NED), kept per LinkBlock, in `O(links)`:
-    /// full-length zeros before the first
-    /// iteration; a flow removed since the last iteration still counts
-    /// until the next one, and a flow added since does not count yet (its
-    /// rate is still 0). Read right after [`RateAllocator::iterate`], as
-    /// every caller in this workspace does, that is the current rates'
-    /// link state, and a link no flow crosses reads exactly `0.0`.
+    /// either price rule, lends the sums its last price update consumed
+    /// (`G` and `H`), kept per LinkBlock, in `O(links)`: zeros before the
+    /// first iteration; a flow removed since the last iteration still
+    /// counts until the next one, and a flow added since does not count
+    /// yet (its rate is still 0). Read right after
+    /// [`RateAllocator::iterate`], as every caller in this workspace
+    /// does, that is the current rates' link state, and a link no flow
+    /// crosses reads exactly `0.0`.
     ///
-    /// Engines that do not price fabric links (the Fastpass arbiter,
-    /// which allocates endpoint-pair timeslots) leave both buffers empty
-    /// — the default — which callers must treat as "no link state to
-    /// share".
+    /// Engines without [`RateAllocator::link_slots`] visit nothing (the
+    /// default).
     // flowtune-lint: hot
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        loads.clear();
-        hessians.clear();
+    fn link_state(&self, visit: &mut dyn FnMut(LinkRun<'_>)) {
+        let _ = visit;
     }
 
-    /// Installs an exogenous per-link load (global
-    /// [`LinkId`](flowtune_topo::LinkId) indexing, same Gbit/s units as
-    /// the engine's capacities) to be priced *in addition to* the
-    /// engine's own flows — the other shards' contribution on shared
-    /// links. An empty slice clears it. Engines that do not price fabric
-    /// links ignore the call.
-    // flowtune-lint: hot
-    fn set_background_loads(&mut self, loads: &[f64]) {
-        let _ = loads;
-    }
-
-    /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (the other shards' summed
-    /// [`RateAllocator::link_state_into`] Hessians). An empty slice
-    /// clears it. Engines without a second-order price term ignore the
-    /// call.
-    // flowtune-lint: hot
-    fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        let _ = hdiag;
-    }
-
-    /// The engine's current per-link duals (prices) into `out` (cleared
-    /// first), global [`LinkId`](flowtune_topo::LinkId) indexing — the
-    /// exchange's export half of dual consensus. Left empty (the
-    /// default) by engines that do not price fabric links.
-    // flowtune-lint: hot
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-    }
-
-    /// Overwrites the engine's per-link duals with consensus values;
-    /// `NaN` entries leave the corresponding link's current price
-    /// untouched (a partitioned allocator passes `NaN` for links no
-    /// shard currently loads — each engine keeps decaying its own stale
-    /// price there). Engines that do not price fabric links ignore the
-    /// call. The next rate pass must already price flows with the
-    /// installed duals. The §5 grid holds one copy of a link's price —
+    /// The install half of an exchange round, in slot order: lends
+    /// `fill` the engine's own buffers ([`LinkInstall`], one entry per
+    /// slot of [`RateAllocator::link_slots`]) for it to write
+    ///
+    /// * the exogenous per-slot load priced *in addition to* the engine's
+    ///   own flows — the other shards' contribution on shared links
+    ///   (same Gbit/s units as the engine's capacities; zeros price
+    ///   nothing);
+    /// * the exogenous Hessian diagonal accompanying it, which a
+    ///   second-order engine folds into its price update's `H` (`None`
+    ///   for an engine without a second-order price term);
+    /// * consensus duals, `NaN` for a slot whose price the engine keeps
+    ///   (a partitioned allocator passes `NaN` for links no shard
+    ///   currently loads — each engine keeps decaying its own stale price
+    ///   there).
+    ///
+    /// The background buffers are the ones the price update reads, so
+    /// what `fill` leaves in them is installed; the duals are installed
+    /// when `fill` returns, and the next rate pass must already price
+    /// flows with them. The §5 grid holds one copy of a link's price —
     /// its LinkBlock's, which every FlowBlock worker of the LinkBlock's
-    /// row or column reads — so its install is `O(links)`: one patch of
-    /// each copy, nothing to re-distribute.
+    /// row or column reads — so its install is `O(links)`: one pass over
+    /// each copy, nothing to re-distribute, and on the incremental path
+    /// the same pass marks every worker whose flows cross a link whose
+    /// dual moved beyond `dirty_eps`.
     ///
     /// Dual consensus is what makes a partitioned allocator's fixed
     /// point unique: background loads alone pin only the *total* on a
@@ -233,9 +236,12 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// demands sum to capacity would be stationary — shards must agree
     /// on the price itself, like §5's single authoritative LinkBlock
     /// owner.
+    ///
+    /// Engines without [`RateAllocator::link_slots`] never call `fill`
+    /// (the default).
     // flowtune-lint: hot
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        let _ = prices;
+    fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
+        let _ = fill;
     }
 
     /// Short engine name for logs and experiment output.
@@ -244,6 +250,36 @@ pub trait RateAllocator: std::fmt::Debug + Send {
 
 /// An engine behind the trait object — how every service holds one.
 pub type BoxEngine = Box<dyn RateAllocator>;
+
+/// A run of consecutive slots of an engine's link-state export (see
+/// [`RateAllocator::link_state`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LinkRun<'a> {
+    /// Per slot, `[load, hessian]`: the sums the last price update
+    /// consumed over this engine's own flows.
+    pub totals: &'a [[f64; 2]],
+    /// Per slot, the current dual; as long as `totals`.
+    pub prices: &'a [f64],
+    /// Whether the Hessians in `totals` are part of the export — false
+    /// for engines whose price update has no second-order term.
+    pub hessians: bool,
+}
+
+/// The engine's own slot-order buffers an exchange install writes (see
+/// [`RateAllocator::install_link_state`]), each one entry per slot.
+#[derive(Debug)]
+pub struct LinkInstall<'a> {
+    /// The global link of each slot: [`RateAllocator::link_slots`].
+    pub slots: &'a [LinkId],
+    /// Background loads, read by the price update as they are left.
+    pub loads: &'a mut [f64],
+    /// Background Hessian diagonal; `None` for an engine without a
+    /// second-order price term.
+    pub hessians: Option<&'a mut [f64]>,
+    /// Consensus duals, installed when the fill returns; `NaN` keeps the
+    /// slot's own price. Holds the previous install's values on entry.
+    pub prices: &'a mut [f64],
+}
 
 /// Flows per [`lend_passers`] run.
 const LEND_CHUNK: usize = 64;
@@ -281,6 +317,62 @@ pub fn lend_passers<'a>(
     }
     if n > 0 {
         sink(&ids[..n], &normalized[..n]);
+    }
+}
+
+/// Global-[`LinkId`] views of an engine's slot-order link state for the
+/// tests — the one scatter or gather through
+/// [`RateAllocator::link_slots`] that a service does.
+#[cfg(test)]
+pub(crate) mod global {
+    use super::{LinkInstall, RateAllocator};
+
+    /// `(loads, hessians, prices)` scattered to `links` global links
+    /// (control links read 0); the Hessians empty for a first-order
+    /// engine, all three empty for an engine without slots.
+    pub(crate) fn state(engine: &dyn RateAllocator, links: usize) -> [Vec<f64>; 3] {
+        let slots = engine.link_slots();
+        let mut out = [(); 3].map(|_| vec![0.0; if slots.is_empty() { 0 } else { links }]);
+        let mut first_order = false;
+        let mut at = slots.iter();
+        engine.link_state(&mut |run| {
+            first_order |= !run.hessians;
+            for (&[load, h], &price) in run.totals.iter().zip(run.prices) {
+                let link = at.next().expect("a run past the slots").index();
+                out[0][link] = load;
+                out[1][link] = h;
+                out[2][link] = price;
+            }
+        });
+        assert!(at.next().is_none(), "the runs cover every slot");
+        if first_order {
+            out[1].clear();
+        }
+        out
+    }
+
+    /// Installs global-link-indexed values: `None` leaves that buffer as
+    /// the last install left it (for the duals: keeps every price).
+    pub(crate) fn install(
+        engine: &mut dyn RateAllocator,
+        loads: Option<&[f64]>,
+        hessians: Option<&[f64]>,
+        prices: Option<&[f64]>,
+    ) {
+        engine.install_link_state(&mut |dst: LinkInstall<'_>| {
+            let slots = dst.slots;
+            let gather = |values: Option<&[f64]>, out: &mut [f64]| {
+                let Some(values) = values else { return };
+                for (v, link) in out.iter_mut().zip(slots) {
+                    *v = values[link.index()];
+                }
+            };
+            gather(loads, dst.loads);
+            if let Some(out) = dst.hessians {
+                gather(hessians, out);
+            }
+            gather(prices, dst.prices);
+        });
     }
 }
 
@@ -399,26 +491,25 @@ mod tests {
                 }
             }
 
-            // The export is the same whatever the buffers held before.
-            let (mut loads, mut hessians) = (vec![f64::NAN; 3], vec![1.0; links + 5]);
-            engine.link_state_into(&mut loads, &mut hessians);
-            let (mut fresh_loads, mut fresh_hessians) = (Vec::new(), Vec::new());
-            engine.link_state_into(&mut fresh_loads, &mut fresh_hessians);
-            assert_eq!(bits(&loads), bits(&fresh_loads), "{name}");
-            assert_eq!(bits(&hessians), bits(&fresh_hessians), "{name}");
-            let mut prices = vec![f64::NAN; 2];
-            engine.link_prices_into(&mut prices);
+            // The export reads the engine where it lies: twice the same.
+            let state = global::state(engine, links);
+            let again = global::state(engine, links);
+            assert_eq!(
+                state.each_ref().map(|v| bits(v)),
+                again.each_ref().map(|v| bits(v))
+            );
+            let [loads, hessians, prices] = state;
             if name == "minimal" {
-                // Nothing overridden: nothing to share, installs accepted
-                // and without effect.
+                // Nothing overridden: no slots, nothing to share, and an
+                // install that fills nothing has no effect.
+                assert!(engine.link_slots().is_empty());
                 assert!(loads.is_empty() && hessians.is_empty() && prices.is_empty());
                 assert_eq!(engine.dirty_counters(), None);
-                engine.set_background_loads(&vec![1.0; links]);
-                engine.set_background_hessians(&vec![-1.0; links]);
-                engine.set_link_prices(&vec![0.5; links]);
+                engine.install_link_state(&mut |_| panic!("no slots to fill"));
                 engine.run_iterations(2);
                 assert_eq!(engine.rates(), listed);
             } else {
+                assert_eq!(engine.link_slots().len(), links, "{name}: no control links");
                 assert_eq!(loads.len(), links, "{name}");
                 assert_eq!(prices.len(), links, "{name}");
                 assert!(loads.iter().any(|&x| x > 0.0), "{name}");

@@ -26,9 +26,10 @@ pub(crate) struct LinkSlot {
 pub(crate) struct BlockLayout {
     blocks: usize,
     links_per_lb: usize,
-    /// Per direction, per block: global ids of the LinkBlock's links
-    /// (slot order).
-    links: [Vec<Vec<LinkId>>; 2],
+    /// The global id of every slot, in slot order: direction, then
+    /// LinkBlock, then offset — LinkBlock `(d, b)` is the `lpl` ids from
+    /// [`BlockLayout::first_slot`]`(d, b)`.
+    slot_links: Vec<LinkId>,
     /// Per direction, per block: capacities of the LinkBlock's links
     /// (slot order), in Gbit/s.
     capacity: [Vec<Vec<f64>>; 2],
@@ -52,7 +53,8 @@ impl BlockLayout {
         let blocks = fabric.block_count();
         let topo = fabric.topology();
         let mut slots = vec![None; topo.link_count()];
-        let (mut links, mut capacity) = ([vec![], vec![]], [vec![], vec![]]);
+        let (mut links, mut capacity): ([Vec<Vec<LinkId>>; 2], _) =
+            ([vec![], vec![]], [vec![], vec![]]);
         let to_gbps = |l: &LinkId| topo.link(*l).capacity_bps as f64 / 1e9 * capacity_fraction;
         for dir in DIRS {
             let up = dir == UP;
@@ -76,7 +78,7 @@ impl BlockLayout {
         Self {
             blocks,
             links_per_lb,
-            links,
+            slot_links: links.into_iter().flatten().flatten().collect(),
             capacity,
             slots,
         }
@@ -93,8 +95,8 @@ impl BlockLayout {
     }
 
     /// Total links in the underlying topology (data-plane *and* control
-    /// links) — the length of global-link-indexed vectors such as
-    /// engine link-load exports.
+    /// links) — the length of the tests' global-link-indexed views.
+    #[cfg(test)]
     pub(crate) fn total_links(&self) -> usize {
         self.slots.len()
     }
@@ -104,9 +106,20 @@ impl BlockLayout {
         self.slots.get(link.index()).copied().flatten()
     }
 
+    /// The slot of offset 0 in LinkBlock `(d, b)`.
+    pub(crate) fn first_slot(&self, d: Dir, b: usize) -> usize {
+        (d * self.blocks + b) * self.links_per_lb
+    }
+
+    /// Global link ids of every slot, in slot order (see
+    /// [`crate::RateAllocator::link_slots`]).
+    pub(crate) fn slot_links(&self) -> &[LinkId] {
+        &self.slot_links
+    }
+
     /// Global link ids of LinkBlock `(d, b)`, in slot order.
     pub(crate) fn links(&self, d: Dir, b: usize) -> &[LinkId] {
-        &self.links[d][b]
+        &self.slot_links[self.first_slot(d, b)..][..self.links_per_lb]
     }
 
     /// Capacities (Gbit/s, already scaled) of LinkBlock `(d, b)`.

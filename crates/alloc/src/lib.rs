@@ -76,7 +76,7 @@ pub mod pool;
 mod reduce;
 pub mod serial;
 
-pub use engine::{lend_passers, BoxEngine, RateAllocator};
+pub use engine::{lend_passers, BoxEngine, LinkInstall, LinkRun, RateAllocator};
 pub use flowblock::{FlowRate, UNREPORTED};
 pub use pool::WorkerPool;
 pub use serial::SerialAllocator;

@@ -136,10 +136,11 @@ impl SerialAllocator {
                         let me = lock(&cells[w]);
                         let mut view = write(&views[d][blk]);
                         let view = &mut *view;
+                        let first = layout.first_slot(d, blk);
                         rule.update(
                             &me.acc.pairs[d],
-                            bg.as_ref().map(|bg| bg[d][blk].as_slice()),
-                            bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
+                            bg.get(first..first + lpl),
+                            bg_h.get(first..first + lpl),
                             layout.capacity(d, blk),
                             &mut view.prices,
                             &mut view.ratios,
@@ -259,6 +260,7 @@ impl SpinBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::global;
     use crate::{AllocConfig, RateAllocator};
     use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 
@@ -381,23 +383,18 @@ mod tests {
             spray_flows(&fabric, 48, |id, s, d, w, p| {
                 engine.add_flow(id, s, d, w, p)
             });
-            engine.set_background_loads(&bg);
-            engine.set_background_hessians(&bg_h);
+            global::install(engine, Some(&bg), Some(&bg_h), None);
         }
         // The link-state export: the pipeline leaves it in the roots'
         // accumulators, the caller-thread iteration in its reduction
         // scratch.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let exports = |engine: &SerialAllocator| {
-            let (mut l, mut h) = (Vec::new(), Vec::new());
-            engine.link_state_into(&mut l, &mut h);
-            [bits(&l), bits(&h)]
-        };
+        let links = fabric.topology().link_count();
+        let exports = |engine: &SerialAllocator| global::state(engine, links).map(|v| bits(&v));
         // A run of several iterations, single ones, and none at all, each
         // after an install that leaves every third link's dual alone.
-        let mut prices = Vec::new();
         for (round, n) in [37, 1, 1, 0, 5].into_iter().enumerate() {
-            serial.link_prices_into(&mut prices);
+            let [.., mut prices] = global::state(&serial, links);
             for (l, p) in prices.iter_mut().enumerate() {
                 *p = match (l + round) % 3 {
                     0 => f64::NAN,
@@ -406,7 +403,7 @@ mod tests {
                 };
             }
             for engine in [&mut serial, &mut parallel] {
-                engine.set_link_prices(&prices);
+                global::install(engine, None, None, Some(&prices));
             }
             serial.run_iterations(n);
             parallel.run_iterations(n);
@@ -421,10 +418,6 @@ mod tests {
                 assert_eq!(x.normalized.to_bits(), y.normalized.to_bits());
             }
             assert_eq!(exports(&parallel), want, "after {n}");
-            let mut got = Vec::new();
-            parallel.link_prices_into(&mut got);
-            serial.link_prices_into(&mut prices);
-            assert_eq!(bits(&got), bits(&prices), "after {n}");
         }
     }
 

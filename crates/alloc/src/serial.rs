@@ -10,13 +10,18 @@
 //! arithmetic in exactly the same order, which the
 //! `parallel_matches_serial` tests assert bit for bit.
 //!
-//! **Link state is read, not re-derived.** The `[load, hessian]` totals
-//! each price update reduces are kept per LinkBlock (`LinkTotals`),
-//! and the link-state export is one scatter of them to global link ids:
-//! `O(links)`, no walk over the flows. What it reports is therefore the
-//! engine's own link state *as of its last iteration* — the sums its
-//! own price update just used; see
-//! [`crate::RateAllocator::link_state_into`] for the contract.
+//! **Link state is read, not re-derived, and never re-indexed.** The
+//! `[load, hessian]` totals each price update reduces are kept per
+//! LinkBlock (`LinkTotals`), and the link-state export lends them and
+//! the LinkBlock's prices as they lie, one run per LinkBlock in slot
+//! order — (direction, LinkBlock, offset), the order of
+//! [`crate::RateAllocator::link_slots`]: `O(links)`, no walk over the
+//! flows and no copy. What it reports is therefore the engine's own link
+//! state *as of its last iteration* — the sums its own price update just
+//! used; see [`crate::RateAllocator::link_state`] for the contract. The
+//! install writes the other shards' loads and Hessians straight into the
+//! flat slot-order background arrays the price update slices per
+//! LinkBlock.
 //!
 //! **One copy of a LinkBlock's prices.** Each worker's accumulators are
 //! private — its rate pass writes nothing else — but the prices and
@@ -25,7 +30,7 @@
 //! sharing the copy between the LinkBlock's B workers shares no write,
 //! and there is no distribution step and nothing to keep in step: the
 //! diff phase, the price export and the consensus install
-//! ([`crate::RateAllocator::set_link_prices`]) read and patch exactly
+//! ([`crate::RateAllocator::install_link_state`]) read and patch exactly
 //! what the next flow pass reads, 2·B views of `O(links)` each.
 //!
 //! **An empty FlowBlock costs nothing.** A shard's grid spans the whole
@@ -42,9 +47,10 @@
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use flowtune_topo::{BlockId, FlowId, Path, TwoTierClos};
+use flowtune_topo::{BlockId, FlowId, LinkId, Path, TwoTierClos};
 
 use crate::dirty::DirtySet;
+use crate::engine::{LinkInstall, LinkRun};
 use crate::flowblock::{
     absorb, normalize_pass, rate_pass, report_pass, Accums, FlowBlock, FlowRate, PriceRule,
     PriceView,
@@ -81,15 +87,20 @@ pub struct SerialAllocator {
     index: Vec<(u32, u32)>,
     /// Number of registered flows.
     flows: usize,
-    /// Exogenous per-link load (other shards' flows), pre-split per
-    /// LinkBlock so the price update indexes it like `load`/`capacity`.
-    /// `None` (no exchange installed) takes the exact pre-exchange
-    /// arithmetic path.
-    pub(crate) bg: Option<BgLoads>,
-    /// Exogenous per-link Hessian diagonal (other shards' `Σ ∂x/∂p`),
+    /// Exogenous per-slot load (other shards' flows), in slot order:
+    /// the price update reads LinkBlock `(d, b)`'s `lpl` entries from
+    /// `layout.first_slot(d, b)`, offsets matching `load`/`capacity`.
+    /// Empty until the first install: no background takes the exact
+    /// pre-exchange arithmetic path.
+    pub(crate) bg: Vec<f64>,
+    /// Exogenous per-slot Hessian diagonal (other shards' `Σ ∂x/∂p`),
     /// same layout; folded into the price update's `H` so the Newton
-    /// step divides the global gradient by the global sensitivity.
-    pub(crate) bg_h: Option<BgLoads>,
+    /// step divides the global gradient by the global sensitivity. Never
+    /// sized on a gradient grid, whose step has no second-order term.
+    pub(crate) bg_h: Vec<f64>,
+    /// The consensus duals an install stages, in slot order, before it
+    /// patches them into `views`: empty until the first install.
+    staged: Vec<f64>,
     /// Dirty-set bookkeeping when `cfg.incremental` is on; `None` runs
     /// the classic full sweep every iteration.
     dirty: Option<DirtySet>,
@@ -129,11 +140,6 @@ const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
 /// unchanged across a skipped quiet iteration, when no accumulator moved
 /// and a re-aggregation would reproduce them bit for bit.
 pub(crate) type LinkTotals = [Vec<Vec<[f64; 2]>>; 2];
-
-/// Background (other-shard) per-link values in LinkBlock layout: per
-/// direction, one slice per block, offsets matching the capacity arrays
-/// (holds loads or Hessian diagonals).
-pub(crate) type BgLoads = [Vec<Vec<f64>>; 2];
 
 /// One FlowBlock worker's private state.
 #[derive(Debug, Clone)]
@@ -234,8 +240,9 @@ impl SerialAllocator {
             views: [(); 2].map(|_| vec![PriceView::new(lpl); b]),
             index: Vec::new(),
             flows: 0,
-            bg: None,
-            bg_h: None,
+            bg: Vec::new(),
+            bg_h: Vec::new(),
+            staged: Vec::new(),
             dirty,
             partials: (0..b)
                 .map(|_| Partial {
@@ -420,33 +427,6 @@ impl SerialAllocator {
         Some(self.workers[w].flows.flow_rate(slot))
     }
 
-    /// Re-splits a global-link-indexed vector into the LinkBlock-layout
-    /// slot *in place*: the `BgLoads` buffers are allocated on the first
-    /// install only and overwritten on every subsequent one, so the
-    /// steady-state exchange path never allocates. An empty slice clears
-    /// the slot.
-    fn refill_bg(layout: &BlockLayout, slot: &mut Option<BgLoads>, values: &[f64]) {
-        if values.is_empty() {
-            *slot = None;
-            return;
-        }
-        assert_eq!(
-            values.len(),
-            layout.total_links(),
-            "background vectors must cover every fabric link"
-        );
-        let b = layout.blocks();
-        let lpl = layout.links_per_lb();
-        let bg = slot.get_or_insert_with(|| [(); 2].map(|_| vec![vec![0.0; lpl]; b]));
-        for d in DIRS {
-            for (blk, bg) in bg[d].iter_mut().enumerate() {
-                for (v, link) in bg.iter_mut().zip(layout.links(d, blk)) {
-                    *v = values[link.index()];
-                }
-            }
-        }
-    }
-
     /// One NED iteration, on the schedule the grid was built for: the
     /// barrier pipeline for a [`SerialAllocator::multicore`] grid running
     /// full sweeps, the caller's thread otherwise.
@@ -594,10 +574,11 @@ impl SerialAllocator {
                     total.fill([0.0; 2]);
                 }
                 let view = &mut self.views[d][blk];
+                let first = self.layout.first_slot(d, blk);
                 self.rule.update(
                     &self.totals[d][blk],
-                    self.bg.as_ref().map(|bg| bg[d][blk].as_slice()),
-                    self.bg_h.as_ref().map(|bg| bg[d][blk].as_slice()),
+                    self.bg.get(first..first + lpl),
+                    self.bg_h.get(first..first + lpl),
                     self.layout.capacity(d, blk),
                     &mut view.prices,
                     &mut view.ratios,
@@ -748,87 +729,69 @@ impl RateAllocator for SerialAllocator {
         self.dirty.as_ref().map(DirtySet::counters)
     }
 
-    /// One scatter of `LinkTotals` to global link ids. Links outside
-    /// any LinkBlock (control links) read 0. A gradient grid's step has
-    /// no second-order term, so it exports no Hessians.
-    // flowtune-lint: hot, float-kernel
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        for out in [&mut *loads, &mut *hessians] {
-            out.clear();
-            out.resize(self.layout.total_links(), 0.0);
-        }
+    fn link_slots(&self) -> &[LinkId] {
+        self.layout.slot_links()
+    }
+
+    /// One run per LinkBlock: its `LinkTotals` and its view's prices,
+    /// real links only. A gradient grid's step has no second-order term,
+    /// so its Hessians are not exported.
+    // flowtune-lint: hot
+    fn link_state(&self, visit: &mut dyn FnMut(LinkRun<'_>)) {
+        let lpl = self.layout.links_per_lb();
         for d in DIRS {
-            for blk in 0..self.layout.blocks() {
-                let totals = self.layout.links(d, blk).iter().zip(&self.totals[d][blk]);
-                for (link, &[load, h]) in totals {
-                    loads[link.index()] = load;
-                    hessians[link.index()] = h;
-                }
-            }
-        }
-        if self.rule != PriceRule::Ned {
-            hessians.clear();
-        }
-    }
-
-    // flowtune-lint: hot
-    fn set_background_loads(&mut self, loads: &[f64]) {
-        Self::refill_bg(&self.layout, &mut self.bg, loads);
-    }
-
-    // flowtune-lint: hot
-    fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        Self::refill_bg(&self.layout, &mut self.bg_h, hdiag);
-    }
-
-    /// One scatter of the LinkBlock views' prices. Links outside any
-    /// LinkBlock (control links) report 0.
-    // flowtune-lint: hot
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.layout.total_links(), 0.0);
-        for d in DIRS {
-            for (blk, view) in self.views[d].iter().enumerate() {
-                for (link, &p) in self.layout.links(d, blk).iter().zip(&view.prices) {
-                    out[link.index()] = p;
-                }
+            for (totals, view) in self.totals[d].iter().zip(&self.views[d]) {
+                visit(LinkRun {
+                    totals,
+                    prices: &view.prices[..lpl],
+                    hessians: self.rule == PriceRule::Ned,
+                });
             }
         }
     }
 
-    /// The 2·B LinkBlock views — what the next rate pass reads, on
-    /// either schedule — are patched link by link. On the incremental
-    /// path the same pass marks: an install that moves a dual beyond eps
-    /// invalidates the rate pass of every worker whose flows traverse
-    /// that link.
+    /// Lends the flat background arrays and the staged duals (all `NaN`
+    /// on entry), then patches every staged dual that is not `NaN` into
+    /// its LinkBlock's view — what the next rate pass reads, on either
+    /// schedule. On the incremental path the same pass marks: an install
+    /// that moves a dual beyond eps invalidates the rate pass of every
+    /// worker whose flows traverse that link.
     // flowtune-lint: hot
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        if prices.is_empty() {
-            return;
+    fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
+        let n = self.layout.slot_links().len();
+        let second_order = self.rule == PriceRule::Ned;
+        self.bg.resize(n, 0.0);
+        if second_order {
+            self.bg_h.resize(n, 0.0);
         }
-        assert_eq!(
-            prices.len(),
-            self.layout.total_links(),
-            "price vector must cover every fabric link"
-        );
-        let Self {
-            layout,
-            views,
-            dirty,
-            ..
-        } = self;
+        self.staged.clear();
+        self.staged.resize(n, f64::NAN);
+        fill(LinkInstall {
+            slots: self.layout.slot_links(),
+            loads: &mut self.bg,
+            hessians: second_order.then_some(&mut self.bg_h[..]),
+            prices: &mut self.staged,
+        });
+        let lpl = self.layout.links_per_lb();
+        let mut staged = self.staged.chunks_exact(lpl);
         for d in DIRS {
-            for (blk, view) in views[d].iter_mut().enumerate() {
-                let held = &mut view.prices;
-                for (o, link) in layout.links(d, blk).iter().enumerate() {
-                    let p = prices[link.index()];
+            for (blk, view) in self.views[d].iter_mut().enumerate() {
+                let held = view.prices[..lpl].iter_mut();
+                let staged = staged.next().unwrap_or_default();
+                let Some(ds) = &mut self.dirty else {
+                    for (held, &p) in held.zip(staged) {
+                        *held = if p.is_nan() { *held } else { p };
+                    }
+                    continue;
+                };
+                for (o, (held, &p)) in held.zip(staged).enumerate() {
                     if p.is_nan() {
                         continue;
                     }
-                    if let Some(ds) = dirty.as_mut().filter(|ds| (p - held[o]).abs() > ds.eps) {
+                    if (p - *held).abs() > ds.eps {
                         ds.price_moved(d, blk, o, p);
                     }
-                    held[o] = p;
+                    *held = p;
                 }
             }
         }
@@ -846,6 +809,7 @@ impl RateAllocator for SerialAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::global;
     use crate::flowblock::padded_len;
     use flowtune_topo::ClosConfig;
     use proptest::prelude::*;
@@ -856,6 +820,23 @@ mod tests {
     /// rewrite, kept as the oracles the differential tests compare
     /// against.
     impl SerialAllocator {
+        /// `(loads, hessians, prices)` by global link: the slot-order
+        /// export scattered through `link_slots`.
+        fn global_state(&self) -> [Vec<f64>; 3] {
+            global::state(self, self.layout.total_links())
+        }
+
+        /// The slot-order install of global-link-indexed values, gathered
+        /// through `link_slots`; `None` leaves that part as it was.
+        fn install_global(
+            &mut self,
+            loads: Option<&[f64]>,
+            hessians: Option<&[f64]>,
+            prices: Option<&[f64]>,
+        ) {
+            global::install(self, loads, hessians, prices);
+        }
+
         /// Calls `hop(global link index, rate, ∂x/∂p)` for every link of
         /// every flow's path, in (worker, slot, path) order. For the
         /// log-utility hot path `∂x/∂p = −x/λ = −x²/w`, reconstructed
@@ -889,6 +870,24 @@ mod tests {
                 hessians[link] += dx;
             });
             (loads, hessians)
+        }
+
+        /// The background half of the install as a rewrite of the flat
+        /// slot-order arrays, link by link, from global vectors.
+        fn set_background_link_by_link(&mut self, loads: &[f64], hessians: &[f64]) {
+            let lpl = self.layout.links_per_lb();
+            let n = 2 * self.layout.blocks() * lpl;
+            self.bg.resize(n, 0.0);
+            self.bg_h.resize(n, 0.0);
+            for d in DIRS {
+                for blk in 0..self.layout.blocks() {
+                    let first = self.layout.first_slot(d, blk);
+                    for (o, link) in self.layout.links(d, blk).iter().enumerate() {
+                        self.bg[first + o] = loads[link.index()];
+                        self.bg_h[first + o] = hessians[link.index()];
+                    }
+                }
+            }
         }
 
         /// The install as a marking pass over the views and then a
@@ -1155,6 +1154,47 @@ mod tests {
     }
 
     #[test]
+    fn link_slots_name_every_data_link_once_and_no_control_link() {
+        let mut f = TwoTierClos::build(ClosConfig::multicore(4, 2, 4));
+        f.attach_allocator();
+        let control = f.allocator().unwrap();
+        let control: Vec<_> = control.to_spine.iter().chain(&control.from_spine).collect();
+        for alloc in [
+            SerialAllocator::new(&f, cfg()),
+            SerialAllocator::gradient(&f, cfg()),
+        ] {
+            let slots = alloc.link_slots();
+            let lpl = alloc.layout.links_per_lb();
+            assert_eq!(slots.len(), 2 * 4 * lpl, "2·B·lpl slots");
+            let mut seen = vec![0u32; f.topology().link_count()];
+            for link in slots {
+                seen[link.index()] += 1;
+            }
+            for (l, &n) in seen.iter().enumerate() {
+                let is_control = control.iter().any(|c| c.index() == l);
+                assert_eq!(n, u32::from(!is_control), "link {l}, control {is_control}");
+            }
+            assert!(!control.is_empty() && control.len() + slots.len() == seen.len());
+            // Slot order is (direction, LinkBlock, offset).
+            for d in DIRS {
+                for blk in 0..4 {
+                    let first = alloc.layout.first_slot(d, blk);
+                    assert_eq!(&slots[first..first + lpl], alloc.layout.links(d, blk));
+                }
+            }
+            // The export visits the slots in that order, one run per
+            // LinkBlock.
+            let mut runs = 0;
+            alloc.link_state(&mut |run| {
+                assert_eq!((run.totals.len(), run.prices.len()), (lpl, lpl));
+                assert_eq!(run.hessians, alloc.name() == "serial");
+                runs += 1;
+            });
+            assert_eq!(runs, 2 * 4);
+        }
+    }
+
+    #[test]
     fn link_loads_sum_flow_rates_per_link() {
         let f = fabric();
         let mut alloc = SerialAllocator::new(&f, cfg());
@@ -1163,8 +1203,7 @@ mod tests {
         alloc.add_flow(FlowId(1), 0, 8, 1.0, &p1);
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
         alloc.run_iterations(200);
-        let (mut loads, mut hessians) = (Vec::new(), Vec::new());
-        alloc.link_state_into(&mut loads, &mut hessians);
+        let [loads, ..] = alloc.global_state();
         // The shared server-0 uplink carries both flows' raw rates …
         let shared = p1.links()[0];
         assert_eq!(shared, p2.links()[0]);
@@ -1173,8 +1212,8 @@ mod tests {
         let last1 = *p1.links().last().unwrap();
         assert!((loads[last1.index()] - 20.0).abs() < 1e-6);
         // Installing a background must NOT be echoed back by the export.
-        alloc.set_background_loads(&vec![7.0; loads.len()]);
-        alloc.link_state_into(&mut loads, &mut hessians);
+        alloc.install_global(Some(&vec![7.0; loads.len()]), None, None);
+        let [loads, ..] = alloc.global_state();
         assert!((loads[shared.index()] - 40.0).abs() < 1e-6, "no echo");
     }
 
@@ -1191,7 +1230,7 @@ mod tests {
         alloc.add_flow(FlowId(2), 0, 12, 1.0, &p2);
         let mut bg = vec![0.0; f.topology().link_count()];
         bg[p1.links()[0].index()] = 20.0;
-        alloc.set_background_loads(&bg);
+        alloc.install_global(Some(&bg), None, None);
         alloc.run_iterations(400);
         let r1 = alloc.flow_rate(FlowId(1)).unwrap();
         let r2 = alloc.flow_rate(FlowId(2)).unwrap();
@@ -1201,7 +1240,7 @@ mod tests {
         // the feasible rates alone.
         assert!(r1.normalized + r2.normalized <= 20.0 * (1.0 + 1e-9));
         // Clearing the background restores the whole link.
-        alloc.set_background_loads(&[]);
+        alloc.install_global(Some(&vec![0.0; bg.len()]), None, None);
         alloc.run_iterations(400);
         let r1 = alloc.flow_rate(FlowId(1)).unwrap();
         assert!((r1.rate - 20.0).abs() < 1e-4, "{r1:?}");
@@ -1226,7 +1265,6 @@ mod tests {
         let mut present: Vec<FlowId> = Vec::new();
         let mut next = 0u64;
         let mut scratch = Vec::new();
-        let (mut full_prices, mut inc_prices) = (Vec::new(), Vec::new());
         for step in 0..120u64 {
             // Deterministic churn: add two flows, occasionally remove one.
             for _ in 0..2 {
@@ -1252,8 +1290,8 @@ mod tests {
                 let bg: Vec<f64> = (0..f.topology().link_count())
                     .map(|l| (l % 5) as f64)
                     .collect();
-                full.set_background_loads(&bg);
-                inc.set_background_loads(&bg);
+                full.install_global(Some(&bg), None, None);
+                inc.install_global(Some(&bg), None, None);
             }
             full.iterate();
             inc.iterate();
@@ -1273,9 +1311,7 @@ mod tests {
                     y.normalized,
                 );
             }
-            full.link_prices_into(&mut full_prices);
-            inc.link_prices_into(&mut inc_prices);
-            assert_eq!(full_prices, inc_prices);
+            assert_eq!(full.global_state()[2], inc.global_state()[2]);
             // The totals a skipped (quiet) iteration carried over are
             // the ones the full sweep re-reduced.
             assert_eq!(exports(&full), exports(&inc), "step {step}");
@@ -1288,10 +1324,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The link-state export, as bits, taken into dirty buffers.
+    /// The link-state export by global link, as bits.
     fn exports(alloc: &SerialAllocator) -> [Vec<u64>; 2] {
-        let (mut loads, mut hessians) = (vec![f64::NAN; 3], vec![7.0; 1000]);
-        alloc.link_state_into(&mut loads, &mut hessians);
+        let [loads, hessians, _] = alloc.global_state();
         assert_eq!(loads.len(), alloc.layout.total_links());
         assert_eq!(hessians.len(), alloc.layout.total_links());
         [bits(&loads), bits(&hessians)]
@@ -1501,11 +1536,11 @@ mod tests {
             let links = f.topology().link_count();
             for step in 0..40 {
                 if step == 10 {
-                    alloc.set_link_prices(&vec![0.7; links]);
+                    alloc.install_global(None, None, Some(&vec![0.7; links]));
                 }
                 if step == 20 {
-                    alloc.set_background_loads(&vec![3.0; links]);
-                    alloc.set_background_hessians(&vec![-0.5; links]);
+                    let (bg, bg_h) = (vec![3.0; links], vec![-0.5; links]);
+                    alloc.install_global(Some(&bg), Some(&bg_h), None);
                 }
                 alloc.iterate();
                 assert!(
@@ -1558,7 +1593,7 @@ mod tests {
                     assert!(alloc.remove_flow(id));
                 }
                 if step == 100 {
-                    alloc.set_link_prices(&vec![0.3; links]);
+                    alloc.install_global(None, None, Some(&vec![0.3; links]));
                 }
                 if step == 120 {
                     // Empty FlowBlock (1, 0); the churn refills it.
@@ -1669,10 +1704,9 @@ mod tests {
         // a link a tick — before rounding to 0.0.
         let f = fabric();
         let mut alloc = SerialAllocator::new(&f, cfg());
-        let mut prices = Vec::new();
         for iteration in 1..=1100 {
             alloc.iterate();
-            alloc.link_prices_into(&mut prices);
+            let [.., prices] = alloc.global_state();
             assert!(
                 prices.iter().all(|p| !p.is_subnormal()),
                 "iteration {iteration}"
@@ -1907,37 +1941,64 @@ mod tests {
     }
 
     proptest! {
-        // The exports against the walk they replaced: same terms, summed
-        // (slot, then tree) instead of (FlowBlock, slot).
+        // The slot-order exports, scattered through `link_slots`, against
+        // the walk they replaced: same terms, summed (slot, then tree)
+        // instead of (FlowBlock, slot). A gradient grid exports the same
+        // loads and no Hessians; both export the views' prices.
         #[test]
         fn exports_match_the_flow_walk(
             blocks in prop_oneof![Just(1usize), Just(2), Just(4)],
             incremental in any::<bool>(),
+            gradient in any::<bool>(),
             per_tick in 1usize..3,
             background in any::<bool>(),
             seed in any::<u64>(),
         ) {
             let f = TwoTierClos::build(ClosConfig::multicore(blocks, 2, 4));
             let links = f.topology().link_count();
-            let mut alloc = SerialAllocator::new(
-                &f,
-                AllocConfig {
-                    incremental,
-                    full_sweep_every: 5,
-                    ..cfg()
-                },
-            );
+            let cfg = AllocConfig {
+                incremental,
+                full_sweep_every: 5,
+                ..cfg()
+            };
+            let mut alloc = if gradient {
+                SerialAllocator::gradient(&f, cfg)
+            } else {
+                SerialAllocator::new(&f, cfg)
+            };
             let mut churn = Churn::new(&f, &format!("export-{seed}"));
             for step in 0..10 {
                 churn.step(&f, &mut [&mut alloc]);
                 if background && step == 3 {
-                    // Priced, never echoed.
-                    alloc.set_background_loads(&churn.per_link(links, |r| r.unit_f64() * 9.0));
-                    alloc.set_background_hessians(&churn.per_link(links, |r| -r.unit_f64()));
+                    // Priced, never echoed; gathered into the flat
+                    // arrays slot by slot.
+                    let bg = churn.per_link(links, |r| r.unit_f64() * 9.0);
+                    let bg_h = churn.per_link(links, |r| -r.unit_f64());
+                    alloc.install_global(Some(&bg), Some(&bg_h), None);
+                    for (s, link) in alloc.link_slots().iter().enumerate() {
+                        prop_assert_eq!(alloc.bg[s].to_bits(), bg[link.index()].to_bits());
+                        if !gradient {
+                            prop_assert_eq!(alloc.bg_h[s].to_bits(), bg_h[link.index()].to_bits());
+                        }
+                    }
+                    prop_assert_eq!(alloc.bg_h.is_empty(), gradient);
                 }
                 alloc.run_iterations(per_tick);
-                let [loads, hessians] = exports(&alloc);
+                let [loads, mut hessians, prices] = alloc.global_state();
                 let (want_loads, want_hessians) = alloc.link_state_by_walk();
+                let lpl = alloc.layout.links_per_lb();
+                for d in DIRS {
+                    for (blk, view) in alloc.views[d].iter().enumerate() {
+                        for (link, &p) in alloc.layout.links(d, blk).iter().zip(&view.prices[..lpl]) {
+                            prop_assert_eq!(prices[link.index()].to_bits(), p.to_bits());
+                        }
+                    }
+                }
+                if gradient {
+                    prop_assert!(hessians.is_empty(), "first order: no Hessians");
+                    hessians = want_hessians.clone();
+                }
+                let [loads, hessians] = [loads, hessians].map(|v| bits(&v));
                 let got = loads.iter().chain(&hessians).map(|&x| f64::from_bits(x));
                 for (l, (got, want)) in got.zip(want_loads.iter().chain(&want_hessians)).enumerate() {
                     if *want == 0.0 {
@@ -1954,7 +2015,9 @@ mod tests {
             }
         }
 
-        // The marking install against a marking pass and a rewrite.
+        // The slot-order install, gathered through `link_slots`, against
+        // a marking pass and a rewrite of the views, link by link; its
+        // background half against the flat arrays rewritten link by link.
         #[test]
         fn set_link_prices_matches_the_link_by_link_rewrite(
             blocks in prop_oneof![Just(1usize), Just(2), Just(4)],
@@ -1975,14 +2038,13 @@ mod tests {
             );
             let (mut new, mut old) = (build(), build());
             let mut churn = Churn::new(&f, &format!("install-{seed}"));
-            let mut current = Vec::new();
             for step in 0..8 {
                 churn.step(&f, &mut [&mut new, &mut old]);
                 new.run_iterations(1 + step % 2);
                 old.run_iterations(1 + step % 2);
                 // Holes, the price already held (no move to mark), a
                 // move inside eps, and fresh values.
-                new.link_prices_into(&mut current);
+                let [.., current] = new.global_state();
                 let prices: Vec<f64> = current
                     .iter()
                     .map(|&p| match churn.rng.below(5) {
@@ -1993,8 +2055,25 @@ mod tests {
                     })
                     .collect();
                 prop_assert_eq!(prices.len(), links);
-                new.set_link_prices(&prices);
+                let background = (step % 3 == 1).then(|| {
+                    let bg = churn.per_link(links, |r| r.unit_f64() * 5.0);
+                    let bg_h = churn.per_link(links, |r| -r.unit_f64());
+                    (bg, bg_h)
+                });
+                let (bg, bg_h) = match &background {
+                    Some((bg, bg_h)) => (Some(&bg[..]), Some(&bg_h[..])),
+                    None => (None, None),
+                };
+                new.install_global(bg, bg_h, Some(&prices));
+                if let (Some(bg), Some(bg_h)) = (bg, bg_h) {
+                    old.set_background_link_by_link(bg, bg_h);
+                }
                 old.set_link_prices_link_by_link(&prices);
+                // Before its first background, the rewrite has no arrays
+                // where the install sized zeros: the same prices.
+                let or_zeros = |v: &[f64]| if v.is_empty() { vec![0.0; new.bg.len()] } else { v.to_vec() };
+                prop_assert_eq!(bits(&new.bg), bits(&or_zeros(&old.bg)));
+                prop_assert_eq!(bits(&new.bg_h), bits(&or_zeros(&old.bg_h)));
                 let lpl = new.layout.links_per_lb();
                 for d in DIRS {
                     for (blk, (a, b)) in new.views[d].iter().zip(&old.views[d]).enumerate() {

@@ -89,13 +89,13 @@ pub trait TickDriver: std::fmt::Debug + Send {
 
     /// Per-link loads of the control plane's raw allocation as of its
     /// last tick (what the engines' own price updates summed — see
-    /// [`flowtune_alloc::RateAllocator::link_state_into`]; read it after a
-    /// tick), indexed by global [`LinkId`](flowtune_topo::LinkId) (summed
-    /// over shards, where applicable). Empty when the engine does not price
-    /// fabric links (Fastpass). Powers the over-allocation telemetry of
-    /// the Figure-12 experiment and capacity assertions in tests — the
-    /// one allocating link-state query; everything on the tick path uses
-    /// the `_into` forms.
+    /// [`flowtune_alloc::RateAllocator::link_state`]; read it after a
+    /// tick), scattered to global [`LinkId`](flowtune_topo::LinkId)s
+    /// through the engines' link slots (summed over shards, where
+    /// applicable). Empty when the engine does not price fabric links
+    /// (Fastpass). Powers the over-allocation telemetry of the Figure-12
+    /// experiment and capacity assertions in tests — the one allocating
+    /// link-state query, and off the tick path.
     fn link_loads(&self) -> Vec<f64>;
 
     /// The fabric this control plane serves.

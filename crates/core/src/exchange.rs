@@ -3,28 +3,35 @@
 //! shard peer — assemble differently but never restate:
 //!
 //! * `ShardFilter` — one shard's **delta filter**: it compares the
-//!   shard's fresh link-state export against the row it last shipped,
-//!   overwrites the entries that moved, and hands each shipped entry to
-//!   a caller-supplied sink as a [`Record`]. It also owns the per-shard
-//!   half of the install (below).
-//! * `LinkTables` — the **table set**: one last-shipped row per shard,
-//!   and the round-wide quantity every shard's install reads and that is
-//!   the same for all of them — the load-weighted dual consensus —
-//!   computed once per round by `LinkTables::agree`.
-//! * the **install math** — `LinkTables::agree` and then, per shard,
+//!   shard's fresh link-state export, run by run, against the row it
+//!   last shipped, overwrites the entries that moved, and hands each
+//!   shipped entry to a caller-supplied sink as a [`Record`]. It also
+//!   owns the per-shard half of the install (below).
+//! * the **rows** — one last-shipped row per shard — and the `Round`:
+//!   the round-wide quantity every shard's install reads and that is the
+//!   same for all of them — the load-weighted dual consensus — computed
+//!   once per round by `Round::agree`.
+//! * the **install math** — `Round::agree` and then, per shard,
 //!   `ShardFilter::install`: background load/Hessian sums over the
-//!   *other* shards' rows, the subscription mask, and the three `set_*`
-//!   installs into the shard's [`AllocatorService`] (the paper's §5
-//!   aggregation step, one level up).
+//!   *other* shards' rows, the subscription mask, and the masked
+//!   consensus duals, written into the buffers the shard's engine lends
+//!   ([`flowtune_alloc::RateAllocator::install_link_state`]; the paper's
+//!   §5 aggregation step, one level up).
 //!
-//! In one process every shard's filter writes its own row of **one
-//! shared** table set; nothing is serialized and each row exists once
+//! Both planes run these over flat vectors and differ only in the index
+//! space. In one process the rows are in the engines' own **slot
+//! order** (direction, LinkBlock, offset — every shard's grid has the
+//! same one): each shard's filter reads its engine's export where it lies
+//! and writes its own row, nothing is serialized, each row exists once,
+//! and the install writes straight into the engine's background arrays
 //! (see [`crate::sharded`]). Across processes there is no shared memory,
-//! so [`ExchangeCore`] — the unit a `ShardPeer` owns — pairs one filter
-//! with a *private* table set and moves rows through the codec: the sink
-//! of [`ExchangeCore::begin_round`] encodes each shipped entry into a
-//! state frame, and [`ExchangeCore::apply_frame`] decodes
-//! a peer's frame into that peer's row. The codec lives only there.
+//! and frames carry **global link ids**, so [`ExchangeCore`] — the unit a
+//! `ShardPeer` owns — pairs one filter with *private* rows by global id
+//! and moves rows through the codec: the sink of
+//! [`ExchangeCore::begin_round`] encodes each shipped entry into a state
+//! frame, and [`ExchangeCore::apply_frame`] decodes a peer's frame into
+//! that peer's row. The codec, and the one scatter (export) and gather
+//! (install) between global ids and an engine's slots, live only there.
 //!
 //! The protocol on the wire is a **mesh broadcast**: every shard ships
 //! its moved entries to every peer and keeps full copies of the others'
@@ -125,12 +132,15 @@ impl std::fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// One shard's fresh link-state export — the `(G, H)` pair its own
-/// price update summed in the tick just run, and the duals that update
-/// produced — in buffers reused every round, so a steady-state exchange
-/// allocates nothing. All three are the fabric's link count long, or
-/// `hessians` is empty (first-order engines), or all are empty (engines
-/// that do not price fabric links).
+/// One shard's fresh link-state export by global link id — the `(G, H)`
+/// pair its own price update summed in the tick just run, and the duals
+/// that update produced — in buffers reused every round, so a
+/// steady-state export allocates nothing. What a frame-connected shard
+/// feeds [`ExchangeCore::begin_round`]; the in-process shards filter their
+/// engines' slot-order exports where they lie and never build one. All
+/// three are the fabric's link count long, or `hessians` is empty
+/// (first-order engines), or all are empty (engines that do not price
+/// fabric links).
 #[derive(Debug, Default)]
 pub struct LinkExport {
     /// Per-link loads of the shard's own flows.
@@ -142,48 +152,42 @@ pub struct LinkExport {
 }
 
 impl LinkExport {
-    /// Overwrites the buffers with `svc`'s post-tick link state: three
-    /// `O(links)` scatters out of the engine — its sums are as of its
-    /// last iteration (see
-    /// [`flowtune_alloc::RateAllocator::link_state_into`]), so call this
-    /// right after the tick, as both shard sets do.
+    /// Overwrites the buffers with `svc`'s post-tick link state: one
+    /// `O(links)` scatter of the engine's slot-order export through its
+    /// link slots. The engine's sums are as of its last iteration (see
+    /// [`flowtune_alloc::RateAllocator::link_state`]), so call this right
+    /// after the tick.
     // flowtune-lint: hot
     pub fn refresh(&mut self, svc: &AllocatorService) {
-        svc.link_state_into(&mut self.loads, &mut self.hessians);
-        svc.link_prices_into(&mut self.prices);
+        svc.scatter_link_state([
+            Some(&mut self.loads),
+            Some(&mut self.hessians),
+            Some(&mut self.prices),
+        ]);
     }
 }
 
-/// One shard's last-shipped link state. Empty vectors mean that shard
-/// has never exported (engines that do not price fabric links).
+/// One shard's last-shipped link state, in the index space of the plane
+/// that holds it: an engine's slots in process, global link ids on the
+/// wire. Empty vectors mean that shard has never exported (engines that
+/// do not price fabric links).
 #[derive(Debug, Default)]
-struct Row {
+pub(crate) struct Row {
     loads: Vec<f64>,
     hessians: Vec<f64>,
     prices: Vec<f64>,
 }
 
-impl Row {
-    // flowtune-lint: hot
-    fn nonzero_at(&self, l: usize) -> bool {
-        self.loads.get(l).is_some_and(|&v| v != 0.0)
-            || self.prices.get(l).is_some_and(|&v| v != 0.0)
-            || self.hessians.get(l).is_some_and(|&v| v != 0.0)
-    }
-}
-
-/// The table set of one exchange: every shard's last-shipped row, the
-/// current round's dirty marks, and the round-wide results of
-/// [`LinkTables::agree`] (see the module docs). Shared by all shards of
-/// an in-process service; private to one [`ExchangeCore`] on a peer.
-#[derive(Debug)]
-pub(crate) struct LinkTables {
-    rows: Vec<Row>,
-    // ---- per-round state, valid from start_round to the installs ----
+/// The round-wide state of one exchange: this round's link count and
+/// Hessian mark, and the results of [`Round::agree`] — what is the same
+/// for every shard's install. Beside the rows it reads: the in-process
+/// shard set's one table, or an [`ExchangeCore`]'s private copies.
+#[derive(Debug, Default)]
+pub(crate) struct Round {
     /// Link-vector length this round: the longest export any shard
     /// wrote. Round-scoped so a round in which every shard exports
     /// nothing is recognized (and not counted).
-    round_links: usize,
+    links: usize,
     /// Whether any shard's export carried Hessians this round.
     any_h: bool,
     // ---- results of `agree`, reused every round ----
@@ -194,24 +198,20 @@ pub(crate) struct LinkTables {
     weight: Vec<f64>,
 }
 
-impl LinkTables {
-    /// An empty table set for `shard_count` shards.
-    pub(crate) fn new(shard_count: usize) -> Self {
-        LinkTables {
-            rows: (0..shard_count).map(|_| Row::default()).collect(),
-            round_links: 0,
-            any_h: false,
-            consensus: Vec::new(),
-            weight: Vec::new(),
-        }
+impl Round {
+    /// Forget the previous round's link count and Hessian mark.
+    // flowtune-lint: hot
+    pub(crate) fn start(&mut self) {
+        self.links = 0;
+        self.any_h = false;
     }
 
-    /// Forget the previous round's link count and Hessian mark; the rows
-    /// stay.
+    /// Count one shard's export (or frame) of `links` entries into the
+    /// round.
     // flowtune-lint: hot
-    pub(crate) fn start_round(&mut self) {
-        self.round_links = 0;
-        self.any_h = false;
+    pub(crate) fn note(&mut self, links: usize, has_hessians: bool) {
+        self.links = self.links.max(links);
+        self.any_h |= has_hessians;
     }
 
     /// The round-wide half of the install math, run once all of the
@@ -220,8 +220,8 @@ impl LinkTables {
     /// any links this round (the round does not count and nothing is
     /// installed).
     // flowtune-lint: hot, untrusted-input
-    pub(crate) fn agree(&mut self) -> bool {
-        let n_links = self.round_links;
+    pub(crate) fn agree(&mut self, rows: &[Row]) -> bool {
+        let n_links = self.links;
         if n_links == 0 {
             return false;
         }
@@ -230,7 +230,7 @@ impl LinkTables {
         self.consensus.resize(n_links, 0.0);
         self.weight.clear();
         self.weight.resize(n_links, 0.0);
-        for (j, row) in self.rows.iter().enumerate() {
+        for (j, row) in rows.iter().enumerate() {
             if row.loads.is_empty() {
                 continue;
             }
@@ -252,47 +252,55 @@ impl LinkTables {
         }
         true
     }
+}
 
-    /// `out[l]` = Σ over every shard but `me`, in shard order, of that
-    /// shard's shipped `column` at `l` — on the links `subscribed` marks,
-    /// zero elsewhere (no knowledge there, and the local dual just decays
-    /// as if idle).
-    // flowtune-lint: hot, untrusted-input
-    fn sum_others(
-        &self,
-        me: usize,
-        column: impl Fn(&Row) -> &[f64],
-        subscribed: &[bool],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(self.round_links, 0.0);
-        for (j, row) in self.rows.iter().enumerate() {
-            let values = column(row);
-            if j == me || values.is_empty() {
-                continue;
-            }
-            debug_assert_eq!(values.len(), out.len(), "short row of shard {j}");
-            for (acc, x) in out.iter_mut().zip(values) {
-                *acc += x;
-            }
+/// `out[l]` = Σ over every row but `me`'s, in shard order, of that row's
+/// `column` at `l` — on the links `subscribed` marks, zero elsewhere (no
+/// knowledge there, and the local dual just decays as if idle). Column
+/// loops, one pass a row: the first row seeds the sums from `0.0`, and
+/// the last row's pass applies the mask.
+// flowtune-lint: hot, untrusted-input
+fn sum_others(
+    me: usize,
+    rows: &[Row],
+    column: impl Fn(&Row) -> &[f64],
+    subscribed: &[bool],
+    out: &mut [f64],
+) {
+    let mut others = rows
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != me)
+        .map(|(_, row)| column(row))
+        .filter(|values| !values.is_empty());
+    let Some(mut last) = others.next() else {
+        out.fill(0.0);
+        return;
+    };
+    // `0.0 + x`, as a clear and an add would: not `x` for `x = -0.0`.
+    let mut seeded = false;
+    for values in others {
+        debug_assert_eq!(last.len(), out.len(), "short row");
+        for (acc, x) in out.iter_mut().zip(last) {
+            *acc = (if seeded { *acc } else { 0.0 }) + x;
         }
-        for (acc, &sub) in out.iter_mut().zip(subscribed) {
-            if !sub {
-                *acc = 0.0;
-            }
-        }
-        // An inactive shard's mask is empty: it subscribes to nothing.
-        for acc in out.iter_mut().skip(subscribed.len()) {
-            *acc = 0.0;
-        }
+        (last, seeded) = (values, true);
+    }
+    debug_assert_eq!(last.len(), out.len(), "short row");
+    for ((acc, x), &sub) in out.iter_mut().zip(last).zip(subscribed) {
+        let sum = (if seeded { *acc } else { 0.0 }) + x;
+        *acc = if sub { sum } else { 0.0 };
+    }
+    // An inactive shard's mask is empty: it subscribes to nothing.
+    for acc in out.iter_mut().skip(subscribed.len()) {
+        *acc = 0.0;
     }
 }
 
 /// One shard's delta filter and the per-shard half of the install (see
-/// the module docs). The row it filters against lives in the
-/// [`LinkTables`] passed to each call — the shared set in process, an
-/// [`ExchangeCore`]'s private one on a peer.
+/// the module docs). The row it filters into and the rows its install
+/// reads are passed to each call: the in-process table's, or an
+/// [`ExchangeCore`]'s private ones on a peer.
 #[derive(Debug)]
 pub(crate) struct ShardFilter {
     shard: u16,
@@ -301,12 +309,13 @@ pub(crate) struct ShardFilter {
     /// bootstrap a restarted peer's rows).
     resync_pending: bool,
     // ---- per-round state, valid from export to install ----
-    own_active: bool,
+    /// Whether this round's export re-ships unmoved entries.
+    resync: bool,
+    /// Length of this round's export (0: the engine prices no links).
+    own_links: usize,
     own_has_h: bool,
     /// Own fresh subscription mask this round (positive fresh load).
     fresh_sub: Vec<bool>,
-    /// Install scratch, reused every round.
-    scratch: Vec<f64>,
 }
 
 impl ShardFilter {
@@ -325,116 +334,140 @@ impl ShardFilter {
             shard,
             eps,
             resync_pending: false,
-            own_active: false,
+            resync: false,
+            own_links: 0,
             own_has_h: false,
             fresh_sub: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
-    /// Delta-filter the shard's fresh export (`loads`/`hessians`/
-    /// `prices`, all the same length or `hessians` empty; all empty when
-    /// the engine prices no links) against its row of `tables`: entries
-    /// that moved overwrite the row and go to `ship` as
-    /// [`Record::LinkState`]; after a resync request, the unmoved
-    /// non-zero entries go as [`Record::CatchUp`]. `ship` sees exactly
-    /// the records of the shard's wire frame, in frame order (link
-    /// order); a caller whose consumers read `tables` directly only
-    /// counts them.
-    ///
-    /// # Panics
-    /// Panics if this filter's shard has no row in `tables`.
+    /// This round's export: its length and whether it carried Hessians,
+    /// for [`Round::note`].
+    pub(crate) fn exported(&self) -> (usize, bool) {
+        (self.own_links, self.own_has_h)
+    }
+
+    /// Start filtering a fresh export of `links` entries (0 when the
+    /// engine prices no links) into `own`, this shard's row; the entries
+    /// then come in runs through [`ShardFilter::filter`].
     // flowtune-lint: hot
-    pub(crate) fn export(
-        &mut self,
-        tables: &mut LinkTables,
-        loads: &[f64],
-        hessians: &[f64],
-        prices: &[f64],
-        mut ship: impl FnMut(Record),
-    ) {
-        let n = loads.len();
-        let has_h = !hessians.is_empty();
-        self.own_active = n > 0;
-        self.own_has_h = has_h;
+    pub(crate) fn start_export(&mut self, own: &mut Row, links: usize) {
+        self.resync = std::mem::take(&mut self.resync_pending);
+        self.own_links = links;
+        self.own_has_h = false;
         self.fresh_sub.clear();
-        self.fresh_sub.extend(loads.iter().map(|&v| v > 0.0));
-        tables.round_links = tables.round_links.max(n);
-        tables.any_h |= has_h;
-        if n == 0 {
-            return;
+        self.fresh_sub.resize(links, false);
+        if links > 0 {
+            own.loads.resize(links, 0.0);
+            own.prices.resize(links, 0.0);
         }
-        debug_assert!(!has_h || hessians.len() == n, "short hessian export");
-        debug_assert_eq!(prices.len(), n, "short price export");
-        let own = &mut tables.rows[self.shard as usize];
-        own.loads.resize(n, 0.0);
-        own.prices.resize(n, 0.0);
-        if has_h {
-            own.hessians.resize(n, 0.0);
+    }
+
+    /// Delta-filter one run of the fresh export — `(load, hessian,
+    /// price)` for entries `base..`, the Hessians part of the export when
+    /// `has_h` — against `own`: entries that moved overwrite the row and
+    /// go to `ship` as [`Record::LinkState`]; after a resync request, the
+    /// unmoved non-zero entries go as [`Record::CatchUp`]. `ship` sees
+    /// exactly the records of the shard's wire frame, in frame order
+    /// (index order); a caller whose consumers read the rows directly
+    /// only counts them.
+    // flowtune-lint: hot
+    pub(crate) fn filter(
+        &mut self,
+        own: &mut Row,
+        base: usize,
+        has_h: bool,
+        entries: impl ExactSizeIterator<Item = (f64, f64, f64)>,
+        ship: &mut impl FnMut(Record),
+    ) {
+        let (eps, resync) = (self.eps, self.resync);
+        let end = base + entries.len();
+        self.own_has_h = has_h;
+        if has_h && own.hessians.len() != self.own_links {
+            own.hessians.resize(self.own_links, 0.0);
         }
+        let held = own.loads[base..end]
+            .iter_mut()
+            .zip(&mut own.prices[base..end]);
+        let held = held.zip(&mut self.fresh_sub[base..end]);
+        let hessians = &mut own.hessians[..];
         // Delta filter: the whole entry is keyed — load, dual, and
         // Hessian — so a link whose dual keeps decaying while its load
         // sits still is still re-shipped (see the sharded module docs).
-        for l in 0..n {
-            let moved = (loads[l] - own.loads[l]).abs() > self.eps
-                || (prices[l] - own.prices[l]).abs() > self.eps
-                || (has_h && (hessians[l] - own.hessians[l]).abs() > self.eps);
+        for (i, ((load, hessian, price), ((held_load, held_price), sub))) in
+            entries.zip(held).enumerate()
+        {
+            let l = base + i;
+            *sub = load > 0.0;
+            let moved = (load - *held_load).abs() > eps
+                || (price - *held_price).abs() > eps
+                || (has_h && (hessian - hessians[l]).abs() > eps);
             if moved {
-                own.loads[l] = loads[l];
-                own.prices[l] = prices[l];
+                *held_load = load;
+                *held_price = price;
                 if has_h {
-                    own.hessians[l] = hessians[l];
+                    hessians[l] = hessian;
                 }
                 ship(Record::LinkState {
                     link: l as u32,
-                    load: loads[l],
-                    dual: prices[l],
-                    hessian: if has_h { hessians[l] } else { 0.0 },
+                    load,
+                    dual: price,
+                    hessian: if has_h { hessian } else { 0.0 },
                 });
-            } else if self.resync_pending && own.nonzero_at(l) {
+                continue;
+            }
+            if !resync {
+                continue;
+            }
+            let held_h = if has_h { hessians[l] } else { 0.0 };
+            if *held_load != 0.0 || *held_price != 0.0 || held_h != 0.0 {
                 // Catch-up: re-ship what the filter skipped but a peer
                 // with stale rows would be missing. Receivers apply
                 // these idempotently (they set, not accumulate).
                 ship(Record::CatchUp {
                     link: l as u32,
-                    load: own.loads[l],
-                    dual: own.prices[l],
-                    hessian: if has_h { own.hessians[l] } else { 0.0 },
+                    load: *held_load,
+                    dual: *held_price,
+                    hessian: held_h,
                 });
             }
         }
-        self.resync_pending = false;
     }
 
-    /// The per-shard half of the install math, after
-    /// [`LinkTables::agree`] returned `true`: sum the *other* shards'
-    /// rows into this shard's background load (and Hessian), mask both
-    /// and the consensus duals to the links this shard subscribes to,
-    /// and install them into `svc`.
+    /// The per-shard half of the install math, after [`Round::agree`]
+    /// returned `true`: sum the *other* shards' `rows` (every shard's, in
+    /// shard order, this one's included) into this shard's background loads and Hessians, and
+    /// mask both and the consensus duals to the links this shard
+    /// subscribes to — written into buffers in the rows' index space,
+    /// one entry per index: an engine's own slot-order buffers in
+    /// process, an [`ExchangeCore`]'s global ones on the wire. `prices`
+    /// holds `NaN` on entry, and keeps it where the shard takes no
+    /// consensus dual; `hessians` is `None` for a first-order engine.
     // flowtune-lint: hot, untrusted-input
-    pub(crate) fn install(&mut self, tables: &LinkTables, svc: &mut AllocatorService) {
+    pub(crate) fn install(
+        &self,
+        round: &Round,
+        rows: &[Row],
+        loads: &mut [f64],
+        hessians: Option<&mut [f64]>,
+        prices: &mut [f64],
+    ) {
         let me = self.shard as usize;
-        tables.sum_others(me, |row| &row.loads, &self.fresh_sub, &mut self.scratch);
-        svc.set_background_loads(&self.scratch);
+        sum_others(me, rows, |row| &row.loads, &self.fresh_sub, loads);
         // Engines without a second-order term export no Hessians and
         // receive none.
-        if tables.any_h && self.own_has_h {
-            tables.sum_others(me, |row| &row.hessians, &self.fresh_sub, &mut self.scratch);
-            svc.set_background_hessians(&self.scratch);
+        if let Some(hessians) = hessians.filter(|_| round.any_h && self.own_has_h) {
+            sum_others(me, rows, |row| &row.hessians, &self.fresh_sub, hessians);
         }
-        if !self.own_active {
+        if self.own_links == 0 {
             return;
         }
         // Consensus duals install only on links this shard prices;
         // elsewhere NaN keeps its own decaying dual.
-        self.scratch.clear();
-        self.scratch.extend(
-            self.fresh_sub
-                .iter()
-                .zip(&tables.consensus)
-                .map(|(&sub, &dual)| if sub { dual } else { f64::NAN }),
-        );
-        svc.set_link_prices(&self.scratch);
+        let consensus = self.fresh_sub.iter().zip(&round.consensus);
+        for (price, (&sub, &dual)) in prices.iter_mut().zip(consensus) {
+            *price = if sub { dual } else { f64::NAN };
+        }
     }
 }
 
@@ -461,10 +494,10 @@ fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<()
 }
 
 /// One shard's side of the exchange when the other shards are reachable
-/// only by frames (see the module docs): a `ShardFilter` and a private
-/// `LinkTables` whose own row the filter writes and whose remote rows
-/// [`ExchangeCore::apply_frame`] fills. Each distributed `ShardPeer`
-/// owns exactly one.
+/// only by frames (see the module docs): a `ShardFilter` and private
+/// rows, indexed by global link id as the frames are, whose own row the
+/// filter writes and whose remote rows [`ExchangeCore::apply_frame`]
+/// fills. Each distributed `ShardPeer` owns exactly one.
 ///
 /// One exchange round is three calls:
 ///
@@ -478,7 +511,12 @@ fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<()
 #[derive(Debug)]
 pub struct ExchangeCore {
     filter: ShardFilter,
-    tables: LinkTables,
+    /// Every shard's last-shipped row, this shard's included.
+    rows: Vec<Row>,
+    round: Round,
+    /// The install math's output by global link id, gathered into the
+    /// engine's slots by [`AllocatorService::install_global`].
+    installed: LinkExport,
     /// Length of the frame the last `begin_round` appended.
     frame_bytes: u64,
 }
@@ -497,7 +535,9 @@ impl ExchangeCore {
         );
         ExchangeCore {
             filter: ShardFilter::new(shard, eps),
-            tables: LinkTables::new(shard_count),
+            rows: (0..shard_count).map(|_| Row::default()).collect(),
+            round: Round::default(),
+            installed: LinkExport::default(),
             frame_bytes: 0,
         }
     }
@@ -537,11 +577,27 @@ impl ExchangeCore {
             },
             out,
         );
-        self.tables.start_round();
-        self.filter
-            .export(&mut self.tables, loads, hessians, prices, |record| {
-                encode_record(&record, has_hessians, out);
-            });
+        debug_assert!(
+            !has_hessians || hessians.len() == loads.len(),
+            "short hessian export"
+        );
+        debug_assert_eq!(prices.len(), loads.len(), "short price export");
+        self.round.start();
+        self.round.note(loads.len(), has_hessians);
+        let own = &mut self.rows[self.filter.shard as usize];
+        let mut ship = |record| encode_record(&record, has_hessians, out);
+        self.filter.start_export(own, loads.len());
+        if has_hessians {
+            let entries = loads.iter().zip(hessians).zip(prices);
+            let entries = entries.map(|((&load, &h), &price)| (load, h, price));
+            self.filter.filter(own, 0, true, entries, &mut ship);
+        } else {
+            let entries = loads
+                .iter()
+                .zip(prices)
+                .map(|(&load, &price)| (load, 0.0, price));
+            self.filter.filter(own, 0, false, entries, &mut ship);
+        }
         let len = out.len() - start;
         self.frame_bytes = len as u64;
         len
@@ -571,19 +627,12 @@ impl ExchangeCore {
         // Every row this core holds has the fabric's link count (its own
         // export among them once it has begun a round).
         let held = self
-            .tables
             .rows
             .iter()
             .map(|row| row.loads.len())
             .find(|&len| len > 0);
-        let LinkTables {
-            rows,
-            round_links,
-            any_h,
-            ..
-        } = &mut self.tables;
         let from = header.shard as usize;
-        let Some(row) = rows.get_mut(from) else {
+        let Some(row) = self.rows.get_mut(from) else {
             return Err(bad_shard);
         };
         // An inactive frame carries no link vector: it sizes nothing,
@@ -601,14 +650,13 @@ impl ExchangeCore {
                     shard: header.shard,
                 });
             }
-            *round_links = (*round_links).max(n);
             row.loads.resize(n, 0.0);
             row.prices.resize(n, 0.0);
             if header.has_hessians {
                 row.hessians.resize(n, 0.0);
             }
         }
-        *any_h |= header.has_hessians;
+        self.round.note(n, header.has_hessians);
         // A catch-up entry sets the row exactly as a link-state one
         // does.
         for record in records {
@@ -649,10 +697,24 @@ impl ExchangeCore {
     /// exported any links this round (the round does not count).
     // flowtune-lint: hot, untrusted-input
     pub fn install(&mut self, svc: &mut AllocatorService) -> Option<u64> {
-        if !self.tables.agree() {
+        if !self.round.agree(&self.rows) {
             return None;
         }
-        self.filter.install(&self.tables, svc);
+        let n = self.round.links;
+        let LinkExport {
+            loads,
+            hessians,
+            prices,
+        } = &mut self.installed;
+        loads.resize(n, 0.0);
+        hessians.resize(n, 0.0);
+        prices.clear();
+        prices.resize(n, f64::NAN);
+        let has_h = self.filter.own_has_h;
+        let written = has_h.then_some(hessians.as_mut_slice());
+        self.filter
+            .install(&self.round, &self.rows, loads, written, prices);
+        svc.install_global(loads, has_h.then_some(hessians.as_slice()), prices);
         Some(self.frame_bytes)
     }
 }
@@ -744,8 +806,8 @@ mod tests {
         let header = FRAME_HEADER_BYTES as u64;
         assert_eq!(bytes2, vec![Some(header), Some(header)]);
         // Each core's copy of the other's row now matches what was shipped.
-        assert_eq!(cores[0].tables.rows[1].loads[1], 2.0);
-        assert_eq!(cores[1].tables.rows[0].loads[0], 1.0);
+        assert_eq!(cores[0].rows[1].loads[1], 2.0);
+        assert_eq!(cores[1].rows[0].loads[0], 1.0);
     }
 
     #[test]
@@ -770,7 +832,7 @@ mod tests {
         let mut buf = Vec::new();
         let len = cores[0].begin_round(4, &exports[0].0, &exports[0].1, &exports[0].2, &mut buf);
         assert_eq!(len, FRAME_HEADER_BYTES + record_bytes(false));
-        let before = cores[1].tables.rows[0].loads.clone();
+        let before = cores[1].rows[0].loads.clone();
         cores[1].begin_round(
             4,
             &exports[1].0,
@@ -779,7 +841,7 @@ mod tests {
             &mut Vec::new(),
         );
         cores[1].apply_frame(&buf).unwrap();
-        assert_eq!(cores[1].tables.rows[0].loads, before);
+        assert_eq!(cores[1].rows[0].loads, before);
         assert_eq!(cores[1].install(&mut svcs[1]), Some(header));
         assert_eq!(cores[0].install(&mut svcs[0]), Some(len as u64));
     }
@@ -872,7 +934,7 @@ mod tests {
         core.apply_frame(&state_at_link_2(false, 1.5, 0.25, -0.75))
             .unwrap();
         let entry = |core: &ExchangeCore| {
-            let row = &core.tables.rows[1];
+            let row = &core.rows[1];
             [row.loads[2], row.prices[2], row.hessians[2]].map(f64::to_bits)
         };
         let held = entry(&core);
@@ -928,13 +990,13 @@ mod tests {
             core.apply_frame(&first_order),
             Err(ApplyError::BadHessians { shard: 1 })
         );
-        assert!(core.tables.rows[1].hessians.is_empty());
-        assert!(!core.tables.any_h, "a refused frame marks nothing");
+        assert!(core.rows[1].hessians.is_empty());
+        assert!(!core.round.any_h, "a refused frame marks nothing");
         // A row the core has not held yet is sized by its first frame,
         // Hessians included.
         let mut fresh = ExchangeCore::new(0, 2, 0.0);
         assert_eq!(fresh.apply_frame(&first_order), Ok(()));
-        assert_eq!(fresh.tables.rows[1].hessians.len(), 4);
+        assert_eq!(fresh.rows[1].hessians.len(), 4);
     }
 
     #[test]
@@ -974,13 +1036,13 @@ mod tests {
                 core.apply_frame(&header_only(n_links)),
                 Err(ApplyError::BadLinkCount { n_links }),
             );
-            assert!(core.tables.rows[1].loads.is_empty());
+            assert!(core.rows[1].loads.is_empty());
         }
         let own_frame = (FRAME_HEADER_BYTES + record_bytes(false)) as u64;
         assert_eq!(core.install(&mut svcs[0]), Some(own_frame), "own frame");
         // The fabric's own count is what a peer legitimately sends.
         assert_eq!(core.apply_frame(&header_only(links as u32)), Ok(()));
-        assert_eq!(core.tables.rows[1].loads.len(), links);
+        assert_eq!(core.rows[1].loads.len(), links);
 
         // A core holding no row yet has nothing to compare against and
         // falls back to the hard bound.
@@ -989,7 +1051,7 @@ mod tests {
             fresh.apply_frame(&header_only(u32::MAX)),
             Err(ApplyError::BadLinkCount { n_links: u32::MAX }),
         );
-        assert!(fresh.tables.rows[1].loads.is_empty());
+        assert!(fresh.rows[1].loads.is_empty());
     }
 
     fn hex(bytes: &[u8]) -> String {

@@ -44,11 +44,13 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
-use flowtune_alloc::{AllocConfig, BoxEngine, FlowRate, RateAllocator, SerialAllocator};
+use flowtune_alloc::{
+    AllocConfig, BoxEngine, FlowRate, LinkInstall, LinkRun, RateAllocator, SerialAllocator,
+};
 use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::codec::RATE_BYTES;
 use flowtune_proto::{Message, Rate16, Token};
-use flowtune_topo::{FlowId, TwoTierClos};
+use flowtune_topo::{FlowId, LinkId, TwoTierClos};
 
 use crate::driver::PhaseTimings;
 use crate::{FlowtuneConfig, TICK_INTERVAL_PS};
@@ -791,45 +793,6 @@ impl AllocatorService {
         self.cfg
     }
 
-    /// The loads half of [`AllocatorService::link_state_into`] (raw
-    /// rates summed per global link, as of the engine's last iteration)
-    /// into a caller-provided buffer. Left empty by engines that do not
-    /// price fabric links. Allocates the half it drops.
-    pub fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.engine.link_state_into(out, &mut Vec::new());
-    }
-
-    /// Installs an exogenous per-link load the engine prices alongside
-    /// its own flows (see [`RateAllocator::set_background_loads`]) — the
-    /// import half of the sharded control plane's link-state exchange.
-    // flowtune-lint: hot
-    pub fn set_background_loads(&mut self, loads: &[f64]) {
-        self.engine.set_background_loads(loads);
-    }
-
-    /// The Hessian half of [`AllocatorService::link_state_into`] into a
-    /// caller-provided buffer. Left empty by engines without a
-    /// second-order price term. Allocates the half it drops.
-    pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        self.engine.link_state_into(&mut Vec::new(), out);
-    }
-
-    /// The engine's own per-link loads and Hessian diagonal in one pass
-    /// (see [`RateAllocator::link_state_into`]) — the exchange's
-    /// per-round export: the engine's own link state as of its last
-    /// iteration, so read it after [`AllocatorService::tick_into`].
-    // flowtune-lint: hot
-    pub fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        self.engine.link_state_into(loads, hessians);
-    }
-
-    /// Installs the exogenous per-link Hessian diagonal accompanying the
-    /// background loads (see [`RateAllocator::set_background_hessians`]).
-    // flowtune-lint: hot
-    pub fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        self.engine.set_background_hessians(hdiag);
-    }
-
     /// Every flow's current allocation into a caller-provided buffer
     /// (cleared first) — the allocation-free steady-state export (see
     /// [`RateAllocator::rates_into`]).
@@ -838,20 +801,116 @@ impl AllocatorService {
         self.engine.rates_into(out);
     }
 
-    /// The engine's current per-link duals into a caller-provided
-    /// buffer (see [`RateAllocator::link_prices_into`]). Left empty by
-    /// engines that do not price fabric links.
-    // flowtune-lint: hot
-    pub fn link_prices_into(&self, out: &mut Vec<f64>) {
-        self.engine.link_prices_into(out);
+    /// The engine's own per-link loads (raw rates summed per global link,
+    /// as of its last iteration — see [`RateAllocator::link_state`]) into
+    /// a caller-provided buffer: one scatter through the engine's link
+    /// slots. Left empty by engines that do not price fabric links.
+    pub fn link_loads_into(&self, out: &mut Vec<f64>) {
+        self.scatter_link_state([Some(out), None, None]);
     }
 
-    /// Overwrites the engine's per-link duals with consensus values;
-    /// `NaN` entries keep the current price (see
-    /// [`RateAllocator::set_link_prices`]).
+    /// The Hessian diagonal beside [`AllocatorService::link_loads_into`]'s
+    /// loads, by global link, into a caller-provided buffer. Left empty by
+    /// engines without a second-order price term.
+    pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
+        self.scatter_link_state([None, Some(out), None]);
+    }
+
+    /// The engine's current per-link duals, by global link, into a
+    /// caller-provided buffer. Left empty by engines that do not price
+    /// fabric links.
+    pub fn link_prices_into(&self, out: &mut Vec<f64>) {
+        self.scatter_link_state([None, None, Some(out)]);
+    }
+
+    /// The global views of the engine's slot-order export, `[loads,
+    /// hessians, prices]`, each requested one cleared and sized to the
+    /// fabric's link count (control links read 0) — or left empty: all of
+    /// them by an engine without link slots, the Hessians by a
+    /// first-order one. One pass over the export.
     // flowtune-lint: hot
-    pub fn set_link_prices(&mut self, prices: &[f64]) {
-        self.engine.set_link_prices(prices);
+    pub(crate) fn scatter_link_state(&self, out: [Option<&mut Vec<f64>>; 3]) {
+        let slots = self.engine.link_slots();
+        let links = if slots.is_empty() {
+            0
+        } else {
+            self.fabric.topology().link_count()
+        };
+        let [mut loads, mut hessians, mut prices] = out;
+        for v in [&mut loads, &mut hessians, &mut prices]
+            .into_iter()
+            .flatten()
+        {
+            v.clear();
+            v.resize(links, 0.0);
+        }
+        let (mut slots, mut second_order) = (slots.iter(), true);
+        self.engine.link_state(&mut |run| {
+            second_order &= run.hessians;
+            // The run first: a zip that ends on it takes no slot past it.
+            for ((&[load, h], &price), link) in run.totals.iter().zip(run.prices).zip(&mut slots) {
+                let l = link.index();
+                if let Some(v) = loads.as_deref_mut() {
+                    v[l] = load;
+                }
+                if let Some(v) = hessians.as_deref_mut() {
+                    v[l] = h;
+                }
+                if let Some(v) = prices.as_deref_mut() {
+                    v[l] = price;
+                }
+            }
+        });
+        if let Some(v) = hessians.filter(|_| !second_order) {
+            v.clear();
+        }
+    }
+
+    /// The engine's link slots (see [`RateAllocator::link_slots`]).
+    pub(crate) fn link_slots(&self) -> &[LinkId] {
+        self.engine.link_slots()
+    }
+
+    /// The engine's slot-order export (see [`RateAllocator::link_state`]).
+    // flowtune-lint: hot
+    pub(crate) fn link_state(&self, visit: &mut dyn FnMut(LinkRun<'_>)) {
+        self.engine.link_state(visit);
+    }
+
+    /// The engine's slot-order install (see
+    /// [`RateAllocator::install_link_state`]).
+    // flowtune-lint: hot
+    pub(crate) fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
+        self.engine.install_link_state(fill);
+    }
+
+    /// Installs background loads, Hessians (`None`: leave them) and
+    /// consensus duals (`NaN`: keep) given by global link: one gather
+    /// into the engine's slots. A link past a vector's end reads as
+    /// nothing to install.
+    // flowtune-lint: hot
+    pub(crate) fn install_global(
+        &mut self,
+        loads: &[f64],
+        hessians: Option<&[f64]>,
+        prices: &[f64],
+    ) {
+        self.engine.install_link_state(&mut |dst| {
+            let at = |values: &[f64], link: LinkId, none: f64| {
+                values.get(link.index()).copied().unwrap_or(none)
+            };
+            for (v, &link) in dst.loads.iter_mut().zip(dst.slots) {
+                *v = at(loads, link, 0.0);
+            }
+            if let (Some(out), Some(hessians)) = (dst.hessians, hessians) {
+                for (v, &link) in out.iter_mut().zip(dst.slots) {
+                    *v = at(hessians, link, 0.0);
+                }
+            }
+            for (v, &link) in dst.prices.iter_mut().zip(dst.slots) {
+                *v = at(prices, link, f64::NAN);
+            }
+        });
     }
 
     /// The engine's short name (`serial` / `multicore` / `fastpass` /

@@ -79,18 +79,15 @@
 //! consensus parts:
 //!
 //! * **load aggregation** — each shard imports the *other* shards' load
-//!   sum as exogenous background load
-//!   ([`flowtune_alloc::RateAllocator::set_background_loads`]), so its
-//!   NED price gradient and F-NORM ratios see the true total utilization
-//!   of shared links;
-//! * **Hessian aggregation** — likewise for `Σ ∂x/∂p`
-//!   ([`flowtune_alloc::RateAllocator::set_background_hessians`]), so
-//!   the Newton step divides the global gradient by the *global*
-//!   sensitivity; a shard using only its own diagonal takes steps
-//!   multiplied by the shard count, which leaves NED's stable γ range;
+//!   sum as exogenous background load, so its NED price gradient and
+//!   F-NORM ratios see the true total utilization of shared links;
+//! * **Hessian aggregation** — likewise for `Σ ∂x/∂p`, so the Newton
+//!   step divides the global gradient by the *global* sensitivity; a
+//!   shard using only its own diagonal takes steps multiplied by the
+//!   shard count, which leaves NED's stable γ range;
 //! * **dual consensus** — each loaded link's price is set to the
-//!   load-weighted mean of the shards' duals
-//!   ([`flowtune_alloc::RateAllocator::set_link_prices`]). Background
+//!   load-weighted mean of the shards' duals. All three are one install
+//!   ([`flowtune_alloc::RateAllocator::install_link_state`]). Background
 //!   terms alone pin only a shared link's *total* (any per-shard price
 //!   split whose demands sum to capacity is stationary); agreeing on the
 //!   dual makes the unsharded optimum the unique fixed point — §5's
@@ -98,23 +95,27 @@
 //!
 //! ## One shared table, a sparse delta protocol
 //!
-//! Exports go through the engines' buffer variants
-//! ([`flowtune_alloc::RateAllocator::link_state_into`] — the loads and
-//! Hessians the engine's last price update summed, scattered to global
-//! link ids: `O(links)`, no walk over the flows — and
-//! [`flowtune_alloc::RateAllocator::link_prices_into`]) into a per-shard
-//! [`LinkExport`] reused every round, so a steady-state exchange
-//! allocates nothing. The export is the shard's own link state *as of
-//! its last iteration*, and it is taken right after the shard's tick.
+//! The exchange runs in the engines' own **slot order** — (direction,
+//! LinkBlock, offset), every data link once, no control link
+//! ([`flowtune_alloc::RateAllocator::link_slots`]) — which every shard's
+//! grid shares. A shard's export
+//! ([`flowtune_alloc::RateAllocator::link_state`]) is lent where it
+//! lies: the loads and Hessians the engine's last price update summed,
+//! and its prices, one run per LinkBlock — `O(links)`, no walk over the
+//! flows, no copy and no scatter. It is the shard's own link state *as
+//! of its last iteration*, and it is filtered right after the shard's
+//! tick, still in phase 1.
 //!
-//! The shards of one process exchange through **one shared link-state
-//! table** ([`crate::exchange`]): a row per shard holding what that
-//! shard last shipped, written only by that shard's filter and read by
-//! every shard's install. Nothing is encoded or decoded, and a row
+//! The shards of one process exchange through **one link-state table**
+//! ([`crate::exchange`]): a row per shard holding what that shard last
+//! shipped, lent to the shard for phase 1 and written only by its filter
+//! there, then read by every shard's install. Nothing is encoded or decoded, and a row
 //! exists once — not once per reader. What is the same for every shard
 //! (the dual consensus) is computed once per round; only the background
 //! sums, which leave out the shard's own row, and the subscription mask
-//! are per shard.
+//! are per shard, and they are written straight into the background
+//! arrays and staged duals the shard's engine lends — no gather, no
+//! re-split.
 //! The serialized form of the same round — frames carrying exactly the
 //! entries the filters write — exists only between processes, where
 //! `flowtune-net`'s shard peers each keep private copies of the rows;
@@ -176,7 +177,7 @@ use flowtune_alloc::WorkerPool;
 use flowtune_proto::exchange::{record_bytes, FRAME_HEADER_BYTES};
 use flowtune_topo::TwoTierClos;
 
-use crate::exchange::{LinkExport, LinkTables, ShardFilter};
+use crate::exchange::{Round, Row, ShardFilter};
 use crate::placement::Placement;
 use crate::router::{Router, ShardSet};
 use crate::service::{AllocatorService, Passers, ServiceStats};
@@ -187,25 +188,30 @@ use crate::{ExchangeConfig, FlowtuneConfig};
 /// [`InProcess`] shard set.
 pub type ShardedService = Router<InProcess>;
 
-/// One shard: its service, plus the per-tick outputs and export scratch
-/// phase 1 writes and phase 2 reads — kept beside the service so the
+/// One shard: its service, plus the per-tick outputs and its exchange
+/// row phase 1 writes and phase 2 reads — kept beside the service so the
 /// fan-out hands each pool slot one item, and reused across ticks so the
 /// hot path does not allocate.
 #[derive(Debug)]
 struct ShardSlot {
     svc: AllocatorService,
     /// The shard's side of the exchange: the delta filter that writes
-    /// its row of the shared [`LinkTables`], and its install.
+    /// `row`, and its install.
     filter: ShardFilter,
+    /// What this shard last shipped, in its engine's slot order, lent
+    /// from the table for phase 1 (written only by its filter), and an
+    /// empty row otherwise.
+    row: Row,
+    /// The frame this round's filter would put on a wire, counted: a
+    /// header and its records, in bytes.
+    frame_bytes: usize,
     /// The shard's passers from this tick, unordered; phase 2 appends
     /// them to the router's batch. Its own buffer so pool slots share
     /// nothing.
     updates: Passers,
-    /// Link-state export, refreshed only on exchange rounds.
-    export: LinkExport,
-    /// Cumulative time spent refreshing `export` — phase 1's share of
-    /// the exchange, timed per shard because the shards run it
-    /// concurrently.
+    /// Cumulative time spent filtering the engine's export into `row` —
+    /// phase 1's share of the exchange, timed per shard because the
+    /// shards run it concurrently.
     refresh_time: Duration,
 }
 
@@ -225,9 +231,12 @@ pub struct InProcess {
     /// Ticks driven so far (the exchange fires when `ticks` is a
     /// multiple of the cadence).
     ticks: u64,
-    /// The exchange's one table set: every shard's last-shipped row,
-    /// written by that shard's filter and read by every shard's install.
-    tables: LinkTables,
+    /// The exchange's table: every shard's last-shipped row, in its
+    /// engines' slot order, lent to the shard's slot while phase 1
+    /// filters into it and read whole by every shard's install.
+    rows: Vec<Row>,
+    /// The exchange round's link count, Hessian mark and consensus.
+    round: Round,
     /// The exchange's rounds and frame bytes (zero whenever the
     /// exchange is off).
     counters: ServiceStats,
@@ -282,14 +291,23 @@ impl ShardedService {
     ///
     /// # Panics
     /// Panics if `shards` is empty, the shards disagree on the fabric or
-    /// the configuration, or the placement's shape (server count, shard
-    /// count) does not match.
+    /// the configuration, their engines share link state in different
+    /// slot orders, or the placement's shape (server count, shard count)
+    /// does not match.
     pub fn with_placement(shards: Vec<AllocatorService>, placement: Placement) -> Self {
         let cfg = shards
             .first()
             .expect("a sharded service needs at least one shard")
             .config();
         let n = shards.len();
+        // The rows are in slot order: every engine that shares link state
+        // must share it in the same order.
+        let slots = shards.iter().map(AllocatorService::link_slots);
+        let order = slots.clone().find(|slots| !slots.is_empty());
+        assert!(
+            slots.clone().all(|s| s.is_empty() || Some(s) == order),
+            "the shards' engines disagree on the link slot order"
+        );
         let set = InProcess {
             slots: shards
                 .into_iter()
@@ -297,15 +315,17 @@ impl ShardedService {
                 .map(|(i, svc)| ShardSlot {
                     svc,
                     filter: ShardFilter::new(i as u16, cfg.exchange_delta_eps),
+                    row: Row::default(),
+                    frame_bytes: 0,
                     updates: Passers::default(),
-                    export: LinkExport::default(),
                     refresh_time: Duration::ZERO,
                 })
                 .collect(),
             exchange: ExchangeConfig::from_flowtune(&cfg),
             pool: WorkerPool::new(if cfg.parallel_shards { n } else { 1 }),
             ticks: 0,
-            tables: LinkTables::new(n),
+            rows: (0..n).map(|_| Row::default()).collect(),
+            round: Round::default(),
             counters: ServiceStats::default(),
             exchange_time: Duration::ZERO,
         };
@@ -344,9 +364,16 @@ impl ShardSet for InProcess {
         let exchange = self.exchange.due(self.ticks, self.slots.len());
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
-        // rounds, exports its link state) with no shared state.
+        // rounds, filters its link state into the row lent to it) with no
+        // shared state.
+        if exchange {
+            self.lend_rows();
+        }
         self.pool
             .fan_out(&mut self.slots, &|_, slot| tick_shard(slot, exchange));
+        if exchange {
+            self.lend_rows();
+        }
 
         // Phase 2: the fan-out return is the barrier — cross-shard
         // consensus and installs run with every shard's tick complete.
@@ -400,59 +427,94 @@ impl InProcess {
     ///    no shard loads keep their per-shard prices (`NaN` in the
     ///    consensus vector) and decay as usual.
     ///
-    /// The round runs over the one shared [`LinkTables`]: every shard's
-    /// [`ShardFilter`] delta-filters its fresh export into its own row,
-    /// [`LinkTables::agree`] computes what is the same for every shard —
-    /// the dual consensus — once, and every shard's filter then sums the
-    /// *other* rows, masks to its subscriptions and installs into its
-    /// own service. Nothing is serialized: the frames a distributed
-    /// deployment ships carry exactly the entries the filters write here
-    /// (see [`crate::exchange`]), and the round is charged their length.
+    /// The round runs over the shards' rows, in their engines' slot
+    /// order: in phase 1 every shard's [`ShardFilter`] delta-filtered its
+    /// engine's export into its own row ([`ShardSlot::export`]); here
+    /// [`Round::agree`] computes what is the same for every shard — the
+    /// dual consensus — once, and every shard's filter then sums the
+    /// *other* rows and masks to its subscriptions straight into the
+    /// buffers its engine lends. Nothing is serialized and nothing is
+    /// re-indexed: the frames a distributed deployment ships carry
+    /// exactly the entries the filters write here (see
+    /// [`crate::exchange`]), and the round is charged their length.
     /// Engines with no second-order term (gradient projection) skip the
     /// Hessian part only.
     // flowtune-lint: hot
     fn exchange_link_state(&mut self) {
-        self.tables.start_round();
-        // The frames a wire would carry, counted instead of encoded: a
-        // header per shard, active or not, plus its records.
+        self.round.start();
+        // The frames a wire would carry, counted instead of encoded.
         let mut bytes = 0;
-        for slot in &mut self.slots {
-            let LinkExport {
-                loads,
-                hessians,
-                prices,
-            } = &slot.export;
-            let record = record_bytes(!hessians.is_empty());
-            bytes += FRAME_HEADER_BYTES;
-            slot.filter
-                .export(&mut self.tables, loads, hessians, prices, |_| {
-                    bytes += record;
-                });
+        for slot in &self.slots {
+            let (links, has_hessians) = slot.filter.exported();
+            self.round.note(links, has_hessians);
+            bytes += slot.frame_bytes;
         }
         // `false` means no shard exported any links — the round does
         // not count.
-        if !self.tables.agree() {
+        if !self.round.agree(&self.rows) {
             return;
         }
+        let (rows, round) = (&self.rows, &self.round);
         for slot in &mut self.slots {
-            slot.filter.install(&self.tables, &mut slot.svc);
+            let filter = &slot.filter;
+            slot.svc.install_link_state(&mut |dst| {
+                filter.install(round, rows, dst.loads, dst.hessians, dst.prices);
+            });
         }
         self.counters.exchange_rounds += 1;
         self.counters.exchange_bytes += bytes as u64;
     }
+
+    /// Swaps every shard's row between the table and its slot: lends
+    /// the rows to phase 1, and takes them back for phase 2.
+    // flowtune-lint: hot
+    fn lend_rows(&mut self) {
+        for (slot, row) in self.slots.iter_mut().zip(&mut self.rows) {
+            std::mem::swap(&mut slot.row, row);
+        }
+    }
+}
+
+impl ShardSlot {
+    /// Phase 1's share of an exchange round: delta-filter the engine's
+    /// fresh slot-order export, run by run where it lies, into this
+    /// shard's row, and count the frame — a header, active or not, plus
+    /// its records.
+    // flowtune-lint: hot
+    fn export(&mut self) {
+        let Self {
+            svc,
+            filter,
+            row,
+            frame_bytes,
+            ..
+        } = self;
+        filter.start_export(row, svc.link_slots().len());
+        *frame_bytes = FRAME_HEADER_BYTES;
+        let mut base = 0;
+        svc.link_state(&mut |run| {
+            let record = record_bytes(run.hessians);
+            let entries = run.totals.iter().zip(run.prices);
+            let entries = entries.map(|(&[load, hessian], &price)| (load, hessian, price));
+            filter.filter(row, base, run.hessians, entries, &mut |_| {
+                *frame_bytes += record;
+            });
+            base += run.totals.len();
+        });
+    }
 }
 
 /// One shard's phase-1 work: tick into the slot's batch of passers, and
-/// on exchange rounds export its link state into the slot's reusable
-/// buffers. Runs with no shared state — concurrently on pool slots or
-/// sequentially on the caller, with identical results.
+/// on exchange rounds filter its link state into its own row. Runs with
+/// no shared state — concurrently on pool slots or sequentially on the
+/// caller, with identical results.
 // flowtune-lint: hot
 fn tick_shard(slot: &mut ShardSlot, export: bool) {
     slot.updates.clear();
     slot.svc.tick_passers(&mut slot.updates);
     if export {
         let t0 = Instant::now();
-        slot.export.refresh(&slot.svc);
+        slot.export();
         slot.refresh_time += t0.elapsed();
     }
 }
@@ -656,7 +718,8 @@ mod tests {
         let mut dirty = 0;
         for shard in twin.shards() {
             let (mut loads, mut prices, mut hess) = (Vec::new(), Vec::new(), Vec::new());
-            shard.link_state_into(&mut loads, &mut hess);
+            shard.link_loads_into(&mut loads);
+            shard.link_hessians_into(&mut hess);
             shard.link_prices_into(&mut prices);
             dirty += (0..loads.len())
                 .filter(|&l| loads[l] != 0.0 || prices[l] != 0.0 || hess[l] != 0.0)

@@ -16,9 +16,9 @@
 use std::sync::{Arc, Mutex};
 
 use flowtune::{AllocatorService, ExchangeCore, FlowtuneConfig, ShardedService, TickDriver};
-use flowtune_alloc::{FlowRate, RateAllocator};
+use flowtune_alloc::{FlowRate, LinkInstall, LinkRun, RateAllocator};
 use flowtune_proto::exchange::{record_bytes, Record, RecordIter};
-use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
+use flowtune_topo::{ClosConfig, FlowId, LinkId, Path, TwoTierClos};
 use proptest::prelude::*;
 
 /// Link-vector length of the scripted exports. The scripted engine never
@@ -40,10 +40,13 @@ struct Installed {
 }
 
 /// An engine with no flows whose link-state exports follow a script
-/// (one entry per tick) and whose installs are recorded.
+/// (one entry per tick) and whose installs are recorded. Its slots are
+/// the script's indices — the first `LINKS` link ids, or none for an
+/// engine that exports nothing — and it lends its export in two runs.
 #[derive(Debug)]
 struct Scripted {
     script: Arc<Vec<Export>>,
+    slots: Vec<LinkId>,
     ticks: usize,
     installed: Arc<Mutex<Installed>>,
 }
@@ -77,26 +80,47 @@ impl RateAllocator for Scripted {
     fn flow_rate(&self, _: FlowId) -> Option<FlowRate> {
         None
     }
-    fn link_state_into(&self, loads: &mut Vec<f64>, hessians: &mut Vec<f64>) {
-        loads.clone_from(&self.current().0);
-        hessians.clone_from(&self.current().1);
+    fn link_slots(&self) -> &[LinkId] {
+        &self.slots
     }
-    fn link_prices_into(&self, out: &mut Vec<f64>) {
-        out.clone_from(&self.current().2);
+    fn link_state(&self, visit: &mut dyn FnMut(LinkRun<'_>)) {
+        let (loads, hessians, prices) = self.current();
+        let hessian = |l: usize| hessians.get(l).copied().unwrap_or(0.0);
+        let totals: Vec<[f64; 2]> = (0..loads.len()).map(|l| [loads[l], hessian(l)]).collect();
+        for run in [
+            0..loads.len().min(LINKS / 2),
+            loads.len().min(LINKS / 2)..loads.len(),
+        ] {
+            if !run.is_empty() {
+                visit(LinkRun {
+                    totals: &totals[run.clone()],
+                    prices: &prices[run],
+                    hessians: !hessians.is_empty(),
+                });
+            }
+        }
     }
-    fn set_background_loads(&mut self, loads: &[f64]) {
+    fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let n = self.slots.len();
+        let second_order = !self.script[0].1.is_empty();
+        let (mut loads, mut hessians, mut prices) = (vec![0.0; n], vec![0.0; n], vec![f64::NAN; n]);
+        fill(LinkInstall {
+            slots: &self.slots,
+            loads: &mut loads,
+            hessians: second_order.then_some(&mut hessians[..]),
+            prices: &mut prices,
+        });
         let mut installed = self.installed.lock().unwrap();
-        installed.loads = bits(loads);
+        installed.loads = bits(&loads);
         installed.calls[0] += 1;
-    }
-    fn set_background_hessians(&mut self, hdiag: &[f64]) {
-        let mut installed = self.installed.lock().unwrap();
-        installed.hessians = bits(hdiag);
-        installed.calls[1] += 1;
-    }
-    fn set_link_prices(&mut self, prices: &[f64]) {
-        let mut installed = self.installed.lock().unwrap();
-        installed.prices = bits(prices);
+        if second_order {
+            installed.hessians = bits(&hessians);
+            installed.calls[1] += 1;
+        }
+        installed.prices = bits(&prices);
         installed.calls[2] += 1;
     }
     fn name(&self) -> &'static str {
@@ -160,8 +184,13 @@ fn service(
     script: &Arc<Vec<Export>>,
 ) -> (AllocatorService, Arc<Mutex<Installed>>) {
     let installed = Arc::new(Mutex::new(Installed::default()));
+    let exports_links = !script[0].0.is_empty();
     let engine = Scripted {
         script: Arc::clone(script),
+        slots: (0..LINKS as u32)
+            .map(LinkId)
+            .filter(|_| exports_links)
+            .collect(),
         ticks: 0,
         installed: Arc::clone(&installed),
     };

@@ -314,6 +314,56 @@ fn mem_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
             }
         }
     }
+
+    // The two install paths the NED full sweep leaves out: a first-order
+    // exchange (gradient grids ship and receive no Hessians), and an
+    // incremental grid, whose consensus install marks the workers a
+    // moved dual invalidates.
+    let incremental = FlowtuneConfig {
+        incremental: true,
+        dirty_eps: 1e-9,
+        ..FlowtuneConfig::default()
+    };
+    for (what, engine, cfg) in [
+        ("gradient", Engine::Gradient, FlowtuneConfig::default()),
+        ("incremental", Engine::Serial, incremental),
+    ] {
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..cfg
+        };
+        let exchange = ExchangeConfig::from_flowtune(&cfg).round_timeout(Duration::from_secs(5));
+        let build = || {
+            let builder = AllocatorService::builder().fabric(&fabric).config(cfg);
+            builder
+                .engine(engine.clone())
+                .build()
+                .expect("fabric is set")
+        };
+        for shards in [2usize, 4] {
+            for seed in [1u64, 7] {
+                let mut svc = ShardedService::from_shards((0..shards).map(|_| build()).collect());
+                let peers: Vec<_> = mem_mesh(shards)
+                    .into_iter()
+                    .map(|t| {
+                        ShardPeer::new(build(), t, exchange)
+                            .expect("mem transport splits infallibly")
+                    })
+                    .collect();
+                let mut cluster = PeerCluster::from_peers(peers);
+                assert_bit_for_bit(
+                    &format!("mem cluster vs in-process, {what}, {shards} shards, seed {seed}"),
+                    &Replay::churn(&fabric, seed, 90),
+                    &mut svc,
+                    &mut cluster,
+                    StatsCheck::Exact,
+                );
+                let wire = cluster.wire_stats();
+                assert!(wire.tx_bytes > 0, "no bytes on the mem wire");
+                assert_eq!(wire.late_rounds, 0);
+            }
+        }
+    }
 }
 
 #[test]

@@ -4,27 +4,19 @@ use std::time::Duration;
 
 use crate::placement::PlacementSpec;
 
-/// The exchange knobs, grouped: cadence, delta filter, and the peer
-/// runtime's round timeout and staleness bound. The in-process
-/// `ShardedService` exchange uses only [`ExchangeConfig::every`] and
-/// [`ExchangeConfig::delta_eps`] — in-process rows cannot be late — and
-/// reads them from its shards' [`FlowtuneConfig`]; a distributed
-/// `ShardPeer` uses all four and takes them whole in `ShardPeer::new`,
-/// with [`ExchangeConfig::from_flowtune`] lifting the first two from the
-/// same flat config.
+/// The distributed peer runtime's exchange knobs: the barrier's round
+/// timeout and staleness bound. In-process rows cannot be late, so the
+/// in-process `ShardedService` has no use for them. The cadence and the
+/// delta filter are not here: every plane reads them from its services'
+/// own [`FlowtuneConfig`] ([`FlowtuneConfig::exchange_due`],
+/// [`FlowtuneConfig::exchange_delta_eps`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeConfig {
-    /// Exchange cadence in ticks ([`FlowtuneConfig::exchange_every`];
-    /// 0 disables the exchange).
-    pub every: u64,
-    /// Delta filter threshold
-    /// ([`FlowtuneConfig::exchange_delta_eps`]).
-    pub delta_eps: f64,
-    /// Peer runtime only: how long an exchange barrier waits for a
+    /// How long an exchange barrier waits for a
     /// not-yet-stale peer's frame for the current round before
     /// degrading to that peer's last-received state.
     pub round_timeout: Duration,
-    /// Peer runtime only: the staleness bound. A peer that has missed
+    /// The staleness bound. A peer that has missed
     /// this many consecutive barriers is waited for again (up to
     /// [`ExchangeConfig::round_timeout`]) at *every* subsequent barrier
     /// until it recovers — throttling a healthy shard rather than
@@ -37,8 +29,6 @@ pub struct ExchangeConfig {
 impl Default for ExchangeConfig {
     fn default() -> Self {
         ExchangeConfig {
-            every: 0,
-            delta_eps: 0.0,
             round_timeout: Duration::from_secs(1),
             max_rounds_behind: 8,
         }
@@ -46,21 +36,10 @@ impl Default for ExchangeConfig {
 }
 
 impl ExchangeConfig {
-    /// The grouped view of `cfg`'s exchange knobs (cadence and delta
-    /// filter from `cfg`, peer-runtime knobs at their defaults).
-    pub fn from_flowtune(cfg: &FlowtuneConfig) -> Self {
-        ExchangeConfig {
-            every: cfg.exchange_every,
-            delta_eps: cfg.exchange_delta_eps,
-            ..ExchangeConfig::default()
-        }
-    }
-
-    /// Whether an exchange round is due on tick `tick` (counted from 1)
-    /// of a `shards`-shard control plane: the exchange is on, there is
-    /// another shard to exchange with, and the cadence divides the tick.
-    pub fn due(&self, tick: u64, shards: usize) -> bool {
-        self.every > 0 && shards > 1 && tick.is_multiple_of(self.every)
+    /// The peer-runtime defaults, whatever `cfg` says: a peer reads the
+    /// cadence and the delta filter from its service's config.
+    pub fn from_flowtune(_cfg: &FlowtuneConfig) -> Self {
+        ExchangeConfig::default()
     }
 
     /// Sets the peer runtime's per-round barrier timeout.
@@ -189,6 +168,13 @@ impl FlowtuneConfig {
     pub fn capacity_fraction(&self) -> f64 {
         1.0 - self.update_threshold
     }
+
+    /// Whether an exchange round is due on tick `tick` (counted from 1)
+    /// of a `shards`-shard control plane: the exchange is on, there is
+    /// another shard to exchange with, and the cadence divides the tick.
+    pub fn exchange_due(&self, tick: u64, shards: usize) -> bool {
+        self.exchange_every > 0 && shards > 1 && tick.is_multiple_of(self.exchange_every)
+    }
 }
 
 #[cfg(test)]
@@ -224,28 +210,28 @@ mod tests {
 
     #[test]
     fn exchange_config_groups_the_flowtune_knobs() {
-        // The grouped view mirrors the flat config's cadence and delta
-        // filter; the peer-runtime knobs default to a 1 s barrier and a
-        // staleness bound of 8 missed barriers.
+        // The peer-runtime knobs default to a 1 s barrier and a
+        // staleness bound of 8 missed barriers, whatever the flat config
+        // says about the cadence.
         let flat = FlowtuneConfig {
             exchange_every: 4,
             exchange_delta_eps: 1e-6,
             ..FlowtuneConfig::default()
         };
         let ex = ExchangeConfig::from_flowtune(&flat);
-        assert_eq!(ex.every, 4);
-        assert_eq!(ex.delta_eps, 1e-6);
+        assert_eq!(ex, ExchangeConfig::default());
         assert_eq!(ex.round_timeout, Duration::from_secs(1));
         assert_eq!(ex.max_rounds_behind, 8);
-        // The peer-runtime knobs chain onto the lifted view.
         let ex = ex
             .round_timeout(Duration::from_millis(20))
             .max_rounds_behind(3);
-        assert_eq!(ex.every, 4);
         assert_eq!(ex.round_timeout, Duration::from_millis(20));
         assert_eq!(ex.max_rounds_behind, 3);
-        // The default cadence is "exchange off", matching the flat
-        // config's default.
-        assert_eq!(ExchangeConfig::default().every, 0);
+        // The cadence divides the tick, needs a second shard, and is off
+        // by default.
+        assert!(flat.exchange_due(8, 2));
+        assert!(!flat.exchange_due(6, 2));
+        assert!(!flat.exchange_due(8, 1));
+        assert!(!FlowtuneConfig::default().exchange_due(8, 2));
     }
 }

@@ -181,7 +181,7 @@ use crate::exchange::{Round, Row, ShardFilter};
 use crate::placement::Placement;
 use crate::router::{Router, ShardSet};
 use crate::service::{AllocatorService, Passers, ServiceStats};
-use crate::{ExchangeConfig, FlowtuneConfig};
+use crate::FlowtuneConfig;
 
 /// N independent [`AllocatorService`] shards of one process behind one
 /// [`TickDriver`](crate::TickDriver) face: the [`Router`] over the
@@ -221,9 +221,6 @@ struct ShardSlot {
 pub struct InProcess {
     /// The shards, in partition order.
     slots: Vec<ShardSlot>,
-    /// The exchange cadence, from the shards' shared configuration (the
-    /// delta filter lives in each slot's [`ShardFilter`]).
-    exchange: ExchangeConfig,
     /// Phase 1's pool: a slot per shard (config `parallel_shards` and
     /// more than one shard), its threads parked between ticks, or one
     /// slot, the caller's thread.
@@ -321,7 +318,6 @@ impl ShardedService {
                     refresh_time: Duration::ZERO,
                 })
                 .collect(),
-            exchange: ExchangeConfig::from_flowtune(&cfg),
             pool: WorkerPool::new(if cfg.parallel_shards { n } else { 1 }),
             ticks: 0,
             rows: (0..n).map(|_| Row::default()).collect(),
@@ -361,7 +357,10 @@ impl ShardSet for InProcess {
     // flowtune-lint: hot
     fn tick(&mut self, passers: &mut Passers) -> Result<(), Self::Error> {
         self.ticks += 1;
-        let exchange = self.exchange.due(self.ticks, self.slots.len());
+        let exchange = self.slots[0]
+            .svc
+            .config()
+            .exchange_due(self.ticks, self.slots.len());
 
         // Phase 1: allocate ∥ — every shard ticks (and, on exchange
         // rounds, filters its link state into the row lent to it) with no

@@ -12,12 +12,6 @@
 //! and one `lag` line per remote peer with the staleness view
 //! (`behind`/`peak`/`fresh_round`) the async barrier kept.
 //!
-//! For latency-fault drills, `FLOWTUNE_PEER_DELAY=shard:ms:rounds`
-//! makes the named shard sleep `ms` before each of its first `rounds`
-//! ticks; demo mode passes the variable through to its children and
-//! then asserts the healthy peers both kept ticking and reported the
-//! laggard's staleness.
-//!
 //! Demo mode (`--demo N`) spawns N peer processes of itself, computes
 //! the unsharded reference allocation in-process, and asserts what the
 //! paper's §5 aggregation promises one level up: every flow's rate
@@ -63,12 +57,6 @@ Options:
   --max-behind B       stale rounds before a peer is waited on again;
                        0 disables the bound (default 8)
   --help               this text
-
-Environment:
-  FLOWTUNE_PEER_DELAY=shard:ms:rounds
-                       the named shard sleeps ms before each of its
-                       first rounds ticks (latency-fault injection;
-                       demo mode forwards it to its children)
 ";
 
 #[derive(Debug, Clone)]
@@ -204,30 +192,6 @@ fn incast_flows() -> Vec<(u32, u16)> {
 
 // ---------------------------------------------------------------- peer
 
-/// Parse `FLOWTUNE_PEER_DELAY`'s `shard:ms:rounds` spec.
-fn parse_delay_spec(spec: &str) -> Result<(u16, u64, u64), String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let [shard, ms, rounds] = parts.as_slice() else {
-        return Err(format!("delay spec {spec:?} is not shard:ms:rounds"));
-    };
-    Ok((
-        shard.parse().map_err(|e| format!("delay shard: {e}"))?,
-        ms.parse().map_err(|e| format!("delay ms: {e}"))?,
-        rounds.parse().map_err(|e| format!("delay rounds: {e}"))?,
-    ))
-}
-
-/// This shard's injected latency fault, if `FLOWTUNE_PEER_DELAY` names
-/// it: the sleep to take before each of the first `rounds` ticks.
-fn peer_delay(shard: u16) -> io::Result<Option<(Duration, u64)>> {
-    let Ok(spec) = std::env::var("FLOWTUNE_PEER_DELAY") else {
-        return Ok(None);
-    };
-    let (target, ms, rounds) =
-        parse_delay_spec(&spec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    Ok((target == shard).then_some((Duration::from_millis(ms), rounds)))
-}
-
 fn run_peer_on<T: Transport>(transport: T, opts: &Opts) -> io::Result<()> {
     let fabric = fabric();
     let svc = AllocatorService::new(&fabric, config(opts.exchange_every));
@@ -235,7 +199,6 @@ fn run_peer_on<T: Transport>(transport: T, opts: &Opts) -> io::Result<()> {
         .round_timeout(Duration::from_millis(opts.timeout_ms))
         .max_rounds_behind(opts.max_behind);
     let mut peer = ShardPeer::new(svc, transport, exchange)?;
-    let delay = peer_delay(peer.shard())?;
     let placement = Placement::contiguous(fabric.config().server_count(), opts.shards as usize);
     let mine: Vec<(u32, u16)> = incast_flows()
         .into_iter()
@@ -245,12 +208,7 @@ fn run_peer_on<T: Transport>(transport: T, opts: &Opts) -> io::Result<()> {
         peer.on_message(start(&fabric, token, src, RECEIVER))
             .expect("demo workload is well-formed");
     }
-    for tick in 0..opts.ticks {
-        if let Some((pause, rounds)) = delay {
-            if tick < rounds {
-                std::thread::sleep(pause);
-            }
-        }
+    for _ in 0..opts.ticks {
         peer.tick()?;
     }
     let stdout = io::stdout();
@@ -545,26 +503,6 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
     }
     for (shard, p) in peak.iter().enumerate() {
         println!("lag shard={shard} peak_behind={p}");
-    }
-
-    // Latency drill: when a delay was injected, the healthy peers must
-    // have finished anyway (they did — we parsed their reports) AND
-    // flagged the laggard's staleness instead of stalling behind it.
-    if let Ok(spec) = std::env::var("FLOWTUNE_PEER_DELAY") {
-        let (laggard, ms, rounds) = parse_delay_spec(&spec)?;
-        if n > 1 && laggard < n && ms > 0 && rounds > 0 {
-            // A sleep much longer than the round timeout must register
-            // at least one missed barrier per slept round; a milder one
-            // at least shows up once.
-            let floor = if ms >= 2 * opts.timeout_ms { rounds } else { 1 };
-            let seen = peak[usize::from(laggard)];
-            let lag_ok = seen >= floor;
-            println!(
-                "check laggard_flagged shard={laggard} peak_behind={seen} floor={floor} {}",
-                if lag_ok { "ok" } else { "FAIL" }
-            );
-            ok &= lag_ok;
-        }
     }
 
     if ok {

@@ -98,10 +98,10 @@ impl<T: Transport> PeerCluster<T> {
     /// Assemble a cluster from peers under the contiguous placement.
     /// Peers must arrive in shard order and agree with their transports
     /// on the cluster size, and with each other on the fabric and the
-    /// configuration. [`ShardPeer::new`] holds each peer's exchange
-    /// cadence and delta filter to its service's config, so one
-    /// configuration means one cadence: no peer skips a round the others
-    /// run and leaves them waiting out their barrier timeout.
+    /// configuration. Each peer reads its exchange cadence and delta
+    /// filter from its service's config, so one configuration means one
+    /// cadence: no peer skips a round the others run and leaves them
+    /// waiting out their barrier timeout.
     ///
     /// # Panics
     /// Panics if `peers` is empty, a peer's shard id or peer count
@@ -321,18 +321,20 @@ mod tests {
         let _ = PeerCluster::from_peers(peers);
     }
 
-    /// A default-config service runs no exchange in process; its peer
-    /// must not run one on the wire.
+    /// A default-config service runs no exchange in process; its peers
+    /// run none on the wire.
     #[test]
-    #[should_panic(expected = "differs from the service config")]
-    fn a_peer_refuses_an_exchange_its_service_config_turns_off() {
-        let t = mem_mesh(2).remove(0);
-        let exchange = ExchangeConfig {
-            every: 1,
-            ..ExchangeConfig::default()
-        };
-        let svc = AllocatorService::new(&fabric(), FlowtuneConfig::default());
-        let _ = ShardPeer::new(svc, t, exchange);
+    fn a_default_config_peer_runs_no_exchange() {
+        let mut c = cluster(&fabric(), FlowtuneConfig::default(), 2);
+        c.on_message(start(1, 0, 15)).unwrap();
+        c.on_message(start(2, 8, 15)).unwrap();
+        for _ in 0..5 {
+            c.tick();
+        }
+        let st = c.stats();
+        assert_eq!(st.exchange_rounds, 0);
+        assert_eq!(st.exchange_bytes, 0);
+        assert_eq!(c.wire_stats().tx_frames, 0);
     }
 
     #[test]

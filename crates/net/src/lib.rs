@@ -36,9 +36,8 @@
 //!   bit-for-bit identical to `ShardedService`, over every transport.
 //! * `flowtune-arbiterd` (this crate's binary) — one shard peer per
 //!   process, plus a `--demo` launcher that spawns an N-process
-//!   cluster, checks it converges to the unsharded optimum, reports
-//!   per-peer staleness, and (via `FLOWTUNE_PEER_DELAY=shard:ms:rounds`)
-//!   doubles as a latency-injection drill.
+//!   cluster, checks it converges to the unsharded optimum and reports
+//!   per-peer staleness.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

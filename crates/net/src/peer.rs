@@ -280,18 +280,12 @@ pub struct ShardPeer<T: Transport> {
 impl<T: Transport> ShardPeer<T> {
     /// Wrap `svc` as the shard `transport.shard()` peer of a
     /// `transport.peers()`-shard cluster, splitting the transport. The
-    /// exchange cadence, delta filter, barrier timeout and staleness
-    /// bound all come from `exchange` ([`ExchangeConfig::from_flowtune`]
-    /// lifts the first two from a service's flat config). The barrier
-    /// runs on the [`WallClock`].
+    /// exchange cadence and delta filter come from `svc`'s config, as
+    /// they do in process; the barrier timeout and staleness bound from
+    /// `exchange`. The barrier runs on the [`WallClock`].
     ///
     /// # Errors
     /// [`PeerError::Setup`] when splitting the transport fails.
-    ///
-    /// # Panics
-    /// Panics if `exchange`'s cadence or delta filter differs from
-    /// `svc`'s config: the in-process plane reads them from the config,
-    /// so a peer that disagreed would exchange where it does not.
     pub fn new(
         svc: AllocatorService,
         transport: T,
@@ -305,28 +299,15 @@ impl<T: Transport> ShardPeer<T> {
     ///
     /// # Errors
     /// [`PeerError::Setup`] when splitting the transport fails.
-    ///
-    /// # Panics
-    /// As [`ShardPeer::new`].
     pub fn with_clock(
         svc: AllocatorService,
         transport: T,
         exchange: ExchangeConfig,
         clock: Box<dyn Clock>,
     ) -> Result<Self, PeerError> {
-        let cfg = svc.config();
-        assert!(
-            (exchange.every, exchange.delta_eps) == (cfg.exchange_every, cfg.exchange_delta_eps),
-            "exchange (every, delta_eps) = ({}, {}) differs from the service config's \
-             (exchange_every, exchange_delta_eps) = ({}, {})",
-            exchange.every,
-            exchange.delta_eps,
-            cfg.exchange_every,
-            cfg.exchange_delta_eps
-        );
         let shard = transport.shard();
         let peers = transport.peers();
-        let core = ExchangeCore::new(shard, peers, exchange.delta_eps);
+        let core = ExchangeCore::new(shard, peers, svc.config().exchange_delta_eps);
         let (tx, rxs) = transport
             .split()
             .map_err(|error| PeerError::Setup { error })?;
@@ -457,7 +438,7 @@ impl<T: Transport> ShardPeer<T> {
         self.exchange_finish()?;
         self.ticks += 1;
         self.svc.tick_passers(passers);
-        self.round_due = self.exchange.due(self.ticks, self.tx.peers());
+        self.round_due = self.svc.config().exchange_due(self.ticks, self.tx.peers());
         if self.round_due {
             let t0 = Instant::now();
             self.export.refresh(&self.svc);
@@ -590,8 +571,9 @@ impl<T: Transport> ShardPeer<T> {
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use flowtune::FlowtuneConfig;
-    use flowtune_topo::{ClosConfig, TwoTierClos};
+    use flowtune::{add_path_load, worst_oversubscription, FlowtuneConfig, Placement};
+    use flowtune_proto::Token;
+    use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 
     use super::*;
     use crate::transport::{mem_mesh, MemTransport};
@@ -716,5 +698,162 @@ mod tests {
         assert_eq!(wire.rx_frames, SILENT + 1);
         assert_eq!(wire.late_rounds, SILENT);
         assert_eq!(peer.exchange_stats().exchange_decode_errors, 0);
+    }
+
+    /// The cross-shard incast: four sources per block of the two-block
+    /// fabric, all sending to server 15; token = 1-based source index.
+    const SOURCES: [u16; 8] = [0, 1, 2, 3, 8, 9, 10, 11];
+    const RECEIVER: u16 = 15;
+
+    fn incast_start(fabric: &TwoTierClos, token: u32) -> Message {
+        let src = SOURCES[token as usize - 1];
+        let spine = fabric.ecmp_spine(src.into(), RECEIVER.into(), FlowId(token.into()));
+        Message::FlowletStart {
+            token: Token::new(token),
+            src,
+            dst: RECEIVER,
+            size_hint: 1_000_000,
+            weight_q8: 256,
+            spine: spine as u8,
+        }
+    }
+
+    #[test]
+    fn a_sleeping_peer_degrades_the_plane_and_it_reconverges() {
+        const TICKS: u64 = 200;
+        /// The laggard sleeps before each of its ticks DELAY_FROM + 1
+        /// ..= DELAY_FROM + DELAY_ROUNDS, SLEEP round timeouts each.
+        const DELAY_FROM: u64 = 50;
+        const DELAY_ROUNDS: u64 = 5;
+        const SLEEP: u32 = 10;
+        const T: Duration = ROUND_TIMEOUT;
+        let fabric = fabric();
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
+        };
+        let exchange = ExchangeConfig::default().round_timeout(T);
+        let bound = exchange.max_rounds_behind;
+
+        // Two peers on one virtual clock, on this thread: time moves
+        // only while a barrier idles.
+        let idled = Arc::new(Mutex::new(Duration::ZERO));
+        let origin = Instant::now();
+        let mut peers = mem_mesh(2).into_iter().map(|t| {
+            let clock = Stepped {
+                origin,
+                idled: Arc::clone(&idled),
+                step: Duration::from_millis(1),
+            };
+            let svc = AllocatorService::new(&fabric, cfg);
+            ShardPeer::with_clock(svc, t, exchange, Box::new(clock)).unwrap()
+        });
+        let (mut healthy, mut laggard) = (peers.next().unwrap(), peers.next().unwrap());
+        let placement = Placement::contiguous(fabric.config().server_count(), 2);
+        let tokens = 1..=SOURCES.len() as u32;
+        for token in tokens.clone() {
+            let peer = match placement.shard_of(SOURCES[token as usize - 1]) {
+                0 => &mut healthy,
+                _ => &mut laggard,
+            };
+            peer.on_message(incast_start(&fabric, token)).unwrap();
+        }
+        // Every flow's rate, each read from the peer that owns it.
+        let rates = |healthy: &ShardPeer<MemTransport>, laggard: &ShardPeer<MemTransport>| {
+            let rate = |token: u32| {
+                let peer = [healthy, laggard][placement.shard_of(SOURCES[token as usize - 1])];
+                (
+                    token,
+                    peer.service().flow_rate_gbps(Token::new(token)).unwrap(),
+                )
+            };
+            tokens.clone().map(rate).collect::<Vec<_>>()
+        };
+
+        // Each round the healthy peer exports, then the laggard runs
+        // free up to the same round unless it sleeps, then the healthy
+        // barrier runs, as `Peers::tick` interleaves them.
+        let now = || *idled.lock().unwrap();
+        let mut passers = Passers::default();
+        // The laggard's wake time, and the last tick it fell asleep before.
+        let (mut wake, mut slept_before) = (Duration::ZERO, 0);
+        let (mut waits, mut behind_after) = (Vec::new(), Vec::new());
+        for round in 1..=TICKS {
+            passers.clear();
+            healthy.tick_export(&mut passers).unwrap();
+            while laggard.ticks < round {
+                let next = laggard.ticks + 1;
+                let delayed = (DELAY_FROM + 1..=DELAY_FROM + DELAY_ROUNDS).contains(&next);
+                if delayed && slept_before < next {
+                    (wake, slept_before) = (now() + T * SLEEP, next);
+                }
+                if now() < wake {
+                    break;
+                }
+                laggard.tick().unwrap();
+            }
+            let before = now();
+            healthy.exchange_finish().unwrap();
+            waits.push(now() - before);
+            let behind = healthy.wire_stats().max_rounds_behind();
+            behind_after.push(behind);
+
+            // 4. Frozen exchange state freezes rates: no link is
+            // over-subscribed while the plane is degraded.
+            if behind > 0 {
+                let mut loads = vec![0.0; fabric.topology().link_count()];
+                for (token, rate) in rates(&healthy, &laggard) {
+                    let src = SOURCES[token as usize - 1].into();
+                    let path = fabric.path(src, RECEIVER.into(), FlowId(token.into()));
+                    add_path_load(&mut loads, &path, rate);
+                }
+                let over = worst_oversubscription(&fabric, &loads);
+                assert!(over <= 1e-6, "round {round}: over-subscribed by {over:.2e}");
+            }
+        }
+
+        // 1 + 2. Detection costs one round timeout; the next stale
+        // rounds cost nothing until the laggard is `bound` behind; then
+        // every round waits one timeout until the laggard has slept its
+        // DELAY_ROUNDS × SLEEP timeouts, and once it has caught up no
+        // round waits.
+        let throttled = u64::from(SLEEP) * DELAY_ROUNDS - 1;
+        let mut expect = vec![Duration::ZERO; DELAY_FROM as usize];
+        expect.push(T);
+        expect.extend((1..bound).map(|_| Duration::ZERO));
+        expect.extend((0..throttled).map(|_| T));
+        expect.resize(TICKS as usize, Duration::ZERO);
+        assert_eq!(waits, expect);
+
+        // 3. The staleness is reported: `rounds_behind` climbs through
+        // every degraded round, the peak survives recovery.
+        let degraded = bound + throttled;
+        let mut expect = vec![0; DELAY_FROM as usize];
+        expect.extend(1..=degraded);
+        expect.resize(TICKS as usize, 0);
+        assert_eq!(behind_after, expect);
+        let wire = healthy.wire_stats();
+        assert_eq!(wire.rounds_behind(1), Some(0), "{wire:?}");
+        assert_eq!(wire.max_peak_rounds_behind(), degraded);
+        assert_eq!(wire.late_rounds, degraded);
+        assert_eq!(laggard.wire_stats().late_rounds, 0);
+        assert_eq!(now(), waits.iter().sum(), "only the healthy barrier waits");
+
+        // 5. Recovered, the plane lands on the unsharded allocation.
+        let mut reference = AllocatorService::new(&fabric, cfg);
+        for token in tokens.clone() {
+            reference.on_message(incast_start(&fabric, token)).unwrap();
+        }
+        for _ in 0..TICKS {
+            reference.tick();
+        }
+        let tol = cfg.update_threshold;
+        for (token, got) in rates(&healthy, &laggard) {
+            let expect = reference.flow_rate_gbps(Token::new(token)).unwrap();
+            assert!(
+                (expect - got).abs() <= tol * expect.max(1.0),
+                "token {token}: unsharded {expect} vs recovered plane {got}"
+            );
+        }
     }
 }

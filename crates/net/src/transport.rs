@@ -612,10 +612,9 @@ impl<S: FrameStream> Receiver for SocketReceiver<S> {
     }
 }
 
-/// Accept loop shared by the socket families: poll `accept` until
-/// `expect` peers with ids above `me` have dialed in and identified
-/// themselves with a 2-byte hello. `accept` hands back a blocking
-/// stream whose reads time out after [`SETUP_TIMEOUT`].
+/// [`connect_mesh`]'s accept loop: poll `accept` until every peer
+/// with an id above `me` has dialed in and identified itself with a
+/// 2-byte hello.
 fn accept_highers<S: FrameStream, L>(
     listener: &L,
     accept: impl Fn(&L) -> io::Result<S>,
@@ -687,6 +686,33 @@ pub fn uds_socket_path(dir: &Path, shard: u16) -> std::path::PathBuf {
     dir.join(format!("peer{shard}.sock"))
 }
 
+/// The bootstrap both socket families share, as shard `me` of `peers`:
+/// bind a non-blocking listener, dial every lower-id peer (retrying
+/// until it binds) and send it a 2-byte hello, then accept every
+/// higher-id one. `accept` hands back a blocking stream whose reads time
+/// out after [`SETUP_TIMEOUT`]; that deadline bounds the whole setup.
+fn connect_mesh<S: FrameStream, L>(
+    me: u16,
+    peers: u16,
+    bind: impl FnOnce() -> io::Result<L>,
+    accept: impl Fn(&L) -> io::Result<S>,
+    dial: impl Fn(u16) -> io::Result<S>,
+) -> io::Result<SocketTransport<S>> {
+    assert!(peers > 0, "a mesh needs at least one peer");
+    assert!(me < peers, "shard {me} out of range for {peers} peers");
+    let deadline = Instant::now() + SETUP_TIMEOUT;
+    let listener = bind()?;
+    let mut streams: Vec<Option<S>> = (0..peers).map(|_| None).collect();
+    for j in 0..me {
+        let mut s = dial_until(deadline, || dial(j))?;
+        s.write_all(&me.to_be_bytes())?;
+        s.flush()?;
+        streams[usize::from(j)] = Some(s);
+    }
+    accept_highers(&listener, accept, &mut streams, me, deadline)?;
+    Ok(SocketTransport { me, streams })
+}
+
 /// Join (or bootstrap) a Unix-domain socket mesh as shard `shard` of
 /// `peers`: bind `dir/peer<shard>.sock`, dial every lower-id peer
 /// (retrying until it binds), accept every higher-id one. Blocks until
@@ -698,37 +724,24 @@ pub fn uds_socket_path(dir: &Path, shard: u16) -> std::path::PathBuf {
 /// # Panics
 /// Panics if `shard >= peers` or `peers` is 0.
 pub fn uds_connect(dir: &Path, shard: u16, peers: u16) -> io::Result<UdsTransport> {
-    assert!(peers > 0, "a mesh needs at least one peer");
-    assert!(
-        shard < peers,
-        "shard {shard} out of range for {peers} peers"
-    );
-    let deadline = Instant::now() + SETUP_TIMEOUT;
-    let path = uds_socket_path(dir, shard);
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path)?;
-    listener.set_nonblocking(true)?;
-    let mut streams: Vec<Option<UnixStream>> = (0..peers).map(|_| None).collect();
-    for j in 0..shard {
-        let peer_path = uds_socket_path(dir, j);
-        let mut s = dial_until(deadline, || UnixStream::connect(&peer_path))?;
-        s.write_all(&shard.to_be_bytes())?;
-        s.flush()?;
-        streams[usize::from(j)] = Some(s);
-    }
-    accept_highers(
-        &listener,
+    connect_mesh(
+        shard,
+        peers,
+        || {
+            let path = uds_socket_path(dir, shard);
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path)?;
+            listener.set_nonblocking(true)?;
+            Ok(listener)
+        },
         |l: &UnixListener| {
             let (s, _) = l.accept()?;
             s.set_nonblocking(false)?;
             s.set_read_timeout(Some(SETUP_TIMEOUT))?;
             Ok(s)
         },
-        &mut streams,
-        shard,
-        deadline,
-    )?;
-    Ok(SocketTransport { me: shard, streams })
+        |j| UnixStream::connect(uds_socket_path(dir, j)),
+    )
 }
 
 /// [`uds_connect`] with every loopback peer on `127.0.0.1:base_port +
@@ -743,31 +756,20 @@ pub fn uds_connect(dir: &Path, shard: u16, peers: u16) -> io::Result<UdsTranspor
 /// # Panics
 /// Panics if `shard >= peers` or `peers` is 0.
 pub fn tcp_connect(base_port: u16, shard: u16, peers: u16) -> io::Result<TcpTransport> {
-    assert!(peers > 0, "a mesh needs at least one peer");
-    assert!(
-        shard < peers,
-        "shard {shard} out of range for {peers} peers"
-    );
-    if base_port.checked_add(peers - 1).is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{peers} ports from base port {base_port} run past 65535"),
-        ));
-    }
-    let deadline = Instant::now() + SETUP_TIMEOUT;
-    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, base_port + shard))?;
-    listener.set_nonblocking(true)?;
-    let mut streams: Vec<Option<TcpStream>> = (0..peers).map(|_| None).collect();
-    for j in 0..shard {
-        let addr = (Ipv4Addr::LOCALHOST, base_port + j);
-        let mut s = dial_until(deadline, || TcpStream::connect(addr))?;
-        s.set_nodelay(true)?;
-        s.write_all(&shard.to_be_bytes())?;
-        s.flush()?;
-        streams[usize::from(j)] = Some(s);
-    }
-    accept_highers(
-        &listener,
+    connect_mesh(
+        shard,
+        peers,
+        || {
+            if base_port.checked_add(peers - 1).is_none() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("{peers} ports from base port {base_port} run past 65535"),
+                ));
+            }
+            let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, base_port + shard))?;
+            listener.set_nonblocking(true)?;
+            Ok(listener)
+        },
         |l: &TcpListener| {
             let (s, _) = l.accept()?;
             s.set_nonblocking(false)?;
@@ -775,11 +777,12 @@ pub fn tcp_connect(base_port: u16, shard: u16, peers: u16) -> io::Result<TcpTran
             s.set_nodelay(true)?;
             Ok(s)
         },
-        &mut streams,
-        shard,
-        deadline,
-    )?;
-    Ok(SocketTransport { me: shard, streams })
+        |j| {
+            let s = TcpStream::connect((Ipv4Addr::LOCALHOST, base_port + j))?;
+            s.set_nodelay(true)?;
+            Ok(s)
+        },
+    )
 }
 
 /// Build a whole Unix-domain socket mesh inside one process (a thread

@@ -1,8 +1,8 @@
 //! Runs the `flowtune-arbiterd --demo` launcher end-to-end: two real
 //! shard processes exchanging over Unix-domain sockets must converge
 //! to the unsharded optimum with real bytes on the wire. CI has no
-//! separate step for this invocation; its `--demo 3`, TCP and
-//! latency-drill steps run the launcher with other arguments.
+//! separate step for this invocation; its `--demo 3` and TCP steps run
+//! the launcher with other arguments.
 
 use std::process::Command;
 

@@ -103,7 +103,6 @@ pub struct TwoTierClos {
     cfg: ClosConfig,
     topo: Topology,
     servers: Vec<NodeId>,
-    tors: Vec<NodeId>,
     spines: Vec<NodeId>,
     /// server index → server→ToR link.
     up_host: Vec<LinkId>,
@@ -193,7 +192,6 @@ impl TwoTierClos {
             cfg,
             topo,
             servers,
-            tors,
             spines,
             up_host,
             down_host,
@@ -256,11 +254,6 @@ impl TwoTierClos {
     /// Node ids of all servers, indexed by server index.
     pub fn servers(&self) -> &[NodeId] {
         &self.servers
-    }
-
-    /// Node ids of all ToR switches, indexed by rack index.
-    pub fn tors(&self) -> &[NodeId] {
-        &self.tors
     }
 
     /// Node ids of all spines, indexed by spine index.
@@ -452,7 +445,8 @@ mod tests {
     fn paper_eval_dimensions() {
         let f = eval_fabric();
         assert_eq!(f.servers().len(), 144);
-        assert_eq!(f.tors().len(), 9);
+        let nodes = f.topology().nodes().iter();
+        assert_eq!(nodes.filter(|n| n.kind == NodeKind::Tor).count(), 9);
         assert_eq!(f.spines().len(), 4);
         // links: 144*2 host + 9*4*2 fabric = 288 + 72 = 360
         assert_eq!(f.topology().link_count(), 360);

@@ -35,15 +35,13 @@ pub struct Node {
 
 /// A directed graph of nodes and capacitated links.
 ///
-/// `Topology` is deliberately dumb: it stores nodes, links, and adjacency,
-/// and answers lookups. Routing policy lives in the builders (e.g.
+/// `Topology` is deliberately dumb: it stores nodes and links, and
+/// answers lookups. Routing policy lives in the builders (e.g.
 /// [`crate::clos::TwoTierClos`]) because it depends on the fabric type.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Outgoing link ids per node, in insertion order.
-    out_links: Vec<Vec<LinkId>>,
 }
 
 impl Topology {
@@ -56,7 +54,6 @@ impl Topology {
     pub fn add_node(&mut self, kind: NodeKind, delay_ps: u64) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { id, kind, delay_ps });
-        self.out_links.push(Vec::new());
         id
     }
 
@@ -86,7 +83,6 @@ impl Topology {
             delay_ps,
             dir,
         });
-        self.out_links[src.index()].push(id);
         id
     }
 
@@ -108,11 +104,6 @@ impl Topology {
     /// Looks up a link.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
-    }
-
-    /// Outgoing links of `node`.
-    pub fn out_links(&self, node: NodeId) -> &[LinkId] {
-        &self.out_links[node.index()]
     }
 
     /// Number of links.
@@ -141,11 +132,10 @@ mod tests {
         assert_eq!(t.link_count(), 2);
         assert_eq!(t.node(a).kind, NodeKind::Server);
         assert_eq!(t.node(b).kind, NodeKind::Tor);
-        assert_eq!(t.out_links(a), &[LinkId(0)]);
-        assert_eq!(t.out_links(b), &[LinkId(1)]);
-        assert_eq!(t.out_links(c), &[] as &[LinkId]);
         assert_eq!(t.link(LinkId(0)).src, a);
         assert_eq!(t.link(LinkId(0)).dst, b);
+        assert_eq!(t.link(LinkId(1)).src, b);
+        assert_eq!(t.link(LinkId(1)).dst, c);
     }
 
     #[test]

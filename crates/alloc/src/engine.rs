@@ -2,25 +2,22 @@
 //!
 //! [`RateAllocator`] is the contract between the control-plane service
 //! (`flowtune::AllocatorService`) and whatever computes per-flow rates
-//! behind it. Two engines implement it today:
-//!
-//! * [`SerialAllocator`](crate::SerialAllocator) — the §5
-//!   FlowBlock/LinkBlock grid, iterating NED on the caller's thread
-//!   (`serial`) or with full sweeps spread over a worker pool
-//!   (`multicore`, bit-for-bit equal), or taking gradient projection's
-//!   price step instead (`gradient`, the first-order §6.6 baseline);
-//! * `flowtune_fastpass::FastpassAdapter` — a Fastpass-style per-packet
-//!   timeslot arbiter exposed through the same interface, the baseline
-//!   the paper's §6.1 comparison is made against.
+//! behind it. One engine implements it:
+//! [`SerialAllocator`](crate::SerialAllocator), the §5 FlowBlock/LinkBlock
+//! grid, iterating NED on the caller's thread (`serial`) or with full
+//! sweeps spread over a worker pool (`multicore`, bit-for-bit equal), or
+//! taking gradient projection's price step instead (`gradient`, the
+//! first-order §6.6 baseline). The trait stays as the seam test doubles
+//! plug into (`flowtune::AllocatorService::with_engine`).
 //!
 //! **Who implements what.** An engine must provide seven methods:
 //! `add_flow`, `remove_flow`, `iterate`, `flow_count`, `flow_rate`,
 //! `rates_into` and `name`. Everything else has a default that is right
-//! for an engine without the feature: no report memory (every drain
+//! for a test double without the feature: no report memory (every drain
 //! lends every flow), no dirty counters, no link state to share (no
 //! slots, so the export visits nothing and the install fills nothing).
-//! An engine overrides only what it has — and every engine a service
-//! can be built over has the memory: the drain
+//! The grid overrides every one but `rates` — every engine a service can
+//! be built over has the memory and the link state: the drain
 //! ([`RateAllocator::drain_changed_rates`]) is where the §6.4 update
 //! threshold runs, against what the engine itself last lent.
 //!
@@ -47,7 +44,7 @@
 
 use flowtune_topo::{FlowId, LinkId, Path};
 
-use crate::flowblock::{must_report, FlowRate, UNREPORTED};
+use crate::flowblock::FlowRate;
 
 /// A rate-allocation engine: maintains a set of weighted flows over a
 /// fixed fabric and, on every iteration, refreshes each flow's allocated
@@ -82,8 +79,7 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     fn remove_flow(&mut self, id: FlowId) -> bool;
 
     /// Runs one allocation iteration (for the grid: rate pass →
-    /// aggregate → price update → normalize; for the
-    /// Fastpass adapter: a batch of timeslot matchings).
+    /// aggregate → price update → normalize).
     fn iterate(&mut self);
 
     /// Runs `n` iterations. Engines with per-call setup cost (waking a
@@ -128,22 +124,15 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// [`RateAllocator::remove_flow`], so a recycled id inherits
     /// nothing. A flow that is not lent needs no update. The grid runs
     /// one packed pass ([`crate::flowblock::report_pass`]) over each
-    /// FlowBlock whose output may have moved since the last drain;
-    /// engines without columns go through [`lend_passers`].
+    /// FlowBlock whose output may have moved since the last drain.
     ///
     /// The default is for test doubles — no engine a service builder can
-    /// build uses it: it keeps **no memory**, so every flow is lent on
-    /// every drain, out of the allocating [`RateAllocator::rates`].
-    // flowtune-lint: hot
-    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
-        // A throwaway word per flow that says "never": the owned
-        // listing's raw-rate field, which the drain has no use for.
-        let mut listed = self.rates();
-        let flows = listed.iter_mut().map(|r| {
-            r.rate = UNREPORTED;
-            (r.id, r.normalized, &mut r.rate)
-        });
-        lend_passers(threshold, flows, sink);
+    /// build uses it: it keeps **no memory**, so every drain lends every
+    /// flow of the allocating [`RateAllocator::rates`], in one call.
+    fn drain_changed_rates(&mut self, _threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+        let (ids, normalized): (Vec<FlowId>, Vec<f64>) =
+            self.rates().iter().map(|r| (r.id, r.normalized)).unzip();
+        sink(&ids, &normalized);
     }
 
     /// Cumulative `(dirty_flows, dirty_links)` counters for engines
@@ -158,8 +147,8 @@ pub trait RateAllocator: std::fmt::Debug + Send {
     /// in slot order: the one map between the engine's own layout and
     /// [`LinkId`]s. For the §5 grid a slot is a (direction, LinkBlock,
     /// offset) triple — 2·B·lpl slots, every data link exactly once, no
-    /// control link. Empty (the default) for engines that do not price
-    /// fabric links, which then have no link state to share.
+    /// control link. Empty (the default) for a test double that prices
+    /// no fabric links, which then has no link state to share.
     fn link_slots(&self) -> &[LinkId] {
         &[]
     }
@@ -279,45 +268,6 @@ pub struct LinkInstall<'a> {
     /// Consensus duals, installed when the fill returns; `NaN` keeps the
     /// slot's own price. Holds the previous install's values on entry.
     pub prices: &'a mut [f64],
-}
-
-/// Flows per [`lend_passers`] run.
-const LEND_CHUNK: usize = 64;
-
-/// The drain of an engine whose rates do not sit in id / rate columns
-/// (Fastpass's map): `flows` yields each flow's
-/// id, normalized rate and the word the engine keeps beside that rate
-/// for what it last lent ([`UNREPORTED`] at `add_flow`). The flows that
-/// must be reported — the §6.4 rule [`crate::flowblock::report_pass`]
-/// packs, here one flow at a time — are gathered into two stack columns,
-/// recorded as reported, and lent to `sink` a run each time the columns
-/// fill, so the sink's `dyn` call is paid once per `LEND_CHUNK` passers
-/// and nothing touches the heap.
-// flowtune-lint: hot
-pub fn lend_passers<'a>(
-    threshold: f64,
-    flows: impl Iterator<Item = (FlowId, f64, &'a mut f64)>,
-    sink: &mut dyn FnMut(&[FlowId], &[f64]),
-) {
-    let mut ids = [FlowId(0); LEND_CHUNK];
-    let mut normalized = [0.0f64; LEND_CHUNK];
-    let mut n = 0;
-    for (id, rate, reported) in flows {
-        if !must_report(threshold, *reported, rate) {
-            continue;
-        }
-        *reported = rate;
-        ids[n] = id;
-        normalized[n] = rate;
-        n += 1;
-        if n == LEND_CHUNK {
-            sink(&ids, &normalized);
-            n = 0;
-        }
-    }
-    if n > 0 {
-        sink(&ids[..n], &normalized[..n]);
-    }
 }
 
 /// Global-[`LinkId`] views of an engine's slot-order link state for the
@@ -522,43 +472,6 @@ mod tests {
             }
             assert!(!engine.remove_flow(FlowId(7)), "{name}: double remove");
             assert_eq!(engine.rates().len(), 0);
-        }
-    }
-
-    #[test]
-    fn lend_passers_lends_what_must_be_reported_once_in_order() {
-        for n in [0usize, 1, 63, 64, 65, 130] {
-            let mut flows: Vec<(FlowId, f64, f64)> = (0..n)
-                .map(|i| (FlowId(i as u64), i as f64 * 0.5, UNREPORTED))
-                .collect();
-            let drain = |flows: &mut Vec<(FlowId, f64, f64)>| {
-                let mut lent = Vec::new();
-                let words = flows.iter_mut().map(|(id, rate, word)| (*id, *rate, word));
-                lend_passers(0.01, words, &mut |ids, normalized| {
-                    assert_eq!(ids.len(), normalized.len());
-                    assert!(
-                        (1..=LEND_CHUNK).contains(&ids.len()),
-                        "run of {}",
-                        ids.len()
-                    );
-                    lent.extend(ids.iter().copied().zip(normalized.iter().copied()));
-                });
-                lent
-            };
-            // Never reported: every flow, in order. Then nothing, until a
-            // rate moves beyond the threshold of what was lent for it.
-            let all: Vec<(FlowId, f64)> = flows.iter().map(|&(id, r, _)| (id, r)).collect();
-            assert_eq!(drain(&mut flows), all, "n = {n}");
-            assert_eq!(drain(&mut flows), vec![], "n = {n}");
-            for (_, rate, _) in flows.iter_mut().skip(1) {
-                *rate *= 1.005;
-            }
-            assert_eq!(drain(&mut flows), vec![], "n = {n}: within 1 %");
-            if let Some((id, rate, _)) = flows.last_mut().filter(|_| n > 1) {
-                *rate *= 1.02;
-                let moved = vec![(*id, *rate)];
-                assert_eq!(drain(&mut flows), moved, "n = {n}");
-            }
         }
     }
 

@@ -60,10 +60,6 @@
 //! the FlowBlocks the dirty set says may have moved. The control-plane
 //! service above keeps no per-flow filter state and touches its flow
 //! table only for the flows it actually notifies.
-//!
-//! One more [`RateAllocator`] serves as a comparison baseline:
-//! `flowtune_fastpass::FastpassAdapter` (per-packet timeslot
-//! arbitration, §6.1).
 
 #![deny(missing_docs)]
 
@@ -76,8 +72,8 @@ pub mod pool;
 mod reduce;
 pub mod serial;
 
-pub use engine::{lend_passers, BoxEngine, LinkInstall, LinkRun, RateAllocator};
-pub use flowblock::{FlowRate, UNREPORTED};
+pub use engine::{BoxEngine, LinkInstall, LinkRun, RateAllocator};
+pub use flowblock::FlowRate;
 pub use pool::WorkerPool;
 pub use serial::SerialAllocator;
 

@@ -2,17 +2,22 @@
 //!
 //! Drives every scenario family (ring/tree allreduce, all-to-all,
 //! bursty on/off, permutation shift, incast) through the scenario
-//! runner against NED (serial), Gradient and Fastpass, and tabulates
-//! per-run completion time, p99 FCT, the worst per-phase Jain fairness
-//! index, and the peak raw over-allocation the engine asked for before
-//! normalization (the Fig. 12 quantity; structurally zero for
-//! Fastpass, whose timeslot allocation never over-allocates).
+//! runner against NED (serial) and Gradient, and tabulates per-run
+//! completion time, p99 FCT, the worst per-phase Jain fairness index,
+//! and the peak raw over-allocation the engine asked for before
+//! normalization (the Fig. 12 quantity).
 //!
 //! The paper's story, extended to structured workloads: NED converges
 //! to the proportionally fair allocation within a handful of 10 µs
 //! ticks, so phase-barriered collectives finish at the fluid optimum,
-//! while Fastpass trades allocator cheapness for coarser shares and
-//! Gradient converges more slowly under churny admission edges.
+//! while Gradient converges more slowly under churny admission edges.
+//!
+//! This figure is the repository's, not the paper's, and it has no
+//! Fastpass rows: the paper compares against Fastpass only in §6.1's
+//! per-core throughput (`table_fastpass`, which measures the arbiter
+//! itself), and a Fastpass engine behind the service would price no
+//! links, so it would have no over-allocation to report and no link
+//! state to exchange.
 //!
 //! `--scenario S` restricts the table to one family; `--engine` is
 //! ignored (the engine sweep *is* the table). `--full` doubles the
@@ -37,11 +42,7 @@ fn main() {
         Some(kind) => vec![kind],
         None => ScenarioKind::ALL.to_vec(),
     };
-    let engines = [
-        ("ned", Engine::Serial),
-        ("gradient", Engine::Gradient),
-        ("fastpass", Engine::Fastpass),
-    ];
+    let engines = [("ned", Engine::Serial), ("gradient", Engine::Gradient)];
     println!("# Figure 14 — scenario completion, tail FCT and fairness by engine");
     println!("scenario,engine,phases,ticks,completion_us,p99_fct_us,min_jain,peak_overalloc_gbps");
     for kind in kinds {

@@ -74,38 +74,4 @@ fn main() {
         "# per-core ratio: {:.1}x (paper: 10.4x)",
         (ft_tbps / cores as f64) / arb_tbps
     );
-
-    // ---- Cross-check: the same arbiter as an `AllocatorService` engine
-    // (`--engine fastpass` anywhere in the harness routes through this
-    // adapter), so the baseline is reachable from the public API too.
-    let eval = TwoTierClos::build(flowtune_topo::ClosConfig::paper_eval());
-    let mut svc = flowtune::AllocatorService::builder()
-        .fabric(&eval)
-        .engine(flowtune::Engine::Fastpass)
-        .build()
-        .expect("fabric is set");
-    for (i, (src, dst)) in [(0u16, 140u16), (1, 141), (2, 140)].into_iter().enumerate() {
-        let msg = flowtune_proto::Message::FlowletStart {
-            token: flowtune_proto::Token::new(i as u32 + 1),
-            src,
-            dst,
-            size_hint: 1_000_000,
-            weight_q8: 256,
-            spine: 0,
-        };
-        svc.on_message(msg).expect("fresh tokens");
-    }
-    for _ in 0..60 {
-        svc.tick();
-    }
-    let rates: Vec<f64> = (1..=3)
-        .filter_map(|t| svc.flow_rate_gbps(flowtune_proto::Token::new(t)))
-        .collect();
-    println!(
-        "# service[{}]: 3 flowlets (two sharing a receiver) → rates {:.2}/{:.2}/{:.2} Gbit/s",
-        svc.engine_name(),
-        rates[0],
-        rates[1],
-        rates[2]
-    );
 }

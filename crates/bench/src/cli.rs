@@ -19,11 +19,9 @@ shared experiment flags:
   --quick                 reduced scale (default)
   --full                  paper scale
   --seed N                trace seed (default 42)
-  --engine E              allocation engine: serial|multicore|fastpass|gradient
+  --engine E              allocation engine: serial|multicore|gradient
   --workers N             multicore engine thread cap (0 = size to host)
   --shards N              shard the control plane N ways over --engine
-                          (fastpass: N = 1 only — N arbiters would each match
-                          the whole fabric)
   --exchange-every K      inter-shard link-state exchange cadence in ticks
                           (config exchange_every; 0 = off, the default)
   --exchange-delta-eps X  exchange delta filter: re-ship a link only when its
@@ -65,7 +63,7 @@ pub struct Opts {
     /// Trace seed.
     pub seed: u64,
     /// Allocation engine behind the `AllocatorService`
-    /// (`--engine serial|multicore|fastpass|gradient`, optionally wrapped
+    /// (`--engine serial|multicore|gradient`, optionally wrapped
     /// in `Engine::Sharded` by `--shards N`).
     pub engine: Engine,
     /// What [`Opts::config`] returns; the knob flags parse straight into
@@ -280,7 +278,7 @@ mod tests {
     #[test]
     fn engine_flags_parse() {
         assert_eq!(parse(&["--engine", "serial"]).engine, Engine::Serial);
-        assert_eq!(parse(&["--engine", "fastpass"]).engine, Engine::Fastpass);
+        assert_eq!(parse(&["--engine", "gradient"]).engine, Engine::Gradient);
         assert_eq!(
             parse(&["--engine", "multicore"]).engine,
             Engine::Multicore { workers: 0 }
@@ -309,12 +307,6 @@ mod tests {
             Engine::Multicore { workers: 3 }.sharded(2)
         );
         assert_eq!(parse(&["--shards", "1"]).engine, Engine::Serial.sharded(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "fastpass cannot be sharded")]
-    fn sharded_fastpass_is_a_cli_error() {
-        parse(&["--engine", "fastpass", "--shards", "2"]);
     }
 
     #[test]
@@ -521,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "valid engines: serial, multicore, fastpass, gradient")]
+    #[should_panic(expected = "valid engines: serial, multicore, gradient")]
     fn bad_engine_message_lists_valid_names() {
         let _ = parse(&["--engine", "quantum"]);
     }

@@ -92,8 +92,9 @@ pub trait TickDriver: std::fmt::Debug + Send {
     /// [`flowtune_alloc::RateAllocator::link_state`]; read it after a
     /// tick), scattered to global [`LinkId`](flowtune_topo::LinkId)s
     /// through the engines' link slots (summed over shards, where
-    /// applicable). Empty when the engine does not price fabric links
-    /// (Fastpass). Powers the over-allocation telemetry of the Figure-12
+    /// applicable). Every engine a builder builds prices fabric links, so
+    /// this is empty only behind a test double without link slots.
+    /// Powers the over-allocation telemetry of the Figure-12
     /// experiment and capacity assertions in tests — the one allocating
     /// link-state query, and off the tick path.
     fn link_loads(&self) -> Vec<f64>;
@@ -101,8 +102,8 @@ pub trait TickDriver: std::fmt::Debug + Send {
     /// The fabric this control plane serves.
     fn fabric(&self) -> &TwoTierClos;
 
-    /// Short engine name (`serial` / `multicore` / `fastpass` /
-    /// `gradient` / `sharded`).
+    /// Short engine name (`serial` / `multicore` / `gradient` /
+    /// `sharded`).
     fn engine_name(&self) -> &'static str;
 }
 

@@ -20,17 +20,15 @@
 //! * [`flowtune_topo`] — two-tier Clos fabrics, paths, allocator blocks;
 //! * `flowtune_num` — NED and the baseline NUM optimizers, U/F-NORM;
 //! * [`flowtune_alloc`] — the [`RateAllocator`] engine interface and its
-//!   implementations: serial reference NED, the §5 multicore
-//!   FlowBlock/LinkBlock engine (pool-backed), and the gradient
-//!   baseline;
-//! * [`flowtune_fastpass`] — the per-packet timeslot arbiter and its
-//!   [`RateAllocator`] adapter (the §6.1 comparison baseline);
+//!   one implementation, the §5 FlowBlock/LinkBlock grid: serial
+//!   reference NED, its multicore schedule (pool-backed), and the
+//!   gradient baseline;
 //! * [`flowtune_proto`] — the 16/4/6-byte control messages.
 //!
 //! ## Quickstart
 //!
 //! The allocator is assembled with a builder; the engine — serial NED,
-//! multicore NED, Fastpass-style arbitration, or gradient projection —
+//! multicore NED, or gradient projection —
 //! is a run-time choice behind one type ([`AllocatorService`] holds a
 //! boxed [`RateAllocator`]), and
 //! [`ServiceBuilder::build_driver`] additionally shards the whole
@@ -48,7 +46,7 @@
 //! let mut allocator = AllocatorService::builder()
 //!     .fabric(&fabric)
 //!     .config(FlowtuneConfig::default())
-//!     .engine(Engine::Serial) // or Multicore { workers } / Fastpass
+//!     .engine(Engine::Serial) // or Multicore { workers } / Gradient
 //!     .build()
 //!     .expect("fabric was supplied");
 //! let mut agent = EndpointAgent::new(0, 144);

@@ -96,8 +96,7 @@ pub struct ScenarioReport {
     /// Wall of the run on the tick clock, ps.
     pub duration_ps: u64,
     /// Peak Σ max(0, load − capacity) over links, Gbit/s, sampled from
-    /// the engine's **raw** allocation outside grace windows. Zero for
-    /// engines that do not price links (Fastpass).
+    /// the engine's **raw** allocation outside grace windows.
     pub peak_overallocation_gbps: f64,
     /// Peak per-link (load/capacity − 1) of the **normalized**,
     /// endpoint-visible rates, sampled outside grace windows. 0 means no

@@ -6,12 +6,14 @@
 //! independently of the others:
 //!
 //! 1. **[`RateAllocator`] engines** compute per-flow rates over a fixed
-//!    fabric. [`Engine`] names them: [`Engine::Serial`] (the reference
-//!    NED optimizer), [`Engine::Multicore`] (the §5 FlowBlock-parallel
-//!    engine, bit-for-bit equal rates, persistent worker pool),
-//!    [`Engine::Fastpass`] (per-packet timeslot arbitration, the §6.1
-//!    baseline) and [`Engine::Gradient`] (the same grid with first-order
-//!    gradient projection's price step, the §6.6/Figure-12 baseline).
+//!    fabric. [`Engine`] names them, and every one it names is the §5
+//!    FlowBlock/LinkBlock grid: [`Engine::Serial`] (the reference NED
+//!    optimizer), [`Engine::Multicore`] (the same grid's full sweeps on a
+//!    persistent worker pool, bit-for-bit equal rates) and
+//!    [`Engine::Gradient`] (the grid with first-order gradient
+//!    projection's price step, the §6.6/Figure-12 baseline). So every
+//!    engine a [`ServiceBuilder`] builds prices the fabric's links and
+//!    exports their state.
 //! 2. **[`AllocatorService`]** is the Figure-1 box around one engine,
 //!    held as a boxed [`RateAllocator`] — one concrete service type
 //!    whatever runs behind it, three dynamic calls a tick. It
@@ -47,13 +49,12 @@ use std::time::Instant;
 use flowtune_alloc::{
     AllocConfig, BoxEngine, FlowRate, LinkInstall, LinkRun, RateAllocator, SerialAllocator,
 };
-use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::codec::RATE_BYTES;
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{FlowId, LinkId, TwoTierClos};
 
 use crate::driver::PhaseTimings;
-use crate::{FlowtuneConfig, TICK_INTERVAL_PS};
+use crate::FlowtuneConfig;
 
 /// A flowlet's registration: what a `FlowletStart` said about it. Held
 /// in the service's flow table while the flowlet is live (one slab slot,
@@ -197,7 +198,7 @@ pub enum ServiceError {
     /// built through [`ServiceBuilder::build_driver`].
     ShardedNeedsDriver,
     /// [`Engine::Sharded`] named an impossible partition (zero shards,
-    /// shards nested inside shards, or several Fastpass arbiters).
+    /// or shards nested inside shards).
     BadShards(&'static str),
 }
 
@@ -243,8 +244,6 @@ pub enum Engine {
         /// OS-thread cap (0 = auto).
         workers: usize,
     },
-    /// Fastpass-style per-packet timeslot arbitration (§6.1 baseline).
-    Fastpass,
     /// The caller-thread grid with first-order gradient projection's
     /// price step in place of NED's (§6.6 / Figure-12 baseline).
     Gradient,
@@ -264,7 +263,7 @@ pub enum Engine {
 
 /// `--engine` names [`Engine::parse`] accepts. (`sharded` is not in the
 /// list: sharding composes over a base engine via `--shards N`.)
-pub const ENGINE_NAMES: [&str; 4] = ["serial", "multicore", "fastpass", "gradient"];
+pub const ENGINE_NAMES: [&str; 3] = ["serial", "multicore", "gradient"];
 
 /// An `--engine` value [`Engine::parse`] did not recognize. The `Display`
 /// form lists the valid names, so surfacing it verbatim gives the operator
@@ -305,19 +304,17 @@ impl Engine {
         match s {
             "serial" => Ok(Engine::Serial),
             "multicore" => Ok(Engine::Multicore { workers: 0 }),
-            "fastpass" => Ok(Engine::Fastpass),
             "gradient" => Ok(Engine::Gradient),
             _ => Err(ParseEngineError { got: s.to_string() }),
         }
     }
 
-    /// The flag-style name (`serial` / `multicore` / `fastpass` /
-    /// `gradient` / `sharded`).
+    /// The flag-style name (`serial` / `multicore` / `gradient` /
+    /// `sharded`).
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Serial => "serial",
             Engine::Multicore { .. } => "multicore",
-            Engine::Fastpass => "fastpass",
             Engine::Gradient => "gradient",
             Engine::Sharded { .. } => "sharded",
         }
@@ -326,20 +323,14 @@ impl Engine {
     /// The partitions [`ServiceBuilder::build_driver`] refuses to build.
     ///
     /// # Errors
-    /// [`ServiceError::BadShards`], saying why: zero shards, shards
-    /// nested inside shards, or two or more Fastpass shards.
+    /// [`ServiceError::BadShards`], saying why: zero shards, or shards
+    /// nested inside shards.
     pub fn check_shards(shards: usize, inner: &Engine) -> Result<(), ServiceError> {
         if shards == 0 {
             return Err(ServiceError::BadShards("shard count must be at least 1"));
         }
         if matches!(inner, Engine::Sharded { .. }) {
             return Err(ServiceError::BadShards("shards cannot nest"));
-        }
-        if shards > 1 && *inner == Engine::Fastpass {
-            return Err(ServiceError::BadShards(
-                "fastpass cannot be sharded: every shard's arbiter would match the whole \
-                 fabric, and it prices no links for the shards to exchange",
-            ));
         }
         Ok(())
     }
@@ -413,11 +404,6 @@ impl ServiceBuilder {
                 Engine::Multicore { workers } => {
                     Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
                 }
-                // The arbiter's iteration *is* fabric time: one tick of it.
-                Engine::Fastpass => Box::new(
-                    FastpassAdapter::new(fabric, alloc_cfg)
-                        .with_iteration_time_ps(TICK_INTERVAL_PS, fabric.config().host_link_bps),
-                ),
                 Engine::Gradient => Box::new(SerialAllocator::gradient(fabric, alloc_cfg)),
                 Engine::Sharded { .. } => unreachable!("rejected above"),
             }
@@ -433,8 +419,7 @@ impl ServiceBuilder {
     ///
     /// # Errors
     /// [`ServiceError::MissingFabric`] without a fabric;
-    /// [`ServiceError::BadShards`] for zero shards, nested sharding, or
-    /// two or more shards of [`Engine::Fastpass`].
+    /// [`ServiceError::BadShards`] for zero shards or nested sharding.
     pub fn build_driver(self) -> Result<crate::BoxTickDriver, ServiceError> {
         match self.engine {
             Engine::Sharded { shards, inner } => {
@@ -913,8 +898,7 @@ impl AllocatorService {
         });
     }
 
-    /// The engine's short name (`serial` / `multicore` / `fastpass` /
-    /// `gradient`).
+    /// The engine's short name (`serial` / `multicore` / `gradient`).
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
     }
@@ -1471,7 +1455,6 @@ mod tests {
         for engine in [
             Engine::Serial,
             Engine::Multicore { workers: 0 },
-            Engine::Fastpass,
             Engine::Gradient,
         ] {
             assert_eq!(Engine::parse(engine.name()), Ok(engine));
@@ -1527,22 +1510,6 @@ mod tests {
             .config(cfg)
             .engine(Engine::Serial.sharded(2))
             .build_driver();
-    }
-
-    #[test]
-    fn build_driver_rejects_sharded_fastpass() {
-        let sharded = |n| {
-            AllocatorService::builder()
-                .fabric(&fabric())
-                .engine(Engine::Fastpass.sharded(n))
-                .build_driver()
-        };
-        let err = sharded(2).unwrap_err();
-        assert!(matches!(err, ServiceError::BadShards(_)), "{err}");
-        assert!(err.to_string().contains("fastpass"), "{err}");
-        // One shard is the plain arbiter behind the router; the
-        // equivalence suites build it.
-        assert_eq!(sharded(1).unwrap().engine_name(), "sharded");
     }
 
     #[test]

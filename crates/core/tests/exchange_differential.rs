@@ -135,7 +135,7 @@ enum Kind {
     Newton,
     /// Gradient projection: no Hessians.
     Gradient,
-    /// Fastpass-like: prices no links, exports nothing.
+    /// A test double without link slots: exports nothing.
     Silent,
 }
 

@@ -14,18 +14,8 @@
 //! The arbiter implements the greedy maximal-matching slot allocator with
 //! a rotating scan origin for fairness (Fastpass's pipelined timeslot
 //! allocation, single-threaded per slot).
-//!
-//! [`FastpassAdapter`] additionally exposes the arbiter through the
-//! [`flowtune_alloc::RateAllocator`] interface, so the whole system — the
-//! allocator service, the simulator, the experiment binaries — can run
-//! with Fastpass-style arbitration as a drop-in engine
-//! (`--engine fastpass`).
 
 #![forbid(unsafe_code)]
-
-pub mod adapter;
-
-pub use adapter::FastpassAdapter;
 
 use std::collections::HashMap;
 

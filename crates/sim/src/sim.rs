@@ -941,7 +941,6 @@ mod tests {
         for engine in [
             Engine::Serial,
             Engine::Multicore { workers: 1 },
-            Engine::Fastpass,
             Engine::Gradient,
             Engine::Serial.sharded(2),
         ] {

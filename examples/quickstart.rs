@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! The allocator is built through `AllocatorService::builder()`; swap
-//! `Engine::Serial` for `Engine::Multicore { workers }`,
-//! `Engine::Fastpass` or `Engine::Gradient` to run the same control loop
+//! `Engine::Serial` for `Engine::Multicore { workers }` or
+//! `Engine::Gradient` to run the same control loop
 //! over a different allocation engine — or call
 //! `.engine(Engine::Serial.sharded(n)).build_driver()` to run the same
 //! loop over a sharded control plane (`ShardedService`), which the

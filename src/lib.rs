@@ -13,12 +13,12 @@
 //! * `flowtune_alloc` — the `RateAllocator` engine interface; the §5
 //!   FlowBlock grid, NED on the caller's thread or a worker pool, or
 //!   gradient projection;
-//! * `flowtune_fastpass` — per-packet timeslot arbiter + its
-//!   `RateAllocator` adapter (the §6.1 baseline);
+//! * `flowtune_fastpass` — per-packet timeslot arbiter (the §6.1
+//!   throughput baseline, measured by `table_fastpass`);
 //! * `flowtune_proto` — the 16/4/6-byte control messages;
 //! * `flowtune_sim` — deterministic packet-level simulator;
 //! * `flowtune_workload` / `flowtune_bench` — traces and experiment
-//!   binaries (all accept `--engine serial|multicore|fastpass|gradient`).
+//!   binaries (all accept `--engine serial|multicore|gradient`).
 //!
 //! ## Quickstart
 //!
@@ -30,7 +30,7 @@
 //! use flowtune_topo::{ClosConfig, TwoTierClos};
 //!
 //! let fabric = TwoTierClos::build(ClosConfig::paper_eval());
-//! for engine in [Engine::Serial, Engine::Multicore { workers: 2 }, Engine::Fastpass] {
+//! for engine in [Engine::Serial, Engine::Multicore { workers: 2 }, Engine::Gradient] {
 //!     let mut allocator = AllocatorService::builder()
 //!         .fabric(&fabric)
 //!         .config(FlowtuneConfig::default())

@@ -6,7 +6,9 @@
 //! through the engine-agnostic builder API, which is exactly the claim of
 //! §5: the parallel engine is a drop-in replacement.
 
-use flowtune::{AllocatorService, EndpointAgent, Engine, FlowtuneConfig, ServiceError};
+use flowtune::{
+    AllocatorService, EndpointAgent, Engine, FlowtuneConfig, ServiceError, TickDriver, ENGINE_NAMES,
+};
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -166,15 +168,28 @@ fn rekeyed_end_then_reused_token_start_roundtrip() {
 #[test]
 fn builder_constructs_every_engine_variant() {
     let fabric = TwoTierClos::build(ClosConfig::paper_eval());
-    for engine in [
-        Engine::Serial,
-        Engine::Multicore { workers: 0 },
-        Engine::Multicore { workers: 2 },
-        Engine::Fastpass,
-        Engine::Gradient,
-    ] {
-        // First-order gradient steps need far more ticks than NED or the
-        // arbiter to approach line rate (§3's argument for NED).
+    let start = Message::FlowletStart {
+        token: Token::new(1),
+        src: 0,
+        dst: 140,
+        size_hint: 100_000,
+        weight_q8: 256,
+        spine: 1,
+    };
+    // Every engine a builder builds prices the fabric's links, so each
+    // has link state to export after a tick, plain and sharded alike.
+    let priced = |drv: &dyn TickDriver, what: &str| {
+        let loads = drv.link_loads();
+        assert_eq!(loads.len(), fabric.topology().link_count(), "{what}");
+        assert!(
+            loads.iter().any(|&load| load > 0.0),
+            "{what}: nothing loaded"
+        );
+    };
+    let named = ENGINE_NAMES.map(|name| Engine::parse(name).unwrap());
+    for engine in named.into_iter().chain([Engine::Multicore { workers: 2 }]) {
+        // First-order gradient steps need far more ticks than NED to
+        // approach line rate (§3's argument for NED).
         let ticks = if engine == Engine::Gradient {
             4_000
         } else {
@@ -186,15 +201,7 @@ fn builder_constructs_every_engine_variant() {
             .build()
             .unwrap();
         assert_eq!(svc.engine_name(), engine.name());
-        svc.on_message(Message::FlowletStart {
-            token: Token::new(1),
-            src: 0,
-            dst: 140,
-            size_hint: 100_000,
-            weight_q8: 256,
-            spine: 1,
-        })
-        .unwrap();
+        svc.on_message(start).unwrap();
         let updates = svc.tick();
         assert_eq!(
             updates.len(),
@@ -202,6 +209,17 @@ fn builder_constructs_every_engine_variant() {
             "{}: first tick reports a rate",
             engine.name()
         );
+        priced(&svc, engine.name());
+
+        let mut sharded = AllocatorService::builder()
+            .fabric(&fabric)
+            .engine(engine.clone().sharded(2))
+            .build_driver()
+            .unwrap();
+        sharded.on_message(start).unwrap();
+        sharded.tick();
+        priced(&*sharded, &format!("{} over 2 shards", engine.name()));
+
         for _ in 0..ticks {
             svc.tick();
         }

@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use common::fabric;
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ServiceError, ServiceStats};
 use flowtune_alloc::{AllocConfig, BoxEngine, SerialAllocator};
-use flowtune_fastpass::FastpassAdapter;
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
 use proptest::prelude::*;
@@ -51,12 +50,6 @@ impl Model {
                 Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
             }
             Engine::Gradient => Box::new(SerialAllocator::gradient(fabric, alloc_cfg)),
-            Engine::Fastpass => Box::new(
-                FastpassAdapter::new(fabric, alloc_cfg).with_iteration_time_ps(
-                    flowtune::TICK_INTERVAL_PS,
-                    fabric.config().host_link_bps,
-                ),
-            ),
             Engine::Sharded { .. } => unreachable!("the model is one service"),
         };
         Self {
@@ -256,7 +249,6 @@ proptest! {
             Engine::Serial,
             Engine::Multicore { workers: 2 },
             Engine::Gradient,
-            Engine::Fastpass,
         ] {
             check(engine, FlowtuneConfig::default(), &ops);
         }

@@ -27,8 +27,9 @@
 //! straight out of the engine's own sums and prices; and
 //! [`RateAllocator::install_link_state`], which lends the exchange the
 //! engine's own background buffers to write. No method takes or returns
-//! a vector indexed by global `LinkId`: whoever needs one (telemetry, the
-//! wire's frames) scatters or gathers through `link_slots` once.
+//! a vector indexed by global `LinkId`: whoever needs one (telemetry)
+//! scatters through `link_slots` once; the exchange, in process and on
+//! the wire, runs in slot order.
 //!
 //! **The buffer form is the primitive.** Every query that returns a
 //! vector's worth of data writes into a caller-provided buffer (cleared

@@ -1,10 +1,11 @@
 //! Minimal, API-compatible subset of the `bytes` crate.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors the slice of `bytes` the codec and simulator use:
+//! workspace vendors the slice of `bytes` the codec and its callers use:
 //! [`BytesMut`] (append + big-endian `put_*`), [`Bytes`] (consuming
 //! big-endian `get_*`, `advance`, `slice`), and the [`Buf`]/[`BufMut`]
-//! traits those methods live on. Semantics (network byte order, panics on
+//! traits those methods live on — [`BufMut`] also for `Vec<u8>`, as
+//! upstream implements it. Semantics (network byte order, panics on
 //! underflow) match the real crate; zero-copy refcounting is replaced by
 //! plain owned buffers, which is plenty for tests and simulation.
 
@@ -261,6 +262,13 @@ impl BufMut for BytesMut {
     #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
+    }
+}
+
+impl BufMut for Vec<u8> {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
     }
 }
 

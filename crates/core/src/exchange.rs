@@ -18,20 +18,23 @@
 //!   ([`flowtune_alloc::RateAllocator::install_link_state`]; the paper's
 //!   §5 aggregation step, one level up).
 //!
-//! Both planes run these over flat vectors and differ only in the index
-//! space. In one process the rows are in the engines' own **slot
-//! order** (direction, LinkBlock, offset — every shard's grid has the
-//! same one): each shard's filter reads its engine's export where it lies
-//! and writes its own row, nothing is serialized, each row exists once,
-//! and the install writes straight into the engine's background arrays
-//! (see [`crate::sharded`]). Across processes there is no shared memory,
-//! and frames carry **global link ids**, so [`ExchangeCore`] — the unit a
-//! `ShardPeer` owns — pairs one filter with *private* rows by global id
-//! and moves rows through the codec: the sink of
-//! [`ExchangeCore::begin_round`] encodes each shipped entry into a state
-//! frame, and [`ExchangeCore::apply_frame`] decodes a peer's frame into
-//! that peer's row. The codec, and the one scatter (export) and gather
-//! (install) between global ids and an engine's slots, live only there.
+//! Both planes run these in **one index space**: the engines' own slot
+//! order (direction, LinkBlock, offset —
+//! [`flowtune_alloc::RateAllocator::link_slots`]). The slot order is a
+//! function of the fabric alone, so every shard of one fabric shares it,
+//! in one process or across hosts. Each shard's filter reads its
+//! engine's export where it lies (`ShardFilter::export`) and every
+//! install writes straight into the engine's background arrays
+//! (`ShardFilter::install`); no plane builds a global-id vector of link
+//! state. The **codec** is the only difference between the shard sets.
+//! In one process the rows form one shared table, nothing is serialized,
+//! and the filter's sink only counts the frame (see [`crate::sharded`]).
+//! Across processes there is no shared memory, so [`ExchangeCore`] — the
+//! unit a `ShardPeer` owns — pairs one filter with *private* rows: the
+//! sink of [`ExchangeCore::begin_round_from`] encodes each shipped entry
+//! into a state frame whose records name slots, and
+//! [`ExchangeCore::apply_frame`] decodes a peer's frame into that peer's
+//! row.
 //!
 //! The protocol on the wire is a **mesh broadcast**: every shard ships
 //! its moved entries to every peer and keeps full copies of the others'
@@ -58,7 +61,7 @@ const MAX_UNCHECKED_LINKS: usize = 1 << 22;
 
 /// Why a received frame could not be applied: either it failed to
 /// decode, or it decoded to values that cannot be valid in this cluster
-/// (a shard or link index out of range, a link vector of the wrong
+/// (a shard or slot index out of range, a link vector of the wrong
 /// length, link state no engine exports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyError {
@@ -70,15 +73,17 @@ pub enum ApplyError {
         /// The shard id found in the header.
         shard: u16,
     },
-    /// A record names a link outside the frame's own `n_links`.
+    /// A record names a slot outside the frame's own `n_links`.
     BadLink {
-        /// The link index found.
+        /// The slot index found.
         link: u32,
     },
-    /// An active frame's `n_links` is not the link-vector length this
-    /// core already holds. Every shard of a cluster serves the same
-    /// fabric, so a frame that disagrees is forged or misrouted; it is
-    /// rejected before any row is resized.
+    /// An active frame's `n_links` is not the slot count this core
+    /// already holds. The slot order is read off the fabric alone, so
+    /// shards of one fabric agree on it and on its length; a frame that
+    /// disagrees comes from another fabric, or is forged or misrouted.
+    /// It is rejected before any row is resized — the one guard the wire
+    /// needs against two peers meaning different links by one slot.
     BadLinkCount {
         /// The `n_links` found in the header.
         n_links: u32,
@@ -89,7 +94,7 @@ pub enum ApplyError {
     /// normalized rate on the link and a `NaN` one would over-allocate
     /// it; the record is refused before it is written.
     BadValue {
-        /// The record's link index.
+        /// The record's slot index.
         link: u32,
     },
     /// An active frame carries Hessian diagonals from a shard whose row
@@ -113,15 +118,15 @@ impl std::fmt::Display for ApplyError {
         match *self {
             ApplyError::Frame(e) => write!(f, "{e}"),
             ApplyError::BadShard { shard } => write!(f, "frame from out-of-range shard {shard}"),
-            ApplyError::BadLink { link } => write!(f, "record names out-of-range link {link}"),
+            ApplyError::BadLink { link } => write!(f, "record names out-of-range slot {link}"),
             ApplyError::BadLinkCount { n_links } => {
                 write!(
                     f,
-                    "frame announces {n_links} links, not this fabric's count"
+                    "frame announces {n_links} link slots, not this fabric's count"
                 )
             }
             ApplyError::BadValue { link } => {
-                write!(f, "record carries impossible link state for link {link}")
+                write!(f, "record carries impossible link state for slot {link}")
             }
             ApplyError::BadHessians { shard } => {
                 write!(f, "frame carries Hessians for first-order shard {shard}")
@@ -132,45 +137,9 @@ impl std::fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// One shard's fresh link-state export by global link id — the `(G, H)`
-/// pair its own price update summed in the tick just run, and the duals
-/// that update produced — in buffers reused every round, so a
-/// steady-state export allocates nothing. What a frame-connected shard
-/// feeds [`ExchangeCore::begin_round`]; the in-process shards filter their
-/// engines' slot-order exports where they lie and never build one. All
-/// three are the fabric's link count long, or `hessians` is empty
-/// (first-order engines), or all are empty (engines that do not price
-/// fabric links).
-#[derive(Debug, Default)]
-pub struct LinkExport {
-    /// Per-link loads of the shard's own flows.
-    pub loads: Vec<f64>,
-    /// Per-link Hessian diagonal of the shard's own flows.
-    pub hessians: Vec<f64>,
-    /// The shard's per-link duals.
-    pub prices: Vec<f64>,
-}
-
-impl LinkExport {
-    /// Overwrites the buffers with `svc`'s post-tick link state: one
-    /// `O(links)` scatter of the engine's slot-order export through its
-    /// link slots. The engine's sums are as of its last iteration (see
-    /// [`flowtune_alloc::RateAllocator::link_state`]), so call this right
-    /// after the tick.
-    // flowtune-lint: hot
-    pub fn refresh(&mut self, svc: &AllocatorService) {
-        svc.scatter_link_state([
-            Some(&mut self.loads),
-            Some(&mut self.hessians),
-            Some(&mut self.prices),
-        ]);
-    }
-}
-
-/// One shard's last-shipped link state, in the index space of the plane
-/// that holds it: an engine's slots in process, global link ids on the
-/// wire. Empty vectors mean that shard has never exported (engines that
-/// do not price fabric links).
+/// One shard's last-shipped link state, one entry per slot of the
+/// engines' slot order. Empty vectors mean that shard has never exported
+/// (a test double without link slots).
 #[derive(Debug, Default)]
 pub(crate) struct Row {
     loads: Vec<f64>,
@@ -311,7 +280,7 @@ pub(crate) struct ShardFilter {
     // ---- per-round state, valid from export to install ----
     /// Whether this round's export re-ships unmoved entries.
     resync: bool,
-    /// Length of this round's export (0: the engine prices no links).
+    /// Length of this round's export (0: an engine without link slots).
     own_links: usize,
     own_has_h: bool,
     /// Own fresh subscription mask this round (positive fresh load).
@@ -347,11 +316,11 @@ impl ShardFilter {
         (self.own_links, self.own_has_h)
     }
 
-    /// Start filtering a fresh export of `links` entries (0 when the
-    /// engine prices no links) into `own`, this shard's row; the entries
-    /// then come in runs through [`ShardFilter::filter`].
+    /// Start filtering a fresh export of `links` entries (0 for an
+    /// engine without link slots) into `own`, this shard's row; the
+    /// entries then come in runs through [`ShardFilter::filter`].
     // flowtune-lint: hot
-    pub(crate) fn start_export(&mut self, own: &mut Row, links: usize) {
+    fn start_export(&mut self, own: &mut Row, links: usize) {
         self.resync = std::mem::take(&mut self.resync_pending);
         self.own_links = links;
         self.own_has_h = false;
@@ -363,22 +332,44 @@ impl ShardFilter {
         }
     }
 
+    /// `svc`'s fresh slot-order export, delta-filtered run by run where
+    /// it lies into `own`, this shard's row (see [`ShardFilter::filter`]).
+    /// The engine's sums are as of its last iteration (see
+    /// [`flowtune_alloc::RateAllocator::link_state`]), so call this right
+    /// after the tick.
+    // flowtune-lint: hot
+    pub(crate) fn export(
+        &mut self,
+        own: &mut Row,
+        svc: &AllocatorService,
+        ship: &mut impl FnMut(Record, bool),
+    ) {
+        self.start_export(own, svc.link_slots().len());
+        let mut base = 0;
+        svc.link_state(&mut |run| {
+            let entries = run.totals.iter().zip(run.prices);
+            let entries = entries.map(|(&[load, hessian], &price)| (load, hessian, price));
+            self.filter(own, base, run.hessians, entries, ship);
+            base += run.totals.len();
+        });
+    }
+
     /// Delta-filter one run of the fresh export — `(load, hessian,
     /// price)` for entries `base..`, the Hessians part of the export when
     /// `has_h` — against `own`: entries that moved overwrite the row and
     /// go to `ship` as [`Record::LinkState`]; after a resync request, the
     /// unmoved non-zero entries go as [`Record::CatchUp`]. `ship` sees
     /// exactly the records of the shard's wire frame, in frame order
-    /// (index order); a caller whose consumers read the rows directly
-    /// only counts them.
+    /// (slot order), each with whether it carries a Hessian; a caller
+    /// whose consumers read the rows directly only counts them.
     // flowtune-lint: hot
-    pub(crate) fn filter(
+    fn filter(
         &mut self,
         own: &mut Row,
         base: usize,
         has_h: bool,
         entries: impl ExactSizeIterator<Item = (f64, f64, f64)>,
-        ship: &mut impl FnMut(Record),
+        ship: &mut impl FnMut(Record, bool),
     ) {
         let (eps, resync) = (self.eps, self.resync);
         let end = base + entries.len();
@@ -408,12 +399,13 @@ impl ShardFilter {
                 if has_h {
                     hessians[l] = hessian;
                 }
-                ship(Record::LinkState {
+                let record = Record::LinkState {
                     link: l as u32,
                     load,
                     dual: price,
                     hessian: if has_h { hessian } else { 0.0 },
-                });
+                };
+                ship(record, has_h);
                 continue;
             }
             if !resync {
@@ -424,50 +416,46 @@ impl ShardFilter {
                 // Catch-up: re-ship what the filter skipped but a peer
                 // with stale rows would be missing. Receivers apply
                 // these idempotently (they set, not accumulate).
-                ship(Record::CatchUp {
+                let record = Record::CatchUp {
                     link: l as u32,
                     load: *held_load,
                     dual: *held_price,
                     hessian: held_h,
-                });
+                };
+                ship(record, has_h);
             }
         }
     }
 
     /// The per-shard half of the install math, after [`Round::agree`]
     /// returned `true`: sum the *other* shards' `rows` (every shard's, in
-    /// shard order, this one's included) into this shard's background loads and Hessians, and
-    /// mask both and the consensus duals to the links this shard
-    /// subscribes to — written into buffers in the rows' index space,
-    /// one entry per index: an engine's own slot-order buffers in
-    /// process, an [`ExchangeCore`]'s global ones on the wire. `prices`
-    /// holds `NaN` on entry, and keeps it where the shard takes no
-    /// consensus dual; `hessians` is `None` for a first-order engine.
+    /// shard order, this one's included) into this shard's background
+    /// loads and Hessians, and mask both and the consensus duals to the
+    /// links this shard subscribes to — written straight into the
+    /// slot-order buffers `svc`'s engine lends
+    /// ([`flowtune_alloc::RateAllocator::install_link_state`]): the one
+    /// install of both shard sets. A consensus dual stays `NaN` where the
+    /// shard takes none; a first-order engine lends no Hessians.
     // flowtune-lint: hot, untrusted-input
-    pub(crate) fn install(
-        &self,
-        round: &Round,
-        rows: &[Row],
-        loads: &mut [f64],
-        hessians: Option<&mut [f64]>,
-        prices: &mut [f64],
-    ) {
+    pub(crate) fn install(&self, round: &Round, rows: &[Row], svc: &mut AllocatorService) {
         let me = self.shard as usize;
-        sum_others(me, rows, |row| &row.loads, &self.fresh_sub, loads);
-        // Engines without a second-order term export no Hessians and
-        // receive none.
-        if let Some(hessians) = hessians.filter(|_| round.any_h && self.own_has_h) {
-            sum_others(me, rows, |row| &row.hessians, &self.fresh_sub, hessians);
-        }
-        if self.own_links == 0 {
-            return;
-        }
-        // Consensus duals install only on links this shard prices;
-        // elsewhere NaN keeps its own decaying dual.
-        let consensus = self.fresh_sub.iter().zip(&round.consensus);
-        for (price, (&sub, &dual)) in prices.iter_mut().zip(consensus) {
-            *price = if sub { dual } else { f64::NAN };
-        }
+        svc.install_link_state(&mut |dst| {
+            sum_others(me, rows, |row| &row.loads, &self.fresh_sub, dst.loads);
+            // Engines without a second-order term export no Hessians and
+            // receive none.
+            if let Some(hessians) = dst.hessians.filter(|_| round.any_h && self.own_has_h) {
+                sum_others(me, rows, |row| &row.hessians, &self.fresh_sub, hessians);
+            }
+            if self.own_links == 0 {
+                return;
+            }
+            // Consensus duals install only on links this shard prices;
+            // elsewhere NaN keeps its own decaying dual.
+            let consensus = self.fresh_sub.iter().zip(&round.consensus);
+            for (price, (&sub, &dual)) in dst.prices.iter_mut().zip(consensus) {
+                *price = if sub { dual } else { f64::NAN };
+            }
+        });
     }
 }
 
@@ -495,15 +483,15 @@ fn write_state(column: &mut [f64], l: usize, value: f64, link: u32) -> Result<()
 
 /// One shard's side of the exchange when the other shards are reachable
 /// only by frames (see the module docs): a `ShardFilter` and private
-/// rows, indexed by global link id as the frames are, whose own row the
+/// rows, in the engines' slot order as the frames are, whose own row the
 /// filter writes and whose remote rows [`ExchangeCore::apply_frame`]
 /// fills. Each distributed `ShardPeer` owns exactly one.
 ///
 /// One exchange round is three calls:
 ///
-/// 1. [`ExchangeCore::begin_round`] — filter the shard's fresh export
-///    and append its state frame to a caller-owned flat buffer. No
-///    allocation once the buffer and tables are warm.
+/// 1. [`ExchangeCore::begin_round_from`] — filter the shard's fresh
+///    export and append its state frame to a caller-owned flat buffer.
+///    No allocation once the buffer and rows are warm.
 /// 2. [`ExchangeCore::apply_frame`] — decode every *other* shard's frame
 ///    into that shard's row.
 /// 3. [`ExchangeCore::install`] — run the install math over the rows
@@ -514,10 +502,7 @@ pub struct ExchangeCore {
     /// Every shard's last-shipped row, this shard's included.
     rows: Vec<Row>,
     round: Round,
-    /// The install math's output by global link id, gathered into the
-    /// engine's slots by [`AllocatorService::install_global`].
-    installed: LinkExport,
-    /// Length of the frame the last `begin_round` appended.
+    /// Length of the frame the last round start appended.
     frame_bytes: u64,
 }
 
@@ -537,7 +522,6 @@ impl ExchangeCore {
             filter: ShardFilter::new(shard, eps),
             rows: (0..shard_count).map(|_| Row::default()).collect(),
             round: Round::default(),
-            installed: LinkExport::default(),
             frame_bytes: 0,
         }
     }
@@ -551,11 +535,33 @@ impl ExchangeCore {
         self.filter.resync_pending = true;
     }
 
-    /// Start an exchange round: delta-filter the fresh export
-    /// (`loads`/`hessians`/`prices`, all the same length or `hessians`
-    /// empty; all empty when the engine prices no links) against the
-    /// last-shipped row and append this shard's state frame to `out`.
-    /// Returns the frame's length in bytes.
+    /// Start an exchange round from `svc`, this shard's service, right
+    /// after its tick: delta-filter the engine's slot-order export, run
+    /// by run where it lies — the filter the in-process shards run —
+    /// against the last-shipped row, and append this shard's state frame
+    /// to `out`. Returns the frame's length in bytes.
+    // flowtune-lint: hot
+    pub fn begin_round_from(
+        &mut self,
+        round: u64,
+        svc: &AllocatorService,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        // The header precedes the records, so whether they carry
+        // Hessians is read off the runs first.
+        let mut has_hessians = false;
+        svc.link_state(&mut |run| has_hessians |= run.hessians);
+        let start = self.open_frame(round, svc.link_slots().len(), has_hessians, out);
+        let own = &mut self.rows[self.filter.shard as usize];
+        let mut ship = |record, _| encode_record(&record, has_hessians, out);
+        self.filter.export(own, svc, &mut ship);
+        self.close_frame(start, out)
+    }
+
+    /// [`ExchangeCore::begin_round_from`] for an export given as
+    /// slot-indexed vectors — `loads`/`hessians`/`prices`, all the same
+    /// length or `hessians` empty (a first-order engine); all empty for
+    /// an engine without link slots — filtered as one run.
     // flowtune-lint: hot
     pub fn begin_round(
         &mut self,
@@ -565,27 +571,15 @@ impl ExchangeCore {
         prices: &[f64],
         out: &mut Vec<u8>,
     ) -> usize {
-        let start = out.len();
         let has_hessians = !hessians.is_empty();
-        encode_header(
-            &FrameHeader {
-                shard: self.filter.shard,
-                round,
-                n_links: loads.len() as u32,
-                active: !loads.is_empty(),
-                has_hessians,
-            },
-            out,
-        );
         debug_assert!(
             !has_hessians || hessians.len() == loads.len(),
             "short hessian export"
         );
         debug_assert_eq!(prices.len(), loads.len(), "short price export");
-        self.round.start();
-        self.round.note(loads.len(), has_hessians);
+        let start = self.open_frame(round, loads.len(), has_hessians, out);
         let own = &mut self.rows[self.filter.shard as usize];
-        let mut ship = |record| encode_record(&record, has_hessians, out);
+        let mut ship = |record, _| encode_record(&record, has_hessians, out);
         self.filter.start_export(own, loads.len());
         if has_hessians {
             let entries = loads.iter().zip(hessians).zip(prices);
@@ -598,6 +592,35 @@ impl ExchangeCore {
                 .map(|(&load, &price)| (load, 0.0, price));
             self.filter.filter(own, 0, false, entries, &mut ship);
         }
+        self.close_frame(start, out)
+    }
+
+    /// Open this shard's round with an export of `links` slots: append
+    /// the frame's header to `out`, and return where the frame starts.
+    fn open_frame(
+        &mut self,
+        round: u64,
+        links: usize,
+        has_hessians: bool,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let start = out.len();
+        let header = FrameHeader {
+            shard: self.filter.shard,
+            round,
+            n_links: links as u32,
+            active: links > 0,
+            has_hessians,
+        };
+        encode_header(&header, out);
+        self.round.start();
+        self.round.note(links, has_hessians);
+        start
+    }
+
+    /// The length of the frame at `out[start..]`, kept for the install
+    /// to charge.
+    fn close_frame(&mut self, start: usize, out: &[u8]) -> usize {
         let len = out.len() - start;
         self.frame_bytes = len as u64;
         len
@@ -607,14 +630,13 @@ impl ExchangeCore {
     ///
     /// # Errors
     /// [`ApplyError`] if the frame fails to decode, names a shard or
-    /// link this cluster does not have, announces a link vector of a
-    /// different length than the rows already held or Hessians for a
-    /// row held without them (both checked before anything is resized),
-    /// or carries link state no engine exports
-    /// (checked before the record is written). After a record-level
-    /// error the row keeps whatever the frame carried up to it, and
-    /// nothing re-ships the rest: the sender's filter has already
-    /// recorded those entries as shipped.
+    /// slot this cluster does not have, announces a slot count other
+    /// than the rows already held or Hessians for a row held without
+    /// them (both checked before anything is resized), or carries link
+    /// state no engine exports (checked before the record is written).
+    /// After a record-level error the row keeps whatever the frame
+    /// carried up to it, and nothing re-ships the rest: the sender's
+    /// filter has already recorded those entries as shipped.
     // flowtune-lint: hot, untrusted-input
     pub fn apply_frame(&mut self, frame: &[u8]) -> Result<(), ApplyError> {
         let (header, records) = RecordIter::new(frame)?;
@@ -624,7 +646,7 @@ impl ExchangeCore {
         if header.shard == self.filter.shard {
             return Err(bad_shard);
         }
-        // Every row this core holds has the fabric's link count (its own
+        // Every row this core holds has the fabric's slot count (its own
         // export among them once it has begun a round).
         let held = self
             .rows
@@ -691,30 +713,16 @@ impl ExchangeCore {
     /// Finish the round: run the install math over the rows — the
     /// round-wide consensus, then this shard's background sums and mask
     /// — and install the result into `svc` (this shard's service).
-    /// Returns the length of the frame this round's
-    /// [`ExchangeCore::begin_round`] appended — what the round costs this
-    /// shard in `ServiceStats::exchange_bytes` — or `None` when no shard
-    /// exported any links this round (the round does not count).
+    /// Returns the length of the frame this round's start appended —
+    /// what the round costs this shard in
+    /// `ServiceStats::exchange_bytes` — or `None` when no shard exported
+    /// any links this round (the round does not count).
     // flowtune-lint: hot, untrusted-input
     pub fn install(&mut self, svc: &mut AllocatorService) -> Option<u64> {
         if !self.round.agree(&self.rows) {
             return None;
         }
-        let n = self.round.links;
-        let LinkExport {
-            loads,
-            hessians,
-            prices,
-        } = &mut self.installed;
-        loads.resize(n, 0.0);
-        hessians.resize(n, 0.0);
-        prices.clear();
-        prices.resize(n, f64::NAN);
-        let has_h = self.filter.own_has_h;
-        let written = has_h.then_some(hessians.as_mut_slice());
-        self.filter
-            .install(&self.round, &self.rows, loads, written, prices);
-        svc.install_global(loads, has_h.then_some(hessians.as_slice()), prices);
+        self.filter.install(&self.round, &self.rows, svc);
         Some(self.frame_bytes)
     }
 }
@@ -1085,21 +1093,22 @@ mod tests {
 
     #[test]
     fn begin_round_frames_are_pinned_byte_for_byte() {
-        // Version 3: a 16-byte header (version, flags, shard, round,
-        // n_links), then one record per link in link order — link state
-        // for an entry that moved, and (second frame, after a resync
-        // request) catch-up for a non-zero entry that did not.
+        // Version 4: a 16-byte header (version, flags, shard, round,
+        // n_links, the sender's slot count), then one record per slot in
+        // slot order — link state for an entry that moved, and (second
+        // frame, after a resync request) catch-up for a non-zero entry
+        // that did not.
         let [first, second] = pinned_frames();
         assert_eq!(
             hex(&first),
-            "03030001000000000000000700000004\
+            "04030001000000000000000700000004\
              010000000140040000000000003fe8000000000000bfe0000000000000\
              010000000200000000000000003fc00000000000000000000000000000\
              01000000033ff00000000000000000000000000000bfd0000000000000"
         );
         assert_eq!(
             hex(&second),
-            "03030001000000000000000800000004\
+            "04030001000000000000000800000004\
              020000000140040000000000003fe8000000000000bfe0000000000000\
              01000000023fe00000000000003fc0000000000000bff0000000000000\
              0100000003000000000000000000000000000000000000000000000000"

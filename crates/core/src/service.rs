@@ -791,68 +791,52 @@ impl AllocatorService {
     /// a caller-provided buffer: one scatter through the engine's link
     /// slots. Left empty by engines that do not price fabric links.
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
-        self.scatter_link_state([Some(out), None, None]);
+        self.scatter_link_state(out, |[load, _], _| load);
     }
 
     /// The Hessian diagonal beside [`AllocatorService::link_loads_into`]'s
     /// loads, by global link, into a caller-provided buffer. Left empty by
     /// engines without a second-order price term.
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
-        self.scatter_link_state([None, Some(out), None]);
+        if !self.scatter_link_state(out, |[_, hessian], _| hessian) {
+            out.clear();
+        }
     }
 
     /// The engine's current per-link duals, by global link, into a
     /// caller-provided buffer. Left empty by engines that do not price
     /// fabric links.
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
-        self.scatter_link_state([None, None, Some(out)]);
+        self.scatter_link_state(out, |_, price| price);
     }
 
-    /// The global views of the engine's slot-order export, `[loads,
-    /// hessians, prices]`, each requested one cleared and sized to the
-    /// fabric's link count (control links read 0) — or left empty: all of
-    /// them by an engine without link slots, the Hessians by a
-    /// first-order one. One pass over the export.
-    // flowtune-lint: hot
-    pub(crate) fn scatter_link_state(&self, out: [Option<&mut Vec<f64>>; 3]) {
+    /// One global view of the engine's slot-order export: `out` cleared
+    /// and sized to the fabric's link count (control links read 0), and
+    /// each slot's `value(totals, price)` written at its link — or left
+    /// empty by an engine without link slots. Returns whether every run
+    /// carried Hessians.
+    fn scatter_link_state(&self, out: &mut Vec<f64>, value: impl Fn([f64; 2], f64) -> f64) -> bool {
         let slots = self.engine.link_slots();
-        let links = if slots.is_empty() {
-            0
-        } else {
-            self.fabric.topology().link_count()
-        };
-        let [mut loads, mut hessians, mut prices] = out;
-        for v in [&mut loads, &mut hessians, &mut prices]
-            .into_iter()
-            .flatten()
-        {
-            v.clear();
-            v.resize(links, 0.0);
+        out.clear();
+        if !slots.is_empty() {
+            out.resize(self.fabric.topology().link_count(), 0.0);
         }
         let (mut slots, mut second_order) = (slots.iter(), true);
         self.engine.link_state(&mut |run| {
             second_order &= run.hessians;
             // The run first: a zip that ends on it takes no slot past it.
-            for ((&[load, h], &price), link) in run.totals.iter().zip(run.prices).zip(&mut slots) {
-                let l = link.index();
-                if let Some(v) = loads.as_deref_mut() {
-                    v[l] = load;
-                }
-                if let Some(v) = hessians.as_deref_mut() {
-                    v[l] = h;
-                }
-                if let Some(v) = prices.as_deref_mut() {
-                    v[l] = price;
-                }
+            for ((&totals, &price), link) in run.totals.iter().zip(run.prices).zip(&mut slots) {
+                out[link.index()] = value(totals, price);
             }
         });
-        if let Some(v) = hessians.filter(|_| !second_order) {
-            v.clear();
-        }
+        second_order
     }
 
-    /// The engine's link slots (see [`RateAllocator::link_slots`]).
-    pub(crate) fn link_slots(&self) -> &[LinkId] {
+    /// The engine's link slots, in slot order: the global link each entry
+    /// of its link-state export stands for, and what a record of an
+    /// exchange frame indexes (see [`RateAllocator::link_slots`]). Empty
+    /// for an engine without link slots.
+    pub fn link_slots(&self) -> &[LinkId] {
         self.engine.link_slots()
     }
 
@@ -867,35 +851,6 @@ impl AllocatorService {
     // flowtune-lint: hot
     pub(crate) fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
         self.engine.install_link_state(fill);
-    }
-
-    /// Installs background loads, Hessians (`None`: leave them) and
-    /// consensus duals (`NaN`: keep) given by global link: one gather
-    /// into the engine's slots. A link past a vector's end reads as
-    /// nothing to install.
-    // flowtune-lint: hot
-    pub(crate) fn install_global(
-        &mut self,
-        loads: &[f64],
-        hessians: Option<&[f64]>,
-        prices: &[f64],
-    ) {
-        self.engine.install_link_state(&mut |dst| {
-            let at = |values: &[f64], link: LinkId, none: f64| {
-                values.get(link.index()).copied().unwrap_or(none)
-            };
-            for (v, &link) in dst.loads.iter_mut().zip(dst.slots) {
-                *v = at(loads, link, 0.0);
-            }
-            if let (Some(out), Some(hessians)) = (dst.hessians, hessians) {
-                for (v, &link) in out.iter_mut().zip(dst.slots) {
-                    *v = at(hessians, link, 0.0);
-                }
-            }
-            for (v, &link) in dst.prices.iter_mut().zip(dst.slots) {
-                *v = at(prices, link, f64::NAN);
-            }
-        });
     }
 
     /// The engine's short name (`serial` / `multicore` / `gradient`).

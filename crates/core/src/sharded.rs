@@ -109,18 +109,20 @@
 //! The shards of one process exchange through **one link-state table**
 //! ([`crate::exchange`]): a row per shard holding what that shard last
 //! shipped, lent to the shard for phase 1 and written only by its filter
-//! there, then read by every shard's install. Nothing is encoded or decoded, and a row
-//! exists once — not once per reader. What is the same for every shard
-//! (the dual consensus) is computed once per round; only the background
-//! sums, which leave out the shard's own row, and the subscription mask
-//! are per shard, and they are written straight into the background
-//! arrays and staged duals the shard's engine lends — no gather, no
-//! re-split.
+//! there, then read by every shard's install. Nothing is encoded or
+//! decoded, and a row exists once — not once per reader. What is the
+//! same for every shard (the dual consensus) is computed once per round;
+//! only the background sums, which leave out the shard's own row, and
+//! the subscription mask are per shard, and they are written straight
+//! into the background arrays and staged duals the shard's engine lends
+//! — no gather, no re-split.
 //! The serialized form of the same round — frames carrying exactly the
-//! entries the filters write — exists only between processes, where
-//! `flowtune-net`'s shard peers each keep private copies of the rows;
-//! both are built from the same filter and the same install math, so
-//! they agree bit for bit.
+//! entries the filters write, indexed by the same slots — exists only
+//! between processes, where `flowtune-net`'s shard peers each keep
+//! private copies of the rows. Both shard sets run one export
+//! (`ShardFilter::export`) and one install (`ShardFilter::install`) in
+//! one index space; the frame codec is all that differs, so they agree
+//! bit for bit.
 //!
 //! The exchange is a **delta protocol**:
 //! a shard re-ships a link's `(load, H, dual)` entry only when any of
@@ -138,7 +140,7 @@
 //! [`ServiceStats::exchange_bytes`] counts the frames a wire would
 //! carry, though nothing here encodes one: per shard and counted round,
 //! a frame header plus one record per shipped entry (a tag, a 4-byte
-//! link id, 8 bytes each for load and dual, and 8 for the Hessian
+//! slot index, 8 bytes each for load and dual, and 8 for the Hessian
 //! diagonal of second-order engines). It is the same number a
 //! `flowtune-net` cluster reports, whose transports then send each frame
 //! once per receiver behind a length prefix.
@@ -453,12 +455,8 @@ impl InProcess {
         if !self.round.agree(&self.rows) {
             return;
         }
-        let (rows, round) = (&self.rows, &self.round);
         for slot in &mut self.slots {
-            let filter = &slot.filter;
-            slot.svc.install_link_state(&mut |dst| {
-                filter.install(round, rows, dst.loads, dst.hessians, dst.prices);
-            });
+            slot.filter.install(&self.round, &self.rows, &mut slot.svc);
         }
         self.counters.exchange_rounds += 1;
         self.counters.exchange_bytes += bytes as u64;
@@ -488,17 +486,9 @@ impl ShardSlot {
             frame_bytes,
             ..
         } = self;
-        filter.start_export(row, svc.link_slots().len());
         *frame_bytes = FRAME_HEADER_BYTES;
-        let mut base = 0;
-        svc.link_state(&mut |run| {
-            let record = record_bytes(run.hessians);
-            let entries = run.totals.iter().zip(run.prices);
-            let entries = entries.map(|(&[load, hessian], &price)| (load, hessian, price));
-            filter.filter(row, base, run.hessians, entries, &mut |_| {
-                *frame_bytes += record;
-            });
-            base += run.totals.len();
+        filter.export(row, svc, &mut |_, has_h| {
+            *frame_bytes += record_bytes(has_h)
         });
     }
 }

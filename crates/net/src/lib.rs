@@ -15,13 +15,15 @@
 //!   [`MemTransport`] mesh (the bit-for-bit reference), length-prefixed
 //!   Unix-domain sockets ([`UdsTransport`]) and TCP ([`TcpTransport`]).
 //! * [`ShardPeer`] — one shard's `AllocatorService` plus its side of
-//!   the exchange (an `ExchangeCore`: the filter and install math the
-//!   in-process service runs over its shared table, here over private
-//!   rows filled from frames). A tick is two phases: run the allocator
-//!   and broadcast this shard's frame, then a staleness-aware barrier
-//!   that polls every receive half on the tick thread against one
-//!   deadline read from the peer's [`Clock`]: a peer that was fresh
-//!   last round is awaited up to the configured round timeout, a peer
+//!   the exchange (an `ExchangeCore`: the export filter and the install
+//!   the in-process service runs over its shared table, in the same
+//!   slot order, here over private rows filled from frames whose records
+//!   name slots — the codec is the only difference). A tick is two
+//!   phases: run the allocator and broadcast this shard's frame, then a
+//!   staleness-aware barrier that polls every receive half on the tick
+//!   thread against one deadline read from the peer's [`Clock`]: a peer
+//!   that was fresh last round is awaited up to the configured round
+//!   timeout, a peer
 //!   already behind is only polled (its frames install whenever they
 //!   arrive), and a peer behind by `max_rounds_behind` rounds is
 //!   awaited again so the lag stays bounded. Stale rounds install from

@@ -6,14 +6,18 @@
 //! A [`ShardPeer`] is one shard of a control plane whose other shards
 //! are reachable only over a wire. In one process the shards share one
 //! link-state table; here nothing is shared, so the peer owns an
-//! [`ExchangeCore`] — the same delta filter and install math over a
-//! private copy of the table — and an exchange round is export and
-//! broadcast, apply every peer's frame, install. This is the only place
-//! a frame is encoded or decoded every round. A tick is two phases —
-//! run the allocator and broadcast this shard's frame, then the barrier
-//! and install — which [`ShardPeer::tick_into`] runs back to back and a
-//! `PeerCluster` interleaves across its peers, every first phase before
-//! any second.
+//! [`ExchangeCore`] — the same delta filter and install over a private
+//! copy of the table — and an exchange round is export and broadcast,
+//! apply every peer's frame, install. The rows and the frames' records
+//! are in the engines' slot order, as the shared table is: the round
+//! starts from the service's export where it lies
+//! ([`ExchangeCore::begin_round_from`]) and the install writes into the
+//! engine's own buffers, so no global-id vector is built. This is the
+//! only place a frame is encoded or decoded every round. A tick is two
+//! phases — run the allocator and broadcast this shard's frame, then the
+//! barrier and install — which [`ShardPeer::tick_into`] runs back to
+//! back and a `PeerCluster` interleaves across its peers, every first
+//! phase before any second.
 //!
 //! The peer owns one thread's worth of work: the barrier in the second
 //! phase polls every remote peer's [`Receiver`] without blocking, on
@@ -50,7 +54,6 @@
 use std::io;
 use std::time::{Duration, Instant};
 
-use flowtune::exchange::LinkExport;
 use flowtune::{
     AllocatorService, ExchangeConfig, ExchangeCore, Passers, ServiceError, ServiceStats,
 };
@@ -254,9 +257,8 @@ pub struct ShardPeer<T: Transport> {
     ticks: u64,
     /// An exchange round was exported this tick and awaits its barrier.
     round_due: bool,
-    // Reusable export/frame scratch: the encode path allocates nothing
-    // once these are warm.
-    export: LinkExport,
+    /// The frame this peer broadcasts, reused: the encode path
+    /// allocates nothing once it is warm.
     frame_buf: Vec<u8>,
     /// The frame the barrier reads into.
     rx_buf: Vec<u8>,
@@ -331,7 +333,6 @@ impl<T: Transport> ShardPeer<T> {
             exchange,
             ticks: 0,
             round_due: false,
-            export: LinkExport::default(),
             frame_buf: Vec::new(),
             rx_buf: Vec::new(),
             passers: Passers::default(),
@@ -441,15 +442,9 @@ impl<T: Transport> ShardPeer<T> {
         self.round_due = self.svc.config().exchange_due(self.ticks, self.tx.peers());
         if self.round_due {
             let t0 = Instant::now();
-            self.export.refresh(&self.svc);
             self.frame_buf.clear();
-            self.core.begin_round(
-                self.ticks,
-                &self.export.loads,
-                &self.export.hessians,
-                &self.export.prices,
-                &mut self.frame_buf,
-            );
+            self.core
+                .begin_round_from(self.ticks, &self.svc, &mut self.frame_buf);
             self.broadcast_frame_buf()?;
             self.exchange_time += t0.elapsed();
         }
@@ -572,6 +567,7 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     use flowtune::{add_path_load, worst_oversubscription, FlowtuneConfig, Placement};
+    use flowtune_proto::exchange::{Record, RecordIter};
     use flowtune_proto::Token;
     use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 
@@ -716,6 +712,48 @@ mod tests {
             weight_q8: 256,
             spine: spine as u8,
         }
+    }
+
+    #[test]
+    fn a_broadcast_frame_indexes_its_records_by_slot() {
+        let fabric = fabric();
+        let (mut peer, others, _) = stepped_peer(2, 8, Duration::from_millis(1));
+        for token in 1..=4 {
+            peer.on_message(incast_start(&fabric, token)).unwrap();
+        }
+        peer.tick_export(&mut Passers::default()).unwrap();
+        let (_, mut rxs) = others.into_iter().next().unwrap().split().unwrap();
+        let mut frame = Vec::new();
+        let received = rxs[0].recv(&mut frame, Duration::ZERO).unwrap();
+        assert!(received.is_some(), "the round's frame was broadcast");
+
+        let svc = peer.service();
+        let slots = svc.link_slots();
+        let mut loads = Vec::new();
+        svc.link_loads_into(&mut loads);
+        // On this fabric slot `s` is not link `s`, and the loads tell
+        // the two apart.
+        assert!(
+            slots
+                .iter()
+                .enumerate()
+                .any(|(s, link)| loads[link.index()] != loads[s]),
+            "slot order equals link-id order on the loaded links"
+        );
+        let (header, records) = RecordIter::new(&frame).unwrap();
+        assert_eq!(header.n_links as usize, slots.len());
+        let mut loaded = 0;
+        for record in records {
+            let Record::LinkState { link: s, load, .. } = record.unwrap() else {
+                panic!("a first round ships no catch-up record");
+            };
+            let link = slots[s as usize];
+            assert_eq!(load.to_bits(), loads[link.index()].to_bits(), "slot {s}");
+            loaded += usize::from(load > 0.0);
+        }
+        let expect = loads.iter().filter(|&&load| load > 0.0).count();
+        assert!(expect > 0);
+        assert_eq!(loaded, expect, "every loaded link ships");
     }
 
     #[test]

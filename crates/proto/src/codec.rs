@@ -1,6 +1,6 @@
 //! Message definitions and the byte codec.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use crate::rate16::Rate16;
 use crate::Token;
@@ -63,7 +63,7 @@ impl Message {
 /// Appends `msg` to `buf`: the whole message is assembled as one
 /// fixed-size array (fields big-endian, the token's 24 bits in three
 /// bytes) and written with a single `put_slice`.
-pub fn encode(msg: &Message, buf: &mut BytesMut) {
+pub fn encode(msg: &Message, buf: &mut impl BufMut) {
     match *msg {
         Message::FlowletStart {
             token,
@@ -223,6 +223,7 @@ impl Iterator for MessageIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn start() -> Message {
         Message::FlowletStart {

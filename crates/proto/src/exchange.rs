@@ -24,14 +24,25 @@
 //! * `shard` — the sender's shard id.
 //! * `round` — the sender's tick counter when the frame was built; used
 //!   to match frames to rounds and detect late arrivals.
-//! * `n_links` — length of the sender's exported link vectors (0 when
-//!   inactive), so a receiver can size its replica before decoding.
+//! * `n_links` — the sender's **slot count**: the length of its exported
+//!   link vectors (0 when inactive), so a receiver can size its replica
+//!   before decoding.
 //!
 //! Records are tagged with a single byte: 1 link state, 2 catch-up; any
 //! other tag is refused ([`FrameError::BadTag`]). Both are
 //! [`record_bytes`] long — 21 bytes, 29 with the Hessian word — and
 //! `f64` fields travel as `to_bits`, so every value, `NaN` included,
-//! round-trips bit-exact.
+//! round-trips bit-exact. A record's `link` is a **slot index**: a
+//! position in the sender's engine's slot order (direction, LinkBlock,
+//! offset), not a global link id. The slot order is a function of the
+//! fabric alone, so every shard of one fabric shares it, and a receiver
+//! installs a record where its own engine keeps that slot.
+//!
+//! Version 4 made that change: version 3's records named global link ids,
+//! so every frame-connected round scattered the engine's slot-order
+//! export into global-id vectors and gathered the install back, while the
+//! in-process exchange ran in slot order end to end. The two shard sets
+//! now run one index space, and the codec is all that differs.
 //!
 //! A frame's length is what `ServiceStats::exchange_bytes` charges: the
 //! in-process exchange encodes nothing and counts header plus
@@ -39,7 +50,7 @@
 //! length prefix on top (see [`framed_wire_bytes`]).
 
 /// The only protocol version this build speaks.
-pub const EXCHANGE_VERSION: u8 = 3;
+pub const EXCHANGE_VERSION: u8 = 4;
 
 /// Fixed frame header size in bytes.
 pub const FRAME_HEADER_BYTES: usize = 16;
@@ -64,7 +75,7 @@ const TAG_LINK_STATE: u8 = 1;
 const TAG_CATCH_UP: u8 = 2;
 
 /// Encoded length of one record in a frame whose [`FLAG_HESSIANS`] is
-/// `has_hessians`: the tag, the link id, the load and dual words, and
+/// `has_hessians`: the tag, the slot index, the load and dual words, and
 /// the Hessian word when the frame carries one.
 #[inline]
 pub const fn record_bytes(has_hessians: bool) -> usize {
@@ -78,7 +89,8 @@ pub struct FrameHeader {
     pub shard: u16,
     /// Sender's tick counter when the frame was built.
     pub round: u64,
-    /// Length of the sender's exported link vectors (0 when inactive).
+    /// The sender's slot count: the length of its exported link vectors
+    /// (0 when inactive).
     pub n_links: u32,
     /// Sender exported a non-empty load vector this round.
     pub active: bool,
@@ -93,7 +105,7 @@ pub enum Record {
     /// round. `hessian` is 0.0 when the frame's [`FLAG_HESSIANS`] is
     /// clear (and does not travel).
     LinkState {
-        /// Global link index.
+        /// Slot index in the sender's link-state order.
         link: u32,
         /// Exported load on the link (Gbps).
         load: f64,
@@ -107,7 +119,7 @@ pub enum Record {
     /// Same layout as [`Record::LinkState`] but does not count as fresh
     /// movement.
     CatchUp {
-        /// Global link index.
+        /// Slot index in the sender's link-state order.
         link: u32,
         /// Current exported load on the link (Gbps).
         load: f64,

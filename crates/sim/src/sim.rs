@@ -615,10 +615,9 @@ impl Simulation {
         } else {
             &mut self.ctrl_down_buf[(stream_id - CTRL_BASE * 2) as usize]
         };
-        let mut tmp = bytes::BytesMut::new();
-        codec::encode(msg, &mut tmp);
-        let len = tmp.len() as u64;
-        buf.data.extend_from_slice(&tmp);
+        let before = buf.data.len();
+        codec::encode(msg, &mut buf.data);
+        let len = (buf.data.len() - before) as u64;
         if stream_id < CTRL_BASE * 2 {
             self.metrics.ctrl_bytes_to_alloc += len;
         } else {

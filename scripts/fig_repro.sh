@@ -16,8 +16,11 @@
 #                                         the tree's; non-zero when any
 #                                         listed run differs
 #
-# fig4 / 8–11 (the packet simulator, minutes each) and the timing tables
-# are not listed; `table_*` and fig7's multicore column print times.
+# fig9 is the one packet-simulator run listed (≈ 6.5 s at `--quick`, no
+# wall-clock time printed): it puts the simulator's determinism, and the
+# control messages it encodes, under the byte compare. fig4 / 8 / 10 /
+# 11 (the same simulator, slower) and the timing tables are not listed;
+# `table_*` and fig7's multicore column print times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +41,7 @@ RUNS=(
     "fig12_overalloc --engine gradient --shards 2 --exchange-every 1"
     "fig13_norm"
     "fig14_scenarios"
+    "fig9_queueing"
 )
 
 against=

@@ -62,7 +62,7 @@
 use flowtune_num::solver::decay_idle_price;
 use flowtune_topo::FlowId;
 
-use crate::GAMMA;
+use crate::{grow, GAMMA};
 
 /// Flows [`report_pass`] flags, selects and compacts at a time: its stage
 /// buffers stay on the stack and in L1.
@@ -163,8 +163,19 @@ impl FlowBlock {
             padded[..offsets.len()].copy_from_slice(offsets);
             padded
         };
-        self.up.push(pad(up));
-        self.down.push(pad(down));
+        let (up, down) = (pad(up), pad(down));
+        // Every column has the same length, so each grows alike: by a
+        // quarter, not double (`grow`).
+        grow::reserve(&mut self.up, 1);
+        grow::reserve(&mut self.down, 1);
+        grow::reserve(&mut self.ids, 1);
+        grow::reserve(&mut self.weight, 1);
+        grow::reserve(&mut self.floor, 1);
+        grow::reserve(&mut self.rates, 1);
+        grow::reserve(&mut self.normalized, 1);
+        grow::reserve(&mut self.reported, 1);
+        self.up.push(up);
+        self.down.push(down);
         self.ids.push(id);
         self.weight.push(weight);
         self.floor.push(weight / x_max);
@@ -1013,6 +1024,28 @@ mod tests {
         });
         assert!(runs <= flows.len().div_ceil(CHUNK), "one run a chunk");
         lent
+    }
+
+    #[test]
+    fn every_column_grows_by_a_quarter_not_double() {
+        let mut b = FlowBlock::new(LINKS);
+        for n in 1..=20_000 {
+            b.push(n as u32, 1.0, &[0], &[1], 10.0);
+            let caps = [
+                b.ids.capacity(),
+                b.up.capacity(),
+                b.down.capacity(),
+                b.weight.capacity(),
+                b.floor.capacity(),
+                b.rates.capacity(),
+                b.normalized.capacity(),
+                b.reported.capacity(),
+            ];
+            assert!(
+                caps.iter().all(|&cap| cap <= grow::bound(n)),
+                "{caps:?} slots for {n} flows"
+            );
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@
 mod dirty;
 pub mod engine;
 pub mod flowblock;
+pub mod grow;
 mod layout;
 mod parallel;
 pub mod pool;

@@ -58,7 +58,7 @@ use crate::flowblock::{
 use crate::layout::BlockLayout;
 use crate::pool::WorkerPool;
 use crate::reduce::{binomial_reduce_in_order, member, position, DIRS, DOWN, UP};
-use crate::{AllocConfig, RateAllocator};
+use crate::{grow, AllocConfig, RateAllocator};
 
 /// The §5 FlowBlock × LinkBlock grid and every operation on it, with two
 /// ways to schedule an iteration: on the caller's thread
@@ -362,6 +362,8 @@ impl SerialAllocator {
         );
         let key = key as usize;
         if key >= self.index.len() {
+            let missing = key + 1 - self.index.len();
+            grow::reserve(&mut self.index, missing);
             self.index.resize(key + 1, VACANT);
         }
         self.index[key] = (w as u32, slot as u32);

@@ -22,15 +22,19 @@ fn main() {
     let mut arb = Arbiter::new(endpoints);
     let demand_rounds = opts.scaled(400, 60);
     for r in 0..demand_rounds {
+        // Round r sends every endpoint to the one r + 1 places on (never
+        // itself: the offset cycles through 1..endpoints).
+        let offset = 1 + r % (endpoints as u64 - 1);
         for s in 0..endpoints as u16 {
-            let d = ((s as u64 + 1 + r) % endpoints as u64) as u16;
+            let d = ((s as u64 + offset) % endpoints as u64) as u16;
             arb.add_demand(s, d, 40);
         }
     }
     let t0 = Instant::now();
     let mut slots = 0u64;
+    let mut matched = Vec::with_capacity(endpoints);
     while arb.backlog() > 0 {
-        arb.allocate_slot();
+        arb.allocate_slot_into(&mut matched);
         slots += 1;
     }
     let arb_secs = t0.elapsed().as_secs_f64();

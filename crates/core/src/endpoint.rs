@@ -16,6 +16,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use flowtune_alloc::grow;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::clos::splitmix64;
 
@@ -164,6 +165,7 @@ impl EndpointAgent {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let slot = u32::try_from(self.flows.len()).expect("fewer than 2^32 flow ids");
+                grow::reserve(&mut self.flows, 1);
                 self.flows.push(FlowState {
                     flow,
                     tracker: FlowletTracker::new(),
@@ -189,6 +191,7 @@ impl EndpointAgent {
                         break (token, at);
                     }
                 };
+                grow::reserve(&mut self.by_token, 1);
                 self.by_token.insert(at, (token, slot));
                 state.token = token.get();
                 Some(Message::FlowletStart {
@@ -468,6 +471,21 @@ mod tests {
     #[should_panic(expected = "weight must be > 0 and finite, got -2")]
     fn a_negative_weight_is_refused_not_clamped() {
         EndpointAgent::new(3, 144).on_backlog_weighted(1, 100, 1000, -2.0, 0);
+    }
+
+    #[test]
+    fn the_slab_and_the_token_index_grow_by_a_quarter_not_double() {
+        let mut a = EndpointAgent::new(0, 16);
+        for n in 1..=20_000 {
+            let flow = n as u64;
+            assert!(a.on_backlog(flow, 1, 100, 0).is_some());
+            let (flows, tokens) = (a.flows.capacity(), a.by_token.capacity());
+            let bound = flowtune_alloc::grow::bound(n);
+            assert!(
+                flows <= bound && tokens <= bound,
+                "{flows} / {tokens} slots for {n} flows"
+            );
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 use flowtune_alloc::{
-    AllocConfig, BoxEngine, FlowRate, LinkInstall, LinkRun, RateAllocator, SerialAllocator,
+    grow, AllocConfig, BoxEngine, FlowRate, LinkInstall, LinkRun, RateAllocator, SerialAllocator,
 };
 use flowtune_proto::codec::RATE_BYTES;
 use flowtune_proto::{Message, Rate16, Token};
@@ -56,42 +56,19 @@ use flowtune_topo::{FlowId, LinkId, TwoTierClos};
 use crate::driver::PhaseTimings;
 use crate::FlowtuneConfig;
 
-/// A flowlet's registration: what a `FlowletStart` said about it. Held
-/// in the service's flow table while the flowlet is live (one slab slot,
-/// found by the [`FlowId`] the engine reports rates under).
-///
-/// The table is cold: the export reads a slot only for a flow whose
-/// update is actually sent (the §6.4 memory that decides it lives in the
-/// engine, beside the flow's rate), and then only `token` and `src`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FlowEntry {
-    /// The endpoint-visible flowlet token.
-    token: Token,
-    /// Source server index.
-    src: u16,
-    /// Destination server index.
-    dst: u16,
-    /// Proportional-fairness weight in Q8 fixed point (0 = unspecified:
-    /// weight 1), exactly as the original `FlowletStart` carried it.
-    weight_q8: u16,
-    /// The ECMP spine of the flow's path.
-    spine: u8,
-}
-
-impl FlowEntry {
-    /// The flow's export key less its rate: `token << 32 | src << 16`
-    /// (see [`emit_ordered`]).
-    fn key(&self) -> u64 {
-        u64::from(self.token.get()) << 32 | u64::from(self.src) << 16
-    }
+/// A flowlet's slot in the service's flow table: its export key less the
+/// rate, `token << 32 | src << 16` (see [`emit_ordered`]). That is all
+/// the table keeps — the export is the one reader of a slot, and it
+/// reads it only for a flow whose update is actually sent (the §6.4
+/// memory that decides it lives in the engine, beside the flow's rate);
+/// the rest of a `FlowletStart` is spent in [`AllocatorService::register`]
+/// on the engine's path and weight.
+fn slot_key(token: Token, src: u16) -> u64 {
+    u64::from(token.get()) << 32 | u64::from(src) << 16
 }
 
 /// Proportional-fairness weight of a flow that does not specify one.
 pub(crate) const DEFAULT_WEIGHT: f64 = 1.0;
-
-// A slot is what every live flowlet costs the table, and one cache line
-// holds five of them.
-const _: () = assert!(std::mem::size_of::<FlowEntry>() <= 12);
 
 /// Operating counters, mostly for the overhead experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -486,11 +463,12 @@ pub struct AllocatorService {
     fabric: TwoTierClos,
     engine: BoxEngine,
     cfg: FlowtuneConfig,
-    /// The flow table: slot `i` holds the flow the engine knows as
-    /// `FlowId(i)`, so an id the engine lends resolves to its
-    /// registration with one index. Slots outside `index` are vacant
-    /// (listed in `free`) and hold stale data.
-    slab: Vec<FlowEntry>,
+    /// The flow table: slot `i` holds the export key ([`slot_key`]) of
+    /// the flow the engine knows as `FlowId(i)`, so an id the engine
+    /// lends resolves to its token and source with one index. Slots
+    /// outside `index` are vacant (listed in `free`) and hold stale
+    /// keys.
+    slab: Vec<u64>,
     /// Vacant slab slots, reused (last freed first) before the slab
     /// grows — ids are recycled, see [`RateAllocator::add_flow`].
     free: Vec<u32>,
@@ -584,13 +562,7 @@ impl AllocatorService {
                 spine,
                 ..
             } => {
-                let started = self.register(FlowEntry {
-                    token,
-                    src,
-                    dst,
-                    weight_q8,
-                    spine,
-                });
+                let started = self.register(token, src, dst, weight_q8, spine);
                 match started {
                     Ok(()) => self.stats.starts += 1,
                     Err(_) => self.stats.rejected += 1,
@@ -678,8 +650,9 @@ impl AllocatorService {
         let threshold = self.cfg.update_threshold;
         self.engine
             .drain_changed_rates(threshold, &mut |ids, normalized| {
+                grow::reserve(keys, ids.len());
                 keys.extend(ids.iter().zip(normalized).map(|(id, &rate)| {
-                    slab[id.0 as usize].key() | u64::from(Rate16::encode(rate).bits())
+                    slab[id.0 as usize] | u64::from(Rate16::encode(rate).bits())
                 }));
             });
         let sent = (keys.len() - before) as u64;
@@ -711,39 +684,48 @@ impl AllocatorService {
     /// it finds is the one filled at the end), check the endpoint
     /// fields, take a slab slot (its index is the engine-side id), decode
     /// the Q8 weight, build the path — inline, no heap — and seat the
-    /// flow in the engine and the flow table.
+    /// flow in the engine and its export key in the flow table.
     ///
     /// # Errors
     /// [`ServiceError::DuplicateToken`] if the token is live,
     /// [`ServiceError::MalformedStart`] if the fabric has no such
     /// endpoints or spine; nothing is changed either way.
     // flowtune-lint: hot
-    fn register(&mut self, reg: FlowEntry) -> Result<(), ServiceError> {
-        let Entry::Vacant(vacant) = self.index.entry(reg.token) else {
-            return Err(ServiceError::DuplicateToken(reg.token));
+    fn register(
+        &mut self,
+        token: Token,
+        src: u16,
+        dst: u16,
+        weight_q8: u16,
+        spine: u8,
+    ) -> Result<(), ServiceError> {
+        let Entry::Vacant(vacant) = self.index.entry(token) else {
+            return Err(ServiceError::DuplicateToken(token));
         };
         // Endpoint fields come off the wire too: a corrupted
         // src/dst/spine must be a rejection, not an engine panic.
         let clos = self.fabric.config();
-        let (src, dst, spine) = (reg.src as usize, reg.dst as usize, reg.spine as usize);
+        let key = slot_key(token, src);
+        let (src, dst, spine) = (src as usize, dst as usize, spine as usize);
         let servers = clos.server_count();
         if src >= servers || dst >= servers || src == dst || spine >= clos.spines {
-            return Err(ServiceError::MalformedStart(reg.token));
+            return Err(ServiceError::MalformedStart(token));
         }
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = reg;
+                self.slab[slot as usize] = key;
                 slot
             }
             None => {
-                self.slab.push(reg);
+                grow::reserve(&mut self.slab, 1);
+                self.slab.push(key);
                 (self.slab.len() - 1) as u32
             }
         };
-        let weight = if reg.weight_q8 == 0 {
+        let weight = if weight_q8 == 0 {
             DEFAULT_WEIGHT
         } else {
-            reg.weight_q8 as f64 / 256.0
+            weight_q8 as f64 / 256.0
         };
         let path = self.fabric.path_via_spine(src, dst, spine);
         self.engine
@@ -865,12 +847,10 @@ impl AllocatorService {
 /// [`AllocatorService::tick_passers`] appends a service's passers;
 /// [`Router`](crate::router::Router) gathers every shard's into one batch
 /// and emits it once, and an unsharded [`AllocatorService::tick_into`]
-/// emits its own. Reused across ticks: both buffers keep their capacity.
+/// emits its own. Reused across ticks: the batch keeps its capacity.
 #[derive(Debug, Default)]
 pub struct Passers {
     keys: Vec<u64>,
-    /// The radix passes' second buffer; only ever grown.
-    scratch: Vec<u64>,
 }
 
 impl Passers {
@@ -886,17 +866,19 @@ impl Passers {
     // flowtune-lint: hot
     #[inline]
     pub fn append(&mut self, other: &Passers) {
+        grow::reserve(&mut self.keys, other.keys.len());
         self.keys.extend_from_slice(&other.keys);
     }
 
     /// Writes the batch into `out` (cleared first) as `(source server,
     /// update)` pairs in ascending token order — an LSD radix sort over
-    /// the token's three bytes, a comparison sort below 128 keys; the
-    /// batch itself is left in that order. With warm buffers it
-    /// allocates nothing.
+    /// the token's three bytes whose second buffer is a stack array or
+    /// `out` itself, a comparison sort below 128 keys; the batch itself
+    /// is left in an unspecified order. With a warm `out` it allocates
+    /// nothing.
     // flowtune-lint: hot
     pub fn emit(&mut self, out: &mut Vec<(u16, Message)>) {
-        emit_ordered(&mut self.keys, &mut self.scratch, out);
+        emit_ordered(&mut self.keys, out);
     }
 }
 
@@ -904,6 +886,37 @@ impl Passers {
 /// radix passes' fixed cost (three 256-entry histograms to zero and
 /// prefix-sum, ≈ 0.4 µs) is the larger. Measured crossover: 130–190 keys.
 const RADIX_CUTOFF: usize = 128;
+
+/// Batches of at most this many keys run the radix's first two passes
+/// through an array on the stack (8 KiB); longer ones through `out`. The
+/// stack passes move 8-byte keys where `out`'s move 20-byte updates and
+/// decode them back, ≈ 1 ns a key faster at a `churn-web` tick's ≈ 650
+/// keys; past ≈ 1 000 keys zeroing the array costs what they save.
+const STACK_KEYS: usize = 1024;
+
+/// A passer key as the update it stands for: `(src, RateUpdate { token,
+/// rate })`. The pair holds every bit of the key, so [`update_key`]
+/// turns it back. The token is masked to the 24 bits every key's token
+/// has (it was a [`Token`]), which lets the compiler drop
+/// [`Token::new`]'s range check.
+// flowtune-lint: hot
+#[inline]
+fn key_update(key: u64) -> (u16, Message) {
+    let token = Token::new((key >> 32) as u32 & Token::MAX);
+    let rate = Rate16::from_bits(key as u16);
+    ((key >> 16) as u16, Message::RateUpdate { token, rate })
+}
+
+/// The key of an update [`key_update`] made — its inverse. Only ever
+/// handed a `RateUpdate`; anything else reads as key 0.
+// flowtune-lint: hot
+#[inline]
+fn update_key(&(src, ref msg): &(u16, Message)) -> u64 {
+    match *msg {
+        Message::RateUpdate { token, rate } => slot_key(token, src) | u64::from(rate.bits()),
+        _ => 0,
+    }
+}
 
 /// Writes the tick's passers into `out` (cleared first) in ascending
 /// token order — the body of [`Passers::emit`]. A passer is one key,
@@ -915,19 +928,18 @@ const RADIX_CUTOFF: usize = 128;
 /// The order is an LSD radix sort over the token's three bytes (the wire
 /// gives a token 24 bits, [`Token::MAX`], so three 8-bit counting passes
 /// are total, and their cost does not depend on the input): all three
-/// histograms from one read of the keys, `keys` → `scratch` → `keys`,
-/// and the last pass scatters the decoded updates straight into `out`.
+/// histograms from one read of the keys, then `keys` → second buffer →
+/// `keys` → `out`. The sort holds no heap buffer of its own: the second
+/// buffer is an array on the stack for a batch of up to [`STACK_KEYS`],
+/// and `out` itself for a longer one — an update holds every bit of its
+/// key ([`key_update`], [`update_key`]), and `out` must be as long as the
+/// batch anyway.
 // flowtune-lint: hot
-fn emit_ordered(keys: &mut [u64], scratch: &mut Vec<u64>, out: &mut Vec<(u16, Message)>) {
-    let update = |key: u64| {
-        let token = Token::new((key >> 32) as u32);
-        let rate = Rate16::from_bits(key as u16);
-        ((key >> 16) as u16, Message::RateUpdate { token, rate })
-    };
+fn emit_ordered(keys: &mut [u64], out: &mut Vec<(u16, Message)>) {
     out.clear();
     if keys.len() < RADIX_CUTOFF {
         keys.sort_unstable();
-        out.extend(keys.iter().map(|&key| update(key)));
+        out.extend(keys.iter().map(|&key| key_update(key)));
         return;
     }
     let digit = |key: u64, byte: usize| (key >> (32 + 8 * byte)) as u8 as usize;
@@ -949,20 +961,28 @@ fn emit_ordered(keys: &mut [u64], scratch: &mut Vec<u64>, out: &mut Vec<(u16, Me
         *at += 1;
         *at as usize - 1
     };
-    // Every slot of the prefix is overwritten: only ever grown.
-    if scratch.len() < keys.len() {
-        scratch.resize(keys.len(), 0);
+    if keys.len() <= STACK_KEYS {
+        let mut stack = [0u64; STACK_KEYS];
+        let scratch = &mut stack[..keys.len()];
+        for &key in keys.iter() {
+            scratch[place(0, key)] = key;
+        }
+        for &key in scratch.iter() {
+            keys[place(1, key)] = key;
+        }
+        out.resize(keys.len(), key_update(0));
+    } else {
+        out.resize(keys.len(), key_update(0));
+        for &key in keys.iter() {
+            out[place(0, key)] = key_update(key);
+        }
+        for update in out.iter() {
+            let key = update_key(update);
+            keys[place(1, key)] = key;
+        }
     }
-    let scratch = &mut scratch[..keys.len()];
     for &key in keys.iter() {
-        scratch[place(0, key)] = key;
-    }
-    for &key in scratch.iter() {
-        keys[place(1, key)] = key;
-    }
-    out.resize(keys.len(), update(0));
-    for &key in keys.iter() {
-        out[place(2, key)] = update(key);
+        out[place(2, key)] = key_update(key);
     }
 }
 
@@ -1108,7 +1128,7 @@ mod tests {
 
     /// The source server the flow table holds for a live token.
     fn source_of(svc: &AllocatorService, token: u32) -> Option<u16> {
-        Some(svc.slab[*svc.index.get(&Token::new(token))? as usize].src)
+        Some((svc.slab[*svc.index.get(&Token::new(token))? as usize] >> 16) as u16)
     }
 
     #[test]
@@ -1121,7 +1141,7 @@ mod tests {
         }
         svc.on_message(end(5)).unwrap();
         svc.on_message(start(9, 80, 10)).unwrap();
-        let slab_order: Vec<u32> = svc.slab.iter().map(|r| r.token.get()).collect();
+        let slab_order: Vec<u64> = svc.slab.iter().map(|key| key >> 32).collect();
         assert_eq!(slab_order, vec![9, 2, 7, 4]);
         let updates = svc.tick();
         assert_eq!(update_tokens(&updates), vec![2, 4, 7, 9]);
@@ -1132,12 +1152,16 @@ mod tests {
     proptest! {
         // `emit_ordered` against the comparison sort it replaced: the
         // same batch as the old `(Token, u16, Rate16)` tuples through
-        // `sort_unstable_by_key(token)`, element for element.
+        // `sort_unstable_by_key(token)`, element for element. Sizes: the
+        // smallest batches, both sides of each cutoff, one batch a tick
+        // of `churn-web` lends, and one of the 10⁵ a `quiet100k`
+        // convergence tick does.
         #[test]
         fn emit_ordered_matches_the_comparison_sort(
             n in prop_oneof![
-                Just(0usize), Just(1), Just(RADIX_CUTOFF - 1), Just(RADIX_CUTOFF),
-                Just(RADIX_CUTOFF + 1), Just(1000), Just(70_000)
+                Just(0usize), Just(1), Just(2), Just(3), Just(RADIX_CUTOFF - 1),
+                Just(RADIX_CUTOFF), Just(RADIX_CUTOFF + 1), Just(650), Just(STACK_KEYS - 1),
+                Just(STACK_KEYS), Just(STACK_KEYS + 1), Just(70_000), Just(100_000)
             ],
             shape in 0usize..5,
             seed in any::<u64>(),
@@ -1175,10 +1199,9 @@ mod tests {
                     u64::from(token.get()) << 32 | u64::from(src) << 16 | u64::from(rate.bits())
                 })
                 .collect();
-            // Stale scratch and output from an earlier, longer tick.
-            let mut scratch = vec![u64::MAX; n + 7];
+            // Stale output from an earlier, longer tick.
             let mut out = vec![(7, end(7)); n + 7];
-            emit_ordered(&mut keys, &mut scratch, &mut out);
+            emit_ordered(&mut keys, &mut out);
             tuples.sort_unstable_by_key(|&(token, ..)| token);
             let want: Vec<(u16, Message)> = tuples
                 .iter()
@@ -1220,7 +1243,6 @@ mod tests {
             // A warm batch from an earlier, longer tick.
             let mut all = Passers {
                 keys: vec![u64::MAX; 9000],
-                scratch: vec![u64::MAX; 9000],
             };
             all.clear();
             for shard in &shards {
@@ -1240,6 +1262,23 @@ mod tests {
             crate::router::merge_by_token_into(&mut streams, &mut merged);
             prop_assert!(once.len() == sizes.iter().sum::<usize>(), "sizes {:?}", sizes);
             prop_assert!(once == merged, "sizes {:?} seed {}", sizes, seed);
+        }
+    }
+
+    #[test]
+    fn the_flow_table_grows_by_a_quarter_not_double() {
+        let fabric = fabric();
+        let servers = fabric.config().server_count() as u32;
+        let mut svc = AllocatorService::new(&fabric, FlowtuneConfig::default());
+        for n in 1..=5_000u32 {
+            let src = n % servers;
+            let dst = (src + 1 + n / servers % (servers - 1)) % servers;
+            svc.on_message(start(n, src as u16, dst as u16)).unwrap();
+            let slots = svc.slab.capacity();
+            assert!(
+                slots <= grow::bound(n as usize),
+                "{slots} slots for {n} flows"
+            );
         }
     }
 

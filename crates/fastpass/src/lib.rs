@@ -34,15 +34,26 @@ pub struct Demand {
 #[derive(Debug)]
 pub struct Arbiter {
     endpoints: usize,
-    /// Active demands (packets > 0), scanned round-robin.
+    /// Active demands (packets > 0 at the start of every slot), scanned
+    /// round-robin.
     demands: Vec<Demand>,
     /// (src, dst) → index into `demands`.
     index: HashMap<(u16, u16), usize>,
     /// Rotating scan origin: equal long-run service for equal demands.
     scan_start: usize,
-    /// Scratch: src/dst busy flags for the current slot.
+    /// Scratch: src/dst busy flags for the current slot, all `false`
+    /// between slots (a slot clears the ones it set).
     src_busy: Vec<bool>,
     dst_busy: Vec<bool>,
+    /// Active demands per endpoint, as source and as destination.
+    src_demands: Vec<u32>,
+    dst_demands: Vec<u32>,
+    /// Endpoints with an active demand as source / as destination: once
+    /// a slot has matched that many, no later demand can be.
+    sources: usize,
+    destinations: usize,
+    /// Outstanding packets across all demands.
+    backlog: u64,
     /// Total packets allocated over all slots.
     allocated: u64,
     /// Total timeslots processed.
@@ -60,6 +71,11 @@ impl Arbiter {
             scan_start: 0,
             src_busy: vec![false; endpoints],
             dst_busy: vec![false; endpoints],
+            src_demands: vec![0; endpoints],
+            dst_demands: vec![0; endpoints],
+            sources: 0,
+            destinations: 0,
+            backlog: 0,
             allocated: 0,
             slots: 0,
         }
@@ -75,56 +91,87 @@ impl Arbiter {
         if packets == 0 {
             return;
         }
+        self.backlog += packets;
         match self.index.get(&(src, dst)) {
             Some(&i) => self.demands[i].packets += packets,
             None => {
                 self.index.insert((src, dst), self.demands.len());
                 self.demands.push(Demand { src, dst, packets });
+                self.sources += usize::from(bump(&mut self.src_demands[src as usize]) == 1);
+                self.destinations += usize::from(bump(&mut self.dst_demands[dst as usize]) == 1);
             }
         }
     }
 
     /// Outstanding packets across all demands.
     pub fn backlog(&self) -> u64 {
-        self.demands.iter().map(|d| d.packets).sum()
+        self.backlog
     }
 
-    /// Allocates one timeslot: a greedy maximal matching over the active
-    /// demands. Returns the `(src, dst)` pairs that send in this slot.
+    /// [`Arbiter::allocate_slot_into`] into a fresh `Vec`.
     pub fn allocate_slot(&mut self) -> Vec<(u16, u16)> {
-        self.slots += 1;
-        let n = self.demands.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        self.src_busy.iter_mut().for_each(|b| *b = false);
-        self.dst_busy.iter_mut().for_each(|b| *b = false);
         let mut matched = Vec::new();
-        // Greedy scan from a rotating origin: maximal because every
-        // demand is inspected once and taken whenever both ends are free.
-        for k in 0..n {
-            let i = (self.scan_start + k) % n;
-            let d = self.demands[i];
-            if d.packets > 0 && !self.src_busy[d.src as usize] && !self.dst_busy[d.dst as usize] {
-                self.src_busy[d.src as usize] = true;
-                self.dst_busy[d.dst as usize] = true;
-                self.demands[i].packets -= 1;
-                matched.push((d.src, d.dst));
-            }
-        }
-        self.scan_start = (self.scan_start + 1) % n.max(1);
-        self.allocated += matched.len() as u64;
-        self.compact();
+        self.allocate_slot_into(&mut matched);
         matched
     }
 
-    /// Drops exhausted demands, keeping `index` consistent.
+    /// Allocates one timeslot: a greedy maximal matching over the active
+    /// demands. Writes the `(src, dst)` pairs that send in this slot into
+    /// `matched` (cleared first), in scan order.
+    ///
+    /// The scan starts at a rotating origin and takes every demand whose
+    /// two ends are both free. It is maximal because every demand is
+    /// inspected — or every source or every destination with a demand is
+    /// already busy, so none left could be taken: the scan stops there.
+    pub fn allocate_slot_into(&mut self, matched: &mut Vec<(u16, u16)>) {
+        matched.clear();
+        self.slots += 1;
+        let n = self.demands.len();
+        if n == 0 {
+            return;
+        }
+        let (mut sources, mut destinations) = (self.sources, self.destinations);
+        let mut emptied = false;
+        for i in (self.scan_start..n).chain(0..self.scan_start) {
+            let d = &mut self.demands[i];
+            let (src, dst) = (d.src as usize, d.dst as usize);
+            if d.packets > 0 && !self.src_busy[src] && !self.dst_busy[dst] {
+                self.src_busy[src] = true;
+                self.dst_busy[dst] = true;
+                d.packets -= 1;
+                emptied |= d.packets == 0;
+                matched.push((d.src, d.dst));
+                sources -= 1;
+                destinations -= 1;
+                if sources == 0 || destinations == 0 {
+                    break;
+                }
+            }
+        }
+        for &(src, dst) in matched.iter() {
+            self.src_busy[src as usize] = false;
+            self.dst_busy[dst as usize] = false;
+        }
+        self.scan_start = (self.scan_start + 1) % n;
+        self.allocated += matched.len() as u64;
+        self.backlog -= matched.len() as u64;
+        if emptied {
+            self.compact();
+        }
+    }
+
+    /// Drops exhausted demands, keeping `index` and the per-endpoint
+    /// counts consistent.
     fn compact(&mut self) {
         let mut i = 0;
         while i < self.demands.len() {
             if self.demands[i].packets == 0 {
                 let dead = self.demands.swap_remove(i);
                 self.index.remove(&(dead.src, dead.dst));
+                self.sources -=
+                    usize::from(drop_one(&mut self.src_demands[dead.src as usize]) == 0);
+                self.destinations -=
+                    usize::from(drop_one(&mut self.dst_demands[dead.dst as usize]) == 0);
                 if i < self.demands.len() {
                     let moved = self.demands[i];
                     self.index.insert((moved.src, moved.dst), i);
@@ -152,6 +199,18 @@ impl Arbiter {
     pub fn allocated_bits(&self, mtu_bytes: u64) -> u64 {
         self.allocated * mtu_bytes * 8
     }
+}
+
+/// Adds one to a per-endpoint demand count and returns the new count.
+fn bump(count: &mut u32) -> u32 {
+    *count += 1;
+    *count
+}
+
+/// Takes one from a per-endpoint demand count and returns the new count.
+fn drop_one(count: &mut u32) -> u32 {
+    *count -= 1;
+    *count
 }
 
 #[cfg(test)]
@@ -239,6 +298,119 @@ mod tests {
             a.allocate_slot();
         }
         assert_eq!(a.allocated_bits(1500), 4 * 1500 * 8);
+    }
+
+    /// The greedy scan as it was first written — every demand inspected
+    /// each slot, exhausted demands compacted after every slot, the
+    /// backlog summed over the demands — the reference the arbiter's
+    /// early exit and deferred compaction are held to.
+    struct Reference {
+        demands: Vec<Demand>,
+        index: HashMap<(u16, u16), usize>,
+        scan_start: usize,
+        endpoints: usize,
+    }
+
+    impl Reference {
+        fn add_demand(&mut self, src: u16, dst: u16, packets: u64) {
+            match self.index.get(&(src, dst)) {
+                Some(&i) => self.demands[i].packets += packets,
+                None => {
+                    self.index.insert((src, dst), self.demands.len());
+                    self.demands.push(Demand { src, dst, packets });
+                }
+            }
+        }
+
+        fn backlog(&self) -> u64 {
+            self.demands.iter().map(|d| d.packets).sum()
+        }
+
+        fn allocate_slot(&mut self) -> Vec<(u16, u16)> {
+            let n = self.demands.len();
+            let (mut src_busy, mut dst_busy) =
+                (vec![false; self.endpoints], vec![false; self.endpoints]);
+            let mut matched = Vec::new();
+            for k in 0..n {
+                let i = (self.scan_start + k) % n;
+                let d = self.demands[i];
+                if d.packets > 0 && !src_busy[d.src as usize] && !dst_busy[d.dst as usize] {
+                    src_busy[d.src as usize] = true;
+                    dst_busy[d.dst as usize] = true;
+                    self.demands[i].packets -= 1;
+                    matched.push((d.src, d.dst));
+                }
+            }
+            self.scan_start = (self.scan_start + 1) % n.max(1);
+            let mut i = 0;
+            while i < self.demands.len() {
+                if self.demands[i].packets == 0 {
+                    let dead = self.demands.swap_remove(i);
+                    self.index.remove(&(dead.src, dead.dst));
+                    if i < self.demands.len() {
+                        let moved = self.demands[i];
+                        self.index.insert((moved.src, moved.dst), i);
+                    }
+                    if self.scan_start > self.demands.len() {
+                        self.scan_start = 0;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            matched
+        }
+    }
+
+    #[test]
+    fn the_early_exit_scan_matches_the_full_greedy_scan_slot_by_slot() {
+        let mut matched = vec![(9, 9)];
+        let mut contended = 0;
+        for seed in 1..=200u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut draw = |below: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % below
+            };
+            let endpoints = 2 + draw(24) as usize;
+            let mut arb = Arbiter::new(endpoints);
+            let mut reference = Reference {
+                demands: Vec::new(),
+                index: HashMap::new(),
+                scan_start: 0,
+                endpoints,
+            };
+            for slot in 0..300 {
+                // Bursts of demand, dense or sparse, some merging into
+                // live pairs; quiet stretches drain them.
+                if draw(5) == 0 {
+                    for _ in 0..draw(3 * endpoints as u64) {
+                        let src = draw(endpoints as u64) as u16;
+                        let dst = (src + 1 + draw(endpoints as u64 - 1) as u16) % endpoints as u16;
+                        let packets = 1 + draw(6);
+                        arb.add_demand(src, dst, packets);
+                        reference.add_demand(src, dst, packets);
+                    }
+                }
+                let live = arb.demands.len();
+                arb.allocate_slot_into(&mut matched);
+                contended += usize::from(matched.len() < live);
+                assert_eq!(
+                    matched,
+                    reference.allocate_slot(),
+                    "seed {seed} slot {slot}"
+                );
+                assert_eq!(
+                    arb.backlog(),
+                    reference.backlog(),
+                    "seed {seed} slot {slot}"
+                );
+                assert_eq!(arb.demands, reference.demands, "seed {seed} slot {slot}");
+            }
+        }
+        assert!(contended > 1000, "the comparison saw contended slots");
     }
 
     #[test]

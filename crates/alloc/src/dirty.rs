@@ -66,7 +66,7 @@ pub(crate) struct DirtySet {
     /// Worker re-ran its rate pass *this* iteration (scratch).
     pub(crate) recomputed: Vec<bool>,
     /// Worker's rates/normalized may have changed since the last
-    /// [`drain_changed_rates`](crate::RateAllocator::drain_changed_rates)
+    /// [`drain_changed_rates`](crate::SerialAllocator::drain_changed_rates)
     /// drain (accumulates across iterations within a tick): the workers
     /// the drain runs its report pass over.
     pub(crate) export_dirty: Vec<bool>,

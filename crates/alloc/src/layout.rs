@@ -112,7 +112,7 @@ impl BlockLayout {
     }
 
     /// Global link ids of every slot, in slot order (see
-    /// [`crate::RateAllocator::link_slots`]).
+    /// [`crate::SerialAllocator::link_slots`]).
     pub(crate) fn slot_links(&self) -> &[LinkId] {
         &self.slot_links
     }

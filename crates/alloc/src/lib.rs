@@ -28,10 +28,10 @@
 //! two-element array, and every LinkBlock phase is written once for
 //! both.
 //!
-//! One engine type implements this, behind the [`RateAllocator`] trait
-//! the control-plane service holds a box of: [`SerialAllocator`], the
-//! grid itself and every operation on it (flow add/remove, the rate and
-//! link-state queries, the installs). Its price rule
+//! One engine type implements this, and the control-plane service
+//! holds it directly: [`SerialAllocator`], the grid itself and every
+//! operation on it (flow add/remove, the rate and link-state queries,
+//! the installs). Its price rule
 //! ([`flowblock::PriceRule`]) is chosen once per grid: NED, or gradient
 //! projection on a [`SerialAllocator::gradient`] grid (engine name
 //! `gradient`, the §6.6 / Figure 12 baseline), which gets every
@@ -48,12 +48,13 @@
 //!   spawn/join on the 10 µs tick path); the schedule the §6.1
 //!   throughput benchmarks run.
 //!
-//! [`engine`] says which seven methods a new engine must implement and
-//! what the other defaults mean; queries fill caller-provided buffers.
+//! Queries fill caller-provided buffers; [`engine`] holds the two types
+//! the grid's link state crosses into the exchange as ([`LinkRun`],
+//! [`LinkInstall`]), in the grid's own slot order.
 //!
 //! The per-tick export is part of the engine too. Each flow's row carries
 //! the normalized rate last *reported* for it, and
-//! [`RateAllocator::drain_changed_rates`] lends its caller exactly the
+//! [`SerialAllocator::drain_changed_rates`] lends its caller exactly the
 //! flows whose rate has since moved beyond the §6.4 update threshold —
 //! for the grid one packed pass over two contiguous columns
 //! ([`flowblock::report_pass`], the fourth FlowBlock kernel), only over
@@ -73,7 +74,7 @@ pub mod pool;
 mod reduce;
 pub mod serial;
 
-pub use engine::{BoxEngine, LinkInstall, LinkRun, RateAllocator};
+pub use engine::{LinkInstall, LinkRun};
 pub use flowblock::FlowRate;
 pub use pool::WorkerPool;
 pub use serial::SerialAllocator;

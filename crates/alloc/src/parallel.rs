@@ -261,7 +261,7 @@ impl SpinBarrier {
 mod tests {
     use super::*;
     use crate::engine::global;
-    use crate::{AllocConfig, RateAllocator};
+    use crate::AllocConfig;
     use flowtune_topo::{ClosConfig, FlowId, Path, TwoTierClos};
 
     /// Deterministic pseudo-random flow set over a fabric.

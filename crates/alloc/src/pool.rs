@@ -431,4 +431,38 @@ mod tests {
         pool.fan_out(&mut again, &|i, x| *x = i + 1);
         assert_eq!(again, (1..=10).collect::<Vec<_>>());
     }
+
+    /// The sharded tick fans its shards out over a pool — one slot per
+    /// shard, or one slot in all with `parallel_shards: false` — so this
+    /// is where a shard engine's panic reaches the tick's caller: with
+    /// the panicking item's own payload, from a worker slot or the
+    /// caller's, and with the pool still usable for the next tick.
+    #[test]
+    fn a_panicking_item_reaches_the_caller_with_its_own_payload() {
+        for size in [3, 1] {
+            let mut pool = WorkerPool::new(size);
+            // Item 0 runs on the caller's slot, item 4 on a worker's
+            // (on the one-slot pool both run inline).
+            for culprit in [0usize, 4] {
+                let mut items = vec![0usize; 6];
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.fan_out(&mut items, &|i, item| {
+                        if i == culprit {
+                            panic!("shard {i} fault");
+                        }
+                        *item = i + 1;
+                    });
+                }));
+                let payload = r.expect_err("the item's panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("shard {culprit} fault").as_str()),
+                    "{size} slots"
+                );
+                let mut next = vec![0usize; 6];
+                pool.fan_out(&mut next, &|i, item| *item = i + 1);
+                assert_eq!(next, (1..=6).collect::<Vec<_>>(), "{size} slots");
+            }
+        }
+    }
 }

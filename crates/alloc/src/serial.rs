@@ -15,10 +15,10 @@
 //! LinkBlock (`LinkTotals`), and the link-state export lends them and
 //! the LinkBlock's prices as they lie, one run per LinkBlock in slot
 //! order — (direction, LinkBlock, offset), the order of
-//! [`crate::RateAllocator::link_slots`]: `O(links)`, no walk over the
+//! [`SerialAllocator::link_slots`]: `O(links)`, no walk over the
 //! flows and no copy. What it reports is therefore the engine's own link
 //! state *as of its last iteration* — the sums its own price update just
-//! used; see [`crate::RateAllocator::link_state`] for the contract. The
+//! used; see [`SerialAllocator::link_state`] for the contract. The
 //! install writes the other shards' loads and Hessians straight into the
 //! flat slot-order background arrays the price update slices per
 //! LinkBlock.
@@ -30,7 +30,7 @@
 //! sharing the copy between the LinkBlock's B workers shares no write,
 //! and there is no distribution step and nothing to keep in step: the
 //! diff phase, the price export and the consensus install
-//! ([`crate::RateAllocator::install_link_state`]) read and patch exactly
+//! ([`SerialAllocator::install_link_state`]) read and patch exactly
 //! what the next flow pass reads, 2·B views of `O(links)` each.
 //!
 //! **An empty FlowBlock costs nothing.** A shard's grid spans the whole
@@ -58,7 +58,7 @@ use crate::flowblock::{
 use crate::layout::BlockLayout;
 use crate::pool::WorkerPool;
 use crate::reduce::{binomial_reduce_in_order, member, position, DIRS, DOWN, UP};
-use crate::{grow, AllocConfig, RateAllocator};
+use crate::{grow, AllocConfig};
 
 /// The §5 FlowBlock × LinkBlock grid and every operation on it, with two
 /// ways to schedule an iteration: on the caller's thread
@@ -633,7 +633,7 @@ impl SerialAllocator {
     /// set, only where the inputs changed: the worker recomputed its
     /// rates this iteration, or a ratio on a traversed link moved. Each
     /// of those is marked export-dirty for the drain
-    /// ([`RateAllocator::drain_changed_rates`]). An empty FlowBlock has
+    /// ([`SerialAllocator::drain_changed_rates`]). An empty FlowBlock has
     /// nothing to normalize and is passed over.
     // flowtune-lint: hot
     fn normalize_phase(&mut self) {
@@ -665,55 +665,40 @@ impl SerialAllocator {
     }
 }
 
-/// The grid's trait face. The six operations flowbench's probes call
-/// without importing the trait stay inherent and are forwarded; every
-/// other body lives here.
-impl RateAllocator for SerialAllocator {
-    fn add_flow(
-        &mut self,
-        id: FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &Path,
-    ) {
-        SerialAllocator::add_flow(self, id, src_server, dst_server, weight, path);
-    }
-
-    fn remove_flow(&mut self, id: FlowId) -> bool {
-        SerialAllocator::remove_flow(self, id)
-    }
-
-    // flowtune-lint: hot
-    fn iterate(&mut self) {
-        SerialAllocator::iterate(self);
-    }
-
-    // flowtune-lint: hot
-    fn run_iterations(&mut self, n: usize) {
-        SerialAllocator::run_iterations(self, n);
-    }
-
-    fn flow_count(&self) -> usize {
+/// The grid's queries, the §6.4 drain, and the two halves of an
+/// exchange round.
+impl SerialAllocator {
+    /// Number of registered flows.
+    pub fn flow_count(&self) -> usize {
         self.flows
     }
 
-    fn flow_rate(&self, id: FlowId) -> Option<FlowRate> {
-        SerialAllocator::flow_rate(self, id)
+    /// [`SerialAllocator::rates_into`] into a fresh vector: the one
+    /// allocating query, for tests and one-shot readers.
+    pub fn rates(&self) -> Vec<FlowRate> {
+        let mut out = Vec::with_capacity(self.flows);
+        self.rates_into(&mut out);
+        out
     }
 
-    // flowtune-lint: hot
-    fn rates_into(&self, out: &mut Vec<FlowRate>) {
-        SerialAllocator::rates_into(self, out);
-    }
-
-    /// Runs [`report_pass`] — the §6.4 rule against each flow's
-    /// `reported` word — over every worker whose output may have moved
+    /// The per-tick export: lends `sink` the ids and normalized rates
+    /// (Gbit/s; two slices of one length, element `i` of each the same
+    /// flow) of exactly the flows that **must be reported** — whose rate
+    /// moved by more than `threshold` (§6.4, relative) from what this
+    /// grid last lent for them, or for which it never lent any — and
+    /// remembers what it lent. The rule is
+    /// `flowtune_proto::ThresholdFilter::passes` bit for bit; the memory
+    /// lives with the flow's rate (`FlowBlock::reported`), starts empty at
+    /// [`SerialAllocator::add_flow`] and goes with
+    /// [`SerialAllocator::remove_flow`], so a recycled id inherits
+    /// nothing.
+    ///
+    /// Runs [`report_pass`] over every worker whose output may have moved
     /// since the last drain (every worker, without a dirty set) and holds
     /// flows. A worker that is skipped is bitwise as the last drain left
     /// it, and what did not pass then does not pass now.
     // flowtune-lint: hot, float-kernel
-    fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
+    pub fn drain_changed_rates(&mut self, threshold: f64, sink: &mut dyn FnMut(&[FlowId], &[f64])) {
         for (w, worker) in self.workers.iter_mut().enumerate() {
             if let Some(ds) = &mut self.dirty {
                 if !std::mem::take(&mut ds.export_dirty[w]) {
@@ -727,19 +712,44 @@ impl RateAllocator for SerialAllocator {
         }
     }
 
-    fn dirty_counters(&self) -> Option<(u64, u64)> {
+    /// Cumulative `(dirty_flows, dirty_links)` of an incremental grid:
+    /// flows whose rate pass re-ran, and per-iteration link price moves
+    /// beyond `dirty_eps`. `None` on a grid running full sweeps.
+    pub fn dirty_counters(&self) -> Option<(u64, u64)> {
         self.dirty.as_ref().map(DirtySet::counters)
     }
 
-    fn link_slots(&self) -> &[LinkId] {
+    /// The global link each slot of the link state stands for, in slot
+    /// order: the one map between the grid's layout and [`LinkId`]s. A
+    /// slot is a (direction, LinkBlock, offset) triple — 2·B·lpl slots,
+    /// every data link exactly once, no control link — a function of the
+    /// fabric alone, so every grid over one fabric shares it.
+    pub fn link_slots(&self) -> &[LinkId] {
         self.layout.slot_links()
     }
 
-    /// One run per LinkBlock: its `LinkTotals` and its view's prices,
-    /// real links only. A gradient grid's step has no second-order term,
-    /// so its Hessians are not exported.
+    /// The grid's own link state — what an exchange round exports — lent
+    /// to `visit` in slot order, one [`LinkRun`] per LinkBlock, read
+    /// where its last price update left it, nothing copied:
+    ///
+    /// * `totals`: per slot, the sum of the raw (pre-normalization) rates
+    ///   of *this grid's* flows crossing the link — the load term its own
+    ///   price update used — and `Σ ∂x/∂p` over the same flows (≤ 0), the
+    ///   `H` that update divided by. Installed background state is **not**
+    ///   echoed back, so a sharded control plane can sum shards' exports
+    ///   without double counting; shipping `H` lets every shard's Newton
+    ///   step divide the global gradient by the global sensitivity. A
+    ///   gradient grid's step has no second-order term, so its runs say
+    ///   `hessians: false`.
+    /// * `prices`: the slots' current duals.
+    ///
+    /// **As of the last iteration**: zeros before the first one; a flow
+    /// removed since still counts until the next, and a flow added since
+    /// does not count yet. Read right after [`SerialAllocator::iterate`],
+    /// that is the current rates' link state, and a link no flow crosses
+    /// reads exactly `0.0`. `O(links)`; allocates nothing.
     // flowtune-lint: hot
-    fn link_state(&self, visit: &mut dyn FnMut(LinkRun<'_>)) {
+    pub fn link_state(&self, mut visit: impl FnMut(LinkRun<'_>)) {
         let lpl = self.layout.links_per_lb();
         for d in DIRS {
             for (totals, view) in self.totals[d].iter().zip(&self.views[d]) {
@@ -752,14 +762,25 @@ impl RateAllocator for SerialAllocator {
         }
     }
 
-    /// Lends the flat background arrays and the staged duals (all `NaN`
-    /// on entry), then patches every staged dual that is not `NaN` into
-    /// its LinkBlock's view — what the next rate pass reads, on either
-    /// schedule. On the incremental path the same pass marks: an install
-    /// that moves a dual beyond eps invalidates the rate pass of every
-    /// worker whose flows traverse that link.
+    /// The install half of an exchange round, in slot order: lends `fill`
+    /// the flat background arrays and the staged duals ([`LinkInstall`],
+    /// one entry per slot of [`SerialAllocator::link_slots`]; the duals
+    /// all `NaN` on entry) for it to write the other shards' load and
+    /// Hessian on each link — read by the price update as they are left —
+    /// and the consensus duals (`NaN` keeps the grid's own). Then patches
+    /// every staged dual that is not `NaN` into its LinkBlock's view —
+    /// the one copy every worker of the LinkBlock reads, so the next rate
+    /// pass prices flows with it, on either schedule. On the incremental
+    /// path the same pass marks: an install that moves a dual beyond eps
+    /// invalidates the rate pass of every worker whose flows traverse
+    /// that link.
+    ///
+    /// Dual consensus is what makes a partitioned allocator's fixed point
+    /// unique: background loads alone pin only the *total* on a shared
+    /// link, so shards must agree on the price itself, like §5's single
+    /// authoritative LinkBlock owner.
     // flowtune-lint: hot
-    fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
+    pub fn install_link_state(&mut self, fill: impl FnOnce(LinkInstall<'_>)) {
         let n = self.layout.slot_links().len();
         let second_order = self.rule == PriceRule::Ned;
         self.bg.resize(n, 0.0);
@@ -799,7 +820,9 @@ impl RateAllocator for SerialAllocator {
         }
     }
 
-    fn name(&self) -> &'static str {
+    /// Short engine name for logs and experiment output: `serial`,
+    /// `multicore` or `gradient`.
+    pub fn name(&self) -> &'static str {
         match (self.rule, self.threads) {
             (PriceRule::Gradient(_), _) => "gradient",
             (PriceRule::Ned, Some(_)) => "multicore",
@@ -1187,7 +1210,7 @@ mod tests {
             // The export visits the slots in that order, one run per
             // LinkBlock.
             let mut runs = 0;
-            alloc.link_state(&mut |run| {
+            alloc.link_state(|run| {
                 assert_eq!((run.totals.len(), run.prices.len()), (lpl, lpl));
                 assert_eq!(run.hessians, alloc.name() == "serial");
                 runs += 1;

@@ -1,7 +1,7 @@
 //! Property tests over the block-decomposed allocator: random flow sets
 //! and churn sequences on random power-of-two fabrics.
 
-use flowtune_alloc::{AllocConfig, RateAllocator, SerialAllocator};
+use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ fn churn_strategy() -> impl Strategy<Value = Churn> {
 }
 
 /// Applies the churn sequence; returns the live flow ids.
-fn apply(churn: &Churn, fabric: &TwoTierClos, engine: &mut dyn RateAllocator) -> Vec<FlowId> {
+fn apply(churn: &Churn, fabric: &TwoTierClos, engine: &mut SerialAllocator) -> Vec<FlowId> {
     let mut live: Vec<FlowId> = Vec::new();
     let mut next = 0u64;
     let servers = fabric.config().server_count();
@@ -54,7 +54,9 @@ fn apply(churn: &Churn, fabric: &TwoTierClos, engine: &mut dyn RateAllocator) ->
                     assert!(engine.remove_flow(id));
                 }
             }
-            Op::Iterate { n } => engine.run_iterations(n),
+            Op::Iterate { n } => {
+                engine.run_iterations(n);
+            }
         }
     }
     live

@@ -37,7 +37,11 @@ impl Default for ExchangeConfig {
 
 impl ExchangeConfig {
     /// The peer-runtime defaults, whatever `cfg` says: a peer reads the
-    /// cadence and the delta filter from its service's config.
+    /// cadence and the delta filter from its service's config, so new
+    /// code calls [`ExchangeConfig::default`]. This stays only for
+    /// flowbench's frozen `wire2uds` (`benchmark/src/workload.rs`) and
+    /// the test suites written against it, until ROADMAP item 8's
+    /// `[benchmark]` change moves them.
     pub fn from_flowtune(_cfg: &FlowtuneConfig) -> Self {
         ExchangeConfig::default()
     }

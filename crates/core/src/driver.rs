@@ -4,8 +4,7 @@
 //! that consumes flowlet notifications and, on every 10 µs tick, produces
 //! `(source server, rate update)` pairs. Two implementations exist:
 //!
-//! * [`AllocatorService`] — one service, one boxed engine (the Figure-1
-//!   box);
+//! * [`AllocatorService`] — one service, one grid (the Figure-1 box);
 //! * [`Router`](crate::router::Router) — N inner services, the endpoint
 //!   space partitioned across them, generic over where the shards live:
 //!   [`ShardedService`](crate::ShardedService) is the router over the
@@ -81,19 +80,15 @@ pub trait TickDriver: std::fmt::Debug + Send {
     fn stats(&self) -> ServiceStats;
 
     /// Cumulative per-phase wall time (aggregated over shards, where
-    /// applicable). The default reports zeros for drivers that do not
-    /// instrument their phases.
-    fn phase_timings(&self) -> PhaseTimings {
-        PhaseTimings::default()
-    }
+    /// applicable).
+    fn phase_timings(&self) -> PhaseTimings;
 
     /// Per-link loads of the control plane's raw allocation as of its
     /// last tick (what the engines' own price updates summed — see
-    /// [`flowtune_alloc::RateAllocator::link_state`]; read it after a
+    /// [`flowtune_alloc::SerialAllocator::link_state`]; read it after a
     /// tick), scattered to global [`LinkId`](flowtune_topo::LinkId)s
     /// through the engines' link slots (summed over shards, where
-    /// applicable). Every engine a builder builds prices fabric links, so
-    /// this is empty only behind a test double without link slots.
+    /// applicable), one entry per fabric link.
     /// Powers the over-allocation telemetry of the Figure-12
     /// experiment and capacity assertions in tests — the one allocating
     /// link-state query, and off the tick path.

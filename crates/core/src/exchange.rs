@@ -15,12 +15,12 @@
 //!   `ShardFilter::install`: background load/Hessian sums over the
 //!   *other* shards' rows, the subscription mask, and the masked
 //!   consensus duals, written into the buffers the shard's engine lends
-//!   ([`flowtune_alloc::RateAllocator::install_link_state`]; the paper's
-//!   §5 aggregation step, one level up).
+//!   ([`flowtune_alloc::SerialAllocator::install_link_state`]; the
+//!   paper's §5 aggregation step, one level up).
 //!
 //! Both planes run these in **one index space**: the engines' own slot
 //! order (direction, LinkBlock, offset —
-//! [`flowtune_alloc::RateAllocator::link_slots`]). The slot order is a
+//! [`flowtune_alloc::SerialAllocator::link_slots`]). The slot order is a
 //! function of the fabric alone, so every shard of one fabric shares it,
 //! in one process or across hosts. Each shard's filter reads its
 //! engine's export where it lies (`ShardFilter::export`) and every
@@ -54,8 +54,8 @@ use flowtune_proto::exchange::{
 use crate::service::AllocatorService;
 
 /// The longest link vector a frame may announce to a core that holds no
-/// row to compare it against (a core that has not exported yet, or whose
-/// engine prices no links). Far above any fabric this code builds; it
+/// row to compare it against (a core that has not exported yet and has
+/// heard only inactive frames). Far above any fabric this code builds; it
 /// only keeps a forged header from sizing a multi-GiB row.
 const MAX_UNCHECKED_LINKS: usize = 1 << 22;
 
@@ -138,8 +138,9 @@ impl std::fmt::Display for ApplyError {
 impl std::error::Error for ApplyError {}
 
 /// One shard's last-shipped link state, one entry per slot of the
-/// engines' slot order. Empty vectors mean that shard has never exported
-/// (a test double without link slots).
+/// engines' slot order. Empty vectors mean no export of that shard has
+/// reached this row: it has not begun a round, or a wire peer sent only
+/// inactive frames.
 #[derive(Debug, Default)]
 pub(crate) struct Row {
     loads: Vec<f64>,
@@ -280,7 +281,8 @@ pub(crate) struct ShardFilter {
     // ---- per-round state, valid from export to install ----
     /// Whether this round's export re-ships unmoved entries.
     resync: bool,
-    /// Length of this round's export (0: an engine without link slots).
+    /// Length of this round's export (0: an empty export handed to
+    /// [`ExchangeCore::begin_round`]).
     own_links: usize,
     own_has_h: bool,
     /// Own fresh subscription mask this round (positive fresh load).
@@ -316,9 +318,9 @@ impl ShardFilter {
         (self.own_links, self.own_has_h)
     }
 
-    /// Start filtering a fresh export of `links` entries (0 for an
-    /// engine without link slots) into `own`, this shard's row; the
-    /// entries then come in runs through [`ShardFilter::filter`].
+    /// Start filtering a fresh export of `links` entries into `own`, this
+    /// shard's row (an empty export leaves the row as it is); the entries
+    /// then come in runs through [`ShardFilter::filter`].
     // flowtune-lint: hot
     fn start_export(&mut self, own: &mut Row, links: usize) {
         self.resync = std::mem::take(&mut self.resync_pending);
@@ -335,8 +337,8 @@ impl ShardFilter {
     /// `svc`'s fresh slot-order export, delta-filtered run by run where
     /// it lies into `own`, this shard's row (see [`ShardFilter::filter`]).
     /// The engine's sums are as of its last iteration (see
-    /// [`flowtune_alloc::RateAllocator::link_state`]), so call this right
-    /// after the tick.
+    /// [`flowtune_alloc::SerialAllocator::link_state`]), so call this
+    /// right after the tick.
     // flowtune-lint: hot
     pub(crate) fn export(
         &mut self,
@@ -346,7 +348,7 @@ impl ShardFilter {
     ) {
         self.start_export(own, svc.link_slots().len());
         let mut base = 0;
-        svc.link_state(&mut |run| {
+        svc.link_state(|run| {
             let entries = run.totals.iter().zip(run.prices);
             let entries = entries.map(|(&[load, hessian], &price)| (load, hessian, price));
             self.filter(own, base, run.hessians, entries, ship);
@@ -433,21 +435,18 @@ impl ShardFilter {
     /// loads and Hessians, and mask both and the consensus duals to the
     /// links this shard subscribes to — written straight into the
     /// slot-order buffers `svc`'s engine lends
-    /// ([`flowtune_alloc::RateAllocator::install_link_state`]): the one
+    /// ([`flowtune_alloc::SerialAllocator::install_link_state`]): the one
     /// install of both shard sets. A consensus dual stays `NaN` where the
-    /// shard takes none; a first-order engine lends no Hessians.
+    /// shard takes none; a gradient grid lends no Hessians.
     // flowtune-lint: hot, untrusted-input
     pub(crate) fn install(&self, round: &Round, rows: &[Row], svc: &mut AllocatorService) {
         let me = self.shard as usize;
-        svc.install_link_state(&mut |dst| {
+        svc.install_link_state(|dst| {
             sum_others(me, rows, |row| &row.loads, &self.fresh_sub, dst.loads);
             // Engines without a second-order term export no Hessians and
             // receive none.
             if let Some(hessians) = dst.hessians.filter(|_| round.any_h && self.own_has_h) {
                 sum_others(me, rows, |row| &row.hessians, &self.fresh_sub, hessians);
-            }
-            if self.own_links == 0 {
-                return;
             }
             // Consensus duals install only on links this shard prices;
             // elsewhere NaN keeps its own decaying dual.
@@ -550,7 +549,7 @@ impl ExchangeCore {
         // The header precedes the records, so whether they carry
         // Hessians is read off the runs first.
         let mut has_hessians = false;
-        svc.link_state(&mut |run| has_hessians |= run.hessians);
+        svc.link_state(|run| has_hessians |= run.hessians);
         let start = self.open_frame(round, svc.link_slots().len(), has_hessians, out);
         let own = &mut self.rows[self.filter.shard as usize];
         let mut ship = |record, _| encode_record(&record, has_hessians, out);
@@ -561,7 +560,7 @@ impl ExchangeCore {
     /// [`ExchangeCore::begin_round_from`] for an export given as
     /// slot-indexed vectors — `loads`/`hessians`/`prices`, all the same
     /// length or `hessians` empty (a first-order engine); all empty for
-    /// an engine without link slots — filtered as one run.
+    /// an inactive frame — filtered as one run.
     // flowtune-lint: hot
     pub fn begin_round(
         &mut self,
@@ -1060,6 +1059,89 @@ mod tests {
             Err(ApplyError::BadLinkCount { n_links: u32::MAX }),
         );
         assert!(fresh.rows[1].loads.is_empty());
+    }
+
+    /// A ticked NED service over `fabric` holding flows from `srcs`.
+    fn loaded(fabric: &flowtune_topo::TwoTierClos, srcs: &[u16]) -> AllocatorService {
+        let mut svc = AllocatorService::new(fabric, crate::FlowtuneConfig::default());
+        for (t, &src) in (1..).zip(srcs) {
+            let start = flowtune_proto::Message::FlowletStart {
+                token: flowtune_proto::Token::new(t),
+                src,
+                dst: (src + 9) % 16,
+                size_hint: 1,
+                weight_q8: 0,
+                spine: (t % 2) as u8,
+            };
+            svc.on_message(start).unwrap();
+        }
+        for _ in 0..3 {
+            svc.tick();
+        }
+        svc
+    }
+
+    /// What the last install left in `svc`'s grid, as bits: background
+    /// loads and Hessians (read back through an install that writes
+    /// nothing and keeps every dual) and the prices.
+    fn installed(svc: &mut AllocatorService) -> [Vec<u64>; 3] {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut loads, mut hessians, mut prices) = (Vec::new(), Vec::new(), Vec::new());
+        svc.install_link_state(|dst| {
+            loads = bits(dst.loads);
+            hessians = dst.hessians.map_or_else(Vec::new, |h| bits(h));
+        });
+        svc.link_prices_into(&mut prices);
+        [loads, hessians, bits(&prices)]
+    }
+
+    #[test]
+    fn an_inactive_frame_installs_what_an_unwritten_row_does() {
+        // Shard 0 of three: shard 1 sends an active frame, shard 2 a
+        // header-only inactive one (`n_links` 0) — the one way a row can
+        // still be empty. The install must write what it writes when
+        // shard 2's row was never written at all.
+        let fabric =
+            flowtune_topo::TwoTierClos::build(flowtune_topo::ClosConfig::multicore(2, 2, 4));
+        let own = [0, 1, 9];
+        let peer = loaded(&fabric, &[2, 3, 12]);
+        let mut active = Vec::new();
+        ExchangeCore::new(1, 3, 0.0).begin_round_from(1, &peer, &mut active);
+        let mut inactive = Vec::new();
+        encode_header(
+            &FrameHeader {
+                shard: 2,
+                round: 1,
+                n_links: 0,
+                active: false,
+                has_hessians: false,
+            },
+            &mut inactive,
+        );
+        let mut outcome = Vec::new();
+        for heard_inactive in [true, false] {
+            let mut svc = loaded(&fabric, &own);
+            let mut core = ExchangeCore::new(0, 3, 0.0);
+            core.begin_round_from(1, &svc, &mut Vec::new());
+            core.apply_frame(&active).unwrap();
+            if heard_inactive {
+                assert_eq!(core.apply_frame(&inactive), Ok(()));
+                assert!(
+                    core.rows[2].loads.is_empty(),
+                    "an inactive frame sizes nothing"
+                );
+            }
+            let charged = core.install(&mut svc);
+            outcome.push((charged, installed(&mut svc)));
+        }
+        let [loads, hessians, _] = &outcome[1].1;
+        assert!(outcome[1].0.is_some(), "the round counts");
+        let written = |v: &[u64]| v.iter().any(|&x| f64::from_bits(x) != 0.0);
+        assert!(
+            written(loads) && written(hessians),
+            "shard 1's state installed"
+        );
+        assert_eq!(outcome[0], outcome[1]);
     }
 
     fn hex(bytes: &[u8]) -> String {

@@ -280,7 +280,6 @@ impl<D: TickDriver> FluidPlane<D> {
 /// Total over-capacity allocation of a control plane's current *raw*
 /// rates, `Σ_ℓ max(0, load_ℓ − c_ℓ)` in Gbit/s — Figure 12's quantity,
 /// measured through the service path via [`TickDriver::link_loads`].
-/// A test double without link slots reports 0.
 pub fn overallocation_gbps(drv: &dyn TickDriver) -> f64 {
     let loads = drv.link_loads();
     drv.fabric()

@@ -19,18 +19,17 @@
 //!
 //! * [`flowtune_topo`] — two-tier Clos fabrics, paths, allocator blocks;
 //! * `flowtune_num` — NED and the baseline NUM optimizers, U/F-NORM;
-//! * [`flowtune_alloc`] — the [`RateAllocator`] engine interface and its
-//!   one implementation, the §5 FlowBlock/LinkBlock grid: serial
-//!   reference NED, its multicore schedule (pool-backed), and the
-//!   gradient baseline;
+//! * [`flowtune_alloc`] — the one engine, the §5 FlowBlock/LinkBlock
+//!   grid ([`SerialAllocator`]): serial reference NED, its multicore
+//!   schedule (pool-backed), and the gradient baseline;
 //! * [`flowtune_proto`] — the 16/4/6-byte control messages.
 //!
 //! ## Quickstart
 //!
 //! The allocator is assembled with a builder; the engine — serial NED,
 //! multicore NED, or gradient projection —
-//! is a run-time choice behind one type ([`AllocatorService`] holds a
-//! boxed [`RateAllocator`]), and
+//! is a run-time choice of how to build one grid ([`AllocatorService`]
+//! holds a [`SerialAllocator`]), and
 //! [`ServiceBuilder::build_driver`] additionally shards the whole
 //! control plane ([`Engine::Sharded`] → [`ShardedService`], the one
 //! [`router::Router`] over in-process shards; `flowtune-net` runs the
@@ -74,7 +73,7 @@
 //! assert_eq!(allocator.stats().rejected, 1);
 //! ```
 //!
-//! [`RateAllocator`]: flowtune_alloc::RateAllocator
+//! [`SerialAllocator`]: flowtune_alloc::SerialAllocator
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -29,8 +29,8 @@
 //! is the router over it) and `flowtune-net`'s peers (split-phase ticks
 //! over a transport; `PeerCluster` holds the router over them). The
 //! router is generic over the set, so the calls into the set are
-//! statically dispatched either way; each shard's service reaches its
-//! engine through the same boxed trait object on both.
+//! statically dispatched either way, and so is every call a shard's
+//! service makes into its grid.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -277,14 +277,13 @@ impl<S: ShardSet> TickDriver for Router<S> {
         total
     }
 
-    /// The element-wise sum of the shards' own loads (empty if no shard
-    /// prices fabric links). Telemetry path — allocates.
+    /// The element-wise sum of the shards' own loads. Telemetry path —
+    /// allocates.
     fn link_loads(&self) -> Vec<f64> {
-        let (mut total, mut export) = (Vec::new(), Vec::new());
+        let mut total = vec![0.0; self.fabric().topology().link_count()];
+        let mut export = Vec::new();
         for shard in self.shards() {
             shard.link_loads_into(&mut export);
-            // A shard whose engine prices no links exports nothing.
-            total.resize(total.len().max(export.len()), 0.0);
             for (acc, x) in total.iter_mut().zip(&export) {
                 *acc += x;
             }

@@ -5,18 +5,17 @@
 //! The control plane is built from three layers, each swappable
 //! independently of the others:
 //!
-//! 1. **[`RateAllocator`] engines** compute per-flow rates over a fixed
-//!    fabric. [`Engine`] names them, and every one it names is the §5
-//!    FlowBlock/LinkBlock grid: [`Engine::Serial`] (the reference NED
-//!    optimizer), [`Engine::Multicore`] (the same grid's full sweeps on a
-//!    persistent worker pool, bit-for-bit equal rates) and
+//! 1. **The engine** computes per-flow rates over a fixed fabric. There
+//!    is one, the §5 FlowBlock/LinkBlock grid ([`SerialAllocator`]), and
+//!    [`Engine`] names its three forms: [`Engine::Serial`] (the reference
+//!    NED optimizer), [`Engine::Multicore`] (the same grid's full sweeps
+//!    on a persistent worker pool, bit-for-bit equal rates) and
 //!    [`Engine::Gradient`] (the grid with first-order gradient
 //!    projection's price step, the §6.6/Figure-12 baseline). So every
 //!    engine a [`ServiceBuilder`] builds prices the fabric's links and
 //!    exports their state.
-//! 2. **[`AllocatorService`]** is the Figure-1 box around one engine,
-//!    held as a boxed [`RateAllocator`] — one concrete service type
-//!    whatever runs behind it, three dynamic calls a tick. It
+//! 2. **[`AllocatorService`]** is the Figure-1 box around one grid, held
+//!    directly — one concrete service type whatever form it takes. It
 //!    consumes flowlet start/end notifications, keeps the flow table (a
 //!    slab indexed by the engine-side [`FlowId`]: who a flow is, not
 //!    what it was last told — the §6.4 filter memory sits in the
@@ -46,9 +45,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
-use flowtune_alloc::{
-    grow, AllocConfig, BoxEngine, FlowRate, LinkInstall, LinkRun, RateAllocator, SerialAllocator,
-};
+use flowtune_alloc::{grow, AllocConfig, FlowRate, LinkInstall, LinkRun, SerialAllocator};
 use flowtune_proto::codec::RATE_BYTES;
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{FlowId, LinkId, TwoTierClos};
@@ -375,15 +372,11 @@ impl ServiceBuilder {
             return Err(ServiceError::ShardedNeedsDriver);
         }
         let fabric = self.fabric.ok_or(ServiceError::MissingFabric)?;
-        let engine = move |fabric: &TwoTierClos, alloc_cfg| -> BoxEngine {
-            match self.engine {
-                Engine::Serial => Box::new(SerialAllocator::new(fabric, alloc_cfg)),
-                Engine::Multicore { workers } => {
-                    Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
-                }
-                Engine::Gradient => Box::new(SerialAllocator::gradient(fabric, alloc_cfg)),
-                Engine::Sharded { .. } => unreachable!("rejected above"),
-            }
+        let engine = move |fabric: &TwoTierClos, alloc_cfg| match self.engine {
+            Engine::Serial => SerialAllocator::new(fabric, alloc_cfg),
+            Engine::Multicore { workers } => SerialAllocator::multicore(fabric, alloc_cfg, workers),
+            Engine::Gradient => SerialAllocator::gradient(fabric, alloc_cfg),
+            Engine::Sharded { .. } => unreachable!("rejected above"),
         };
         Ok(AllocatorService::from_parts(fabric, self.cfg, engine))
     }
@@ -452,16 +445,14 @@ fn alloc_config(cfg: &FlowtuneConfig) -> AllocConfig {
 }
 
 /// The centralized rate allocator (engine + F-NORM + update filtering).
-/// The engine sits behind one seam, a boxed [`RateAllocator`]: a tick
-/// crosses it three times (`iterate`, `dirty_counters`,
-/// `drain_changed_rates`) whichever engine was chosen, and whoever chose
-/// it — [`AllocatorService::new`] (serial), [`AllocatorService::builder`]
-/// (an [`Engine`] by name) or [`AllocatorService::with_engine`] (any
-/// implementation, test doubles included).
+/// The engine is the §5 grid, held directly and built from the fabric
+/// by [`AllocatorService::new`] (serial) or [`AllocatorService::builder`]
+/// (an [`Engine`] by name): a tick calls its `iterate`,
+/// `dirty_counters` and `drain_changed_rates`.
 #[derive(Debug)]
 pub struct AllocatorService {
     fabric: TwoTierClos,
-    engine: BoxEngine,
+    engine: SerialAllocator,
     cfg: FlowtuneConfig,
     /// The flow table: slot `i` holds the export key ([`slot_key`]) of
     /// the flow the engine knows as `FlowId(i)`, so an id the engine
@@ -470,7 +461,7 @@ pub struct AllocatorService {
     /// keys.
     slab: Vec<u64>,
     /// Vacant slab slots, reused (last freed first) before the slab
-    /// grows — ids are recycled, see [`RateAllocator::add_flow`].
+    /// grows — ids are recycled, see [`SerialAllocator::add_flow`].
     free: Vec<u32>,
     /// Token → slab slot, for the paths that are handed a token: intake
     /// and rate queries. Hashed, under std's keyed hasher — tokens come
@@ -493,9 +484,7 @@ impl AllocatorService {
     /// # Panics
     /// Panics on an `update_threshold` outside `[0, 1)`.
     pub fn new(fabric: &TwoTierClos, cfg: FlowtuneConfig) -> Self {
-        Self::from_parts(fabric.clone(), cfg, |fabric, alloc_cfg| {
-            Box::new(SerialAllocator::new(fabric, alloc_cfg))
-        })
+        Self::from_parts(fabric.clone(), cfg, SerialAllocator::new)
     }
 
     /// Starts configuring a service with a run-time engine choice.
@@ -503,22 +492,12 @@ impl AllocatorService {
         ServiceBuilder::default()
     }
 
-    /// Builds the service around an already-constructed engine. The
-    /// engine must have been built over the same `fabric`.
-    pub fn with_engine(
-        fabric: &TwoTierClos,
-        cfg: FlowtuneConfig,
-        engine: impl RateAllocator + 'static,
-    ) -> Self {
-        Self::from_parts(fabric.clone(), cfg, |_, _| Box::new(engine))
-    }
-
     /// Checks `cfg`, then builds the engine from the fabric and the
     /// engine configuration `cfg` implies.
     fn from_parts(
         fabric: TwoTierClos,
         cfg: FlowtuneConfig,
-        engine: impl FnOnce(&TwoTierClos, AllocConfig) -> BoxEngine,
+        engine: impl FnOnce(&TwoTierClos, AllocConfig) -> SerialAllocator,
     ) -> Self {
         // The engines allocate `1 − update_threshold` of every link.
         assert!(
@@ -636,7 +615,7 @@ impl AllocatorService {
 
     /// The update export, appended to `passers`. The engine runs the
     /// §6.4 rule where the rates are — against what it last lent for
-    /// each flow, see [`RateAllocator::drain_changed_rates`] — and lends
+    /// each flow, see [`SerialAllocator::drain_changed_rates`] — and lends
     /// only the flows whose update must be sent, in *its* order and
     /// layout; each of those becomes one packed key (its slab slot's
     /// token and source, the rate's [`Rate16`] code). The rule reads and
@@ -762,23 +741,23 @@ impl AllocatorService {
 
     /// Every flow's current allocation into a caller-provided buffer
     /// (cleared first) — the allocation-free steady-state export (see
-    /// [`RateAllocator::rates_into`]).
+    /// [`SerialAllocator::rates_into`]).
     // flowtune-lint: hot
     pub fn rates_into(&self, out: &mut Vec<FlowRate>) {
         self.engine.rates_into(out);
     }
 
     /// The engine's own per-link loads (raw rates summed per global link,
-    /// as of its last iteration — see [`RateAllocator::link_state`]) into
-    /// a caller-provided buffer: one scatter through the engine's link
-    /// slots. Left empty by engines that do not price fabric links.
+    /// as of its last iteration — see [`SerialAllocator::link_state`])
+    /// into a caller-provided buffer: one scatter through the engine's
+    /// link slots.
     pub fn link_loads_into(&self, out: &mut Vec<f64>) {
         self.scatter_link_state(out, |[load, _], _| load);
     }
 
     /// The Hessian diagonal beside [`AllocatorService::link_loads_into`]'s
-    /// loads, by global link, into a caller-provided buffer. Left empty by
-    /// engines without a second-order price term.
+    /// loads, by global link, into a caller-provided buffer. Left empty on
+    /// a gradient grid, whose price step has no second-order term.
     pub fn link_hessians_into(&self, out: &mut Vec<f64>) {
         if !self.scatter_link_state(out, |[_, hessian], _| hessian) {
             out.clear();
@@ -786,25 +765,20 @@ impl AllocatorService {
     }
 
     /// The engine's current per-link duals, by global link, into a
-    /// caller-provided buffer. Left empty by engines that do not price
-    /// fabric links.
+    /// caller-provided buffer.
     pub fn link_prices_into(&self, out: &mut Vec<f64>) {
         self.scatter_link_state(out, |_, price| price);
     }
 
     /// One global view of the engine's slot-order export: `out` cleared
     /// and sized to the fabric's link count (control links read 0), and
-    /// each slot's `value(totals, price)` written at its link — or left
-    /// empty by an engine without link slots. Returns whether every run
-    /// carried Hessians.
+    /// each slot's `value(totals, price)` written at its link. Returns
+    /// whether every run carried Hessians.
     fn scatter_link_state(&self, out: &mut Vec<f64>, value: impl Fn([f64; 2], f64) -> f64) -> bool {
-        let slots = self.engine.link_slots();
         out.clear();
-        if !slots.is_empty() {
-            out.resize(self.fabric.topology().link_count(), 0.0);
-        }
-        let (mut slots, mut second_order) = (slots.iter(), true);
-        self.engine.link_state(&mut |run| {
+        out.resize(self.fabric.topology().link_count(), 0.0);
+        let (mut slots, mut second_order) = (self.engine.link_slots().iter(), true);
+        self.engine.link_state(|run| {
             second_order &= run.hessians;
             // The run first: a zip that ends on it takes no slot past it.
             for ((&totals, &price), link) in run.totals.iter().zip(run.prices).zip(&mut slots) {
@@ -816,22 +790,21 @@ impl AllocatorService {
 
     /// The engine's link slots, in slot order: the global link each entry
     /// of its link-state export stands for, and what a record of an
-    /// exchange frame indexes (see [`RateAllocator::link_slots`]). Empty
-    /// for an engine without link slots.
+    /// exchange frame indexes (see [`SerialAllocator::link_slots`]).
     pub fn link_slots(&self) -> &[LinkId] {
         self.engine.link_slots()
     }
 
-    /// The engine's slot-order export (see [`RateAllocator::link_state`]).
+    /// The engine's slot-order export (see [`SerialAllocator::link_state`]).
     // flowtune-lint: hot
-    pub(crate) fn link_state(&self, visit: &mut dyn FnMut(LinkRun<'_>)) {
+    pub(crate) fn link_state(&self, visit: impl FnMut(LinkRun<'_>)) {
         self.engine.link_state(visit);
     }
 
     /// The engine's slot-order install (see
-    /// [`RateAllocator::install_link_state`]).
+    /// [`SerialAllocator::install_link_state`]).
     // flowtune-lint: hot
-    pub(crate) fn install_link_state(&mut self, fill: &mut dyn FnMut(LinkInstall<'_>)) {
+    pub(crate) fn install_link_state(&mut self, fill: impl FnOnce(LinkInstall<'_>)) {
         self.engine.install_link_state(fill);
     }
 

@@ -87,7 +87,7 @@
 //!   shard count, which leaves NED's stable γ range;
 //! * **dual consensus** — each loaded link's price is set to the
 //!   load-weighted mean of the shards' duals. All three are one install
-//!   ([`flowtune_alloc::RateAllocator::install_link_state`]). Background
+//!   ([`flowtune_alloc::SerialAllocator::install_link_state`]). Background
 //!   terms alone pin only a shared link's *total* (any per-shard price
 //!   split whose demands sum to capacity is stationary); agreeing on the
 //!   dual makes the unsharded optimum the unique fixed point — §5's
@@ -97,9 +97,9 @@
 //!
 //! The exchange runs in the engines' own **slot order** — (direction,
 //! LinkBlock, offset), every data link once, no control link
-//! ([`flowtune_alloc::RateAllocator::link_slots`]) — which every shard's
+//! ([`flowtune_alloc::SerialAllocator::link_slots`]) — which every shard's
 //! grid shares. A shard's export
-//! ([`flowtune_alloc::RateAllocator::link_state`]) is lent where it
+//! ([`flowtune_alloc::SerialAllocator::link_state`]) is lent where it
 //! lies: the loads and Hessians the engine's last price update summed,
 //! and its prices, one run per LinkBlock — `O(links)`, no walk over the
 //! flows, no copy and no scatter. It is the shard's own link state *as
@@ -290,23 +290,15 @@ impl ShardedService {
     ///
     /// # Panics
     /// Panics if `shards` is empty, the shards disagree on the fabric or
-    /// the configuration, their engines share link state in different
-    /// slot orders, or the placement's shape (server count, shard count)
-    /// does not match.
+    /// the configuration, or the placement's shape (server count, shard
+    /// count) does not match. (The rows are in slot order, a function of
+    /// the fabric alone, so shards of one fabric share it.)
     pub fn with_placement(shards: Vec<AllocatorService>, placement: Placement) -> Self {
         let cfg = shards
             .first()
             .expect("a sharded service needs at least one shard")
             .config();
         let n = shards.len();
-        // The rows are in slot order: every engine that shares link state
-        // must share it in the same order.
-        let slots = shards.iter().map(AllocatorService::link_slots);
-        let order = slots.clone().find(|slots| !slots.is_empty());
-        assert!(
-            slots.clone().all(|s| s.is_empty() || Some(s) == order),
-            "the shards' engines disagree on the link slot order"
-        );
         let set = InProcess {
             slots: shards
                 .into_iter()

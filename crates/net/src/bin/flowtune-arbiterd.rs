@@ -195,7 +195,7 @@ fn incast_flows() -> Vec<(u32, u16)> {
 fn run_peer_on<T: Transport>(transport: T, opts: &Opts) -> io::Result<()> {
     let fabric = fabric();
     let svc = AllocatorService::new(&fabric, config(opts.exchange_every));
-    let exchange = ExchangeConfig::from_flowtune(&config(opts.exchange_every))
+    let exchange = ExchangeConfig::default()
         .round_timeout(Duration::from_millis(opts.timeout_ms))
         .max_rounds_behind(opts.max_behind);
     let mut peer = ShardPeer::new(svc, transport, exchange)?;

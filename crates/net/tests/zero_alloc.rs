@@ -17,7 +17,7 @@
 //!   `FlowletStart` through `on_message` (hashed indexes, a recycled
 //!   slab slot, an inline path) and the tick that reports the newcomer,
 //!   whose export borrows the engine's id and rate columns through the
-//!   lending drain (the boxed engine's `dyn` hop, then the sink's) and
+//!   lending drain (one `dyn` hop, the sink's) and
 //!   copies nothing but the passers;
 //! * so does a 4-shard sequential `ShardedService::tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
@@ -303,8 +303,8 @@ fn steady_state_allocator_tick_allocates_nothing() {
                 full_sweep_every: 8,
                 ..FlowtuneConfig::default()
             };
-            // Built as the planes build it: the sink crosses the
-            // `dyn RateAllocator` hop on top of its own `dyn FnMut`.
+            // Built as the planes build it: the service holds the grid
+            // itself, and the drain's sink is its one `dyn FnMut` hop.
             let builder = AllocatorService::builder()
                 .fabric(&fabric)
                 .config(cfg)

@@ -10,9 +10,9 @@
 //!   `AllocatorService::builder()`, endpoint agents, flowlet tracking;
 //! * `flowtune_topo` — two-tier Clos fabrics, ECMP paths, blocks;
 //! * `flowtune_num` — NED and the baseline NUM optimizers, U/F-NORM;
-//! * `flowtune_alloc` — the `RateAllocator` engine interface; the §5
-//!   FlowBlock grid, NED on the caller's thread or a worker pool, or
-//!   gradient projection;
+//! * `flowtune_alloc` — the one engine, the §5 FlowBlock grid
+//!   (`SerialAllocator`): NED on the caller's thread or a worker pool,
+//!   or gradient projection;
 //! * `flowtune_fastpass` — per-packet timeslot arbiter (the §6.1
 //!   throughput baseline, measured by `table_fastpass`);
 //! * `flowtune_proto` — the 16/4/6-byte control messages;

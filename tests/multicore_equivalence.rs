@@ -4,7 +4,7 @@
 //! engine-level churn/feasibility checks.
 
 use flowtune::{AllocatorService, Engine, FlowtuneConfig};
-use flowtune_alloc::{AllocConfig, RateAllocator, SerialAllocator};
+use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use flowtune_workload::{TraceConfig, TraceGenerator, Workload};
@@ -105,8 +105,8 @@ fn f_norm_off_matches_too() {
         serial.add_flow(id, src, dst, 1.0, &path);
         parallel.add_flow(id, src, dst, 1.0, &path);
     }
-    RateAllocator::run_iterations(&mut serial, 25);
-    RateAllocator::run_iterations(&mut parallel, 25);
+    serial.run_iterations(25);
+    parallel.run_iterations(25);
     for (x, y) in serial.rates().iter().zip(&parallel.rates()) {
         assert_eq!(x.rate.to_bits(), y.rate.to_bits());
         assert_eq!(

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use common::fabric;
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ServiceError, ServiceStats};
-use flowtune_alloc::{AllocConfig, BoxEngine, SerialAllocator};
+use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_proto::{Message, Rate16, ThresholdFilter, Token};
 use flowtune_topo::{FlowId, TwoTierClos};
 use proptest::prelude::*;
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 /// The pre-slab service, reduced to what the comparison observes.
 struct Model {
     fabric: TwoTierClos,
-    engine: BoxEngine,
+    engine: SerialAllocator,
     registry: BTreeMap<Token, (FlowId, Message)>,
     filter: ThresholdFilter,
     next_internal: u64,
@@ -44,12 +44,10 @@ impl Model {
             full_sweep_every: cfg.full_sweep_every,
             dirty_eps: cfg.dirty_eps,
         };
-        let engine: BoxEngine = match *engine {
-            Engine::Serial => Box::new(SerialAllocator::new(fabric, alloc_cfg)),
-            Engine::Multicore { workers } => {
-                Box::new(SerialAllocator::multicore(fabric, alloc_cfg, workers))
-            }
-            Engine::Gradient => Box::new(SerialAllocator::gradient(fabric, alloc_cfg)),
+        let engine = match *engine {
+            Engine::Serial => SerialAllocator::new(fabric, alloc_cfg),
+            Engine::Multicore { workers } => SerialAllocator::multicore(fabric, alloc_cfg, workers),
+            Engine::Gradient => SerialAllocator::gradient(fabric, alloc_cfg),
             Engine::Sharded { .. } => unreachable!("the model is one service"),
         };
         Self {

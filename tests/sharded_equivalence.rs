@@ -19,7 +19,6 @@ mod common;
 
 use common::{assert_bit_for_bit, fabric, start, Replay, StatsCheck};
 use flowtune::{AllocatorService, Engine, FlowtuneConfig, ShardedService, TickDriver};
-use flowtune_alloc::RateAllocator;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 use proptest::prelude::*;
@@ -416,102 +415,6 @@ fn uds_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
             assert_eq!(wire.late_rounds, 0, "on-time frames must never be late");
             let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-}
-
-/// A serial NED engine that panics on its next `panics_left` iterations —
-/// the fault injector for shard-panic propagation.
-#[derive(Debug)]
-struct PanickyEngine {
-    inner: flowtune_alloc::SerialAllocator,
-    panics_left: u32,
-}
-
-impl RateAllocator for PanickyEngine {
-    fn add_flow(
-        &mut self,
-        id: flowtune_topo::FlowId,
-        src_server: usize,
-        dst_server: usize,
-        weight: f64,
-        path: &flowtune_topo::Path,
-    ) {
-        self.inner
-            .add_flow(id, src_server, dst_server, weight, path);
-    }
-
-    fn remove_flow(&mut self, id: flowtune_topo::FlowId) -> bool {
-        self.inner.remove_flow(id)
-    }
-
-    fn iterate(&mut self) {
-        if self.panics_left > 0 {
-            self.panics_left -= 1;
-            panic!("injected engine fault");
-        }
-        self.inner.iterate();
-    }
-
-    fn flow_count(&self) -> usize {
-        self.inner.flow_count()
-    }
-
-    fn rates_into(&self, out: &mut Vec<flowtune_alloc::FlowRate>) {
-        self.inner.rates_into(out);
-    }
-
-    fn flow_rate(&self, id: flowtune_topo::FlowId) -> Option<flowtune_alloc::FlowRate> {
-        self.inner.flow_rate(id)
-    }
-
-    fn drain_changed_rates(
-        &mut self,
-        threshold: f64,
-        sink: &mut dyn FnMut(&[flowtune_topo::FlowId], &[f64]),
-    ) {
-        self.inner.drain_changed_rates(threshold, sink);
-    }
-
-    fn name(&self) -> &'static str {
-        "panicky"
-    }
-}
-
-#[test]
-fn a_panicking_shard_panics_the_tick_with_its_own_message() {
-    let fabric = fabric();
-    for parallel in [true, false] {
-        let cfg = FlowtuneConfig {
-            parallel_shards: parallel,
-            ..FlowtuneConfig::default()
-        };
-        let shard = |panics_left: u32| {
-            AllocatorService::with_engine(
-                &fabric,
-                cfg,
-                PanickyEngine {
-                    inner: flowtune_alloc::SerialAllocator::new(
-                        &fabric,
-                        flowtune_alloc::AllocConfig::default(),
-                    ),
-                    panics_left,
-                },
-            )
-        };
-        // Shard 1's engine dies on the first tick's iteration; shard 0 is
-        // healthy throughout.
-        let mut svc = ShardedService::from_shards(vec![shard(0), shard(1)]);
-        svc.on_message(start(&fabric, 1, 0, 12)).unwrap(); // shard 0
-        svc.on_message(start(&fabric, 2, 8, 4)).unwrap(); // shard 1
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.tick()))
-            .expect_err("shard 1's panic must reach the caller");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"injected engine fault"),
-            "parallel={parallel}"
-        );
-        // Dropping the service returns: the pool joins its threads.
-        drop(svc);
     }
 }
 

@@ -11,10 +11,11 @@
 //! "The endpoint agent"): a rate update names a token the agent minted
 //! itself, so finding its flow is a binary search over the live tokens,
 //! not a keyed hash; only the transport's own flow ids, which are
-//! foreign input, go through a `HashMap`.
+//! foreign input, go through a keyed hash, into a slot table whose
+//! buckets hold the slot and leave the id in its row.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use flowtune_alloc::grow;
 use flowtune_proto::{Message, Token};
@@ -22,6 +23,7 @@ use flowtune_topo::clos::splitmix64;
 
 use crate::flowlet::{FlowletAction, FlowletState, FlowletTracker};
 use crate::service::DEFAULT_WEIGHT;
+use crate::slot_table::{Entry, SlotTable};
 use crate::token::TokenAllocator;
 use crate::FlowtuneConfig;
 
@@ -71,9 +73,12 @@ pub struct EndpointAgent {
     tokens: TokenAllocator,
     /// The slab; a slot is the order in which its flow id was first seen.
     flows: Vec<FlowState>,
-    /// Flow id → slot. The ids are the caller's, so std's keyed hasher
-    /// stays.
-    by_flow: HashMap<u64, u32>,
+    /// Flow id → slot: a [`SlotTable`] whose buckets hold only the slot
+    /// (5 bytes a bucket, where std's map of id and slot paid 17); a probe
+    /// compares the id with the row's `flow`. The ids are the caller's,
+    /// so they are hashed under std's keyed `hasher`.
+    by_flow: SlotTable,
+    hasher: RandomState,
     /// The live tokens with their slots, ascending by token. Minting is
     /// monotone, so a start appends except after the counter wraps.
     by_token: Vec<(Token, u32)>,
@@ -111,7 +116,8 @@ impl EndpointAgent {
             cfg,
             tokens: TokenAllocator::new(server, cluster_size),
             flows: Vec::new(),
-            by_flow: HashMap::new(),
+            by_flow: SlotTable::default(),
+            hasher: RandomState::new(),
             by_token: Vec::new(),
             draining: Vec::new(),
             cursor: 0,
@@ -161,9 +167,14 @@ impl EndpointAgent {
             "weight must be > 0 and finite, got {weight}"
         );
         let spine = self.spine_for(flow, dst);
-        let slot = match self.by_flow.entry(flow) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
+        let flows = &self.flows;
+        let hash = self.hasher.hash_one(flow);
+        let slot = match self
+            .by_flow
+            .entry(hash, |slot| flows[slot as usize].flow == flow)
+        {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(vacant) => {
                 let slot = u32::try_from(self.flows.len()).expect("fewer than 2^32 flow ids");
                 grow::reserve(&mut self.flows, 1);
                 self.flows.push(FlowState {
@@ -175,7 +186,9 @@ impl EndpointAgent {
                     spine,
                     listed: false,
                 });
-                *e.insert(slot)
+                let (flows, hasher) = (&self.flows, &self.hasher);
+                vacant.insert(slot, |slot| hasher.hash_one(flows[slot as usize].flow));
+                slot
             }
         };
         let state = &mut self.flows[slot as usize];
@@ -210,7 +223,7 @@ impl EndpointAgent {
     /// The send queue of `flow` drained at `now`.
     // flowtune-lint: hot
     pub fn on_drained(&mut self, flow: u64, now_ps: u64) {
-        let Some(&slot) = self.by_flow.get(&flow) else {
+        let Some(slot) = self.slot_of(flow) else {
             return;
         };
         let state = &mut self.flows[slot as usize];
@@ -283,10 +296,17 @@ impl EndpointAgent {
         Some((state.flow, gbps))
     }
 
+    /// The slot of a flow id the transport has named.
+    // flowtune-lint: hot
+    fn slot_of(&self, flow: u64) -> Option<u32> {
+        let flows = &self.flows;
+        self.by_flow.get(self.hasher.hash_one(flow), |slot| {
+            flows[slot as usize].flow == flow
+        })
+    }
+
     fn state(&self, flow: u64) -> Option<&FlowState> {
-        self.by_flow
-            .get(&flow)
-            .map(|&slot| &self.flows[slot as usize])
+        self.slot_of(flow).map(|slot| &self.flows[slot as usize])
     }
 
     /// The current pacing rate of a flow (Gbit/s), if the allocator has

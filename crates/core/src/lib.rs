@@ -89,6 +89,7 @@ pub mod router;
 pub mod scenario;
 pub mod service;
 pub mod sharded;
+mod slot_table;
 pub mod token;
 
 pub use config::{ExchangeConfig, FlowtuneConfig, TICK_INTERVAL_PS};

@@ -42,7 +42,8 @@
 //! crashes: [`AllocatorService::on_message`] returns a [`ServiceError`]
 //! and bumps [`ServiceStats::rejected`].
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::time::Instant;
 
 use flowtune_alloc::{grow, AllocConfig, FlowRate, LinkInstall, LinkRun, SerialAllocator};
@@ -51,6 +52,7 @@ use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{FlowId, LinkId, TwoTierClos};
 
 use crate::driver::PhaseTimings;
+use crate::slot_table::{Entry, SlotTable};
 use crate::FlowtuneConfig;
 
 /// A flowlet's slot in the service's flow table: its export key less the
@@ -62,6 +64,17 @@ use crate::FlowtuneConfig;
 /// on the engine's path and weight.
 fn slot_key(token: Token, src: u16) -> u64 {
     u64::from(token.get()) << 32 | u64::from(src) << 16
+}
+
+/// The raw token a [`slot_key`] holds.
+fn key_token(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// The token index's key comparison: whether slab slot `slot` holds
+/// `token`.
+fn holds(slab: &[u64], token: Token) -> impl Fn(u32) -> bool + '_ {
+    move |slot| key_token(slab[slot as usize]) == token.get()
 }
 
 /// Proportional-fairness weight of a flow that does not specify one.
@@ -464,11 +477,14 @@ pub struct AllocatorService {
     /// grows — ids are recycled, see [`SerialAllocator::add_flow`].
     free: Vec<u32>,
     /// Token → slab slot, for the paths that are handed a token: intake
-    /// and rate queries. Hashed, under std's keyed hasher — tokens come
-    /// off the wire — and never iterated: the tick does not
-    /// consult it, update order comes from ordering each tick's passers
-    /// ([`Passers::emit`]), not from this map.
-    index: HashMap<Token, u32>,
+    /// and rate queries. A [`SlotTable`]: its buckets hold only the slot
+    /// (5 bytes a bucket, where std's map of token and slot paid 9), and a
+    /// probe compares the token with the slab's key. Hashed under std's
+    /// keyed `hasher` — tokens come off the wire — and never iterated:
+    /// the tick does not consult it, update order comes from ordering
+    /// each tick's passers ([`Passers::emit`]), not from this index.
+    index: SlotTable,
+    hasher: RandomState,
     /// The passers [`AllocatorService::tick_into`] orders, kept across
     /// ticks.
     passers: Passers,
@@ -512,7 +528,8 @@ impl AllocatorService {
             cfg,
             slab: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: SlotTable::default(),
+            hasher: RandomState::new(),
             passers: Passers::default(),
             stats: ServiceStats::default(),
             timings: PhaseTimings::default(),
@@ -642,8 +659,14 @@ impl AllocatorService {
 
     /// Current normalized rate of an active flowlet, Gbit/s.
     pub fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let &slot = self.index.get(&token)?;
+        let slot = self.slot_of(token)?;
         Some(self.engine.flow_rate(FlowId(slot as u64))?.normalized)
+    }
+
+    /// The slab slot of a live token.
+    fn slot_of(&self, token: Token) -> Option<u32> {
+        let hash = self.hasher.hash_one(token.get());
+        self.index.get(hash, holds(&self.slab, token))
     }
 
     /// The `FlowletEnd` path: drops the flow from the index and the
@@ -651,7 +674,8 @@ impl AllocatorService {
     /// token was live.
     // flowtune-lint: hot
     fn release(&mut self, token: Token) -> bool {
-        let Some(slot) = self.index.remove(&token) else {
+        let hash = self.hasher.hash_one(token.get());
+        let Some(slot) = self.index.remove(hash, holds(&self.slab, token)) else {
             return false;
         };
         self.engine.remove_flow(FlowId(slot as u64));
@@ -678,7 +702,8 @@ impl AllocatorService {
         weight_q8: u16,
         spine: u8,
     ) -> Result<(), ServiceError> {
-        let Entry::Vacant(vacant) = self.index.entry(token) else {
+        let hash = self.hasher.hash_one(token.get());
+        let Entry::Vacant(vacant) = self.index.entry(hash, holds(&self.slab, token)) else {
             return Err(ServiceError::DuplicateToken(token));
         };
         // Endpoint fields come off the wire too: a corrupted
@@ -709,7 +734,8 @@ impl AllocatorService {
         let path = self.fabric.path_via_spine(src, dst, spine);
         self.engine
             .add_flow(FlowId(slot as u64), src, dst, weight, &path);
-        vacant.insert(slot);
+        let (slab, hasher) = (&self.slab, &self.hasher);
+        vacant.insert(slot, |slot| hasher.hash_one(key_token(slab[slot as usize])));
         Ok(())
     }
 
@@ -1101,7 +1127,7 @@ mod tests {
 
     /// The source server the flow table holds for a live token.
     fn source_of(svc: &AllocatorService, token: u32) -> Option<u16> {
-        Some((svc.slab[*svc.index.get(&Token::new(token))? as usize] >> 16) as u16)
+        Some((svc.slab[svc.slot_of(Token::new(token))? as usize] >> 16) as u16)
     }
 
     #[test]
@@ -1275,12 +1301,16 @@ mod tests {
             }
         }
         assert!(last_sent.is_some());
-        let slot = svc.index[&Token::new(1)];
+        let slot = svc.slot_of(Token::new(1)).unwrap();
         // Same path, same tick: the prices the successor meets are the
         // converged ones its predecessor left behind.
         svc.on_message(end(1)).unwrap();
         svc.on_message(start(2, 0, 140)).unwrap();
-        assert_eq!(svc.index[&Token::new(2)], slot, "slot (and id) recycled");
+        assert_eq!(
+            svc.slot_of(Token::new(2)),
+            Some(slot),
+            "slot (and id) recycled"
+        );
         let updates = svc.tick();
         assert_eq!(
             update_tokens(&updates),

@@ -18,7 +18,9 @@
 //!   slab slot, an inline path) and the tick that reports the newcomer,
 //!   whose export borrows the engine's id and rate columns through the
 //!   lending drain (one `dyn` hop, the sink's) and
-//!   copies nothing but the passers;
+//!   copies nothing but the passers — and so do thousands of such swaps
+//!   in a row, long enough for the token index to clear its tombstones
+//!   by rehashing in place, more than once;
 //! * so does a 4-shard sequential `ShardedService::tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
 //!   batches of passers, the filters writing the shared link-state
@@ -107,6 +109,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 const LINKS: usize = 48;
 const WARM_ROUNDS: u64 = 5;
 const MEASURED_ROUNDS: u64 = 50;
+/// Flowlet swaps before the counted ones, and counted.
+const SWAP_WARM: usize = 1_000;
+const SWAPS: usize = 4_000;
+/// Swaps between two ticks in the swap loop.
+const SWAP_TICK: usize = 8;
 
 /// The counter window is process-global, so tests that open it must not
 /// overlap (cargo runs `#[test]`s concurrently by default).
@@ -393,6 +400,54 @@ fn allocator_ticks_allocate_nothing(mut svc: AllocatorService, fabric: &TwoTierC
         allocs, 0,
         "a flowlet swap and the tick that reports it must not allocate \
          ({what}: {allocs} allocations over 6 rounds)"
+    );
+
+    // Thousands of swaps between the same endpoints: a live token ends
+    // and a fresh one starts with its source and destination, a tick every
+    // `SWAP_TICK` swaps. The token index's removals leave tombstones that
+    // use up its growth budget again and again, at 48 live flows a few
+    // hundred swaps apart; each time the index must rehash in place, in
+    // the buckets it has. The warm-up lets a table past half full grow
+    // once, as std's map does; after it nothing may touch the heap.
+    let mut live: Vec<(u32, u16, u16)> = (0..16u16)
+        .flat_map(|src| (0..2u16).map(move |k| (u32::from(src * 2 + k) + 1, src, k)))
+        .map(|(token, src, k)| match token {
+            t if t % 2 == 1 && t < 16 => (u32::from(src) + 101, src, k),
+            _ => (token, src, k),
+        })
+        .collect();
+    for src in 0..16u16 {
+        let token = u32::from(src) + 201;
+        svc.on_message(start(token, src, 2)).unwrap();
+        live.push((token, src, 2));
+    }
+    assert_eq!(svc.active_flows(), live.len());
+    for swap in 0..SWAP_WARM + SWAPS {
+        let next = 1_000 + swap as u32;
+        if swap == SWAP_WARM {
+            ALLOCS.store(0, Ordering::Relaxed);
+        }
+        // An odd stride walks every live flow, in no fixed order.
+        let at = swap * 7 % live.len();
+        let (old, src, k) = live[at];
+        ENABLED.store(swap >= SWAP_WARM, Ordering::Relaxed);
+        svc.on_message(Message::FlowletEnd {
+            token: Token::new(old),
+        })
+        .unwrap();
+        svc.on_message(start(next, src, k)).unwrap();
+        if swap % SWAP_TICK == 0 {
+            svc.tick_into(&mut updates);
+        }
+        ENABLED.store(false, Ordering::Relaxed);
+        live[at] = (next, src, k);
+    }
+    assert_eq!(svc.active_flows(), live.len());
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "swaps after a warm-up of {SWAP_WARM} must not allocate \
+         ({what}: {allocs} allocations over {SWAPS} swaps)"
     );
 }
 

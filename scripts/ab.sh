@@ -25,7 +25,10 @@
 # quartiles, pairs won, and a verdict —
 #   gain          the change wins >= 9/10 of the pairs (ties count for
 #                 neither) and the medians differ by more than the
-#                 parent's inter-quartile range;
+#                 parent's inter-quartile range and by more than a tenth
+#                 of the metric's bound times the parent's median (so
+#                 identical parent runs do not make any difference a
+#                 gain);
 #   worse         the change's median is worse than the parent's by more
 #                 than the metric's bound;
 #   unresolved    neither, and the parent's runs spread wider than the

@@ -67,7 +67,7 @@ for m in listed:
         if not shown:
             continue
         verdict = ""
-    elif won >= 0.9 * pairs and better_by > q3 - q1:
+    elif won >= 0.9 * pairs and better_by > q3 - q1 and better_by > m["bound"] * med_a / 10:
         verdict = "gain"
     elif -better_by > m["bound"] * med_a:
         verdict = "worse"

@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Checks the gate's own verdicts: scripts/ab_judge.py (what scripts/ab.sh
-# ends with) on two made-up sets of four pairs, in flowbench's output
-# format. A change whose rounds_per_s median is 30 % below the parent's
-# must read `worse` and exit non-zero; a level one must exit 0.
+# ends with) on made-up sets of four pairs, in flowbench's output format.
+# A change whose rounds_per_s median is 30 % below the parent's must read
+# `worse` and exit non-zero; a level one must exit 0. Against parents
+# whose state_mb runs are identical, a change 16 bytes lower must not read
+# `gain` (the floor: a tenth of the bound times the parent's median),
+# while one 5 % lower must.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-# record <set> <pair> <side> <rounds_per_s>
+# record <set> <pair> <side> <rounds_per_s> [<state_mb>]
 record() {
     mkdir -p "$dir/$1"
-    cat >"$dir/$1/$2-$3.txt" <<EOF
+    cat >"$dir/$1/$2-$3.txt" <<EOR
   1000 measured rounds; update_digest 00000000000000aa event_digest 00000000000000bb
-{"correct": true, "attempted": 1000, "failed": 0, "metrics": {"setup_s": {"value": 0.01, "unit": "s"}, "rounds_per_s": {"value": $4, "unit": "1/s"}, "state_mb": {"value": 2.4, "unit": "MB"}}}
-EOF
+{"correct": true, "attempted": 1000, "failed": 0, "metrics": {"setup_s": {"value": 0.01, "unit": "s"}, "rounds_per_s": {"value": $4, "unit": "1/s"}, "state_mb": {"value": ${5:-2.4}, "unit": "MB"}}}
+EOR
 }
 parent=(30000 30400 29700 30100)
 level=(30200 29900 30300 29800)
@@ -23,6 +26,10 @@ for i in 1 2 3 4; do
     record level "$i" change "${level[i - 1]}"
     record worse "$i" parent "${parent[i - 1]}"
     record worse "$i" change $((level[i - 1] * 7 / 10))
+    record bytes "$i" parent "${parent[i - 1]}" 30.957
+    record bytes "$i" change "${level[i - 1]}" 30.956984
+    record drop "$i" parent "${parent[i - 1]}" 30.957
+    record drop "$i" change "${level[i - 1]}" 29.40915
 done
 
 python3 scripts/ab_judge.py "$dir/level"
@@ -33,4 +40,16 @@ if out=$(python3 scripts/ab_judge.py "$dir/worse"); then
 fi
 echo "$out"
 grep -q '^rounds_per_s .* worse$' <<<"$out"
-echo "ab_selftest: ok (level set passed, worse set refused)"
+out=$(python3 scripts/ab_judge.py "$dir/bytes")
+echo "$out"
+if grep -q '^state_mb .* gain$' <<<"$out"; then
+    echo "ab_selftest: a 16-byte state_mb drop against identical parents read as a gain" >&2
+    exit 1
+fi
+out=$(python3 scripts/ab_judge.py "$dir/drop")
+echo "$out"
+if ! grep -q '^state_mb .* gain$' <<<"$out"; then
+    echo "ab_selftest: a 5 % state_mb drop did not read as a gain" >&2
+    exit 1
+fi
+echo "ab_selftest: ok (level set passed, worse set refused, a 16-byte drop no gain, a 5 % drop a gain)"

@@ -9,12 +9,22 @@
 //!
 //! * a worker is **rate-dirty** when a flow was added to or removed from
 //!   it, or when the authoritative price of a link its flows traverse
-//!   moved by more than `eps` since the worker last ran its rate pass
-//!   (detected by diffing the freshly updated LinkBlock prices against a
-//!   per-link snapshot, or by an exchange install overwriting a dual);
+//!   has *moved* since the worker last ran its rate pass (detected by
+//!   diffing the freshly updated LinkBlock prices against a per-link
+//!   snapshot, or by an exchange install overwriting a dual);
 //! * a worker is **norm-dirty** when a utilization ratio on a link its
-//!   flows traverse moved by more than `eps` this iteration (F-NORM
-//!   reads ratios, not prices).
+//!   flows traverse moved this iteration (F-NORM reads ratios, not
+//!   prices).
+//!
+//! What counts as a move is [`DirtySet::moved`]'s one rule. At `eps = 0`
+//! it is any change of value. At a positive `eps` it is a move beyond
+//! [`REL`] — a quarter of the `Rate16` step a rate leaves the allocator
+//! with — of the snapshot, or beyond `eps` itself where that is larger:
+//! `eps` is only the absolute floor for an idle dual decaying toward 0.
+//! Finer re-pricing changes no byte an endpoint can receive, bar a rate
+//! at a rounding boundary; the duality gap of `crate::certificate` is how
+//! such a plane is judged against the exact one, since its update stream
+//! differs.
 //!
 //! The correctness invariant is *output equivalence at `eps = 0`*: a
 //! clean worker's accumulators and rates are bitwise what a recompute
@@ -32,14 +42,22 @@
 //! ratio is still in motion (`DirtySet::moving`) — the NED price update
 //! is not idempotent before convergence, so it must keep integrating
 //! until the whole system is numerically stationary. Once no worker is
-//! dirty and nothing moved beyond `eps` in the last diff, a quiet
-//! iteration skips the link phases entirely (exact at `eps = 0`: a
-//! markless diff means the update reproduced its input bitwise). Under a
-//! positive `eps`, skipped updates accumulate bounded staleness; a
-//! periodic full sweep (`full_sweep_every`) re-marks every worker to
+//! dirty and nothing moved in the last diff, a quiet iteration skips the
+//! link phases entirely (exact at `eps = 0`: a markless diff means the
+//! update reproduced its input bitwise). Under a positive `eps`, skipped
+//! updates accumulate staleness bounded by the relative rule — a price
+//! or ratio within a quarter `Rate16` step of what its flows last read;
+//! a periodic full sweep (`full_sweep_every`) re-marks every worker to
 //! rebuild all accumulators from scratch and bound the drift.
 
 use crate::reduce::{members, position, Dir, DIRS};
+
+/// The relative move below which a positive-`eps` dirty set leaves a
+/// link's flows alone: 2⁻¹³, a quarter of a `Rate16` step. A rate is
+/// `w / Σ p` over its path, so a relative price move `δ` moves it by at
+/// most `δ` relative, and a move under a quarter step changes what the
+/// wire carries only where a rate sits at a rounding boundary.
+pub(crate) const REL: f64 = 1.0 / 8192.0;
 
 /// Dirty-state bookkeeping for one engine's B×B worker grid.
 ///
@@ -48,7 +66,8 @@ use crate::reduce::{members, position, Dir, DIRS};
 /// all mutation happens inside the engine's iterate/intake/install paths.
 #[derive(Debug)]
 pub(crate) struct DirtySet {
-    /// Price/ratio movement at or below this threshold is ignored.
+    /// `0` marks any change; otherwise the absolute floor of
+    /// [`DirtySet::moved`]'s relative rule.
     pub(crate) eps: f64,
     /// Force-mark every worker each time `iter` hits a multiple of this
     /// (`0` = never).
@@ -194,6 +213,23 @@ impl DirtySet {
             if self.touch[d][w][o] > 0 {
                 flags[w] = true;
             }
+        }
+    }
+
+    /// Has a price or ratio moved from its snapshot `snap` to `new` by
+    /// enough to re-run the flows that read it? Exact at `eps == 0`: any
+    /// change of value marks, so the incremental tick stays the full
+    /// sweep bit for bit. Otherwise the move must exceed [`REL`] of the
+    /// snapshot, with `eps` as the absolute floor where the snapshot is
+    /// near zero (an idle dual decaying toward it).
+    // flowtune-lint: hot
+    #[inline]
+    pub(crate) fn moved(&self, new: f64, snap: f64) -> bool {
+        let delta = (new - snap).abs();
+        if self.eps == 0.0 {
+            delta > 0.0
+        } else {
+            delta > (REL * snap.abs()).max(self.eps)
         }
     }
 

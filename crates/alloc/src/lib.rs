@@ -64,6 +64,7 @@
 
 #![deny(missing_docs)]
 
+mod certificate;
 mod dirty;
 pub mod engine;
 pub mod flowblock;
@@ -74,6 +75,7 @@ pub mod pool;
 mod reduce;
 pub mod serial;
 
+pub use certificate::Certificate;
 pub use engine::{LinkInstall, LinkRun};
 pub use flowblock::FlowRate;
 pub use pool::WorkerPool;
@@ -98,7 +100,7 @@ pub struct AllocConfig {
     pub capacity_fraction: f64,
     /// Run iterations incrementally, under either price rule (NED or
     /// gradient): a dirty set tracks which FlowBlock workers saw a price
-    /// move (beyond [`AllocConfig::dirty_eps`]) on a link their flows
+    /// move (see [`AllocConfig::dirty_eps`]) on a link their flows
     /// traverse, or had flows added/removed, and the rate/normalize
     /// passes touch only those. With `dirty_eps = 0` the incremental path
     /// is bit-for-bit identical to the full sweep.
@@ -108,11 +110,14 @@ pub struct AllocConfig {
     /// float drift under a positive `dirty_eps` (`0` = never; at
     /// `dirty_eps = 0` the sweep is a bitwise no-op).
     pub full_sweep_every: u64,
-    /// Price/ratio movement below or at this threshold does not mark the
-    /// link's flows dirty. `0.0` (the default) means any bit change
-    /// marks, which keeps incremental output exactly equal to the full
-    /// sweep; small positive values trade bounded rate staleness for
-    /// fewer recomputations.
+    /// How far a price or ratio must move to mark its link's flows dirty.
+    /// `0.0` (the default) is exact: any bit change marks, which keeps
+    /// incremental output equal to the full sweep. Any positive value
+    /// switches to wire precision: a move must exceed a quarter `Rate16`
+    /// step (2⁻¹³) relative to the last marked value, and this value is
+    /// only the absolute floor of that test, for idle duals decaying
+    /// toward 0. The knob goes once flowbench's `quiet100k` plane stops
+    /// setting it (ROADMAP item 27).
     pub dirty_eps: f64,
 }
 

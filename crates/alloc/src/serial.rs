@@ -473,17 +473,19 @@ impl SerialAllocator {
     /// The quiet-iteration skip is what lets the engine reach true
     /// quiescence. With zero recomputes every accumulator is bitwise
     /// unchanged, so running the price update anyway would integrate the
-    /// same Newton residual tick after tick: prices drift, cross `eps`,
-    /// re-mark the very flows whose recompute then jolts the load back —
-    /// a relaxation oscillator with amplitude `O(eps)` that keeps ~10% of
+    /// same Newton residual tick after tick: prices drift, cross the
+    /// dirty test's threshold, re-mark the very flows whose recompute
+    /// then jolts the load back — a relaxation oscillator with the
+    /// threshold's amplitude that keeps ~10% of
     /// the fabric dirty forever. Freezing prices instead is exact at
     /// `eps = 0`: the skip requires a markless previous diff (`moving`
     /// false — no price or ratio moved anywhere, touched links or not),
     /// which means the last price update already reproduced its own
     /// input bitwise (same prices, same loads), so the skipped update is
-    /// the identity. For `eps > 0` the suppressed residual is `O(eps)`
-    /// by construction and the periodic full sweep re-marks every
-    /// worker, letting the next price update apply it before float
+    /// the identity. For `eps > 0` the suppressed residual is within the
+    /// dirty test's threshold (`DirtySet::moved`, a quarter `Rate16` step
+    /// relative) by construction, and the periodic full sweep re-marks
+    /// every worker, letting the next price update apply it before float
     /// drift can compound.
     // flowtune-lint: hot
     fn sweep(&mut self) {
@@ -590,10 +592,11 @@ impl SerialAllocator {
     }
 
     /// Diff phase (with a dirty set only): compare the fresh prices and
-    /// ratios against the per-link snapshots. A price move beyond eps
-    /// rate-dirties every traversing worker for the *next* iteration (the
-    /// rates they computed this iteration used the pre-update price —
-    /// exactly like the full sweep); a ratio move beyond eps norm-dirties
+    /// ratios against the per-link snapshots. A price that moved
+    /// (`DirtySet::moved`) rate-dirties every traversing worker for the
+    /// *next* iteration (the rates they computed this iteration used the
+    /// pre-update price — exactly like the full sweep); a ratio that moved
+    /// norm-dirties
     /// traversing workers for *this* iteration's F-NORM, which reads the
     /// post-update ratios.
     // flowtune-lint: hot
@@ -608,18 +611,18 @@ impl SerialAllocator {
             return;
         };
         // Rebuilt from scratch each diff: stays false only when *no*
-        // price or ratio anywhere moved beyond eps — touched or not —
+        // price or ratio anywhere moved — touched or not —
         // which is the precondition for freezing the price phases.
         ds.moving = false;
         for d in DIRS {
             for (blk, view) in views[d].iter().enumerate() {
                 for o in 0..lpl {
                     let p = view.prices[o];
-                    if (p - ds.prev_prices[d][blk][o]).abs() > ds.eps {
+                    if ds.moved(p, ds.prev_prices[d][blk][o]) {
                         ds.price_moved(d, blk, o, p);
                     }
                     let r = view.ratios[o];
-                    if (r - ds.prev_ratio[d][blk][o]).abs() > ds.eps {
+                    if ds.moved(r, ds.prev_ratio[d][blk][o]) {
                         ds.moving = true;
                         ds.prev_ratio[d][blk][o] = r;
                         ds.mark_crossers(d, blk, o, true);
@@ -714,7 +717,8 @@ impl SerialAllocator {
 
     /// Cumulative `(dirty_flows, dirty_links)` of an incremental grid:
     /// flows whose rate pass re-ran, and per-iteration link price moves
-    /// beyond `dirty_eps`. `None` on a grid running full sweeps.
+    /// the dirty test counted (`AllocConfig::dirty_eps`). `None` on a grid
+    /// running full sweeps.
     pub fn dirty_counters(&self) -> Option<(u64, u64)> {
         self.dirty.as_ref().map(DirtySet::counters)
     }
@@ -771,9 +775,9 @@ impl SerialAllocator {
     /// every staged dual that is not `NaN` into its LinkBlock's view —
     /// the one copy every worker of the LinkBlock reads, so the next rate
     /// pass prices flows with it, on either schedule. On the incremental
-    /// path the same pass marks: an install that moves a dual beyond eps
-    /// invalidates the rate pass of every worker whose flows traverse
-    /// that link.
+    /// path the same pass marks: an install that moves a dual (by the
+    /// dirty test's rule) invalidates the rate pass of every worker whose
+    /// flows traverse that link.
     ///
     /// Dual consensus is what makes a partitioned allocator's fixed point
     /// unique: background loads alone pin only the *total* on a shared
@@ -811,13 +815,20 @@ impl SerialAllocator {
                     if p.is_nan() {
                         continue;
                     }
-                    if (p - *held).abs() > ds.eps {
+                    if ds.moved(p, *held) {
                         ds.price_moved(d, blk, o, p);
                     }
                     *held = p;
                 }
             }
         }
+    }
+
+    /// The OS threads a full sweep runs on: the pool schedule's (at most
+    /// the host's parallelism when built with `workers = 0`, and at most
+    /// B²), or 1 on the caller's thread.
+    pub fn threads(&self) -> usize {
+        self.threads.unwrap_or(1)
     }
 
     /// Short engine name for logs and experiment output: `serial`,
@@ -930,7 +941,7 @@ mod tests {
                     for (blk, view) in views[d].iter().enumerate() {
                         for (o, link) in layout.links(d, blk).iter().enumerate() {
                             let p = prices[link.index()];
-                            if p.is_nan() || (p - view.prices[o]).abs() <= ds.eps {
+                            if p.is_nan() || !ds.moved(p, view.prices[o]) {
                                 continue;
                             }
                             ds.moving = true;

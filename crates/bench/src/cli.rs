@@ -39,9 +39,11 @@ shared experiment flags:
                           K iterations to bound float drift under a positive
                           dirty eps (config full_sweep_every; default 64;
                           0 = never)
-  --dirty-eps X           incremental only: price/ratio moves at or below X
-                          do not re-dirty a link's flows (config dirty_eps;
-                          default 0 = exact equivalence)
+  --dirty-eps X           incremental only: 0 re-dirties a link's flows on any
+                          price/ratio change (exact equivalence); X > 0 only
+                          on a move beyond a quarter Rate16 step (2^-13)
+                          relative, X the absolute floor for idle duals
+                          (config dirty_eps; default 0)
   --placement P           endpoint-to-shard placement: contiguous|traffic
                           (config placement; default contiguous; traffic
                           groups communicating racks from the workload's

@@ -90,11 +90,15 @@ pub struct FlowtuneConfig {
     /// bound float drift under a positive `dirty_eps` (`0` = never; at
     /// `dirty_eps = 0` the sweep is a bitwise no-op).
     pub full_sweep_every: u64,
-    /// Incremental mode only: price/ratio movement at or below this
-    /// threshold does not re-dirty a link's flows. `0.0` (the default)
-    /// marks on any bit change — exact equivalence with the full sweep;
-    /// small positive values trade bounded rate staleness for fewer
-    /// recomputations.
+    /// Incremental mode only: how far a price or ratio must move to
+    /// re-dirty a link's flows. `0.0` (the default) marks on any bit
+    /// change — exact equivalence with the full sweep. Any positive value
+    /// runs at wire precision: a move must exceed a quarter `Rate16` step
+    /// (2⁻¹³) relative to the last marked value, and this value is only
+    /// that test's absolute floor, for idle duals decaying toward 0. The
+    /// duality gap ([`AllocatorService::certificate`](crate::AllocatorService::certificate))
+    /// judges such a plane against the exact one. The knob goes once
+    /// flowbench's `quiet100k` plane stops setting it (ROADMAP item 27).
     pub dirty_eps: f64,
     /// Sharded control plane only: every `exchange_every` ticks the
     /// shards exchange per-link loads so each prices shared links for the

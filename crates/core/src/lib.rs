@@ -113,3 +113,5 @@ pub use service::{
 };
 pub use sharded::ShardedService;
 pub use token::TokenAllocator;
+
+pub use flowtune_alloc::Certificate;

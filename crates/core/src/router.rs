@@ -35,6 +35,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use flowtune_alloc::Certificate;
 use flowtune_proto::{Message, Token};
 use flowtune_topo::TwoTierClos;
 
@@ -165,6 +166,14 @@ impl<S: ShardSet> Router<S> {
     /// The endpoint→shard mapping routing `FlowletStart`s.
     pub fn placement(&self) -> &Placement {
         &self.placement
+    }
+
+    /// The plane's optimality certificate (see [`Certificate`]): every
+    /// shard's flows and loads summed, each link priced at the largest of
+    /// the shards' duals — `D(p)` itself once they agree. On demand, off
+    /// the tick path.
+    pub fn certificate(&self) -> Certificate {
+        Certificate::over(self.shards().map(AllocatorService::grid))
     }
 
     /// The shard an active flowlet is registered in.

@@ -46,7 +46,9 @@ use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::time::Instant;
 
-use flowtune_alloc::{grow, AllocConfig, FlowRate, LinkInstall, LinkRun, SerialAllocator};
+use flowtune_alloc::{
+    grow, AllocConfig, Certificate, FlowRate, LinkInstall, LinkRun, SerialAllocator,
+};
 use flowtune_proto::codec::RATE_BYTES;
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{FlowId, LinkId, TwoTierClos};
@@ -837,6 +839,17 @@ impl AllocatorService {
     /// The engine's short name (`serial` / `multicore` / `gradient`).
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
+    }
+
+    /// The engine's optimality certificate (see
+    /// [`SerialAllocator::certificate`]): on demand, never from the tick.
+    pub fn certificate(&self) -> Certificate {
+        self.engine.certificate()
+    }
+
+    /// The grid itself, for a certificate over several shards.
+    pub(crate) fn grid(&self) -> &SerialAllocator {
+        &self.engine
     }
 }
 

@@ -41,5 +41,5 @@ pub mod utility;
 pub use gradient::Gradient;
 pub use ned::Ned;
 pub use problem::{FlowIdx, NumProblem};
-pub use solver::{solve, ConvergenceReport, Optimizer, SolverState};
+pub use solver::{dual_bound, solve, ConvergenceReport, Optimizer, SolverState};
 pub use utility::Utility;

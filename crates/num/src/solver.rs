@@ -106,6 +106,25 @@ pub fn kkt_residual(problem: &NumProblem, state: &SolverState) -> f64 {
     worst
 }
 
+/// The Lagrange dual of `problem` at `prices` (indexed by link, all
+/// `≥ 0`): `D(p) = Σ_ℓ p_ℓ·c_ℓ + Σ_s [U_s(x_s) − q_s·x_s]` with `q_s` the
+/// path price and `x_s` the demand at `max(q_s, floor)` — the rate
+/// [`update_rates`] computes. By weak duality it bounds the optimal
+/// utility from above for *any* prices, so `D(p) − U(x)` of a feasible
+/// allocation `x` is a certificate of how far `x` is from optimal.
+pub fn dual_bound(problem: &NumProblem, prices: &[f64]) -> f64 {
+    let mut dual = 0.0;
+    for (&p, &c) in prices.iter().zip(problem.capacities()) {
+        dual += p * c;
+    }
+    for (_, links, utility, x_max) in problem.iter_flows() {
+        let q: f64 = links.iter().map(|l| prices[l.index()]).sum();
+        let x = utility.demand(q.max(utility.price_floor(x_max)));
+        dual += utility.utility(x) - q * x;
+    }
+    dual
+}
+
 /// Outcome of [`solve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceReport {
@@ -203,6 +222,23 @@ mod tests {
         // High prices: plain demand.
         update_rates(&p, &[1.0, 1.0], &mut rates);
         assert!((rates[0] - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dual_bound_is_tight_at_the_optimal_price_and_above_it_elsewhere() {
+        // Four unit-weight flows on one 10 Gbit/s link: OPT = 4·log 2.5,
+        // reached at p = 4/10, where every flow takes 2.5.
+        let mut p = NumProblem::new(vec![10.0]);
+        for _ in 0..4 {
+            p.add_flow(vec![LinkId(0)], Utility::log(1.0));
+        }
+        let opt = 4.0 * 2.5f64.ln();
+        assert!((dual_bound(&p, &[0.4]) - opt).abs() < 1e-12);
+        for price in [0.0, 0.1, 0.39, 0.41, 1.0, 10.0] {
+            assert!(dual_bound(&p, &[price]) > opt, "p = {price}");
+        }
+        // At p = 0 every flow sits at its floor, the line rate.
+        assert!((dual_bound(&p, &[0.0]) - 4.0 * 10f64.ln()).abs() < 1e-12);
     }
 
     #[test]

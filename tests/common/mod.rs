@@ -122,6 +122,66 @@ impl Replay {
         Replay { rounds: schedule }
     }
 
+    /// flowbench's `quiet100k` schedule at `standing` flowlets: every one
+    /// starts before round 0 between a seeded pair of distinct servers,
+    /// and every `swap_every` rounds the oldest ends and a fresh one
+    /// starts, for `rounds` rounds.
+    pub fn swaps(
+        fabric: &TwoTierClos,
+        standing: u32,
+        swap_every: usize,
+        rounds: usize,
+        seed: u64,
+    ) -> Replay {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let servers = fabric.config().server_count() as u64;
+        let mut fresh = |token: u32| {
+            let src = xorshift(&mut rng) % servers;
+            let dst = (src + 1 + xorshift(&mut rng) % (servers - 1)) % servers;
+            start(fabric, token, src as u16, dst as u16)
+        };
+        let mut schedule = vec![Vec::new(); rounds];
+        schedule[0] = (0..standing).map(&mut fresh).collect();
+        let (mut oldest, mut token) = (0, standing);
+        for round in (swap_every..rounds).step_by(swap_every) {
+            schedule[round] = vec![
+                Message::FlowletEnd {
+                    token: Token::new(oldest),
+                },
+                fresh(token),
+            ];
+            oldest += 1;
+            token += 1;
+        }
+        Replay { rounds: schedule }
+    }
+
+    /// flowbench's `churn-web` shape: 0–18 starts a round (9 on
+    /// average) between seeded pairs of distinct servers, each living
+    /// 1–200 rounds, so ≈ 950 flowlets are live once the first lives
+    /// have run out — for `rounds` rounds.
+    pub fn web(fabric: &TwoTierClos, seed: u64, rounds: usize) -> Replay {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let servers = fabric.config().server_count() as u64;
+        let mut schedule = vec![Vec::new(); rounds];
+        let mut token = 0u32;
+        for round in 0..rounds {
+            for _ in 0..xorshift(&mut rng) % 19 {
+                let src = xorshift(&mut rng) % servers;
+                let dst = (src + 1 + xorshift(&mut rng) % (servers - 1)) % servers;
+                schedule[round].push(start(fabric, token, src as u16, dst as u16));
+                let end = round + 1 + (xorshift(&mut rng) % 200) as usize;
+                if end < rounds {
+                    schedule[end].push(Message::FlowletEnd {
+                        token: Token::new(token),
+                    });
+                }
+                token += 1;
+            }
+        }
+        Replay { rounds: schedule }
+    }
+
     /// Records the notification stream of a scenario run driven against
     /// the oracle under `plane`, returning the schedule and the
     /// oracle's report.

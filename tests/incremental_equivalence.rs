@@ -83,14 +83,16 @@ fn incremental_is_bit_for_bit_the_full_sweep_at_eps_zero() {
 #[test]
 fn eps_divergence_is_bounded_and_sweep_cadence_caps_drift() {
     // With a positive dirty eps the incremental engine may hold a flow's
-    // rate at a value computed from prices up to eps stale, so its rates
-    // drift from the full sweep's — the acceptance criterion is that the
-    // drift stays O(eps) at every sweep cadence, not that it vanishes.
-    // Constant: link prices diverge by under 1×eps, and a rate's
-    // sensitivity to a path-price move is dx = (x²/w)·dλ — with ~18
-    // Gbit/s unit-weight flows that is ~320 per link, ~10³ over a
-    // path — so 10⁴×eps gives an order of magnitude of headroom while
-    // still catching unbounded drift (which compounds per tick and
+    // rate at a value computed from stale prices, so its rates drift
+    // from the full sweep's — the acceptance criterion is that the drift
+    // stays bounded at every sweep cadence, not that it vanishes.
+    // Constant: a price re-dirties its flows once it moves by more than
+    // a quarter `Rate16` step (2⁻¹³) relative to what they last read, or
+    // by eps where that is larger (not on these priced links). Every
+    // link of a path is then within 2⁻¹³ relative, so is the path price
+    // λ, and so is a log-utility rate x = w/λ: ≈ 2.2·10⁻³ Gbit/s on the
+    // ~18 Gbit/s flows here. 10⁴×eps = 10⁻² Gbit/s leaves ≈ 4.5× headroom
+    // while still catching unbounded drift (which compounds per tick and
     // would blow through any fixed multiple within the 500 ticks).
     let fabric = fabric();
     let eps = 1e-6;
@@ -186,6 +188,53 @@ fn quiet_ticks_rerun_no_flow_between_sweeps() {
         }
     }
     assert_eq!(sweeps, 5);
+}
+
+#[test]
+fn a_swap_cycle_at_wire_precision_reruns_fewer_flows_than_the_exact_plane() {
+    // The cascade a swap starts on a converged `quiet100k`-shaped plane:
+    // at wire precision a link's flows re-run only when one of their
+    // prices moves by more than a quarter `Rate16` step, and the exact
+    // plane (dirty_eps 0) re-runs them on any bit change — on this plane,
+    // every flow every tick. A whole swap cycle, the swap's tick to the
+    // next swap, counted as rate passes re-run (`dirty_flows`). The
+    // bound is the count measured when the relative test landed
+    // (111 091, four periodic sweeps of 4096 included; the exact plane
+    // re-ran 1 048 576), with a tenth of headroom: a cascade that grows
+    // back fails here as a count, whatever the machine.
+    const SWAP: usize = 256;
+    const BOUND: u64 = 122_000;
+    let fabric = TwoTierClos::build(ClosConfig::multicore(4, 2, 16));
+    let replay = Replay::swaps(&fabric, 4096, SWAP, 3 * SWAP, 1);
+    let cycle = |dirty_eps: f64| {
+        let cfg = FlowtuneConfig {
+            incremental: true,
+            dirty_eps,
+            full_sweep_every: 64,
+            ..FlowtuneConfig::default()
+        };
+        let mut svc = AllocatorService::new(&fabric, cfg);
+        let mut before = 0;
+        for (round, msgs) in replay.rounds.iter().enumerate() {
+            if round == 2 * SWAP {
+                before = svc.stats().dirty_flows;
+            }
+            for msg in msgs {
+                svc.on_message(*msg).unwrap();
+            }
+            svc.tick();
+        }
+        svc.stats().dirty_flows - before
+    };
+    let (wire, exact) = (cycle(1e-9), cycle(0.0));
+    assert!(
+        wire < exact,
+        "wire precision re-ran {wire} flows in a swap cycle, the exact plane {exact}"
+    );
+    assert!(
+        wire <= BOUND,
+        "a swap cycle re-ran {wire} flows (> {BOUND})"
+    );
 }
 
 proptest! {

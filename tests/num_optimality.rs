@@ -2,6 +2,9 @@
 //! on it) must land on allocations that can be derived by hand from the
 //! proportional-fairness KKT conditions.
 
+mod common;
+
+use flowtune::{AllocatorService, FlowtuneConfig};
 use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_num::solver::solve;
 use flowtune_num::{Ned, NumProblem, SolverState, Utility};
@@ -103,5 +106,37 @@ fn block_allocator_agrees_with_analytic_shares_on_a_fabric() {
             collisions[spine_of[s]],
             spine_of[s]
         );
+    }
+}
+
+#[test]
+fn the_service_certifies_its_converged_rates_within_the_update_threshold() {
+    // This file's fabric instance, and a triangle on the same fabric
+    // (server 0's uplink shared by its flows to 1 and to 40, server 40's
+    // downlink by the flows into it from 0 and from 41), run through the
+    // service at the default configuration: the §6.4 threshold (1 %) as
+    // capacity headroom, F-NORM on. Converged, the rates it hands out
+    // are certified within the threshold of the optimum in utility —
+    // `gap ≤ 0.01 · Σ w`, what a uniform 1 % rate shortfall would cost —
+    // with no solver, and feasible.
+    let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 16));
+    let fabric_instance: Vec<(u16, u16)> = (0..16).map(|s| (s, 32 + s)).collect();
+    let triangle = vec![(0, 1), (0, 40), (41, 40)];
+    for (name, pairs) in [("fabric", fabric_instance), ("triangle", triangle)] {
+        let mut svc = AllocatorService::new(&fabric, FlowtuneConfig::default());
+        for (token, &(src, dst)) in pairs.iter().enumerate() {
+            svc.on_message(common::start(&fabric, token as u32, src, dst))
+                .unwrap();
+        }
+        for _ in 0..2000 {
+            svc.tick();
+        }
+        let cert = svc.certificate();
+        let weights = pairs.len() as f64;
+        assert!(cert.gap() >= 0.0, "{name}: {cert:?}");
+        assert!(cert.gap() <= 0.01 * weights, "{name}: {cert:?}");
+        assert!(cert.peak_util <= 1.0 + 1e-12, "{name}: {cert:?}");
+        assert!(cert.peak_held <= 1.0, "{name}: {cert:?}");
+        println!("{name}: gap {:e} Σw, {cert:?}", cert.gap() / weights);
     }
 }

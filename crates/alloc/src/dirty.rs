@@ -45,10 +45,14 @@
 //! dirty and nothing moved in the last diff, a quiet iteration skips the
 //! link phases entirely (exact at `eps = 0`: a markless diff means the
 //! update reproduced its input bitwise). Under a positive `eps`, skipped
-//! updates accumulate staleness bounded by the relative rule — a price
-//! or ratio within a quarter `Rate16` step of what its flows last read;
-//! a periodic full sweep (`full_sweep_every`) re-marks every worker to
-//! rebuild all accumulators from scratch and bound the drift.
+//! updates hold back a Newton residual within the relative rule — a
+//! price or ratio within a quarter `Rate16` step of what its flows last
+//! read. Every `full_sweep_every`-th iteration forces one pass of the
+//! link phases to apply it; that pass re-prices no flow by itself, only
+//! the workers whose links its diff marks. Nothing compounds in
+//! between: a snapshot moves only when its link marks, so no flow reads
+//! a price further than the rule from the one it last read, and a worker
+//! that re-runs rebuilds its accumulators from scratch.
 
 use crate::reduce::{members, position, Dir, DIRS};
 
@@ -69,11 +73,11 @@ pub(crate) struct DirtySet {
     /// `0` marks any change; otherwise the absolute floor of
     /// [`DirtySet::moved`]'s relative rule.
     pub(crate) eps: f64,
-    /// Force-mark every worker each time `iter` hits a multiple of this
-    /// (`0` = never).
+    /// Force a pass of the link phases each time `iter` hits a multiple
+    /// of this (`0` = never); it re-prices no flow by itself.
     pub(crate) full_sweep_every: u64,
     /// Iterations run so far — the epoch counter behind the lazy
-    /// accumulator clears and the full-sweep schedule.
+    /// accumulator clears and the forced link passes.
     pub(crate) iter: u64,
     /// Grid dimension B.
     pub(crate) blocks: usize,

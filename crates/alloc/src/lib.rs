@@ -105,10 +105,12 @@ pub struct AllocConfig {
     /// passes touch only those. With `dirty_eps = 0` the incremental path
     /// is bit-for-bit identical to the full sweep.
     pub incremental: bool,
-    /// When incremental, force a full rate-pass sweep every this many
-    /// iterations to rebuild every accumulator from scratch and bound
-    /// float drift under a positive `dirty_eps` (`0` = never; at
-    /// `dirty_eps = 0` the sweep is a bitwise no-op).
+    /// When incremental, force a pass of the link phases (aggregate,
+    /// price update, diff) every this many iterations, so the Newton
+    /// residual that quiet iterations hold back under a positive
+    /// `dirty_eps` is applied; it re-prices no flow by itself, only the
+    /// flows whose links that pass moves (`0` = never; at `dirty_eps = 0`
+    /// the pass is a bitwise no-op).
     pub full_sweep_every: u64,
     /// How far a price or ratio must move to mark its link's flows dirty.
     /// `0.0` (the default) is exact: any bit change marks, which keeps

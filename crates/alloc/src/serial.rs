@@ -484,19 +484,23 @@ impl SerialAllocator {
     /// input bitwise (same prices, same loads), so the skipped update is
     /// the identity. For `eps > 0` the suppressed residual is within the
     /// dirty test's threshold (`DirtySet::moved`, a quarter `Rate16` step
-    /// relative) by construction, and the periodic full sweep re-marks
-    /// every worker, letting the next price update apply it before float
-    /// drift can compound.
+    /// relative) by construction.
+    ///
+    /// Every `full_sweep_every`-th iteration forces one pass of the link
+    /// phases (aggregate, price update, diff) whatever the dirty set
+    /// says, so that residual is still applied; only the workers whose
+    /// links that diff marks re-run, and no flow re-runs for the cadence
+    /// itself. At `eps = 0` the forced pass is the identity the skip
+    /// stands for; at `eps > 0` nothing compounds without a re-pricing
+    /// sweep (`crate::dirty` says why).
     // flowtune-lint: hot
     fn sweep(&mut self) {
         let mut moving = true;
         if let Some(ds) = &mut self.dirty {
             ds.drain_intake();
-            if ds.full_sweep_every > 0 && ds.iter.is_multiple_of(ds.full_sweep_every) {
-                ds.rate_dirty.fill(true);
-            }
+            let forced = ds.full_sweep_every > 0 && ds.iter.is_multiple_of(ds.full_sweep_every);
             ds.iter += 1;
-            moving = ds.moving;
+            moving = ds.moving || forced;
         }
         if self.rate_phase() || moving {
             self.aggregate_and_price();

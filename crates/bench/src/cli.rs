@@ -35,10 +35,11 @@ shared experiment flags:
                           are recomputed; quiet ticks cost O(changed), not
                           O(flows) (config incremental; default off; at
                           --dirty-eps 0 bit-for-bit equal to the full sweep)
-  --full-sweep-every K    incremental only: force a full rate-pass sweep every
-                          K iterations to bound float drift under a positive
-                          dirty eps (config full_sweep_every; default 64;
-                          0 = never)
+  --full-sweep-every K    incremental only: force a pass of the link phases
+                          every K iterations, applying the price residual
+                          quiet ticks hold back under a positive dirty eps;
+                          re-prices no flow by itself (config
+                          full_sweep_every; default 64; 0 = never)
   --dirty-eps X           incremental only: 0 re-dirties a link's flows on any
                           price/ratio change (exact equivalence); X > 0 only
                           on a move beyond a quarter Rate16 step (2^-13)

@@ -85,10 +85,12 @@ pub struct FlowtuneConfig {
     /// `O(changed)`, not `O(flows)`. Off by default; at `dirty_eps = 0`
     /// the output is bit-for-bit identical to the full sweep.
     pub incremental: bool,
-    /// Incremental mode only: force a full rate-pass sweep every this
-    /// many iterations, rebuilding every accumulator from scratch to
-    /// bound float drift under a positive `dirty_eps` (`0` = never; at
-    /// `dirty_eps = 0` the sweep is a bitwise no-op).
+    /// Incremental mode only: force a pass of the engine's link phases
+    /// (aggregate, price update, diff) every this many iterations, so
+    /// the Newton residual that quiet ticks hold back under a positive
+    /// `dirty_eps` is applied. The pass re-prices no flow by itself, only
+    /// the flows whose links it moves (`0` = never; at `dirty_eps = 0` it
+    /// is a bitwise no-op).
     pub full_sweep_every: u64,
     /// Incremental mode only: how far a price or ratio must move to
     /// re-dirty a link's flows. `0.0` (the default) marks on any bit

@@ -16,15 +16,26 @@
 //!   flows traverse moved this iteration (F-NORM reads ratios, not
 //!   prices).
 //!
-//! What counts as a move is [`DirtySet::moved`]'s one rule. At `eps = 0`
-//! it is any change of value. At a positive `eps` it is a move beyond
-//! [`REL`] — a quarter of the `Rate16` step a rate leaves the allocator
-//! with — of the snapshot, or beyond `eps` itself where that is larger:
-//! `eps` is only the absolute floor for an idle dual decaying toward 0.
-//! Finer re-pricing changes no byte an endpoint can receive, bar a rate
-//! at a rounding boundary; the duality gap of `crate::certificate` is how
-//! such a plane is judged against the exact one, since its update stream
+//! What counts as a move is [`DirtySet::moved`]'s one rule: a move
+//! beyond [`DirtySet::slack`] of the snapshot. At `eps = 0` the slack is
+//! zero and any change of value marks. At a positive `eps` it is [`REL`]
+//! — a quarter of the `Rate16` step a rate leaves the allocator with —
+//! of the snapshot, or `eps` itself where that is larger: `eps` is only
+//! the absolute floor for an idle dual decaying toward 0. Finer
+//! re-pricing changes no byte an endpoint can receive, bar a rate at a
+//! rounding boundary; the duality gap of `crate::certificate` is how such
+//! a plane is judged against the exact one, since its update stream
 //! differs.
+//!
+//! Two consequences of the slack keep a positive-`eps` plane close to the
+//! exact one. F-NORM reads each link's *ratio ceiling*, snapshot plus
+//! slack — the largest ratio that passes unmarked — so a clean worker's
+//! normalized rates never load a link past its capacity. And the NED
+//! price step is *anchored* at the price snapshot (the price the link's
+//! crossers last read): it steps on the load those flows would carry at
+//! the current price, to first order, so a link whose crossers have not
+//! re-run yet does not repeat its last move every time the link phases
+//! run. Both are no-ops at `eps = 0`.
 //!
 //! The correctness invariant is *output equivalence at `eps = 0`*: a
 //! clean worker's accumulators and rates are bitwise what a recompute
@@ -49,10 +60,12 @@
 //! price or ratio within a quarter `Rate16` step of what its flows last
 //! read. Every `full_sweep_every`-th iteration forces one pass of the
 //! link phases to apply it; that pass re-prices no flow by itself, only
-//! the workers whose links its diff marks. Nothing compounds in
-//! between: a snapshot moves only when its link marks, so no flow reads
-//! a price further than the rule from the one it last read, and a worker
-//! that re-runs rebuilds its accumulators from scratch.
+//! the workers whose links its diff marks, and with the anchored step a
+//! pass over loads that have not changed does not repeat the last
+//! pass's move: on a settled plane it marks nothing. Nothing compounds
+//! in between: a snapshot moves only when its link marks, so no flow
+//! reads a price further than the rule from the one it last read, and a
+//! worker that re-runs rebuilds its accumulators from scratch.
 
 use crate::reduce::{members, position, Dir, DIRS};
 
@@ -100,9 +113,12 @@ pub(crate) struct DirtySet {
     pub(crate) touch: [Vec<Vec<u32>>; 2],
     /// Per direction, per block: the LinkBlock's prices as of the last
     /// time each link was marked (diffs compare against these, with
-    /// `> eps` hysteresis).
+    /// [`DirtySet::slack`] hysteresis) — the prices the links' crossers
+    /// last read, and so also the NED step's anchor
+    /// (`flowblock::price_update`).
     pub(crate) prev_prices: [Vec<Vec<f64>>; 2],
-    /// Per direction, per block: the utilization-ratio snapshots.
+    /// Per direction, per block: the utilization-ratio snapshots; F-NORM
+    /// reads each plus its slack at a positive `eps`.
     pub(crate) prev_ratio: [Vec<Vec<f64>>; 2],
     /// Per direction, per block, per offset: marked by intake since the
     /// last iteration (observability: `dirty_link_ids`).
@@ -220,21 +236,28 @@ impl DirtySet {
         }
     }
 
+    /// How far a price or ratio may move from its snapshot `snap`
+    /// without re-running the flows that read it: `0` at `eps == 0`, so
+    /// any change of value marks and the incremental tick stays the full
+    /// sweep bit for bit. Otherwise [`REL`] of the snapshot, with `eps`
+    /// as the absolute floor where the snapshot is near zero (an idle
+    /// dual decaying toward it).
+    // flowtune-lint: hot
+    #[inline]
+    pub(crate) fn slack(&self, snap: f64) -> f64 {
+        if self.eps == 0.0 {
+            0.0
+        } else {
+            (REL * snap.abs()).max(self.eps)
+        }
+    }
+
     /// Has a price or ratio moved from its snapshot `snap` to `new` by
-    /// enough to re-run the flows that read it? Exact at `eps == 0`: any
-    /// change of value marks, so the incremental tick stays the full
-    /// sweep bit for bit. Otherwise the move must exceed [`REL`] of the
-    /// snapshot, with `eps` as the absolute floor where the snapshot is
-    /// near zero (an idle dual decaying toward it).
+    /// more than [`DirtySet::slack`]?
     // flowtune-lint: hot
     #[inline]
     pub(crate) fn moved(&self, new: f64, snap: f64) -> bool {
-        let delta = (new - snap).abs();
-        if self.eps == 0.0 {
-            delta > 0.0
-        } else {
-            delta > (REL * snap.abs()).max(self.eps)
-        }
+        (new - snap).abs() > self.slack(snap)
     }
 
     /// A price of LinkBlock `(d, blk)` moved beyond eps to `p`, by a
@@ -274,6 +297,23 @@ mod tests {
         assert_eq!(ds.touch[UP][1][0], 1);
         assert_eq!(ds.touch[UP][1][2], 0);
         assert_eq!(ds.intake_list.len(), 3, "remove re-marks its links");
+    }
+
+    #[test]
+    fn a_ratio_at_its_ceiling_has_not_moved() {
+        // F-NORM reads `snap + slack(snap)` between marks: the test must
+        // let that very value pass, at either precision, and mark the
+        // next float above it.
+        for eps in [0.0, 1e-9, 0.5] {
+            let ds = DirtySet::new(1, 1, eps, 0);
+            for snap in [0.0, 1e-12, 0.37, 0.99, 1.0, 3.5, 1e6] {
+                let ceiling = snap + ds.slack(snap);
+                assert!(!ds.moved(ceiling, snap), "eps {eps}, snap {snap}");
+                let above = f64::from_bits(ceiling.to_bits() + 1);
+                assert!(ds.moved(above, snap), "eps {eps}, snap {snap}");
+            }
+        }
+        assert_eq!(DirtySet::new(1, 1, 0.0, 0).slack(0.5), 0.0);
     }
 
     #[test]

@@ -424,8 +424,9 @@ fn offsets(pair: &[u16; 2]) -> [u16; 2] {
 
 /// Kernel 2 — NED price update (Algorithm 1, eq. 4) plus utilization
 /// ratios, over one LinkBlock's authoritative (aggregated) `[load,
-/// hessian]` pairs. `capacity` has one entry per real link and bounds
-/// the walk, so a sentinel entry in `prices` / `ratios` is never touched.
+/// hessian]` pairs, into its `view`. `capacity` has one entry per real
+/// link and bounds the walk, so the view's sentinel entry is never
+/// touched.
 ///
 /// `background` is the exogenous per-link load of flows *outside* this
 /// engine (a partitioned allocator's other shards, offsets matching
@@ -436,24 +437,38 @@ fn offsets(pair: &[u16; 2]) -> [u16; 2] {
 /// count, which pushes the effective γ out of its stable range. `None`
 /// for either means no exogenous term, and takes exactly the
 /// pre-exchange arithmetic path (bit-for-bit).
+///
+/// `anchor` is, per link, the price the link's own flows last read (an
+/// incremental grid's dirty-test snapshot). A loaded link then steps on
+/// the load those flows would carry at the current price, to first
+/// order: `G = (total − c) + H_own·(p − anchor)`, so a price whose
+/// crossers have not re-run yet does not repeat the move it already
+/// made. Unsharded that is `p_newton − γ·(p − anchor)`; with a background
+/// Hessian the term is scaled by `H_own / H_total`. Where `p == anchor`
+/// the term is `H·0` and adds nothing, so an exact grid (whose prices
+/// always equal their snapshots here) takes the same bits as `None`,
+/// which is the unanchored arithmetic.
 // flowtune-lint: hot, float-kernel
 pub fn price_update(
     acc: &[[f64; 2]],
     background: Option<&[f64]>,
     background_h: Option<&[f64]>,
+    anchor: Option<&[f64]>,
     capacity: &[f64],
     gamma: f64,
-    prices: &mut [f64],
-    ratios: &mut [f64],
+    view: &mut PriceView,
 ) {
+    let PriceView { prices, ratios } = view;
     for l in 0..capacity.len() {
         let [load, h] = acc[l];
         let total = load + background.map_or(0.0, |b| b[l]);
         ratios[l] = total / capacity[l];
         if h < 0.0 {
-            let h = h + background_h.map_or(0.0, |b| b[l]);
+            let p = prices[l];
             let g = total - capacity[l];
-            prices[l] = (prices[l] - gamma * g / h).max(0.0);
+            let g = anchor.map_or(g, |a| g + h * (p - a[l]));
+            let h = h + background_h.map_or(0.0, |b| b[l]);
+            prices[l] = (p - gamma * g / h).max(0.0);
         } else {
             // No *own* flow crosses this link, so its price carries no
             // information for this engine: decay the stale value (the
@@ -504,7 +519,9 @@ pub enum PriceRule {
 }
 
 impl PriceRule {
-    /// Runs this rule's kernel over one LinkBlock's totals.
+    /// Runs this rule's kernel over one LinkBlock's totals. Only NED's
+    /// step reads `anchor` ([`price_update`]); a gradient step is
+    /// `γ_G·G` whatever the flows last read.
     // flowtune-lint: hot, float-kernel
     #[inline]
     pub fn update(
@@ -512,21 +529,16 @@ impl PriceRule {
         acc: &[[f64; 2]],
         background: Option<&[f64]>,
         background_h: Option<&[f64]>,
+        anchor: Option<&[f64]>,
         capacity: &[f64],
-        prices: &mut [f64],
-        ratios: &mut [f64],
+        view: &mut PriceView,
     ) {
         match self {
-            PriceRule::Ned => price_update(
-                acc,
-                background,
-                background_h,
-                capacity,
-                GAMMA,
-                prices,
-                ratios,
-            ),
+            PriceRule::Ned => {
+                price_update(acc, background, background_h, anchor, capacity, GAMMA, view);
+            }
             PriceRule::Gradient(step) => {
+                let PriceView { prices, ratios } = view;
                 gradient_price_update(acc, background, capacity, step, prices, ratios);
             }
         }
@@ -799,34 +811,25 @@ mod tests {
         assert_eq!(flows.rates[0], 10.0);
     }
 
+    /// A view over `prices`, its ratios zero.
+    fn view_of(prices: &[f64]) -> PriceView {
+        PriceView {
+            prices: prices.to_vec(),
+            ratios: vec![0.0; prices.len()],
+        }
+    }
+
     #[test]
     fn price_update_moves_toward_balance() {
-        let mut prices = vec![0.1];
-        let mut ratios = vec![0.0];
+        let mut view = view_of(&[0.1]);
         // Overloaded link: 15 on capacity 10, h = -100.
-        price_update(
-            &[[15.0, -100.0]],
-            None,
-            None,
-            &[10.0],
-            1.0,
-            &mut prices,
-            &mut ratios,
-        );
-        assert!((prices[0] - 0.15).abs() < 1e-12); // 0.1 - 1·5/(-100)
-        assert!((ratios[0] - 1.5).abs() < 1e-12);
+        price_update(&[[15.0, -100.0]], None, None, None, &[10.0], 1.0, &mut view);
+        assert!((view.prices[0] - 0.15).abs() < 1e-12); // 0.1 - 1·5/(-100)
+        assert!((view.ratios[0] - 1.5).abs() < 1e-12);
         // Unused link decays.
-        let mut p2 = vec![0.8];
-        price_update(
-            &[[0.0, 0.0]],
-            None,
-            None,
-            &[10.0],
-            1.0,
-            &mut p2,
-            &mut ratios,
-        );
-        assert_eq!(p2[0], 0.4);
+        let mut idle = view_of(&[0.8]);
+        price_update(&[[0.0, 0.0]], None, None, None, &[10.0], 1.0, &mut idle);
+        assert_eq!(idle.prices[0], 0.4);
     }
 
     #[test]
@@ -834,47 +837,71 @@ mod tests {
         // Own load 5 + background 10 on capacity 10: over-subscribed by 5
         // even though the own flows alone fit.
         let own = [[5.0, -100.0]];
-        let mut prices = vec![0.1];
-        let mut ratios = vec![0.0];
-        price_update(
-            &own,
-            Some(&[10.0]),
-            None,
-            &[10.0],
-            1.0,
-            &mut prices,
-            &mut ratios,
-        );
-        assert!((prices[0] - 0.15).abs() < 1e-12); // 0.1 - 1·5/(-100)
+        let mut view = view_of(&[0.1]);
+        price_update(&own, Some(&[10.0]), None, None, &[10.0], 1.0, &mut view);
+        assert!((view.prices[0] - 0.15).abs() < 1e-12); // 0.1 - 1·5/(-100)
 
         // The background's Hessian contribution widens |H|, shrinking the
         // Newton step: same g, twice the sensitivity, half the move.
-        let mut p3 = vec![0.1];
+        let mut view = view_of(&[0.1]);
         price_update(
             &own,
             Some(&[10.0]),
             Some(&[-100.0]),
+            None,
             &[10.0],
             1.0,
-            &mut p3,
-            &mut ratios,
+            &mut view,
         );
-        assert!((p3[0] - 0.125).abs() < 1e-12); // 0.1 - 1·5/(-200)
-        assert!((ratios[0] - 1.5).abs() < 1e-12);
+        assert!((view.prices[0] - 0.125).abs() < 1e-12); // 0.1 - 1·5/(-200)
+        assert!((view.ratios[0] - 1.5).abs() < 1e-12);
         // A link only the *other* shards use still decays: the price is
         // meaningless to an engine none of whose flows cross it.
-        let mut p2 = vec![0.8];
+        let mut idle = view_of(&[0.8]);
         price_update(
             &[[0.0, 0.0]],
             Some(&[25.0]),
             Some(&[-1.0]),
+            None,
             &[10.0],
             1.0,
-            &mut p2,
-            &mut ratios,
+            &mut idle,
         );
-        assert_eq!(p2[0], 0.4);
-        assert!((ratios[0] - 2.5).abs() < 1e-12, "ratio sees background");
+        assert_eq!(idle.prices[0], 0.4);
+        assert!(
+            (idle.ratios[0] - 2.5).abs() < 1e-12,
+            "ratio sees background"
+        );
+    }
+
+    #[test]
+    fn an_anchored_step_discounts_the_move_its_flows_have_not_answered() {
+        // Loaded link: own load 15 + background 2 on capacity 10 (G = 7),
+        // own H = -100, background H = -300 (H_total = -400), p = 0.5,
+        // anchor 0.3. The Newton step alone: 0.5 - 0.4·7/(-400) = 0.507.
+        // Anchored: minus γ·(H_own/H_total)·(p - anchor) = 0.4·0.25·0.2.
+        let acc = [[15.0, -100.0], [8.0, -1.0], [0.0, 0.0]];
+        let bg = Some(&[2.0, 0.0, 0.0][..]);
+        let bg_h = Some(&[-300.0, 0.0, 0.0][..]);
+        let (cap, anchor) = ([10.0; 3], [0.3, 0.0, 0.3]);
+        let mut plain = view_of(&[0.5, 1.0, 0.8]);
+        let mut view = plain.clone();
+        price_update(&acc, bg, bg_h, None, &cap, GAMMA, &mut plain);
+        price_update(&acc, bg, bg_h, Some(&anchor), &cap, GAMMA, &mut view);
+        assert!((plain.prices[0] - 0.507).abs() < 1e-12);
+        assert!((view.prices[0] - (0.507 - 0.4 * 0.25 * 0.2)).abs() < 1e-12);
+        // Far above its anchor, the anchored step clamps at zero where
+        // the Newton step alone lands at 1 - 0.4·2 = 0.2.
+        assert!((plain.prices[1] - 0.2).abs() < 1e-12);
+        assert_eq!(view.prices[1], 0.0);
+        // An idle link decays whatever its anchor says.
+        assert_eq!(view.prices[2], 0.4);
+        assert_eq!(view.ratios, plain.ratios);
+        // Unsharded the term is γ·(p - anchor) itself.
+        let mut view = view_of(&[0.5]);
+        price_update(&acc, None, None, Some(&anchor), &[10.0], GAMMA, &mut view);
+        let newton = 0.5 - GAMMA * 5.0 / -100.0;
+        assert!((view.prices[0] - (newton - GAMMA * 0.2)).abs() < 1e-12);
     }
 
     #[test]
@@ -905,11 +932,10 @@ mod tests {
     fn price_update_leaves_the_sentinel_alone() {
         // Arrays one longer than `capacity`, as the engines pass them:
         // the sentinel's garbage accumulator must not reach its price.
-        let mut prices = vec![0.1, 0.0];
-        let mut ratios = vec![0.0, 0.0];
+        let mut view = view_of(&[0.1, 0.0]);
         let acc = [[15.0, -100.0], [123.0, -456.0]];
-        price_update(&acc, None, None, &[10.0], 1.0, &mut prices, &mut ratios);
-        assert_eq!((prices[1], ratios[1]), (0.0, 0.0));
+        price_update(&acc, None, None, None, &[10.0], 1.0, &mut view);
+        assert_eq!((view.prices[1], view.ratios[1]), (0.0, 0.0));
     }
 
     #[test]
@@ -1242,6 +1268,42 @@ mod tests {
             seed in any::<u64>(),
         ) {
             check_kernels_against_oracle(n, SHAPES[shape], zero_rates, seed);
+        }
+
+        // An anchor at the price adds `H·0`: the anchored step is the
+        // unanchored one bit for bit, which keeps an exact incremental
+        // grid on the full sweep's trajectory.
+        #[test]
+        fn an_anchor_at_the_price_changes_no_bit(
+            n in 0usize..40,
+            background in any::<bool>(),
+            background_h in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::deterministic(&format!("anchor-{seed}"));
+            let capacity: Vec<f64> = (0..n).map(|_| 1.0 + rng.unit_f64() * 40.0).collect();
+            // Idle, balanced and free links beside random loads and prices.
+            let acc: Vec<[f64; 2]> = capacity
+                .iter()
+                .map(|&c| match rng.below(4) {
+                    0 => [0.0, 0.0],
+                    1 => [c, -rng.unit_f64() * 50.0],
+                    _ => [rng.unit_f64() * 2.0 * c, -rng.unit_f64() * 50.0],
+                })
+                .collect();
+            let prices: Vec<f64> = (0..n)
+                .map(|_| if rng.below(4) == 0 { 0.0 } else { rng.unit_f64() * 3.0 })
+                .collect();
+            let bg: Vec<f64> = (0..n).map(|_| rng.unit_f64() * 10.0).collect();
+            let bg_h: Vec<f64> = (0..n).map(|_| -rng.unit_f64() * 50.0).collect();
+            let bg = background.then_some(&bg[..]);
+            let bg_h = background_h.then_some(&bg_h[..]);
+            let mut plain = view_of(&prices);
+            let mut anchored = view_of(&prices);
+            price_update(&acc, bg, bg_h, None, &capacity, GAMMA, &mut plain);
+            price_update(&acc, bg, bg_h, Some(&prices), &capacity, GAMMA, &mut anchored);
+            prop_assert_eq!(bits(&plain.prices), bits(&anchored.prices));
+            prop_assert_eq!(bits(&plain.ratios), bits(&anchored.ratios));
         }
 
         // `report_pass` against the rule it packs: the scalar

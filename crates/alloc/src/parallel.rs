@@ -141,9 +141,9 @@ impl SerialAllocator {
                             &me.acc.pairs[d],
                             bg.get(first..first + lpl),
                             bg_h.get(first..first + lpl),
+                            None,
                             layout.capacity(d, blk),
-                            &mut view.prices,
-                            &mut view.ratios,
+                            view,
                         );
                     }
                 }

@@ -492,7 +492,9 @@ impl SerialAllocator {
     /// links that diff marks re-run, and no flow re-runs for the cadence
     /// itself. At `eps = 0` the forced pass is the identity the skip
     /// stands for; at `eps > 0` nothing compounds without a re-pricing
-    /// sweep (`crate::dirty` says why).
+    /// sweep (`crate::dirty` says why), and the NED step's anchor
+    /// (`flowblock::price_update`) keeps a pass over frozen loads from
+    /// repeating the move the last one made.
     // flowtune-lint: hot
     fn sweep(&mut self) {
         let mut moving = true;
@@ -559,7 +561,12 @@ impl SerialAllocator {
     /// all the same. The reduced totals trade places with the
     /// LinkBlock's [`LinkTotals`] buffer — no copy; the next reduction
     /// overwrites all of a live `partials[0]` — so the exports read
-    /// exactly what the update was given.
+    /// exactly what the update was given. With a dirty set the NED step
+    /// is anchored at the price snapshots (`DirtySet::prev_prices`, the
+    /// prices the links' crossers last read): it steps on the load those
+    /// flows would carry at the current price, so a link whose crossers
+    /// have not re-run does not repeat its last move. At `eps = 0` every
+    /// price equals its snapshot here and the anchor changes no bit.
     // flowtune-lint: hot, float-kernel
     fn aggregate_and_price(&mut self) {
         let b = self.layout.blocks();
@@ -581,15 +588,14 @@ impl SerialAllocator {
                 } else {
                     total.fill([0.0; 2]);
                 }
-                let view = &mut self.views[d][blk];
                 let first = self.layout.first_slot(d, blk);
                 self.rule.update(
                     &self.totals[d][blk],
                     self.bg.get(first..first + lpl),
                     self.bg_h.get(first..first + lpl),
+                    self.dirty.as_ref().map(|ds| &ds.prev_prices[d][blk][..]),
                     self.layout.capacity(d, blk),
-                    &mut view.prices,
-                    &mut view.ratios,
+                    &mut self.views[d][blk],
                 );
             }
         }
@@ -603,6 +609,16 @@ impl SerialAllocator {
     /// norm-dirties
     /// traversing workers for *this* iteration's F-NORM, which reads the
     /// post-update ratios.
+    ///
+    /// At a positive `eps` each view's ratio is then replaced by its
+    /// ceiling, `snap + DirtySet::slack(snap)`: the largest ratio the test
+    /// lets pass without a mark. A ceiling changes only on a mark, and a
+    /// mark re-normalizes every crosser of the link, so every flow divides
+    /// by at least the current ratio and F-NORM's load stays within
+    /// capacity up to rounding. The current ratio is at least the
+    /// snapshot less one slack, so a rate gives up at most two slacks
+    /// (2⁻¹², half a `Rate16` step) against F-NORM at the current ratio.
+    /// At `eps = 0` the ratios are left as the update wrote them.
     // flowtune-lint: hot
     fn diff_and_mark(&mut self) {
         let lpl = self.layout.links_per_lb();
@@ -618,8 +634,9 @@ impl SerialAllocator {
         // price or ratio anywhere moved — touched or not —
         // which is the precondition for freezing the price phases.
         ds.moving = false;
+        let ceilings = ds.eps > 0.0;
         for d in DIRS {
-            for (blk, view) in views[d].iter().enumerate() {
+            for (blk, view) in views[d].iter_mut().enumerate() {
                 for o in 0..lpl {
                     let p = view.prices[o];
                     if ds.moved(p, ds.prev_prices[d][blk][o]) {
@@ -630,6 +647,10 @@ impl SerialAllocator {
                         ds.moving = true;
                         ds.prev_ratio[d][blk][o] = r;
                         ds.mark_crossers(d, blk, o, true);
+                    }
+                    if ceilings {
+                        let snap = ds.prev_ratio[d][blk][o];
+                        view.ratios[o] = snap + ds.slack(snap);
                     }
                 }
             }

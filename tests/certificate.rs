@@ -108,7 +108,7 @@ fn judge(label: &str, engine: Engine, fabric: &TwoTierClos, replay: &Replay) -> 
         let diff = (certs[0].gap() - certs[1].gap()).abs() / live_weight;
         assert!(diff <= 1.0 / 2048.0, "{at}: the gaps differ by {diff:e} Σw");
         for cert in &certs {
-            assert!(cert.peak_util <= 1.0 + 1e-6, "{at}");
+            assert!(cert.peak_util <= 1.0 + 1e-12, "{at}");
             assert!(cert.peak_held <= 1.0, "{at}");
             verdict.gap = verdict.gap.max(cert.gap() / live_weight);
             verdict.peak_util = verdict.peak_util.max(cert.peak_util);

@@ -5,12 +5,16 @@
 //! endpoints. [`Router`] is the part of a partitioned allocator that makes
 //! it so, and it does not care where the shards live:
 //!
-//! * **intake** — every `FlowletStart` goes to the shard that owns its
-//!   **source endpoint**, as decided by a [`Placement`]; token-addressed
-//!   messages (`FlowletEnd`) follow a token→shard table. Duplicate
-//!   tokens, unknown ends and stray rate updates are disposed of — and
-//!   counted — here, so the aggregate [`ServiceStats`] equal an unsharded
-//!   service's byte for byte;
+//! * **intake** — every message goes to exactly one shard's service,
+//!   which does all of its accounting. A `FlowletStart` goes to the shard
+//!   that already holds its token (which refuses it as a duplicate), else
+//!   to the shard that owns its **source endpoint**, as decided by a
+//!   [`Placement`]; a `FlowletEnd` goes to the shard holding its token,
+//!   else to shard 0, which ignores it; a stray `RateUpdate` goes to
+//!   shard 0, which rejects it. The router keeps no index of its own —
+//!   it asks the shards, whose token indexes it would only duplicate —
+//!   and no counters, so the shards' summed [`ServiceStats`] equal an
+//!   unsharded service's byte for byte;
 //! * **the tick** — the shards tick (however their [`ShardSet`] runs
 //!   them) and append their unordered passers to one [`Passers`] batch
 //!   the router owns, which it orders once: token sets are disjoint
@@ -32,7 +36,8 @@
 //! statically dispatched either way, and so is every call a shard's
 //! service makes into its grid.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 
 use flowtune_alloc::Certificate;
@@ -83,13 +88,11 @@ pub trait ShardSet: std::fmt::Debug + Send {
 #[derive(Debug)]
 pub struct Router<S: ShardSet> {
     shards: S,
-    /// token → shard, for `FlowletEnd` routing and rate queries.
-    route: HashMap<Token, u32>,
     /// The endpoint→shard mapping `FlowletStart`s route by.
     placement: Placement,
-    /// Counters for the messages the router disposed of itself
-    /// (duplicates, unknown ends, stray rate updates).
-    local: ServiceStats,
+    /// The keyed hasher every shard's token index runs under, so that a
+    /// token hashed once here probes them all.
+    hasher: RandomState,
     /// Every shard's passers of the tick, ordered once into its stream;
     /// reused across ticks so a quiet tick allocates nothing.
     passers: Passers,
@@ -99,13 +102,14 @@ pub struct Router<S: ShardSet> {
 }
 
 impl<S: ShardSet> Router<S> {
-    /// Routes over `shards` by `placement`.
+    /// Routes over `shards` by `placement`, re-keying every shard's token
+    /// index under the router's one hasher.
     ///
     /// # Panics
     /// Panics if `shards` is empty, the shards disagree on the fabric or
     /// the configuration, or the placement's shape (server count, shard
     /// count) does not match.
-    pub fn over(shards: S, placement: Placement) -> Self {
+    pub fn over(mut shards: S, placement: Placement) -> Self {
         let n = shards.shard_count();
         assert!(n > 0, "a router needs at least one shard");
         let first = shards.service(0);
@@ -129,11 +133,14 @@ impl<S: ShardSet> Router<S> {
             n,
             "placement must map onto exactly the built shards"
         );
+        let hasher = RandomState::new();
+        for i in 0..n {
+            shards.service_mut(i).share_hasher(&hasher);
+        }
         Self {
             shards,
-            route: HashMap::new(),
             placement,
-            local: ServiceStats::default(),
+            hasher,
             passers: Passers::default(),
             emit_time: Duration::ZERO,
         }
@@ -176,9 +183,11 @@ impl<S: ShardSet> Router<S> {
         Certificate::over(self.shards().map(AllocatorService::grid))
     }
 
-    /// The shard an active flowlet is registered in.
+    /// The shard an active flowlet is registered in: the one whose
+    /// service holds the token.
     pub fn shard_for_token(&self, token: Token) -> Option<usize> {
-        self.route.get(&token).map(|&s| s as usize)
+        let hash = self.hasher.hash_one(token.get());
+        (0..self.shards.shard_count()).find(|&i| self.shards.service(i).holds(hash, token))
     }
 
     /// [`TickDriver::tick_into`] reporting a failed tick as the shard
@@ -203,39 +212,19 @@ impl<S: ShardSet> Router<S> {
 }
 
 impl<S: ShardSet> TickDriver for Router<S> {
-    /// Routes an endpoint notification to its shard; the behavior —
-    /// including rejection counting — matches the unsharded service.
+    /// Hands an endpoint notification to the one shard that answers it
+    /// (see the module docs); the behavior — including rejection
+    /// counting — matches the unsharded service.
     fn on_message(&mut self, msg: Message) -> Result<(), ServiceError> {
-        match msg {
-            Message::FlowletStart { token, src, .. } => {
-                if self.route.contains_key(&token) {
-                    // Cross-shard duplicate detection must happen here: the
-                    // original may live in a different shard than the one
-                    // `src` routes to.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    self.local.rejected += 1;
-                    return Err(ServiceError::DuplicateToken(token));
-                }
-                let shard = self.placement.shard_of(src);
-                self.shards.service_mut(shard).on_message(msg)?;
-                self.route.insert(token, shard as u32);
-                Ok(())
-            }
-            Message::FlowletEnd { token } => match self.route.remove(&token) {
-                Some(shard) => self.shards.service_mut(shard as usize).on_message(msg),
-                None => {
-                    // Unknown ends are ignored (predecessor allocator or
-                    // re-keyed endpoint), but their bytes still arrived.
-                    self.local.bytes_in += msg.encoded_len() as u64;
-                    Ok(())
-                }
-            },
-            Message::RateUpdate { .. } => {
-                self.local.bytes_in += msg.encoded_len() as u64;
-                self.local.rejected += 1;
-                Err(ServiceError::UnexpectedRateUpdate)
-            }
-        }
+        let shard = match msg {
+            // The holder refuses a live token, whatever shard `src` maps to.
+            Message::FlowletStart { token, src, .. } => self
+                .shard_for_token(token)
+                .unwrap_or_else(|| self.placement.shard_of(src)),
+            Message::FlowletEnd { token } => self.shard_for_token(token).unwrap_or(0),
+            Message::RateUpdate { .. } => 0,
+        };
+        self.shards.service_mut(shard).on_message(msg)
     }
 
     /// # Panics
@@ -250,20 +239,18 @@ impl<S: ShardSet> TickDriver for Router<S> {
     }
 
     fn flow_rate_gbps(&self, token: Token) -> Option<f64> {
-        let &shard = self.route.get(&token)?;
-        self.shards.service(shard as usize).flow_rate_gbps(token)
+        self.shards().find_map(|s| s.flow_rate_gbps(token))
     }
 
     fn active_flows(&self) -> usize {
-        self.route.len()
+        self.shards().map(AllocatorService::active_flows).sum()
     }
 
     fn stats(&self) -> ServiceStats {
-        let mut total = self.local;
+        let mut total = self.shards.exchange_stats();
         for s in self.shards() {
             total += s.stats();
         }
-        total += self.shards.exchange_stats();
         total
     }
 

@@ -665,6 +665,25 @@ impl AllocatorService {
         Some(self.engine.flow_rate(FlowId(slot as u64))?.normalized)
     }
 
+    /// Whether `token`, hashed under the hasher
+    /// [`AllocatorService::share_hasher`] handed in, is live here — what
+    /// a router asks its shards instead of keeping a token → shard index
+    /// of its own.
+    pub(crate) fn holds(&self, hash: u64, token: Token) -> bool {
+        self.index.get(hash, holds(&self.slab, token)).is_some()
+    }
+
+    /// Re-keys the token index under `hasher`: a router hands its shards
+    /// one, so that a token it hashes once probes every shard.
+    pub(crate) fn share_hasher(&mut self, hasher: &RandomState) {
+        self.hasher = hasher.clone();
+        if self.index.len() > 0 {
+            let (slab, hasher) = (&self.slab, &self.hasher);
+            let rehash = |slot: u32| hasher.hash_one(key_token(slab[slot as usize]));
+            self.index.rehash_in_place(rehash);
+        }
+    }
+
     /// The slab slot of a live token.
     fn slot_of(&self, token: Token) -> Option<u32> {
         let hash = self.hasher.hash_one(token.get());

@@ -15,10 +15,11 @@
 //! the shard count equals the fabric's block count a shard's range is
 //! exactly one §5 block, so a shard's flows enter the fabric through its
 //! own up-LinkBlock; a traffic-aware placement groups communicating racks
-//! instead, see [`crate::placement`]), the token→shard table, duplicate
-//! and stray accounting, the one ordering of the shards' passers and stat
-//! aggregation — is the router's, and shared with every other plane (see
-//! [`crate::router`]).
+//! instead, see [`crate::placement`]), handing each message to the one
+//! shard that answers it (the shard holding its token, if any — the
+//! shards' own token indexes are the only ones), the one ordering of the
+//! shards' passers and stat aggregation — is the router's, and shared
+//! with every other plane (see [`crate::router`]).
 //! This module is what is particular to shards that share an address
 //! space: how they tick and how their link state meets. Each shard runs
 //! a full [`AllocatorService`] over the whole fabric but sees only its
@@ -601,8 +602,8 @@ mod tests {
     fn cross_shard_duplicate_tokens_are_rejected() {
         let mut svc = sharded(2);
         svc.on_message(start(7, 0, 12)).unwrap();
-        // Same token, different source — routes to the *other* shard, so
-        // only the routing layer can catch it.
+        // Same token, different source — `src` maps to the *other* shard,
+        // so the router hands the start to the shard holding the token.
         let err = svc.on_message(start(7, 12, 0)).unwrap_err();
         assert_eq!(err, ServiceError::DuplicateToken(Token::new(7)));
         assert_eq!(svc.stats().rejected, 1);
@@ -636,6 +637,71 @@ mod tests {
         assert_eq!(svc.active_flows(), 0);
         assert_eq!(svc.stats().rejected, 1);
         assert_eq!(svc.shard_for_token(Token::new(1)), None);
+    }
+
+    #[test]
+    fn a_router_over_shards_that_hold_flowlets_answers_for_them() {
+        let f = fabric();
+        let cfg = FlowtuneConfig::default();
+        let mut first = AllocatorService::new(&f, cfg);
+        first.on_message(start(7, 0, 12)).unwrap();
+        let mut svc = ShardedService::from_shards(vec![first, AllocatorService::new(&f, cfg)]);
+        assert_eq!(svc.active_flows(), 1);
+        // Source 12 maps to shard 1, but shard 0 holds the token, found
+        // under the hasher `Router::over` re-keyed shard 0's index with.
+        assert_eq!(
+            svc.on_message(start(7, 12, 0)),
+            Err(ServiceError::DuplicateToken(Token::new(7)))
+        );
+        assert_eq!(svc.active_flows(), 1);
+        svc.on_message(Message::FlowletEnd {
+            token: Token::new(7),
+        })
+        .unwrap();
+        assert_eq!(svc.stats().ends, 1, "the end reached the holder");
+        assert_eq!(svc.active_flows(), 0);
+        // A grown index is re-keyed whole.
+        let mut first = AllocatorService::new(&f, cfg);
+        for t in 1..=300 {
+            first.on_message(start(t, (t % 8) as u16, 12)).unwrap();
+        }
+        let svc = ShardedService::from_shards(vec![first, AllocatorService::new(&f, cfg)]);
+        assert!((1..=300).all(|t| svc.shard_for_token(Token::new(t)) == Some(0)));
+    }
+
+    #[test]
+    fn the_router_keeps_no_counters_of_its_own() {
+        let cfg = FlowtuneConfig {
+            exchange_every: 1,
+            ..FlowtuneConfig::default()
+        };
+        let mut svc = ShardedService::new(&fabric(), cfg, 3);
+        svc.on_message(start(7, 0, 12)).unwrap();
+        svc.tick();
+        let strays = [
+            start(7, 12, 0), // a cross-shard duplicate
+            Message::FlowletEnd {
+                token: Token::new(9),
+            },
+            Message::RateUpdate {
+                token: Token::new(5),
+                rate: Rate16::encode(1.0),
+            },
+        ];
+        for msg in strays {
+            let before: Vec<ServiceStats> = svc.shards().map(AllocatorService::stats).collect();
+            let _ = svc.on_message(msg);
+            let counted = svc.shards().zip(&before);
+            let counted = counted.filter(|(s, b)| s.stats() != **b).count();
+            assert_eq!(counted, 1, "{msg:?} is counted by exactly one shard");
+        }
+        let mut sum = svc.shard_set().exchange_stats();
+        assert!(sum.exchange_rounds > 0);
+        for shard in svc.shards() {
+            sum += shard.stats();
+        }
+        assert_eq!(svc.stats(), sum);
+        assert_eq!(svc.stats().rejected, 2);
     }
 
     #[test]

@@ -286,7 +286,8 @@ impl SlotTable {
     /// slot to place moves to the first free bucket of its own probe —
     /// or stays, if that bucket is in the same probe group as where it
     /// sits — swapping with a slot still to place where it lands on one.
-    fn rehash_in_place(&mut self, mut rehash: impl FnMut(u32) -> u64) {
+    /// `rehash` may be a new hash function: every slot is placed again.
+    pub(crate) fn rehash_in_place(&mut self, mut rehash: impl FnMut(u32) -> u64) {
         let (buckets, mask) = (self.slots.len(), self.mask());
         for at in (0..buckets).step_by(GROUP) {
             let full = !self.group(at) & MSB;

@@ -1,10 +1,10 @@
 //! A whole distributed control plane driven in lockstep from one
 //! thread: the core crate's [`Router`] over a set of [`ShardPeer`]s.
 //!
-//! Routing — `FlowletStart`s by source endpoint through a [`Placement`],
-//! token-addressed messages by the token→shard table, duplicates and
-//! strays disposed of and counted, the one ordering of every peer's
-//! passers, stat aggregation — is the router's, the same code that
+//! Routing — each message to the one peer whose service answers it:
+//! the holder of its token, else `FlowletStart`s by source endpoint
+//! through a [`Placement`] — the one ordering of every peer's passers,
+//! stat aggregation — is the router's, the same code that
 //! routes the in-process
 //! `ShardedService`. This module supplies only what a wire changes:
 //! `Peers`, the [`ShardSet`] whose tick is split-phase and whose exchange
@@ -131,7 +131,8 @@ impl<T: Transport> PeerCluster<T> {
         }
     }
 
-    /// The routing layer: placement and token table.
+    /// The routing layer: the placement, and the one ordering of the
+    /// peers' passers.
     pub fn router(&self) -> &Router<Peers<T>> {
         &self.router
     }

@@ -92,6 +92,12 @@ run_side() {
         >"$out" 2>&1 || echo "ab.sh: exit status $?" >>"$out"
 }
 
+# A flowbench build rewrites a stale benchmark/Cargo.lock; the working
+# tree's goes back as it was however the script ends.
+cp -p benchmark/Cargo.lock "$ab_dir/Cargo.lock.saved"
+trap 'cp -p "$ab_dir/Cargo.lock.saved" benchmark/Cargo.lock' EXIT
+trap 'exit 130' INT TERM
+
 echo "ab.sh: $workload, parent ${sha:0:7} vs working tree, $pairs pairs, seed $seed, $seconds s a run, trace $trace" >&2
 runs=$ab_dir/runs/$workload-$seed-$(date +%s)
 mkdir -p "$runs"

@@ -5,11 +5,15 @@
 # `worse` and exit non-zero; a level one must exit 0. Against parents
 # whose state_mb runs are identical, a change 16 bytes lower must not read
 # `gain` (the floor: a tenth of the bound times the parent's median),
-# while one 5 % lower must.
+# while one 5 % lower must. Last, scripts/ab.sh itself runs two pairs
+# over a stand-in `cargo` that rewrites the benchmark/Cargo.lock it builds
+# against, as a real flowbench build of a stale lock does: the lock must
+# come back byte for byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 dir=$(mktemp -d)
-trap 'rm -rf "$dir"' EXIT
+cp -p benchmark/Cargo.lock "$dir/Cargo.lock"
+trap 'cp -p "$dir/Cargo.lock" benchmark/Cargo.lock; rm -rf "$dir"' EXIT
 
 # record <set> <pair> <side> <rounds_per_s> [<state_mb>]
 record() {
@@ -52,4 +56,32 @@ if ! grep -q '^state_mb .* gain$' <<<"$out"; then
     echo "ab_selftest: a 5 % state_mb drop did not read as a gain" >&2
     exit 1
 fi
-echo "ab_selftest: ok (level set passed, worse set refused, a 16-byte drop no gain, a 5 % drop a gain)"
+# The stand-in `cargo build`: appends to the lock beside the manifest and
+# writes a flowbench that prints the level set's first change run.
+mkdir -p "$dir/bin"
+cat >"$dir/bin/cargo" <<EOC
+#!/usr/bin/env bash
+while [ \$# -gt 0 ]; do
+    case \$1 in
+    --target-dir) target=\$2 ;;
+    --manifest-path) manifest=\$2 ;;
+    esac
+    shift
+done
+echo "# rewritten by a build" >>"\$(dirname "\$manifest")/Cargo.lock"
+mkdir -p "\$target/release"
+printf '#!/bin/sh\ncat %s\n' "$dir/level/1-change.txt" >"\$target/release/flowbench"
+chmod +x "\$target/release/flowbench"
+EOC
+chmod +x "$dir/bin/cargo"
+if ! PATH="$dir/bin:$PATH" AB_DIR="$dir/ab" bash scripts/ab.sh HEAD steady4k \
+    --pairs 2 --seconds 1 >"$dir/ab.out" 2>&1; then
+    cat "$dir/ab.out"
+    echo "ab_selftest: ab.sh over the stand-in builds failed" >&2
+    exit 1
+fi
+if ! cmp -s "$dir/Cargo.lock" benchmark/Cargo.lock; then
+    echo "ab_selftest: ab.sh left benchmark/Cargo.lock rewritten" >&2
+    exit 1
+fi
+echo "ab_selftest: ok (level set passed, worse set refused, a 16-byte drop no gain, a 5 % drop a gain, benchmark/Cargo.lock restored)"

@@ -11,18 +11,27 @@
 //! scratch, and the agents' share their slabs and indexes. The harness's
 //! own buffers are freed before either is measured.
 //!
+//! The same flowlets are then admitted, one after the other, through a
+//! 4-shard `ShardedService` over the same fabric and configuration (its
+//! shards ticked on the caller's thread), and the router is measured the
+//! same way: its shards' services and engines, its one batch of passers
+//! and whatever index of its own it keeps — none, since the shards'
+//! token indexes answer for it.
+//!
 //! Run with `-- --nocapture` to see the split. The bounds are the bytes
 //! per flowlet after the dense index, the 52-byte FlowBlock row, the
 //! 32-byte agent row, tables that grow by a quarter, an export with no
 //! sort buffer of its own, a flow table of export keys and two slot
 //! tables in place of std's hashed maps (ARCHITECTURE, "Bytes per
-//! flowlet"); their predecessors, 99.0 and 67.5 bytes, fail it. This lives in its own integration-test binary so the counter sees
-//! nothing but this test.
+//! flowlet"); their predecessors, 99.0 and 67.5 bytes, fail it. The
+//! router's bound fails a router that keeps a token → shard map (std's
+//! map of token and shard, 9 B a bucket). This lives in its own
+//! integration-test binary so the counter sees nothing but this test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
-use flowtune::{AllocatorService, EndpointAgent, FlowtuneConfig};
+use flowtune::{AllocatorService, EndpointAgent, FlowtuneConfig, ShardedService, TickDriver};
 use flowtune_topo::clos::splitmix64;
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
@@ -75,6 +84,10 @@ const TICKS: usize = 4;
 const SERVICE_BOUND: f64 = 95.0;
 /// Bytes a flowlet may cost the endpoint agents.
 const AGENTS_BOUND: f64 = 53.0;
+/// Shards behind the router, as in `shard4`.
+const SHARDS: usize = 4;
+/// Bytes a flowlet may cost the 4-shard router and its shards.
+const ROUTER_BOUND: f64 = 110.0;
 
 #[test]
 fn a_standing_flowlet_fits_the_byte_budget_on_both_sides() {
@@ -102,6 +115,7 @@ fn a_standing_flowlet_fits_the_byte_budget_on_both_sides() {
     // Uniform pairs; a source numbers its flows 0, 1, 2, … as the
     // flowbench trace's per-source slots do.
     let mut next_slot = vec![0u64; servers];
+    let mut starts = Vec::with_capacity(FLOWLETS as usize);
     for k in 0..FLOWLETS {
         let draw = splitmix64(k ^ 0x5eed);
         let src = (draw % servers as u64) as usize;
@@ -113,6 +127,7 @@ fn a_standing_flowlet_fits_the_byte_budget_on_both_sides() {
             .on_backlog(flow, dst as u16, 1_000_000, 0)
             .expect("a fresh flow starts a flowlet");
         svc.on_message(start).expect("the start is well formed");
+        starts.push(start);
     }
     assert_eq!(svc.active_flows(), FLOWLETS as usize);
     let mut updates = Vec::new();
@@ -133,6 +148,28 @@ fn a_standing_flowlet_fits_the_byte_budget_on_both_sides() {
     drop(svc);
     let service_bytes = with_service - live();
 
+    // The router, measured alone: the unsharded plane is gone.
+    let mut router = ShardedService::new(
+        &fabric,
+        FlowtuneConfig {
+            parallel_shards: false,
+            ..cfg
+        },
+        SHARDS,
+    );
+    for start in starts.drain(..) {
+        router.on_message(start).expect("the start is well formed");
+    }
+    assert_eq!(router.active_flows(), FLOWLETS as usize);
+    let mut updates = Vec::new();
+    for _ in 0..TICKS {
+        router.tick_into(&mut updates);
+    }
+    drop((updates, starts));
+    let with_router = live();
+    drop(router);
+    let router_bytes = with_router - live();
+
     let per = |bytes: i64| bytes as f64 / FLOWLETS as f64;
     println!(
         "bytes per flowlet ({FLOWLETS} flowlets, {servers} agents, {TICKS} ticks; \
@@ -148,6 +185,11 @@ fn a_standing_flowlet_fits_the_byte_budget_on_both_sides() {
         agent_bytes,
         per(agent_bytes)
     );
+    println!(
+        "  {SHARDS}-shard router    {:>10} B  {:>6.1} B a flowlet (bound {ROUTER_BOUND})",
+        router_bytes,
+        per(router_bytes)
+    );
     assert!(
         per(service_bytes) <= SERVICE_BOUND,
         "the service and its engine hold {:.1} B a flowlet",
@@ -157,5 +199,10 @@ fn a_standing_flowlet_fits_the_byte_budget_on_both_sides() {
         per(agent_bytes) <= AGENTS_BOUND,
         "the agents hold {:.1} B a flowlet",
         per(agent_bytes)
+    );
+    assert!(
+        per(router_bytes) <= ROUTER_BOUND,
+        "the {SHARDS}-shard router holds {:.1} B a flowlet",
+        per(router_bytes)
     );
 }

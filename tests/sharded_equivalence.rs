@@ -149,20 +149,19 @@ fn two_shards_match_unsharded_rates_on_a_cross_block_workload() {
 
 #[test]
 fn message_intake_stats_match_byte_for_byte_at_any_shard_count() {
-    // The routing layer disposes of some messages itself (cross-shard
-    // duplicates, unknown `FlowletEnd`s, stray rate updates) and counts
-    // them in its own `local` stats; everything else is counted by the
-    // owning shard. Whichever layer does the counting, the *aggregate*
-    // must equal the unsharded service's counters byte for byte — in
-    // particular `bytes_in` for unknown ends, which arrive and are
-    // ignored on both paths. No ticks here: this pins pure intake
+    // The routing layer hands every message to one shard, which counts
+    // it: a cross-shard duplicate to the shard holding its token, an
+    // unknown `FlowletEnd` or a stray rate update to shard 0. Whichever
+    // shard does the counting, the *aggregate* must equal the unsharded
+    // service's counters byte for byte — in particular `bytes_in` for
+    // unknown ends, which arrive and are ignored on both paths. No ticks here: this pins pure intake
     // accounting, independent of engine trajectories.
     let fabric = fabric();
     let mut msgs = workload(&fabric);
     msgs.push(Message::RateUpdate {
         token: Token::new(3),
         rate: flowtune_proto::Rate16::encode(2.0),
-    }); // stray update: rejected at the routing layer
+    }); // stray update: rejected by shard 0
     msgs.push(start(&fabric, 50, 9999, 1)); // malformed: clamped, then rejected
     msgs.push(Message::FlowletEnd {
         token: Token::new(50), // end of a rejected start: unknown

@@ -105,11 +105,15 @@ impl SerialAllocator {
     }
 
     /// Adds this grid's flow terms and per-slot loads to `sums` and
-    /// raises each slot's dual to this grid's where it is larger.
+    /// raises each slot's dual to this grid's where it is larger. The
+    /// flow terms and the primal are summed into this grid's own partials
+    /// first and then added, so a plane's primal is exactly the sum of
+    /// its shards' own certificates' primals.
     // flowtune-lint: float-kernel
     fn add_to(&self, sums: &mut Sums) {
         let b = self.layout.blocks();
         let lpl = self.layout.links_per_lb();
+        let (mut terms, mut primal) = (0.0, 0.0);
         for (w, worker) in self.workers.iter().enumerate() {
             let prices = views_of(&self.views, w, b).map(|v| &v.prices[..]);
             let first = DIRS.map(|d| self.layout.first_slot(d, position(d, w, b).0));
@@ -125,8 +129,8 @@ impl SerialAllocator {
                 }
                 let weight = flows.weight[slot];
                 let x = weight / q.max(flows.floor[slot]);
-                sums.flows += weight * x.ln() - q * x;
-                sums.primal += weight * flows.normalized[slot].ln();
+                terms += weight * x.ln() - q * x;
+                primal += weight * flows.normalized[slot].ln();
                 let held = held(flows, slot);
                 for d in DIRS {
                     for &o in path[d] {
@@ -137,6 +141,8 @@ impl SerialAllocator {
                 }
             }
         }
+        sums.flows += terms;
+        sums.primal += primal;
         for d in DIRS {
             for (blk, view) in self.views[d].iter().enumerate() {
                 let first = self.layout.first_slot(d, blk);

@@ -118,6 +118,7 @@ impl BlockLayout {
     }
 
     /// Global link ids of LinkBlock `(d, b)`, in slot order.
+    #[cfg(test)]
     pub(crate) fn links(&self, d: Dir, b: usize) -> &[LinkId] {
         &self.slot_links[self.first_slot(d, b)..][..self.links_per_lb]
     }

@@ -103,7 +103,11 @@ pub struct AllocConfig {
     /// move (see [`AllocConfig::dirty_eps`]) on a link their flows
     /// traverse, or had flows added/removed, and the rate/normalize
     /// passes touch only those. With `dirty_eps = 0` the incremental path
-    /// is bit-for-bit identical to the full sweep.
+    /// is bit-for-bit identical to the full sweep. Off by default here —
+    /// the exact full sweep the equivalence suites and the §6.1 tables
+    /// drive — while a service's `FlowtuneConfig::default()` turns it on
+    /// at wire precision. At most 64 blocks (one crosser-mask bit per
+    /// member of a LinkBlock).
     pub incremental: bool,
     /// When incremental, force a pass of the link phases (aggregate,
     /// price update, diff) every this many iterations, so the Newton

@@ -69,6 +69,7 @@ pub(crate) fn member(d: Dir, blk: usize, k: usize, b: usize) -> usize {
 }
 
 /// The LinkBlock `(d, blk)`'s members, in virtual-index order.
+#[cfg(test)]
 pub(crate) fn members(d: Dir, blk: usize, b: usize) -> impl Iterator<Item = usize> {
     (0..b).map(move |k| member(d, blk, k, b))
 }

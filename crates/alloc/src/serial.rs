@@ -206,9 +206,10 @@ impl SerialAllocator {
     ///
     /// # Panics
     /// Panics on a block count that is not a power of two, a
-    /// `capacity_fraction` outside `(0, 1]`, or a `dirty_eps` that is not
+    /// `capacity_fraction` outside `(0, 1]`, a `dirty_eps` that is not
     /// a finite value ≥ 0 (a `NaN` or infinite one would never re-dirty a
-    /// worker).
+    /// worker), or an incremental grid of more than 64 blocks (one
+    /// crosser-mask bit per member of a LinkBlock).
     pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
         assert!(
             fabric.block_count().is_power_of_two(),
@@ -417,9 +418,10 @@ impl SerialAllocator {
         let Some(ds) = &self.dirty else {
             return Vec::new();
         };
+        let links = self.layout.slot_links();
         ds.intake_list
             .iter()
-            .map(|&(d, block, offset)| self.layout.links(d, block as usize)[offset as usize])
+            .map(|&slot| links[slot as usize])
             .collect()
     }
 
@@ -483,7 +485,7 @@ impl SerialAllocator {
     /// which means the last price update already reproduced its own
     /// input bitwise (same prices, same loads), so the skipped update is
     /// the identity. For `eps > 0` the suppressed residual is within the
-    /// dirty test's threshold (`DirtySet::moved`, a quarter `Rate16` step
+    /// dirty test's threshold (`dirty::moved`, a quarter `Rate16` step
     /// relative) by construction.
     ///
     /// Every `full_sweep_every`-th iteration forces one pass of the link
@@ -593,7 +595,9 @@ impl SerialAllocator {
                     &self.totals[d][blk],
                     self.bg.get(first..first + lpl),
                     self.bg_h.get(first..first + lpl),
-                    self.dirty.as_ref().map(|ds| &ds.prev_prices[d][blk][..]),
+                    self.dirty
+                        .as_ref()
+                        .map(|ds| &ds.prev_prices[first..][..lpl]),
                     self.layout.capacity(d, blk),
                     &mut self.views[d][blk],
                 );
@@ -602,16 +606,16 @@ impl SerialAllocator {
     }
 
     /// Diff phase (with a dirty set only): compare the fresh prices and
-    /// ratios against the per-link snapshots. A price that moved
-    /// (`DirtySet::moved`) rate-dirties every traversing worker for the
-    /// *next* iteration (the rates they computed this iteration used the
-    /// pre-update price — exactly like the full sweep); a ratio that moved
-    /// norm-dirties
+    /// ratios against the per-link snapshots, one flat pass per LinkBlock
+    /// (`DirtySet::diff`). A price that moved (`dirty::moved`)
+    /// rate-dirties every traversing worker for the *next* iteration (the
+    /// rates they computed this iteration used the pre-update price —
+    /// exactly like the full sweep); a ratio that moved norm-dirties
     /// traversing workers for *this* iteration's F-NORM, which reads the
     /// post-update ratios.
     ///
     /// At a positive `eps` each view's ratio is then replaced by its
-    /// ceiling, `snap + DirtySet::slack(snap)`: the largest ratio the test
+    /// ceiling, `snap + dirty::slack(snap)`: the largest ratio the test
     /// lets pass without a mark. A ceiling changes only on a mark, and a
     /// mark re-normalizes every crosser of the link, so every flow divides
     /// by at least the current ratio and F-NORM's load stays within
@@ -634,25 +638,9 @@ impl SerialAllocator {
         // price or ratio anywhere moved — touched or not —
         // which is the precondition for freezing the price phases.
         ds.moving = false;
-        let ceilings = ds.eps > 0.0;
         for d in DIRS {
             for (blk, view) in views[d].iter_mut().enumerate() {
-                for o in 0..lpl {
-                    let p = view.prices[o];
-                    if ds.moved(p, ds.prev_prices[d][blk][o]) {
-                        ds.price_moved(d, blk, o, p);
-                    }
-                    let r = view.ratios[o];
-                    if ds.moved(r, ds.prev_ratio[d][blk][o]) {
-                        ds.moving = true;
-                        ds.prev_ratio[d][blk][o] = r;
-                        ds.mark_crossers(d, blk, o, true);
-                    }
-                    if ceilings {
-                        let snap = ds.prev_ratio[d][blk][o];
-                        view.ratios[o] = snap + ds.slack(snap);
-                    }
-                }
+                ds.diff(d, blk, &view.prices[..lpl], &mut view.ratios[..lpl]);
             }
         }
     }
@@ -828,23 +816,15 @@ impl SerialAllocator {
         let mut staged = self.staged.chunks_exact(lpl);
         for d in DIRS {
             for (blk, view) in self.views[d].iter_mut().enumerate() {
-                let held = view.prices[..lpl].iter_mut();
+                let held = &mut view.prices[..lpl];
                 let staged = staged.next().unwrap_or_default();
                 let Some(ds) = &mut self.dirty else {
-                    for (held, &p) in held.zip(staged) {
+                    for (held, &p) in held.iter_mut().zip(staged) {
                         *held = if p.is_nan() { *held } else { p };
                     }
                     continue;
                 };
-                for (o, (held, &p)) in held.zip(staged).enumerate() {
-                    if p.is_nan() {
-                        continue;
-                    }
-                    if ds.moved(p, *held) {
-                        ds.price_moved(d, blk, o, p);
-                    }
-                    *held = p;
-                }
+                ds.install(d, blk, held, staged);
             }
         }
     }
@@ -964,6 +944,7 @@ mod tests {
             if let Some(ds) = dirty {
                 for d in DIRS {
                     for (blk, view) in views[d].iter().enumerate() {
+                        let first = layout.first_slot(d, blk);
                         for (o, link) in layout.links(d, blk).iter().enumerate() {
                             let p = prices[link.index()];
                             if p.is_nan() || !ds.moved(p, view.prices[o]) {
@@ -971,12 +952,14 @@ mod tests {
                             }
                             ds.moving = true;
                             ds.dirty_links += 1;
-                            ds.prev_prices[d][blk][o] = p;
+                            ds.prev_prices[first + o] = p;
                             // The LinkBlock's workers: grid row `blk` up,
-                            // column `blk` down.
+                            // column `blk` down; each one's touch count
+                            // sits at its member index.
                             for k in 0..b {
                                 let w = if d == UP { blk * b + k } else { k * b + blk };
-                                if ds.touch[d][w][o] > 0 {
+                                let member = position(d, w, b).1;
+                                if ds.touch[(first + o) * b + member] > 0 {
                                     ds.rate_dirty[w] = true;
                                 }
                             }
@@ -1806,9 +1789,14 @@ mod tests {
         let ds = inc.dirty.as_ref().unwrap();
         // The touch arrays have no slot for it, and exactly the real hops
         // are counted.
-        assert!(ds.touch.iter().flatten().all(|t| t.len() == lpl));
-        assert_eq!(ds.touch[UP][0].iter().sum::<u32>(), 1);
-        assert_eq!(ds.touch[DOWN][0].iter().sum::<u32>(), 1);
+        let b = inc.layout.blocks();
+        assert_eq!(ds.touch.len(), 2 * b * lpl * b);
+        for d in DIRS {
+            let run = inc.layout.first_slot(d, 0)..inc.layout.first_slot(d, 0) + lpl;
+            let counts = &ds.touch[run.start * b..run.end * b];
+            assert_eq!(counts.iter().sum::<u32>(), 1);
+            assert_eq!(ds.crossers[run].iter().filter(|&&m| m != 0).count(), 1);
+        }
         let mut dirty = inc.dirty_link_ids();
         dirty.sort_unstable();
         let mut want = p.links().to_vec();
@@ -1817,7 +1805,8 @@ mod tests {
         inc.iterate();
         assert!(inc.remove_flow(FlowId(1)));
         let ds = inc.dirty.as_ref().unwrap();
-        assert!(ds.touch.iter().flat_map(|t| &t[0]).all(|&t| t == 0));
+        assert!(ds.touch.iter().all(|&t| t == 0));
+        assert!(ds.crossers.iter().all(|&m| m == 0));
         assert_eq!(inc.dirty_link_ids().len(), 2);
     }
 

@@ -33,8 +33,10 @@ shared experiment flags:
   --incremental[=on|off]  incremental ticks of the grid engines (serial,
                           multicore, gradient): only flows whose links moved
                           are recomputed; quiet ticks cost O(changed), not
-                          O(flows) (config incremental; default off; at
-                          --dirty-eps 0 bit-for-bit equal to the full sweep)
+                          O(flows) (config incremental; default on; at
+                          --dirty-eps 0 bit-for-bit equal to the full sweep;
+                          =off runs the full sweep, and is what puts
+                          --engine multicore on its worker pool)
   --full-sweep-every K    incremental only: force a pass of the link phases
                           every K iterations, applying the price residual
                           quiet ticks hold back under a positive dirty eps;
@@ -44,7 +46,7 @@ shared experiment flags:
                           price/ratio change (exact equivalence); X > 0 only
                           on a move beyond a quarter Rate16 step (2^-13)
                           relative, X the absolute floor for idle duals
-                          (config dirty_eps; default 0)
+                          (config dirty_eps; default 1e-9, wire precision)
   --placement P           endpoint-to-shard placement: contiguous|traffic
                           (config placement; default contiguous; traffic
                           groups communicating racks from the workload's
@@ -383,7 +385,7 @@ mod tests {
                 &["--parallel-shards=off"],
             ),
             ("placement", "--placement", &["--placement", "traffic"]),
-            ("incremental", "--incremental", &["--incremental"]),
+            ("incremental", "--incremental", &["--incremental=off"]),
             (
                 "full_sweep_every",
                 "--full-sweep-every",
@@ -446,11 +448,12 @@ mod tests {
 
     #[test]
     fn incremental_flags_reach_the_config() {
-        // Flag absent: the config defaults stand (incremental off).
+        // Flag absent: the config defaults stand (incremental on, at
+        // wire precision).
         let d = parse(&[]);
-        assert!(!d.config().incremental);
+        assert!(d.config().incremental);
         assert_eq!(d.config().full_sweep_every, 64);
-        assert_eq!(d.config().dirty_eps, 0.0);
+        assert_eq!(d.config().dirty_eps, 1e-9);
         // Bare flag / =on / =off all parse.
         assert!(parse(&["--incremental"]).config().incremental);
         assert!(parse(&["--incremental=on"]).config().incremental);

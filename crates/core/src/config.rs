@@ -82,8 +82,11 @@ pub struct FlowtuneConfig {
     /// which FlowBlock workers saw flow churn or a price move beyond
     /// [`FlowtuneConfig::dirty_eps`] on a traversed link, and the
     /// flow-proportional passes touch only those — quiet ticks cost
-    /// `O(changed)`, not `O(flows)`. Off by default; at `dirty_eps = 0`
-    /// the output is bit-for-bit identical to the full sweep.
+    /// `O(changed)`, not `O(flows)`, and a settled plane re-prices
+    /// nothing. On by default; at `dirty_eps = 0` the output is
+    /// bit-for-bit identical to the full sweep. An incremental grid
+    /// iterates on the caller's thread, so the `multicore` engine's pool
+    /// runs only with this off; the fabric may have at most 64 blocks.
     pub incremental: bool,
     /// Incremental mode only: force a pass of the engine's link phases
     /// (aggregate, price update, diff) every this many iterations, so
@@ -93,12 +96,13 @@ pub struct FlowtuneConfig {
     /// is a bitwise no-op).
     pub full_sweep_every: u64,
     /// Incremental mode only: how far a price or ratio must move to
-    /// re-dirty a link's flows. `0.0` (the default) marks on any bit
-    /// change — exact equivalence with the full sweep. Any positive value
-    /// runs at wire precision: a move must exceed a quarter `Rate16` step
-    /// (2⁻¹³) relative to the last marked value, and this value is only
-    /// that test's absolute floor, for idle duals decaying toward 0. The
-    /// duality gap ([`AllocatorService::certificate`](crate::AllocatorService::certificate))
+    /// re-dirty a link's flows. `0.0` marks on any bit change — exact
+    /// equivalence with the full sweep. Any positive value — `1e-9`, the
+    /// default — runs at wire precision: a move must exceed a quarter
+    /// `Rate16` step (2⁻¹³) relative to the last marked value, and this
+    /// value is only that test's absolute floor, for idle duals decaying
+    /// toward 0. The duality gap
+    /// ([`AllocatorService::certificate`](crate::AllocatorService::certificate))
     /// judges such a plane against the exact one. The knob goes once
     /// flowbench's `quiet100k` plane stops setting it (ROADMAP item 27).
     pub dirty_eps: f64,
@@ -161,9 +165,9 @@ impl Default for FlowtuneConfig {
             update_threshold: 0.01,
             flowlet_idle_ps: 30_000_000, // 30 µs
             f_norm: true,
-            incremental: false,
+            incremental: true,
             full_sweep_every: 64,
-            dirty_eps: 0.0,
+            dirty_eps: 1e-9,
             exchange_every: 0,
             exchange_delta_eps: 0.0,
             parallel_shards: true,
@@ -198,12 +202,16 @@ mod tests {
         assert_eq!(TICK_INTERVAL_PS, 10_000_000);
         assert_eq!(c.update_threshold, 0.01);
         assert!((c.capacity_fraction() - 0.99).abs() < 1e-12);
-        // Incremental ticks are opt-in; the full-sweep cadence and zero
-        // eps defaults keep the incremental output bit-for-bit equal to
-        // the full sweep when they are enabled.
-        assert!(!c.incremental);
+        // Every service ticks incrementally at wire precision: a rate
+        // leaves only as a `Rate16` past the 1 % threshold, so re-pricing
+        // below a quarter step changes nothing an endpoint can see.
+        assert!(c.incremental);
         assert_eq!(c.full_sweep_every, 64);
-        assert_eq!(c.dirty_eps, 0.0);
+        assert_eq!(c.dirty_eps, 1e-9);
+        // The grid's own default stays the exact full sweep.
+        let a = flowtune_alloc::AllocConfig::default();
+        assert!(!a.incremental);
+        assert_eq!(a.dirty_eps, 0.0);
         // Exchange is opt-in: the default preserves the independent-shard
         // behavior sharded deployments had before the exchange existed.
         assert_eq!(c.exchange_every, 0);

@@ -45,11 +45,23 @@ impl Ended {
     }
 }
 
+/// A draining flow: what it was admitted with and what is left, so a
+/// leaver is credited `size − remaining` — a flow that ran out, exactly
+/// its size, whatever the per-tick moves summed to.
 #[derive(Debug)]
 struct Row {
     key: Token,
+    size: f64,
     remaining: f64,
-    delivered: f64,
+}
+
+impl Row {
+    fn ended(&self) -> Ended {
+        Ended {
+            key: self.key,
+            delivered_bytes: self.size - self.remaining,
+        }
+    }
 }
 
 /// The table of draining flows: rows sorted by token, so a drain visits —
@@ -95,8 +107,8 @@ impl FluidFlows {
             at,
             Row {
                 key,
+                size: bytes,
                 remaining: bytes,
-                delivered: 0.0,
             },
         );
     }
@@ -113,14 +125,10 @@ impl FluidFlows {
         ended.clear();
         self.rows.retain_mut(|row| {
             let moved = (rate_of(row.key) * bytes_per_gbit_tick).min(row.remaining);
-            row.delivered += moved;
             row.remaining -= moved;
             let done = row.remaining <= 0.0;
             if done {
-                ended.push(Ended {
-                    key: row.key,
-                    delivered_bytes: row.delivered,
-                });
+                ended.push(row.ended());
             }
             !done
         });
@@ -131,10 +139,8 @@ impl FluidFlows {
     /// bytes it moved so far; ascending key order, as [`FluidFlows::drain`].
     pub fn cut_all(&mut self) -> &[Ended] {
         self.ended.clear();
-        self.ended.extend(self.rows.drain(..).map(|row| Ended {
-            key: row.key,
-            delivered_bytes: row.delivered,
-        }));
+        self.ended
+            .extend(self.rows.drain(..).map(|row| row.ended()));
         &self.ended
     }
 }

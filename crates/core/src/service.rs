@@ -228,7 +228,14 @@ pub enum Engine {
     #[default]
     Serial,
     /// §5 FlowBlock-parallel NED engine. `workers` caps the OS threads
-    /// per iteration; `0` sizes to the host.
+    /// per iteration; `0` sizes to the host. Only a full sweep runs on
+    /// the pool: an incremental grid iterates on the caller's thread, so
+    /// at the default config ([`FlowtuneConfig::incremental`] on) this
+    /// engine computes what [`Engine::Serial`] does on the caller's
+    /// thread, and takes its pool only with `incremental: false`
+    /// (`--incremental=off`).
+    ///
+    /// [`FlowtuneConfig::incremental`]: crate::FlowtuneConfig::incremental
     Multicore {
         /// OS-thread cap (0 = auto).
         workers: usize,

@@ -170,10 +170,12 @@ fn a_sharded_plane_is_certified_over_its_shards() {
     // certificate is its shards' sums — the primal theirs exactly — and
     // once the exchange's dual consensus has converged it certifies the
     // unsharded optimum: the same dual, a gap as small (both read 57.684
-    // and agree to 10⁻¹⁴), feasible loads.
+    // and agree to 10⁻¹⁴), feasible loads. Both planes run the exact full
+    // sweep; the wire-precision router is judged against it below.
     let fabric = fabric();
     let cfg = FlowtuneConfig {
         exchange_every: 1,
+        incremental: false,
         ..FlowtuneConfig::default()
     };
     let mut whole = AllocatorService::new(&fabric, cfg);
@@ -212,6 +214,60 @@ fn a_sharded_plane_is_certified_over_its_shards() {
     );
 }
 
+#[test]
+fn the_gap_referees_a_wire_precision_router() {
+    // The sharded test's schedule into two two-shard routers exchanging
+    // every tick: one at the default config (incremental, wire
+    // precision), one exact. At every tick the gaps agree within one
+    // `Rate16` step of the utility scale and the wire plane's primal is
+    // its shards' sum exactly; once quiet, its loads are within the
+    // sharded test's bound (under churn neither plane's are: each
+    // shard's F-NORM sees only its own flows).
+    let fabric = fabric();
+    let wire_cfg = FlowtuneConfig {
+        exchange_every: 1,
+        ..FlowtuneConfig::default()
+    };
+    let exact_cfg = FlowtuneConfig {
+        dirty_eps: 0.0,
+        ..wire_cfg
+    };
+    let mut planes = [wire_cfg, exact_cfg].map(|cfg| ShardedService::new(&fabric, cfg, 2));
+    let replay = Replay::churn(&fabric, 7, 120);
+    let quiet = vec![Vec::new(); 400];
+    let (mut weights, mut live_weight, mut worst) = (Vec::new(), 0.0, 0.0f64);
+    for (round, msgs) in replay.rounds.iter().chain(&quiet).enumerate() {
+        for msg in msgs {
+            live_weight += weight_change(msg, &mut weights);
+            for plane in &mut planes {
+                plane.on_message(*msg).expect("a valid schedule");
+            }
+        }
+        for plane in &mut planes {
+            plane.tick();
+        }
+        if live_weight == 0.0 {
+            continue;
+        }
+        let [wire, exact] = planes.each_ref().map(ShardedService::certificate);
+        let at = format!("round {round}: wire {wire:?}, exact {exact:?}");
+        let diff = (wire.gap() - exact.gap()).abs() / live_weight;
+        assert!(diff <= 1.0 / 2048.0, "{at}: the gaps differ by {diff:e} Σw");
+        let shards: Vec<_> = planes[0]
+            .shards()
+            .map(AllocatorService::certificate)
+            .collect();
+        assert_eq!(wire.primal, shards[0].primal + shards[1].primal, "{at}");
+        worst = worst.max(diff);
+    }
+    let wire = planes[0].certificate();
+    assert!(
+        wire.peak_util <= 1.0 + 1e-6 && wire.peak_held <= 1.0,
+        "{wire:?}"
+    );
+    println!("two shards: worst gap difference {worst:e} Σw, then {wire:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -227,7 +283,11 @@ proptest! {
     ) {
         let fabric = fabric();
         let engine = if gradient { Engine::Gradient } else { Engine::Serial };
-        let cfg = FlowtuneConfig { incremental: incremental_ticks, ..FlowtuneConfig::default() };
+        let cfg = FlowtuneConfig {
+            incremental: incremental_ticks,
+            dirty_eps: 0.0,
+            ..FlowtuneConfig::default()
+        };
         let mut plane = AllocatorService::builder()
             .fabric(&fabric)
             .config(cfg)

@@ -27,10 +27,16 @@ fn trace_flows(fabric: &TwoTierClos, n: usize, seed: u64) -> Vec<(FlowId, usize,
         .collect()
 }
 
+/// A service on `engine`'s full sweep: only a full sweep runs on the
+/// multicore engine's pool (an incremental grid, the default, iterates on
+/// the caller's thread).
 fn service_on(fabric: &TwoTierClos, engine: Engine) -> AllocatorService {
     AllocatorService::builder()
         .fabric(fabric)
-        .config(FlowtuneConfig::default())
+        .config(FlowtuneConfig {
+            incremental: false,
+            ..FlowtuneConfig::default()
+        })
         .engine(engine)
         .build()
         .expect("fabric is set")

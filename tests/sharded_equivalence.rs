@@ -225,10 +225,12 @@ fn multicore_shards_exchange_bit_for_bit_what_serial_shards_do() {
     // serial engine's from its reduction scratch — the same bits, or the
     // update streams and the shipped-entry accounting part ways (a
     // pipeline that exported all-zero loads would subscribe to nothing
-    // and price no background).
+    // and price no background). Full sweeps: an incremental grid never
+    // runs the pipeline.
     let fabric = fabric();
     let cfg = FlowtuneConfig {
         exchange_every: 1,
+        incremental: false,
         ..FlowtuneConfig::default()
     };
     let build = |engine: Engine| {
@@ -313,18 +315,17 @@ fn mem_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
         }
     }
 
-    // The two install paths the NED full sweep leaves out: a first-order
-    // exchange (gradient grids ship and receive no Hessians), and an
-    // incremental grid, whose consensus install marks the workers a
-    // moved dual invalidates.
-    let incremental = FlowtuneConfig {
-        incremental: true,
-        dirty_eps: 1e-9,
+    // The two install paths the default NED grid (incremental, at wire
+    // precision) leaves out: a first-order exchange (gradient grids ship
+    // and receive no Hessians), and the full sweep, whose install marks
+    // nothing.
+    let full_sweep = FlowtuneConfig {
+        incremental: false,
         ..FlowtuneConfig::default()
     };
     for (what, engine, cfg) in [
         ("gradient", Engine::Gradient, FlowtuneConfig::default()),
-        ("incremental", Engine::Serial, incremental),
+        ("full sweep", Engine::Serial, full_sweep),
     ] {
         let cfg = FlowtuneConfig {
             exchange_every: 1,

@@ -178,8 +178,9 @@ pub(crate) struct DirtySet {
 ///
 /// Written as a compare and select rather than `f64::max`, which also
 /// orders a `NaN` and costs a blend more per call: with `floor` never a
-/// `NaN` (a set's `eps` is finite) the two agree for every `snap`, a
-/// `NaN` or infinite one included (both give `floor`).
+/// `NaN` (a set's `eps` is finite) the two agree for every `snap`: a
+/// `NaN` snapshot gives `floor`, and an infinite one gives `floor` at
+/// `eps == 0` and `∞` otherwise.
 // flowtune-lint: hot, float-kernel
 #[inline]
 pub(crate) fn slack(snap: f64, rel: f64, floor: f64) -> f64 {

@@ -107,7 +107,8 @@ pub struct AllocConfig {
     /// the exact full sweep the equivalence suites and the §6.1 tables
     /// drive — while a service's `FlowtuneConfig::default()` turns it on
     /// at wire precision. At most 64 blocks (one crosser-mask bit per
-    /// member of a LinkBlock).
+    /// member of a LinkBlock). The pool schedule
+    /// ([`SerialAllocator::multicore`]) runs full sweeps and ignores it.
     pub incremental: bool,
     /// When incremental, force a pass of the link phases (aggregate,
     /// price update, diff) every this many iterations, so the Newton

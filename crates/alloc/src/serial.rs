@@ -266,10 +266,15 @@ impl SerialAllocator {
     /// barriers cost more than the small per-phase work gains, the
     /// paper's own profile: "Communication between CPUs in the aggregate
     /// and distribute steps took more than half of the runtime in all
-    /// experiments"). An incremental grid iterates on the caller's thread
-    /// either way: on a quiet tick almost every worker is skipped, far
-    /// below the barrier cost.
+    /// experiments"). The pool schedule is the full sweep's: it ignores
+    /// `cfg.incremental` and keeps no dirty set (an incremental tick
+    /// skips almost every worker, far below the barrier cost, so it would
+    /// gain nothing from the pool).
     pub fn multicore(fabric: &TwoTierClos, cfg: AllocConfig, workers: usize) -> Self {
+        let cfg = AllocConfig {
+            incremental: false,
+            ..cfg
+        };
         Self::new(fabric, cfg).on_pool(workers)
     }
 
@@ -294,8 +299,10 @@ impl SerialAllocator {
         }
     }
 
-    /// This grid on the pool schedule of [`SerialAllocator::multicore`].
+    /// This full-sweep grid on the pool schedule of
+    /// [`SerialAllocator::multicore`].
     pub(crate) fn on_pool(self, workers: usize) -> Self {
+        assert!(self.dirty.is_none(), "the pool schedule runs full sweeps");
         let cap = match workers {
             0 => std::thread::available_parallelism().map_or(8, |c| c.get().min(16)),
             n => n,
@@ -432,15 +439,15 @@ impl SerialAllocator {
     }
 
     /// One NED iteration, on the schedule the grid was built for: the
-    /// barrier pipeline for a [`SerialAllocator::multicore`] grid running
-    /// full sweeps, the caller's thread otherwise.
+    /// barrier pipeline for a [`SerialAllocator::multicore`] grid, the
+    /// caller's thread otherwise.
     // flowtune-lint: hot
     pub fn iterate(&mut self) {
         match self.threads {
-            Some(threads) if self.dirty.is_none() => {
+            Some(threads) => {
                 self.run_pipeline(threads, 1);
             }
-            _ => self.sweep(),
+            None => self.sweep(),
         }
     }
 
@@ -450,8 +457,8 @@ impl SerialAllocator {
     // flowtune-lint: hot
     pub fn run_iterations(&mut self, n: usize) -> Duration {
         match self.threads {
-            Some(threads) if self.dirty.is_none() => self.run_pipeline(threads, n),
-            _ => {
+            Some(threads) => self.run_pipeline(threads, n),
+            None => {
                 let t0 = Instant::now();
                 for _ in 0..n {
                     self.sweep();
@@ -1009,6 +1016,30 @@ mod tests {
         assert!((r2.rate - 20.0).abs() < 1e-6, "{r2:?}");
         // F-NORM keeps the shared uplink at its capacity.
         assert!(r1.normalized + r2.normalized <= 40.0 * (1.0 + 1e-9));
+    }
+
+    #[test]
+    fn a_multicore_grid_runs_full_sweeps_on_its_pool_whatever_the_config() {
+        let f = fabric();
+        let incremental = AllocConfig {
+            incremental: true,
+            dirty_eps: 1e-9,
+            ..cfg()
+        };
+        let mut pool = SerialAllocator::multicore(&f, incremental, 2);
+        let mut full = SerialAllocator::new(&f, cfg());
+        assert_eq!((pool.threads(), pool.dirty_counters()), (2, None));
+        for (id, (src, dst)) in [(0, 8), (0, 12), (5, 9), (13, 2)].into_iter().enumerate() {
+            let id = FlowId(id as u64);
+            let path = f.path(src, dst, id);
+            pool.add_flow(id, src, dst, 1.0, &path);
+            full.add_flow(id, src, dst, 1.0, &path);
+        }
+        pool.run_iterations(50);
+        full.run_iterations(50);
+        for id in (0..4).map(FlowId) {
+            assert_eq!(pool.flow_rate(id), full.flow_rate(id), "{id:?}");
+        }
     }
 
     #[test]

@@ -30,13 +30,13 @@ shared experiment flags:
   --parallel-shards[=on|off]
                           concurrent vs sequential sharded tick, bit-for-bit
                           identical output (config parallel_shards; default on)
-  --incremental[=on|off]  incremental ticks of the grid engines (serial,
-                          multicore, gradient): only flows whose links moved
-                          are recomputed; quiet ticks cost O(changed), not
+  --incremental[=on|off]  incremental ticks of the serial and gradient
+                          engines: only flows whose links moved are
+                          recomputed; quiet ticks cost O(changed), not
                           O(flows) (config incremental; default on; at
                           --dirty-eps 0 bit-for-bit equal to the full sweep;
-                          =off runs the full sweep, and is what puts
-                          --engine multicore on its worker pool)
+                          =off runs the full sweep; --engine multicore
+                          always runs full sweeps on its worker pool)
   --full-sweep-every K    incremental only: force a pass of the link phases
                           every K iterations, applying the price residual
                           quiet ticks hold back under a positive dirty eps;

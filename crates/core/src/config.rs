@@ -84,9 +84,9 @@ pub struct FlowtuneConfig {
     /// flow-proportional passes touch only those — quiet ticks cost
     /// `O(changed)`, not `O(flows)`, and a settled plane re-prices
     /// nothing. On by default; at `dirty_eps = 0` the output is
-    /// bit-for-bit identical to the full sweep. An incremental grid
-    /// iterates on the caller's thread, so the `multicore` engine's pool
-    /// runs only with this off; the fabric may have at most 64 blocks.
+    /// bit-for-bit identical to the full sweep. The `multicore` engine
+    /// ignores it (its pool runs full sweeps only); the fabric may have
+    /// at most 64 blocks.
     pub incremental: bool,
     /// Incremental mode only: force a pass of the engine's link phases
     /// (aggregate, price update, diff) every this many iterations, so

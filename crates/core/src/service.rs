@@ -228,12 +228,10 @@ pub enum Engine {
     #[default]
     Serial,
     /// §5 FlowBlock-parallel NED engine. `workers` caps the OS threads
-    /// per iteration; `0` sizes to the host. Only a full sweep runs on
-    /// the pool: an incremental grid iterates on the caller's thread, so
-    /// at the default config ([`FlowtuneConfig::incremental`] on) this
-    /// engine computes what [`Engine::Serial`] does on the caller's
-    /// thread, and takes its pool only with `incremental: false`
-    /// (`--incremental=off`).
+    /// per iteration; `0` sizes to the host. The pool runs full sweeps
+    /// only, so this engine ignores [`FlowtuneConfig::incremental`] and
+    /// its `full_sweep_every` / `dirty_eps`: it is the full sweep of
+    /// `Serial { incremental: false }` on the pool.
     ///
     /// [`FlowtuneConfig::incremental`]: crate::FlowtuneConfig::incremental
     Multicore {

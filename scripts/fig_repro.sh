@@ -24,15 +24,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The default config ticks incrementally at wire precision; the runs
-# that name `--incremental=off` keep the full sweep (and, for the
-# multicore engine, its worker pool) under the compare.
+# The default config ticks incrementally at wire precision; the run
+# that names `--incremental=off` keeps the serial full sweep under the
+# compare, and the multicore engine's pool runs full sweeps always.
 RUNS=(
     "fig5_update_traffic"
     "fig5_update_traffic --incremental=off"
-    "fig5_update_traffic --engine multicore --workers 2 --incremental=off"
+    "fig5_update_traffic --engine multicore --workers 2"
     "fig5_update_traffic --shards 2 --exchange-every 1"
-    "fig5_update_traffic --engine multicore --workers 2 --shards 2 --exchange-every 1 --incremental=off"
+    "fig5_update_traffic --engine multicore --workers 2 --shards 2 --exchange-every 1"
     "fig6_threshold"
     "fig6_threshold --shards 2 --exchange-every 1"
     "fig7_scaling"

@@ -18,15 +18,9 @@ const NED_ENGINES: [Engine; 2] = [Engine::Serial, Engine::Multicore { workers: 2
 fn setup_with(engine: Engine) -> (TwoTierClos, AllocatorService, Vec<EndpointAgent>) {
     let fabric = TwoTierClos::build(ClosConfig::paper_eval());
     let servers = fabric.config().server_count();
-    // Only a full sweep runs on the multicore engine's pool: its leg
-    // turns the default incremental ticks off to drive the §5 pipeline.
-    let cfg = FlowtuneConfig {
-        incremental: !matches!(engine, Engine::Multicore { .. }),
-        ..FlowtuneConfig::default()
-    };
     let svc = AllocatorService::builder()
         .fabric(&fabric)
-        .config(cfg)
+        .config(FlowtuneConfig::default())
         .engine(engine)
         .build()
         .expect("fabric is set");

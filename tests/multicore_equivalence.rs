@@ -27,9 +27,9 @@ fn trace_flows(fabric: &TwoTierClos, n: usize, seed: u64) -> Vec<(FlowId, usize,
         .collect()
 }
 
-/// A service on `engine`'s full sweep: only a full sweep runs on the
-/// multicore engine's pool (an incremental grid, the default, iterates on
-/// the caller's thread).
+/// A service on `engine`'s full sweep, the one schedule the multicore
+/// engine's pool runs: the serial side turns the default incremental
+/// ticks off to match it.
 fn service_on(fabric: &TwoTierClos, engine: Engine) -> AllocatorService {
     AllocatorService::builder()
         .fabric(fabric)

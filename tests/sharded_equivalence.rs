@@ -225,8 +225,8 @@ fn multicore_shards_exchange_bit_for_bit_what_serial_shards_do() {
     // serial engine's from its reduction scratch — the same bits, or the
     // update streams and the shipped-entry accounting part ways (a
     // pipeline that exported all-zero loads would subscribe to nothing
-    // and price no background). Full sweeps: an incremental grid never
-    // runs the pipeline.
+    // and price no background). Full sweeps, the one schedule the
+    // pipeline runs.
     let fabric = fabric();
     let cfg = FlowtuneConfig {
         exchange_every: 1,

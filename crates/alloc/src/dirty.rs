@@ -78,7 +78,20 @@
 //! ([`DirtySet::install`]) is one branch-free pass over a LinkBlock's
 //! slots — a moved flag per slot, the snapshot as a select, an OR of the
 //! moved slots' masks — and then one flag write per member. A mask is a
-//! `u64`, so an incremental grid has at most 64 blocks.
+//! `u64`, so a dirty set covers at most 64 blocks: a larger grid builds
+//! none and runs the plain sweep every tick.
+//!
+//! **The plain path.** Under churn the set can skip nothing: every worker
+//! that holds flows is rate-dirty, and the diff and the install's marks
+//! only cost. So a tick on which every such worker re-runs its rate pass
+//! is the plain sweep — no anchor, no diff, no ceilings, and an install
+//! is the plain copy — and leaves every worker rate-dirty
+//! ([`DirtySet::plain`]), so the grid stays on that path. It tries the
+//! way back on a tick with no news from outside — no intake, no install
+//! that moved a dual — and on the forced-pass cadence after the first
+//! tick: the snapshots are resynced to the views ([`DirtySet::resync`]),
+//! the prices every flow just read, and that tick diffs every link
+//! against them and decides again.
 
 use crate::reduce::{member, position, Dir, DIRS};
 
@@ -89,9 +102,9 @@ use crate::reduce::{member, position, Dir, DIRS};
 /// wire carries only where a rate sits at a rounding boundary.
 pub(crate) const REL: f64 = 1.0 / 8192.0;
 
-/// The most blocks an incremental grid may have: one bit of a crosser
-/// mask per member of a LinkBlock.
-const MAX_BLOCKS: usize = u64::BITS as usize;
+/// The most blocks a dirty set covers: one bit of a crosser mask per
+/// member of a LinkBlock.
+pub(crate) const MAX_BLOCKS: usize = u64::BITS as usize;
 
 /// Dirty-state bookkeeping for one engine's B×B worker grid.
 ///
@@ -152,6 +165,14 @@ pub(crate) struct DirtySet {
     /// The slots of the intake marks above, each once, in first-marked
     /// order.
     pub(crate) intake_list: Vec<u32>,
+    /// The last tick ran the plain sweep: every worker is rate-dirty and
+    /// no diff has kept the snapshots, so the tick back resyncs them and
+    /// an install until then is the plain copy.
+    pub(crate) plain: bool,
+    /// An install since the last tick moved a dual ([`moved`]): news
+    /// from outside the grid, as intake is, so the next tick is no way
+    /// back from the plain path.
+    pub(crate) install_moved: bool,
     /// Some price or ratio is still in motion: the last diff phase saw a
     /// move beyond `eps` on *any* link — including links no flow touches
     /// (the decay branch keeps evolving an unloaded link's dual long
@@ -218,7 +239,7 @@ impl DirtySet {
         assert!(
             blocks <= MAX_BLOCKS,
             "incremental ticks support at most {MAX_BLOCKS} blocks, got {blocks}; \
-             set `incremental: false` for a larger fabric"
+             a larger grid keeps no dirty set and sweeps every tick"
         );
         let (n, slots) = (blocks * blocks, 2 * blocks * links_per_lb);
         Self {
@@ -239,6 +260,8 @@ impl DirtySet {
             prev_ratio: vec![0.0; slots],
             intake: vec![false; slots],
             intake_list: Vec::new(),
+            plain: false,
+            install_moved: false,
             moving: true,
             dirty_flows: 0,
             dirty_links: 0,
@@ -400,7 +423,35 @@ impl DirtySet {
         }
         self.dirty_links += moves;
         self.moving |= moves != 0;
+        self.install_moved |= moves != 0;
         self.flag(d, blk, rate, 0);
+    }
+
+    /// The install after a plain tick, into one LinkBlock's real links:
+    /// the plain copy of the staged duals over the held ones (`NaN`
+    /// keeps), noting in `install_moved` whether one [`moved`]. Nothing
+    /// is marked or snapshotted — every worker is dirty already.
+    // flowtune-lint: hot, float-kernel
+    pub(crate) fn copy(&mut self, held: &mut [f64], staged: &[f64]) {
+        let (rel, floor) = (self.rel, self.eps);
+        let mut moves = false;
+        for (h, &p) in held.iter_mut().zip(staged) {
+            moves |= moved(p, *h, rel, floor);
+            *h = if p.is_nan() { *h } else { p };
+        }
+        self.install_moved |= moves;
+    }
+
+    /// The way back from the plain path, for LinkBlock `(d, blk)`: its
+    /// snapshots become the view's real links as they stand (`prices`,
+    /// `ratios`) — after a tick on which every worker re-ran, the prices
+    /// each link's crossers just read. The diff that follows marks
+    /// against them.
+    // flowtune-lint: hot
+    pub(crate) fn resync(&mut self, d: Dir, blk: usize, prices: &[f64], ratios: &[f64]) {
+        let (first, n) = (self.first(d, blk), self.lpl);
+        self.prev_prices[first..][..n].copy_from_slice(&prices[..n]);
+        self.prev_ratio[first..][..n].copy_from_slice(&ratios[..n]);
     }
 
     /// Sets `rate_dirty` on the members of LinkBlock `(d, blk)` whose bit

@@ -106,9 +106,13 @@ pub struct AllocConfig {
     /// is bit-for-bit identical to the full sweep. Off by default here —
     /// the exact full sweep the equivalence suites and the §6.1 tables
     /// drive — while a service's `FlowtuneConfig::default()` turns it on
-    /// at wire precision. At most 64 blocks (one crosser-mask bit per
-    /// member of a LinkBlock). The pool schedule
-    /// ([`SerialAllocator::multicore`]) runs full sweeps and ignores it.
+    /// at wire precision. When on, the grid picks each tick's path from
+    /// its dirty set: a tick on which every worker holding flows re-runs
+    /// is the plain full sweep (no diff, no anchor), and the grid returns
+    /// to the incremental path on its own. A grid of more than 64 blocks
+    /// (one crosser-mask bit per member of a LinkBlock) keeps no dirty
+    /// set and sweeps every tick, as does the pool schedule
+    /// ([`SerialAllocator::multicore`]), which ignores it.
     pub incremental: bool,
     /// When incremental, force a pass of the link phases (aggregate,
     /// price update, diff) every this many iterations, so the Newton

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use flowtune_topo::{BlockId, FlowId, LinkId, Path, TwoTierClos};
 
-use crate::dirty::DirtySet;
+use crate::dirty::{DirtySet, MAX_BLOCKS};
 use crate::engine::{LinkInstall, LinkRun};
 use crate::flowblock::{
     absorb, normalize_pass, rate_pass, report_pass, Accums, FlowBlock, FlowRate, PriceRule,
@@ -101,8 +101,9 @@ pub struct SerialAllocator {
     /// The consensus duals an install stages, in slot order, before it
     /// patches them into `views`: empty until the first install.
     staged: Vec<f64>,
-    /// Dirty-set bookkeeping when `cfg.incremental` is on; `None` runs
-    /// the classic full sweep every iteration.
+    /// Dirty-set bookkeeping when `cfg.incremental` is on and the grid
+    /// has at most 64 blocks; `None` runs the plain sweep every
+    /// iteration.
     dirty: Option<DirtySet>,
     /// What the last price update summed, kept for the exports.
     pub(crate) totals: LinkTotals,
@@ -206,10 +207,11 @@ impl SerialAllocator {
     ///
     /// # Panics
     /// Panics on a block count that is not a power of two, a
-    /// `capacity_fraction` outside `(0, 1]`, a `dirty_eps` that is not
+    /// `capacity_fraction` outside `(0, 1]`, or a `dirty_eps` that is not
     /// a finite value ≥ 0 (a `NaN` or infinite one would never re-dirty a
-    /// worker), or an incremental grid of more than 64 blocks (one
-    /// crosser-mask bit per member of a LinkBlock).
+    /// worker). A grid of more than 64 blocks (one crosser-mask bit per
+    /// member of a LinkBlock) keeps no dirty set whatever
+    /// `cfg.incremental` says, and sweeps every tick.
     pub fn new(fabric: &TwoTierClos, cfg: AllocConfig) -> Self {
         assert!(
             fabric.block_count().is_power_of_two(),
@@ -229,8 +231,7 @@ impl SerialAllocator {
         let workers = (0..b * b).map(|_| WorkerCore::new(lpl)).collect();
         // B LinkBlocks of pairs: each direction's totals.
         let zeros = vec![vec![[0.0; 2]; lpl]; b];
-        let dirty = cfg
-            .incremental
+        let dirty = (cfg.incremental && b <= MAX_BLOCKS)
             .then(|| DirtySet::new(b, lpl, cfg.dirty_eps, cfg.full_sweep_every));
         Self {
             layout,
@@ -504,16 +505,45 @@ impl SerialAllocator {
     /// sweep (`crate::dirty` says why), and the NED step's anchor
     /// (`flowblock::price_update`) keeps a pass over frozen loads from
     /// repeating the move the last one made.
+    ///
+    /// The grid picks the path each tick from its own dirty set. A tick
+    /// on which every worker that holds flows re-runs its rate pass skips
+    /// nothing, so it is the plain sweep: the price update takes no
+    /// anchor, no diff runs (F-NORM reads the fresh ratios) and every
+    /// worker stays rate-dirty ([`DirtySet::plain`]), which keeps the
+    /// grid on that path. Intake keeps the touch counts and masks
+    /// current on both. The way back is tried on a tick with no news
+    /// from outside the grid — no intake, no install that moved a dual —
+    /// and on the forced-pass cadence after the first tick: such a tick
+    /// never sweeps plainly, and after a plain one it first resyncs the
+    /// snapshots to the prices every flow just read
+    /// ([`DirtySet::resync`]), so its diff judges every link afresh.
+    /// Without a dirty set every tick is the plain sweep.
     // flowtune-lint: hot
     fn sweep(&mut self) {
-        let mut moving = true;
+        let (mut moving, mut back) = (true, false);
         if let Some(ds) = &mut self.dirty {
-            ds.drain_intake();
             let forced = ds.full_sweep_every > 0 && ds.iter.is_multiple_of(ds.full_sweep_every);
+            let news = !ds.intake_list.is_empty() | std::mem::take(&mut ds.install_moved);
+            back = !news || (forced && ds.iter > 0);
+            ds.drain_intake();
             ds.iter += 1;
             moving = ds.moving || forced;
         }
-        if self.rate_phase() || moving {
+        let (any, every) = self.rate_phase();
+        if let Some(ds) = &mut self.dirty {
+            if every && !back {
+                ds.rate_dirty.fill(true);
+                ds.plain = true;
+            } else if std::mem::take(&mut ds.plain) {
+                for d in DIRS {
+                    for (blk, view) in self.views[d].iter().enumerate() {
+                        ds.resync(d, blk, &view.prices, &view.ratios);
+                    }
+                }
+            }
+        }
+        if any || moving {
             self.aggregate_and_price();
             self.diff_and_mark();
         }
@@ -532,9 +562,10 @@ impl SerialAllocator {
     /// counts as recomputed, so a FlowBlock whose last flow just left
     /// takes its old sums out of the totals.
     /// Returns whether any worker recomputed, which gates the
-    /// link-proportional phases.
+    /// link-proportional phases, and whether every worker that holds
+    /// flows did, which makes the tick a plain sweep.
     // flowtune-lint: hot
-    fn rate_phase(&mut self) -> bool {
+    fn rate_phase(&mut self) -> (bool, bool) {
         let (b, lpl) = (self.layout.blocks(), self.layout.links_per_lb());
         let Self {
             workers,
@@ -542,11 +573,12 @@ impl SerialAllocator {
             dirty,
             ..
         } = self;
-        let mut any = false;
+        let (mut any, mut every) = (false, true);
         for (w, worker) in workers.iter_mut().enumerate() {
             if let Some(ds) = dirty {
                 ds.recomputed[w] = std::mem::take(&mut ds.rate_dirty[w]);
                 if !ds.recomputed[w] {
+                    every &= worker.flows.is_empty();
                     continue;
                 }
                 ds.dirty_flows += worker.flows.len() as u64;
@@ -559,7 +591,7 @@ impl SerialAllocator {
             let prices = views_of(views, w, b).map(|v| &v.prices[..]);
             rate_pass(&mut worker.flows, prices, &mut worker.acc);
         }
-        any
+        (any, every)
     }
 
     /// Phases B+C: aggregate each LinkBlock along the binomial tree (in
@@ -570,11 +602,12 @@ impl SerialAllocator {
     /// all the same. The reduced totals trade places with the
     /// LinkBlock's [`LinkTotals`] buffer — no copy; the next reduction
     /// overwrites all of a live `partials[0]` — so the exports read
-    /// exactly what the update was given. With a dirty set the NED step
-    /// is anchored at the price snapshots (`DirtySet::prev_prices`, the
-    /// prices the links' crossers last read): it steps on the load those
-    /// flows would carry at the current price, so a link whose crossers
-    /// have not re-run does not repeat its last move. At `eps = 0` every
+    /// exactly what the update was given. With a dirty set off the plain
+    /// path the NED step is anchored at the price snapshots
+    /// (`DirtySet::prev_prices`, the prices the links' crossers last
+    /// read): it steps on the load those flows would carry at the current
+    /// price, so a link whose crossers have not re-run does not repeat
+    /// its last move. At `eps = 0` every
     /// price equals its snapshot here and the anchor changes no bit.
     // flowtune-lint: hot, float-kernel
     fn aggregate_and_price(&mut self) {
@@ -604,6 +637,7 @@ impl SerialAllocator {
                     self.bg_h.get(first..first + lpl),
                     self.dirty
                         .as_ref()
+                        .filter(|ds| !ds.plain)
                         .map(|ds| &ds.prev_prices[first..][..lpl]),
                     self.layout.capacity(d, blk),
                     &mut self.views[d][blk],
@@ -612,14 +646,14 @@ impl SerialAllocator {
         }
     }
 
-    /// Diff phase (with a dirty set only): compare the fresh prices and
-    /// ratios against the per-link snapshots, one flat pass per LinkBlock
-    /// (`DirtySet::diff`). A price that moved (`dirty::moved`)
-    /// rate-dirties every traversing worker for the *next* iteration (the
-    /// rates they computed this iteration used the pre-update price —
-    /// exactly like the full sweep); a ratio that moved norm-dirties
-    /// traversing workers for *this* iteration's F-NORM, which reads the
-    /// post-update ratios.
+    /// Diff phase (with a dirty set off the plain path only): compare the
+    /// fresh prices and ratios against the per-link snapshots, one flat
+    /// pass per LinkBlock (`DirtySet::diff`). A price that moved
+    /// (`dirty::moved`) rate-dirties every traversing worker for the
+    /// *next* iteration (the rates they computed this iteration used the
+    /// pre-update price — exactly like the full sweep); a ratio that
+    /// moved norm-dirties traversing workers for *this* iteration's
+    /// F-NORM, which reads the post-update ratios.
     ///
     /// At a positive `eps` each view's ratio is then replaced by its
     /// ceiling, `snap + dirty::slack(snap)`: the largest ratio the test
@@ -641,6 +675,9 @@ impl SerialAllocator {
         else {
             return;
         };
+        if ds.plain {
+            return;
+        }
         // Rebuilt from scratch each diff: stays false only when *no*
         // price or ratio anywhere moved — touched or not —
         // which is the precondition for freezing the price phases.
@@ -797,7 +834,8 @@ impl SerialAllocator {
     /// pass prices flows with it, on either schedule. On the incremental
     /// path the same pass marks: an install that moves a dual (by the
     /// dirty test's rule) invalidates the rate pass of every worker whose
-    /// flows traverse that link.
+    /// flows traverse that link. After a plain tick every worker is dirty
+    /// already, and the install is the plain copy.
     ///
     /// Dual consensus is what makes a partitioned allocator's fixed point
     /// unique: background loads alone pin only the *total* on a shared
@@ -825,13 +863,15 @@ impl SerialAllocator {
             for (blk, view) in self.views[d].iter_mut().enumerate() {
                 let held = &mut view.prices[..lpl];
                 let staged = staged.next().unwrap_or_default();
-                let Some(ds) = &mut self.dirty else {
-                    for (held, &p) in held.iter_mut().zip(staged) {
-                        *held = if p.is_nan() { *held } else { p };
+                match &mut self.dirty {
+                    Some(ds) if !ds.plain => ds.install(d, blk, held, staged),
+                    Some(ds) => ds.copy(held, staged),
+                    None => {
+                        for (held, &p) in held.iter_mut().zip(staged) {
+                            *held = if p.is_nan() { *held } else { p };
+                        }
                     }
-                    continue;
-                };
-                ds.install(d, blk, held, staged);
+                }
             }
         }
     }
@@ -955,6 +995,11 @@ mod tests {
                         for (o, link) in layout.links(d, blk).iter().enumerate() {
                             let p = prices[link.index()];
                             if p.is_nan() || !ds.moved(p, view.prices[o]) {
+                                continue;
+                            }
+                            ds.install_moved = true;
+                            // After a plain tick the install only copies.
+                            if ds.plain {
                                 continue;
                             }
                             ds.moving = true;
@@ -1393,6 +1438,70 @@ mod tests {
         }
         assert!(inc.dirty_counters().is_some());
         assert!(full.dirty_counters().is_none());
+    }
+
+    #[test]
+    fn a_tick_that_reruns_every_worker_is_the_plain_sweep() {
+        // From a cold start every worker is dirty, and a tick that brings
+        // flows (before the first forced-pass cadence) keeps it so: the
+        // wire-precision grid runs the plain sweep — no anchor, no diff,
+        // no ratio ceilings, the install's plain copy — bit for bit the
+        // full sweep's, counting every flow it re-runs and no link.
+        let f = fabric();
+        let mut full = SerialAllocator::new(&f, cfg());
+        let mut inc = SerialAllocator::new(
+            &f,
+            AllocConfig {
+                incremental: true,
+                dirty_eps: 1e-9,
+                ..cfg()
+            },
+        );
+        let servers = 16u64;
+        let (mut present, mut reran) = (Vec::new(), 0u64);
+        for step in 0..cfg().full_sweep_every {
+            for id in [2 * step, 2 * step + 1].map(FlowId) {
+                let src = id.0 * 7919 % servers;
+                let dst = (src + 1 + id.0 * 104_729 % (servers - 1)) % servers;
+                let (src, dst) = (src as usize, dst as usize);
+                let path = f.path(src, dst, id);
+                full.add_flow(id, src, dst, 1.0, &path);
+                inc.add_flow(id, src, dst, 1.0, &path);
+                present.push(id);
+            }
+            if step % 3 == 2 {
+                let victim = present.swap_remove(step as usize * 31 % present.len());
+                assert!(full.remove_flow(victim) && inc.remove_flow(victim));
+            }
+            if step == 20 {
+                let bg: Vec<f64> = (0..f.topology().link_count())
+                    .map(|l| (l % 5) as f64)
+                    .collect();
+                let prices: Vec<f64> = (0..bg.len()).map(|l| 0.1 * (l % 3) as f64).collect();
+                full.install_global(Some(&bg), None, Some(&prices));
+                inc.install_global(Some(&bg), None, Some(&prices));
+            }
+            full.iterate();
+            inc.iterate();
+            reran += inc.flow_count() as u64;
+            let (a, b) = (full.rates(), inc.rates());
+            let pairs = |r: &[FlowRate]| -> Vec<_> {
+                r.iter()
+                    .map(|x| (x.id, x.rate.to_bits(), x.normalized.to_bits()))
+                    .collect()
+            };
+            assert_eq!(pairs(&a), pairs(&b), "step {step}");
+            assert_eq!(exports(&full), exports(&inc), "step {step}");
+            assert_eq!(
+                bits(&full.global_state()[2]),
+                bits(&inc.global_state()[2]),
+                "step {step}"
+            );
+            assert_eq!(inc.dirty_counters(), Some((reran, 0)), "step {step}");
+        }
+        // A tick that brings no flow takes the way back: it diffs.
+        inc.iterate();
+        assert!(inc.dirty_counters().unwrap().1 > 0, "the quiet tick diffed");
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -2165,7 +2274,10 @@ mod tests {
                 }
                 prop_assert_eq!(new.dirty_counters(), old.dirty_counters());
                 if let (Some(a), Some(b)) = (&new.dirty, &old.dirty) {
-                    prop_assert_eq!((&a.rate_dirty, a.moving), (&b.rate_dirty, b.moving));
+                    prop_assert_eq!(
+                        (&a.rate_dirty, a.moving, a.plain, a.install_moved),
+                        (&b.rate_dirty, b.moving, b.plain, b.install_moved)
+                    );
                     prop_assert_eq!(&a.prev_prices, &b.prev_prices);
                 }
             }

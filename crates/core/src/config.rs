@@ -84,9 +84,12 @@ pub struct FlowtuneConfig {
     /// flow-proportional passes touch only those — quiet ticks cost
     /// `O(changed)`, not `O(flows)`, and a settled plane re-prices
     /// nothing. On by default; at `dirty_eps = 0` the output is
-    /// bit-for-bit identical to the full sweep. The `multicore` engine
-    /// ignores it (its pool runs full sweeps only); the fabric may have
-    /// at most 64 blocks.
+    /// bit-for-bit identical to the full sweep. The grid falls back on
+    /// its own: a tick on which every worker re-runs anyway (churn) is
+    /// the plain full sweep, and it comes back once the churn stops. The
+    /// `multicore` engine ignores it (its pool runs full sweeps only),
+    /// and so does a grid of more than 64 blocks, which sweeps every
+    /// tick.
     pub incremental: bool,
     /// Incremental mode only: force a pass of the engine's link phases
     /// (aggregate, price update, diff) every this many iterations, so

@@ -12,8 +12,9 @@
 //! * a quiet allocator service tick (`AllocatorService::tick_into`) —
 //!   engine iteration, rate export, update filtering — touches the heap
 //!   zero times after warm-up, with the incremental engine on or off,
-//!   including the periodic full-sweep ticks and `rates_into` reads of
-//!   every rate — and so does a round of churn: a `FlowletEnd` and a
+//!   including the forced link passes every `full_sweep_every` ticks and
+//!   `rates_into` reads of every rate — and so does a round of churn,
+//!   whose ticks the grid may run as the plain sweep: a `FlowletEnd` and a
 //!   `FlowletStart` through `on_message` (hashed indexes, a recycled
 //!   slab slot, an inline path) and the tick that reports the newcomer,
 //!   whose export borrows the engine's id and rate columns through the
@@ -617,9 +618,10 @@ fn steady_state_sharded_tick_allocates_nothing() {
     );
 
     // Churn, intake included: one flow per shard is swapped for a fresh
-    // token inside the window (the router's own token map trades an
-    // entry for an entry), so the next tick sends four first rates, one
-    // in each shard's batch, for the router's one emit to interleave.
+    // token inside the window (the shard that holds a token answers its
+    // end, and the placement's shard its start), so the next tick sends
+    // four first rates, one in each shard's batch, for the router's one
+    // emit to interleave.
     // The first two rounds warm the batches and the emit's scratch; from
     // the third on nothing may touch the heap.
     for round in 0..8u16 {

@@ -129,6 +129,7 @@ mod tests {
     fn inherent_methods_drive_every_grid() {
         let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
         let links = fabric.topology().link_count();
+        let mut serial_state = None;
         for mut engine in grids(&fabric) {
             let name = engine.name();
             let p = fabric.path(3, 13, FlowId(7));
@@ -184,6 +185,19 @@ mod tests {
                 state.each_ref().map(|v| bits(v)),
                 again.each_ref().map(|v| bits(v))
             );
+            // The pool leaves its totals in the root workers'
+            // accumulators and copies them out after the pipeline: the
+            // same bits the caller-thread sweep reduces, or an exchange
+            // would ship its peers different loads.
+            match name {
+                "serial" => serial_state = Some(state.each_ref().map(|v| bits(v))),
+                "multicore" => assert_eq!(
+                    Some(state.each_ref().map(|v| bits(v))),
+                    serial_state,
+                    "the pool's export is the serial grid's"
+                ),
+                _ => {}
+            }
             let [loads, hessians, prices] = state;
             assert_eq!(engine.link_slots().len(), links, "{name}: no control links");
             assert_eq!(loads.len(), links, "{name}");

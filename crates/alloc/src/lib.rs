@@ -46,7 +46,8 @@
 //!   barrier synchronization and mutex-protected buffer exchange, driven
 //!   by a persistent [`WorkerPool`] that parks between ticks (no
 //!   spawn/join on the 10 µs tick path); the schedule the §6.1
-//!   throughput benchmarks run.
+//!   tables (`table_multicore`, `table_fastpass`) run. No service builds
+//!   it: `flowtune::Engine` names the caller-thread grids only.
 //!
 //! Queries fill caller-provided buffers; [`engine`] holds the two types
 //! the grid's link state crosses into the exchange as ([`LinkRun`],

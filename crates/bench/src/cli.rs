@@ -19,8 +19,7 @@ shared experiment flags:
   --quick                 reduced scale (default)
   --full                  paper scale
   --seed N                trace seed (default 42)
-  --engine E              allocation engine: serial|multicore|gradient
-  --workers N             multicore engine thread cap (0 = size to host)
+  --engine E              allocation engine: serial|gradient
   --shards N              shard the control plane N ways over --engine
   --exchange-every K      inter-shard link-state exchange cadence in ticks
                           (config exchange_every; 0 = off, the default)
@@ -35,8 +34,7 @@ shared experiment flags:
                           recomputed; quiet ticks cost O(changed), not
                           O(flows) (config incremental; default on; at
                           --dirty-eps 0 bit-for-bit equal to the full sweep;
-                          =off runs the full sweep; --engine multicore
-                          always runs full sweeps on its worker pool)
+                          =off runs the full sweep)
   --full-sweep-every K    incremental only: force a pass of the link phases
                           every K iterations, applying the price residual
                           quiet ticks hold back under a positive dirty eps;
@@ -68,7 +66,7 @@ pub struct Opts {
     /// Trace seed.
     pub seed: u64,
     /// Allocation engine behind the `AllocatorService`
-    /// (`--engine serial|multicore|gradient`, optionally wrapped
+    /// (`--engine serial|gradient`, optionally wrapped
     /// in `Engine::Sharded` by `--shards N`).
     pub engine: Engine,
     /// What [`Opts::config`] returns; the knob flags parse straight into
@@ -116,7 +114,6 @@ impl Opts {
     /// Parses from an explicit iterator (testable).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = Self::default();
-        let mut workers: Option<usize> = None;
         let mut shards: Option<usize> = None;
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
@@ -133,10 +130,6 @@ impl Opts {
                     // composition flag (--shards, the exchange knobs,
                     // --placement), not just the engine names.
                     opts.engine = Engine::parse(&v).unwrap_or_else(|e| panic!("{e}\n{USAGE}"));
-                }
-                "--workers" => {
-                    let v = it.next().expect("--workers needs a value");
-                    workers = Some(v.parse().expect("--workers needs an integer"));
                 }
                 "--shards" => {
                     let v = it.next().expect("--shards needs a value");
@@ -206,12 +199,6 @@ impl Opts {
                     std::process::exit(0);
                 }
                 other => panic!("unknown flag {other}\n{USAGE}"),
-            }
-        }
-        if let Some(w) = workers {
-            match &mut opts.engine {
-                Engine::Multicore { workers } => *workers = w,
-                _ => panic!("--workers only applies to --engine multicore"),
             }
         }
         if let Some(n) = shards {
@@ -284,19 +271,6 @@ mod tests {
     fn engine_flags_parse() {
         assert_eq!(parse(&["--engine", "serial"]).engine, Engine::Serial);
         assert_eq!(parse(&["--engine", "gradient"]).engine, Engine::Gradient);
-        assert_eq!(
-            parse(&["--engine", "multicore"]).engine,
-            Engine::Multicore { workers: 0 }
-        );
-        // --workers composes with multicore, in either flag order.
-        assert_eq!(
-            parse(&["--engine", "multicore", "--workers", "4"]).engine,
-            Engine::Multicore { workers: 4 }
-        );
-        assert_eq!(
-            parse(&["--workers", "2", "--engine", "multicore"]).engine,
-            Engine::Multicore { workers: 2 }
-        );
     }
 
     #[test]
@@ -305,11 +279,10 @@ mod tests {
             parse(&["--engine", "gradient", "--shards", "4"]).engine,
             Engine::Gradient.sharded(4)
         );
-        // Flag order doesn't matter, and --workers still reaches the
-        // inner multicore engine.
+        // Flag order doesn't matter.
         assert_eq!(
-            parse(&["--shards", "2", "--engine", "multicore", "--workers", "3"]).engine,
-            Engine::Multicore { workers: 3 }.sharded(2)
+            parse(&["--shards", "2", "--engine", "gradient"]).engine,
+            Engine::Gradient.sharded(2)
         );
         assert_eq!(parse(&["--shards", "1"]).engine, Engine::Serial.sharded(1));
     }
@@ -413,7 +386,6 @@ mod tests {
         // living in FlowtuneConfig are documented too.
         for flag in [
             "--engine",
-            "--workers",
             "--shards",
             "--seed",
             "--quick",
@@ -512,22 +484,22 @@ mod tests {
         let _ = parse(&["--shards", "0"]);
     }
 
+    /// `multicore` is refused like any other unknown name, usage text
+    /// and all: the §5 worker pool serves the §6.1 tables, not a plane.
     #[test]
     #[should_panic(expected = "unknown engine")]
     fn bad_engine_panics() {
+        let refused = std::panic::catch_unwind(|| parse(&["--engine", "multicore"])).unwrap_err();
+        let msg = refused.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("unknown engine `multicore`"), "{msg}");
+        assert!(msg.contains(USAGE), "{msg}");
         let _ = parse(&["--engine", "quantum"]);
     }
 
     #[test]
-    #[should_panic(expected = "valid engines: serial, multicore, gradient")]
+    #[should_panic(expected = "valid engines: serial, gradient")]
     fn bad_engine_message_lists_valid_names() {
         let _ = parse(&["--engine", "quantum"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "only applies to --engine multicore")]
-    fn workers_without_multicore_panics() {
-        let _ = parse(&["--engine", "serial", "--workers", "2"]);
     }
 
     #[test]

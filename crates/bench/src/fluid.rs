@@ -356,12 +356,7 @@ mod tests {
 
     #[test]
     fn fluid_runs_under_every_engine() {
-        for engine in [
-            Engine::Serial,
-            Engine::Multicore { workers: 1 },
-            Engine::Gradient,
-            Engine::Serial.sharded(2),
-        ] {
+        for engine in [Engine::Serial, Engine::Gradient, Engine::Serial.sharded(2)] {
             let mut d = FluidDriver::with_engine(
                 Workload::Web,
                 0.4,

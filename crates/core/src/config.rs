@@ -77,8 +77,8 @@ pub struct FlowtuneConfig {
     /// Whether the allocator F-NORMs rates before sending them (§4.2; on
     /// in every end-to-end experiment).
     pub f_norm: bool,
-    /// Run the grid's iterations incrementally (the `serial`,
-    /// `multicore` and `gradient` engines): the engine's dirty set tracks
+    /// Run the grid's iterations incrementally (the `serial` and
+    /// `gradient` engines): the engine's dirty set tracks
     /// which FlowBlock workers saw flow churn or a price move beyond
     /// [`FlowtuneConfig::dirty_eps`] on a traversed link, and the
     /// flow-proportional passes touch only those — quiet ticks cost
@@ -86,10 +86,8 @@ pub struct FlowtuneConfig {
     /// nothing. On by default; at `dirty_eps = 0` the output is
     /// bit-for-bit identical to the full sweep. The grid falls back on
     /// its own: a tick on which every worker re-runs anyway (churn) is
-    /// the plain full sweep, and it comes back once the churn stops. The
-    /// `multicore` engine ignores it (its pool runs full sweeps only),
-    /// and so does a grid of more than 64 blocks, which sweeps every
-    /// tick.
+    /// the plain full sweep, and it comes back once the churn stops. A
+    /// grid of more than 64 blocks ignores it and sweeps every tick.
     pub incremental: bool,
     /// Incremental mode only: force a pass of the engine's link phases
     /// (aggregate, price update, diff) every this many iterations, so

@@ -97,8 +97,7 @@ pub trait TickDriver: std::fmt::Debug + Send {
     /// The fabric this control plane serves.
     fn fabric(&self) -> &TwoTierClos;
 
-    /// Short engine name (`serial` / `multicore` / `gradient` /
-    /// `sharded`).
+    /// Short engine name (`serial` / `gradient` / `sharded`).
     fn engine_name(&self) -> &'static str;
 }
 

@@ -20,14 +20,14 @@
 //! * [`flowtune_topo`] — two-tier Clos fabrics, paths, allocator blocks;
 //! * `flowtune_num` — NED and the baseline NUM optimizers, U/F-NORM;
 //! * [`flowtune_alloc`] — the one engine, the §5 FlowBlock/LinkBlock
-//!   grid ([`SerialAllocator`]): serial reference NED, its multicore
-//!   schedule (pool-backed), and the gradient baseline;
+//!   grid ([`SerialAllocator`]): serial reference NED and the gradient
+//!   baseline (its pool-backed §5 schedule serves the §6.1 tables);
 //! * [`flowtune_proto`] — the 16/4/6-byte control messages.
 //!
 //! ## Quickstart
 //!
-//! The allocator is assembled with a builder; the engine — serial NED,
-//! multicore NED, or gradient projection —
+//! The allocator is assembled with a builder; the engine — serial NED
+//! or gradient projection —
 //! is a run-time choice of how to build one grid ([`AllocatorService`]
 //! holds a [`SerialAllocator`]), and
 //! [`ServiceBuilder::build_driver`] additionally shards the whole
@@ -45,7 +45,7 @@
 //! let mut allocator = AllocatorService::builder()
 //!     .fabric(&fabric)
 //!     .config(FlowtuneConfig::default())
-//!     .engine(Engine::Serial) // or Multicore { workers } / Gradient
+//!     .engine(Engine::Serial) // or Engine::Gradient
 //!     .build()
 //!     .expect("fabric was supplied");
 //! let mut agent = EndpointAgent::new(0, 144);

@@ -7,11 +7,11 @@
 //!
 //! 1. **The engine** computes per-flow rates over a fixed fabric. There
 //!    is one, the §5 FlowBlock/LinkBlock grid ([`SerialAllocator`]), and
-//!    [`Engine`] names its three forms: [`Engine::Serial`] (the reference
-//!    NED optimizer), [`Engine::Multicore`] (the same grid's full sweeps
-//!    on a persistent worker pool, bit-for-bit equal rates) and
-//!    [`Engine::Gradient`] (the grid with first-order gradient
-//!    projection's price step, the §6.6/Figure-12 baseline). So every
+//!    [`Engine`] names its two forms: [`Engine::Serial`] (the reference
+//!    NED optimizer) and [`Engine::Gradient`] (the grid with first-order
+//!    gradient projection's price step, the §6.6/Figure-12 baseline).
+//!    The §5 worker pool (`SerialAllocator::multicore`) is no engine a
+//!    service builds: it serves the §6.1 tables. So every
 //!    engine a [`ServiceBuilder`] builds prices the fabric's links and
 //!    exports their state.
 //! 2. **[`AllocatorService`]** is the Figure-1 box around one grid, held
@@ -227,17 +227,6 @@ pub enum Engine {
     /// Single-threaded reference NED engine.
     #[default]
     Serial,
-    /// §5 FlowBlock-parallel NED engine. `workers` caps the OS threads
-    /// per iteration; `0` sizes to the host. The pool runs full sweeps
-    /// only, so this engine ignores [`FlowtuneConfig::incremental`] and
-    /// its `full_sweep_every` / `dirty_eps`: it is the full sweep of
-    /// `Serial { incremental: false }` on the pool.
-    ///
-    /// [`FlowtuneConfig::incremental`]: crate::FlowtuneConfig::incremental
-    Multicore {
-        /// OS-thread cap (0 = auto).
-        workers: usize,
-    },
     /// The caller-thread grid with first-order gradient projection's
     /// price step in place of NED's (§6.6 / Figure-12 baseline).
     Gradient,
@@ -257,7 +246,7 @@ pub enum Engine {
 
 /// `--engine` names [`Engine::parse`] accepts. (`sharded` is not in the
 /// list: sharding composes over a base engine via `--shards N`.)
-pub const ENGINE_NAMES: [&str; 3] = ["serial", "multicore", "gradient"];
+pub const ENGINE_NAMES: [&str; 2] = ["serial", "gradient"];
 
 /// An `--engine` value [`Engine::parse`] did not recognize. The `Display`
 /// form lists the valid names, so surfacing it verbatim gives the operator
@@ -297,18 +286,15 @@ impl Engine {
     pub fn parse(s: &str) -> Result<Engine, ParseEngineError> {
         match s {
             "serial" => Ok(Engine::Serial),
-            "multicore" => Ok(Engine::Multicore { workers: 0 }),
             "gradient" => Ok(Engine::Gradient),
             _ => Err(ParseEngineError { got: s.to_string() }),
         }
     }
 
-    /// The flag-style name (`serial` / `multicore` / `gradient` /
-    /// `sharded`).
+    /// The flag-style name (`serial` / `gradient` / `sharded`).
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Serial => "serial",
-            Engine::Multicore { .. } => "multicore",
             Engine::Gradient => "gradient",
             Engine::Sharded { .. } => "sharded",
         }
@@ -394,7 +380,6 @@ impl ServiceBuilder {
         let fabric = self.fabric.ok_or(ServiceError::MissingFabric)?;
         let engine = move |fabric: &TwoTierClos, alloc_cfg| match self.engine {
             Engine::Serial => SerialAllocator::new(fabric, alloc_cfg),
-            Engine::Multicore { workers } => SerialAllocator::multicore(fabric, alloc_cfg, workers),
             Engine::Gradient => SerialAllocator::gradient(fabric, alloc_cfg),
             Engine::Sharded { .. } => unreachable!("rejected above"),
         };
@@ -860,7 +845,7 @@ impl AllocatorService {
         self.engine.install_link_state(fill);
     }
 
-    /// The engine's short name (`serial` / `multicore` / `gradient`).
+    /// The engine's short name (`serial` / `gradient`).
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
     }
@@ -1486,23 +1471,23 @@ mod tests {
 
     #[test]
     fn engine_parse_roundtrips_names() {
-        for engine in [
-            Engine::Serial,
-            Engine::Multicore { workers: 0 },
-            Engine::Gradient,
-        ] {
+        for engine in [Engine::Serial, Engine::Gradient] {
             assert_eq!(Engine::parse(engine.name()), Ok(engine));
         }
     }
 
     #[test]
     fn engine_parse_error_lists_valid_names() {
-        let err = Engine::parse("warp-drive").unwrap_err();
-        assert_eq!(err.got(), "warp-drive");
-        let msg = err.to_string();
-        assert!(msg.contains("unknown engine `warp-drive`"), "{msg}");
-        for name in ENGINE_NAMES {
-            assert!(msg.contains(name), "{msg} should list {name}");
+        // `multicore` is the grid's §5 pool schedule, which serves the
+        // §6.1 tables and no service: refused like any other name.
+        for bad in ["warp-drive", "multicore"] {
+            let err = Engine::parse(bad).unwrap_err();
+            assert_eq!(err.got(), bad);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("unknown engine `{bad}`")), "{msg}");
+            for name in ENGINE_NAMES {
+                assert!(msg.contains(name), "{msg} should list {name}");
+            }
         }
     }
 

@@ -21,7 +21,10 @@
 //!   lending drain (one `dyn` hop, the sink's) and
 //!   copies nothing but the passers — and so do thousands of such swaps
 //!   in a row, long enough for the token index to clear its tombstones
-//!   by rehashing in place, more than once;
+//!   by rehashing in place, more than once. The §5 pool schedule the
+//!   §6.1 tables time (`SerialAllocator::multicore` on two threads) is
+//!   held to the same: a warmed grid's barrier-pipeline iteration and
+//!   drain of changed rates, quiet and across flow swaps;
 //! * so does a 4-shard sequential `ShardedService::tick_into` with
 //!   an exchange round every tick — shard ticks into recycled per-shard
 //!   batches of passers, the filters writing the shared link-state
@@ -62,8 +65,9 @@ use flowtune::{
     AllocatorService, EndpointAgent, Engine, ExchangeCore, FlowtuneConfig, FluidPlane,
     ShardedService, TickDriver,
 };
+use flowtune_alloc::{AllocConfig, SerialAllocator};
 use flowtune_proto::{Message, Rate16, Token};
-use flowtune_topo::{ClosConfig, TwoTierClos};
+use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 
 struct CountingAlloc;
 
@@ -294,14 +298,9 @@ fn decoder_corpus_allocates_nothing(second_order: bool) {
 fn steady_state_allocator_tick_allocates_nothing() {
     let _window = Window::lock();
     let fabric = TwoTierClos::build(ClosConfig::multicore(2, 2, 4));
-    // The multicore grid's full sweeps run the barrier pipeline, once a
-    // tick, on the caller's thread and one pool thread; the gradient grid
-    // runs the caller-thread schedule under its own price rule.
-    for engine in [
-        Engine::Serial,
-        Engine::Multicore { workers: 2 },
-        Engine::Gradient,
-    ] {
+    // The gradient grid runs the caller-thread schedule under its own
+    // price rule.
+    for engine in [Engine::Serial, Engine::Gradient] {
         for incremental in [true, false] {
             let cfg = FlowtuneConfig {
                 incremental,
@@ -324,6 +323,74 @@ fn steady_state_allocator_tick_allocates_nothing() {
             );
         }
     }
+    pool_iterations_allocate_nothing(&fabric);
+}
+
+/// The grid on its pool schedule, as `table_multicore` and
+/// `table_fastpass` run it: the barrier pipeline on the caller's thread
+/// and one pool thread, then the drain a service would take. Only the
+/// caller's thread is counted, as for every other window here.
+fn pool_iterations_allocate_nothing(fabric: &TwoTierClos) {
+    let mut grid = SerialAllocator::multicore(fabric, AllocConfig::default(), 2);
+    assert_eq!(grid.threads(), 2);
+    let add = |grid: &mut SerialAllocator, id: u64, src: usize, k: usize| {
+        let dst = (src + 5 + 3 * k) % 16;
+        let id = FlowId(id);
+        grid.add_flow(id, src, dst, 1.0, &fabric.path(src, dst, id));
+    };
+    for src in 0..16 {
+        for k in 0..2 {
+            add(&mut grid, (src * 2 + k) as u64, src, k);
+        }
+    }
+    // One iteration and its drain; returns how many rates it lent.
+    let step = |grid: &mut SerialAllocator| {
+        grid.iterate();
+        let mut lent = 0;
+        grid.drain_changed_rates(0.01, &mut |ids, _| lent += ids.len());
+        lent
+    };
+    // Warm-up: converge, build the pool and size its views and scratch.
+    for _ in 0..300 {
+        step(&mut grid);
+    }
+    let mut rates = Vec::new();
+    grid.rates_into(&mut rates);
+    assert_eq!(rates.len(), 32);
+
+    ALLOCS.store(0, Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
+    for _ in 0..MEASURED_ROUNDS {
+        step(&mut grid);
+        grid.rates_into(&mut rates);
+    }
+    ENABLED.store(false, Ordering::Relaxed);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "pool iterations must not allocate ({allocs} over {MEASURED_ROUNDS})"
+    );
+
+    // A flow swapped for a fresh id every round: the first two swaps
+    // warm the worker's free slots; after them nothing may touch the
+    // heap.
+    for round in 0..8usize {
+        if round == 2 {
+            ALLOCS.store(0, Ordering::Relaxed);
+        }
+        ENABLED.store(true, Ordering::Relaxed);
+        assert!(grid.remove_flow(FlowId((round * 2) as u64)));
+        add(&mut grid, 100 + round as u64, round, 0);
+        let lent = step(&mut grid);
+        ENABLED.store(false, Ordering::Relaxed);
+        assert!(lent > 0, "the newcomer's first rate is lent");
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "a flow swap and the pool iteration after it must not allocate \
+         ({allocs} allocations over 6 rounds)"
+    );
 }
 
 fn allocator_ticks_allocate_nothing(mut svc: AllocatorService, fabric: &TwoTierClos, what: &str) {

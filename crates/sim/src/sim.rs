@@ -937,12 +937,7 @@ mod tests {
 
     #[test]
     fn flowtune_completes_under_every_engine() {
-        for engine in [
-            Engine::Serial,
-            Engine::Multicore { workers: 1 },
-            Engine::Gradient,
-            Engine::Serial.sharded(2),
-        ] {
+        for engine in [Engine::Serial, Engine::Gradient, Engine::Serial.sharded(2)] {
             let mut cfg = small_cfg(Scheme::Flowtune);
             cfg.engine = engine.clone();
             let mut sim = Simulation::new(cfg);

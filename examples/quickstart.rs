@@ -4,9 +4,8 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! The allocator is built through `AllocatorService::builder()`; swap
-//! `Engine::Serial` for `Engine::Multicore { workers }` or
-//! `Engine::Gradient` to run the same control loop
-//! over a different allocation engine — or call
+//! `Engine::Serial` for `Engine::Gradient` to run the same control loop
+//! under gradient projection's price step — or call
 //! `.engine(Engine::Serial.sharded(n)).build_driver()` to run the same
 //! loop over a sharded control plane (`ShardedService`), which the
 //! experiment binaries expose as `--shards N`.

@@ -19,20 +19,19 @@
 # fig9 is the one packet-simulator run listed (≈ 6.5 s at `--quick`, no
 # wall-clock time printed): it puts the simulator's determinism, and the
 # control messages it encodes, under the byte compare. fig4 / 8 / 10 /
-# 11 (the same simulator, slower) and the timing tables are not listed;
-# `table_*` and fig7's multicore column print times.
+# 11 (the same simulator, slower) and the §6.1 tables are not listed:
+# `table_fastpass` and `table_multicore` print times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The default config ticks incrementally at wire precision; the run
-# that names `--incremental=off` keeps the serial full sweep under the
-# compare, and the multicore engine's pool runs full sweeps always.
+# The default config ticks incrementally at wire precision; the runs
+# that name `--incremental=off` keep the full sweep under the compare,
+# unsharded and sharded.
 RUNS=(
     "fig5_update_traffic"
     "fig5_update_traffic --incremental=off"
-    "fig5_update_traffic --engine multicore --workers 2"
     "fig5_update_traffic --shards 2 --exchange-every 1"
-    "fig5_update_traffic --engine multicore --workers 2 --shards 2 --exchange-every 1"
+    "fig5_update_traffic --incremental=off --shards 2 --exchange-every 1"
     "fig6_threshold"
     "fig6_threshold --shards 2 --exchange-every 1"
     "fig7_scaling"

@@ -11,14 +11,14 @@
 //! * `flowtune_topo` — two-tier Clos fabrics, ECMP paths, blocks;
 //! * `flowtune_num` — NED and the baseline NUM optimizers, U/F-NORM;
 //! * `flowtune_alloc` — the one engine, the §5 FlowBlock grid
-//!   (`SerialAllocator`): NED on the caller's thread or a worker pool,
-//!   or gradient projection;
+//!   (`SerialAllocator`): NED or gradient projection on the caller's
+//!   thread, and NED on a worker pool for the §6.1 tables;
 //! * `flowtune_fastpass` — per-packet timeslot arbiter (the §6.1
 //!   throughput baseline, measured by `table_fastpass`);
 //! * `flowtune_proto` — the 16/4/6-byte control messages;
 //! * `flowtune_sim` — deterministic packet-level simulator;
 //! * `flowtune_workload` / `flowtune_bench` — traces and experiment
-//!   binaries (all accept `--engine serial|multicore|gradient`).
+//!   binaries (all accept `--engine serial|gradient`).
 //!
 //! ## Quickstart
 //!
@@ -30,7 +30,7 @@
 //! use flowtune_topo::{ClosConfig, TwoTierClos};
 //!
 //! let fabric = TwoTierClos::build(ClosConfig::paper_eval());
-//! for engine in [Engine::Serial, Engine::Multicore { workers: 2 }, Engine::Gradient] {
+//! for engine in [Engine::Serial, Engine::Gradient] {
 //!     let mut allocator = AllocatorService::builder()
 //!         .fabric(&fabric)
 //!         .config(FlowtuneConfig::default())

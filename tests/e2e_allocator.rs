@@ -2,9 +2,9 @@
 //! flowtune-proto and flowtune-topo — the control loop without the packet
 //! simulator in between.
 //!
-//! The convergence tests run once per NED engine (serial and multicore)
-//! through the engine-agnostic builder API, which is exactly the claim of
-//! §5: the parallel engine is a drop-in replacement.
+//! Services are built through the engine-agnostic builder API; the §5
+//! pool schedule is pinned to the serial grid bit for bit at the grid
+//! level (`tests/multicore_equivalence.rs`).
 
 use flowtune::{
     AllocatorService, EndpointAgent, Engine, FlowtuneConfig, ServiceError, TickDriver, ENGINE_NAMES,
@@ -12,26 +12,19 @@ use flowtune::{
 use flowtune_proto::{Message, Rate16, Token};
 use flowtune_topo::{ClosConfig, TwoTierClos};
 
-/// Both NED engines; every converging test must pass under each.
-const NED_ENGINES: [Engine; 2] = [Engine::Serial, Engine::Multicore { workers: 2 }];
-
-fn setup_with(engine: Engine) -> (TwoTierClos, AllocatorService, Vec<EndpointAgent>) {
+fn setup() -> (TwoTierClos, AllocatorService, Vec<EndpointAgent>) {
     let fabric = TwoTierClos::build(ClosConfig::paper_eval());
     let servers = fabric.config().server_count();
     let svc = AllocatorService::builder()
         .fabric(&fabric)
         .config(FlowtuneConfig::default())
-        .engine(engine)
+        .engine(Engine::Serial)
         .build()
         .expect("fabric is set");
     let agents = (0..servers)
         .map(|s| EndpointAgent::new(s as u16, servers))
         .collect();
     (fabric, svc, agents)
-}
-
-fn setup() -> (TwoTierClos, AllocatorService, Vec<EndpointAgent>) {
-    setup_with(Engine::Serial)
 }
 
 /// Delivers all pending updates to the right agents.
@@ -45,51 +38,47 @@ fn pump(svc: &mut AllocatorService, agents: &mut [EndpointAgent], ticks: usize) 
 
 #[test]
 fn many_flows_converge_to_proportional_fairness_every_ned_engine() {
-    for engine in NED_ENGINES {
-        let (_, mut svc, mut agents) = setup_with(engine);
-        // 16 servers of rack 0 each send one flow to the same rack-8
-        // server's 10 G downlink: proportional fairness gives each
-        // ≈ 9.9/16 Gbit/s.
-        for s in 0..16u16 {
-            let msg = agents[s as usize]
-                .on_backlog(s as u64, 143, 10_000_000, 0)
-                .unwrap();
-            svc.on_message(msg).unwrap();
-        }
-        pump(&mut svc, &mut agents, 300);
-        for s in 0..16u16 {
-            let rate = agents[s as usize].pacing_rate_gbps(s as u64).unwrap();
-            assert!(
-                (rate - 9.9 / 16.0).abs() < 0.03,
-                "[{}] server {s} got {rate} Gbit/s",
-                svc.engine_name()
-            );
-        }
+    let (_, mut svc, mut agents) = setup();
+    // 16 servers of rack 0 each send one flow to the same rack-8
+    // server's 10 G downlink: proportional fairness gives each
+    // ≈ 9.9/16 Gbit/s.
+    for s in 0..16u16 {
+        let msg = agents[s as usize]
+            .on_backlog(s as u64, 143, 10_000_000, 0)
+            .unwrap();
+        svc.on_message(msg).unwrap();
+    }
+    pump(&mut svc, &mut agents, 300);
+    for s in 0..16u16 {
+        let rate = agents[s as usize].pacing_rate_gbps(s as u64).unwrap();
+        assert!(
+            (rate - 9.9 / 16.0).abs() < 0.03,
+            "[{}] server {s} got {rate} Gbit/s",
+            svc.engine_name()
+        );
     }
 }
 
 #[test]
 fn weighted_flows_get_weighted_shares_end_to_end() {
-    for engine in NED_ENGINES {
-        let (_, mut svc, mut agents) = setup_with(engine);
-        let m1 = agents[0]
-            .on_backlog_weighted(1, 143, 1_000_000, 3.0, 0)
-            .unwrap();
-        let m2 = agents[16]
-            .on_backlog_weighted(2, 143, 1_000_000, 1.0, 0)
-            .unwrap();
-        svc.on_message(m1).unwrap();
-        svc.on_message(m2).unwrap();
-        pump(&mut svc, &mut agents, 400);
-        let r1 = agents[0].pacing_rate_gbps(1).unwrap();
-        let r2 = agents[16].pacing_rate_gbps(2).unwrap();
-        assert!(
-            (r1 / r2 - 3.0).abs() < 0.05,
-            "[{}] ratio {}",
-            svc.engine_name(),
-            r1 / r2
-        );
-    }
+    let (_, mut svc, mut agents) = setup();
+    let m1 = agents[0]
+        .on_backlog_weighted(1, 143, 1_000_000, 3.0, 0)
+        .unwrap();
+    let m2 = agents[16]
+        .on_backlog_weighted(2, 143, 1_000_000, 1.0, 0)
+        .unwrap();
+    svc.on_message(m1).unwrap();
+    svc.on_message(m2).unwrap();
+    pump(&mut svc, &mut agents, 400);
+    let r1 = agents[0].pacing_rate_gbps(1).unwrap();
+    let r2 = agents[16].pacing_rate_gbps(2).unwrap();
+    assert!(
+        (r1 / r2 - 3.0).abs() < 0.05,
+        "[{}] ratio {}",
+        svc.engine_name(),
+        r1 / r2
+    );
 }
 
 #[test]
@@ -187,7 +176,7 @@ fn builder_constructs_every_engine_variant() {
         );
     };
     let named = ENGINE_NAMES.map(|name| Engine::parse(name).unwrap());
-    for engine in named.into_iter().chain([Engine::Multicore { workers: 2 }]) {
+    for engine in named {
         // First-order gradient steps need far more ticks than NED to
         // approach line rate (§3's argument for NED).
         let ticks = if engine == Engine::Gradient {

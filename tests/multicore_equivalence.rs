@@ -1,11 +1,10 @@
-//! Cross-crate check of the §5 parallelization claim: the multicore
-//! engine computes exactly what single-threaded NED computes — asserted
-//! through the *public service API* (builder + messages + ticks), plus
-//! engine-level churn/feasibility checks.
+//! Cross-crate check of the §5 parallelization claim: the grid's pool
+//! schedule (`SerialAllocator::multicore`, what the §6.1 tables time)
+//! computes exactly what the caller-thread full sweep computes — rates,
+//! normalized rates and the drained update stream, under churn — plus
+//! engine-level feasibility checks.
 
-use flowtune::{AllocatorService, Engine, FlowtuneConfig};
 use flowtune_alloc::{AllocConfig, SerialAllocator};
-use flowtune_proto::{Message, Token};
 use flowtune_topo::{ClosConfig, FlowId, TwoTierClos};
 use flowtune_workload::{TraceConfig, TraceGenerator, Workload};
 
@@ -27,73 +26,69 @@ fn trace_flows(fabric: &TwoTierClos, n: usize, seed: u64) -> Vec<(FlowId, usize,
         .collect()
 }
 
-/// A service on `engine`'s full sweep, the one schedule the multicore
-/// engine's pool runs: the serial side turns the default incremental
-/// ticks off to match it.
-fn service_on(fabric: &TwoTierClos, engine: Engine) -> AllocatorService {
-    AllocatorService::builder()
-        .fabric(fabric)
-        .config(FlowtuneConfig {
-            incremental: false,
-            ..FlowtuneConfig::default()
-        })
-        .engine(engine)
-        .build()
-        .expect("fabric is set")
+/// Every flow's `(id, rate, normalized)`, as bits.
+fn rate_bits(grid: &SerialAllocator) -> Vec<(FlowId, u64, u64)> {
+    grid.rates()
+        .iter()
+        .map(|r| (r.id, r.rate.to_bits(), r.normalized.to_bits()))
+        .collect()
 }
 
-/// The headline §5 equivalence, through the public control-plane API:
-/// identical message sequences into a serial-engine service and a
-/// multicore-engine service produce bit-for-bit identical rates and
-/// identical update streams, under churn, across block counts.
+/// What one drain lends, in the order it lends it, as bits.
+fn drained(grid: &mut SerialAllocator) -> Vec<(FlowId, u64)> {
+    let mut lent = Vec::new();
+    grid.drain_changed_rates(0.01, &mut |ids, normalized| {
+        lent.extend(ids.iter().zip(normalized).map(|(&id, r)| (id, r.to_bits())));
+    });
+    lent
+}
+
+/// The headline §5 equivalence: identical adds, removes and iterations
+/// into the caller-thread full sweep and the pool schedule produce
+/// bit-for-bit identical rates, normalized rates and drained update
+/// streams, under churn, across block counts.
 #[test]
-fn serial_and_multicore_services_agree_bit_for_bit() {
+fn serial_and_multicore_grids_agree_bit_for_bit() {
+    let cfg = AllocConfig {
+        incremental: false,
+        ..AllocConfig::default()
+    };
     for blocks in [1usize, 2, 4] {
         let fabric = TwoTierClos::build(ClosConfig::multicore(blocks, 2, 8));
-        let mut serial = service_on(&fabric, Engine::Serial);
-        let mut multicore = service_on(&fabric, Engine::Multicore { workers: 2 });
+        let mut serial = SerialAllocator::new(&fabric, cfg);
+        let mut multicore = SerialAllocator::multicore(&fabric, cfg, 2);
 
         let flows = trace_flows(&fabric, 72, 5);
-        let mut live: Vec<Token> = Vec::new();
+        let mut live: Vec<FlowId> = Vec::new();
+        let mut lent = 0;
         for (round, chunk) in flows.chunks(18).enumerate() {
-            for (k, &(id, src, dst)) in chunk.iter().enumerate() {
-                let token = Token::new((round * 100 + k) as u32);
-                let spine = fabric.ecmp_spine(src, dst, id);
-                let msg = Message::FlowletStart {
-                    token,
-                    src: src as u16,
-                    dst: dst as u16,
-                    size_hint: 1_000_000,
-                    weight_q8: 256,
-                    spine: spine as u8,
-                };
-                serial.on_message(msg).unwrap();
-                multicore.on_message(msg).unwrap();
-                live.push(token);
+            for &(id, src, dst) in chunk {
+                let path = fabric.path(src, dst, id);
+                serial.add_flow(id, src, dst, 1.0, &path);
+                multicore.add_flow(id, src, dst, 1.0, &path);
+                live.push(id);
             }
             for _ in 0..13 {
-                let a = serial.tick();
-                let b = multicore.tick();
-                assert_eq!(a, b, "blocks={blocks}: update streams diverged");
+                serial.iterate();
+                multicore.iterate();
+                let a = drained(&mut serial);
+                assert_eq!(
+                    a,
+                    drained(&mut multicore),
+                    "blocks={blocks}: update streams diverged"
+                );
+                lent += a.len();
             }
             if round > 0 {
                 let victim = live.remove(0);
-                let end = Message::FlowletEnd { token: victim };
-                serial.on_message(end).unwrap();
-                multicore.on_message(end).unwrap();
+                assert!(serial.remove_flow(victim));
+                assert!(multicore.remove_flow(victim));
             }
-            for &token in &live {
-                let a = serial.flow_rate_gbps(token).unwrap();
-                let b = multicore.flow_rate_gbps(token).unwrap();
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "blocks={blocks} token {token:?}: {a} vs {b}"
-                );
-            }
+            let a = rate_bits(&serial);
+            assert_eq!(a.len(), live.len());
+            assert_eq!(a, rate_bits(&multicore), "blocks={blocks}, round {round}");
         }
-        assert_eq!(serial.active_flows(), multicore.active_flows());
-        assert_eq!(serial.stats(), multicore.stats());
+        assert!(lent > 0, "blocks={blocks}: the streams compared were empty");
     }
 }
 

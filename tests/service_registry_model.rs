@@ -46,7 +46,6 @@ impl Model {
         };
         let engine = match *engine {
             Engine::Serial => SerialAllocator::new(fabric, alloc_cfg),
-            Engine::Multicore { workers } => SerialAllocator::multicore(fabric, alloc_cfg, workers),
             Engine::Gradient => SerialAllocator::gradient(fabric, alloc_cfg),
             Engine::Sharded { .. } => unreachable!("the model is one service"),
         };
@@ -243,11 +242,7 @@ proptest! {
     fn slab_service_matches_the_token_walk(ops in proptest::collection::vec(op(), 1..160)) {
         // Each engine carries its own §6.4 memory; the model's is one
         // token-keyed filter whatever it hosts.
-        for engine in [
-            Engine::Serial,
-            Engine::Multicore { workers: 2 },
-            Engine::Gradient,
-        ] {
+        for engine in [Engine::Serial, Engine::Gradient] {
             check(engine, FlowtuneConfig::default(), &ops);
         }
         // Incremental at eps 0: the engine filters only its changed

@@ -218,50 +218,6 @@ fn parallel_tick_is_bit_for_bit_sequential() {
 }
 
 #[test]
-fn multicore_shards_exchange_bit_for_bit_what_serial_shards_do() {
-    // The one path on which the multicore *pipeline* exports link state:
-    // shards over `Engine::Multicore` with the exchange on. Its totals
-    // come from the root workers' accumulators after the pool run, the
-    // serial engine's from its reduction scratch — the same bits, or the
-    // update streams and the shipped-entry accounting part ways (a
-    // pipeline that exported all-zero loads would subscribe to nothing
-    // and price no background). Full sweeps, the one schedule the
-    // pipeline runs.
-    let fabric = fabric();
-    let cfg = FlowtuneConfig {
-        exchange_every: 1,
-        incremental: false,
-        ..FlowtuneConfig::default()
-    };
-    let build = |engine: Engine| {
-        AllocatorService::builder()
-            .fabric(&fabric)
-            .config(cfg)
-            .engine(engine.sharded(2))
-            .build_driver()
-            .expect("a shardable engine over a set fabric")
-    };
-    for seed in [1u64, 7, 42] {
-        let mut serial = build(Engine::Serial);
-        let mut multicore = build(Engine::Multicore { workers: 2 });
-        // Churn over the whole server space: both shards' flows meet on
-        // downlinks and spine links, so each prices the other's load.
-        assert_bit_for_bit(
-            &format!("multicore vs serial shards, exchange every tick, seed {seed}"),
-            &Replay::churn(&fabric, seed, 90),
-            &mut serial,
-            &mut multicore,
-            StatsCheck::Exact,
-        );
-        // `Exact` compared `exchange_bytes` too; make sure it was not
-        // zero against zero.
-        let stats = multicore.stats();
-        assert_eq!(stats.exchange_rounds, 90);
-        assert!(stats.exchange_bytes > 0);
-    }
-}
-
-#[test]
 fn mem_wire_cluster_is_bit_for_bit_the_in_process_sharded_service() {
     // The distributed control plane's acceptance criterion: a cluster of
     // `ShardPeer`s speaking the serialized exchange format over the
